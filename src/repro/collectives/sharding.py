@@ -4,72 +4,79 @@ ZeRO stage-1 training replaces the gradient allreduce with a split
 schedule: a *reduce-scatter* leaves each rank holding one fully reduced
 1/P shard of the gradient, the optimizer updates only that shard's
 parameters (and allocates state only for it), and an *allgather* of the
-updated **parameters** restores the replicated model.  These two
-primitives are the halves the classic allreduce algorithms are already
-built from — this module extracts them as standalone collectives:
+updated **parameters** restores the replicated model.
 
-* **ring** — the reduce-scatter / allgather phases of
-  :func:`repro.collectives.sync.allreduce_ring`, schedule-identical and
-  therefore bit-identical to the full ring allreduce when composed.
-  Rank ``r`` ends the reduce-scatter owning contiguous chunk
-  ``(r + 1) % P`` — the chunk the ring's rotation lands on it.
-* **halving / doubling** — the two phases of Rabenseifner's algorithm
-  (:func:`~repro.collectives.sync.allreduce_rabenseifner`): recursive
-  halving assigns each in-group rank the window the bisection walk ends
-  on; non-power-of-two worlds fold the extra ranks in before the halving
-  and fold the full vector back out after the doubling (the extras own
-  *empty* windows in between).
+An allreduce *is* a reduce-scatter followed by an allgather, so this
+module holds no schedule of its own: each primitive composes the phase
+functions of :mod:`repro.collectives.sync` (one body per phase, see its
+module docstring), minting tags from the dedicated ``sharding`` region
+(:func:`repro.comm.tags.sharding_tag`, layout ``(epoch, phase, round,
+chunk)``, its own per-communicator epoch counter) so sharded collectives
+can never steal messages from the ``sync`` collectives they run next to.
+Phase ids in parentheses:
+
+* **ring** — ``reduce_scatter`` = ring reduce-scatter (0),
+  ``allgather_flat`` = ring allgather (1): the two halves of
+  :func:`~repro.collectives.sync.allreduce_ring`, so composing them is
+  bit-identical to the full ring allreduce.  Rank ``r`` owns contiguous
+  chunk ``(r + 1) % P`` — the chunk the ring's rotation lands on it.
+* **halving / doubling** — the two halves of Rabenseifner's algorithm:
+  ``reduce_scatter`` = fold-in (4), halving reduce-scatter (2);
+  ``allgather_flat`` = doubling allgather (3), fold-out (5).  Each
+  in-group rank owns the window the bisection walk ends on; the
+  non-power-of-two extras own *empty* windows in between.
 * **hierarchical** — rides :class:`~repro.collectives.topology.HostTopology`:
-  every host reduces onto its leader, the leaders reduce-scatter the
-  vector in host-sized segments over the leader ring, and each leader
-  scatters its host segment's sub-windows to its members; the allgather
-  runs the mirror image (gather to leader, leader ring allgather,
-  intra-host broadcast).  Only leaders touch inter-host links.
-* **compressed wire** — the ring variants accept a reduce-closed codec
-  (:mod:`repro.compression`) and run the decode-reduce-encode hop of
-  :func:`~repro.collectives.sync.allreduce_compressed_ring`: encoded
-  payloads on every wire hop, dense ``float64`` arithmetic at every
-  combine.
+  ``reduce_scatter`` = intra-host reduce (6), ring reduce-scatter of
+  host-sized segments over the leaders (10), sub-window scatter to the
+  host's members (7); ``allgather_flat`` is the mirror image —
+  sub-window gather (8), leader ring allgather (11), intra-host
+  broadcast (9).  Only leaders touch inter-host links.
+* **compressed wire** — with a reduce-closed codec
+  (:mod:`repro.compression`) the ring algorithm runs the compressed-ring
+  phases instead (same ids 0 / 1): encoded payloads on every wire hop,
+  dense ``float64`` arithmetic at every combine.
 
 Ownership is a *static* function of ``(length, world, algorithm,
 topology)`` — :func:`shard_bounds` — so optimizer state keyed by the
 owned window is stable across steps and ranks can size buffers without
-communicating.
-
-Tags are minted from the dedicated ``sharding`` region of
-:mod:`repro.comm.tags` (layout ``(epoch, phase, round, chunk)``, its own
-per-communicator epoch counter), so sharded collectives can never steal
-messages from the ``sync`` collectives they run next to — the static
-schedule verifier (:mod:`repro.analysis.schedule_verifier`) sweeps these
-schedules alongside the rest.
+communicating.  The static schedule verifier
+(:mod:`repro.analysis.schedule_verifier`) sweeps these schedules
+alongside the rest.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm import reduce_kernels, tags
+from repro.comm import tags
 from repro.comm.communicator import Communicator
 from repro.comm.reduce_ops import ReduceOp, get_op
 from repro.collectives.sync import (
+    _LeaderRanks,
+    _as_dense_array,
     _as_float_array,
+    _compressed_ring_allgather,
+    _compressed_ring_reduce_scatter,
+    _doubling_allgather,
     _fold_in,
     _fold_out,
+    _halving_reduce_scatter,
+    _halving_window,
+    _intra_bcast,
+    _intra_reduce,
+    _next_epoch,
     _recv_segments,
+    _require_wire_codec,
+    _ring_allgather,
+    _ring_reduce_scatter,
     _segment_bounds,
     _send_segments,
     _validate_chunks,
     resolve_host_topology,
 )
-from repro.collectives.topology import (
-    HostTopology,
-    intra_bcast_edges,
-    intra_reduce_edges,
-    largest_power_of_two_leq,
-)
+from repro.collectives.topology import HostTopology, largest_power_of_two_leq
 from repro.obs import recorder as _obs
 
 # Phase identifiers within the ``sharding`` tag region (< SHARDING_MAX_PHASES).
@@ -83,10 +90,8 @@ _PHASE_HIER_REDUCE = 6
 _PHASE_HIER_SCATTER = 7
 _PHASE_HIER_GATHER = 8
 _PHASE_HIER_BCAST = 9
-# The hierarchical leader tier reuses the ring helpers through a
-# rank-remapped view; unlike sync's ``_LeaderView`` no tag translation is
-# needed — the helpers take the phase explicitly, so the leader ring just
-# runs in its own phase namespace.
+# The hierarchical leader tier runs the ring phases over the host leaders
+# in its own phase namespace of the enclosing collective's epoch.
 _PHASE_LEADER_RS = 10
 _PHASE_LEADER_AG = 11
 
@@ -105,54 +110,27 @@ ALLGATHER_FLAT_ALGORITHMS: Tuple[str, ...] = tuple(
 )
 
 
-def _next_epoch(comm: Communicator) -> int:
-    """Per-communicator sequence number for sharded collectives.
-
-    Separate from the ``sync`` epoch counter: the two regions are
-    disjoint, so interleaving sharded and synchronous collectives on one
-    communicator cannot alias tags either way.
-    """
-    counter = getattr(comm, "_sharding_collective_epoch", None)
-    if counter is None:
-        counter = itertools.count()
-        setattr(comm, "_sharding_collective_epoch", counter)
-    return next(counter)
-
-
-def _resolve_rs_algorithm(algorithm: str) -> str:
-    if algorithm not in ALLGATHER_FOR_REDUCE_SCATTER:
+def _require_algorithm(collective: str, algorithm: str, available) -> None:
+    if algorithm not in available:
         raise ValueError(
-            f"unknown reduce_scatter algorithm {algorithm!r}; "
-            f"available: {sorted(ALLGATHER_FOR_REDUCE_SCATTER)}"
+            f"unknown {collective} algorithm {algorithm!r}; "
+            f"available: {sorted(available)}"
         )
-    return algorithm
-
-
-def _resolve_ag_algorithm(algorithm: str) -> str:
-    if algorithm not in ALLGATHER_FLAT_ALGORITHMS:
-        raise ValueError(
-            f"unknown allgather_flat algorithm {algorithm!r}; "
-            f"available: {sorted(ALLGATHER_FLAT_ALGORITHMS)}"
-        )
-    return algorithm
 
 
 # --------------------------------------------------------------------------
 # static ownership map
 # --------------------------------------------------------------------------
-def _halving_window(rank: int, pof2: int, length: int) -> Tuple[int, int]:
-    """The window the recursive-halving bisection walk leaves ``rank`` with."""
-    lo, hi = 0, length
-    dist = pof2 // 2
-    while dist >= 1:
-        partner = rank ^ dist
-        mid = lo + (hi - lo) // 2
-        if rank < partner:
-            hi = mid
-        else:
-            lo = mid
-        dist //= 2
-    return lo, hi
+def _hier_sub_bounds(
+    topology: HostTopology, host: int, host_bounds: List[Tuple[int, int]]
+) -> List[Tuple[int, int]]:
+    """Member sub-windows of ``host``'s owned segment, in local-index order."""
+    hlo, hhi = host_bounds[(host + 1) % topology.num_hosts]
+    locals_ = topology.ranks_on_host(host)
+    return [
+        (hlo + slo, hlo + shi)
+        for slo, shi in _segment_bounds(hhi - hlo, len(locals_))
+    ]
 
 
 def shard_bounds(
@@ -179,6 +157,9 @@ def shard_bounds(
         raise ValueError(f"size must be >= 1, got {size}")
     if size == 1:
         return [(0, length)]
+    _require_algorithm(
+        "sharding", algorithm, REDUCE_SCATTER_ALGORITHMS + ALLGATHER_FLAT_ALGORITHMS
+    )
     if algorithm == "ring":
         bounds = _segment_bounds(length, size)
         return [bounds[(rank + 1) % size] for rank in range(size)]
@@ -187,298 +168,26 @@ def shard_bounds(
         windows = [_halving_window(rank, pof2, length) for rank in range(pof2)]
         windows.extend((0, 0) for _ in range(size - pof2))
         return windows
-    if algorithm == "hierarchical":
-        if topology is None:
-            topology = HostTopology.single_host(size)
-        if topology.world_size != size:
-            raise ValueError(
-                f"host topology covers {topology.world_size} rank(s), "
-                f"expected {size}"
-            )
-        host_bounds = _segment_bounds(length, topology.num_hosts)
-        windows = []
-        for rank in range(size):
-            host = topology.host(rank)
-            hlo, hhi = host_bounds[(host + 1) % topology.num_hosts]
-            locals_ = topology.ranks_on_host(host)
-            slo, shi = _segment_bounds(hhi - hlo, len(locals_))[
-                topology.local_index(rank)
-            ]
-            windows.append((hlo + slo, hlo + shi))
-        return windows
-    raise ValueError(
-        f"unknown sharding algorithm {algorithm!r}; "
-        f"available: {sorted(set(ALLGATHER_FOR_REDUCE_SCATTER) | set(ALLGATHER_FLAT_ALGORITHMS))}"
-    )
-
-
-# --------------------------------------------------------------------------
-# ring helpers (shared by the flat and leader tiers — phase is a parameter)
-# --------------------------------------------------------------------------
-def _ring_reduce_scatter(
-    comm,
-    flat: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    epoch: int,
-    phase: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-    timeout: Optional[float],
-) -> None:
-    """Reduce-scatter phase of the ring: rank r ends owning chunk (r+1)%P."""
-    rank, size = comm.rank, comm.size
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    for step in range(size - 1):
-        send_chunk = (rank - step) % size
-        recv_chunk = (rank - step - 1) % size
-        _send_segments(
-            comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
-            mint=_tag,
-        )
-        _recv_segments(
-            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            timeout, reduce_op=reduce_op, mint=_tag,
-        )
-
-
-def _ring_allgather(
-    comm,
-    flat: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    epoch: int,
-    phase: int,
-    n_chunks: int,
-    timeout: Optional[float],
-) -> None:
-    """Allgather phase of the ring: circulates each rank's owned chunk."""
-    rank, size = comm.rank, comm.size
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    for step in range(size - 1):
-        send_chunk = (rank - step + 1) % size
-        recv_chunk = (rank - step) % size
-        _send_segments(
-            comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
-            mint=_tag,
-        )
-        _recv_segments(
-            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            timeout, mint=_tag,
-        )
-
-
-# --------------------------------------------------------------------------
-# compressed ring helpers (decode-reduce-encode wire hops)
-# --------------------------------------------------------------------------
-def _require_wire_codec(codec) -> None:
-    if codec.wire_dtype is None:
+    # hierarchical
+    if topology is None:
+        topology = HostTopology.single_host(size)
+    if topology.world_size != size:
         raise ValueError(
-            f"codec {codec.name!r} has no fixed-width wire dtype; the "
-            f"compressed sharded ring needs one encoded element per dense "
-            f"element"
+            f"host topology covers {topology.world_size} rank(s), "
+            f"expected {size}"
         )
-
-
-def _encode_chunk(codec, flat: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    if hi <= lo:
-        # Worlds larger than the bucket leave some ranks with empty ring
-        # chunks; an empty fixed-width wire payload is well-defined.
-        return np.empty(0, dtype=codec.wire_dtype)
-    return np.asarray(codec.encode(flat[lo:hi]).payload)
-
-
-def _decode_chunk(codec, wire: np.ndarray, num_elements: int) -> np.ndarray:
-    from repro.compression.base import EncodedGradient
-
-    template = EncodedGradient(codec.name, num_elements, wire, wire.nbytes)
-    return codec.decode(template)
-
-
-def _recv_wire(
-    comm, codec, length: int, pred: int, epoch: int, phase: int, step: int,
-    n_chunks: int, timeout: Optional[float],
-) -> np.ndarray:
-    if n_chunks == 1:
-        return np.asarray(
-            comm.recv(source=pred, tag=_tag(epoch, phase, step, 0), timeout=timeout)
-        )
-    buf = np.empty(length, dtype=codec.wire_dtype)
-    _recv_segments(
-        comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout,
-        mint=_tag,
-    )
-    return buf
-
-
-def _compressed_ring_reduce_scatter(
-    comm,
-    flat: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    epoch: int,
-    phase: int,
-    n_chunks: int,
-    codec,
-    timeout: Optional[float],
-) -> None:
-    """Ring reduce-scatter with encoded hops and dense float64 combines."""
-    rank, size = comm.rank, comm.size
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    cast_decodable = bool(getattr(codec, "wire_is_values", False))
-    for step in range(size - 1):
-        send_chunk = (rank - step) % size
-        recv_chunk = (rank - step - 1) % size
-        wire_out = _encode_chunk(codec, flat, *bounds[send_chunk])
-        _send_segments(
-            comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
-            mint=_tag,
-        )
-        lo, hi = bounds[recv_chunk]
-        wire_in = _recv_wire(
-            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks, timeout
-        )
-        if hi > lo and not (
-            cast_decodable and reduce_kernels.accumulate_wire(flat[lo:hi], wire_in)
-        ):
-            flat[lo:hi] += _decode_chunk(codec, wire_in, hi - lo)
-
-
-def _compressed_ring_allgather(
-    comm,
-    flat: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    epoch: int,
-    phase: int,
-    n_chunks: int,
-    codec,
-    timeout: Optional[float],
-) -> None:
-    """Ring allgather of encoded chunks; every rank decodes identical bytes.
-
-    The own chunk is encoded once and circulated unchanged; at the end it
-    is re-decoded from its encoded form too, so all replicas hold
-    bit-identical values (the standalone analogue of the
-    :func:`~repro.collectives.sync.allreduce_compressed_ring` allgather).
-    """
-    rank, size = comm.rank, comm.size
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    cast_decodable = bool(getattr(codec, "wire_is_values", False))
-    own = (rank + 1) % size
-    encoded_chunks: Dict[int, np.ndarray] = {own: _encode_chunk(codec, flat, *bounds[own])}
-    for step in range(size - 1):
-        send_chunk = (rank - step + 1) % size
-        recv_chunk = (rank - step) % size
-        wire_out = encoded_chunks[send_chunk]
-        _send_segments(
-            comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
-            mint=_tag,
-        )
-        lo, hi = bounds[recv_chunk]
-        encoded_chunks[recv_chunk] = _recv_wire(
-            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks, timeout
-        )
-    for index, wire in encoded_chunks.items():
-        lo, hi = bounds[index]
-        if hi > lo:
-            wire_arr = np.asarray(wire)
-            if cast_decodable and np.issubdtype(wire_arr.dtype, np.floating):
-                np.copyto(flat[lo:hi], wire_arr)
-            else:
-                flat[lo:hi] = _decode_chunk(codec, wire_arr, hi - lo)
-
-
-# --------------------------------------------------------------------------
-# hierarchical tier helpers
-# --------------------------------------------------------------------------
-class _LeaderRanks:
-    """Rank-remapped view of ``comm`` restricted to the host leaders.
-
-    Unlike :class:`repro.collectives.sync._LeaderView` there is no tag
-    translation: the sharded ring helpers take their phase explicitly, so
-    the leader tier simply runs in the ``_PHASE_LEADER_*`` namespace of
-    the enclosing collective's epoch.
-    """
-
-    def __init__(self, comm: Communicator, leaders: Tuple[int, ...]) -> None:
-        self._comm = comm
-        self._leaders = tuple(leaders)
-        self.rank = self._leaders.index(comm.rank)
-        self.size = len(self._leaders)
-
-    def send(self, data, dest: int, tag: int = 0) -> None:
-        self._comm.send(data, self._leaders[dest], tag=tag)
-
-    def recv(self, source: int, tag: int, timeout: Optional[float] = None):
-        return self._comm.recv(
-            source=self._leaders[source], tag=tag, timeout=timeout
-        )
-
-
-def _intra_reduce(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-    timeout: Optional[float],
-) -> None:
-    """Reduce every host's contributions onto its leader (binomial tree)."""
-    rank = comm.rank
-    for round_index, (src, dst) in enumerate(
-        intra_reduce_edges(topology, topology.host(rank))
-    ):
-        if rank == src:
-            _send_segments(
-                comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_REDUCE,
-                round_index, n_chunks, mint=_tag,
-            )
-        elif rank == dst:
-            _recv_segments(
-                comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_REDUCE,
-                round_index, n_chunks, timeout, reduce_op=reduce_op, mint=_tag,
-            )
-
-
-def _intra_bcast(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    timeout: Optional[float],
-) -> None:
-    """Broadcast the leader's buffer back across its host."""
-    rank = comm.rank
-    for round_index, (src, dst) in enumerate(
-        intra_bcast_edges(topology, topology.host(rank))
-    ):
-        if rank == src:
-            _send_segments(
-                comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_BCAST,
-                round_index, n_chunks, mint=_tag,
-            )
-        elif rank == dst:
-            _recv_segments(
-                comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_BCAST,
-                round_index, n_chunks, timeout, mint=_tag,
-            )
-
-
-def _hier_sub_bounds(
-    topology: HostTopology, host: int, host_bounds: List[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """Member sub-windows of ``host``'s owned segment, in local-index order."""
-    hlo, hhi = host_bounds[(host + 1) % topology.num_hosts]
-    locals_ = topology.ranks_on_host(host)
+    host_bounds = _segment_bounds(length, topology.num_hosts)
     return [
-        (hlo + slo, hlo + shi)
-        for slo, shi in _segment_bounds(hhi - hlo, len(locals_))
+        _hier_sub_bounds(topology, topology.host(rank), host_bounds)[
+            topology.local_index(rank)
+        ]
+        for rank in range(size)
     ]
 
 
+# --------------------------------------------------------------------------
+# hierarchical tier compositions
+# --------------------------------------------------------------------------
 def _hierarchical_reduce_scatter(
     comm: Communicator,
     flat: np.ndarray,
@@ -493,15 +202,17 @@ def _hierarchical_reduce_scatter(
     host = topology.host(rank)
     host_bounds = _segment_bounds(flat.size, topology.num_hosts)
     with _obs.span("shard-hier-intra-reduce", "collective", n_chunks=n_chunks):
-        _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
+        _intra_reduce(
+            comm, flat, topology, _tag, epoch, _PHASE_HIER_REDUCE, n_chunks,
+            reduce_op, timeout,
+        )
     sub_bounds = _hier_sub_bounds(topology, host, host_bounds)
     if topology.is_leader(rank):
         with _obs.span("shard-hier-leader-rs", "collective",
                        leaders=topology.num_hosts, n_chunks=n_chunks):
-            view = _LeaderRanks(comm, topology.leaders)
             _ring_reduce_scatter(
-                view, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks,
-                reduce_op, timeout,
+                _LeaderRanks(comm, topology.leaders), flat, host_bounds, _tag,
+                epoch, _PHASE_LEADER_RS, n_chunks, reduce_op, timeout,
             )
         for j, member in enumerate(topology.ranks_on_host(host)):
             if member == rank:
@@ -541,10 +252,9 @@ def _hierarchical_allgather(
             )
         with _obs.span("shard-hier-leader-ag", "collective",
                        leaders=topology.num_hosts, n_chunks=n_chunks):
-            view = _LeaderRanks(comm, topology.leaders)
             _ring_allgather(
-                view, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks,
-                timeout,
+                _LeaderRanks(comm, topology.leaders), flat, host_bounds, _tag,
+                epoch, _PHASE_LEADER_AG, n_chunks, timeout,
             )
     else:
         j = topology.local_index(rank)
@@ -553,7 +263,9 @@ def _hierarchical_allgather(
             _PHASE_HIER_GATHER, j, n_chunks, mint=_tag,
         )
     with _obs.span("shard-hier-intra-bcast", "collective", n_chunks=n_chunks):
-        _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+        _intra_bcast(
+            comm, flat, topology, _tag, epoch, _PHASE_HIER_BCAST, n_chunks, timeout
+        )
 
 
 # --------------------------------------------------------------------------
@@ -588,12 +300,19 @@ def reduce_scatter(
 
     ``codec`` (reduce-closed, fixed-width wire dtype) switches the ring
     hops to encoded payloads with dense combines; only the ring
-    algorithm supports it.  ``op`` must stay ``"sum"`` under a codec or
-    with ``average``.
+    algorithm supports it.  ``op`` must be ``"sum"`` under a codec or
+    with ``average`` (anything else raises :class:`ValueError`).
     """
-    algorithm = _resolve_rs_algorithm(algorithm)
+    _require_algorithm("reduce_scatter", algorithm, REDUCE_SCATTER_ALGORITHMS)
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
+    if (codec is not None or average) and reduce_op.name != "sum":
+        # The compressed hop adds densely and the average divides by P:
+        # either is only meaningful for a sum.
+        raise ValueError(
+            f"reduce_scatter with a codec or average=True requires op='sum', "
+            f"got op={reduce_op.name!r}"
+        )
     if codec is not None:
         if algorithm != "ring":
             raise ValueError(
@@ -601,21 +320,17 @@ def reduce_scatter(
                 f"got {algorithm!r}"
             )
         _require_wire_codec(codec)
-        arr = np.asarray(data, dtype=np.float64)
-        if (copy and arr is data) or not arr.flags.writeable:
-            arr = np.array(arr, copy=True)
+        arr = _as_dense_array(data, copy)
     else:
         arr = _as_float_array(data, copy=copy)
     flat = arr.reshape(-1)
     rank, size = comm.rank, comm.size
     if size == 1:
         return flat, (0, flat.size)
-    epoch = _next_epoch(comm)
-    lo, hi = shard_bounds(
-        flat.size, size, algorithm,
-        topology=resolve_host_topology(comm, topology)
-        if algorithm == "hierarchical" else None,
-    )[rank]
+    epoch = _next_epoch(comm, "sharding")
+    if algorithm == "hierarchical":
+        topology = resolve_host_topology(comm, topology)
+    lo, hi = shard_bounds(flat.size, size, algorithm, topology=topology)[rank]
     with _obs.span(
         f"reduce_scatter[{algorithm}]", "collective",
         nbytes=flat.nbytes, n_chunks=n_chunks,
@@ -624,47 +339,24 @@ def reduce_scatter(
             bounds = _segment_bounds(flat.size, size)
             if codec is not None:
                 _compressed_ring_reduce_scatter(
-                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks, codec,
-                    timeout,
+                    comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks,
+                    codec, timeout,
                 )
             else:
                 _ring_reduce_scatter(
-                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks,
+                    comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks,
                     reduce_op, timeout,
                 )
         elif algorithm == "halving":
-            pof2 = largest_power_of_two_leq(size)
-            in_group = _fold_in(
-                comm, flat, epoch, n_chunks, reduce_op, timeout,
-                phase=_PHASE_FOLD_IN, mint=_tag,
-            )
-            if in_group:
-                win_lo, win_hi = 0, flat.size
-                dist = pof2 // 2
-                round_index = 0
-                while dist >= 1:
-                    partner = rank ^ dist
-                    mid = win_lo + (win_hi - win_lo) // 2
-                    if rank < partner:
-                        keep_lo, keep_hi = win_lo, mid
-                        send_lo, send_hi = mid, win_hi
-                    else:
-                        keep_lo, keep_hi = mid, win_hi
-                        send_lo, send_hi = win_lo, mid
-                    _send_segments(
-                        comm, flat, send_lo, send_hi, partner, epoch,
-                        _PHASE_HALVING_RS, round_index, n_chunks, mint=_tag,
-                    )
-                    _recv_segments(
-                        comm, flat, keep_lo, keep_hi, partner, epoch,
-                        _PHASE_HALVING_RS, round_index, n_chunks, timeout,
-                        reduce_op=reduce_op, mint=_tag,
-                    )
-                    win_lo, win_hi = keep_lo, keep_hi
-                    dist //= 2
-                    round_index += 1
+            if _fold_in(
+                comm, flat, _tag, epoch, _PHASE_FOLD_IN, n_chunks, reduce_op,
+                timeout,
+            ):
+                _halving_reduce_scatter(
+                    comm, flat, _tag, epoch, _PHASE_HALVING_RS, n_chunks,
+                    reduce_op, timeout,
+                )
         else:  # hierarchical
-            topology = resolve_host_topology(comm, topology)
             _hierarchical_reduce_scatter(
                 comm, flat, topology, epoch, n_chunks, reduce_op, timeout
             )
@@ -698,7 +390,7 @@ def allgather_flat(
     """
     if algorithm == "halving":
         algorithm = "doubling"
-    algorithm = _resolve_ag_algorithm(algorithm)
+    _require_algorithm("allgather_flat", algorithm, ALLGATHER_FLAT_ALGORITHMS)
     n_chunks = _validate_chunks(n_chunks)
     arr = np.asarray(flat)
     if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.floating):
@@ -721,7 +413,7 @@ def allgather_flat(
                 f"got {algorithm!r}"
             )
         _require_wire_codec(codec)
-    epoch = _next_epoch(comm)
+    epoch = _next_epoch(comm, "sharding")
     with _obs.span(
         f"allgather_flat[{algorithm}]", "collective",
         nbytes=arr.nbytes, n_chunks=n_chunks,
@@ -730,40 +422,20 @@ def allgather_flat(
             bounds = _segment_bounds(arr.size, size)
             if codec is not None:
                 _compressed_ring_allgather(
-                    comm, arr, bounds, epoch, _PHASE_RING_AG, n_chunks, codec,
-                    timeout,
+                    comm, arr, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks,
+                    codec, timeout,
                 )
             else:
                 _ring_allgather(
-                    comm, arr, bounds, epoch, _PHASE_RING_AG, n_chunks, timeout
+                    comm, arr, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks,
+                    timeout,
                 )
         elif algorithm == "doubling":
-            pof2 = largest_power_of_two_leq(size)
-            in_group = rank < pof2
-            if in_group:
-                seg_lo, seg_hi = _halving_window(rank, pof2, arr.size)
-                dist = 1
-                round_index = 0
-                while dist < pof2:
-                    partner = rank ^ dist
-                    tag = _tag(epoch, _PHASE_DOUBLING_AG, round_index)
-                    comm.send(
-                        (seg_lo, seg_hi, arr[seg_lo:seg_hi].copy()), partner,
-                        tag=tag,
-                    )
-                    other_lo, other_hi, other_data = comm.recv(
-                        source=partner, tag=tag, timeout=timeout
-                    )
-                    if other_hi > other_lo:
-                        arr[other_lo:other_hi] = other_data
-                    seg_lo = min(seg_lo, other_lo)
-                    seg_hi = max(seg_hi, other_hi)
-                    dist *= 2
-                    round_index += 1
-            _fold_out(
-                comm, arr, epoch, n_chunks, in_group, timeout,
-                phase=_PHASE_FOLD_OUT, mint=_tag,
-            )
+            if rank < largest_power_of_two_leq(size):
+                _doubling_allgather(
+                    comm, arr, _tag, epoch, _PHASE_DOUBLING_AG, timeout
+                )
+            _fold_out(comm, arr, _tag, epoch, _PHASE_FOLD_OUT, n_chunks, timeout)
         else:  # hierarchical
             topology = resolve_host_topology(comm, topology)
             _hierarchical_allgather(comm, arr, topology, epoch, n_chunks, timeout)

@@ -1,46 +1,61 @@
-"""Synchronous collective operations over the point-to-point substrate.
+"""Synchronous collectives, defined as compositions of collective *phases*.
 
-These implement the classic allreduce algorithms referenced by the paper
-(Section 7, *Collective communication*):
+A phase is one communication pattern with exactly one body in this
+module.  A phase function takes ``(mint, epoch, phase)`` — the tag-mint
+function of the caller's region, the caller's epoch, and the phase id
+its rounds are numbered under — so the same body serves both tag regions
+and both tiers of a two-tier schedule.  Every algorithm of the paper's
+Section 7 (*Collective communication*), here and in
+:mod:`repro.collectives.sharding`, is a short composition of them.  In
+the ``sync`` region (phase ids in parentheses):
 
-* **recursive doubling** — ``log2(P)`` rounds of pairwise exchange;
-  latency-optimal for small messages, used by the paper's partial
-  collectives as the reduction schedule.
-* **ring allreduce** — reduce-scatter followed by allgather on a ring;
-  bandwidth-optimal for large messages (Horovod's default).
-* **Rabenseifner's algorithm** — recursive-halving reduce-scatter followed
-  by recursive-doubling allgather.
-* **hierarchical (two-tier)** — intra-host reduce to a per-host leader,
-  ring exchange among the leaders only, intra-host broadcast back.  The
-  schedule queries the transport's :class:`~repro.collectives.topology.HostTopology`
+* **recursive doubling** = fold-in (8), ``log2(P)`` pairwise full-vector
+  exchanges (3), fold-out (9); latency-optimal, the reduction schedule of
+  the paper's partial collectives.
+* **ring** = ring reduce-scatter (4) ∘ ring allgather (5);
+  bandwidth-optimal (Horovod's default).
+* **Rabenseifner** = fold-in (8), recursive-halving reduce-scatter (6),
+  recursive-doubling allgather (7), fold-out (9).
+* **compressed ring** = compressed-ring reduce-scatter (4), dense average
+  of the owned chunk, compressed-ring allgather (5): codec-encoded wire
+  hops, dense ``float64`` combines.
+* **hierarchical** = intra-host reduce onto each host's leader (10), the
+  *ring* composition over the leaders only (12, 13 — a
+  :class:`_LeaderRanks` view renames ranks, the tags are the enclosing
+  epoch's), intra-host broadcast (11); the compressed variant runs the
+  compressed ring phases on the leader tier.  The schedule queries the
+  transport's :class:`~repro.collectives.topology.HostTopology`
   (``comm.router.host_topology``, exposed by the ``hier`` backend) so
   non-leader ranks never touch an inter-host link.
 
-Non-power-of-two worlds
------------------------
-All three allreduce algorithms handle arbitrary world sizes *natively*
-with the standard fold: the ``r = P - 2^k`` "extra" ranks (ranks
-``[2^k, P)``) fold their contribution into a partner in ``[0, r)``, the
-remaining power-of-two group runs the core algorithm, and the result is
-folded back out.  There is **no silent fallback** to a different
-algorithm — the algorithm named by the caller is the algorithm that runs,
-at every world size (the ring algorithm needs no fold at all).
+``broadcast`` (0), ``reduce`` (1) and ``allgather`` (2) are single-phase
+binomial-tree / ring collectives.  The ``sharding`` region's
+``reduce_scatter`` / ``allgather_flat`` are the *halves* of the same
+compositions — which is why ring allreduce ≡ reduce-scatter ∘ allgather
+bitwise (``TestRingSplitIdentity``).
+
+The fold (the ``P - 2^k`` extra ranks fold their contribution into a
+partner in the power-of-two group and are handed the result back) makes
+non-power-of-two worlds native: the algorithm named by the caller is the
+algorithm that runs, at every world size — **no silent fallback** (the
+ring needs no fold at all).
 
 Chunk pipelining
 ----------------
-``allreduce_ring`` and ``allreduce_recursive_doubling`` (and the
-Rabenseifner reduce-scatter phase) accept ``n_chunks``: each per-round
-payload is segmented into ``n_chunks`` messages so that the reduction of
-segment *k* overlaps the transmission of segment *k + 1* (sends are eager
-on this substrate, so all segments of a round are in flight while the
-receiver combines the earlier ones).  ``n_chunks=1`` reproduces the
-classic monolithic rounds bit-for-bit.
+Every phase built on ``_send_segments`` / ``_recv_segments`` accepts
+``n_chunks``: each per-round payload is segmented into ``n_chunks``
+messages so that the reduction of segment *k* overlaps the transmission
+of segment *k + 1* (sends are eager on this substrate, so all segments
+of a round are in flight while the receiver combines the earlier ones).
+The doubling allgather keeps one message per round.  ``n_chunks=1``
+reproduces the classic monolithic rounds bit-for-bit.
 
 Tag layout
 ----------
-Tags are namespaced by a per-communicator epoch counter so consecutive
-collectives can never steal each other's messages.  Within one epoch the
-layout is ``(phase, round, chunk)`` with fixed strides::
+Tags are namespaced by a per-communicator, per-region epoch counter
+(:func:`_next_epoch`) so consecutive collectives can never steal each
+other's messages.  Within one epoch the layout is ``(phase, round,
+chunk)`` with fixed strides::
 
     tag = _SYNC_TAG_BASE
         + epoch * _EPOCH_STRIDE          # one collective invocation
@@ -49,16 +64,14 @@ layout is ``(phase, round, chunk)`` with fixed strides::
         + chunk                          # pipeline segment, < _TAG_MAX_CHUNKS
 
 ``_TAG_MAX_ROUNDS = 2^17`` supports ring worlds beyond 100k ranks (a ring
-allreduce uses ``P - 1`` rounds per phase); the previous layout packed
-rounds into a 512-slot field and silently collided into the next phase's
-(and for high phases the next epoch's) tag space for ``P > 512``.
-:func:`_tag` now *raises* on any field overflow instead of wrapping.
+phase uses ``P - 1`` rounds).  :func:`_tag` *raises* on any field
+overflow instead of wrapping into a neighbouring phase or epoch.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,23 +115,26 @@ _PHASE_FOLD_IN = 8
 _PHASE_FOLD_OUT = 9
 _PHASE_HIER_REDUCE = 10
 _PHASE_HIER_BCAST = 11
-#: The hierarchical leader exchange reuses the ring algorithms through a
-#: rank-remapped view of the communicator; the inner collective's phases
-#: (``_PHASE_RING_RS``/``_PHASE_RING_AG``) are shifted by this amount so
-#: they land in [12, 14) instead of colliding with the flat phases.
-_HIER_LEADER_PHASE_SHIFT = 8
+#: The hierarchical leader exchange is the ring composition again, run
+#: over the host leaders in its own phase namespace of the same epoch.
+_PHASE_LEADER_RS = 12
+_PHASE_LEADER_AG = 13
 
 
-def _next_epoch(comm: Communicator) -> int:
-    """Per-communicator collective sequence number.
+def _next_epoch(comm: Communicator, region: str) -> int:
+    """Per-communicator collective sequence number within a tag ``region``.
 
     All ranks call collectives in the same (SPMD) order, so incrementing a
-    local counter on each rank keeps the tag spaces aligned globally.
+    local counter on each rank keeps the tag spaces aligned globally.  The
+    ``sync`` and ``sharding`` regions count separately: they are disjoint,
+    so interleaving their collectives on one communicator cannot alias
+    tags either way.
     """
-    counter = getattr(comm, "_sync_collective_epoch", None)
+    attr = f"_{region}_collective_epoch"
+    counter = getattr(comm, attr, None)
     if counter is None:
         counter = itertools.count()
-        setattr(comm, "_sync_collective_epoch", counter)
+        setattr(comm, attr, counter)
     return next(counter)
 
 
@@ -244,12 +260,12 @@ def _recv_segments(
 def _fold_in(
     comm: Communicator,
     flat: np.ndarray,
+    mint: Callable[..., int],
     epoch: int,
+    phase: int,
     n_chunks: int,
     reduce_op: ReduceOp,
     timeout: Optional[float],
-    phase: int = _PHASE_FOLD_IN,
-    mint: Callable[..., int] = _tag,
 ) -> bool:
     """Fold the extra ranks' contributions into the power-of-two group.
 
@@ -259,29 +275,16 @@ def _fold_in(
     """
     rank, size = comm.rank, comm.size
     pof2 = largest_power_of_two_leq(size)
-    rem = size - pof2
-    if rem == 0:
-        return True
     if rank >= pof2:
         _send_segments(
             comm, flat, 0, flat.size, rank - pof2, epoch, phase, 0, n_chunks,
             mint=mint,
         )
         return False
-    if rank < rem:
+    if rank < size - pof2:
         _recv_segments(
-            comm,
-            flat,
-            0,
-            flat.size,
-            rank + pof2,
-            epoch,
-            phase,
-            0,
-            n_chunks,
-            timeout,
-            reduce_op=reduce_op,
-            mint=mint,
+            comm, flat, 0, flat.size, rank + pof2, epoch, phase, 0, n_chunks,
+            timeout, reduce_op=reduce_op, mint=mint,
         )
     return True
 
@@ -289,38 +292,411 @@ def _fold_in(
 def _fold_out(
     comm: Communicator,
     flat: np.ndarray,
+    mint: Callable[..., int],
     epoch: int,
+    phase: int,
     n_chunks: int,
-    in_group: bool,
     timeout: Optional[float],
-    phase: int = _PHASE_FOLD_OUT,
-    mint: Callable[..., int] = _tag,
 ) -> None:
-    """Hand the reduced result back to the folded-out extra ranks."""
+    """Hand the result back to the folded-out extra ranks (see :func:`_fold_in`)."""
     rank, size = comm.rank, comm.size
     pof2 = largest_power_of_two_leq(size)
-    rem = size - pof2
-    if rem == 0:
-        return
-    if in_group and rank < rem:
+    if rank >= pof2:
+        _recv_segments(
+            comm, flat, 0, flat.size, rank - pof2, epoch, phase, 0, n_chunks,
+            timeout, mint=mint,
+        )
+    elif rank < size - pof2:
         _send_segments(
             comm, flat, 0, flat.size, rank + pof2, epoch, phase, 0, n_chunks,
             mint=mint,
         )
-    elif not in_group:
-        _recv_segments(
-            comm,
-            flat,
-            0,
-            flat.size,
-            rank - pof2,
-            epoch,
-            phase,
-            0,
-            n_chunks,
-            timeout,
+
+
+# --------------------------------------------------------------------------
+# ring phases
+# --------------------------------------------------------------------------
+def _ring_reduce_scatter(
+    comm,
+    flat: np.ndarray,
+    bounds: List[Tuple[int, int]],
+    mint: Callable[..., int],
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    reduce_op: ReduceOp,
+    timeout: Optional[float],
+) -> None:
+    """Ring reduce-scatter: rank r ends owning chunk ``(r + 1) % P`` reduced.
+
+    The payload is chunked by ``bounds`` into ``P`` pieces; each of the
+    ``P - 1`` steps sends one chunk to the successor and combines the
+    chunk received from the predecessor.
+    """
+    rank, size = comm.rank, comm.size
+    succ = (rank + 1) % size
+    pred = (rank - 1) % size
+    for step in range(size - 1):
+        send_chunk = (rank - step) % size
+        recv_chunk = (rank - step - 1) % size
+        _send_segments(
+            comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
             mint=mint,
         )
+        _recv_segments(
+            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
+            timeout, reduce_op=reduce_op, mint=mint,
+        )
+
+
+def _ring_allgather(
+    comm,
+    flat: np.ndarray,
+    bounds: List[Tuple[int, int]],
+    mint: Callable[..., int],
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    timeout: Optional[float],
+) -> None:
+    """Ring allgather: circulates each rank's owned chunk ``(r + 1) % P``."""
+    rank, size = comm.rank, comm.size
+    succ = (rank + 1) % size
+    pred = (rank - 1) % size
+    for step in range(size - 1):
+        send_chunk = (rank - step + 1) % size
+        recv_chunk = (rank - step) % size
+        _send_segments(
+            comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
+            mint=mint,
+        )
+        _recv_segments(
+            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
+            timeout, mint=mint,
+        )
+
+
+# --------------------------------------------------------------------------
+# halving / doubling phases (power-of-two group; see _fold_in / _fold_out)
+# --------------------------------------------------------------------------
+def _halving_rounds(
+    rank: int, pof2: int, length: int
+) -> Iterator[Tuple[int, Tuple[int, int], Tuple[int, int]]]:
+    """The recursive-halving bisection walk of in-group ``rank``.
+
+    Yields ``(partner, keep, send)`` per round: the lower-ranked partner
+    keeps the lower half of the current window and sends the upper half.
+    """
+    lo, hi = 0, length
+    dist = pof2 // 2
+    while dist >= 1:
+        partner = rank ^ dist
+        mid = lo + (hi - lo) // 2
+        if rank < partner:
+            keep, send = (lo, mid), (mid, hi)
+        else:
+            keep, send = (mid, hi), (lo, mid)
+        yield partner, keep, send
+        lo, hi = keep
+        dist //= 2
+
+
+def _halving_window(rank: int, pof2: int, length: int) -> Tuple[int, int]:
+    """The window the recursive-halving bisection walk leaves ``rank`` with."""
+    window = (0, length)
+    for _partner, window, _send in _halving_rounds(rank, pof2, length):
+        pass
+    return window
+
+
+def _halving_reduce_scatter(
+    comm: Communicator,
+    flat: np.ndarray,
+    mint: Callable[..., int],
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    reduce_op: ReduceOp,
+    timeout: Optional[float],
+) -> None:
+    """Recursive-halving reduce-scatter; rank ends owning ``_halving_window``."""
+    pof2 = largest_power_of_two_leq(comm.size)
+    for round_index, (partner, keep, send) in enumerate(
+        _halving_rounds(comm.rank, pof2, flat.size)
+    ):
+        _send_segments(
+            comm, flat, *send, partner, epoch, phase, round_index, n_chunks,
+            mint=mint,
+        )
+        _recv_segments(
+            comm, flat, *keep, partner, epoch, phase, round_index, n_chunks,
+            timeout, reduce_op=reduce_op, mint=mint,
+        )
+
+
+def _doubling_allgather(
+    comm: Communicator,
+    flat: np.ndarray,
+    mint: Callable[..., int],
+    epoch: int,
+    phase: int,
+    timeout: Optional[float],
+) -> None:
+    """Recursive-doubling allgather of the ``_halving_window`` segments.
+
+    Retraces the halving steps in reverse order, one message per round.
+    """
+    rank = comm.rank
+    pof2 = largest_power_of_two_leq(comm.size)
+    seg_lo, seg_hi = _halving_window(rank, pof2, flat.size)
+    dist = 1
+    round_index = 0
+    while dist < pof2:
+        partner = rank ^ dist
+        tag = mint(epoch, phase, round_index)
+        comm.send((seg_lo, seg_hi, flat[seg_lo:seg_hi].copy()), partner, tag=tag)
+        other_lo, other_hi, other_data = comm.recv(
+            source=partner, tag=tag, timeout=timeout
+        )
+        if other_hi > other_lo:
+            flat[other_lo:other_hi] = other_data
+        seg_lo, seg_hi = min(seg_lo, other_lo), max(seg_hi, other_hi)
+        dist *= 2
+        round_index += 1
+
+
+# --------------------------------------------------------------------------
+# compressed ring phases (decode-reduce-encode wire hops)
+# --------------------------------------------------------------------------
+def _require_wire_codec(codec) -> None:
+    if codec.wire_dtype is None:
+        raise ValueError(
+            f"codec {codec.name!r} has no fixed-width wire dtype; the "
+            f"compressed ring needs one encoded element per dense element"
+        )
+
+
+def _as_dense_array(data, copy: bool) -> np.ndarray:
+    """Owned ``float64`` accumulator for a compressed collective.
+
+    ``copy=False`` lets a caller that owns the buffer (the bucketed
+    exchange packs owned fusion buffers) skip one full-size copy.
+    """
+    arr = np.asarray(data, dtype=np.float64)
+    if (copy and arr is data) or not arr.flags.writeable:
+        arr = np.array(arr, copy=True)
+    return arr
+
+
+def _encode_chunk(codec, flat: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    if hi <= lo:
+        # Worlds larger than the bucket leave some ranks with empty ring
+        # chunks; codecs reject empty buffers, but an empty fixed-width
+        # wire payload is well-defined (and the peer is already blocked
+        # waiting for this round's message).
+        return np.empty(0, dtype=codec.wire_dtype)
+    return np.asarray(codec.encode(flat[lo:hi]).payload)
+
+
+def _decode_chunk(codec, wire: np.ndarray, num_elements: int) -> np.ndarray:
+    from repro.compression.base import EncodedGradient
+
+    template = EncodedGradient(codec.name, num_elements, wire, wire.nbytes)
+    return codec.decode(template)
+
+
+def _recv_wire(
+    comm, codec, length: int, pred: int, mint: Callable[..., int], epoch: int,
+    phase: int, step: int, n_chunks: int, timeout: Optional[float],
+) -> np.ndarray:
+    if n_chunks == 1:
+        # Use the delivered array directly instead of copying it into a
+        # preallocated buffer — one fewer pass over the payload.
+        return np.asarray(
+            comm.recv(source=pred, tag=mint(epoch, phase, step, 0), timeout=timeout)
+        )
+    buf = np.empty(length, dtype=codec.wire_dtype)
+    _recv_segments(
+        comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout,
+        mint=mint,
+    )
+    return buf
+
+
+def _compressed_ring_reduce_scatter(
+    comm,
+    flat: np.ndarray,
+    bounds: List[Tuple[int, int]],
+    mint: Callable[..., int],
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    codec,
+    timeout: Optional[float],
+) -> None:
+    """Ring reduce-scatter with encoded hops and dense float64 combines.
+
+    Each step decodes the incoming chunk, adds it densely, and re-encodes
+    the chunk it forwards.  For cast-decodable codecs the incoming
+    payload is folded into the dense accumulator by one fused
+    cast-and-add ufunc call
+    (:func:`repro.comm.reduce_kernels.accumulate_wire`) — same values as
+    decode-then-add (the widening cast is exact), one fewer pass.
+    """
+    rank, size = comm.rank, comm.size
+    succ = (rank + 1) % size
+    pred = (rank - 1) % size
+    # Whether the wire payload's elements ARE the decoded values (fp16's
+    # widening cast, the identity codec's float64): only such codecs may
+    # skip decode() — a float wire dtype alone is not enough (a future
+    # scaled-fp16 codec must keep its decode).
+    cast_decodable = bool(getattr(codec, "wire_is_values", False))
+    for step in range(size - 1):
+        send_chunk = (rank - step) % size
+        recv_chunk = (rank - step - 1) % size
+        wire_out = _encode_chunk(codec, flat, *bounds[send_chunk])
+        _send_segments(
+            comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
+            mint=mint,
+        )
+        lo, hi = bounds[recv_chunk]
+        wire_in = _recv_wire(
+            comm, codec, hi - lo, pred, mint, epoch, phase, step, n_chunks, timeout
+        )
+        if hi > lo and not (
+            cast_decodable and reduce_kernels.accumulate_wire(flat[lo:hi], wire_in)
+        ):
+            flat[lo:hi] += _decode_chunk(codec, wire_in, hi - lo)
+
+
+def _compressed_ring_allgather(
+    comm,
+    flat: np.ndarray,
+    bounds: List[Tuple[int, int]],
+    mint: Callable[..., int],
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    codec,
+    timeout: Optional[float],
+) -> None:
+    """Ring allgather of encoded chunks; every rank decodes identical bytes.
+
+    The own chunk ``(r + 1) % P`` is encoded once and circulated
+    unchanged; at the end it is re-decoded from its encoded form too, so
+    all replicas hold bit-identical values, exactly like the uncompressed
+    ring.  Cast-decodable wire payloads widen with one fused casting
+    store.
+    """
+    rank, size = comm.rank, comm.size
+    succ = (rank + 1) % size
+    pred = (rank - 1) % size
+    cast_decodable = bool(getattr(codec, "wire_is_values", False))
+    own = (rank + 1) % size
+    encoded_chunks: Dict[int, np.ndarray] = {own: _encode_chunk(codec, flat, *bounds[own])}
+    for step in range(size - 1):
+        send_chunk = (rank - step + 1) % size
+        recv_chunk = (rank - step) % size
+        wire_out = encoded_chunks[send_chunk]
+        _send_segments(
+            comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
+            mint=mint,
+        )
+        lo, hi = bounds[recv_chunk]
+        encoded_chunks[recv_chunk] = _recv_wire(
+            comm, codec, hi - lo, pred, mint, epoch, phase, step, n_chunks, timeout
+        )
+    for index, wire in encoded_chunks.items():
+        lo, hi = bounds[index]
+        if hi > lo:
+            wire_arr = np.asarray(wire)
+            if cast_decodable and np.issubdtype(wire_arr.dtype, np.floating):
+                np.copyto(flat[lo:hi], wire_arr)
+            else:
+                flat[lo:hi] = _decode_chunk(codec, wire_arr, hi - lo)
+
+
+# --------------------------------------------------------------------------
+# host-tier phases (two-tier schedules over a HostTopology)
+# --------------------------------------------------------------------------
+class _LeaderRanks:
+    """Rank-remapped view of ``comm`` restricted to the host leaders.
+
+    The inter-host stage of a hierarchical collective is a ring phase
+    over the leader ranks: subgroup rank ``i`` is global rank
+    ``leaders[i]``.  Tags pass through untouched — the ring phases take
+    their phase id explicitly, so the leader tier simply runs in the
+    ``_PHASE_LEADER_*`` namespace of the enclosing collective's epoch.
+    """
+
+    def __init__(self, comm: Communicator, leaders: Tuple[int, ...]) -> None:
+        self._comm = comm
+        self._leaders = tuple(leaders)
+        self.rank = self._leaders.index(comm.rank)
+        self.size = len(self._leaders)
+
+    def send(self, data, dest: int, tag: int = 0) -> None:
+        self._comm.send(data, self._leaders[dest], tag=tag)
+
+    def recv(self, source: int, tag: int, timeout: Optional[float] = None):
+        return self._comm.recv(
+            source=self._leaders[source], tag=tag, timeout=timeout
+        )
+
+
+def _intra_reduce(
+    comm: Communicator,
+    flat: np.ndarray,
+    topology: HostTopology,
+    mint: Callable[..., int],
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    reduce_op: ReduceOp,
+    timeout: Optional[float],
+) -> None:
+    """Reduce every host's contributions onto its leader (binomial tree)."""
+    rank = comm.rank
+    for round_index, (src, dst) in enumerate(
+        intra_reduce_edges(topology, topology.host(rank))
+    ):
+        if rank == src:
+            _send_segments(
+                comm, flat, 0, flat.size, dst, epoch, phase, round_index,
+                n_chunks, mint=mint,
+            )
+        elif rank == dst:
+            _recv_segments(
+                comm, flat, 0, flat.size, src, epoch, phase, round_index,
+                n_chunks, timeout, reduce_op=reduce_op, mint=mint,
+            )
+
+
+def _intra_bcast(
+    comm: Communicator,
+    flat: np.ndarray,
+    topology: HostTopology,
+    mint: Callable[..., int],
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    timeout: Optional[float],
+) -> None:
+    """Broadcast the leader's (reduced) buffer back across its host."""
+    rank = comm.rank
+    for round_index, (src, dst) in enumerate(
+        intra_bcast_edges(topology, topology.host(rank))
+    ):
+        if rank == src:
+            _send_segments(
+                comm, flat, 0, flat.size, dst, epoch, phase, round_index,
+                n_chunks, mint=mint,
+            )
+        elif rank == dst:
+            _recv_segments(
+                comm, flat, 0, flat.size, src, epoch, phase, round_index,
+                n_chunks, timeout, mint=mint,
+            )
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +704,7 @@ def _fold_out(
 # --------------------------------------------------------------------------
 def broadcast(comm: Communicator, data, root: int = 0, timeout: Optional[float] = None):
     """Binomial-tree broadcast of ``data`` from ``root`` to all ranks."""
-    epoch = _next_epoch(comm)
+    epoch = _next_epoch(comm, "sync")
     rank, size = comm.rank, comm.size
     tag = _tag(epoch, _PHASE_BCAST, 0)
     if size == 1:
@@ -349,7 +725,7 @@ def reduce(
     timeout: Optional[float] = None,
 ) -> Optional[np.ndarray]:
     """Binomial-tree reduction to ``root``; returns the result on root only."""
-    epoch = _next_epoch(comm)
+    epoch = _next_epoch(comm, "sync")
     reduce_op = get_op(op)
     rank, size = comm.rank, comm.size
     acc = _as_float_array(data)
@@ -392,7 +768,7 @@ def allgather(
     freshly allocated list of wire payloads every call.  Without ``out``
     the delivered payloads are returned as before.
     """
-    epoch = _next_epoch(comm)
+    epoch = _next_epoch(comm, "sync")
     rank, size = comm.rank, comm.size
     if out is not None:
         if len(out) != size:
@@ -445,7 +821,7 @@ def allreduce_recursive_doubling(
     segments (reduction of segment *k* overlapping transmission of
     segment *k + 1*).
     """
-    epoch = _next_epoch(comm)
+    epoch = _next_epoch(comm, "sync")
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
     rank, size = comm.rank, comm.size
@@ -455,7 +831,9 @@ def allreduce_recursive_doubling(
     flat = acc.reshape(-1)
 
     pof2 = largest_power_of_two_leq(size)
-    in_group = _fold_in(comm, flat, epoch, n_chunks, reduce_op, timeout)
+    in_group = _fold_in(
+        comm, flat, _tag, epoch, _PHASE_FOLD_IN, n_chunks, reduce_op, timeout
+    )
 
     if in_group:
         with _obs.span("rd-exchange", "collective", n_chunks=n_chunks):
@@ -483,7 +861,7 @@ def allreduce_recursive_doubling(
                 dist <<= 1
                 round_index += 1
 
-    _fold_out(comm, flat, epoch, n_chunks, in_group, timeout)
+    _fold_out(comm, flat, _tag, epoch, _PHASE_FOLD_OUT, n_chunks, timeout)
     return flat.reshape(acc.shape)
 
 
@@ -495,11 +873,9 @@ def allreduce_ring(
     n_chunks: int = 1,
     copy: bool = True,
 ) -> np.ndarray:
-    """Ring allreduce: reduce-scatter then allgather over ``P - 1`` steps each.
+    """Ring allreduce = ring reduce-scatter ∘ ring allgather, ``P - 1`` steps each.
 
-    The payload is chunked into ``P`` nearly equal pieces; each step sends
-    one chunk to the successor and combines the chunk received from the
-    predecessor.  This is the bandwidth-optimal algorithm used by Horovod /
+    This is the bandwidth-optimal algorithm used by Horovod /
     baidu-allreduce for large gradients.  Any world size is supported (the
     ring needs no power-of-two structure).
 
@@ -507,60 +883,24 @@ def allreduce_ring(
     combine of segment *k* overlaps the transmission of segment *k + 1*
     (the chunked-pipeline schedule used by the fused gradient exchange).
     """
-    epoch = _next_epoch(comm)
+    epoch = _next_epoch(comm, "sync")
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
-    rank, size = comm.rank, comm.size
+    size = comm.size
     arr = _as_float_array(data, copy=copy)
     if size == 1:
         return arr
     flat = arr.reshape(-1)
     bounds = _segment_bounds(flat.size, size)
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-
-    # reduce-scatter
     with _obs.span("ring-rs", "collective", steps=size - 1, n_chunks=n_chunks):
-        for step in range(size - 1):
-            send_chunk = (rank - step) % size
-            recv_chunk = (rank - step - 1) % size
-            _send_segments(
-                comm, flat, *bounds[send_chunk], succ, epoch, _PHASE_RING_RS,
-                step, n_chunks,
-            )
-            _recv_segments(
-                comm,
-                flat,
-                *bounds[recv_chunk],
-                pred,
-                epoch,
-                _PHASE_RING_RS,
-                step,
-                n_chunks,
-                timeout,
-                reduce_op=reduce_op,
-            )
-
-    # allgather
+        _ring_reduce_scatter(
+            comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks, reduce_op,
+            timeout,
+        )
     with _obs.span("ring-ag", "collective", steps=size - 1, n_chunks=n_chunks):
-        for step in range(size - 1):
-            send_chunk = (rank - step + 1) % size
-            recv_chunk = (rank - step) % size
-            _send_segments(
-                comm, flat, *bounds[send_chunk], succ, epoch, _PHASE_RING_AG,
-                step, n_chunks,
-            )
-            _recv_segments(
-                comm,
-                flat,
-                *bounds[recv_chunk],
-                pred,
-                epoch,
-                _PHASE_RING_AG,
-                step,
-                n_chunks,
-                timeout,
-            )
+        _ring_allgather(
+            comm, flat, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks, timeout
+        )
     return flat.reshape(arr.shape)
 
 
@@ -584,71 +924,23 @@ def allreduce_rabenseifner(
     exchanges (the phase that carries reduction arithmetic) in that many
     segments; the allgather retrace keeps one message per round.
     """
-    epoch = _next_epoch(comm)
+    epoch = _next_epoch(comm, "sync")
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
-    rank, size = comm.rank, comm.size
     arr = _as_float_array(data, copy=copy)
-    if size == 1:
+    if comm.size == 1:
         return arr
     flat = arr.reshape(-1)
-    n = flat.size
 
-    pof2 = largest_power_of_two_leq(size)
-    in_group = _fold_in(comm, flat, epoch, n_chunks, reduce_op, timeout)
-
-    if in_group:
-        # Recursive-halving reduce-scatter within the power-of-two group.
-        # Each rank keeps track of the index range [lo, hi) it owns.
+    if _fold_in(comm, flat, _tag, epoch, _PHASE_FOLD_IN, n_chunks, reduce_op, timeout):
         with _obs.span("raben-rs", "collective", n_chunks=n_chunks):
-            lo, hi = 0, n
-            dist = pof2 // 2
-            round_index = 0
-            while dist >= 1:
-                partner = rank ^ dist
-                mid = lo + (hi - lo) // 2
-                if rank < partner:
-                    # Keep the lower half, send the upper half.
-                    keep_lo, keep_hi = lo, mid
-                    send_lo, send_hi = mid, hi
-                else:
-                    keep_lo, keep_hi = mid, hi
-                    send_lo, send_hi = lo, mid
-                _send_segments(
-                    comm, flat, send_lo, send_hi, partner, epoch,
-                    _PHASE_RABEN_RS, round_index, n_chunks,
-                )
-                _recv_segments(
-                    comm, flat, keep_lo, keep_hi, partner, epoch,
-                    _PHASE_RABEN_RS, round_index, n_chunks, timeout,
-                    reduce_op=reduce_op,
-                )
-                lo, hi = keep_lo, keep_hi
-                dist //= 2
-                round_index += 1
-
-        # Recursive-doubling allgather of the owned segments, retracing the
-        # halving steps in reverse order.
+            _halving_reduce_scatter(
+                comm, flat, _tag, epoch, _PHASE_RABEN_RS, n_chunks, reduce_op,
+                timeout,
+            )
         with _obs.span("raben-ag", "collective"):
-            seg_lo, seg_hi = lo, hi
-            dist = 1
-            round_index = 0
-            while dist < pof2:
-                partner = rank ^ dist
-                tag = _tag(epoch, _PHASE_RABEN_AG, round_index)
-                comm.send(
-                    (seg_lo, seg_hi, flat[seg_lo:seg_hi].copy()), partner, tag=tag
-                )
-                other_lo, other_hi, other_data = comm.recv(
-                    source=partner, tag=tag, timeout=timeout
-                )
-                if other_hi > other_lo:
-                    flat[other_lo:other_hi] = other_data
-                seg_lo, seg_hi = min(seg_lo, other_lo), max(seg_hi, other_hi)
-                dist *= 2
-                round_index += 1
-
-    _fold_out(comm, flat, epoch, n_chunks, in_group, timeout)
+            _doubling_allgather(comm, flat, _tag, epoch, _PHASE_RABEN_AG, timeout)
+    _fold_out(comm, flat, _tag, epoch, _PHASE_FOLD_OUT, n_chunks, timeout)
     return flat.reshape(arr.shape)
 
 
@@ -687,103 +979,25 @@ def allreduce_compressed_ring(
     segmented ring and take the allgather exchange in
     :class:`repro.training.exchange.SynchronousExchange` instead.
     """
-    if codec.wire_dtype is None:
-        raise ValueError(
-            f"codec {codec.name!r} has no fixed-width wire dtype; the "
-            f"compressed ring needs one encoded element per dense element"
-        )
-    epoch = _next_epoch(comm)
+    _require_wire_codec(codec)
+    epoch = _next_epoch(comm, "sync")
     n_chunks = _validate_chunks(n_chunks)
     rank, size = comm.rank, comm.size
-    arr = np.asarray(data, dtype=np.float64)
-    if (copy and arr is data) or not arr.flags.writeable:
-        # ``copy=False`` lets a caller that owns the buffer (the bucketed
-        # exchange packs owned fusion buffers) skip one full-size copy.
-        arr = np.array(arr, copy=True)
+    arr = _as_dense_array(data, copy)
     if size == 1:
         return arr
     flat = arr.reshape(-1)
     bounds = _segment_bounds(flat.size, size)
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-
-    def encode(lo: int, hi: int) -> np.ndarray:
-        if hi <= lo:
-            # Worlds larger than the bucket leave some ranks with empty
-            # ring chunks; codecs reject empty buffers, but an empty
-            # fixed-width wire payload is well-defined (and the peer is
-            # already blocked waiting for this round's message).
-            return np.empty(0, dtype=codec.wire_dtype)
-        return np.asarray(codec.encode(flat[lo:hi]).payload)
-
-    def decode(wire: np.ndarray, num_elements: int) -> np.ndarray:
-        from repro.compression.base import EncodedGradient
-
-        template = EncodedGradient(codec.name, num_elements, wire, wire.nbytes)
-        return codec.decode(template)
-
-    def recv_wire(length: int, phase: int, step: int) -> np.ndarray:
-        if n_chunks == 1:
-            # Use the delivered array directly instead of copying it into
-            # a preallocated buffer — one fewer pass over the payload.
-            return np.asarray(
-                comm.recv(source=pred, tag=_tag(epoch, phase, step, 0), timeout=timeout)
-            )
-        buf = np.empty(length, dtype=codec.wire_dtype)
-        _recv_segments(comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout)
-        return buf
-
-    # Whether the wire payload's elements ARE the decoded values (fp16's
-    # widening cast, the identity codec's float64): only such codecs may
-    # skip decode() on the fast paths below — a float wire dtype alone
-    # is not enough (a future scaled-fp16 codec must keep its decode).
-    cast_decodable = bool(getattr(codec, "wire_is_values", False))
-
-    # Reduce-scatter: encoded chunks on the wire, dense accumulation.
-    # For cast-decodable codecs the incoming payload is folded into the
-    # dense accumulator by one fused cast-and-add ufunc call
-    # (:func:`repro.comm.reduce_kernels.accumulate_wire`) — same values
-    # as decode-then-add (the widening cast is exact), one fewer pass.
-    for step in range(size - 1):
-        send_chunk = (rank - step) % size
-        recv_chunk = (rank - step - 1) % size
-        wire_out = encode(*bounds[send_chunk])
-        _send_segments(
-            comm, wire_out, 0, wire_out.size, succ, epoch, _PHASE_RING_RS, step, n_chunks
-        )
-        lo, hi = bounds[recv_chunk]
-        wire_in = recv_wire(hi - lo, _PHASE_RING_RS, step)
-        if hi > lo and not (
-            cast_decodable and reduce_kernels.accumulate_wire(flat[lo:hi], wire_in)
-        ):
-            flat[lo:hi] += decode(wire_in, hi - lo)
-
-    # This rank now owns chunk (rank + 1) % size fully reduced: average
-    # densely, encode once, and circulate the encoded chunk unchanged.
-    own = (rank + 1) % size
+    _compressed_ring_reduce_scatter(
+        comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks, codec, timeout
+    )
     if average:
-        flat[bounds[own][0] : bounds[own][1]] /= size
-    encoded_chunks: Dict[int, np.ndarray] = {own: encode(*bounds[own])}
-    for step in range(size - 1):
-        send_chunk = (rank - step + 1) % size
-        recv_chunk = (rank - step) % size
-        wire_out = encoded_chunks[send_chunk]
-        _send_segments(
-            comm, wire_out, 0, wire_out.size, succ, epoch, _PHASE_RING_AG, step, n_chunks
-        )
-        lo, hi = bounds[recv_chunk]
-        encoded_chunks[recv_chunk] = recv_wire(hi - lo, _PHASE_RING_AG, step)
-    # Decode the foreign chunks; the own chunk is re-decoded from its
-    # encoded form too, so all ranks hold bit-identical replicas.
-    # Cast-decodable wire payloads widen with one fused casting store.
-    for index, wire in encoded_chunks.items():
-        lo, hi = bounds[index]
-        if hi > lo:
-            wire_arr = np.asarray(wire)
-            if cast_decodable and np.issubdtype(wire_arr.dtype, np.floating):
-                np.copyto(flat[lo:hi], wire_arr)
-            else:
-                flat[lo:hi] = decode(wire_arr, hi - lo)
+        # This rank now owns chunk (rank + 1) % size fully reduced.
+        lo, hi = bounds[(rank + 1) % size]
+        flat[lo:hi] /= size
+    _compressed_ring_allgather(
+        comm, flat, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks, codec, timeout
+    )
     return flat.reshape(arr.shape)
 
 
@@ -812,97 +1026,6 @@ def resolve_host_topology(
     if isinstance(found, HostTopology) and found.world_size == comm.size:
         return found
     return HostTopology.single_host(comm.size)
-
-
-class _LeaderView:
-    """Rank- and tag-remapped view of ``comm`` restricted to the host leaders.
-
-    The inter-host stage of the hierarchical allreduce is just a ring
-    collective over the leader ranks, so instead of reimplementing the
-    (intricate, already-tested) ring schedules this view lets them run
-    unchanged: subgroup rank ``i`` is global rank ``leaders[i]``, and
-    tags are translated into the *enclosing* collective's epoch with the
-    ring phases shifted to the hierarchical leader-phase namespace.
-
-    Exactly **one** inner collective may run per view: the inner call
-    allocates epoch 0 on the fresh view, and a second would allocate
-    epoch 1, which the tag translation rejects (it would alias the next
-    outer epoch).
-    """
-
-    def __init__(self, comm: Communicator, leaders: Tuple[int, ...], epoch: int) -> None:
-        self._comm = comm
-        self._leaders = tuple(leaders)
-        self.rank = self._leaders.index(comm.rank)
-        self.size = len(self._leaders)
-        self._epoch = epoch
-
-    def _remap_tag(self, tag: int) -> int:
-        offset = tag - _SYNC_TAG_BASE
-        phase, rest = divmod(offset, _PHASE_STRIDE)
-        round_index, chunk = divmod(rest, _ROUND_STRIDE)
-        # _tag() raises if the shifted phase overflows — which is exactly
-        # what a second inner collective (epoch 1 -> phase >= 16) hits.
-        return _tag(self._epoch, phase + _HIER_LEADER_PHASE_SHIFT, round_index, chunk)
-
-    def send(self, data, dest: int, tag: int = 0) -> None:
-        self._comm.send(data, self._leaders[dest], tag=self._remap_tag(tag))
-
-    def recv(self, source: int, tag: int, timeout: Optional[float] = None):
-        return self._comm.recv(
-            source=self._leaders[source], tag=self._remap_tag(tag), timeout=timeout
-        )
-
-
-def _intra_reduce(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-    timeout: Optional[float],
-) -> None:
-    """Reduce every host's contributions onto its leader (binomial tree)."""
-    rank = comm.rank
-    for round_index, (src, dst) in enumerate(
-        intra_reduce_edges(topology, topology.host(rank))
-    ):
-        if rank == src:
-            _send_segments(
-                comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_REDUCE,
-                round_index, n_chunks,
-            )
-        elif rank == dst:
-            _recv_segments(
-                comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_REDUCE,
-                round_index, n_chunks, timeout, reduce_op=reduce_op,
-            )
-
-
-def _intra_bcast(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    timeout: Optional[float],
-) -> None:
-    """Broadcast the leader's (reduced) buffer back across its host."""
-    rank = comm.rank
-    for round_index, (src, dst) in enumerate(
-        intra_bcast_edges(topology, topology.host(rank))
-    ):
-        if rank == src:
-            _send_segments(
-                comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_BCAST,
-                round_index, n_chunks,
-            )
-        elif rank == dst:
-            _recv_segments(
-                comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_BCAST,
-                round_index, n_chunks, timeout,
-            )
 
 
 def allreduce_hierarchical(
@@ -937,24 +1060,34 @@ def allreduce_hierarchical(
         return allreduce_ring(
             comm, data, op=op, timeout=timeout, n_chunks=n_chunks, copy=copy
         )
-    epoch = _next_epoch(comm)
+    epoch = _next_epoch(comm, "sync")
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
     acc = _as_float_array(data, copy=copy)
     flat = acc.reshape(-1)
 
     with _obs.span("hier-intra-reduce", "collective", n_chunks=n_chunks):
-        _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
+        _intra_reduce(
+            comm, flat, topology, _tag, epoch, _PHASE_HIER_REDUCE, n_chunks,
+            reduce_op, timeout,
+        )
     if topology.is_leader(comm.rank):
         with _obs.span("hier-leader-ring", "collective",
                        leaders=topology.num_hosts, n_chunks=n_chunks):
-            view = _LeaderView(comm, topology.leaders, epoch)
-            allreduce_ring(
-                view, flat, op=reduce_op, timeout=timeout, n_chunks=n_chunks,
-                copy=False,
+            leaders = _LeaderRanks(comm, topology.leaders)
+            host_bounds = _segment_bounds(flat.size, topology.num_hosts)
+            _ring_reduce_scatter(
+                leaders, flat, host_bounds, _tag, epoch, _PHASE_LEADER_RS,
+                n_chunks, reduce_op, timeout,
+            )
+            _ring_allgather(
+                leaders, flat, host_bounds, _tag, epoch, _PHASE_LEADER_AG,
+                n_chunks, timeout,
             )
     with _obs.span("hier-intra-bcast", "collective", n_chunks=n_chunks):
-        _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+        _intra_bcast(
+            comm, flat, topology, _tag, epoch, _PHASE_HIER_BCAST, n_chunks, timeout
+        )
     return flat.reshape(acc.shape)
 
 
@@ -988,25 +1121,32 @@ def allreduce_compressed_hierarchical(
             comm, data, codec, average=average, timeout=timeout,
             n_chunks=n_chunks, copy=copy,
         )
-    epoch = _next_epoch(comm)
+    _require_wire_codec(codec)
+    epoch = _next_epoch(comm, "sync")
     n_chunks = _validate_chunks(n_chunks)
-    reduce_op = get_op("sum")
-    arr = np.asarray(data, dtype=np.float64)
-    if (copy and arr is data) or not arr.flags.writeable:
-        arr = np.array(arr, copy=True)
+    arr = _as_dense_array(data, copy)
     flat = arr.reshape(-1)
 
-    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
+    _intra_reduce(
+        comm, flat, topology, _tag, epoch, _PHASE_HIER_REDUCE, n_chunks,
+        get_op("sum"), timeout,
+    )
     if topology.is_leader(comm.rank):
-        if topology.num_hosts > 1:
-            view = _LeaderView(comm, topology.leaders, epoch)
-            allreduce_compressed_ring(
-                view, flat, codec, average=False, timeout=timeout,
-                n_chunks=n_chunks, copy=False,
-            )
+        leaders = _LeaderRanks(comm, topology.leaders)
+        host_bounds = _segment_bounds(flat.size, topology.num_hosts)
+        _compressed_ring_reduce_scatter(
+            leaders, flat, host_bounds, _tag, epoch, _PHASE_LEADER_RS, n_chunks,
+            codec, timeout,
+        )
+        _compressed_ring_allgather(
+            leaders, flat, host_bounds, _tag, epoch, _PHASE_LEADER_AG, n_chunks,
+            codec, timeout,
+        )
         if average:
             flat /= topology.world_size
-    _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+    _intra_bcast(
+        comm, flat, topology, _tag, epoch, _PHASE_HIER_BCAST, n_chunks, timeout
+    )
     return flat.reshape(arr.shape)
 
 

@@ -56,7 +56,7 @@ from repro.comm.backend import (
     set_default_backend,
 )
 from repro.comm.subworld import SubsetCommunicator, split_world
-from repro.comm.world import ThreadBackend, ThreadWorld, run_world
+from repro.comm.world import ThreadBackend, ThreadWorld
 
 __all__ = [
     "tags",
@@ -96,5 +96,4 @@ __all__ = [
     "split_world",
     "ThreadBackend",
     "ThreadWorld",
-    "run_world",
 ]

@@ -349,9 +349,8 @@ def launch(
 ) -> List[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``world_size`` ranks.
 
-    This is the backend-agnostic successor of the historical
-    ``run_world`` entry point (note the argument order: the SPMD
-    function comes first, as with ``mpiexec <prog>``).
+    Note the argument order: the SPMD function comes first, as with
+    ``mpiexec <prog>``.
 
     Parameters
     ----------

@@ -8,16 +8,12 @@ per-rank results.  Exceptions on any rank are collected and re-raised as
 a :class:`~repro.comm.backend.WorldError` carrying all failures, so a
 bug on rank 3 does not silently hang the remaining ranks: the router is
 closed, which wakes every blocked receive.
-
-:func:`run_world` is the historical entry point, kept as a deprecated
-shim over :func:`repro.comm.backend.launch`.
 """
 
 from __future__ import annotations
 
 import threading
 import traceback
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -25,7 +21,7 @@ from repro.comm.backend import CommBackend, WorldError, register_backend
 from repro.comm.communicator import Communicator
 from repro.comm.router import Channel, DEFAULT_CHANNELS, Router
 
-__all__ = ["ThreadWorld", "ThreadBackend", "WorldError", "run_world"]
+__all__ = ["ThreadWorld", "ThreadBackend", "WorldError"]
 
 
 @dataclass
@@ -135,42 +131,3 @@ class ThreadBackend(CommBackend):
         if failures:
             raise WorldError(failures, tracebacks)
         return results
-
-
-def run_world(
-    world_size: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    channels: Sequence[str] = DEFAULT_CHANNELS,
-    channel: str = Channel.APP,
-    timeout: Optional[float] = 300.0,
-    default_recv_timeout: Optional[float] = 120.0,
-    thread_name_prefix: str = "rank",
-    **kwargs: Any,
-) -> List[Any]:
-    """Deprecated: use :func:`repro.comm.backend.launch` instead.
-
-    ``run_world(P, fn, *args)`` is the pre-backend-registry spelling of
-    ``launch(fn, P, *args, backend="thread")``; it always runs the
-    thread transport.  Kept as a thin shim so external callers keep
-    working one release longer.
-    """
-    warnings.warn(
-        "run_world() is deprecated; use repro.comm.launch(fn, world_size, ..., "
-        "backend='thread') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.comm.backend import get_backend
-
-    return get_backend("thread").run(
-        fn,
-        world_size,
-        args,
-        kwargs,
-        channels=channels,
-        channel=channel,
-        timeout=timeout,
-        default_recv_timeout=default_recv_timeout,
-        thread_name_prefix=thread_name_prefix,
-    )

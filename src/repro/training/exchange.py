@@ -25,11 +25,13 @@ parameter-allgather pipeline, keeping each rank's optimizer state at
 
 Fusion buffers and pipelining
 -----------------------------
-Both multi-rank exchanges are *bucketed*: a
+Every multi-rank exchange is *bucketed*: a
 :class:`~repro.training.bucketing.GradientBucketer` packs the flat
 gradient into fusion buffers and one collective is issued per bucket, so
 the exchange is a pipeline of bounded-size reductions instead of one
-monolithic blocking call.  The knobs (threaded through
+monolithic blocking call.  :class:`_BucketedExchange` owns the knobs,
+the pack and the timed per-bucket loop; each exchange adds only what it
+does *to* a bucket.  The knobs (threaded through
 :class:`~repro.training.config.TrainingConfig` and the CLI):
 
 ``fusion_threshold_bytes``
@@ -97,7 +99,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -190,86 +192,138 @@ class SingleProcessExchange(GradientExchange):
         )
 
 
-def _resolve_bucketer(
-    num_parameters: int,
-    bucketer: Optional[GradientBucketer],
-    fusion_threshold_bytes: Optional[int],
-    fusion_buckets: int,
-    codec: Optional[GradientCodec] = None,
-) -> GradientBucketer:
-    """Pick the bucketing plan from the three configuration knobs.
+class _BucketedExchange(GradientExchange):
+    """What the multi-rank exchanges share; subclasses say what happens *to* a bucket.
 
-    With a codec, the byte threshold budgets the *encoded* payload size
-    (the fusion buffer is a wire buffer), so compressing codecs pack
-    more elements per bucket.
+    One place validates the knobs, resolves the codec and the bucketing
+    plan, packs the flat gradient into persistent fusion buffers, and
+    times the per-bucket loop that fills
+    :attr:`ExchangeResult.bucket_waits`.
+
+    The shared constructor parameters are the knobs of the module
+    docstring (``fusion_buckets``, ``fusion_threshold_bytes``,
+    ``pipeline_chunks``, ``plan``, ``compression``) plus:
+
+    bucketer:
+        Explicit bucketing plan (e.g. built from per-parameter sizes via
+        :meth:`GradientBucketer.from_model`); overrides the fusion knobs
+        — also a ``plan``'s — for the bucketing itself.
+    compression_options:
+        Extra codec options merged over any inline spec options.
     """
-    if bucketer is not None:
-        if bucketer.num_elements != num_parameters:
+
+    def __init__(
+        self,
+        comm: Communicator,
+        fusion_buckets: int,
+        fusion_threshold_bytes: Optional[int],
+        pipeline_chunks: int,
+        bucketer: Optional[GradientBucketer],
+        plan: Optional[TunedPlan],
+        compression: CompressionSpec,
+        compression_options: Optional[Dict],
+    ) -> None:
+        if fusion_buckets < 1:
+            raise ValueError(f"fusion_buckets must be >= 1, got {fusion_buckets}")
+        if plan is not None:
+            if plan.world_size != comm.size:
+                raise ValueError(
+                    f"tuned plan was computed for world size {plan.world_size}, "
+                    f"communicator has {comm.size} ranks"
+                )
+            fusion_threshold_bytes = plan.fusion_threshold_bytes
+            pipeline_chunks = plan.pipeline_chunks
+        if pipeline_chunks < 1:
+            raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
+        self.comm = comm
+        #: The transport's rank -> host map (single-host unless the
+        #: ``hier`` backend exposes a multi-host ``host_topology``).  On a
+        #: multi-host fabric the synchronous and sharded exchanges route
+        #: every bucket through the two-tier schedules so non-leader
+        #: traffic stays off inter-host links.
+        self.host_topology = resolve_host_topology(comm)
+        self.fusion_buckets = fusion_buckets
+        self.fusion_threshold_bytes = fusion_threshold_bytes
+        self.pipeline_chunks = pipeline_chunks
+        self.codec = resolve_codec(compression, compression_options)
+        self._bucketer = bucketer
+        self._step = 0
+        #: Persistent fusion buffers, reused across steps so each
+        #: exchange pays a copy into warm pages instead of fresh
+        #: allocations (and their page faults) per bucket.
+        self._pack_buffers: Optional[List[np.ndarray]] = None
+
+    def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
+        """The bucketing plan, resolved from the knobs on first use.
+
+        With a codec, the byte threshold budgets the *encoded* payload
+        size (the fusion buffer is a wire buffer), so compressing codecs
+        pack more elements per bucket.
+        """
+        if self._bucketer is None:
+            wire_bpe = None if self.codec is None else self.codec.wire_bytes_per_element
+            if self.fusion_threshold_bytes is not None:
+                self._bucketer = GradientBucketer.from_flat(
+                    num_parameters, self.fusion_threshold_bytes,
+                    wire_bytes_per_element=wire_bpe,
+                )
+            else:
+                self._bucketer = GradientBucketer.fixed_count(
+                    num_parameters, self.fusion_buckets,
+                    wire_bytes_per_element=wire_bpe,
+                )
+        elif self._bucketer.num_elements != num_parameters:
             raise ValueError(
-                f"bucketer covers {bucketer.num_elements} elements, "
-                f"gradient has {num_parameters}"
+                f"flat gradient has {num_parameters} elements but the "
+                f"exchange's bucketer covers {self._bucketer.num_elements}"
             )
-        return bucketer
-    wire_bpe = None if codec is None else codec.wire_bytes_per_element
-    if fusion_threshold_bytes is not None:
-        return GradientBucketer.from_flat(
-            num_parameters, fusion_threshold_bytes, wire_bytes_per_element=wire_bpe
-        )
-    return GradientBucketer.fixed_count(
-        num_parameters, fusion_buckets, wire_bytes_per_element=wire_bpe
-    )
+        return self._bucketer
+
+    def _pack(self, flat_gradient: np.ndarray) -> Tuple[GradientBucketer, List[np.ndarray]]:
+        """Pack the flat gradient into the persistent fusion buffers."""
+        flat = np.asarray(flat_gradient, dtype=np.float64)
+        bucketer = self._ensure_bucketer(flat.size)
+        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
+                       buckets=bucketer.num_buckets):
+            buffers = bucketer.pack(flat, out=self._pack_buffers)
+        self._pack_buffers = buffers
+        return bucketer, buffers
+
+    @staticmethod
+    def _timed_buckets(
+        span_name: str,
+        buffers: List[np.ndarray],
+        order: Iterable[int],
+        bucket_waits: List[float],
+    ) -> Iterator[int]:
+        """Yield each non-empty bucket of ``order`` inside its span and timer.
+
+        The caller's loop body — the bucket's collective — runs between
+        the clock reads, and its seconds are added to ``bucket_waits[b]``.
+        """
+        for b in order:
+            bucket_start = time.perf_counter()
+            if buffers[b].size:
+                with _obs.span(span_name, "exchange", bucket=b,
+                               nbytes=buffers[b].nbytes):
+                    yield b
+            bucket_waits[b] += time.perf_counter() - bucket_start
 
 
-def _apply_plan(
-    plan: Optional[TunedPlan],
-    comm: Communicator,
-    fusion_threshold_bytes: Optional[int],
-    pipeline_chunks: int,
-) -> Tuple[Optional[int], int]:
-    """Resolve the fusion knobs from an auto-tuned plan, when one is given."""
-    if plan is None:
-        return fusion_threshold_bytes, pipeline_chunks
-    if plan.world_size != comm.size:
-        raise ValueError(
-            f"tuned plan was computed for world size {plan.world_size}, "
-            f"communicator has {comm.size} ranks"
-        )
-    return plan.fusion_threshold_bytes, plan.pipeline_chunks
-
-
-class SynchronousExchange(GradientExchange):
+class SynchronousExchange(_BucketedExchange):
     """Synchronous bucketed allreduce of the gradient (synch-SGD).
 
     Parameters
     ----------
-    comm:
-        Application-channel communicator of this rank.
     style:
         ``"deep500"`` or ``"horovod"`` (see module docstring).
     algorithm:
         Allreduce algorithm (recursive doubling / ring / Rabenseifner).
-    fusion_buckets:
-        Legacy knob: number of fixed-count buckets the gradient is split
-        into.  ``1`` models a fully fused allreduce.  Ignored when
-        ``fusion_threshold_bytes`` or ``bucketer`` is given.
-    fusion_threshold_bytes:
-        Pack the gradient into fusion buffers of at most this many bytes
-        (Horovod-style tensor fusion).
-    pipeline_chunks:
-        Segments per collective round (chunked-pipeline allreduce).
-    bucketer:
-        Explicit bucketing plan (e.g. built from per-parameter sizes via
-        :meth:`GradientBucketer.from_model`); overrides the other knobs.
-    plan:
-        Auto-tuned :class:`~repro.tuning.autotune.TunedPlan`; supplies
-        ``fusion_threshold_bytes`` and ``pipeline_chunks`` (an explicit
-        ``bucketer`` still wins for the bucketing itself).
-    compression:
-        Gradient codec name / spec / instance (see
-        :mod:`repro.compression` and the module docstring's wire-path
-        discussion).  ``None`` or ``"none"`` exchanges dense ``float64``.
-    compression_options:
-        Extra codec options merged over any inline spec options.
+        On a multi-host fabric every bucket takes the hierarchical
+        schedule instead.
+
+    The remaining parameters are the shared bucketing / codec knobs of
+    :class:`_BucketedExchange`.
     """
 
     def __init__(
@@ -287,48 +341,14 @@ class SynchronousExchange(GradientExchange):
     ) -> None:
         if style not in ("deep500", "horovod"):
             raise ValueError(f"unknown synchronous style {style!r}")
-        if fusion_buckets < 1:
-            raise ValueError(f"fusion_buckets must be >= 1, got {fusion_buckets}")
-        fusion_threshold_bytes, pipeline_chunks = _apply_plan(
-            plan, comm, fusion_threshold_bytes, pipeline_chunks
+        super().__init__(
+            comm, fusion_buckets, fusion_threshold_bytes, pipeline_chunks,
+            bucketer, plan, compression, compression_options,
         )
-        if pipeline_chunks < 1:
-            raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
-        self.comm = comm
         self.style = style
         self.algorithm = algorithm
-        #: The transport's rank -> host map (single-host unless the
-        #: ``hier`` backend exposes a multi-host ``host_topology``).  On a
-        #: multi-host fabric every bucket is routed through the two-tier
-        #: schedules so non-leader traffic stays off inter-host links;
-        #: the configured ``algorithm`` then applies within a host tier
-        #: only in the degenerate single-host case.
-        self.host_topology = resolve_host_topology(comm)
-        self.fusion_buckets = fusion_buckets
-        self.fusion_threshold_bytes = fusion_threshold_bytes
-        self.pipeline_chunks = pipeline_chunks
-        self.codec = resolve_codec(compression, compression_options)
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
         self.name = f"sync-{style}"
-        self._bucketer = bucketer
-        self._step = 0
-        #: Persistent fusion buffers, reused across steps so each
-        #: exchange pays a copy into warm pages instead of fresh
-        #: allocations (and their page faults) per bucket.
-        self._pack_buffers: Optional[List[np.ndarray]] = None
-
-    def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
-        if self._bucketer is None:
-            self._bucketer = _resolve_bucketer(
-                num_parameters, None, self.fusion_threshold_bytes,
-                self.fusion_buckets, codec=self.codec,
-            )
-        elif self._bucketer.num_elements != num_parameters:
-            raise ValueError(
-                f"flat gradient has {num_parameters} elements but the "
-                f"exchange's bucketer covers {self._bucketer.num_elements}"
-            )
-        return self._bucketer
 
     def _negotiated_order(self, num_buckets: int) -> List[int]:
         """Horovod-style negotiation: consensus on the bucket issue order.
@@ -351,31 +371,20 @@ class SynchronousExchange(GradientExchange):
 
     def exchange(self, flat_gradient: np.ndarray) -> ExchangeResult:
         start = time.perf_counter()
-        flat = np.asarray(flat_gradient, dtype=np.float64)
-        bucketer = self._ensure_bucketer(flat.size)
-        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
-                       buckets=bucketer.num_buckets):
-            buffers = bucketer.pack(flat, out=self._pack_buffers)
-        self._pack_buffers = buffers
+        bucketer, buffers = self._pack(flat_gradient)
         if self.style == "horovod":
             order = self._negotiated_order(bucketer.num_buckets)
         else:
             # deep500: control dependencies fix the issue order (Fig. 5).
-            order = list(range(bucketer.num_buckets))
+            order = range(bucketer.num_buckets)
         bucket_waits = [0.0] * bucketer.num_buckets
         wire_bytes = 0
-        for b in order:
-            bucket_start = time.perf_counter()
-            if buffers[b].size:
-                with _obs.span("bucket-wait", "exchange", bucket=b,
-                               nbytes=buffers[b].nbytes):
-                    buffers[b], sent = self._reduce_bucket(b, buffers[b])
-                wire_bytes += sent
-            bucket_waits[b] = time.perf_counter() - bucket_start
+        for b in self._timed_buckets("bucket-wait", buffers, order, bucket_waits):
+            buffers[b], sent = self._reduce_bucket(b, buffers[b])
+            wire_bytes += sent
         self._step += 1
-        gradient = bucketer.unpack(buffers)
         return ExchangeResult(
-            gradient=gradient,
+            gradient=bucketer.unpack(buffers),
             included=True,
             num_active=self.comm.size,
             wait_time=time.perf_counter() - start,
@@ -483,7 +492,7 @@ _SHARDED_ALGORITHM_FOR_ALLREDUCE = {
 }
 
 
-class ShardedExchange(GradientExchange):
+class ShardedExchange(_BucketedExchange):
     """ZeRO stage-1 exchange: scatter gradients, update a shard, gather params.
 
     Instead of allreducing the gradient and redundantly running the full
@@ -506,8 +515,8 @@ class ShardedExchange(GradientExchange):
     ``tests/test_sharded_training.py`` holds this to word-for-word
     equality.
 
-    Parameters mirror :class:`SynchronousExchange` where they overlap.
-    ``algorithm`` is a sharded-collective name (``"ring"``, ``"halving"``,
+    Parameters are the shared knobs of :class:`_BucketedExchange`, plus
+    ``algorithm``, a sharded-collective name (``"ring"``, ``"halving"``,
     ``"hierarchical"``); on a multi-host topology every bucket is routed
     through the hierarchical schedule, as in the dense exchange.
     ``compression`` accepts reduce-closed codecs only (the wire hop must
@@ -529,19 +538,11 @@ class ShardedExchange(GradientExchange):
         compression: CompressionSpec = None,
         compression_options: Optional[Dict] = None,
     ) -> None:
-        if fusion_buckets < 1:
-            raise ValueError(f"fusion_buckets must be >= 1, got {fusion_buckets}")
-        fusion_threshold_bytes, pipeline_chunks = _apply_plan(
-            plan, comm, fusion_threshold_bytes, pipeline_chunks
+        super().__init__(
+            _WireCountingComm(comm), fusion_buckets, fusion_threshold_bytes,
+            pipeline_chunks, bucketer, plan, compression, compression_options,
         )
-        if pipeline_chunks < 1:
-            raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
-        self._inner_comm = comm
-        self.comm = _WireCountingComm(comm)
-        self.host_topology = resolve_host_topology(comm)
         if not self.host_topology.is_single_host:
-            # Multi-host fabrics route every bucket through the two-tier
-            # schedule so non-leader traffic stays off inter-host links.
             algorithm = "hierarchical"
         if algorithm not in ALLGATHER_FOR_REDUCE_SCATTER:
             raise ValueError(
@@ -549,7 +550,6 @@ class ShardedExchange(GradientExchange):
                 f"available: {sorted(ALLGATHER_FOR_REDUCE_SCATTER)}"
             )
         self.algorithm = algorithm
-        self.codec = resolve_codec(compression, compression_options)
         if self.codec is not None:
             if not self.codec.reduce_closed:
                 raise ValueError(
@@ -562,38 +562,9 @@ class ShardedExchange(GradientExchange):
                     f"compressed sharded exchange rides the ring schedule "
                     f"only, got algorithm {algorithm!r}"
                 )
-        self.fusion_buckets = fusion_buckets
-        self.fusion_threshold_bytes = fusion_threshold_bytes
-        self.pipeline_chunks = pipeline_chunks
         self.name = "sync-zero1"
-        self._bucketer = bucketer
-        self._step = 0
-        self._pack_buffers: Optional[List[np.ndarray]] = None
         self._param_buffers: Optional[List[np.ndarray]] = None
         self._windows: Optional[List[List[Tuple[int, int]]]] = None
-
-    def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
-        if self._bucketer is None:
-            self._bucketer = _resolve_bucketer(
-                num_parameters, None, self.fusion_threshold_bytes,
-                self.fusion_buckets, codec=self.codec,
-            )
-        elif self._bucketer.num_elements != num_parameters:
-            raise ValueError(
-                f"flat gradient has {num_parameters} elements but the "
-                f"exchange's bucketer covers {self._bucketer.num_elements}"
-            )
-        return self._bucketer
-
-    def _ensure_windows(self, bucketer: GradientBucketer) -> List[List[Tuple[int, int]]]:
-        if self._windows is None:
-            self._windows = bucketer.shard_windows(
-                self._inner_comm.size,
-                self.algorithm,
-                topology=self.host_topology
-                if self.algorithm == "hierarchical" else None,
-            )
-        return self._windows
 
     def exchange(self, flat_gradient: np.ndarray) -> ExchangeResult:
         raise RuntimeError(
@@ -610,53 +581,46 @@ class ShardedExchange(GradientExchange):
         allocated for the owned windows only.
         """
         start = time.perf_counter()
-        flat = np.asarray(flat_gradient, dtype=np.float64)
-        bucketer = self._ensure_bucketer(flat.size)
-        windows = self._ensure_windows(bucketer)
-        rank = self._inner_comm.rank
         sent_before = self.comm.bytes_sent
         topology = (
             self.host_topology if self.algorithm == "hierarchical" else None
         )
-        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
-                       buckets=bucketer.num_buckets):
-            buffers = bucketer.pack(flat, out=self._pack_buffers)
-        self._pack_buffers = buffers
+        bucketer, buffers = self._pack(flat_gradient)
+        if self._windows is None:
+            self._windows = bucketer.shard_windows(
+                self.comm.size, self.algorithm, topology=topology
+            )
         flat_params = flatten_parameters(model)
-        if flat_params.size != flat.size:
+        if flat_params.size != bucketer.num_elements:
             raise ValueError(
                 f"model has {flat_params.size} parameters but the flat "
-                f"gradient has {flat.size} elements"
+                f"gradient has {bucketer.num_elements} elements"
             )
         with _obs.span("param-pack", "exchange", nbytes=flat_params.nbytes):
             params = bucketer.pack(flat_params, out=self._param_buffers)
         self._param_buffers = params
 
+        order = range(bucketer.num_buckets)
         bucket_waits = [0.0] * bucketer.num_buckets
-        for b in range(bucketer.num_buckets):
-            bucket_start = time.perf_counter()
-            if buffers[b].size:
-                with _obs.span("shard-scatter", "exchange", bucket=b,
-                               nbytes=buffers[b].nbytes):
-                    buffers[b], _window = reduce_scatter(
-                        self.comm,
-                        buffers[b],
-                        average=True,
-                        algorithm=self.algorithm,
-                        n_chunks=self.pipeline_chunks,
-                        # The packed fusion buffer is owned by this
-                        # exchange; reduce it in place.
-                        copy=False,
-                        codec=self.codec,
-                        topology=topology,
-                    )
-            bucket_waits[b] = time.perf_counter() - bucket_start
+        for b in self._timed_buckets("shard-scatter", buffers, order, bucket_waits):
+            buffers[b], _window = reduce_scatter(
+                self.comm,
+                buffers[b],
+                average=True,
+                algorithm=self.algorithm,
+                n_chunks=self.pipeline_chunks,
+                # The packed fusion buffer is owned by this exchange;
+                # reduce it in place.
+                copy=False,
+                codec=self.codec,
+                topology=topology,
+            )
 
         param_views: List[np.ndarray] = []
         grad_views: List[np.ndarray] = []
         keys: List[str] = []
         for b, bucket in enumerate(bucketer.buckets):
-            lo, hi = windows[b][rank]
+            lo, hi = self._windows[b][self.comm.rank]
             if hi > lo:
                 param_views.append(params[b][lo:hi])
                 grad_views.append(buffers[b][lo:hi])
@@ -671,20 +635,15 @@ class ShardedExchange(GradientExchange):
             optimizer.step_windows(param_views, grad_views, keys)
 
         ag_algorithm = ALLGATHER_FOR_REDUCE_SCATTER[self.algorithm]
-        for b in range(bucketer.num_buckets):
-            bucket_start = time.perf_counter()
-            if params[b].size:
-                with _obs.span("shard-gather", "exchange", bucket=b,
-                               nbytes=params[b].nbytes):
-                    allgather_flat(
-                        self.comm,
-                        params[b],
-                        algorithm=ag_algorithm,
-                        n_chunks=self.pipeline_chunks,
-                        codec=self.codec,
-                        topology=topology,
-                    )
-            bucket_waits[b] += time.perf_counter() - bucket_start
+        for b in self._timed_buckets("shard-gather", params, order, bucket_waits):
+            allgather_flat(
+                self.comm,
+                params[b],
+                algorithm=ag_algorithm,
+                n_chunks=self.pipeline_chunks,
+                codec=self.codec,
+                topology=topology,
+            )
         with _obs.span("param-unpack", "exchange", nbytes=flat_params.nbytes):
             assign_flat_parameters(model, bucketer.unpack(params))
 
@@ -692,14 +651,14 @@ class ShardedExchange(GradientExchange):
         return ExchangeResult(
             gradient=None,
             included=True,
-            num_active=self._inner_comm.size,
+            num_active=self.comm.size,
             wait_time=time.perf_counter() - start,
             bucket_waits=tuple(bucket_waits),
             wire_bytes=self.comm.bytes_sent - sent_before,
         )
 
 
-class PartialExchange(GradientExchange):
+class PartialExchange(_BucketedExchange):
     """Eager-SGD exchange over per-bucket partial allreduces.
 
     Parameters
@@ -718,8 +677,7 @@ class PartialExchange(GradientExchange):
         ranks; all buckets share the seed, so each round's designated
         initiator is the same across buckets).
     fusion_threshold_bytes:
-        Pack the gradient into fusion buffers of at most this many bytes;
-        each bucket runs its own partial allreduce (with its own progress
+        Each bucket runs its own partial allreduce (with its own progress
         thread and channel pair), so a slow rank's gradient can be
         included in bucket *i* but become stale for bucket *j* — the
         per-bucket generalisation of the paper's staleness semantics.
@@ -728,22 +686,17 @@ class PartialExchange(GradientExchange):
         Segments the background reduction of every bucket is pipelined in
         (sum/avg payloads only; see
         :class:`~repro.collectives.partial.PartialAllreduce`).
-    bucketer:
-        Explicit bucketing plan; overrides ``fusion_threshold_bytes``.
-    plan:
-        Auto-tuned :class:`~repro.tuning.autotune.TunedPlan`; supplies
-        ``fusion_threshold_bytes`` and ``pipeline_chunks``.
     compression:
-        Gradient codec (see :mod:`repro.compression`).  Reduce-closed
-        codecs (``fp16``) run the whole partial collective — send
-        buffer, stale accumulation and background reduction — at the
-        encoded width, so the wire genuinely shrinks.  Non-reduce-closed
-        codecs (``bf16``/``int8``/``topk``) are applied as a local
-        quantize-and-compensate transform before the dense background
-        reduction (the documented decode-reduce-encode caveat: the
-        persistent-schedule wire stays dense).
-    compression_options:
-        Extra codec options merged over any inline spec options.
+        Reduce-closed codecs (``fp16``) run the whole partial collective
+        — send buffer, stale accumulation and background reduction — at
+        the encoded width, so the wire genuinely shrinks.
+        Non-reduce-closed codecs (``bf16``/``int8``/``topk``) are applied
+        as a local quantize-and-compensate transform before the dense
+        background reduction (the documented decode-reduce-encode caveat:
+        the persistent-schedule wire stays dense).
+
+    ``bucketer``, ``plan`` and ``compression_options`` are the shared
+    knobs of :class:`_BucketedExchange`.
     """
 
     def __init__(
@@ -763,15 +716,14 @@ class PartialExchange(GradientExchange):
     ) -> None:
         if num_parameters < 1:
             raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
-        fusion_threshold_bytes, pipeline_chunks = _apply_plan(
-            plan, comm, fusion_threshold_bytes, pipeline_chunks
+        super().__init__(
+            comm, 1, fusion_threshold_bytes, pipeline_chunks, bucketer, plan,
+            compression, compression_options,
         )
-        self.codec = resolve_codec(compression, compression_options)
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
-        self.bucketer = _resolve_bucketer(
-            num_parameters, bucketer, fusion_threshold_bytes, fusion_buckets=1,
-            codec=self.codec,
-        )
+        #: The bucketing plan — fixed at construction, one partial
+        #: allreduce (progress thread, channel pair) per bucket.
+        self.bucketer = self._ensure_bucketer(num_parameters)
         kwargs = {}
         if PartialMode(mode) is PartialMode.QUORUM:
             kwargs["quorum"] = quorum
@@ -790,7 +742,7 @@ class PartialExchange(GradientExchange):
                     seed=seed,
                     overwrite_recvbuff=overwrite_recvbuff,
                     channel_suffix=f".bucket{bucket.index}" if multi else "",
-                    n_chunks=pipeline_chunks,
+                    n_chunks=self.pipeline_chunks,
                     **kwargs,
                 )
             )
@@ -803,27 +755,19 @@ class PartialExchange(GradientExchange):
 
     def exchange(self, flat_gradient: np.ndarray) -> ExchangeResult:
         start = time.perf_counter()
-        with _obs.span("bucket-pack", "exchange",
-                       buckets=self.bucketer.num_buckets):
-            buffers = self.bucketer.pack(
-                np.asarray(flat_gradient, dtype=np.float64)
-            )
-        reduced: List[np.ndarray] = []
-        bucket_waits: List[float] = []
+        bucketer, buffers = self._pack(flat_gradient)
+        order = range(bucketer.num_buckets)
+        bucket_waits = [0.0] * bucketer.num_buckets
         included = True
         num_active = None
         wire_bytes = 0
-        for b, (partial, buffer) in enumerate(zip(self.partials, buffers)):
-            contribution, decode_template, sent = self._encode_contribution(b, buffer)
-            with _obs.span("bucket-wait", "exchange", bucket=b,
-                           nbytes=buffer.nbytes):
-                result = partial.reduce(contribution)
-            data = result.data
+        for b in self._timed_buckets("bucket-wait", buffers, order, bucket_waits):
+            contribution, decode_template, sent = self._encode_contribution(b, buffers[b])
+            result = self.partials[b].reduce(contribution)
+            buffers[b] = result.data
             if decode_template is not None:
-                data = self.codec.decode(decode_template.with_payload(data))
-            reduced.append(data)
+                buffers[b] = self.codec.decode(decode_template.with_payload(result.data))
             wire_bytes += sent
-            bucket_waits.append(result.wait_time)
             included = included and result.included
             num_active = (
                 result.num_active
@@ -831,7 +775,7 @@ class PartialExchange(GradientExchange):
                 else min(num_active, result.num_active)
             )
         return ExchangeResult(
-            gradient=self.bucketer.unpack(reduced),
+            gradient=bucketer.unpack(buffers),
             included=included,
             num_active=int(num_active or 0),
             wait_time=time.perf_counter() - start,
@@ -890,6 +834,13 @@ def build_exchange(
         raise ValueError(f"unknown sharding mode {sharding!r}; use 'none' or 'zero1'")
     if comm is None or comm.size == 1:
         return SingleProcessExchange()
+    shared = dict(
+        fusion_threshold_bytes=fusion_threshold_bytes,
+        pipeline_chunks=pipeline_chunks,
+        plan=plan,
+        compression=compression,
+        compression_options=compression_options,
+    )
     if sharding == "zero1":
         if mode != "sync":
             raise ValueError(
@@ -900,11 +851,7 @@ def build_exchange(
             comm,
             algorithm=_SHARDED_ALGORITHM_FOR_ALLREDUCE.get(algorithm, algorithm),
             fusion_buckets=fusion_buckets,
-            fusion_threshold_bytes=fusion_threshold_bytes,
-            pipeline_chunks=pipeline_chunks,
-            plan=plan,
-            compression=compression,
-            compression_options=compression_options,
+            **shared,
         )
     if mode == "sync":
         return SynchronousExchange(
@@ -912,11 +859,7 @@ def build_exchange(
             style=sync_style,
             algorithm=algorithm,
             fusion_buckets=fusion_buckets,
-            fusion_threshold_bytes=fusion_threshold_bytes,
-            pipeline_chunks=pipeline_chunks,
-            plan=plan,
-            compression=compression,
-            compression_options=compression_options,
+            **shared,
         )
     return PartialExchange(
         comm,
@@ -925,9 +868,5 @@ def build_exchange(
         quorum=quorum,
         seed=seed,
         overwrite_recvbuff=overwrite_recvbuff,
-        fusion_threshold_bytes=fusion_threshold_bytes,
-        pipeline_chunks=pipeline_chunks,
-        plan=plan,
-        compression=compression,
-        compression_options=compression_options,
+        **shared,
     )

@@ -522,42 +522,3 @@ class TestPickleSafety:
             return op is SUM and float(op(np.array([2.0]), np.array([3.0]))[0]) == 5.0
 
         assert all(launch(worker, 2, backend="process"))
-
-
-# ---------------------------------------------------------------------------
-# the deprecated shim
-# ---------------------------------------------------------------------------
-class TestRunWorldShim:
-    def test_run_world_warns_and_still_works(self):
-        from repro.comm import run_world
-
-        with pytest.deprecated_call():
-            results = run_world(3, lambda comm: comm.rank)
-        assert results == [0, 1, 2]
-
-    def test_run_world_warning_points_at_launch(self):
-        """The deprecation message must tell callers what to migrate to."""
-        import warnings
-
-        from repro.comm import run_world
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = run_world(2, lambda comm: comm.size, channels=("app",))
-        assert results == [2, 2]
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "launch" in message and "run_world" in message
-
-    def test_run_world_matches_launch_results(self):
-        from repro.comm import launch, run_world
-
-        def worker(comm, offset):
-            return comm.rank * 10 + offset
-
-        with pytest.deprecated_call():
-            legacy = run_world(3, worker, 7)
-        assert legacy == launch(worker, 3, 7, backend="thread")

@@ -287,6 +287,29 @@ class TestCrossBackendConformance:
             assert all(r[algorithm][1] for r in results), algorithm
 
 
+def _non_sum_worker(comm, kwargs):
+    try:
+        reduce_scatter(comm, np.ones(8), op="max", **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestReduceScatterRequiresSum:
+    """A codec hop adds and ``average`` divides by P: both only fit a sum."""
+
+    def test_average_rejects_non_sum_op(self):
+        for message in launch(_non_sum_worker, 2, {"average": True}, backend="thread"):
+            assert message is not None and "'max'" in message
+
+    def test_codec_rejects_non_sum_op(self):
+        from repro.compression import get_codec
+
+        kwargs = {"codec": get_codec("fp16")}
+        for message in launch(_non_sum_worker, 2, kwargs, backend="thread"):
+            assert message is not None and "'max'" in message
+
+
 def _ring_identity_worker(comm, n):
     data = np.linspace(-1.0, 1.0, n) * (comm.rank + 1)
     reference = allreduce(comm, data, algorithm="ring")

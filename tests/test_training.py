@@ -226,7 +226,27 @@ class TestRunner:
             eval_dataset=val,
         )
         assert len(result.epochs) == 2
-        assert result.epochs[-1].train_loss < result.epochs[0].train_loss
+        losses = [epoch.train_loss for epoch in result.epochs]
+        if mode == "sync":
+            assert losses[-1] < losses[0]
+        else:
+            # Which gradients are fresh in which round depends on thread
+            # timing, so only interleaving-independent properties hold: the
+            # loss stays finite, every round has between 1 and P fresh
+            # contributors, and six steps of stale-gradient momentum SGD
+            # have not diverged.  The untrained model's loss is 6.7; over
+            # 1000 solo runs under CPU load the final loss had median 1.4,
+            # 1 run in 100 above 4 and a worst case of 5.9, so twice the
+            # untrained loss is seven nats clear of anything observed.
+            untrained = evaluate_model(
+                self._model_factory()(), train, SoftmaxCrossEntropyLoss()
+            )["loss"]
+            assert np.all(np.isfinite(losses))
+            assert losses[-1] < 2.0 * untrained
+            for epoch in result.epochs:
+                assert 1.0 <= epoch.mean_num_active <= 4.0
+            for summary in result.rank_summaries:
+                assert 1 <= summary.min_num_active <= 4
         assert result.step_durations.shape[1] == 4
         assert result.projection is not None
         assert result.total_sim_time > 0
