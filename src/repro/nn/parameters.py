@@ -10,18 +10,18 @@ in Table 1 of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 
 
-def _ordered_named_parameters(module: Module) -> List[Tuple[str, "np.ndarray"]]:
+def _ordered_named_parameters(module: Module) -> List[Tuple[str, Parameter]]:
     named = sorted(module.named_parameters(), key=lambda kv: kv[0])
-    names = [n for n, _ in named]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
+    # Sorted, so a duplicate name sits next to its twin.
+    dupes = sorted({a for (a, _), (b, _) in zip(named, named[1:]) if a == b})
+    if dupes:
         raise ValueError(f"duplicate parameter names: {dupes}")
     return named
 
@@ -31,24 +31,8 @@ def parameter_count(module: Module) -> int:
     return module.num_parameters()
 
 
-def flatten_parameters(module: Module) -> np.ndarray:
-    """Concatenate all parameters into one 1-D vector (stable order)."""
-    named = _ordered_named_parameters(module)
-    if not named:
-        return np.zeros(0)
-    return np.concatenate([p.data.reshape(-1) for _, p in named])
-
-
-def flatten_gradients(module: Module) -> np.ndarray:
-    """Concatenate all parameter gradients into one 1-D vector."""
-    named = _ordered_named_parameters(module)
-    if not named:
-        return np.zeros(0)
-    return np.concatenate([p.grad.reshape(-1) for _, p in named])
-
-
-def unflatten_parameters(module: Module, flat: np.ndarray) -> Dict[str, np.ndarray]:
-    """Split a flat vector back into per-parameter arrays (no assignment)."""
+def _flat_pieces(module: Module, flat: np.ndarray) -> Iterator[Tuple[str, Parameter, np.ndarray]]:
+    """``(name, parameter, its window of flat in its shape)`` in stable order."""
     flat = np.asarray(flat, dtype=np.float64).reshape(-1)
     named = _ordered_named_parameters(module)
     total = sum(p.size for _, p in named)
@@ -56,20 +40,48 @@ def unflatten_parameters(module: Module, flat: np.ndarray) -> Dict[str, np.ndarr
         raise ValueError(
             f"flat vector has {flat.size} elements but the module has {total} parameters"
         )
-    out: Dict[str, np.ndarray] = {}
     offset = 0
     for name, param in named:
-        n = param.size
-        out[name] = flat[offset : offset + n].reshape(param.data.shape)
-        offset += n
+        yield name, param, flat[offset : offset + param.size].reshape(param.data.shape)
+        offset += param.size
+
+
+def _flatten(module: Module, attr: str, out: Optional[np.ndarray]) -> np.ndarray:
+    if out is None:
+        out = np.empty(module.num_parameters())
+    elif out.dtype != np.float64 or out.ndim != 1 or not out.flags.c_contiguous:
+        # Anything else and a piece below would be a copy, filled in vain.
+        raise ValueError(
+            f"out must be a contiguous float64 vector, got {out.dtype} of shape {out.shape}"
+        )
+    for _, param, piece in _flat_pieces(module, out):
+        np.copyto(piece, getattr(param, attr))
     return out
+
+
+def flatten_parameters(module: Module, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Concatenate all parameters into one 1-D vector (stable order).
+
+    ``out`` recycles a vector from an earlier call (same module) in place
+    of a fresh allocation — every step of a training loop, say.
+    """
+    return _flatten(module, "data", out)
+
+
+def flatten_gradients(module: Module, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Concatenate all parameter gradients into one 1-D vector (``out`` as above)."""
+    return _flatten(module, "grad", out)
+
+
+def unflatten_parameters(module: Module, flat: np.ndarray) -> Dict[str, np.ndarray]:
+    """Split a flat vector back into per-parameter arrays (no assignment)."""
+    return {name: piece for name, _, piece in _flat_pieces(module, flat)}
 
 
 def assign_flat_parameters(module: Module, flat: np.ndarray) -> None:
     """Overwrite the module's parameters from a flat vector (model sync)."""
-    pieces = unflatten_parameters(module, flat)
-    for name, param in _ordered_named_parameters(module):
-        param.data[...] = pieces[name]
+    for _, param, piece in _flat_pieces(module, flat):
+        param.data[...] = piece
 
 
 def assign_flat_gradients(module: Module, flat: np.ndarray) -> None:
@@ -79,6 +91,5 @@ def assign_flat_gradients(module: Module, flat: np.ndarray) -> None:
     returns one flat averaged-gradient vector which is scattered back into
     ``param.grad`` before the optimizer step.
     """
-    pieces = unflatten_parameters(module, flat)
-    for name, param in _ordered_named_parameters(module):
-        param.grad[...] = pieces[name]
+    for _, param, piece in _flat_pieces(module, flat):
+        param.grad[...] = piece

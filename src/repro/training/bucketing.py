@@ -333,13 +333,27 @@ class GradientBucketer:
             for b in self.buckets
         ]
 
-    def unpack(self, buffers: Sequence[np.ndarray]) -> np.ndarray:
-        """Reassemble the flat gradient from per-bucket buffers (bit-exact)."""
+    def unpack(
+        self,
+        buffers: Sequence[np.ndarray],
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Reassemble the flat gradient from per-bucket buffers (bit-exact).
+
+        ``out`` is the flat vector to fill and return — the counterpart
+        of :meth:`pack`'s persistent buffers for the way back.
+        """
         if len(buffers) != self.num_buckets:
             raise ValueError(
                 f"expected {self.num_buckets} buffers, got {len(buffers)}"
             )
-        out = np.empty(self.num_elements, dtype=np.float64)
+        if out is None:
+            out = np.empty(self.num_elements, dtype=np.float64)
+        elif out.shape != (self.num_elements,) or out.dtype != np.float64:
+            raise ValueError(
+                f"out must be a float64 vector of {self.num_elements} elements, "
+                f"got {out.dtype} of shape {out.shape}"
+            )
         for bucket, buffer in zip(self.buckets, buffers):
             buf = np.asarray(buffer).reshape(-1)
             if buf.size != bucket.num_elements:

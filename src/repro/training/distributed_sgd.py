@@ -100,6 +100,8 @@ class DistributedSGD:
         self.staleness = StalenessTracker()
         self.quorum = QuorumTracker(world_size)
         self.steps = 0
+        #: The flat local gradient, one vector reused by every step.
+        self._flat: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def _local_gradient(self, batch: Batch) -> Tuple[float, float, float, float]:
@@ -136,11 +138,11 @@ class DistributedSGD:
         if pre_exchange_sleep > 0:
             time.sleep(pre_exchange_sleep)
 
-        flat = flatten_gradients(self.model)
+        flat = self._flat = flatten_gradients(self.model, out=self._flat)
         if self.gradient_clip is not None:
             norm = float(np.linalg.norm(flat))
             if norm > self.gradient_clip > 0:
-                flat = flat * (self.gradient_clip / norm)
+                flat *= self.gradient_clip / norm
 
         if self.exchange.updates_parameters:
             # Sharded (ZeRO-1) exchange: the collective pipeline applies

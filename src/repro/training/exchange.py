@@ -131,7 +131,10 @@ CompressionSpec = Union[str, GradientCodec, None]
 class ExchangeResult:
     """Outcome of one gradient exchange on one rank."""
 
-    #: The combined (averaged) gradient to apply locally.  ``None`` for
+    #: The combined (averaged) gradient to apply locally.  The array is
+    #: **owned by the exchange** — its persistent flat buffer — and valid
+    #: until the next ``exchange`` call on the same object overwrites it;
+    #: a caller that keeps it longer copies it.  ``None`` for
     #: parameter-updating exchanges (:class:`ShardedExchange`): a ZeRO-1
     #: rank only ever holds its owned gradient shard fully reduced, and
     #: the update has already been applied to the model when the result
@@ -196,9 +199,10 @@ class _BucketedExchange(GradientExchange):
     """What the multi-rank exchanges share; subclasses say what happens *to* a bucket.
 
     One place validates the knobs, resolves the codec and the bucketing
-    plan, packs the flat gradient into persistent fusion buffers, and
-    times the per-bucket loop that fills
-    :attr:`ExchangeResult.bucket_waits`.
+    plan, packs the flat gradient into persistent fusion buffers, times
+    the per-bucket loop that fills :attr:`ExchangeResult.bucket_waits`,
+    and unpacks the buckets into a persistent flat vector — so a
+    steady-state call allocates nothing the size of the gradient.
 
     The shared constructor parameters are the knobs of the module
     docstring (``fusion_buckets``, ``fusion_threshold_bytes``,
@@ -252,6 +256,10 @@ class _BucketedExchange(GradientExchange):
         #: exchange pays a copy into warm pages instead of fresh
         #: allocations (and their page faults) per bucket.
         self._pack_buffers: Optional[List[np.ndarray]] = None
+        #: The flat vector the buckets are unpacked into, persistent for
+        #: the same reason; it is what :attr:`ExchangeResult.gradient`
+        #: hands out, hence that field's until-the-next-call lifetime.
+        self._flat: Optional[np.ndarray] = None
 
     def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
         """The bucketing plan, resolved from the knobs on first use.
@@ -288,6 +296,11 @@ class _BucketedExchange(GradientExchange):
             buffers = bucketer.pack(flat, out=self._pack_buffers)
         self._pack_buffers = buffers
         return bucketer, buffers
+
+    def _unpack(self, bucketer: GradientBucketer, buffers: List[np.ndarray]) -> np.ndarray:
+        """Reassemble the buckets in the persistent flat vector."""
+        self._flat = bucketer.unpack(buffers, out=self._flat)
+        return self._flat
 
     @staticmethod
     def _timed_buckets(
@@ -384,7 +397,7 @@ class SynchronousExchange(_BucketedExchange):
             wire_bytes += sent
         self._step += 1
         return ExchangeResult(
-            gradient=bucketer.unpack(buffers),
+            gradient=self._unpack(bucketer, buffers),
             included=True,
             num_active=self.comm.size,
             wait_time=time.perf_counter() - start,
@@ -590,12 +603,15 @@ class ShardedExchange(_BucketedExchange):
             self._windows = bucketer.shard_windows(
                 self.comm.size, self.algorithm, topology=topology
             )
-        flat_params = flatten_parameters(model)
+        # The persistent flat vector carries the parameters out of the
+        # model here and, updated, back into it below.
+        flat_params = flatten_parameters(model, out=self._flat)
         if flat_params.size != bucketer.num_elements:
             raise ValueError(
                 f"model has {flat_params.size} parameters but the flat "
                 f"gradient has {bucketer.num_elements} elements"
             )
+        self._flat = flat_params
         with _obs.span("param-pack", "exchange", nbytes=flat_params.nbytes):
             params = bucketer.pack(flat_params, out=self._param_buffers)
         self._param_buffers = params
@@ -645,7 +661,7 @@ class ShardedExchange(_BucketedExchange):
                 topology=topology,
             )
         with _obs.span("param-unpack", "exchange", nbytes=flat_params.nbytes):
-            assign_flat_parameters(model, bucketer.unpack(params))
+            assign_flat_parameters(model, self._unpack(bucketer, params))
 
         self._step += 1
         return ExchangeResult(
@@ -775,7 +791,7 @@ class PartialExchange(_BucketedExchange):
                 else min(num_active, result.num_active)
             )
         return ExchangeResult(
-            gradient=bucketer.unpack(buffers),
+            gradient=self._unpack(bucketer, buffers),
             included=included,
             num_active=int(num_active or 0),
             wait_time=time.perf_counter() - start,

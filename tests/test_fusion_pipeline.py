@@ -6,6 +6,7 @@ layout and native non-power-of-two support), the bucketed exchanges, and
 the simtime mirror of the chunked-pipeline cost.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -292,6 +293,15 @@ class TestFusedSynchronousExchange:
         assert all(launch(worker, 2))
 
 
+def _kept(result):
+    """``result`` with its own gradient array.
+
+    ``ExchangeResult.gradient`` is the exchange's buffer and the next
+    ``exchange`` call overwrites it; a result kept across calls copies it.
+    """
+    return dataclasses.replace(result, gradient=result.gradient.copy())
+
+
 class TestFusedPartialExchange:
     def test_quorum_full_matches_synchronous_average_per_bucket(self):
         def worker(comm):
@@ -304,7 +314,8 @@ class TestFusedPartialExchange:
                 fusion_threshold_bytes=48,
             )
             results = [
-                exchange.exchange(np.arange(23.0) * (comm.rank + 1)) for _ in range(2)
+                _kept(exchange.exchange(np.arange(23.0) * (comm.rank + 1)))
+                for _ in range(2)
             ]
             exchange.close()
             return results
@@ -337,7 +348,7 @@ class TestFusedPartialExchange:
                 grad = np.concatenate(
                     [np.full(4, 1.0 * (comm.rank + 1)), np.full(4, 10.0 * (comm.rank + 1))]
                 )
-                outputs.append(exchange.exchange(grad))
+                outputs.append(_kept(exchange.exchange(grad)))
             exchange.close()
             return outputs
 

@@ -1,5 +1,7 @@
 """Tests for models, losses, optimizers, metrics and parameter flattening."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,12 +180,23 @@ class TestOptimizers:
 
     def test_invalid_hyperparameters(self):
         model = self._quadratic_setup()
-        with pytest.raises(ValueError):
-            SGD(model, -1.0)
-        with pytest.raises(ValueError):
-            MomentumSGD(model, 0.1, momentum=1.5)
-        with pytest.raises(ValueError):
-            Adam(model, 0.1, beta1=1.0)
+        # Rejected at construction, with the offending value in the message.
+        for build, value in [
+            (lambda: SGD(model, -1.0), "-1.0"),
+            (lambda: SGD(model, 0.1, weight_decay=-0.5), "-0.5"),
+            (lambda: StepDecayLR(0.0, milestones=[1]), "0.0"),
+            (lambda: WarmupLR(ConstantLR(0.1), warmup_steps=-3), "-3"),
+            (lambda: MomentumSGD(model, 0.1, momentum=1.5), "1.5"),
+            (lambda: MomentumSGD(model, 0.1, weight_decay=-0.25), "-0.25"),
+            (lambda: Adam(model, 0.1, beta1=1.0), "beta1=1.0"),
+            (lambda: Adam(model, 0.1, beta2=-0.125), "beta2=-0.125"),
+            (lambda: Adam(model, 0.1, weight_decay=-0.75), "-0.75"),
+            (lambda: Adam(model, 0.1, eps=0.0), "0.0"),
+            (lambda: Adam(model, 0.1, eps=-1e-8), "-1e-08"),
+            (lambda: Adam(model, 0.1, weight_decay=float("nan")), "nan"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(value)):
+                build()
 
     def test_training_reduces_loss_end_to_end(self, rng):
         model = MLPClassifier(8, (16,), 3, seed=0)
