@@ -89,7 +89,8 @@ def _step_worker(comm, config_name, nbytes, iterations):
     model = Module()
     model.add_parameter("theta", np.zeros(elements))
     optimizer = Adam(model, 1e-3)
-    gradient = np.random.default_rng(comm.rank).standard_normal(elements)
+    contribution = np.random.default_rng(comm.rank).standard_normal(elements)
+    gradient = contribution.copy()  # the exchanges consume it: refilled per step
 
     if spec["sharded"]:
         exchange = ShardedExchange(
@@ -122,6 +123,7 @@ def _step_worker(comm, config_name, nbytes, iterations):
     sent_before = counting.bytes_sent
     times = []
     for _ in range(iterations):
+        np.copyto(gradient, contribution)
         comm.barrier()
         start = time.perf_counter()
         step()

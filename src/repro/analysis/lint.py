@@ -44,6 +44,13 @@ like perfectly ordinary Python to flake8-style tools:
     ``time.perf_counter()`` / ``time.perf_counter_ns()``
     (``CLOCK_MONOTONIC``) for intervals, as the flight recorder does.
 
+``param-rebind``
+    In the step-path packages (nn, training, serving, compression), no
+    assignment to a ``.data`` / ``.grad`` of anything but ``self``: those
+    arrays are views of the model's flat arena (:mod:`repro.nn.parameters`),
+    ``param.grad = g`` detaches one, and the next ``flatten_*`` re-adopts
+    with a model-sized copy.  Write ``param.grad[...] = g`` (or ``+=``).
+
 Entry point: ``python -m repro lint [paths...]`` (see :mod:`repro.cli`);
 :func:`lint_paths` is the API.  Scope control lives in
 :data:`RULE_SCOPES` — rules apply only where their invariant holds, so a
@@ -271,6 +278,26 @@ def rule_time_time(path: str, tree: ast.AST, source: str) -> List[LintFinding]:
     return findings
 
 
+def rule_param_rebind(path: str, tree: ast.AST, source: str) -> List[LintFinding]:
+    findings: List[LintFinding] = []
+    # ``x.grad += g`` stores to the attribute too, but the same object.
+    in_place = {id(n.target) for n in ast.walk(tree) if isinstance(n, ast.AugAssign)}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and id(node) not in in_place
+            and node.attr in ("data", "grad")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ):
+            findings.append(LintFinding(
+                path, node.lineno, "param-rebind",
+                f"rebinding .{node.attr} detaches the parameter from its model's flat "
+                f"arena (a model-sized copy at the next flatten); write x.{node.attr}[...] = ...",
+            ))
+    return findings
+
+
 def rule_valueerror_no_value(path: str, tree: ast.AST, source: str) -> List[LintFinding]:
     findings: List[LintFinding] = []
     for node in ast.walk(tree):
@@ -338,6 +365,10 @@ RULE_SCOPES: Tuple[Tuple[str, Rule, Callable[[str], bool]], ...] = (
                   "tuning", "analysis")),
     ("time-time", rule_time_time,
      _in_packages("comm", "collectives", "training", "serving")),
+    # nn/module.py and nn/parameters.py own the arrays and the arena.
+    ("param-rebind", rule_param_rebind,
+     lambda p: _in_packages("nn", "training", "serving", "compression")(p)
+     and Path(p).name not in ("module.py", "parameters.py")),
 )
 
 

@@ -162,10 +162,9 @@ def _as_float_array(data, copy: bool = True) -> np.ndarray:
     upcast; everything else (ints, bools, lists) is promoted to the
     ``float64`` substrate as before.
 
-    ``copy=False`` lets a caller that *owns* the buffer (the bucketed
-    exchange passes freshly packed fusion buffers) skip one full-size
-    copy per collective; the buffer is then reduced in place.  A
-    read-only or non-float input is still copied/converted.
+    ``copy=False`` reduces a caller-owned buffer in place (the bucketed
+    exchange passes slices of the gradient vector it was given to
+    consume); a read-only or non-float input is still copied/converted.
     """
     arr = np.asarray(data)
     if not np.issubdtype(arr.dtype, np.floating):
@@ -479,8 +478,7 @@ def _require_wire_codec(codec) -> None:
 def _as_dense_array(data, copy: bool) -> np.ndarray:
     """Owned ``float64`` accumulator for a compressed collective.
 
-    ``copy=False`` lets a caller that owns the buffer (the bucketed
-    exchange packs owned fusion buffers) skip one full-size copy.
+    ``copy=False`` works in place, as in :func:`_as_float_array`.
     """
     arr = np.asarray(data, dtype=np.float64)
     if (copy and arr is data) or not arr.flags.writeable:

@@ -238,10 +238,10 @@ def run_functional(
     for name, kwargs in configs:
         def worker(comm):
             exchange = SynchronousExchange(comm, **kwargs)
-            gradient = base + comm.rank
             start = time.perf_counter()
             for _ in range(iterations):
-                result = exchange.exchange(gradient)
+                # exchange() consumes its argument: a fresh one each step.
+                result = exchange.exchange(base + comm.rank)
             elapsed = (time.perf_counter() - start) / iterations
             return (
                 elapsed,
@@ -281,10 +281,9 @@ def run_functional(
                 fusion_threshold_bytes=fusion_threshold_bytes,
                 pipeline_chunks=n_chunks,
             )
-            gradient = base + comm.rank
             start = time.perf_counter()
             for _ in range(iterations):
-                result = exchange.exchange_update(gradient, model, optimizer)
+                result = exchange.exchange_update(base + comm.rank, model, optimizer)
             elapsed = (time.perf_counter() - start) / iterations
             return (
                 elapsed,

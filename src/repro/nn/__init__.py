@@ -43,7 +43,6 @@ from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
 from repro.nn.optim import SGD, MomentumSGD, Adam, LearningRateSchedule, ConstantLR, StepDecayLR, WarmupLR
 from repro.nn.parameters import (
     flatten_parameters,
-    unflatten_parameters,
     flatten_gradients,
     assign_flat_parameters,
     assign_flat_gradients,
@@ -82,7 +81,6 @@ __all__ = [
     "StepDecayLR",
     "WarmupLR",
     "flatten_parameters",
-    "unflatten_parameters",
     "flatten_gradients",
     "assign_flat_parameters",
     "assign_flat_gradients",

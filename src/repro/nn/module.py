@@ -13,7 +13,8 @@ class Parameter:
     __slots__ = ("data", "grad")
 
     def __init__(self, data: np.ndarray) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        # An owned copy: two parameters built from one array must not alias.
+        self.data = np.array(data, dtype=np.float64, order="C", copy=True)
         self.grad = np.zeros_like(self.data)
 
     @property

@@ -1,16 +1,18 @@
-"""Flattening parameters and gradients to a single vector and back.
+"""One flat arena per model: parameters and gradients as views of two vectors.
 
-Distributed data-parallel SGD reduces the gradient of *every* parameter in
-one (or a few fused) allreduce operations; the partial collectives of this
-reproduction likewise operate on one flat ``float64`` vector per step.
-These helpers define a stable parameter ordering (sorted hierarchical
-names), pack/unpack the vectors and provide the parameter count reported
-in Table 1 of the paper.
+Data-parallel SGD reduces all gradients as one flat ``float64`` vector per
+step.  A module's parameters and gradients *live* in two such vectors, in a
+stable order (sorted hierarchical names): each ``Parameter.data`` / ``.grad``
+is a shaped view of its window; a fusion bucket or ZeRO-1 shard is a slice.
+The first ``flatten_*`` / ``assign_flat_*`` call adopts a module; each later
+one re-validates by identity and re-adopts (values kept, one copy of the
+model) if a parameter was added or an attribute rebound — legal but slow,
+so the ``param-rebind`` lint rule keeps that off the step path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,65 +33,101 @@ def parameter_count(module: Module) -> int:
     return module.num_parameters()
 
 
-def _flat_pieces(module: Module, flat: np.ndarray) -> Iterator[Tuple[str, Parameter, np.ndarray]]:
-    """``(name, parameter, its window of flat in its shape)`` in stable order."""
-    flat = np.asarray(flat, dtype=np.float64).reshape(-1)
-    named = _ordered_named_parameters(module)
-    total = sum(p.size for _, p in named)
-    if flat.size != total:
-        raise ValueError(
-            f"flat vector has {flat.size} elements but the module has {total} parameters"
+def same_memory(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` are the same elements in the same layout.
+
+    ``is`` cannot say: ``allreduce(..., copy=False)`` returns a new ndarray
+    over its argument's memory.  (``__array_interface__`` could, but its
+    transient dict keys churn the interpreter's 2 MB interned-string table.)
+    """
+    same_layout = a.shape == b.shape and a.strides == b.strides and a.dtype == b.dtype
+    return same_layout and np.shares_memory(a[:1], b[:1])
+
+
+class _Arena:
+    """The two vectors of one module and every parameter's windows of them."""
+
+    def __init__(self, named: List[Tuple[str, Parameter]]) -> None:
+        total = sum(param.size for _, param in named)
+        self.data, self.grad = np.empty(total), np.empty(total)
+        #: ``(parameter, its data view, its grad view)`` in flat order.
+        self.windows: List[Tuple[Parameter, np.ndarray, np.ndarray]] = []
+        offset = 0
+        for _, param in named:
+            stop = offset + param.size
+            data, grad = (v[offset:stop].reshape(param.data.shape) for v in (self.data, self.grad))
+            data[...], grad[...] = param.data, param.grad
+            param.data, param.grad = data, grad
+            self.windows.append((param, data, grad))
+            offset = stop
+
+    def holds(self, named: List[Tuple[str, Parameter]]) -> bool:
+        """Whether every parameter still is a view of its window (``base``:
+        a deep copy of the module has views that no longer share memory)."""
+        return len(named) == len(self.windows) and all(
+            param is owner and param.data is data and param.grad is grad
+            and data.base is self.data
+            for (_, param), (owner, data, grad) in zip(named, self.windows)
         )
-    offset = 0
-    for name, param in named:
-        yield name, param, flat[offset : offset + param.size].reshape(param.data.shape)
-        offset += param.size
+
+
+def _vector(module: Module, attr: str, flat: Optional[np.ndarray] = None) -> np.ndarray:
+    """The module's live ``attr`` vector; ``flat`` must match it in size."""
+    named = _ordered_named_parameters(module)
+    arena = getattr(module, "_arena", None)
+    if arena is None or not arena.holds(named):
+        arena = _Arena(named)
+        object.__setattr__(module, "_arena", arena)
+    vector = getattr(arena, attr)
+    if flat is not None and flat.size != vector.size:
+        raise ValueError(
+            f"flat vector has {flat.size} elements but the module has "
+            f"{vector.size} parameters"
+        )
+    return vector
 
 
 def _flatten(module: Module, attr: str, out: Optional[np.ndarray]) -> np.ndarray:
     if out is None:
-        out = np.empty(module.num_parameters())
-    elif out.dtype != np.float64 or out.ndim != 1 or not out.flags.c_contiguous:
-        # Anything else and a piece below would be a copy, filled in vain.
+        return _vector(module, attr)
+    if out.dtype != np.float64 or out.ndim != 1 or not out.flags.c_contiguous:
         raise ValueError(
             f"out must be a contiguous float64 vector, got {out.dtype} of shape {out.shape}"
         )
-    for _, param, piece in _flat_pieces(module, out):
-        np.copyto(piece, getattr(param, attr))
+    vector = _vector(module, attr, out)
+    if not same_memory(out, vector):
+        np.copyto(out, vector)
     return out
 
 
-def flatten_parameters(module: Module, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Concatenate all parameters into one 1-D vector (stable order).
+def _assign(module: Module, attr: str, flat: np.ndarray) -> None:
+    flat = np.asarray(flat, dtype=np.float64).reshape(-1)
+    vector = _vector(module, attr, flat)
+    if not same_memory(flat, vector):
+        vector[...] = flat
 
-    ``out`` recycles a vector from an earlier call (same module) in place
-    of a fresh allocation — every step of a training loop, say.
+
+def flatten_parameters(module: Module, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """All parameters as one 1-D vector (stable order): the **live** arena.
+
+    Writes go both ways — ``.copy()`` it for a snapshot.  ``out`` fills and
+    returns a caller's vector instead.
     """
     return _flatten(module, "data", out)
 
 
 def flatten_gradients(module: Module, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Concatenate all parameter gradients into one 1-D vector (``out`` as above)."""
+    """All parameter gradients as one live 1-D vector (``out`` as above)."""
     return _flatten(module, "grad", out)
 
 
-def unflatten_parameters(module: Module, flat: np.ndarray) -> Dict[str, np.ndarray]:
-    """Split a flat vector back into per-parameter arrays (no assignment)."""
-    return {name: piece for name, _, piece in _flat_pieces(module, flat)}
-
-
 def assign_flat_parameters(module: Module, flat: np.ndarray) -> None:
-    """Overwrite the module's parameters from a flat vector (model sync)."""
-    for _, param, piece in _flat_pieces(module, flat):
-        param.data[...] = piece
+    """Overwrite the module's parameters from a flat vector (free when
+    ``flat`` already is the arena, updated in place)."""
+    _assign(module, "data", flat)
 
 
 def assign_flat_gradients(module: Module, flat: np.ndarray) -> None:
-    """Overwrite the module's parameter gradients from a flat vector.
-
-    Used after the distributed gradient exchange: the (partial) allreduce
-    returns one flat averaged-gradient vector which is scattered back into
-    ``param.grad`` before the optimizer step.
-    """
-    for _, param, piece in _flat_pieces(module, flat):
-        param.grad[...] = piece
+    """Overwrite the module's parameter gradients from a flat vector (free
+    after an exchange that reduced the arena's own vector in place)."""
+    _assign(module, "grad", flat)

@@ -27,11 +27,7 @@ from typing import Dict, List
 
 from repro.collectives.sync import allreduce
 from repro.comm.subworld import SubsetCommunicator
-from repro.nn.parameters import (
-    assign_flat_gradients,
-    flatten_gradients,
-    flatten_parameters,
-)
+from repro.nn.parameters import flatten_gradients, flatten_parameters
 from repro.serving import protocol
 from repro.serving.config import ServingConfig
 from repro.training.model_sync import model_hash
@@ -82,17 +78,19 @@ def run_trainer(comm, config: ServingConfig) -> Dict[str, object]:
             loss, grad = loss_fn(outputs, batch.targets)
             model.backward(grad)
             if sub is not None:
-                flat = flatten_gradients(model)
-                flat = allreduce(
-                    sub, flat, algorithm="recursive_doubling", average=True
+                # The model's live gradient vector, averaged in place.
+                allreduce(
+                    sub, flatten_gradients(model), algorithm="recursive_doubling",
+                    average=True, copy=False,
                 )
-                assign_flat_gradients(model, flat)
             optimizer.step()
             version += 1
             losses.append(loss)
             if not is_publisher:
                 continue
             if version % config.publish_every_steps == 0:
+                # Live storage: each send copies or frames it before
+                # returning, so the next step cannot touch this version.
                 flat_params = flatten_parameters(model)
                 digest = model_hash(model)
                 for replica in replicas:

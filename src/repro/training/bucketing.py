@@ -11,9 +11,11 @@ other and, with chunked collectives, within themselves.
 
 :class:`GradientBucketer` owns the mapping between the flat gradient
 vector (what :func:`repro.nn.parameters.flatten_gradients` produces) and
-the per-bucket fusion buffers.  Packing and unpacking are bit-exact
-inverses — the bucketer only ever slices and concatenates, it never
-re-orders or re-scales elements.
+the per-bucket fusion buffers: :meth:`~GradientBucketer.views` are the
+buckets as slices of that vector (what the exchanges reduce in place),
+:meth:`~GradientBucketer.pack` / :meth:`~GradientBucketer.unpack` the
+copying pair, bit-exact inverses — the bucketer only ever slices and
+concatenates, it never re-orders or re-scales elements.
 """
 
 from __future__ import annotations
@@ -75,11 +77,6 @@ class BucketSpec:
     @property
     def nbytes(self) -> int:
         return self.num_elements * self.bytes_per_element
-
-    @property
-    def wire_nbytes(self) -> int:
-        """Encoded bytes this bucket occupies on the wire."""
-        return int(round(self.num_elements * self.wire_bytes_per_element))
 
 
 class GradientBucketer:
@@ -159,11 +156,6 @@ class GradientBucketer:
         self.num_elements = stop
 
     # ------------------------------------------------------------ builders
-    @classmethod
-    def from_model(cls, model, **kwargs) -> "GradientBucketer":
-        """Bucketer over ``model``'s parameters (model order)."""
-        return cls([p.data.size for p in model.parameters()], **kwargs)
-
     @classmethod
     def from_flat(
         cls,
@@ -259,17 +251,11 @@ class GradientBucketer:
         dtype (e.g. replaced by a decode-reduce-encode result) are
         reallocated transparently.
         """
-        flat = np.asarray(flat_gradient).reshape(-1)
-        if flat.size != self.num_elements:
-            raise ValueError(
-                f"flat gradient has {flat.size} elements, bucketer expects "
-                f"{self.num_elements}"
-            )
+        segments = self.views(np.asarray(flat_gradient).reshape(-1))
         if out is None or len(out) != self.num_buckets:
-            return [np.array(flat[b.start : b.stop], copy=True) for b in self.buckets]
+            return [np.array(segment, copy=True) for segment in segments]
         buffers = []
-        for bucket, buf in zip(self.buckets, out):
-            segment = flat[bucket.start : bucket.stop]
+        for segment, buf in zip(segments, out):
             if (
                 isinstance(buf, np.ndarray)
                 and buf.shape == segment.shape
@@ -282,30 +268,12 @@ class GradientBucketer:
                 buffers.append(np.array(segment, copy=True))
         return buffers
 
-    def pack_params(self, gradients: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Pack per-parameter gradient tensors into fusion buffers.
-
-        ``gradients`` must follow the parameter order the bucketer was
-        built from; tensors are flattened and concatenated per bucket.
-        """
-        if any(not b.param_indices for b in self.buckets):
-            raise ValueError(
-                f"this bucketer ({self.num_buckets} bucket(s)) was built from element "
-                f"ranges, not parameter sizes; use pack() with the flat gradient instead"
-            )
-        flats = [np.asarray(g).reshape(-1) for g in gradients]
-        buffers = []
-        for bucket in self.buckets:
-            parts = [flats[i] for i in bucket.param_indices]
-            buffer = np.concatenate(parts) if len(parts) > 1 else np.array(parts[0], copy=True)
-            if buffer.size != bucket.num_elements:
-                raise ValueError(
-                    f"bucket {bucket.index} expected {bucket.num_elements} "
-                    f"elements, got {buffer.size}: gradient shapes do not "
-                    f"match the bucketer's parameter sizes"
-                )
-            buffers.append(buffer)
-        return buffers
+    def views(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Each bucket as a slice of ``flat`` itself: what an exchange
+        reduces in place, the flat vector being the fusion storage."""
+        if flat.shape != (self.num_elements,):
+            raise ValueError(f"flat vector has shape {flat.shape}, not ({self.num_elements},)")
+        return [flat[b.start : b.stop] for b in self.buckets]
 
     def shard_windows(
         self,

@@ -52,10 +52,10 @@ LossFn = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
 class DistributedSGD:
     """One rank's view of distributed SGD (Algorithm 2).
 
-    At every step the rank computes its local gradient, hands the flat
-    gradient vector to the gradient exchange (a synchronous or partial
-    allreduce), scatters the combined gradient back into the model and
-    applies the local update rule.  Staleness and quorum statistics are
+    At every step the rank computes its local gradient, hands the model's
+    flat gradient vector to the gradient exchange (a synchronous or partial
+    allreduce), which combines it in place, and applies the local update
+    rule.  Staleness and quorum statistics are
     tracked for the convergence bookkeeping of Section 5.1.
 
     Parameters
@@ -100,8 +100,6 @@ class DistributedSGD:
         self.staleness = StalenessTracker()
         self.quorum = QuorumTracker(world_size)
         self.steps = 0
-        #: The flat local gradient, one vector reused by every step.
-        self._flat: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def _local_gradient(self, batch: Batch) -> Tuple[float, float, float, float]:
@@ -138,7 +136,8 @@ class DistributedSGD:
         if pre_exchange_sleep > 0:
             time.sleep(pre_exchange_sleep)
 
-        flat = self._flat = flatten_gradients(self.model, out=self._flat)
+        # Live: reduced in place, the result lands in every ``param.grad``.
+        flat = flatten_gradients(self.model)
         if self.gradient_clip is not None:
             norm = float(np.linalg.norm(flat))
             if norm > self.gradient_clip > 0:

@@ -26,12 +26,14 @@ parameter-allgather pipeline, keeping each rank's optimizer state at
 Fusion buffers and pipelining
 -----------------------------
 Every multi-rank exchange is *bucketed*: a
-:class:`~repro.training.bucketing.GradientBucketer` packs the flat
+:class:`~repro.training.bucketing.GradientBucketer` cuts the flat
 gradient into fusion buffers and one collective is issued per bucket, so
 the exchange is a pipeline of bounded-size reductions instead of one
-monolithic blocking call.  :class:`_BucketedExchange` owns the knobs,
-the pack and the timed per-bucket loop; each exchange adds only what it
-does *to* a bucket.  The knobs (threaded through
+monolithic blocking call.  A bucket is a slice of the caller's vector,
+reduced in place: ``exchange`` consumes and returns its argument.
+:class:`_BucketedExchange` owns the knobs, the slicing and the timed
+per-bucket loop; each exchange adds only what it does *to* a bucket.  The
+knobs (threaded through
 :class:`~repro.training.config.TrainingConfig` and the CLI):
 
 ``fusion_threshold_bytes``
@@ -118,7 +120,7 @@ from repro.collectives.sync import (
     resolve_host_topology,
 )
 from repro.compression import BucketCompressor, GradientCodec, resolve_codec
-from repro.nn.parameters import assign_flat_parameters, flatten_parameters
+from repro.nn.parameters import flatten_parameters, same_memory
 from repro.obs import recorder as _obs
 from repro.training.bucketing import GradientBucketer
 from repro.tuning.autotune import TunedPlan
@@ -131,10 +133,9 @@ CompressionSpec = Union[str, GradientCodec, None]
 class ExchangeResult:
     """Outcome of one gradient exchange on one rank."""
 
-    #: The combined (averaged) gradient to apply locally.  The array is
-    #: **owned by the exchange** — its persistent flat buffer — and valid
-    #: until the next ``exchange`` call on the same object overwrites it;
-    #: a caller that keeps it longer copies it.  ``None`` for
+    #: The combined (averaged) gradient to apply locally: **the vector
+    #: passed to** ``exchange``, reduced in place (an owned copy when it
+    #: was not a writeable contiguous ``float64`` vector).  ``None`` for
     #: parameter-updating exchanges (:class:`ShardedExchange`): a ZeRO-1
     #: rank only ever holds its owned gradient shard fully reduced, and
     #: the update has already been applied to the model when the result
@@ -199,19 +200,19 @@ class _BucketedExchange(GradientExchange):
     """What the multi-rank exchanges share; subclasses say what happens *to* a bucket.
 
     One place validates the knobs, resolves the codec and the bucketing
-    plan, packs the flat gradient into persistent fusion buffers, times
-    the per-bucket loop that fills :attr:`ExchangeResult.bucket_waits`,
-    and unpacks the buckets into a persistent flat vector — so a
-    steady-state call allocates nothing the size of the gradient.
+    plan, slices the flat gradient into its buckets, times the per-bucket
+    loop that fills :attr:`ExchangeResult.bucket_waits`, and keeps each
+    bucket's result in its slice — so a steady-state call neither copies
+    nor allocates anything the size of the gradient.
 
     The shared constructor parameters are the knobs of the module
     docstring (``fusion_buckets``, ``fusion_threshold_bytes``,
     ``pipeline_chunks``, ``plan``, ``compression``) plus:
 
     bucketer:
-        Explicit bucketing plan (e.g. built from per-parameter sizes via
-        :meth:`GradientBucketer.from_model`); overrides the fusion knobs
-        — also a ``plan``'s — for the bucketing itself.
+        Explicit bucketing plan (e.g. built from per-parameter sizes);
+        overrides the fusion knobs — also a ``plan``'s — for the
+        bucketing itself.
     compression_options:
         Extra codec options merged over any inline spec options.
     """
@@ -252,14 +253,6 @@ class _BucketedExchange(GradientExchange):
         self.codec = resolve_codec(compression, compression_options)
         self._bucketer = bucketer
         self._step = 0
-        #: Persistent fusion buffers, reused across steps so each
-        #: exchange pays a copy into warm pages instead of fresh
-        #: allocations (and their page faults) per bucket.
-        self._pack_buffers: Optional[List[np.ndarray]] = None
-        #: The flat vector the buckets are unpacked into, persistent for
-        #: the same reason; it is what :attr:`ExchangeResult.gradient`
-        #: hands out, hence that field's until-the-next-call lifetime.
-        self._flat: Optional[np.ndarray] = None
 
     def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
         """The bucketing plan, resolved from the knobs on first use.
@@ -287,20 +280,20 @@ class _BucketedExchange(GradientExchange):
             )
         return self._bucketer
 
-    def _pack(self, flat_gradient: np.ndarray) -> Tuple[GradientBucketer, List[np.ndarray]]:
-        """Pack the flat gradient into the persistent fusion buffers."""
-        flat = np.asarray(flat_gradient, dtype=np.float64)
-        bucketer = self._ensure_bucketer(flat.size)
-        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
-                       buckets=bucketer.num_buckets):
-            buffers = bucketer.pack(flat, out=self._pack_buffers)
-        self._pack_buffers = buffers
-        return bucketer, buffers
+    def _bucket_views(self, flat: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """The caller's vector, and its buckets as slices of it (anything but a
+        writeable contiguous ``float64`` vector is normalised to an owned one)."""
+        flat = np.require(flat, dtype=np.float64, requirements=("C", "W"))
+        if flat.ndim != 1:
+            flat = flat.reshape(-1)
+        return flat, self._ensure_bucketer(flat.size).views(flat)
 
-    def _unpack(self, bucketer: GradientBucketer, buffers: List[np.ndarray]) -> np.ndarray:
-        """Reassemble the buckets in the persistent flat vector."""
-        self._flat = bucketer.unpack(buffers, out=self._flat)
-        return self._flat
+    @staticmethod
+    def _store(view: np.ndarray, result: np.ndarray) -> None:
+        """Leave a bucket's result in its slice (a ``copy=False`` collective
+        did already; codecs and partial collectives return fresh arrays)."""
+        if not same_memory(result, view):
+            view[...] = result
 
     @staticmethod
     def _timed_buckets(
@@ -384,20 +377,21 @@ class SynchronousExchange(_BucketedExchange):
 
     def exchange(self, flat_gradient: np.ndarray) -> ExchangeResult:
         start = time.perf_counter()
-        bucketer, buffers = self._pack(flat_gradient)
+        flat, views = self._bucket_views(flat_gradient)
         if self.style == "horovod":
-            order = self._negotiated_order(bucketer.num_buckets)
+            order = self._negotiated_order(len(views))
         else:
             # deep500: control dependencies fix the issue order (Fig. 5).
-            order = range(bucketer.num_buckets)
-        bucket_waits = [0.0] * bucketer.num_buckets
+            order = range(len(views))
+        bucket_waits = [0.0] * len(views)
         wire_bytes = 0
-        for b in self._timed_buckets("bucket-wait", buffers, order, bucket_waits):
-            buffers[b], sent = self._reduce_bucket(b, buffers[b])
+        for b in self._timed_buckets("bucket-wait", views, order, bucket_waits):
+            result, sent = self._reduce_bucket(b, views[b])
+            self._store(views[b], result)
             wire_bytes += sent
         self._step += 1
         return ExchangeResult(
-            gradient=self._unpack(bucketer, buffers),
+            gradient=flat,
             included=True,
             num_active=self.comm.size,
             wait_time=time.perf_counter() - start,
@@ -422,9 +416,7 @@ class SynchronousExchange(_BucketedExchange):
                 algorithm="hierarchical" if multi_host else self.algorithm,
                 average=True,
                 n_chunks=self.pipeline_chunks,
-                # The packed fusion buffer is owned by this exchange;
-                # reducing it in place skips a full-size copy per bucket.
-                copy=False,
+                copy=False,  # the slice is this exchange's to consume
             )
             return result, buffer.nbytes
         if self.codec.reduce_closed:
@@ -448,9 +440,7 @@ class SynchronousExchange(_BucketedExchange):
                 self.codec,
                 average=True,
                 n_chunks=self.pipeline_chunks,
-                # The packed fusion buffer (or the freshly allocated
-                # compensated copy) is owned by this call.
-                copy=False,
+                copy=False,  # the slice, or its compensated copy
             )
             return result, wire_nbytes
         encoded = self._compressor.encode_bucket(b, buffer)
@@ -576,8 +566,8 @@ class ShardedExchange(_BucketedExchange):
                     f"only, got algorithm {algorithm!r}"
                 )
         self.name = "sync-zero1"
-        self._param_buffers: Optional[List[np.ndarray]] = None
-        self._windows: Optional[List[List[Tuple[int, int]]]] = None
+        #: This rank's owned windows, as slices of the flat vectors.
+        self._owned: Optional[List[slice]] = None
 
     def exchange(self, flat_gradient: np.ndarray) -> ExchangeResult:
         raise RuntimeError(
@@ -591,64 +581,51 @@ class ShardedExchange(_BucketedExchange):
         One data-parallel step's whole update path: on return the model's
         parameters hold the post-step values on every rank (the trainer
         must not run ``optimizer.step()`` again).  ``optimizer`` state is
-        allocated for the owned windows only.
+        allocated for the owned windows only.  ``flat_gradient`` is
+        consumed: only this rank's windows of it end up fully reduced.
         """
         start = time.perf_counter()
         sent_before = self.comm.bytes_sent
-        topology = (
-            self.host_topology if self.algorithm == "hierarchical" else None
-        )
-        bucketer, buffers = self._pack(flat_gradient)
-        if self._windows is None:
-            self._windows = bucketer.shard_windows(
-                self.comm.size, self.algorithm, topology=topology
-            )
-        # The persistent flat vector carries the parameters out of the
-        # model here and, updated, back into it below.
-        flat_params = flatten_parameters(model, out=self._flat)
-        if flat_params.size != bucketer.num_elements:
-            raise ValueError(
-                f"model has {flat_params.size} parameters but the flat "
-                f"gradient has {bucketer.num_elements} elements"
-            )
-        self._flat = flat_params
-        with _obs.span("param-pack", "exchange", nbytes=flat_params.nbytes):
-            params = bucketer.pack(flat_params, out=self._param_buffers)
-        self._param_buffers = params
+        topology = self.host_topology if self.algorithm == "hierarchical" else None
+        flat, grads = self._bucket_views(flat_gradient)
+        bucketer = self._bucketer
+        if self._owned is None:
+            windows = bucketer.shard_windows(self.comm.size, self.algorithm, topology=topology)
+            # Global flat coordinates: stable across steps and restarts, so
+            # per-window state (keyed "start:stop") survives checkpoints.
+            self._owned = [
+                slice(bucket.start + lo, bucket.start + hi)
+                for bucket, (lo, hi) in zip(bucketer.buckets, (w[self.comm.rank] for w in windows))
+                if hi > lo
+            ]
+        # The model's own storage, written directly by update and gather.
+        flat_params = flatten_parameters(model)
+        params = bucketer.views(flat_params)  # raises on a size mismatch
 
         order = range(bucketer.num_buckets)
         bucket_waits = [0.0] * bucketer.num_buckets
-        for b in self._timed_buckets("shard-scatter", buffers, order, bucket_waits):
-            buffers[b], _window = reduce_scatter(
+        for b in self._timed_buckets("shard-scatter", grads, order, bucket_waits):
+            reduced, _window = reduce_scatter(
                 self.comm,
-                buffers[b],
+                grads[b],
                 average=True,
                 algorithm=self.algorithm,
                 n_chunks=self.pipeline_chunks,
-                # The packed fusion buffer is owned by this exchange;
-                # reduce it in place.
-                copy=False,
+                copy=False,  # the slice is this exchange's to consume
                 codec=self.codec,
                 topology=topology,
             )
+            self._store(grads[b], reduced)
 
-        param_views: List[np.ndarray] = []
-        grad_views: List[np.ndarray] = []
-        keys: List[str] = []
-        for b, bucket in enumerate(bucketer.buckets):
-            lo, hi = self._windows[b][self.comm.rank]
-            if hi > lo:
-                param_views.append(params[b][lo:hi])
-                grad_views.append(buffers[b][lo:hi])
-                # Global flat coordinates: stable across steps and across
-                # re-bucketing-free restarts, so per-window optimizer
-                # state survives checkpoint round-trips.
-                keys.append(f"{bucket.start + lo}:{bucket.start + hi}")
-        with _obs.span("shard-update", "exchange", windows=len(keys)):
+        with _obs.span("shard-update", "exchange", windows=len(self._owned)):
             # Every rank calls step_windows — also with zero owned windows
             # (e.g. the fold's extra ranks under "halving") — so the step
             # counter, and with it the LR schedule, stays rank-aligned.
-            optimizer.step_windows(param_views, grad_views, keys)
+            optimizer.step_windows(
+                [flat_params[w] for w in self._owned],
+                [flat[w] for w in self._owned],
+                [f"{w.start}:{w.stop}" for w in self._owned],
+            )
 
         ag_algorithm = ALLGATHER_FOR_REDUCE_SCATTER[self.algorithm]
         for b in self._timed_buckets("shard-gather", params, order, bucket_waits):
@@ -660,8 +637,6 @@ class ShardedExchange(_BucketedExchange):
                 codec=self.codec,
                 topology=topology,
             )
-        with _obs.span("param-unpack", "exchange", nbytes=flat_params.nbytes):
-            assign_flat_parameters(model, self._unpack(bucketer, params))
 
         self._step += 1
         return ExchangeResult(
@@ -764,25 +739,21 @@ class PartialExchange(_BucketedExchange):
             )
         self.name = f"eager-{PartialMode(mode).value}"
 
-    @property
-    def partial(self) -> PartialAllreduce:
-        """The first bucket's partial allreduce (single-bucket compat)."""
-        return self.partials[0]
-
     def exchange(self, flat_gradient: np.ndarray) -> ExchangeResult:
         start = time.perf_counter()
-        bucketer, buffers = self._pack(flat_gradient)
-        order = range(bucketer.num_buckets)
-        bucket_waits = [0.0] * bucketer.num_buckets
+        flat, views = self._bucket_views(flat_gradient)
+        order = range(len(views))
+        bucket_waits = [0.0] * len(views)
         included = True
         num_active = None
         wire_bytes = 0
-        for b in self._timed_buckets("bucket-wait", buffers, order, bucket_waits):
-            contribution, decode_template, sent = self._encode_contribution(b, buffers[b])
+        for b in self._timed_buckets("bucket-wait", views, order, bucket_waits):
+            contribution, decode_template, sent = self._encode_contribution(b, views[b])
             result = self.partials[b].reduce(contribution)
-            buffers[b] = result.data
+            reduced = result.data
             if decode_template is not None:
-                buffers[b] = self.codec.decode(decode_template.with_payload(result.data))
+                reduced = self.codec.decode(decode_template.with_payload(reduced))
+            self._store(views[b], reduced)
             wire_bytes += sent
             included = included and result.included
             num_active = (
@@ -791,7 +762,7 @@ class PartialExchange(_BucketedExchange):
                 else min(num_active, result.num_active)
             )
         return ExchangeResult(
-            gradient=self._unpack(bucketer, buffers),
+            gradient=flat,
             included=included,
             num_active=int(num_active or 0),
             wait_time=time.perf_counter() - start,

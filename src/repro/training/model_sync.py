@@ -45,17 +45,16 @@ def synchronize_model(
         return
     flat = flatten_parameters(model)
     state = _state_arrays(model)
-    sizes = [arr.size for arr in state]
+    # The parameter storage itself, averaged in place, unless state rides along.
     payload = np.concatenate([flat] + [arr.reshape(-1) for arr in state]) if state else flat
-    averaged = allreduce(comm, payload, algorithm=algorithm, average=True)
+    averaged = allreduce(comm, payload, algorithm=algorithm, average=True, copy=False)
     assign_flat_parameters(model, averaged[: flat.size])
     offset = flat.size
-    for arr, size in zip(state, sizes):
-        arr[...] = averaged[offset : offset + size].reshape(arr.shape)
-        offset += size
+    for arr in state:
+        arr[...] = averaged[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
 
 
 def model_hash(model: Module) -> str:
     """Stable hash of all parameters — used to assert replica consistency."""
-    flat = np.ascontiguousarray(flatten_parameters(model))
-    return hashlib.sha256(flat.tobytes()).hexdigest()[:16]
+    return hashlib.sha256(flatten_parameters(model)).hexdigest()[:16]

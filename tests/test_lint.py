@@ -231,6 +231,49 @@ def test_time_time_rule_scoped_out_of_experiments():
 
 
 # ---------------------------------------------------------------------------
+# param-rebind
+# ---------------------------------------------------------------------------
+def test_rebinding_a_parameter_array_fires_in_step_packages():
+    findings = _lint(
+        """
+        def backward(layer, g, w):
+            layer.W.grad = g
+            layer.b.data: object = w
+            other, layer.W.data = 1, w
+        """,
+        "src/repro/nn/layers/thing.py",
+    )
+    assert [f.rule for f in findings] == ["param-rebind"] * 3
+    assert [f.line for f in findings] == [3, 4, 5]
+
+
+def test_writing_through_the_view_and_own_attributes_pass():
+    findings = _lint(
+        """
+        class Holder:
+            def __init__(self, data):
+                self.data = data
+                self.grad = None
+        def backward(layer, g):
+            layer.W.grad[...] = g
+            layer.W.grad += g
+            layer.W.grad[0] = 1.0
+            data = layer.W.data
+            return data
+        """,
+        "src/repro/training/thing.py",
+    )
+    assert findings == []
+
+
+@pytest.mark.parametrize("path", [
+    "src/repro/nn/module.py", "src/repro/nn/parameters.py", "src/repro/experiments/fig9.py",
+])
+def test_param_rebind_exempts_the_arena_s_owners_and_other_packages(path):
+    assert _lint("def f(p, v):\n    p.data = v\n", path) == []
+
+
+# ---------------------------------------------------------------------------
 # the repo itself is clean
 # ---------------------------------------------------------------------------
 def test_src_tree_lints_clean():

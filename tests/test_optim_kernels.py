@@ -1,7 +1,8 @@
 """The update path allocates nothing gradient-sized, and changes no bit.
 
 Each optimizer rule is one blocked in-place kernel (``repro.nn.optim``);
-the exchanges and ``DistributedSGD`` keep their flat vectors.  These tests
+the exchanges reduce the vector they are given in place
+(``tests/test_parameter_arena.py`` holds that contract).  These tests
 hold the kernels to an oracle that spells every rule out as the textbook
 expression, hold windows to the dense step, and bound what a steady-state
 call may allocate.
@@ -19,7 +20,7 @@ from repro.nn import optim
 from repro.nn.module import Module
 from repro.nn.optim import SGD, Adam, MomentumSGD
 from repro.nn.parameters import flatten_gradients, flatten_parameters
-from repro.training import GradientBucketer, PartialExchange, SynchronousExchange
+from repro.training import GradientBucketer, SynchronousExchange
 
 BLOCK = optim._BLOCK
 LR = 0.01
@@ -313,29 +314,3 @@ def test_steady_state_exchange_allocates_no_gradient_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < ALLOWANCE
-
-
-# ---------------------------------------------------------------------------
-# (e) ExchangeResult.gradient: one buffer, right values every call
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["sync", "partial"])
-def test_exchange_result_gradient_is_the_exchange_s_buffer(kind):
-    def worker(comm):
-        if kind == "sync":
-            exchange = SynchronousExchange(comm, algorithm="ring", fusion_buckets=3)
-        else:
-            exchange = PartialExchange(
-                comm, num_parameters=23, mode="quorum", quorum=2, seed=5,
-                fusion_threshold_bytes=64,
-            )
-        with exchange:
-            seen = []
-            for step in range(3):
-                result = exchange.exchange(np.arange(23.0) * (comm.rank + 1) + step)
-                assert np.array_equal(result.gradient, np.arange(23.0) * 1.5 + step)
-                seen.append(result.gradient)
-            # One array, overwritten: a kept result reads the latest values.
-            assert seen[0] is seen[1] is seen[2]
-        return True
-
-    assert all(launch(worker, 2))

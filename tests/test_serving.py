@@ -10,6 +10,7 @@ trainer drives the bounded-staleness refusal all the way to
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 
@@ -19,6 +20,8 @@ import pytest
 from repro.collectives.sync import allreduce
 from repro.comm import ANY_SOURCE, SubsetCommunicator, launch, split_world, tags
 from repro.nn.models.mlp import HyperplaneMLP
+from repro.nn.optim import SGD
+from repro.nn.parameters import flatten_gradients, flatten_parameters
 from repro.serving import (
     BackpressureError,
     DynamicBatcher,
@@ -28,7 +31,9 @@ from repro.serving import (
     Workload,
     serve,
 )
+from repro.serving import protocol
 from repro.serving.server import _request_inputs
+from repro.training.model_sync import model_hash
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +226,36 @@ class TestServingTags:
         ):
             with pytest.raises(ValueError):
                 mint(-1)
+
+
+# ---------------------------------------------------------------------------
+# publishing the live parameter vector
+# ---------------------------------------------------------------------------
+def _publish_then_train(comm):
+    """Rank 0 publishes its live arena and keeps training; rank 1 reads afterwards."""
+    swap = comm.dup(protocol.SWAP_CHANNEL)
+    if comm.rank == 0:
+        model = HyperplaneMLP(8, seed=4)
+        optimizer = SGD(model, 0.5)
+        flat = flatten_parameters(model)
+        published = flat.copy()
+        protocol.send_weights(swap, 1, 1, flat, model_hash(model))
+        # The trainer's next step, before the replica has looked at the message.
+        flatten_gradients(model)[...] = 1.0
+        optimizer.step()
+        assert not np.array_equal(flat, published)
+        comm.send("stepped", 1)
+        return published
+    assert comm.recv(source=0) == "stepped"
+    kind, version, received, digest = swap.recv(source=0, tag=tags.serving_swap_tag(1))
+    assert (kind, version) == (protocol.MSG_WEIGHTS, 1)
+    assert hashlib.sha256(received).hexdigest()[:16] == digest
+    return received
+
+
+def test_published_version_is_not_changed_by_the_trainers_next_step():
+    published, received = launch(_publish_then_train, 2, backend="thread")
+    assert np.array_equal(received, published)
 
 
 # ---------------------------------------------------------------------------

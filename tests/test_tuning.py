@@ -141,27 +141,6 @@ class TestBucketerBytesPerElement:
             if len(spec.param_indices) > 1:
                 assert spec.nbytes <= max(threshold, bytes_per_element)
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(min_value=1, max_value=17), min_size=1, max_size=8),
-        bytes_per_element=st.sampled_from([1, 3, 5, 8]),
-        threshold=st.integers(min_value=1, max_value=256),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_pack_params_round_trip_property(self, sizes, bytes_per_element, threshold, seed):
-        """pack_params agrees with pack on the concatenated flat gradient."""
-        b = GradientBucketer(
-            sizes, fusion_threshold_bytes=threshold, bytes_per_element=bytes_per_element
-        )
-        rng = np.random.default_rng(seed)
-        grads = [rng.normal(size=(s,)) for s in sizes]
-        flat = np.concatenate(grads)
-        from_params = b.pack_params(grads)
-        from_flat = b.pack(flat)
-        for a, c in zip(from_params, from_flat):
-            assert np.array_equal(a, c)
-        assert np.array_equal(b.unpack(from_params), flat)
-
     def test_invalid_element_width_rejected(self):
         with pytest.raises(ValueError):
             GradientBucketer([4], bytes_per_element=0)
