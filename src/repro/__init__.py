@@ -12,10 +12,6 @@ contribution:
 ``repro.comm``
     Pluggable message-passing substrate (backend registry, tagged point-to-point
     send/recv, communicators, reduction operators).
-``repro.schedule``
-    Schedule engine: DAGs of send/recv/compute/NOP operations with
-    happens-before dependencies, consumable operations and persistent
-    (self-replicating) schedules.
 ``repro.collectives``
     Synchronous collectives (recursive-doubling / ring / Rabenseifner
     allreduce, broadcast, reduce) and the paper's *partial* collectives:

@@ -44,9 +44,9 @@ from repro.analysis.schedule_verifier import (
     check_dissemination,
     check_match_completeness,
     check_reduction_coverage,
-    check_solo_schedule,
     check_tag_layout,
     check_tag_soundness,
+    partial_round_case,
     run_case,
     self_test,
     verify,
@@ -74,9 +74,9 @@ __all__ = [
     "check_dissemination",
     "check_match_completeness",
     "check_reduction_coverage",
-    "check_solo_schedule",
     "check_tag_layout",
     "check_tag_soundness",
+    "partial_round_case",
     "run_case",
     "self_test",
     "verify",

@@ -37,13 +37,16 @@ hierarchical schedule), broadcast, reduce, allgather, the barrier, the
 compressed ring, fused :class:`~repro.training.exchange.SynchronousExchange`
 plans, the serving tier's request/response + hot-swap round trip
 (:func:`repro.serving.protocol.serving_round_trip`), the flight-recorder
-telemetry collection (:func:`repro.obs.collect.telemetry_round_trip`) —
-plus purely static
-checks of the partial dissemination pattern
-and the persistent solo schedules.  :func:`self_test` proves the checkers
+telemetry collection (:func:`repro.obs.collect.telemetry_round_trip`) and
+one recorded round of the real
+:class:`~repro.collectives.partial.PartialAllreduce`
+(:func:`partial_round_case`) — plus a purely static check of the partial
+activation dissemination rule the progress thread sends along
+(:func:`check_dissemination`).  :func:`self_test` proves the checkers
 have teeth: each deliberately broken schedule (dropped receive, reused
 tag, swapped ring neighbour, double-counted term, tag outside its
-region) must be rejected by the matching checker.
+region, wrapping dissemination rule) must be rejected by the matching
+checker.
 
 Entry point: ``python -m repro verify`` (see :mod:`repro.cli`).
 """
@@ -62,8 +65,11 @@ from repro.analysis.recording import (
     RunRecord,
 )
 from repro.collectives import sync
-from repro.collectives.schedules import build_solo_allreduce_schedule
-from repro.collectives.topology import HostTopology
+from repro.collectives.topology import (
+    HostTopology,
+    activation_children,
+    tree_depth,
+)
 from repro.comm import tags
 
 #: World sizes of the default sweep: the paper's power-of-two scales plus
@@ -420,6 +426,9 @@ _REGIONS_SHARDING = frozenset({tags.SHARDING.name})
 _REGIONS_BARRIER = frozenset({tags.BARRIER.name})
 _REGIONS_SERVING = frozenset({tags.SERVING.name})
 _REGIONS_TELEMETRY = frozenset({tags.TELEMETRY.name})
+_REGIONS_PARTIAL = frozenset({
+    tags.PARTIAL_ACTIVATION.name, tags.PARTIAL_ARRIVAL.name, tags.SYNC.name,
+})
 
 
 @dataclass
@@ -827,6 +836,33 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
     return cases
 
 
+def partial_round_case(size: int) -> VerifyCase:
+    """One recorded round of the real partial allreduce at ``size`` ranks.
+
+    Runs :class:`~repro.collectives.partial.PartialAllreduce` itself —
+    progress threads, quorum arrivals, activation dissemination and the
+    background reduction — with ``quorum = P``, the one setting whose
+    message set does not depend on thread timing: the designated
+    coordinator initiates only after every rank has arrived, so all ``P``
+    contributions are fresh.  Every rank must return the exact certificate
+    sum followed by ``num_active == P``.  Kept out of :func:`build_cases`:
+    the order in which the coordinator polls the arrivals is not
+    deterministic, so the case has no message-order fingerprint.
+    """
+    def fn(comm, _p=size):
+        from repro.collectives.partial import QuorumAllreduce
+        with QuorumAllreduce(comm, (_p + 3,), quorum=_p, average=False) as partial:
+            result = partial.reduce(contribution(comm.rank, _p))
+        return np.append(result.data, result.num_active)
+    return VerifyCase(
+        name=f"partial-round[P={size}]",
+        world_size=size,
+        fn=fn,
+        expected=lambda rank, _t=np.append(expected_sum(size), size): _t,
+        regions=_REGIONS_PARTIAL,
+    )
+
+
 # ---------------------------------------------------------------------------
 # static checks (no live run needed)
 # ---------------------------------------------------------------------------
@@ -904,8 +940,6 @@ def check_tag_layout() -> CaseResult:
             tags.BARRIER.span // tags.BARRIER_TAGS_PER_EPOCH, 0)),
         ("partial round", lambda: tags.partial_activation_tag(
             tags.PARTIAL_ACTIVATION.span)),
-        ("solo round", lambda: tags.solo_activation_tag(
-            tags.SOLO_ACTIVATION.span)),
         ("serving request seq", lambda: tags.serving_request_tag(-1)),
         ("serving response seq", lambda: tags.serving_response_tag(-1)),
         ("serving swap version", lambda: tags.serving_swap_tag(-1)),
@@ -931,16 +965,20 @@ def check_tag_layout() -> CaseResult:
     return CaseResult(case, 0, violations)
 
 
-def check_dissemination(size: int, explore_limit: int = 8) -> CaseResult:
+def check_dissemination(
+    size: int,
+    explore_limit: int = 8,
+    children: Callable[[int, int, int], List[Tuple[int, int]]] = activation_children,
+) -> CaseResult:
     """Static coverage proof of the partial activation dissemination.
 
-    Mirrors :meth:`PartialAllreduce._forward_activation`: a rank at
-    offset ``d`` from the initiator, first activated via distance class
-    ``k``, forwards to offsets ``d + 2^j`` for ``j > k`` while
-    ``d + 2^j < P`` (no wrap); the initiator (``k = -1``) forwards to
-    every class.  A rank forwards for its *first* activation only.
-    Offsets are initiator-relative, so one check per world size proves
-    the pattern for every initiator.  Three checks:
+    ``children(offset, incoming_class, size)`` is the forwarding rule
+    under test; the default is the one the progress thread sends along
+    (:func:`repro.collectives.topology.activation_children`), so this
+    proves the rule that runs, not a copy of it.  A rank forwards for its
+    *first* activation only.  Offsets are initiator-relative, so one
+    check per world size proves the pattern for every initiator.  Three
+    checks:
 
     * **unique parent** — every offset in ``[1, P)`` is the target of
       exactly one forward (strip the top set bit), so coverage cannot
@@ -954,24 +992,13 @@ def check_dissemination(size: int, explore_limit: int = 8) -> CaseResult:
     """
     case = f"partial-dissemination[P={size}]"
     violations: List[Violation] = []
-    depth = max(1, int(np.ceil(np.log2(size)))) if size > 1 else 0
-
-    def forwards(offset: int, k: int) -> List[Tuple[int, int]]:
-        out = []
-        for j in range(k + 1, depth):
-            target = offset + (1 << j)
-            if target >= size:
-                break
-            out.append((target, j))
-        return out
-
-    parents: Dict[int, List[int]] = {d: [] for d in range(1, size)}
+    parents: Dict[int, List[int]] = {}
     reach: Dict[int, int] = {0: -1}
     frontier = [(0, -1)]
     while frontier:
         offset, k = frontier.pop()
-        for target, j in forwards(offset, k):
-            parents[target].append(offset)
+        for target, j in children(offset, k, size):
+            parents.setdefault(target, []).append(offset)
             if target not in reach:
                 reach[target] = j
                 frontier.append((target, j))
@@ -1007,7 +1034,7 @@ def check_dissemination(size: int, explore_limit: int = 8) -> CaseResult:
             for offset, k in enumerate(state):
                 if k is None:
                     continue
-                for target, j in forwards(offset, k):
+                for target, j in children(offset, k, size):
                     if state[target] is None:
                         moves.append((target, j))
             if not moves:
@@ -1026,53 +1053,6 @@ def check_dissemination(size: int, explore_limit: int = 8) -> CaseResult:
                 if nxt_t not in seen_states:
                     seen_states.add(nxt_t)
                     stack.append(nxt_t)
-    return CaseResult(case, size, violations)
-
-
-def check_solo_schedule(size: int, rounds: Tuple[int, ...] = (0, 1, 7)) -> CaseResult:
-    """Static match/tag check of the persistent solo-allreduce schedules.
-
-    Builds the Fig. 6 schedule for every rank and proves that each
-    potential send names a receive posted at its destination (and vice
-    versa), and that every tag lies in the solo regions of the tag map.
-    Power-of-two sizes only (the schedule-based recursive doubling is
-    restricted to them by construction).
-    """
-    case = f"solo-schedule[P={size}]"
-    violations: List[Violation] = []
-    from repro.schedule.ops import RecvOp, SendOp
-
-    for round_index in rounds:
-        sends: set = set()
-        recvs: set = set()
-        for rank in range(size):
-            sched = build_solo_allreduce_schedule(rank, size, round_index)
-            for op in sched.ops.values():
-                if isinstance(op, SendOp):
-                    sends.add((rank, op.dest, op.tag))
-                    reg = tags.region_of(op.tag)
-                    if reg is None or reg.name not in (
-                        tags.SOLO_ACTIVATION.name, tags.SOLO_REDUCTION.name
-                    ):
-                        violations.append(Violation(
-                            case, "tags",
-                            f"round {round_index}: schedule tag {op.tag} "
-                            f"outside the solo regions",
-                        ))
-                elif isinstance(op, RecvOp):
-                    recvs.add((op.source, rank, op.tag))
-        for src, dst, tag in sorted(sends - recvs):
-            violations.append(Violation(
-                case, "match",
-                f"round {round_index}: send {src}->{dst} tag {tag} has no "
-                f"posted receive at rank {dst}",
-            ))
-        for src, dst, tag in sorted(recvs - sends):
-            violations.append(Violation(
-                case, "match",
-                f"round {round_index}: receive at rank {dst} from {src} "
-                f"tag {tag} has no possible sender",
-            ))
     return CaseResult(case, size, violations)
 
 
@@ -1159,13 +1139,32 @@ def _mutant_user_tag(size: int = 3) -> VerifyCase:
     )
 
 
-#: (mutant factory, checker expected to reject it)
-MUTANTS: Tuple[Tuple[Callable[[], VerifyCase], str], ...] = (
+def _mutant_wrapping_dissemination(size: int = 5) -> CaseResult:
+    """The pre-fix ``(offset + 2^j) mod P`` forward rule: no bound, wraps.
+
+    At a non-power-of-two size it aliases two tree positions onto one
+    rank; a rank first activated via the aliased (higher) class skips its
+    low-class forwards, and the delivery-order exploration of
+    :func:`check_dissemination` must find the stranded ranks.
+    """
+    def wrapping(offset: int, incoming_class: int, size: int):
+        return [
+            ((offset + 2 ** j) % size, j)
+            for j in range(incoming_class + 1, tree_depth(size))
+        ]
+    inner = check_dissemination(size, children=wrapping)
+    return CaseResult("mutant[wrapping-dissemination]", size, inner.violations)
+
+
+#: (mutant factory, checker expected to reject it).  A factory returns a
+#: live case to record and check, or the result of a static check.
+MUTANTS: Tuple[Tuple[Callable[[], VerifyCase | CaseResult], str], ...] = (
     (_mutant_dropped_recv, "match"),
     (_mutant_reused_tag, "match"),
     (_mutant_swapped_neighbor, "deadlock"),
     (_mutant_double_count, "reduction"),
     (_mutant_user_tag, "tags"),
+    (_mutant_wrapping_dissemination, "deadlock"),
 )
 
 
@@ -1174,7 +1173,7 @@ def self_test() -> List[CaseResult]:
     results: List[CaseResult] = []
     for factory, expected_check in MUTANTS:
         case = factory()
-        inner = run_case(case)
+        inner = run_case(case) if isinstance(case, VerifyCase) else case
         hits = [v for v in inner.violations if v.check == expected_check]
         name = f"self-test[{case.name}->{expected_check}]"
         if hits:
@@ -1214,9 +1213,8 @@ def verify(
         note(f"verifying schedules at P={size} ...")
         for case in build_cases(size, include_exchange=include_exchange):
             results.append(run_case(case))
+        results.append(run_case(partial_round_case(size)))
         results.append(check_dissemination(size))
-        if size >= 2 and (size & (size - 1)) == 0:
-            results.append(check_solo_schedule(size))
     if include_ring_model:
         note("model-checking the shm SPSC ring protocol ...")
         from repro.analysis.ring_model import verify_ring_protocol

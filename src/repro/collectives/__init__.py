@@ -38,11 +38,6 @@ from repro.collectives.sharding import (
     reduce_scatter,
     shard_bounds,
 )
-from repro.collectives.schedules import (
-    build_activation_schedule,
-    build_recursive_doubling_allreduce_schedule,
-    build_binomial_broadcast_schedule,
-)
 from repro.collectives.partial import (
     PartialAllreduce,
     PartialAllreduceResult,
@@ -73,9 +68,6 @@ __all__ = [
     "allgather_flat",
     "reduce_scatter",
     "shard_bounds",
-    "build_activation_schedule",
-    "build_recursive_doubling_allreduce_schedule",
-    "build_binomial_broadcast_schedule",
     "PartialAllreduce",
     "PartialAllreduceResult",
     "PartialMode",

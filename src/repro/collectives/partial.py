@@ -21,38 +21,61 @@ The call semantics follow Algorithm 2 / Fig. 7 of the paper:
   Fig. 9 — and who initiated).
 
 The activation phase is a dissemination broadcast (union of ``P`` binomial
-trees; see :func:`repro.collectives.schedules.build_activation_schedule`)
+trees; see :func:`repro.collectives.topology.activation_children`)
 carried on the dedicated ``activation`` channel; the reduction itself is a
 recursive-doubling allreduce among the progress threads on the ``lib``
 channel.  Progress threads always participate immediately, so a slow
 application thread never delays the collective — it merely contributes
 null (or stale) data, which is exactly the paper's relaxation.
+
+The progress thread is the only execution model of the partial
+collectives; the paper's schedule of Fig. 6 (Section 4.1.1) maps onto it
+as follows:
+
+==================================  =====================================
+Fig. 6                              this module
+==================================  =====================================
+``N0`` internal activation          :meth:`PartialAllreduce.reduce` adds
+                                    the round to ``_internal_rounds``
+``R_k`` / ``S_k``, *or* dependency  ``_wait_for_activation`` /
+                                    ``_forward_activation`` along
+                                    ``topology.activation_children``
+consumable operations               one tag per round
+                                    (``tags.partial_activation_tag``) plus
+                                    ``_drain_stale_activations``
+persistent schedule                 the ``while`` of ``_progress_loop``
+single receive buffer               ``overwrite_recvbuff``
+==================================  =====================================
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.comm import tags
 from repro.comm.communicator import Communicator
-from repro.comm.message import ANY_TAG
 from repro.comm.reduce_ops import ReduceOp, SUM, get_op
 from repro.comm.router import Channel
 from repro.collectives.sync import allreduce_recursive_doubling
+from repro.collectives.topology import activation_children
 from repro.obs import recorder as _obs
 from repro.utils.rng import seeded_rng
 
-# Tag bases come from the global tag-region map (one tag per round in
-# each region); the underscored aliases are kept for existing callers.
-_ACTIVATION_TAG_BASE = tags.PARTIAL_ACTIVATION_TAG_BASE
-_ARRIVAL_TAG_BASE = tags.PARTIAL_ARRIVAL_TAG_BASE
+#: Sleep of the progress thread between two polls for activation.
+_POLL_INTERVAL = 2e-4
+#: Deadline, in seconds, of every receive of a round's background
+#: reduction.  Progress threads join an activated round immediately, so a
+#: partner that stays silent this long has died; the round then fails
+#: (see :meth:`PartialAllreduce.reduce`) instead of blocking forever.
+#: Shorter than ``reduce``'s own default timeout so that the cause, not a
+#: bare ``TimeoutError``, reaches the application.
+_REDUCTION_TIMEOUT = 60.0
 
 
 class PartialMode(str, enum.Enum):
@@ -122,8 +145,6 @@ class PartialAllreduce:
         consensus "by using the same seed for all the processes").
     quorum:
         Required number of arrivals in quorum mode.
-    poll_interval:
-        Sleep used by the progress thread while waiting for activation.
     overwrite_recvbuff:
         Paper-faithful receive-buffer semantics (default).  The persistent
         schedule of Section 4.1.1 reuses a single receive buffer, so a
@@ -157,7 +178,6 @@ class PartialAllreduce:
         op: ReduceOp | str = SUM,
         seed: int = 12345,
         quorum: Optional[int] = None,
-        poll_interval: float = 2e-4,
         overwrite_recvbuff: bool = True,
         dtype=np.float64,
         channel_suffix: str = "",
@@ -175,7 +195,6 @@ class PartialAllreduce:
         self.average = bool(average)
         self.op = get_op(op)
         self._payload_op = self._make_payload_op(self.op)
-        self.poll_interval = float(poll_interval)
         self.dtype = dtype
 
         if np.issubdtype(np.dtype(self.dtype), np.floating):
@@ -214,15 +233,14 @@ class PartialAllreduce:
         self._latest_record: Optional[_RoundRecord] = None
         self._caller_round = -1
         self._stop = False
-        self._failure: Optional[BaseException] = None
+        #: ``(round, exception)`` of the progress thread's death, if any.
+        self._failure: Optional[Tuple[int, BaseException]] = None
 
         # Statistics.
         self.nap_history: List[int] = []
         self.included_history: List[bool] = []
-        self.initiated_rounds: List[int] = []
         self.stale_norm_history: List[float] = []
 
-        self._depth = max(1, int(math.ceil(math.log2(self.size)))) if self.size > 1 else 0
         # The progress thread inherits the owning rank's flight recorder
         # (thread-local bindings do not propagate to spawned threads).
         self._recorder = _obs.current()
@@ -245,6 +263,11 @@ class PartialAllreduce:
         blocks until the round completes, but the round can complete
         without this rank's fresh contribution (which then stays in the
         send buffer as a stale gradient for the following round).
+
+        Raises :class:`RuntimeError` naming the rank and the round when
+        the progress thread died — for instance because a peer stayed
+        silent past the reduction deadline, in which case the transport's
+        timeout is the ``__cause__``.
         """
         contribution = np.asarray(contribution, dtype=self.dtype)
         if contribution.shape != self.shape:
@@ -283,22 +306,21 @@ class PartialAllreduce:
             # thread; popping keeps memory bounded over long trainings.
             record = self._records.pop(round_index)
             included = my_marker <= record.swap_marker
-            if self.overwrite_recvbuff:
-                # Persistent-schedule semantics: the receive buffer holds
-                # the result of the *latest* completed execution, so a
-                # rank that lagged behind reads newer data than its own
-                # round (Section 5, "only the latest data ... can be seen").
-                effective = record if self._latest_record is None else self._latest_record
-            else:
-                effective = record
+            # Persistent-schedule semantics: the receive buffer holds the
+            # result of the *latest* completed execution, so a rank that
+            # lagged behind reads newer data than its own round
+            # (Section 5, "only the latest data ... can be seen").
+            effective = self._latest_record if self.overwrite_recvbuff else record
         wait_time = time.perf_counter() - start
         self.included_history.append(included)
-        result = effective.result
+        # One pass from the round's payload into the caller-owned array.
         if self.average:
-            result = result / self.size
+            data = np.divide(effective.result, self.size)
+        else:
+            data = effective.result.copy()
         return PartialAllreduceResult(
             round_index=round_index,
-            data=np.array(result, copy=True),
+            data=data,
             included=included,
             num_active=effective.num_active,
             initiator=effective.initiator,
@@ -330,9 +352,11 @@ class PartialAllreduce:
 
     def _raise_if_failed(self) -> None:
         if self._failure is not None:
+            round_index, cause = self._failure
             raise RuntimeError(
-                f"rank {self.rank}: partial-allreduce progress thread failed"
-            ) from self._failure
+                f"rank {self.rank}: partial-allreduce progress thread failed "
+                f"in round {round_index}"
+            ) from cause
 
     # ------------------------------------------------------------------
     # active-process counter encode/decode
@@ -372,12 +396,6 @@ class PartialAllreduce:
     # ------------------------------------------------------------------
     # progress thread
     # ------------------------------------------------------------------
-    def _activation_tag(self, round_index: int) -> int:
-        return tags.partial_activation_tag(round_index)
-
-    def _arrival_tag(self, round_index: int) -> int:
-        return tags.partial_arrival_tag(round_index)
-
     def _designated_initiator(self, round_index: int) -> int:
         """Initiator (majority) / coordinator (quorum) of ``round_index``.
 
@@ -388,15 +406,13 @@ class PartialAllreduce:
 
     def _progress_loop(self) -> None:
         _obs.bind(self._recorder)
+        round_index = 0
         try:
-            round_index = 0
-            while True:
-                if not self._run_round(round_index):
-                    return
+            while self._run_round(round_index):
                 round_index += 1
         except BaseException as exc:  # noqa: BLE001 - reported to the app thread
             with self._cond:
-                self._failure = exc
+                self._failure = (round_index, exc)
                 self._cond.notify_all()
 
     # -- round phases ---------------------------------------------------
@@ -420,14 +436,21 @@ class PartialAllreduce:
 
         # Atomically take the send buffer: everything accumulated so far
         # (fresh gradient and/or stale gradients) is this round's
-        # contribution; late additions stay for the next round.
+        # contribution; late additions stay for the next round.  It moves
+        # straight into the round's one fresh ``[data..., counter]``
+        # payload, which is reduced in place and then *is* the round's
+        # result — the record keeps a view of it, so the payload must not
+        # be reused.  Allocating it in the collective's dtype keeps a
+        # narrow (compressed) send buffer narrow on the wire.
+        n = self._send_acc.size
+        payload = np.empty(n + 1, dtype=self.dtype)
         with self._lock:
-            contribution = self._send_acc.copy()
+            payload[:n] = self._send_acc.reshape(-1)
             self._send_acc[:] = 0
             swap_marker = self._add_counter
             fresh = self._last_arrival_round >= round_index
-            stale_norm = float(np.linalg.norm(contribution))
-            self.stale_norm_history.append(stale_norm)
+        stale_norm = float(np.linalg.norm(payload[:n]))
+        self.stale_norm_history.append(stale_norm)
         _obs.instant(
             "partial-staleness", "partial", round=round_index,
             fresh=fresh, stale_norm=stale_norm,
@@ -441,23 +464,18 @@ class PartialAllreduce:
         # dtype: sums of ones are exact up to 2^(mantissa+1) — 2^53 for
         # float64, 2048 for a float16 (compressed) collective — and the
         # constructor rejects world sizes beyond that range.
-        # Keep the collective's dtype: concatenating with a Python list
-        # would promote a narrow (compressed) send buffer to float64 and
-        # silently fatten the wire payload.
-        payload = np.concatenate(
-            [contribution.reshape(-1),
-             np.asarray([1.0 if fresh else 0.0], dtype=self.dtype)]
-        )
+        payload[n] = 1.0 if fresh else 0.0
         # Chunk pipelining slices the payload at arbitrary segment
         # boundaries, which is only sound when the operator treats every
         # element alike; the composite non-sum op addresses the counter
         # as payload[-1] and therefore needs whole-payload rounds.
         chunks = self.n_chunks if self._payload_op is self.op else 1
         reduced = allreduce_recursive_doubling(
-            self.comm_lib, payload, op=self._payload_op, n_chunks=chunks
+            self.comm_lib, payload, op=self._payload_op, n_chunks=chunks,
+            timeout=_REDUCTION_TIMEOUT, copy=False,
         )
-        result = np.asarray(reduced[:-1]).reshape(self.shape)
-        num_active = self._decode_num_active(float(reduced[-1]))
+        result = reduced[:n].reshape(self.shape)
+        num_active = self._decode_num_active(float(reduced[n]))
         self.nap_history.append(num_active)
         _obs.counter("partial-num-active", num_active, cat="partial")
 
@@ -494,7 +512,8 @@ class PartialAllreduce:
         class is ``-1`` for internal activation, or ``None`` when the
         collective is being shut down.
         """
-        act_tag = self._activation_tag(round_index)
+        act_tag = tags.partial_activation_tag(round_index)
+        arrival_tag = tags.partial_arrival_tag(round_index)
         arrivals = 0
         arrival_sent = False
         while True:
@@ -513,11 +532,11 @@ class PartialAllreduce:
                     self.comm_act.send(
                         ("arrival", round_index, self.rank),
                         designated,
-                        tag=self._arrival_tag(round_index),
+                        tag=arrival_tag,
                     )
             if self.mode is PartialMode.QUORUM and self.rank == designated:
                 while True:
-                    msg = self.comm_act.poll(tag=self._arrival_tag(round_index))
+                    msg = self.comm_act.poll(tag=arrival_tag)
                     if msg is None:
                         break
                     arrivals += 1
@@ -539,38 +558,27 @@ class PartialAllreduce:
             #    they do not accumulate in the mailbox forever.
             self._drain_stale_activations(round_index)
 
-            time.sleep(self.poll_interval)
+            time.sleep(_POLL_INTERVAL)
 
     def _drain_stale_activations(self, current_round: int) -> None:
         for old in range(max(0, current_round - 4), current_round):
-            while self.comm_act.poll(tag=self._activation_tag(old)) is not None:
+            while self.comm_act.poll(tag=tags.partial_activation_tag(old)) is not None:
                 pass
 
     def _forward_activation(
         self, round_index: int, initiator: int, incoming_distance: int
     ) -> None:
-        """Send activation messages along the binomial broadcast tree.
+        """Send activation messages along the dissemination tree.
 
-        A rank activated via distance class ``k`` forwards to the ranks at
-        offsets ``2^j`` beyond it for ``j > k``; the initiator (``k == -1``)
-        forwards to every distance class.  Offsets are measured from the
-        initiator and **never wrap**: a rank only forwards while
-        ``offset + 2^j < P``, so each offset in ``[1, P)`` has exactly one
-        parent (strip the top set bit) and activation reaches every rank
-        under *any* message delivery order.  The earlier ``mod P`` variant
-        aliased two tree positions onto one rank at non-power-of-two sizes;
-        a rank whose first activation arrived via the aliased (higher)
-        class then skipped its low-class forwards and could strand part of
-        the world — found by the static schedule verifier's delivery-order
-        exploration (``repro.analysis.schedule_verifier``).
+        The rule — who forwards to whom, for which first-activation class,
+        and why it never wraps — is
+        :func:`repro.collectives.topology.activation_children`; offsets
+        there are measured from the initiator.
         """
-        act_tag = self._activation_tag(round_index)
+        act_tag = tags.partial_activation_tag(round_index)
         offset = (self.rank - initiator) % self.size
-        for j in range(incoming_distance + 1, self._depth):
-            target = offset + (1 << j)
-            if target >= self.size:
-                break
-            dest = (initiator + target) % self.size
+        for child, j in activation_children(offset, incoming_distance, self.size):
+            dest = (initiator + child) % self.size
             self.comm_act.send(("activate", round_index, j, initiator), dest, tag=act_tag)
 
 

@@ -31,6 +31,39 @@ def tree_depth(size: int) -> int:
     return int(math.ceil(math.log2(size))) if size > 1 else 0
 
 
+def activation_children(
+    offset: int, incoming_class: int, size: int
+) -> List[Tuple[int, int]]:
+    """The activation dissemination rule of the partial collectives.
+
+    A rank at ``offset`` from the initiator that was first activated via
+    distance class ``incoming_class`` (``-1``: it *is* the initiator)
+    forwards to the offsets ``offset + 2^j`` for every ``j >
+    incoming_class`` while they stay below ``size``; the result lists
+    ``(child_offset, j)``.  Offsets **never wrap**, so each offset in
+    ``[1, size)`` has exactly one parent (strip the top set bit) and
+    activation reaches every rank under *any* message delivery order.
+    The earlier ``mod P`` variant aliased two tree positions onto one rank
+    at non-power-of-two sizes; a rank whose first activation arrived via
+    the aliased (higher) class then skipped its low-class forwards and
+    could strand part of the world.
+
+    This is the one statement of the rule: the progress thread
+    (:meth:`repro.collectives.partial.PartialAllreduce._forward_activation`)
+    sends along it and the verifier
+    (:func:`repro.analysis.schedule_verifier.check_dissemination`)
+    explores it.  Offsets are initiator-relative, which is what makes the
+    pattern the union of ``P`` binomial trees of Section 4.1.1.
+    """
+    children = []
+    for j in range(incoming_class + 1, tree_depth(size)):
+        child = offset + (1 << j)
+        if child >= size:
+            break
+        children.append((child, j))
+    return children
+
+
 def binomial_tree_children(rank: int, size: int, root: int = 0) -> List[int]:
     """Children of ``rank`` in the binomial tree rooted at ``root``.
 
@@ -38,22 +71,16 @@ def binomial_tree_children(rank: int, size: int, root: int = 0) -> List[int]:
     by the doubling broadcast recursion: in round ``k`` (``k = 0, 1, ...``)
     every already-reached rank ``v < 2^k`` sends to ``v + 2^k`` when that
     target exists.  A rank ``v > 0`` is therefore first reached in the
-    round given by its highest set bit and forwards in every later round.
-    This is exactly the "union of P binomial trees" activation pattern of
-    Section 4.1.1: the same arithmetic serves any root.
+    round given by its highest set bit and forwards in every later round:
+    the tree is :func:`activation_children` followed from the class each
+    rank is reached in (-1 for the root, which starts sending in round 0).
     """
     _validate(size, rank, root)
     v = (rank - root) % size
-    depth = tree_depth(size)
-    # Round in which v is first reached (-1 for the root, which starts
-    # sending in round 0).
-    reached_round = v.bit_length() - 1 if v > 0 else -1
-    children = []
-    for k in range(reached_round + 1, depth):
-        child = v + (1 << k)
-        if child < size:
-            children.append((child + root) % size)
-    return children
+    return [
+        (child + root) % size
+        for child, _ in activation_children(v, v.bit_length() - 1, size)
+    ]
 
 
 def binomial_tree_parent(rank: int, size: int, root: int = 0) -> int:

@@ -1,11 +1,11 @@
 """The global tag-region map: every reserved tag range, declared once.
 
-Three subsystems of this codebase number their messages out of disjoint
-integer tag ranges: the persistent solo/majority schedules
-(:mod:`repro.collectives.schedules`), the partial-collective progress
-thread (:mod:`repro.collectives.partial`), the dissemination barrier
-(:mod:`repro.comm.communicator`) and the synchronous collectives
-(:mod:`repro.collectives.sync`).  Historically each declared its own
+Several subsystems of this codebase number their messages out of disjoint
+integer tag ranges: the partial-collective progress thread
+(:mod:`repro.collectives.partial`), the serving tier, telemetry, the
+dissemination barrier (:mod:`repro.comm.communicator`) and the
+synchronous and sharded collectives (:mod:`repro.collectives.sync`,
+:mod:`repro.collectives.sharding`).  Historically each declared its own
 magic base constant, and nothing asserted that the ranges stay disjoint —
 PR 1 fixed one silent collision found the hard way at P > 512.
 
@@ -18,9 +18,7 @@ import their bases from here, tags are minted through the helpers below
 
 Layout (all bounds half-open)::
 
-    [0,            10_000_000)   free for applications (user tags)
-    [10_000_000,   20_000_000)   solo-schedule activation messages
-    [20_000_000,  100_000_000)   solo-schedule reduction rounds
+    [0,           100_000_000)   free for applications (user tags)
     [100_000_000, 200_000_000)   partial-collective activation broadcast
     [200_000_000, 300_000_000)   partial-collective quorum arrivals
     [300_000_000, 400_000_000)   serving tier (requests, responses,
@@ -77,12 +75,6 @@ class TagRegion:
             )
         return tag
 
-
-# -- solo/majority persistent schedules (repro.collectives.schedules) -------
-SOLO_ACTIVATION_TAG_BASE = 10_000_000
-SOLO_REDUCTION_TAG_BASE = 20_000_000
-#: Tags reserved per persistent-schedule round (activation + log2(P) rounds).
-SOLO_TAGS_PER_ROUND = 64
 
 # -- partial collectives (repro.collectives.partial) ------------------------
 PARTIAL_ACTIVATION_TAG_BASE = 100_000_000
@@ -174,18 +166,6 @@ SHARDING_EPOCH_STRIDE = SHARDING_MAX_PHASES * SHARDING_PHASE_STRIDE
 #: int64/u64 headers of the framing transports.
 SHARDING_MAX_EPOCHS = 1 << 29
 
-SOLO_ACTIVATION = TagRegion(
-    "solo-activation",
-    SOLO_ACTIVATION_TAG_BASE,
-    SOLO_REDUCTION_TAG_BASE,
-    "activation messages of the persistent solo/majority schedules",
-)
-SOLO_REDUCTION = TagRegion(
-    "solo-reduction",
-    SOLO_REDUCTION_TAG_BASE,
-    PARTIAL_ACTIVATION_TAG_BASE,
-    "recursive-doubling rounds of the persistent solo/majority schedules",
-)
 PARTIAL_ACTIVATION = TagRegion(
     "partial-activation",
     PARTIAL_ACTIVATION_TAG_BASE,
@@ -230,11 +210,9 @@ SHARDING = TagRegion(
     "(epoch, phase, round, chunk) layout",
 )
 
-#: Every reserved region, in ascending order of base.  ``[0, 10_000_000)``
+#: Every reserved region, in ascending order of base.  ``[0, 100_000_000)``
 #: is deliberately absent: it is free for application-level tags.
 TAG_REGIONS: Tuple[TagRegion, ...] = (
-    SOLO_ACTIVATION,
-    SOLO_REDUCTION,
     PARTIAL_ACTIVATION,
     PARTIAL_ARRIVAL,
     SERVING,
@@ -523,29 +501,6 @@ def barrier_tag(epoch: int, round_index: int) -> int:
     return BARRIER.check(
         BARRIER_TAG_BASE + epoch * BARRIER_TAGS_PER_EPOCH + round_index, "barrier"
     )
-
-
-def solo_activation_tag(round_index: int,
-                        tags_per_round: int = SOLO_TAGS_PER_ROUND) -> int:
-    """Activation tag of persistent-schedule round ``round_index``."""
-    if round_index < 0:
-        raise ValueError(f"schedule round must be >= 0, got {round_index}")
-    return SOLO_ACTIVATION.check(
-        SOLO_ACTIVATION_TAG_BASE + round_index * tags_per_round, "solo-activation"
-    )
-
-
-def solo_reduction_tag_base(round_index: int,
-                            tags_per_round: int = SOLO_TAGS_PER_ROUND) -> int:
-    """Base tag of the reduction rounds of persistent-schedule round
-    ``round_index``; the schedule adds ``1 + k`` for doubling round ``k``,
-    which stays inside the round's ``tags_per_round`` slot block."""
-    if round_index < 0:
-        raise ValueError(f"schedule round must be >= 0, got {round_index}")
-    base = SOLO_REDUCTION_TAG_BASE + round_index * tags_per_round
-    SOLO_REDUCTION.check(base, "solo-reduction")
-    SOLO_REDUCTION.check(base + tags_per_round - 1, "solo-reduction")
-    return base
 
 
 # Prove the table is sound before anyone mints a tag from it.

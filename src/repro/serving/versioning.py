@@ -101,14 +101,17 @@ class WeightStore:
         with self._lock:
             pending = self._pending
             self._pending = None
+            if pending is not None:
+                # Claim the version before the unlocked assignment below: a
+                # concurrent ``stage`` of an older version must be discarded
+                # now, not staged and applied *after* this newer one.
+                self._applied_version = pending.version
+                self.swaps_applied += 1
         if pending is None:
             return None
         from repro.nn.parameters import assign_flat_parameters
 
         assign_flat_parameters(model, pending.flat)
-        with self._lock:
-            self._applied_version = pending.version
-            self.swaps_applied += 1
         if self._recorder is not None:
             self._recorder.instant(
                 "swap-apply", "serving", version=pending.version

@@ -52,10 +52,13 @@ def test_dissemination_covers_every_size(size):
     assert result.ok, [str(v) for v in result.violations]
 
 
-@pytest.mark.parametrize("size", [2, 4, 8, 16])
-def test_solo_schedules_match_statically(size):
-    result = sv.check_solo_schedule(size)
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 8])
+def test_recorded_partial_round_verifies(size):
+    """One quorum = P round of the real PartialAllreduce: matched messages,
+    tags in the partial/sync regions, exact sum, every rank fresh."""
+    result = sv.run_case(sv.partial_round_case(size))
     assert result.ok, [str(v) for v in result.violations]
+    assert result.num_events > 0
 
 
 def test_tag_layout_static_case():
@@ -145,38 +148,15 @@ def test_rogue_user_tag_breaks_tag_soundness():
 
 
 def test_wrapping_dissemination_rule_is_rejected():
-    """The pre-fix ``(rank + 2^j) mod P`` forward rule strands ranks.
+    """The pre-fix ``(offset + 2^j) mod P`` forward rule strands ranks.
 
-    Regression companion to the ``_forward_activation`` fix: re-run the
-    delivery-order exploration against the old wrapping rule and assert
-    the verifier still rejects it at a non-power-of-two size.
+    Regression companion to the ``_forward_activation`` fix: the
+    delivery-order exploration of ``check_dissemination`` must reject the
+    old wrapping rule at a non-power-of-two size.
     """
-    size, depth = 5, 3
-    initial = (-1,) + (None,) * (size - 1)
-    seen = {initial}
-    stack = [initial]
-    stranded = False
-    while stack and not stranded:
-        state = stack.pop()
-        moves = []
-        for rank, k in enumerate(state):
-            if k is None:
-                continue
-            for j in range(k + 1, depth):
-                dest = (rank + (1 << j)) % size
-                if dest != rank and state[dest] is None:
-                    moves.append((dest, j))
-        if not moves:
-            stranded = any(k is None for k in state)
-            continue
-        for dest, j in moves:
-            nxt = list(state)
-            nxt[dest] = j
-            t = tuple(nxt)
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    assert stranded, "old wrapping rule unexpectedly covers P=5"
+    result = sv._mutant_wrapping_dissemination(5)
+    assert any(v.check == "deadlock" and "strands" in v.detail
+               for v in result.violations), [str(v) for v in result.violations]
 
 
 def test_self_test_rejects_every_mutant():

@@ -13,14 +13,6 @@ from repro.collectives import (
     SoloAllreduce,
     make_partial_allreduce,
 )
-from repro.collectives.schedules import (
-    COMPLETED,
-    INTERNAL_ACTIVATION,
-    RECV_BUFFER,
-    SEND_BUFFER,
-    build_solo_allreduce_schedule,
-)
-from repro.schedule import ScheduleExecutor
 
 
 def _run_rounds(comm, mode, rounds, skew_ms=0.0, contribution_scale=1.0, **kwargs):
@@ -198,27 +190,29 @@ class TestSemantics:
         assert all(launch(worker, 2))
 
 
-class TestScheduleBasedSoloAllreduce:
-    """The schedule-DAG implementation of Fig. 6 (activation + reduction)."""
+    def test_dead_peer_fails_the_round_with_the_transport_timeout(self, monkeypatch):
+        """A peer that never joins the reduction surfaces as a named
+        RuntimeError (cause: the transport's timeout) and ends the thread."""
+        from repro.collectives import partial as partial_module
 
-    @pytest.mark.parametrize("size", [2, 4, 8])
-    def test_any_initiator_produces_full_sum(self, size):
-        def worker(comm, initiator):
-            sched = build_solo_allreduce_schedule(comm.rank, comm.size, round_index=0)
-            sched.set_buffer(SEND_BUFFER, np.full(3, comm.rank + 1.0))
-            executor = ScheduleExecutor(comm.dup("activation"), sched)
-            if comm.rank == initiator:
-                sched.ops[INTERNAL_ACTIVATION].trigger()
-            executor.run(until=[COMPLETED], timeout=30)
-            executor.abandon_pending()
-            return sched.get_buffer(RECV_BUFFER)
+        monkeypatch.setattr(partial_module, "_REDUCTION_TIMEOUT", 0.3)
 
-        for initiator in (0, size - 1):
-            results = launch(worker, size, initiator)
-            expected = sum(range(1, size + 1))
-            for r in results:
-                assert np.allclose(r, expected)
+        def worker(comm):
+            if comm.rank == 1:
+                return None  # never constructs its collective
+            partial = SoloAllreduce(comm, (2,), seed=3)
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="rank 0.*round 0") as failure:
+                partial.reduce(np.ones(2))
+            elapsed = time.monotonic() - start
+            partial._thread.join(timeout=5.0)
+            return (
+                elapsed,
+                isinstance(failure.value.__cause__, TimeoutError),
+                partial._thread.is_alive(),
+            )
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            build_solo_allreduce_schedule(0, 6, 0)
+        elapsed, caused_by_timeout, alive = launch(worker, 2, backend="thread")[0]
+        assert elapsed < 5.0
+        assert caused_by_timeout
+        assert not alive

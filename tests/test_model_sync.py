@@ -191,6 +191,30 @@ class TestWeightStoreMonotonicity:
         assert store.applied_version == applied[-1]
         assert store.staleness() >= 0
 
+    def test_older_version_staged_mid_apply_is_discarded(self, monkeypatch):
+        """The interleaving the concurrent test hits once in a while, made
+        deterministic: an older version arrives while a newer one is being
+        assigned; it must be discarded, never applied after it."""
+        import repro.nn.parameters as parameters
+
+        model = HyperplaneMLP(4, seed=0)
+        n = flatten_parameters(model).size
+        store = WeightStore(0)
+        staged_mid_apply = []
+
+        def assign_with_late_stage(target, flat):
+            staged_mid_apply.append(
+                store.stage(VersionedWeights(3, np.full(n, 3.0)))
+            )
+            assign_flat_parameters(target, flat)
+
+        monkeypatch.setattr(parameters, "assign_flat_parameters", assign_with_late_stage)
+        assert store.stage(VersionedWeights(5, np.full(n, 5.0)))
+        assert store.apply_pending(model) == 5
+        assert staged_mid_apply == [False]
+        assert store.apply_pending(model) is None
+        assert store.applied_version == 5
+
     def test_announce_only_staleness(self):
         store = WeightStore(0)
         store.announce(5)

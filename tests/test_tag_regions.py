@@ -19,7 +19,20 @@ def test_region_of_maps_each_base_and_user_space():
         assert tags.region_of(reg.lo) is reg
         assert tags.region_of(reg.hi - 1) is reg
     assert tags.region_of(0) is None
-    assert tags.region_of(9_999_999) is None
+    assert tags.region_of(99_999_999) is None
+
+
+def test_region_bases_are_pinned():
+    """Bases are wire protocol: retiring a region must not move another."""
+    assert {reg.name: reg.lo for reg in tags.TAG_REGIONS} == {
+        "partial-activation": 100_000_000,
+        "partial-arrival": 200_000_000,
+        "serving": 300_000_000,
+        "telemetry": 400_000_000,
+        "barrier": 1_000_000_000,
+        "sync-collectives": 2_000_000_000,
+        "sharding": 2_000_000_000 + 2 ** 62,
+    }
 
 
 def test_region_lookup_by_name():
@@ -81,26 +94,10 @@ def test_partial_tags_stay_in_their_regions():
         tags.partial_activation_tag(tags.PARTIAL_ACTIVATION.span)
 
 
-def test_solo_tags_stay_in_their_regions():
-    assert tags.solo_activation_tag(0) == tags.SOLO_ACTIVATION_TAG_BASE
-    assert tags.solo_reduction_tag_base(1) == (
-        tags.SOLO_REDUCTION_TAG_BASE + tags.SOLO_TAGS_PER_ROUND
-    )
-    with pytest.raises(ValueError):
-        tags.solo_activation_tag(tags.SOLO_ACTIVATION.span)
-    with pytest.raises(ValueError):
-        tags.solo_reduction_tag_base(-1)
-
-
 def test_owning_modules_import_from_the_table():
-    from repro.collectives import partial, schedules, sync
+    from repro.collectives import sync
     from repro.comm import communicator
 
     assert sync._SYNC_TAG_BASE == tags.SYNC_TAG_BASE
     assert sync._EPOCH_STRIDE == tags.SYNC_EPOCH_STRIDE
-    assert partial._ACTIVATION_TAG_BASE == tags.PARTIAL_ACTIVATION_TAG_BASE
-    assert partial._ARRIVAL_TAG_BASE == tags.PARTIAL_ARRIVAL_TAG_BASE
     assert communicator._BARRIER_TAG_BASE == tags.BARRIER_TAG_BASE
-    assert (
-        schedules.build_solo_allreduce_schedule.__defaults__ is not None
-    )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.collectives.topology import (
     HostTopology,
+    activation_children,
     bcast_order,
     binomial_tree_children,
     binomial_tree_level,
@@ -75,6 +76,46 @@ class TestBinomialTree:
         for src, dst in edges:
             assert src in seen
             seen.add(dst)
+
+
+ACTIVATION_SIZES = (2, 3, 4, 5, 6, 7, 8, 9, 16, 64)
+
+
+class TestActivationChildren:
+    """The partial collectives' dissemination rule, stated once."""
+
+    @pytest.mark.parametrize("size", ACTIVATION_SIZES)
+    def test_every_offset_has_exactly_one_parent(self, size):
+        # Follow the rule from the initiator, each offset continuing from
+        # the class it was reached at; collect who forwards to whom.
+        parents = {}
+        frontier = [(0, -1)]
+        while frontier:
+            offset, incoming_class = frontier.pop()
+            for child, j in activation_children(offset, incoming_class, size):
+                assert child == offset + 2 ** j
+                parents.setdefault(child, []).append(offset)
+                frontier.append((child, j))
+        assert sorted(parents) == list(range(1, size))
+        for child, senders in parents.items():
+            # The parent strips the child's top set bit.
+            assert senders == [child - (1 << (child.bit_length() - 1))]
+
+    @pytest.mark.parametrize("size", ACTIVATION_SIZES)
+    def test_initiator_forwards_to_the_powers_of_two(self, size):
+        expected = [(1 << j, j) for j in range(size.bit_length()) if (1 << j) < size]
+        assert activation_children(0, -1, size) == expected
+
+    def test_no_forward_wraps_past_the_world(self):
+        # The aliasing case of the old ``mod P`` rule: offset 4 at P = 5
+        # reached via class 2 has nothing left; via class 0 it would have
+        # wrapped onto offsets 1 and 3.
+        assert activation_children(4, 2, 5) == []
+        assert activation_children(4, 0, 5) == []
+        assert activation_children(1, 0, 5) == [(3, 1)]
+
+    def test_single_rank_world_has_no_children(self):
+        assert activation_children(0, -1, 1) == []
 
 
 class TestRecursiveDoubling:
