@@ -8,7 +8,7 @@ across the launcher boundary.  Across real machines the recipe is the
 same — give every launcher the same routable ``seed_addr`` and a
 ``bind_host`` its peers can reach.
 
-Run it (CI's multihost-smoke job does)::
+Run it (tier-1's ``TestMixedFabric`` runs the same shape on a free port)::
 
     PYTHONPATH=src python examples/multihost_seed_rendezvous.py
 

@@ -341,11 +341,9 @@ def _in_packages(*packages: str) -> Callable[[str], bool]:
 
 
 def _is_transport(relpath: str) -> bool:
-    name = Path(relpath).name
-    return name in (
-        "process_backend.py", "tcp_backend.py", "shm_backend.py",
-        "hier_backend.py",
-    )
+    """Any ``*_backend.py``: the modules that frame payloads onto a wire
+    (``comm/backend.py``, the registry, is not one)."""
+    return Path(relpath).name.endswith("_backend.py")
 
 
 #: rule -> (callable, file predicate).  ``repro/comm/tags.py`` is the one

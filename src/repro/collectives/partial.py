@@ -54,7 +54,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -236,11 +236,6 @@ class PartialAllreduce:
         #: ``(round, exception)`` of the progress thread's death, if any.
         self._failure: Optional[Tuple[int, BaseException]] = None
 
-        # Statistics.
-        self.nap_history: List[int] = []
-        self.included_history: List[bool] = []
-        self.stale_norm_history: List[float] = []
-
         # The progress thread inherits the owning rank's flight recorder
         # (thread-local bindings do not propagate to spawned threads).
         self._recorder = _obs.current()
@@ -312,7 +307,6 @@ class PartialAllreduce:
             # (Section 5, "only the latest data ... can be seen").
             effective = self._latest_record if self.overwrite_recvbuff else record
         wait_time = time.perf_counter() - start
-        self.included_history.append(included)
         # One pass from the round's payload into the caller-owned array.
         if self.average:
             data = np.divide(effective.result, self.size)
@@ -449,12 +443,7 @@ class PartialAllreduce:
             self._send_acc[:] = 0
             swap_marker = self._add_counter
             fresh = self._last_arrival_round >= round_index
-        stale_norm = float(np.linalg.norm(payload[:n]))
-        self.stale_norm_history.append(stale_norm)
-        _obs.instant(
-            "partial-staleness", "partial", round=round_index,
-            fresh=fresh, stale_norm=stale_norm,
-        )
+        _obs.instant("partial-staleness", "partial", round=round_index, fresh=fresh)
 
         # Piggyback the number of active processes onto the reduction.  The
         # counter element is always combined with SUM — even when the data
@@ -476,7 +465,6 @@ class PartialAllreduce:
         )
         result = reduced[:n].reshape(self.shape)
         num_active = self._decode_num_active(float(reduced[n]))
-        self.nap_history.append(num_active)
         _obs.counter("partial-num-active", num_active, cat="partial")
 
         with self._cond:

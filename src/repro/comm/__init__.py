@@ -23,9 +23,13 @@ Design
   issued by the compute thread) from the *library* traffic (partial
   collectives progressed by the communication thread, mirroring the
   library-offloading design of Section 4.3 of the paper).
-* The process backend (:mod:`repro.comm.process_backend`) runs one OS
-  process per rank over a local TCP mesh with rank-0 rendezvous,
-  pickled control messages and zero-copy framed NumPy payloads.
+* The process backends (:mod:`repro.comm.process_backend`) run one OS
+  process per rank behind one launcher, one mesh builder and one
+  endpoint; ``process``, ``shm``, ``tcp`` and ``hier`` differ only in
+  their :class:`~repro.comm.process_backend.MeshPlan` — who serves the
+  seed rendezvous, and whether a rank pair rides a TCP socket or a
+  shared-memory ring.  Control messages are pickled, NumPy payloads
+  travel as zero-copy frames.
 
 All payloads are either NumPy arrays (copied on send to avoid shared
 mutation, as a real network would) or small picklable Python objects —

@@ -25,10 +25,13 @@ importing :mod:`repro.comm` never pays for a transport it does not use:
     One OS process per rank over local TCP sockets
     (:class:`repro.comm.process_backend.ProcessBackend`) — true
     parallelism (no shared GIL), pickled control messages and zero-copy
-    framed NumPy payloads.
+    framed NumPy payloads.  The three names below are the same
+    launcher, mesh builder and endpoint under another
+    :class:`~repro.comm.process_backend.MeshPlan` (who serves the
+    rendezvous, which link kind carries each rank pair).
 ``"shm"``
     One OS process per rank over shared-memory ring buffers
-    (:class:`repro.comm.shm_backend.ShmBackend`) — the same process
+    (:mod:`repro.comm.shm_backend`) — the same process
     model without the loopback-TCP copies: payloads are written
     directly into per-pair rings.  Platform-gated: on systems without
     POSIX shared memory the name is omitted from
@@ -36,12 +39,12 @@ importing :mod:`repro.comm` never pays for a transport it does not use:
     and resolving it raises :class:`BackendUnavailableError`.
 ``"tcp"``
     The socket mesh with an explicit *seed rendezvous*
-    (:class:`repro.comm.tcp_backend.TcpBackend`): ranks meet at a
+    (:mod:`repro.comm.tcp_backend`): ranks meet at a
     caller-provided address (``backend_opts={"seed_addr": ...}`` /
     ``REPRO_SEED_ADDR``), so several launchers — on one machine or
     many — can contribute ranks to a single world.
 ``"hier"``
-    The two-tier composite (:class:`repro.comm.hier_backend.HierBackend`):
+    The two-tier composite (:mod:`repro.comm.hier_backend`):
     intra-host frames ride shared-memory rings, inter-host frames ride
     sockets, and the endpoint exposes a ``host_topology`` the
     topology-aware collectives query to keep non-leader traffic off the
@@ -82,7 +85,6 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Type,
     runtime_checkable,
 )
 
@@ -121,7 +123,7 @@ class RouterLike(Protocol):
     """Transport surface the shared :class:`Communicator` is built on.
 
     The thread backend's :class:`~repro.comm.router.Router` and the
-    process backend's :class:`~repro.comm.process_backend.SocketEndpoint`
+    process backends' :class:`~repro.comm.process_backend.MeshEndpoint`
     both implement it; a new transport that does gets the whole
     point-to-point API (and every collective layered on it) for free.
     """
@@ -239,14 +241,17 @@ _UNAVAILABLE: Dict[str, str] = {}
 _default_override: Optional[str] = None
 
 
-def register_backend(name: str) -> Callable[[Type[CommBackend]], Type[CommBackend]]:
+def register_backend(
+    name: str,
+) -> Callable[[Callable[[], CommBackend]], Callable[[], CommBackend]]:
     """Class decorator adding a :class:`CommBackend` to the registry.
 
-    The class is instantiated once; re-registering a name replaces the
-    previous instance (latest wins, which keeps reloads idempotent).
+    The class (or any zero-argument factory of one) is instantiated
+    once; re-registering a name replaces the previous instance (latest
+    wins, which keeps reloads idempotent).
     """
 
-    def decorator(cls: Type[CommBackend]) -> Type[CommBackend]:
+    def decorator(cls: Callable[[], CommBackend]) -> Callable[[], CommBackend]:
         instance = cls()
         if not instance.name or instance.name == "abstract":
             instance.name = name

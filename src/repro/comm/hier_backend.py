@@ -1,11 +1,11 @@
 """Hierarchical composite transport: shm rings intra-host, sockets inter.
 
-The fourth process-model backend composes the two existing byte pipes
-according to a **host topology** (an explicit rank -> host map): frames
-between ranks on the same host travel the shared-memory SPSC rings of
-:mod:`repro.comm.shm_backend`, frames that cross hosts travel the TCP
-sockets of :mod:`repro.comm.process_backend`.  Both halves speak the
-same wire format, so the split is invisible above the
+The ``hier`` plan composes the two link kinds of the process-model
+launcher according to a **host topology** (an explicit rank -> host
+map): frames between ranks on the same host travel the shared-memory
+SPSC rings of :mod:`repro.comm.shm_backend`, frames that cross hosts
+travel the TCP sockets of :mod:`repro.comm.process_backend`.  Both link
+kinds speak the same wire format, so the split is invisible above the
 :class:`~repro.comm.backend.RouterLike` surface — except that the
 endpoint *exposes* the topology as ``host_topology``, which is what the
 topology-aware collectives (:func:`repro.collectives.sync.allreduce_hierarchical`)
@@ -15,8 +15,9 @@ The topology arrives via ``backend_opts={"host_topology": ...}`` (a
 :class:`~repro.collectives.topology.HostTopology`, a rank -> host label
 sequence, or a ``"0,0,1,1"`` spec string) or the
 ``REPRO_HOST_TOPOLOGY`` environment variable, and defaults to
-single-host — in which case the backend degenerates to the plain shm
-transport (every pair rides a ring).  On one physical machine a
+single-host — in which case the plan *is* the ``shm`` plan (every pair
+rides a ring), as one host per rank is the ``process`` plan.  On one
+physical machine a
 multi-host topology is *simulated*: the rank pairs labelled inter-host
 use loopback sockets, which is exactly how the hierarchical collectives
 and the two-tier cost model are validated and benchmarked without a
@@ -35,30 +36,18 @@ Gated like ``shm``: platforms without the ring transport get
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict
 
 from repro.collectives.topology import HostTopology
 from repro.comm.backend import mark_backend_unavailable, register_backend
-from repro.comm.message import Message
-from repro.comm.process_backend import (
-    _RANK_ID,
-    _SETUP_TIMEOUT,
-    MeshEndpoint,
-    SocketPeerMixin,
-    _bind_listener,
-    _connect_with_retry,
-    _read_exact,
-    _rendezvous,
-)
+from repro.comm.process_backend import MeshPlan, ProcessBackend
 from repro.comm.shm_backend import (
     _UNAVAILABLE_REASON as _SHM_UNAVAILABLE_REASON,
-    _Ring,
-    ShmBackend,
-    ShmEndpoint,
-    segment_name,
+    ring_plan,
 )
 
-__all__ = ["HierBackend", "HierEndpoint", "HOST_TOPOLOGY_ENV_VAR", "resolve_topology"]
+__all__ = ["HOST_TOPOLOGY_ENV_VAR", "resolve_topology"]
 
 #: Environment variable carrying a ``"0,0,1,1"``-style rank -> host spec.
 HOST_TOPOLOGY_ENV_VAR = "REPRO_HOST_TOPOLOGY"
@@ -90,161 +79,25 @@ def resolve_topology(spec: Any, world_size: int) -> HostTopology:
     return topology
 
 
-# ---------------------------------------------------------------------------
-# the composite endpoint
-# ---------------------------------------------------------------------------
-class HierEndpoint(SocketPeerMixin, ShmEndpoint):
-    """One rank's view of the two-tier mesh.
+def _hier_plan(world_size: int, opts: Dict[str, Any]) -> MeshPlan:
+    """``hier``: launcher-local seed, a ring iff ``host_topology`` puts
+    both ranks of a pair on one host.
 
-    Same-host peers are reached through the inherited shm rings (with
-    the work-stealing pump of :class:`ShmEndpoint`); cross-host peers
-    through the mixin's per-peer sockets.  ``host_topology`` is the
-    public attribute collectives discover via ``comm.router``.
+    Options: ``host_topology`` (see :func:`resolve_topology`),
+    ``ring_bytes``, ``bind_host`` and the launcher's ``start_method``.
     """
-
-    def __init__(
-        self,
-        rank: int,
-        world_size: int,
-        channels: Sequence[str],
-        data_events: Sequence,
-        space_events: Sequence,
-        topology: HostTopology,
-    ) -> None:
-        super().__init__(rank, world_size, channels, data_events, space_events)
-        self._init_socket_peers()
-        #: The rank -> host map of this world (queried by collectives).
-        self.host_topology = topology
-        self._local_peers = frozenset(topology.local_ranks(rank)) - {rank}
-
-    # --------------------------------------------------------------- send
-    def _send_frame(self, message: Message, channel: str) -> None:
-        if message.dest in self._local_peers:
-            ShmEndpoint._send_frame(self, message, channel)
-        else:
-            self._send_socket_frame(message, channel)
-
-    # ----------------------------------------------------------- receive
-    def _notify_socket_delivery(self) -> None:
-        # A consumer blocked in recv may be parked on the shm doorbell
-        # (not the mailbox condition); ring it so socket arrivals have
-        # socket latency, not park-slice latency.
-        self._data_event.ring()
-
-    # -------------------------------------------------------------- close
-    def _shutdown_transport(self) -> None:
-        ShmEndpoint._shutdown_transport(self)
-        self._shutdown_socket_peers()
-
-    def _join_receivers(self) -> None:
-        self._join_socket_receivers()
-        ShmEndpoint._join_receivers(self)
-
-
-# ---------------------------------------------------------------------------
-# mesh establishment (runs inside each rank process)
-# ---------------------------------------------------------------------------
-def _build_hier_mesh(
-    rank: int,
-    world_size: int,
-    channels: Sequence[str],
-    rendezvous_addr: Tuple[str, int],
-    session: str,
-    ring_bytes: int,
-    data_events: Sequence,
-    space_events: Sequence,
-    topology: HostTopology,
-    bind_host: str = "127.0.0.1",
-) -> HierEndpoint:
-    endpoint = HierEndpoint(
-        rank, world_size, channels, data_events, space_events, topology
+    topology = resolve_topology(opts.pop("host_topology", None), world_size)
+    bind_host = str(opts.pop("bind_host", "127.0.0.1"))
+    return ring_plan(
+        "hier", topology.host_of, opts, host_topology=topology, bind_host=bind_host
     )
-    if world_size == 1:
-        return endpoint
-
-    local_peers = sorted(endpoint._local_peers)
-    remote_peers = sorted(set(range(world_size)) - set(topology.local_ranks(rank)))
-
-    # Create this rank's inbound rings (same-host pairs only), then
-    # rendezvous: the seed's collect-and-broadcast is simultaneously the
-    # "all segments exist" barrier and the data-address exchange.
-    for peer in local_peers:
-        endpoint.attach_inbound(
-            peer, _Ring.create(segment_name(session, peer, rank), ring_bytes)
-        )
-
-    data_listener = None
-    my_addr: Optional[Tuple[str, int]] = None
-    if remote_peers:
-        data_listener = _bind_listener((bind_host, 0), backlog=world_size)
-        data_listener.settimeout(_SETUP_TIMEOUT)
-        my_addr = data_listener.getsockname()[:2]
-
-    addr_map = _rendezvous(rank, world_size, rendezvous_addr, my_addr)
-
-    for peer in local_peers:
-        endpoint.attach_outbound(
-            peer, _Ring.attach(segment_name(session, rank, peer), ring_bytes)
-        )
-
-    # Cross-host links: dial the higher ranks, accept the lower ones.
-    for peer in (p for p in remote_peers if p > rank):
-        sock = _connect_with_retry(
-            tuple(addr_map[peer]), _SETUP_TIMEOUT, what=f"rank {peer}"
-        )
-        sock.sendall(_RANK_ID.pack(rank))
-        endpoint.attach_peer(peer, sock)
-    for _ in (p for p in remote_peers if p < rank):
-        sock, _ = data_listener.accept()
-        sock.settimeout(_SETUP_TIMEOUT)
-        raw = _read_exact(sock, _RANK_ID.size)
-        if raw is None:
-            raise ConnectionResetError("mesh peer closed during handshake")
-        (peer,) = _RANK_ID.unpack(raw)
-        endpoint.attach_peer(int(peer), sock)
-    if data_listener is not None:
-        data_listener.close()
-    return endpoint
-
-
-# ---------------------------------------------------------------------------
-# the backend (launcher side)
-# ---------------------------------------------------------------------------
-class HierBackend(ShmBackend):
-    """Two-tier transport: shm rings intra-host, TCP sockets inter-host.
-
-    Inherits the shm launcher (session namespace, doorbells, segment
-    sweep) and adds the topology option plus the socket half of the
-    mesh.  Options: ``host_topology`` (see :func:`resolve_topology`),
-    ``ring_bytes``, ``bind_host`` and the inherited ``start_method``.
-    """
-
-    name = "hier"
-
-    def _setup_world(self, ctx, world_size: int, opts: Dict[str, Any]) -> Dict[str, Any]:
-        opts = dict(opts)
-        topology = resolve_topology(opts.pop("host_topology", None), world_size)
-        bind_host = str(opts.pop("bind_host", "127.0.0.1"))
-        setup = super()._setup_world(ctx, world_size, opts)
-        setup["topology"] = topology
-        setup["bind_host"] = bind_host
-        return setup
-
-    def _mesh_builder(self) -> Callable[..., MeshEndpoint]:
-        return _build_hier_mesh
-
-    def _mesh_args(self, setup: Dict[str, Any], rank: int) -> Tuple[Any, ...]:
-        return super()._mesh_args(setup, rank) + (
-            setup["topology"],
-            setup["bind_host"],
-        )
 
 
 # ---------------------------------------------------------------------------
 # registration (capability-gated, same probe as shm)
 # ---------------------------------------------------------------------------
 if _SHM_UNAVAILABLE_REASON is None:
-    register_backend("hier")(HierBackend)
+    register_backend("hier")(partial(ProcessBackend, "hier", _hier_plan))
 else:  # pragma: no cover - exercised only on platforms without shm
     mark_backend_unavailable(
         "hier",

@@ -1,9 +1,14 @@
-"""Multiprocess socket transport: one OS process per rank.
+"""Multiprocess transports: one OS process per rank, one launcher.
 
-This is the second :class:`~repro.comm.backend.CommBackend` and the
-first with true parallelism (no shared GIL), which makes wall-clock
-measurements on it comparable to the paper's multi-node runs in kind,
-not just in shape.
+This module is the process-model :class:`~repro.comm.backend.CommBackend`
+— true parallelism (no shared GIL), which makes wall-clock measurements
+on it comparable to the paper's multi-node runs in kind, not just in
+shape.  Four backend names run on it (``process``, ``shm``, ``tcp``,
+``hier``); each is one :class:`MeshPlan` — who serves the rendezvous,
+and which byte pipe (TCP socket or shared-memory ring) carries each
+rank pair — read by the one launcher (:class:`ProcessBackend`), the one
+mesh builder (:func:`_build_mesh`) and the one endpoint
+(:class:`MeshEndpoint`) below.
 
 Topology and rendezvous
 -----------------------
@@ -19,12 +24,15 @@ the service lives in the launcher, the worker arguments contain no live
 sockets — they are pickle-clean, which is what makes both ``spawn`` and
 cross-launcher operation (the ``tcp`` backend's seed rendezvous,
 :mod:`repro.comm.tcp_backend`) possible with the same worker entry
-point.  The data plane is then a full TCP mesh: rank ``i`` dials every
-rank ``j > i`` and accepts from every ``j < i``, one socket per pair,
-``TCP_NODELAY`` set.  Bring-up connects retry with bounded backoff
-(:func:`_connect_with_retry`): a rank may dial a peer whose listener is
-not bound yet, and across launchers the seed may come up late — neither
-race should abort the world.
+point.  The data plane is then a full mesh.  Over a socket pair rank
+``i`` dials ``j > i`` and accepts from ``j < i``, one socket per pair,
+``TCP_NODELAY`` set; over a ring pair each side creates its inbound ring
+before the rendezvous (which doubles as the "every segment exists"
+barrier) and attaches the peer's afterwards.  The ``process`` plan is a
+launcher-local seed and sockets everywhere.  Bring-up connects retry
+with bounded backoff (:func:`_connect_with_retry`): a rank may dial a
+peer whose listener is not bound yet, and across launchers the seed may
+come up late — neither race should abort the world.
 
 Wire format
 -----------
@@ -40,12 +48,8 @@ reads with ``recv_into`` on a preallocated array — no pickling and no
 intermediate copies of the payload on either side.
 
 The framing (:func:`pack_frame` / :func:`payload_scratch` /
-:func:`payload_finish`) and the endpoint skeleton
-(:class:`MeshEndpoint`: per-channel mailboxes with dynamic
-sub-channels, delivery bookkeeping, the abort/close state machine) are
-shared with the shared-memory transport
-(:mod:`repro.comm.shm_backend`), as is the launcher below — only the
-byte pipe differs between the two.
+:func:`payload_finish`) is the same on both link kinds; the ring link
+and the inbound-ring pump live in :mod:`repro.comm.shm_backend`.
 
 Failure semantics
 -----------------
@@ -57,7 +61,7 @@ blocked receives wake with :class:`~repro.comm.mailbox.MailboxClosed`
 instead of hanging.  A rank that dies without reporting (hard crash) is
 detected by process exit and triggers the same abort.  A rank that
 *finishes* simply closes its transport: peers treat the EOF (or the
-ring-closed flag, on the shm transport) as a normal departure, exactly
+ring-closed flag, on a ring link) as a normal departure, exactly
 like a finished thread whose mailbox outlives it.
 """
 
@@ -73,6 +77,7 @@ import struct
 import threading
 import time
 import traceback
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,14 +91,13 @@ from repro.comm.backend import (
 from repro.comm.communicator import Communicator
 from repro.comm.mailbox import Mailbox, MailboxClosed
 from repro.comm.message import Message
-from repro.comm.router import Channel, DEFAULT_CHANNELS
+from repro.comm.router import Channel, DEFAULT_CHANNELS, is_declared_channel
 
 __all__ = [
     "MeshEndpoint",
+    "MeshPlan",
     "ProcessBackend",
     "ProcessCrashError",
-    "SocketEndpoint",
-    "SocketPeerMixin",
     "pack_frame",
     "payload_finish",
     "payload_scratch",
@@ -134,7 +138,7 @@ class ProcessCrashError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# low-level framing helpers (shared with the shm transport)
+# low-level framing helpers (shared by both link kinds)
 # ---------------------------------------------------------------------------
 def _read_exact_into(sock: socket.socket, view: memoryview) -> bool:
     """Fill ``view`` from the socket; False on EOF before the first byte.
@@ -296,20 +300,26 @@ def payload_finish(kind: int, shape: Tuple[int, ...], scratch: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# the shared per-process endpoint skeleton
+# the per-process endpoint and its socket link
 # ---------------------------------------------------------------------------
 class MeshEndpoint:
-    """One rank's view of a multiprocess mesh (transport-agnostic half).
+    """One rank's view of a multiprocess mesh.
 
     Implements the :class:`~repro.comm.backend.RouterLike` surface the
     shared :class:`~repro.comm.communicator.Communicator` is built on:
     local mailboxes per channel (dynamic ``"<base>.<suffix>"``
     sub-channels included, mirroring
-    :meth:`repro.comm.router.Router.mailbox`), delivery bookkeeping, and
-    the abort/close state machine every multiprocess transport shares.
-    Subclasses implement :meth:`_send_frame` (write one frame to the
-    peer's byte pipe) and the :meth:`_shutdown_transport` /
-    :meth:`_join_receivers` teardown hooks.
+    :meth:`repro.comm.router.Router.mailbox`), delivery bookkeeping, the
+    abort/close state machine, and a ``peer -> link`` table.  A link is
+    the byte pipe to one peer — a :class:`_SocketLink` or a
+    :class:`repro.comm.shm_backend._RingLink` — and answers ``send``
+    (write one frame), ``shutdown`` and ``join``.  A rank with at least
+    one ring peer also owns the inbound-ring pump
+    (:class:`repro.comm.shm_backend._RingPump`); its mailboxes are then
+    the work-stealing kind whose blocked receivers drain the rings
+    themselves, otherwise the plain kind (socket receiver threads
+    already block in the kernel, which is as direct as a socket wake-up
+    gets).
     """
 
     #: Remote payloads are framed (copied onto the wire) synchronously
@@ -318,7 +328,12 @@ class MeshEndpoint:
     remote_payloads_framed = True
 
     def __init__(
-        self, rank: int, world_size: int, channels: Sequence[str] = DEFAULT_CHANNELS
+        self,
+        rank: int,
+        world_size: int,
+        channels: Sequence[str] = DEFAULT_CHANNELS,
+        rings: Any = None,
+        host_topology: Any = None,
     ) -> None:
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
@@ -327,8 +342,15 @@ class MeshEndpoint:
         self.channels: Tuple[str, ...] = tuple(channels)
         if not self.channels:
             raise ValueError(f"at least one channel is required, got {channels!r}")
+        #: The rank -> host map of this world when the plan carries one
+        #: (queried by the topology-aware collectives).
+        self.host_topology = host_topology
+        self._links: Dict[int, Any] = {}
+        #: The inbound-ring component; ``rings`` is the world's ring
+        #: session, given iff this rank has a ring peer.
+        self._pump = None if rings is None else rings.pump(self)
         self._mailboxes: Dict[str, Mailbox] = {
-            ch: self._make_mailbox(self.rank, ch) for ch in self.channels
+            ch: self._make_mailbox(ch) for ch in self.channels
         }
         self._departed: set[int] = set()
         self._seq = itertools.count()
@@ -345,15 +367,14 @@ class MeshEndpoint:
                 f"rank {rank} out of range for world of size {self.world_size}"
             )
 
-    def _make_mailbox(self, rank: int, channel: str) -> Mailbox:
-        """Mailbox factory hook.
+    def _make_mailbox(self, channel: str) -> Mailbox:
+        if self._pump is None:
+            return Mailbox(self.rank, channel)
+        return self._pump.make_mailbox(channel)
 
-        The shm transport returns work-stealing mailboxes whose blocked
-        receivers pump the rings themselves; the socket transport uses
-        the plain kind (its receiver threads already block in the
-        kernel, which is as direct as a socket wake-up gets).
-        """
-        return Mailbox(rank, channel)
+    def attach(self, peer: int, link: Any) -> None:
+        """Register the byte pipe that carries frames to ``peer``."""
+        self._links[peer] = link
 
     # ------------------------------------------------------------- access
     def mailbox(self, rank: int, channel: str) -> Mailbox:
@@ -366,17 +387,11 @@ class MeshEndpoint:
             )
         mailbox = self._mailboxes.get(channel)
         if mailbox is None:
-            base = channel.split(".", 1)[0]
             with self._lock:
                 mailbox = self._mailboxes.get(channel)
                 if mailbox is None:
-                    if base == channel or base not in self.channels:
-                        raise KeyError(
-                            f"unknown channel {channel!r}; available: "
-                            f"{self.channels} (plus '<known>.<suffix>' "
-                            f"dynamic sub-channels)"
-                        )
-                    mailbox = self._make_mailbox(self.rank, channel)
+                    is_declared_channel(self.channels, channel)  # raises on a typo
+                    mailbox = self._make_mailbox(channel)
                     if self._closed:
                         # Born closed, mirroring Router.close() semantics:
                         # a straggler blocked on a late-created channel is
@@ -391,12 +406,7 @@ class MeshEndpoint:
         """Route ``message`` to its destination (local put or wire frame)."""
         self._check_rank(message.dest)
         self._check_rank(message.source)
-        base = channel.split(".", 1)[0]
-        if channel not in self.channels and (base == channel or base not in self.channels):
-            raise KeyError(
-                f"unknown channel {channel!r}; available: {self.channels} "
-                f"(plus '<known>.<suffix>' dynamic sub-channels)"
-            )
+        is_declared_channel(self.channels, channel)  # raises on a typo
         if self._closed:
             raise MailboxClosed(
                 f"rank {self.rank}: endpoint is closed"
@@ -409,14 +419,11 @@ class MeshEndpoint:
         if message.dest == self.rank:
             self.mailbox(self.rank, channel).put(message)
             return
-        if message.dest in self._departed:
-            # The peer already finished and tore its transport down; like
-            # a thread world's mailbox-to-nobody, the send just evaporates.
-            return
-        self._send_frame(message, channel)
-
-    def _send_frame(self, message: Message, channel: str) -> None:
-        raise NotImplementedError
+        # A departed peer already finished and tore its transport down;
+        # like a thread world's mailbox-to-nobody, the send evaporates.
+        link = self._links.get(message.dest)
+        if link is not None and message.dest not in self._departed:
+            link.send(message, channel)
 
     # ------------------------------------------------------------- stats
     @property
@@ -457,86 +464,64 @@ class MeshEndpoint:
         queued messages remain inspectable); only the transport goes
         down, which peers observe as a normal departure.  Safe after an
         abort: the transport is already down, but receiver threads are
-        still joined (and transport mappings released) exactly once.
+        still joined (and ring mappings released) exactly once.
         """
         with self._lock:
             already_closed = self._closed
             self._closed = True
         if not already_closed:
             self._shutdown_transport()
-        self._join_receivers()
+        for link in self._links.values():
+            link.join()
+        if self._pump is not None:
+            self._pump.release()
 
     def _shutdown_transport(self) -> None:
-        raise NotImplementedError
+        for link in self._links.values():
+            link.shutdown()
+        if self._pump is not None:
+            self._pump.shutdown()
 
-    def _join_receivers(self) -> None:
-        """Wait briefly for receiver threads after an orderly close."""
 
+class _SocketLink:
+    """The byte pipe to one socket peer.
 
-# ---------------------------------------------------------------------------
-# the socket endpoint
-# ---------------------------------------------------------------------------
-class SocketPeerMixin:
-    """Per-peer socket machinery shared by the flat TCP mesh and the
-    hierarchical endpoint's inter-host links.
-
-    Mixed into a :class:`MeshEndpoint` subclass; uses its ``rank``,
-    ``mailbox``, ``abort`` and ``_departed`` surfaces.  Attribute names
-    are ``_sock``-prefixed so the shm ring state of a composite endpoint
-    (:mod:`repro.comm.hier_backend`) never collides with them.
+    Holds the pair's socket, its send lock and its receiver thread.
+    ``EPIPE`` on send and EOF on receive (mid-frame included) mean the
+    peer *departed*; only an unreadable stream aborts the local rank.
     """
 
-    def _init_socket_peers(self) -> None:
-        self._sock_peers: Dict[int, socket.socket] = {}
-        self._sock_send_locks: Dict[int, threading.Lock] = {}
-        self._sock_receivers: List[threading.Thread] = []
-
-    def _notify_socket_delivery(self) -> None:
-        """Hook run after a socket frame lands in a mailbox.
-
-        The plain socket endpoint needs nothing (its receivers block in
-        the kernel and ``put`` notifies the mailbox condition); the
-        composite endpoint rings its shm doorbell here so a consumer
-        parked on ring starvation wakes for socket arrivals too.
-        """
-
-    # ----------------------------------------------------------- plumbing
-    def attach_peer(self, peer: int, sock: socket.socket) -> None:
-        """Register the mesh socket for ``peer`` and start its receiver."""
+    def __init__(self, endpoint: MeshEndpoint, peer: int, sock: socket.socket) -> None:
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock_peers[peer] = sock
-        self._sock_send_locks[peer] = threading.Lock()
-        thread = threading.Thread(
+        self._endpoint = endpoint
+        self._peer = peer
+        self._sock = sock
+        self._send_lock = threading.Lock()
+        self._receiver = threading.Thread(
             target=self._recv_loop,
-            args=(peer, sock),
-            name=f"sockrecv-r{self.rank}-p{peer}",
+            name=f"sockrecv-r{endpoint.rank}-p{peer}",
             daemon=True,
         )
-        self._sock_receivers.append(thread)
-        thread.start()
+        self._receiver.start()
 
     # --------------------------------------------------------------- send
-    def _send_socket_frame(self, message: Message, channel: str) -> None:
-        dest = message.dest
-        sock = self._sock_peers.get(dest)
-        if sock is None:
-            return
+    def send(self, message: Message, channel: str) -> None:
         head, body = pack_frame(message, channel)
-        lock = self._sock_send_locks[dest]
         try:
-            with lock:
-                sock.sendall(_HEADER_LEN.pack(len(head)) + head)
+            with self._send_lock:
+                self._sock.sendall(_HEADER_LEN.pack(len(head)) + head)
                 if len(body):
-                    sock.sendall(body)
+                    self._sock.sendall(body)
         except OSError:
             # EPIPE/ECONNRESET: the peer departed between our check and the
             # write.  Same no-op semantics as a departed peer; a *crash* is
             # handled by the launcher's abort broadcast, not the send path.
-            self._departed.add(dest)
+            self._endpoint._departed.add(self._peer)
 
     # ----------------------------------------------------------- receive
-    def _recv_loop(self, peer: int, sock: socket.socket) -> None:
+    def _recv_loop(self) -> None:
+        endpoint, sock = self._endpoint, self._sock
         try:
             while True:
                 head_len_buf = _read_exact(sock, _HEADER_LEN.size)
@@ -558,10 +543,15 @@ class SocketPeerMixin:
                 payload = payload_finish(kind, shape, scratch)
                 msg = Message(source=source, dest=dest, tag=tag, payload=payload, seq=seq)
                 try:
-                    self.mailbox(self.rank, channel).put(msg)
+                    endpoint.mailbox(endpoint.rank, channel).put(msg)
                 except MailboxClosed:
                     return  # aborted while delivering; drop and exit
-                self._notify_socket_delivery()
+                if endpoint._pump is not None:
+                    # A consumer blocked in recv may be parked on the ring
+                    # doorbell (not the mailbox condition); ring it so
+                    # socket arrivals have socket latency, not park-slice
+                    # latency.
+                    endpoint._pump.notify()
         except OSError:
             # Reset/teardown on the peer socket (including mid-frame EOF,
             # which _read_exact_into raises as ConnectionResetError).  A
@@ -574,49 +564,29 @@ class SocketPeerMixin:
         except (EOFError, pickle.UnpicklingError) as exc:
             # Both processes are alive but the stream is unreadable — the
             # launcher cannot see this, so wake the local rank ourselves.
-            if not self._closed:
-                self.abort(f"corrupted stream from rank {peer}: {exc}")
+            if not endpoint._closed:
+                endpoint.abort(f"corrupted stream from rank {self._peer}: {exc}")
         finally:
-            self._departed.add(peer)
+            endpoint._departed.add(self._peer)
             try:
                 sock.close()
             except OSError:
                 pass
 
     # -------------------------------------------------------------- close
-    def _shutdown_socket_peers(self) -> None:
-        for sock in self._sock_peers.values():
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+    def shutdown(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._sock.close()
+        except OSError:
+            pass
 
-    def _join_socket_receivers(self) -> None:
-        for thread in self._sock_receivers:
-            thread.join(timeout=2.0)
-
-
-class SocketEndpoint(SocketPeerMixin, MeshEndpoint):
-    """One rank's view of the TCP socket mesh."""
-
-    def __init__(
-        self, rank: int, world_size: int, channels: Sequence[str] = DEFAULT_CHANNELS
-    ) -> None:
-        super().__init__(rank, world_size, channels)
-        self._init_socket_peers()
-
-    def _send_frame(self, message: Message, channel: str) -> None:
-        self._send_socket_frame(message, channel)
-
-    def _shutdown_transport(self) -> None:
-        self._shutdown_socket_peers()
-
-    def _join_receivers(self) -> None:
-        self._join_socket_receivers()
+    def join(self) -> None:
+        """Wait briefly for the receiver thread after an orderly close."""
+        self._receiver.join(timeout=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +604,7 @@ class _RendezvousService:
     a service; every rank of every launcher connects to it as a client.
     """
 
-    def __init__(
-        self, world_size: int, addr: Tuple[str, int] = ("127.0.0.1", 0)
-    ) -> None:
+    def __init__(self, world_size: int, addr: Tuple[str, int]) -> None:
         self._world_size = world_size
         self._listener = _bind_listener(addr, backlog=world_size)
         #: The address ranks dial (concrete port even for ephemeral binds).
@@ -688,10 +656,10 @@ def _rendezvous(
 ) -> Dict[int, Any]:
     """Register with the seed service, receive the full payload map back.
 
-    Used by the socket mesh (payloads are data-listener addresses) and
-    as the setup barrier of the shm mesh (payloads are readiness
-    markers, the broadcast doubles as the "all segments exist" signal).
-    The dial retries: across launchers the seed may not be bound yet.
+    Payloads are data-listener addresses (``None`` for a rank without a
+    socket peer); the broadcast doubles as the "all ring segments exist"
+    barrier.  The dial retries: across launchers the seed may not be
+    bound yet.
     """
     conn = _connect_with_retry(rendezvous_addr, _SETUP_TIMEOUT, what="rendezvous seed")
     conn.settimeout(_SETUP_TIMEOUT)
@@ -708,40 +676,96 @@ def _rendezvous(
     return payload_map
 
 
+@dataclass
+class MeshPlan:
+    """Which byte pipe carries each rank pair, and who serves the rendezvous.
+
+    The one description of a world's fabric: every registered name
+    supplies a function ``(world_size, opts) -> MeshPlan`` that pops the
+    ``backend_opts`` it understands, and the launcher, the mesh builder
+    and the endpoint read the result instead of re-deriving it.
+    """
+
+    #: rank -> host label.  A pair on one label rides a shared-memory
+    #: ring, any other pair a TCP socket.
+    hosts: Tuple[int, ...]
+    #: Launcher-side ring resources (session namespace, doorbells; a
+    #: :class:`repro.comm.shm_backend._RingSession`), allocated iff some
+    #: pair rides a ring and closed by the launcher when the world ends.
+    rings: Any = None
+    #: Exposed as ``comm.router.host_topology`` (the ``hier`` backend).
+    host_topology: Any = None
+    #: Where the ranks rendezvous; ``None`` = an ephemeral loopback seed
+    #: served by this launcher.  A named seed is served by the launcher
+    #: that owns rank 0.
+    seed_addr: Optional[Tuple[str, int]] = None
+    #: The global ranks this launcher spawns (``None`` = all of them).
+    local_ranks: Optional[List[int]] = None
+    #: Interface the rank data listeners bind to and advertise.
+    bind_host: str = "127.0.0.1"
+
+
+def reject_unknown_opts(name: str, opts: Dict[str, Any]) -> None:
+    """Fail on ``backend_opts`` keys the ``name`` backend's plan did not pop."""
+    if opts:
+        raise TypeError(f"{name} backend got unexpected options {sorted(opts)}")
+
+
+def _socket_plan(world_size: int, opts: Dict[str, Any]) -> MeshPlan:
+    """``process``: launcher-local seed, a socket for every pair."""
+    reject_unknown_opts("process", opts)
+    return MeshPlan(hosts=tuple(range(world_size)))
+
+
 def _build_mesh(
-    rank: int,
-    world_size: int,
-    channels: Sequence[str],
-    rendezvous_addr: Tuple[str, int],
-    bind_host: str = "127.0.0.1",
-) -> SocketEndpoint:
-    endpoint = SocketEndpoint(rank, world_size, channels)
-    if world_size == 1:
+    rank: int, world_size: int, channels: Sequence[str], plan: MeshPlan
+) -> MeshEndpoint:
+    peers = [p for p in range(world_size) if p != rank]
+    ring_peers = [p for p in peers if plan.hosts[p] == plan.hosts[rank]]
+    socket_peers = [p for p in peers if plan.hosts[p] != plan.hosts[rank]]
+    endpoint = MeshEndpoint(
+        rank, world_size, channels,
+        rings=plan.rings if ring_peers else None,
+        host_topology=plan.host_topology,
+    )
+    if not peers:
         return endpoint
 
-    data_listener = _bind_listener((bind_host, 0), backlog=world_size)
-    data_listener.settimeout(_SETUP_TIMEOUT)
-    my_addr = data_listener.getsockname()[:2]
+    # Create this rank's inbound rings and bind its data listener, then
+    # rendezvous: the seed's collect-and-broadcast is simultaneously the
+    # "every segment exists" barrier (attaching below can never race a
+    # missing segment) and the data-address exchange.
+    pump = endpoint._pump  # present iff there is a ring peer
+    for peer in ring_peers:
+        pump.create_inbound(peer)
+    data_listener = None
+    my_addr: Optional[Tuple[str, int]] = None
+    if socket_peers:
+        data_listener = _bind_listener((plan.bind_host, 0), backlog=world_size)
+        data_listener.settimeout(_SETUP_TIMEOUT)
+        my_addr = data_listener.getsockname()[:2]
 
-    # --- seed rendezvous: register, receive the full address map --------
-    addr_map = _rendezvous(rank, world_size, rendezvous_addr, my_addr)
+    addr_map = _rendezvous(rank, world_size, plan.seed_addr, my_addr)
 
-    # --- full mesh: dial the higher ranks, accept the lower ones --------
-    for peer in range(rank + 1, world_size):
+    for peer in ring_peers:
+        endpoint.attach(peer, pump.connect(peer))
+    # Socket pairs: dial the higher ranks, accept the lower ones.
+    for peer in (p for p in socket_peers if p > rank):
         sock = _connect_with_retry(
             tuple(addr_map[peer]), _SETUP_TIMEOUT, what=f"rank {peer}"
         )
         sock.sendall(_RANK_ID.pack(rank))
-        endpoint.attach_peer(peer, sock)
-    for _ in range(rank):
+        endpoint.attach(peer, _SocketLink(endpoint, peer, sock))
+    for _ in (p for p in socket_peers if p < rank):
         sock, _ = data_listener.accept()
         sock.settimeout(_SETUP_TIMEOUT)
         raw = _read_exact(sock, _RANK_ID.size)
         if raw is None:
             raise ConnectionResetError("mesh peer closed during handshake")
         (peer,) = _RANK_ID.unpack(raw)
-        endpoint.attach_peer(int(peer), sock)
-    data_listener.close()
+        endpoint.attach(peer, _SocketLink(endpoint, peer, sock))
+    if data_listener is not None:
+        data_listener.close()
     return endpoint
 
 
@@ -774,8 +798,7 @@ def _worker_main(
     fn: Callable[..., Any],
     args: Tuple[Any, ...],
     kwargs: Dict[str, Any],
-    mesh_builder: Callable[..., MeshEndpoint],
-    mesh_args: Tuple[Any, ...],
+    plan: MeshPlan,
     channels: Sequence[str],
     channel: str,
     default_recv_timeout: Optional[float],
@@ -785,7 +808,7 @@ def _worker_main(
     endpoint: Optional[MeshEndpoint] = None
     done = threading.Event()
     try:
-        endpoint = mesh_builder(rank, world_size, channels, *mesh_args)
+        endpoint = _build_mesh(rank, world_size, channels, plan)
         listener = threading.Thread(
             target=_abort_listener,
             args=(control_conn, endpoint, done),
@@ -830,22 +853,28 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 @register_backend("process")
 class ProcessBackend(CommBackend):
-    """One OS process per rank over a local TCP socket mesh.
+    """One OS process per rank over the mesh its plan describes.
 
     The launcher below — spawn, result collection, liveness checks, the
-    abort broadcast, the hang/timeout handling — is transport-agnostic;
-    the shm backend (:mod:`repro.comm.shm_backend`) subclasses this
-    class and overrides only the ``_setup_world`` / ``_mesh_args`` /
-    ``_cleanup_world`` hooks that describe the byte pipe.
+    abort broadcast, the hang/timeout handling — is the same for every
+    process-model name; ``plan`` (``(world_size, opts) -> MeshPlan``) is
+    what a name contributes.  The default is ``process`` itself: a
+    launcher-local seed and a TCP socket for every pair.
     """
-
-    name = "process"
 
     #: Grace period for surviving ranks to drain after an abort broadcast.
     abort_grace: float = 10.0
 
     #: Start methods tried (in order) when the caller does not pick one.
     _START_METHOD_PREFERENCE: Tuple[str, ...] = ("fork", "spawn")
+
+    def __init__(
+        self,
+        name: str = "process",
+        plan: Callable[[int, Dict[str, Any]], MeshPlan] = _socket_plan,
+    ) -> None:
+        self.name = name
+        self._plan = plan
 
     def _context(self, start_method: Optional[str] = None):
         if start_method is not None:
@@ -866,41 +895,6 @@ class ProcessBackend(CommBackend):
             "use backend='thread' on this platform"
         )
 
-    # ------------------------------------------------------ transport hooks
-    def _reject_unknown_opts(self, opts: Dict[str, Any]) -> None:
-        if opts:
-            raise TypeError(
-                f"{self.name} backend got unexpected options {sorted(opts)}"
-            )
-
-    def _setup_world(self, ctx, world_size: int, opts: Dict[str, Any]) -> Dict[str, Any]:
-        """Allocate launcher-side transport state.
-
-        Everything handed to the workers afterwards (via
-        :meth:`_mesh_args`) must be picklable: the rendezvous runs as a
-        launcher-side service, so the workers only ever see its address.
-        """
-        self._reject_unknown_opts(opts)
-        if world_size == 1:
-            return {"service": None, "addr": None}
-        service = _RendezvousService(world_size)
-        return {"service": service, "addr": service.addr}
-
-    def _mesh_builder(self) -> Callable[..., MeshEndpoint]:
-        return _build_mesh
-
-    def _mesh_args(self, setup: Dict[str, Any], rank: int) -> Tuple[Any, ...]:
-        return (setup["addr"],)
-
-    def _post_spawn(self, setup: Dict[str, Any]) -> None:
-        """Release launcher copies of resources the children inherited."""
-
-    def _cleanup_world(self, setup: Dict[str, Any]) -> None:
-        """Tear down launcher-side transport state after the world ended."""
-        service = setup.get("service")
-        if service is not None:
-            service.close()
-
     # -------------------------------------------------------------- launch
     def run(
         self,
@@ -916,17 +910,24 @@ class ProcessBackend(CommBackend):
         **opts: Any,
     ) -> List[Any]:
         kwargs = kwargs or {}
-        start_method = opts.pop("start_method", None)
-        ctx = self._context(start_method)
-        setup = self._setup_world(ctx, world_size, opts)
+        ctx = self._context(opts.pop("start_method", None))
+        plan = self._plan(world_size, opts)
         # A launcher may own only a subset of the ranks (the tcp backend's
         # multi-launcher mode); by default it spawns and monitors them all.
-        local_ranks = list(setup.get("local_ranks") or range(world_size))
+        local_ranks = plan.local_ranks or list(range(world_size))
+        service = None
         try:
+            if world_size > 1 and (plan.seed_addr is None or 0 in local_ranks):
+                # Serving the rendezvous here keeps everything handed to
+                # the workers picklable: they only ever see its address.
+                # A named seed belongs to the launcher owning rank 0.
+                service = _RendezvousService(
+                    world_size, plan.seed_addr or ("127.0.0.1", 0)
+                )
+                plan.seed_addr = service.addr
             result_pipes = {rank: ctx.Pipe(duplex=False) for rank in local_ranks}
             control_pipes = {rank: ctx.Pipe(duplex=False) for rank in local_ranks}
             procs: Dict[int, Any] = {}
-            mesh_builder = self._mesh_builder()
             for rank in local_ranks:
                 proc = ctx.Process(
                     target=_worker_main,
@@ -936,8 +937,7 @@ class ProcessBackend(CommBackend):
                         fn,
                         args,
                         kwargs,
-                        mesh_builder,
-                        self._mesh_args(setup, rank),
+                        plan,
                         tuple(channels),
                         channel,
                         default_recv_timeout,
@@ -950,14 +950,16 @@ class ProcessBackend(CommBackend):
                 procs[rank] = proc
                 proc.start()
             # The children hold their ends now; release the parent's copies.
-            self._post_spawn(setup)
             for recv_end, send_end in result_pipes.values():
                 send_end.close()
             for recv_end, send_end in control_pipes.values():
                 recv_end.close()
             return self._monitor(procs, result_pipes, control_pipes, world_size, timeout)
         finally:
-            self._cleanup_world(setup)
+            if service is not None:
+                service.close()
+            if plan.rings is not None:
+                plan.rings.close()
 
     # ------------------------------------------------------------- monitor
     def _monitor(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.comm.mailbox import Mailbox
 from repro.comm.message import Message
@@ -31,6 +31,26 @@ class Channel:
 
 #: Channels created by default for every rank.
 DEFAULT_CHANNELS: Tuple[str, ...] = (Channel.APP, Channel.LIB, Channel.ACTIVATION)
+
+
+def is_declared_channel(channels: Sequence[str], name: str) -> bool:
+    """The channel-name rule, stated once for every transport.
+
+    ``True`` when ``name`` is one of ``channels``; ``False`` when it is a
+    valid dynamic sub-channel — ``"<known>.<suffix>"``, a declared name
+    plus a dotted suffix — that its caller creates on first use.  Any
+    other name raises ``KeyError`` immediately, so typos fail fast
+    instead of stalling a receiver on an empty mailbox.
+    """
+    if name in channels:
+        return True
+    base = name.split(".", 1)[0]
+    if base == name or base not in channels:
+        raise KeyError(
+            f"unknown channel {name!r}; available: {tuple(channels)} "
+            f"(plus '<known>.<suffix>' dynamic sub-channels)"
+        )
+    return False
 
 
 class Router:
@@ -68,28 +88,19 @@ class Router:
     def mailbox(self, rank: int, channel: str) -> Mailbox:
         """Return the mailbox for ``(rank, channel)``.
 
-        Channels of the form ``"<known>.<suffix>"`` — a declared channel
-        name plus a dotted suffix — are created on first use (for every
+        Channels of the form ``"<known>.<suffix>"`` (see
+        :func:`is_declared_channel`) are created on first use, for every
         rank of the world, so sender and receiver always agree on the
-        endpoint set).  Dynamic sub-channels let higher layers open
+        endpoint set.  Dynamic sub-channels let higher layers open
         private lanes, e.g. one ``lib.bucketN``/``activation.bucketN``
         pair per fusion bucket of the gradient exchange, without
-        pre-declaring them at world creation.  A name whose base is not a
-        declared channel still raises ``KeyError`` immediately, so typos
-        fail fast instead of stalling a receiver on an empty mailbox.
+        pre-declaring them at world creation.
         """
         self._check_rank(rank)
         mailbox = self._mailboxes.get((rank, channel))
         if mailbox is None:
-            base = channel.split(".", 1)[0]
             with self._lock:
-                if channel not in self.channels:
-                    if base == channel or base not in self.channels:
-                        raise KeyError(
-                            f"unknown channel {channel!r}; available: "
-                            f"{self.channels} (plus '<known>.<suffix>' "
-                            f"dynamic sub-channels)"
-                        )
+                if not is_declared_channel(self.channels, channel):
                     for r in range(self.world_size):
                         box = Mailbox(r, channel)
                         if self._closed:

@@ -1,12 +1,13 @@
-"""Zero-copy shared-memory transport: per-pair SPSC ring buffers.
+"""Zero-copy shared-memory link: per-pair SPSC ring buffers.
 
-The third :class:`~repro.comm.backend.CommBackend` keeps the process
-backend's execution model — one forked OS process per rank, rank-0
-rendezvous, launcher-mediated abort broadcast, identical
-:class:`~repro.comm.backend.WorldError` semantics — and replaces its
-byte pipe: instead of loopback TCP (one copy into the kernel socket
-buffer, one copy out, a syscall per chunk on both sides), every ordered
-rank pair ``(i -> j)`` owns a single-producer/single-consumer ring
+The ring is the second link kind of the process-model launcher
+(:mod:`repro.comm.process_backend`): same execution model — one OS
+process per rank, seed rendezvous, launcher-mediated abort broadcast,
+identical :class:`~repro.comm.backend.WorldError` semantics — and
+another byte pipe.  Instead of loopback TCP (one copy into the kernel
+socket buffer, one copy out, a syscall per chunk on both sides), every
+ordered rank pair ``(i -> j)`` that shares a host owns a
+single-producer/single-consumer ring
 buffer in a ``multiprocessing.shared_memory`` segment.  A send writes
 the frame — and the NumPy payload's raw buffer — directly into the
 ring; the receive copies straight from the ring into the destination
@@ -51,8 +52,12 @@ the producer writes as space appears, the consumer's incremental parser
 consumes partial frames, so a 64 MB payload flows through a 4 MB ring
 with producer and consumer pipelined.
 
-Wire format, failure semantics, channels and the launcher are shared
-with :mod:`repro.comm.process_backend` (the frames are byte-identical).
+Wire format, failure semantics, channels, endpoint and launcher are
+those of :mod:`repro.comm.process_backend` (the frames are
+byte-identical); this module contributes the outbound half of a ring
+pair (:class:`_RingLink`), the inbound half of all of a rank's ring
+pairs (:class:`_RingPump`), the launcher-side resources
+(:class:`_RingSession`) and the ``shm`` plan: a ring for every pair.
 A rank that *finishes* sets ``pclosed`` on its outbound rings — the
 drained-ring analogue of a socket EOF; a rank that crashes is detected
 by the launcher, which aborts the world through the control pipes.
@@ -73,11 +78,11 @@ import os
 import pickle
 import secrets
 import select
-import socket
 import struct
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.comm.backend import mark_backend_unavailable, register_backend
 from repro.comm.mailbox import Mailbox, MailboxClosed
@@ -85,14 +90,15 @@ from repro.comm.message import Message
 from repro.comm.process_backend import (
     _HEADER_LEN,
     MeshEndpoint,
+    MeshPlan,
     ProcessBackend,
-    _rendezvous,
     pack_frame,
     payload_finish,
     payload_scratch,
+    reject_unknown_opts,
 )
 
-__all__ = ["ShmBackend", "ShmEndpoint", "DEFAULT_RING_BYTES", "segment_name"]
+__all__ = ["DEFAULT_RING_BYTES", "ring_plan", "segment_name"]
 
 logger = logging.getLogger(__name__)
 
@@ -188,8 +194,8 @@ class _Doorbell:
     def close(self) -> None:
         """Release the launcher's fds after the world has ended.
 
-        Only the launcher calls this (in ``_cleanup_world``, once every
-        rank has been joined) — rank processes never close their forked
+        Only the launcher calls this (:meth:`_RingSession.close`, once
+        every rank has been joined) — rank processes never close their forked
         duplicates, because a half-closed doorbell would turn a late
         wakeup into an EBADF race; the OS reclaims theirs at exit.
         """
@@ -568,7 +574,7 @@ class _FrameParser:
 
 
 # ---------------------------------------------------------------------------
-# the endpoint
+# the ring link, the inbound pump and their mailbox
 # ---------------------------------------------------------------------------
 class _PumpingMailbox(Mailbox):
     """Mailbox whose blocked receivers drive ring progress themselves.
@@ -578,20 +584,20 @@ class _PumpingMailbox(Mailbox):
     thread wake-ups (and two GIL handoffs) per message; the raw ring
     round-trips in ~10 us, the layered path in ~150.  Work stealing
     removes the middleman: a receiver that would block first tries to
-    take the endpoint's pump lock and drain the rings *in its own
-    context*, so the common lockstep pattern (every rank blocked in
-    ``recv``) runs producer-to-consumer with a single wake-up.  The
-    transport has no progress thread at all: every place a thread would
-    otherwise idle pumps instead — blocked receives here, blocked sends
-    in :meth:`ShmEndpoint._write_all` (which also breaks the
+    take the pump lock and drain the rings *in its own context*, so the
+    common lockstep pattern (every rank blocked in ``recv``) runs
+    producer-to-consumer with a single wake-up.  The transport has no
+    progress thread at all: every place a thread would otherwise idle
+    pumps instead — blocked receives here, blocked sends in
+    :meth:`_RingLink._write_all` (which also breaks the
     mutual-full-ring deadlock of two ranks sending at once), and
     :meth:`poll` / :meth:`probe` opportunistically, so poll loops
     observe arrivals without a background drainer.
     """
 
-    def __init__(self, owner_rank: int, channel: str, endpoint: "ShmEndpoint") -> None:
+    def __init__(self, owner_rank: int, channel: str, pump: "_RingPump") -> None:
         super().__init__(owner_rank, channel)
-        self._endpoint = endpoint
+        self._pump = pump
 
     def get(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None):
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -611,143 +617,169 @@ class _PumpingMailbox(Mailbox):
                     f"rank {self.owner_rank}/{self.channel}: timed out waiting "
                     f"for message from source={source} tag={tag}"
                 )
-            self._endpoint._progress_or_wait(self, source, tag, remaining)
+            self._pump._progress_or_wait(self, source, tag, remaining)
 
     def poll(self, source: int = -1, tag: int = -1):
         msg = super().poll(source, tag)
-        if msg is None and self._endpoint._try_pump():
+        if msg is None and self._pump._try_pump():
             msg = super().poll(source, tag)
         return msg
 
     def probe(self, source: int = -1, tag: int = -1) -> bool:
         if super().probe(source, tag):
             return True
-        return self._endpoint._try_pump() and super().probe(source, tag)
+        return self._pump._try_pump() and super().probe(source, tag)
 
 
-class ShmEndpoint(MeshEndpoint):
-    """One rank's view of the shared-memory ring mesh.
+class _RingLink:
+    """The byte pipe to one same-host peer: the outbound ring.
 
-    Inbound rings (one per peer, created by this rank) are drained by
-    whichever thread holds the *pump lock* — a blocked receiver, a
-    sender waiting out a full ring, or a ``poll``/``probe`` caller (see
-    :class:`_PumpingMailbox`; there is no background progress thread to
-    wake or hand the GIL to).  Outbound rings (attached) are written
-    directly by whichever thread calls :meth:`deliver`, serialised by a
-    per-ring lock (the rings are SPSC — the lock makes this *process*
-    the single producer even when the app, library and activation
-    threads send concurrently).  Ring capacity bounds the in-flight
-    bytes per pair: a sender outrunning a never-receiving peer
-    eventually blocks on its ring, the same backpressure a socket
-    transport gets from full kernel buffers.
+    Written directly by whichever thread calls
+    :meth:`MeshEndpoint.deliver`, serialised by the send lock (the rings
+    are SPSC — the lock makes this *process* the single producer even
+    when the app, library and activation threads send concurrently).
+    Ring capacity bounds the in-flight bytes per pair: a sender
+    outrunning a never-receiving peer eventually blocks on its ring, the
+    same backpressure a socket link gets from full kernel buffers.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        world_size: int,
-        channels: Sequence[str],
-        data_events: Sequence,
-        space_events: Sequence,
-    ) -> None:
-        #: Serialises ring consumption, parser state and parking across
-        #: stealing receivers (set before ``super().__init__`` — it
-        #: creates the pumping mailboxes).
-        self._pump_lock = threading.Lock()
-        self._finished: set[int] = set()
-        self._detached = False
-        super().__init__(rank, world_size, channels)
-        #: ``data_events[r]`` wakes rank ``r``'s parked consumers when
-        #: its rings gain data; ours is ``data_events[rank]``.
-        self._data_events = list(data_events)
-        self._data_event = self._data_events[rank]
-        #: ``space_events[r]`` wakes rank ``r`` blocked on a full ring.
-        self._space_events = list(space_events)
-        self._spin = _spin_iterations(world_size)
-        self._inbound: Dict[int, _Ring] = {}
-        self._outbound: Dict[int, _Ring] = {}
-        self._send_locks: Dict[int, threading.Lock] = {}
-        self._parsers: Dict[int, _FrameParser] = {}
-
-    # ----------------------------------------------------------- plumbing
-    def _make_mailbox(self, rank: int, channel: str) -> Mailbox:
-        return _PumpingMailbox(rank, channel, self)
-
-    def attach_inbound(self, peer: int, ring: _Ring) -> None:
-        self._inbound[peer] = ring
-        self._parsers[peer] = _FrameParser()
-
-    def attach_outbound(self, peer: int, ring: _Ring) -> None:
-        self._outbound[peer] = ring
-        self._send_locks[peer] = threading.Lock()
+    def __init__(self, pump: "_RingPump", peer: int, ring: _Ring) -> None:
+        self._pump = pump
+        self._peer = peer
+        self._ring = ring
+        self._send_lock = threading.Lock()
 
     # --------------------------------------------------------------- send
-    def _send_frame(self, message: Message, channel: str) -> None:
-        dest = message.dest
-        ring = self._outbound.get(dest)
-        if ring is None:
-            return
+    def send(self, message: Message, channel: str) -> None:
         head, body = pack_frame(message, channel)
         # One buffer for length prefix + header, and exactly ONE doorbell
         # per frame, after the last byte: ringing per chunk would wake
         # (and, on a loaded machine, preempt into) the consumer up to
         # three times per message — mid-frame, with nothing parseable.
         prefix = _HEADER_LEN.pack(len(head)) + head
-        with self._send_locks[dest]:
-            delivered = self._write_all(dest, ring, memoryview(prefix))
+        with self._send_lock:
+            delivered = self._write_all(memoryview(prefix))
             if delivered and len(body):
                 delivered = self._write_all(
-                    dest, ring, body if isinstance(body, memoryview) else memoryview(body)
+                    body if isinstance(body, memoryview) else memoryview(body)
                 )
-            if delivered and ring.consumer_waiting:
-                self._data_events[dest].ring()
+            if delivered and self._ring.consumer_waiting:
+                self._pump._data_events[self._peer].ring()
 
-    def _write_all(self, dest: int, ring: _Ring, view: memoryview) -> bool:
+    def _write_all(self, view: memoryview) -> bool:
         """Stream ``view`` into the ring, spin-then-event on a full ring.
 
         Returns ``False`` when the peer departed (the remainder of the
         frame evaporates, mirroring a socket send hitting EPIPE) and
-        raises :class:`MailboxClosed` when *this* endpoint was aborted
+        raises :class:`MailboxClosed` when the endpoint was aborted
         while blocked.
         """
+        pump, ring, dest = self._pump, self._ring, self._peer
+        endpoint = pump._endpoint
         offset = 0
         total = len(view)
         spins = 0
         while offset < total:
             if ring.consumer_closed:
-                self._departed.add(dest)
+                endpoint._departed.add(dest)
                 return False
             wrote = ring.write_some(view[offset:])
             if wrote:
                 offset += wrote
                 spins = 0
                 continue
-            if self._closed:
+            if endpoint._closed:
                 raise MailboxClosed(
-                    f"rank {self.rank}: endpoint closed while sending to {dest}"
-                    + (f" ({self._abort_reason})" if self._abort_reason else "")
+                    f"rank {endpoint.rank}: endpoint closed while sending to {dest}"
+                    + (f" ({endpoint._abort_reason})" if endpoint._abort_reason else "")
                 )
             # The ring is full: the consumer must drain before more fits,
             # so this is the one mid-frame point that must wake it.
             if ring.consumer_waiting:
-                self._data_events[dest].ring()
+                pump._data_events[dest].ring()
             # Pump our own inbound rings while starved: two ranks
             # flooding each other would otherwise deadlock on two full
             # rings with both app threads stuck in send.
-            if self._try_pump():
+            if pump._try_pump():
                 continue
             spins += 1
-            if spins <= self._spin:
+            if spins <= pump._spin:
                 time.sleep(0)  # yield: the consumer needs this CPU
                 continue
             # Event fallback: flag, re-check, sleep a bounded slice.
             ring.set_producer_waiting(True)
             try:
-                if ring.writable() == 0 and not ring.consumer_closed and not self._closed:
-                    self._space_events[self.rank].wait(_WAIT_SLICE)
+                if ring.writable() == 0 and not ring.consumer_closed and not endpoint._closed:
+                    pump._space_events[endpoint.rank].wait(_WAIT_SLICE)
             finally:
                 ring.set_producer_waiting(False)
         return True
+
+    # -------------------------------------------------------------- close
+    def shutdown(self) -> None:
+        """Set ``pclosed`` (the drained-ring EOF) and wake a parked consumer."""
+        try:
+            self._ring.close_producer()
+            if self._ring.consumer_waiting:
+                self._pump._data_events[self._peer].ring()
+        except TypeError:  # pragma: no cover - already detached
+            pass
+
+    def join(self) -> None:
+        """Nothing to wait for: a ring has no receiver thread, and its
+        mapping is released with all the others (:meth:`_RingPump.release`)."""
+
+
+class _RingPump:
+    """The inbound half of a rank's ring pairs (present iff it has one).
+
+    Inbound rings (one per ring peer, created by this rank) are drained
+    by whichever thread holds the *pump lock* — a blocked receiver, a
+    sender waiting out a full ring, or a ``poll``/``probe`` caller (see
+    :class:`_PumpingMailbox`; there is no background progress thread to
+    wake or hand the GIL to).
+    """
+
+    def __init__(self, endpoint: MeshEndpoint, session: "_RingSession") -> None:
+        self._endpoint = endpoint
+        self._session = session
+        #: Serialises ring consumption, parser state and parking across
+        #: stealing receivers.
+        self._pump_lock = threading.Lock()
+        self._finished: set[int] = set()
+        self._detached = False
+        #: ``data_events[r]`` wakes rank ``r``'s parked consumers when
+        #: its rings gain data; ours is ``data_events[rank]``.
+        self._data_events = session.data_events
+        self._data_event = session.data_events[endpoint.rank]
+        #: ``space_events[r]`` wakes rank ``r`` blocked on a full ring.
+        self._space_events = session.space_events
+        self._spin = _spin_iterations(endpoint.world_size)
+        self._inbound: Dict[int, _Ring] = {}
+        self._parsers: Dict[int, _FrameParser] = {}
+
+    # ----------------------------------------------------------- plumbing
+    def make_mailbox(self, channel: str) -> Mailbox:
+        return _PumpingMailbox(self._endpoint.rank, channel, self)
+
+    def create_inbound(self, peer: int) -> None:
+        """Create the ring ``peer`` will send to this rank through."""
+        session, rank = self._session, self._endpoint.rank
+        ring = _Ring.create(segment_name(session.name, peer, rank), session.ring_bytes)
+        self._inbound[peer] = ring
+        self._parsers[peer] = _FrameParser()
+
+    def connect(self, peer: int) -> _RingLink:
+        """Attach ``peer``'s inbound ring (it exists: the rendezvous
+        barrier has passed) as this rank's outbound link."""
+        session, rank = self._session, self._endpoint.rank
+        ring = _Ring.attach(segment_name(session.name, rank, peer), session.ring_bytes)
+        return _RingLink(self, peer, ring)
+
+    def notify(self) -> None:
+        """Wake a consumer parked on the data doorbell (a socket
+        receiver thread delivered a frame)."""
+        self._data_event.ring()
 
     # ----------------------------------------------------------- receive
     def _pump_once(self) -> bool:
@@ -759,6 +791,7 @@ class ShmEndpoint(MeshEndpoint):
         progressed = False
         if self._detached:
             return False
+        endpoint = self._endpoint
         unpack = _U64.unpack_from
         for peer, ring in self._inbound.items():
             if peer in self._finished:
@@ -774,7 +807,7 @@ class ShmEndpoint(MeshEndpoint):
                     # mid-frame: the peer crashed; the launcher aborts
                     # the world, we just stop reading this ring.
                     self._finished.add(peer)
-                    self._departed.add(peer)
+                    endpoint._departed.add(peer)
                 continue
             parser = self._parsers[peer]
             try:
@@ -785,14 +818,14 @@ class ShmEndpoint(MeshEndpoint):
                     message, channel = outcome
                     progressed = True
                     try:
-                        self.mailbox(self.rank, channel).put(message)
+                        endpoint.mailbox(endpoint.rank, channel).put(message)
                     except MailboxClosed:
                         return progressed  # aborted while delivering
             except (pickle.UnpicklingError, EOFError, ValueError) as exc:
                 # The stream is unreadable but both processes live — the
                 # launcher cannot see this, so wake the local rank ourselves.
-                if not self._closed:
-                    self.abort(f"corrupted stream from rank {peer}: {exc}")
+                if not endpoint._closed:
+                    endpoint.abort(f"corrupted stream from rank {peer}: {exc}")
                 return progressed
             if _U32.unpack_from(buf, _OFF_PWAIT)[0]:
                 self._space_events[peer].ring()
@@ -811,7 +844,7 @@ class ShmEndpoint(MeshEndpoint):
         for ring in rings:
             pack(ring._buf, _OFF_CWAIT, 1)  # noqa: SLF001
         try:
-            if not self._closed and not any(
+            if not self._endpoint._closed and not any(
                 unpack(ring._buf, _OFF_TAIL)[0] != unpack(ring._buf, _OFF_HEAD)[0]
                 for ring in rings
             ):
@@ -851,7 +884,7 @@ class ShmEndpoint(MeshEndpoint):
             try:
                 if self._pump_once():
                     return
-                if self._closed or len(self._finished) == len(self._inbound):
+                if self._endpoint._closed or len(self._finished) == len(self._inbound):
                     # Nothing will ever arrive from the rings (every
                     # peer departed, or P=1); wait below, off the lock.
                     rings_drained = True
@@ -878,12 +911,9 @@ class ShmEndpoint(MeshEndpoint):
                     mailbox._cond.wait(min(slice_seconds, 0.002))
 
     # -------------------------------------------------------------- close
-    def _shutdown_transport(self) -> None:
-        for ring in self._outbound.values():
-            try:
-                ring.close_producer()
-            except TypeError:  # pragma: no cover - already detached
-                pass
+    def shutdown(self) -> None:
+        """Set ``cclosed`` on the inbound rings (writes to this rank now
+        evaporate) and wake everything sleeping on them."""
         for ring in self._inbound.values():
             try:
                 ring.close_consumer()
@@ -891,29 +921,29 @@ class ShmEndpoint(MeshEndpoint):
                 pass
         # Wake anything sleeping on our events so teardown is prompt.
         self._data_event.ring()
-        self._space_events[self.rank].ring()
-        for peer, ring in self._outbound.items():
-            if ring.consumer_waiting:
-                self._data_events[peer].ring()
+        self._space_events[self._endpoint.rank].ring()
         for peer, ring in self._inbound.items():
             if ring.producer_waiting:
                 self._space_events[peer].ring()
 
-    def _join_receivers(self) -> None:
+    def release(self) -> None:
         """Release the shared-memory mappings exactly once.
 
         Taking the pump lock and every send lock first guarantees no
         thread is mid-access on a ring; late pump attempts see
         ``_detached`` and no-op, late sends see ``_closed`` and raise.
         """
-        locks = [self._pump_lock, *self._send_locks.values()]
+        links = [
+            link for link in self._endpoint._links.values() if isinstance(link, _RingLink)
+        ]
+        locks = [self._pump_lock, *(link._send_lock for link in links)]
         for lock in locks:
             lock.acquire()
         try:
             if self._detached:
                 return
             self._detached = True
-            for ring in list(self._inbound.values()) + list(self._outbound.values()):
+            for ring in [*self._inbound.values(), *(link._ring for link in links)]:
                 ring.detach()
         finally:
             for lock in reversed(locks):
@@ -921,114 +951,45 @@ class ShmEndpoint(MeshEndpoint):
 
 
 # ---------------------------------------------------------------------------
-# mesh establishment (runs inside each rank process)
+# launcher side: the session's resources and the plan
 # ---------------------------------------------------------------------------
-def _build_shm_mesh(
-    rank: int,
-    world_size: int,
-    channels: Sequence[str],
-    rendezvous_addr: Tuple[str, int],
-    session: str,
-    ring_bytes: int,
-    data_events: Sequence,
-    space_events: Sequence,
-) -> ShmEndpoint:
-    endpoint = ShmEndpoint(rank, world_size, channels, data_events, space_events)
-    if world_size == 1:
-        return endpoint
+class _RingSession:
+    """Launcher-side resources of a world in which some pair rides a ring.
 
-    # Create this rank's inbound rings, then rendezvous: the seed's
-    # collect-and-broadcast doubles as the "every segment exists"
-    # barrier, so attaching below can never race a missing segment.
-    for peer in range(world_size):
-        if peer != rank:
-            endpoint.attach_inbound(
-                peer, _Ring.create(segment_name(session, peer, rank), ring_bytes)
-            )
-    _rendezvous(rank, world_size, rendezvous_addr, "ready")
-    for peer in range(world_size):
-        if peer != rank:
-            endpoint.attach_outbound(
-                peer, _Ring.attach(segment_name(session, rank, peer), ring_bytes)
-            )
-    return endpoint
-
-
-# ---------------------------------------------------------------------------
-# the backend (launcher side)
-# ---------------------------------------------------------------------------
-class ShmBackend(ProcessBackend):
-    """One OS process per rank over shared-memory SPSC rings.
-
-    Inherits the fork/monitor/abort launcher of
-    :class:`~repro.comm.process_backend.ProcessBackend` wholesale; only
-    the transport hooks differ — allocate the session namespace and the
-    per-rank events before forking, hand each worker the shm mesh
-    builder, and unlink every segment afterwards.
+    The session namespace of the segment names, one data and one space
+    doorbell per rank, and the segment hygiene: :meth:`__init__` first
+    sweeps what crashed earlier runs leaked, :meth:`close` — called from
+    the ``finally`` of :meth:`ProcessBackend.run` on every exit path —
+    unlinks every segment of this world and closes the doorbell fds.
+    Handed to the rank processes inside the plan (fork inherits the
+    doorbell fds, spawn ships duplicates, see :class:`_Doorbell`).
     """
 
-    name = "shm"
-
-    def _setup_world(self, ctx, world_size: int, opts: Dict[str, Any]) -> Dict[str, Any]:
-        opts = dict(opts)
-        ring_bytes = int(opts.pop("ring_bytes", DEFAULT_RING_BYTES))
-        if ring_bytes < MIN_RING_BYTES:
-            raise ValueError(
-                f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
-            )
-        setup = super()._setup_world(ctx, world_size, opts)
+    def __init__(self, world_size: int, ring_bytes: int) -> None:
         sweep_stale_segments()
-        session = _session_name()
-        setup.update(
-            session=session,
-            ring_bytes=ring_bytes,
-            world_size=world_size,
-            data_events=[_Doorbell() for _ in range(world_size)],
-            space_events=[_Doorbell() for _ in range(world_size)],
-            sweep=_register_session_sweep(session, world_size),
-        )
-        return setup
+        self.name = _session_name()
+        self.world_size = world_size
+        self.ring_bytes = ring_bytes
+        self.data_events = [_Doorbell() for _ in range(world_size)]
+        self.space_events = [_Doorbell() for _ in range(world_size)]
+        # Covers the launcher dying between segment creation and the
+        # ``finally`` that calls close() (e.g. a KeyboardInterrupt in a
+        # signal-unsafe spot).
+        atexit.register(self.sweep)
 
-    def _mesh_builder(self) -> Callable[..., MeshEndpoint]:
-        return _build_shm_mesh
+    def pump(self, endpoint: MeshEndpoint) -> _RingPump:
+        """The inbound-ring component of one rank of this world."""
+        return _RingPump(endpoint, self)
 
-    def _mesh_args(self, setup: Dict[str, Any], rank: int) -> Tuple[Any, ...]:
-        return (
-            setup["addr"],
-            setup["session"],
-            setup["ring_bytes"],
-            setup["data_events"],
-            setup["space_events"],
-        )
-
-    def _cleanup_world(self, setup: Dict[str, Any]) -> None:
-        sweep = setup.get("sweep")
-        if sweep is not None:
-            sweep()
-            atexit.unregister(sweep)
-        # Close the launcher's doorbell fds (4 per rank): every rank has
-        # exited by now, and without this each run() would leak them.
-        for bell in setup.get("data_events", ()) + setup.get("space_events", ()):
-            bell.close()
-
-
-def _register_session_sweep(session: str, world_size: int) -> Callable[[], None]:
-    """An idempotent unlink-everything sweep, also armed via ``atexit``.
-
-    The ``finally`` in :meth:`ProcessBackend.run` calls it on every exit
-    path; the ``atexit`` registration covers the launcher dying between
-    segment creation and that ``finally`` (e.g. a KeyboardInterrupt in
-    a signal-unsafe spot).
-    """
-
-    def sweep() -> None:
-        for source in range(world_size):
-            for dest in range(world_size):
+    def sweep(self) -> None:
+        """Unlink every segment of this session (idempotent)."""
+        for source in range(self.world_size):
+            for dest in range(self.world_size):
                 if source == dest:
                     continue
                 try:
                     segment = _open_segment(
-                        segment_name(session, source, dest), create=False
+                        segment_name(self.name, source, dest), create=False
                     )
                 except (FileNotFoundError, OSError):
                     continue
@@ -1038,8 +999,37 @@ def _register_session_sweep(session: str, world_size: int) -> Callable[[], None]
                 except OSError:  # pragma: no cover - concurrent unlink
                     pass
 
-    atexit.register(sweep)
-    return sweep
+    def close(self) -> None:
+        self.sweep()
+        atexit.unregister(self.sweep)
+        # Close the launcher's doorbell fds (4 per rank): every rank has
+        # exited by now, and without this each run() would leak them.
+        for bell in self.data_events + self.space_events:
+            bell.close()
+
+
+def ring_plan(
+    name: str, hosts: Tuple[int, ...], opts: Dict[str, Any], **fields: Any
+) -> MeshPlan:
+    """The ``name`` backend's plan: pairs on one ``hosts`` label ride rings.
+
+    Pops ``ring_bytes``, rejects what is left of ``opts``, and allocates
+    the launcher-side :class:`_RingSession` iff some pair shares a label.
+    """
+    ring_bytes = int(opts.pop("ring_bytes", DEFAULT_RING_BYTES))
+    if ring_bytes < MIN_RING_BYTES:
+        raise ValueError(
+            f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
+        )
+    reject_unknown_opts(name, opts)
+    has_ring_pair = len(set(hosts)) < len(hosts)
+    rings = _RingSession(len(hosts), ring_bytes) if has_ring_pair else None
+    return MeshPlan(hosts=hosts, rings=rings, **fields)
+
+
+def _shm_plan(world_size: int, opts: Dict[str, Any]) -> MeshPlan:
+    """``shm``: launcher-local seed, a ring for every pair."""
+    return ring_plan("shm", (0,) * world_size, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1037,7 @@ def _register_session_sweep(session: str, world_size: int) -> Callable[[], None]
 # ---------------------------------------------------------------------------
 _UNAVAILABLE_REASON = _probe()
 if _UNAVAILABLE_REASON is None:
-    register_backend("shm")(ShmBackend)
+    register_backend("shm")(partial(ProcessBackend, "shm", _shm_plan))
 else:  # pragma: no cover - exercised only on platforms without shm
     logger.info(
         "shm comm backend disabled on this platform: %s", _UNAVAILABLE_REASON

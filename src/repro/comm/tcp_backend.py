@@ -2,8 +2,9 @@
 
 The ``process`` backend's world is born from one launcher: every rank is
 a child of the same process and the rendezvous address is whatever the
-launcher bound.  This backend keeps the exact same data plane (full TCP
-mesh, frames from :mod:`repro.comm.process_backend`) but makes the
+launcher bound.  The ``tcp`` plan keeps the exact same data plane (a
+socket for every pair, launcher and frames from
+:mod:`repro.comm.process_backend`) but makes the
 rendezvous *explicit*: ranks meet at a **seed address** given by the
 caller (``backend_opts={"seed_addr": "host:port"}`` or the
 ``REPRO_SEED_ADDR`` environment variable), which is what lets several
@@ -52,7 +53,7 @@ Options
     Interface for this launcher's rank data listeners (default
     ``127.0.0.1``).
 ``start_method``
-    Inherited from the process launcher: ``fork`` (default where
+    The process launcher's: ``fork`` (default where
     available) or ``spawn`` (pickled entry points; the SPMD function
     must then be a module-level callable).
 """
@@ -60,12 +61,13 @@ Options
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Any, Dict, Tuple
 
 from repro.comm.backend import register_backend
-from repro.comm.process_backend import ProcessBackend, _RendezvousService
+from repro.comm.process_backend import MeshPlan, ProcessBackend, reject_unknown_opts
 
-__all__ = ["TcpBackend", "SEED_ADDR_ENV_VAR"]
+__all__ = ["SEED_ADDR_ENV_VAR"]
 
 #: Environment variable naming the seed address (``host:port``).
 SEED_ADDR_ENV_VAR = "REPRO_SEED_ADDR"
@@ -87,59 +89,40 @@ def _parse_addr(value: Any) -> Tuple[str, int]:
     )
 
 
-@register_backend("tcp")
-class TcpBackend(ProcessBackend):
-    """Socket mesh whose ranks rendezvous at a caller-provided seed."""
+def _tcp_plan(world_size: int, opts: Dict[str, Any]) -> MeshPlan:
+    """``tcp``: a socket for every pair; the ranks meet at a caller-named
+    seed (or a launcher-local one) and this launcher spawns ``local_ranks``."""
+    seed = opts.pop("seed_addr", None)
+    if seed is None:
+        seed = os.environ.get(SEED_ADDR_ENV_VAR) or None
+    local_ranks = opts.pop("local_ranks", None)
+    bind_host = str(opts.pop("bind_host", "127.0.0.1"))
+    reject_unknown_opts("tcp", opts)
 
-    name = "tcp"
-
-    def _setup_world(self, ctx, world_size: int, opts: Dict[str, Any]) -> Dict[str, Any]:
-        opts = dict(opts)
-        seed = opts.pop("seed_addr", None)
+    local = None
+    if local_ranks is not None:
+        local = sorted({int(r) for r in local_ranks})
+        if not local:
+            raise ValueError(f"local_ranks must name at least one rank, got {local_ranks!r}")
+        bad = [r for r in local if not 0 <= r < world_size]
+        if bad:
+            raise ValueError(
+                f"local_ranks {bad} out of range for world of size {world_size}"
+            )
         if seed is None:
-            seed = os.environ.get(SEED_ADDR_ENV_VAR) or None
-        local_ranks = opts.pop("local_ranks", None)
-        bind_host = str(opts.pop("bind_host", "127.0.0.1"))
-        self._reject_unknown_opts(opts)
+            raise ValueError(
+                f"multi-launcher mode (local_ranks={local!r}) requires an "
+                f"explicit seed_addr shared by every launcher "
+                f"(backend opt or ${SEED_ADDR_ENV_VAR})"
+            )
+    return MeshPlan(
+        hosts=tuple(range(world_size)),
+        # No seed named: an ephemeral loopback one, exactly the process
+        # backend's behaviour (a world of one never rendezvouses).
+        seed_addr=None if seed is None or world_size == 1 else _parse_addr(seed),
+        local_ranks=local,
+        bind_host=bind_host,
+    )
 
-        if local_ranks is None:
-            local = list(range(world_size))
-        else:
-            local = sorted({int(r) for r in local_ranks})
-            if not local:
-                raise ValueError(f"local_ranks must name at least one rank, got {local_ranks!r}")
-            bad = [r for r in local if not 0 <= r < world_size]
-            if bad:
-                raise ValueError(
-                    f"local_ranks {bad} out of range for world of size {world_size}"
-                )
-            if seed is None:
-                raise ValueError(
-                    f"multi-launcher mode (local_ranks={local!r}) requires an "
-                    f"explicit seed_addr shared by every launcher "
-                    f"(backend opt or ${SEED_ADDR_ENV_VAR})"
-                )
 
-        service = None
-        if world_size == 1:
-            addr = None
-        elif seed is None:
-            # Single-launcher, no seed named: an ephemeral loopback seed,
-            # exactly the process backend's behaviour.
-            service = _RendezvousService(world_size)
-            addr = service.addr
-        else:
-            addr = _parse_addr(seed)
-            if 0 in local:
-                # The launcher owning rank 0 owns the seed.
-                service = _RendezvousService(world_size, addr)
-                addr = service.addr
-        return {
-            "service": service,
-            "addr": addr,
-            "local_ranks": local,
-            "bind_host": bind_host,
-        }
-
-    def _mesh_args(self, setup: Dict[str, Any], rank: int) -> Tuple[Any, ...]:
-        return (setup["addr"], setup["bind_host"])
+register_backend("tcp")(partial(ProcessBackend, "tcp", _tcp_plan))

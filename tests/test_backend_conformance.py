@@ -10,17 +10,24 @@ transport (or a regression in an existing one) is caught by a single
 suite; the shm-based transports (``shm`` and the hierarchical ``hier``)
 are skip-marked on platforms whose capability probe rejected them (no
 POSIX shared memory / no fork).  The ``tcp`` backend runs here in its
-single-launcher shape (ephemeral loopback seed); ``hier`` runs under its
-default single-host topology, so the conformance contract covers its
-pure-shm fast path while the dedicated multi-host tests exercise the
-mixed fabric.
+single-launcher shape (ephemeral loopback seed) and ``hier`` under its
+default single-host topology; :class:`TestMixedFabric` adds the
+topologies that mix rings and sockets and the two-launcher ``tcp``
+world, and :class:`TestFailures` the hard-crash hygiene contract.
 
 The pickle-safety tests are part of the contract: payloads and results
 cross a process boundary on the socket transport, so everything a rank
 sends or returns must survive a pickle round-trip.
 """
 
+import gc
+import json
+import multiprocessing
+import os
 import pickle
+import socket
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -454,6 +461,166 @@ class TestCollectives:
 
 
 # ---------------------------------------------------------------------------
+# mixed fabric: rings and sockets in one world, two launchers in one world
+# ---------------------------------------------------------------------------
+#: ``(world size, host_topology)``: two hosts of two ranks (every rank has
+#: a ring peer and two socket peers), a rank alone on its host beside a
+#: ring pair, and one host per rank (all sockets).
+_MIXED_TOPOLOGIES = [(4, "0,0,1,1"), (3, "0,0,1"), (2, "0,1")]
+
+#: One launcher of a two-launcher ``tcp`` world: ``argv = [seed, ranks]``.
+_TCP_LAUNCHER_SCRIPT = """
+import json, sys
+import numpy as np
+from repro.comm import launch
+
+def worker(comm):
+    from repro.collectives.sync import allreduce
+    return float(allreduce(comm, np.full(8, comm.rank + 1.0))[0])
+
+print(json.dumps(launch(
+    worker, 4, backend="tcp", timeout=90,
+    backend_opts={"seed_addr": sys.argv[1],
+                  "local_ranks": [int(r) for r in sys.argv[2].split(",")]},
+)))
+"""
+
+
+def _barrier_failure_worker(comm):
+    if comm.rank == 0:
+        raise RuntimeError("early exit")
+    comm.barrier(timeout=60)
+    return comm.rank
+
+
+def _hard_crash_worker(comm):
+    """Rank 1 dies without reporting while rank 0 is mid-send to it (a
+    payload larger than the ring) and the others wait on it."""
+    if comm.rank == 1:
+        comm.recv(source=0, tag=1, timeout=60)
+        os._exit(7)
+    if comm.rank == 0:
+        comm.send("go", 1, tag=1)
+        for _ in range(8):
+            comm.send(np.zeros(1 << 19), 1, tag=2)  # 4 MB each, never received
+    comm.recv(source=1, tag=99, timeout=60)
+
+
+class TestMixedFabric:
+    @pytest.fixture(params=_MIXED_TOPOLOGIES, ids=[spec for _, spec in _MIXED_TOPOLOGIES])
+    def fabric(self, request):
+        _skip_if_unavailable("hier")
+        size, spec = request.param
+        return size, {"host_topology": spec}
+
+    def test_ring_of_sends(self, fabric):
+        size, opts = fabric
+        assert launch(_ring_worker, size, backend="hier", backend_opts=opts) == [
+            float((r - 1) % size) for r in range(size)
+        ]
+
+    def test_tag_matching_out_of_order(self, fabric):
+        def worker(comm):
+            if comm.rank == 0:
+                for peer in range(1, comm.size):
+                    comm.send("first", peer, tag=7)
+                    comm.send("second", peer, tag=8)
+                return None
+            second = comm.recv(source=0, tag=8, timeout=30)
+            first = comm.recv(source=0, tag=7, timeout=30)
+            return (first, second)
+
+        size, opts = fabric
+        assert launch(worker, size, backend="hier", backend_opts=opts)[1:] == [
+            ("first", "second")
+        ] * (size - 1)
+
+    def test_payload_larger_than_ring_crosses_both_link_kinds(self, fabric):
+        n = 1 << 19  # 4 MB of float64 through 64 KiB rings and the sockets
+
+        def worker(comm):
+            # Every rank sends at once: under "0,0,1,1" the ring of sends
+            # alternates ring, socket, ring, socket.
+            data = np.arange(n, dtype=np.float64) + comm.rank
+            comm.send(data, (comm.rank + 1) % comm.size, tag=1)
+            src = (comm.rank - 1) % comm.size
+            got = comm.recv(source=src, tag=1, timeout=60)
+            return bool(np.array_equal(got, np.arange(n, dtype=np.float64) + src))
+
+        size, opts = fabric
+        assert all(
+            launch(
+                worker, size, backend="hier", timeout=120,
+                backend_opts={**opts, "ring_bytes": 64 * 1024},
+            )
+        )
+
+    def test_hierarchical_allreduce(self, fabric):
+        size, opts = fabric
+        assert launch(
+            _allreduce_worker, size, "hierarchical", backend="hier", backend_opts=opts
+        ) == [float(size * (size + 1) // 2)] * size
+
+    def test_dynamic_subchannel(self, fabric):
+        def worker(comm):
+            bucket = comm.dup("lib.bucket3")
+            if comm.rank == 0:
+                for peer in range(1, comm.size):
+                    bucket.send(np.arange(4.0), peer, tag=1)
+                return None
+            return float(bucket.recv(source=0, tag=1, timeout=30)[2])
+
+        size, opts = fabric
+        assert launch(worker, size, backend="hier", backend_opts=opts)[1:] == [
+            2.0
+        ] * (size - 1)
+
+    def test_endpoint_exposes_the_topology(self, fabric):
+        size, opts = fabric
+        expected = tuple(int(h) for h in opts["host_topology"].split(","))
+        assert launch(
+            lambda comm: comm.router.host_topology.host_of, size,
+            backend="hier", backend_opts=opts,
+        ) == [expected] * size
+
+    def test_failure_unblocks_barrier(self, fabric):
+        # The raising rank's peers are blocked behind both link kinds.
+        size, opts = fabric
+        with pytest.raises(WorldError) as excinfo:
+            launch(
+                _barrier_failure_worker, size, backend="hier",
+                backend_opts=opts, timeout=90,
+            )
+        assert isinstance(excinfo.value.failures[0], RuntimeError)
+
+    def test_two_tcp_launchers_join_one_world(self):
+        import repro
+
+        with socket.socket() as probe:  # a free port: bind 0, read it, close
+            probe.bind(("127.0.0.1", 0))
+            seed = f"127.0.0.1:{probe.getsockname()[1]}"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        launchers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _TCP_LAUNCHER_SCRIPT, seed, ranks],
+                stdout=subprocess.PIPE, env=env, text=True,
+            )
+            for ranks in ("0,1", "2,3")
+        ]
+        try:
+            outputs = [proc.communicate(timeout=120)[0] for proc in launchers]
+        finally:
+            for proc in launchers:
+                proc.kill()
+                proc.wait()
+        assert [proc.returncode for proc in launchers] == [0, 0]
+        # Each launcher sees results only for the ranks it owns.
+        assert json.loads(outputs[0]) == [10.0, 10.0, None, None]
+        assert json.loads(outputs[1]) == [None, None, 10.0, 10.0]
+
+
+# ---------------------------------------------------------------------------
 # failure contract
 # ---------------------------------------------------------------------------
 class TestFailures:
@@ -476,15 +643,60 @@ class TestFailures:
         assert "boom" in str(excinfo.value.failures[1])
 
     def test_failure_unblocks_barrier(self, backend):
-        def worker(comm):
-            if comm.rank == 0:
-                raise RuntimeError("early exit")
-            comm.barrier(timeout=60)
-            return comm.rank
-
         with pytest.raises(WorldError) as excinfo:
-            launch(worker, 2, backend=backend, timeout=90)
+            launch(_barrier_failure_worker, 2, backend=backend, timeout=90)
         assert isinstance(excinfo.value.failures[0], RuntimeError)
+
+    @pytest.mark.parametrize(
+        "name, opts",
+        [
+            ("process", {}),
+            ("shm", {"ring_bytes": 64 * 1024}),
+            ("tcp", {}),
+            ("hier", {"ring_bytes": 64 * 1024}),
+            ("hier", {"ring_bytes": 64 * 1024, "host_topology": "0,0,1,1"}),
+        ],
+        ids=["process", "shm", "tcp", "hier", "hier-0,0,1,1"],
+    )
+    def test_hard_crash_leaves_nothing_behind(self, name, opts):
+        """A rank that dies without reporting: prompt ``WorldError``, and
+        no segment, child process or launcher fd outlives the world."""
+        _skip_if_unavailable(name)
+        from repro.comm.process_backend import ProcessCrashError
+
+        def crashed_run():
+            start = time.monotonic()
+            with pytest.raises(WorldError) as excinfo:
+                launch(_hard_crash_worker, 4, backend=name, backend_opts=opts, timeout=90)
+            elapsed = time.monotonic() - start
+            # Checked here so the exception (whose traceback pins the
+            # launcher's frames, process sentinels included) dies with
+            # this frame instead of skewing the fd count below.
+            assert isinstance(excinfo.value.failures[1], ProcessCrashError)
+            return elapsed
+
+        def clean_run():
+            assert launch(
+                lambda comm: comm.rank, 4, backend=name, backend_opts=opts, timeout=90
+            ) == [0, 1, 2, 3]
+
+        def open_fds():
+            gc.collect()
+            return len(os.listdir("/proc/self/fd"))
+
+        clean_run()  # warm-up: lazy imports and caches open their fds once
+        fds_before = open_fds()
+        assert crashed_run() < 20.0
+        for _ in range(2):
+            crashed_run()
+        for _ in range(3):
+            clean_run()
+        assert [
+            f for f in os.listdir("/dev/shm")
+            if f.startswith(f"repro-shm-{os.getpid()}-")
+        ] == []
+        assert multiprocessing.active_children() == []
+        assert open_fds() == fds_before
 
 
 # ---------------------------------------------------------------------------

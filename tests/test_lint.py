@@ -88,15 +88,34 @@ def test_shm_create_with_unlink_passes():
 # ---------------------------------------------------------------------------
 # pickle-ndarray
 # ---------------------------------------------------------------------------
-def test_pickle_of_arrayish_name_fires_in_transports():
+#: Every module that frames payloads today (the rule must cover them all).
+_TRANSPORT_MODULES = sorted(
+    str(p) for p in (Path(__file__).parent.parent / "src/repro/comm").glob("*_backend.py")
+)
+
+
+def test_transport_modules_found():
+    assert any(p.endswith("process_backend.py") for p in _TRANSPORT_MODULES)
+
+
+@pytest.mark.parametrize("path", _TRANSPORT_MODULES, ids=lambda p: Path(p).name)
+def test_pickle_of_arrayish_name_fires_in_transports(path):
     findings = _lint(
         """
         def pack(payload):
             return pickle.dumps(payload)
         """,
-        "src/repro/comm/process_backend.py",
+        path,
     )
     assert [f.rule for f in findings] == ["pickle-ndarray"]
+
+
+def test_pickle_rule_skips_the_backend_registry():
+    findings = _lint(
+        "def pack(payload):\n    return pickle.dumps(payload)\n",
+        "src/repro/comm/backend.py",
+    )
+    assert findings == []
 
 
 def test_pickle_with_ndarray_dispatch_passes():
