@@ -807,6 +807,7 @@ def allreduce_recursive_doubling(
     timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
+    average: bool = False,
 ) -> np.ndarray:
     """Recursive-doubling allreduce (hypercube exchange).
 
@@ -860,6 +861,8 @@ def allreduce_recursive_doubling(
                 round_index += 1
 
     _fold_out(comm, flat, _tag, epoch, _PHASE_FOLD_OUT, n_chunks, timeout)
+    if average:
+        flat /= size
     return flat.reshape(acc.shape)
 
 
@@ -870,6 +873,7 @@ def allreduce_ring(
     timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
+    average: bool = False,
 ) -> np.ndarray:
     """Ring allreduce = ring reduce-scatter ∘ ring allgather, ``P - 1`` steps each.
 
@@ -895,6 +899,11 @@ def allreduce_ring(
             comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks, reduce_op,
             timeout,
         )
+    if average:
+        # This rank now owns chunk (rank + 1) % size fully reduced: divide
+        # it alone, the allgather circulates the quotients.
+        lo, hi = bounds[(comm.rank + 1) % size]
+        flat[lo:hi] /= size
     with _obs.span("ring-ag", "collective", steps=size - 1, n_chunks=n_chunks):
         _ring_allgather(
             comm, flat, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks, timeout
@@ -909,6 +918,7 @@ def allreduce_rabenseifner(
     timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
+    average: bool = False,
 ) -> np.ndarray:
     """Rabenseifner's allreduce (recursive halving + recursive doubling).
 
@@ -936,6 +946,11 @@ def allreduce_rabenseifner(
                 comm, flat, _tag, epoch, _PHASE_RABEN_RS, n_chunks, reduce_op,
                 timeout,
             )
+        if average:
+            lo, hi = _halving_window(
+                comm.rank, largest_power_of_two_leq(comm.size), flat.size
+            )
+            flat[lo:hi] /= comm.size
         with _obs.span("raben-ag", "collective"):
             _doubling_allgather(comm, flat, _tag, epoch, _PHASE_RABEN_AG, timeout)
     _fold_out(comm, flat, _tag, epoch, _PHASE_FOLD_OUT, n_chunks, timeout)
@@ -1034,6 +1049,7 @@ def allreduce_hierarchical(
     n_chunks: int = 1,
     copy: bool = True,
     topology: Optional[HostTopology] = None,
+    average: bool = False,
 ) -> np.ndarray:
     """Two-tier allreduce: intra-host reduce, leader ring, intra-host bcast.
 
@@ -1056,7 +1072,8 @@ def allreduce_hierarchical(
     topology = resolve_host_topology(comm, topology)
     if topology.is_single_host:
         return allreduce_ring(
-            comm, data, op=op, timeout=timeout, n_chunks=n_chunks, copy=copy
+            comm, data, op=op, timeout=timeout, n_chunks=n_chunks, copy=copy,
+            average=average,
         )
     epoch = _next_epoch(comm, "sync")
     reduce_op = get_op(op)
@@ -1086,6 +1103,8 @@ def allreduce_hierarchical(
         _intra_bcast(
             comm, flat, topology, _tag, epoch, _PHASE_HIER_BCAST, n_chunks, timeout
         )
+    if average:
+        flat /= comm.size
     return flat.reshape(acc.shape)
 
 
@@ -1173,7 +1192,10 @@ def allreduce(
     ----------
     average:
         If true, divide the reduced result by the world size (the form
-        needed by data-parallel SGD, line 6 of Algorithm 2).
+        needed by data-parallel SGD, line 6 of Algorithm 2).  The
+        reduce-scatter ∘ allgather algorithms (``ring``, ``rabenseifner``)
+        divide only the window each rank owns between their two phases —
+        the same division on the same sums, ``N / P`` of them per rank.
     n_chunks:
         Pipeline each communication round in this many segments so that
         reduction overlaps transmission (see the module docstring);
@@ -1190,8 +1212,7 @@ def allreduce(
         f"allreduce[{algorithm}]", "collective",
         nbytes=_obs.payload_nbytes(data), n_chunks=n_chunks,
     ):
-        result = impl(comm, data, op=op, timeout=timeout, n_chunks=n_chunks, copy=copy)
-    if average:
-        # The implementations return an owned buffer, so divide in place.
-        result /= comm.size
-    return result
+        return impl(
+            comm, data, op=op, timeout=timeout, n_chunks=n_chunks, copy=copy,
+            average=average,
+        )

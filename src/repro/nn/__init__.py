@@ -11,7 +11,10 @@ Conventions
 -----------
 * Layers subclass :class:`repro.nn.module.Module` and implement
   ``forward`` / ``backward``; the backward pass stores parameter gradients
-  in the module and returns the gradient with respect to its input.
+  in the module and returns the gradient with respect to its input — or
+  ``None`` where nobody reads it: a training loop says so once with
+  ``model.input_is_data()``, which clears ``needs_input_grad`` on the
+  model's entry layers.
 * Parameters and gradients are NumPy arrays addressed by hierarchical
   names (``"block1/conv/W"``); :mod:`repro.nn.parameters` flattens them to
   a single vector for allreduce and back.

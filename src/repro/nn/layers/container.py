@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from repro.nn.module import Module
+from repro.obs import recorder as _obs
 
 
 class Sequential(Module):
@@ -30,14 +31,34 @@ class Sequential(Module):
         self._layer_names.append(name)
         return self
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _entry_modules(self) -> List[Module]:
+        """The leading layers up to and including the first with parameters.
+
+        A parameter-free layer whose input gradient is unread needs no output
+        gradient either, so the walk continues through it; the first layer
+        that has parameters still needs its output gradient, and ends it.
+        """
+        entry: List[Module] = []
         for layer in self.layers:
-            x = layer(x)
+            entry.append(layer)
+            if layer.parameters():
+                break
+        return entry
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        for name, layer in zip(self._layer_names, self.layers):
+            with _obs.span("layer-fwd", "nn", layer=name, kind=type(layer).__name__):
+                x = layer(x)
         return x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_output = layer.backward(grad_output)
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
+        for name, layer in zip(reversed(self._layer_names), reversed(self.layers)):
+            with _obs.span("layer-bwd", "nn", layer=name, kind=type(layer).__name__):
+                grad_output = layer.backward(grad_output)
+            if grad_output is None:
+                # Only an entry layer returns None, and every layer before
+                # it is parameter-free (see _entry_modules): nothing is left.
+                break
         return grad_output
 
     def __len__(self) -> int:
@@ -73,9 +94,14 @@ class Residual(Module):
             )
         return main + skip
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _entry_modules(self) -> List[Module]:
+        return [self.body, self.shortcut] if self.has_shortcut else [self.body]
+
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         grad_main = self.body.backward(grad_output)
         grad_skip = (
             self.shortcut.backward(grad_output) if self.has_shortcut else grad_output
         )
+        if not self.needs_input_grad:
+            return None
         return grad_main + grad_skip

@@ -136,18 +136,19 @@ class Conv2D(Module):
         self._cache = (x.shape, cols, out_h, out_w) if self.training else None
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("Conv2D.backward called before forward")
         input_shape, cols, out_h, out_w = self._cache
         batch = input_shape[0]
         g = np.asarray(grad_output, dtype=np.float64)
         g2d = g.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, self.out_channels)
-        w2d = self.W.data.reshape(self.out_channels, -1)
         self.W.grad += (g2d.T @ cols).reshape(self.W.data.shape)
         if self.use_bias:
             self.b.grad += g2d.sum(axis=0)
-        grad_cols = g2d @ w2d
+        if not self.needs_input_grad:
+            return None
+        grad_cols = g2d @ self.W.data.reshape(self.out_channels, -1)
         return col2im(
             grad_cols,
             input_shape,

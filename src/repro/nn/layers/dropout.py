@@ -23,12 +23,16 @@ class Dropout(Module):
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = seeded_rng(seed)
-        self._mask: np.ndarray | None = None
+        #: The last training-mode forward's scaling (``1.0`` at rate 0).
+        self._mask: np.ndarray | float | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if not self.training or self.rate == 0.0:
+        if not self.training:
             self._mask = None
+            return x
+        if self.rate == 0.0:
+            self._mask = 1.0
             return x
         keep = 1.0 - self.rate
         self._mask = (self._rng.random(x.shape) < keep) / keep
@@ -36,5 +40,5 @@ class Dropout(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            return grad_output
+            raise RuntimeError("Dropout.backward called before a training-mode forward")
         return grad_output * self._mask

@@ -37,11 +37,13 @@ class Embedding(Module):
         self._tokens = tokens if self.training else None
         return self.W.data[tokens]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         if self._tokens is None:
             raise RuntimeError("Embedding.backward called before forward")
         g = np.asarray(grad_output, dtype=np.float64)
         np.add.at(self.W.grad, self._tokens, g)
+        if not self.needs_input_grad:
+            return None
         # Token ids are not differentiable; return a zero gradient with the
         # input's shape so containers can keep chaining.
         return np.zeros(self._tokens.shape, dtype=np.float64)

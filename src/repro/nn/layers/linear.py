@@ -65,7 +65,7 @@ class Dense(Module):
             out = out + self.b.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         if self._input is None:
             raise RuntimeError("Dense.backward called before forward")
         x = self._input
@@ -76,5 +76,7 @@ class Dense(Module):
         self.W.grad += x2d.T @ g2d
         if self.use_bias:
             self.b.grad += g2d.sum(axis=0)
+        if not self.needs_input_grad:
+            return None
         grad_input = grad_output @ self.W.data.T
         return grad_input.reshape(x.shape)

@@ -94,7 +94,7 @@ class LSTMCell(Module):
 
     def backward(
         self, grad_h: np.ndarray, grad_c: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
         """Backward through one step.
 
         Parameters
@@ -107,7 +107,8 @@ class LSTMCell(Module):
 
         Returns
         -------
-        (grad_x, grad_h_prev, grad_c_prev)
+        (grad_x, grad_h_prev, grad_c_prev); ``grad_x`` is ``None`` when
+        ``needs_input_grad`` is false.
         """
         if self._cache is None:
             raise RuntimeError("LSTMCell.backward called before forward")
@@ -135,7 +136,7 @@ class LSTMCell(Module):
         self.Wx.grad += x.T @ dz
         self.Wh.grad += h_prev.T @ dz
         self.b.grad += dz.sum(axis=0)
-        grad_x = dz @ self.Wx.data.T
+        grad_x = dz @ self.Wx.data.T if self.needs_input_grad else None
         grad_h_prev = dz @ self.Wh.data.T
         return grad_x, grad_h_prev, dc_prev
 
@@ -168,6 +169,10 @@ class LSTM(Module):
         self.return_sequences = return_sequences
         self.cell = LSTMCell(input_dim, hidden_dim, seed=seed)
         self._cache = None
+
+    def _entry_modules(self) -> Tuple[Module, ...]:
+        # Every time step's ``x`` is a slice of the layer's input.
+        return (self.cell,)
 
     def forward(
         self, x: np.ndarray, lengths: Optional[np.ndarray] = None
@@ -204,7 +209,7 @@ class LSTM(Module):
             return hs
         return h
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("LSTM.backward called before forward")
         step_caches, input_shape, lengths = self._cache
@@ -220,7 +225,7 @@ class LSTM(Module):
                 raise ValueError("gradient shape mismatch for return_sequences=False")
             grad_hs = None
 
-        grad_x = np.zeros(input_shape)
+        grad_x = np.zeros(input_shape) if self.needs_input_grad else None
         grad_h = np.zeros((batch, self.hidden_dim))
         grad_c = np.zeros((batch, self.hidden_dim))
         if grad_hs is None:
@@ -240,7 +245,8 @@ class LSTM(Module):
             gc_cell = grad_c * mask
             self.cell._cache = cell_cache
             gx, gh_prev, gc_prev = self.cell.backward(gh_cell, gc_cell)
-            grad_x[:, t, :] = gx
+            if grad_x is not None:
+                grad_x[:, t, :] = gx
             # Carry the masked-out portion straight through to t-1.
             grad_h = gh_prev + grad_h * (1.0 - mask)
             grad_c = gc_prev + grad_c * (1.0 - mask)

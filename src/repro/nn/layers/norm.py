@@ -70,15 +70,13 @@ class BatchNorm(Module):
         out = self._broadcast(self.gamma.data, x.ndim) * x_hat + self._broadcast(
             self.beta.data, x.ndim
         )
-        if self.training:
-            count = x.size // self.num_features
-            self._cache = (x_hat, inv_std, axes, count, x.ndim)
+        self._cache = (x_hat, inv_std, axes, x.ndim) if self.training else None
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("BatchNorm.backward called before a training-mode forward")
-        x_hat, inv_std, axes, count, ndim = self._cache
+        x_hat, inv_std, axes, ndim = self._cache
         g = np.asarray(grad_output, dtype=np.float64)
         self.gamma.grad += (g * x_hat).sum(axis=axes)
         self.beta.grad += g.sum(axis=axes)

@@ -12,7 +12,7 @@ generates synthetic per-frame feature sequences directly
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +46,9 @@ class SequenceLSTMClassifier(Module):
         self.dropout = Dropout(dropout, seed=rng) if dropout > 0 else None
         self.head = Dense(hidden_dim, num_classes, seed=rng)
 
+    def _entry_modules(self) -> Tuple[Module, ...]:
+        return (self.lstm,)
+
     def forward(self, batch: Union[np.ndarray, Dict[str, np.ndarray]]) -> np.ndarray:
         if isinstance(batch, dict):
             x = batch["x"]
@@ -57,7 +60,7 @@ class SequenceLSTMClassifier(Module):
             h = self.dropout(h)
         return self.head(h)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         g = self.head.backward(grad_output)
         if self.dropout is not None:
             g = self.dropout.backward(g)

@@ -8,7 +8,7 @@ used in tests and as a cheap stand-in classifier.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +29,15 @@ class HyperplaneMLP(Module):
         self.input_dim = input_dim
         self.linear = Dense(input_dim, 1, bias=True, init="normal", seed=seed)
 
+    def _entry_modules(self) -> Tuple[Module, ...]:
+        return (self.linear,)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if isinstance(x, dict):
             x = x["x"]
         return self.linear(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         return self.linear.backward(grad_output)
 
 
@@ -70,6 +73,9 @@ class MLPClassifier(Module):
         self.net = Sequential(*layers)
         self.num_classes = num_classes
 
+    def _entry_modules(self) -> Tuple[Module, ...]:
+        return (self.net,)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if isinstance(x, dict):
             x = x["x"]
@@ -78,5 +84,5 @@ class MLPClassifier(Module):
             x = x.reshape(x.shape[0], -1)
         return self.net(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         return self.net.backward(grad_output)

@@ -14,7 +14,7 @@ versions while examples use larger ones.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,12 +101,15 @@ class ResNetClassifier(Module):
         self.net = Sequential(*layers)
         self.num_classes = num_classes
 
+    def _entry_modules(self) -> Tuple[Module, ...]:
+        return (self.net,)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if isinstance(x, dict):
             x = x["x"]
         return self.net(np.asarray(x, dtype=np.float64))
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         return self.net.backward(grad_output)
 
 

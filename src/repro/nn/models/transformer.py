@@ -10,7 +10,7 @@ end.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class TransformerClassifier(Module):
     def blocks(self) -> List[TransformerEncoderBlock]:
         return [getattr(self, name) for name in self._block_names]
 
+    def _entry_modules(self) -> Tuple[Module, ...]:
+        return (self.embedding,)
+
     def forward(self, batch: Union[np.ndarray, Dict[str, np.ndarray]]) -> np.ndarray:
         if isinstance(batch, dict):
             tokens = np.asarray(batch["tokens"])
@@ -94,13 +97,13 @@ class TransformerClassifier(Module):
         mask_f = mask.astype(np.float64)[:, :, None]
         denom = np.maximum(mask_f.sum(axis=1), 1.0)
         pooled = (x * mask_f).sum(axis=1) / denom
-        self._cache = (mask_f, denom, x.shape)
+        self._cache = (mask_f, denom) if self.training else None
         return self.head(pooled)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("TransformerClassifier.backward called before forward")
-        mask_f, denom, x_shape = self._cache
+        mask_f, denom = self._cache
         g_pooled = self.head.backward(np.asarray(grad_output, dtype=np.float64))
         g_x = (g_pooled[:, None, :] / denom[:, None, :]) * mask_f
         g_x = self.final_norm.backward(g_x)

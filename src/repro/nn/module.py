@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +41,17 @@ class Module:
     attributes — assignment is intercepted), implement ``forward`` (which
     must cache whatever the backward pass needs) and ``backward`` (which
     must accumulate parameter gradients into ``param.grad`` and return the
-    gradient with respect to the layer input).
+    gradient with respect to the layer input, or ``None`` when
+    ``needs_input_grad`` is false).
     """
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
         object.__setattr__(self, "training", True)
+        #: Whether anybody reads what ``backward`` returns.  Cleared only by
+        #: :meth:`input_is_data`; a module that ignores it stays correct.
+        object.__setattr__(self, "needs_input_grad", True)
 
     # ---------------------------------------------------------- registry
     def __setattr__(self, name: str, value) -> None:
@@ -116,11 +121,37 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    def input_is_data(self) -> "Module":
+        """Declare that this module's input is data: nobody reads its gradient.
+
+        Said once, on the root, by whoever drops ``backward``'s result (a
+        training loop).  Clears ``needs_input_grad`` on the root and, through
+        :meth:`_entry_modules`, on every sub-module that is fed the root's
+        input directly, so each may skip computing the gradient it would
+        only hand back up.  A module object reachable by two paths is left
+        alone: one of its inputs may be an activation.
+        """
+        paths = Counter(id(module) for _, module in self.named_modules())
+        pending: List[Module] = [self]
+        while pending:
+            module = pending.pop()
+            if paths[id(module)] == 1:
+                module.needs_input_grad = False
+                pending.extend(module._entry_modules())
+        return self
+
+    def _entry_modules(self) -> Iterable["Module"]:
+        """The children whose input gradient is this module's input gradient
+        and has no other reader — :meth:`input_is_data` descends into them."""
+        return ()
+
     # --------------------------------------------------------- interface
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> Optional[np.ndarray]:
+        """Accumulate parameter gradients; return the gradient with respect
+        to the input, or ``None`` when ``needs_input_grad`` is false."""
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

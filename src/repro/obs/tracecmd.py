@@ -1,7 +1,8 @@
 """``python -m repro trace``: run a small traced training job, export Perfetto JSON.
 
-The command launches the hyperplane-regression workload (the Fig. 10
-model at test scale) on any registered comm backend with a
+The command launches the hyperplane-regression workload (Fig. 10's data at
+test scale, fitted by a two-layer MLP so the trace carries per-layer
+``layer-fwd`` / ``layer-bwd`` rows) on any registered comm backend with a
 :class:`~repro.obs.recorder.FlightRecorder` bound on every rank, then:
 
 1. ships each rank's event buffer to rank 0 over the ``telemetry`` tag
@@ -66,7 +67,7 @@ def _trace_rank_main(comm, config: TraceConfig) -> Optional[Dict[str, Any]]:
     from repro.data.hyperplane import HyperplaneDataset
     from repro.data.loader import ShardedLoader
     from repro.nn.losses import MSELoss
-    from repro.nn.models.mlp import HyperplaneMLP
+    from repro.nn.models.mlp import MLPClassifier
     from repro.nn.optim import MomentumSGD
     from repro.training.distributed_sgd import DistributedSGD
     from repro.training.exchange import build_exchange
@@ -77,7 +78,10 @@ def _trace_rank_main(comm, config: TraceConfig) -> Optional[Dict[str, Any]]:
     registry = MetricsRegistry()
     step_timings: List[Dict[str, float]] = []
     try:
-        model = HyperplaneMLP(config.input_dim, seed=config.seed)
+        model = MLPClassifier(
+            config.input_dim, hidden_dims=(config.input_dim,), num_classes=1,
+            seed=config.seed,
+        )
         exchange = build_exchange(
             comm,
             max(1, model.num_parameters()),

@@ -48,7 +48,8 @@ def run_trainer(comm, config: ServingConfig) -> Dict[str, object]:
     is_publisher = comm.rank == config.publisher_rank
     replicas = list(config.replica_ranks)
 
-    model = default_model_factory(config)
+    # The loop below drops ``backward``'s result: batches are data.
+    model = default_model_factory(config).input_is_data()
     dataset = HyperplaneDataset(
         num_examples=max(4 * config.train_batch_size, 256),
         input_dim=config.input_dim,

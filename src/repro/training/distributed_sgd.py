@@ -13,7 +13,7 @@ from repro.nn.metrics import topk_accuracy
 from repro.obs import recorder as _obs
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
-from repro.nn.parameters import assign_flat_gradients, flatten_gradients
+from repro.nn.parameters import flatten_gradients
 from repro.theory.staleness import QuorumTracker, StalenessTracker
 from repro.training.exchange import ExchangeResult, GradientExchange
 
@@ -90,7 +90,8 @@ class DistributedSGD:
         classification: bool = True,
         collect_gradient_norms: bool = False,
     ) -> None:
-        self.model = model
+        # The step drops ``backward``'s result: batches are data.
+        self.model = model.input_is_data()
         self.optimizer = optimizer
         self.exchange = exchange
         self.loss_fn = loss_fn
@@ -155,7 +156,6 @@ class DistributedSGD:
             with _obs.span("exchange", "step", step=self.steps):
                 result = self.exchange.exchange(flat)
             with _obs.span("update", "step", step=self.steps):
-                assign_flat_gradients(self.model, result.gradient)
                 self.optimizer.step()
 
         self.staleness.record(result.included)

@@ -37,10 +37,22 @@ class TestAllreduceAlgorithms:
         for r in results:
             assert np.allclose(r, [3, 0])
 
-    def test_average(self):
-        results = launch(lambda comm: allreduce(comm, np.full(3, comm.rank + 1.0), average=True), 4)
-        for r in results:
-            assert np.allclose(r, 2.5)
+    @pytest.mark.parametrize("algorithm", sorted(ALLREDUCE_ALGORITHMS))
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 8])
+    def test_average_is_the_sum_divided_once(self, algorithm, size):
+        """Wherever an algorithm divides (its owned window between the two
+        phases, or the whole vector at the end): the same bits everywhere."""
+
+        def worker(comm):
+            data = np.random.default_rng(comm.rank).normal(size=23)
+            total = allreduce(comm, data, algorithm=algorithm, n_chunks=2)
+            mean = allreduce(comm, data, algorithm=algorithm, n_chunks=2, average=True)
+            return total, mean
+
+        results = launch(worker, size)
+        for total, mean in results:
+            assert mean.tobytes() == (total / size).tobytes()
+            assert mean.tobytes() == results[0][1].tobytes()
 
     def test_unknown_algorithm(self):
         from repro.comm import ThreadWorld
@@ -136,6 +148,20 @@ class TestHierarchicalAllreduce:
         expected = sum(np.arange(elements) + r for r in range(size))
         for r in launch(worker, size):
             assert np.allclose(r, expected)
+
+    def test_average_divides_by_the_world_size(self):
+        from repro.collectives.topology import HostTopology
+        from repro.collectives.sync import allreduce_hierarchical
+
+        topology = HostTopology.from_hosts((3, 1))
+
+        def worker(comm):
+            data = np.random.default_rng(comm.rank).normal(size=23)
+            total = allreduce_hierarchical(comm, data, topology=topology)
+            return total, allreduce_hierarchical(comm, data, topology=topology, average=True)
+
+        for total, mean in launch(worker, 4):
+            assert mean.tobytes() == (total / 4).tobytes()
 
     def test_registry_routes_and_averages(self):
         def worker(comm):

@@ -371,6 +371,25 @@ class TestCollection:
 
 
 # ---------------------------------------------------------------------------
+# the compute slice: one span per layer and direction
+# ---------------------------------------------------------------------------
+def test_sequential_records_a_span_per_layer_and_direction():
+    from repro.nn import Dense, ReLU, Sequential
+
+    net = Sequential(Dense(6, 4, seed=0), ReLU(), Dense(4, 2, seed=1)).input_is_data()
+    out = net.forward(np.ones((3, 6)))  # unbound: nothing to record into
+    rec = bind(FlightRecorder(rank=0))
+    net.forward(np.ones((3, 6)))
+    assert net.backward(np.ones_like(out)) is None
+    kinds = {"layer0": "Dense", "layer1": "ReLU", "layer2": "Dense"}
+    assert [(ev[1], ev[2], ev[5]) for ev in rec.events()] == [
+        (name, "nn", {"layer": layer, "kind": kinds[layer]})
+        for name, order in (("layer-fwd", sorted(kinds)), ("layer-bwd", sorted(kinds, reverse=True)))
+        for layer in order
+    ]
+
+
+# ---------------------------------------------------------------------------
 # the traced training run behind `python -m repro trace`
 # ---------------------------------------------------------------------------
 class TestTraceCommand:
@@ -390,6 +409,7 @@ class TestTraceCommand:
         assert pids == [0, 1]
         names = {e["name"] for e in events if e["ph"] == "X"}
         assert {"compute", "exchange", "update", "bucket-wait", "send", "recv"} <= names
+        assert {e["pid"] for e in events if e["ph"] == "X" and e["cat"] == "nn"} == {0, 1}
         assert any(e["ph"] == "s" for e in events)
         assert any(e["ph"] == "f" for e in events)
         assert summary["metrics"]["steps"]["value"] == 6.0

@@ -306,6 +306,44 @@ class TestServingEndToEnd:
         assert versions and versions == sorted(versions)
         assert versions[-1] > 0  # served version advanced beyond the seed
 
+    def test_trainer_digest_is_that_of_an_unmarked_model(self):
+        """The trainer declares its input to be data; what it publishes is
+        bit for bit what the full backward pass (every flag true) trains."""
+        from repro.data.hyperplane import HyperplaneDataset
+        from repro.data.loader import ShardedLoader
+        from repro.nn.losses import MSELoss
+
+        cfg = ServingConfig(
+            replicas=1,
+            train_ranks=1,
+            comm_backend="thread",
+            input_dim=16,
+            train_steps=20,
+            train_batch_size=8,
+            publish_every_steps=5,
+        )
+        report = serve(cfg, Workload(num_requests=4, clients=1, timeout_s=60))
+
+        model = HyperplaneMLP(cfg.input_dim, seed=cfg.seed)
+        dataset = HyperplaneDataset(
+            num_examples=max(4 * cfg.train_batch_size, 256),
+            input_dim=cfg.input_dim, noise_std=0.5, seed=cfg.seed,
+        )
+        loader = ShardedLoader(dataset, cfg.train_batch_size, rank=0, world_size=1, seed=cfg.seed)
+        loss_fn, optimizer = MSELoss(), SGD(model, cfg.learning_rate)
+        steps = epoch = 0
+        while steps < cfg.train_steps:
+            for batch in loader.epoch_batches(epoch):
+                if steps == cfg.train_steps:
+                    break
+                model.zero_grad()
+                _, grad = loss_fn(model.forward(batch.inputs), batch.targets)
+                assert model.backward(grad) is not None
+                optimizer.step()
+                steps += 1
+            epoch += 1
+        assert report.trainers[0]["model_hash"] == model_hash(model)
+
     def test_bounded_staleness_rejection_reaches_client(self):
         # The trainer only ever announces (publish period beyond its
         # lifetime), so the replicas fall behind the announced frontier
