@@ -31,7 +31,6 @@ import numpy as np
 from repro.collectives.topology import HostTopology
 from repro.comm.communicator import Communicator
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
-from repro.comm.requests import SendRequest
 from repro.comm.router import Channel, DEFAULT_CHANNELS, Router
 
 
@@ -134,24 +133,10 @@ class RecordingCommunicator(Communicator):
         )
 
     # --------------------------------------------------------------- send
-    def send(self, payload: Any, dest: int, tag: int = 0) -> None:
-        dest = int(dest)
-        msg = Message(
-            source=self._rank, dest=dest, tag=int(tag),
-            payload=self._outgoing(payload, dest),
-        )
-        self._router.deliver(msg, self._channel)
-        self._record("send", dest, int(tag), msg.seq, _payload_elements(payload))
-
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> SendRequest:
-        dest = int(dest)
-        msg = Message(
-            source=self._rank, dest=dest, tag=int(tag),
-            payload=self._outgoing(payload, dest),
-        )
-        self._router.deliver(msg, self._channel)
-        self._record("send", dest, int(tag), msg.seq, _payload_elements(payload))
-        return SendRequest(msg)
+    def _deliver(self, payload: Any, dest: int, tag: int) -> Message:
+        msg = super()._deliver(payload, dest, tag)
+        self._record("send", msg.dest, msg.tag, msg.seq, _payload_elements(payload))
+        return msg
 
     # --------------------------------------------------------------- recv
     def recv_message(

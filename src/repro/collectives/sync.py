@@ -243,14 +243,15 @@ def _recv_segments(
         incoming = comm.recv(
             source=source, tag=mint(epoch, phase, round_index, k), timeout=timeout
         )
-        if shi <= slo:
-            continue
-        if reduce_op is None:
-            flat[lo + slo : lo + shi] = incoming
-        else:
-            # In-place combine: allocating a fresh buffer per segment and
-            # copying it back dominates large-message latency.
-            reduce_op.combine_into(flat[lo + slo : lo + shi], incoming)
+        if shi > slo:
+            if reduce_op is None:
+                flat[lo + slo : lo + shi] = incoming
+            else:
+                # In-place combine: allocating a fresh buffer per segment and
+                # copying it back dominates large-message latency.
+                reduce_op.combine_into(flat[lo + slo : lo + shi], incoming)
+        # Consumed: the next segment of this size lands in the same memory.
+        comm.recycle(incoming)
 
 
 # --------------------------------------------------------------------------
@@ -640,6 +641,9 @@ class _LeaderRanks:
         return self._comm.recv(
             source=self._leaders[source], tag=tag, timeout=timeout
         )
+
+    def recycle(self, payload) -> None:
+        self._comm.recycle(payload)
 
 
 def _intra_reduce(

@@ -164,6 +164,8 @@ class CommunicatorLike(Protocol):
 
     def recv_message(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None): ...
 
+    def recycle(self, payload: Any) -> None: ...
+
     def irecv(self, source: int = -1, tag: int = -1): ...
 
     def probe(self, source: int = -1, tag: int = -1) -> bool: ...

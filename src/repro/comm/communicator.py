@@ -61,6 +61,7 @@ class Communicator:
         self._rank = int(rank)
         self._channel = channel
         self._mailbox = router.mailbox(rank, channel)
+        self._recycle = getattr(router, "recycle", None)
         self.default_timeout = default_timeout
         self._barrier_epoch = 0
 
@@ -118,8 +119,7 @@ class Communicator:
             return payload
         return self._copy_payload(payload)
 
-    def send(self, payload: Any, dest: int, tag: int = 0) -> None:
-        """Eager blocking send (copies/frames and enqueues)."""
+    def _deliver(self, payload: Any, dest: int, tag: int) -> Message:
         dest = int(dest)
         msg = Message(
             source=self._rank, dest=dest, tag=int(tag),
@@ -135,25 +135,15 @@ class Communicator:
                 rec, self._channel, self._rank, dest, msg.tag,
                 _obs.payload_nbytes(payload), t0,
             )
+        return msg
+
+    def send(self, payload: Any, dest: int, tag: int = 0) -> None:
+        """Eager blocking send (copies/frames and enqueues)."""
+        self._deliver(payload, dest, tag)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send; the returned request is already complete."""
-        dest = int(dest)
-        msg = Message(
-            source=self._rank, dest=dest, tag=int(tag),
-            payload=self._outgoing(payload, dest),
-        )
-        rec = _obs.current()
-        if rec is None:
-            self._router.deliver(msg, self._channel)
-        else:
-            t0 = _obs.perf_counter_ns()
-            self._router.deliver(msg, self._channel)
-            _obs.record_send(
-                rec, self._channel, self._rank, dest, msg.tag,
-                _obs.payload_nbytes(payload), t0,
-            )
-        return SendRequest(msg)
+        return SendRequest(self._deliver(payload, dest, tag))
 
     # ----------------------------------------------------------- p2p recv
     def recv(
@@ -186,6 +176,17 @@ class Communicator:
             return msg
         except TimeoutError as exc:
             raise CommTimeoutError(str(exc)) from exc
+
+    def recycle(self, payload: Any) -> None:
+        """Hand a received array back to the transport for reuse.
+
+        An ownership transfer: the caller must hold no reference to
+        ``payload`` (or a view of it) afterwards — a later receive of
+        that size may land in its memory.  Optional (a payload never
+        recycled is never overwritten); a no-op on the thread backend.
+        """
+        if self._recycle is not None:
+            self._recycle(payload)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         """Nonblocking receive request."""

@@ -23,10 +23,10 @@ use loopback sockets, which is exactly how the hierarchical collectives
 and the two-tier cost model are validated and benchmarked without a
 cluster.
 
-Latency note: a rank blocked in ``recv`` parks on its shm doorbell (see
-the shm module's spin-then-event design); a socket receiver thread that
-delivers a frame rings that doorbell too, so inter-host arrivals wake a
-parked consumer immediately instead of waiting out the park slice.
+A rank blocked in ``recv`` sleeps on its shm doorbell *and* its
+inter-host sockets at once (the endpoint's one progress engine,
+:class:`repro.comm.process_backend._Pump`), so an arrival on either
+link kind wakes it immediately.
 
 Gated like ``shm``: platforms without the ring transport get
 ``BackendUnavailableError`` and the name is absent from

@@ -43,13 +43,31 @@ Each message is one frame::
 where ``header = (channel, source, dest, tag, seq, kind, dtype, shape,
 payload_nbytes)``.  Small Python objects travel pickled (``kind="obj"``).
 NumPy arrays travel as their raw buffer (``kind="nd"``): the sender
-writes the array's memoryview straight to the socket and the receiver
-reads with ``recv_into`` on a preallocated array — no pickling and no
-intermediate copies of the payload on either side.
+writes the array's memoryview straight to the link and the receiver
+reads into an array drawn from the endpoint's free list — no pickling
+and no intermediate copies of the payload on either side.  The framing
+(:func:`pack_frame`, :func:`_frames`) is the same on both link
+kinds.
 
-The framing (:func:`pack_frame` / :func:`payload_scratch` /
-:func:`payload_finish`) is the same on both link kinds; the ring link
-and the inbound-ring pump live in :mod:`repro.comm.shm_backend`.
+Progress
+--------
+There is one inbound engine (:class:`_Pump`) and no transport thread:
+a rank's inbound bytes — from rings and from non-blocking sockets alike
+— are read, parsed and put into mailboxes *in the context of whichever
+thread would otherwise idle*: a blocked receiver
+(:class:`_PumpingMailbox`), a sender waiting out a full ring or a full
+kernel socket buffer (which is also what keeps two ranks flooding each
+other from deadlocking), and ``poll`` / ``probe`` callers.  A thread
+with nothing to drain parks in one ``select`` on the endpoint's wake
+source (the rank's ring doorbell, or a local ``socket.socketpair()`` in
+a world without rings) plus every live socket.  The back-pressure
+contract follows, for both link kinds: **a rank that neither sends,
+receives nor polls does not drain its inbound links** — a peer sending
+to it blocks once the ring, or the kernel's socket buffers, are full,
+until the rank next communicates.  The ring link and the launcher-side
+ring resources live in :mod:`repro.comm.shm_backend`.  CI exercises
+Linux only; nothing here is POSIX-specific for a socket-only world
+(``select`` on sockets, no pipes).
 
 Failure semantics
 -----------------
@@ -62,7 +80,9 @@ instead of hanging.  A rank that dies without reporting (hard crash) is
 detected by process exit and triggers the same abort.  A rank that
 *finishes* simply closes its transport: peers treat the EOF (or the
 ring-closed flag, on a ring link) as a normal departure, exactly
-like a finished thread whose mailbox outlives it.
+like a finished thread whose mailbox outlives it.  EOF or a reset in
+the middle of a frame is a departure too (the launcher owns crash
+detection); only a stream that cannot be parsed aborts the local rank.
 """
 
 from __future__ import annotations
@@ -72,6 +92,7 @@ import itertools
 import multiprocessing
 import multiprocessing.connection
 import pickle
+import select
 import socket
 import struct
 import threading
@@ -99,8 +120,6 @@ __all__ = [
     "ProcessBackend",
     "ProcessCrashError",
     "pack_frame",
-    "payload_finish",
-    "payload_scratch",
 ]
 
 #: Payload kind markers of the wire frame.
@@ -112,6 +131,17 @@ _RANK_ID = struct.Struct("!I")
 
 #: Socket timeout applied during rendezvous and mesh establishment.
 _SETUP_TIMEOUT = 60.0
+
+#: Longest sleep of a parked or send-stalled thread; bounds the reaction
+#: time to aborts and crashes.
+_WAIT_SLICE = 0.05
+
+#: A pickled frame header is tens of bytes; a length prefix beyond this
+#: is a corrupted stream, not a header worth allocating for.
+_MAX_HEADER_BYTES = 1 << 16
+
+#: Ceiling on the bytes an endpoint's receive free list may hold.
+_FREE_LIST_MAX_BYTES = 8 << 20
 
 #: Backoff schedule of the bring-up retry loops (seconds).
 _RETRY_INITIAL_DELAY = 0.02
@@ -140,31 +170,19 @@ class ProcessCrashError(RuntimeError):
 # ---------------------------------------------------------------------------
 # low-level framing helpers (shared by both link kinds)
 # ---------------------------------------------------------------------------
-def _read_exact_into(sock: socket.socket, view: memoryview) -> bool:
-    """Fill ``view`` from the socket; False on EOF before the first byte.
-
-    EOF *inside* a frame (after at least one byte) raises — a peer that
-    vanishes mid-message is a crash, not a departure.
-    """
+def _read_exact(sock: socket.socket, nbytes: int) -> bytes:
+    """Read exactly ``nbytes`` from a blocking bring-up socket."""
+    buf = bytearray(nbytes)
+    view = memoryview(buf)
     got = 0
-    total = len(view)
-    while got < total:
-        n = sock.recv_into(view[got:], total - got)
+    while got < nbytes:
+        n = sock.recv_into(view[got:])
         if n == 0:
-            if got == 0:
-                return False
             raise ConnectionResetError(
-                f"peer closed the connection mid-frame ({got}/{total} bytes)"
+                f"connection closed during mesh bring-up ({got}/{nbytes} bytes)"
             )
         got += n
-    return True
-
-
-def _read_exact(sock: socket.socket, nbytes: int) -> Optional[bytearray]:
-    buf = bytearray(nbytes)
-    if not _read_exact_into(sock, memoryview(buf)):
-        return None
-    return buf
+    return bytes(buf)
 
 
 def _send_obj(sock: socket.socket, obj: Any) -> None:
@@ -173,14 +191,8 @@ def _send_obj(sock: socket.socket, obj: Any) -> None:
 
 
 def _recv_obj(sock: socket.socket) -> Any:
-    header = _read_exact(sock, _HEADER_LEN.size)
-    if header is None:
-        raise ConnectionResetError("connection closed during rendezvous")
-    (length,) = _HEADER_LEN.unpack(header)
-    body = _read_exact(sock, length)
-    if body is None:
-        raise ConnectionResetError("connection closed during rendezvous")
-    return pickle.loads(bytes(body))
+    (length,) = _HEADER_LEN.unpack(_read_exact(sock, _HEADER_LEN.size))
+    return pickle.loads(_read_exact(sock, length))
 
 
 def _connect_with_retry(
@@ -276,27 +288,376 @@ def pack_frame(message: Message, channel: str) -> Tuple[bytes, Any]:
     return pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL), body
 
 
-def payload_scratch(kind: int, dtype: str, nbytes: int) -> Tuple[Any, memoryview]:
-    """Receive-side buffer for one frame's payload.
+class _FreeList:
+    """An endpoint's recycled receive buffers, keyed by ``(dtype, nbytes)``.
 
-    Returns ``(scratch, byte view)``: the transport fills the view with
-    the frame's payload bytes (zero-copy for arrays — the view aliases
-    the array's own buffer) and hands the scratch to
-    :func:`payload_finish`.
+    Ownership is explicit: :meth:`give` is reached only through
+    ``comm.recycle(arr)``, whose caller holds no reference to ``arr`` any
+    more, and :meth:`draw` hands a buffer to exactly one frame; a payload
+    nobody recycles is never reused.  Allocated per frame, a bulk buffer
+    is mapped, page-faulted and unmapped per frame; drawn from here, a
+    steady-state step allocates none.  Every buffer in the list was in
+    flight at the same time as the others, which bounds it — as does
+    ``_FREE_LIST_MAX_BYTES``, past which it starts over.
     """
-    if kind == _KIND_ND:
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._free: Dict[Tuple[str, int], List[np.ndarray]] = {}
+        self._bytes = 0
+        self.fresh = 0
+        self.recycled = 0
+
+    def draw(self, dtype: str, nbytes: int) -> np.ndarray:
+        with self._lock:
+            stack = self._free.get((dtype, nbytes))
+            if stack:
+                self._bytes -= nbytes
+                self.recycled += 1
+                return stack.pop()
+            self.fresh += 1
         dt = np.dtype(dtype)
-        flat = np.empty(nbytes // dt.itemsize if dt.itemsize else 0, dtype=dt)
-        return flat, memoryview(flat.view(np.uint8)) if nbytes else memoryview(b"")
-    buf = bytearray(nbytes)
-    return buf, memoryview(buf)
+        return np.empty(nbytes // dt.itemsize, dtype=dt)
+
+    def give(self, arr: Any) -> None:
+        if not isinstance(arr, np.ndarray):
+            return
+        flat = arr if arr.base is None else arr.base
+        nbytes = arr.nbytes
+        if not (
+            isinstance(flat, np.ndarray)
+            and flat.ndim == 1
+            and flat.flags.owndata
+            and flat.nbytes == nbytes  # the whole buffer, not a window of one
+            and 0 < nbytes <= _FREE_LIST_MAX_BYTES
+        ):
+            return
+        with self._lock:
+            if self._bytes + nbytes > _FREE_LIST_MAX_BYTES:
+                self._free.clear()
+                self._bytes = 0
+            stack = self._free.setdefault((flat.dtype.str, nbytes), [])
+            # Two frames sharing a buffer would corrupt both silently.
+            if not any(held is flat for held in stack):
+                stack.append(flat)
+                self._bytes += nbytes
 
 
-def payload_finish(kind: int, shape: Tuple[int, ...], scratch: Any) -> Any:
-    """Turn a filled :func:`payload_scratch` buffer into the payload."""
-    if kind == _KIND_ND:
-        return scratch.reshape(shape)
-    return pickle.loads(bytes(scratch))
+# ---------------------------------------------------------------------------
+# the inbound engine: frame parser, doorbell, mailbox, pump
+# ---------------------------------------------------------------------------
+def _frames(link: Any, pool: _FreeList):
+    """Generator over the frames arriving on ``link``, in arbitrary pieces.
+
+    Each ``next()`` advances parsing with whatever ``link.read_some``
+    yields and returns one completed ``(message, channel)``, or ``None``
+    when the link ran dry mid-frame (the next call resumes exactly where
+    this one starved).  Array payloads are read straight into a buffer
+    drawn from ``pool``.
+    """
+
+    def fill(buf: Any):
+        view, got = memoryview(buf), 0
+        while got < len(view):
+            got += link.read_some(view[got:])
+            if got < len(view):
+                yield None  # starved mid-field
+
+    while True:
+        prefix = bytearray(_HEADER_LEN.size)
+        yield from fill(prefix)
+        (need,) = _HEADER_LEN.unpack(prefix)
+        if need > _MAX_HEADER_BYTES:
+            raise ValueError(f"frame header of {need} bytes")
+        head = bytearray(need)
+        yield from fill(head)
+        channel, source, dest, tag, seq, kind, dtype, shape, nbytes = pickle.loads(
+            bytes(head)
+        )
+        if kind != _KIND_ND:
+            body = bytearray(nbytes)
+            yield from fill(body)
+            payload = pickle.loads(bytes(body))
+        elif nbytes:
+            flat = pool.draw(dtype, nbytes)
+            yield from fill(flat.view(np.uint8))
+            payload = flat.reshape(shape)
+        else:
+            payload = np.empty(shape, dtype=np.dtype(dtype))
+        yield Message(source=source, dest=dest, tag=tag, payload=payload, seq=seq), channel
+
+
+class _Doorbell:
+    """A one-byte wake-up signal a thread can ``select`` on.
+
+    The event half of every sleep in the transport: a waiter that found
+    nothing to do arms a flag, re-checks and sleeps in ``select``;
+    whoever changes the condition *and sees the flag* sends one byte.
+    One syscall to ring, one ``select`` plus one draining ``recv`` to
+    wake — cheaper than ``multiprocessing.Event`` (several semaphore
+    operations per transition), and with the flag unarmed the fast path
+    touches the kernel not at all.  A ``socket.socketpair()`` rather
+    than a pipe, because sockets are what ``select`` accepts on every
+    platform the ``spawn`` start method serves.  Both ends are
+    non-blocking: a full buffer just means wake-ups are already pending.
+    A world with rings creates its doorbells in the launcher (fork
+    inherits them; under spawn multiprocessing pickles the two sockets
+    as duplicated fds); an endpoint without a ring peer makes its own.
+    """
+
+    def __init__(self) -> None:
+        self._rx, self._tx = socket.socketpair()
+        self._rx.setblocking(False)
+        self._tx.setblocking(False)
+
+    def fileno(self) -> int:
+        return self._rx.fileno()
+
+    def ring(self) -> None:
+        try:
+            self._tx.send(b"\0")
+        except OSError:
+            pass  # enough wake-ups queued already, or closing down
+
+    def drain(self) -> None:
+        try:
+            while self._rx.recv(4096):
+                pass
+        except OSError:
+            pass  # drained, or closing down
+
+    def wait(self, timeout: float) -> None:
+        try:
+            ready, _, _ = select.select([self._rx], [], [], timeout)
+        except (OSError, ValueError):
+            return  # closing down
+        if ready:
+            self.drain()
+
+    def close(self) -> None:
+        """Only the launcher closes its doorbells, once every rank has been
+        joined: a rank closing its own would turn a late wake-up into an
+        EBADF race, and the OS reclaims a rank's at exit anyway."""
+        self._rx.close()
+        self._tx.close()
+
+
+class _PumpingMailbox(Mailbox):
+    """Mailbox whose blocked receivers drive inbound progress themselves
+    (see *Progress* in the module docstring): ``get`` steals the pump
+    instead of waiting for a progress thread's notification, and
+    :meth:`poll` / :meth:`probe` pump opportunistically, so poll loops
+    observe arrivals without a background drainer."""
+
+    def __init__(self, owner_rank: int, channel: str, pump: "_Pump") -> None:
+        super().__init__(owner_rank, channel)
+        self._pump = pump
+
+    def get(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None):
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._cond:
+                msg = self._find(source, tag)
+                if msg is not None:
+                    return msg
+                if self._closed:
+                    raise MailboxClosed(
+                        f"mailbox rank={self.owner_rank} channel={self.channel} "
+                        "closed while waiting for a message"
+                    )
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise TimeoutError(
+                    f"rank {self.owner_rank}/{self.channel}: timed out waiting "
+                    f"for message from source={source} tag={tag}"
+                )
+            self._pump._progress_or_wait(self, source, tag, remaining)
+
+    def poll(self, source: int = -1, tag: int = -1):
+        msg = super().poll(source, tag)
+        if msg is None and self._pump._try_pump():
+            msg = super().poll(source, tag)
+        return msg
+
+    def probe(self, source: int = -1, tag: int = -1) -> bool:
+        if super().probe(source, tag):
+            return True
+        return self._pump._try_pump() and super().probe(source, tag)
+
+
+class _Pump:
+    """The one inbound progress engine of an endpoint.
+
+    Drains the inbound half of every live link in the context of
+    whichever thread holds the *pump lock*.  What it needs of a link:
+
+    ``readable()``
+        whether ``read_some`` may yield bytes now (a ring knows; a
+        socket answers ``True``, only the kernel knows);
+    ``read_some(view)``
+        copy what is there, never block, return the byte count;
+    ``eof``
+        the peer departed and everything it sent has been read;
+    ``arm()`` / ``disarm()``
+        bracket a sleep: ``arm`` tells the producer to signal and
+        returns ``False`` if bytes arrived meanwhile (the re-check that
+        closes the publish/park race); a socket needs neither, its
+        ``fileno()`` sits in the ``select`` instead.
+    """
+
+    def __init__(self, endpoint: "MeshEndpoint", wake: _Doorbell) -> None:
+        self._endpoint = endpoint
+        #: What a parked thread sleeps on besides its sockets: peers'
+        #: ring doorbell writes, local deliveries, shutdown.
+        self._wake = wake
+        #: Serialises link consumption, parser state and parking.
+        self._pump_lock = threading.Lock()
+        #: peer -> (link, its frame parser), until the peer departs.
+        self._live: Dict[int, Tuple[Any, Any]] = {}
+        self._waitable: List[Any] = [wake]
+        #: Set while a thread may be asleep in :meth:`_park`; local
+        #: deliveries ring the wake source only then.
+        self._parked = False
+        self._released = False
+        self.frames = 0
+        self.parks = 0
+
+    def add(self, peer: int, link: Any) -> None:
+        self._live[peer] = (link, _frames(link, self._endpoint._pool))
+        if hasattr(link, "fileno"):
+            self._waitable.append(link)
+
+    # ----------------------------------------------------------- receive
+    def _pump_once(self) -> bool:
+        """One draining pass over every live link (pump lock held).
+
+        Parses and delivers every complete frame currently available;
+        returns whether anything moved.
+        """
+        endpoint = self._endpoint
+        progressed = False
+        departed = ()
+        for peer, (link, frames) in self._live.items():
+            if link.readable():
+                try:
+                    while True:
+                        outcome = next(frames)
+                        if outcome is None:
+                            break
+                        message, channel = outcome
+                        progressed = True
+                        self.frames += 1
+                        try:
+                            endpoint.mailbox(endpoint.rank, channel).put(message)
+                        except MailboxClosed:
+                            return progressed  # aborted while delivering
+                except (pickle.UnpicklingError, EOFError, ValueError) as exc:
+                    # The stream is unreadable but both processes live — the
+                    # launcher cannot see this, so wake the local rank ourselves.
+                    if not endpoint._closed:
+                        endpoint.abort(f"corrupted stream from rank {peer}: {exc}")
+                    departed += (peer,)  # its parser is spent
+                    break
+            if link.eof:
+                # A departure, also with a partial frame left in the parser:
+                # that peer crashed, and the launcher aborts the world.
+                departed += (peer,)
+        for peer in departed:
+            link, _ = self._live.pop(peer)
+            endpoint._departed.add(peer)
+            if link in self._waitable:
+                self._waitable.remove(link)
+        return progressed
+
+    def _park(self, mailbox: Mailbox, source: int, tag: int, seconds: float) -> None:
+        """Sleep until a link or the wake source has news (pump lock held,
+        so at most one thread parks at a time).
+
+        Arm first, then re-check rings and mailbox, then sleep: a
+        producer that publishes, or a local ``deliver`` that puts, after
+        the re-check sees the armed flag and signals.
+        """
+        live = self._live.values()
+        self._parked = True
+        try:
+            # all() over a list, not a generator: every link must arm.
+            if all([link.arm() for link, _ in live]) and not Mailbox.probe(
+                mailbox, source, tag
+            ):
+                self.parks += 1
+                try:
+                    ready, _, _ = select.select(self._waitable, [], [], seconds)
+                except (OSError, ValueError):
+                    return  # closing down
+                if self._wake in ready:
+                    self._wake.drain()
+        finally:
+            self._parked = False
+            for link, _ in live:
+                link.disarm()
+
+    def _try_pump(self) -> bool:
+        """Nonblocking pump: drain the links if nobody else is.
+
+        Returns whether anything moved (``False`` also when another
+        thread holds the pump — its progress counts as progress for
+        retry loops, but callers must not assume their message arrived).
+        """
+        if not self._pump_lock.acquire(blocking=False):
+            return False
+        try:
+            return self._pump_once()
+        finally:
+            self._pump_lock.release()
+
+    def _progress_or_wait(
+        self, mailbox: Mailbox, source: int, tag: int, remaining: Optional[float]
+    ) -> None:
+        """One blocked-receiver iteration: steal the pump or wait briefly.
+
+        Called by :class:`_PumpingMailbox` with the mailbox lock
+        released.  Either drains the links in this thread's context
+        (parking when they are dry) or — when another thread is already
+        pumping — waits for its ``put``-notification on the mailbox
+        condition.  Returns with no verdict; the caller re-checks its
+        mailbox and deadline.
+        """
+        slice_seconds = _WAIT_SLICE if remaining is None else min(remaining, _WAIT_SLICE)
+        if self._pump_lock.acquire(blocking=False):
+            try:
+                if not self._pump_once():
+                    self._park(mailbox, source, tag, slice_seconds)
+            finally:
+                self._pump_lock.release()
+        else:
+            # Someone else pumps; their put() will notify this condition.
+            with mailbox._cond:  # noqa: SLF001 - cooperating classes
+                if not mailbox._messages and not mailbox._closed:
+                    mailbox._cond.wait(min(slice_seconds, 0.002))
+
+    # -------------------------------------------------------------- close
+    def release(self) -> None:
+        """Close the sockets and unmap the rings, exactly once.
+
+        Taking the pump lock and every send lock first guarantees no
+        thread is mid-access on a link; late pump attempts find no live
+        link and no-op, late sends see ``_closed`` and raise.
+        """
+        links = list(self._endpoint._links.values())
+        locks = [self._pump_lock, *(link._send_lock for link in links)]
+        for lock in locks:
+            lock.acquire()
+        try:
+            if self._released:
+                return
+            self._released = True
+            self._live.clear()
+            del self._waitable[1:]
+            for link in links:
+                link.release()
+        finally:
+            for lock in reversed(locks):
+                lock.release()
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +671,12 @@ class MeshEndpoint:
     local mailboxes per channel (dynamic ``"<base>.<suffix>"``
     sub-channels included, mirroring
     :meth:`repro.comm.router.Router.mailbox`), delivery bookkeeping, the
-    abort/close state machine, and a ``peer -> link`` table.  A link is
-    the byte pipe to one peer — a :class:`_SocketLink` or a
+    abort/close state machine, the receive free list, and a
+    ``peer -> link`` table.  A link is the byte pipe to one peer, both
+    directions — a :class:`_SocketLink` or a
     :class:`repro.comm.shm_backend._RingLink` — and answers ``send``
-    (write one frame), ``shutdown`` and ``join``.  A rank with at least
-    one ring peer also owns the inbound-ring pump
-    (:class:`repro.comm.shm_backend._RingPump`); its mailboxes are then
-    the work-stealing kind whose blocked receivers drain the rings
-    themselves, otherwise the plain kind (socket receiver threads
-    already block in the kernel, which is as direct as a socket wake-up
-    gets).
+    (write one frame), the inbound surface :class:`_Pump` drains,
+    ``shutdown`` and ``release``.
     """
 
     #: Remote payloads are framed (copied onto the wire) synchronously
@@ -346,17 +703,22 @@ class MeshEndpoint:
         #: (queried by the topology-aware collectives).
         self.host_topology = host_topology
         self._links: Dict[int, Any] = {}
-        #: The inbound-ring component; ``rings`` is the world's ring
-        #: session, given iff this rank has a ring peer.
-        self._pump = None if rings is None else rings.pump(self)
+        self._pool = _FreeList()
+        #: ``recycle(arr)``: take back a received array its caller holds
+        #: no reference to any more (see :meth:`Communicator.recycle`).
+        self.recycle = self._pool.give
+        #: ``rings`` is the world's ring session, given iff this rank
+        #: has a ring peer; its doorbell for this rank is then the wake
+        #: source, because that is what ring producers write to.
+        self._pump = _Pump(
+            self, _Doorbell() if rings is None else rings.data_events[self.rank]
+        )
         self._mailboxes: Dict[str, Mailbox] = {
-            ch: self._make_mailbox(ch) for ch in self.channels
+            ch: _PumpingMailbox(self.rank, ch, self._pump) for ch in self.channels
         }
         self._departed: set[int] = set()
         self._seq = itertools.count()
         self._lock = threading.Lock()
-        self._message_count = 0
-        self._byte_count = 0
         self._closed = False
         self._abort_reason: Optional[str] = None
 
@@ -367,14 +729,10 @@ class MeshEndpoint:
                 f"rank {rank} out of range for world of size {self.world_size}"
             )
 
-    def _make_mailbox(self, channel: str) -> Mailbox:
-        if self._pump is None:
-            return Mailbox(self.rank, channel)
-        return self._pump.make_mailbox(channel)
-
     def attach(self, peer: int, link: Any) -> None:
-        """Register the byte pipe that carries frames to ``peer``."""
+        """Register the byte pipe that carries frames to and from ``peer``."""
         self._links[peer] = link
+        self._pump.add(peer, link)
 
     # ------------------------------------------------------------- access
     def mailbox(self, rank: int, channel: str) -> Mailbox:
@@ -391,7 +749,7 @@ class MeshEndpoint:
                 mailbox = self._mailboxes.get(channel)
                 if mailbox is None:
                     is_declared_channel(self.channels, channel)  # raises on a typo
-                    mailbox = self._make_mailbox(channel)
+                    mailbox = _PumpingMailbox(self.rank, channel, self._pump)
                     if self._closed:
                         # Born closed, mirroring Router.close() semantics:
                         # a straggler blocked on a late-created channel is
@@ -413,11 +771,12 @@ class MeshEndpoint:
                 + (f" ({self._abort_reason})" if self._abort_reason else "")
             )
         message.seq = next(self._seq)
-        with self._lock:
-            self._message_count += 1
-            self._byte_count += message.nbytes()
         if message.dest == self.rank:
             self.mailbox(self.rank, channel).put(message)
+            # The receiver may be another thread of this rank, asleep on
+            # the wake source rather than on the mailbox condition.
+            if self._pump._parked:
+                self._pump._wake.ring()
             return
         # A departed peer already finished and tore its transport down;
         # like a thread world's mailbox-to-nobody, the send evaporates.
@@ -425,24 +784,31 @@ class MeshEndpoint:
         if link is not None and message.dest not in self._departed:
             link.send(message, channel)
 
+    def _send_stalled(self, link: Any, peer: int) -> bool:
+        """A link found no room for ``peer``'s frame: the peer is not
+        reading — perhaps because it is stuck sending to us.  Drain our
+        own inbound before waiting (two ranks flooding each other would
+        otherwise deadlock); returns whether that moved anything."""
+        if self._closed:
+            raise MailboxClosed(
+                f"rank {self.rank}: endpoint closed while sending to {peer}"
+                + (f" ({self._abort_reason})" if self._abort_reason else "")
+            )
+        link.stalls += 1
+        return self._pump._try_pump()
+
     # ------------------------------------------------------------- stats
-    @property
-    def message_count(self) -> int:
-        """Messages this endpoint has delivered (sent) so far."""
-        with self._lock:
-            return self._message_count
-
-    @property
-    def byte_count(self) -> int:
-        """Array payload bytes this endpoint has delivered (sent) so far."""
-        with self._lock:
-            return self._byte_count
-
-    def pending_messages(self) -> int:
-        """Delivered-but-unreceived messages across this rank's mailboxes."""
-        with self._lock:
-            mailboxes = list(self._mailboxes.values())
-        return sum(mb.pending() for mb in mailboxes)
+    def stats(self) -> Dict[str, int]:
+        """The transport's otherwise silent events, as running totals."""
+        return {
+            "frames_parsed": self._pump.frames,
+            "parks": self._pump.parks,
+            # A sendmsg / ring write that found no room and had to wait.
+            "send_stalls": sum(link.stalls for link in self._links.values()),
+            "buffers_fresh": self._pool.fresh,
+            "buffers_recycled": self._pool.recycled,
+            "departed_peers": len(self._departed),
+        }
 
     # -------------------------------------------------------------- close
     def abort(self, reason: str) -> None:
@@ -463,130 +829,120 @@ class MeshEndpoint:
         Mailboxes stay readable (matching a finished thread rank whose
         queued messages remain inspectable); only the transport goes
         down, which peers observe as a normal departure.  Safe after an
-        abort: the transport is already down, but receiver threads are
-        still joined (and ring mappings released) exactly once.
+        abort: the transport is already down, but sockets are still
+        closed (and ring mappings released) exactly once.
         """
         with self._lock:
             already_closed = self._closed
             self._closed = True
         if not already_closed:
             self._shutdown_transport()
-        for link in self._links.values():
-            link.join()
-        if self._pump is not None:
-            self._pump.release()
+        self._pump.release()
 
     def _shutdown_transport(self) -> None:
         for link in self._links.values():
             link.shutdown()
-        if self._pump is not None:
-            self._pump.shutdown()
+        self._pump._wake.ring()  # a parked thread re-checks its mailbox
 
 
 class _SocketLink:
-    """The byte pipe to one socket peer.
+    """The byte pipe to one socket peer: one non-blocking TCP socket.
 
-    Holds the pair's socket, its send lock and its receiver thread.
-    ``EPIPE`` on send and EOF on receive (mid-frame included) mean the
-    peer *departed*; only an unreadable stream aborts the local rank.
+    A frame is one ``sendmsg([prefix, body])`` repeated until the kernel
+    has all of it — ``send`` returns only then, which is what
+    ``remote_payloads_framed`` promises.  ``EPIPE`` on send and EOF or a
+    reset on receive (mid-frame included) mean the peer *departed*: a
+    crash is the launcher's to detect, and a peer may answer its own
+    ``close()`` with RST while our frame is in flight.
     """
 
     def __init__(self, endpoint: MeshEndpoint, peer: int, sock: socket.socket) -> None:
-        sock.settimeout(None)
+        sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._endpoint = endpoint
         self._peer = peer
         self._sock = sock
         self._send_lock = threading.Lock()
-        self._receiver = threading.Thread(
-            target=self._recv_loop,
-            name=f"sockrecv-r{endpoint.rank}-p{peer}",
-            daemon=True,
-        )
-        self._receiver.start()
+        self.stalls = 0
+        self.eof = False
 
     # --------------------------------------------------------------- send
     def send(self, message: Message, channel: str) -> None:
         head, body = pack_frame(message, channel)
-        try:
-            with self._send_lock:
-                self._sock.sendall(_HEADER_LEN.pack(len(head)) + head)
-                if len(body):
-                    self._sock.sendall(body)
-        except OSError:
-            # EPIPE/ECONNRESET: the peer departed between our check and the
-            # write.  Same no-op semantics as a departed peer; a *crash* is
-            # handled by the launcher's abort broadcast, not the send path.
-            self._endpoint._departed.add(self._peer)
+        parts = [memoryview(_HEADER_LEN.pack(len(head)) + head)]
+        if len(body):
+            parts.append(memoryview(body))
+        endpoint, sock = self._endpoint, self._sock
+        with self._send_lock:
+            while parts:
+                try:
+                    sent = sock.sendmsg(parts)
+                except BlockingIOError:  # the kernel buffer is full
+                    if not endpoint._send_stalled(self, self._peer):
+                        select.select([], [sock], [], _WAIT_SLICE)
+                    continue
+                except OSError:
+                    # EPIPE/ECONNRESET: the peer departed between our check
+                    # and the write; the rest of the frame evaporates.
+                    endpoint._departed.add(self._peer)
+                    return
+                while sent:
+                    first = len(parts[0])
+                    if sent >= first:
+                        sent -= first
+                        del parts[0]
+                    else:
+                        parts[0] = parts[0][sent:]
+                        sent = 0
 
     # ----------------------------------------------------------- receive
-    def _recv_loop(self) -> None:
-        endpoint, sock = self._endpoint, self._sock
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def readable(self) -> bool:
+        return True
+
+    def read_some(self, view: memoryview) -> int:
         try:
-            while True:
-                head_len_buf = _read_exact(sock, _HEADER_LEN.size)
-                if head_len_buf is None:
-                    break  # orderly EOF at a frame boundary: peer departed
-                (head_len,) = _HEADER_LEN.unpack(head_len_buf)
-                head = _read_exact(sock, head_len)
-                if head is None:
-                    raise ConnectionResetError("EOF inside a frame header")
-                channel, source, dest, tag, seq, kind, dtype, shape, nbytes = (
-                    pickle.loads(bytes(head))
-                )
-                scratch, view = payload_scratch(kind, dtype, nbytes)
-                if nbytes:
-                    # Zero-copy receive: the socket fills the array's
-                    # own buffer, no intermediate bytes object.
-                    if not _read_exact_into(sock, view):
-                        raise ConnectionResetError("EOF inside a frame payload")
-                payload = payload_finish(kind, shape, scratch)
-                msg = Message(source=source, dest=dest, tag=tag, payload=payload, seq=seq)
-                try:
-                    endpoint.mailbox(endpoint.rank, channel).put(msg)
-                except MailboxClosed:
-                    return  # aborted while delivering; drop and exit
-                if endpoint._pump is not None:
-                    # A consumer blocked in recv may be parked on the ring
-                    # doorbell (not the mailbox condition); ring it so
-                    # socket arrivals have socket latency, not park-slice
-                    # latency.
-                    endpoint._pump.notify()
+            got = self._sock.recv_into(view)
+        except BlockingIOError:
+            return 0
         except OSError:
-            # Reset/teardown on the peer socket (including mid-frame EOF,
-            # which _read_exact_into raises as ConnectionResetError).  A
-            # peer may answer its own close() with RST while our frame is
-            # in flight, so a socket error here is *departure*, never a
-            # world failure: genuine crashes are detected by the
-            # launcher's liveness check, which aborts every rank through
-            # the control pipes.  Mirrors the send path's handling.
-            pass
-        except (EOFError, pickle.UnpicklingError) as exc:
-            # Both processes are alive but the stream is unreadable — the
-            # launcher cannot see this, so wake the local rank ourselves.
-            if not endpoint._closed:
-                endpoint.abort(f"corrupted stream from rank {self._peer}: {exc}")
-        finally:
-            endpoint._departed.add(self._peer)
-            try:
-                sock.close()
-            except OSError:
-                pass
+            got = 0  # reset, or torn down under us
+        if got == 0:
+            self.eof = True
+        return got
+
+    def arm(self) -> bool:
+        return True
+
+    def disarm(self) -> None:
+        pass
 
     # -------------------------------------------------------------- close
     def shutdown(self) -> None:
+        """Stop both directions; wakes every thread blocked on the socket.
+        The descriptor itself stays open until :meth:`release`."""
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+
+    def release(self) -> None:
+        """Close the socket — after reading off what arrived and nobody
+        received: ``close()`` over unread bytes answers RST instead of
+        FIN, and a reset discards what this rank sent and the peer has
+        not read yet."""
+        scratch = bytearray(1 << 16)
+        try:
+            while self._sock.recv_into(scratch):
+                pass
+        except OSError:
+            pass  # dry (BlockingIOError), or already reset
         try:
             self._sock.close()
         except OSError:
             pass
-
-    def join(self) -> None:
-        """Wait briefly for the receiver thread after an orderly close."""
-        self._receiver.join(timeout=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +1091,7 @@ def _build_mesh(
     # rendezvous: the seed's collect-and-broadcast is simultaneously the
     # "every segment exists" barrier (attaching below can never race a
     # missing segment) and the data-address exchange.
-    pump = endpoint._pump  # present iff there is a ring peer
-    for peer in ring_peers:
-        pump.create_inbound(peer)
+    ring_links = {peer: plan.rings.link(endpoint, peer) for peer in ring_peers}
     data_listener = None
     my_addr: Optional[Tuple[str, int]] = None
     if socket_peers:
@@ -747,8 +1101,9 @@ def _build_mesh(
 
     addr_map = _rendezvous(rank, world_size, plan.seed_addr, my_addr)
 
-    for peer in ring_peers:
-        endpoint.attach(peer, pump.connect(peer))
+    for peer, link in ring_links.items():
+        link.connect()
+        endpoint.attach(peer, link)
     # Socket pairs: dial the higher ranks, accept the lower ones.
     for peer in (p for p in socket_peers if p > rank):
         sock = _connect_with_retry(
@@ -759,10 +1114,7 @@ def _build_mesh(
     for _ in (p for p in socket_peers if p < rank):
         sock, _ = data_listener.accept()
         sock.settimeout(_SETUP_TIMEOUT)
-        raw = _read_exact(sock, _RANK_ID.size)
-        if raw is None:
-            raise ConnectionResetError("mesh peer closed during handshake")
-        (peer,) = _RANK_ID.unpack(raw)
+        (peer,) = _RANK_ID.unpack(_read_exact(sock, _RANK_ID.size))
         endpoint.attach(peer, _SocketLink(endpoint, peer, sock))
     if data_listener is not None:
         data_listener.close()

@@ -39,24 +39,28 @@ then absent from ``available_backends()`` rather than silently racy).
 Progress is **spin-then-event**: a starved side yields the CPU a few
 times (zero times on oversubscribed machines, where spinning starves
 the very peer it waits for), then raises its ``*wait`` flag, re-checks,
-and sleeps briefly on a per-rank pipe doorbell (:class:`_Doorbell`).
+and sleeps briefly on a per-rank doorbell
+(:class:`repro.comm.process_backend._Doorbell`).
 The peer only rings when it observes the flag, so the streaming fast
-path never enters the kernel.  There is no background progress thread:
-whichever thread would otherwise idle drains the rings itself — blocked
-receivers (:class:`_PumpingMailbox`), senders waiting out a full ring,
-and ``poll``/``probe`` callers — so the lockstep hot path runs
-producer-to-consumer with a single wake-up and no GIL handoffs.
+path never enters the kernel.  Inbound rings are drained by the
+endpoint's one progress engine
+(:class:`repro.comm.process_backend._Pump`, shared with the socket
+link) in the context of whichever thread would otherwise idle, so the
+lockstep hot path runs producer-to-consumer with a single wake-up and
+no GIL handoffs.  A rank's data doorbell is also what its parked thread
+sleeps on (next to any sockets it has): ring producers, local
+deliveries and shutdown all wake it the same way.
 
 Frames larger than the ring (or than the free span) stream through it:
 the producer writes as space appears, the consumer's incremental parser
 consumes partial frames, so a 64 MB payload flows through a 4 MB ring
 with producer and consumer pipelined.
 
-Wire format, failure semantics, channels, endpoint and launcher are
-those of :mod:`repro.comm.process_backend` (the frames are
-byte-identical); this module contributes the outbound half of a ring
-pair (:class:`_RingLink`), the inbound half of all of a rank's ring
-pairs (:class:`_RingPump`), the launcher-side resources
+Wire format, failure semantics, channels, endpoint, progress engine and
+launcher are those of :mod:`repro.comm.process_backend` (the frames are
+byte-identical); this module contributes the ring pair between two
+ranks (:class:`_RingLink`: the outbound ring's write loop, the inbound
+ring as a pump source), the launcher-side resources
 (:class:`_RingSession`) and the ``shm`` plan: a ring for every pair.
 A rank that *finishes* sets ``pclosed`` on its outbound rings — the
 drained-ring analogue of a socket EOF; a rank that crashes is detected
@@ -75,9 +79,7 @@ import atexit
 import errno
 import logging
 import os
-import pickle
 import secrets
-import select
 import struct
 import threading
 import time
@@ -85,16 +87,15 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.comm.backend import mark_backend_unavailable, register_backend
-from repro.comm.mailbox import Mailbox, MailboxClosed
 from repro.comm.message import Message
 from repro.comm.process_backend import (
     _HEADER_LEN,
+    _WAIT_SLICE,
+    _Doorbell,
     MeshEndpoint,
     MeshPlan,
     ProcessBackend,
     pack_frame,
-    payload_finish,
-    payload_scratch,
     reject_unknown_opts,
 )
 
@@ -122,9 +123,6 @@ _OFF_TAIL = 64
 _OFF_PWAIT = 72
 _OFF_PCLOSED = 76
 
-#: Event-wait slice; bounds the reaction time to aborts and crashes.
-_WAIT_SLICE = 0.05
-
 #: Serialises the pre-3.13 resource-tracker monkeypatch: two threads
 #: interleaving save/patch/restore could otherwise leave the no-op
 #: lambda installed permanently, silently untracking every later
@@ -135,85 +133,13 @@ _TRACKER_PATCH_LOCK = threading.Lock()
 def _spin_iterations(world_size: int) -> int:
     """Yield-spin budget before arming the event fallback.
 
-    Spinning only pays when every rank (plus a progress thread) can own
-    a core; on an oversubscribed machine each spin iteration steals the
-    CPU from the very peer being waited for, so the starved side should
-    go straight to its doorbell.  Single-core CI boxes land at 0.
+    Spinning only pays when every rank can own a core; on an
+    oversubscribed machine each spin iteration steals the CPU from the
+    very peer being waited for, so the starved side should go straight
+    to its doorbell.  Single-core CI boxes land at 0.
     """
     cpus = os.cpu_count() or 1
     return 64 if cpus > world_size else 0
-
-
-class _Doorbell:
-    """A one-byte pipe used as a cross-process wakeup signal.
-
-    The event half of the rings' spin-then-event fallback.  A waiter
-    that found its rings starved arms its flag and sleeps in
-    ``select``; the peer that changes the starved condition *and sees
-    the flag* writes one byte.  One syscall to ring, one ``select`` plus
-    one drain ``read`` to wake — cheaper than ``multiprocessing.Event``
-    (several semaphore operations per transition), and the fast path
-    (flag unarmed) touches the kernel not at all.  Both ends are
-    non-blocking: a full pipe just means wakeups are already pending.
-    """
-
-    def __init__(self) -> None:
-        self._read_fd, self._write_fd = os.pipe()
-        os.set_blocking(self._read_fd, False)
-        os.set_blocking(self._write_fd, False)
-
-    def __reduce__(self):
-        # Under the spawn start method the worker arguments are pickled;
-        # raw fd numbers would be meaningless in the child, so ship
-        # duplicates through multiprocessing's fd-passing machinery
-        # (DupFd detaches to a valid fd on the receiving side).  Fork
-        # never pickles, so the fast path is unchanged.
-        from multiprocessing.reduction import DupFd
-
-        return (_rebuild_doorbell, (DupFd(self._read_fd), DupFd(self._write_fd)))
-
-    def ring(self) -> None:
-        try:
-            os.write(self._write_fd, b"\0")
-        except (BlockingIOError, InterruptedError):
-            pass  # enough wakeups queued already
-        except OSError:
-            pass  # closing down
-
-    def wait(self, timeout: float) -> None:
-        try:
-            ready, _, _ = select.select([self._read_fd], [], [], timeout)
-            if ready:
-                while os.read(self._read_fd, 4096):
-                    pass
-        except (BlockingIOError, InterruptedError):
-            pass  # drained
-        except (OSError, ValueError):
-            pass  # closing down
-
-    def close(self) -> None:
-        """Release the launcher's fds after the world has ended.
-
-        Only the launcher calls this (:meth:`_RingSession.close`, once
-        every rank has been joined) — rank processes never close their forked
-        duplicates, because a half-closed doorbell would turn a late
-        wakeup into an EBADF race; the OS reclaims theirs at exit.
-        """
-        for fd in (self._read_fd, self._write_fd):
-            try:
-                os.close(fd)
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-
-def _rebuild_doorbell(read_dup, write_dup) -> "_Doorbell":
-    """Reconstruct a :class:`_Doorbell` from pickled fd duplicates."""
-    bell = _Doorbell.__new__(_Doorbell)
-    bell._read_fd = read_dup.detach()
-    bell._write_fd = write_dup.detach()
-    os.set_blocking(bell._read_fd, False)
-    os.set_blocking(bell._write_fd, False)
-    return bell
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +352,6 @@ class _Ring:
             pass
 
     # ------------------------------------------------------------- cursors
-    @property
-    def head(self) -> int:
-        return _U64.unpack_from(self._buf, _OFF_HEAD)[0]
-
-    @property
-    def tail(self) -> int:
-        return _U64.unpack_from(self._buf, _OFF_TAIL)[0]
-
     def readable(self) -> int:
         buf = self._buf
         return _U64.unpack_from(buf, _OFF_TAIL)[0] - _U64.unpack_from(buf, _OFF_HEAD)[0]
@@ -518,136 +436,48 @@ class _Ring:
 
 
 # ---------------------------------------------------------------------------
-# incremental frame parsing (consumer side)
+# the ring link
 # ---------------------------------------------------------------------------
-class _FrameParser:
-    """Per-ring reassembly state: frames may arrive in arbitrary pieces."""
-
-    def __init__(self) -> None:
-        self._reset()
-
-    def _reset(self) -> None:
-        self.stage = "len"
-        self.scratch: Any = bytearray(_HEADER_LEN.size)
-        self.view = memoryview(self.scratch)
-        self.got = 0
-        self.header: Optional[Tuple] = None
-
-    @property
-    def idle(self) -> bool:
-        """Whether the parser sits at a frame boundary (nothing buffered)."""
-        return self.stage == "len" and self.got == 0
-
-    def feed(self, ring: _Ring) -> Optional[Tuple[Message, str]]:
-        """Advance parsing with whatever the ring holds.
-
-        Returns one completed ``(message, channel)`` per call, or
-        ``None`` when the ring ran dry mid-frame (state is kept; the
-        next call resumes exactly where this one starved)."""
-        while True:
-            if self.got < len(self.view):
-                self.got += ring.read_some(self.view[self.got :])
-                if self.got < len(self.view):
-                    return None  # starved mid-field; resume on next pump
-            if self.stage == "len":
-                (need,) = _HEADER_LEN.unpack(bytes(self.scratch))
-                self.stage = "head"
-                self.scratch = bytearray(need)
-                self.view = memoryview(self.scratch)
-                self.got = 0
-            elif self.stage == "head":
-                self.header = pickle.loads(bytes(self.scratch))
-                _channel, _src, _dst, _tag, _seq, kind, dtype, _shape, nbytes = (
-                    self.header
-                )
-                self.stage = "payload"
-                self.scratch, self.view = payload_scratch(kind, dtype, nbytes)
-                self.got = 0
-            else:
-                channel, source, dest, tag, seq, kind, _dtype, shape, _n = self.header
-                payload = payload_finish(kind, shape, self.scratch)
-                message = Message(
-                    source=source, dest=dest, tag=tag, payload=payload, seq=seq
-                )
-                self._reset()
-                return message, channel
-
-
-# ---------------------------------------------------------------------------
-# the ring link, the inbound pump and their mailbox
-# ---------------------------------------------------------------------------
-class _PumpingMailbox(Mailbox):
-    """Mailbox whose blocked receivers drive ring progress themselves.
-
-    The naive layering — producer rings a doorbell, a progress thread
-    wakes, parses, puts, notifies the application thread — costs two
-    thread wake-ups (and two GIL handoffs) per message; the raw ring
-    round-trips in ~10 us, the layered path in ~150.  Work stealing
-    removes the middleman: a receiver that would block first tries to
-    take the pump lock and drain the rings *in its own context*, so the
-    common lockstep pattern (every rank blocked in ``recv``) runs
-    producer-to-consumer with a single wake-up.  The transport has no
-    progress thread at all: every place a thread would otherwise idle
-    pumps instead — blocked receives here, blocked sends in
-    :meth:`_RingLink._write_all` (which also breaks the
-    mutual-full-ring deadlock of two ranks sending at once), and
-    :meth:`poll` / :meth:`probe` opportunistically, so poll loops
-    observe arrivals without a background drainer.
-    """
-
-    def __init__(self, owner_rank: int, channel: str, pump: "_RingPump") -> None:
-        super().__init__(owner_rank, channel)
-        self._pump = pump
-
-    def get(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._cond:
-                msg = self._find(source, tag)
-                if msg is not None:
-                    return msg
-                if self._closed:
-                    raise MailboxClosed(
-                        f"mailbox rank={self.owner_rank} channel={self.channel} "
-                        "closed while waiting for a message"
-                    )
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise TimeoutError(
-                    f"rank {self.owner_rank}/{self.channel}: timed out waiting "
-                    f"for message from source={source} tag={tag}"
-                )
-            self._pump._progress_or_wait(self, source, tag, remaining)
-
-    def poll(self, source: int = -1, tag: int = -1):
-        msg = super().poll(source, tag)
-        if msg is None and self._pump._try_pump():
-            msg = super().poll(source, tag)
-        return msg
-
-    def probe(self, source: int = -1, tag: int = -1) -> bool:
-        if super().probe(source, tag):
-            return True
-        return self._pump._try_pump() and super().probe(source, tag)
-
-
 class _RingLink:
-    """The byte pipe to one same-host peer: the outbound ring.
+    """The byte pipe to one same-host peer: an outbound and an inbound ring.
 
-    Written directly by whichever thread calls
+    The outbound ring is written directly by whichever thread calls
     :meth:`MeshEndpoint.deliver`, serialised by the send lock (the rings
     are SPSC — the lock makes this *process* the single producer even
     when the app, library and activation threads send concurrently).
     Ring capacity bounds the in-flight bytes per pair: a sender
     outrunning a never-receiving peer eventually blocks on its ring, the
-    same backpressure a socket link gets from full kernel buffers.
+    same backpressure a socket link gets from full kernel buffers.  The
+    inbound ring (created here, by its consumer) is a source of the
+    endpoint's pump (:class:`repro.comm.process_backend._Pump`, which
+    documents the surface).
     """
 
-    def __init__(self, pump: "_RingPump", peer: int, ring: _Ring) -> None:
-        self._pump = pump
+    def __init__(self, endpoint: MeshEndpoint, session: "_RingSession", peer: int) -> None:
+        self._endpoint = endpoint
+        self._session = session
         self._peer = peer
-        self._ring = ring
+        #: Wakes the peer's parked consumer / the peer blocked on its
+        #: full outbound ring / this rank blocked on a full ring.
+        self._peer_data_bell = session.data_events[peer]
+        self._peer_space_bell = session.space_events[peer]
+        self._space_bell = session.space_events[endpoint.rank]
+        self._spin = _spin_iterations(endpoint.world_size)
+        self._inbound = _Ring.create(
+            segment_name(session.name, peer, endpoint.rank), session.ring_bytes
+        )
+        self._ring: Optional[_Ring] = None
         self._send_lock = threading.Lock()
+        self.stalls = 0
+
+    def connect(self) -> None:
+        """Attach ``peer``'s inbound ring (it exists: the rendezvous
+        barrier has passed) as this rank's outbound one."""
+        session = self._session
+        self._ring = _Ring.attach(
+            segment_name(session.name, self._endpoint.rank, self._peer),
+            session.ring_bytes,
+        )
 
     # --------------------------------------------------------------- send
     def send(self, message: Message, channel: str) -> None:
@@ -660,22 +490,19 @@ class _RingLink:
         with self._send_lock:
             delivered = self._write_all(memoryview(prefix))
             if delivered and len(body):
-                delivered = self._write_all(
-                    body if isinstance(body, memoryview) else memoryview(body)
-                )
+                delivered = self._write_all(memoryview(body))
             if delivered and self._ring.consumer_waiting:
-                self._pump._data_events[self._peer].ring()
+                self._peer_data_bell.ring()
 
     def _write_all(self, view: memoryview) -> bool:
         """Stream ``view`` into the ring, spin-then-event on a full ring.
 
         Returns ``False`` when the peer departed (the remainder of the
         frame evaporates, mirroring a socket send hitting EPIPE) and
-        raises :class:`MailboxClosed` when the endpoint was aborted
-        while blocked.
+        raises ``MailboxClosed`` when the endpoint was aborted while
+        blocked.
         """
-        pump, ring, dest = self._pump, self._ring, self._peer
-        endpoint = pump._endpoint
+        endpoint, ring, dest = self._endpoint, self._ring, self._peer
         offset = 0
         total = len(view)
         spins = 0
@@ -688,266 +515,71 @@ class _RingLink:
                 offset += wrote
                 spins = 0
                 continue
-            if endpoint._closed:
-                raise MailboxClosed(
-                    f"rank {endpoint.rank}: endpoint closed while sending to {dest}"
-                    + (f" ({endpoint._abort_reason})" if endpoint._abort_reason else "")
-                )
             # The ring is full: the consumer must drain before more fits,
             # so this is the one mid-frame point that must wake it.
             if ring.consumer_waiting:
-                pump._data_events[dest].ring()
-            # Pump our own inbound rings while starved: two ranks
-            # flooding each other would otherwise deadlock on two full
-            # rings with both app threads stuck in send.
-            if pump._try_pump():
+                self._peer_data_bell.ring()
+            if endpoint._send_stalled(self, dest):
                 continue
             spins += 1
-            if spins <= pump._spin:
+            if spins <= self._spin:
                 time.sleep(0)  # yield: the consumer needs this CPU
                 continue
             # Event fallback: flag, re-check, sleep a bounded slice.
             ring.set_producer_waiting(True)
             try:
                 if ring.writable() == 0 and not ring.consumer_closed and not endpoint._closed:
-                    pump._space_events[endpoint.rank].wait(_WAIT_SLICE)
+                    self._space_bell.wait(_WAIT_SLICE)
             finally:
                 ring.set_producer_waiting(False)
         return True
 
+    # ----------------------------------------------------------- receive
+    # Header cells are read inline: these three run on every pump pass.
+    def readable(self) -> bool:
+        buf = self._inbound._buf  # noqa: SLF001 - same-module hot path
+        return _U64.unpack_from(buf, _OFF_TAIL)[0] != _U64.unpack_from(buf, _OFF_HEAD)[0]
+
+    def read_some(self, view: memoryview) -> int:
+        ring = self._inbound
+        got = ring.read_some(view)
+        if got and _U32.unpack_from(ring._buf, _OFF_PWAIT)[0]:  # noqa: SLF001
+            self._peer_space_bell.ring()
+        return got
+
+    @property
+    def eof(self) -> bool:
+        """Closed producer + drained ring = socket EOF.  The flag is read
+        first: the producer publishes its last bytes before it sets it."""
+        closed = _U32.unpack_from(self._inbound._buf, _OFF_PCLOSED)[0]  # noqa: SLF001
+        return bool(closed) and not self.readable()
+
+    def arm(self) -> bool:
+        self._inbound.set_consumer_waiting(True)
+        return not self.readable()
+
+    def disarm(self) -> None:
+        self._inbound.set_consumer_waiting(False)
+
     # -------------------------------------------------------------- close
     def shutdown(self) -> None:
-        """Set ``pclosed`` (the drained-ring EOF) and wake a parked consumer."""
+        """Set ``pclosed`` outbound (the drained-ring EOF) and ``cclosed``
+        inbound (writes to this rank now evaporate), and wake whoever
+        sleeps on either ring."""
         try:
             self._ring.close_producer()
             if self._ring.consumer_waiting:
-                self._pump._data_events[self._peer].ring()
+                self._peer_data_bell.ring()
+            self._inbound.close_consumer()
+            if self._inbound.producer_waiting:
+                self._peer_space_bell.ring()
         except TypeError:  # pragma: no cover - already detached
             pass
-
-    def join(self) -> None:
-        """Nothing to wait for: a ring has no receiver thread, and its
-        mapping is released with all the others (:meth:`_RingPump.release`)."""
-
-
-class _RingPump:
-    """The inbound half of a rank's ring pairs (present iff it has one).
-
-    Inbound rings (one per ring peer, created by this rank) are drained
-    by whichever thread holds the *pump lock* — a blocked receiver, a
-    sender waiting out a full ring, or a ``poll``/``probe`` caller (see
-    :class:`_PumpingMailbox`; there is no background progress thread to
-    wake or hand the GIL to).
-    """
-
-    def __init__(self, endpoint: MeshEndpoint, session: "_RingSession") -> None:
-        self._endpoint = endpoint
-        self._session = session
-        #: Serialises ring consumption, parser state and parking across
-        #: stealing receivers.
-        self._pump_lock = threading.Lock()
-        self._finished: set[int] = set()
-        self._detached = False
-        #: ``data_events[r]`` wakes rank ``r``'s parked consumers when
-        #: its rings gain data; ours is ``data_events[rank]``.
-        self._data_events = session.data_events
-        self._data_event = session.data_events[endpoint.rank]
-        #: ``space_events[r]`` wakes rank ``r`` blocked on a full ring.
-        self._space_events = session.space_events
-        self._spin = _spin_iterations(endpoint.world_size)
-        self._inbound: Dict[int, _Ring] = {}
-        self._parsers: Dict[int, _FrameParser] = {}
-
-    # ----------------------------------------------------------- plumbing
-    def make_mailbox(self, channel: str) -> Mailbox:
-        return _PumpingMailbox(self._endpoint.rank, channel, self)
-
-    def create_inbound(self, peer: int) -> None:
-        """Create the ring ``peer`` will send to this rank through."""
-        session, rank = self._session, self._endpoint.rank
-        ring = _Ring.create(segment_name(session.name, peer, rank), session.ring_bytes)
-        self._inbound[peer] = ring
-        self._parsers[peer] = _FrameParser()
-
-    def connect(self, peer: int) -> _RingLink:
-        """Attach ``peer``'s inbound ring (it exists: the rendezvous
-        barrier has passed) as this rank's outbound link."""
-        session, rank = self._session, self._endpoint.rank
-        ring = _Ring.attach(segment_name(session.name, rank, peer), session.ring_bytes)
-        return _RingLink(self, peer, ring)
-
-    def notify(self) -> None:
-        """Wake a consumer parked on the data doorbell (a socket
-        receiver thread delivered a frame)."""
-        self._data_event.ring()
-
-    # ----------------------------------------------------------- receive
-    def _pump_once(self) -> bool:
-        """One draining pass over every inbound ring (pump lock held).
-
-        Parses and delivers every complete frame currently available;
-        returns whether anything moved.
-        """
-        progressed = False
-        if self._detached:
-            return False
-        endpoint = self._endpoint
-        unpack = _U64.unpack_from
-        for peer, ring in self._inbound.items():
-            if peer in self._finished:
-                continue
-            # Inline emptiness test (the common case for most rings of a
-            # pass): one pair of header reads instead of a parser call
-            # chain per idle ring.
-            buf = ring._buf  # noqa: SLF001 - same-module hot path
-            if unpack(buf, _OFF_TAIL)[0] == unpack(buf, _OFF_HEAD)[0]:
-                if _U32.unpack_from(buf, _OFF_PCLOSED)[0]:
-                    # Drained ring + closed producer = socket EOF.  A
-                    # partial frame left in the parser mirrors a reset
-                    # mid-frame: the peer crashed; the launcher aborts
-                    # the world, we just stop reading this ring.
-                    self._finished.add(peer)
-                    endpoint._departed.add(peer)
-                continue
-            parser = self._parsers[peer]
-            try:
-                while True:
-                    outcome = parser.feed(ring)
-                    if outcome is None:
-                        break
-                    message, channel = outcome
-                    progressed = True
-                    try:
-                        endpoint.mailbox(endpoint.rank, channel).put(message)
-                    except MailboxClosed:
-                        return progressed  # aborted while delivering
-            except (pickle.UnpicklingError, EOFError, ValueError) as exc:
-                # The stream is unreadable but both processes live — the
-                # launcher cannot see this, so wake the local rank ourselves.
-                if not endpoint._closed:
-                    endpoint.abort(f"corrupted stream from rank {peer}: {exc}")
-                return progressed
-            if _U32.unpack_from(buf, _OFF_PWAIT)[0]:
-                self._space_events[peer].ring()
-        return progressed
-
-    def _park(self, seconds: float) -> None:
-        """Sleep on the data doorbell until a producer has news.
-
-        Callers hold the pump lock, so at most one thread parks at a
-        time.  Arm the consumer-waiting flags (so producers start
-        ringing), re-check — the readable re-check between arming and
-        sleeping closes the publish/park race — then sleep and disarm.
-        """
-        pack, unpack = _U32.pack_into, _U64.unpack_from
-        rings = list(self._inbound.values())
-        for ring in rings:
-            pack(ring._buf, _OFF_CWAIT, 1)  # noqa: SLF001
-        try:
-            if not self._endpoint._closed and not any(
-                unpack(ring._buf, _OFF_TAIL)[0] != unpack(ring._buf, _OFF_HEAD)[0]
-                for ring in rings
-            ):
-                self._data_event.wait(min(seconds, _WAIT_SLICE))
-        finally:
-            for ring in rings:
-                pack(ring._buf, _OFF_CWAIT, 0)  # noqa: SLF001
-
-    def _try_pump(self) -> bool:
-        """Nonblocking pump: drain the rings if nobody else is.
-
-        Returns whether anything moved (``False`` also when another
-        thread holds the pump — its progress counts as progress for
-        retry loops, but callers must not assume their message arrived).
-        """
-        if not self._pump_lock.acquire(blocking=False):
-            return False
-        try:
-            return self._pump_once()
-        finally:
-            self._pump_lock.release()
-
-    def _progress_or_wait(
-        self, mailbox: Mailbox, source: int, tag: int, remaining: Optional[float]
-    ) -> None:
-        """One blocked-receiver iteration: steal the pump or wait briefly.
-
-        Called by :class:`_PumpingMailbox` with the mailbox lock
-        released.  Either drains the rings in this thread's context or —
-        when another thread is already pumping — waits for its
-        ``put``-notification on the mailbox condition.  Returns with no
-        verdict; the caller re-checks its mailbox and deadline.
-        """
-        slice_seconds = _WAIT_SLICE if remaining is None else min(remaining, _WAIT_SLICE)
-        rings_drained = False
-        if self._pump_lock.acquire(blocking=False):
-            try:
-                if self._pump_once():
-                    return
-                if self._endpoint._closed or len(self._finished) == len(self._inbound):
-                    # Nothing will ever arrive from the rings (every
-                    # peer departed, or P=1); wait below, off the lock.
-                    rings_drained = True
-                else:
-                    # A pumper that ran between our mailbox check and
-                    # the lock acquisition may have delivered the wanted
-                    # message already; never park over an unread match.
-                    if Mailbox.probe(mailbox, source, tag):
-                        return
-                    self._park(slice_seconds)
-            finally:
-                self._pump_lock.release()
-            if rings_drained:
-                # Local same-rank deliveries still notify the mailbox
-                # condition; sleep on it instead of burning the CPU
-                # down the caller's deadline.
-                with mailbox._cond:  # noqa: SLF001 - cooperating classes
-                    if not mailbox._messages and not mailbox._closed:
-                        mailbox._cond.wait(slice_seconds)
-        else:
-            # Someone else pumps; their put() will notify this condition.
-            with mailbox._cond:  # noqa: SLF001 - cooperating classes
-                if not mailbox._messages and not mailbox._closed:
-                    mailbox._cond.wait(min(slice_seconds, 0.002))
-
-    # -------------------------------------------------------------- close
-    def shutdown(self) -> None:
-        """Set ``cclosed`` on the inbound rings (writes to this rank now
-        evaporate) and wake everything sleeping on them."""
-        for ring in self._inbound.values():
-            try:
-                ring.close_consumer()
-            except TypeError:  # pragma: no cover - already detached
-                pass
-        # Wake anything sleeping on our events so teardown is prompt.
-        self._data_event.ring()
-        self._space_events[self._endpoint.rank].ring()
-        for peer, ring in self._inbound.items():
-            if ring.producer_waiting:
-                self._space_events[peer].ring()
+        self._space_bell.ring()  # our own sender, asleep on a full ring
 
     def release(self) -> None:
-        """Release the shared-memory mappings exactly once.
-
-        Taking the pump lock and every send lock first guarantees no
-        thread is mid-access on a ring; late pump attempts see
-        ``_detached`` and no-op, late sends see ``_closed`` and raise.
-        """
-        links = [
-            link for link in self._endpoint._links.values() if isinstance(link, _RingLink)
-        ]
-        locks = [self._pump_lock, *(link._send_lock for link in links)]
-        for lock in locks:
-            lock.acquire()
-        try:
-            if self._detached:
-                return
-            self._detached = True
-            for ring in [*self._inbound.values(), *(link._ring for link in links)]:
-                ring.detach()
-        finally:
-            for lock in reversed(locks):
-                lock.release()
+        self._ring.detach()
+        self._inbound.detach()
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +594,7 @@ class _RingSession:
     the ``finally`` of :meth:`ProcessBackend.run` on every exit path —
     unlinks every segment of this world and closes the doorbell fds.
     Handed to the rank processes inside the plan (fork inherits the
-    doorbell fds, spawn ships duplicates, see :class:`_Doorbell`).
+    doorbell fds, spawn ships duplicates).
     """
 
     def __init__(self, world_size: int, ring_bytes: int) -> None:
@@ -977,9 +609,10 @@ class _RingSession:
         # signal-unsafe spot).
         atexit.register(self.sweep)
 
-    def pump(self, endpoint: MeshEndpoint) -> _RingPump:
-        """The inbound-ring component of one rank of this world."""
-        return _RingPump(endpoint, self)
+    def link(self, endpoint: MeshEndpoint, peer: int) -> _RingLink:
+        """The ring pair between ``endpoint``'s rank and ``peer``; creates
+        the inbound ring, :meth:`_RingLink.connect` attaches the other."""
+        return _RingLink(endpoint, self, peer)
 
     def sweep(self) -> None:
         """Unlink every segment of this session (idempotent)."""

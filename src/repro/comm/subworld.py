@@ -140,6 +140,9 @@ class SubsetCommunicator:
             self._require_member(source), tag, timeout=timeout
         )
 
+    def recycle(self, payload: Any) -> None:
+        self._parent.recycle(payload)
+
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         return self._parent.irecv(self._require_member(source), tag)
 
@@ -150,34 +153,14 @@ class SubsetCommunicator:
         return self._parent.poll(self._require_member(source), tag)
 
     # ------------------------------------------------------------- barrier
-    def barrier(self, timeout: Optional[float] = None) -> None:
-        """Dissemination barrier over the subset only.
-
-        Same algorithm (and tag layout) as
-        :meth:`repro.comm.communicator.Communicator.barrier`, but the
-        distance arithmetic runs in view-rank space so only subset members
-        participate.  The parent's own barrier epoch is left untouched —
-        the two must not share tag slots, so the view keeps its own
-        counter and disjoint subsets stay separated by their explicit
-        (source, tag) matches.
-        """
-        from repro.comm import tags
-
-        size = self.size
-        epoch = self._barrier_epoch
-        self._barrier_epoch += 1
-        if size == 1:
-            return
-        k = 0
-        dist = 1
-        while dist < size:
-            dest = (self._rank + dist) % size
-            src = (self._rank - dist) % size
-            tag = tags.barrier_tag(epoch, k)
-            self.send(("barrier", epoch, k), dest, tag=tag)
-            self.recv(source=src, tag=tag, timeout=timeout)
-            dist <<= 1
-            k += 1
+    #: Dissemination barrier over the subset only: the parent class's own
+    #: body (same algorithm and tag layout) run on this view's ``size`` /
+    #: ``_rank`` / ``send`` / ``recv``, so the distance arithmetic is in
+    #: view-rank space and only subset members participate.  The view
+    #: keeps its own ``_barrier_epoch``: the parent's is left untouched,
+    #: and disjoint subsets stay separated by their explicit (source,
+    #: tag) matches.
+    barrier = Communicator.barrier
 
     # ---------------------------------------------------------------- misc
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -152,6 +152,9 @@ def _trace_rank_main(comm, config: TraceConfig) -> Optional[Dict[str, Any]]:
         # All training traffic is done on every rank before anyone dumps
         # its buffer, so the traces cover the same (whole) run.
         comm.barrier()
+        # The transport's otherwise silent events; none on "thread".
+        for name, value in getattr(comm.router, "stats", dict)().items():
+            recorder.counter(f"transport.{name}", value, cat="comm")
     finally:
         payload = {
             "trace": recorder.dump(),

@@ -13,7 +13,10 @@ POSIX shared memory / no fork).  The ``tcp`` backend runs here in its
 single-launcher shape (ephemeral loopback seed) and ``hier`` under its
 default single-host topology; :class:`TestMixedFabric` adds the
 topologies that mix rings and sockets and the two-launcher ``tcp``
-world, and :class:`TestFailures` the hard-crash hygiene contract.
+world, :class:`TestProgressEngine` what the process-model transports
+promise about inbound progress (one engine, no transport threads, the
+EOF cases, recycled receive buffers), and :class:`TestFailures` the
+hard-crash hygiene contract.
 
 The pickle-safety tests are part of the contract: payloads and results
 cross a process boundary on the socket transport, so everything a rank
@@ -26,8 +29,10 @@ import multiprocessing
 import os
 import pickle
 import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -213,6 +218,30 @@ class TestPointToPoint:
             return comm.poll(tag=9) == 5
 
         assert all(launch(worker, 2, backend=backend))
+
+    def test_same_rank_send_wakes_a_blocked_receiver(self, backend):
+        """A receiver asleep on the transport's wake source (not on the
+        mailbox condition) must hear a local delivery from another
+        thread of its own rank at once, not a park slice later."""
+
+        def worker(comm):
+            latencies = []
+            for tag in range(5):
+                sent_at = []
+
+                def sender():
+                    time.sleep(0.02)  # the receiver is asleep by now
+                    sent_at.append(time.perf_counter())
+                    comm.send("wake", comm.rank, tag=tag)
+
+                thread = threading.Thread(target=sender)
+                thread.start()
+                comm.recv(source=comm.rank, tag=tag, timeout=30)
+                latencies.append(time.perf_counter() - sent_at[0])
+                thread.join(timeout=30)
+            return sorted(latencies)[len(latencies) // 2]
+
+        assert max(launch(worker, 2, backend=backend)) < 0.005
 
     def test_send_copy_isolation(self, backend):
         def worker(comm):
@@ -618,6 +647,238 @@ class TestMixedFabric:
         # Each launcher sees results only for the ranks it owns.
         assert json.loads(outputs[0]) == [10.0, 10.0, None, None]
         assert json.loads(outputs[1]) == [None, None, 10.0, 10.0]
+
+
+# ---------------------------------------------------------------------------
+# inbound progress on the process-model transports
+# ---------------------------------------------------------------------------
+#: Every fabric of the process launcher: sockets only, rings only, mixed.
+_PROCESS_FABRICS = [
+    ("process", 2, {}),
+    ("shm", 2, {"ring_bytes": 256 * 1024}),
+    ("tcp", 2, {}),
+    ("hier", 4, {"host_topology": "0,0,1,1", "ring_bytes": 256 * 1024}),
+]
+
+
+def _tcp_pair():
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        ours = socket.create_connection(listener.getsockname())
+        theirs, _ = listener.accept()
+    return ours, theirs
+
+
+def _frame(payload, tag):
+    from repro.comm.process_backend import _HEADER_LEN, pack_frame
+
+    head, body = pack_frame(Message(source=1, dest=0, tag=tag, payload=payload), "app")
+    return _HEADER_LEN.pack(len(head)) + head + bytes(body)
+
+
+class TestProgressEngine:
+    @pytest.fixture(params=_PROCESS_FABRICS, ids=["process", "shm", "tcp", "hier-0,0,1,1"])
+    def fabric(self, request):
+        name, size, opts = request.param
+        _skip_if_unavailable(name)
+        return name, size, opts
+
+    @pytest.fixture
+    def raw_peer(self):
+        """Rank 0's endpoint of a two-rank world whose rank 1 is this
+        test, holding the other end of the socket."""
+        from repro.comm.communicator import Communicator
+        from repro.comm.process_backend import MeshEndpoint, _SocketLink
+
+        endpoint = MeshEndpoint(0, 2)
+        ours, theirs = _tcp_pair()
+        endpoint.attach(1, _SocketLink(endpoint, 1, ours))
+        try:
+            yield endpoint, Communicator(endpoint, 0), theirs
+        finally:
+            theirs.close()
+            endpoint.close()
+
+    def test_mutual_flood_does_not_deadlock(self, fabric):
+        """Every rank sends several times what a ring or the kernel's
+        socket buffers hold before anyone receives: senders must drain
+        their own inbound while they wait for room."""
+        name, size, opts = fabric
+        n, rounds = 1 << 20, 3  # 3 x 8 MiB to every peer
+
+        def worker(comm):
+            peers = [p for p in range(comm.size) if p != comm.rank]
+            chunk = np.arange(n, dtype=np.float64) + comm.rank
+            for i in range(rounds):
+                for peer in peers:
+                    comm.send(chunk, peer, tag=i)
+            ok = True
+            for i in range(rounds):
+                for peer in peers:
+                    got = comm.recv(source=peer, tag=i, timeout=60)
+                    ok = ok and got[0] == peer and got[-1] == n - 1 + peer
+                    ok = ok and float(got.sum()) == float(chunk.sum()) + n * (peer - comm.rank)
+            return bool(ok)
+
+        assert all(launch(worker, size, backend=name, backend_opts=opts, timeout=180))
+
+    def test_no_transport_threads(self, fabric):
+        name, size, opts = fabric
+
+        def worker(comm):
+            comm.barrier(timeout=30)  # the mesh is built and has carried traffic
+            return sorted(t.name for t in threading.enumerate())
+
+        assert launch(worker, size, backend=name, backend_opts=opts) == [
+            ["MainThread", f"abort-listener-r{rank}"] for rank in range(size)
+        ]
+
+    def test_spawn_start_method(self, fabric):
+        """Nothing handed to a rank needs fork: the plan, ring doorbells
+        included, pickles; a socket-only world makes its wake source
+        inside the rank."""
+        name, size, opts = fabric
+        assert launch(
+            _ring_worker, size, backend=name, timeout=120,
+            backend_opts={**opts, "start_method": "spawn"},
+        ) == [float((r - 1) % size) for r in range(size)]
+
+    def test_finishing_with_unread_inbound_keeps_what_was_sent(self, fabric):
+        """Rank 0 exits while a message it never receives sits in its
+        inbound link; what it sent before must still reach rank 1."""
+        name, size, opts = fabric
+        n = 100_000  # 800 kB: in flight in the link, not yet read by rank 1
+
+        def worker(comm):
+            if comm.rank == 0:
+                comm.recv(source=1, tag=1, timeout=30)
+                comm.send(np.arange(n, dtype=np.float64), 1, tag=2)
+                time.sleep(0.2)  # rank 1's stray message arrives; nobody reads it
+                return None
+            if comm.rank == 1:
+                comm.send("go", 0, tag=1)
+                time.sleep(0.1)
+                comm.send(np.zeros(1000), 0, tag=3)  # never received
+                time.sleep(0.3)  # rank 0 is gone by now
+                return float(comm.recv(source=0, tag=2, timeout=30)[-1])
+            return None
+
+        assert launch(worker, size, backend=name, backend_opts=opts)[1] == n - 1.0
+
+    # ----------------------------------------- the three ways a stream ends
+    def test_eof_at_a_frame_boundary_is_a_departure(self, raw_peer):
+        endpoint, comm, peer = raw_peer
+        peer.sendall(_frame(np.arange(4.0), tag=7))
+        peer.close()
+        assert comm.recv(source=1, tag=7, timeout=10).tolist() == [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(TimeoutError):
+            comm.recv(source=1, tag=8, timeout=0.2)
+        assert endpoint._departed == {1} and not endpoint._closed
+        comm.send("to nobody", 1)  # evaporates, like a send to a finished thread
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["eof", "reset"])
+    def test_end_of_stream_inside_a_frame_is_a_departure_too(self, raw_peer, reset):
+        endpoint, comm, peer = raw_peer
+        frame = _frame(np.arange(1000.0), tag=7)
+        peer.sendall(frame[: len(frame) // 2])
+        if reset:  # close() with SO_LINGER 0 answers RST instead of FIN
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()
+        with pytest.raises(TimeoutError):
+            comm.recv(source=1, tag=7, timeout=0.5)
+        # The launcher owns crash detection; the rank itself carries on.
+        assert endpoint._departed == {1} and not endpoint._closed
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [b"\x00\x00\x00\x10" + b"\xff" * 16, b"\xff\xff\xff\xff"],
+        ids=["unpicklable-header", "absurd-header-length"],
+    )
+    def test_an_unparseable_header_aborts_the_local_rank(self, raw_peer, garbage):
+        from repro.comm.mailbox import MailboxClosed
+
+        endpoint, comm, peer = raw_peer
+        peer.sendall(garbage)
+        with pytest.raises(MailboxClosed):
+            comm.recv(source=1, tag=7, timeout=10)
+        assert "corrupted stream from rank 1" in endpoint._abort_reason
+
+    # ------------------------------------------------- recycled buffers
+    def test_a_payload_the_caller_keeps_is_never_overwritten(self, fabric):
+        name, size, opts = fabric
+        n = 5000
+
+        def worker(comm):
+            if comm.rank == 1:
+                for i in range(8):
+                    comm.send(np.full(n, float(i)), 0, tag=i)
+                    comm.send(np.full(n, -1.0), 0, tag=100 + i)
+                    comm.recv(source=0, tag=200 + i, timeout=30)  # in lockstep
+                return True
+            if comm.rank != 0:
+                return True
+            kept = []
+            for i in range(8):
+                kept.append(comm.recv(source=1, tag=i, timeout=30))
+                comm.recycle(comm.recv(source=1, tag=100 + i, timeout=30))
+                comm.send("next", 1, tag=200 + i)
+            # Each recycled buffer came back as the next kept payload.
+            stats = comm.router.stats()
+            return (
+                all(np.all(arr == float(i)) for i, arr in enumerate(kept))
+                and stats["buffers_recycled"] == 7
+                and stats["buffers_fresh"] == 9
+            )
+
+        assert all(launch(worker, size, backend=name, backend_opts=opts))
+
+    def test_recycle_takes_whole_buffers_once(self):
+        from repro.comm.process_backend import _FREE_LIST_MAX_BYTES, _FreeList
+
+        pool = _FreeList()
+        first = pool.draw("<f8", 800)
+        pool.give(first[:50])  # a window of a buffer is not the buffer
+        pool.give(np.arange(4))  # int64 of another size: pooled under its own key
+        pool.give("not an array")
+        pool.give(first.reshape(10, 10))  # a reshaped view of all of it
+        pool.give(first)  # twice: two frames must never share memory
+        assert pool.draw("<f8", 800) is first
+        assert pool.draw("<f8", 800) is not first
+        assert (pool.fresh, pool.recycled) == (2, 1)
+        # Past the ceiling the list starts over instead of growing.
+        big = _FREE_LIST_MAX_BYTES // 2 + 8
+        for _ in range(3):
+            pool.give(np.empty(big, dtype=np.uint8))
+        assert pool._bytes == big
+
+    def test_steady_state_exchange_allocates_no_receive_buffer(self):
+        """50 fused exchange steps on ``process`` draw no more fresh
+        buffers than one step can have in flight at once; every later
+        frame lands in a recycled one."""
+        steps, n_chunks = 50, 2
+
+        def worker(comm):
+            from repro.training.exchange import SynchronousExchange
+
+            exchange = SynchronousExchange(
+                comm, algorithm="ring", fusion_threshold_bytes=1 << 16,
+                pipeline_chunks=n_chunks,
+            )
+            gradient = np.empty(4 * (1 << 13))  # four equal buckets
+            for _ in range(steps):
+                gradient[:] = comm.rank + 1.0
+                exchange.exchange(gradient)
+            assert np.all(gradient == 1.5)
+            return comm.router.stats()
+
+        for stats in launch(worker, 2, backend="process", timeout=120):
+            frames = steps * 4 * 2 * n_chunks  # buckets x (scatter, gather) x segments
+            assert stats["frames_parsed"] == frames
+            # At P = 2 a peer runs at most one phase ahead: the segments
+            # of two phases, all of one size, are what can be unread.
+            assert 1 <= stats["buffers_fresh"] <= 2 * n_chunks
+            assert stats["buffers_recycled"] == frames - stats["buffers_fresh"]
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,25 @@ class TestTraceCommand:
         assert len(summary["straggler"]) == 2
         assert "trace report" in format_summary(summary)
 
+    def test_traced_run_carries_the_transport_counters(self, tmp_path):
+        from repro.obs.tracecmd import TraceConfig, run_trace
+
+        _skip_if_unavailable("process")
+        out = tmp_path / "trace.json"
+        run_trace(TraceConfig(world_size=2, steps=3), backend="process", out=str(out))
+        trace = json.loads(out.read_text())
+        assert validate_chrome_trace(trace) == []
+        counters = {
+            (e["pid"], e["name"]): e["args"]["value"]
+            for e in trace["traceEvents"] if e["ph"] == "C" and e["cat"] == "comm"
+        }
+        for rank in (0, 1):
+            assert counters[rank, "transport.frames_parsed"] > 0
+            assert counters[rank, "transport.buffers_recycled"] > 0
+            assert counters[rank, "transport.departed_peers"] == 0
+            for name in ("parks", "send_stalls", "buffers_fresh"):
+                assert (rank, f"transport.{name}") in counters
+
     def test_trace_cli_entrypoint(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -22,7 +22,7 @@ from repro.collectives.sharding import (
     allgather_flat,
     reduce_scatter,
 )
-from repro.collectives.sync import allreduce
+from repro.collectives.sync import allreduce, allreduce_hierarchical
 from repro.comm import launch
 from repro.data.loader import Batch
 from repro.nn.models import MLPClassifier, SequenceLSTMClassifier, resnet_cifar
@@ -320,6 +320,57 @@ def test_in_place_step_is_bit_identical_to_the_copying_oracle(config, world_size
     if config != "majority":  # eager replicas drift apart by design
         assert all(np.array_equal(finals[0], final) for final in finals[1:])
     assert not np.array_equal(finals[0], flatten_parameters(_step_model()))
+
+
+# ---------------------------------------------------------------------------
+# (c') ... and over recycled receive buffers: ``process`` against ``thread``
+# ---------------------------------------------------------------------------
+def _recycling_worker(comm):
+    """Three rounds of every bulk collective, two segments a message: from
+    the second round on, each frame lands in memory an earlier frame used."""
+    from repro.collectives.topology import HostTopology
+
+    topology = HostTopology([0, 0, 1, 1][: comm.size] if comm.size > 2 else [0, 1])
+    out = {}
+    for round_index in range(3):
+        data = np.random.default_rng((comm.rank, round_index)).standard_normal(1001)
+        for algorithm in ("ring", "recursive_doubling", "rabenseifner"):
+            out[algorithm, round_index] = allreduce(
+                comm, data, algorithm=algorithm, average=True, n_chunks=2
+            )
+        out["hierarchical", round_index] = allreduce_hierarchical(
+            comm, data, average=True, n_chunks=2, topology=topology
+        )
+        for algorithm in ("ring", "halving", "hierarchical"):
+            kwargs = dict(algorithm=algorithm, n_chunks=2)
+            if algorithm == "hierarchical":
+                kwargs["topology"] = topology
+            scattered, (lo, hi) = reduce_scatter(comm, data, average=True, **kwargs)
+            out["reduce_scatter", algorithm, round_index] = scattered[lo:hi].copy()
+            out["allgather_flat", algorithm, round_index] = allgather_flat(
+                comm, scattered, **kwargs
+            ).copy()
+    stats = getattr(comm.router, "stats", dict)()
+    return out, stats.get("buffers_recycled", 0)
+
+
+@pytest.mark.parametrize("world_size", [2, 3, 4])
+def test_collectives_over_recycled_buffers_match_the_thread_backend(world_size):
+    reference = launch(_recycling_worker, world_size, backend="thread")
+    recycling = launch(_recycling_worker, world_size, backend="process", timeout=120)
+    for (expected, _), (got, recycled) in zip(reference, recycling):
+        assert recycled > 0  # the guard is live
+        assert expected.keys() == got.keys()
+        for key in expected:
+            assert np.array_equal(expected[key], got[key]), key
+
+
+@pytest.mark.parametrize("world_size", [2, 3, 4])
+@pytest.mark.parametrize("config", ["ring", "recursive_doubling", "zero1-ring", "zero1-halving"])
+def test_training_steps_over_recycled_buffers_match_the_thread_backend(config, world_size):
+    reference = launch(_oracle_worker, world_size, config, backend="thread")
+    recycling = launch(_oracle_worker, world_size, config, backend="process", timeout=120)
+    assert all(np.array_equal(a, b) for a, b in zip(reference, recycling))
 
 
 # ---------------------------------------------------------------------------
