@@ -28,15 +28,12 @@ from repro.experiments import (
     fig3_wmt_runtime,
     fig4_cloud_runtime,
     fig9_microbenchmark,
-    fig10_hyperplane,
-    fig11_imagenet,
-    fig12_cifar_severe,
-    fig13_ucf101_lstm,
     fusion_pipeline,
     scaling,
     speedups,
     table1_networks,
 )
+from repro.experiments.training_experiments import report_figure, run_figure
 
 #: Description of every sub-command, shown by ``python -m repro list``.
 EXPERIMENTS: Dict[str, str] = {
@@ -49,7 +46,8 @@ EXPERIMENTS: Dict[str, str] = {
     "fig11": "ResNet/ImageNet-like: Deep500/Horovod vs eager-SGD (solo)",
     "fig12": "ResNet/CIFAR-like under severe imbalance: Horovod/solo/majority",
     "fig13": "LSTM/UCF101-like video classification: Horovod/solo/majority",
-    "speedups": "headline speedup summary across the training figures",
+    "speedups": "paper fidelity: every claim of the paper, its value and ours, "
+    "inside tolerance or not (trains fig10-fig13 once)",
     "scaling": "strong/weak scaling projections",
     "fusion": "fused/chunked gradient-exchange pipeline vs. unfused baseline",
     "tune": "calibrate the LogGP model to a comm backend and auto-tune fusion",
@@ -139,20 +137,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend_argument(p, "comm backend of the functional measurements")
     _add_compression_argument(p, "gradient codec carried by the collectives")
 
-    for name, scales in (
-        ("fig10", ("tiny", "small", "paper")),
-        ("fig11", ("tiny", "small", "large")),
-        ("fig12", ("tiny", "small", "large")),
-        ("fig13", ("tiny", "small", "large")),
-    ):
+    for name, spec in speedups.FIGURES.items():
         p = sub.add_parser(name, help=EXPERIMENTS[name])
-        p.add_argument("--scale", choices=scales, default="tiny")
+        p.add_argument("--scale", choices=tuple(spec.scales), default="tiny")
         p.add_argument("--seed", type=int, default=0)
         _add_backend_argument(p, "comm backend carrying the training ranks")
         _add_compression_argument(p, "gradient codec of the exchange")
 
     p = sub.add_parser("speedups", help=EXPERIMENTS["speedups"])
-    p.add_argument("--scale", default="tiny")
+    p.add_argument("--scale", choices=speedups.SHARED_SCALES, default="tiny")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scaling", help=EXPERIMENTS["scaling"])
@@ -344,22 +337,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 backend=args.backend, compression=args.compression
             )
         print(fig9_microbenchmark.report(result))
-    elif args.command == "fig10":
-        print(fig10_hyperplane.report(fig10_hyperplane.run(
-            scale=args.scale, seed=args.seed, comm_backend=args.backend,
-            compression=args.compression)))
-    elif args.command == "fig11":
-        print(fig11_imagenet.report(fig11_imagenet.run(
-            scale=args.scale, seed=args.seed, comm_backend=args.backend,
-            compression=args.compression)))
-    elif args.command == "fig12":
-        print(fig12_cifar_severe.report(fig12_cifar_severe.run(
-            scale=args.scale, seed=args.seed, comm_backend=args.backend,
-            compression=args.compression)))
-    elif args.command == "fig13":
-        print(fig13_ucf101_lstm.report(fig13_ucf101_lstm.run(
-            scale=args.scale, seed=args.seed, comm_backend=args.backend,
-            compression=args.compression)))
+    elif args.command in speedups.FIGURES:
+        print(report_figure(run_figure(
+            speedups.FIGURES[args.command], scale=args.scale, seed=args.seed,
+            comm_backend=args.backend, compression=args.compression)))
     elif args.command == "speedups":
         print(speedups.report(speedups.run(scale=args.scale, seed=args.seed)))
     elif args.command == "scaling":

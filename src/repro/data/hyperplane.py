@@ -10,7 +10,7 @@ tiny instances while the Fig. 10 benchmark uses the paper's shapes
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -64,38 +64,3 @@ class HyperplaneDataset(Dataset):
     def get_batch(self, indices: Sequence[int]) -> Batch:
         idx = np.asarray(indices, dtype=np.int64)
         return Batch(inputs=self.x[idx], targets=self.y[idx], indices=idx)
-
-    def split(self, validation_fraction: float = 0.2, seed: SeedLike = 0) -> Tuple["HyperplaneView", "HyperplaneView"]:
-        """Split into train/validation views without copying the arrays."""
-        if not 0.0 < validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1)")
-        rng = seeded_rng(seed)
-        perm = rng.permutation(len(self))
-        n_val = int(len(self) * validation_fraction)
-        return (
-            HyperplaneView(self, perm[n_val:]),
-            HyperplaneView(self, perm[:n_val]),
-        )
-
-
-class HyperplaneView(Dataset):
-    """A subset view over a :class:`HyperplaneDataset` (train/val split)."""
-
-    def __init__(self, base: HyperplaneDataset, indices: np.ndarray) -> None:
-        self.base = base
-        self.indices = np.asarray(indices, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def get_batch(self, indices: Sequence[int]) -> Batch:
-        idx = self.indices[np.asarray(indices, dtype=np.int64)]
-        return Batch(inputs=self.base.x[idx], targets=self.base.y[idx], indices=idx)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.base.x[self.indices]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.base.y[self.indices]

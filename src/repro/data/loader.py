@@ -10,7 +10,7 @@ all ranks agree on the global sample order while touching disjoint shards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +62,36 @@ class Dataset:
     def example_sizes(self) -> Optional[np.ndarray]:
         """Per-example workload proxy (``None`` when cost is uniform)."""
         return None
+
+    def split(
+        self, validation_fraction: float = 0.2, seed: SeedLike = 0
+    ) -> Tuple["DatasetView", "DatasetView"]:
+        """Train/validation views over one seeded permutation (no copies)."""
+        if not 0.0 < validation_fraction < 1.0:
+            raise ValueError(
+                f"validation_fraction must be in (0, 1), got {validation_fraction!r}"
+            )
+        perm = seeded_rng(seed).permutation(len(self))
+        n_val = int(len(self) * validation_fraction)
+        return DatasetView(self, perm[n_val:]), DatasetView(self, perm[:n_val])
+
+
+class DatasetView(Dataset):
+    """The examples of ``base`` at ``indices``, re-indexed from zero."""
+
+    def __init__(self, base: Dataset, indices: np.ndarray) -> None:
+        self.base = base
+        self.indices = np.asarray(indices, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self.indices.size)
+
+    def get_batch(self, indices: Sequence[int]) -> Batch:
+        return self.base.get_batch(self.indices[np.asarray(indices, dtype=np.int64)])
+
+    def example_sizes(self) -> Optional[np.ndarray]:
+        sizes = self.base.example_sizes()
+        return None if sizes is None else sizes[self.indices]
 
 
 class ShardedLoader:

@@ -66,28 +66,6 @@ class ImageClassificationDataset(Dataset):
         idx = np.asarray(indices, dtype=np.int64)
         return Batch(inputs=self.images[idx], targets=self.labels[idx], indices=idx)
 
-    def split(self, validation_fraction: float = 0.2, seed: SeedLike = 0):
-        """Train/validation split returning two index-view datasets."""
-        rng = seeded_rng(seed)
-        perm = rng.permutation(len(self))
-        n_val = int(len(self) * validation_fraction)
-        return (_ImageView(self, perm[n_val:]), _ImageView(self, perm[:n_val]))
-
-
-class _ImageView(Dataset):
-    def __init__(self, base: ImageClassificationDataset, indices: np.ndarray) -> None:
-        self.base = base
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.num_classes = base.num_classes
-        self.image_shape = base.image_shape
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def get_batch(self, indices: Sequence[int]) -> Batch:
-        idx = self.indices[np.asarray(indices, dtype=np.int64)]
-        return Batch(inputs=self.base.images[idx], targets=self.base.labels[idx], indices=idx)
-
 
 def cifar10_like(
     num_examples: int = 2_000,

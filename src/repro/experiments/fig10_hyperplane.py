@@ -15,173 +15,97 @@ from the per-step workload trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, Mapping
 
 from repro.data.hyperplane import HyperplaneDataset
 from repro.experiments.training_experiments import (
-    ComparisonResult,
-    VariantSpec,
-    comparison_table,
-    metric_vs_time_table,
-    run_comparison,
-    speedup_summary,
+    Claim,
+    FigureResult,
+    FigureSpec,
+    Workload,
+    injected_delay_variants,
+    report_figure,
+    run_figure,
 )
 from repro.imbalance.cost_model import FixedCostModel
-from repro.imbalance.injection import RandomSubsetDelay
 from repro.nn.losses import MSELoss
 from repro.nn.models import HyperplaneMLP
-from repro.training.config import TrainingConfig
-
-#: Speedups of eager-SGD (solo) over synch-SGD (Deep500) quoted in 6.2.1.
-PAPER_SPEEDUPS = {
-    "eager-SGD-200 (solo)": 1.50,
-    "eager-SGD-300 (solo)": 1.75,
-    "eager-SGD-400 (solo)": 2.01,
-}
-#: Validation loss both methods converge to in the paper.
-PAPER_FINAL_LOSS = 4.7
-
-#: Scale presets: (input_dim, num_examples, global_batch, epochs, world_size).
-SCALES = {
-    "tiny": dict(input_dim=64, num_examples=512, global_batch_size=128, epochs=3, world_size=4),
-    "small": dict(input_dim=256, num_examples=2048, global_batch_size=256, epochs=8, world_size=8),
-    "paper": dict(
-        input_dim=8192, num_examples=32768, global_batch_size=2048, epochs=48, world_size=8
-    ),
-}
 
 #: Single-GPU step time implied by the paper ("0.64 steps/s with batch
 #: size 2,048" on one node): roughly 195 ms of compute per local batch at
 #: 8-way parallelism.
 STEP_COMPUTE_SECONDS = 0.195
 
-
-@dataclass
-class Fig10Result:
-    comparison: ComparisonResult
-    scale: str
-    delays_ms: Sequence[float]
+#: Injected delay (ms) -> speedup of eager-SGD (solo) over synch-SGD
+#: (Deep500) quoted in 6.2.1, and the validation loss both converge to.
+PAPER_SPEEDUPS = {200.0: 1.50, 300.0: 1.75, 400.0: 2.01}
+PAPER_FINAL_LOSS = 4.7
 
 
-def run(
-    scale: str = "small",
-    delays_ms: Sequence[float] = (200.0, 300.0, 400.0),
-    seed: int = 0,
-    time_scale: float = 0.001,
-    include_majority: bool = False,
-    comm_backend: Optional[str] = None,
-    compression: Optional[str] = None,
-) -> Fig10Result:
-    """Run synch-SGD vs eager-SGD (solo) for every injected delay."""
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {sorted(SCALES)}")
-    params = SCALES[scale]
-    dataset = HyperplaneDataset(
-        num_examples=params["num_examples"],
-        input_dim=params["input_dim"],
-        noise_std=1.0,
-        seed=seed,
-    )
-    train, val = dataset.split(validation_fraction=0.2, seed=seed)
-
-    def model_factory() -> HyperplaneMLP:
-        return HyperplaneMLP(input_dim=params["input_dim"], seed=seed + 1)
-
-    base = TrainingConfig(
-        world_size=params["world_size"],
-        comm_backend=comm_backend,
-        compression=compression,
-        epochs=params["epochs"],
-        global_batch_size=params["global_batch_size"],
-        learning_rate=0.5,
-        optimizer="sgd",
-        cost_model=FixedCostModel(STEP_COMPUTE_SECONDS),
-        time_scale=time_scale,
-        model_sync_period_epochs=10,
-        seed=seed,
-    )
-
-    variants: List[VariantSpec] = []
-    for delay in delays_ms:
-        injector = RandomSubsetDelay(num_delayed=1, delay_ms=delay, seed=seed + int(delay))
-        variants.append(
-            VariantSpec(
-                name=f"synch-SGD-{int(delay)} (Deep500)",
-                mode="sync",
-                sync_style="deep500",
-                delay_injector=injector,
-            )
-        )
-        variants.append(
-            VariantSpec(
-                name=f"eager-SGD-{int(delay)} (solo)",
-                mode="solo",
-                delay_injector=injector,
-            )
-        )
-        if include_majority:
-            variants.append(
-                VariantSpec(
-                    name=f"eager-SGD-{int(delay)} (majority)",
-                    mode="majority",
-                    delay_injector=injector,
-                )
-            )
-
-    comparison = run_comparison(
-        workload="hyperplane regression",
-        model_factory=model_factory,
-        train_dataset=train,
+def _workload(
+    p: Mapping[str, object], seed: int, delays_ms=tuple(PAPER_SPEEDUPS), time_scale=0.001
+) -> Workload:
+    return Workload(
+        dataset=HyperplaneDataset(
+            num_examples=p["num_examples"], input_dim=p["input_dim"], noise_std=1.0, seed=seed
+        ),
+        model_factory=lambda: HyperplaneMLP(input_dim=p["input_dim"], seed=seed + 1),
         loss_fn=MSELoss(),
-        base_config=base,
-        variants=variants,
-        eval_dataset=val,
+        cost_model=FixedCostModel(STEP_COMPUTE_SECONDS),
+        # At every step one randomly selected process is delayed.
+        variants=injected_delay_variants(delays_ms, ("Deep500",), num_delayed=1, seed=seed),
+        config=dict(
+            learning_rate=0.5, optimizer="sgd", model_sync_period_epochs=10,
+            time_scale=time_scale,
+        ),
         classification=False,
-        baseline=f"synch-SGD-{int(delays_ms[0])} (Deep500)",
     )
-    return Fig10Result(comparison=comparison, scale=scale, delays_ms=delays_ms)
 
 
-def speedups_per_delay(result: Fig10Result) -> Dict[float, float]:
-    """Speedup of eager-SGD(solo) over synch-SGD at the *same* delay."""
-    out = {}
-    for delay in result.delays_ms:
-        sync_name = f"synch-SGD-{int(delay)} (Deep500)"
-        eager_name = f"eager-SGD-{int(delay)} (solo)"
-        if sync_name in result.comparison.results and eager_name in result.comparison.results:
-            out[delay] = result.comparison.speedup_over(eager_name, baseline=sync_name)
-    return out
-
-
-def report(result: Fig10Result) -> str:
-    parts = [
-        comparison_table(
-            result.comparison,
-            title=(
-                "Fig. 10  Hyperplane regression, synch-SGD vs eager-SGD "
-                f"(scale={result.scale})"
-            ),
+SPEC = FigureSpec(
+    figure="Fig. 10",
+    title="Fig. 10  Hyperplane regression, synch-SGD vs eager-SGD (scale={scale})",
+    scales={
+        "tiny": dict(
+            input_dim=64, num_examples=512, global_batch_size=128, epochs=3, world_size=4
         ),
-        "",
-        metric_vs_time_table(
-            result.comparison,
-            metric="eval_loss",
-            title="Fig. 10 (bottom)  validation loss vs projected training time",
+        "small": dict(
+            input_dim=256, num_examples=2048, global_batch_size=256, epochs=8, world_size=8
         ),
-        "",
-    ]
-    rows = []
-    for delay, speedup in speedups_per_delay(result).items():
-        paper = PAPER_SPEEDUPS.get(f"eager-SGD-{int(delay)} (solo)", float("nan"))
-        rows.append((f"{int(delay)} ms injection", round(speedup, 2), paper))
-    from repro.experiments.report import format_table
-
-    parts.append(
-        format_table(
-            ["injection", "measured speedup (solo vs Deep500)", "paper speedup"],
-            rows,
-            title="Fig. 10 (top)  throughput speedups",
+        "paper": dict(
+            input_dim=8192, num_examples=32768, global_batch_size=2048, epochs=48, world_size=8
+        ),
+    },
+    build=_workload,
+    curves=(("eval_loss", "Fig. 10 (bottom)  validation loss vs projected training time"),),
+    headline=(
+        "Fig. 10 (top)  throughput speedups",
+        "injection",
+        "measured speedup (solo vs Deep500)",
+        "paper speedup",
+    ),
+    headline_fields=("speedup", "paper_speedup"),
+    claims=tuple(
+        Claim(
+            f"eager-SGD-{int(delay)} (solo)", f"synch-SGD-{int(delay)} (Deep500)", speedup,
+            "eval_loss", PAPER_FINAL_LOSS, label=f"{int(delay)} ms injection",
         )
-    )
-    return "\n".join(parts)
+        for delay, speedup in PAPER_SPEEDUPS.items()
+    ),
+)
+
+#: ``run(scale="small", seed=0, comm_backend=None, compression=None,
+#: delays_ms=(200.0, 300.0, 400.0), time_scale=0.001)``: synch-SGD vs
+#: eager-SGD (solo) for every injected delay.
+run = partial(run_figure, SPEC)
+report = report_figure
+
+
+def speedups_per_delay(result: FigureResult) -> Dict[float, float]:
+    """Speedup of eager-SGD(solo) over synch-SGD at the *same* delay."""
+    return {
+        delay: result.speedup(claim)
+        for delay, claim in zip(PAPER_SPEEDUPS, SPEC.claims)
+        if claim.variant in result.comparison.results
+    }

@@ -15,199 +15,100 @@ against eager-SGD (solo).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Mapping
 
 from repro.data.synthetic_images import imagenet_like
 from repro.experiments.training_experiments import (
-    ComparisonResult,
-    VariantSpec,
-    comparison_table,
-    metric_vs_time_table,
-    run_comparison,
-    speedup_summary,
+    Claim,
+    FigureSpec,
+    Workload,
+    injected_delay_variants,
+    report_figure,
+    run_figure,
 )
 from repro.imbalance.cost_model import resnet50_cloud_cost_model
-from repro.imbalance.injection import RandomSubsetDelay
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.models import resnet_imagenet_lite
-from repro.training.config import TrainingConfig
 
-#: Speedups over the synchronous baselines quoted in Section 6.2.2.
-PAPER_SPEEDUPS_DEEP500 = {
-    "eager-SGD-300 (solo)": 1.25,
-    "eager-SGD-460 (solo)": 1.23,
-}
-PAPER_SPEEDUPS_HOROVOD = {
-    "eager-SGD-300 (solo)": 1.14,
-    "eager-SGD-460 (solo)": 1.22,
-}
-#: Accuracy comparison quoted in the paper (top-1 / top-5 test accuracy).
-PAPER_ACCURACY = {
-    "synch-SGD (Deep500)": {"top1": 0.757, "top5": 0.926},
-    "synch-SGD (Horovod)": {"top1": 0.758, "top5": 0.926},
-    "eager-SGD (solo)": {"top1": 0.752, "top5": 0.924},
-}
-
-#: Scale presets: dataset size / model width / schedule.
-SCALES = {
-    "tiny": dict(
-        num_examples=600, num_classes=10, image_size=8, width=4, blocks=1,
-        world_size=4, global_batch_size=64, epochs=2,
-    ),
-    "small": dict(
-        num_examples=2000, num_classes=20, image_size=8, width=8, blocks=1,
-        world_size=8, global_batch_size=128, epochs=4,
-    ),
-    "large": dict(
-        num_examples=8000, num_classes=100, image_size=16, width=8, blocks=2,
-        world_size=16, global_batch_size=512, epochs=8,
-    ),
-}
+#: Injected delay (ms) -> speedup of eager-SGD (solo) over (Deep500,
+#: Horovod) quoted in Section 6.2.2, and its top-1 test accuracy.
+PAPER_SPEEDUPS = {300.0: (1.25, 1.14), 460.0: (1.23, 1.22)}
+PAPER_SOLO_TOP1 = 0.752
 
 
-@dataclass
-class Fig11Result:
-    comparison: ComparisonResult
-    scale: str
-    delays_ms: Sequence[float]
-
-
-def run(
-    scale: str = "small",
-    delays_ms: Sequence[float] = (300.0, 460.0),
-    seed: int = 0,
-    time_scale: float = 0.001,
-    comm_backend: Optional[str] = None,
-    compression: Optional[str] = None,
-) -> Fig11Result:
-    """Run Deep500/Horovod/eager-SGD(solo) for every injected delay."""
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {sorted(SCALES)}")
-    p = SCALES[scale]
-    dataset = imagenet_like(
-        num_examples=p["num_examples"],
-        num_classes=p["num_classes"],
-        image_size=p["image_size"],
-        seed=seed,
-    )
-    train, val = dataset.split(validation_fraction=0.2, seed=seed)
-
-    def model_factory():
-        return resnet_imagenet_lite(
+def _workload(
+    p: Mapping[str, object], seed: int, delays_ms=tuple(PAPER_SPEEDUPS), time_scale=0.001
+) -> Workload:
+    return Workload(
+        dataset=imagenet_like(
+            num_examples=p["num_examples"],
+            num_classes=p["num_classes"],
+            image_size=p["image_size"],
+            seed=seed,
+        ),
+        model_factory=lambda: resnet_imagenet_lite(
             num_classes=p["num_classes"],
             width=p["width"],
             blocks_per_stage=p["blocks"],
             seed=seed + 1,
-        )
-
-    base = TrainingConfig(
-        world_size=p["world_size"],
-        comm_backend=comm_backend,
-        compression=compression,
-        epochs=p["epochs"],
-        global_batch_size=p["global_batch_size"],
-        learning_rate=0.05,
-        optimizer="momentum",
-        cost_model=resnet50_cloud_cost_model(),
-        time_scale=time_scale,
-        model_sync_period_epochs=10,
-        seed=seed,
-    )
-
-    # The paper delays 4 of 64 ranks (1/16 of the world); keep the ratio.
-    num_delayed = max(1, p["world_size"] // 16)
-    variants: List[VariantSpec] = []
-    for delay in delays_ms:
-        injector = RandomSubsetDelay(
-            num_delayed=num_delayed, delay_ms=delay, seed=seed + int(delay)
-        )
-        variants.append(
-            VariantSpec(
-                name=f"synch-SGD-{int(delay)} (Deep500)",
-                mode="sync",
-                sync_style="deep500",
-                delay_injector=injector,
-            )
-        )
-        variants.append(
-            VariantSpec(
-                name=f"synch-SGD-{int(delay)} (Horovod)",
-                mode="sync",
-                sync_style="horovod",
-                delay_injector=injector,
-            )
-        )
-        variants.append(
-            VariantSpec(
-                name=f"eager-SGD-{int(delay)} (solo)",
-                mode="solo",
-                delay_injector=injector,
-            )
-        )
-
-    comparison = run_comparison(
-        workload="ImageNet-like ResNet",
-        model_factory=model_factory,
-        train_dataset=train,
+        ),
         loss_fn=SoftmaxCrossEntropyLoss(),
-        base_config=base,
-        variants=variants,
-        eval_dataset=val,
-        classification=True,
-        baseline=f"synch-SGD-{int(delays_ms[0])} (Deep500)",
+        cost_model=resnet50_cloud_cost_model(),
+        # The paper delays 4 of 64 ranks (1/16 of the world); keep the ratio.
+        variants=injected_delay_variants(
+            delays_ms, ("Deep500", "Horovod"), max(1, p["world_size"] // 16), seed=seed
+        ),
+        config=dict(
+            learning_rate=0.05, optimizer="momentum", model_sync_period_epochs=10,
+            time_scale=time_scale,
+        ),
     )
-    return Fig11Result(comparison=comparison, scale=scale, delays_ms=delays_ms)
 
 
-def report(result: Fig11Result) -> str:
-    from repro.experiments.report import format_table
-
-    parts = [
-        comparison_table(
-            result.comparison,
-            title=f"Fig. 11  ResNet / ImageNet-like workload (scale={result.scale})",
+SPEC = FigureSpec(
+    figure="Fig. 11",
+    title="Fig. 11  ResNet / ImageNet-like workload (scale={scale})",
+    scales={
+        "tiny": dict(
+            num_examples=600, num_classes=10, image_size=8, width=4, blocks=1,
+            world_size=4, global_batch_size=64, epochs=2,
         ),
-        "",
-        metric_vs_time_table(
-            result.comparison,
-            metric="train_top1",
-            title="Fig. 11b  top-1 train accuracy vs projected training time",
+        "small": dict(
+            num_examples=2000, num_classes=20, image_size=8, width=8, blocks=1,
+            world_size=8, global_batch_size=128, epochs=4,
         ),
-        "",
-        metric_vs_time_table(
-            result.comparison,
-            metric="eval_top1",
-            title="Fig. 11c  top-1 test accuracy vs projected training time",
+        "large": dict(
+            num_examples=8000, num_classes=100, image_size=16, width=8, blocks=2,
+            world_size=16, global_batch_size=512, epochs=8,
         ),
-        "",
-    ]
-    rows = []
-    for delay in result.delays_ms:
-        eager = f"eager-SGD-{int(delay)} (solo)"
-        d500 = f"synch-SGD-{int(delay)} (Deep500)"
-        hvd = f"synch-SGD-{int(delay)} (Horovod)"
-        if eager in result.comparison.results:
-            rows.append(
-                (
-                    f"{int(delay)} ms",
-                    round(result.comparison.speedup_over(eager, baseline=d500), 2),
-                    PAPER_SPEEDUPS_DEEP500.get(eager, float("nan")),
-                    round(result.comparison.speedup_over(eager, baseline=hvd), 2),
-                    PAPER_SPEEDUPS_HOROVOD.get(eager, float("nan")),
-                )
-            )
-    parts.append(
-        format_table(
-            [
-                "injection",
-                "speedup vs Deep500 (measured)",
-                "paper",
-                "speedup vs Horovod (measured)",
-                "paper",
-            ],
-            rows,
-            title="Fig. 11a  eager-SGD (solo) throughput speedups",
+    },
+    build=_workload,
+    curves=(
+        ("train_top1", "Fig. 11b  top-1 train accuracy vs projected training time"),
+        ("eval_top1", "Fig. 11c  top-1 test accuracy vs projected training time"),
+    ),
+    headline=(
+        "Fig. 11a  eager-SGD (solo) throughput speedups",
+        "injection",
+        "speedup vs Deep500 (measured)",
+        "paper",
+        "speedup vs Horovod (measured)",
+        "paper",
+    ),
+    headline_fields=("speedup", "paper_speedup"),
+    claims=tuple(
+        Claim(
+            f"eager-SGD-{int(delay)} (solo)", f"synch-SGD-{int(delay)} ({style})", speedup,
+            "eval_top1", PAPER_SOLO_TOP1, label=f"{int(delay)} ms",
         )
-    )
-    return "\n".join(parts)
+        for delay, speedups in PAPER_SPEEDUPS.items()
+        for style, speedup in zip(("Deep500", "Horovod"), speedups)
+    ),
+)
+
+#: ``run(scale="small", seed=0, comm_backend=None, compression=None,
+#: delays_ms=(300.0, 460.0), time_scale=0.001)``: Deep500 / Horovod /
+#: eager-SGD (solo) for every injected delay.
+run = partial(run_figure, SPEC)
+report = report_figure

@@ -13,161 +13,94 @@ three variants on the CIFAR-like synthetic dataset with the scaled ResNet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Mapping
 
 from repro.data.synthetic_images import cifar10_like
 from repro.experiments.training_experiments import (
-    ComparisonResult,
-    VariantSpec,
-    comparison_table,
-    metric_vs_time_table,
-    run_comparison,
+    Claim,
+    FigureSpec,
+    Workload,
+    horovod_solo_majority,
+    report_figure,
+    run_figure,
 )
 from repro.imbalance.cost_model import FixedCostModel
 from repro.imbalance.injection import RotatingSkewDelay
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.models import resnet_cifar
-from repro.training.config import TrainingConfig
-
-#: Paper headline: majority allreduce matches synch-SGD accuracy at 1.29x speedup.
-PAPER_MAJORITY_SPEEDUP = 1.29
-#: Paper accuracy waypoints of Fig. 12 (top-1 test accuracy at end of training).
-PAPER_FINAL_TOP1 = {
-    "synch-SGD (Horovod)": 0.926,
-    "eager-SGD (majority)": 0.90,
-    "eager-SGD (solo)": 0.58,
-}
 
 #: Per-step compute cost of ResNet-32 on CIFAR-10 with a local batch of 64
 #: on a P100 (order of 100 ms), used for the paper-scale time projection.
 STEP_COMPUTE_SECONDS = 0.100
 
-SCALES = {
-    "tiny": dict(
-        num_examples=600, image_size=8, width=4, blocks=1,
-        world_size=4, global_batch_size=64, epochs=3,
-    ),
-    "small": dict(
-        num_examples=2000, image_size=8, width=8, blocks=1,
-        world_size=8, global_batch_size=128, epochs=6,
-    ),
-    "large": dict(
-        num_examples=10000, image_size=16, width=16, blocks=3,
-        world_size=8, global_batch_size=512, epochs=30,
-    ),
-}
 
-
-@dataclass
-class Fig12Result:
-    comparison: ComparisonResult
-    scale: str
-    min_delay_ms: float
-    max_delay_ms: float
-
-
-def run(
-    scale: str = "small",
-    min_delay_ms: float = 50.0,
-    max_delay_ms: float = 400.0,
-    seed: int = 0,
-    time_scale: float = 0.002,
-    model_sync_period_epochs: int = 5,
-    comm_backend: Optional[str] = None,
-    compression: Optional[str] = None,
-) -> Fig12Result:
-    """Run Horovod / solo / majority under the rotating severe skew."""
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {sorted(SCALES)}")
-    p = SCALES[scale]
-    dataset = cifar10_like(
-        num_examples=p["num_examples"], image_size=p["image_size"], signal=2.0, seed=seed
-    )
-    train, val = dataset.split(validation_fraction=0.2, seed=seed)
-
-    def model_factory():
-        return resnet_cifar(
+def _workload(
+    p: Mapping[str, object],
+    seed: int,
+    min_delay_ms=50.0,
+    max_delay_ms=400.0,
+    time_scale=0.002,
+    model_sync_period_epochs=5,
+) -> Workload:
+    return Workload(
+        dataset=cifar10_like(
+            num_examples=p["num_examples"], image_size=p["image_size"], signal=2.0, seed=seed
+        ),
+        model_factory=lambda: resnet_cifar(
             num_classes=10, width=p["width"], blocks_per_stage=p["blocks"], seed=seed + 1
-        )
-
-    injector = RotatingSkewDelay(min_ms=min_delay_ms, max_ms=max_delay_ms)
-    base = TrainingConfig(
-        world_size=p["world_size"],
-        comm_backend=comm_backend,
-        compression=compression,
-        epochs=p["epochs"],
-        global_batch_size=p["global_batch_size"],
-        learning_rate=0.05,
-        optimizer="momentum",
-        cost_model=FixedCostModel(STEP_COMPUTE_SECONDS),
-        delay_injector=injector,
-        time_scale=time_scale,
-        model_sync_period_epochs=model_sync_period_epochs,
-        seed=seed,
-    )
-    variants = [
-        VariantSpec(name="synch-SGD (Horovod)", mode="sync", sync_style="horovod"),
-        VariantSpec(name="eager-SGD (solo)", mode="solo"),
-        VariantSpec(name="eager-SGD (majority)", mode="majority"),
-    ]
-    comparison = run_comparison(
-        workload="CIFAR-like ResNet, severe imbalance",
-        model_factory=model_factory,
-        train_dataset=train,
+        ),
         loss_fn=SoftmaxCrossEntropyLoss(),
-        base_config=base,
-        variants=variants,
-        eval_dataset=val,
-        classification=True,
-        baseline="synch-SGD (Horovod)",
-    )
-    return Fig12Result(
-        comparison=comparison,
-        scale=scale,
-        min_delay_ms=min_delay_ms,
-        max_delay_ms=max_delay_ms,
+        cost_model=FixedCostModel(STEP_COMPUTE_SECONDS),
+        variants=horovod_solo_majority(RotatingSkewDelay(min_delay_ms, max_delay_ms)),
+        config=dict(
+            learning_rate=0.05, optimizer="momentum", time_scale=time_scale,
+            model_sync_period_epochs=model_sync_period_epochs,
+        ),
     )
 
 
-def report(result: Fig12Result) -> str:
-    from repro.experiments.report import format_table
+SPEC = FigureSpec(
+    figure="Fig. 12",
+    title=(
+        "Fig. 12  ResNet / CIFAR-like workload under severe imbalance "
+        "({min_delay_ms:g}-{max_delay_ms:g} ms rotating skew, scale={scale})"
+    ),
+    scales={
+        "tiny": dict(
+            num_examples=600, image_size=8, width=4, blocks=1,
+            world_size=4, global_batch_size=64, epochs=3,
+        ),
+        "small": dict(
+            num_examples=2000, image_size=8, width=8, blocks=1,
+            world_size=8, global_batch_size=128, epochs=6,
+        ),
+        "large": dict(
+            num_examples=10000, image_size=16, width=16, blocks=3,
+            world_size=8, global_batch_size=512, epochs=30,
+        ),
+    },
+    build=_workload,
+    curves=(("eval_top1", "Fig. 12  top-1 test accuracy vs projected training time"),),
+    headline=(
+        "Fig. 12 headline: majority matches synch-SGD accuracy, 1.29x faster",
+        "variant",
+        "measured speedup",
+        "paper speedup",
+        "paper final top-1",
+    ),
+    headline_fields=("speedup", "paper_speedup", "paper_value"),
+    # The paper's headline, and what solo pays for being fastest (top-1
+    # test accuracy at the end of training; Horovod reaches 0.926).
+    claims=(
+        Claim("eager-SGD (majority)", "synch-SGD (Horovod)", 1.29, "eval_top1", 0.90),
+        Claim("eager-SGD (solo)", "synch-SGD (Horovod)", None, "eval_top1", 0.58),
+    ),
+)
 
-    majority_speedup = result.comparison.speedup_over("eager-SGD (majority)")
-    solo_speedup = result.comparison.speedup_over("eager-SGD (solo)")
-    parts = [
-        comparison_table(
-            result.comparison,
-            title=(
-                "Fig. 12  ResNet / CIFAR-like workload under severe imbalance "
-                f"({result.min_delay_ms:g}-{result.max_delay_ms:g} ms rotating skew, "
-                f"scale={result.scale})"
-            ),
-        ),
-        "",
-        metric_vs_time_table(
-            result.comparison,
-            metric="eval_top1",
-            title="Fig. 12  top-1 test accuracy vs projected training time",
-        ),
-        "",
-        format_table(
-            ["variant", "measured speedup", "paper speedup", "paper final top-1"],
-            [
-                (
-                    "eager-SGD (majority)",
-                    round(majority_speedup, 2),
-                    PAPER_MAJORITY_SPEEDUP,
-                    PAPER_FINAL_TOP1["eager-SGD (majority)"],
-                ),
-                (
-                    "eager-SGD (solo)",
-                    round(solo_speedup, 2),
-                    float("nan"),
-                    PAPER_FINAL_TOP1["eager-SGD (solo)"],
-                ),
-            ],
-            title="Fig. 12 headline: majority matches synch-SGD accuracy, 1.29x faster",
-        ),
-    ]
-    return "\n".join(parts)
+#: ``run(scale="small", seed=0, comm_backend=None, compression=None,
+#: min_delay_ms=50.0, max_delay_ms=400.0, time_scale=0.002,
+#: model_sync_period_epochs=5)``: Horovod / solo / majority under the
+#: rotating skew.
+run = partial(run_figure, SPEC)
+report = report_figure

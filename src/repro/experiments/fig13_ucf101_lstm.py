@@ -17,196 +17,100 @@ injected: all imbalance comes from the batch content, as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import partial
+from typing import Mapping
 
 from repro.data.ucf101 import VideoFeatureDataset
 from repro.experiments.training_experiments import (
-    ComparisonResult,
-    VariantSpec,
-    comparison_table,
-    metric_vs_time_table,
-    run_comparison,
+    Claim,
+    FigureSpec,
+    Workload,
+    horovod_solo_majority,
+    report_figure,
+    run_figure,
 )
 from repro.imbalance.cost_model import lstm_ucf101_cost_model
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.models import SequenceLSTMClassifier
-from repro.training.config import TrainingConfig
-
-#: Paper headline speedups over synch-SGD (Horovod).
-PAPER_SPEEDUPS = {"eager-SGD (solo)": 1.64, "eager-SGD (majority)": 1.27}
-#: Paper top-1 / top-5 test accuracy.
-PAPER_TEST_ACCURACY = {
-    "synch-SGD (Horovod)": {"top1": 0.696, "top5": 0.904},
-    "eager-SGD (majority)": {"top1": 0.697, "top5": 0.900},
-    "eager-SGD (solo)": {"top1": 0.606, "top5": 0.805},
-}
-
-SCALES = {
-    "tiny": dict(
-        num_videos=240, feature_dim=16, hidden_dim=16, num_classes=6,
-        length_scale=0.05, world_size=4, global_batch_size=32, epochs=3,
-    ),
-    "small": dict(
-        num_videos=800, feature_dim=32, hidden_dim=32, num_classes=10,
-        length_scale=0.08, world_size=8, global_batch_size=64, epochs=5,
-    ),
-    "large": dict(
-        num_videos=2400, feature_dim=64, hidden_dim=64, num_classes=24,
-        length_scale=0.15, world_size=8, global_batch_size=128, epochs=12,
-    ),
-}
 
 
-@dataclass
-class Fig13Result:
-    comparison: ComparisonResult
-    scale: str
-
-
-def run(
-    scale: str = "small",
-    seed: int = 0,
-    time_scale: float = 0.001,
-    model_sync_period_epochs: int = 5,
-    comm_backend: Optional[str] = None,
-    compression: Optional[str] = None,
-) -> Fig13Result:
-    """Run Horovod / solo / majority on the video-classification workload."""
-    if scale not in SCALES:
-        raise ValueError(f"scale must be one of {sorted(SCALES)}")
-    p = SCALES[scale]
-    dataset = VideoFeatureDataset(
-        num_videos=p["num_videos"],
-        feature_dim=p["feature_dim"],
-        num_classes=p["num_classes"],
-        length_scale=p["length_scale"],
-        signal=1.5,
-        seed=seed,
-    )
-    # Hold out a validation split by index (video lengths stay realistic).
-    train, val = _split_videos(dataset, fraction=0.2, seed=seed)
-
-    def model_factory():
-        return SequenceLSTMClassifier(
+def _workload(
+    p: Mapping[str, object], seed: int, time_scale=0.001, model_sync_period_epochs=5
+) -> Workload:
+    return Workload(
+        dataset=VideoFeatureDataset(
+            num_videos=p["num_videos"],
+            feature_dim=p["feature_dim"],
+            num_classes=p["num_classes"],
+            length_scale=p["length_scale"],
+            signal=1.5,
+            seed=seed,
+        ),
+        model_factory=lambda: SequenceLSTMClassifier(
             feature_dim=p["feature_dim"],
             hidden_dim=p["hidden_dim"],
             num_classes=p["num_classes"],
             seed=seed + 1,
-        )
-
-    local_batch = p["global_batch_size"] // p["world_size"]
-    base = TrainingConfig(
-        world_size=p["world_size"],
-        comm_backend=comm_backend,
-        compression=compression,
-        epochs=p["epochs"],
-        global_batch_size=p["global_batch_size"],
-        learning_rate=0.05,
-        optimizer="momentum",
-        cost_model=lstm_ucf101_cost_model(batch_size=local_batch),
-        time_scale=time_scale,
-        model_sync_period_epochs=model_sync_period_epochs,
-        seed=seed,
-        eval_batch_size=64,
-        # Independent per-rank bucketed pipelines: this is what turns the
-        # video-length spread into *inter-rank* imbalance (Section 2.1).
-        bucket_by_length=True,
-    )
-    variants = [
-        VariantSpec(name="synch-SGD (Horovod)", mode="sync", sync_style="horovod"),
-        VariantSpec(name="eager-SGD (solo)", mode="solo"),
-        VariantSpec(name="eager-SGD (majority)", mode="majority"),
-    ]
-    comparison = run_comparison(
-        workload="UCF101-like LSTM video classification",
-        model_factory=model_factory,
-        train_dataset=train,
+        ),
         loss_fn=SoftmaxCrossEntropyLoss(),
-        base_config=base,
-        variants=variants,
-        eval_dataset=val,
-        classification=True,
-        baseline="synch-SGD (Horovod)",
+        cost_model=lstm_ucf101_cost_model(
+            batch_size=p["global_batch_size"] // p["world_size"]
+        ),
+        # No injector: all imbalance comes from the batch content.
+        variants=horovod_solo_majority(),
+        config=dict(
+            learning_rate=0.05,
+            optimizer="momentum",
+            time_scale=time_scale,
+            model_sync_period_epochs=model_sync_period_epochs,
+            eval_batch_size=64,
+            # Independent per-rank bucketed pipelines: this is what turns the
+            # video-length spread into *inter-rank* imbalance (Section 2.1).
+            bucket_by_length=True,
+        ),
     )
-    return Fig13Result(comparison=comparison, scale=scale)
 
 
-def _split_videos(dataset: VideoFeatureDataset, fraction: float, seed: int):
-    """Train/validation split preserving the dataset interface."""
-    import numpy as np
-
-    from repro.data.loader import Batch, Dataset
-    from repro.utils.rng import seeded_rng
-
-    rng = seeded_rng(seed)
-    perm = rng.permutation(len(dataset))
-    n_val = int(len(dataset) * fraction)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-
-    class _View(Dataset):
-        def __init__(self, base: VideoFeatureDataset, indices: np.ndarray) -> None:
-            self.base = base
-            self.indices = np.asarray(indices, dtype=np.int64)
-
-        def __len__(self) -> int:
-            return int(self.indices.size)
-
-        def example_sizes(self) -> np.ndarray:
-            return self.base.lengths[self.indices]
-
-        def get_batch(self, indices) -> Batch:
-            idx = self.indices[np.asarray(indices, dtype=np.int64)]
-            return self.base.get_batch(idx)
-
-    return _View(dataset, train_idx), _View(dataset, val_idx)
-
-
-def report(result: Fig13Result) -> str:
-    from repro.experiments.report import format_table
-
-    rows = []
-    for name, paper_speedup in PAPER_SPEEDUPS.items():
-        if name not in result.comparison.results:
-            continue
-        res = result.comparison.results[name]
-        rows.append(
-            (
-                name,
-                round(result.comparison.speedup_over(name), 2),
-                paper_speedup,
-                round(res.final_epoch.eval_top1, 3),
-                PAPER_TEST_ACCURACY[name]["top1"],
-            )
-        )
-    parts = [
-        comparison_table(
-            result.comparison,
-            title=f"Fig. 13  LSTM / UCF101-like video classification (scale={result.scale})",
+SPEC = FigureSpec(
+    figure="Fig. 13",
+    title="Fig. 13  LSTM / UCF101-like video classification (scale={scale})",
+    scales={
+        "tiny": dict(
+            num_videos=240, feature_dim=16, hidden_dim=16, num_classes=6,
+            length_scale=0.05, world_size=4, global_batch_size=32, epochs=3,
         ),
-        "",
-        metric_vs_time_table(
-            result.comparison,
-            metric="train_top1",
-            title="Fig. 13a  top-1 train accuracy vs projected training time",
+        "small": dict(
+            num_videos=800, feature_dim=32, hidden_dim=32, num_classes=10,
+            length_scale=0.08, world_size=8, global_batch_size=64, epochs=5,
         ),
-        "",
-        metric_vs_time_table(
-            result.comparison,
-            metric="eval_top1",
-            title="Fig. 13b  top-1 test accuracy vs projected training time",
+        "large": dict(
+            num_videos=2400, feature_dim=64, hidden_dim=64, num_classes=24,
+            length_scale=0.15, world_size=8, global_batch_size=128, epochs=12,
         ),
-        "",
-        format_table(
-            [
-                "variant",
-                "measured speedup",
-                "paper speedup",
-                "final top-1 (repro)",
-                "final top-1 (paper)",
-            ],
-            rows,
-            title="Fig. 13 headlines (speedup over Horovod; accuracy ordering)",
-        ),
-    ]
-    return "\n".join(parts)
+    },
+    build=_workload,
+    curves=(
+        ("train_top1", "Fig. 13a  top-1 train accuracy vs projected training time"),
+        ("eval_top1", "Fig. 13b  top-1 test accuracy vs projected training time"),
+    ),
+    headline=(
+        "Fig. 13 headlines (speedup over Horovod; accuracy ordering)",
+        "variant",
+        "measured speedup",
+        "paper speedup",
+        "final top-1 (repro)",
+        "final top-1 (paper)",
+    ),
+    headline_fields=("speedup", "paper_speedup", "value", "paper_value"),
+    # Speedup over Horovod and top-1 test accuracy (Horovod: 0.696).
+    claims=(
+        Claim("eager-SGD (solo)", "synch-SGD (Horovod)", 1.64, "eval_top1", 0.606),
+        Claim("eager-SGD (majority)", "synch-SGD (Horovod)", 1.27, "eval_top1", 0.697),
+    ),
+)
+
+#: ``run(scale="small", seed=0, comm_backend=None, compression=None,
+#: time_scale=0.001, model_sync_period_epochs=5)``: Horovod / solo /
+#: majority on the video-classification workload.
+run = partial(run_figure, SPEC)
+report = report_figure

@@ -10,15 +10,20 @@ with the long-tailed cloud-noise injector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
-import numpy as np
-
-from repro.experiments.report import format_table
+from repro.experiments.report import FidelityRow, distribution_rows, paper_vs_ours_table
 from repro.imbalance.cost_model import cloud_noise_for_resnet50, resnet50_cloud_cost_model
-from repro.utils.stats import DistributionSummary, Histogram, summarize
+from repro.utils.stats import DistributionSummary, summarize
 
-#: Reference numbers from Section 2.3 of the paper.
-PAPER_RUNTIME_MS = {"min": 399, "max": 1892, "mean": 454, "std": 116}
+#: Section 2.3's numbers as ``statistic: (paper's value, tolerance)``: the
+#: noise injector's tail is longer and its body narrower than measured.
+PAPER_RUNTIME_MS = {
+    "min": (399, 0.05),
+    "max": (1892, 0.75),
+    "mean": (454, 0.05),
+    "std": (116, 0.35),
+}
 
 
 @dataclass
@@ -27,8 +32,6 @@ class Fig4Result:
 
     num_batches: int
     runtime_summary_ms: DistributionSummary
-    hist_centers: np.ndarray
-    hist_counts: np.ndarray
 
 
 def run(num_batches: int = 30_000, seed: int = 0) -> Fig4Result:
@@ -39,26 +42,16 @@ def run(num_batches: int = 30_000, seed: int = 0) -> Fig4Result:
     for step in range(num_batches):
         extra = noise.delays(step, 1)[0]
         runtimes_ms.append((base + extra) * 1000.0)
-    hist = Histogram(bin_width=100.0)
-    hist.extend(runtimes_ms)
-    centers, counts = hist.as_series()
-    return Fig4Result(
-        num_batches=num_batches,
-        runtime_summary_ms=summarize(runtimes_ms),
-        hist_centers=centers,
-        hist_counts=counts,
+    return Fig4Result(num_batches=num_batches, runtime_summary_ms=summarize(runtimes_ms))
+
+
+def fidelity(result: Fig4Result) -> List[FidelityRow]:
+    return distribution_rows(
+        "Fig. 4", "runtime (ms)", PAPER_RUNTIME_MS, result.runtime_summary_ms
     )
 
 
 def report(result: Fig4Result) -> str:
-    rows = [
-        ("min runtime (ms)", PAPER_RUNTIME_MS["min"], result.runtime_summary_ms.min),
-        ("max runtime (ms)", PAPER_RUNTIME_MS["max"], result.runtime_summary_ms.max),
-        ("mean runtime (ms)", PAPER_RUNTIME_MS["mean"], result.runtime_summary_ms.mean),
-        ("std runtime (ms)", PAPER_RUNTIME_MS["std"], result.runtime_summary_ms.std),
-    ]
-    return format_table(
-        ["quantity", "paper", "reproduction"],
-        rows,
-        title="Fig. 4  ResNet-50 batch runtimes on a cloud instance",
+    return paper_vs_ours_table(
+        fidelity(result), title="Fig. 4  ResNet-50 batch runtimes on a cloud instance"
     )

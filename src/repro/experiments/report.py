@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
 def format_table(
@@ -45,6 +46,13 @@ def format_table(
     return "\n".join(lines)
 
 
+def subsample(n: int, max_points: int) -> List[int]:
+    """Indices of at most ``max_points`` evenly spaced items out of ``n``, ends included."""
+    if n <= max_points:
+        return list(range(n))
+    return [int(round(i * (n - 1) / (max_points - 1))) for i in range(max_points)]
+
+
 def format_series(
     name: str,
     xs: Sequence[float],
@@ -56,13 +64,9 @@ def format_series(
     """Render an (x, y) series as a compact table, subsampled if long."""
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have the same length")
-    n = len(xs)
-    if n == 0:
+    if len(xs) == 0:
         return f"{name}: (empty series)"
-    if n > max_points:
-        idx = [int(round(i * (n - 1) / (max_points - 1))) for i in range(max_points)]
-    else:
-        idx = list(range(n))
+    idx = subsample(len(xs), max_points)
     rows = [(float(xs[i]), float(ys[i])) for i in idx]
     return format_table([x_label, y_label], rows, title=name)
 
@@ -72,4 +76,66 @@ def ratio_line(label: str, ours: float, paper: float, unit: str = "x") -> str:
     return (
         f"{label}: measured {ours:.2f}{unit} vs paper {paper:.2f}{unit} "
         f"(relative difference {abs(ours - paper) / max(abs(paper), 1e-12) * 100:.0f}%)"
+    )
+
+
+@dataclass(frozen=True)
+class FidelityRow:
+    """One number of the paper next to the reproduction's.
+
+    Every figure module states its paper numbers once, as rows of this
+    type; its own ``report`` prints them as a "paper | reproduction"
+    table and :mod:`repro.experiments.speedups` collects all of them into
+    the fidelity table.
+    """
+
+    #: Where the paper states it (``"Fig. 3"``, ``"Section 6.3"``).
+    source: str
+    claim: str
+    paper: float
+    ours: float
+    #: Largest relative deviation from ``paper`` that counts as reproduced.
+    tolerance: float
+    #: Context printed beside the row (the final metric of a training run).
+    context: str = ""
+
+    @property
+    def inside(self) -> bool:
+        return abs(self.ours - self.paper) <= self.tolerance * abs(self.paper)
+
+
+def distribution_rows(
+    source: str, what: str, paper: Mapping[str, Tuple[float, float]], summary: object
+) -> List[FidelityRow]:
+    """The min / max / mean-or-median / std rows of Figs. 2-4.
+
+    ``paper`` maps a statistic's name (an attribute of ``summary``) to
+    the paper's value and the tolerance the reproduction is held to.
+    """
+    return [
+        FidelityRow(source, f"{stat} {what}", value, getattr(summary, stat), tolerance)
+        for stat, (value, tolerance) in paper.items()
+    ]
+
+
+def paper_vs_ours_table(
+    rows: Iterable[FidelityRow], title: str, extra: Iterable[Sequence[object]] = ()
+) -> str:
+    """The "quantity | paper | reproduction" table of a workload figure."""
+    cells = [(r.claim, r.paper, r.ours) for r in rows]
+    return format_table(["quantity", "paper", "reproduction"], cells + list(extra), title=title)
+
+
+def fidelity_table(rows: Iterable[FidelityRow], title: str) -> str:
+    """Every claim, the paper's value, ours, and whether ours is inside tolerance."""
+    return format_table(
+        ["source", "claim", "paper", "ours", "tolerance", "inside", "final metric (ours / paper)"],
+        [
+            (
+                r.source, r.claim, r.paper, round(r.ours, 3), f"+-{r.tolerance:.0%}",
+                "yes" if r.inside else "NO", r.context or "-",
+            )
+            for r in rows
+        ],
+        title=title,
     )

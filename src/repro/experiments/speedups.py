@@ -1,120 +1,87 @@
-"""Headline speedups quoted in the paper's abstract and Section 6.
+"""Paper fidelity: every number the paper claims next to the reproduction's.
 
-This harness aggregates the training experiments (Figs. 10-13) into a
-single speedup summary comparing eager-SGD against the synchronous
-baselines, mirroring the abstract's claim of a "1.27x speedup over
-state-of-the-art synchronous SGD without losing accuracy" (majority
-allreduce on UCF101) and the per-experiment numbers.
+``python -m repro speedups`` trains each training figure (Figs. 10-13)
+once at the requested scale, runs the deterministic harnesses (Fig. 9's
+latency model, the scaling projections, the workload distributions of
+Figs. 2-4) and prints one table: claim, paper's value, ours, and whether
+ours is inside the claim's stated tolerance — including the abstract's
+"1.27x speedup over state-of-the-art synchronous SGD without losing
+accuracy" (majority allreduce on UCF101).
+
+:data:`FIGURES` is the table of training figures the CLI reads; adding a
+figure is one :class:`~repro.experiments.training_experiments.FigureSpec`
+module and one entry here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.experiments import fig10_hyperplane, fig12_cifar_severe, fig13_ucf101_lstm
-from repro.experiments.report import format_table
+from repro.experiments import (
+    fig2_workload,
+    fig3_wmt_runtime,
+    fig4_cloud_runtime,
+    fig9_microbenchmark,
+    fig10_hyperplane,
+    fig11_imagenet,
+    fig12_cifar_severe,
+    fig13_ucf101_lstm,
+    scaling,
+)
+from repro.experiments.report import FidelityRow, fidelity_table
+from repro.experiments.training_experiments import FigureResult, fidelity_rows, run_figure
+
+#: CLI name -> spec of every training figure.
+FIGURES = {
+    "fig10": fig10_hyperplane.SPEC,
+    "fig11": fig11_imagenet.SPEC,
+    "fig12": fig12_cifar_severe.SPEC,
+    "fig13": fig13_ucf101_lstm.SPEC,
+}
+#: The scales every training figure defines, in the first one's order.
+SHARED_SCALES = tuple(
+    scale
+    for scale in fig10_hyperplane.SPEC.scales
+    if all(scale in spec.scales for spec in FIGURES.values())
+)
 
 
 @dataclass
-class SpeedupRow:
-    """One headline comparison (measured vs paper)."""
-
-    experiment: str
-    variant: str
-    measured: float
-    paper: float
-    accuracy_measured: float
-    accuracy_paper: float
+class FidelityTable:
+    scale: str
+    rows: List[FidelityRow]
+    #: The training runs behind the rows, by CLI name.
+    figures: Dict[str, FigureResult]
 
 
-@dataclass
-class SpeedupSummary:
-    rows: List[SpeedupRow] = field(default_factory=list)
+def run(scale: str = "tiny", seed: int = 0) -> FidelityTable:
+    """Run every harness once and collect its claims.
 
-
-def run(scale: str = "tiny", seed: int = 0) -> SpeedupSummary:
-    """Run the training experiments at the requested scale and aggregate.
-
-    ``scale="tiny"`` keeps the aggregate run inside a couple of minutes on
-    CPU threads and is what the benchmark harness uses; larger scales
-    trade time for closer-to-paper behaviour.
+    ``scale="tiny"`` keeps the training figures inside a quarter of a
+    minute on CPU threads; ``"small"`` trades minutes for closer-to-paper
+    behaviour.
     """
-    summary = SpeedupSummary()
-
-    # Fig. 10: solo vs Deep500 for each injected delay.
-    fig10 = fig10_hyperplane.run(scale=scale, seed=seed)
-    for delay, speedup in fig10_hyperplane.speedups_per_delay(fig10).items():
-        name = f"eager-SGD-{int(delay)} (solo)"
-        paper = fig10_hyperplane.PAPER_SPEEDUPS.get(name, float("nan"))
-        eager = fig10.comparison.results[name]
-        sync = fig10.comparison.results[f"synch-SGD-{int(delay)} (Deep500)"]
-        summary.rows.append(
-            SpeedupRow(
-                experiment="Fig. 10 hyperplane",
-                variant=name,
-                measured=round(speedup, 2),
-                paper=paper,
-                accuracy_measured=round(eager.final_epoch.eval_loss, 3),
-                accuracy_paper=fig10_hyperplane.PAPER_FINAL_LOSS,
-            )
-        )
-        del sync
-
-    # Fig. 12: majority vs Horovod under severe imbalance.
-    fig12 = fig12_cifar_severe.run(scale=scale, seed=seed)
-    summary.rows.append(
-        SpeedupRow(
-            experiment="Fig. 12 CIFAR severe",
-            variant="eager-SGD (majority)",
-            measured=round(fig12.comparison.speedup_over("eager-SGD (majority)"), 2),
-            paper=fig12_cifar_severe.PAPER_MAJORITY_SPEEDUP,
-            accuracy_measured=round(
-                fig12.comparison.results["eager-SGD (majority)"].final_epoch.eval_top1, 3
-            ),
-            accuracy_paper=fig12_cifar_severe.PAPER_FINAL_TOP1["eager-SGD (majority)"],
-        )
-    )
-
-    # Fig. 13: solo and majority vs Horovod on the video workload.
-    fig13 = fig13_ucf101_lstm.run(scale=scale, seed=seed)
-    for variant, paper_speedup in fig13_ucf101_lstm.PAPER_SPEEDUPS.items():
-        summary.rows.append(
-            SpeedupRow(
-                experiment="Fig. 13 UCF101 LSTM",
-                variant=variant,
-                measured=round(fig13.comparison.speedup_over(variant), 2),
-                paper=paper_speedup,
-                accuracy_measured=round(
-                    fig13.comparison.results[variant].final_epoch.eval_top1, 3
-                ),
-                accuracy_paper=fig13_ucf101_lstm.PAPER_TEST_ACCURACY[variant]["top1"],
-            )
-        )
-    return summary
+    for spec in FIGURES.values():
+        spec.params(scale)  # reject a scale some figure lacks before training any
+    figures = {name: run_figure(spec, scale=scale, seed=seed) for name, spec in FIGURES.items()}
+    rows = fig9_microbenchmark.fidelity(fig9_microbenchmark.run(seed=seed))
+    for result in figures.values():
+        rows += fidelity_rows(result)
+    rows += scaling.fidelity(scaling.run(seed=seed))
+    rows += scaling.fidelity(scaling.run_with_inherent_imbalance(seed=seed))
+    rows += fig2_workload.fidelity(fig2_workload.run(seed=seed))
+    rows += fig3_wmt_runtime.fidelity(fig3_wmt_runtime.run(seed=seed))
+    rows += fig4_cloud_runtime.fidelity(fig4_cloud_runtime.run(seed=seed))
+    return FidelityTable(scale=scale, rows=rows, figures=figures)
 
 
-def report(summary: SpeedupSummary) -> str:
-    rows = [
-        (
-            r.experiment,
-            r.variant,
-            r.measured,
-            r.paper,
-            r.accuracy_measured,
-            r.accuracy_paper,
-        )
-        for r in summary.rows
-    ]
-    return format_table(
-        [
-            "experiment",
-            "variant",
-            "speedup (measured)",
-            "speedup (paper)",
-            "final metric (measured)",
-            "final metric (paper)",
-        ],
-        rows,
-        title="Headline speedups of eager-SGD over synchronous SGD",
+def report(table: FidelityTable) -> str:
+    inside = sum(row.inside for row in table.rows)
+    return fidelity_table(
+        table.rows,
+        title=(
+            f"Paper fidelity: {inside} of {len(table.rows)} claims inside tolerance "
+            f"(training figures at scale={table.scale})"
+        ),
     )

@@ -141,6 +141,41 @@ class TestSentenceDataset:
             SentenceDataset(vocab_size=3, num_classes=10)
 
 
+class TestSplit:
+    """``Dataset.split``: one view for every dataset."""
+
+    DATASETS = {
+        "hyperplane": lambda: HyperplaneDataset(num_examples=40, input_dim=4, seed=0),
+        "images": lambda: cifar10_like(num_examples=40, image_size=4, seed=0),
+        "videos": lambda: VideoFeatureDataset(num_videos=40, feature_dim=4, seed=0),
+        "sentences": lambda: SentenceDataset(num_sentences=40, seed=0),
+    }
+
+    @pytest.mark.parametrize("name", DATASETS)
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
+    def test_out_of_range_fraction_rejected(self, name, fraction):
+        with pytest.raises(ValueError, match=repr(fraction)):
+            self.DATASETS[name]().split(fraction)
+
+    @pytest.mark.parametrize("name", DATASETS)
+    def test_views_partition_the_base_and_delegate(self, name):
+        ds = self.DATASETS[name]()
+        train, val = ds.split(0.25, seed=3)
+        assert len(train) == 30 and len(val) == 10
+        assert sorted([*train.indices, *val.indices]) == list(range(40))
+        # Same permutation for every dataset: the seed alone decides it.
+        other_train, _ = HyperplaneDataset(num_examples=40, input_dim=2).split(0.25, seed=3)
+        assert np.array_equal(train.indices, other_train.indices)
+        batch, direct = val.get_batch([0, 3]), ds.get_batch(val.indices[[0, 3]])
+        assert np.array_equal(batch.indices, direct.indices)
+        assert np.array_equal(batch.targets, direct.targets)
+        sizes = ds.example_sizes()
+        if sizes is None:
+            assert val.example_sizes() is None
+        else:
+            assert np.array_equal(val.example_sizes(), sizes[val.indices])
+
+
 class TestBucketing:
     def test_buckets_cover_all_and_are_ordered(self):
         lengths = np.array([5, 100, 7, 90, 50, 45, 8, 60])
