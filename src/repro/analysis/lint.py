@@ -51,12 +51,6 @@ like perfectly ordinary Python to flake8-style tools:
     ``param.grad = g`` detaches one, and the next ``flatten_*`` re-adopts
     with a model-sized copy.  Write ``param.grad[...] = g`` (or ``+=``).
 
-``use-after-recycle``
-    In the collectives, a name passed to ``comm.recycle(x)`` is not read
-    again later in that function (until re-assigned): the transport may
-    already be filling ``x``'s memory with the next frame of that size,
-    so the read would see another message's bytes.
-
 Entry point: ``python -m repro lint [paths...]`` (see :mod:`repro.cli`);
 :func:`lint_paths` is the API.  Scope control lives in
 :data:`RULE_SCOPES` — rules apply only where their invariant holds, so a
@@ -72,12 +66,12 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 #: send/recv-family method names whose ``tag`` argument is checked.
 _TAGGED_CALLS = frozenset({
-    "send", "isend", "recv", "recv_message", "irecv", "probe", "poll",
+    "send", "isend", "recv", "recv_message", "recv_into", "irecv", "probe", "poll",
 })
 #: ``tag`` positional index per callable (after ``self``): send(payload,
-#: dest, tag), recv(source, tag), ...
+#: dest, tag), recv(source, tag), recv_into(out, source, tag), ...
 _TAG_POSITION = {
-    "send": 2, "isend": 2,
+    "send": 2, "isend": 2, "recv_into": 2,
     "recv": 1, "recv_message": 1, "irecv": 1, "probe": 1, "poll": 1,
 }
 #: Tag literals that are always fine: default user tag and ANY_TAG.
@@ -304,34 +298,6 @@ def rule_param_rebind(path: str, tree: ast.AST, source: str) -> List[LintFinding
     return findings
 
 
-def rule_use_after_recycle(path: str, tree: ast.AST, source: str) -> List[LintFinding]:
-    findings: List[LintFinding] = []
-    for fn in _enclosing_functions(tree):
-        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
-        for call in ast.walk(fn):
-            if not (
-                isinstance(call, ast.Call)
-                and _call_name(call) == "recycle"
-                and len(call.args) == 1
-                and isinstance(call.args[0], ast.Name)
-            ):
-                continue
-            given = call.args[0].id
-            gone = (call.end_lineno, call.end_col_offset)
-            nxt = min(
-                (n for n in names if n.id == given and (n.lineno, n.col_offset) >= gone),
-                key=lambda n: (n.lineno, n.col_offset), default=None,
-            )
-            if nxt is not None and isinstance(nxt.ctx, ast.Load):
-                findings.append(LintFinding(
-                    path, nxt.lineno, "use-after-recycle",
-                    f"{given!r} is read after comm.recycle({given}) on line "
-                    f"{call.lineno}; the transport may already be receiving "
-                    f"another frame into its memory",
-                ))
-    return findings
-
-
 def rule_valueerror_no_value(path: str, tree: ast.AST, source: str) -> List[LintFinding]:
     findings: List[LintFinding] = []
     for node in ast.walk(tree):
@@ -401,7 +367,6 @@ RULE_SCOPES: Tuple[Tuple[str, Rule, Callable[[str], bool]], ...] = (
     ("param-rebind", rule_param_rebind,
      lambda p: _in_packages("nn", "training", "serving", "compression")(p)
      and Path(p).name not in ("module.py", "parameters.py")),
-    ("use-after-recycle", rule_use_after_recycle, _in_packages("collectives")),
 )
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.collectives.topology import HostTopology
 from repro.comm.communicator import Communicator
+from repro.comm.mailbox import land
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
 from repro.comm.router import Channel, DEFAULT_CHANNELS, Router
 
@@ -160,6 +161,11 @@ class RecordingCommunicator(Communicator):
             "recv", msg.source, msg.tag, msg.seq, _payload_elements(msg.payload)
         )
         return msg
+
+    def recv_into(
+        self, out, source: int, tag: int, op=None, timeout: Optional[float] = None
+    ) -> None:
+        land(out, self.recv_message(source, tag, timeout=timeout).payload, op)
 
     def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Any]:
         msg = self._mailbox.poll(source, tag)

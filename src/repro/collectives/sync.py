@@ -237,21 +237,14 @@ def _recv_segments(
     With ``reduce_op`` the incoming segment is combined into the local
     data as soon as it arrives, so combining segment *k* overlaps the
     (eager) transmission of segments ``> k``; without it the segment is
-    assigned (allgather phases).
+    assigned (allgather phases) — on the process-model transports by
+    reading the frame straight into ``flat``.
     """
     for k, (slo, shi) in enumerate(_segment_bounds(hi - lo, n_chunks)):
-        incoming = comm.recv(
-            source=source, tag=mint(epoch, phase, round_index, k), timeout=timeout
+        comm.recv_into(
+            flat[lo + slo : lo + shi], source, mint(epoch, phase, round_index, k),
+            op=reduce_op, timeout=timeout,
         )
-        if shi > slo:
-            if reduce_op is None:
-                flat[lo + slo : lo + shi] = incoming
-            else:
-                # In-place combine: allocating a fresh buffer per segment and
-                # copying it back dominates large-message latency.
-                reduce_op.combine_into(flat[lo + slo : lo + shi], incoming)
-        # Consumed: the next segment of this size lands in the same memory.
-        comm.recycle(incoming)
 
 
 # --------------------------------------------------------------------------
@@ -508,12 +501,6 @@ def _recv_wire(
     comm, codec, length: int, pred: int, mint: Callable[..., int], epoch: int,
     phase: int, step: int, n_chunks: int, timeout: Optional[float],
 ) -> np.ndarray:
-    if n_chunks == 1:
-        # Use the delivered array directly instead of copying it into a
-        # preallocated buffer — one fewer pass over the payload.
-        return np.asarray(
-            comm.recv(source=pred, tag=mint(epoch, phase, step, 0), timeout=timeout)
-        )
     buf = np.empty(length, dtype=codec.wire_dtype)
     _recv_segments(
         comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout,
@@ -637,13 +624,8 @@ class _LeaderRanks:
     def send(self, data, dest: int, tag: int = 0) -> None:
         self._comm.send(data, self._leaders[dest], tag=tag)
 
-    def recv(self, source: int, tag: int, timeout: Optional[float] = None):
-        return self._comm.recv(
-            source=self._leaders[source], tag=tag, timeout=timeout
-        )
-
-    def recycle(self, payload) -> None:
-        self._comm.recycle(payload)
+    def recv_into(self, out, source: int, tag: int, op=None, timeout=None) -> None:
+        self._comm.recv_into(out, self._leaders[source], tag, op, timeout)
 
 
 def _intra_reduce(

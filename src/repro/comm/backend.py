@@ -6,8 +6,8 @@ that actually carries the messages.  Everything above this line talks to
 two abstractions only:
 
 * a :class:`CommunicatorLike` handle — the MPI-flavoured per-rank API
-  (``send`` / ``isend`` / ``recv`` / ``irecv`` / ``probe`` / ``poll`` /
-  ``barrier`` / ``dup``) that both transports provide through the shared
+  (``send`` / ``isend`` / ``recv`` / ``recv_into`` / ``irecv`` / ``probe``
+  / ``poll`` / ``barrier`` / ``dup``) that both transports provide through the shared
   :class:`~repro.comm.communicator.Communicator` class;
 * :func:`launch` — the ``mpiexec`` of the library: run an SPMD function
   on ``world_size`` ranks of the chosen backend and collect the per-rank
@@ -164,7 +164,9 @@ class CommunicatorLike(Protocol):
 
     def recv_message(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None): ...
 
-    def recycle(self, payload: Any) -> None: ...
+    def recv_into(
+        self, out, source: int, tag: int, op=None, timeout: Optional[float] = None
+    ) -> None: ...
 
     def irecv(self, source: int = -1, tag: int = -1): ...
 

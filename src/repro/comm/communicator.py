@@ -14,15 +14,11 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.comm import tags
+from repro.comm.mailbox import CommTimeoutError  # noqa: F401 - raised by receives, exported here
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
 from repro.comm.requests import RecvRequest, Request, SendRequest
 from repro.comm.router import Channel, Router
 from repro.obs import recorder as _obs
-
-
-class CommTimeoutError(TimeoutError):
-    """A blocking receive or barrier exceeded its timeout."""
-
 
 #: Default timeout, in seconds, for blocking receives issued by the
 #: library.  Distributed-training deadlocks otherwise hang the test suite;
@@ -61,7 +57,6 @@ class Communicator:
         self._rank = int(rank)
         self._channel = channel
         self._mailbox = router.mailbox(rank, channel)
-        self._recycle = getattr(router, "recycle", None)
         self.default_timeout = default_timeout
         self._barrier_epoch = 0
 
@@ -164,33 +159,34 @@ class Communicator:
         """Blocking receive returning the full :class:`Message` envelope."""
         effective = self.default_timeout if timeout is None else timeout
         rec = _obs.current()
-        try:
-            if rec is None:
-                return self._mailbox.get(source, tag, timeout=effective)
-            t0 = _obs.perf_counter_ns()
-            msg = self._mailbox.get(source, tag, timeout=effective)
-            _obs.record_recv(
-                rec, self._channel, msg.source, self._rank, msg.tag,
-                _obs.payload_nbytes(msg.payload), t0,
-            )
-            return msg
-        except TimeoutError as exc:
-            raise CommTimeoutError(str(exc)) from exc
+        if rec is None:
+            return self._mailbox.get(source, tag, timeout=effective)
+        t0 = _obs.perf_counter_ns()
+        msg = self._mailbox.get(source, tag, timeout=effective)
+        _obs.record_recv(
+            rec, self._channel, msg.source, self._rank, msg.tag,
+            _obs.payload_nbytes(msg.payload), t0,
+        )
+        return msg
 
-    def recycle(self, payload: Any) -> None:
-        """Hand a received array back to the transport for reuse.
-
-        An ownership transfer: the caller must hold no reference to
-        ``payload`` (or a view of it) afterwards — a later receive of
-        that size may land in its memory.  Optional (a payload never
-        recycled is never overwritten); a no-op on the thread backend.
-        """
-        if self._recycle is not None:
-            self._recycle(payload)
+    def recv_into(
+        self, out: np.ndarray, source: int, tag: int, op: Any = None,
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Blocking receive of one array message into ``out`` — written, or
+        with a reduce ``op`` combined in; another dtype or size raises
+        ``ValueError``.  On the process-model transports the frame lands
+        straight in ``out`` (see :mod:`repro.comm.process_backend`)."""
+        effective = self.default_timeout if timeout is None else timeout
+        rec = _obs.current()
+        t0 = 0 if rec is None else _obs.perf_counter_ns()
+        self._mailbox.get_into(out, source, tag, op, timeout=effective)
+        if rec is not None:
+            _obs.record_recv(rec, self._channel, source, self._rank, tag, out.nbytes, t0)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        """Nonblocking receive request."""
-        return RecvRequest(self._mailbox, source, tag)
+        """Nonblocking receive request (``wait`` defaults to our deadline)."""
+        return RecvRequest(self._mailbox, source, tag, self.default_timeout)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Whether a matching message is already queued."""

@@ -11,13 +11,35 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Optional
+from typing import Any, Deque, Optional
+
+import numpy as np
 
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
 
 
 class MailboxClosed(RuntimeError):
     """Raised when receiving from (or delivering to) a closed mailbox."""
+
+
+class CommTimeoutError(TimeoutError):
+    """A blocking receive or barrier exceeded its timeout."""
+
+
+def land(out: np.ndarray, payload: Any, op: Any = None) -> None:
+    """Write ``payload`` into ``out`` or, with ``op``, combine it in
+    (``op.combine_into``): what a receive into caller memory does with a
+    message, staged or in place.  Anything but an array of ``out``'s
+    dtype and size raises; nothing is cast or truncated."""
+    is_array = isinstance(payload, np.ndarray)
+    if not (is_array and payload.dtype == out.dtype and payload.size == out.size):
+        got = f"{payload.dtype} x {payload.size}" if is_array else type(payload).__name__
+        raise ValueError(f"received {got} for a receive into {out.dtype} x {out.size}")
+    incoming = payload.reshape(out.shape)
+    if op is None:
+        np.copyto(out, incoming)
+    else:
+        op.combine_into(out, incoming)
 
 
 class Mailbox:
@@ -60,7 +82,7 @@ class Mailbox:
 
         Raises
         ------
-        TimeoutError
+        CommTimeoutError
             If ``timeout`` (seconds) elapses with no matching message.
         MailboxClosed
             If the mailbox is closed and empty of matching messages.
@@ -76,10 +98,17 @@ class Mailbox:
                         "closed while waiting for a message"
                     )
                 if not self._cond.wait(timeout=timeout):
-                    raise TimeoutError(
+                    raise CommTimeoutError(
                         f"rank {self.owner_rank}/{self.channel}: timed out waiting "
                         f"for message from source={source} tag={tag}"
                     )
+
+    def get_into(
+        self, out: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+        op: Any = None, timeout: Optional[float] = None,
+    ) -> None:
+        """:meth:`get` the first matching message and :func:`land` it in ``out``."""
+        land(out, self.get(source, tag, timeout=timeout).payload, op)
 
     def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Message]:
         """Non-blocking receive; returns ``None`` if no matching message."""

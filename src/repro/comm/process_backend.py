@@ -38,26 +38,35 @@ Wire format
 -----------
 Each message is one frame::
 
-    uint32 header_len | pickle(header) | payload bytes
+    uint32 header_len | header | body
+    header = struct(kind, dtype code, ndim, source, dest, tag, seq,
+                    body bytes) | ndim x uint64 dims | channel (UTF-8)
 
-where ``header = (channel, source, dest, tag, seq, kind, dtype, shape,
-payload_nbytes)``.  Small Python objects travel pickled (``kind="obj"``).
-NumPy arrays travel as their raw buffer (``kind="nd"``): the sender
-writes the array's memoryview straight to the link and the receiver
-reads into an array drawn from the endpoint's free list — no pickling
-and no intermediate copies of the payload on either side.  The framing
-(:func:`pack_frame`, :func:`_frames`) is the same on both link
-kinds.
+A fixed ``struct`` envelope, no pickle: NumPy arrays of the listed
+dtypes travel as their raw buffer (``kind="nd"``, the sender writes the
+array's memoryview straight to the link); any other payload is a
+pickled body (``kind="obj"``).  The framing (:func:`pack_frame`,
+:func:`_frames`) is the same on both link kinds.  Prefix and header are
+read through a small read-ahead buffer — one ``read_some`` when the
+bytes are there — and a body straight into its destination.
 
 Progress
 --------
 There is one inbound engine (:class:`_Pump`) and no transport thread:
 a rank's inbound bytes — from rings and from non-blocking sockets alike
-— are read, parsed and put into mailboxes *in the context of whichever
-thread would otherwise idle*: a blocked receiver
-(:class:`_PumpingMailbox`), a sender waiting out a full ring or a full
-kernel socket buffer (which is also what keeps two ranks flooding each
-other from deadlocking), and ``poll`` / ``probe`` callers.  A thread
+— are read and parsed *in the context of whichever thread would
+otherwise idle*: a blocked receiver (:class:`_PumpingMailbox`), a sender
+waiting out a full ring or a full kernel socket buffer (which is also
+what keeps two ranks flooding each other from deadlocking), and
+``poll`` / ``probe`` callers.  As with MPI's posted and unexpected
+queues, a thread blocked in ``recv_into`` posts its receive
+(:class:`_Receive`) while it pumps: the frame whose header matches it
+(channel, source, tag, dtype, size) is *expected* — its body is read
+straight into the caller's array (with a reduce op: into a scratch
+buffer per link, then combined) and the pump stops at that frame's
+end.  Every other frame is *staged*: read into a fresh array for its
+mailbox, where ``recv`` takes it or ``recv_into`` copies it out.  A
+receive writes only into memory its caller gave it.  A thread
 with nothing to drain parks in one ``select`` on the endpoint's wake
 source (the rank's ring doorbell, or a local ``socket.socketpair()`` in
 a world without rings) plus every live socket.  The back-pressure
@@ -89,6 +98,7 @@ from __future__ import annotations
 
 import errno
 import itertools
+import math
 import multiprocessing
 import multiprocessing.connection
 import pickle
@@ -110,7 +120,7 @@ from repro.comm.backend import (
     register_backend,
 )
 from repro.comm.communicator import Communicator
-from repro.comm.mailbox import Mailbox, MailboxClosed
+from repro.comm.mailbox import CommTimeoutError, Mailbox, MailboxClosed, land
 from repro.comm.message import Message
 from repro.comm.router import Channel, DEFAULT_CHANNELS, is_declared_channel
 
@@ -128,6 +138,16 @@ _KIND_ND = 1
 
 _HEADER_LEN = struct.Struct("!I")
 _RANK_ID = struct.Struct("!I")
+#: A frame up to its dims: prefix, kind, dtype code, ndim, source, dest, tag, seq, nbytes.
+_HEAD = struct.Struct("!IBBBxIIqQQ")
+#: The dims of an ``ndim``-dimensional array body, by ``ndim``.
+_DIMS = tuple(struct.Struct(f"!{ndim}Q") for ndim in range(65))
+#: The dtypes an array body may have, by wire code; an array of any other
+#: dtype travels pickled.
+_DTYPES = tuple(map(np.dtype, (
+    "<f8", "<f4", "<f2", "<u2", "<i8", "<i4", "<u4", "<u8", "<i2", "|i1", "|u1", "|b1",
+)))
+_DTYPE_CODES = {dtype: code for code, dtype in enumerate(_DTYPES)}
 
 #: Socket timeout applied during rendezvous and mesh establishment.
 _SETUP_TIMEOUT = 60.0
@@ -136,12 +156,13 @@ _SETUP_TIMEOUT = 60.0
 #: time to aborts and crashes.
 _WAIT_SLICE = 0.05
 
-#: A pickled frame header is tens of bytes; a length prefix beyond this
-#: is a corrupted stream, not a header worth allocating for.
-_MAX_HEADER_BYTES = 1 << 16
+#: A frame header is tens of bytes; a length prefix beyond this is a
+#: corrupted stream, not a header worth waiting for.
+_MAX_HEADER_BYTES = 1 << 10
 
-#: Ceiling on the bytes an endpoint's receive free list may hold.
-_FREE_LIST_MAX_BYTES = 8 << 20
+#: What a frame parser asks its link for while it needs a header: small
+#: frames arrive whole, and at most this much of a body is copied twice.
+_READ_AHEAD = 1 << 12
 
 #: Backoff schedule of the bring-up retry loops (seconds).
 _RETRY_INITIAL_DELAY = 0.02
@@ -258,132 +279,140 @@ def _bind_listener(
 
 
 def pack_frame(message: Message, channel: str) -> Tuple[bytes, Any]:
-    """``(pickled header, body)`` of one wire frame.
+    """``(prefix and header, body)`` of one wire frame (see *Wire format*).
 
-    The header is ``(channel, source, dest, tag, seq, kind, dtype,
-    shape, payload_nbytes)``.  NumPy arrays (plain dtypes only) return
-    their raw buffer as the body (``kind="nd"`` — written to the wire
-    without pickling); everything else is pickled (``kind="obj"``).
+    An array of a listed dtype is its own body, written without a copy
+    (``kind="nd"``); any other payload is pickled (``kind="obj"``).
     """
     payload = message.payload
-    if (
-        isinstance(payload, np.ndarray)
-        and not payload.dtype.hasobject
-        and payload.dtype.names is None  # dtype.str drops record fields
-    ):
+    code = _DTYPE_CODES.get(payload.dtype) if isinstance(payload, np.ndarray) else None
+    if code is None:
+        body: Any = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        kind, code, shape, nbytes = _KIND_OBJ, 0, (), len(body)
+    else:
         # ascontiguousarray would promote 0-d to 1-d; the header keeps
         # the true shape so the receiver reconstructs it exactly.
         arr = payload if payload.flags.c_contiguous else np.ascontiguousarray(payload)
-        header = (
-            channel, message.source, message.dest, message.tag, message.seq,
-            _KIND_ND, arr.dtype.str, payload.shape, int(arr.nbytes),
-        )
-        body: Any = memoryview(arr.reshape(-1)).cast("B")
-    else:
-        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        header = (
-            channel, message.source, message.dest, message.tag, message.seq,
-            _KIND_OBJ, "", (), len(body),
-        )
-    return pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL), body
+        body = memoryview(arr.reshape(-1)).cast("B")
+        kind, shape, nbytes = _KIND_ND, payload.shape, arr.nbytes
+    name = channel.encode()
+    need = _HEAD.size - _HEADER_LEN.size + 8 * len(shape) + len(name)
+    if need > _MAX_HEADER_BYTES:
+        raise ValueError(f"frame header of {need} bytes for channel {channel!r}")
+    head = _HEAD.pack(need, kind, code, len(shape), message.source, message.dest,
+                      message.tag, message.seq, nbytes)
+    return head + _DIMS[len(shape)].pack(*shape) + name, body
 
 
-class _FreeList:
-    """An endpoint's recycled receive buffers, keyed by ``(dtype, nbytes)``.
+# ---------------------------------------------------------------------------
+# the inbound engine: posted receive, frame parser, doorbell, mailbox, pump
+# ---------------------------------------------------------------------------
+class _Receive:
+    """A ``recv_into`` posted by a blocked thread (see *Progress*).
 
-    Ownership is explicit: :meth:`give` is reached only through
-    ``comm.recycle(arr)``, whose caller holds no reference to ``arr`` any
-    more, and :meth:`draw` hands a buffer to exactly one frame; a payload
-    nobody recycles is never reused.  Allocated per frame, a bulk buffer
-    is mapped, page-faulted and unmapped per frame; drawn from here, a
-    steady-state step allocates none.  Every buffer in the list was in
-    flight at the same time as the others, which bounds it — as does
-    ``_FREE_LIST_MAX_BYTES``, past which it starts over.
+    ``key`` is what a header must say to be its frame; ``into`` is
+    ``out``'s own bytes, or ``None`` when the body goes through the
+    parser's scratch first (a reduce ``op``, or a non-contiguous ``out``).
+    ``claimed``: a header matched; ``done``: the body landed;
+    ``abandoned``: the owner gave up mid-body, the rest goes nowhere.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._free: Dict[Tuple[str, int], List[np.ndarray]] = {}
-        self._bytes = 0
-        self.fresh = 0
-        self.recycled = 0
+    __slots__ = ("mailbox", "key", "out", "op", "into", "claimed", "done", "abandoned")
 
-    def draw(self, dtype: str, nbytes: int) -> np.ndarray:
-        with self._lock:
-            stack = self._free.get((dtype, nbytes))
-            if stack:
-                self._bytes -= nbytes
-                self.recycled += 1
-                return stack.pop()
-            self.fresh += 1
-        dt = np.dtype(dtype)
-        return np.empty(nbytes // dt.itemsize, dtype=dt)
-
-    def give(self, arr: Any) -> None:
-        if not isinstance(arr, np.ndarray):
-            return
-        flat = arr if arr.base is None else arr.base
-        nbytes = arr.nbytes
-        if not (
-            isinstance(flat, np.ndarray)
-            and flat.ndim == 1
-            and flat.flags.owndata
-            and flat.nbytes == nbytes  # the whole buffer, not a window of one
-            and 0 < nbytes <= _FREE_LIST_MAX_BYTES
-        ):
-            return
-        with self._lock:
-            if self._bytes + nbytes > _FREE_LIST_MAX_BYTES:
-                self._free.clear()
-                self._bytes = 0
-            stack = self._free.setdefault((flat.dtype.str, nbytes), [])
-            # Two frames sharing a buffer would corrupt both silently.
-            if not any(held is flat for held in stack):
-                stack.append(flat)
-                self._bytes += nbytes
+    def __init__(self, mailbox: Mailbox, out: np.ndarray, source: int, tag: int, op: Any):
+        if not out.flags.writeable:
+            raise ValueError(f"recv_into needs a writable out, got a read-only {out.shape} array")
+        self.mailbox, self.out, self.op = mailbox, out, op
+        self.key = (mailbox.channel, source, tag, out.dtype, out.nbytes)
+        direct = op is None and out.flags.c_contiguous
+        self.into = memoryview(out.reshape(-1)).cast("B") if direct else None
+        self.claimed = self.done = self.abandoned = False
 
 
-# ---------------------------------------------------------------------------
-# the inbound engine: frame parser, doorbell, mailbox, pump
-# ---------------------------------------------------------------------------
-def _frames(link: Any, pool: _FreeList):
+def _frames(link: Any, pump: Any):
     """Generator over the frames arriving on ``link``, in arbitrary pieces.
 
-    Each ``next()`` advances parsing with whatever ``link.read_some``
-    yields and returns one completed ``(message, channel)``, or ``None``
-    when the link ran dry mid-frame (the next call resumes exactly where
-    this one starved).  Array payloads are read straight into a buffer
-    drawn from ``pool``.
+    Each ``next()`` parses what ``link.read_some`` yields and returns
+    ``None`` when the link ran dry mid-frame (the next call resumes there),
+    ``pump.want`` once a frame landed in it, or ``(message, channel)`` for
+    a staged frame.  An unparseable stream raises ``ValueError`` naming
+    the offending value.
     """
+    buf = bytearray(_READ_AHEAD)
+    view = memoryview(buf)
+    lo = hi = 0
+    scratch = np.empty(0, np.uint8)
 
-    def fill(buf: Any):
-        view, got = memoryview(buf), 0
-        while got < len(view):
-            got += link.read_some(view[got:])
-            if got < len(view):
-                yield None  # starved mid-field
+    def buffered(need: int):
+        nonlocal lo, hi
+        if lo + need > len(buf):
+            view[: hi - lo] = view[lo:hi]
+            lo, hi = 0, hi - lo
+        while hi - lo < need:
+            hi += link.read_some(view[hi:])
+            if hi - lo < need:
+                yield None  # starved mid-header
+
+    def body(target: memoryview, receive: Optional[_Receive] = None):
+        nonlocal lo
+        got = min(len(target), hi - lo)
+        target[:got] = view[lo : lo + got]
+        lo += got
+        while got < len(target):
+            got += link.read_some(target[got:])
+            if got < len(target):
+                yield None  # starved mid-body
+                if receive is not None and receive.abandoned:
+                    target = memoryview(bytearray(len(target)))
 
     while True:
-        prefix = bytearray(_HEADER_LEN.size)
-        yield from fill(prefix)
-        (need,) = _HEADER_LEN.unpack(prefix)
-        if need > _MAX_HEADER_BYTES:
+        if lo == hi:
+            lo, hi = 0, link.read_some(view)
+            while not hi:  # an idle link costs one read per pass, nothing more
+                yield None
+                hi = link.read_some(view)
+        if hi - lo < _HEADER_LEN.size:
+            yield from buffered(_HEADER_LEN.size)
+        (need,) = _HEADER_LEN.unpack_from(buf, lo)
+        if not _HEAD.size - _HEADER_LEN.size <= need <= _MAX_HEADER_BYTES:
             raise ValueError(f"frame header of {need} bytes")
-        head = bytearray(need)
-        yield from fill(head)
-        channel, source, dest, tag, seq, kind, dtype, shape, nbytes = pickle.loads(
-            bytes(head)
-        )
-        if kind != _KIND_ND:
-            body = bytearray(nbytes)
-            yield from fill(body)
-            payload = pickle.loads(bytes(body))
-        elif nbytes:
-            flat = pool.draw(dtype, nbytes)
-            yield from fill(flat.view(np.uint8))
-            payload = flat.reshape(shape)
+        end = lo + _HEADER_LEN.size + need
+        if hi < end:
+            yield from buffered(end - lo)
+            end = lo + _HEADER_LEN.size + need
+        _, kind, code, ndim, source, dest, tag, seq, nbytes = _HEAD.unpack_from(buf, lo)
+        dims_end = lo + _HEAD.size + 8 * ndim
+        if kind > _KIND_ND or code >= len(_DTYPES) or ndim >= len(_DIMS) or dims_end > end:
+            raise ValueError(
+                f"frame header of {need} bytes with kind {kind}, dtype code {code}, ndim {ndim}"
+            )
+        shape = _DIMS[ndim].unpack_from(buf, lo + _HEAD.size)
+        channel = buf[dims_end:end].decode()
+        lo = end
+        if kind == _KIND_OBJ:
+            pickled = bytearray(nbytes)
+            yield from body(memoryview(pickled))
+            payload = pickle.loads(pickled)
         else:
-            payload = np.empty(shape, dtype=np.dtype(dtype))
+            dtype = _DTYPES[code]
+            if nbytes != dtype.itemsize * math.prod(shape):
+                raise ValueError(f"array body of {nbytes} bytes for {dtype} x {shape}")
+            receive = pump.want
+            if receive is not None and receive.key == (channel, source, tag, dtype, nbytes):
+                receive.claimed = True
+                if receive.into is None and scratch.size < nbytes:
+                    scratch = np.empty(nbytes, np.uint8)
+                into = receive.into
+                yield from body(memoryview(scratch[:nbytes]) if into is None else into, receive)
+                if not receive.abandoned:
+                    if into is None:
+                        land(receive.out, scratch[:nbytes].view(dtype), receive.op)
+                    receive.done = True
+                yield receive
+                continue
+            flat = np.empty(nbytes // dtype.itemsize, dtype)
+            yield from body(memoryview(flat).cast("B"))
+            payload = flat.reshape(shape)
         yield Message(source=source, dest=dest, tag=tag, payload=payload, seq=seq), channel
 
 
@@ -453,13 +482,18 @@ class _PumpingMailbox(Mailbox):
         super().__init__(owner_rank, channel)
         self._pump = pump
 
-    def get(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None):
+    def get(self, source: int = -1, tag: int = -1, timeout=None, receive=None):
+        """:meth:`Mailbox.get`; with a posted ``receive``, ``None`` once a
+        frame landed in it in place."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._cond:
-                msg = self._find(source, tag)
-                if msg is not None:
-                    return msg
+                if receive is None or not receive.claimed:
+                    msg = self._find(source, tag)
+                    if msg is not None:
+                        return msg
+                elif receive.done:
+                    return None
                 if self._closed:
                     raise MailboxClosed(
                         f"mailbox rank={self.owner_rank} channel={self.channel} "
@@ -467,11 +501,22 @@ class _PumpingMailbox(Mailbox):
                     )
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
-                raise TimeoutError(
+                raise CommTimeoutError(
                     f"rank {self.owner_rank}/{self.channel}: timed out waiting "
                     f"for message from source={source} tag={tag}"
                 )
-            self._pump._progress_or_wait(self, source, tag, remaining)
+            self._pump._progress_or_wait(self, source, tag, remaining, receive)
+
+    def get_into(self, out, source: int = -1, tag: int = -1, op=None, timeout=None) -> None:
+        receive = _Receive(self, out, source, tag, op)
+        try:
+            msg = self.get(source, tag, timeout, receive)
+        finally:
+            if receive.claimed and not receive.done:  # gave up mid-body
+                with self._pump._pump_lock:  # noqa: SLF001 - cooperating classes
+                    receive.abandoned = True
+        if msg is not None:  # staged before its receive came
+            land(out, msg.payload, op)
 
     def poll(self, source: int = -1, tag: int = -1):
         msg = super().poll(source, tag)
@@ -489,11 +534,9 @@ class _Pump:
     """The one inbound progress engine of an endpoint.
 
     Drains the inbound half of every live link in the context of
-    whichever thread holds the *pump lock*.  What it needs of a link:
+    whichever thread holds the *pump lock*; ``want`` is that thread's
+    posted receive, if it has one.  What it needs of a link:
 
-    ``readable()``
-        whether ``read_some`` may yield bytes now (a ring knows; a
-        socket answers ``True``, only the kernel knows);
     ``read_some(view)``
         copy what is there, never block, return the byte count;
     ``eof``
@@ -519,11 +562,15 @@ class _Pump:
         #: deliveries ring the wake source only then.
         self._parked = False
         self._released = False
+        #: The posted receive of the thread holding the pump lock.
+        self.want: Optional[_Receive] = None
         self.frames = 0
+        self.frames_in_place = 0
+        self.frames_staged = 0
         self.parks = 0
 
     def add(self, peer: int, link: Any) -> None:
-        self._live[peer] = (link, _frames(link, self._endpoint._pool))
+        self._live[peer] = (link, _frames(link, self))
         if hasattr(link, "fileno"):
             self._waitable.append(link)
 
@@ -531,37 +578,48 @@ class _Pump:
     def _pump_once(self) -> bool:
         """One draining pass over every live link (pump lock held).
 
-        Parses and delivers every complete frame currently available;
-        returns whether anything moved.
+        Parses and delivers every complete frame currently available —
+        except that once ``want`` is satisfied the pass ends at that
+        frame's boundary; returns whether anything moved.
         """
-        endpoint = self._endpoint
+        endpoint, want = self._endpoint, self.want
         progressed = False
         departed = ()
         for peer, (link, frames) in self._live.items():
-            if link.readable():
-                try:
-                    while True:
-                        outcome = next(frames)
-                        if outcome is None:
+            try:
+                while True:
+                    outcome = next(frames)
+                    if outcome is None:
+                        if link.eof:
+                            # A departure, also with a partial frame left in the
+                            # parser: that peer crashed, and the launcher aborts.
+                            departed += (peer,)
+                        break
+                    progressed = True
+                    self.frames += 1
+                    if type(outcome) is _Receive:
+                        self.frames_in_place += 1
+                        if outcome is want:
                             break
-                        message, channel = outcome
-                        progressed = True
-                        self.frames += 1
-                        try:
-                            endpoint.mailbox(endpoint.rank, channel).put(message)
-                        except MailboxClosed:
-                            return progressed  # aborted while delivering
-                except (pickle.UnpicklingError, EOFError, ValueError) as exc:
-                    # The stream is unreadable but both processes live — the
-                    # launcher cannot see this, so wake the local rank ourselves.
-                    if not endpoint._closed:
-                        endpoint.abort(f"corrupted stream from rank {peer}: {exc}")
-                    departed += (peer,)  # its parser is spent
-                    break
-            if link.eof:
-                # A departure, also with a partial frame left in the parser:
-                # that peer crashed, and the launcher aborts the world.
-                departed += (peer,)
+                        # Its owner started this frame and may sleep on its mailbox.
+                        with outcome.mailbox._cond:  # noqa: SLF001 - cooperating classes
+                            outcome.mailbox._cond.notify_all()  # noqa: SLF001
+                        continue
+                    message, channel = outcome
+                    self.frames_staged += isinstance(message.payload, np.ndarray)
+                    try:
+                        endpoint.mailbox(endpoint.rank, channel).put(message)
+                    except MailboxClosed:
+                        return progressed  # aborted while delivering
+            except (pickle.UnpicklingError, EOFError, ValueError) as exc:
+                # The stream is unreadable but both processes live — the
+                # launcher cannot see this, so wake the local rank ourselves.
+                if not endpoint._closed:
+                    endpoint.abort(f"corrupted stream from rank {peer}: {exc}")
+                departed += (peer,)  # its parser is spent
+                break
+            if want is not None and want.done:
+                break
         for peer in departed:
             link, _ = self._live.pop(peer)
             endpoint._departed.add(peer)
@@ -611,28 +669,40 @@ class _Pump:
             self._pump_lock.release()
 
     def _progress_or_wait(
-        self, mailbox: Mailbox, source: int, tag: int, remaining: Optional[float]
+        self, mailbox: Mailbox, source: int, tag: int, remaining: Optional[float],
+        receive: Optional[_Receive] = None,
     ) -> None:
         """One blocked-receiver iteration: steal the pump or wait briefly.
 
         Called by :class:`_PumpingMailbox` with the mailbox lock
-        released.  Either drains the links in this thread's context
-        (parking when they are dry) or — when another thread is already
-        pumping — waits for its ``put``-notification on the mailbox
-        condition.  Returns with no verdict; the caller re-checks its
-        mailbox and deadline.
+        released.  Either drains the links in this thread's context, with
+        ``receive`` as ``want`` (parking when they are dry), or — when
+        another thread is already pumping — waits for its notification
+        on the mailbox condition.  Returns with no verdict; the caller
+        re-checks its mailbox, its receive and its deadline.
         """
         slice_seconds = _WAIT_SLICE if remaining is None else min(remaining, _WAIT_SLICE)
         if self._pump_lock.acquire(blocking=False):
             try:
-                if not self._pump_once():
+                # A match staged meanwhile comes before any later frame.
+                if (
+                    receive is not None and not receive.claimed and mailbox._messages
+                    and Mailbox.probe(mailbox, source, tag)
+                ):
+                    return
+                self.want = receive
+                try:
+                    progressed = self._pump_once()
+                finally:
+                    self.want = None
+                if not progressed:
                     self._park(mailbox, source, tag, slice_seconds)
             finally:
                 self._pump_lock.release()
         else:
             # Someone else pumps; their put() will notify this condition.
             with mailbox._cond:  # noqa: SLF001 - cooperating classes
-                if not mailbox._messages and not mailbox._closed:
+                if not (mailbox._messages or mailbox._closed or (receive and receive.done)):
                     mailbox._cond.wait(min(slice_seconds, 0.002))
 
     # -------------------------------------------------------------- close
@@ -671,12 +741,11 @@ class MeshEndpoint:
     local mailboxes per channel (dynamic ``"<base>.<suffix>"``
     sub-channels included, mirroring
     :meth:`repro.comm.router.Router.mailbox`), delivery bookkeeping, the
-    abort/close state machine, the receive free list, and a
-    ``peer -> link`` table.  A link is the byte pipe to one peer, both
-    directions — a :class:`_SocketLink` or a
-    :class:`repro.comm.shm_backend._RingLink` — and answers ``send``
-    (write one frame), the inbound surface :class:`_Pump` drains,
-    ``shutdown`` and ``release``.
+    abort/close state machine, and a ``peer -> link`` table.  A link is
+    the byte pipe to one peer, both directions — a :class:`_SocketLink`
+    or a :class:`repro.comm.shm_backend._RingLink` — and answers
+    ``send`` (write one frame), the inbound surface :class:`_Pump`
+    drains, ``shutdown`` and ``release``.
     """
 
     #: Remote payloads are framed (copied onto the wire) synchronously
@@ -703,10 +772,6 @@ class MeshEndpoint:
         #: (queried by the topology-aware collectives).
         self.host_topology = host_topology
         self._links: Dict[int, Any] = {}
-        self._pool = _FreeList()
-        #: ``recycle(arr)``: take back a received array its caller holds
-        #: no reference to any more (see :meth:`Communicator.recycle`).
-        self.recycle = self._pool.give
         #: ``rings`` is the world's ring session, given iff this rank
         #: has a ring peer; its doorbell for this rank is then the wake
         #: source, because that is what ring producers write to.
@@ -802,11 +867,12 @@ class MeshEndpoint:
         """The transport's otherwise silent events, as running totals."""
         return {
             "frames_parsed": self._pump.frames,
+            # Array frames landed in a recv_into's out / staged for a mailbox.
+            "frames_in_place": self._pump.frames_in_place,
+            "frames_staged": self._pump.frames_staged,
             "parks": self._pump.parks,
             # A sendmsg / ring write that found no room and had to wait.
             "send_stalls": sum(link.stalls for link in self._links.values()),
-            "buffers_fresh": self._pool.fresh,
-            "buffers_recycled": self._pool.recycled,
             "departed_peers": len(self._departed),
         }
 
@@ -869,7 +935,7 @@ class _SocketLink:
     # --------------------------------------------------------------- send
     def send(self, message: Message, channel: str) -> None:
         head, body = pack_frame(message, channel)
-        parts = [memoryview(_HEADER_LEN.pack(len(head)) + head)]
+        parts = [memoryview(head)]
         if len(body):
             parts.append(memoryview(body))
         endpoint, sock = self._endpoint, self._sock
@@ -898,9 +964,6 @@ class _SocketLink:
     # ----------------------------------------------------------- receive
     def fileno(self) -> int:
         return self._sock.fileno()
-
-    def readable(self) -> bool:
-        return True
 
     def read_some(self, view: memoryview) -> int:
         try:

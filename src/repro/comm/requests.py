@@ -3,8 +3,7 @@
 The thread transport delivers sends eagerly (a send never blocks), so a
 :class:`SendRequest` is complete upon creation.  A :class:`RecvRequest`
 wraps a deferred matching receive and supports ``test`` / ``wait`` in the
-style of ``mpi4py`` requests, which the schedule engine and the
-non-blocking synchronous-SGD variant build upon.
+style of ``mpi4py`` requests.
 """
 
 from __future__ import annotations
@@ -47,17 +46,21 @@ class SendRequest(Request):
 
 
 class RecvRequest(Request):
-    """A pending receive matched lazily against the owner's mailbox."""
+    """A pending receive matched lazily against the owner's mailbox;
+    :meth:`wait` defaults to ``default_timeout`` (``None``: forever) and
+    raises :class:`~repro.comm.mailbox.CommTimeoutError`."""
 
     def __init__(
         self,
         mailbox: Mailbox,
         source: int = ANY_SOURCE,
         tag: int = ANY_TAG,
+        default_timeout: Optional[float] = None,
     ) -> None:
         self._mailbox = mailbox
         self._source = source
         self._tag = tag
+        self._default_timeout = default_timeout
         self._result: Optional[Message] = None
         self._lock = threading.Lock()
 
@@ -74,7 +77,10 @@ class RecvRequest(Request):
     def wait(self, timeout: Optional[float] = None) -> Any:
         with self._lock:
             if self._result is None:
-                self._result = self._mailbox.get(self._source, self._tag, timeout=timeout)
+                self._result = self._mailbox.get(
+                    self._source, self._tag,
+                    timeout=self._default_timeout if timeout is None else timeout,
+                )
             return self._result.payload
 
     @property

@@ -89,7 +89,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.comm.backend import mark_backend_unavailable, register_backend
 from repro.comm.message import Message
 from repro.comm.process_backend import (
-    _HEADER_LEN,
     _WAIT_SLICE,
     _Doorbell,
     MeshEndpoint,
@@ -482,13 +481,12 @@ class _RingLink:
     # --------------------------------------------------------------- send
     def send(self, message: Message, channel: str) -> None:
         head, body = pack_frame(message, channel)
-        # One buffer for length prefix + header, and exactly ONE doorbell
-        # per frame, after the last byte: ringing per chunk would wake
-        # (and, on a loaded machine, preempt into) the consumer up to
-        # three times per message — mid-frame, with nothing parseable.
-        prefix = _HEADER_LEN.pack(len(head)) + head
+        # Exactly ONE doorbell per frame, after the last byte: ringing per
+        # chunk would wake (and, on a loaded machine, preempt into) the
+        # consumer up to three times per message — mid-frame, with nothing
+        # parseable.
         with self._send_lock:
-            delivered = self._write_all(memoryview(prefix))
+            delivered = self._write_all(memoryview(head))
             if delivered and len(body):
                 delivered = self._write_all(memoryview(body))
             if delivered and self._ring.consumer_waiting:

@@ -140,8 +140,10 @@ class SubsetCommunicator:
             self._require_member(source), tag, timeout=timeout
         )
 
-    def recycle(self, payload: Any) -> None:
-        self._parent.recycle(payload)
+    def recv_into(
+        self, out, source: int, tag: int, op=None, timeout: Optional[float] = None
+    ) -> None:
+        self._parent.recv_into(out, self._require_member(source), tag, op, timeout)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         return self._parent.irecv(self._require_member(source), tag)

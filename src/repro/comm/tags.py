@@ -83,7 +83,7 @@ PARTIAL_ARRIVAL_TAG_BASE = 200_000_000
 # -- serving tier (repro.serving) -------------------------------------------
 SERVING_TAG_BASE = 300_000_000
 #: Inference batch requests, frontend -> replica; one tag slot per batch
-#: sequence number, recycled modulo the capacity.
+#: sequence number, reused modulo the capacity.
 SERVING_REQUEST_TAG_BASE = SERVING_TAG_BASE
 SERVING_REQUEST_CAPACITY = 40_000_000
 #: Inference batch responses, replica -> frontend; a response echoes the
@@ -91,7 +91,7 @@ SERVING_REQUEST_CAPACITY = 40_000_000
 SERVING_RESPONSE_TAG_BASE = SERVING_REQUEST_TAG_BASE + SERVING_REQUEST_CAPACITY
 SERVING_RESPONSE_CAPACITY = 40_000_000
 #: Weight hot-swap payloads and version announcements, publisher ->
-#: replica/frontend; one tag slot per model version, recycled modulo the
+#: replica/frontend; one tag slot per model version, reused modulo the
 #: capacity.
 SERVING_SWAP_TAG_BASE = SERVING_RESPONSE_TAG_BASE + SERVING_RESPONSE_CAPACITY
 SERVING_SWAP_CAPACITY = 10_000_000
@@ -388,7 +388,7 @@ def partial_arrival_tag(round_index: int) -> int:
 def serving_request_tag(batch_seq: int) -> int:
     """Tag of inference batch request ``batch_seq`` (frontend -> replica).
 
-    Unlike the collective layouts, serving tags *recycle* their slot block
+    Unlike the collective layouts, serving tags *reuse* their slot block
     modulo the capacity: the frontend pairs a response with its request by
     the batch sequence number carried in the payload (not by tag), so tag
     aliasing is only possible with more than ``SERVING_REQUEST_CAPACITY``
@@ -417,9 +417,9 @@ def serving_response_tag(batch_seq: int) -> int:
 def serving_swap_tag(version: int) -> int:
     """Tag of weight payload / announcement for model ``version``.
 
-    Slots recycle modulo the capacity (see :func:`serving_request_tag`);
+    Slots wrap modulo the capacity (see :func:`serving_request_tag`);
     subscribers order swaps by the monotonic version number carried in the
-    payload, so a recycled tag can never roll a replica backwards.
+    payload, so a reused tag can never roll a replica backwards.
     """
     if version < 0:
         raise ValueError(f"serving model version must be >= 0, got {version}")

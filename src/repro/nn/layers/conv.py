@@ -143,9 +143,9 @@ class Conv2D(Module):
         batch = input_shape[0]
         g = np.asarray(grad_output, dtype=np.float64)
         g2d = g.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, self.out_channels)
-        self.W.grad += (g2d.T @ cols).reshape(self.W.data.shape)
+        self.W.accumulate(np.matmul, g2d.T, cols, shape=(self.out_channels, -1))
         if self.use_bias:
-            self.b.grad += g2d.sum(axis=0)
+            self.b.accumulate(np.sum, g2d, axis=0)
         if not self.needs_input_grad:
             return None
         grad_cols = g2d @ self.W.data.reshape(self.out_channels, -1)

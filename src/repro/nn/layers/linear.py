@@ -73,9 +73,9 @@ class Dense(Module):
         # Collapse any leading batch/time dimensions for the weight update.
         x2d = x.reshape(-1, self.in_features)
         g2d = grad_output.reshape(-1, self.out_features)
-        self.W.grad += x2d.T @ g2d
+        self.W.accumulate(np.matmul, x2d.T, g2d)
         if self.use_bias:
-            self.b.grad += g2d.sum(axis=0)
+            self.b.accumulate(np.sum, g2d, axis=0)
         if not self.needs_input_grad:
             return None
         grad_input = grad_output @ self.W.data.T

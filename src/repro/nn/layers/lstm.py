@@ -133,9 +133,9 @@ class LSTMCell(Module):
             ],
             axis=1,
         )
-        self.Wx.grad += x.T @ dz
-        self.Wh.grad += h_prev.T @ dz
-        self.b.grad += dz.sum(axis=0)
+        self.Wx.accumulate(np.matmul, x.T, dz)
+        self.Wh.accumulate(np.matmul, h_prev.T, dz)
+        self.b.accumulate(np.sum, dz, axis=0)
         grad_x = dz @ self.Wx.data.T if self.needs_input_grad else None
         grad_h_prev = dz @ self.Wh.data.T
         return grad_x, grad_h_prev, dc_prev

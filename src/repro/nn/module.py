@@ -3,20 +3,38 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 
 class Parameter:
-    """A trainable array together with its gradient accumulator."""
+    """A trainable array together with its gradient accumulator.
 
-    __slots__ = ("data", "grad")
+    :meth:`zero_grad` only marks the gradient pending-zero: the first read
+    of ``grad`` fills the zeros, unless :meth:`accumulate` writes its
+    product there first.  The gradient equals an eagerly zeroed one under
+    ``==``; a zero's sign may differ (``0.0 + -0.0`` is ``0.0``).
+    """
+
+    __slots__ = ("data", "_grad", "_zero_pending")
 
     def __init__(self, data: np.ndarray) -> None:
         # An owned copy: two parameters built from one array must not alias.
         self.data = np.array(data, dtype=np.float64, order="C", copy=True)
         self.grad = np.zeros_like(self.data)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._zero_pending:
+            self._grad.fill(0.0)
+            self._zero_pending = False
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
+        self._zero_pending = False
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -27,7 +45,17 @@ class Parameter:
         return int(self.data.size)
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._zero_pending = True
+
+    def accumulate(self, product: Callable, *args, shape=None, **kwargs) -> None:
+        """``grad += product(*args, **kwargs)`` — after :meth:`zero_grad`,
+        ``product(..., out=grad)``; ``shape`` is the view ``product`` fills."""
+        grad = self._grad if shape is None else self._grad.reshape(shape)
+        if self._zero_pending:
+            product(*args, out=grad, **kwargs)
+            self._zero_pending = False
+        else:
+            grad += product(*args, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Parameter(shape={self.data.shape})"

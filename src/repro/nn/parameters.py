@@ -65,7 +65,7 @@ class _Arena:
         """Whether every parameter still is a view of its window (``base``:
         a deep copy of the module has views that no longer share memory)."""
         return len(named) == len(self.windows) and all(
-            param is owner and param.data is data and param.grad is grad
+            param is owner and param.data is data and param._grad is grad
             and data.base is self.data
             for (_, param), (owner, data, grad) in zip(named, self.windows)
         )
@@ -78,6 +78,9 @@ def _vector(module: Module, attr: str, flat: Optional[np.ndarray] = None) -> np.
     if arena is None or not arena.holds(named):
         arena = _Arena(named)
         object.__setattr__(module, "_arena", arena)
+    if attr == "grad":
+        for param, _, _ in arena.windows:
+            param.grad  # materialises a gradient still pending zero
     vector = getattr(arena, attr)
     if flat is not None and flat.size != vector.size:
         raise ValueError(

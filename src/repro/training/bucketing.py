@@ -244,7 +244,7 @@ class GradientBucketer:
 
         Each buffer is an owned contiguous copy (a real fusion buffer the
         collective can reduce in place), bit-identical to the source
-        elements.  ``out`` recycles a previous ``pack``'s buffer list
+        elements.  ``out`` reuses a previous ``pack``'s buffer list
         (same bucketer): the copies then land in already-faulted pages,
         which is what makes Horovod-style *persistent* fusion buffers
         cheaper than per-step allocation.  Buffers of the wrong shape or

@@ -15,7 +15,7 @@ default single-host topology; :class:`TestMixedFabric` adds the
 topologies that mix rings and sockets and the two-launcher ``tcp``
 world, :class:`TestProgressEngine` what the process-model transports
 promise about inbound progress (one engine, no transport threads, the
-EOF cases, recycled receive buffers), and :class:`TestFailures` the
+EOF cases, receives landing in place), and :class:`TestFailures` the
 hard-crash hygiene contract.
 
 The pickle-safety tests are part of the contract: payloads and results
@@ -37,6 +37,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import (
     AVG,
@@ -55,6 +57,8 @@ from repro.comm import (
     launch,
     set_default_backend,
 )
+from repro.comm.process_backend import _MAX_HEADER_BYTES
+from repro.comm.tags import TAG_REGIONS
 
 BACKENDS = ["thread", "process", "shm", "tcp", "hier"]
 
@@ -201,6 +205,32 @@ class TestPointToPoint:
             return req.wait(timeout=30)
 
         assert launch(worker, 2, backend=backend)[1] == {"k": [1, 2]}
+
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_irecv_wait_takes_the_communicator_deadline(self, name):
+        """``wait()`` gives up after the communicator's default timeout
+        with ``CommTimeoutError`` naming source and tag; an explicit
+        ``wait(timeout=...)`` still wins."""
+
+        def worker(comm):
+            from repro.comm import CommTimeoutError
+
+            peer = 1 - comm.rank
+            started = time.monotonic()
+            try:
+                comm.irecv(source=peer, tag=5).wait()
+                outcome = "received"
+            except CommTimeoutError as exc:
+                outcome = str(exc)
+            waited = time.monotonic() - started
+            time.sleep(0.4)  # longer than the default deadline
+            comm.send("late", peer, tag=6)
+            return outcome, waited, comm.irecv(source=peer, tag=6).wait(timeout=30)
+
+        results = launch(worker, 2, backend=name, default_recv_timeout=0.2, timeout=60)
+        for rank, (outcome, waited, late) in enumerate(results):
+            assert f"source={1 - rank} tag=5" in outcome
+            assert 0.2 <= waited < 10 and late == "late"
 
     def test_probe_and_poll(self, backend):
         def worker(comm):
@@ -670,11 +700,11 @@ def _tcp_pair():
     return ours, theirs
 
 
-def _frame(payload, tag):
-    from repro.comm.process_backend import _HEADER_LEN, pack_frame
+def _frame(payload, tag, channel="app"):
+    from repro.comm.process_backend import pack_frame
 
-    head, body = pack_frame(Message(source=1, dest=0, tag=tag, payload=payload), "app")
-    return _HEADER_LEN.pack(len(head)) + head + bytes(body)
+    head, body = pack_frame(Message(source=1, dest=0, tag=tag, payload=payload), channel)
+    return head + bytes(body)
 
 
 class TestProgressEngine:
@@ -793,7 +823,7 @@ class TestProgressEngine:
     @pytest.mark.parametrize(
         "garbage",
         [b"\x00\x00\x00\x10" + b"\xff" * 16, b"\xff\xff\xff\xff"],
-        ids=["unpicklable-header", "absurd-header-length"],
+        ids=["short-header", "absurd-header-length"],
     )
     def test_an_unparseable_header_aborts_the_local_rank(self, raw_peer, garbage):
         from repro.comm.mailbox import MailboxClosed
@@ -804,81 +834,304 @@ class TestProgressEngine:
             comm.recv(source=1, tag=7, timeout=10)
         assert "corrupted stream from rank 1" in endpoint._abort_reason
 
-    # ------------------------------------------------- recycled buffers
-    def test_a_payload_the_caller_keeps_is_never_overwritten(self, fabric):
-        name, size, opts = fabric
-        n = 5000
+    # ------------------------------------------- a frame landing in place
+    def test_a_receive_abandoned_mid_body_is_not_written_after(self, raw_peer):
+        from repro.comm import CommTimeoutError
 
-        def worker(comm):
-            if comm.rank == 1:
-                for i in range(8):
-                    comm.send(np.full(n, float(i)), 0, tag=i)
-                    comm.send(np.full(n, -1.0), 0, tag=100 + i)
-                    comm.recv(source=0, tag=200 + i, timeout=30)  # in lockstep
-                return True
-            if comm.rank != 0:
-                return True
-            kept = []
-            for i in range(8):
-                kept.append(comm.recv(source=1, tag=i, timeout=30))
-                comm.recycle(comm.recv(source=1, tag=100 + i, timeout=30))
-                comm.send("next", 1, tag=200 + i)
-            # Each recycled buffer came back as the next kept payload.
-            stats = comm.router.stats()
-            return (
-                all(np.all(arr == float(i)) for i, arr in enumerate(kept))
-                and stats["buffers_recycled"] == 7
-                and stats["buffers_fresh"] == 9
-            )
+        endpoint, comm, peer = raw_peer
+        frame = _frame(np.arange(10_000.0), tag=7)
+        peer.sendall(frame[:4000])  # the header and a start of the body
+        out = np.full(10_000, _CANARY)
+        with pytest.raises(CommTimeoutError):
+            comm.recv_into(out, 1, 7, timeout=0.3)
+        landed = out.copy()
+        assert np.all(landed[-5000:] == _CANARY)
+        peer.sendall(frame[4000:] + _frame(np.ones(3), tag=8))
+        second = np.empty(3)
+        comm.recv_into(second, 1, 8, timeout=10)  # the stream went on
+        assert second.tolist() == [1.0] * 3 and out.tobytes() == landed.tobytes()
 
-        assert all(launch(worker, size, backend=name, backend_opts=opts))
+    def test_a_frame_claimed_by_one_thread_completes_whoever_pumps(self, raw_peer):
+        endpoint, comm, peer = raw_peer
+        frame = _frame(np.arange(10_000.0), tag=7)
+        peer.sendall(frame[:4000])
+        out, got = np.empty(10_000), []
+        app = threading.Thread(target=comm.recv_into, args=(out, 1, 7), kwargs={"timeout": 10})
+        app.start()
+        time.sleep(0.1)  # the app thread claimed the frame and starved mid-body
+        lib = threading.Thread(target=lambda: got.append(comm.dup("lib").recv(1, 9, 10)))
+        lib.start()
+        peer.sendall(frame[4000:] + _frame("lib", 9, channel="lib"))
+        app.join(timeout=10)
+        lib.join(timeout=10)
+        assert not app.is_alive() and not lib.is_alive()
+        assert np.array_equal(out, np.arange(10_000.0)) and got == ["lib"]
 
-    def test_recycle_takes_whole_buffers_once(self):
-        from repro.comm.process_backend import _FREE_LIST_MAX_BYTES, _FreeList
-
-        pool = _FreeList()
-        first = pool.draw("<f8", 800)
-        pool.give(first[:50])  # a window of a buffer is not the buffer
-        pool.give(np.arange(4))  # int64 of another size: pooled under its own key
-        pool.give("not an array")
-        pool.give(first.reshape(10, 10))  # a reshaped view of all of it
-        pool.give(first)  # twice: two frames must never share memory
-        assert pool.draw("<f8", 800) is first
-        assert pool.draw("<f8", 800) is not first
-        assert (pool.fresh, pool.recycled) == (2, 1)
-        # Past the ceiling the list starts over instead of growing.
-        big = _FREE_LIST_MAX_BYTES // 2 + 8
-        for _ in range(3):
-            pool.give(np.empty(big, dtype=np.uint8))
-        assert pool._bytes == big
-
-    def test_steady_state_exchange_allocates_no_receive_buffer(self):
-        """50 fused exchange steps on ``process`` draw no more fresh
-        buffers than one step can have in flight at once; every later
-        frame lands in a recycled one."""
-        steps, n_chunks = 50, 2
+    @pytest.mark.parametrize(
+        "name, size, opts",
+        [("process", 2, {}), ("shm", 2, {}), ("hier", 2, {})],
+        ids=["process", "shm", "hier"],
+    )
+    def test_steady_state_exchange_receives_in_place(self, name, size, opts):
+        """50 fused exchange steps at the bulk shape (ring, 1 MiB buckets,
+        two chunks, a 4.2 MB gradient): after step 1, at least 95 % of the
+        array frames land straight in the gradient instead of a staging
+        buffer."""
+        _skip_if_unavailable(name)
+        steps = 50
 
         def worker(comm):
             from repro.training.exchange import SynchronousExchange
 
             exchange = SynchronousExchange(
-                comm, algorithm="ring", fusion_threshold_bytes=1 << 16,
-                pipeline_chunks=n_chunks,
+                comm, algorithm="ring", fusion_threshold_bytes=1 << 20, pipeline_chunks=2,
             )
-            gradient = np.empty(4 * (1 << 13))  # four equal buckets
-            for _ in range(steps):
+            gradient = np.empty(529_730)
+            for step in range(steps):
                 gradient[:] = comm.rank + 1.0
                 exchange.exchange(gradient)
-            assert np.all(gradient == 1.5)
-            return comm.router.stats()
+                if step == 0:
+                    first = comm.router.stats()
+            assert np.all(gradient == (size + 1) / 2)
+            last = comm.router.stats()
+            return {key: last[key] - first[key] for key in ("frames_in_place", "frames_staged")}
 
-        for stats in launch(worker, 2, backend="process", timeout=120):
-            frames = steps * 4 * 2 * n_chunks  # buckets x (scatter, gather) x segments
-            assert stats["frames_parsed"] == frames
-            # At P = 2 a peer runs at most one phase ahead: the segments
-            # of two phases, all of one size, are what can be unread.
-            assert 1 <= stats["buffers_fresh"] <= 2 * n_chunks
-            assert stats["buffers_recycled"] == frames - stats["buffers_fresh"]
+        for counts in launch(worker, size, backend=name, backend_opts=opts, timeout=180):
+            frames = counts["frames_in_place"] + counts["frames_staged"]
+            # 5 buckets x (scatter, gather) x 2 chunks, every step.
+            assert frames == (steps - 1) * 5 * 2 * 2
+            assert counts["frames_in_place"] >= 0.95 * frames, counts
+
+
+# ---------------------------------------------------------------------------
+# receiving into caller memory, on every fabric
+# ---------------------------------------------------------------------------
+#: Every fabric: threads, sockets only, rings only, the tcp launcher, mixed.
+_ALL_FABRICS = [("thread", 2, {}), *_PROCESS_FABRICS]
+
+_CANARY = -7.25
+
+
+def _ring_peers(comm):
+    return (comm.rank - 1) % comm.size, (comm.rank + 1) % comm.size
+
+
+def _guard_band_worker(comm):
+    """Receive three segments from the ring predecessor into windows of a
+    canary-filled buffer: one contiguous (read straight in), one combined
+    with SUM, one strided; nothing outside the windows may change."""
+    from repro.comm import SUM
+
+    n, guard = 1000, 16
+    pred, succ = _ring_peers(comm)
+    for tag in (1, 2, 3):
+        comm.send(np.arange(n, dtype=np.float64) + comm.rank, succ, tag=tag)
+    windows = [
+        (slice(guard, guard + n), None, 0.0),
+        (slice(2 * guard + n, 2 * guard + 2 * n), SUM, 1.0),
+        (slice(3 * guard + 2 * n, 3 * guard + 4 * n, 2), None, 0.0),
+    ]
+    buf = np.full(4 * n + 4 * guard, _CANARY)
+    expected = buf.copy()
+    for tag, (window, op, start) in enumerate(windows, 1):
+        if op is not None:
+            buf[window] = start
+        comm.recv_into(buf[window], pred, tag, op=op, timeout=30)
+        expected[window] = np.arange(n) + pred + start
+    return buf.tobytes() == expected.tobytes()
+
+
+def _mismatch_worker(comm):
+    pred, succ = _ring_peers(comm)
+    comm.send(np.ones(5, dtype=np.float32), succ, tag=1)
+    comm.send(np.ones(6), succ, tag=2)
+    comm.send(np.arange(5.0), succ, tag=3)
+    out = np.full(5, _CANARY)
+    errors = []
+    for tag in (1, 2):
+        try:
+            comm.recv_into(out, pred, tag, timeout=30)
+        except ValueError as exc:
+            errors.append(str(exc))
+    untouched = bool(np.all(out == _CANARY))
+    comm.recv_into(out, pred, 3, timeout=30)  # the stream is intact
+    return errors, untouched, out.tolist()
+
+
+def _staged_worker(comm):
+    pred, succ = _ring_peers(comm)
+    data = np.arange(300.0) * (comm.rank + 1)
+    comm.send(data, succ, tag=1)
+    comm.send("go", succ, tag=2)
+    comm.recv(source=pred, tag=2, timeout=30)  # pumping for this staged tag 1
+    comm.send(data, succ, tag=3)
+    staged, direct = np.empty(300), np.empty(300)
+    comm.recv_into(staged, pred, 1, timeout=30)
+    comm.recv_into(direct, pred, 3, timeout=30)
+    stats = getattr(comm.router, "stats", dict)()
+    return staged.tobytes() == direct.tobytes(), stats.get("frames_staged", 1)
+
+
+def _concurrent_worker(comm):
+    """A second application thread runs synchronous allreduces (receives
+    into place on its channel) while the partial allreduce's progress
+    thread receives on the library channels."""
+    from repro.collectives.partial import make_partial_allreduce
+    from repro.collectives.sync import allreduce
+
+    sync_comm = comm.dup("app.sync")
+    sums = []
+
+    def app_thread():
+        for _ in range(10):
+            data = np.full(20_000, 1.0)
+            sums.append(float(allreduce(sync_comm, data, algorithm="ring", n_chunks=2)[0]))
+
+    thread = threading.Thread(target=app_thread)
+    thread.start()
+    partial = make_partial_allreduce(comm, (4096,), "solo", seed=1)
+    try:
+        rounds = [partial.reduce(np.ones(4096), timeout=60).num_active for _ in range(10)]
+    finally:
+        partial.close()
+    thread.join(timeout=60)
+    return not thread.is_alive(), sums, len(rounds)
+
+
+class TestReceiveIntoPlace:
+    @pytest.fixture(params=_ALL_FABRICS, ids=["thread", "process", "shm", "tcp", "hier-0,0,1,1"])
+    def fabric(self, request):
+        name, size, opts = request.param
+        _skip_if_unavailable(name)
+        return name, size, opts
+
+    def test_writes_exactly_the_window(self, fabric):
+        name, size, opts = fabric
+        assert all(launch(_guard_band_worker, size, backend=name, backend_opts=opts))
+
+    def test_a_frame_of_another_dtype_or_size_raises_and_writes_nothing(self, fabric):
+        name, size, opts = fabric
+        for errors, untouched, out in launch(
+            _mismatch_worker, size, backend=name, backend_opts=opts
+        ):
+            assert errors == [
+                "received float32 x 5 for a receive into float64 x 5",
+                "received float64 x 6 for a receive into float64 x 5",
+            ]
+            assert untouched and out == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_a_staged_frame_matches_and_equals_an_in_place_one(self, fabric):
+        name, size, opts = fabric
+        for equal, staged in launch(_staged_worker, size, backend=name, backend_opts=opts):
+            assert equal and staged >= 1
+
+    def test_an_app_thread_and_a_progress_thread_both_complete(self, fabric):
+        name, size, opts = fabric
+        for finished, sums, rounds in launch(
+            _concurrent_worker, size, backend=name, backend_opts=opts, timeout=180
+        ):
+            assert finished and sums == [float(size)] * 10 and rounds == 10
+
+
+# ---------------------------------------------------------------------------
+# the frame codec, piece by piece
+# ---------------------------------------------------------------------------
+class _Pieces:
+    """A link whose ``read_some`` hands ``data`` out in the given piece
+    sizes (a 0 starves the parser once), then in whole."""
+
+    def __init__(self, data, sizes):
+        self.data, self.sizes, self.pos, self.eof = data, iter(sizes), 0, False
+
+    def read_some(self, view):
+        n = min(len(view), next(self.sizes, len(view)), len(self.data) - self.pos)
+        view[:n] = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return n
+
+
+def _next_frame(frames):
+    for _ in range(10_000):
+        outcome = next(frames)
+        if outcome is not None:
+            return outcome
+    raise AssertionError("the parser never completed a frame")
+
+
+_MAX_TAG = max(region.hi for region in TAG_REGIONS) - 1
+
+
+class TestFrameCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        channel=st.sampled_from(["app", "lib", "activation"]) | st.builds(
+            "lib.{}".format, st.text(min_size=1, max_size=12)
+        ),
+        tag=st.integers(0, _MAX_TAG),
+        dtype=st.sampled_from(["<f8", "<f4", "<f2", "<u2", "<i8"]),
+        shape=st.lists(st.integers(0, 4), max_size=3).map(tuple),
+        pieces=st.lists(st.integers(0, 97), max_size=40),
+        in_place=st.booleans(),
+    )
+    def test_round_trip_in_arbitrary_pieces(
+        self, data, channel, tag, dtype, shape, pieces, in_place
+    ):
+        from types import SimpleNamespace
+
+        from repro.comm.mailbox import Mailbox
+        from repro.comm.process_backend import _frames, _Receive
+
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * int(np.prod(shape))
+        raw = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
+        payload = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        control = ("activate", tag, channel)
+        stream = _frame(control, 1, channel) + _frame(payload, tag, channel)
+        out = np.full(shape, 7, dtype=dtype)
+        receive = _Receive(Mailbox(0, channel), out, 1, tag, None) if in_place else None
+        frames = _frames(_Pieces(stream, pieces), SimpleNamespace(want=receive))
+
+        message, got_channel = _next_frame(frames)
+        assert (message.payload, message.tag, got_channel) == (control, 1, channel)
+        outcome = _next_frame(frames)
+        if in_place:
+            assert outcome is receive and receive.done
+            received = out
+        else:
+            message, got_channel = outcome
+            assert (message.tag, message.source, got_channel) == (tag, 1, channel)
+            received = message.payload
+        assert received.dtype == dtype and received.shape == shape
+        assert received.tobytes() == payload.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        need=st.integers(_MAX_HEADER_BYTES + 1, (1 << 32) - 1),
+        pieces=st.lists(st.integers(0, 3)),
+    )
+    def test_an_absurd_length_prefix_aborts_with_its_value(self, need, pieces):
+        from types import SimpleNamespace
+
+        from repro.comm.process_backend import _HEADER_LEN, _frames
+
+        frames = _frames(_Pieces(_HEADER_LEN.pack(need), pieces), SimpleNamespace(want=None))
+        with pytest.raises(ValueError, match=f"frame header of {need} bytes"):
+            _next_frame(frames)
+
+    @settings(max_examples=50, deadline=None)
+    @given(code=st.integers(12, 255))
+    def test_an_unknown_dtype_code_aborts_with_its_value(self, code):
+        from types import SimpleNamespace
+
+        from repro.comm.process_backend import _DTYPES, _frames
+
+        assert len(_DTYPES) == 12
+        frame = bytearray(_frame(np.arange(3.0), 5))
+        frame[5] = code  # after the 4-byte length prefix and the kind byte
+        frames = _frames(_Pieces(bytes(frame), []), SimpleNamespace(want=None))
+        with pytest.raises(ValueError, match=f"dtype code {code}"):
+            _next_frame(frames)
 
 
 # ---------------------------------------------------------------------------

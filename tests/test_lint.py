@@ -21,10 +21,11 @@ def test_literal_tag_fires_on_raw_constants():
         def f(comm):
             comm.send(x, 1, tag=12345)
             comm.recv(source=0, tag=99)
+            comm.recv_into(out, 0, 4242)
         """,
         "src/repro/collectives/thing.py",
     )
-    assert [f.rule for f in findings] == ["literal-tag", "literal-tag"]
+    assert [f.rule for f in findings] == ["literal-tag"] * 3
 
 
 def test_literal_tag_allows_defaults_and_minted_tags():
@@ -295,59 +296,6 @@ def test_param_rebind_exempts_the_arena_s_owners_and_other_packages(path):
 # ---------------------------------------------------------------------------
 # the repo itself is clean
 # ---------------------------------------------------------------------------
-# ---------------------------------------------------------------------------
-# use-after-recycle
-# ---------------------------------------------------------------------------
-def test_reading_a_recycled_payload_fires_in_the_collectives():
-    findings = _lint(
-        """
-        def f(comm, flat):
-            incoming = comm.recv(source=0)
-            comm.recycle(incoming)
-            flat[:] = incoming
-
-        def g(comm):
-            chunk = comm.recv(source=0)
-            comm.recycle(chunk)
-            return chunk.sum()
-        """,
-        "src/repro/collectives/thing.py",
-    )
-    assert [(f.rule, f.line) for f in findings] == [
-        ("use-after-recycle", 5), ("use-after-recycle", 10),
-    ]
-
-
-def test_consuming_before_recycling_and_rebinding_after_pass():
-    findings = _lint(
-        """
-        def f(comm, flat, bounds):
-            for lo, hi in bounds:
-                incoming = comm.recv(source=0)
-                flat[lo:hi] = incoming
-                comm.recycle(incoming)
-            incoming = comm.recv(source=1)
-            return incoming
-
-        def g(comm, other):
-            comm.recycle(other)
-
-        def h(comm, incoming):
-            return incoming  # another function's name
-        """,
-        "src/repro/collectives/thing.py",
-    )
-    assert findings == []
-
-
-def test_use_after_recycle_is_scoped_to_the_collectives():
-    snippet = "def f(comm, x):\n    comm.recycle(x)\n    return x\n"
-    assert [f.rule for f in _lint(snippet, "src/repro/collectives/sync.py")] == [
-        "use-after-recycle"
-    ]
-    assert _lint(snippet, "src/repro/comm/communicator.py") == []
-
-
 def test_src_tree_lints_clean():
     src = Path(__file__).resolve().parent.parent / "src"
     if not src.is_dir():

@@ -430,9 +430,9 @@ class TestTraceCommand:
         }
         for rank in (0, 1):
             assert counters[rank, "transport.frames_parsed"] > 0
-            assert counters[rank, "transport.buffers_recycled"] > 0
+            assert counters[rank, "transport.frames_in_place"] > 0
             assert counters[rank, "transport.departed_peers"] == 0
-            for name in ("parks", "send_stalls", "buffers_fresh"):
+            for name in ("parks", "send_stalls", "frames_staged"):
                 assert (rank, f"transport.{name}") in counters
 
     def test_trace_cli_entrypoint(self, tmp_path, capsys):
