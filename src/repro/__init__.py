@@ -17,16 +17,15 @@ contribution:
     allreduce, broadcast, reduce) and the paper's *partial* collectives:
     solo allreduce, majority allreduce and generalised quorum allreduce.
 ``repro.simtime``
-    Discrete-event simulation with a LogGP-style network model, used for
-    the latency microbenchmark (Fig. 9) and large-scale throughput
-    projections.
+    Analytic LogGP-style cost models, used for the latency
+    microbenchmark (Fig. 9) and large-scale throughput projections.
 ``repro.nn``
     Pure-NumPy neural-network substrate (layers, losses, optimizers and
     the models used in the paper's evaluation).
 ``repro.data``
     Synthetic datasets matching the statistical structure of the paper's
     workloads (hyperplane regression, CIFAR-like, ImageNet-like,
-    UCF101-like video sequences, WMT-like sentences).
+    UCF101-like video sequences, WMT-like sentence lengths).
 ``repro.imbalance``
     Load-imbalance models: delay injection policies and content-driven
     cost models.
@@ -34,7 +33,7 @@ contribution:
     Distributed training: synchronous SGD baselines (Horovod-style and
     Deep500-style) and eager-SGD (Algorithm 2 of the paper).
 ``repro.theory``
-    Convergence bounds (Theorem 5.2) and staleness/quorum bookkeeping.
+    Staleness and quorum bookkeeping of the partial collectives.
 ``repro.experiments``
     One harness per paper table/figure.
 """

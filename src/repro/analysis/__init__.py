@@ -26,7 +26,6 @@ from repro.analysis.recording import (
     RecordingCommunicator,
     RecordingWorld,
     RunRecord,
-    record_run,
 )
 from repro.analysis.ring_model import (
     ExploreResult,
@@ -60,7 +59,6 @@ __all__ = [
     "RecordingCommunicator",
     "RecordingWorld",
     "RunRecord",
-    "record_run",
     "ExploreResult",
     "RingConfig",
     "explore",

@@ -32,10 +32,10 @@ like perfectly ordinary Python to flake8-style tools:
     alias an existing array and are exempt.
 
 ``valueerror-no-value``
-    A ``raise ValueError(...)`` whose message is a plain constant cannot
-    name the offending value; interpolate the value (f-string, format,
-    concatenation) so the error is actionable at a P=512 deployment, not
-    just in a unit test.
+    A ``raise ValueError(...)`` (in any package) whose message is a
+    plain constant cannot name the offending value; interpolate the
+    value (f-string, format, concatenation) so the error is actionable
+    at a P=512 deployment, not just in a unit test.
 
 ``time-time``
     No ``time.time()`` in the timing-sensitive packages (comm,
@@ -358,9 +358,7 @@ RULE_SCOPES: Tuple[Tuple[str, Rule, Callable[[str], bool]], ...] = (
     ("pickle-ndarray", rule_pickle_ndarray, _is_transport),
     ("silent-array-copy", rule_silent_array_copy,
      _in_packages("comm", "collectives", "training", "compression")),
-    ("valueerror-no-value", rule_valueerror_no_value,
-     _in_packages("comm", "collectives", "training", "compression",
-                  "tuning", "analysis")),
+    ("valueerror-no-value", rule_valueerror_no_value, lambda p: True),
     ("time-time", rule_time_time,
      _in_packages("comm", "collectives", "training", "serving")),
     # nn/module.py and nn/parameters.py own the arrays and the arena.

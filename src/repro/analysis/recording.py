@@ -23,8 +23,8 @@ and the checkers classify it as a deadlock cycle or a lost message.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -266,16 +266,3 @@ class RecordingWorld:
             results=results,
             errors=errors,
         )
-
-
-def record_run(
-    fn: Callable[[RecordingCommunicator], Any],
-    world_size: int,
-    host_topology: Optional[HostTopology] = None,
-    recv_timeout: float = 30.0,
-) -> RunRecord:
-    """Convenience wrapper: build a world, run ``fn`` on every rank."""
-    world = RecordingWorld(
-        world_size, host_topology=host_topology, recv_timeout=recv_timeout
-    )
-    return world.run(fn)

@@ -16,9 +16,6 @@ library offloading of Section 4.3.
 from repro.collectives.topology import (
     binomial_tree_children,
     binomial_tree_parent,
-    recursive_doubling_rounds,
-    hypercube_neighbors,
-    ring_neighbors,
 )
 from repro.collectives.sync import (
     allreduce,
@@ -51,9 +48,6 @@ from repro.collectives.partial import (
 __all__ = [
     "binomial_tree_children",
     "binomial_tree_parent",
-    "recursive_doubling_rounds",
-    "hypercube_neighbors",
-    "ring_neighbors",
     "allreduce",
     "allreduce_recursive_doubling",
     "allreduce_ring",

@@ -114,7 +114,7 @@ def _require_algorithm(collective: str, algorithm: str, available) -> None:
     if algorithm not in available:
         raise ValueError(
             f"unknown {collective} algorithm {algorithm!r}; "
-            f"available: {sorted(available)}"
+            f"available: {sorted(set(available))}"
         )
 
 
@@ -155,11 +155,11 @@ def shard_bounds(
         raise ValueError(f"length must be >= 0, got {length}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    if size == 1:
-        return [(0, length)]
     _require_algorithm(
         "sharding", algorithm, REDUCE_SCATTER_ALGORITHMS + ALLGATHER_FLAT_ALGORITHMS
     )
+    if size == 1:
+        return [(0, length)]
     if algorithm == "ring":
         bounds = _segment_bounds(length, size)
         return [bounds[(rank + 1) % size] for rank in range(size)]

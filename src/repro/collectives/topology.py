@@ -4,9 +4,8 @@ The activation phase of a partial collective broadcasts a small message
 along a *binomial tree rooted at the initiator* (the union of ``P``
 binomial trees described in Section 4.1.1 of the paper); the reduction
 itself uses *recursive doubling* (hypercube exchange).  This module
-provides the pure rank arithmetic for those patterns so that both the
-thread-backed implementation and the discrete-event simulator share a
-single source of truth.
+provides the pure rank arithmetic for the trees, and the rank -> host map
+the hierarchical collectives query.
 """
 
 from __future__ import annotations
@@ -97,41 +96,6 @@ def binomial_tree_parent(rank: int, size: int, root: int = 0) -> int:
     return (parent_v + root) % size
 
 
-def binomial_tree_level(rank: int, size: int, root: int = 0) -> int:
-    """Distance (number of hops) from ``root`` to ``rank`` in the tree."""
-    _validate(size, rank, root)
-    v = (rank - root) % size
-    return bin(v).count("1")
-
-
-def recursive_doubling_rounds(rank: int, size: int) -> List[int]:
-    """Exchange partners of ``rank`` for recursive-doubling allreduce.
-
-    Only defined when ``size`` is a power of two; the non-power-of-two case
-    is handled by the calling algorithm (fold-in pre/post steps).
-    """
-    _validate(size, rank)
-    if size & (size - 1):
-        raise ValueError(f"recursive doubling requires a power-of-two size, got {size}")
-    partners = []
-    dist = 1
-    while dist < size:
-        partners.append(rank ^ dist)
-        dist <<= 1
-    return partners
-
-
-def hypercube_neighbors(rank: int, size: int) -> List[int]:
-    """All hypercube neighbours of ``rank`` (alias of the RD partners)."""
-    return recursive_doubling_rounds(rank, size)
-
-
-def ring_neighbors(rank: int, size: int) -> Tuple[int, int]:
-    """``(predecessor, successor)`` of ``rank`` on the ring."""
-    _validate(size, rank)
-    return ((rank - 1) % size, (rank + 1) % size)
-
-
 def largest_power_of_two_leq(n: int) -> int:
     """Largest power of two that is ``<= n``."""
     if n < 1:
@@ -139,17 +103,12 @@ def largest_power_of_two_leq(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-def is_power_of_two(n: int) -> bool:
-    """Whether ``n`` is a positive power of two."""
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def bcast_order(size: int, root: int = 0) -> List[Tuple[int, int]]:
     """Flattened ``(sender, receiver)`` edge list of the binomial broadcast.
 
     The edges are listed level by level, which is the order in which they
-    can first be scheduled; it is used by the simulator to compute the
-    per-rank activation arrival time.
+    can first be scheduled; the intra-host reduce and broadcast edge lists
+    below are built from it.
     """
     _validate(size, root=root)
     edges: List[Tuple[int, int]] = []
@@ -284,12 +243,6 @@ class HostTopology:
     def is_leader(self, rank: int) -> bool:
         return self.leader_of(self.host(rank)) == rank
 
-    def leader_index(self, rank: int) -> int:
-        """Host index of a leader ``rank`` (its position in ``leaders``)."""
-        if not self.is_leader(rank):
-            raise ValueError(f"rank {rank} is not a host leader")
-        return self.host(rank)
-
     def to_string(self) -> str:
         """Inverse of :meth:`from_string` (canonical labels)."""
         return ",".join(str(h) for h in self.host_of)
@@ -321,15 +274,3 @@ def intra_bcast_edges(topology: HostTopology, host: int) -> List[Tuple[int, int]
     return [
         (local[src], local[dst]) for src, dst in bcast_order(len(local), root=0)
     ]
-
-
-def leader_ring_neighbors(topology: HostTopology, rank: int) -> Tuple[int, int]:
-    """``(predecessor, successor)`` of leader ``rank`` on the leader ring.
-
-    The inter-host reduce-scatter/allgather runs a ring over the leaders
-    only; non-leader ranks never appear on inter-host links.
-    """
-    leaders = topology.leaders
-    idx = topology.leader_index(rank)
-    pred, succ = ring_neighbors(idx, len(leaders))
-    return (leaders[pred], leaders[succ])

@@ -57,9 +57,8 @@ from repro.comm.backend import (
     launch,
     mark_backend_unavailable,
     register_backend,
-    set_default_backend,
 )
-from repro.comm.subworld import SubsetCommunicator, split_world
+from repro.comm.subworld import SubsetCommunicator
 from repro.comm.world import ThreadBackend, ThreadWorld
 
 __all__ = [
@@ -95,9 +94,7 @@ __all__ = [
     "launch",
     "mark_backend_unavailable",
     "register_backend",
-    "set_default_backend",
     "SubsetCommunicator",
-    "split_world",
     "ThreadBackend",
     "ThreadWorld",
 ]

@@ -65,10 +65,10 @@ after which ``launch(fn, P, backend="myfabric")``, ``TrainingConfig``'s
 ``comm_backend`` field, ``--backend myfabric`` on the CLI and the tuning
 profile cache all pick it up without further changes.
 
-The process-wide default backend is ``"thread"``; it can be overridden
-with :func:`set_default_backend` or the ``REPRO_COMM_BACKEND``
-environment variable (useful for running an existing benchmark or test
-file on another transport without editing it).
+The process-wide default backend is ``"thread"``; the
+``REPRO_COMM_BACKEND`` environment variable overrides it (useful for
+running an existing benchmark or test file on another transport without
+editing it).
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ from repro.comm.router import Channel, DEFAULT_CHANNELS
 #: Environment variable overriding the default backend name.
 BACKEND_ENV_VAR = "REPRO_COMM_BACKEND"
 
-#: Fallback default when neither :func:`set_default_backend` nor the
-#: environment variable selects one.
+#: Fallback default when the environment variable selects none.
 FALLBACK_BACKEND = "thread"
 
 
@@ -242,8 +241,6 @@ _BUILTIN_MODULES: Dict[str, str] = {
 #: from a platform limitation.
 _UNAVAILABLE: Dict[str, str] = {}
 
-_default_override: Optional[str] = None
-
 
 def register_backend(
     name: str,
@@ -304,20 +301,9 @@ def available_backends() -> Tuple[str, ...]:
 def default_backend_name() -> str:
     """The name :func:`launch` uses when no backend is given.
 
-    Resolution order: :func:`set_default_backend` override, then the
-    ``REPRO_COMM_BACKEND`` environment variable, then ``"thread"``.
+    The ``REPRO_COMM_BACKEND`` environment variable, else ``"thread"``.
     """
-    if _default_override is not None:
-        return _default_override
     return os.environ.get(BACKEND_ENV_VAR) or FALLBACK_BACKEND
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Override the process-wide default backend (``None`` resets)."""
-    global _default_override
-    if name is not None:
-        get_backend(name)  # fail fast on unknown names
-    _default_override = name
 
 
 def get_backend(backend: Optional[str] = None) -> CommBackend:
@@ -370,7 +356,7 @@ def launch(
         Number of ranks to spawn.
     backend:
         Registered backend name; ``None`` uses the process-wide default
-        (``"thread"`` unless overridden, see :func:`set_default_backend`).
+        (``"thread"`` unless ``REPRO_COMM_BACKEND`` names another).
     channels:
         Channel names created for every rank.
     timeout:

@@ -62,21 +62,10 @@ __all__ = [
     "bf16_widen",
     "combine_into",
     "reduce_segments",
-    "widened_dtype",
 ]
 
 #: Narrow float dtypes and the accumulation width their kernels use.
 _WIDEN = {np.dtype(np.float16): np.dtype(np.float32)}
-
-
-def widened_dtype(dtype) -> Optional[np.dtype]:
-    """Accumulation dtype of a narrow float dtype (``None`` = no kernel).
-
-    ``float16`` widens to ``float32``; every other dtype already has
-    vectorised NumPy loops and returns ``None`` so callers fall through
-    to the plain in-place ufunc.
-    """
-    return _WIDEN.get(np.dtype(dtype))
 
 
 def combine_into(ufunc: np.ufunc, out: np.ndarray, other) -> bool:

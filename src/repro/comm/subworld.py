@@ -24,7 +24,7 @@ barrier, the serving protocol) names its sources.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.comm.communicator import Communicator
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
@@ -170,28 +170,3 @@ class SubsetCommunicator:
             f"SubsetCommunicator(rank={self._rank}/{self.size}, "
             f"global={self._ranks}, channel={self.channel!r})"
         )
-
-
-def split_world(
-    comm: Communicator, groups: Sequence[Sequence[int]]
-) -> List[Optional[SubsetCommunicator]]:
-    """Partition a world into disjoint subset views.
-
-    Returns one entry per group: this rank's :class:`SubsetCommunicator`
-    for the group it belongs to and ``None`` for the others.  Raises if
-    the groups overlap (two groups claiming one rank would both receive
-    its traffic) or reference ranks outside the world.
-    """
-    seen: set = set()
-    for group in groups:
-        for r in group:
-            r = int(r)
-            if not 0 <= r < comm.size:
-                raise ValueError(f"group rank {r} outside the world [0, {comm.size})")
-            if r in seen:
-                raise ValueError(f"rank {r} appears in more than one group")
-            seen.add(r)
-    return [
-        SubsetCommunicator(comm, group) if comm.rank in [int(r) for r in group] else None
-        for group in groups
-    ]

@@ -14,8 +14,9 @@ the properties the paper actually measures:
   length distribution matches Fig. 2a (29-1,776 frames, median 167); the
   length drives the LSTM's compute cost, reproducing the inherent
   imbalance of Fig. 2b;
-* **sentences** (WMT-like) — variable-length token sequences for the
-  Transformer workload of Fig. 3.
+* **sentence lengths** (WMT-like) — the long-tailed length distribution
+  that prices the Transformer batches of Fig. 3 (no Transformer is
+  trained).
 """
 
 from repro.data.loader import Dataset, ShardedLoader, Batch
@@ -26,7 +27,7 @@ from repro.data.synthetic_images import (
     imagenet_like,
 )
 from repro.data.ucf101 import VideoFeatureDataset, sample_video_lengths, UCF101_LENGTH_STATS
-from repro.data.wmt import SentenceDataset, sample_sentence_lengths
+from repro.data.wmt import sample_sentence_lengths
 from repro.data.bucketing import bucket_by_length, BucketBatchSampler
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "VideoFeatureDataset",
     "sample_video_lengths",
     "UCF101_LENGTH_STATS",
-    "SentenceDataset",
     "sample_sentence_lengths",
     "bucket_by_length",
     "BucketBatchSampler",

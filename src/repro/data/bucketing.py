@@ -39,10 +39,12 @@ def bucket_by_length(
     """
     arr = np.asarray(lengths, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("lengths must be a non-empty 1-D sequence")
+        raise ValueError(
+            f"lengths must be a non-empty 1-D sequence, got shape {arr.shape}"
+        )
     if boundaries is None:
         if num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
+            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
         quantiles = np.quantile(arr, np.linspace(0, 1, num_buckets + 1)[1:-1])
         boundaries = np.unique(quantiles)
     boundaries = np.asarray(sorted(boundaries), dtype=np.float64)
@@ -82,7 +84,7 @@ class BucketBatchSampler:
         seed: SeedLike = 0,
     ) -> None:
         if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.lengths = np.asarray(lengths, dtype=np.float64)
         self.batch_size = int(batch_size)
         self.buckets = bucket_by_length(self.lengths, num_buckets=num_buckets)

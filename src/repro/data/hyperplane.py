@@ -43,9 +43,12 @@ class HyperplaneDataset(Dataset):
         seed: SeedLike = None,
     ) -> None:
         if num_examples < 1 or input_dim < 1:
-            raise ValueError("num_examples and input_dim must be positive")
+            raise ValueError(
+                f"num_examples and input_dim must be positive, "
+                f"got {num_examples} and {input_dim}"
+            )
         if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+            raise ValueError(f"noise_std must be non-negative, got {noise_std}")
         rng = seeded_rng(seed)
         self.input_dim = int(input_dim)
         self.noise_std = float(noise_std)

@@ -9,7 +9,7 @@ all ranks agree on the global sample order while touching disjoint shards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -154,7 +154,8 @@ class ShardedLoader:
         self.num_buckets = int(num_buckets)
         if bucket_by_length and dataset.example_sizes() is None:
             raise ValueError(
-                "bucket_by_length=True requires a dataset with example_sizes()"
+                f"bucket_by_length=True requires a dataset with example_sizes(), "
+                f"got {type(dataset).__name__}"
             )
 
     # ------------------------------------------------------------------

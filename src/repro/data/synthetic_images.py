@@ -14,7 +14,7 @@ comes from the *system* (Section 2.3) rather than from the data.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,10 @@ class ImageClassificationDataset(Dataset):
         seed: SeedLike = None,
     ) -> None:
         if num_examples < num_classes:
-            raise ValueError("need at least one example per class")
+            raise ValueError(
+                f"need at least one example per class, got {num_examples} "
+                f"examples for {num_classes} classes"
+            )
         rng = seeded_rng(seed)
         self.num_classes = int(num_classes)
         self.image_shape = tuple(image_shape)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,9 +61,9 @@ def sample_video_lengths(
         spread while shortening sequences.
     """
     if num_videos < 1:
-        raise ValueError("num_videos must be positive")
+        raise ValueError(f"num_videos must be positive, got {num_videos}")
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise ValueError(f"scale must be positive, got {scale}")
     rng = seeded_rng(seed)
     mu = math.log(stats.median_frames)
     raw = rng.lognormal(mean=mu, sigma=_LOGNORMAL_SIGMA, size=num_videos)
@@ -108,7 +108,10 @@ class VideoFeatureDataset(Dataset):
         seed: SeedLike = None,
     ) -> None:
         if num_videos < 1 or feature_dim < 1 or num_classes < 2:
-            raise ValueError("invalid dataset configuration")
+            raise ValueError(
+                f"need num_videos >= 1, feature_dim >= 1 and num_classes >= 2, "
+                f"got {num_videos}, {feature_dim} and {num_classes}"
+            )
         rng = seeded_rng(seed)
         self.feature_dim = int(feature_dim)
         self.num_classes = int(num_classes)

@@ -1,21 +1,19 @@
-"""WMT-like synthetic sentence dataset (Section 2.2, Fig. 3).
+"""WMT-like sentence lengths (Section 2.2, Fig. 3).
 
 Training a Transformer on WMT16 has a per-batch cost that grows with the
 sentence length; the paper uses this as its second example of inherent
-load imbalance.  The reproduction generates variable-length token
-sequences whose lengths follow a long-tailed distribution, together with a
-sequence-level label (each "language style" class biases the token
-distribution) so the tiny Transformer classifier has something to learn.
+load imbalance.  The reproduction samples sentence lengths from a
+long-tailed distribution and prices batches of them with a cost model
+(:func:`repro.imbalance.cost_model.transformer_wmt_cost_model`); no
+Transformer is trained.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.data.loader import Batch, Dataset
 from repro.utils.rng import SeedLike, seeded_rng
 
 #: Default length distribution parameters: median ~22 tokens with a long
@@ -36,89 +34,11 @@ def sample_sentence_lengths(
 ) -> np.ndarray:
     """Sample sentence lengths from a clipped lognormal distribution."""
     if num_sentences < 1:
-        raise ValueError("num_sentences must be positive")
+        raise ValueError(f"num_sentences must be positive, got {num_sentences}")
     if min_tokens < 1 or max_tokens < min_tokens:
-        raise ValueError("invalid token bounds")
+        raise ValueError(
+            f"need 1 <= min_tokens <= max_tokens, got {min_tokens} and {max_tokens}"
+        )
     rng = seeded_rng(seed)
     raw = rng.lognormal(mean=math.log(median_tokens), sigma=sigma, size=num_sentences)
     return np.clip(np.round(raw), min_tokens, max_tokens).astype(np.int64)
-
-
-class SentenceDataset(Dataset):
-    """Variable-length token sequences with a sequence-level label.
-
-    Parameters
-    ----------
-    num_sentences:
-        Number of sentences.
-    vocab_size:
-        Token vocabulary size.
-    num_classes:
-        Number of sequence-level classes; each class prefers a different
-        subset of the vocabulary so the label is learnable.
-    max_tokens:
-        Upper clip of the length distribution (also the model's
-        ``max_len``).
-    """
-
-    def __init__(
-        self,
-        num_sentences: int = 2_000,
-        vocab_size: int = 256,
-        num_classes: int = 10,
-        median_tokens: float = DEFAULT_MEDIAN_TOKENS,
-        max_tokens: int = DEFAULT_MAX_TOKENS,
-        seed: SeedLike = None,
-    ) -> None:
-        if vocab_size < num_classes:
-            raise ValueError("vocab_size must be at least num_classes")
-        rng = seeded_rng(seed)
-        self.vocab_size = int(vocab_size)
-        self.num_classes = int(num_classes)
-        self.max_tokens = int(max_tokens)
-        self.lengths = sample_sentence_lengths(
-            num_sentences,
-            median_tokens=median_tokens,
-            max_tokens=max_tokens,
-            seed=rng,
-        )
-        self.labels = rng.integers(0, num_classes, size=num_sentences)
-        # Each class draws tokens preferentially from its own slice of the
-        # vocabulary (mixed with uniform noise tokens).
-        self._class_token_base = np.linspace(
-            0, vocab_size, num_classes, endpoint=False
-        ).astype(np.int64)
-        self._slice_width = max(1, vocab_size // num_classes)
-        self._sentence_seeds = rng.integers(0, 2**63 - 1, size=num_sentences)
-
-    def __len__(self) -> int:
-        return int(self.lengths.size)
-
-    def example_sizes(self) -> np.ndarray:
-        """Token count per sentence (drives the Transformer cost model)."""
-        return self.lengths.copy()
-
-    def _sentence_tokens(self, index: int) -> np.ndarray:
-        rng = seeded_rng(int(self._sentence_seeds[index]))
-        length = int(self.lengths[index])
-        label = int(self.labels[index])
-        base = self._class_token_base[label]
-        in_class = base + rng.integers(0, self._slice_width, size=length)
-        uniform = rng.integers(0, self.vocab_size, size=length)
-        use_class = rng.random(length) < 0.7
-        return np.where(use_class, in_class, uniform).astype(np.int64)
-
-    def get_batch(self, indices: Sequence[int]) -> Batch:
-        idx = np.asarray(indices, dtype=np.int64)
-        lengths = self.lengths[idx]
-        max_len = int(lengths.max())
-        tokens = np.zeros((idx.size, max_len), dtype=np.int64)
-        for row, sentence_index in enumerate(idx):
-            seq = self._sentence_tokens(int(sentence_index))
-            tokens[row, : seq.size] = seq
-        return Batch(
-            inputs={"tokens": tokens, "lengths": lengths},
-            targets=self.labels[idx],
-            indices=idx,
-            size_hint=float(lengths.sum()),
-        )

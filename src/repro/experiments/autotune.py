@@ -64,7 +64,7 @@ def run(
     shifts the knee — more elements fit one wire buffer).
     """
     if not world_sizes:
-        raise ValueError("world_sizes must not be empty")
+        raise ValueError(f"world_sizes must not be empty, got {world_sizes!r}")
     if any(p < 2 for p in world_sizes):
         raise ValueError(f"calibration needs world sizes >= 2, got {list(world_sizes)}")
     if gradient_mb <= 0:

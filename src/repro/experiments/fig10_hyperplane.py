@@ -16,12 +16,11 @@ from the per-step workload trace.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.data.hyperplane import HyperplaneDataset
 from repro.experiments.training_experiments import (
     Claim,
-    FigureResult,
     FigureSpec,
     Workload,
     injected_delay_variants,
@@ -100,12 +99,3 @@ SPEC = FigureSpec(
 #: eager-SGD (solo) for every injected delay.
 run = partial(run_figure, SPEC)
 report = report_figure
-
-
-def speedups_per_delay(result: FigureResult) -> Dict[float, float]:
-    """Speedup of eager-SGD(solo) over synch-SGD at the *same* delay."""
-    return {
-        delay: result.speedup(claim)
-        for delay, claim in zip(PAPER_SPEEDUPS, SPEC.claims)
-        if claim.variant in result.comparison.results
-    }

@@ -9,9 +9,8 @@ allreduce reduce the latency by on average 53.32x and 2.46x respectively;
 the NAP is around 1 for solo and around 16 (half of 32) for majority.
 
 The reproduction runs the same sweep through the analytic LogGP latency
-model (validated against the message-level discrete-event simulation) and,
-optionally, through the real implementation on a selectable comm
-backend at a reduced scale.
+model and, optionally, through the real implementation on a selectable
+comm backend at a reduced scale.
 """
 
 from __future__ import annotations

@@ -53,24 +53,6 @@ def subsample(n: int, max_points: int) -> List[int]:
     return [int(round(i * (n - 1) / (max_points - 1))) for i in range(max_points)]
 
 
-def format_series(
-    name: str,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    x_label: str = "x",
-    y_label: str = "y",
-    max_points: int = 20,
-) -> str:
-    """Render an (x, y) series as a compact table, subsampled if long."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    if len(xs) == 0:
-        return f"{name}: (empty series)"
-    idx = subsample(len(xs), max_points)
-    rows = [(float(xs[i]), float(ys[i])) for i in idx]
-    return format_table([x_label, y_label], rows, title=name)
-
-
 def ratio_line(label: str, ours: float, paper: float, unit: str = "x") -> str:
     """One-line comparison of a measured ratio against the paper's value."""
     return (

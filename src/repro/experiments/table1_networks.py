@@ -13,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.data.hyperplane import HyperplaneDataset
-from repro.data.synthetic_images import cifar10_like, imagenet_like
-from repro.data.ucf101 import VideoFeatureDataset
 from repro.experiments.report import format_table
 from repro.nn.models import (
     HyperplaneMLP,
@@ -55,7 +52,7 @@ def run(scale: str = "small", seed: int = 0) -> Table1Result:
     feasible on a CPU) and the largest practical versions of the others.
     """
     if scale not in ("small", "paper"):
-        raise ValueError("scale must be 'small' or 'paper'")
+        raise ValueError(f"scale must be 'small' or 'paper', got {scale!r}")
     paper_scale = scale == "paper"
 
     mlp = HyperplaneMLP(input_dim=8192 if paper_scale else 256, seed=seed)

@@ -10,17 +10,12 @@ The paper distinguishes two sources of load imbalance (Section 2):
 * **inherent** imbalance — variable-length videos and sentences — modelled
   by *cost models* (:mod:`repro.imbalance.cost_model`) that map the
   content of a batch (frames, tokens) to its compute time.
-
-:mod:`repro.imbalance.traces` records the resulting per-rank, per-step
-durations and summarises them like Figs. 2b, 3 and 4.
 """
 
 from repro.imbalance.injection import (
     DelayInjector,
     NoDelay,
-    ConstantDelay,
     RandomSubsetDelay,
-    LinearSkewDelay,
     RotatingSkewDelay,
     CloudNoiseDelay,
 )
@@ -34,14 +29,11 @@ from repro.imbalance.cost_model import (
     resnet50_cloud_cost_model,
     cloud_noise_for_resnet50,
 )
-from repro.imbalance.traces import StepTrace, TraceSummary
 
 __all__ = [
     "DelayInjector",
     "NoDelay",
-    "ConstantDelay",
     "RandomSubsetDelay",
-    "LinearSkewDelay",
     "RotatingSkewDelay",
     "CloudNoiseDelay",
     "CostModel",
@@ -52,6 +44,4 @@ __all__ = [
     "transformer_wmt_cost_model",
     "resnet50_cloud_cost_model",
     "cloud_noise_for_resnet50",
-    "StepTrace",
-    "TraceSummary",
 ]

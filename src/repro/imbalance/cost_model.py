@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.data.loader import Batch
-from repro.imbalance.injection import CloudNoiseDelay, DelayInjector, NoDelay
+from repro.imbalance.injection import CloudNoiseDelay, DelayInjector
 from repro.utils.rng import SeedLike
 
 
@@ -51,7 +51,9 @@ class FixedCostModel(CostModel):
 
     def __post_init__(self) -> None:
         if self.seconds_per_batch < 0:
-            raise ValueError("seconds_per_batch must be non-negative")
+            raise ValueError(
+                f"seconds_per_batch must be non-negative, got {self.seconds_per_batch}"
+            )
 
     def batch_cost(self, batch: Batch) -> float:
         return self.seconds_per_batch
@@ -78,9 +80,14 @@ class SequenceCostModel(CostModel):
 
     def __post_init__(self) -> None:
         if self.base_seconds < 0 or self.seconds_per_unit < 0:
-            raise ValueError("cost parameters must be non-negative")
+            raise ValueError(
+                f"cost parameters must be non-negative, got base_seconds="
+                f"{self.base_seconds}, seconds_per_unit={self.seconds_per_unit}"
+            )
         if self.cap_seconds is not None and self.cap_seconds <= 0:
-            raise ValueError("cap_seconds must be positive when given")
+            raise ValueError(
+                f"cap_seconds must be positive when given, got {self.cap_seconds}"
+            )
 
     def cost_from_size(self, size_hint: float) -> float:
         cost = self.base_seconds + self.seconds_per_unit * float(size_hint)
@@ -91,8 +98,9 @@ class SequenceCostModel(CostModel):
     def batch_cost(self, batch: Batch) -> float:
         if batch.size_hint is None:
             raise ValueError(
-                "SequenceCostModel needs batches with a size_hint "
-                "(total frames/tokens); got None"
+                f"SequenceCostModel needs batches with a size_hint "
+                f"(total frames/tokens); got None for a batch of "
+                f"{np.size(batch.indices)} examples"
             )
         return self.cost_from_size(batch.size_hint)
 
@@ -127,9 +135,13 @@ class QuadraticSequenceCostModel(CostModel):
 
     def __post_init__(self) -> None:
         if min(self.base_seconds, self.seconds_per_unit, self.seconds_per_unit_sq) < 0:
-            raise ValueError("cost parameters must be non-negative")
+            raise ValueError(
+                f"cost parameters must be non-negative, got base_seconds="
+                f"{self.base_seconds}, seconds_per_unit={self.seconds_per_unit}, "
+                f"seconds_per_unit_sq={self.seconds_per_unit_sq}"
+            )
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def _cap(self, cost: float) -> float:
         return min(cost, self.cap_seconds) if self.cap_seconds is not None else cost
@@ -157,7 +169,10 @@ class QuadraticSequenceCostModel(CostModel):
         if isinstance(inputs, dict) and "lengths" in inputs:
             return self.cost_from_lengths(np.asarray(inputs["lengths"]))
         if batch.size_hint is None:
-            raise ValueError("QuadraticSequenceCostModel needs lengths or a size_hint")
+            raise ValueError(
+                f"QuadraticSequenceCostModel needs lengths or a size_hint, "
+                f"got inputs of type {type(inputs).__name__} and size_hint None"
+            )
         return self.cost_from_size(batch.size_hint)
 
     def describe(self) -> str:

@@ -11,13 +11,13 @@ evaluation:
 * :class:`RotatingSkewDelay` — Section 6.2.3: *all* ranks are skewed from
   ``min`` to ``max`` milliseconds and the assignment is shifted after each
   step (severe imbalance).
-* :class:`LinearSkewDelay` — the microbenchmark of Fig. 8.
 * :class:`CloudNoiseDelay` — the long-tailed cloud variability of Fig. 4.
+
+The microbenchmark's linear skew (Fig. 8) is an arrival pattern, not a
+training-step policy: :func:`repro.simtime.skew.linear_skew`.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,21 +46,6 @@ class NoDelay(DelayInjector):
         return np.zeros(world_size)
 
 
-class ConstantDelay(DelayInjector):
-    """Every rank is delayed by the same fixed amount every step."""
-
-    def __init__(self, delay_ms: float) -> None:
-        if delay_ms < 0:
-            raise ValueError("delay must be non-negative")
-        self.delay_ms = float(delay_ms)
-
-    def delays(self, step: int, world_size: int) -> np.ndarray:
-        return np.full(world_size, self.delay_ms / 1000.0)
-
-    def describe(self) -> str:
-        return f"ConstantDelay({self.delay_ms:g} ms)"
-
-
 class RandomSubsetDelay(DelayInjector):
     """Delay a random subset of ranks by a fixed amount at every step.
 
@@ -70,9 +55,9 @@ class RandomSubsetDelay(DelayInjector):
 
     def __init__(self, num_delayed: int, delay_ms: float, seed: SeedLike = 0) -> None:
         if num_delayed < 0:
-            raise ValueError("num_delayed must be non-negative")
+            raise ValueError(f"num_delayed must be non-negative, got {num_delayed}")
         if delay_ms < 0:
-            raise ValueError("delay must be non-negative")
+            raise ValueError(f"delay must be non-negative, got {delay_ms} ms")
         self.num_delayed = int(num_delayed)
         self.delay_ms = float(delay_ms)
         self.seed = 0 if seed is None else int(seed)
@@ -92,21 +77,6 @@ class RandomSubsetDelay(DelayInjector):
         return f"RandomSubsetDelay({self.num_delayed} ranks, {self.delay_ms:g} ms)"
 
 
-class LinearSkewDelay(DelayInjector):
-    """Rank ``i`` is delayed by ``(i + 1) * step_ms`` (microbenchmark skew)."""
-
-    def __init__(self, step_ms: float = 1.0) -> None:
-        if step_ms < 0:
-            raise ValueError("step_ms must be non-negative")
-        self.step_ms = float(step_ms)
-
-    def delays(self, step: int, world_size: int) -> np.ndarray:
-        return (np.arange(1, world_size + 1) * self.step_ms) / 1000.0
-
-    def describe(self) -> str:
-        return f"LinearSkewDelay({self.step_ms:g} ms/rank)"
-
-
 class RotatingSkewDelay(DelayInjector):
     """All ranks skewed between ``min_ms`` and ``max_ms``, shifted each step.
 
@@ -117,7 +87,7 @@ class RotatingSkewDelay(DelayInjector):
 
     def __init__(self, min_ms: float = 50.0, max_ms: float = 400.0) -> None:
         if min_ms < 0 or max_ms < min_ms:
-            raise ValueError("need 0 <= min_ms <= max_ms")
+            raise ValueError(f"need 0 <= min_ms <= max_ms, got {min_ms} and {max_ms}")
         self.min_ms = float(min_ms)
         self.max_ms = float(max_ms)
 
@@ -144,7 +114,9 @@ class CloudNoiseDelay(DelayInjector):
         seed: SeedLike = 0,
     ) -> None:
         if median_ms < 0 or sigma < 0:
-            raise ValueError("median_ms and sigma must be non-negative")
+            raise ValueError(
+                f"median_ms and sigma must be non-negative, got {median_ms} and {sigma}"
+            )
         self.median_ms = float(median_ms)
         self.sigma = float(sigma)
         self.seed = 0 if seed is None else int(seed)

@@ -25,53 +25,36 @@ from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
     Dense,
     ReLU,
-    Sigmoid,
-    Tanh,
     Conv2D,
     BatchNorm,
-    MaxPool2D,
-    AvgPool2D,
     GlobalAvgPool2D,
     Dropout,
-    Flatten,
-    Embedding,
     LSTM,
     LSTMCell,
-    MultiHeadSelfAttention,
-    TransformerEncoderBlock,
     Sequential,
     Residual,
 )
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
-from repro.nn.optim import SGD, MomentumSGD, Adam, LearningRateSchedule, ConstantLR, StepDecayLR, WarmupLR
+from repro.nn.optim import SGD, MomentumSGD, Adam, LearningRateSchedule, ConstantLR
 from repro.nn.parameters import (
     flatten_parameters,
     flatten_gradients,
     assign_flat_parameters,
     assign_flat_gradients,
-    parameter_count,
 )
-from repro.nn.metrics import topk_accuracy, accuracy
+from repro.nn.metrics import topk_accuracy
 
 __all__ = [
     "Module",
     "Parameter",
     "Dense",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Conv2D",
     "BatchNorm",
-    "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "Dropout",
-    "Flatten",
-    "Embedding",
     "LSTM",
     "LSTMCell",
-    "MultiHeadSelfAttention",
-    "TransformerEncoderBlock",
     "Sequential",
     "Residual",
     "MSELoss",
@@ -81,13 +64,9 @@ __all__ = [
     "Adam",
     "LearningRateSchedule",
     "ConstantLR",
-    "StepDecayLR",
-    "WarmupLR",
     "flatten_parameters",
     "flatten_gradients",
     "assign_flat_parameters",
     "assign_flat_gradients",
-    "parameter_count",
     "topk_accuracy",
-    "accuracy",
 ]

@@ -2,33 +2,22 @@
 
 from repro.nn.layers.container import Sequential, Residual
 from repro.nn.layers.linear import Dense
-from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
+from repro.nn.layers.activations import ReLU
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.norm import BatchNorm
-from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
+from repro.nn.layers.pooling import GlobalAvgPool2D
 from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.flatten import Flatten
-from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.lstm import LSTM, LSTMCell
-from repro.nn.layers.attention import MultiHeadSelfAttention, TransformerEncoderBlock
 
 __all__ = [
     "Sequential",
     "Residual",
     "Dense",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Conv2D",
     "BatchNorm",
-    "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "Dropout",
-    "Flatten",
-    "Embedding",
     "LSTM",
     "LSTMCell",
-    "MultiHeadSelfAttention",
-    "TransformerEncoderBlock",
 ]

@@ -24,40 +24,3 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("ReLU.backward called before forward")
         return grad_output * self._mask
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        self._output = out if self.training else None
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("Sigmoid.backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.tanh(np.asarray(x, dtype=np.float64))
-        self._output = out if self.training else None
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("Tanh.backward called before forward")
-        return grad_output * (1.0 - self._output**2)

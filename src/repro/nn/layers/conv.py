@@ -102,7 +102,10 @@ class Conv2D(Module):
     ) -> None:
         super().__init__()
         if kernel_size < 1 or stride < 1 or padding < 0:
-            raise ValueError("invalid kernel/stride/padding")
+            raise ValueError(
+                f"need kernel_size >= 1, stride >= 1 and padding >= 0, "
+                f"got {kernel_size}, {stride} and {padding}"
+            )
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size

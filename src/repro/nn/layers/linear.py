@@ -32,7 +32,10 @@ class Dense(Module):
     ) -> None:
         super().__init__()
         if in_features < 1 or out_features < 1:
-            raise ValueError("in_features and out_features must be positive")
+            raise ValueError(
+                f"in_features and out_features must be positive, "
+                f"got {in_features} and {out_features}"
+            )
         self.in_features = in_features
         self.out_features = out_features
         self.use_bias = bias

@@ -50,7 +50,10 @@ class LSTMCell(Module):
     ) -> None:
         super().__init__()
         if input_dim < 1 or hidden_dim < 1:
-            raise ValueError("input_dim and hidden_dim must be positive")
+            raise ValueError(
+                f"input_dim and hidden_dim must be positive, "
+                f"got {input_dim} and {hidden_dim}"
+            )
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         rng = seeded_rng(seed)
@@ -189,7 +192,9 @@ class LSTM(Module):
         if lengths.shape != (batch,):
             raise ValueError(f"lengths must have shape ({batch},), got {lengths.shape}")
         if np.any(lengths < 1) or np.any(lengths > time):
-            raise ValueError("sequence lengths must be in [1, time]")
+            raise ValueError(
+                f"sequence lengths must be in [1, {time}], got {lengths.tolist()}"
+            )
 
         h = np.zeros((batch, self.hidden_dim))
         c = np.zeros((batch, self.hidden_dim))
@@ -218,11 +223,17 @@ class LSTM(Module):
 
         if self.return_sequences:
             if grad_output.shape != (batch, time, self.hidden_dim):
-                raise ValueError("gradient shape mismatch for return_sequences=True")
+                raise ValueError(
+                    f"gradient shape {grad_output.shape} does not match "
+                    f"{(batch, time, self.hidden_dim)} for return_sequences=True"
+                )
             grad_hs = grad_output
         else:
             if grad_output.shape != (batch, self.hidden_dim):
-                raise ValueError("gradient shape mismatch for return_sequences=False")
+                raise ValueError(
+                    f"gradient shape {grad_output.shape} does not match "
+                    f"{(batch, self.hidden_dim)} for return_sequences=False"
+                )
             grad_hs = None
 
         grad_x = np.zeros(input_shape) if self.needs_input_grad else None

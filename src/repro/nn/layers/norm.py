@@ -20,9 +20,9 @@ class BatchNorm(Module):
     def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5) -> None:
         super().__init__()
         if num_features < 1:
-            raise ValueError("num_features must be positive")
+            raise ValueError(f"num_features must be positive, got {num_features}")
         if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
@@ -93,41 +93,3 @@ class BatchNorm(Module):
     def state_arrays(self) -> dict:
         """Non-trainable state that periodic model sync should average."""
         return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension (used by the Transformer)."""
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        self.dim = dim
-        self.eps = eps
-        self.gamma = self.add_parameter("gamma", initializers.ones((dim,)))
-        self.beta = self.add_parameter("beta", initializers.zeros((dim,)))
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"LayerNorm expected last dim {self.dim}, got {x.shape}")
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std) if self.training else None
-        return self.gamma.data * x_hat + self.beta.data
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("LayerNorm.backward called before forward")
-        x_hat, inv_std = self._cache
-        g = np.asarray(grad_output, dtype=np.float64)
-        reduce_axes = tuple(range(g.ndim - 1))
-        self.gamma.grad += (g * x_hat).sum(axis=reduce_axes)
-        self.beta.grad += g.sum(axis=reduce_axes)
-        g_xhat = g * self.gamma.data
-        mean_g = g_xhat.mean(axis=-1, keepdims=True)
-        mean_gx = (g_xhat * x_hat).mean(axis=-1, keepdims=True)
-        return inv_std * (g_xhat - mean_g - x_hat * mean_gx)

@@ -7,93 +7,6 @@ import numpy as np
 from repro.nn.module import Module
 
 
-class MaxPool2D(Module):
-    """Non-overlapping max pooling (kernel == stride).
-
-    Restricting to non-overlapping windows keeps the backward pass a pure
-    scatter of the incoming gradient to the arg-max positions, which is
-    all the paper's ResNet blocks need (their pooling layers use 2x2/s2
-    and 3x3/s... reduced here to the stride==kernel case).
-    """
-
-    def __init__(self, kernel_size: int = 2) -> None:
-        super().__init__()
-        if kernel_size < 1:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        b, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(
-                f"MaxPool2D requires H and W divisible by {k}, got {x.shape}"
-            )
-        out_h, out_w = h // k, w // k
-        windows = x.reshape(b, c, out_h, k, out_w, k)
-        out = windows.max(axis=(3, 5))
-        if not self.training:
-            # Inference needs no gradient routing: skip the (expensive)
-            # tie-broken argmax mask entirely.
-            self._cache = None
-            return out
-        mask = windows == out[:, :, :, None, :, None]
-        # Break ties: keep only the first maximal element per window so the
-        # gradient is not double counted.  The window axes (3 and 5) are
-        # moved together before flattening so each row of `flat` is one
-        # pooling window.
-        flat = mask.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, out_h, out_w, k * k)
-        first = np.zeros_like(flat)
-        idx = flat.argmax(axis=-1)
-        np.put_along_axis(first, idx[..., None], 1, axis=-1)
-        mask = first.reshape(b, c, out_h, out_w, k, k).transpose(0, 1, 2, 4, 3, 5)
-        self._cache = (mask, x.shape)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("MaxPool2D.backward called before forward")
-        mask, input_shape = self._cache
-        b, c, h, w = input_shape
-        k = self.kernel_size
-        g = np.asarray(grad_output, dtype=np.float64)
-        expanded = mask * g[:, :, :, None, :, None]
-        return expanded.reshape(b, c, h, w)
-
-
-class AvgPool2D(Module):
-    """Non-overlapping average pooling (kernel == stride)."""
-
-    def __init__(self, kernel_size: int = 2) -> None:
-        super().__init__()
-        if kernel_size < 1:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self._input_shape = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        b, c, h, w = x.shape
-        k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(
-                f"AvgPool2D requires H and W divisible by {k}, got {x.shape}"
-            )
-        self._input_shape = x.shape if self.training else None
-        return x.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
-            raise RuntimeError("AvgPool2D.backward called before forward")
-        b, c, h, w = self._input_shape
-        k = self.kernel_size
-        g = np.asarray(grad_output, dtype=np.float64) / (k * k)
-        g = np.repeat(np.repeat(g, k, axis=2), k, axis=3)
-        return g
-
-
 class GlobalAvgPool2D(Module):
     """Average over the spatial dimensions, returning ``(batch, channels)``."""
 

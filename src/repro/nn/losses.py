@@ -47,7 +47,7 @@ class SoftmaxCrossEntropyLoss:
 
     def __init__(self, label_smoothing: float = 0.0) -> None:
         if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
+            raise ValueError(f"label_smoothing must be in [0, 1), got {label_smoothing}")
         self.label_smoothing = label_smoothing
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -61,7 +61,10 @@ class SoftmaxCrossEntropyLoss:
         if not np.issubdtype(labels.dtype, np.integer):
             raise TypeError("labels must be integer class indices")
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
-            raise ValueError("label out of range")
+            raise ValueError(
+                f"labels must be in [0, {num_classes}), got "
+                f"[{labels.min()}, {labels.max()}]"
+            )
 
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)

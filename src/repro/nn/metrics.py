@@ -1,4 +1,4 @@
-"""Classification metrics: top-1 and top-k accuracy."""
+"""Classification metric: top-k accuracy."""
 
 from __future__ import annotations
 
@@ -26,8 +26,3 @@ def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     topk = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
     hits = (topk == labels[:, None]).any(axis=1)
     return float(hits.mean())
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy."""
-    return topk_accuracy(logits, labels, k=1)

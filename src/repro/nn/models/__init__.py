@@ -3,7 +3,6 @@
 from repro.nn.models.mlp import HyperplaneMLP, MLPClassifier
 from repro.nn.models.resnet import ResNetClassifier, resnet_cifar, resnet_imagenet_lite
 from repro.nn.models.lstm_classifier import SequenceLSTMClassifier
-from repro.nn.models.transformer import TransformerClassifier
 
 __all__ = [
     "HyperplaneMLP",
@@ -12,5 +11,4 @@ __all__ = [
     "resnet_cifar",
     "resnet_imagenet_lite",
     "SequenceLSTMClassifier",
-    "TransformerClassifier",
 ]

@@ -22,7 +22,6 @@ from repro.nn.layers import (
     BatchNorm,
     Conv2D,
     Dense,
-    Flatten,
     GlobalAvgPool2D,
     ReLU,
     Residual,
@@ -82,7 +81,7 @@ class ResNetClassifier(Module):
     ) -> None:
         super().__init__()
         if blocks_per_stage < 1:
-            raise ValueError("blocks_per_stage must be >= 1")
+            raise ValueError(f"blocks_per_stage must be >= 1, got {blocks_per_stage}")
         rng = seeded_rng(seed)
         layers: List[Module] = [
             Conv2D(in_channels, stage_channels[0], kernel_size=3, stride=1, padding=1,

@@ -20,7 +20,7 @@ blocks; and because state (velocity, moments) is written through
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,37 +48,6 @@ class ConstantLR(LearningRateSchedule):
 
     def lr(self, step: int) -> float:
         return self.value
-
-
-class StepDecayLR(LearningRateSchedule):
-    """Piecewise-constant decay: multiply by ``factor`` at each milestone."""
-
-    def __init__(self, base: float, milestones: Iterable[int], factor: float = 0.1) -> None:
-        if not base > 0:
-            raise ValueError(f"base learning rate must be positive, got {base}")
-        self.base = float(base)
-        self.milestones = sorted(int(m) for m in milestones)
-        self.factor = float(factor)
-
-    def lr(self, step: int) -> float:
-        drops = sum(1 for m in self.milestones if step >= m)
-        return self.base * (self.factor**drops)
-
-
-class WarmupLR(LearningRateSchedule):
-    """Linear warmup followed by another schedule (large-batch recipes)."""
-
-    def __init__(self, target: LearningRateSchedule, warmup_steps: int) -> None:
-        if warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be non-negative, got {warmup_steps}")
-        self.target = target
-        self.warmup_steps = int(warmup_steps)
-
-    def lr(self, step: int) -> float:
-        base = self.target.lr(step)
-        if self.warmup_steps == 0 or step >= self.warmup_steps:
-            return base
-        return base * (step + 1) / self.warmup_steps
 
 
 def _as_schedule(lr) -> LearningRateSchedule:

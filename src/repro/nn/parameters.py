@@ -28,11 +28,6 @@ def _ordered_named_parameters(module: Module) -> List[Tuple[str, Parameter]]:
     return named
 
 
-def parameter_count(module: Module) -> int:
-    """Number of scalar trainable parameters (Table 1's Parameters column)."""
-    return module.num_parameters()
-
-
 def same_memory(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether ``a`` and ``b`` are the same elements in the same layout.
 

@@ -1,18 +1,14 @@
-"""Discrete-event simulation and analytic cost models.
+"""Analytic cost models.
 
 The paper's latency microbenchmark (Fig. 9) and its large-scale runs (64
 GPU nodes on Piz Daint) need a network substrate that we do not have in a
-single-process reproduction.  This package provides two complementary
-substitutes:
+single-process reproduction.  This package provides two substitutes:
 
 * an **analytic LogGP-style cost model** (:mod:`repro.simtime.network`,
   :mod:`repro.simtime.collective_model`) for point-to-point messages and
   for the collective algorithms (recursive doubling, ring, binomial
   broadcast, plus the activation + reduction structure of solo/majority
   allreduce);
-* a small **discrete-event engine** (:mod:`repro.simtime.engine`) on which
-  the collectives are simulated message by message
-  (:mod:`repro.simtime.collective_sim`), validating the analytic model;
 * a **training-time projector** (:mod:`repro.simtime.training_model`) that
   converts per-rank per-step compute times into end-to-end training time
   under synchronous SGD, solo, majority and quorum eager-SGD — this is
@@ -20,7 +16,6 @@ substitutes:
 """
 
 from repro.simtime.network import LogGPParams, DEFAULT_NETWORK, message_time
-from repro.simtime.engine import Event, EventQueue, Simulator, SimProcess
 from repro.simtime.collective_model import (
     allreduce_time,
     broadcast_time,
@@ -30,13 +25,7 @@ from repro.simtime.collective_model import (
     synchronous_allreduce_latencies,
     CollectiveLatencyResult,
 )
-from repro.simtime.collective_sim import simulate_partial_allreduce
-from repro.simtime.skew import (
-    linear_skew,
-    random_linear_skew,
-    constant_arrivals,
-    lognormal_noise,
-)
+from repro.simtime.skew import linear_skew
 from repro.simtime.training_model import (
     StepTimeline,
     project_training_time,
@@ -47,10 +36,6 @@ __all__ = [
     "LogGPParams",
     "DEFAULT_NETWORK",
     "message_time",
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "SimProcess",
     "allreduce_time",
     "broadcast_time",
     "activation_time",
@@ -58,11 +43,7 @@ __all__ = [
     "majority_allreduce_latencies",
     "synchronous_allreduce_latencies",
     "CollectiveLatencyResult",
-    "simulate_partial_allreduce",
     "linear_skew",
-    "random_linear_skew",
-    "constant_arrivals",
-    "lognormal_noise",
     "StepTimeline",
     "project_training_time",
     "TrainingProjection",

@@ -196,9 +196,9 @@ def allreduce_time(
     if nbytes < 0:
         raise ValueError(f"message size must be non-negative, got {nbytes}")
     if size < 1:
-        raise ValueError("size must be >= 1")
+        raise ValueError(f"size must be >= 1, got {size}")
     if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
+        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
     if compression is not None and not compression.is_identity:
         if size == 1:
             return params.collective_overhead
@@ -277,13 +277,13 @@ def fused_exchange_time(
     serialised per bucket.
     """
     if not bucket_bytes:
-        raise ValueError("bucket_bytes must not be empty")
+        raise ValueError(f"bucket_bytes must not be empty, got {list(bucket_bytes)}")
     if any(b < 0 for b in bucket_bytes):
         raise ValueError(f"message size must be non-negative, got {list(bucket_bytes)}")
     if size < 1:
-        raise ValueError("size must be >= 1")
+        raise ValueError(f"size must be >= 1, got {size}")
     if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
+        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
     if size == 1:
         return params.collective_overhead
     if compression is not None and not compression.is_identity:
@@ -344,13 +344,13 @@ def sharded_exchange_time(
     compressed ring does for both the gradient and parameter hops.
     """
     if not bucket_bytes:
-        raise ValueError("bucket_bytes must not be empty")
+        raise ValueError(f"bucket_bytes must not be empty, got {list(bucket_bytes)}")
     if any(b < 0 for b in bucket_bytes):
         raise ValueError(f"message size must be non-negative, got {list(bucket_bytes)}")
     if size < 1:
-        raise ValueError("size must be >= 1")
+        raise ValueError(f"size must be >= 1, got {size}")
     if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
+        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
     if update_seconds_per_byte < 0 or not math.isfinite(update_seconds_per_byte):
         raise ValueError(
             f"update_seconds_per_byte must be non-negative and finite, "
@@ -417,33 +417,6 @@ def _intra_tree_rounds(ranks_per_host: Sequence[int]) -> int:
     return max(math.ceil(math.log2(n)) if n > 1 else 0 for n in ranks_per_host)
 
 
-def hierarchical_allreduce_time(
-    nbytes: float,
-    ranks_per_host: Sequence[int],
-    intra: LogGPParams,
-    inter: LogGPParams,
-    n_chunks: int = 1,
-) -> float:
-    """Duration of the two-tier allreduce on a calibrated two-tier fabric.
-
-    Mirrors :func:`repro.collectives.sync.allreduce_hierarchical` with one
-    :class:`LogGPParams` per link class: the intra-host reduce and
-    broadcast trees are charged at the (fast) ``intra`` parameters, the
-    leader ring — one rank per host, carrying the whole payload over the
-    (slow) links — at the ``inter`` parameters.  The critical path runs
-    through the *deepest* host's tree; single-host fabrics degenerate to
-    the flat ring model under ``intra``, exactly like the implementation.
-    """
-    hosts = _validate_hosts(ranks_per_host)
-    if len(hosts) == 1:
-        return allreduce_time(int(nbytes), hosts[0], "ring", intra, n_chunks)
-    rounds = _intra_tree_rounds(hosts)
-    reduce_tree = rounds * _pipelined_round(nbytes, nbytes, n_chunks, intra)
-    bcast_tree = rounds * _pipelined_round(nbytes, 0.0, 1, intra)
-    rs, ag = _ring_phase_times(nbytes, len(hosts), n_chunks, inter)
-    return intra.collective_overhead + reduce_tree + rs + ag + bcast_tree
-
-
 def hierarchical_fused_exchange_time(
     bucket_bytes: Sequence[float],
     ranks_per_host: Sequence[int],
@@ -474,7 +447,7 @@ def hierarchical_fused_exchange_time(
     the caller charges the encode/decode transform separately.
     """
     if not bucket_bytes:
-        raise ValueError("bucket_bytes must not be empty")
+        raise ValueError(f"bucket_bytes must not be empty, got {list(bucket_bytes)}")
     if not 0.0 < inter_scale or not math.isfinite(inter_scale):
         raise ValueError(f"inter_scale must be positive and finite, got {inter_scale}")
     hosts = _validate_hosts(ranks_per_host)
@@ -517,9 +490,11 @@ def activation_time(size: int, params: LogGPParams = DEFAULT_NETWORK) -> float:
 def _as_arrivals(arrivals: Sequence[float]) -> np.ndarray:
     arr = np.asarray(arrivals, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("arrivals must be a non-empty 1-D sequence")
+        raise ValueError(
+            f"arrivals must be a non-empty 1-D sequence, got shape {arr.shape}"
+        )
     if np.any(arr < 0):
-        raise ValueError("arrival times must be non-negative")
+        raise ValueError(f"arrival times must be non-negative, got min {arr.min()}")
     return arr
 
 

@@ -1,77 +1,17 @@
-"""Arrival-time (skew) patterns for the latency microbenchmark.
+"""Arrival-time (skew) pattern for the latency microbenchmark.
 
 The microbenchmark of Fig. 8/9 in the paper skews the processes linearly
 ("``usleep(pid * 1000)``", i.e. rank ``i`` is delayed by ``i``
-milliseconds) before calling the collective.  These helpers generate that
-pattern and a few variants used by tests and ablation benchmarks.
+milliseconds) before calling the collective.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
-
-from repro.utils.rng import SeedLike, seeded_rng
 
 
 def linear_skew(size: int, step_ms: float = 1.0) -> np.ndarray:
     """Arrival times ``[0, step, 2*step, ...]`` in seconds (paper's Fig. 8)."""
     if size < 1:
-        raise ValueError("size must be >= 1")
+        raise ValueError(f"size must be >= 1, got {size}")
     return np.arange(size, dtype=np.float64) * (step_ms / 1000.0)
-
-
-def random_linear_skew(
-    size: int, step_ms: float = 1.0, seed: SeedLike = None
-) -> np.ndarray:
-    """Linear skew assigned to a random permutation of the ranks.
-
-    The set of delays is identical to :func:`linear_skew`; only the
-    mapping of delay to rank is shuffled, which is how the paper's
-    simulated cloud-noise experiments pick the delayed ranks at random.
-    """
-    rng = seeded_rng(seed)
-    return linear_skew(size, step_ms)[rng.permutation(size)]
-
-
-def constant_arrivals(size: int, offset_ms: float = 0.0) -> np.ndarray:
-    """All ranks arrive at the same time (perfectly balanced workload)."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    return np.full(size, offset_ms / 1000.0, dtype=np.float64)
-
-
-def lognormal_noise(
-    size: int,
-    median_ms: float = 450.0,
-    sigma: float = 0.2,
-    floor_ms: float = 0.0,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Cloud-like arrival noise: lognormal with a long right tail (Fig. 4)."""
-    rng = seeded_rng(seed)
-    samples = rng.lognormal(mean=np.log(max(median_ms, 1e-9)), sigma=sigma, size=size)
-    return (np.maximum(samples, floor_ms)) / 1000.0
-
-
-def delayed_subset(
-    size: int,
-    num_delayed: int,
-    delay_ms: float,
-    base_ms: float = 0.0,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Delay a random subset of ``num_delayed`` ranks by ``delay_ms``.
-
-    This matches the injection scheme of Sections 6.2.1/6.2.2: at every
-    training step a few randomly chosen ranks are delayed by a fixed
-    amount while the rest proceed immediately.
-    """
-    if not 0 <= num_delayed <= size:
-        raise ValueError(f"num_delayed must be in [0, {size}], got {num_delayed}")
-    rng = seeded_rng(seed)
-    arrivals = np.full(size, base_ms / 1000.0, dtype=np.float64)
-    chosen = rng.choice(size, size=num_delayed, replace=False)
-    arrivals[chosen] += delay_ms / 1000.0
-    return arrivals

@@ -24,8 +24,8 @@ argument (Fig. 1):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -50,9 +50,14 @@ class StepTimeline:
     def __post_init__(self) -> None:
         self.durations = np.asarray(self.durations, dtype=np.float64)
         if self.durations.ndim != 2:
-            raise ValueError("durations must have shape (num_steps, num_ranks)")
+            raise ValueError(
+                f"durations must have shape (num_steps, num_ranks), "
+                f"got {self.durations.shape}"
+            )
         if np.any(self.durations < 0):
-            raise ValueError("durations must be non-negative")
+            raise ValueError(
+                f"durations must be non-negative, got min {self.durations.min()}"
+            )
 
     @property
     def num_steps(self) -> int:
@@ -120,7 +125,10 @@ def project_training_time(
     durations = timeline.durations
     num_steps, num_ranks = durations.shape
     if num_ranks < 1 or num_steps < 1:
-        raise ValueError("timeline must contain at least one step and one rank")
+        raise ValueError(
+            f"timeline must contain at least one step and one rank, "
+            f"got {num_steps} x {num_ranks}"
+        )
     if mode == "quorum":
         if quorum is None:
             quorum = max(1, num_ranks // 2)

@@ -1,20 +1,5 @@
-"""Convergence theory (Section 5.1) and staleness/quorum bookkeeping."""
+"""Staleness and quorum bookkeeping for the partial collectives."""
 
-from repro.theory.convergence import (
-    ConvergenceAssumptions,
-    max_learning_rate,
-    iterations_to_convergence,
-    iteration_lower_bound,
-    has_converged,
-)
 from repro.theory.staleness import StalenessTracker, QuorumTracker
 
-__all__ = [
-    "ConvergenceAssumptions",
-    "max_learning_rate",
-    "iterations_to_convergence",
-    "iteration_lower_bound",
-    "has_converged",
-    "StalenessTracker",
-    "QuorumTracker",
-]
+__all__ = ["StalenessTracker", "QuorumTracker"]

@@ -17,8 +17,7 @@ are reported in the experiment harnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -65,7 +64,7 @@ class QuorumTracker:
 
     def __init__(self, world_size: int) -> None:
         if world_size < 1:
-            raise ValueError("world_size must be >= 1")
+            raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.world_size = world_size
         self.naps: List[int] = []
 

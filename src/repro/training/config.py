@@ -29,10 +29,8 @@ class TrainingConfig:
         (one thread per rank, shared GIL) or ``"process"`` (one OS
         process per rank over local sockets, true parallelism).  ``None``
         uses the process-wide default (``"thread"`` unless overridden by
-        ``REPRO_COMM_BACKEND`` or
-        :func:`repro.comm.backend.set_default_backend`).  The tuning
-        profile cache is keyed by this name, so each transport gets its
-        own calibrated cost model.
+        ``REPRO_COMM_BACKEND``).  The tuning profile cache is keyed by
+        this name, so each transport gets its own calibrated cost model.
     epochs:
         Number of passes over the training set.
     global_batch_size:
@@ -95,8 +93,8 @@ class TrainingConfig:
     eval_batch_size:
         Batch size used during evaluation passes.
     collect_gradient_norms:
-        Record the post-exchange gradient norm each step (used by the
-        convergence-criterion checks of Section 5.1).
+        Record the post-exchange gradient norm each step (the quantity
+        Section 5.1's convergence criterion bounds).
     """
 
     world_size: int = 4

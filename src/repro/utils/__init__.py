@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG handling, timers and statistics."""
+"""Shared utilities: deterministic RNG handling and statistics."""
 
-from repro.utils.rng import seeded_rng, spawn_rngs, rank_seed
-from repro.utils.timer import Timer, VirtualClock
+from repro.utils.rng import seeded_rng, rank_seed
 from repro.utils.stats import (
     RunningStat,
     Histogram,
@@ -11,10 +10,7 @@ from repro.utils.stats import (
 
 __all__ = [
     "seeded_rng",
-    "spawn_rngs",
     "rank_seed",
-    "Timer",
-    "VirtualClock",
     "RunningStat",
     "Histogram",
     "summarize",

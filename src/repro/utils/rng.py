@@ -9,7 +9,7 @@ reproducible across runs and across ranks.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -45,28 +45,3 @@ def rank_seed(base_seed: int, rank: int, stream: int = 0) -> int:
     """
     ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(rank), int(stream)))
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1))
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Spawn ``count`` independent generators from one seed."""
-    if isinstance(seed, np.random.Generator):
-        # Use the generator itself to derive child seeds deterministically.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    base = DEFAULT_SEED if seed is None else int(seed)
-    ss = np.random.SeedSequence(base)
-    return [np.random.default_rng(child) for child in ss.spawn(count)]
-
-
-def shuffled_indices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Return a random permutation of ``range(n)``."""
-    return rng.permutation(n)
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, n: int, k: int
-) -> np.ndarray:
-    """Choose ``k`` distinct indices out of ``n``."""
-    if k > n:
-        raise ValueError(f"cannot choose {k} items out of {n}")
-    return rng.choice(n, size=k, replace=False)

@@ -114,7 +114,7 @@ class Histogram:
 
     def __init__(self, bin_width: float, start: float = 0.0) -> None:
         if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
+            raise ValueError(f"bin_width must be positive, got {bin_width}")
         self.bin_width = float(bin_width)
         self.start = float(start)
         self._counts: dict[int, int] = {}
@@ -153,7 +153,9 @@ class Histogram:
     def mode_bin(self) -> Tuple[float, float, int]:
         """Return the bin with the highest count."""
         if not self._counts:
-            raise ValueError("histogram is empty")
+            raise ValueError(
+                f"histogram (bin_width={self.bin_width}, start={self.start}) is empty"
+            )
         idx = max(self._counts, key=lambda k: self._counts[k])
         left = self.start + idx * self.bin_width
         return (left, left + self.bin_width, self._counts[idx])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import schedule_verifier as sv
-from repro.analysis.recording import record_run
+from repro.analysis.recording import RecordingWorld
 from repro.collectives import sync
 from repro.collectives.topology import HostTopology
 from repro.comm import tags
@@ -76,7 +76,7 @@ def test_dropped_recv_is_an_orphan_send():
         if comm.rank != 0:
             comm.recv(source=(comm.rank - 1) % comm.size, tag=tag)
 
-    record = record_run(fn, 4, recv_timeout=1.0)
+    record = RecordingWorld(4, recv_timeout=1.0).run(fn)
     violations = sv.check_match_completeness(record, "dropped-recv")
     assert any("orphan send" in str(v) for v in violations), [
         str(v) for v in violations
@@ -93,7 +93,7 @@ def test_reused_tag_is_an_ambiguous_match():
             comm.recv(source=0, tag=tag)
             comm.recv(source=0, tag=tag)
 
-    record = record_run(fn, 2, recv_timeout=1.0)
+    record = RecordingWorld(2, recv_timeout=1.0).run(fn)
     violations = sv.check_match_completeness(record, "reused-tag")
     assert any("ambiguous match" in str(v) for v in violations), [
         str(v) for v in violations
@@ -107,7 +107,7 @@ def test_swapped_ring_neighbor_is_a_deadlock_cycle():
         comm.send(np.ones(2), succ, tag=tag)
         comm.recv(source=succ, tag=tag)  # wrong neighbour: cyclic wait
 
-    record = record_run(fn, 4, recv_timeout=1.0)
+    record = RecordingWorld(4, recv_timeout=1.0).run(fn)
     violations = sv.check_deadlock_freedom(record, "swapped-neighbor")
     assert any("cyclic wait" in str(v) for v in violations), [
         str(v) for v in violations
@@ -125,7 +125,7 @@ def test_double_counted_term_breaks_reduction_coverage():
             result = result + sv.contribution(0, 4)
         return result
 
-    record = record_run(fn, 4, recv_timeout=1.0)
+    record = RecordingWorld(4, recv_timeout=1.0).run(fn)
     violations = sv.check_reduction_coverage(
         record, "double-count", lambda rank: total
     )
@@ -140,7 +140,7 @@ def test_rogue_user_tag_breaks_tag_soundness():
         comm.send(np.ones(1), succ, tag=7)
         comm.recv(source=pred, tag=7)
 
-    record = record_run(fn, 3, recv_timeout=5.0)
+    record = RecordingWorld(3, recv_timeout=5.0).run(fn)
     violations = sv.check_tag_soundness(
         record, "user-tag", frozenset({tags.SYNC.name})
     )

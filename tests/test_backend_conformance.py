@@ -55,7 +55,6 @@ from repro.comm import (
     get_backend,
     get_op,
     launch,
-    set_default_backend,
 )
 from repro.comm.process_backend import _MAX_HEADER_BYTES
 from repro.comm.tags import TAG_REGIONS
@@ -114,17 +113,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown comm backend"):
             launch(lambda comm: None, 2, backend="smoke-signal")
 
-    def test_default_backend_override(self):
+    def test_default_backend_override(self, monkeypatch):
+        monkeypatch.delenv("REPRO_COMM_BACKEND", raising=False)
         assert default_backend_name() == "thread"
-        try:
-            set_default_backend("process")
-            assert default_backend_name() == "process"
-            assert get_backend(None).name == "process"
-        finally:
-            set_default_backend(None)
-        assert default_backend_name() == "thread"
-        with pytest.raises(ValueError):
-            set_default_backend("bogus")
+        monkeypatch.setenv("REPRO_COMM_BACKEND", "process")
+        assert default_backend_name() == "process"
+        assert get_backend(None).name == "process"
+        monkeypatch.setenv("REPRO_COMM_BACKEND", "bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            get_backend(None)
 
     def test_world_size_validated(self, backend):
         with pytest.raises(ValueError, match="world_size"):

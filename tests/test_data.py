@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.data import (
     BucketBatchSampler,
     HyperplaneDataset,
-    SentenceDataset,
     ShardedLoader,
     UCF101_LENGTH_STATS,
     VideoFeatureDataset,
@@ -113,32 +112,11 @@ class TestVideoDataset:
         assert np.array_equal(ds.example_sizes(), ds.frame_counts())
 
 
-class TestSentenceDataset:
-    def test_lengths_and_tokens(self):
-        ds = SentenceDataset(num_sentences=100, vocab_size=64, num_classes=4, seed=0)
-        batch = ds.get_batch([0, 1, 2])
-        tokens, lengths = batch.inputs["tokens"], batch.inputs["lengths"]
-        assert tokens.shape[0] == 3
-        assert tokens.max() < 64
-        assert tokens.shape[1] == lengths.max()
-
+class TestSentenceLengths:
     def test_sentence_length_distribution(self):
         lengths = sample_sentence_lengths(5000, seed=0)
         assert lengths.min() >= 4 and lengths.max() <= 128
         assert 15 < np.median(lengths) < 30
-
-    def test_class_token_bias(self):
-        ds = SentenceDataset(num_sentences=400, vocab_size=100, num_classes=2, seed=0)
-        # Sentences of class 0 should use low token ids more often than class 1.
-        class0 = [ds._sentence_tokens(i) for i in range(400) if ds.labels[i] == 0][:50]
-        class1 = [ds._sentence_tokens(i) for i in range(400) if ds.labels[i] == 1][:50]
-        mean0 = np.mean([t.mean() for t in class0])
-        mean1 = np.mean([t.mean() for t in class1])
-        assert mean0 < mean1
-
-    def test_vocab_validation(self):
-        with pytest.raises(ValueError):
-            SentenceDataset(vocab_size=3, num_classes=10)
 
 
 class TestSplit:
@@ -148,7 +126,6 @@ class TestSplit:
         "hyperplane": lambda: HyperplaneDataset(num_examples=40, input_dim=4, seed=0),
         "images": lambda: cifar10_like(num_examples=40, image_size=4, seed=0),
         "videos": lambda: VideoFeatureDataset(num_videos=40, feature_dim=4, seed=0),
-        "sentences": lambda: SentenceDataset(num_sentences=40, seed=0),
     }
 
     @pytest.mark.parametrize("name", DATASETS)

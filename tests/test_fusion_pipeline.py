@@ -27,7 +27,6 @@ from repro.collectives.sync import (
 )
 from repro.experiments import fusion_pipeline
 from repro.simtime.collective_model import allreduce_time, fused_exchange_time
-from repro.simtime.collective_sim import simulate_partial_allreduce
 from repro.simtime.network import LogGPParams
 from repro.training import GradientBucketer, PartialExchange, SynchronousExchange
 from repro.training.config import TrainingConfig
@@ -466,15 +465,6 @@ class TestSimtimeMirror:
         # physically required single-collective time by construction.
         assert fused < serial
         assert fused >= 0.5 * single
-
-    def test_event_sim_accepts_chunking(self):
-        arrivals = np.zeros(8)
-        plain = simulate_partial_allreduce(arrivals, 64 * 1024, "sync", n_chunks=1)
-        chunked = simulate_partial_allreduce(arrivals, 64 * 1024, "sync", n_chunks=4)
-        assert chunked.messages == plain.messages * 4
-        assert chunked.completion_times.max() <= plain.completion_times.max()
-        with pytest.raises(ValueError):
-            simulate_partial_allreduce(arrivals, 64, "sync", n_chunks=0)
 
     def test_experiment_headline_meets_acceptance(self):
         result = fusion_pipeline.run(world_sizes=(8,), gradient_mb=4.0)

@@ -1,44 +1,30 @@
-"""Tests for the load-imbalance models and the convergence theory helpers."""
+"""Tests for the load-imbalance models and the staleness / quorum trackers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.data.ucf101 import VideoFeatureDataset
 from repro.imbalance import (
     CloudNoiseDelay,
-    ConstantDelay,
     FixedCostModel,
-    LinearSkewDelay,
     NoDelay,
     QuadraticSequenceCostModel,
     RandomSubsetDelay,
     RotatingSkewDelay,
     SequenceCostModel,
-    StepTrace,
     lstm_ucf101_cost_model,
     resnet50_cloud_cost_model,
     transformer_wmt_cost_model,
 )
 from repro.theory import (
-    ConvergenceAssumptions,
     QuorumTracker,
     StalenessTracker,
-    has_converged,
-    iteration_lower_bound,
-    iterations_to_convergence,
-    max_learning_rate,
 )
 
 
 class TestDelayInjectors:
     def test_no_delay(self):
         assert np.all(NoDelay().delays(0, 8) == 0)
-
-    def test_constant_delay(self):
-        d = ConstantDelay(100.0).delays(3, 4)
-        assert np.allclose(d, 0.1)
 
     def test_random_subset_selects_exactly_k(self):
         injector = RandomSubsetDelay(num_delayed=3, delay_ms=200.0, seed=1)
@@ -58,10 +44,6 @@ class TestDelayInjectors:
     def test_random_subset_too_many(self):
         with pytest.raises(ValueError):
             RandomSubsetDelay(5, 10.0).delays(0, 4)
-
-    def test_linear_skew(self):
-        d = LinearSkewDelay(1.0).delays(0, 4)
-        assert np.allclose(d, [0.001, 0.002, 0.003, 0.004])
 
     def test_rotating_skew_rotates(self):
         injector = RotatingSkewDelay(50.0, 400.0)
@@ -139,105 +121,6 @@ class TestCostModels:
             SequenceCostModel(-0.1, 0.0)
         with pytest.raises(ValueError):
             QuadraticSequenceCostModel(0.1, 0.0, 0.0, batch_size=0)
-
-
-class TestStepTrace:
-    def test_record_and_summarize(self):
-        trace = StepTrace(world_size=2)
-        trace.record_step([0.1, 0.3])
-        trace.record_step([0.2, 0.2])
-        matrix = trace.as_matrix()
-        assert matrix.shape == (2, 2)
-        summary = trace.summarize(histogram_bin_ms=100.0)
-        assert summary.summary.count == 4
-        assert trace.imbalance_ratio() > 1.0
-
-    def test_record_per_rank(self):
-        trace = StepTrace(world_size=2)
-        trace.record(0, 0, 0.1)
-        trace.record(0, 1, 0.5)
-        assert trace.as_matrix().shape == (1, 2)
-
-    def test_invalid_inputs(self):
-        trace = StepTrace(world_size=2)
-        with pytest.raises(ValueError):
-            trace.record(0, 5, 0.1)
-        with pytest.raises(ValueError):
-            trace.record(0, 0, -0.1)
-        with pytest.raises(ValueError):
-            trace.record_step([0.1, 0.2, 0.3])
-
-
-class TestConvergenceTheory:
-    def _assumptions(self, quorum=4, tau=3):
-        return ConvergenceAssumptions(
-            smoothness=2.0,
-            second_moment=5.0,
-            loss_gap=10.0,
-            num_processes=8,
-            quorum=quorum,
-            staleness_bound=tau,
-        )
-
-    def test_learning_rate_bound_positive(self):
-        lr = max_learning_rate(self._assumptions(), epsilon=0.1)
-        assert lr > 0
-
-    def test_full_quorum_recovers_classic_bound(self):
-        assumptions = self._assumptions(quorum=8)
-        lr = max_learning_rate(assumptions, epsilon=0.1)
-        assert lr == pytest.approx(0.1 / (12 * 25 * 2))
-
-    def test_bound_shrinks_with_more_missing_and_staleness(self):
-        eps = 0.1
-        lr_few_missing = max_learning_rate(self._assumptions(quorum=7), eps)
-        lr_many_missing = max_learning_rate(self._assumptions(quorum=1), eps)
-        assert lr_many_missing <= lr_few_missing
-        lr_small_tau = max_learning_rate(self._assumptions(tau=1), eps)
-        lr_large_tau = max_learning_rate(self._assumptions(tau=50), eps)
-        assert lr_large_tau <= lr_small_tau
-
-    def test_iterations_scale_inverse_in_lr(self):
-        assumptions = self._assumptions()
-        eps = 0.1
-        lr = max_learning_rate(assumptions, eps)
-        t_full = iterations_to_convergence(assumptions, eps, learning_rate=lr)
-        t_half = iterations_to_convergence(assumptions, eps, learning_rate=lr / 2)
-        assert t_half >= 2 * t_full - 1
-
-    def test_learning_rate_above_bound_rejected(self):
-        assumptions = self._assumptions()
-        lr = max_learning_rate(assumptions, 0.1)
-        with pytest.raises(ValueError):
-            iterations_to_convergence(assumptions, 0.1, learning_rate=lr * 10)
-
-    def test_lower_bound_zero_for_synchronous(self):
-        assert iteration_lower_bound(self._assumptions(quorum=8), 0.1) == 0.0
-        assert iteration_lower_bound(self._assumptions(quorum=1), 0.1) > 0.0
-
-    def test_has_converged(self):
-        assert has_converged([1.0, 0.5, 0.05], epsilon=0.01)
-        assert not has_converged([1.0, 0.5], epsilon=0.01)
-        with pytest.raises(ValueError):
-            has_converged([1.0], epsilon=0)
-
-    def test_invalid_assumptions(self):
-        with pytest.raises(ValueError):
-            ConvergenceAssumptions(0, 1, 1, 4, 2, 1).validate()
-        with pytest.raises(ValueError):
-            ConvergenceAssumptions(1, 1, 1, 4, 9, 1).validate()
-
-    @given(
-        quorum=st.integers(min_value=1, max_value=8),
-        tau=st.integers(min_value=1, max_value=20),
-        eps=st.floats(min_value=1e-3, max_value=1.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_property_bound_never_exceeds_classic(self, quorum, tau, eps):
-        assumptions = ConvergenceAssumptions(2.0, 5.0, 10.0, 8, quorum, tau)
-        lr = max_learning_rate(assumptions, eps)
-        classic = eps / (12 * 25 * 2.0)
-        assert lr <= classic + 1e-15
 
 
 class TestTrackers:

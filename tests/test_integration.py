@@ -1,13 +1,9 @@
 """End-to-end integration tests crossing all subsystem boundaries."""
 
-import numpy as np
-import pytest
-
 from repro.data import VideoFeatureDataset, cifar10_like
 from repro.imbalance import FixedCostModel, RandomSubsetDelay, lstm_ucf101_cost_model
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.models import MLPClassifier, SequenceLSTMClassifier
-from repro.theory import ConvergenceAssumptions, max_learning_rate
 from repro.training import TrainingConfig, train_distributed
 
 
@@ -78,16 +74,3 @@ class TestEndToEnd:
         assert result.epochs[-1].mean_num_active >= 2.0
         # Periodic sync at every epoch leaves identical replicas.
         assert len({s.final_model_hash for s in result.rank_summaries}) == 1
-
-    def test_theory_guides_learning_rate_choice(self):
-        """The Theorem 5.2 bound is usable end to end with observed staleness."""
-        assumptions = ConvergenceAssumptions(
-            smoothness=10.0,
-            second_moment=3.0,
-            loss_gap=5.0,
-            num_processes=8,
-            quorum=4,
-            staleness_bound=2,
-        )
-        lr = max_learning_rate(assumptions, epsilon=0.5)
-        assert 0 < lr < 1.0

@@ -203,12 +203,30 @@ def test_interpolated_valueerror_passes():
     assert findings == []
 
 
-def test_valueerror_rule_scoped_out_of_experiments():
-    findings = _lint(
-        'def f():\n    raise ValueError("nope")\n',
+@pytest.mark.parametrize(
+    "path",
+    [
+        "src/repro/cli.py",
+        "src/repro/analysis/lint.py",
+        "src/repro/collectives/sync.py",
+        "src/repro/comm/backend.py",
+        "src/repro/compression/codecs.py",
+        "src/repro/data/loader.py",
         "src/repro/experiments/fig9.py",
-    )
-    assert findings == []
+        "src/repro/imbalance/injection.py",
+        "src/repro/nn/layers/norm.py",
+        "src/repro/obs/metrics.py",
+        "src/repro/serving/server.py",
+        "src/repro/simtime/skew.py",
+        "src/repro/theory/staleness.py",
+        "src/repro/training/config.py",
+        "src/repro/tuning/calibration.py",
+        "src/repro/utils/stats.py",
+    ],
+)
+def test_valueerror_rule_fires_in_every_package(path):
+    findings = _lint('def f():\n    raise ValueError("nope")\n', path)
+    assert [f.rule for f in findings] == ["valueerror-no-value"]
 
 
 # ---------------------------------------------------------------------------

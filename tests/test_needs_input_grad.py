@@ -2,8 +2,8 @@
 
 One declaration (``Module.input_is_data``) marks the entry sub-modules of a
 model; a marked layer accumulates its parameter gradients exactly as before
-and returns ``None``.  Covered here: the four honouring layers bit for bit,
-the container marking rules, the five model classes, ``DistributedSGD`` end
+and returns ``None``.  Covered here: the three honouring layers bit for bit,
+the container marking rules, the four model classes, ``DistributedSGD`` end
 to end against an every-flag-``True`` oracle, and the eval-mode contract
 ("a forward in eval mode keeps no gradient-side state and ``backward``
 raises") for every layer and model class.
@@ -18,40 +18,27 @@ from repro.comm import launch
 from repro.data.loader import Batch
 from repro.nn import (
     Adam,
-    AvgPool2D,
     BatchNorm,
     Conv2D,
     Dense,
     Dropout,
-    Embedding,
-    Flatten,
     GlobalAvgPool2D,
     LSTM,
     LSTMCell,
-    MaxPool2D,
-    MultiHeadSelfAttention,
     ReLU,
     Residual,
     Sequential,
-    Sigmoid,
-    Tanh,
-    TransformerEncoderBlock,
 )
-from repro.nn.layers.attention import FeedForward
-from repro.nn.layers.norm import LayerNorm
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.models import (
     HyperplaneMLP,
     MLPClassifier,
     SequenceLSTMClassifier,
-    TransformerClassifier,
     resnet_cifar,
 )
 from repro.training.distributed_sgd import DistributedSGD
 from repro.training.exchange import build_exchange
 from repro.training.model_sync import model_hash
-
-_TOKENS = np.array([[1, 4, 2, 0], [3, 3, 6, 5]])
 
 
 def _x(*shape):
@@ -91,7 +78,6 @@ HONOURING = {
     "conv-strided": (lambda: Conv2D(2, 3, kernel_size=1, stride=2, padding=0, seed=0), _x(2, 2, 6, 6)),
     "lstm": (lambda: LSTM(4, 3, seed=0), _x(2, 5, 4)),
     "lstm-sequences": (lambda: LSTM(4, 3, return_sequences=True, seed=0), _x(2, 5, 4)),
-    "embedding": (lambda: Embedding(7, 3, seed=0), _TOKENS),
 }
 
 
@@ -144,14 +130,14 @@ class TestMarking:
         assert _marked(MLPClassifier(6, (4,), 3, seed=0)) == set()
 
     def test_sequential_marks_through_the_first_parameterised_layer(self):
-        seq = Sequential(Flatten(), Dense(6, 4, seed=0), ReLU(), Dense(4, 2, seed=1))
+        seq = Sequential(ReLU(), Dense(6, 4, seed=0), ReLU(), Dense(4, 2, seed=1))
         assert seq.input_is_data() is seq
         assert _marked(seq) == {"", "layer0", "layer1"}
         full_in, skipped_in = _assert_same_parameter_gradients(
-            lambda: Sequential(Flatten(), Dense(6, 4, seed=0), ReLU(), Dense(4, 2, seed=1)),
-            _x(3, 2, 3),
+            lambda: Sequential(ReLU(), Dense(6, 4, seed=0), ReLU(), Dense(4, 2, seed=1)),
+            _x(3, 6),
         )
-        assert skipped_in is None and full_in.shape == (3, 2, 3)
+        assert skipped_in is None and full_in.shape == (3, 6)
 
     def test_leading_dropout_is_walked_through(self):
         seq = Sequential(Dropout(0.5, seed=0), Dense(6, 4, seed=0), Dense(4, 2, seed=1))
@@ -181,7 +167,7 @@ class TestMarking:
         assert skipped_in is None
 
     def test_nested_sequential_recurses(self):
-        seq = Sequential(Sequential(Flatten(), Dense(6, 4, seed=0)), Dense(4, 2, seed=1))
+        seq = Sequential(Sequential(ReLU(), Dense(6, 4, seed=0)), Dense(4, 2, seed=1))
         assert _marked(seq.input_is_data()) == {"", "layer0", "layer0/layer0", "layer0/layer1"}
 
     def test_a_layer_reachable_twice_is_left_alone(self):
@@ -198,10 +184,9 @@ class TestMarking:
         marked_in, _ = _backward(seq, _x(3, 4), marked=False)
         assert marked_in.tobytes() == full_in.tobytes()
 
-    @pytest.mark.parametrize("norm", [lambda: LayerNorm(6), lambda: BatchNorm(6)])
-    def test_a_first_layer_that_ignores_the_flag_stays_correct(self, norm):
+    def test_a_first_layer_that_ignores_the_flag_stays_correct(self):
         def factory():
-            return Sequential(norm(), Dense(6, 4, seed=0), ReLU(), Dense(4, 2, seed=1))
+            return Sequential(BatchNorm(6), Dense(6, 4, seed=0), ReLU(), Dense(4, 2, seed=1))
 
         # The norm layer has parameters, so the walk ends on it: the Dense
         # behind it keeps producing the gradient the norm's own parameters need.
@@ -222,12 +207,6 @@ MODELS = {
         {"x": _x(2, 5, 4), "lengths": np.array([5, 3])},
         {"", "lstm", "lstm/cell"},
     ),
-    "transformer": (
-        lambda: TransformerClassifier(vocab_size=7, dim=8, num_heads=2, num_layers=1,
-                                      num_classes=3, max_len=8, seed=0),
-        {"tokens": _TOKENS, "lengths": np.array([4, 2])},
-        {"", "embedding"},
-    ),
 }
 
 
@@ -246,8 +225,8 @@ def _mlp():
     return MLPClassifier(12, (8,), 3, seed=5)
 
 
-def _layernorm_first():
-    return Sequential(LayerNorm(12), Dense(12, 8, seed=5), ReLU(), Dense(8, 3, seed=6))
+def _batchnorm_first():
+    return Sequential(BatchNorm(12), Dense(12, 8, seed=5), ReLU(), Dense(8, 3, seed=6))
 
 
 def _train_ten_steps(comm, factory, sharding, oracle):
@@ -272,7 +251,7 @@ def _train_ten_steps(comm, factory, sharding, oracle):
 
 
 @pytest.mark.parametrize("sharding", ["none", "zero1"])
-@pytest.mark.parametrize("factory", [_mlp, _layernorm_first])
+@pytest.mark.parametrize("factory", [_mlp, _batchnorm_first])
 def test_distributed_sgd_matches_the_all_flags_true_oracle(factory, sharding):
     runs = {
         oracle: launch(_train_ten_steps, 2, factory, sharding, oracle, backend="thread")
@@ -288,29 +267,19 @@ def test_distributed_sgd_matches_the_all_flags_true_oracle(factory, sharding):
 # ---------------------------------------------------------------------------
 # the eval-mode contract, for every layer and model class
 # ---------------------------------------------------------------------------
-_CACHE_ATTRS = ("_cache", "_mask", "_input", "_output", "_tokens", "_input_shape")
+_CACHE_ATTRS = ("_cache", "_mask", "_input", "_input_shape")
 
 EVAL_CASES = {
     "Dense": (lambda: Dense(5, 3, seed=0), _x(4, 5)),
     "ReLU": (ReLU, _x(4, 5)),
-    "Sigmoid": (Sigmoid, _x(4, 5)),
-    "Tanh": (Tanh, _x(4, 5)),
     "Conv2D": (lambda: Conv2D(2, 3, seed=0), _x(2, 2, 4, 4)),
     "BatchNorm-2d": (lambda: BatchNorm(5), _x(4, 5)),
     "BatchNorm-4d": (lambda: BatchNorm(2), _x(2, 2, 4, 4)),
-    "LayerNorm": (lambda: LayerNorm(5), _x(4, 5)),
-    "MaxPool2D": (MaxPool2D, _x(2, 2, 4, 4)),
-    "AvgPool2D": (AvgPool2D, _x(2, 2, 4, 4)),
     "GlobalAvgPool2D": (GlobalAvgPool2D, _x(2, 2, 4, 4)),
     "Dropout": (lambda: Dropout(0.5, seed=0), _x(4, 5)),
     "Dropout-rate0": (lambda: Dropout(0.0), _x(4, 5)),
-    "Flatten": (Flatten, _x(4, 5, 2)),
-    "Embedding": (lambda: Embedding(7, 3, seed=0), _TOKENS),
     "LSTMCell": (lambda: LSTMCell(4, 3, seed=0), _x(2, 4)),
     "LSTM": (lambda: LSTM(4, 3, seed=0), _x(2, 5, 4)),
-    "MultiHeadSelfAttention": (lambda: MultiHeadSelfAttention(8, 2, seed=0), _x(2, 3, 8)),
-    "FeedForward": (lambda: FeedForward(8, 16, seed=0), _x(2, 3, 8)),
-    "TransformerEncoderBlock": (lambda: TransformerEncoderBlock(8, 2, seed=0), _x(2, 3, 8)),
     "Sequential": (lambda: Sequential(Dense(5, 3, seed=0), BatchNorm(3), ReLU()), _x(4, 5)),
     "Residual": (lambda: Residual(Dense(5, 5, seed=0), BatchNorm(5)), _x(4, 5)),
     **{f"model-{name}": (factory, batch) for name, (factory, batch, _) in MODELS.items()},

@@ -9,28 +9,19 @@ from repro.nn import (
     Conv2D,
     Dense,
     Dropout,
-    Embedding,
-    Flatten,
     GlobalAvgPool2D,
     LSTM,
     LSTMCell,
-    MaxPool2D,
-    AvgPool2D,
-    MultiHeadSelfAttention,
     ReLU,
     Residual,
     Sequential,
-    Sigmoid,
-    Tanh,
-    TransformerEncoderBlock,
 )
-from repro.nn.layers.norm import LayerNorm
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
+from repro.nn.losses import MSELoss
 from repro.nn.module import Module, Parameter
 
 
 class _WrapLoss:
-    """Adapts a layer stack into a model with a scalar loss for grad checks."""
+    """MSE over outputs of any shape, for grad checks of unflattened layers."""
 
     def __init__(self):
         self.loss = MSELoss()
@@ -106,9 +97,8 @@ class TestDense:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("cls", [ReLU, Sigmoid, Tanh])
-    def test_gradcheck(self, cls, rng):
-        model = Sequential(Dense(4, 4, seed=2), cls(), Dense(4, 2, seed=3))
+    def test_gradcheck(self, rng):
+        model = Sequential(Dense(4, 4, seed=2), ReLU(), Dense(4, 2, seed=3))
         x = rng.normal(size=(5, 4))
         y = rng.normal(size=(5, 2))
         numerical_gradient_check(model, x, y, MSELoss(), rng)
@@ -119,10 +109,6 @@ class TestActivations:
         assert np.allclose(out, [0.0, 2.0])
         assert np.allclose(relu.backward(np.ones(2)), [0.0, 1.0])
 
-    def test_sigmoid_range(self, rng):
-        out = Sigmoid()(rng.normal(size=100) * 50)
-        assert np.all((out >= 0) & (out <= 1))
-
 
 class TestConvAndPooling:
     def test_conv_output_shape(self):
@@ -131,40 +117,20 @@ class TestConvAndPooling:
         assert out.shape == (2, 8, 4, 4)
 
     def test_conv_gradcheck(self, rng):
-        model = Sequential(Conv2D(2, 3, kernel_size=3, seed=1), Flatten())
+        model = Conv2D(2, 3, kernel_size=3, seed=1)
         x = rng.normal(size=(2, 2, 5, 5))
         y = rng.normal(size=(2, 3 * 5 * 5))
-        numerical_gradient_check(model, x, y, MSELoss(), rng)
+        numerical_gradient_check(model, x, y, _WrapLoss(), rng)
 
     def test_conv_rejects_wrong_channels(self):
         with pytest.raises(ValueError):
             Conv2D(3, 4, seed=0)(np.zeros((1, 2, 6, 6)))
 
-    def test_maxpool_forward_backward(self):
-        pool = MaxPool2D(2)
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = pool(x)
-        assert out.shape == (1, 1, 2, 2)
-        assert np.allclose(out[0, 0], [[5, 7], [13, 15]])
-        grad = pool.backward(np.ones((1, 1, 2, 2)))
-        assert grad.sum() == 4  # one gradient unit per window
-
-    def test_avgpool_and_global(self):
+    def test_global_avgpool(self):
         x = np.ones((2, 3, 4, 4))
-        assert AvgPool2D(2)(x).shape == (2, 3, 2, 2)
         out = GlobalAvgPool2D()(x)
         assert out.shape == (2, 3)
         assert np.allclose(out, 1.0)
-
-    def test_pool_requires_divisible(self):
-        with pytest.raises(ValueError):
-            MaxPool2D(3)(np.zeros((1, 1, 4, 4)))
-
-    def test_pooling_gradchecks(self, rng):
-        model = Sequential(Conv2D(1, 2, seed=0), MaxPool2D(2), Flatten())
-        x = rng.normal(size=(2, 1, 4, 4))
-        y = rng.normal(size=(2, 2 * 2 * 2))
-        numerical_gradient_check(model, x, y, MSELoss(), rng)
 
 
 class TestNormalization:
@@ -188,16 +154,10 @@ class TestNormalization:
         x = rng.normal(size=(8, 3))
         y = rng.normal(size=(8, 2))
         numerical_gradient_check(model, x, y, MSELoss(), rng)
-        conv_model = Sequential(Conv2D(1, 3, seed=0), BatchNorm(3), Flatten())
+        conv_model = Sequential(Conv2D(1, 3, seed=0), BatchNorm(3))
         xc = rng.normal(size=(4, 1, 4, 4))
         yc = rng.normal(size=(4, 3 * 16))
-        numerical_gradient_check(conv_model, xc, yc, MSELoss(), rng)
-
-    def test_layernorm_gradcheck(self, rng):
-        model = Sequential(Dense(5, 5, seed=0), LayerNorm(5), Dense(5, 2, seed=1))
-        x = rng.normal(size=(6, 5))
-        y = rng.normal(size=(6, 2))
-        numerical_gradient_check(model, x, y, MSELoss(), rng)
+        numerical_gradient_check(conv_model, xc, yc, _WrapLoss(), rng)
 
     def test_batchnorm_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -206,7 +166,7 @@ class TestNormalization:
             BatchNorm(3)(np.zeros((2, 3, 4)))
 
 
-class TestDropoutFlatten:
+class TestDropout:
     def test_dropout_eval_identity(self, rng):
         drop = Dropout(0.5, seed=0)
         drop.eval()
@@ -224,13 +184,6 @@ class TestDropoutFlatten:
     def test_dropout_invalid_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
-
-    def test_flatten_roundtrip(self, rng):
-        flat = Flatten()
-        x = rng.normal(size=(3, 2, 4))
-        out = flat(x)
-        assert out.shape == (3, 8)
-        assert flat.backward(out).shape == x.shape
 
 
 class TestResidual:
@@ -250,29 +203,6 @@ class TestResidual:
         x = rng.normal(size=(3, 4))
         y = rng.normal(size=(3, 6))
         numerical_gradient_check(block, x, y, MSELoss(), rng)
-
-
-class TestEmbedding:
-    def test_lookup_shape(self):
-        emb = Embedding(10, 4, seed=0)
-        out = emb(np.array([[0, 1], [2, 3]]))
-        assert out.shape == (2, 2, 4)
-
-    def test_gradient_accumulates_per_token(self):
-        emb = Embedding(5, 2, seed=0)
-        tokens = np.array([[1, 1, 2]])
-        emb(tokens)
-        emb.backward(np.ones((1, 3, 2)))
-        assert np.allclose(emb.W.grad[1], 2.0)  # token 1 appears twice
-        assert np.allclose(emb.W.grad[2], 1.0)
-        assert np.allclose(emb.W.grad[0], 0.0)
-
-    def test_rejects_invalid_tokens(self):
-        emb = Embedding(5, 2, seed=0)
-        with pytest.raises(ValueError):
-            emb(np.array([[7]]))
-        with pytest.raises(TypeError):
-            emb(np.array([[0.5]]))
 
 
 class TestLSTM:
@@ -320,50 +250,3 @@ class TestLSTM:
         lstm = LSTM(2, 3, seed=0)
         with pytest.raises(ValueError):
             lstm.forward(rng.normal(size=(2, 4, 2)), lengths=np.array([5, 1]))
-
-
-class TestAttention:
-    def test_attention_shapes_and_mask(self, rng):
-        attn = MultiHeadSelfAttention(8, num_heads=2, seed=0)
-        x = rng.normal(size=(2, 5, 8))
-        mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
-        out = attn.forward(x, mask=mask)
-        assert out.shape == (2, 5, 8)
-
-    def test_attention_gradcheck(self, rng):
-        class Wrapper(Module):
-            def __init__(self):
-                super().__init__()
-                self.attn = MultiHeadSelfAttention(4, num_heads=2, seed=1)
-
-            def forward(self, x):
-                return self.attn.forward(x)
-
-            def backward(self, grad):
-                return self.attn.backward(grad)
-
-        model = Wrapper()
-        x = rng.normal(size=(2, 3, 4))
-        y = rng.normal(size=(2, 3 * 4))
-        numerical_gradient_check(model, x, y, _WrapLoss(), rng, tol=1e-3)
-
-    def test_encoder_block_gradcheck(self, rng):
-        class Wrapper(Module):
-            def __init__(self):
-                super().__init__()
-                self.block = TransformerEncoderBlock(4, num_heads=2, seed=2)
-
-            def forward(self, x):
-                return self.block.forward(x)
-
-            def backward(self, grad):
-                return self.block.backward(grad)
-
-        model = Wrapper()
-        x = rng.normal(size=(2, 3, 4))
-        y = rng.normal(size=(2, 12))
-        numerical_gradient_check(model, x, y, _WrapLoss(), rng, tol=1e-3)
-
-    def test_dim_must_divide_heads(self):
-        with pytest.raises(ValueError):
-            MultiHeadSelfAttention(6, num_heads=4)

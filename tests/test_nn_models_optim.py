@@ -15,24 +15,17 @@ from repro.nn import (
     MomentumSGD,
     MSELoss,
     SGD,
-    Sequential,
     SoftmaxCrossEntropyLoss,
-    StepDecayLR,
-    WarmupLR,
-    accuracy,
     assign_flat_gradients,
     assign_flat_parameters,
     flatten_gradients,
     flatten_parameters,
-    parameter_count,
     topk_accuracy,
 )
 from repro.nn.models import (
     HyperplaneMLP,
     MLPClassifier,
-    ResNetClassifier,
     SequenceLSTMClassifier,
-    TransformerClassifier,
     resnet_cifar,
     resnet_imagenet_lite,
 )
@@ -84,7 +77,6 @@ class TestMetrics:
         labels = np.array([1, 2])
         assert topk_accuracy(logits, labels, k=1) == pytest.approx(0.5)
         assert topk_accuracy(logits, labels, k=3) == pytest.approx(1.0)
-        assert accuracy(logits, labels) == pytest.approx(0.5)
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -104,7 +96,7 @@ class TestParameterFlattening:
     def test_roundtrip(self, rng):
         model = MLPClassifier(6, (5,), 3, seed=0)
         flat = flatten_parameters(model)
-        assert flat.size == model.num_parameters() == parameter_count(model)
+        assert flat.size == model.num_parameters()
         new = rng.normal(size=flat.size)
         assign_flat_parameters(model, new)
         assert np.allclose(flatten_parameters(model), new)
@@ -169,14 +161,6 @@ class TestOptimizers:
 
     def test_schedules(self):
         assert ConstantLR(0.1).lr(100) == 0.1
-        sched = StepDecayLR(1.0, milestones=[10, 20], factor=0.1)
-        assert sched.lr(5) == 1.0
-        assert sched.lr(15) == pytest.approx(0.1)
-        assert sched.lr(25) == pytest.approx(0.01)
-        warm = WarmupLR(ConstantLR(1.0), warmup_steps=10)
-        assert warm.lr(0) == pytest.approx(0.1)
-        assert warm.lr(9) == pytest.approx(1.0)
-        assert warm.lr(50) == 1.0
 
     def test_invalid_hyperparameters(self):
         model = self._quadratic_setup()
@@ -184,8 +168,6 @@ class TestOptimizers:
         for build, value in [
             (lambda: SGD(model, -1.0), "-1.0"),
             (lambda: SGD(model, 0.1, weight_decay=-0.5), "-0.5"),
-            (lambda: StepDecayLR(0.0, milestones=[1]), "0.0"),
-            (lambda: WarmupLR(ConstantLR(0.1), warmup_steps=-3), "-3"),
             (lambda: MomentumSGD(model, 0.1, momentum=1.5), "1.5"),
             (lambda: MomentumSGD(model, 0.1, weight_decay=-0.25), "-0.25"),
             (lambda: Adam(model, 0.1, beta1=1.0), "beta1=1.0"),
@@ -265,22 +247,6 @@ class TestModels:
         assert out.shape == (3, 4)
         y = rng.integers(0, 4, 3)
         numerical_gradient_check(model, batch, y, SoftmaxCrossEntropyLoss(), rng, tol=1e-3)
-
-    def test_transformer_classifier(self, rng):
-        model = TransformerClassifier(
-            vocab_size=30, dim=8, num_heads=2, num_layers=1, num_classes=3,
-            max_len=16, seed=0,
-        )
-        batch = {"tokens": rng.integers(0, 30, (2, 6)), "lengths": np.array([6, 3])}
-        out = model.forward(batch)
-        assert out.shape == (2, 3)
-        y = rng.integers(0, 3, 2)
-        numerical_gradient_check(model, batch, y, SoftmaxCrossEntropyLoss(), rng, tol=1e-3)
-
-    def test_transformer_rejects_too_long(self, rng):
-        model = TransformerClassifier(vocab_size=10, dim=8, max_len=4, seed=0)
-        with pytest.raises(ValueError):
-            model.forward({"tokens": rng.integers(0, 10, (1, 8))})
 
     def test_identical_seeds_give_identical_models(self):
         a = resnet_cifar(width=4, seed=9)

@@ -13,6 +13,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.backend import available_backends, launch
 from repro.obs import recorder as rec_mod
@@ -181,6 +183,34 @@ class TestMetrics:
         for p in (50, 99):
             exact = float(np.percentile(pooled, p))
             assert abs(a.percentile(p) - exact) / exact < 0.01
+
+    @given(
+        values=st.lists(
+            st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=200
+        ),
+        cuts=st.lists(st.integers(0, 200), max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_merged_parts_equal_the_whole_stream(self, values, cuts):
+        whole = LogHistogram()
+        whole.extend(values)
+        bounds = sorted({min(c, len(values)) for c in cuts} | {0, len(values)})
+        merged = LogHistogram()
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = LogHistogram()
+            part.extend(values[lo:hi])
+            merged.merge(part)
+        assert merged.to_dict()["buckets"] == whole.to_dict()["buckets"]
+        assert (merged.count, merged.min, merged.max) == (
+            whole.count, whole.min, whole.max,
+        )
+        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
+
+    def test_histogram_merge_rejects_another_layout(self):
+        with pytest.raises(ValueError, match="growth 1.015 vs 1.02"):
+            LogHistogram().merge(LogHistogram(growth=1.02))
+        with pytest.raises(ValueError, match="min_value 1e-09 vs 1e-06"):
+            LogHistogram().merge(LogHistogram(min_value=1e-6))
 
     def test_merge_snapshots_across_ranks(self, rng):
         snaps = []

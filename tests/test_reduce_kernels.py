@@ -31,15 +31,6 @@ def _ulp_bound(dtype, reference):
     )
 
 
-class TestWidenedDtype:
-    def test_fp16_widens_to_fp32(self):
-        assert reduce_kernels.widened_dtype(np.float16) == np.dtype(np.float32)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32, np.uint16])
-    def test_wide_dtypes_have_no_kernel(self, dtype):
-        assert reduce_kernels.widened_dtype(dtype) is None
-
-
 class TestCombineInto:
     @pytest.mark.parametrize("op", [SUM, PROD, MAX, MIN, AVG])
     @pytest.mark.parametrize("seed", [0, 1, 2])

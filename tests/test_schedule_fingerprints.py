@@ -22,7 +22,7 @@ from typing import Dict
 
 import pytest
 
-from repro.analysis.recording import record_run
+from repro.analysis.recording import RecordingWorld
 from repro.analysis.schedule_verifier import VerifyCase, build_cases
 
 WORLD_SIZES = (2, 3, 4, 5, 8)
@@ -31,10 +31,10 @@ DATA_FILE = Path(__file__).parent / "data" / "schedule_fingerprints.json"
 
 def fingerprint(case: VerifyCase) -> str:
     """Hash of the per-rank ordered message lists of one recorded run."""
-    record = record_run(
-        case.fn, case.world_size, host_topology=case.host_topology,
+    record = RecordingWorld(
+        case.world_size, host_topology=case.host_topology,
         recv_timeout=case.recv_timeout,
-    )
+    ).run(case.fn)
     assert not record.crashed and not record.starved(), (case.name, record.errors)
     per_rank = [[] for _ in range(case.world_size)]
     for event in sorted(record.events, key=lambda e: (e.rank, e.order)):

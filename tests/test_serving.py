@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.collectives.sync import allreduce
-from repro.comm import ANY_SOURCE, SubsetCommunicator, launch, split_world, tags
+from repro.comm import ANY_SOURCE, SubsetCommunicator, launch, tags
 from repro.nn.models.mlp import HyperplaneMLP
 from repro.nn.optim import SGD
 from repro.nn.parameters import flatten_gradients, flatten_parameters
@@ -146,9 +146,7 @@ class TestDynamicBatcher:
 # subset communicator
 # ---------------------------------------------------------------------------
 def _split_collectives(comm):
-    groups = [[0, 1, 2], [3, 4]]
-    views = split_world(comm, groups)
-    sub = next(v for v in views if v is not None)
+    sub = SubsetCommunicator(comm, [0, 1, 2] if comm.rank < 3 else [3, 4])
     # Independent allreduce per subset, concurrently on one fabric.
     total = allreduce(sub, np.array([float(comm.rank)]), average=False)
     sub.barrier()
@@ -167,7 +165,7 @@ def _wildcard_rejected(comm):
 
 
 class TestSubsetCommunicator:
-    def test_split_world_collectives_are_independent(self):
+    def test_disjoint_subset_collectives_are_independent(self):
         results = launch(_split_collectives, 5, backend="thread")
         for rank in (0, 1, 2):
             view_rank, size, total, members = results[rank]
@@ -194,8 +192,6 @@ class TestSubsetCommunicator:
             SubsetCommunicator(FakeComm(), [0, 0])  # duplicate
         with pytest.raises(ValueError):
             SubsetCommunicator(FakeComm(), [0, 9])  # outside world
-        with pytest.raises(ValueError):
-            split_world(FakeComm(), [[0, 1], [1, 2]])  # overlap
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ Covers the sharded-exchange subsystem end to end:
   (same seeds, fp64), while per-rank optimizer state shrinks ~P-fold.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nn as nn
 from repro.collectives.sharding import (
@@ -91,6 +95,39 @@ class TestShardBounds:
             shard_bounds(-1, 4)
         with pytest.raises(ValueError):
             shard_bounds(10, 4, "nope")
+
+    def test_unknown_algorithm_rejected_at_size_one(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            shard_bounds(10, 1, "bogus")
+
+    def test_unknown_algorithm_lists_each_name_once(self):
+        with pytest.raises(ValueError) as info:
+            shard_bounds(10, 2, "bogus")
+        listed = re.search(r"available: \[(.*)\]", str(info.value)).group(1)
+        names = [name.strip(" '") for name in listed.split(",")]
+        assert names == sorted(set(names)) and "ring" in names
+
+    @given(
+        length=st.integers(0, 5000),
+        hosts=st.lists(st.integers(1, 8), min_size=1, max_size=8),
+        algorithm=st.sampled_from(["ring", "halving", "hierarchical"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_windows_partition_the_vector(self, length, hosts, algorithm):
+        size = sum(hosts)
+        topology = HostTopology.from_hosts(hosts)
+        bounds = shard_bounds(length, size, algorithm, topology=topology)
+        assert len(bounds) == size
+        covered = np.zeros(length, dtype=int)
+        for lo, hi in bounds:
+            assert 0 <= lo <= hi <= length
+            covered[lo:hi] += 1
+        assert np.all(covered == 1)
+        if algorithm == "halving":
+            pof2 = 1 << (size.bit_length() - 1)
+            assert bounds[pof2:] == [(0, 0)] * (size - pof2)
+            if length >= pof2:
+                assert sum(lo == hi for lo, hi in bounds) == size - pof2
 
 
 class TestShardWindows:

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine and the analytic latency models."""
+"""Tests for the analytic latency models and the training-time projector."""
 
 import numpy as np
 import pytest
@@ -7,31 +7,23 @@ from hypothesis import strategies as st
 
 from repro.simtime import (
     DEFAULT_NETWORK,
-    EventQueue,
     LogGPParams,
-    Simulator,
     StepTimeline,
     activation_time,
     allreduce_time,
     broadcast_time,
-    constant_arrivals,
     linear_skew,
-    lognormal_noise,
     majority_allreduce_latencies,
     message_time,
     project_training_time,
-    random_linear_skew,
-    simulate_partial_allreduce,
     solo_allreduce_latencies,
     synchronous_allreduce_latencies,
 )
 from repro.simtime.collective_model import (
     fused_exchange_time,
-    hierarchical_allreduce_time,
     hierarchical_fused_exchange_time,
     quorum_allreduce_latencies,
 )
-from repro.simtime.skew import delayed_subset
 
 
 class TestNetworkModel:
@@ -75,8 +67,8 @@ class TestTwoTierModel:
 
     def test_single_host_degenerates_to_flat_ring(self):
         nbytes = 1024 * 1024
-        assert hierarchical_allreduce_time(
-            nbytes, [8], DEFAULT_NETWORK, self.SLOW_INTER, n_chunks=2
+        assert hierarchical_fused_exchange_time(
+            [nbytes], [8], DEFAULT_NETWORK, self.SLOW_INTER, n_chunks=2
         ) == allreduce_time(nbytes, 8, "ring", DEFAULT_NETWORK, n_chunks=2)
         buckets = [256 * 1024] * 4
         assert hierarchical_fused_exchange_time(
@@ -84,14 +76,14 @@ class TestTwoTierModel:
         ) == fused_exchange_time(buckets, 8, "ring", DEFAULT_NETWORK, n_chunks=2)
 
     def test_grows_with_bytes_and_slower_inter_link(self):
-        fast = hierarchical_allreduce_time(
-            64 * 1024, [4, 4], DEFAULT_NETWORK, DEFAULT_NETWORK
+        fast = hierarchical_fused_exchange_time(
+            [64 * 1024], [4, 4], DEFAULT_NETWORK, DEFAULT_NETWORK
         )
-        slow = hierarchical_allreduce_time(
-            64 * 1024, [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
+        slow = hierarchical_fused_exchange_time(
+            [64 * 1024], [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
         )
-        big = hierarchical_allreduce_time(
-            4 * 1024 * 1024, [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
+        big = hierarchical_fused_exchange_time(
+            [4 * 1024 * 1024], [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
         )
         assert 0 < fast < slow < big
 
@@ -101,8 +93,8 @@ class TestTwoTierModel:
         # hierarchical schedule only crosses it on the 2-leader ring.
         nbytes = 4 * 1024 * 1024
         flat_over_slow = allreduce_time(nbytes, 8, "ring", self.SLOW_INTER)
-        hier = hierarchical_allreduce_time(
-            nbytes, [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
+        hier = hierarchical_fused_exchange_time(
+            [nbytes], [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
         )
         assert hier < flat_over_slow
 
@@ -117,79 +109,20 @@ class TestTwoTierModel:
         assert 0 < compressed < full
 
     def test_non_uniform_hosts_accepted(self):
-        t = hierarchical_allreduce_time(
-            1024 * 1024, (4, 2, 2), DEFAULT_NETWORK, self.SLOW_INTER
+        t = hierarchical_fused_exchange_time(
+            [1024 * 1024], (4, 2, 2), DEFAULT_NETWORK, self.SLOW_INTER
         )
         assert t > 0
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            hierarchical_allreduce_time(1024, [], DEFAULT_NETWORK, self.SLOW_INTER)
+            hierarchical_fused_exchange_time([1024], [], DEFAULT_NETWORK, self.SLOW_INTER)
         with pytest.raises(ValueError):
-            hierarchical_allreduce_time(1024, [2, 0], DEFAULT_NETWORK, self.SLOW_INTER)
+            hierarchical_fused_exchange_time([1024], [2, 0], DEFAULT_NETWORK, self.SLOW_INTER)
         with pytest.raises(ValueError):
             hierarchical_fused_exchange_time(
                 [1024], [2, 2], DEFAULT_NETWORK, self.SLOW_INTER, inter_scale=0.0
             )
-
-
-class TestEngine:
-    def test_event_queue_ordering(self):
-        q = EventQueue()
-        order = []
-        q.push(2.0, lambda: order.append("late"))
-        q.push(1.0, lambda: order.append("early"))
-        q.push(1.0, lambda: order.append("early2"))
-        while q:
-            q.pop().callback()
-        assert order == ["early", "early2", "late"]
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(-1.0, lambda: None)
-
-    def test_wait_and_send_recv(self):
-        sim = Simulator()
-        log = {}
-
-        def sender(simulator, pid):
-            yield ("wait", 0.5)
-            yield ("send", 1, "hello", 100)
-            log["sender_done"] = simulator.now
-
-        def receiver(simulator, pid):
-            msg = yield ("recv",)
-            log["received"] = (msg, simulator.now)
-
-        sim.add_process(0, sender)
-        sim.add_process(1, receiver)
-        sim.run()
-        msg, t = log["received"]
-        assert msg == "hello"
-        assert t >= 0.5
-        assert sim.messages_sent == 1
-
-    def test_unknown_command(self):
-        sim = Simulator()
-
-        def bad(simulator, pid):
-            yield ("fly",)
-
-        sim.add_process(0, bad)
-        with pytest.raises(ValueError):
-            sim.run()
-
-    def test_finish_times(self):
-        sim = Simulator()
-
-        def proc(simulator, pid):
-            yield ("wait", 0.1 * (pid + 1))
-
-        for pid in range(3):
-            sim.add_process(pid, proc)
-        sim.run()
-        times = sim.finish_times()
-        assert times[0] < times[1] < times[2]
 
 
 class TestSkew:
@@ -197,24 +130,9 @@ class TestSkew:
         arr = linear_skew(4, 2.0)
         assert np.allclose(arr, [0.0, 0.002, 0.004, 0.006])
 
-    def test_random_linear_skew_is_permutation(self):
-        arr = random_linear_skew(8, 1.0, seed=3)
-        assert np.allclose(sorted(arr), linear_skew(8, 1.0))
-
-    def test_constant_and_lognormal(self):
-        assert np.allclose(constant_arrivals(3, 5.0), 0.005)
-        noise = lognormal_noise(1000, median_ms=100.0, sigma=0.2, seed=1)
-        assert 0.08 < np.median(noise) < 0.12
-
-    def test_delayed_subset(self):
-        arr = delayed_subset(10, 3, 200.0, seed=0)
-        assert np.sum(arr > 0.1) == 3
-
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             linear_skew(0)
-        with pytest.raises(ValueError):
-            delayed_subset(4, 5, 10.0)
 
 
 class TestCollectiveLatencyModel:
@@ -270,41 +188,6 @@ class TestCollectiveLatencyModel:
         solo = solo_allreduce_latencies(arrivals, nbytes)
         overhead = activation_time(size) + RESULT_CHECK_OVERHEAD
         assert solo.average_latency <= sync.average_latency + overhead + 1e-12
-
-
-class TestCollectiveSimulation:
-    def test_simulation_matches_analytic_model_sync(self):
-        arrivals = linear_skew(16, 1.0)
-        sim = simulate_partial_allreduce(arrivals, 4096, "sync")
-        ana = synchronous_allreduce_latencies(arrivals, 4096)
-        assert sim.latencies.mean() == pytest.approx(ana.average_latency, rel=0.15)
-
-    def test_simulation_matches_analytic_model_solo(self):
-        arrivals = linear_skew(16, 1.0)
-        sim = simulate_partial_allreduce(arrivals, 4096, "solo")
-        ana = solo_allreduce_latencies(arrivals, 4096)
-        assert sim.num_active == ana.num_active == 1
-        # Late ranks pay only the check overhead in both models.
-        assert sim.latencies.mean() == pytest.approx(ana.average_latency, rel=0.5)
-
-    def test_majority_designated_initiator(self):
-        arrivals = linear_skew(8, 1.0)
-        sim = simulate_partial_allreduce(arrivals, 1024, "majority", initiator=4)
-        assert sim.initiator == 4
-        assert sim.num_active >= 5  # ranks 0..4 arrived before the initiator
-
-    def test_quorum_mode_string(self):
-        arrivals = linear_skew(8, 1.0)
-        sim = simulate_partial_allreduce(arrivals, 1024, "quorum:4")
-        assert sim.num_active >= 4
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_partial_allreduce(linear_skew(6, 1.0), 64, "solo")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_partial_allreduce(linear_skew(4, 1.0), 64, "bogus")
 
 
 class TestTrainingProjection:

@@ -1,8 +1,27 @@
 """The global tag-region map: disjointness, bounds, round-trips."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import tags
+
+#: Mint, decode, region and per-field capacity of each four-field layout.
+_LAYOUTS = {
+    "sync": (
+        tags.sync_tag, tags.decode_sync_tag, tags.SYNC,
+        (tags.SYNC_MAX_EPOCHS, tags.SYNC_MAX_PHASES,
+         tags.SYNC_MAX_ROUNDS, tags.SYNC_MAX_CHUNKS),
+    ),
+    "sharding": (
+        tags.sharding_tag, tags.decode_sharding_tag, tags.SHARDING,
+        (tags.SHARDING_MAX_EPOCHS, tags.SHARDING_MAX_PHASES,
+         tags.SHARDING_MAX_ROUNDS, tags.SHARDING_MAX_CHUNKS),
+    ),
+}
+_FIELD_WORDS = ("epoch", "phase", "round", "chunk")
 
 
 def test_regions_are_pairwise_disjoint():
@@ -64,6 +83,41 @@ def test_sync_tag_validates_every_field():
         tags.sync_tag(0, 0, tags.SYNC_MAX_ROUNDS, 0)
     with pytest.raises(ValueError, match="chunk"):
         tags.sync_tag(0, 0, 0, tags.SYNC_MAX_CHUNKS)
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_tag_round_trips_over_every_field_range(layout, data):
+    mint, decode, region, limits = _LAYOUTS[layout]
+    fields = tuple(data.draw(st.integers(0, limit - 1)) for limit in limits)
+    tag = mint(*fields)
+    assert tag in region
+    assert tuple(decode(tag)) == fields
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_out_of_range_field_raises_with_its_value(layout, data):
+    mint, _, _, limits = _LAYOUTS[layout]
+    fields = [data.draw(st.integers(0, limit - 1)) for limit in limits]
+    field = data.draw(st.integers(0, len(limits) - 1))
+    bad = data.draw(
+        st.integers(max_value=-1) | st.integers(min_value=limits[field])
+    )
+    fields[field] = bad
+    pattern = rf"{_FIELD_WORDS[field]} {re.escape(str(bad))} outside"
+    with pytest.raises(ValueError, match=pattern):
+        mint(*fields)
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_decode_rejects_a_tag_outside_its_region(layout):
+    _, decode, region, _ = _LAYOUTS[layout]
+    for tag in (region.lo - 1, region.hi):
+        with pytest.raises(ValueError, match=str(tag)):
+            decode(tag)
 
 
 def test_max_sync_tag_is_int64_safe():

@@ -1,6 +1,5 @@
 """Tests for the communication topologies used by the collectives."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +9,10 @@ from repro.collectives.topology import (
     activation_children,
     bcast_order,
     binomial_tree_children,
-    binomial_tree_level,
     binomial_tree_parent,
-    hypercube_neighbors,
     intra_bcast_edges,
     intra_reduce_edges,
-    is_power_of_two,
     largest_power_of_two_leq,
-    leader_ring_neighbors,
-    recursive_doubling_rounds,
-    ring_neighbors,
     tree_depth,
 )
 
@@ -44,16 +37,17 @@ class TestBinomialTree:
                 assert len(set(receivers)) == size - 1
                 assert root not in receivers
 
-    def test_level_counts_hops(self):
-        assert binomial_tree_level(0, 8) == 0
-        assert binomial_tree_level(7, 8) == 3  # 7 = 0b111
-        assert binomial_tree_level(4, 8) == 1
-
     def test_depth(self):
         assert tree_depth(1) == 0
         assert tree_depth(2) == 1
         assert tree_depth(8) == 3
         assert tree_depth(9) == 4
+
+    def test_largest_power_of_two_leq(self):
+        assert largest_power_of_two_leq(1) == 1
+        assert largest_power_of_two_leq(9) == 8
+        with pytest.raises(ValueError):
+            largest_power_of_two_leq(0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -118,40 +112,6 @@ class TestActivationChildren:
         assert activation_children(0, -1, 1) == []
 
 
-class TestRecursiveDoubling:
-    def test_partners_power_of_two(self):
-        assert recursive_doubling_rounds(0, 8) == [1, 2, 4]
-        assert recursive_doubling_rounds(5, 8) == [4, 7, 1]
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            recursive_doubling_rounds(0, 6)
-
-    def test_partnership_is_symmetric(self):
-        size = 16
-        for k in range(4):
-            for rank in range(size):
-                partner = recursive_doubling_rounds(rank, size)[k]
-                assert recursive_doubling_rounds(partner, size)[k] == rank
-
-    def test_hypercube_alias(self):
-        assert hypercube_neighbors(3, 8) == recursive_doubling_rounds(3, 8)
-
-
-class TestMisc:
-    def test_ring_neighbors(self):
-        assert ring_neighbors(0, 4) == (3, 1)
-        assert ring_neighbors(3, 4) == (2, 0)
-
-    def test_power_of_two_helpers(self):
-        assert is_power_of_two(1) and is_power_of_two(64)
-        assert not is_power_of_two(0) and not is_power_of_two(12)
-        assert largest_power_of_two_leq(1) == 1
-        assert largest_power_of_two_leq(9) == 8
-        with pytest.raises(ValueError):
-            largest_power_of_two_leq(0)
-
-
 # The non-uniform layouts the hierarchical schedules must get right:
 # a 3+1 world (one host degenerates to a lone leader) and a 4+2+2 world
 # (three hosts of different sizes, leader ring of length 3).
@@ -194,9 +154,6 @@ class TestHostTopology:
         assert topo.leaders == (0, 3)
         assert [topo.is_leader(r) for r in range(4)] == [True, False, False, True]
         assert topo.local_index(2) == 2 and topo.local_index(3) == 0
-        assert topo.leader_index(3) == 1
-        with pytest.raises(ValueError):
-            topo.leader_index(1)  # not a leader
 
     def test_four_two_two_rank_queries(self):
         topo = FOUR_TWO_TWO
@@ -242,15 +199,6 @@ class TestHostTopology:
             down = intra_bcast_edges(topo, host)
             up = intra_reduce_edges(topo, host)
             assert up == [(dst, src) for src, dst in reversed(down)]
-
-    def test_leader_ring(self):
-        assert leader_ring_neighbors(THREE_PLUS_ONE, 0) == (3, 3)
-        assert leader_ring_neighbors(THREE_PLUS_ONE, 3) == (0, 0)
-        assert leader_ring_neighbors(FOUR_TWO_TWO, 0) == (6, 4)
-        assert leader_ring_neighbors(FOUR_TWO_TWO, 4) == (0, 6)
-        assert leader_ring_neighbors(FOUR_TWO_TWO, 6) == (4, 0)
-        with pytest.raises(ValueError):
-            leader_ring_neighbors(FOUR_TWO_TWO, 5)  # not a leader
 
     @given(
         counts=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5)

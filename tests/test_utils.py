@@ -1,6 +1,4 @@
-"""Tests for repro.utils (rng, timers, statistics)."""
-
-import math
+"""Tests for repro.utils (rng, statistics)."""
 
 import numpy as np
 import pytest
@@ -9,13 +7,10 @@ from hypothesis import strategies as st
 
 from repro.utils.rng import (
     DEFAULT_SEED,
-    choice_without_replacement,
     rank_seed,
     seeded_rng,
-    spawn_rngs,
 )
 from repro.utils.stats import DistributionSummary, Histogram, RunningStat, summarize
-from repro.utils.timer import Timer, VirtualClock
 
 
 class TestRng:
@@ -42,22 +37,6 @@ class TestRng:
 
     def test_rank_seed_stream_changes_seed(self):
         assert rank_seed(5, 3, stream=0) != rank_seed(5, 3, stream=1)
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(9, 4)
-        draws = [g.random() for g in rngs]
-        assert len(set(draws)) == 4
-
-    def test_spawn_rngs_from_generator(self):
-        rngs = spawn_rngs(np.random.default_rng(0), 3)
-        assert len(rngs) == 3
-
-    def test_choice_without_replacement_bounds(self):
-        rng = seeded_rng(0)
-        picks = choice_without_replacement(rng, 10, 5)
-        assert len(set(picks.tolist())) == 5
-        with pytest.raises(ValueError):
-            choice_without_replacement(rng, 3, 5)
 
 
 class TestRunningStat:
@@ -128,51 +107,3 @@ class TestSummarize:
 
     def test_str_contains_stats(self):
         assert "mean=" in str(summarize([1.0, 2.0]))
-
-
-class TestTimers:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        first = t.elapsed
-        with t:
-            pass
-        assert t.elapsed >= first >= 0.0
-
-    def test_timer_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_timer_double_start_raises(self):
-        # Regression: start() used to silently discard the in-flight
-        # interval, corrupting accumulated timings.
-        t = Timer().start()
-        with pytest.raises(RuntimeError, match="already running"):
-            t.start()
-        t.stop()  # the original interval is still intact
-        assert t.elapsed >= 0.0
-        t.start()  # restartable after a clean stop
-        t.stop()
-
-    def test_virtual_clock_advance(self):
-        clock = VirtualClock()
-        clock.advance(1.5)
-        clock.advance_to(1.0)  # no-op: in the past
-        assert clock.now == pytest.approx(1.5)
-        clock.advance_to(2.0)
-        assert clock.now == pytest.approx(2.0)
-
-    def test_virtual_clock_rejects_negative(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1)
-
-    def test_virtual_clock_checkpoints(self):
-        clock = VirtualClock()
-        clock.advance(1.0)
-        clock.checkpoint()
-        clock.advance(2.0)
-        clock.checkpoint()
-        assert clock.checkpoints == [1.0, 3.0]
-        clock.reset()
-        assert clock.now == 0.0 and clock.checkpoints == []

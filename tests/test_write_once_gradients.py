@@ -21,11 +21,9 @@ from repro.nn import (
     Adam,
     BatchNorm,
     Dense,
-    Embedding,
     ReLU,
     Sequential,
 )
-from repro.nn.layers.norm import LayerNorm
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
 from repro.nn.models import MLPClassifier
 from repro.nn.parameters import flatten_gradients, flatten_parameters
@@ -101,16 +99,8 @@ def test_flatten_gradients_right_after_zero_grad_is_zeros():
 
 
 CHAINS = {
-    "embedding": (
-        lambda: Sequential(Embedding(7, 4, seed=0), Dense(4, 2, seed=1)),
-        np.array([[1, 4, 2, 1], [3, 3, 6, 5]]),
-    ),
     "batchnorm": (
         lambda: Sequential(Dense(6, 5, seed=0), BatchNorm(5), ReLU(), Dense(5, 3, seed=1)),
-        _x(8, 6),
-    ),
-    "layernorm": (
-        lambda: Sequential(Dense(6, 5, seed=0), LayerNorm(5), Dense(5, 3, seed=1)),
         _x(8, 6),
     ),
     "lstm": (lambda: Sequential(LSTM(4, 3, seed=0), Dense(3, 2, seed=1)), _x(2, 5, 4)),
