@@ -270,14 +270,6 @@ def check_tag_soundness(
                     f"sync tag {e.tag} does not round-trip through the "
                     f"(epoch, phase, round, chunk) layout: {fields}",
                 ))
-        elif reg.name == tags.SHARDING.name:
-            fields = tags.decode_sharding_tag(e.tag)
-            if tags.sharding_tag(*fields) != e.tag:
-                violations.append(Violation(
-                    case, "tags",
-                    f"sharding tag {e.tag} does not round-trip through the "
-                    f"(epoch, phase, round, chunk) layout: {fields}",
-                ))
     return violations
 
 
@@ -422,7 +414,6 @@ def check_reduction_coverage(
 # case model
 # ---------------------------------------------------------------------------
 _REGIONS_SYNC = frozenset({tags.SYNC.name})
-_REGIONS_SHARDING = frozenset({tags.SHARDING.name})
 _REGIONS_BARRIER = frozenset({tags.BARRIER.name})
 _REGIONS_SERVING = frozenset({tags.SERVING.name})
 _REGIONS_TELEMETRY = frozenset({tags.TELEMETRY.name})
@@ -632,7 +623,6 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
                 world_size=size,
                 fn=fn_rs,
                 expected=expect_window,
-                regions=_REGIONS_SHARDING,
             ))
 
             def fn_rs_ag(comm, _a=algorithm, _c=n_chunks, _p=size):
@@ -650,7 +640,6 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
                 world_size=size,
                 fn=fn_rs_ag,
                 expected=lambda rank, _t=total: _t,
-                regions=_REGIONS_SHARDING,
             ))
 
     for label, topology in _hier_topologies(size):
@@ -667,7 +656,6 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
             world_size=size,
             fn=fn_rs_ag_hier,
             expected=lambda rank, _t=total: _t,
-            regions=_REGIONS_SHARDING,
             host_topology=topology,
         ))
 
@@ -687,8 +675,27 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
             world_size=size,
             fn=fn_rs_ag_comp,
             expected=lambda rank, _t=unit_total_shard: _t,
-            regions=_REGIONS_SHARDING,
         ))
+
+    # Dense, split and sharded collectives draw their epochs from one
+    # counter: interleaved on one communicator, no two of them may mint
+    # the same tag (match-completeness would report the ambiguous match).
+    def fn_interleaved(comm, _p=size):
+        dense = sync.allreduce(comm, contribution(comm.rank, _p), algorithm="ring")
+        flat, _ = _sharding.reduce_scatter(
+            comm, contribution(comm.rank, _p), algorithm="ring"
+        )
+        doubled = sync.allreduce(
+            comm, contribution(comm.rank, _p), algorithm="recursive_doubling"
+        )
+        gathered = _sharding.allgather_flat(comm, flat, algorithm="ring")
+        return np.concatenate([dense, doubled, gathered])
+    cases.append(VerifyCase(
+        name="interleaved[allreduce+reduce_scatter+allreduce+allgather_flat]",
+        world_size=size,
+        fn=fn_interleaved,
+        expected=lambda rank, _t=np.tile(total, 3): _t,
+    ))
 
     def fn_barrier(comm):
         comm.barrier()
@@ -810,7 +817,6 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
                 world_size=size,
                 fn=fn_zero1,
                 expected=lambda rank, _t=z1_expected: _t,
-                regions=_REGIONS_SHARDING,
             ))
         if size >= 4:
             def fn_zero1_hier(comm, _p=size, _n=n_z1):
@@ -828,7 +834,6 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
                 world_size=size,
                 fn=fn_zero1_hier,
                 expected=lambda rank, _t=z1_expected: _t,
-                regions=_REGIONS_SHARDING,
                 host_topology=HostTopology.from_hosts(
                     [size - size // 2, size // 2]
                 ),
@@ -901,41 +906,12 @@ def check_tag_layout() -> CaseResult:
                 f"{tuple(tags.decode_sync_tag(tag))}",
             ))
 
-    sharding_samples = [
-        (0, 0, 0, 0),
-        (tags.SHARDING_MAX_EPOCHS - 1, tags.SHARDING_MAX_PHASES - 1,
-         tags.SHARDING_MAX_ROUNDS - 1, tags.SHARDING_MAX_CHUNKS - 1),
-        (54321, 11, 999, 3),
-    ]
-    for fields in sharding_samples:
-        tag = tags.sharding_tag(*fields)
-        if tag not in tags.SHARDING:
-            violations.append(Violation(
-                case, "tags",
-                f"sharding tag {tag} of {fields} escapes its region",
-            ))
-        if tuple(tags.decode_sharding_tag(tag)) != fields:
-            violations.append(Violation(
-                case, "tags",
-                f"sharding layout does not round-trip: {fields} -> {tag} -> "
-                f"{tuple(tags.decode_sharding_tag(tag))}",
-            ))
-
     overflowing = [
         ("epoch", lambda: tags.sync_tag(tags.SYNC_MAX_EPOCHS, 0, 0, 0)),
         ("epoch", lambda: tags.sync_tag(-1, 0, 0, 0)),
         ("phase", lambda: tags.sync_tag(0, tags.SYNC_MAX_PHASES, 0, 0)),
         ("round", lambda: tags.sync_tag(0, 0, tags.SYNC_MAX_ROUNDS, 0)),
         ("chunk", lambda: tags.sync_tag(0, 0, 0, tags.SYNC_MAX_CHUNKS)),
-        ("sharding epoch", lambda: tags.sharding_tag(
-            tags.SHARDING_MAX_EPOCHS, 0, 0, 0)),
-        ("sharding epoch", lambda: tags.sharding_tag(-1, 0, 0, 0)),
-        ("sharding phase", lambda: tags.sharding_tag(
-            0, tags.SHARDING_MAX_PHASES, 0, 0)),
-        ("sharding round", lambda: tags.sharding_tag(
-            0, 0, tags.SHARDING_MAX_ROUNDS, 0)),
-        ("sharding chunk", lambda: tags.sharding_tag(
-            0, 0, 0, tags.SHARDING_MAX_CHUNKS)),
         ("barrier epoch", lambda: tags.barrier_tag(
             tags.BARRIER.span // tags.BARRIER_TAGS_PER_EPOCH, 0)),
         ("partial round", lambda: tags.partial_activation_tag(

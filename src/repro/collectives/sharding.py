@@ -7,33 +7,32 @@ parameters (and allocates state only for it), and an *allgather* of the
 updated **parameters** restores the replicated model.
 
 An allreduce *is* a reduce-scatter followed by an allgather, so this
-module holds no schedule of its own: each primitive composes the phase
-functions of :mod:`repro.collectives.sync` (one body per phase, see its
-module docstring), minting tags from the dedicated ``sharding`` region
-(:func:`repro.comm.tags.sharding_tag`, layout ``(epoch, phase, round,
-chunk)``, its own per-communicator epoch counter) so sharded collectives
-can never steal messages from the ``sync`` collectives they run next to.
-Phase ids in parentheses:
+module holds no schedule of its own: ``reduce_scatter`` runs the
+reduce-scatter half of :mod:`repro.collectives.sync`'s split allreduces
+and ``allgather_flat`` the allgather half — the very two functions
+``allreduce_ring``, ``allreduce_rabenseifner`` and
+``allreduce_compressed_ring`` compose.  Each call draws one epoch of the
+communicator's collective counter, and its phases carry the ids of the
+phase table in :mod:`repro.collectives.sync`'s docstring:
 
-* **ring** — ``reduce_scatter`` = ring reduce-scatter (0),
-  ``allgather_flat`` = ring allgather (1): the two halves of
-  :func:`~repro.collectives.sync.allreduce_ring`, so composing them is
+* **ring** — ``reduce_scatter`` = ring reduce-scatter (4),
+  ``allgather_flat`` = ring allgather (5), so composing them is
   bit-identical to the full ring allreduce.  Rank ``r`` owns contiguous
   chunk ``(r + 1) % P`` — the chunk the ring's rotation lands on it.
 * **halving / doubling** — the two halves of Rabenseifner's algorithm:
-  ``reduce_scatter`` = fold-in (4), halving reduce-scatter (2);
-  ``allgather_flat`` = doubling allgather (3), fold-out (5).  Each
+  ``reduce_scatter`` = fold-in (8), halving reduce-scatter (6);
+  ``allgather_flat`` = doubling allgather (7), fold-out (9).  Each
   in-group rank owns the window the bisection walk ends on; the
   non-power-of-two extras own *empty* windows in between.
 * **hierarchical** — rides :class:`~repro.collectives.topology.HostTopology`:
-  ``reduce_scatter`` = intra-host reduce (6), ring reduce-scatter of
-  host-sized segments over the leaders (10), sub-window scatter to the
-  host's members (7); ``allgather_flat`` is the mirror image —
-  sub-window gather (8), leader ring allgather (11), intra-host
-  broadcast (9).  Only leaders touch inter-host links.
+  ``reduce_scatter`` = intra-host reduce (10), ring reduce-scatter of
+  host-sized segments over the leaders (12), sub-window scatter to the
+  host's members (14); ``allgather_flat`` is the mirror image —
+  sub-window gather (15), leader ring allgather (13), intra-host
+  broadcast (11).  Only leaders touch inter-host links.
 * **compressed wire** — with a reduce-closed codec
   (:mod:`repro.compression`) the ring algorithm runs the compressed-ring
-  phases instead (same ids 0 / 1): encoded payloads on every wire hop,
+  phases instead (same ids 4 / 5): encoded payloads on every wire hop,
   dense ``float64`` arithmetic at every combine.
 
 Ownership is a *static* function of ``(length, world, algorithm,
@@ -46,64 +45,25 @@ alongside the rest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm import tags
 from repro.comm.communicator import Communicator
 from repro.comm.reduce_ops import ReduceOp, get_op
 from repro.collectives.sync import (
-    _LeaderRanks,
+    ALLGATHER_FOR_REDUCE_SCATTER,
+    _allgather_phases,
     _as_dense_array,
     _as_float_array,
-    _compressed_ring_allgather,
-    _compressed_ring_reduce_scatter,
-    _doubling_allgather,
-    _fold_in,
-    _fold_out,
-    _halving_reduce_scatter,
-    _halving_window,
-    _intra_bcast,
-    _intra_reduce,
-    _next_epoch,
-    _recv_segments,
+    _owned_window,
+    _reduce_scatter_phases,
     _require_wire_codec,
-    _ring_allgather,
-    _ring_reduce_scatter,
-    _segment_bounds,
-    _send_segments,
     _validate_chunks,
     resolve_host_topology,
 )
-from repro.collectives.topology import HostTopology, largest_power_of_two_leq
-from repro.obs import recorder as _obs
+from repro.collectives.topology import HostTopology
 
-# Phase identifiers within the ``sharding`` tag region (< SHARDING_MAX_PHASES).
-_PHASE_RING_RS = 0
-_PHASE_RING_AG = 1
-_PHASE_HALVING_RS = 2
-_PHASE_DOUBLING_AG = 3
-_PHASE_FOLD_IN = 4
-_PHASE_FOLD_OUT = 5
-_PHASE_HIER_REDUCE = 6
-_PHASE_HIER_SCATTER = 7
-_PHASE_HIER_GATHER = 8
-_PHASE_HIER_BCAST = 9
-# The hierarchical leader tier runs the ring phases over the host leaders
-# in its own phase namespace of the enclosing collective's epoch.
-_PHASE_LEADER_RS = 10
-_PHASE_LEADER_AG = 11
-
-_tag = tags.sharding_tag
-
-#: Reduce-scatter algorithms and the allgather each one pairs with (the
-#: allgather must be fed windows from the *same* ownership map).
-ALLGATHER_FOR_REDUCE_SCATTER: Dict[str, str] = {
-    "ring": "ring",
-    "halving": "doubling",
-    "hierarchical": "hierarchical",
-}
 REDUCE_SCATTER_ALGORITHMS: Tuple[str, ...] = tuple(ALLGATHER_FOR_REDUCE_SCATTER)
 ALLGATHER_FLAT_ALGORITHMS: Tuple[str, ...] = tuple(
     ALLGATHER_FOR_REDUCE_SCATTER.values()
@@ -116,21 +76,6 @@ def _require_algorithm(collective: str, algorithm: str, available) -> None:
             f"unknown {collective} algorithm {algorithm!r}; "
             f"available: {sorted(set(available))}"
         )
-
-
-# --------------------------------------------------------------------------
-# static ownership map
-# --------------------------------------------------------------------------
-def _hier_sub_bounds(
-    topology: HostTopology, host: int, host_bounds: List[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """Member sub-windows of ``host``'s owned segment, in local-index order."""
-    hlo, hhi = host_bounds[(host + 1) % topology.num_hosts]
-    locals_ = topology.ranks_on_host(host)
-    return [
-        (hlo + slo, hlo + shi)
-        for slo, shi in _segment_bounds(hhi - hlo, len(locals_))
-    ]
 
 
 def shard_bounds(
@@ -160,117 +105,20 @@ def shard_bounds(
     )
     if size == 1:
         return [(0, length)]
-    if algorithm == "ring":
-        bounds = _segment_bounds(length, size)
-        return [bounds[(rank + 1) % size] for rank in range(size)]
-    if algorithm in ("halving", "doubling"):
-        pof2 = largest_power_of_two_leq(size)
-        windows = [_halving_window(rank, pof2, length) for rank in range(pof2)]
-        windows.extend((0, 0) for _ in range(size - pof2))
-        return windows
-    # hierarchical
-    if topology is None:
-        topology = HostTopology.single_host(size)
-    if topology.world_size != size:
-        raise ValueError(
-            f"host topology covers {topology.world_size} rank(s), "
-            f"expected {size}"
-        )
-    host_bounds = _segment_bounds(length, topology.num_hosts)
+    if algorithm == "hierarchical":
+        if topology is None:
+            topology = HostTopology.single_host(size)
+        if topology.world_size != size:
+            raise ValueError(
+                f"host topology covers {topology.world_size} rank(s), "
+                f"expected {size}"
+            )
     return [
-        _hier_sub_bounds(topology, topology.host(rank), host_bounds)[
-            topology.local_index(rank)
-        ]
+        _owned_window(rank, size, length, algorithm, topology)
         for rank in range(size)
     ]
 
 
-# --------------------------------------------------------------------------
-# hierarchical tier compositions
-# --------------------------------------------------------------------------
-def _hierarchical_reduce_scatter(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-    timeout: Optional[float],
-) -> None:
-    """Intra-host reduce → leader ring reduce-scatter → sub-window scatter."""
-    rank = comm.rank
-    host = topology.host(rank)
-    host_bounds = _segment_bounds(flat.size, topology.num_hosts)
-    with _obs.span("shard-hier-intra-reduce", "collective", n_chunks=n_chunks):
-        _intra_reduce(
-            comm, flat, topology, _tag, epoch, _PHASE_HIER_REDUCE, n_chunks,
-            reduce_op, timeout,
-        )
-    sub_bounds = _hier_sub_bounds(topology, host, host_bounds)
-    if topology.is_leader(rank):
-        with _obs.span("shard-hier-leader-rs", "collective",
-                       leaders=topology.num_hosts, n_chunks=n_chunks):
-            _ring_reduce_scatter(
-                _LeaderRanks(comm, topology.leaders), flat, host_bounds, _tag,
-                epoch, _PHASE_LEADER_RS, n_chunks, reduce_op, timeout,
-            )
-        for j, member in enumerate(topology.ranks_on_host(host)):
-            if member == rank:
-                continue
-            _send_segments(
-                comm, flat, *sub_bounds[j], member, epoch, _PHASE_HIER_SCATTER,
-                j, n_chunks, mint=_tag,
-            )
-    else:
-        j = topology.local_index(rank)
-        _recv_segments(
-            comm, flat, *sub_bounds[j], topology.leader_of(host), epoch,
-            _PHASE_HIER_SCATTER, j, n_chunks, timeout, mint=_tag,
-        )
-
-
-def _hierarchical_allgather(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    timeout: Optional[float],
-) -> None:
-    """Sub-window gather to leader → leader ring allgather → intra bcast."""
-    rank = comm.rank
-    host = topology.host(rank)
-    host_bounds = _segment_bounds(flat.size, topology.num_hosts)
-    sub_bounds = _hier_sub_bounds(topology, host, host_bounds)
-    if topology.is_leader(rank):
-        for j, member in enumerate(topology.ranks_on_host(host)):
-            if member == rank:
-                continue
-            _recv_segments(
-                comm, flat, *sub_bounds[j], member, epoch, _PHASE_HIER_GATHER,
-                j, n_chunks, timeout, mint=_tag,
-            )
-        with _obs.span("shard-hier-leader-ag", "collective",
-                       leaders=topology.num_hosts, n_chunks=n_chunks):
-            _ring_allgather(
-                _LeaderRanks(comm, topology.leaders), flat, host_bounds, _tag,
-                epoch, _PHASE_LEADER_AG, n_chunks, timeout,
-            )
-    else:
-        j = topology.local_index(rank)
-        _send_segments(
-            comm, flat, *sub_bounds[j], topology.leader_of(host), epoch,
-            _PHASE_HIER_GATHER, j, n_chunks, mint=_tag,
-        )
-    with _obs.span("shard-hier-intra-bcast", "collective", n_chunks=n_chunks):
-        _intra_bcast(
-            comm, flat, topology, _tag, epoch, _PHASE_HIER_BCAST, n_chunks, timeout
-        )
-
-
-# --------------------------------------------------------------------------
-# public primitives
-# --------------------------------------------------------------------------
 def reduce_scatter(
     comm: Communicator,
     data,
@@ -293,10 +141,11 @@ def reduce_scatter(
     paired :func:`allgather_flat` (same algorithm family, see
     :data:`ALLGATHER_FOR_REDUCE_SCATTER`) refills them.
 
-    The ring schedule is step-identical to the reduce-scatter phase of
-    :func:`~repro.collectives.sync.allreduce_ring`, so a reduce-scatter
-    → owned-window update → parameter allgather pipeline is bitwise
-    equal to updating after the full ring allreduce.
+    The schedule is the reduce-scatter half of the matching split
+    allreduce (:func:`~repro.collectives.sync.allreduce_ring` for
+    ``ring``), so a reduce-scatter → owned-window update → parameter
+    allgather pipeline is bitwise equal to updating after the full
+    allreduce.
 
     ``codec`` (reduce-closed, fixed-width wire dtype) switches the ring
     hops to encoded payloads with dense combines; only the ring
@@ -324,45 +173,16 @@ def reduce_scatter(
     else:
         arr = _as_float_array(data, copy=copy)
     flat = arr.reshape(-1)
-    rank, size = comm.rank, comm.size
-    if size == 1:
+    if comm.size == 1:
         return flat, (0, flat.size)
-    epoch = _next_epoch(comm, "sharding")
+    epoch = comm.next_collective_epoch()
     if algorithm == "hierarchical":
         topology = resolve_host_topology(comm, topology)
-    lo, hi = shard_bounds(flat.size, size, algorithm, topology=topology)[rank]
-    with _obs.span(
-        f"reduce_scatter[{algorithm}]", "collective",
-        nbytes=flat.nbytes, n_chunks=n_chunks,
-    ):
-        if algorithm == "ring":
-            bounds = _segment_bounds(flat.size, size)
-            if codec is not None:
-                _compressed_ring_reduce_scatter(
-                    comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks,
-                    codec, timeout,
-                )
-            else:
-                _ring_reduce_scatter(
-                    comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks,
-                    reduce_op, timeout,
-                )
-        elif algorithm == "halving":
-            if _fold_in(
-                comm, flat, _tag, epoch, _PHASE_FOLD_IN, n_chunks, reduce_op,
-                timeout,
-            ):
-                _halving_reduce_scatter(
-                    comm, flat, _tag, epoch, _PHASE_HALVING_RS, n_chunks,
-                    reduce_op, timeout,
-                )
-        else:  # hierarchical
-            _hierarchical_reduce_scatter(
-                comm, flat, topology, epoch, n_chunks, reduce_op, timeout
-            )
-    if average and hi > lo:
-        flat[lo:hi] /= size
-    return flat, (lo, hi)
+    window = _reduce_scatter_phases(
+        comm, flat, algorithm, epoch, n_chunks, reduce_op, timeout,
+        average=average, codec=codec, topology=topology,
+    )
+    return flat, window
 
 
 def allgather_flat(
@@ -403,9 +223,6 @@ def allgather_flat(
             f"allgather_flat fills the vector in place and needs it writable, "
             f"got a read-only array of shape {arr.shape}"
         )
-    rank, size = comm.rank, comm.size
-    if size == 1:
-        return arr
     if codec is not None:
         if algorithm != "ring":
             raise ValueError(
@@ -413,30 +230,13 @@ def allgather_flat(
                 f"got {algorithm!r}"
             )
         _require_wire_codec(codec)
-    epoch = _next_epoch(comm, "sharding")
-    with _obs.span(
-        f"allgather_flat[{algorithm}]", "collective",
-        nbytes=arr.nbytes, n_chunks=n_chunks,
-    ):
-        if algorithm == "ring":
-            bounds = _segment_bounds(arr.size, size)
-            if codec is not None:
-                _compressed_ring_allgather(
-                    comm, arr, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks,
-                    codec, timeout,
-                )
-            else:
-                _ring_allgather(
-                    comm, arr, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks,
-                    timeout,
-                )
-        elif algorithm == "doubling":
-            if rank < largest_power_of_two_leq(size):
-                _doubling_allgather(
-                    comm, arr, _tag, epoch, _PHASE_DOUBLING_AG, timeout
-                )
-            _fold_out(comm, arr, _tag, epoch, _PHASE_FOLD_OUT, n_chunks, timeout)
-        else:  # hierarchical
-            topology = resolve_host_topology(comm, topology)
-            _hierarchical_allgather(comm, arr, topology, epoch, n_chunks, timeout)
+    if comm.size == 1:
+        return arr
+    epoch = comm.next_collective_epoch()
+    if algorithm == "hierarchical":
+        topology = resolve_host_topology(comm, topology)
+    _allgather_phases(
+        comm, arr, algorithm, epoch, n_chunks, timeout, codec=codec,
+        topology=topology,
+    )
     return arr

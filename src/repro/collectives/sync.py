@@ -1,38 +1,57 @@
 """Synchronous collectives, defined as compositions of collective *phases*.
 
 A phase is one communication pattern with exactly one body in this
-module.  A phase function takes ``(mint, epoch, phase)`` — the tag-mint
-function of the caller's region, the caller's epoch, and the phase id
-its rounds are numbered under — so the same body serves both tag regions
-and both tiers of a two-tier schedule.  Every algorithm of the paper's
-Section 7 (*Collective communication*), here and in
-:mod:`repro.collectives.sharding`, is a short composition of them.  In
-the ``sync`` region (phase ids in parentheses):
+module.  Every collective — here and in :mod:`repro.collectives.sharding`
+— draws one epoch from its communicator
+(:meth:`~repro.comm.communicator.Communicator.next_collective_epoch`),
+and its phases mint ``tags.sync_tag(epoch, phase, round, chunk)`` under
+the phase ids of this table, the one place a phase id is assigned::
 
-* **recursive doubling** = fold-in (8), ``log2(P)`` pairwise full-vector
-  exchanges (3), fold-out (9); latency-optimal, the reduction schedule of
-  the paper's partial collectives.
-* **ring** = ring reduce-scatter (4) ∘ ring allgather (5);
-  bandwidth-optimal (Horovod's default).
-* **Rabenseifner** = fold-in (8), recursive-halving reduce-scatter (6),
-  recursive-doubling allgather (7), fold-out (9).
-* **compressed ring** = compressed-ring reduce-scatter (4), dense average
-  of the owned chunk, compressed-ring allgather (5): codec-encoded wire
-  hops, dense ``float64`` combines.
-* **hierarchical** = intra-host reduce onto each host's leader (10), the
-  *ring* composition over the leaders only (12, 13 — a
-  :class:`_LeaderRanks` view renames ranks, the tags are the enclosing
-  epoch's), intra-host broadcast (11); the compressed variant runs the
-  compressed ring phases on the leader tier.  The schedule queries the
-  transport's :class:`~repro.collectives.topology.HostTopology`
+    id  phase                                    run by
+     0  binomial-tree broadcast                  broadcast
+     1  binomial-tree reduce                     reduce
+     2  ring gather of arbitrary payloads        allgather
+     3  pairwise full-vector exchange            recursive doubling
+     4  ring reduce-scatter                      ring (compressed too)
+     5  ring allgather                           ring (compressed too)
+     6  recursive-halving reduce-scatter         Rabenseifner / halving
+     7  recursive-doubling allgather             Rabenseifner / doubling
+     8  fold-in of the non-power-of-two extras   recursive doubling, halving
+     9  fold-out to the extras                   recursive doubling, doubling
+    10  intra-host reduce onto the leader        hierarchical
+    11  intra-host broadcast from the leader     hierarchical
+    12  leader-ring reduce-scatter               hierarchical
+    13  leader-ring allgather                    hierarchical
+    14  sub-window scatter, leader -> members    hierarchical reduce_scatter
+    15  sub-window gather, members -> leader     hierarchical allgather_flat
+
+Every algorithm of the paper's Section 7 (*Collective communication*) is
+a short composition of them:
+
+* **recursive doubling** = fold-in (8), ``log2(P)`` pairwise exchanges
+  (3), fold-out (9); latency-optimal, the reduction schedule of the
+  paper's partial collectives.
+* **split allreduces** — an allreduce *is* a reduce-scatter followed by
+  an allgather.  :func:`_reduce_scatter_phases` and
+  :func:`_allgather_phases` are those halves; ``allreduce_ring``,
+  ``allreduce_rabenseifner`` and ``allreduce_compressed_ring`` run both in
+  one epoch (dividing the owned window in between under ``average``),
+  while the sharding module's ``reduce_scatter`` / ``allgather_flat`` run
+  one each — so ring allreduce ≡ reduce-scatter ∘ allgather bitwise by
+  construction.  The halves by family: **ring** = 4 ∘ 5
+  (bandwidth-optimal, Horovod's default; with a codec the same ids carry
+  encoded hops with dense ``float64`` combines); **halving / doubling**
+  (Rabenseifner) = 8, 6 ∘ 7, 9; **hierarchical** (sharded only) = 10, 12,
+  14 ∘ 15, 13, 11.
+* **hierarchical allreduce** = intra-host reduce (10), the ring
+  composition over the host leaders only (12, 13 — a
+  :class:`~repro.comm.subworld.SubsetCommunicator` view renames ranks,
+  the tags are the enclosing epoch's), intra-host broadcast (11); the
+  compressed variant runs the compressed ring phases on the leader tier.
+  The schedule queries the transport's
+  :class:`~repro.collectives.topology.HostTopology`
   (``comm.router.host_topology``, exposed by the ``hier`` backend) so
   non-leader ranks never touch an inter-host link.
-
-``broadcast`` (0), ``reduce`` (1) and ``allgather`` (2) are single-phase
-binomial-tree / ring collectives.  The ``sharding`` region's
-``reduce_scatter`` / ``allgather_flat`` are the *halves* of the same
-compositions — which is why ring allreduce ≡ reduce-scatter ∘ allgather
-bitwise (``TestRingSplitIdentity``).
 
 The fold (the ``P - 2^k`` extra ranks fold their contribution into a
 partner in the power-of-two group and are handed the result back) makes
@@ -52,31 +71,22 @@ reproduces the classic monolithic rounds bit-for-bit.
 
 Tag layout
 ----------
-Tags are namespaced by a per-communicator, per-region epoch counter
-(:func:`_next_epoch`) so consecutive collectives can never steal each
-other's messages.  Within one epoch the layout is ``(phase, round,
-chunk)`` with fixed strides::
-
-    tag = _SYNC_TAG_BASE
-        + epoch * _EPOCH_STRIDE          # one collective invocation
-        + phase * _PHASE_STRIDE          # algorithm phase (see _PHASE_*)
-        + round_index * _ROUND_STRIDE    # algorithm round, < _TAG_MAX_ROUNDS
-        + chunk                          # pipeline segment, < _TAG_MAX_CHUNKS
-
-``_TAG_MAX_ROUNDS = 2^17`` supports ring worlds beyond 100k ranks (a ring
-phase uses ``P - 1`` rounds).  :func:`_tag` *raises* on any field
-overflow instead of wrapping into a neighbouring phase or epoch.
+The ``(epoch, phase, round, chunk)`` strides live in the global
+tag-region map (:mod:`repro.comm.tags`); :func:`repro.comm.tags.sync_tag`
+*raises* on any field overflow instead of wrapping into a neighbouring
+phase or epoch.  Its ``2^17`` rounds per phase support ring worlds
+beyond 100k ranks (a ring phase uses ``P - 1`` rounds).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.comm import reduce_kernels, tags
 from repro.comm.communicator import Communicator
+from repro.comm.subworld import SubsetCommunicator
 from repro.obs import recorder as _obs
 from repro.comm.reduce_ops import ReduceOp, get_op
 from repro.collectives.topology import (
@@ -88,68 +98,39 @@ from repro.collectives.topology import (
     largest_power_of_two_leq,
 )
 
-# The layout constants live in the global tag-region map
-# (:mod:`repro.comm.tags`) so the static schedule verifier decodes tags
-# from the same table that mints them; the historical underscored names
-# are kept as aliases for callers and tests.
-_SYNC_TAG_BASE = tags.SYNC_TAG_BASE
-_TAG_MAX_CHUNKS = tags.SYNC_MAX_CHUNKS
-_TAG_MAX_ROUNDS = tags.SYNC_MAX_ROUNDS
-_TAG_MAX_PHASES = tags.SYNC_MAX_PHASES
-_TAG_MAX_EPOCHS = tags.SYNC_MAX_EPOCHS
-_ROUND_STRIDE = tags.SYNC_ROUND_STRIDE
-_PHASE_STRIDE = tags.SYNC_PHASE_STRIDE
-_EPOCH_STRIDE = tags.SYNC_EPOCH_STRIDE
-
-# Phase identifiers (one namespace per algorithm phase; a collective may
-# use several, rounds are numbered independently inside each).
+# The phase table of the module docstring (ids < tags.SYNC_MAX_PHASES).
 _PHASE_BCAST = 0
 _PHASE_REDUCE = 1
 _PHASE_GATHER = 2
 _PHASE_RD = 3
 _PHASE_RING_RS = 4
 _PHASE_RING_AG = 5
-_PHASE_RABEN_RS = 6
-_PHASE_RABEN_AG = 7
+_PHASE_HALVING_RS = 6
+_PHASE_DOUBLING_AG = 7
 _PHASE_FOLD_IN = 8
 _PHASE_FOLD_OUT = 9
 _PHASE_HIER_REDUCE = 10
 _PHASE_HIER_BCAST = 11
-#: The hierarchical leader exchange is the ring composition again, run
-#: over the host leaders in its own phase namespace of the same epoch.
 _PHASE_LEADER_RS = 12
 _PHASE_LEADER_AG = 13
+_PHASE_HIER_SCATTER = 14
+_PHASE_HIER_GATHER = 15
 
-
-def _next_epoch(comm: Communicator, region: str) -> int:
-    """Per-communicator collective sequence number within a tag ``region``.
-
-    All ranks call collectives in the same (SPMD) order, so incrementing a
-    local counter on each rank keeps the tag spaces aligned globally.  The
-    ``sync`` and ``sharding`` regions count separately: they are disjoint,
-    so interleaving their collectives on one communicator cannot alias
-    tags either way.
-    """
-    attr = f"_{region}_collective_epoch"
-    counter = getattr(comm, attr, None)
-    if counter is None:
-        counter = itertools.count()
-        setattr(comm, attr, counter)
-    return next(counter)
-
-
-#: Tag of pipeline segment ``chunk`` of ``round_index`` in ``phase``.
-#: Raises :class:`ValueError` when any field — epoch included — overflows
-#: its stride: an overflow would alias another phase/epoch's messages
-#: (the tag-collision bug this layout replaces), so it must never be
-#: silent.  Implemented by the global tag-region map.
-_tag = tags.sync_tag
+#: Reduce-scatter algorithms and the allgather each one pairs with (the
+#: allgather must be fed windows from the *same* ownership map).
+ALLGATHER_FOR_REDUCE_SCATTER: Dict[str, str] = {
+    "ring": "ring",
+    "halving": "doubling",
+    "hierarchical": "hierarchical",
+}
 
 
 def _validate_chunks(n_chunks: int) -> int:
     n_chunks = int(n_chunks)
-    if not 1 <= n_chunks <= _TAG_MAX_CHUNKS:
-        raise ValueError(f"n_chunks must be in [1, {_TAG_MAX_CHUNKS}], got {n_chunks}")
+    if not 1 <= n_chunks <= tags.SYNC_MAX_CHUNKS:
+        raise ValueError(
+            f"n_chunks must be in [1, {tags.SYNC_MAX_CHUNKS}], got {n_chunks}"
+        )
     return n_chunks
 
 
@@ -205,17 +186,13 @@ def _send_segments(
     phase: int,
     round_index: int,
     n_chunks: int,
-    mint: Callable[..., int] = _tag,
 ) -> None:
-    """Send ``flat[lo:hi]`` to ``dest`` as ``n_chunks`` eager segments.
-
-    ``mint`` is the ``(epoch, phase, round, chunk)`` tag-mint function;
-    the sharded-optimizer collectives (:mod:`repro.collectives.sharding`)
-    reuse these helpers with :func:`repro.comm.tags.sharding_tag` so
-    their messages stay in the ``sharding`` region.
-    """
+    """Send ``flat[lo:hi]`` to ``dest`` as ``n_chunks`` eager segments."""
     for k, (slo, shi) in enumerate(_segment_bounds(hi - lo, n_chunks)):
-        comm.send(flat[lo + slo : lo + shi], dest, tag=mint(epoch, phase, round_index, k))
+        comm.send(
+            flat[lo + slo : lo + shi], dest,
+            tag=tags.sync_tag(epoch, phase, round_index, k),
+        )
 
 
 def _recv_segments(
@@ -230,7 +207,6 @@ def _recv_segments(
     n_chunks: int,
     timeout: Optional[float],
     reduce_op: Optional[ReduceOp] = None,
-    mint: Callable[..., int] = _tag,
 ) -> None:
     """Receive ``n_chunks`` segments into ``flat[lo:hi]``.
 
@@ -242,7 +218,8 @@ def _recv_segments(
     """
     for k, (slo, shi) in enumerate(_segment_bounds(hi - lo, n_chunks)):
         comm.recv_into(
-            flat[lo + slo : lo + shi], source, mint(epoch, phase, round_index, k),
+            flat[lo + slo : lo + shi], source,
+            tags.sync_tag(epoch, phase, round_index, k),
             op=reduce_op, timeout=timeout,
         )
 
@@ -253,9 +230,7 @@ def _recv_segments(
 def _fold_in(
     comm: Communicator,
     flat: np.ndarray,
-    mint: Callable[..., int],
     epoch: int,
-    phase: int,
     n_chunks: int,
     reduce_op: ReduceOp,
     timeout: Optional[float],
@@ -270,14 +245,14 @@ def _fold_in(
     pof2 = largest_power_of_two_leq(size)
     if rank >= pof2:
         _send_segments(
-            comm, flat, 0, flat.size, rank - pof2, epoch, phase, 0, n_chunks,
-            mint=mint,
+            comm, flat, 0, flat.size, rank - pof2, epoch, _PHASE_FOLD_IN, 0,
+            n_chunks,
         )
         return False
     if rank < size - pof2:
         _recv_segments(
-            comm, flat, 0, flat.size, rank + pof2, epoch, phase, 0, n_chunks,
-            timeout, reduce_op=reduce_op, mint=mint,
+            comm, flat, 0, flat.size, rank + pof2, epoch, _PHASE_FOLD_IN, 0,
+            n_chunks, timeout, reduce_op=reduce_op,
         )
     return True
 
@@ -285,9 +260,7 @@ def _fold_in(
 def _fold_out(
     comm: Communicator,
     flat: np.ndarray,
-    mint: Callable[..., int],
     epoch: int,
-    phase: int,
     n_chunks: int,
     timeout: Optional[float],
 ) -> None:
@@ -296,13 +269,13 @@ def _fold_out(
     pof2 = largest_power_of_two_leq(size)
     if rank >= pof2:
         _recv_segments(
-            comm, flat, 0, flat.size, rank - pof2, epoch, phase, 0, n_chunks,
-            timeout, mint=mint,
+            comm, flat, 0, flat.size, rank - pof2, epoch, _PHASE_FOLD_OUT, 0,
+            n_chunks, timeout,
         )
     elif rank < size - pof2:
         _send_segments(
-            comm, flat, 0, flat.size, rank + pof2, epoch, phase, 0, n_chunks,
-            mint=mint,
+            comm, flat, 0, flat.size, rank + pof2, epoch, _PHASE_FOLD_OUT, 0,
+            n_chunks,
         )
 
 
@@ -313,7 +286,6 @@ def _ring_reduce_scatter(
     comm,
     flat: np.ndarray,
     bounds: List[Tuple[int, int]],
-    mint: Callable[..., int],
     epoch: int,
     phase: int,
     n_chunks: int,
@@ -334,11 +306,10 @@ def _ring_reduce_scatter(
         recv_chunk = (rank - step - 1) % size
         _send_segments(
             comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
-            mint=mint,
         )
         _recv_segments(
             comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            timeout, reduce_op=reduce_op, mint=mint,
+            timeout, reduce_op=reduce_op,
         )
 
 
@@ -346,7 +317,6 @@ def _ring_allgather(
     comm,
     flat: np.ndarray,
     bounds: List[Tuple[int, int]],
-    mint: Callable[..., int],
     epoch: int,
     phase: int,
     n_chunks: int,
@@ -361,11 +331,10 @@ def _ring_allgather(
         recv_chunk = (rank - step) % size
         _send_segments(
             comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
-            mint=mint,
         )
         _recv_segments(
             comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            timeout, mint=mint,
+            timeout,
         )
 
 
@@ -405,9 +374,7 @@ def _halving_window(rank: int, pof2: int, length: int) -> Tuple[int, int]:
 def _halving_reduce_scatter(
     comm: Communicator,
     flat: np.ndarray,
-    mint: Callable[..., int],
     epoch: int,
-    phase: int,
     n_chunks: int,
     reduce_op: ReduceOp,
     timeout: Optional[float],
@@ -418,21 +385,19 @@ def _halving_reduce_scatter(
         _halving_rounds(comm.rank, pof2, flat.size)
     ):
         _send_segments(
-            comm, flat, *send, partner, epoch, phase, round_index, n_chunks,
-            mint=mint,
+            comm, flat, *send, partner, epoch, _PHASE_HALVING_RS, round_index,
+            n_chunks,
         )
         _recv_segments(
-            comm, flat, *keep, partner, epoch, phase, round_index, n_chunks,
-            timeout, reduce_op=reduce_op, mint=mint,
+            comm, flat, *keep, partner, epoch, _PHASE_HALVING_RS, round_index,
+            n_chunks, timeout, reduce_op=reduce_op,
         )
 
 
 def _doubling_allgather(
     comm: Communicator,
     flat: np.ndarray,
-    mint: Callable[..., int],
     epoch: int,
-    phase: int,
     timeout: Optional[float],
 ) -> None:
     """Recursive-doubling allgather of the ``_halving_window`` segments.
@@ -446,7 +411,7 @@ def _doubling_allgather(
     round_index = 0
     while dist < pof2:
         partner = rank ^ dist
-        tag = mint(epoch, phase, round_index)
+        tag = tags.sync_tag(epoch, _PHASE_DOUBLING_AG, round_index)
         comm.send((seg_lo, seg_hi, flat[seg_lo:seg_hi].copy()), partner, tag=tag)
         other_lo, other_hi, other_data = comm.recv(
             source=partner, tag=tag, timeout=timeout
@@ -498,14 +463,11 @@ def _decode_chunk(codec, wire: np.ndarray, num_elements: int) -> np.ndarray:
 
 
 def _recv_wire(
-    comm, codec, length: int, pred: int, mint: Callable[..., int], epoch: int,
-    phase: int, step: int, n_chunks: int, timeout: Optional[float],
+    comm, codec, length: int, pred: int, epoch: int, phase: int, step: int,
+    n_chunks: int, timeout: Optional[float],
 ) -> np.ndarray:
     buf = np.empty(length, dtype=codec.wire_dtype)
-    _recv_segments(
-        comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout,
-        mint=mint,
-    )
+    _recv_segments(comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout)
     return buf
 
 
@@ -513,7 +475,6 @@ def _compressed_ring_reduce_scatter(
     comm,
     flat: np.ndarray,
     bounds: List[Tuple[int, int]],
-    mint: Callable[..., int],
     epoch: int,
     phase: int,
     n_chunks: int,
@@ -543,11 +504,10 @@ def _compressed_ring_reduce_scatter(
         wire_out = _encode_chunk(codec, flat, *bounds[send_chunk])
         _send_segments(
             comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
-            mint=mint,
         )
         lo, hi = bounds[recv_chunk]
         wire_in = _recv_wire(
-            comm, codec, hi - lo, pred, mint, epoch, phase, step, n_chunks, timeout
+            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks, timeout
         )
         if hi > lo and not (
             cast_decodable and reduce_kernels.accumulate_wire(flat[lo:hi], wire_in)
@@ -559,7 +519,6 @@ def _compressed_ring_allgather(
     comm,
     flat: np.ndarray,
     bounds: List[Tuple[int, int]],
-    mint: Callable[..., int],
     epoch: int,
     phase: int,
     n_chunks: int,
@@ -586,11 +545,10 @@ def _compressed_ring_allgather(
         wire_out = encoded_chunks[send_chunk]
         _send_segments(
             comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
-            mint=mint,
         )
         lo, hi = bounds[recv_chunk]
         encoded_chunks[recv_chunk] = _recv_wire(
-            comm, codec, hi - lo, pred, mint, epoch, phase, step, n_chunks, timeout
+            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks, timeout
         )
     for index, wire in encoded_chunks.items():
         lo, hi = bounds[index]
@@ -605,82 +563,273 @@ def _compressed_ring_allgather(
 # --------------------------------------------------------------------------
 # host-tier phases (two-tier schedules over a HostTopology)
 # --------------------------------------------------------------------------
-class _LeaderRanks:
-    """Rank-remapped view of ``comm`` restricted to the host leaders.
-
-    The inter-host stage of a hierarchical collective is a ring phase
-    over the leader ranks: subgroup rank ``i`` is global rank
-    ``leaders[i]``.  Tags pass through untouched — the ring phases take
-    their phase id explicitly, so the leader tier simply runs in the
-    ``_PHASE_LEADER_*`` namespace of the enclosing collective's epoch.
-    """
-
-    def __init__(self, comm: Communicator, leaders: Tuple[int, ...]) -> None:
-        self._comm = comm
-        self._leaders = tuple(leaders)
-        self.rank = self._leaders.index(comm.rank)
-        self.size = len(self._leaders)
-
-    def send(self, data, dest: int, tag: int = 0) -> None:
-        self._comm.send(data, self._leaders[dest], tag=tag)
-
-    def recv_into(self, out, source: int, tag: int, op=None, timeout=None) -> None:
-        self._comm.recv_into(out, self._leaders[source], tag, op, timeout)
-
-
 def _intra_reduce(
     comm: Communicator,
     flat: np.ndarray,
     topology: HostTopology,
-    mint: Callable[..., int],
     epoch: int,
-    phase: int,
     n_chunks: int,
     reduce_op: ReduceOp,
     timeout: Optional[float],
 ) -> None:
     """Reduce every host's contributions onto its leader (binomial tree)."""
     rank = comm.rank
-    for round_index, (src, dst) in enumerate(
-        intra_reduce_edges(topology, topology.host(rank))
-    ):
-        if rank == src:
-            _send_segments(
-                comm, flat, 0, flat.size, dst, epoch, phase, round_index,
-                n_chunks, mint=mint,
-            )
-        elif rank == dst:
-            _recv_segments(
-                comm, flat, 0, flat.size, src, epoch, phase, round_index,
-                n_chunks, timeout, reduce_op=reduce_op, mint=mint,
-            )
+    with _obs.span("hier-intra-reduce", "collective", n_chunks=n_chunks):
+        for round_index, (src, dst) in enumerate(
+            intra_reduce_edges(topology, topology.host(rank))
+        ):
+            if rank == src:
+                _send_segments(
+                    comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_REDUCE,
+                    round_index, n_chunks,
+                )
+            elif rank == dst:
+                _recv_segments(
+                    comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_REDUCE,
+                    round_index, n_chunks, timeout, reduce_op=reduce_op,
+                )
 
 
 def _intra_bcast(
     comm: Communicator,
     flat: np.ndarray,
     topology: HostTopology,
-    mint: Callable[..., int],
     epoch: int,
-    phase: int,
     n_chunks: int,
     timeout: Optional[float],
 ) -> None:
     """Broadcast the leader's (reduced) buffer back across its host."""
     rank = comm.rank
-    for round_index, (src, dst) in enumerate(
-        intra_bcast_edges(topology, topology.host(rank))
+    with _obs.span("hier-intra-bcast", "collective", n_chunks=n_chunks):
+        for round_index, (src, dst) in enumerate(
+            intra_bcast_edges(topology, topology.host(rank))
+        ):
+            if rank == src:
+                _send_segments(
+                    comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_BCAST,
+                    round_index, n_chunks,
+                )
+            elif rank == dst:
+                _recv_segments(
+                    comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_BCAST,
+                    round_index, n_chunks, timeout,
+                )
+
+
+def _hier_sub_bounds(
+    topology: HostTopology, host: int, host_bounds: List[Tuple[int, int]]
+) -> List[Tuple[int, int]]:
+    """Member sub-windows of ``host``'s owned segment, in local-index order."""
+    hlo, hhi = host_bounds[(host + 1) % topology.num_hosts]
+    locals_ = topology.ranks_on_host(host)
+    return [
+        (hlo + slo, hlo + shi)
+        for slo, shi in _segment_bounds(hhi - hlo, len(locals_))
+    ]
+
+
+def _hierarchical_reduce_scatter(
+    comm: Communicator,
+    flat: np.ndarray,
+    topology: HostTopology,
+    epoch: int,
+    n_chunks: int,
+    reduce_op: ReduceOp,
+    timeout: Optional[float],
+) -> None:
+    """Intra-host reduce → leader ring reduce-scatter → sub-window scatter."""
+    rank = comm.rank
+    host = topology.host(rank)
+    host_bounds = _segment_bounds(flat.size, topology.num_hosts)
+    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
+    sub_bounds = _hier_sub_bounds(topology, host, host_bounds)
+    if topology.is_leader(rank):
+        _ring_reduce_scatter(
+            SubsetCommunicator(comm, topology.leaders), flat, host_bounds,
+            epoch, _PHASE_LEADER_RS, n_chunks, reduce_op, timeout,
+        )
+        for j, member in enumerate(topology.ranks_on_host(host)):
+            if member != rank:
+                _send_segments(
+                    comm, flat, *sub_bounds[j], member, epoch,
+                    _PHASE_HIER_SCATTER, j, n_chunks,
+                )
+    else:
+        j = topology.local_index(rank)
+        _recv_segments(
+            comm, flat, *sub_bounds[j], topology.leader_of(host), epoch,
+            _PHASE_HIER_SCATTER, j, n_chunks, timeout,
+        )
+
+
+def _hierarchical_allgather(
+    comm: Communicator,
+    flat: np.ndarray,
+    topology: HostTopology,
+    epoch: int,
+    n_chunks: int,
+    timeout: Optional[float],
+) -> None:
+    """Sub-window gather to leader → leader ring allgather → intra bcast."""
+    rank = comm.rank
+    host = topology.host(rank)
+    host_bounds = _segment_bounds(flat.size, topology.num_hosts)
+    sub_bounds = _hier_sub_bounds(topology, host, host_bounds)
+    if topology.is_leader(rank):
+        for j, member in enumerate(topology.ranks_on_host(host)):
+            if member != rank:
+                _recv_segments(
+                    comm, flat, *sub_bounds[j], member, epoch,
+                    _PHASE_HIER_GATHER, j, n_chunks, timeout,
+                )
+        _ring_allgather(
+            SubsetCommunicator(comm, topology.leaders), flat, host_bounds,
+            epoch, _PHASE_LEADER_AG, n_chunks, timeout,
+        )
+    else:
+        j = topology.local_index(rank)
+        _send_segments(
+            comm, flat, *sub_bounds[j], topology.leader_of(host), epoch,
+            _PHASE_HIER_GATHER, j, n_chunks,
+        )
+    _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+
+
+# --------------------------------------------------------------------------
+# the two halves of a split allreduce (and of reduce_scatter / allgather_flat)
+# --------------------------------------------------------------------------
+def _owned_window(
+    rank: int,
+    size: int,
+    length: int,
+    algorithm: str,
+    topology: Optional[HostTopology] = None,
+) -> Tuple[int, int]:
+    """The ``(lo, hi)`` window ``algorithm``'s reduce-scatter leaves fully
+    reduced on ``rank`` of a ``size > 1`` world (the paired allgather's
+    name is accepted too; the non-power-of-two extras of ``halving`` own
+    an empty window)."""
+    if algorithm == "ring":
+        return _segment_bounds(length, size)[(rank + 1) % size]
+    if algorithm in ("halving", "doubling"):
+        pof2 = largest_power_of_two_leq(size)
+        return _halving_window(rank, pof2, length) if rank < pof2 else (0, 0)
+    host_bounds = _segment_bounds(length, topology.num_hosts)
+    return _hier_sub_bounds(topology, topology.host(rank), host_bounds)[
+        topology.local_index(rank)
+    ]
+
+
+def _reduce_scatter_phases(
+    comm: Communicator,
+    flat: np.ndarray,
+    algorithm: str,
+    epoch: int,
+    n_chunks: int,
+    reduce_op: Optional[ReduceOp],
+    timeout: Optional[float],
+    average: bool = False,
+    codec=None,
+    topology: Optional[HostTopology] = None,
+) -> Tuple[int, int]:
+    """The reduce-scatter half of ``algorithm`` in ``epoch``.
+
+    Returns this rank's :func:`_owned_window`, which holds the fully
+    reduced sums — divided by the world size under ``average``, the only
+    ``N / P`` sums this rank holds final.  ``codec`` (ring only) replaces
+    the combine by the compressed ring's encoded hops.
+    """
+    with _obs.span(
+        f"reduce_scatter[{algorithm}]", "collective",
+        nbytes=flat.nbytes, n_chunks=n_chunks,
     ):
-        if rank == src:
-            _send_segments(
-                comm, flat, 0, flat.size, dst, epoch, phase, round_index,
-                n_chunks, mint=mint,
+        if algorithm == "ring":
+            bounds = _segment_bounds(flat.size, comm.size)
+            if codec is None:
+                _ring_reduce_scatter(
+                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks,
+                    reduce_op, timeout,
+                )
+            else:
+                _compressed_ring_reduce_scatter(
+                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks, codec,
+                    timeout,
+                )
+        elif algorithm == "halving":
+            if _fold_in(comm, flat, epoch, n_chunks, reduce_op, timeout):
+                _halving_reduce_scatter(
+                    comm, flat, epoch, n_chunks, reduce_op, timeout
+                )
+        else:  # hierarchical
+            _hierarchical_reduce_scatter(
+                comm, flat, topology, epoch, n_chunks, reduce_op, timeout
             )
-        elif rank == dst:
-            _recv_segments(
-                comm, flat, 0, flat.size, src, epoch, phase, round_index,
-                n_chunks, timeout, mint=mint,
-            )
+    lo, hi = _owned_window(comm.rank, comm.size, flat.size, algorithm, topology)
+    if average:
+        flat[lo:hi] /= comm.size
+    return lo, hi
+
+
+def _allgather_phases(
+    comm: Communicator,
+    flat: np.ndarray,
+    algorithm: str,
+    epoch: int,
+    n_chunks: int,
+    timeout: Optional[float],
+    codec=None,
+    topology: Optional[HostTopology] = None,
+) -> None:
+    """The allgather half of ``algorithm`` (an allgather name) in ``epoch``:
+    every rank's :func:`_owned_window` lands on every rank."""
+    with _obs.span(
+        f"allgather_flat[{algorithm}]", "collective",
+        nbytes=flat.nbytes, n_chunks=n_chunks,
+    ):
+        if algorithm == "ring":
+            bounds = _segment_bounds(flat.size, comm.size)
+            if codec is None:
+                _ring_allgather(
+                    comm, flat, bounds, epoch, _PHASE_RING_AG, n_chunks, timeout
+                )
+            else:
+                _compressed_ring_allgather(
+                    comm, flat, bounds, epoch, _PHASE_RING_AG, n_chunks, codec,
+                    timeout,
+                )
+        elif algorithm == "doubling":
+            if comm.rank < largest_power_of_two_leq(comm.size):
+                _doubling_allgather(comm, flat, epoch, timeout)
+            _fold_out(comm, flat, epoch, n_chunks, timeout)
+        else:  # hierarchical
+            _hierarchical_allgather(comm, flat, topology, epoch, n_chunks, timeout)
+
+
+def _split_allreduce(
+    comm: Communicator,
+    arr: np.ndarray,
+    algorithm: str,
+    reduce_op: Optional[ReduceOp],
+    average: bool,
+    n_chunks: int,
+    timeout: Optional[float],
+    codec=None,
+) -> np.ndarray:
+    """Reduce-scatter ∘ allgather of ``algorithm`` on ``arr`` in one epoch."""
+    epoch = comm.next_collective_epoch()
+    n_chunks = _validate_chunks(n_chunks)
+    if comm.size == 1:
+        return arr
+    flat = arr.reshape(-1)
+    _reduce_scatter_phases(
+        comm, flat, algorithm, epoch, n_chunks, reduce_op, timeout,
+        average=average, codec=codec,
+    )
+    _allgather_phases(
+        comm, flat, ALLGATHER_FOR_REDUCE_SCATTER[algorithm], epoch, n_chunks,
+        timeout, codec=codec,
+    )
+    return flat.reshape(arr.shape)
 
 
 # --------------------------------------------------------------------------
@@ -688,9 +837,9 @@ def _intra_bcast(
 # --------------------------------------------------------------------------
 def broadcast(comm: Communicator, data, root: int = 0, timeout: Optional[float] = None):
     """Binomial-tree broadcast of ``data`` from ``root`` to all ranks."""
-    epoch = _next_epoch(comm, "sync")
+    epoch = comm.next_collective_epoch()
     rank, size = comm.rank, comm.size
-    tag = _tag(epoch, _PHASE_BCAST, 0)
+    tag = tags.sync_tag(epoch, _PHASE_BCAST, 0)
     if size == 1:
         return data
     if rank != root:
@@ -709,11 +858,11 @@ def reduce(
     timeout: Optional[float] = None,
 ) -> Optional[np.ndarray]:
     """Binomial-tree reduction to ``root``; returns the result on root only."""
-    epoch = _next_epoch(comm, "sync")
+    epoch = comm.next_collective_epoch()
     reduce_op = get_op(op)
     rank, size = comm.rank, comm.size
     acc = _as_float_array(data)
-    tag = _tag(epoch, _PHASE_REDUCE, 0)
+    tag = tags.sync_tag(epoch, _PHASE_REDUCE, 0)
     if size == 1:
         return acc
     # Children in the *broadcast* tree are the senders in the reduction tree.
@@ -752,7 +901,7 @@ def allgather(
     freshly allocated list of wire payloads every call.  Without ``out``
     the delivered payloads are returned as before.
     """
-    epoch = _next_epoch(comm, "sync")
+    epoch = comm.next_collective_epoch()
     rank, size = comm.rank, comm.size
     if out is not None:
         if len(out) != size:
@@ -771,7 +920,7 @@ def allgather(
     succ = (rank + 1) % size
     pred = (rank - 1) % size
     for step in range(size - 1):
-        tag = _tag(epoch, _PHASE_GATHER, step)
+        tag = tags.sync_tag(epoch, _PHASE_GATHER, step)
         send_idx = (rank - step) % size
         comm.send(items[send_idx], succ, tag=tag)
         recv_idx = (rank - step - 1) % size
@@ -806,7 +955,7 @@ def allreduce_recursive_doubling(
     segments (reduction of segment *k* overlapping transmission of
     segment *k + 1*).
     """
-    epoch = _next_epoch(comm, "sync")
+    epoch = comm.next_collective_epoch()
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
     rank, size = comm.rank, comm.size
@@ -816,11 +965,7 @@ def allreduce_recursive_doubling(
     flat = acc.reshape(-1)
 
     pof2 = largest_power_of_two_leq(size)
-    in_group = _fold_in(
-        comm, flat, _tag, epoch, _PHASE_FOLD_IN, n_chunks, reduce_op, timeout
-    )
-
-    if in_group:
+    if _fold_in(comm, flat, epoch, n_chunks, reduce_op, timeout):
         with _obs.span("rd-exchange", "collective", n_chunks=n_chunks):
             dist = 1
             round_index = 0
@@ -831,22 +976,13 @@ def allreduce_recursive_doubling(
                     round_index, n_chunks,
                 )
                 _recv_segments(
-                    comm,
-                    flat,
-                    0,
-                    flat.size,
-                    partner,
-                    epoch,
-                    _PHASE_RD,
-                    round_index,
-                    n_chunks,
-                    timeout,
-                    reduce_op=reduce_op,
+                    comm, flat, 0, flat.size, partner, epoch, _PHASE_RD,
+                    round_index, n_chunks, timeout, reduce_op=reduce_op,
                 )
                 dist <<= 1
                 round_index += 1
 
-    _fold_out(comm, flat, _tag, epoch, _PHASE_FOLD_OUT, n_chunks, timeout)
+    _fold_out(comm, flat, epoch, n_chunks, timeout)
     if average:
         flat /= size
     return flat.reshape(acc.shape)
@@ -865,36 +1001,18 @@ def allreduce_ring(
 
     This is the bandwidth-optimal algorithm used by Horovod /
     baidu-allreduce for large gradients.  Any world size is supported (the
-    ring needs no power-of-two structure).
+    ring needs no power-of-two structure).  Under ``average`` each rank
+    divides only the chunk it owns between the two halves; the allgather
+    circulates the quotients.
 
     ``n_chunks > 1`` additionally segments every per-step chunk so the
     combine of segment *k* overlaps the transmission of segment *k + 1*
     (the chunked-pipeline schedule used by the fused gradient exchange).
     """
-    epoch = _next_epoch(comm, "sync")
-    reduce_op = get_op(op)
-    n_chunks = _validate_chunks(n_chunks)
-    size = comm.size
-    arr = _as_float_array(data, copy=copy)
-    if size == 1:
-        return arr
-    flat = arr.reshape(-1)
-    bounds = _segment_bounds(flat.size, size)
-    with _obs.span("ring-rs", "collective", steps=size - 1, n_chunks=n_chunks):
-        _ring_reduce_scatter(
-            comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks, reduce_op,
-            timeout,
-        )
-    if average:
-        # This rank now owns chunk (rank + 1) % size fully reduced: divide
-        # it alone, the allgather circulates the quotients.
-        lo, hi = bounds[(comm.rank + 1) % size]
-        flat[lo:hi] /= size
-    with _obs.span("ring-ag", "collective", steps=size - 1, n_chunks=n_chunks):
-        _ring_allgather(
-            comm, flat, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks, timeout
-        )
-    return flat.reshape(arr.shape)
+    return _split_allreduce(
+        comm, _as_float_array(data, copy=copy), "ring", get_op(op), average,
+        n_chunks, timeout,
+    )
 
 
 def allreduce_rabenseifner(
@@ -918,29 +1036,10 @@ def allreduce_rabenseifner(
     exchanges (the phase that carries reduction arithmetic) in that many
     segments; the allgather retrace keeps one message per round.
     """
-    epoch = _next_epoch(comm, "sync")
-    reduce_op = get_op(op)
-    n_chunks = _validate_chunks(n_chunks)
-    arr = _as_float_array(data, copy=copy)
-    if comm.size == 1:
-        return arr
-    flat = arr.reshape(-1)
-
-    if _fold_in(comm, flat, _tag, epoch, _PHASE_FOLD_IN, n_chunks, reduce_op, timeout):
-        with _obs.span("raben-rs", "collective", n_chunks=n_chunks):
-            _halving_reduce_scatter(
-                comm, flat, _tag, epoch, _PHASE_RABEN_RS, n_chunks, reduce_op,
-                timeout,
-            )
-        if average:
-            lo, hi = _halving_window(
-                comm.rank, largest_power_of_two_leq(comm.size), flat.size
-            )
-            flat[lo:hi] /= comm.size
-        with _obs.span("raben-ag", "collective"):
-            _doubling_allgather(comm, flat, _tag, epoch, _PHASE_RABEN_AG, timeout)
-    _fold_out(comm, flat, _tag, epoch, _PHASE_FOLD_OUT, n_chunks, timeout)
-    return flat.reshape(arr.shape)
+    return _split_allreduce(
+        comm, _as_float_array(data, copy=copy), "halving", get_op(op), average,
+        n_chunks, timeout,
+    )
 
 
 def allreduce_compressed_ring(
@@ -979,25 +1078,10 @@ def allreduce_compressed_ring(
     :class:`repro.training.exchange.SynchronousExchange` instead.
     """
     _require_wire_codec(codec)
-    epoch = _next_epoch(comm, "sync")
-    n_chunks = _validate_chunks(n_chunks)
-    rank, size = comm.rank, comm.size
-    arr = _as_dense_array(data, copy)
-    if size == 1:
-        return arr
-    flat = arr.reshape(-1)
-    bounds = _segment_bounds(flat.size, size)
-    _compressed_ring_reduce_scatter(
-        comm, flat, bounds, _tag, epoch, _PHASE_RING_RS, n_chunks, codec, timeout
+    return _split_allreduce(
+        comm, _as_dense_array(data, copy), "ring", None, average, n_chunks,
+        timeout, codec=codec,
     )
-    if average:
-        # This rank now owns chunk (rank + 1) % size fully reduced.
-        lo, hi = bounds[(rank + 1) % size]
-        flat[lo:hi] /= size
-    _compressed_ring_allgather(
-        comm, flat, bounds, _tag, epoch, _PHASE_RING_AG, n_chunks, codec, timeout
-    )
-    return flat.reshape(arr.shape)
 
 
 # --------------------------------------------------------------------------
@@ -1061,34 +1145,27 @@ def allreduce_hierarchical(
             comm, data, op=op, timeout=timeout, n_chunks=n_chunks, copy=copy,
             average=average,
         )
-    epoch = _next_epoch(comm, "sync")
+    epoch = comm.next_collective_epoch()
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
     acc = _as_float_array(data, copy=copy)
     flat = acc.reshape(-1)
 
-    with _obs.span("hier-intra-reduce", "collective", n_chunks=n_chunks):
-        _intra_reduce(
-            comm, flat, topology, _tag, epoch, _PHASE_HIER_REDUCE, n_chunks,
-            reduce_op, timeout,
-        )
+    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
     if topology.is_leader(comm.rank):
         with _obs.span("hier-leader-ring", "collective",
                        leaders=topology.num_hosts, n_chunks=n_chunks):
-            leaders = _LeaderRanks(comm, topology.leaders)
+            leaders = SubsetCommunicator(comm, topology.leaders)
             host_bounds = _segment_bounds(flat.size, topology.num_hosts)
             _ring_reduce_scatter(
-                leaders, flat, host_bounds, _tag, epoch, _PHASE_LEADER_RS,
-                n_chunks, reduce_op, timeout,
+                leaders, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks,
+                reduce_op, timeout,
             )
             _ring_allgather(
-                leaders, flat, host_bounds, _tag, epoch, _PHASE_LEADER_AG,
-                n_chunks, timeout,
+                leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks,
+                timeout,
             )
-    with _obs.span("hier-intra-bcast", "collective", n_chunks=n_chunks):
-        _intra_bcast(
-            comm, flat, topology, _tag, epoch, _PHASE_HIER_BCAST, n_chunks, timeout
-        )
+    _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
     if average:
         flat /= comm.size
     return flat.reshape(acc.shape)
@@ -1125,31 +1202,26 @@ def allreduce_compressed_hierarchical(
             n_chunks=n_chunks, copy=copy,
         )
     _require_wire_codec(codec)
-    epoch = _next_epoch(comm, "sync")
+    epoch = comm.next_collective_epoch()
     n_chunks = _validate_chunks(n_chunks)
     arr = _as_dense_array(data, copy)
     flat = arr.reshape(-1)
 
-    _intra_reduce(
-        comm, flat, topology, _tag, epoch, _PHASE_HIER_REDUCE, n_chunks,
-        get_op("sum"), timeout,
-    )
+    _intra_reduce(comm, flat, topology, epoch, n_chunks, get_op("sum"), timeout)
     if topology.is_leader(comm.rank):
-        leaders = _LeaderRanks(comm, topology.leaders)
+        leaders = SubsetCommunicator(comm, topology.leaders)
         host_bounds = _segment_bounds(flat.size, topology.num_hosts)
         _compressed_ring_reduce_scatter(
-            leaders, flat, host_bounds, _tag, epoch, _PHASE_LEADER_RS, n_chunks,
-            codec, timeout,
+            leaders, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks, codec,
+            timeout,
         )
         _compressed_ring_allgather(
-            leaders, flat, host_bounds, _tag, epoch, _PHASE_LEADER_AG, n_chunks,
-            codec, timeout,
+            leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks, codec,
+            timeout,
         )
         if average:
             flat /= topology.world_size
-    _intra_bcast(
-        comm, flat, topology, _tag, epoch, _PHASE_HIER_BCAST, n_chunks, timeout
-    )
+    _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
     return flat.reshape(arr.shape)
 
 

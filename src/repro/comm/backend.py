@@ -7,7 +7,8 @@ two abstractions only:
 
 * a :class:`CommunicatorLike` handle — the MPI-flavoured per-rank API
   (``send`` / ``isend`` / ``recv`` / ``recv_into`` / ``irecv`` / ``probe``
-  / ``poll`` / ``barrier`` / ``dup``) that both transports provide through the shared
+  / ``poll`` / ``barrier`` / ``next_collective_epoch`` / ``dup``) that
+  both transports provide through the shared
   :class:`~repro.comm.communicator.Communicator` class;
 * :func:`launch` — the ``mpiexec`` of the library: run an SPMD function
   on ``world_size`` ranks of the chosen backend and collect the per-rank
@@ -174,6 +175,8 @@ class CommunicatorLike(Protocol):
     def poll(self, source: int = -1, tag: int = -1) -> Optional[Any]: ...
 
     def barrier(self, timeout: Optional[float] = None) -> None: ...
+
+    def next_collective_epoch(self) -> int: ...
 
     def dup(self, channel: Optional[str] = None) -> "CommunicatorLike": ...
 

@@ -9,6 +9,7 @@ primitives.  Collective operations are layered on top of it in
 from __future__ import annotations
 
 import copy
+import itertools
 from typing import Any, Optional
 
 import numpy as np
@@ -59,6 +60,7 @@ class Communicator:
         self._mailbox = router.mailbox(rank, channel)
         self.default_timeout = default_timeout
         self._barrier_epoch = 0
+        self._collective_epochs = itertools.count()
 
     # -------------------------------------------------------------- meta
     @property
@@ -221,6 +223,17 @@ class Communicator:
             self.recv(source=src, tag=tag, timeout=timeout)
             dist <<= 1
             k += 1
+
+    def next_collective_epoch(self) -> int:
+        """Sequence number of this group's next collective.
+
+        Every collective of :mod:`repro.collectives` draws one and mints
+        its ``sync`` tags under it.  All ranks call collectives in the
+        same (SPMD) order, so a local counter keeps the tag spaces
+        aligned globally; pass-through proxies (which forward unknown
+        attributes) share the counter of the communicator they wrap.
+        """
+        return next(self._collective_epochs)
 
     # --------------------------------------------------------------- misc
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

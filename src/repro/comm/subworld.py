@@ -24,6 +24,7 @@ barrier, the serving protocol) names its sources.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.comm.communicator import Communicator
@@ -63,6 +64,7 @@ class SubsetCommunicator:
         self._index = {g: i for i, g in enumerate(self._ranks)}
         self._rank = self._index[parent.rank]
         self._barrier_epoch = 0
+        self._collective_epochs = itertools.count()
 
     # -------------------------------------------------------------- meta
     @property
@@ -159,10 +161,11 @@ class SubsetCommunicator:
     #: body (same algorithm and tag layout) run on this view's ``size`` /
     #: ``_rank`` / ``send`` / ``recv``, so the distance arithmetic is in
     #: view-rank space and only subset members participate.  The view
-    #: keeps its own ``_barrier_epoch``: the parent's is left untouched,
-    #: and disjoint subsets stay separated by their explicit (source,
-    #: tag) matches.
+    #: keeps its own ``_barrier_epoch`` and ``_collective_epochs``: the
+    #: parent's are left untouched, and disjoint subsets stay separated
+    #: by their explicit (source, tag) matches.
     barrier = Communicator.barrier
+    next_collective_epoch = Communicator.next_collective_epoch
 
     # ---------------------------------------------------------------- misc
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -4,8 +4,9 @@ Several subsystems of this codebase number their messages out of disjoint
 integer tag ranges: the partial-collective progress thread
 (:mod:`repro.collectives.partial`), the serving tier, telemetry, the
 dissemination barrier (:mod:`repro.comm.communicator`) and the
-synchronous and sharded collectives (:mod:`repro.collectives.sync`,
-:mod:`repro.collectives.sharding`).  Historically each declared its own
+synchronous collectives — dense, split and sharded alike
+(:mod:`repro.collectives.sync`, :mod:`repro.collectives.sharding`).
+Historically each declared its own
 magic base constant, and nothing asserted that the ranges stay disjoint —
 PR 1 fixed one silent collision found the hard way at P > 512.
 
@@ -27,16 +28,19 @@ Layout (all bounds half-open)::
                                  trace-buffer shipment to rank 0)
     [1_000_000_000, 2_000_000_000)   dissemination barrier
     [2_000_000_000, 2_000_000_000 + 2^62)   synchronous collectives
-    [2_000_000_000 + 2^62, 2_000_000_000 + 2^62 + 2^61)
-                                     sharded-optimizer collectives
-                                     (reduce-scatter / allgather-flat)
+                                 (allreduces, broadcast, reduce,
+                                 allgather, reduce-scatter,
+                                 allgather-flat)
 
-The synchronous and sharding regions additionally carry an internal
-``(epoch, phase, round, chunk)`` field layout, declared here so both the
+The synchronous region additionally carries an internal ``(epoch,
+phase, round, chunk)`` field layout, declared here so both the
 collectives and the static schedule verifier
 (:mod:`repro.analysis.schedule_verifier`) can mint *and* decode tags from
-the same constants.  Both layouts top out below ``2^63``, so every tag
-stays exact in the int64/u64 headers of the framing transports.
+the same constants.  The epoch is the communicator's one collective
+counter; the phase ids are the one phase table of
+:mod:`repro.collectives.sync`.  The layout tops out below ``2^63``, so
+every tag stays exact in the int64/u64 headers of the framing
+transports.
 """
 
 from __future__ import annotations
@@ -127,7 +131,8 @@ SYNC_TAG_BASE = 2_000_000_000
 SYNC_MAX_CHUNKS = 4_096
 #: Rounds addressable within one phase (supports ring worlds to P = 2^17).
 SYNC_MAX_ROUNDS = 1 << 17
-#: Algorithm phases addressable within one epoch.
+#: Algorithm phases addressable within one epoch (the phase table of
+#: repro.collectives.sync fills all 16).
 SYNC_MAX_PHASES = 16
 #: Tag stride between consecutive rounds (one slot per pipeline chunk).
 SYNC_ROUND_STRIDE = SYNC_MAX_CHUNKS
@@ -140,31 +145,6 @@ SYNC_EPOCH_STRIDE = SYNC_MAX_PHASES * SYNC_PHASE_STRIDE
 #: headers of the framing transports; at one collective per millisecond
 #: that is ~17 years of uptime before the (loud) overflow error.
 SYNC_MAX_EPOCHS = 1 << 29
-
-# -- sharded-optimizer collectives (repro.collectives.sharding) --------------
-#: The sharding region sits directly above the sync region: the free
-#: [500M, 1e9) gap below the barrier is far too small for an epoch-strided
-#: layout, and stacking keeps the whole reserved space contiguous.
-SHARDING_TAG_BASE = SYNC_TAG_BASE + SYNC_MAX_EPOCHS * SYNC_EPOCH_STRIDE
-#: Pipeline segments addressable within one round.
-SHARDING_MAX_CHUNKS = 4_096
-#: Rounds addressable within one phase (ring worlds to P = 2^16; half the
-#: sync budget, traded for a full 16-phase namespace so the hierarchical
-#: reduce-scatter/allgather schedules fit while the region top stays
-#: below 2^63).
-SHARDING_MAX_ROUNDS = 1 << 16
-#: Algorithm phases addressable within one epoch.
-SHARDING_MAX_PHASES = 16
-#: Tag stride between consecutive rounds (one slot per pipeline chunk).
-SHARDING_ROUND_STRIDE = SHARDING_MAX_CHUNKS
-#: Tag stride between consecutive phases.
-SHARDING_PHASE_STRIDE = SHARDING_MAX_ROUNDS * SHARDING_ROUND_STRIDE
-#: Tag stride reserved per collective invocation (epoch).
-SHARDING_EPOCH_STRIDE = SHARDING_MAX_PHASES * SHARDING_PHASE_STRIDE
-#: Collective invocations addressable per communicator.  The region spans
-#: 2^61 tags, so its top (base + 2^61 < 2^63) stays exact in the
-#: int64/u64 headers of the framing transports.
-SHARDING_MAX_EPOCHS = 1 << 29
 
 PARTIAL_ACTIVATION = TagRegion(
     "partial-activation",
@@ -202,13 +182,6 @@ SYNC = TagRegion(
     SYNC_TAG_BASE + SYNC_MAX_EPOCHS * SYNC_EPOCH_STRIDE,
     "synchronous collectives: (epoch, phase, round, chunk) layout",
 )
-SHARDING = TagRegion(
-    "sharding",
-    SHARDING_TAG_BASE,
-    SHARDING_TAG_BASE + SHARDING_MAX_EPOCHS * SHARDING_EPOCH_STRIDE,
-    "sharded-optimizer collectives: reduce-scatter / allgather-flat, "
-    "(epoch, phase, round, chunk) layout",
-)
 
 #: Every reserved region, in ascending order of base.  ``[0, 100_000_000)``
 #: is deliberately absent: it is free for application-level tags.
@@ -219,7 +192,6 @@ TAG_REGIONS: Tuple[TagRegion, ...] = (
     TELEMETRY,
     BARRIER,
     SYNC,
-    SHARDING,
 )
 
 
@@ -311,60 +283,6 @@ def decode_sync_tag(tag: int) -> SyncTagFields:
     phase, rest = divmod(rest, SYNC_PHASE_STRIDE)
     round_index, chunk = divmod(rest, SYNC_ROUND_STRIDE)
     return SyncTagFields(epoch, phase, round_index, chunk)
-
-
-class ShardingTagFields(NamedTuple):
-    """Decoded ``(epoch, phase, round, chunk)`` fields of a sharding tag."""
-
-    epoch: int
-    phase: int
-    round_index: int
-    chunk: int
-
-
-def sharding_tag(epoch: int, phase: int, round_index: int, chunk: int = 0) -> int:
-    """Tag of pipeline segment ``chunk`` of ``round_index`` in ``phase``
-    of the sharded-optimizer collectives (reduce-scatter/allgather-flat).
-
-    Same contract as :func:`sync_tag`: any overflowing field — including
-    ``epoch`` — raises instead of silently aliasing a neighbour's messages.
-    """
-    if not 0 <= epoch < SHARDING_MAX_EPOCHS:
-        raise ValueError(
-            f"sharding epoch {epoch} outside [0, {SHARDING_MAX_EPOCHS}); "
-            f"the per-communicator sharding-collective counter overflowed "
-            f"its tag field"
-        )
-    if not 0 <= phase < SHARDING_MAX_PHASES:
-        raise ValueError(
-            f"sharding phase {phase} outside [0, {SHARDING_MAX_PHASES})"
-        )
-    if not 0 <= round_index < SHARDING_MAX_ROUNDS:
-        raise ValueError(
-            f"sharding round {round_index} outside [0, {SHARDING_MAX_ROUNDS}); "
-            f"world size exceeds the tag layout's round capacity"
-        )
-    if not 0 <= chunk < SHARDING_MAX_CHUNKS:
-        raise ValueError(
-            f"sharding pipeline chunk {chunk} outside [0, {SHARDING_MAX_CHUNKS})"
-        )
-    return (
-        SHARDING_TAG_BASE
-        + epoch * SHARDING_EPOCH_STRIDE
-        + phase * SHARDING_PHASE_STRIDE
-        + round_index * SHARDING_ROUND_STRIDE
-        + chunk
-    )
-
-
-def decode_sharding_tag(tag: int) -> ShardingTagFields:
-    """Invert :func:`sharding_tag`; raises if ``tag`` is not a sharding tag."""
-    SHARDING.check(tag, "sharding-collective")
-    offset = tag - SHARDING_TAG_BASE
-    epoch, rest = divmod(offset, SHARDING_EPOCH_STRIDE)
-    phase, rest = divmod(rest, SHARDING_PHASE_STRIDE)
-    round_index, chunk = divmod(rest, SHARDING_ROUND_STRIDE)
-    return ShardingTagFields(epoch, phase, round_index, chunk)
 
 
 def partial_activation_tag(round_index: int) -> int:

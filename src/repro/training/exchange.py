@@ -452,16 +452,6 @@ class SynchronousExchange(_BucketedExchange):
         return acc, encoded.nbytes
 
 
-def _payload_nbytes(data) -> int:
-    """Bytes of the array payload(s) in one send (0 for scalars/metadata)."""
-    nbytes = getattr(data, "nbytes", None)
-    if isinstance(nbytes, int):
-        return nbytes
-    if isinstance(data, tuple):
-        return sum(_payload_nbytes(item) for item in data)
-    return 0
-
-
 class _WireCountingComm:
     """Pass-through communicator proxy counting the bytes this rank sends.
 
@@ -480,7 +470,7 @@ class _WireCountingComm:
         return getattr(self._comm, name)
 
     def send(self, data, dest: int, tag: int = 0) -> None:
-        self.bytes_sent += _payload_nbytes(data)
+        self.bytes_sent += _obs.payload_nbytes(data)
         self._comm.send(data, dest, tag=tag)
 
 

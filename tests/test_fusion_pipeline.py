@@ -13,18 +13,18 @@ import numpy as np
 import pytest
 
 from repro.comm import launch
+from repro.comm.tags import (
+    SYNC_EPOCH_STRIDE as _EPOCH_STRIDE,
+    SYNC_MAX_CHUNKS as _TAG_MAX_CHUNKS,
+    SYNC_MAX_PHASES as _TAG_MAX_PHASES,
+    SYNC_MAX_ROUNDS as _TAG_MAX_ROUNDS,
+    SYNC_PHASE_STRIDE as _PHASE_STRIDE,
+    sync_tag as _tag,
+)
 from repro.collectives import allreduce
 from repro.collectives import sync as sync_mod
 from repro.collectives.partial import QuorumAllreduce, SoloAllreduce
-from repro.collectives.sync import (
-    _EPOCH_STRIDE,
-    _PHASE_STRIDE,
-    _TAG_MAX_CHUNKS,
-    _TAG_MAX_PHASES,
-    _TAG_MAX_ROUNDS,
-    _tag,
-    allreduce_rabenseifner,
-)
+from repro.collectives.sync import allreduce_rabenseifner
 from repro.experiments import fusion_pipeline
 from repro.simtime.collective_model import allreduce_time, fused_exchange_time
 from repro.simtime.network import LogGPParams

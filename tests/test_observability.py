@@ -420,6 +420,34 @@ def test_sequential_records_a_span_per_layer_and_direction():
 
 
 # ---------------------------------------------------------------------------
+# the comm slice: traced sends carry their payload bytes
+# ---------------------------------------------------------------------------
+def _traced_rabenseifner_send_bytes(comm):
+    from repro.collectives.sync import allreduce
+
+    rec = bind(FlightRecorder(rank=comm.rank))
+    try:
+        allreduce(comm, np.ones(8), algorithm="rabenseifner")
+    finally:
+        bind(None)
+    return [ev[5]["nbytes"] for ev in rec.events() if ev[0] == "X" and ev[1] == "send"]
+
+
+def test_traced_tuple_sends_report_their_array_bytes():
+    """Halving sends 4 then 2 of 8 float64s; the doubling allgather sends
+    them back as ``(lo, hi, array)`` tuples, which count their array."""
+    for sent in launch(_traced_rabenseifner_send_bytes, 4, backend="thread"):
+        assert sent == [32, 16, 16, 32]
+
+
+def test_payload_nbytes_sums_nested_tuples():
+    payload = (0, 4, np.ones(4), (np.ones(2, dtype=np.float32), "meta"))
+    assert rec_mod.payload_nbytes(payload) == 32 + 8
+    assert rec_mod.payload_nbytes(np.ones(3)) == 24
+    assert rec_mod.payload_nbytes(("barrier", 0, 1)) == 0
+
+
+# ---------------------------------------------------------------------------
 # the traced training run behind `python -m repro trace`
 # ---------------------------------------------------------------------------
 class TestTraceCommand:

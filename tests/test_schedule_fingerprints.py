@@ -8,6 +8,10 @@ P in {2, 3, 4, 5, 8}, a SHA-256 over the per-rank ordered
 collective layer was collapsed onto one body per phase, so a green run
 proves the refactored code mints the same tags, talks to the same peers,
 moves the same element counts and does so in the same per-rank order.
+The reduce-scatter and sharded-exchange entries were re-frozen when the
+``sharding`` tag region merged into ``sync``: their per-rank ``(kind,
+peer, elements)`` lists are unchanged, only the phase ids in their tags
+moved to sync's phase table.
 
 Regenerate (only when a schedule is changed on purpose) with
 ``PYTHONPATH=src python tests/test_schedule_fingerprints.py``.

@@ -347,6 +347,20 @@ class TestReduceScatterRequiresSum:
             assert message is not None and "'max'" in message
 
 
+class TestAllgatherFlatCodecValidation:
+    def test_codec_off_the_ring_rejected_at_size_one(self):
+        """The codec check does not hide behind the P = 1 shortcut."""
+        from repro.comm import ThreadWorld
+        from repro.compression import get_codec
+
+        with ThreadWorld(1) as world:
+            with pytest.raises(ValueError, match="'doubling'"):
+                allgather_flat(
+                    world.communicator(0), np.zeros(4), algorithm="doubling",
+                    codec=get_codec("fp16"),
+                )
+
+
 def _ring_identity_worker(comm, n):
     data = np.linspace(-1.0, 1.0, n) * (comm.rank + 1)
     reference = allreduce(comm, data, algorithm="ring")

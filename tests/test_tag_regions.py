@@ -2,6 +2,7 @@
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,6 @@ _LAYOUTS = {
         tags.sync_tag, tags.decode_sync_tag, tags.SYNC,
         (tags.SYNC_MAX_EPOCHS, tags.SYNC_MAX_PHASES,
          tags.SYNC_MAX_ROUNDS, tags.SYNC_MAX_CHUNKS),
-    ),
-    "sharding": (
-        tags.sharding_tag, tags.decode_sharding_tag, tags.SHARDING,
-        (tags.SHARDING_MAX_EPOCHS, tags.SHARDING_MAX_PHASES,
-         tags.SHARDING_MAX_ROUNDS, tags.SHARDING_MAX_CHUNKS),
     ),
 }
 _FIELD_WORDS = ("epoch", "phase", "round", "chunk")
@@ -50,7 +46,6 @@ def test_region_bases_are_pinned():
         "telemetry": 400_000_000,
         "barrier": 1_000_000_000,
         "sync-collectives": 2_000_000_000,
-        "sharding": 2_000_000_000 + 2 ** 62,
     }
 
 
@@ -149,9 +144,71 @@ def test_partial_tags_stay_in_their_regions():
 
 
 def test_owning_modules_import_from_the_table():
-    from repro.collectives import sync
     from repro.comm import communicator
 
-    assert sync._SYNC_TAG_BASE == tags.SYNC_TAG_BASE
-    assert sync._EPOCH_STRIDE == tags.SYNC_EPOCH_STRIDE
     assert communicator._BARRIER_TAG_BASE == tags.BARRIER_TAG_BASE
+
+
+def test_phase_table_fills_the_phase_field():
+    """Every collective's phase ids come from sync's one table, 0..15."""
+    from repro.collectives import sync
+
+    ids = sorted(
+        value for name, value in vars(sync).items() if name.startswith("_PHASE_")
+    )
+    assert ids == list(range(tags.SYNC_MAX_PHASES))
+
+
+# ---------------------------------------------------------------------------
+# one collective epoch per communicator group
+# ---------------------------------------------------------------------------
+def test_pass_through_proxy_shares_the_collective_epoch():
+    """A wire-counting proxy and the communicator it wraps draw one epoch
+    sequence, so the sharded exchange's collectives and the runner's raw
+    ones can never mint the same tag."""
+    from repro.comm import ThreadWorld
+    from repro.training.exchange import _WireCountingComm
+
+    with ThreadWorld(1) as world:
+        comm = world.communicator(0)
+        proxy = _WireCountingComm(comm)
+        drawn = [
+            proxy.next_collective_epoch(),
+            comm.next_collective_epoch(),
+            proxy.next_collective_epoch(),
+        ]
+    assert drawn == [0, 1, 2]
+
+
+def test_subset_view_keeps_its_own_collective_epoch():
+    from repro.comm import ThreadWorld
+    from repro.comm.subworld import SubsetCommunicator
+
+    with ThreadWorld(2) as world:
+        comm = world.communicator(0)
+        view = SubsetCommunicator(comm, [0])
+        drawn = [view.next_collective_epoch(), view.next_collective_epoch()]
+        assert drawn == [0, 1]
+        assert comm.next_collective_epoch() == 0
+
+
+def _proxied_and_raw_collectives(comm):
+    """The sharded halves through a proxy, dense allreduces on the raw comm."""
+    from repro.collectives.sharding import allgather_flat, reduce_scatter
+    from repro.collectives.sync import allreduce
+    from repro.training.exchange import _WireCountingComm
+
+    proxy = _WireCountingComm(comm)
+    allreduce(comm, np.ones(6), algorithm="ring")
+    flat, _ = reduce_scatter(proxy, np.ones(6))
+    allreduce(comm, np.ones(6))
+    allgather_flat(proxy, flat)
+
+
+def test_proxied_and_raw_collectives_draw_distinct_epochs():
+    from repro.analysis.recording import RecordingWorld
+
+    record = RecordingWorld(3).run(_proxied_and_raw_collectives)
+    assert not record.crashed and not record.starved()
+    epochs = {tags.decode_sync_tag(e.tag).epoch for e in record.sends()}
+    assert epochs == {0, 1, 2, 3}
