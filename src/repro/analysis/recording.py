@@ -147,7 +147,7 @@ class RecordingCommunicator(Communicator):
         timeout: Optional[float] = None,
     ) -> Message:
         effective = self.default_timeout if timeout is None else min(
-            timeout, self.default_timeout or timeout
+            timeout, self.default_timeout
         )
         try:
             msg = self._mailbox.get(source, tag, timeout=effective)
@@ -162,10 +162,8 @@ class RecordingCommunicator(Communicator):
         )
         return msg
 
-    def recv_into(
-        self, out, source: int, tag: int, op=None, timeout: Optional[float] = None
-    ) -> None:
-        land(out, self.recv_message(source, tag, timeout=timeout).payload, op)
+    def recv_into(self, out, source: int, tag: int, op=None) -> None:
+        land(out, self.recv_message(source, tag).payload, op)
 
     def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Any]:
         msg = self._mailbox.poll(source, tag)

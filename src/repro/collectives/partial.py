@@ -46,6 +46,13 @@ consumable operations               one tag per round
 persistent schedule                 the ``while`` of ``_progress_loop``
 single receive buffer               ``overwrite_recvbuff``
 ==================================  =====================================
+
+Deadlines: the background reduction's receives wait at most the
+communicator's ``default_timeout`` (the world's receive deadline).
+Progress threads join an activated round immediately, so a partner
+silent that long has died: the progress thread fails, and
+:meth:`PartialAllreduce.reduce`, which itself waits at most twice that
+deadline, raises with the transport's timeout as the cause.
 """
 
 from __future__ import annotations
@@ -69,13 +76,6 @@ from repro.utils.rng import seeded_rng
 
 #: Sleep of the progress thread between two polls for activation.
 _POLL_INTERVAL = 2e-4
-#: Deadline, in seconds, of every receive of a round's background
-#: reduction.  Progress threads join an activated round immediately, so a
-#: partner that stays silent this long has died; the round then fails
-#: (see :meth:`PartialAllreduce.reduce`) instead of blocking forever.
-#: Shorter than ``reduce``'s own default timeout so that the cause, not a
-#: bare ``TimeoutError``, reaches the application.
-_REDUCTION_TIMEOUT = 60.0
 
 
 class PartialMode(str, enum.Enum):
@@ -249,9 +249,7 @@ class PartialAllreduce:
     # ------------------------------------------------------------------
     # application-thread API
     # ------------------------------------------------------------------
-    def reduce(
-        self, contribution: np.ndarray, timeout: Optional[float] = 120.0
-    ) -> PartialAllreduceResult:
+    def reduce(self, contribution: np.ndarray) -> PartialAllreduceResult:
         """Contribute to the next round and return that round's result.
 
         This is the ``partial_allreduce`` call of Algorithm 2.  The call
@@ -261,8 +259,9 @@ class PartialAllreduce:
 
         Raises :class:`RuntimeError` naming the rank and the round when
         the progress thread died — for instance because a peer stayed
-        silent past the reduction deadline, in which case the transport's
-        timeout is the ``__cause__``.
+        silent past the world's receive deadline, in which case the
+        transport's timeout is the ``__cause__`` — and ``TimeoutError``
+        when the round is not done within twice that deadline.
         """
         contribution = np.asarray(contribution, dtype=self.dtype)
         if contribution.shape != self.shape:
@@ -286,17 +285,19 @@ class PartialAllreduce:
                 # majority, may not) initiate it.
                 self._internal_rounds.add(round_index)
                 self._cond.notify_all()
-            # Wait until the progress thread has finished the round.
-            deadline = None if timeout is None else time.monotonic() + timeout
+            # Wait until the progress thread has finished the round; its
+            # receives give up after one deadline, so its failure comes first.
+            limit = 2 * self.comm_lib.default_timeout
+            deadline = time.monotonic() + limit
             while self._rounds_done <= round_index:
                 self._raise_if_failed()
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     raise TimeoutError(
                         f"rank {self.rank}: partial allreduce round {round_index} "
-                        f"did not complete within {timeout}s"
+                        f"did not complete within {limit}s"
                     )
-                self._cond.wait(timeout=0.05 if remaining is None else min(0.05, remaining))
+                self._cond.wait(timeout=min(0.05, remaining))
             # Each round is consumed exactly once by the application
             # thread; popping keeps memory bounded over long trainings.
             record = self._records.pop(round_index)
@@ -331,12 +332,13 @@ class PartialAllreduce:
         with self._lock:
             return self._rounds_done
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Stop the progress thread.  Call after the last ``reduce``."""
+    def close(self) -> None:
+        """Stop the progress thread.  Call after the last ``reduce``; a
+        round in flight ends within one receive deadline."""
         with self._cond:
             self._stop = True
             self._cond.notify_all()
-        self._thread.join(timeout=timeout)
+        self._thread.join(timeout=self.comm_lib.default_timeout)
 
     def __enter__(self) -> "PartialAllreduce":
         return self
@@ -460,8 +462,7 @@ class PartialAllreduce:
         # as payload[-1] and therefore needs whole-payload rounds.
         chunks = self.n_chunks if self._payload_op is self.op else 1
         reduced = allreduce_recursive_doubling(
-            self.comm_lib, payload, op=self._payload_op, n_chunks=chunks,
-            timeout=_REDUCTION_TIMEOUT, copy=False,
+            self.comm_lib, payload, op=self._payload_op, n_chunks=chunks, copy=False
         )
         result = reduced[:n].reshape(self.shape)
         num_active = self._decode_num_active(float(reduced[n]))

@@ -125,7 +125,6 @@ def reduce_scatter(
     op: ReduceOp | str = "sum",
     algorithm: str = "ring",
     average: bool = False,
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
     codec=None,
@@ -179,7 +178,7 @@ def reduce_scatter(
     if algorithm == "hierarchical":
         topology = resolve_host_topology(comm, topology)
     window = _reduce_scatter_phases(
-        comm, flat, algorithm, epoch, n_chunks, reduce_op, timeout,
+        comm, flat, algorithm, epoch, n_chunks, reduce_op,
         average=average, codec=codec, topology=topology,
     )
     return flat, window
@@ -189,7 +188,6 @@ def allgather_flat(
     comm: Communicator,
     flat,
     algorithm: str = "ring",
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     codec=None,
     topology: Optional[HostTopology] = None,
@@ -236,7 +234,6 @@ def allgather_flat(
     if algorithm == "hierarchical":
         topology = resolve_host_topology(comm, topology)
     _allgather_phases(
-        comm, arr, algorithm, epoch, n_chunks, timeout, codec=codec,
-        topology=topology,
+        comm, arr, algorithm, epoch, n_chunks, codec=codec, topology=topology
     )
     return arr

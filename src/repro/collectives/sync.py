@@ -69,6 +69,13 @@ of a round are in flight while the receiver combines the earlier ones).
 The doubling allgather keeps one message per round.  ``n_chunks=1``
 reproduces the classic monolithic rounds bit-for-bit.
 
+Deadlines
+---------
+No collective takes a ``timeout``: every receive of every phase waits at
+most its communicator's ``default_timeout`` — the world's one deadline
+(see :mod:`repro.comm.communicator`) — and then raises
+:class:`~repro.comm.mailbox.CommTimeoutError`.
+
 Tag layout
 ----------
 The ``(epoch, phase, round, chunk)`` strides live in the global
@@ -205,7 +212,6 @@ def _recv_segments(
     phase: int,
     round_index: int,
     n_chunks: int,
-    timeout: Optional[float],
     reduce_op: Optional[ReduceOp] = None,
 ) -> None:
     """Receive ``n_chunks`` segments into ``flat[lo:hi]``.
@@ -220,7 +226,7 @@ def _recv_segments(
         comm.recv_into(
             flat[lo + slo : lo + shi], source,
             tags.sync_tag(epoch, phase, round_index, k),
-            op=reduce_op, timeout=timeout,
+            op=reduce_op,
         )
 
 
@@ -233,7 +239,6 @@ def _fold_in(
     epoch: int,
     n_chunks: int,
     reduce_op: ReduceOp,
-    timeout: Optional[float],
 ) -> bool:
     """Fold the extra ranks' contributions into the power-of-two group.
 
@@ -252,7 +257,7 @@ def _fold_in(
     if rank < size - pof2:
         _recv_segments(
             comm, flat, 0, flat.size, rank + pof2, epoch, _PHASE_FOLD_IN, 0,
-            n_chunks, timeout, reduce_op=reduce_op,
+            n_chunks, reduce_op=reduce_op,
         )
     return True
 
@@ -262,7 +267,6 @@ def _fold_out(
     flat: np.ndarray,
     epoch: int,
     n_chunks: int,
-    timeout: Optional[float],
 ) -> None:
     """Hand the result back to the folded-out extra ranks (see :func:`_fold_in`)."""
     rank, size = comm.rank, comm.size
@@ -270,7 +274,7 @@ def _fold_out(
     if rank >= pof2:
         _recv_segments(
             comm, flat, 0, flat.size, rank - pof2, epoch, _PHASE_FOLD_OUT, 0,
-            n_chunks, timeout,
+            n_chunks,
         )
     elif rank < size - pof2:
         _send_segments(
@@ -290,7 +294,6 @@ def _ring_reduce_scatter(
     phase: int,
     n_chunks: int,
     reduce_op: ReduceOp,
-    timeout: Optional[float],
 ) -> None:
     """Ring reduce-scatter: rank r ends owning chunk ``(r + 1) % P`` reduced.
 
@@ -309,7 +312,7 @@ def _ring_reduce_scatter(
         )
         _recv_segments(
             comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            timeout, reduce_op=reduce_op,
+            reduce_op=reduce_op,
         )
 
 
@@ -320,7 +323,6 @@ def _ring_allgather(
     epoch: int,
     phase: int,
     n_chunks: int,
-    timeout: Optional[float],
 ) -> None:
     """Ring allgather: circulates each rank's owned chunk ``(r + 1) % P``."""
     rank, size = comm.rank, comm.size
@@ -333,8 +335,7 @@ def _ring_allgather(
             comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
         )
         _recv_segments(
-            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            timeout,
+            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks
         )
 
 
@@ -377,7 +378,6 @@ def _halving_reduce_scatter(
     epoch: int,
     n_chunks: int,
     reduce_op: ReduceOp,
-    timeout: Optional[float],
 ) -> None:
     """Recursive-halving reduce-scatter; rank ends owning ``_halving_window``."""
     pof2 = largest_power_of_two_leq(comm.size)
@@ -390,7 +390,7 @@ def _halving_reduce_scatter(
         )
         _recv_segments(
             comm, flat, *keep, partner, epoch, _PHASE_HALVING_RS, round_index,
-            n_chunks, timeout, reduce_op=reduce_op,
+            n_chunks, reduce_op=reduce_op,
         )
 
 
@@ -398,7 +398,6 @@ def _doubling_allgather(
     comm: Communicator,
     flat: np.ndarray,
     epoch: int,
-    timeout: Optional[float],
 ) -> None:
     """Recursive-doubling allgather of the ``_halving_window`` segments.
 
@@ -413,9 +412,7 @@ def _doubling_allgather(
         partner = rank ^ dist
         tag = tags.sync_tag(epoch, _PHASE_DOUBLING_AG, round_index)
         comm.send((seg_lo, seg_hi, flat[seg_lo:seg_hi].copy()), partner, tag=tag)
-        other_lo, other_hi, other_data = comm.recv(
-            source=partner, tag=tag, timeout=timeout
-        )
+        other_lo, other_hi, other_data = comm.recv(source=partner, tag=tag)
         if other_hi > other_lo:
             flat[other_lo:other_hi] = other_data
         seg_lo, seg_hi = min(seg_lo, other_lo), max(seg_hi, other_hi)
@@ -464,10 +461,10 @@ def _decode_chunk(codec, wire: np.ndarray, num_elements: int) -> np.ndarray:
 
 def _recv_wire(
     comm, codec, length: int, pred: int, epoch: int, phase: int, step: int,
-    n_chunks: int, timeout: Optional[float],
+    n_chunks: int,
 ) -> np.ndarray:
     buf = np.empty(length, dtype=codec.wire_dtype)
-    _recv_segments(comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout)
+    _recv_segments(comm, buf, 0, length, pred, epoch, phase, step, n_chunks)
     return buf
 
 
@@ -479,7 +476,6 @@ def _compressed_ring_reduce_scatter(
     phase: int,
     n_chunks: int,
     codec,
-    timeout: Optional[float],
 ) -> None:
     """Ring reduce-scatter with encoded hops and dense float64 combines.
 
@@ -506,9 +502,7 @@ def _compressed_ring_reduce_scatter(
             comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
         )
         lo, hi = bounds[recv_chunk]
-        wire_in = _recv_wire(
-            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks, timeout
-        )
+        wire_in = _recv_wire(comm, codec, hi - lo, pred, epoch, phase, step, n_chunks)
         if hi > lo and not (
             cast_decodable and reduce_kernels.accumulate_wire(flat[lo:hi], wire_in)
         ):
@@ -523,7 +517,6 @@ def _compressed_ring_allgather(
     phase: int,
     n_chunks: int,
     codec,
-    timeout: Optional[float],
 ) -> None:
     """Ring allgather of encoded chunks; every rank decodes identical bytes.
 
@@ -548,7 +541,7 @@ def _compressed_ring_allgather(
         )
         lo, hi = bounds[recv_chunk]
         encoded_chunks[recv_chunk] = _recv_wire(
-            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks, timeout
+            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks
         )
     for index, wire in encoded_chunks.items():
         lo, hi = bounds[index]
@@ -570,7 +563,6 @@ def _intra_reduce(
     epoch: int,
     n_chunks: int,
     reduce_op: ReduceOp,
-    timeout: Optional[float],
 ) -> None:
     """Reduce every host's contributions onto its leader (binomial tree)."""
     rank = comm.rank
@@ -586,7 +578,7 @@ def _intra_reduce(
             elif rank == dst:
                 _recv_segments(
                     comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_REDUCE,
-                    round_index, n_chunks, timeout, reduce_op=reduce_op,
+                    round_index, n_chunks, reduce_op=reduce_op,
                 )
 
 
@@ -596,7 +588,6 @@ def _intra_bcast(
     topology: HostTopology,
     epoch: int,
     n_chunks: int,
-    timeout: Optional[float],
 ) -> None:
     """Broadcast the leader's (reduced) buffer back across its host."""
     rank = comm.rank
@@ -612,7 +603,7 @@ def _intra_bcast(
             elif rank == dst:
                 _recv_segments(
                     comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_BCAST,
-                    round_index, n_chunks, timeout,
+                    round_index, n_chunks,
                 )
 
 
@@ -635,18 +626,17 @@ def _hierarchical_reduce_scatter(
     epoch: int,
     n_chunks: int,
     reduce_op: ReduceOp,
-    timeout: Optional[float],
 ) -> None:
     """Intra-host reduce → leader ring reduce-scatter → sub-window scatter."""
     rank = comm.rank
     host = topology.host(rank)
     host_bounds = _segment_bounds(flat.size, topology.num_hosts)
-    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
+    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op)
     sub_bounds = _hier_sub_bounds(topology, host, host_bounds)
     if topology.is_leader(rank):
         _ring_reduce_scatter(
             SubsetCommunicator(comm, topology.leaders), flat, host_bounds,
-            epoch, _PHASE_LEADER_RS, n_chunks, reduce_op, timeout,
+            epoch, _PHASE_LEADER_RS, n_chunks, reduce_op,
         )
         for j, member in enumerate(topology.ranks_on_host(host)):
             if member != rank:
@@ -658,7 +648,7 @@ def _hierarchical_reduce_scatter(
         j = topology.local_index(rank)
         _recv_segments(
             comm, flat, *sub_bounds[j], topology.leader_of(host), epoch,
-            _PHASE_HIER_SCATTER, j, n_chunks, timeout,
+            _PHASE_HIER_SCATTER, j, n_chunks,
         )
 
 
@@ -668,7 +658,6 @@ def _hierarchical_allgather(
     topology: HostTopology,
     epoch: int,
     n_chunks: int,
-    timeout: Optional[float],
 ) -> None:
     """Sub-window gather to leader → leader ring allgather → intra bcast."""
     rank = comm.rank
@@ -680,11 +669,11 @@ def _hierarchical_allgather(
             if member != rank:
                 _recv_segments(
                     comm, flat, *sub_bounds[j], member, epoch,
-                    _PHASE_HIER_GATHER, j, n_chunks, timeout,
+                    _PHASE_HIER_GATHER, j, n_chunks,
                 )
         _ring_allgather(
             SubsetCommunicator(comm, topology.leaders), flat, host_bounds,
-            epoch, _PHASE_LEADER_AG, n_chunks, timeout,
+            epoch, _PHASE_LEADER_AG, n_chunks,
         )
     else:
         j = topology.local_index(rank)
@@ -692,7 +681,7 @@ def _hierarchical_allgather(
             comm, flat, *sub_bounds[j], topology.leader_of(host), epoch,
             _PHASE_HIER_GATHER, j, n_chunks,
         )
-    _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+    _intra_bcast(comm, flat, topology, epoch, n_chunks)
 
 
 # --------------------------------------------------------------------------
@@ -727,7 +716,6 @@ def _reduce_scatter_phases(
     epoch: int,
     n_chunks: int,
     reduce_op: Optional[ReduceOp],
-    timeout: Optional[float],
     average: bool = False,
     codec=None,
     topology: Optional[HostTopology] = None,
@@ -747,22 +735,18 @@ def _reduce_scatter_phases(
             bounds = _segment_bounds(flat.size, comm.size)
             if codec is None:
                 _ring_reduce_scatter(
-                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks,
-                    reduce_op, timeout,
+                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks, reduce_op
                 )
             else:
                 _compressed_ring_reduce_scatter(
-                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks, codec,
-                    timeout,
+                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks, codec
                 )
         elif algorithm == "halving":
-            if _fold_in(comm, flat, epoch, n_chunks, reduce_op, timeout):
-                _halving_reduce_scatter(
-                    comm, flat, epoch, n_chunks, reduce_op, timeout
-                )
+            if _fold_in(comm, flat, epoch, n_chunks, reduce_op):
+                _halving_reduce_scatter(comm, flat, epoch, n_chunks, reduce_op)
         else:  # hierarchical
             _hierarchical_reduce_scatter(
-                comm, flat, topology, epoch, n_chunks, reduce_op, timeout
+                comm, flat, topology, epoch, n_chunks, reduce_op
             )
     lo, hi = _owned_window(comm.rank, comm.size, flat.size, algorithm, topology)
     if average:
@@ -776,7 +760,6 @@ def _allgather_phases(
     algorithm: str,
     epoch: int,
     n_chunks: int,
-    timeout: Optional[float],
     codec=None,
     topology: Optional[HostTopology] = None,
 ) -> None:
@@ -789,20 +772,17 @@ def _allgather_phases(
         if algorithm == "ring":
             bounds = _segment_bounds(flat.size, comm.size)
             if codec is None:
-                _ring_allgather(
-                    comm, flat, bounds, epoch, _PHASE_RING_AG, n_chunks, timeout
-                )
+                _ring_allgather(comm, flat, bounds, epoch, _PHASE_RING_AG, n_chunks)
             else:
                 _compressed_ring_allgather(
-                    comm, flat, bounds, epoch, _PHASE_RING_AG, n_chunks, codec,
-                    timeout,
+                    comm, flat, bounds, epoch, _PHASE_RING_AG, n_chunks, codec
                 )
         elif algorithm == "doubling":
             if comm.rank < largest_power_of_two_leq(comm.size):
-                _doubling_allgather(comm, flat, epoch, timeout)
-            _fold_out(comm, flat, epoch, n_chunks, timeout)
+                _doubling_allgather(comm, flat, epoch)
+            _fold_out(comm, flat, epoch, n_chunks)
         else:  # hierarchical
-            _hierarchical_allgather(comm, flat, topology, epoch, n_chunks, timeout)
+            _hierarchical_allgather(comm, flat, topology, epoch, n_chunks)
 
 
 def _split_allreduce(
@@ -812,7 +792,6 @@ def _split_allreduce(
     reduce_op: Optional[ReduceOp],
     average: bool,
     n_chunks: int,
-    timeout: Optional[float],
     codec=None,
 ) -> np.ndarray:
     """Reduce-scatter ∘ allgather of ``algorithm`` on ``arr`` in one epoch."""
@@ -822,12 +801,12 @@ def _split_allreduce(
         return arr
     flat = arr.reshape(-1)
     _reduce_scatter_phases(
-        comm, flat, algorithm, epoch, n_chunks, reduce_op, timeout,
+        comm, flat, algorithm, epoch, n_chunks, reduce_op,
         average=average, codec=codec,
     )
     _allgather_phases(
         comm, flat, ALLGATHER_FOR_REDUCE_SCATTER[algorithm], epoch, n_chunks,
-        timeout, codec=codec,
+        codec=codec,
     )
     return flat.reshape(arr.shape)
 
@@ -835,7 +814,7 @@ def _split_allreduce(
 # --------------------------------------------------------------------------
 # broadcast / reduce / allgather
 # --------------------------------------------------------------------------
-def broadcast(comm: Communicator, data, root: int = 0, timeout: Optional[float] = None):
+def broadcast(comm: Communicator, data, root: int = 0):
     """Binomial-tree broadcast of ``data`` from ``root`` to all ranks."""
     epoch = comm.next_collective_epoch()
     rank, size = comm.rank, comm.size
@@ -844,7 +823,7 @@ def broadcast(comm: Communicator, data, root: int = 0, timeout: Optional[float] 
         return data
     if rank != root:
         parent = binomial_tree_parent(rank, size, root)
-        data = comm.recv(source=parent, tag=tag, timeout=timeout)
+        data = comm.recv(source=parent, tag=tag)
     for child in binomial_tree_children(rank, size, root):
         comm.send(data, child, tag=tag)
     return data
@@ -855,7 +834,6 @@ def reduce(
     data,
     op: ReduceOp | str = "sum",
     root: int = 0,
-    timeout: Optional[float] = None,
 ) -> Optional[np.ndarray]:
     """Binomial-tree reduction to ``root``; returns the result on root only."""
     epoch = comm.next_collective_epoch()
@@ -872,7 +850,7 @@ def reduce(
     children = list(reversed(binomial_tree_children(rank, size, root)))
     widened = reduce_op.accumulator(acc) if len(children) > 1 else None
     for child in children:
-        contribution = comm.recv(source=child, tag=tag, timeout=timeout)
+        contribution = comm.recv(source=child, tag=tag)
         if widened is not None:
             widened.combine(contribution)
         else:
@@ -889,7 +867,6 @@ def reduce(
 def allgather(
     comm: Communicator,
     data,
-    timeout: Optional[float] = None,
     out: Optional[List[np.ndarray]] = None,
 ) -> List:
     """Gather one value from every rank at every rank (ring algorithm).
@@ -924,7 +901,7 @@ def allgather(
         send_idx = (rank - step) % size
         comm.send(items[send_idx], succ, tag=tag)
         recv_idx = (rank - step - 1) % size
-        incoming = comm.recv(source=pred, tag=tag, timeout=timeout)
+        incoming = comm.recv(source=pred, tag=tag)
         if out is not None:
             np.copyto(items[recv_idx], np.asarray(incoming))
         else:
@@ -939,7 +916,6 @@ def allreduce_recursive_doubling(
     comm: Communicator,
     data,
     op: ReduceOp | str = "sum",
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
     average: bool = False,
@@ -965,7 +941,7 @@ def allreduce_recursive_doubling(
     flat = acc.reshape(-1)
 
     pof2 = largest_power_of_two_leq(size)
-    if _fold_in(comm, flat, epoch, n_chunks, reduce_op, timeout):
+    if _fold_in(comm, flat, epoch, n_chunks, reduce_op):
         with _obs.span("rd-exchange", "collective", n_chunks=n_chunks):
             dist = 1
             round_index = 0
@@ -977,12 +953,12 @@ def allreduce_recursive_doubling(
                 )
                 _recv_segments(
                     comm, flat, 0, flat.size, partner, epoch, _PHASE_RD,
-                    round_index, n_chunks, timeout, reduce_op=reduce_op,
+                    round_index, n_chunks, reduce_op=reduce_op,
                 )
                 dist <<= 1
                 round_index += 1
 
-    _fold_out(comm, flat, epoch, n_chunks, timeout)
+    _fold_out(comm, flat, epoch, n_chunks)
     if average:
         flat /= size
     return flat.reshape(acc.shape)
@@ -992,7 +968,6 @@ def allreduce_ring(
     comm: Communicator,
     data,
     op: ReduceOp | str = "sum",
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
     average: bool = False,
@@ -1010,8 +985,7 @@ def allreduce_ring(
     (the chunked-pipeline schedule used by the fused gradient exchange).
     """
     return _split_allreduce(
-        comm, _as_float_array(data, copy=copy), "ring", get_op(op), average,
-        n_chunks, timeout,
+        comm, _as_float_array(data, copy=copy), "ring", get_op(op), average, n_chunks
     )
 
 
@@ -1019,7 +993,6 @@ def allreduce_rabenseifner(
     comm: Communicator,
     data,
     op: ReduceOp | str = "sum",
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
     average: bool = False,
@@ -1038,7 +1011,7 @@ def allreduce_rabenseifner(
     """
     return _split_allreduce(
         comm, _as_float_array(data, copy=copy), "halving", get_op(op), average,
-        n_chunks, timeout,
+        n_chunks,
     )
 
 
@@ -1047,7 +1020,6 @@ def allreduce_compressed_ring(
     data,
     codec,
     average: bool = True,
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
 ) -> np.ndarray:
@@ -1080,7 +1052,7 @@ def allreduce_compressed_ring(
     _require_wire_codec(codec)
     return _split_allreduce(
         comm, _as_dense_array(data, copy), "ring", None, average, n_chunks,
-        timeout, codec=codec,
+        codec=codec,
     )
 
 
@@ -1115,7 +1087,6 @@ def allreduce_hierarchical(
     comm: Communicator,
     data,
     op: ReduceOp | str = "sum",
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
     topology: Optional[HostTopology] = None,
@@ -1142,8 +1113,7 @@ def allreduce_hierarchical(
     topology = resolve_host_topology(comm, topology)
     if topology.is_single_host:
         return allreduce_ring(
-            comm, data, op=op, timeout=timeout, n_chunks=n_chunks, copy=copy,
-            average=average,
+            comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average
         )
     epoch = comm.next_collective_epoch()
     reduce_op = get_op(op)
@@ -1151,7 +1121,7 @@ def allreduce_hierarchical(
     acc = _as_float_array(data, copy=copy)
     flat = acc.reshape(-1)
 
-    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
+    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op)
     if topology.is_leader(comm.rank):
         with _obs.span("hier-leader-ring", "collective",
                        leaders=topology.num_hosts, n_chunks=n_chunks):
@@ -1159,13 +1129,12 @@ def allreduce_hierarchical(
             host_bounds = _segment_bounds(flat.size, topology.num_hosts)
             _ring_reduce_scatter(
                 leaders, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks,
-                reduce_op, timeout,
+                reduce_op,
             )
             _ring_allgather(
-                leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks,
-                timeout,
+                leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks
             )
-    _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+    _intra_bcast(comm, flat, topology, epoch, n_chunks)
     if average:
         flat /= comm.size
     return flat.reshape(acc.shape)
@@ -1176,7 +1145,6 @@ def allreduce_compressed_hierarchical(
     data,
     codec,
     average: bool = True,
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
     topology: Optional[HostTopology] = None,
@@ -1198,8 +1166,7 @@ def allreduce_compressed_hierarchical(
     topology = resolve_host_topology(comm, topology)
     if topology.is_single_host:
         return allreduce_compressed_ring(
-            comm, data, codec, average=average, timeout=timeout,
-            n_chunks=n_chunks, copy=copy,
+            comm, data, codec, average=average, n_chunks=n_chunks, copy=copy
         )
     _require_wire_codec(codec)
     epoch = comm.next_collective_epoch()
@@ -1207,21 +1174,19 @@ def allreduce_compressed_hierarchical(
     arr = _as_dense_array(data, copy)
     flat = arr.reshape(-1)
 
-    _intra_reduce(comm, flat, topology, epoch, n_chunks, get_op("sum"), timeout)
+    _intra_reduce(comm, flat, topology, epoch, n_chunks, get_op("sum"))
     if topology.is_leader(comm.rank):
         leaders = SubsetCommunicator(comm, topology.leaders)
         host_bounds = _segment_bounds(flat.size, topology.num_hosts)
         _compressed_ring_reduce_scatter(
-            leaders, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks, codec,
-            timeout,
+            leaders, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks, codec
         )
         _compressed_ring_allgather(
-            leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks, codec,
-            timeout,
+            leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks, codec
         )
         if average:
             flat /= topology.world_size
-    _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+    _intra_bcast(comm, flat, topology, epoch, n_chunks)
     return flat.reshape(arr.shape)
 
 
@@ -1240,7 +1205,6 @@ def allreduce(
     op: ReduceOp | str = "sum",
     algorithm: str = "recursive_doubling",
     average: bool = False,
-    timeout: Optional[float] = None,
     n_chunks: int = 1,
     copy: bool = True,
 ) -> np.ndarray:
@@ -1271,6 +1235,5 @@ def allreduce(
         nbytes=_obs.payload_nbytes(data), n_chunks=n_chunks,
     ):
         return impl(
-            comm, data, op=op, timeout=timeout, n_chunks=n_chunks, copy=copy,
-            average=average,
+            comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average
         )

@@ -89,6 +89,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.comm.communicator import DEFAULT_TIMEOUT, check_deadline
 from repro.comm.router import Channel, DEFAULT_CHANNELS
 
 #: Environment variable overriding the default backend name.
@@ -156,6 +157,9 @@ class CommunicatorLike(Protocol):
     @property
     def channel(self) -> str: ...
 
+    #: Deadline, in seconds, of every blocking receive without its own.
+    default_timeout: float
+
     def send(self, payload: Any, dest: int, tag: int = 0) -> None: ...
 
     def isend(self, payload: Any, dest: int, tag: int = 0): ...
@@ -164,9 +168,7 @@ class CommunicatorLike(Protocol):
 
     def recv_message(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None): ...
 
-    def recv_into(
-        self, out, source: int, tag: int, op=None, timeout: Optional[float] = None
-    ) -> None: ...
+    def recv_into(self, out, source: int, tag: int, op=None) -> None: ...
 
     def irecv(self, source: int = -1, tag: int = -1): ...
 
@@ -174,7 +176,7 @@ class CommunicatorLike(Protocol):
 
     def poll(self, source: int = -1, tag: int = -1) -> Optional[Any]: ...
 
-    def barrier(self, timeout: Optional[float] = None) -> None: ...
+    def barrier(self) -> None: ...
 
     def next_collective_epoch(self) -> int: ...
 
@@ -206,16 +208,16 @@ class CommBackend(ABC):
         channels: Sequence[str] = DEFAULT_CHANNELS,
         channel: str = Channel.APP,
         timeout: Optional[float] = 300.0,
-        default_recv_timeout: Optional[float] = 120.0,
+        default_recv_timeout: float = DEFAULT_TIMEOUT,
         **opts: Any,
     ) -> List[Any]:
         """Run ``fn(comm, *args, **kwargs)`` on every rank.
 
         Returns the per-rank results indexed by rank, or raises
         :class:`WorldError` carrying every rank's failure.  ``timeout``
-        bounds the whole world; ``default_recv_timeout`` is installed on
-        each rank's blocking receives.  Backend-specific options arrive
-        via ``opts``.
+        bounds the whole world; ``default_recv_timeout`` (already
+        checked by :func:`launch`) is every rank's receive deadline.
+        Backend-specific options arrive via ``opts``.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -341,7 +343,7 @@ def launch(
     channels: Sequence[str] = DEFAULT_CHANNELS,
     channel: str = Channel.APP,
     timeout: Optional[float] = 300.0,
-    default_recv_timeout: Optional[float] = 120.0,
+    default_recv_timeout: float = DEFAULT_TIMEOUT,
     backend_opts: Optional[Dict[str, Any]] = None,
     **kwargs: Any,
 ) -> List[Any]:
@@ -365,7 +367,11 @@ def launch(
     timeout:
         Overall completion timeout for the world, in seconds.
     default_recv_timeout:
-        Default timeout installed on every rank's blocking receives.
+        The world's receive deadline, in seconds: every blocking receive
+        of every rank — collectives, barriers and telemetry included —
+        raises :class:`~repro.comm.communicator.CommTimeoutError` after
+        it.  Must be finite and positive (``ValueError`` otherwise,
+        before any rank starts).
     backend_opts:
         Backend-specific options forwarded to
         :meth:`CommBackend.run` (e.g. ``{"thread_name_prefix": "w"}``
@@ -384,6 +390,7 @@ def launch(
     """
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
+    default_recv_timeout = check_deadline(default_recv_timeout)
     return get_backend(backend).run(
         fn,
         world_size,

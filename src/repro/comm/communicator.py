@@ -4,12 +4,25 @@ A :class:`Communicator` binds a rank to a channel of the
 :class:`~repro.comm.router.Router` and exposes MPI-like point-to-point
 primitives.  Collective operations are layered on top of it in
 :mod:`repro.collectives`.
+
+Deadlines
+---------
+Every blocking receive waits at most its communicator's
+``default_timeout``: one finite positive number per world, set by
+``launch(default_recv_timeout=...)`` (default :data:`DEFAULT_TIMEOUT`)
+and checked by :func:`check_deadline`.  The collectives, the barrier and
+telemetry collection take no deadline of their own; only ``recv`` /
+``recv_message`` and ``RecvRequest.wait`` accept a per-call ``timeout``,
+for poll loops that want a shorter one.  A receive past its deadline
+raises :class:`CommTimeoutError`.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import math
+import numbers
 from typing import Any, Optional
 
 import numpy as np
@@ -21,10 +34,23 @@ from repro.comm.requests import RecvRequest, Request, SendRequest
 from repro.comm.router import Channel, Router
 from repro.obs import recorder as _obs
 
-#: Default timeout, in seconds, for blocking receives issued by the
-#: library.  Distributed-training deadlocks otherwise hang the test suite;
-#: a generous-but-finite timeout converts them into actionable errors.
+#: The world's receive deadline, in seconds, unless ``launch`` is given
+#: another.  Distributed-training deadlocks otherwise hang the test suite;
+#: a generous-but-finite deadline converts them into actionable errors.
 DEFAULT_TIMEOUT = 120.0
+
+
+def check_deadline(seconds: Any) -> float:
+    """``seconds`` as a receive deadline; anything but a finite positive
+    number (``None``, ``0``, negatives, ``nan``, ``inf``) raises
+    ``ValueError`` naming the value."""
+    if not (isinstance(seconds, numbers.Real) and 0 < seconds < math.inf):
+        raise ValueError(
+            f"default_recv_timeout must be a finite positive number of "
+            f"seconds, got {seconds!r}"
+        )
+    return float(seconds)
+
 
 # Reserved tag space for the dissemination barrier (from the global
 # tag-region map; alias kept for existing callers).
@@ -43,8 +69,8 @@ class Communicator:
     channel:
         Router channel carrying this communicator's traffic.
     default_timeout:
-        Timeout applied to blocking receives when the caller does not
-        specify one.  ``None`` disables the safety timeout.
+        Deadline, in seconds, of every blocking receive that does not
+        name its own (see *Deadlines* above).
     """
 
     def __init__(
@@ -52,13 +78,13 @@ class Communicator:
         router: Router,
         rank: int,
         channel: str = Channel.APP,
-        default_timeout: Optional[float] = DEFAULT_TIMEOUT,
+        default_timeout: float = DEFAULT_TIMEOUT,
     ) -> None:
+        self.default_timeout = check_deadline(default_timeout)
         self._router = router
         self._rank = int(rank)
         self._channel = channel
         self._mailbox = router.mailbox(rank, channel)
-        self.default_timeout = default_timeout
         self._barrier_epoch = 0
         self._collective_epochs = itertools.count()
 
@@ -158,7 +184,8 @@ class Communicator:
         tag: int = ANY_TAG,
         timeout: Optional[float] = None,
     ) -> Message:
-        """Blocking receive returning the full :class:`Message` envelope."""
+        """Blocking receive returning the full :class:`Message` envelope;
+        ``timeout`` (seconds) overrides the communicator's deadline."""
         effective = self.default_timeout if timeout is None else timeout
         rec = _obs.current()
         if rec is None:
@@ -171,18 +198,14 @@ class Communicator:
         )
         return msg
 
-    def recv_into(
-        self, out: np.ndarray, source: int, tag: int, op: Any = None,
-        timeout: Optional[float] = None,
-    ) -> None:
+    def recv_into(self, out: np.ndarray, source: int, tag: int, op: Any = None) -> None:
         """Blocking receive of one array message into ``out`` — written, or
         with a reduce ``op`` combined in; another dtype or size raises
         ``ValueError``.  On the process-model transports the frame lands
         straight in ``out`` (see :mod:`repro.comm.process_backend`)."""
-        effective = self.default_timeout if timeout is None else timeout
         rec = _obs.current()
         t0 = 0 if rec is None else _obs.perf_counter_ns()
-        self._mailbox.get_into(out, source, tag, op, timeout=effective)
+        self._mailbox.get_into(out, source, tag, op, timeout=self.default_timeout)
         if rec is not None:
             _obs.record_recv(rec, self._channel, source, self._rank, tag, out.nbytes, t0)
 
@@ -200,7 +223,7 @@ class Communicator:
         return None if msg is None else msg.payload
 
     # ------------------------------------------------------------ barrier
-    def barrier(self, timeout: Optional[float] = None) -> None:
+    def barrier(self) -> None:
         """Dissemination barrier over all ranks of this channel.
 
         The dissemination algorithm completes in ``ceil(log2(P))`` rounds;
@@ -220,7 +243,7 @@ class Communicator:
             src = (self._rank - dist) % size
             tag = tags.barrier_tag(epoch, k)
             self.send(("barrier", epoch, k), dest, tag=tag)
-            self.recv(source=src, tag=tag, timeout=timeout)
+            self.recv(source=src, tag=tag)
             dist <<= 1
             k += 1
 

@@ -10,6 +10,7 @@ matching, FIFO per matching key).
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import Any, Deque, Optional
 
@@ -23,7 +24,7 @@ class MailboxClosed(RuntimeError):
 
 
 class CommTimeoutError(TimeoutError):
-    """A blocking receive or barrier exceeded its timeout."""
+    """A blocking receive exceeded its deadline."""
 
 
 def land(out: np.ndarray, payload: Any, op: Any = None) -> None:
@@ -73,39 +74,43 @@ class Mailbox:
         return None
 
     def get(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
+        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *, timeout: float
     ) -> Message:
         """Blocking receive of the first message matching ``(source, tag)``.
 
         Raises
         ------
         CommTimeoutError
-            If ``timeout`` (seconds) elapses with no matching message.
+            If ``timeout`` (seconds, finite) elapses with no matching message.
         MailboxClosed
             If the mailbox is closed and empty of matching messages.
         """
+        deadline = time.monotonic() + timeout
         with self._cond:
             while True:
                 msg = self._find(source, tag)
                 if msg is not None:
                     return msg
-                if self._closed:
-                    raise MailboxClosed(
-                        f"mailbox rank={self.owner_rank} channel={self.channel} "
-                        "closed while waiting for a message"
-                    )
-                if not self._cond.wait(timeout=timeout):
-                    raise CommTimeoutError(
-                        f"rank {self.owner_rank}/{self.channel}: timed out waiting "
-                        f"for message from source={source} tag={tag}"
-                    )
+                self._cond.wait(self._remaining(deadline, source, tag))
+
+    def _remaining(self, deadline: float, source: int, tag: int) -> float:
+        """Seconds left until ``deadline`` (lock held); raises once the
+        mailbox is closed or the deadline has passed."""
+        if self._closed:
+            raise MailboxClosed(
+                f"mailbox rank={self.owner_rank} channel={self.channel} "
+                "closed while waiting for a message"
+            )
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise CommTimeoutError(
+                f"rank {self.owner_rank}/{self.channel}: timed out waiting "
+                f"for message from source={source} tag={tag}"
+            )
+        return remaining
 
     def get_into(
-        self, out: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-        op: Any = None, timeout: Optional[float] = None,
+        self, out: np.ndarray, source: int, tag: int, op: Any = None, *, timeout: float
     ) -> None:
         """:meth:`get` the first matching message and :func:`land` it in ``out``."""
         land(out, self.get(source, tag, timeout=timeout).payload, op)

@@ -119,8 +119,8 @@ from repro.comm.backend import (
     WorldError,
     register_backend,
 )
-from repro.comm.communicator import Communicator
-from repro.comm.mailbox import CommTimeoutError, Mailbox, MailboxClosed, land
+from repro.comm.communicator import DEFAULT_TIMEOUT, Communicator
+from repro.comm.mailbox import Mailbox, MailboxClosed, land
 from repro.comm.message import Message
 from repro.comm.router import Channel, DEFAULT_CHANNELS, is_declared_channel
 
@@ -482,10 +482,10 @@ class _PumpingMailbox(Mailbox):
         super().__init__(owner_rank, channel)
         self._pump = pump
 
-    def get(self, source: int = -1, tag: int = -1, timeout=None, receive=None):
+    def get(self, source: int = -1, tag: int = -1, *, timeout: float, receive=None):
         """:meth:`Mailbox.get`; with a posted ``receive``, ``None`` once a
         frame landed in it in place."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             with self._cond:
                 if receive is None or not receive.claimed:
@@ -494,23 +494,13 @@ class _PumpingMailbox(Mailbox):
                         return msg
                 elif receive.done:
                     return None
-                if self._closed:
-                    raise MailboxClosed(
-                        f"mailbox rank={self.owner_rank} channel={self.channel} "
-                        "closed while waiting for a message"
-                    )
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise CommTimeoutError(
-                    f"rank {self.owner_rank}/{self.channel}: timed out waiting "
-                    f"for message from source={source} tag={tag}"
-                )
+                remaining = self._remaining(deadline, source, tag)
             self._pump._progress_or_wait(self, source, tag, remaining, receive)
 
-    def get_into(self, out, source: int = -1, tag: int = -1, op=None, timeout=None) -> None:
+    def get_into(self, out, source: int, tag: int, op=None, *, timeout: float) -> None:
         receive = _Receive(self, out, source, tag, op)
         try:
-            msg = self.get(source, tag, timeout, receive)
+            msg = self.get(source, tag, timeout=timeout, receive=receive)
         finally:
             if receive.claimed and not receive.done:  # gave up mid-body
                 with self._pump._pump_lock:  # noqa: SLF001 - cooperating classes
@@ -669,7 +659,7 @@ class _Pump:
             self._pump_lock.release()
 
     def _progress_or_wait(
-        self, mailbox: Mailbox, source: int, tag: int, remaining: Optional[float],
+        self, mailbox: Mailbox, source: int, tag: int, remaining: float,
         receive: Optional[_Receive] = None,
     ) -> None:
         """One blocked-receiver iteration: steal the pump or wait briefly.
@@ -681,7 +671,7 @@ class _Pump:
         on the mailbox condition.  Returns with no verdict; the caller
         re-checks its mailbox, its receive and its deadline.
         """
-        slice_seconds = _WAIT_SLICE if remaining is None else min(remaining, _WAIT_SLICE)
+        slice_seconds = min(remaining, _WAIT_SLICE)
         if self._pump_lock.acquire(blocking=False):
             try:
                 # A match staged meanwhile comes before any later frame.
@@ -1216,7 +1206,7 @@ def _worker_main(
     plan: MeshPlan,
     channels: Sequence[str],
     channel: str,
-    default_recv_timeout: Optional[float],
+    default_recv_timeout: float,
     result_conn,
     control_conn,
 ) -> None:
@@ -1321,7 +1311,7 @@ class ProcessBackend(CommBackend):
         channels: Sequence[str] = DEFAULT_CHANNELS,
         channel: str = Channel.APP,
         timeout: Optional[float] = 300.0,
-        default_recv_timeout: Optional[float] = 120.0,
+        default_recv_timeout: float = DEFAULT_TIMEOUT,
         **opts: Any,
     ) -> List[Any]:
         kwargs = kwargs or {}

@@ -9,10 +9,10 @@ style of ``mpi4py`` requests.
 from __future__ import annotations
 
 import threading
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.comm.mailbox import Mailbox
-from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
+from repro.comm.message import Message
 
 
 class Request:
@@ -25,11 +25,6 @@ class Request:
     def wait(self, timeout: Optional[float] = None) -> Any:
         """Block until the operation completes and return its result."""
         raise NotImplementedError
-
-    @staticmethod
-    def wait_all(requests: List["Request"], timeout: Optional[float] = None) -> List[Any]:
-        """Wait for every request, returning their results in order."""
-        return [r.wait(timeout=timeout) for r in requests]
 
 
 class SendRequest(Request):
@@ -47,15 +42,11 @@ class SendRequest(Request):
 
 class RecvRequest(Request):
     """A pending receive matched lazily against the owner's mailbox;
-    :meth:`wait` defaults to ``default_timeout`` (``None``: forever) and
-    raises :class:`~repro.comm.mailbox.CommTimeoutError`."""
+    :meth:`wait` defaults to ``default_timeout`` (its communicator's
+    deadline) and raises :class:`~repro.comm.mailbox.CommTimeoutError`."""
 
     def __init__(
-        self,
-        mailbox: Mailbox,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        default_timeout: Optional[float] = None,
+        self, mailbox: Mailbox, source: int, tag: int, default_timeout: float
     ) -> None:
         self._mailbox = mailbox
         self._source = source

@@ -82,6 +82,11 @@ class SubsetCommunicator:
         return self._parent.channel
 
     @property
+    def default_timeout(self) -> float:
+        """The parent's receive deadline, which is the world's."""
+        return self._parent.default_timeout
+
+    @property
     def parent(self) -> Communicator:
         """The underlying full-world communicator."""
         return self._parent
@@ -142,10 +147,8 @@ class SubsetCommunicator:
             self._require_member(source), tag, timeout=timeout
         )
 
-    def recv_into(
-        self, out, source: int, tag: int, op=None, timeout: Optional[float] = None
-    ) -> None:
-        self._parent.recv_into(out, self._require_member(source), tag, op, timeout)
+    def recv_into(self, out, source: int, tag: int, op=None) -> None:
+        self._parent.recv_into(out, self._require_member(source), tag, op)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         return self._parent.irecv(self._require_member(source), tag)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.backend import CommBackend, WorldError, register_backend
-from repro.comm.communicator import Communicator
+from repro.comm.communicator import DEFAULT_TIMEOUT, Communicator
 from repro.comm.router import Channel, DEFAULT_CHANNELS, Router
 
 __all__ = ["ThreadWorld", "ThreadBackend", "WorldError"]
@@ -34,7 +34,7 @@ class ThreadWorld:
 
     world_size: int
     channels: Sequence[str] = DEFAULT_CHANNELS
-    default_timeout: Optional[float] = 120.0
+    default_timeout: float = DEFAULT_TIMEOUT
     router: Router = field(init=False)
 
     def __post_init__(self) -> None:
@@ -82,7 +82,7 @@ class ThreadBackend(CommBackend):
         channels: Sequence[str] = DEFAULT_CHANNELS,
         channel: str = Channel.APP,
         timeout: Optional[float] = 300.0,
-        default_recv_timeout: Optional[float] = 120.0,
+        default_recv_timeout: float = DEFAULT_TIMEOUT,
         thread_name_prefix: str = "rank",
         **opts: Any,
     ) -> List[Any]:

@@ -18,9 +18,11 @@ happen before those dumps become one aligned timeline:
 2. **Buffer shipment** (:func:`gather_traces`): each rank ``r > 0``
    ships its dump to rank 0 on ``telemetry_buffer_tag(r)``.
 
-The combined schedule is deterministic SPMD — every rank performs the
-same source-explicit sends/recvs in the same order — so the static
-schedule verifier can sweep it like any collective:
+Every receive waits at most the communicator's deadline (the world's;
+see :mod:`repro.comm.communicator`).  The combined schedule is
+deterministic SPMD — every rank performs the same source-explicit
+sends/recvs in the same order — so the static schedule verifier can
+sweep it like any collective:
 :func:`telemetry_round_trip` is the verifier-facing wrapper whose rank-0
 oracle is the sum of the (known) payloads shipped by every rank.
 """
@@ -43,9 +45,7 @@ DEFAULT_SYNC_ROUNDS = 4
 
 
 def estimate_clock_offsets(
-    comm,
-    rounds: int = DEFAULT_SYNC_ROUNDS,
-    timeout: Optional[float] = None,
+    comm, rounds: int = DEFAULT_SYNC_ROUNDS
 ) -> Optional[Dict[int, int]]:
     """Estimate each rank's clock offset relative to rank 0.
 
@@ -66,13 +66,7 @@ def estimate_clock_offsets(
             for k in range(rounds):
                 t0 = perf_counter_ns()
                 comm.send(int(k), peer, tag=tags.telemetry_ping_tag(peer, k))
-                t_peer = int(
-                    comm.recv(
-                        source=peer,
-                        tag=tags.telemetry_pong_tag(peer, k),
-                        timeout=timeout,
-                    )
-                )
+                t_peer = int(comm.recv(source=peer, tag=tags.telemetry_pong_tag(peer, k)))
                 t1 = perf_counter_ns()
                 rtt = t1 - t0
                 if best_rtt is None or rtt < best_rtt:
@@ -81,16 +75,13 @@ def estimate_clock_offsets(
             offsets[peer] = best_offset
         return offsets
     for k in range(rounds):
-        comm.recv(source=0, tag=tags.telemetry_ping_tag(rank, k), timeout=timeout)
+        comm.recv(source=0, tag=tags.telemetry_ping_tag(rank, k))
         comm.send(perf_counter_ns(), 0, tag=tags.telemetry_pong_tag(rank, k))
     return None
 
 
 def gather_traces(
-    comm,
-    payload: Any,
-    rounds: int = DEFAULT_SYNC_ROUNDS,
-    timeout: Optional[float] = None,
+    comm, payload: Any, rounds: int = DEFAULT_SYNC_ROUNDS
 ) -> Optional[Tuple[List[Any], Dict[int, int]]]:
     """Clock-sync then gather every rank's ``payload`` onto rank 0.
 
@@ -99,18 +90,12 @@ def gather_traces(
     included) and ``offsets`` the clock-offset map; other ranks ship
     their payload and return ``None``.
     """
-    offsets = estimate_clock_offsets(comm, rounds=rounds, timeout=timeout)
+    offsets = estimate_clock_offsets(comm, rounds=rounds)
     rank, size = comm.rank, comm.size
     if rank == 0:
         payloads: List[Any] = [payload]
         for peer in range(1, size):
-            payloads.append(
-                comm.recv(
-                    source=peer,
-                    tag=tags.telemetry_buffer_tag(peer),
-                    timeout=timeout,
-                )
-            )
+            payloads.append(comm.recv(source=peer, tag=tags.telemetry_buffer_tag(peer)))
         assert offsets is not None
         return payloads, offsets
     comm.send(payload, 0, tag=tags.telemetry_buffer_tag(rank))

@@ -3,7 +3,6 @@
 from repro.utils.rng import seeded_rng, rank_seed
 from repro.utils.stats import (
     RunningStat,
-    Histogram,
     summarize,
     DistributionSummary,
 )
@@ -12,7 +11,6 @@ __all__ = [
     "seeded_rng",
     "rank_seed",
     "RunningStat",
-    "Histogram",
     "summarize",
     "DistributionSummary",
 ]

@@ -1,16 +1,16 @@
 """Streaming statistics and distribution summaries.
 
 The paper characterises load imbalance by the min / max / mean / standard
-deviation of per-batch runtimes (Section 2) and by histograms (Figures
-2-4).  :class:`RunningStat`, :class:`Histogram` and :func:`summarize`
-provide those measurements for arbitrary traces produced by the library.
+deviation of per-batch runtimes (Section 2).  :class:`RunningStat` and
+:func:`summarize` provide those measurements for arbitrary traces
+produced by the library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -100,62 +100,3 @@ def summarize(values: Sequence[float]) -> DistributionSummary:
         median=float(np.median(arr)),
     )
 
-
-class Histogram:
-    """Fixed-bin histogram mirroring the paper's figures 2-4.
-
-    Parameters
-    ----------
-    bin_width:
-        Width of each bin in the same unit as the pushed values.
-    start:
-        Left edge of the first bin.
-    """
-
-    def __init__(self, bin_width: float, start: float = 0.0) -> None:
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {bin_width}")
-        self.bin_width = float(bin_width)
-        self.start = float(start)
-        self._counts: dict[int, int] = {}
-        self._n = 0
-
-    def push(self, value: float) -> None:
-        idx = int(math.floor((float(value) - self.start) / self.bin_width))
-        self._counts[idx] = self._counts.get(idx, 0) + 1
-        self._n += 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.push(v)
-
-    @property
-    def total(self) -> int:
-        return self._n
-
-    def bins(self) -> List[Tuple[float, float, int]]:
-        """Return ``(left_edge, right_edge, count)`` triples, sorted."""
-        out = []
-        for idx in sorted(self._counts):
-            left = self.start + idx * self.bin_width
-            out.append((left, left + self.bin_width, self._counts[idx]))
-        return out
-
-    def as_series(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(bin_centers, counts)`` arrays for plotting/printing."""
-        triples = self.bins()
-        if not triples:
-            return np.array([]), np.array([])
-        centers = np.array([(a + b) / 2.0 for a, b, _ in triples])
-        counts = np.array([c for _, _, c in triples])
-        return centers, counts
-
-    def mode_bin(self) -> Tuple[float, float, int]:
-        """Return the bin with the highest count."""
-        if not self._counts:
-            raise ValueError(
-                f"histogram (bin_width={self.bin_width}, start={self.start}) is empty"
-            )
-        idx = max(self._counts, key=lambda k: self._counts[k])
-        left = self.start + idx * self.bin_width
-        return (left, left + self.bin_width, self._counts[idx])

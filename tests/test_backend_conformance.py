@@ -28,6 +28,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import socket
 import struct
 import subprocess
@@ -285,8 +286,8 @@ class TestPointToPoint:
         def worker(comm):
             if comm.rank == 0:
                 time.sleep(0.05)
-            comm.barrier(timeout=30)
-            comm.barrier(timeout=30)
+            comm.barrier()
+            comm.barrier()
             return comm.rank
 
         assert launch(worker, 4, backend=backend) == [0, 1, 2, 3]
@@ -424,7 +425,7 @@ class TestCollectives:
             partial = make_partial_allreduce(comm, (64,), mode, seed=1)
             values = []
             for _ in range(3):
-                result = partial.reduce(np.ones(64), timeout=60)
+                result = partial.reduce(np.ones(64))
                 assert 0 <= result.num_active <= comm.size
                 values.append(float(result.data[0]))
             partial.close()
@@ -545,7 +546,7 @@ print(json.dumps(launch(
 def _barrier_failure_worker(comm):
     if comm.rank == 0:
         raise RuntimeError("early exit")
-    comm.barrier(timeout=60)
+    comm.barrier()
     return comm.rank
 
 
@@ -754,7 +755,7 @@ class TestProgressEngine:
         name, size, opts = fabric
 
         def worker(comm):
-            comm.barrier(timeout=30)  # the mesh is built and has carried traffic
+            comm.barrier()  # the mesh is built and has carried traffic
             return sorted(t.name for t in threading.enumerate())
 
         assert launch(worker, size, backend=name, backend_opts=opts) == [
@@ -835,17 +836,19 @@ class TestProgressEngine:
     def test_a_receive_abandoned_mid_body_is_not_written_after(self, raw_peer):
         from repro.comm import CommTimeoutError
 
+        from repro.comm.communicator import Communicator
+
         endpoint, comm, peer = raw_peer
         frame = _frame(np.arange(10_000.0), tag=7)
         peer.sendall(frame[:4000])  # the header and a start of the body
         out = np.full(10_000, _CANARY)
         with pytest.raises(CommTimeoutError):
-            comm.recv_into(out, 1, 7, timeout=0.3)
+            Communicator(endpoint, 0, default_timeout=0.3).recv_into(out, 1, 7)
         landed = out.copy()
         assert np.all(landed[-5000:] == _CANARY)
         peer.sendall(frame[4000:] + _frame(np.ones(3), tag=8))
         second = np.empty(3)
-        comm.recv_into(second, 1, 8, timeout=10)  # the stream went on
+        comm.recv_into(second, 1, 8)  # the stream went on
         assert second.tolist() == [1.0] * 3 and out.tobytes() == landed.tobytes()
 
     def test_a_frame_claimed_by_one_thread_completes_whoever_pumps(self, raw_peer):
@@ -853,7 +856,7 @@ class TestProgressEngine:
         frame = _frame(np.arange(10_000.0), tag=7)
         peer.sendall(frame[:4000])
         out, got = np.empty(10_000), []
-        app = threading.Thread(target=comm.recv_into, args=(out, 1, 7), kwargs={"timeout": 10})
+        app = threading.Thread(target=comm.recv_into, args=(out, 1, 7))
         app.start()
         time.sleep(0.1)  # the app thread claimed the frame and starved mid-body
         lib = threading.Thread(target=lambda: got.append(comm.dup("lib").recv(1, 9, 10)))
@@ -933,7 +936,7 @@ def _guard_band_worker(comm):
     for tag, (window, op, start) in enumerate(windows, 1):
         if op is not None:
             buf[window] = start
-        comm.recv_into(buf[window], pred, tag, op=op, timeout=30)
+        comm.recv_into(buf[window], pred, tag, op=op)
         expected[window] = np.arange(n) + pred + start
     return buf.tobytes() == expected.tobytes()
 
@@ -947,11 +950,11 @@ def _mismatch_worker(comm):
     errors = []
     for tag in (1, 2):
         try:
-            comm.recv_into(out, pred, tag, timeout=30)
+            comm.recv_into(out, pred, tag)
         except ValueError as exc:
             errors.append(str(exc))
     untouched = bool(np.all(out == _CANARY))
-    comm.recv_into(out, pred, 3, timeout=30)  # the stream is intact
+    comm.recv_into(out, pred, 3)  # the stream is intact
     return errors, untouched, out.tolist()
 
 
@@ -963,8 +966,8 @@ def _staged_worker(comm):
     comm.recv(source=pred, tag=2, timeout=30)  # pumping for this staged tag 1
     comm.send(data, succ, tag=3)
     staged, direct = np.empty(300), np.empty(300)
-    comm.recv_into(staged, pred, 1, timeout=30)
-    comm.recv_into(direct, pred, 3, timeout=30)
+    comm.recv_into(staged, pred, 1)
+    comm.recv_into(direct, pred, 3)
     stats = getattr(comm.router, "stats", dict)()
     return staged.tobytes() == direct.tobytes(), stats.get("frames_staged", 1)
 
@@ -988,7 +991,7 @@ def _concurrent_worker(comm):
     thread.start()
     partial = make_partial_allreduce(comm, (4096,), "solo", seed=1)
     try:
-        rounds = [partial.reduce(np.ones(4096), timeout=60).num_active for _ in range(10)]
+        rounds = [partial.reduce(np.ones(4096)).num_active for _ in range(10)]
     finally:
         partial.close()
     thread.join(timeout=60)
@@ -1129,6 +1132,82 @@ class TestFrameCodec:
         frames = _frames(_Pieces(bytes(frame), []), SimpleNamespace(want=None))
         with pytest.raises(ValueError, match=f"dtype code {code}"):
             _next_frame(frames)
+
+
+# ---------------------------------------------------------------------------
+# one receive deadline per world
+# ---------------------------------------------------------------------------
+def _skipped_allreduce_worker(comm):
+    """Rank 1 never joins the ring allreduce; the others report how their
+    receive gave up and after how long (returned, not raised, so no abort
+    wakes anyone before their own deadline)."""
+    from repro.collectives.sync import allreduce
+
+    if comm.rank == 1:
+        return None
+    started = time.monotonic()
+    try:
+        allreduce(comm, np.ones(64), algorithm="ring")
+        outcome = "completed"
+    except Exception as exc:  # noqa: BLE001 - the outcome is the result
+        outcome = type(exc).__name__
+    return outcome, time.monotonic() - started
+
+
+class TestDeadlines:
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    @pytest.mark.parametrize("value", [None, 0, -1, float("nan"), float("inf")])
+    def test_launch_rejects_a_deadline_that_is_not_finite_and_positive(
+        self, name, value, tmp_path
+    ):
+        def worker(comm):
+            (tmp_path / f"rank{comm.rank}").touch()
+
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            launch(worker, 2, backend=name, default_recv_timeout=value)
+        assert list(tmp_path.iterdir()) == []  # no rank ran
+
+    @pytest.mark.parametrize(
+        "fabric", _ALL_FABRICS, ids=["thread", "process", "shm", "tcp", "hier-0,0,1,1"]
+    )
+    def test_a_collective_waits_on_the_world_deadline(self, fabric):
+        name, size, opts = fabric
+        _skip_if_unavailable(name)
+        deadline = 0.5
+        results = launch(
+            _skipped_allreduce_worker, size, backend=name, backend_opts=opts,
+            default_recv_timeout=deadline, timeout=60,
+        )
+        outcome, elapsed = results[0]
+        assert outcome == "CommTimeoutError"
+        assert deadline <= elapsed < deadline + 5.0
+
+    def test_no_collective_barrier_or_telemetry_call_takes_a_timeout(self):
+        import inspect
+
+        from repro.analysis.recording import RecordingCommunicator
+        from repro.collectives import sharding, sync
+        from repro.comm import Communicator, CommunicatorLike, SubsetCommunicator
+        from repro.obs import collect
+
+        callables = [
+            (f"{module.__name__}.{name}", obj)
+            for module in (sync, sharding, collect)
+            for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+        ]
+        callables += [
+            (f"{cls.__name__}.{method}", getattr(cls, method))
+            for cls in (Communicator, SubsetCommunicator, RecordingCommunicator,
+                        CommunicatorLike)
+            for method in ("barrier", "recv_into")
+        ]
+        assert len(callables) > 40
+        offenders = [
+            name for name, fn in callables
+            if "timeout" in inspect.signature(fn).parameters
+        ]
+        assert offenders == []
 
 
 # ---------------------------------------------------------------------------

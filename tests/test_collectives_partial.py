@@ -190,12 +190,10 @@ class TestSemantics:
         assert all(launch(worker, 2))
 
 
-    def test_dead_peer_fails_the_round_with_the_transport_timeout(self, monkeypatch):
-        """A peer that never joins the reduction surfaces as a named
-        RuntimeError (cause: the transport's timeout) and ends the thread."""
-        from repro.collectives import partial as partial_module
-
-        monkeypatch.setattr(partial_module, "_REDUCTION_TIMEOUT", 0.3)
+    def test_dead_peer_fails_the_round_with_the_transport_timeout(self):
+        """A peer that never joins the reduction surfaces, after the
+        world's receive deadline, as a named RuntimeError (cause: the
+        transport's timeout) and ends the thread."""
 
         def worker(comm):
             if comm.rank == 1:
@@ -212,7 +210,29 @@ class TestSemantics:
                 partial._thread.is_alive(),
             )
 
-        elapsed, caused_by_timeout, alive = launch(worker, 2, backend="thread")[0]
-        assert elapsed < 5.0
+        elapsed, caused_by_timeout, alive = launch(
+            worker, 2, backend="thread", default_recv_timeout=0.3
+        )[0]
+        assert 0.3 <= elapsed < 5.0
         assert caused_by_timeout
         assert not alive
+
+    def test_a_round_never_activated_times_out_at_twice_the_deadline(self):
+        """Majority mode whose designated initiator never arrives: no
+        receive is pending, so ``reduce`` itself gives up, after two
+        world deadlines."""
+        from repro.utils.rng import seeded_rng
+
+        seed = next(s for s in range(100) if seeded_rng(s).integers(0, 2) == 1)
+
+        def worker(comm):
+            if comm.rank == 1:
+                return None  # the designated initiator of round 0 never comes
+            with MajorityAllreduce(comm, (2,), seed=seed) as partial:
+                start = time.monotonic()
+                with pytest.raises(TimeoutError, match="round 0 did not complete within 0.6s"):
+                    partial.reduce(np.ones(2))
+                return time.monotonic() - start
+
+        elapsed = launch(worker, 2, backend="thread", default_recv_timeout=0.3)[0]
+        assert 0.6 <= elapsed < 5.0

@@ -71,14 +71,34 @@ class TestMailbox:
         mb.put(Message(1, 0, 5, "a"))
         mb.put(Message(2, 0, 6, "b"))
         mb.put(Message(1, 0, 5, "c"))
-        assert mb.get(source=2, tag=6).payload == "b"
-        assert mb.get(source=1, tag=5).payload == "a"
-        assert mb.get(source=1, tag=5).payload == "c"
+        assert mb.get(source=2, tag=6, timeout=1).payload == "b"
+        assert mb.get(source=1, tag=5, timeout=1).payload == "a"
+        assert mb.get(source=1, tag=5, timeout=1).payload == "c"
 
     def test_timeout(self):
         mb = Mailbox(0, "app")
         with pytest.raises(TimeoutError):
             mb.get(timeout=0.01)
+
+    def test_unmatched_traffic_does_not_extend_the_deadline(self):
+        mb = Mailbox(0, "app")
+        stop = threading.Event()
+
+        def chatter():
+            while not stop.is_set():
+                mb.put(Message(1, 0, 9, None))  # wakes the receiver, never matches
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=chatter)
+        thread.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                mb.get(tag=5, timeout=0.2)
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+        assert time.monotonic() - started < 2.0 and not thread.is_alive()
 
     def test_probe_and_poll(self):
         mb = Mailbox(0, "app")

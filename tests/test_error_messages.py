@@ -38,7 +38,7 @@ from repro.simtime.collective_model import (
 from repro.simtime.skew import linear_skew
 from repro.simtime.training_model import StepTimeline, project_training_time
 from repro.theory.staleness import QuorumTracker
-from repro.utils.stats import Histogram
+from repro.comm.communicator import check_deadline
 
 
 def _batch(inputs, n):
@@ -199,16 +199,13 @@ CASES = {
         lambda: project_training_time(StepTimeline(np.zeros((0, 4)))),
         "got 0 x 4",
     ),
-    # theory, utils
+    # theory
     "QuorumTracker-world_size": (
         lambda: QuorumTracker(0),
         "world_size must be >= 1, got 0",
     ),
-    "Histogram-bin_width": (lambda: Histogram(0), "bin_width must be positive, got 0"),
-    "Histogram-empty": (
-        lambda: Histogram(0.5, start=1.0).mode_bin(),
-        "bin_width=0.5, start=1.0",
-    ),
+    # comm
+    "check_deadline": (lambda: check_deadline(-2.5), "got -2.5"),
 }
 
 

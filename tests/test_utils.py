@@ -10,7 +10,7 @@ from repro.utils.rng import (
     rank_seed,
     seeded_rng,
 )
-from repro.utils.stats import DistributionSummary, Histogram, RunningStat, summarize
+from repro.utils.stats import DistributionSummary, RunningStat, summarize
 
 
 class TestRng:
@@ -61,35 +61,6 @@ class TestRunningStat:
         stat = RunningStat()
         stat.extend(values)
         assert min(values) - 1e-9 <= stat.mean <= max(values) + 1e-9
-
-
-class TestHistogram:
-    def test_bins_and_total(self):
-        h = Histogram(bin_width=10.0)
-        h.extend([1, 5, 15, 25, 25])
-        assert h.total == 5
-        bins = h.bins()
-        assert bins[0] == (0.0, 10.0, 2)
-        assert h.mode_bin()[2] == 2
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            Histogram(bin_width=0)
-
-    def test_series_shapes(self):
-        h = Histogram(5.0)
-        h.extend(range(20))
-        centers, counts = h.as_series()
-        assert len(centers) == len(counts) == 4
-        assert counts.sum() == 20
-
-    def test_empty_series(self):
-        centers, counts = Histogram(1.0).as_series()
-        assert centers.size == 0 and counts.size == 0
-
-    def test_mode_bin_empty_raises(self):
-        with pytest.raises(ValueError):
-            Histogram(1.0).mode_bin()
 
 
 class TestSummarize:
