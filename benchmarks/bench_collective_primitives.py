@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.comm import launch
 from repro.collectives import allreduce, broadcast
-from repro.collectives.partial import MajorityAllreduce, SoloAllreduce
+from repro.collectives.partial import PartialAllreduce
 
 WORLD = 4
 ELEMENTS = 16 * 1024
@@ -40,8 +40,8 @@ def bench_broadcast_4_ranks(benchmark):
     assert all(r == 1.0 for r in results)
 
 
-def _partial_rounds(comm, cls, rounds=4):
-    partial = cls(comm, (ELEMENTS,), seed=1)
+def _partial_rounds(comm, mode, rounds=4):
+    partial = PartialAllreduce(comm, (ELEMENTS,), mode, seed=1)
     out = 0.0
     for _ in range(rounds):
         out = float(partial.reduce(np.ones(ELEMENTS)).data[0])
@@ -53,10 +53,10 @@ def bench_solo_allreduce_4_ranks(benchmark):
     # A round's average can exceed 1.0 when slow ranks contribute several
     # accumulated (stale) gradients at once; it is bounded by the number
     # of rounds each rank contributes to.
-    results = benchmark(lambda: launch(_partial_rounds, WORLD, SoloAllreduce))
+    results = benchmark(lambda: launch(_partial_rounds, WORLD, "solo"))
     assert all(0.0 <= r <= 4.0 + 1e-9 for r in results)
 
 
 def bench_majority_allreduce_4_ranks(benchmark):
-    results = benchmark(lambda: launch(_partial_rounds, WORLD, MajorityAllreduce))
+    results = benchmark(lambda: launch(_partial_rounds, WORLD, "majority"))
     assert all(0.0 <= r <= 4.0 + 1e-9 for r in results)

@@ -8,8 +8,9 @@ Acceptance bars of the compression subsystem (ISSUE 4):
    ``TrainingConfig`` exchange configuration — i.e. exactly what a user
    gets by adding ``--compression fp16`` to a run.  (Uncompressed
    defaults run the seed's single-buffer recursive-doubling allreduce;
-   reduce-closed codecs run the compressed decode-reduce-encode ring of
-   :func:`repro.collectives.sync.allreduce_compressed_ring`.)
+   reduce-closed codecs run the ring of
+   :func:`repro.collectives.sync.allreduce` with the codec as its wire
+   dtype.)
 2. **Convergence**: on the Fig. 10 hyperplane workload, error-feedback
    top-k sparsification must reach a final validation loss within 5% of
    the uncompressed run.

@@ -34,7 +34,7 @@ The registry covers every registered collective — the four allreduce
 algorithms (with chunk pipelining and non-uniform
 :class:`~repro.collectives.topology.HostTopology` layouts for the
 hierarchical schedule), broadcast, reduce, allgather, the barrier, the
-compressed ring, fused :class:`~repro.training.exchange.SynchronousExchange`
+ring phases under an fp16 wire dtype, fused :class:`~repro.training.exchange.SynchronousExchange`
 plans, the serving tier's request/response + hot-swap round trip
 (:func:`repro.serving.protocol.serving_round_trip`), the flight-recorder
 telemetry collection (:func:`repro.obs.collect.telemetry_round_trip`) and
@@ -546,9 +546,9 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
         unit_total = expected_sum(size, unit=True)
 
         def fn_comp(comm, _p=size, _codec=codec):
-            return sync.allreduce_compressed_ring(
-                comm, contribution(comm.rank, _p, unit=True), _codec,
-                average=False, n_chunks=2,
+            return sync.allreduce(
+                comm, contribution(comm.rank, _p, unit=True),
+                algorithm="ring", n_chunks=2, codec=_codec,
             )
         cases.append(VerifyCase(
             name="allreduce[compressed_ring,fp16]",
@@ -558,9 +558,9 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
         ))
         if size >= 4:
             def fn_comp_hier(comm, _p=size, _codec=codec):
-                return sync.allreduce_compressed_hierarchical(
-                    comm, contribution(comm.rank, _p, unit=True), _codec,
-                    average=False,
+                return sync.allreduce(
+                    comm, contribution(comm.rank, _p, unit=True),
+                    algorithm="hierarchical", codec=_codec,
                 )
             cases.append(VerifyCase(
                 name="allreduce[compressed_hierarchical,fp16]",
@@ -855,8 +855,10 @@ def partial_round_case(size: int) -> VerifyCase:
     deterministic, so the case has no message-order fingerprint.
     """
     def fn(comm, _p=size):
-        from repro.collectives.partial import QuorumAllreduce
-        with QuorumAllreduce(comm, (_p + 3,), quorum=_p, average=False) as partial:
+        from repro.collectives.partial import PartialAllreduce
+        with PartialAllreduce(
+            comm, (_p + 3,), "quorum", quorum=_p, average=False
+        ) as partial:
             result = partial.reduce(contribution(comm.rank, _p))
         return np.append(result.data, result.num_active)
     return VerifyCase(

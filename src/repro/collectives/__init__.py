@@ -39,9 +39,6 @@ from repro.collectives.partial import (
     PartialAllreduce,
     PartialAllreduceResult,
     PartialMode,
-    SoloAllreduce,
-    MajorityAllreduce,
-    QuorumAllreduce,
     make_partial_allreduce,
 )
 
@@ -65,8 +62,5 @@ __all__ = [
     "PartialAllreduce",
     "PartialAllreduceResult",
     "PartialMode",
-    "SoloAllreduce",
-    "MajorityAllreduce",
-    "QuorumAllreduce",
     "make_partial_allreduce",
 ]

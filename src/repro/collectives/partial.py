@@ -144,7 +144,11 @@ class PartialAllreduce:
         mode; it must be identical on every rank (the paper achieves
         consensus "by using the same seed for all the processes").
     quorum:
-        Required number of arrivals in quorum mode.
+        Required number of arrivals in quorum mode (no default):
+        ``quorum=1`` approximates solo, ``quorum=P/2`` gives a hard (not
+        just statistical) majority guarantee, ``quorum=P`` degenerates to
+        a synchronous allreduce — the solo--majority--full spectrum of
+        the paper's conclusions.
     overwrite_recvbuff:
         Paper-faithful receive-buffer semantics (default).  The persistent
         schedule of Section 4.1.1 reuses a single receive buffer, so a
@@ -208,11 +212,12 @@ class PartialAllreduce:
                     f"of dtype {np.dtype(self.dtype).name} ({exact_limit}); "
                     f"the active-process counter would be silently absorbed"
                 )
-        if self.mode is PartialMode.QUORUM:
-            if quorum is None:
-                quorum = max(1, self.size // 2)
-            if not 1 <= quorum <= self.size:
-                raise ValueError(f"quorum must be in [1, {self.size}], got {quorum}")
+        if self.mode is PartialMode.QUORUM and (
+            quorum is None or not 1 <= quorum <= self.size
+        ):
+            raise ValueError(
+                f"quorum mode needs quorum in [1, {self.size}], got {quorum!r}"
+            )
         self.quorum = quorum
         self.overwrite_recvbuff = bool(overwrite_recvbuff)
 
@@ -571,55 +576,11 @@ class PartialAllreduce:
             self.comm_act.send(("activate", round_index, j, initiator), dest, tag=act_tag)
 
 
-class SoloAllreduce(PartialAllreduce):
-    """Wait-free partial allreduce: any process triggers the round."""
-
-    def __init__(self, comm: Communicator, shape, **kwargs) -> None:
-        kwargs.pop("mode", None)
-        super().__init__(comm, shape, mode=PartialMode.SOLO, **kwargs)
-
-
-class MajorityAllreduce(PartialAllreduce):
-    """Partial allreduce whose initiator is randomly designated each round.
-
-    Because every rank is equally likely to be designated, the expected
-    number of processes arriving before the initiator is ``P/2``: on
-    average at least half of the processes contribute fresh gradients
-    (Section 4.2).
-    """
-
-    def __init__(self, comm: Communicator, shape, **kwargs) -> None:
-        kwargs.pop("mode", None)
-        super().__init__(comm, shape, mode=PartialMode.MAJORITY, **kwargs)
-
-
-class QuorumAllreduce(PartialAllreduce):
-    """Partial allreduce that waits for an explicit number of arrivals.
-
-    This implements the solo--majority--full spectrum sketched in the
-    paper's conclusions: ``quorum=1`` approximates solo, ``quorum=P/2``
-    gives a hard (not just statistical) majority guarantee, ``quorum=P``
-    degenerates to a synchronous allreduce.
-    """
-
-    def __init__(self, comm: Communicator, shape, quorum: int, **kwargs) -> None:
-        kwargs.pop("mode", None)
-        super().__init__(comm, shape, mode=PartialMode.QUORUM, quorum=quorum, **kwargs)
-
-
 def make_partial_allreduce(
     comm: Communicator,
     shape,
     mode: PartialMode | str,
     **kwargs,
 ) -> PartialAllreduce:
-    """Factory selecting the partial-allreduce flavour by name."""
-    mode = PartialMode(mode)
-    if mode is PartialMode.SOLO:
-        return SoloAllreduce(comm, shape, **kwargs)
-    if mode is PartialMode.MAJORITY:
-        return MajorityAllreduce(comm, shape, **kwargs)
-    quorum = kwargs.pop("quorum", None)
-    if quorum is None:
-        raise ValueError(f"mode {mode!r} requires a 'quorum' argument, got {kwargs!r}")
-    return QuorumAllreduce(comm, shape, quorum=quorum, **kwargs)
+    """A :class:`PartialAllreduce` of flavour ``mode`` (name or enum)."""
+    return PartialAllreduce(comm, shape, mode, **kwargs)

@@ -10,8 +10,8 @@ An allreduce *is* a reduce-scatter followed by an allgather, so this
 module holds no schedule of its own: ``reduce_scatter`` runs the
 reduce-scatter half of :mod:`repro.collectives.sync`'s split allreduces
 and ``allgather_flat`` the allgather half — the very two functions
-``allreduce_ring``, ``allreduce_rabenseifner`` and
-``allreduce_compressed_ring`` compose.  Each call draws one epoch of the
+``allreduce_ring`` and ``allreduce_rabenseifner`` compose.  Each call
+draws one epoch of the
 communicator's collective counter, and its phases carry the ids of the
 phase table in :mod:`repro.collectives.sync`'s docstring:
 
@@ -30,10 +30,10 @@ phase table in :mod:`repro.collectives.sync`'s docstring:
   host's members (14); ``allgather_flat`` is the mirror image —
   sub-window gather (15), leader ring allgather (13), intra-host
   broadcast (11).  Only leaders touch inter-host links.
-* **compressed wire** — with a reduce-closed codec
-  (:mod:`repro.compression`) the ring algorithm runs the compressed-ring
-  phases instead (same ids 4 / 5): encoded payloads on every wire hop,
-  dense ``float64`` arithmetic at every combine.
+* **wire dtype** — a reduce-closed codec (:mod:`repro.compression`) is
+  the dtype the ring algorithm's hops travel in: the same phases 4 / 5,
+  narrow payloads on every hop, ``float64`` arithmetic at every combine
+  (see "Wire dtypes" in :mod:`repro.collectives.sync`).
 
 Ownership is a *static* function of ``(length, world, algorithm,
 topology)`` — :func:`shard_bounds` — so optimizer state keyed by the
@@ -54,11 +54,10 @@ from repro.comm.reduce_ops import ReduceOp, get_op
 from repro.collectives.sync import (
     ALLGATHER_FOR_REDUCE_SCATTER,
     _allgather_phases,
-    _as_dense_array,
     _as_float_array,
     _owned_window,
     _reduce_scatter_phases,
-    _require_wire_codec,
+    _require_reduce_closed,
     _validate_chunks,
     resolve_host_topology,
 )
@@ -76,6 +75,15 @@ def _require_algorithm(collective: str, algorithm: str, available) -> None:
             f"unknown {collective} algorithm {algorithm!r}; "
             f"available: {sorted(set(available))}"
         )
+
+
+def _require_ring_codec(collective: str, algorithm: str, codec) -> None:
+    if algorithm != "ring":
+        raise ValueError(
+            f"{collective} with a codec supports the ring algorithm only, "
+            f"got {algorithm!r}"
+        )
+    _require_reduce_closed(codec)
 
 
 def shard_bounds(
@@ -146,32 +154,23 @@ def reduce_scatter(
     allgather pipeline is bitwise equal to updating after the full
     allreduce.
 
-    ``codec`` (reduce-closed, fixed-width wire dtype) switches the ring
-    hops to encoded payloads with dense combines; only the ring
-    algorithm supports it.  ``op`` must be ``"sum"`` under a codec or
-    with ``average`` (anything else raises :class:`ValueError`).
+    ``codec`` (reduce-closed) is the wire dtype of the ring hops; only
+    the ring algorithm supports it.  ``op`` must be ``"sum"`` under a
+    codec or with ``average`` (anything else raises :class:`ValueError`).
     """
     _require_algorithm("reduce_scatter", algorithm, REDUCE_SCATTER_ALGORITHMS)
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
     if (codec is not None or average) and reduce_op.name != "sum":
-        # The compressed hop adds densely and the average divides by P:
-        # either is only meaningful for a sum.
+        # A wire hop adds and the average divides by P: either is only
+        # meaningful for a sum.
         raise ValueError(
             f"reduce_scatter with a codec or average=True requires op='sum', "
             f"got op={reduce_op.name!r}"
         )
     if codec is not None:
-        if algorithm != "ring":
-            raise ValueError(
-                f"compressed reduce_scatter supports the ring algorithm only, "
-                f"got {algorithm!r}"
-            )
-        _require_wire_codec(codec)
-        arr = _as_dense_array(data, copy)
-    else:
-        arr = _as_float_array(data, copy=copy)
-    flat = arr.reshape(-1)
+        _require_ring_codec("reduce_scatter", algorithm, codec)
+    flat = _as_float_array(data, copy=copy, codec=codec).reshape(-1)
     if comm.size == 1:
         return flat, (0, flat.size)
     epoch = comm.next_collective_epoch()
@@ -202,9 +201,8 @@ def allgather_flat(
     ``halving`` ↔ ``doubling`` (``"halving"`` is accepted as an alias),
     ``hierarchical`` ↔ ``hierarchical``.
 
-    ``codec`` (ring only) circulates encoded chunks; all ranks decode the
-    same bytes — including the owner, whose window is re-decoded from its
-    own encoding — so the replicas stay bit-identical.
+    ``codec`` (ring only) is the wire dtype of the hops; the owner rounds
+    its window through it first, so the replicas stay bit-identical.
     """
     if algorithm == "halving":
         algorithm = "doubling"
@@ -222,12 +220,7 @@ def allgather_flat(
             f"got a read-only array of shape {arr.shape}"
         )
     if codec is not None:
-        if algorithm != "ring":
-            raise ValueError(
-                f"compressed allgather_flat supports the ring algorithm only, "
-                f"got {algorithm!r}"
-            )
-        _require_wire_codec(codec)
+        _require_ring_codec("allgather_flat", algorithm, codec)
     if comm.size == 1:
         return arr
     epoch = comm.next_collective_epoch()

@@ -12,8 +12,8 @@ the phase ids of this table, the one place a phase id is assigned::
      1  binomial-tree reduce                     reduce
      2  ring gather of arbitrary payloads        allgather
      3  pairwise full-vector exchange            recursive doubling
-     4  ring reduce-scatter                      ring (compressed too)
-     5  ring allgather                           ring (compressed too)
+     4  ring reduce-scatter                      ring
+     5  ring allgather                           ring
      6  recursive-halving reduce-scatter         Rabenseifner / halving
      7  recursive-doubling allgather             Rabenseifner / doubling
      8  fold-in of the non-power-of-two extras   recursive doubling, halving
@@ -33,21 +33,18 @@ a short composition of them:
   paper's partial collectives.
 * **split allreduces** — an allreduce *is* a reduce-scatter followed by
   an allgather.  :func:`_reduce_scatter_phases` and
-  :func:`_allgather_phases` are those halves; ``allreduce_ring``,
-  ``allreduce_rabenseifner`` and ``allreduce_compressed_ring`` run both in
-  one epoch (dividing the owned window in between under ``average``),
-  while the sharding module's ``reduce_scatter`` / ``allgather_flat`` run
-  one each — so ring allreduce ≡ reduce-scatter ∘ allgather bitwise by
-  construction.  The halves by family: **ring** = 4 ∘ 5
-  (bandwidth-optimal, Horovod's default; with a codec the same ids carry
-  encoded hops with dense ``float64`` combines); **halving / doubling**
-  (Rabenseifner) = 8, 6 ∘ 7, 9; **hierarchical** (sharded only) = 10, 12,
-  14 ∘ 15, 13, 11.
+  :func:`_allgather_phases` are those halves; ``allreduce_ring`` and
+  ``allreduce_rabenseifner`` run both in one epoch (dividing the owned
+  window in between under ``average``), while the sharding module's
+  ``reduce_scatter`` / ``allgather_flat`` run one each — so ring
+  allreduce ≡ reduce-scatter ∘ allgather bitwise by construction.  The
+  halves by family: **ring** = 4 ∘ 5 (bandwidth-optimal, Horovod's
+  default); **halving / doubling** (Rabenseifner) = 8, 6 ∘ 7, 9;
+  **hierarchical** (sharded only) = 10, 12, 14 ∘ 15, 13, 11.
 * **hierarchical allreduce** = intra-host reduce (10), the ring
   composition over the host leaders only (12, 13 — a
   :class:`~repro.comm.subworld.SubsetCommunicator` view renames ranks,
-  the tags are the enclosing epoch's), intra-host broadcast (11); the
-  compressed variant runs the compressed ring phases on the leader tier.
+  the tags are the enclosing epoch's), intra-host broadcast (11).
   The schedule queries the transport's
   :class:`~repro.collectives.topology.HostTopology`
   (``comm.router.host_topology``, exposed by the ``hier`` backend) so
@@ -68,6 +65,19 @@ of segment *k + 1* (sends are eager on this substrate, so all segments
 of a round are in flight while the receiver combines the earlier ones).
 The doubling allgather keeps one message per round.  ``n_chunks=1``
 reproduces the classic monolithic rounds bit-for-bit.
+
+Wire dtypes
+-----------
+A reduce-closed codec (:mod:`repro.compression`: its encode is a cast
+to ``codec.wire_dtype``) is the dtype the ring phases' hops travel in —
+``allreduce(..., codec=)`` on ``ring`` and on the leader ring of
+``hierarchical``, and the ring ``reduce_scatter`` / ``allgather_flat``.
+The messages and tags are the dense ring's; only the bytes shrink.  A
+reduce-scatter hop sends its segment cast to the wire dtype and adds the
+received wire segment into the ``float64`` slice with one mixed-dtype
+``np.add``.  The allgather first rounds the owned window through the wire
+dtype in place, so re-casting the widened values it forwards is exact
+and every replica holds the same bits.
 
 Deadlines
 ---------
@@ -91,7 +101,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm import reduce_kernels, tags
+from repro.comm import tags
 from repro.comm.communicator import Communicator
 from repro.comm.subworld import SubsetCommunicator
 from repro.obs import recorder as _obs
@@ -141,26 +151,47 @@ def _validate_chunks(n_chunks: int) -> int:
     return n_chunks
 
 
-def _as_float_array(data, copy: bool = True) -> np.ndarray:
+def _as_float_array(data, copy: bool = True, codec=None) -> np.ndarray:
     """Owned floating-point working buffer for a reduction.
 
-    Narrow float dtypes are *preserved* so that compressed payloads (e.g.
-    the fp16 wire format of :mod:`repro.compression`) are reduced — and
-    transmitted — at their encoded width instead of being silently
-    upcast; everything else (ints, bools, lists) is promoted to the
-    ``float64`` substrate as before.
+    Narrow float dtypes are *preserved* so that narrow payloads (e.g. the
+    fp16 send buffer of a compressed partial collective) are reduced —
+    and transmitted — at their width instead of being silently upcast;
+    everything else (ints, bools, lists) is promoted to the ``float64``
+    substrate.  Under a ``codec`` the buffer is always ``float64``: the
+    codec narrows the wire, never the combines.
 
     ``copy=False`` reduces a caller-owned buffer in place (the bucketed
     exchange passes slices of the gradient vector it was given to
     consume); a read-only or non-float input is still copied/converted.
     """
     arr = np.asarray(data)
-    if not np.issubdtype(arr.dtype, np.floating):
-        # The dtype conversion already produced an owned buffer.
-        return np.asarray(arr, dtype=np.float64)
+    if codec is not None or not np.issubdtype(arr.dtype, np.floating):
+        wide = np.asarray(arr, dtype=np.float64)
+        if wide is not arr:
+            return wide  # the conversion already produced an owned buffer
     if not copy and arr.flags.writeable:
         return arr
     return np.array(arr, copy=True)
+
+
+def _require_reduce_closed(codec, reduce_op: Optional[ReduceOp] = None) -> None:
+    """Reject a codec the ring phases cannot carry as their wire dtype.
+
+    Only a reduce-closed codec's payload is its values in another dtype
+    (:mod:`repro.compression.base`), and a wire hop adds, so ``reduce_op``
+    (when given) must be a sum.
+    """
+    if not codec.reduce_closed:
+        raise ValueError(
+            f"codec {codec.name!r} is not reduce-closed: the ring phases "
+            f"carry only a codec whose encode is a cast to its wire dtype"
+        )
+    if reduce_op is not None and reduce_op.name != "sum":
+        raise ValueError(
+            f"a codec's wire hop adds, so it requires op='sum', "
+            f"got op={reduce_op.name!r}"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -193,11 +224,14 @@ def _send_segments(
     phase: int,
     round_index: int,
     n_chunks: int,
+    wire: Optional[np.dtype] = None,
 ) -> None:
-    """Send ``flat[lo:hi]`` to ``dest`` as ``n_chunks`` eager segments."""
+    """Send ``flat[lo:hi]`` to ``dest`` as ``n_chunks`` eager segments,
+    each cast to the ``wire`` dtype when one is given."""
     for k, (slo, shi) in enumerate(_segment_bounds(hi - lo, n_chunks)):
+        segment = flat[lo + slo : lo + shi]
         comm.send(
-            flat[lo + slo : lo + shi], dest,
+            segment if wire is None else segment.astype(wire), dest,
             tag=tags.sync_tag(epoch, phase, round_index, k),
         )
 
@@ -213,6 +247,7 @@ def _recv_segments(
     round_index: int,
     n_chunks: int,
     reduce_op: Optional[ReduceOp] = None,
+    wire: Optional[np.dtype] = None,
 ) -> None:
     """Receive ``n_chunks`` segments into ``flat[lo:hi]``.
 
@@ -220,14 +255,22 @@ def _recv_segments(
     data as soon as it arrives, so combining segment *k* overlaps the
     (eager) transmission of segments ``> k``; without it the segment is
     assigned (allgather phases) — on the process-model transports by
-    reading the frame straight into ``flat``.
+    reading the frame straight into ``flat``.  A ``wire`` segment lands
+    in a scratch of that dtype and is widened into ``flat``: added (the
+    one combine a codec's ring runs is a sum) or assigned.
     """
     for k, (slo, shi) in enumerate(_segment_bounds(hi - lo, n_chunks)):
-        comm.recv_into(
-            flat[lo + slo : lo + shi], source,
-            tags.sync_tag(epoch, phase, round_index, k),
-            op=reduce_op,
-        )
+        segment = flat[lo + slo : lo + shi]
+        tag = tags.sync_tag(epoch, phase, round_index, k)
+        if wire is None:
+            comm.recv_into(segment, source, tag, op=reduce_op)
+            continue
+        narrow = np.empty(segment.size, dtype=wire)
+        comm.recv_into(narrow, source, tag)
+        if reduce_op is None:
+            segment[...] = narrow
+        else:
+            np.add(segment, narrow, out=segment)
 
 
 # --------------------------------------------------------------------------
@@ -294,25 +337,29 @@ def _ring_reduce_scatter(
     phase: int,
     n_chunks: int,
     reduce_op: ReduceOp,
+    codec=None,
 ) -> None:
     """Ring reduce-scatter: rank r ends owning chunk ``(r + 1) % P`` reduced.
 
     The payload is chunked by ``bounds`` into ``P`` pieces; each of the
     ``P - 1`` steps sends one chunk to the successor and combines the
-    chunk received from the predecessor.
+    chunk received from the predecessor — in ``codec``'s wire dtype when
+    one is given (see "Wire dtypes" in the module docstring).
     """
     rank, size = comm.rank, comm.size
     succ = (rank + 1) % size
     pred = (rank - 1) % size
+    wire = None if codec is None else codec.wire_dtype
     for step in range(size - 1):
         send_chunk = (rank - step) % size
         recv_chunk = (rank - step - 1) % size
         _send_segments(
             comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
+            wire=wire,
         )
         _recv_segments(
             comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            reduce_op=reduce_op,
+            reduce_op=reduce_op, wire=wire,
         )
 
 
@@ -323,19 +370,30 @@ def _ring_allgather(
     epoch: int,
     phase: int,
     n_chunks: int,
+    codec=None,
 ) -> None:
-    """Ring allgather: circulates each rank's owned chunk ``(r + 1) % P``."""
+    """Ring allgather: circulates each rank's owned chunk ``(r + 1) % P``.
+
+    Under ``codec`` the owned chunk is first rounded through the wire
+    dtype in place, so the replicas all hold the values the wire carried.
+    """
     rank, size = comm.rank, comm.size
     succ = (rank + 1) % size
     pred = (rank - 1) % size
+    wire = None if codec is None else codec.wire_dtype
+    if wire is not None:
+        lo, hi = bounds[(rank + 1) % size]
+        flat[lo:hi] = flat[lo:hi].astype(wire)
     for step in range(size - 1):
         send_chunk = (rank - step + 1) % size
         recv_chunk = (rank - step) % size
         _send_segments(
             comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
+            wire=wire,
         )
         _recv_segments(
-            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks
+            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
+            wire=wire,
         )
 
 
@@ -418,139 +476,6 @@ def _doubling_allgather(
         seg_lo, seg_hi = min(seg_lo, other_lo), max(seg_hi, other_hi)
         dist *= 2
         round_index += 1
-
-
-# --------------------------------------------------------------------------
-# compressed ring phases (decode-reduce-encode wire hops)
-# --------------------------------------------------------------------------
-def _require_wire_codec(codec) -> None:
-    if codec.wire_dtype is None:
-        raise ValueError(
-            f"codec {codec.name!r} has no fixed-width wire dtype; the "
-            f"compressed ring needs one encoded element per dense element"
-        )
-
-
-def _as_dense_array(data, copy: bool) -> np.ndarray:
-    """Owned ``float64`` accumulator for a compressed collective.
-
-    ``copy=False`` works in place, as in :func:`_as_float_array`.
-    """
-    arr = np.asarray(data, dtype=np.float64)
-    if (copy and arr is data) or not arr.flags.writeable:
-        arr = np.array(arr, copy=True)
-    return arr
-
-
-def _encode_chunk(codec, flat: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    if hi <= lo:
-        # Worlds larger than the bucket leave some ranks with empty ring
-        # chunks; codecs reject empty buffers, but an empty fixed-width
-        # wire payload is well-defined (and the peer is already blocked
-        # waiting for this round's message).
-        return np.empty(0, dtype=codec.wire_dtype)
-    return np.asarray(codec.encode(flat[lo:hi]).payload)
-
-
-def _decode_chunk(codec, wire: np.ndarray, num_elements: int) -> np.ndarray:
-    from repro.compression.base import EncodedGradient
-
-    template = EncodedGradient(codec.name, num_elements, wire, wire.nbytes)
-    return codec.decode(template)
-
-
-def _recv_wire(
-    comm, codec, length: int, pred: int, epoch: int, phase: int, step: int,
-    n_chunks: int,
-) -> np.ndarray:
-    buf = np.empty(length, dtype=codec.wire_dtype)
-    _recv_segments(comm, buf, 0, length, pred, epoch, phase, step, n_chunks)
-    return buf
-
-
-def _compressed_ring_reduce_scatter(
-    comm,
-    flat: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    epoch: int,
-    phase: int,
-    n_chunks: int,
-    codec,
-) -> None:
-    """Ring reduce-scatter with encoded hops and dense float64 combines.
-
-    Each step decodes the incoming chunk, adds it densely, and re-encodes
-    the chunk it forwards.  For cast-decodable codecs the incoming
-    payload is folded into the dense accumulator by one fused
-    cast-and-add ufunc call
-    (:func:`repro.comm.reduce_kernels.accumulate_wire`) — same values as
-    decode-then-add (the widening cast is exact), one fewer pass.
-    """
-    rank, size = comm.rank, comm.size
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    # Whether the wire payload's elements ARE the decoded values (fp16's
-    # widening cast, the identity codec's float64): only such codecs may
-    # skip decode() — a float wire dtype alone is not enough (a future
-    # scaled-fp16 codec must keep its decode).
-    cast_decodable = bool(getattr(codec, "wire_is_values", False))
-    for step in range(size - 1):
-        send_chunk = (rank - step) % size
-        recv_chunk = (rank - step - 1) % size
-        wire_out = _encode_chunk(codec, flat, *bounds[send_chunk])
-        _send_segments(
-            comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
-        )
-        lo, hi = bounds[recv_chunk]
-        wire_in = _recv_wire(comm, codec, hi - lo, pred, epoch, phase, step, n_chunks)
-        if hi > lo and not (
-            cast_decodable and reduce_kernels.accumulate_wire(flat[lo:hi], wire_in)
-        ):
-            flat[lo:hi] += _decode_chunk(codec, wire_in, hi - lo)
-
-
-def _compressed_ring_allgather(
-    comm,
-    flat: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    epoch: int,
-    phase: int,
-    n_chunks: int,
-    codec,
-) -> None:
-    """Ring allgather of encoded chunks; every rank decodes identical bytes.
-
-    The own chunk ``(r + 1) % P`` is encoded once and circulated
-    unchanged; at the end it is re-decoded from its encoded form too, so
-    all replicas hold bit-identical values, exactly like the uncompressed
-    ring.  Cast-decodable wire payloads widen with one fused casting
-    store.
-    """
-    rank, size = comm.rank, comm.size
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    cast_decodable = bool(getattr(codec, "wire_is_values", False))
-    own = (rank + 1) % size
-    encoded_chunks: Dict[int, np.ndarray] = {own: _encode_chunk(codec, flat, *bounds[own])}
-    for step in range(size - 1):
-        send_chunk = (rank - step + 1) % size
-        recv_chunk = (rank - step) % size
-        wire_out = encoded_chunks[send_chunk]
-        _send_segments(
-            comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
-        )
-        lo, hi = bounds[recv_chunk]
-        encoded_chunks[recv_chunk] = _recv_wire(
-            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks
-        )
-    for index, wire in encoded_chunks.items():
-        lo, hi = bounds[index]
-        if hi > lo:
-            wire_arr = np.asarray(wire)
-            if cast_decodable and np.issubdtype(wire_arr.dtype, np.floating):
-                np.copyto(flat[lo:hi], wire_arr)
-            else:
-                flat[lo:hi] = _decode_chunk(codec, wire_arr, hi - lo)
 
 
 # --------------------------------------------------------------------------
@@ -724,23 +649,18 @@ def _reduce_scatter_phases(
 
     Returns this rank's :func:`_owned_window`, which holds the fully
     reduced sums — divided by the world size under ``average``, the only
-    ``N / P`` sums this rank holds final.  ``codec`` (ring only) replaces
-    the combine by the compressed ring's encoded hops.
+    ``N / P`` sums this rank holds final.  ``codec`` (ring only) is the
+    wire dtype of the ring's hops.
     """
     with _obs.span(
         f"reduce_scatter[{algorithm}]", "collective",
         nbytes=flat.nbytes, n_chunks=n_chunks,
     ):
         if algorithm == "ring":
-            bounds = _segment_bounds(flat.size, comm.size)
-            if codec is None:
-                _ring_reduce_scatter(
-                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks, reduce_op
-                )
-            else:
-                _compressed_ring_reduce_scatter(
-                    comm, flat, bounds, epoch, _PHASE_RING_RS, n_chunks, codec
-                )
+            _ring_reduce_scatter(
+                comm, flat, _segment_bounds(flat.size, comm.size), epoch,
+                _PHASE_RING_RS, n_chunks, reduce_op, codec,
+            )
         elif algorithm == "halving":
             if _fold_in(comm, flat, epoch, n_chunks, reduce_op):
                 _halving_reduce_scatter(comm, flat, epoch, n_chunks, reduce_op)
@@ -770,13 +690,10 @@ def _allgather_phases(
         nbytes=flat.nbytes, n_chunks=n_chunks,
     ):
         if algorithm == "ring":
-            bounds = _segment_bounds(flat.size, comm.size)
-            if codec is None:
-                _ring_allgather(comm, flat, bounds, epoch, _PHASE_RING_AG, n_chunks)
-            else:
-                _compressed_ring_allgather(
-                    comm, flat, bounds, epoch, _PHASE_RING_AG, n_chunks, codec
-                )
+            _ring_allgather(
+                comm, flat, _segment_bounds(flat.size, comm.size), epoch,
+                _PHASE_RING_AG, n_chunks, codec,
+            )
         elif algorithm == "doubling":
             if comm.rank < largest_power_of_two_leq(comm.size):
                 _doubling_allgather(comm, flat, epoch)
@@ -971,6 +888,7 @@ def allreduce_ring(
     n_chunks: int = 1,
     copy: bool = True,
     average: bool = False,
+    codec=None,
 ) -> np.ndarray:
     """Ring allreduce = ring reduce-scatter ∘ ring allgather, ``P - 1`` steps each.
 
@@ -983,9 +901,14 @@ def allreduce_ring(
     ``n_chunks > 1`` additionally segments every per-step chunk so the
     combine of segment *k* overlaps the transmission of segment *k + 1*
     (the chunked-pipeline schedule used by the fused gradient exchange).
+    ``codec`` (reduce-closed, sum only) is the dtype every hop travels in.
     """
+    reduce_op = get_op(op)
+    if codec is not None:
+        _require_reduce_closed(codec, reduce_op)
     return _split_allreduce(
-        comm, _as_float_array(data, copy=copy), "ring", get_op(op), average, n_chunks
+        comm, _as_float_array(data, copy=copy, codec=codec), "ring", reduce_op,
+        average, n_chunks, codec=codec,
     )
 
 
@@ -1012,47 +935,6 @@ def allreduce_rabenseifner(
     return _split_allreduce(
         comm, _as_float_array(data, copy=copy), "halving", get_op(op), average,
         n_chunks,
-    )
-
-
-def allreduce_compressed_ring(
-    comm: Communicator,
-    data,
-    codec,
-    average: bool = True,
-    n_chunks: int = 1,
-    copy: bool = True,
-) -> np.ndarray:
-    """Ring allreduce with encoded wire hops and dense reduction arithmetic.
-
-    This is the *decode-reduce-encode* schedule for compressed gradient
-    exchanges (:mod:`repro.compression`): every hop of the ring carries
-    the codec's wire payload (e.g. 2-byte fp16 codes instead of 8-byte
-    ``float64``), but the combination itself runs on a dense ``float64``
-    accumulator — each reduce-scatter step decodes the incoming chunk,
-    adds it densely, and re-encodes the chunk it forwards.  Compared to
-    running the generic allreduce directly on an encoded buffer this
-    trades one encode + decode per hop for dense arithmetic, which is
-    the right trade wherever narrow-dtype arithmetic is slow (NumPy has
-    no vectorised ``float16`` kernels) while the wire — socket copies on
-    the process backend — is the bottleneck.
-
-    After the reduce-scatter each rank owns one fully reduced chunk; the
-    ``average`` division is applied densely to that chunk *before* it is
-    encoded once and forwarded unchanged through the allgather phase, so
-    every rank decodes byte-identical encoded chunks: the replicas agree
-    bit-for-bit on the result, exactly like the uncompressed ring.
-
-    ``codec`` must be reduce-closed in the wire sense of having a fixed
-    elementwise ``wire_dtype`` (one encoded element per dense element);
-    composite payloads (int8 scales, top-k index lists) cannot ride the
-    segmented ring and take the allgather exchange in
-    :class:`repro.training.exchange.SynchronousExchange` instead.
-    """
-    _require_wire_codec(codec)
-    return _split_allreduce(
-        comm, _as_dense_array(data, copy), "ring", None, average, n_chunks,
-        codec=codec,
     )
 
 
@@ -1091,6 +973,7 @@ def allreduce_hierarchical(
     copy: bool = True,
     topology: Optional[HostTopology] = None,
     average: bool = False,
+    codec=None,
 ) -> np.ndarray:
     """Two-tier allreduce: intra-host reduce, leader ring, intra-host bcast.
 
@@ -1106,19 +989,26 @@ def allreduce_hierarchical(
     With ``topology`` omitted the transport's ``host_topology`` is used
     (single-host when the transport has none), and a single-host world
     degenerates to the plain ring allreduce — same result, no extra
-    tree hops.  All replicas receive the leader exchange's bit pattern
-    verbatim, so the replicas agree bit-for-bit just like the flat
-    algorithms.
+    tree hops.  ``average`` divides at the leaders, before the broadcast:
+    all replicas receive the leader exchange's bit pattern verbatim, so
+    they agree bit-for-bit just like the flat algorithms.
+
+    ``codec`` (reduce-closed, sum only) is the wire dtype of the leader
+    ring — the inter-host tier, where the wire is the bottleneck; the
+    intra-host reduce and broadcast stay dense.
     """
     topology = resolve_host_topology(comm, topology)
     if topology.is_single_host:
         return allreduce_ring(
-            comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average
+            comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average,
+            codec=codec,
         )
-    epoch = comm.next_collective_epoch()
     reduce_op = get_op(op)
+    if codec is not None:
+        _require_reduce_closed(codec, reduce_op)
+    epoch = comm.next_collective_epoch()
     n_chunks = _validate_chunks(n_chunks)
-    acc = _as_float_array(data, copy=copy)
+    acc = _as_float_array(data, copy=copy, codec=codec)
     flat = acc.reshape(-1)
 
     _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op)
@@ -1129,65 +1019,16 @@ def allreduce_hierarchical(
             host_bounds = _segment_bounds(flat.size, topology.num_hosts)
             _ring_reduce_scatter(
                 leaders, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks,
-                reduce_op,
+                reduce_op, codec,
             )
             _ring_allgather(
-                leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks
+                leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks,
+                codec,
             )
-    _intra_bcast(comm, flat, topology, epoch, n_chunks)
-    if average:
-        flat /= comm.size
-    return flat.reshape(acc.shape)
-
-
-def allreduce_compressed_hierarchical(
-    comm: Communicator,
-    data,
-    codec,
-    average: bool = True,
-    n_chunks: int = 1,
-    copy: bool = True,
-    topology: Optional[HostTopology] = None,
-) -> np.ndarray:
-    """Two-tier compressed allreduce: dense intra-host, encoded inter-host.
-
-    Compression earns its encode/decode cost only where the wire is the
-    bottleneck, which in a multi-host fabric is the inter-host tier — so
-    the intra-host reduce and broadcast stay dense (shm rings move
-    float64 faster than any codec round-trip) and only the leader ring
-    carries the codec's wire payload, via the same decode-reduce-encode
-    schedule as :func:`allreduce_compressed_ring`.
-
-    ``average`` divides by the **global** world size, applied densely at
-    every leader after the leader exchange (all leaders hold the same
-    bit pattern at that point, and the broadcast forwards leader bytes
-    verbatim, so the replicas stay bit-identical).
-    """
-    topology = resolve_host_topology(comm, topology)
-    if topology.is_single_host:
-        return allreduce_compressed_ring(
-            comm, data, codec, average=average, n_chunks=n_chunks, copy=copy
-        )
-    _require_wire_codec(codec)
-    epoch = comm.next_collective_epoch()
-    n_chunks = _validate_chunks(n_chunks)
-    arr = _as_dense_array(data, copy)
-    flat = arr.reshape(-1)
-
-    _intra_reduce(comm, flat, topology, epoch, n_chunks, get_op("sum"))
-    if topology.is_leader(comm.rank):
-        leaders = SubsetCommunicator(comm, topology.leaders)
-        host_bounds = _segment_bounds(flat.size, topology.num_hosts)
-        _compressed_ring_reduce_scatter(
-            leaders, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks, codec
-        )
-        _compressed_ring_allgather(
-            leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks, codec
-        )
         if average:
-            flat /= topology.world_size
+            flat /= comm.size
     _intra_bcast(comm, flat, topology, epoch, n_chunks)
-    return flat.reshape(arr.shape)
+    return flat.reshape(acc.shape)
 
 
 #: Registry of allreduce algorithms by name.
@@ -1207,6 +1048,7 @@ def allreduce(
     average: bool = False,
     n_chunks: int = 1,
     copy: bool = True,
+    codec=None,
 ) -> np.ndarray:
     """Synchronous allreduce with a selectable algorithm.
 
@@ -1222,6 +1064,11 @@ def allreduce(
         Pipeline each communication round in this many segments so that
         reduction overlaps transmission (see the module docstring);
         ``1`` (default) runs the classic unsegmented rounds.
+    codec:
+        A reduce-closed :mod:`repro.compression` codec: the ring phases'
+        wire dtype (see "Wire dtypes" in the module docstring).  Only
+        ``ring`` and ``hierarchical`` (its leader ring) run ring phases,
+        and only a sum rides a codec; anything else raises ``ValueError``.
     """
     try:
         impl = ALLREDUCE_ALGORITHMS[algorithm]
@@ -1230,10 +1077,19 @@ def allreduce(
             f"unknown allreduce algorithm {algorithm!r}; "
             f"available: {sorted(ALLREDUCE_ALGORITHMS)}"
         ) from None
+    extra = {}
+    if codec is not None:
+        if algorithm not in ("ring", "hierarchical"):
+            raise ValueError(
+                f"allreduce with a codec runs the ring phases of 'ring' or "
+                f"'hierarchical', got algorithm {algorithm!r}"
+            )
+        extra["codec"] = codec
     with _obs.span(
         f"allreduce[{algorithm}]", "collective",
         nbytes=_obs.payload_nbytes(data), n_chunks=n_chunks,
     ):
         return impl(
-            comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average
+            comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average,
+            **extra,
         )

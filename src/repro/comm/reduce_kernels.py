@@ -5,9 +5,12 @@ NumPy has no SIMD arithmetic loops for ``float16``: an in-place
 element-at-a-time C loop that converts each operand to ``float32``,
 combines, and converts back — roughly an order of magnitude slower per
 byte than the vectorised ``float32`` loop.  Gradients increasingly
-travel at narrow widths (the ``fp16`` wire format of
-:mod:`repro.compression`, user data handed to the generic collectives),
-so that scalar loop sits directly on the reduction hot path.
+travel at narrow widths (the ``fp16`` send buffers of the compressed
+partial collectives, user data handed to the generic collectives), so
+that scalar loop sits directly on the reduction hot path.  (A codec's
+wire dtype on the ring phases needs no kernel here: the hop adds the
+narrow segment into a ``float64`` slice with one mixed-dtype ``np.add``
+in :mod:`repro.collectives.sync`.)
 
 This module supplies the *widen-accumulate-narrow* kernels that replace
 it, selected **by dtype at call time** so callers never special-case:
@@ -39,13 +42,6 @@ it, selected **by dtype at call time** so callers never special-case:
     nearest even) as pure vectorised integer/float32 ops — shared by
     :class:`repro.compression.codecs.Bf16Codec` and anything else that
     touches bf16 payloads, so the bit layout is defined exactly once.
-
-``accumulate_wire(acc, wire)``
-    Decode-and-add of a narrow float wire payload into a wide dense
-    accumulator as one fused ufunc call (``acc += wire`` with the cast
-    buffered inside the loop) — the per-hop kernel of the compressed
-    ring (:func:`repro.collectives.sync.allreduce_compressed_ring`),
-    replacing decode-to-float64-then-add.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ import numpy as np
 
 __all__ = [
     "WidenedAccumulator",
-    "accumulate_wire",
     "accumulator",
     "bf16_narrow",
     "bf16_widen",
@@ -193,22 +188,3 @@ def bf16_narrow(values) -> np.ndarray:
     rounding = ((bits >> np.uint32(16)) & np.uint32(1)) + np.uint32(0x7FFF)
     return ((bits + rounding) >> np.uint32(16)).astype(np.uint16)
 
-
-# ---------------------------------------------------------------------------
-# compressed-ring hop kernel
-# ---------------------------------------------------------------------------
-def accumulate_wire(acc: np.ndarray, wire: np.ndarray) -> bool:
-    """``acc += wire`` with the widening cast fused into the add loop.
-
-    ``acc`` is a wide dense accumulator (a float64 slice of the ring's
-    working buffer), ``wire`` a narrow *float* wire payload (fp16).  The
-    fused mixed-dtype ufunc call skips the intermediate wide copy that
-    ``acc += wire.astype(acc.dtype)`` would allocate and fill.  Returns
-    ``False`` (caller decodes via the codec) for non-float wire dtypes,
-    whose payloads are bit patterns rather than values.
-    """
-    wire = np.asarray(wire)
-    if not np.issubdtype(wire.dtype, np.floating):
-        return False
-    np.add(acc, wire, out=acc)
-    return True

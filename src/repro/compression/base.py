@@ -26,11 +26,14 @@ Codecs register themselves in a name-keyed registry
 
 Reduce-closed vs. decode-reduce-encode
 --------------------------------------
-A codec is **reduce-closed** when the elementwise sum of two encoded
-payloads is the encoding of (approximately) the summed gradients —
-``fp16`` is: ``float16 + float16`` is a valid ``float16`` payload, so an
-allreduce can combine encoded payloads directly and only the reduced
-result needs decoding ("encode before send, decode after reduce").
+A codec is **reduce-closed** iff its encode is ``astype(wire_dtype)``
+and its decode is ``astype(float64)`` — its payload *is* the gradient's
+values in a narrower dtype.  ``none`` (``float64``) and ``fp16`` are, and
+a test holds every registered reduce-closed codec to it bit for bit.
+Such a codec is simply a wire dtype: the ring collectives of
+:mod:`repro.collectives.sync` send every hop cast to it and combine in
+``float64``, and a partial collective can run natively at that width
+(``float16 + float16`` is a valid ``float16`` payload).
 ``int8`` (per-rank scales differ), ``bf16`` (``uint16`` bit patterns)
 and ``topk`` (per-rank support sets differ) are **not** reduce-closed:
 summing their payloads elementwise is meaningless, so every hop of a
@@ -113,17 +116,9 @@ class GradientCodec(ABC):
     reduce_closed: bool = False
     #: Whether error feedback is enabled when the caller does not say.
     default_error_feedback: bool = False
-    #: Wire dtype of the payload for reduce-closed codecs (the dtype the
-    #: collective reduces in); ``None`` for composite payloads.
+    #: Element dtype of a fixed-width payload — for reduce-closed codecs
+    #: the dtype :meth:`encode` casts to; ``None`` for composite payloads.
     wire_dtype: Optional[np.dtype] = None
-    #: Whether the wire payload's elements *are* the decoded values (a
-    #: value-preserving widening cast reverses :meth:`encode`).  Lets
-    #: collectives fold wire payloads into a dense accumulator with one
-    #: fused cast (:func:`repro.comm.reduce_kernels.accumulate_wire`)
-    #: instead of calling :meth:`decode`.  A codec whose decode applies
-    #: any transform (scaling, offsets, bit reinterpretation) must leave
-    #: this ``False`` even if its wire dtype is a float.
-    wire_is_values: bool = False
     #: Rough per-dense-byte costs of the transform, used by the simtime
     #: cost model (:func:`cost_model`).  Calibrated against ``numpy``
     #: ``astype``/``argpartition`` throughput on commodity CPUs; they
@@ -379,10 +374,10 @@ class BucketCompressor:
     def compensate_bucket(self, bucket_index: int, dense: np.ndarray) -> np.ndarray:
         """Error-feedback compensation without materialising a payload.
 
-        Used by wire paths that encode internally (the compressed ring of
-        :func:`repro.collectives.sync.allreduce_compressed_ring`): the
+        Used by wire paths that encode internally (a reduce-closed codec
+        passed to :func:`repro.collectives.sync.allreduce`): the
         compensated dense gradient is returned for the collective to
-        encode hop by hop, and the residual is updated through a local
+        cast hop by hop, and the residual is updated through a local
         round-trip — elementwise codecs quantize a chunk exactly as they
         quantize the whole buffer, so the accounting matches what the
         wire will carry.

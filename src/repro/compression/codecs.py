@@ -32,7 +32,6 @@ class NoneCodec(GradientCodec):
     lossless = True
     reduce_closed = True
     wire_dtype = np.dtype(np.float64)
-    wire_is_values = True
 
     def encode(self, dense: np.ndarray) -> EncodedGradient:
         arr = self._as_dense(dense)
@@ -47,10 +46,10 @@ class NoneCodec(GradientCodec):
 class Fp16Codec(GradientCodec):
     """IEEE binary16 quantization — the only lossy *reduce-closed* codec.
 
-    ``float16 + float16`` is a valid ``float16`` payload, so the
-    collectives combine encoded buffers directly (encode before send,
-    decode after reduce): 4x fewer wire bytes than the ``float64``
-    substrate at every hop.  Relative error is bounded by the 10-bit
+    Encode is ``astype(float16)`` and decode ``astype(float64)``, so
+    ``float16`` is a wire dtype of the ring collectives: 4x fewer wire
+    bytes than the ``float64`` substrate at every hop, with the combines
+    in ``float64``.  Relative error is bounded by the 10-bit
     mantissa (~2^-11 ulp); magnitudes above 65504 overflow to ``inf``
     and magnitudes below ~6e-8 flush to zero — gradients live comfortably
     inside that range, and error feedback (off by default) can be enabled
@@ -60,7 +59,6 @@ class Fp16Codec(GradientCodec):
     name = "fp16"
     reduce_closed = True
     wire_dtype = np.dtype(np.float16)
-    wire_is_values = True
     encode_seconds_per_byte = 2.7e-10
     decode_seconds_per_byte = 1.0e-10
 

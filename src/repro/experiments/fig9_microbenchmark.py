@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.comm.backend import launch
-from repro.collectives.partial import MajorityAllreduce, SoloAllreduce
+from repro.collectives.partial import PartialAllreduce
 from repro.collectives.sync import allreduce
 from repro.experiments.report import FidelityRow, format_table, ratio_line
 from repro.simtime.collective_model import (
@@ -161,12 +161,11 @@ def run_functional(
             dtype = codec.wire_dtype
         latencies = []
         naps = []
-        if mode == "solo":
-            partial = SoloAllreduce(comm, message_elements, seed=seed, dtype=dtype)
-        elif mode == "majority":
-            partial = MajorityAllreduce(comm, message_elements, seed=seed, dtype=dtype)
-        else:
-            partial = None
+        partial = None
+        if mode in ("solo", "majority"):
+            partial = PartialAllreduce(
+                comm, message_elements, mode, seed=seed, dtype=dtype
+            )
         data = np.ones(message_elements)
         if codec is not None:
             encoded = codec.encode(data)

@@ -185,9 +185,9 @@ def allreduce_time(
     overlaps transmission; ``1`` reproduces the classic unpipelined cost.
 
     ``compression`` adds the codec terms: reduce-closed codecs run the
-    compressed decode-reduce-encode *ring*
-    (:func:`repro.collectives.sync.allreduce_compressed_ring`) with
-    every hop's bytes shrunk by ``wire_scale`` plus the encode/decode
+    *ring* with the codec as its wire dtype
+    (:func:`repro.collectives.sync.allreduce` with ``codec=``), so
+    every hop's bytes shrink by ``wire_scale``, plus the encode/decode
     transform — the ring schedule is modelled regardless of
     ``algorithm``, because that is what the exchange executes; other
     codecs run the allgather-based decode-reduce-encode exchange
@@ -393,7 +393,7 @@ def sharded_exchange_time(
         else:
             rs, ag = _ring_phase_times(wire, size, n_chunks, params)
             # _ring_phase_times charges reduction on the wire bytes; the
-            # compressed ring decodes and combines dense values, so the
+            # ring under a codec combines in float64, so the
             # gamma share stays dense regardless of wire_scale.
             scatter += rs + (size - 1) * (wire / size) * (1.0 / wire_scale - 1.0) * params.gamma
             gather += ag
@@ -442,8 +442,8 @@ def hierarchical_fused_exchange_time(
 
     ``inter_scale`` shrinks the bytes carried by the leader ring only —
     the compressed hierarchical exchange keeps the intra tiers dense and
-    puts the codec's wire payload on the inter links alone (see
-    :func:`repro.collectives.sync.allreduce_compressed_hierarchical`);
+    puts the codec's wire dtype on the inter links alone (see
+    :func:`repro.collectives.sync.allreduce_hierarchical`);
     the caller charges the encode/decode transform separately.
     """
     if not bucket_bytes:

@@ -43,10 +43,10 @@ knobs (threaded through
     Number of segments each synchronous collective round is split into so
     reduction of chunk *k* overlaps transmission of chunk *k + 1* (see
     :mod:`repro.collectives.sync`).
-``plan``
-    A :class:`~repro.tuning.autotune.TunedPlan` produced by the
-    calibrated auto-tuner; supplies both knobs at once (explicit knob
-    arguments are then ignored).
+
+The calibrated auto-tuner's ``"auto"`` values are resolved to concrete
+knobs by the runner (:func:`~repro.tuning.autotune.resolve_auto_fusion`)
+before an exchange is built.
 
 Per-bucket wait times are reported in
 :attr:`ExchangeResult.bucket_waits` and surface in
@@ -57,12 +57,11 @@ Multi-host topologies
 When the transport exposes a multi-host
 :class:`~repro.collectives.topology.HostTopology` (the ``hier`` backend's
 ``comm.router.host_topology``), the synchronous exchange routes every
-bucket through the two-tier schedules of :mod:`repro.collectives.sync`:
-dense buckets via :func:`~repro.collectives.sync.allreduce_hierarchical`
-and reduce-closed compressed buckets via
-:func:`~repro.collectives.sync.allreduce_compressed_hierarchical`, so
-only one rank per host (its leader) ever touches an inter-host link.  On
-a single-host topology the configured flat ``algorithm`` runs unchanged.
+bucket through the two-tier schedule of :mod:`repro.collectives.sync`
+(:func:`~repro.collectives.sync.allreduce_hierarchical`, whose leader
+ring also carries a reduce-closed codec), so only one rank per host (its
+leader) ever touches an inter-host link.  On a single-host topology the
+configured flat ``algorithm`` runs unchanged.
 
 Gradient compression
 --------------------
@@ -72,18 +71,17 @@ enters the collective and decoded after the reduction, with per-bucket
 error-feedback residuals handled by
 :class:`~repro.compression.BucketCompressor`.  Two wire paths exist:
 
-*encode-before-send / decode-after-reduce*
-    Reduce-closed codecs (``fp16``): the synchronous exchange runs the
-    compressed ring of
-    :func:`repro.collectives.sync.allreduce_compressed_ring` — encoded
-    payloads on every wire hop, dense ``float64`` arithmetic at every
-    combine (NumPy's narrow-dtype kernels are scalar loops, so reducing
-    *in* fp16 would burn the byte savings on arithmetic).  The
-    configured ``algorithm`` applies to the *uncompressed* path only;
-    compressed reduce-closed buckets always use the ring schedule, and
-    the simtime cost model mirrors exactly that.  (The partial exchange
-    instead runs its background collective natively at the encoded
-    width — see :class:`PartialExchange`.)
+*a wire dtype of the ring*
+    Reduce-closed codecs (``fp16``: encode is a cast to the wire dtype):
+    the synchronous exchange passes the codec to
+    :func:`repro.collectives.sync.allreduce`, whose ring phases send
+    every hop in the wire dtype and combine in ``float64`` (NumPy's
+    narrow-dtype kernels are scalar loops, so reducing *in* fp16 would
+    burn the byte savings on arithmetic).  The configured ``algorithm``
+    applies to the *uncompressed* path only; reduce-closed buckets always
+    ride the ring, and the simtime cost model mirrors exactly that.  (The
+    partial exchange instead runs its background collective natively at
+    the encoded width — see :class:`PartialExchange`.)
 *decode-reduce-encode*
     Codecs whose payloads cannot be summed elementwise (``bf16``,
     ``int8``, ``topk``): a combining collective would have to decode,
@@ -106,24 +104,17 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.comm.communicator import Communicator
-from repro.collectives.partial import PartialAllreduce, PartialMode, make_partial_allreduce
+from repro.collectives.partial import PartialAllreduce, PartialMode
 from repro.collectives.sharding import (
     ALLGATHER_FOR_REDUCE_SCATTER,
     allgather_flat,
     reduce_scatter,
 )
-from repro.collectives.sync import (
-    allgather,
-    allreduce,
-    allreduce_compressed_hierarchical,
-    allreduce_compressed_ring,
-    resolve_host_topology,
-)
+from repro.collectives.sync import allgather, allreduce, resolve_host_topology
 from repro.compression import BucketCompressor, GradientCodec, resolve_codec
 from repro.nn.parameters import flatten_parameters, same_memory
 from repro.obs import recorder as _obs
 from repro.training.bucketing import GradientBucketer
-from repro.tuning.autotune import TunedPlan
 
 #: Type accepted by the ``compression`` parameter of the exchanges.
 CompressionSpec = Union[str, GradientCodec, None]
@@ -207,14 +198,8 @@ class _BucketedExchange(GradientExchange):
 
     The shared constructor parameters are the knobs of the module
     docstring (``fusion_buckets``, ``fusion_threshold_bytes``,
-    ``pipeline_chunks``, ``plan``, ``compression``) plus:
-
-    bucketer:
-        Explicit bucketing plan (e.g. built from per-parameter sizes);
-        overrides the fusion knobs — also a ``plan``'s — for the
-        bucketing itself.
-    compression_options:
-        Extra codec options merged over any inline spec options.
+    ``pipeline_chunks``, ``compression``) plus ``compression_options``,
+    extra codec options merged over any inline spec options.
     """
 
     def __init__(
@@ -223,21 +208,11 @@ class _BucketedExchange(GradientExchange):
         fusion_buckets: int,
         fusion_threshold_bytes: Optional[int],
         pipeline_chunks: int,
-        bucketer: Optional[GradientBucketer],
-        plan: Optional[TunedPlan],
         compression: CompressionSpec,
         compression_options: Optional[Dict],
     ) -> None:
         if fusion_buckets < 1:
             raise ValueError(f"fusion_buckets must be >= 1, got {fusion_buckets}")
-        if plan is not None:
-            if plan.world_size != comm.size:
-                raise ValueError(
-                    f"tuned plan was computed for world size {plan.world_size}, "
-                    f"communicator has {comm.size} ranks"
-                )
-            fusion_threshold_bytes = plan.fusion_threshold_bytes
-            pipeline_chunks = plan.pipeline_chunks
         if pipeline_chunks < 1:
             raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
         self.comm = comm
@@ -251,7 +226,7 @@ class _BucketedExchange(GradientExchange):
         self.fusion_threshold_bytes = fusion_threshold_bytes
         self.pipeline_chunks = pipeline_chunks
         self.codec = resolve_codec(compression, compression_options)
-        self._bucketer = bucketer
+        self._bucketer: Optional[GradientBucketer] = None
         self._step = 0
 
     def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
@@ -326,7 +301,7 @@ class SynchronousExchange(_BucketedExchange):
     algorithm:
         Allreduce algorithm (recursive doubling / ring / Rabenseifner).
         On a multi-host fabric every bucket takes the hierarchical
-        schedule instead.
+        schedule instead, and a reduce-closed codec always rides the ring.
 
     The remaining parameters are the shared bucketing / codec knobs of
     :class:`_BucketedExchange`.
@@ -340,8 +315,6 @@ class SynchronousExchange(_BucketedExchange):
         fusion_buckets: int = 1,
         fusion_threshold_bytes: Optional[int] = None,
         pipeline_chunks: int = 1,
-        bucketer: Optional[GradientBucketer] = None,
-        plan: Optional[TunedPlan] = None,
         compression: CompressionSpec = None,
         compression_options: Optional[Dict] = None,
     ) -> None:
@@ -349,7 +322,7 @@ class SynchronousExchange(_BucketedExchange):
             raise ValueError(f"unknown synchronous style {style!r}")
         super().__init__(
             comm, fusion_buckets, fusion_threshold_bytes, pipeline_chunks,
-            bucketer, plan, compression, compression_options,
+            compression, compression_options,
         )
         self.style = style
         self.algorithm = algorithm
@@ -402,45 +375,32 @@ class SynchronousExchange(_BucketedExchange):
     def _reduce_bucket(self, b: int, buffer: np.ndarray) -> Tuple[np.ndarray, int]:
         """Combine one fusion buffer across ranks; returns (result, wire bytes).
 
-        Uncompressed and reduce-closed codecs ride the configured
-        allreduce (encode before send, decode after reduce); other
+        Dense buckets and reduce-closed codecs make one allreduce call —
+        the codec is the wire dtype of its ring phases, so its buckets
+        take the ring (on a multi-host fabric the hierarchical leader
+        ring, intra-host hops dense) whatever ``algorithm`` says.  Other
         codecs take the decode-reduce-encode path — one allgather of
         encoded payloads, then a dense local average (see the module
         docstring).
         """
-        multi_host = not self.host_topology.is_single_host
-        if self._compressor is None:
+        if self.codec is None or self.codec.reduce_closed:
+            wire_nbytes = buffer.nbytes
+            if self.codec is not None:
+                buffer = self._compressor.compensate_bucket(b, buffer)
+                wire_nbytes = self.codec.wire_bytes(buffer.size)
+                self._compressor.bytes_encoded += wire_nbytes
+            if not self.host_topology.is_single_host:
+                algorithm = "hierarchical"
+            else:
+                algorithm = self.algorithm if self.codec is None else "ring"
             result = allreduce(
                 self.comm,
                 buffer,
-                algorithm="hierarchical" if multi_host else self.algorithm,
+                algorithm=algorithm,
                 average=True,
                 n_chunks=self.pipeline_chunks,
-                copy=False,  # the slice is this exchange's to consume
-            )
-            return result, buffer.nbytes
-        if self.codec.reduce_closed:
-            # Compressed ring: encoded wire hops, dense float64 arithmetic
-            # (see allreduce_compressed_ring).  NumPy's narrow-dtype
-            # kernels are scalar loops, so reducing *in* the encoded
-            # dtype would burn the wire-byte savings on arithmetic.
-            dense = self._compressor.compensate_bucket(b, buffer)
-            wire_nbytes = self.codec.wire_bytes(buffer.size)
-            self._compressor.bytes_encoded += wire_nbytes
-            # On a multi-host fabric only the leader ring carries the
-            # encoded payload; the intra-host hops stay dense (shm rings
-            # move float64 faster than a codec round-trip).
-            compressed_ring = (
-                allreduce_compressed_hierarchical if multi_host
-                else allreduce_compressed_ring
-            )
-            result = compressed_ring(
-                self.comm,
-                dense,
-                self.codec,
-                average=True,
-                n_chunks=self.pipeline_chunks,
-                copy=False,  # the slice, or its compensated copy
+                copy=False,  # the slice (or its compensated copy) is ours
+                codec=self.codec,
             )
             return result, wire_nbytes
         encoded = self._compressor.encode_bucket(b, buffer)
@@ -526,14 +486,12 @@ class ShardedExchange(_BucketedExchange):
         fusion_buckets: int = 1,
         fusion_threshold_bytes: Optional[int] = None,
         pipeline_chunks: int = 1,
-        bucketer: Optional[GradientBucketer] = None,
-        plan: Optional[TunedPlan] = None,
         compression: CompressionSpec = None,
         compression_options: Optional[Dict] = None,
     ) -> None:
         super().__init__(
             _WireCountingComm(comm), fusion_buckets, fusion_threshold_bytes,
-            pipeline_chunks, bucketer, plan, compression, compression_options,
+            pipeline_chunks, compression, compression_options,
         )
         if not self.host_topology.is_single_host:
             algorithm = "hierarchical"
@@ -657,7 +615,7 @@ class PartialExchange(_BucketedExchange):
         Shared seed for the initiator designation (must match on all
         ranks; all buckets share the seed, so each round's designated
         initiator is the same across buckets).
-    fusion_threshold_bytes:
+    fusion_buckets, fusion_threshold_bytes:
         Each bucket runs its own partial allreduce (with its own progress
         thread and channel pair), so a slow rank's gradient can be
         included in bucket *i* but become stale for bucket *j* — the
@@ -676,8 +634,8 @@ class PartialExchange(_BucketedExchange):
         background reduction (the documented decode-reduce-encode caveat:
         the persistent-schedule wire stays dense).
 
-    ``bucketer``, ``plan`` and ``compression_options`` are the shared
-    knobs of :class:`_BucketedExchange`.
+    ``compression_options`` is the shared knob of
+    :class:`_BucketedExchange`.
     """
 
     def __init__(
@@ -688,43 +646,41 @@ class PartialExchange(_BucketedExchange):
         quorum: Optional[int] = None,
         seed: int = 12345,
         overwrite_recvbuff: bool = True,
+        fusion_buckets: int = 1,
         fusion_threshold_bytes: Optional[int] = None,
         pipeline_chunks: int = 1,
-        bucketer: Optional[GradientBucketer] = None,
-        plan: Optional[TunedPlan] = None,
         compression: CompressionSpec = None,
         compression_options: Optional[Dict] = None,
     ) -> None:
         if num_parameters < 1:
             raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
         super().__init__(
-            comm, 1, fusion_threshold_bytes, pipeline_chunks, bucketer, plan,
+            comm, fusion_buckets, fusion_threshold_bytes, pipeline_chunks,
             compression, compression_options,
         )
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
         #: The bucketing plan — fixed at construction, one partial
         #: allreduce (progress thread, channel pair) per bucket.
         self.bucketer = self._ensure_bucketer(num_parameters)
-        kwargs = {}
-        if PartialMode(mode) is PartialMode.QUORUM:
-            kwargs["quorum"] = quorum
+        dtype = np.float64
         if self.codec is not None and self.codec.reduce_closed:
             # The collective itself runs at the encoded width.
-            kwargs["dtype"] = self.codec.wire_dtype
+            dtype = self.codec.wire_dtype
         self.partials: List[PartialAllreduce] = []
         multi = self.bucketer.num_buckets > 1
         for bucket in self.bucketer.buckets:
             self.partials.append(
-                make_partial_allreduce(
+                PartialAllreduce(
                     comm,
                     (bucket.num_elements,),
                     mode,
                     average=True,
+                    quorum=quorum,
                     seed=seed,
                     overwrite_recvbuff=overwrite_recvbuff,
                     channel_suffix=f".bucket{bucket.index}" if multi else "",
                     n_chunks=self.pipeline_chunks,
-                    **kwargs,
+                    dtype=dtype,
                 )
             )
         self.name = f"eager-{PartialMode(mode).value}"
@@ -795,7 +751,6 @@ def build_exchange(
     overwrite_recvbuff: bool = True,
     fusion_threshold_bytes: Optional[int] = None,
     pipeline_chunks: int = 1,
-    plan: Optional[TunedPlan] = None,
     compression: CompressionSpec = None,
     compression_options: Optional[Dict] = None,
     sharding: str = "none",
@@ -812,9 +767,9 @@ def build_exchange(
     if comm is None or comm.size == 1:
         return SingleProcessExchange()
     shared = dict(
+        fusion_buckets=fusion_buckets,
         fusion_threshold_bytes=fusion_threshold_bytes,
         pipeline_chunks=pipeline_chunks,
-        plan=plan,
         compression=compression,
         compression_options=compression_options,
     )
@@ -827,7 +782,6 @@ def build_exchange(
         return ShardedExchange(
             comm,
             algorithm=_SHARDED_ALGORITHM_FOR_ALLREDUCE.get(algorithm, algorithm),
-            fusion_buckets=fusion_buckets,
             **shared,
         )
     if mode == "sync":
@@ -835,7 +789,6 @@ def build_exchange(
             comm,
             style=sync_style,
             algorithm=algorithm,
-            fusion_buckets=fusion_buckets,
             **shared,
         )
     return PartialExchange(

@@ -535,11 +535,8 @@ def resolve_auto_fusion(
         thresholds = None
     elif config.fusion_threshold_bytes is None:
         # Legacy fixed-count bucketing: restrict the search to a threshold
-        # reproducing the bucket count the exchange will actually run —
-        # synchronous exchanges honour ``fusion_buckets``, partial
-        # exchanges always use a single bucket in legacy mode.
-        legacy_buckets = config.fusion_buckets if config.mode == "sync" else 1
-        thresholds = [max(1, -(-gradient_bytes // max(1, legacy_buckets)))]
+        # reproducing the ``fusion_buckets`` the exchange will run.
+        thresholds = [max(1, -(-gradient_bytes // max(1, config.fusion_buckets)))]
     else:
         thresholds = [int(config.fusion_threshold_bytes)]
     chunks = None if auto_chunks else [int(config.pipeline_chunks)]

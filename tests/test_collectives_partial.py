@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.comm import launch
-from repro.collectives import (
-    MajorityAllreduce,
-    PartialMode,
-    QuorumAllreduce,
-    SoloAllreduce,
-    make_partial_allreduce,
-)
+from repro.collectives import PartialAllreduce, PartialMode, make_partial_allreduce
 
 
 def _run_rounds(comm, mode, rounds, skew_ms=0.0, contribution_scale=1.0, **kwargs):
@@ -133,7 +127,15 @@ class TestQuorumAllreduce:
 
         with ThreadWorld(2) as world:
             with pytest.raises(ValueError):
-                QuorumAllreduce(world.communicator(0), (2,), quorum=5)
+                PartialAllreduce(world.communicator(0), (2,), "quorum", quorum=5)
+
+    def test_constructor_requires_quorum(self):
+        """No silent ``P // 2`` default: quorum mode names its quorum."""
+        from repro.comm import ThreadWorld
+
+        with ThreadWorld(2) as world:
+            with pytest.raises(ValueError, match="quorum"):
+                PartialAllreduce(world.communicator(0), (2,), "quorum")
 
     def test_factory_requires_quorum(self):
         from repro.comm import ThreadWorld
@@ -146,7 +148,7 @@ class TestQuorumAllreduce:
 class TestSemantics:
     def test_shape_mismatch_rejected(self):
         def worker(comm):
-            partial = SoloAllreduce(comm, (4,), seed=1)
+            partial = PartialAllreduce(comm, (4,), "solo", seed=1)
             try:
                 with pytest.raises(ValueError):
                     partial.reduce(np.ones(3))
@@ -162,7 +164,9 @@ class TestSemantics:
         """With overwrite_recvbuff=False every rank sees its own round."""
 
         def worker(comm, overwrite):
-            partial = SoloAllreduce(comm, (1,), seed=5, overwrite_recvbuff=overwrite)
+            partial = PartialAllreduce(
+                comm, (1,), "solo", seed=5, overwrite_recvbuff=overwrite
+            )
             values = []
             for t in range(4):
                 time.sleep(comm.rank * 0.02)
@@ -182,7 +186,7 @@ class TestSemantics:
 
     def test_close_is_idempotent_and_context_manager(self):
         def worker(comm):
-            with SoloAllreduce(comm, (2,), seed=3) as partial:
+            with PartialAllreduce(comm, (2,), "solo", seed=3) as partial:
                 partial.reduce(np.ones(2))
             partial.close()  # second close must not raise
             return True
@@ -198,7 +202,7 @@ class TestSemantics:
         def worker(comm):
             if comm.rank == 1:
                 return None  # never constructs its collective
-            partial = SoloAllreduce(comm, (2,), seed=3)
+            partial = PartialAllreduce(comm, (2,), "solo", seed=3)
             start = time.monotonic()
             with pytest.raises(RuntimeError, match="rank 0.*round 0") as failure:
                 partial.reduce(np.ones(2))
@@ -228,7 +232,7 @@ class TestSemantics:
         def worker(comm):
             if comm.rank == 1:
                 return None  # the designated initiator of round 0 never comes
-            with MajorityAllreduce(comm, (2,), seed=seed) as partial:
+            with PartialAllreduce(comm, (2,), "majority", seed=seed) as partial:
                 start = time.monotonic()
                 with pytest.raises(TimeoutError, match="round 0 did not complete within 0.6s"):
                     partial.reduce(np.ones(2))

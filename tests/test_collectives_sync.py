@@ -196,7 +196,7 @@ class TestHierarchicalAllreduce:
     @pytest.mark.parametrize("hosts", [(3, 1), (4, 2, 2)])
     def test_compressed_replicas_bit_identical(self, hosts):
         from repro.collectives.topology import HostTopology
-        from repro.collectives.sync import allreduce_compressed_hierarchical
+        from repro.collectives.sync import allreduce_hierarchical
         from repro.compression import get_codec
 
         size = sum(hosts)
@@ -205,8 +205,8 @@ class TestHierarchicalAllreduce:
 
         def worker(comm):
             data = np.full(64, comm.rank + 1.0)
-            return allreduce_compressed_hierarchical(
-                comm, data, codec, average=True, topology=topology
+            return allreduce_hierarchical(
+                comm, data, average=True, topology=topology, codec=codec
             )
 
         results = launch(worker, size)
@@ -227,3 +227,51 @@ class TestHierarchicalAllreduce:
             return True
 
         assert all(launch(worker, 2))
+
+
+class TestAllreduceCodec:
+    """A reduce-closed codec is a wire dtype of the ring phases only."""
+
+    def test_non_ring_algorithm_raises_naming_it(self):
+        from repro.compression import get_codec
+
+        def worker(comm):
+            with pytest.raises(ValueError, match="'rabenseifner'"):
+                allreduce(
+                    comm, np.ones(8), algorithm="rabenseifner",
+                    codec=get_codec("fp16"),
+                )
+            return True
+
+        assert all(launch(worker, 2, backend="thread"))
+
+    @pytest.mark.parametrize("algorithm", ["ring", "hierarchical"])
+    def test_non_sum_op_raises(self, algorithm):
+        from repro.compression import get_codec
+
+        def worker(comm):
+            with pytest.raises(ValueError, match="'max'"):
+                allreduce(
+                    comm, np.ones(8), op="max", algorithm=algorithm,
+                    codec=get_codec("fp16"),
+                )
+            return True
+
+        assert all(launch(worker, 2, backend="thread"))
+
+    def test_codec_that_is_not_reduce_closed_raises(self):
+        from repro.compression import get_codec
+
+        def worker(comm):
+            with pytest.raises(ValueError, match="'bf16'"):
+                allreduce(
+                    comm, np.ones(8), algorithm="ring", codec=get_codec("bf16")
+                )
+            return True
+
+        assert all(launch(worker, 2, backend="thread"))
+
+    def test_no_dedicated_compressed_allreduce_left(self):
+        from repro.collectives import sync
+
+        assert not [name for name in vars(sync) if name.startswith("allreduce_compressed")]

@@ -9,6 +9,8 @@ the simtime cost-model terms, the per-codec autotuner and the
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.compression import (
     BucketCompressor,
@@ -197,6 +199,43 @@ class TestRoundTrips:
         encoded = fp16.encode(_gradient(8))
         with pytest.raises(ValueError, match="encoded by"):
             get_codec("bf16").decode(encoded)
+
+
+REDUCE_CLOSED_CODECS = [
+    name for name in available_codecs() if get_codec(name).reduce_closed
+]
+
+
+class TestReduceClosedContract:
+    """Reduce-closed means encode is ``astype(wire_dtype)`` and decode is
+    ``astype(float64)``: the ring collectives rely on exactly that when
+    they carry the codec as a wire dtype instead of calling it."""
+
+    def test_none_and_fp16_are_reduce_closed(self):
+        assert {"none", "fp16"} <= set(REDUCE_CLOSED_CODECS)
+
+    @pytest.mark.parametrize("name", REDUCE_CLOSED_CODECS)
+    @given(values=st.lists(
+        st.one_of(st.floats(), st.floats(width=32), st.floats(width=16)),
+        min_size=1, max_size=64,
+    ))
+    @example(values=[
+        np.inf, -np.inf, 0.0, -0.0, 2.0**-24, -(2.0**-20), 3e-8, 5e-324,
+        65504.0, 65520.0, -1e300,
+    ])
+    @settings(max_examples=60, deadline=None)
+    def test_encode_and_decode_are_casts(self, name, values):
+        codec = get_codec(name)
+        dense = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore"):  # fp16 overflows to inf, as astype does
+            encoded = codec.encode(dense)
+            cast = dense.astype(codec.wire_dtype)
+        payload = np.asarray(encoded.payload)
+        assert payload.dtype == codec.wire_dtype
+        assert payload.tobytes() == cast.tobytes()
+        decoded = codec.decode(encoded)
+        assert decoded.dtype == np.float64
+        assert decoded.tobytes() == payload.astype(np.float64).tobytes()
 
 
 # ---------------------------------------------------------------------------

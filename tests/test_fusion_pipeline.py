@@ -23,7 +23,7 @@ from repro.comm.tags import (
 )
 from repro.collectives import allreduce
 from repro.collectives import sync as sync_mod
-from repro.collectives.partial import QuorumAllreduce, SoloAllreduce
+from repro.collectives.partial import PartialAllreduce
 from repro.collectives.sync import allreduce_rabenseifner
 from repro.experiments import fusion_pipeline
 from repro.simtime.collective_model import allreduce_time, fused_exchange_time
@@ -194,7 +194,9 @@ class TestPartialCounterHardening:
         must survive the non-power-of-two fold exactly."""
 
         def worker(comm):
-            partial = QuorumAllreduce(comm, (3,), quorum=3, average=True, seed=2)
+            partial = PartialAllreduce(
+                comm, (3,), "quorum", quorum=3, average=True, seed=2
+            )
             results = [partial.reduce(np.full(3, comm.rank + 1.0)) for _ in range(3)]
             partial.close()
             return results
@@ -208,8 +210,8 @@ class TestPartialCounterHardening:
         """A max/min data op must not collapse the arrival count to 1."""
 
         def worker(comm):
-            partial = QuorumAllreduce(
-                comm, (2,), quorum=4, op="max", average=False, seed=2
+            partial = PartialAllreduce(
+                comm, (2,), "quorum", quorum=4, op="max", average=False, seed=2
             )
             r = partial.reduce(np.full(2, float(comm.rank)))
             partial.close()
@@ -221,7 +223,7 @@ class TestPartialCounterHardening:
 
     def test_corrupted_counter_rejected(self):
         def worker(comm):
-            partial = SoloAllreduce(comm, (2,), seed=1)
+            partial = PartialAllreduce(comm, (2,), "solo", seed=1)
             try:
                 assert partial._decode_num_active(2.0) == 2
                 with pytest.raises(RuntimeError):

@@ -172,21 +172,6 @@ class TestBf16Kernels:
         assert np.max(np.abs(decoded - dense) / np.abs(dense)) <= 2.0**-8
 
 
-class TestAccumulateWire:
-    def test_fp16_wire_matches_decode_then_add(self):
-        acc = np.random.default_rng(0).standard_normal(1024)
-        wire = _random(np.float16, n=1024, seed=9)
-        expected = acc + wire.astype(np.float64)
-        got = acc.copy()
-        assert reduce_kernels.accumulate_wire(got, wire)
-        np.testing.assert_array_equal(got, expected)
-
-    def test_bit_pattern_wire_is_rejected(self):
-        acc = np.zeros(8)
-        assert not reduce_kernels.accumulate_wire(acc, np.zeros(8, dtype=np.uint16))
-        np.testing.assert_array_equal(acc, np.zeros(8))
-
-
 class TestCollectiveIntegration:
     """The kernels observed through the public collective API."""
 
@@ -237,8 +222,9 @@ class TestCollectiveIntegration:
         assert all(r is None for r in results[1:])
 
     def test_compressed_ring_unchanged_by_fast_path(self):
-        """allreduce_compressed_ring's fused fp16 hop == decode-then-add."""
-        from repro.collectives.sync import allreduce_compressed_ring
+        """The fp16 wire dtype of the ring: mixed-dtype adds into float64,
+        replicas bit-identical, within a few fp16 ulp of the dense mean."""
+        from repro.collectives.sync import allreduce
         from repro.comm import launch
 
         n, size = 2048, 4
@@ -246,10 +232,12 @@ class TestCollectiveIntegration:
             np.random.default_rng(20 + r).standard_normal(n) for r in range(size)
         ]
         codec = get_codec("fp16")
-        # Reference: the documented schedule by hand — encoded hops,
-        # dense accumulation, averaged chunks encoded once.
+
         def worker(comm):
-            return allreduce_compressed_ring(comm, inputs[comm.rank], codec)
+            return allreduce(
+                comm, inputs[comm.rank], algorithm="ring", average=True,
+                codec=codec,
+            )
 
         results = launch(worker, size, backend="thread")
         for result in results[1:]:

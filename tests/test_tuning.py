@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.comm import launch
 from repro.simtime.collective_model import allreduce_time, fused_exchange_time
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
-from repro.training import GradientBucketer, SynchronousExchange
+from repro.training import GradientBucketer
 from repro.training.bucketing import BucketSpec
 from repro.training.config import TrainingConfig
 from repro.training.exchange import build_exchange
@@ -513,9 +514,9 @@ class TestAutoResolution:
         assert config.fusion_threshold_bytes == "auto"
 
     def test_legacy_buckets_modelled_per_exchange_kind(self, tmp_path):
-        """Regression: with legacy fixed-count bucketing, 'auto' chunks
-        for a *partial* exchange must be tuned against the single bucket
-        PartialExchange actually runs, not against fusion_buckets."""
+        """With legacy fixed-count bucketing, 'auto' chunks are tuned
+        against the ``fusion_buckets`` every exchange kind runs — the
+        partial exchange as much as the synchronous one."""
         import importlib
         from unittest import mock
 
@@ -544,7 +545,7 @@ class TestAutoResolution:
             resolve_auto_fusion(
                 TrainingConfig(mode="quorum", **base), num_parameters=num_parameters
             )
-            assert captured["thresholds"] == [gradient_bytes]  # one bucket
+            assert captured["thresholds"] == [gradient_bytes // 4]
             resolve_auto_fusion(
                 TrainingConfig(mode="sync", **base), num_parameters=num_parameters
             )
@@ -575,66 +576,19 @@ class TestAutoResolution:
         assert resolve_auto_fusion(config, num_parameters=64) is config
 
 
-class TestExchangeAcceptsPlan:
-    def _plan(self, world_size=2, threshold=64, chunks=3):
-        return TunedPlan(
-            world_size=world_size,
-            gradient_bytes=23 * 8,
-            algorithm="ring",
-            fusion_threshold_bytes=threshold,
-            pipeline_chunks=chunks,
-            predicted_time=1e-4,
-            baseline_time=2e-4,
-        )
-
-    def test_synchronous_exchange_uses_plan(self):
-        from repro.comm import ThreadWorld
-
-        with ThreadWorld(2) as world:
-            comm = world.communicator(0)
-            exchange = SynchronousExchange(comm, algorithm="ring", plan=self._plan())
-            assert exchange.fusion_threshold_bytes == 64
-            assert exchange.pipeline_chunks == 3
-            assert exchange._ensure_bucketer(23).num_buckets == 3
-
-    def test_world_size_mismatch_rejected(self):
-        from repro.comm import ThreadWorld
-
-        with ThreadWorld(2) as world:
-            comm = world.communicator(0)
-            with pytest.raises(ValueError, match="world size"):
-                SynchronousExchange(comm, plan=self._plan(world_size=4))
-
-    def test_build_exchange_forwards_plan(self):
-        from repro.comm import ThreadWorld
-
-        with ThreadWorld(2) as world:
-            comm = world.communicator(0)
-            sync = build_exchange(comm, 64, "sync", plan=self._plan())
-            assert isinstance(sync, SynchronousExchange)
-            assert sync.fusion_threshold_bytes == 64
-            assert sync.pipeline_chunks == 3
-
-    def test_partial_exchange_uses_plan(self):
-        from repro.comm import launch
+class TestEagerExchangeHonoursFusionBuckets:
+    def test_majority_exchange_runs_the_configured_buckets(self):
+        """Legacy fixed-count bucketing reaches the partial exchange too:
+        ``TrainingConfig(mode="majority", fusion_buckets=3)`` runs three."""
 
         def worker(comm):
-            from repro.training import PartialExchange
+            exchange = build_exchange(comm, 23, "majority", fusion_buckets=3)
+            try:
+                return exchange.bucketer.num_buckets
+            finally:
+                exchange.close()
 
-            exchange = PartialExchange(
-                comm, num_parameters=23, mode="quorum", quorum=2, seed=3,
-                plan=self._plan(),
-            )
-            buckets = exchange.bucketer.num_buckets
-            chunks = [p.n_chunks for p in exchange.partials]
-            result = exchange.exchange(np.full(23, comm.rank + 1.0))
-            exchange.close()
-            return buckets, chunks, float(result.gradient[0])
-
-        for buckets, chunks, value in launch(worker, 2):
-            assert buckets == 3
-            assert chunks == [3, 3, 3]
-            assert value == pytest.approx(1.5)
+        assert launch(worker, 2, backend="thread") == [3, 3]
 
 
 # ---------------------------------------------------------------------------
