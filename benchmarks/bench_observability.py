@@ -5,8 +5,8 @@ Two measurements:
 * **per-event microbench** — nanoseconds per recorded span/instant, and
   per *disabled* instrumentation site (no recorder bound), which is the
   cost every hot path pays when tracing is off;
-* **end-to-end gate** — the same distributed training loop that
-  ``python -m repro trace`` runs, timed in alternating untraced/traced
+* **end-to-end gate** — the ``DistributedSGD`` step that
+  ``python -m repro trace`` traces, timed in alternating untraced/traced
   step blocks *inside one launch* (barrier before each block).  Each
   adjacent (untraced, traced) block pair yields one paired difference;
   the overhead estimate is the **median paired difference** over all
@@ -19,7 +19,7 @@ Two measurements:
 ``python benchmarks/bench_observability.py`` prints the table and writes
 machine-readable ``BENCH_observability.json`` at the repo root; with
 ``--check`` it exits non-zero when the end-to-end overhead gate fails
-(the CI observability-smoke job runs that mode).
+(the CI process-backend-smoke job runs that mode).
 
 Note on substrate: single-core containers timeshare every rank, so the
 recorded-event cost is amplified by scheduler switches landing inside

@@ -455,25 +455,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if not failures else 1
     elif args.command == "trace":
         from repro.obs.recorder import DEFAULT_CAPACITY
-        from repro.obs.tracecmd import TraceConfig, format_summary, run_trace
+        from repro.obs.tracecmd import format_summary, run_trace, trace_config
 
-        config = TraceConfig(
+        config = trace_config(
             world_size=args.world_size,
-            steps=args.steps,
             mode=args.mode,
             sharding=args.sharding,
             fusion_buckets=args.fusion_buckets,
-            capacity=args.capacity or DEFAULT_CAPACITY,
             seed=args.seed,
+            backend=args.backend,
         )
         try:
             config.validate()
         except ValueError as exc:
             parser.error(str(exc))
-        summary = run_trace(
-            config, backend=args.backend, out=args.out, timeout=args.timeout
+        if args.steps < 1:
+            parser.error(f"--steps must be >= 1, got {args.steps}")
+        capacity = args.capacity or DEFAULT_CAPACITY
+        if capacity < 1:
+            parser.error(f"--capacity must be >= 1, got {capacity}")
+        report = run_trace(
+            config, steps=args.steps, capacity=capacity, out=args.out,
+            timeout=args.timeout,
         )
-        print(format_summary(summary))
+        print(format_summary(report, args.out))
     elif args.command == "verify":
         from repro.analysis import schedule_verifier
 

@@ -258,8 +258,8 @@ class Optimizer:
         """Bytes held in optimizer state arrays (0 for stateless rules).
 
         Under ZeRO-1 sharding only the owned windows are ever allocated,
-        so this gauge drops to ~1/P of the unsharded footprint — the
-        metric exported as ``repro_optimizer_state_bytes``.
+        so this drops to ~1/P of the unsharded footprint — the
+        ``optimizer-state-bytes`` counter the training runner traces.
         """
         return sum(
             arr.nbytes

@@ -1,4 +1,4 @@
-"""Observability layer: flight recorder, metrics registry, trace export.
+"""Observability layer: flight recorder, trace export, histograms.
 
 ``repro.obs`` is the cross-cutting instrumentation layer of the repo:
 
@@ -6,16 +6,18 @@
   (preallocated ring buffer of span/instant/counter/flow events stamped
   with ``perf_counter_ns``; drop-oldest with a dropped-events counter;
   near-zero cost when no recorder is bound).
-* :mod:`repro.obs.metrics` — counters, gauges and log-bucketed streaming
-  histograms with cross-rank merge plus the per-rank straggler
-  attribution report.
+* :mod:`repro.obs.metrics` — log-bucketed streaming histograms with
+  cross-rank merge, and the per-rank straggler attribution read from a
+  Chrome trace.
 * :mod:`repro.obs.trace` — Chrome trace-event JSON export (loadable in
   Perfetto / ``chrome://tracing``) and a structural schema validator.
 * :mod:`repro.obs.collect` — cross-rank collection over the comm fabric:
   clock-offset estimation (ping-pong midpoint) and trace-buffer shipment
   to rank 0 on the ``telemetry`` tag region.
 * :mod:`repro.obs.tracecmd` — the ``python -m repro trace`` entry point:
-  a short instrumented training run, collected and exported.
+  the training runner's own loop under a recorder on every rank,
+  collected and exported, and a report read back from the exported
+  trace.
 
 The hot paths (communicator send/recv, collective phases, the fused
 exchange, the trainer step, the serving tier) consult
@@ -33,14 +35,7 @@ from repro.obs.recorder import (
     instant,
     span,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LogHistogram,
-    MetricsRegistry,
-    merge_snapshots,
-    straggler_attribution,
-)
+from repro.obs.metrics import LogHistogram, straggler_attribution
 from repro.obs.trace import (
     to_chrome_trace,
     validate_chrome_trace,
@@ -59,11 +54,7 @@ __all__ = [
     "current",
     "instant",
     "span",
-    "Counter",
-    "Gauge",
     "LogHistogram",
-    "MetricsRegistry",
-    "merge_snapshots",
     "straggler_attribution",
     "to_chrome_trace",
     "validate_chrome_trace",

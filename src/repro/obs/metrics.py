@@ -1,8 +1,8 @@
-"""Metrics registry: counters, gauges, log-bucketed streaming histograms.
+"""Log-bucketed streaming histograms, and straggler attribution from a trace.
 
 Built on the same streaming philosophy as :mod:`repro.utils.stats`
 (:class:`~repro.utils.stats.RunningStat` is embedded in every
-histogram for exact mean/min/max): all metrics are O(1) per update and
+histogram for exact mean/min/max): a histogram is O(1) per update and
 bounded in memory under sustained load, so the serving tier can account
 for millions of requests without keeping a raw latency list around.
 
@@ -19,74 +19,39 @@ buckets, usually far fewer.
 
 Cross-rank merge
 ----------------
-Histograms merge by adding bucket counts, counters by summing, gauges by
-taking the max — the operations :func:`merge_snapshots` applies when
-rank snapshots are gathered to rank 0 over the telemetry tag region.
+Histograms merge by adding bucket counts (:meth:`LogHistogram.merge`),
+so per-rank histograms shipped as :meth:`LogHistogram.to_dict` merge on
+rank 0 into the pooled distribution.
 
 Straggler attribution
 ---------------------
-:func:`straggler_attribution` folds per-rank per-step timings (compute
-seconds, bucket-wait seconds, exchange seconds) into per-window shares of
-compute vs. wait vs. wire — the "where does the slow rank's time go"
-report the paper's imbalance argument calls for.
+:func:`straggler_attribution` reads a Chrome trace (the object
+:func:`repro.obs.trace.to_chrome_trace` builds, or its JSON) and splits
+each rank's step time into compute, the fusion buckets' collectives and
+the exchange's overhead around them — the "where does the slow rank's
+time go" report the paper's imbalance argument calls for.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List
 
 from repro.utils.stats import RunningStat
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "LogHistogram",
-    "MetricsRegistry",
-    "merge_snapshots",
-    "straggler_attribution",
-]
+__all__ = ["LogHistogram", "straggler_attribution"]
 
-
-class Counter:
-    """Monotonically increasing counter (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up; got increment {amount}")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"type": "counter", "value": self._value}
-
-
-class Gauge:
-    """Last-write-wins instantaneous value (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self._value}
+#: The complete spans :func:`straggler_attribution` sums, by (category,
+#: name).  Each ``exchange``-category bucket span is one fusion bucket's
+#: collective: waiting for peers *and* moving and reducing its bytes.
+_ATTRIBUTED = {
+    ("step", "compute"): "compute_s",
+    ("step", "exchange"): "exchange_s",
+    ("exchange", "bucket-wait"): "collective_s",
+    ("exchange", "shard-scatter"): "collective_s",
+    ("exchange", "shard-gather"): "collective_s",
+}
 
 
 class LogHistogram:
@@ -243,141 +208,52 @@ class LogHistogram:
         return hist
 
 
-class MetricsRegistry:
-    """Name-keyed metric store with get-or-create accessors."""
 
-    def __init__(self) -> None:
-        self._metrics: Dict[str, Any] = {}
-        self._lock = threading.Lock()
 
-    def _get_or_create(self, name: str, kind: type, factory) -> Any:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = factory()
-                self._metrics[name] = metric
-            elif not isinstance(metric, kind):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{type(metric).__name__}, not {kind.__name__}"
-                )
-            return metric
+def straggler_attribution(trace: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Per-rank shares of compute vs. collective vs. exchange overhead.
 
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, Counter)
+    ``trace`` is a Chrome trace object (:func:`repro.obs.trace.to_chrome_trace`
+    builds it; :func:`~repro.obs.trace.write_chrome_trace` writes it as
+    JSON).  Per rank (``pid``), summed over its complete spans:
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, Gauge)
+    ``compute_s``
+        the ``compute`` spans (forward + backward);
+    ``exchange_s``
+        the ``exchange`` spans (each step's whole gradient exchange);
+    ``collective_s``
+        the fusion buckets' collectives inside them (``bucket-wait``,
+        ``shard-scatter``, ``shard-gather``), peer waits included;
+    ``overhead_s``
+        ``exchange_s - collective_s``: what the exchange did outside its
+        buckets (slicing, codecs, ZeRO-1's shard update).
 
-    def histogram(
-        self, name: str, growth: float = 1.015, min_value: float = 1e-9
-    ) -> LogHistogram:
-        return self._get_or_create(
-            name, LogHistogram, lambda: LogHistogram(growth, min_value)
+    Returns one record per rank, in rank order, with ``steps`` (its
+    ``compute`` span count) and ``compute_share`` / ``collective_share``
+    / ``overhead_share``, which sum to 1 when the rank recorded any of
+    that time.
+    """
+    totals: Dict[int, Dict[str, Any]] = {}
+    for event in trace["traceEvents"]:
+        field = _ATTRIBUTED.get((event.get("cat"), event["name"]))
+        if event["ph"] != "X" or field is None:
+            continue
+        rank = totals.setdefault(
+            event["pid"],
+            {"steps": 0, "compute_s": 0.0, "exchange_s": 0.0, "collective_s": 0.0},
         )
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
-    def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Plain-data view of every metric (picklable, JSON-safe)."""
-        with self._lock:
-            return {name: metric.to_dict() for name, metric in self._metrics.items()}
-
-
-def merge_snapshots(
-    snapshots: Sequence[Dict[str, Dict[str, Any]]]
-) -> Dict[str, Dict[str, Any]]:
-    """Merge per-rank registry snapshots into one global view.
-
-    Counters sum, gauges take the max, histograms add bucket counts
-    (merged histograms additionally expose ``p50``/``p99`` for direct
-    reporting).
-    """
-    merged: Dict[str, Dict[str, Any]] = {}
-    hists: Dict[str, LogHistogram] = {}
-    for snap in snapshots:
-        for name, data in snap.items():
-            kind = data.get("type")
-            if name in merged and merged[name]["type"] != kind:
-                raise TypeError(
-                    f"metric {name!r} has conflicting types across ranks: "
-                    f"{merged[name]['type']} vs {kind}"
-                )
-            if kind == "counter":
-                if name not in merged:
-                    merged[name] = {"type": "counter", "value": 0.0}
-                merged[name]["value"] += data["value"]
-            elif kind == "gauge":
-                if name not in merged:
-                    merged[name] = {"type": "gauge", "value": data["value"]}
-                else:
-                    merged[name]["value"] = max(merged[name]["value"], data["value"])
-            elif kind == "histogram":
-                if name not in hists:
-                    hists[name] = LogHistogram.from_dict(data)
-                    merged[name] = {"type": "histogram"}
-                else:
-                    hists[name].merge(LogHistogram.from_dict(data))
-            else:
-                raise ValueError(f"metric {name!r} has unknown type {kind!r}")
-    for name, hist in hists.items():
-        merged[name] = dict(hist.to_dict())
-        merged[name]["p50"] = hist.quantile(0.50)
-        merged[name]["p99"] = hist.quantile(0.99)
-    return merged
-
-
-def straggler_attribution(
-    per_rank_steps: Sequence[Sequence[Dict[str, float]]],
-    window: int = 0,
-) -> List[Dict[str, Any]]:
-    """Per-rank per-window shares of compute vs. wait vs. wire time.
-
-    Parameters
-    ----------
-    per_rank_steps:
-        ``per_rank_steps[rank]`` is that rank's per-step timing dicts
-        with keys ``compute_s``, ``wait_s`` and ``exchange_s`` (the wire
-        share is ``exchange_s - wait_s``, clamped at zero: time the
-        exchange spent moving/reducing bytes rather than blocked on a
-        peer).
-    window:
-        Steps per attribution window; ``0`` (default) folds the whole
-        run into one window per rank.
-
-    Returns one record per (rank, window):
-    ``{"rank", "window", "steps", "compute_s", "wait_s", "wire_s",
-    "compute_share", "wait_share", "wire_share"}`` with shares summing
-    to 1 for non-empty windows.
-    """
-    if window < 0:
-        raise ValueError(f"window must be non-negative, got {window}")
+        rank[field] += event["dur"] / 1e6
+        rank["steps"] += int(field == "compute_s")
     report: List[Dict[str, Any]] = []
-    for rank, steps in enumerate(per_rank_steps):
-        steps = list(steps)
-        size = window or max(1, len(steps))
-        for start in range(0, max(1, len(steps)), size):
-            chunk = steps[start : start + size]
-            compute = sum(float(s.get("compute_s", 0.0)) for s in chunk)
-            wait = sum(float(s.get("wait_s", 0.0)) for s in chunk)
-            exchange = sum(float(s.get("exchange_s", 0.0)) for s in chunk)
-            wire = max(exchange - wait, 0.0)
-            total = compute + wait + wire
-            report.append(
-                {
-                    "rank": rank,
-                    "window": start // size,
-                    "steps": len(chunk),
-                    "compute_s": compute,
-                    "wait_s": wait,
-                    "wire_s": wire,
-                    "compute_share": compute / total if total else 0.0,
-                    "wait_share": wait / total if total else 0.0,
-                    "wire_share": wire / total if total else 0.0,
-                }
-            )
-            if not steps:
-                break
+    for rank, sums in sorted(totals.items()):
+        overhead = sums["exchange_s"] - sums["collective_s"]
+        total = sums["compute_s"] + sums["exchange_s"]
+        report.append({
+            "rank": rank,
+            **sums,
+            "overhead_s": overhead,
+            "compute_share": sums["compute_s"] / total if total else 0.0,
+            "collective_share": sums["collective_s"] / total if total else 0.0,
+            "overhead_share": overhead / total if total else 0.0,
+        })
     return report

@@ -19,7 +19,7 @@ have unrelated epochs; the caller supplies per-rank ``clock_offsets_ns``
 everything to the earliest aligned event so traces start near t=0.
 
 :func:`validate_chrome_trace` is the structural schema check used by the
-tests and the CI ``observability-smoke`` job — it returns a list of
+tests and :func:`write_chrome_trace` — it returns a list of
 problems (empty = valid) rather than raising, so CI can print all of
 them at once.
 """

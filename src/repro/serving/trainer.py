@@ -1,13 +1,16 @@
 """The co-scheduled training world: train, publish, announce.
 
 The trainer ranks of a serving world run plain synchronous data-parallel
-SGD over a :class:`~repro.comm.subworld.SubsetCommunicator` spanning only
-themselves — the collectives layer runs verbatim on the subset view
-while the serving traffic shares the same fabric on its own channels.
+SGD — :class:`~repro.training.distributed_sgd.DistributedSGD` over the
+synchronous exchange — on a :class:`~repro.comm.subworld.SubsetCommunicator`
+spanning only themselves: the collectives layer runs verbatim on the
+subset view while the serving traffic shares the same fabric on its own
+channels.
 
 After every optimizer step the model version (the monotonic step
-counter) advances.  Trainer rank 0 — the *publisher*; all trainers are
-identical after the allreduce — feeds the replica pool:
+counter, ``DistributedSGD.steps``) advances.  Trainer rank 0 — the
+*publisher*; all trainers are identical after the allreduce — feeds the
+replica pool:
 
 * every ``publish_every_steps`` steps it ships the full flat parameter
   vector (plus its :func:`~repro.training.model_sync.model_hash`) to
@@ -25,9 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.collectives.sync import allreduce
 from repro.comm.subworld import SubsetCommunicator
-from repro.nn.parameters import flatten_gradients, flatten_parameters
+from repro.nn.parameters import flatten_parameters
 from repro.serving import protocol
 from repro.serving.config import ServingConfig
 from repro.training.model_sync import model_hash
@@ -40,6 +42,8 @@ def run_trainer(comm, config: ServingConfig) -> Dict[str, object]:
     from repro.nn.losses import MSELoss
     from repro.nn.optim import SGD
     from repro.serving.replica import default_model_factory
+    from repro.training.distributed_sgd import DistributedSGD
+    from repro.training.exchange import build_exchange
 
     trainers = list(config.trainer_ranks)
     train_rank = trainers.index(comm.rank)
@@ -48,8 +52,7 @@ def run_trainer(comm, config: ServingConfig) -> Dict[str, object]:
     is_publisher = comm.rank == config.publisher_rank
     replicas = list(config.replica_ranks)
 
-    # The loop below drops ``backward``'s result: batches are data.
-    model = default_model_factory(config).input_is_data()
+    model = default_model_factory(config)
     dataset = HyperplaneDataset(
         num_examples=max(4 * config.train_batch_size, 256),
         input_dim=config.input_dim,
@@ -63,30 +66,25 @@ def run_trainer(comm, config: ServingConfig) -> Dict[str, object]:
         world_size=len(trainers),
         seed=config.seed,
     )
-    loss_fn = MSELoss()
-    optimizer = SGD(model, config.learning_rate)
+    # One trainer (``sub`` is None) gets the single-process exchange.
+    sgd = DistributedSGD(
+        model,
+        SGD(model, config.learning_rate),
+        build_exchange(sub, model.num_parameters(), "sync"),
+        MSELoss(),
+        world_size=len(trainers),
+        classification=False,
+    )
 
-    version = 0
     losses: List[float] = []
     published = 0
     epoch = 0
-    while version < config.train_steps:
+    while sgd.steps < config.train_steps:
         for batch in loader.epoch_batches(epoch):
-            if version >= config.train_steps:
+            if sgd.steps >= config.train_steps:
                 break
-            model.zero_grad()
-            outputs = model.forward(batch.inputs)
-            loss, grad = loss_fn(outputs, batch.targets)
-            model.backward(grad)
-            if sub is not None:
-                # The model's live gradient vector, averaged in place.
-                allreduce(
-                    sub, flatten_gradients(model), algorithm="recursive_doubling",
-                    average=True, copy=False,
-                )
-            optimizer.step()
-            version += 1
-            losses.append(loss)
+            losses.append(sgd.step(batch).loss)
+            version = sgd.steps
             if not is_publisher:
                 continue
             if version % config.publish_every_steps == 0:
@@ -103,11 +101,12 @@ def run_trainer(comm, config: ServingConfig) -> Dict[str, object]:
                     protocol.send_announce(swap, replica, version)
                 protocol.send_announce(swap, config.frontend_rank, version)
         epoch += 1
+    sgd.close()
 
     return {
         "rank": comm.rank,
-        "steps": version,
-        "final_version": version,
+        "steps": sgd.steps,
+        "final_version": sgd.steps,
         "published_versions": published,
         "final_loss": losses[-1] if losses else float("nan"),
         "model_hash": model_hash(model),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -37,13 +37,6 @@ class StepStats:
     num_active: int
     #: L2 norm of the combined gradient (0 when not collected).
     gradient_norm: float
-    #: Seconds spent waiting on each fusion bucket's collective, in
-    #: bucket-index order (empty when the exchange is not bucketed).
-    bucket_waits: Tuple[float, ...] = field(default=())
-    #: Monotonic model version after this step's optimizer update (the
-    #: step counter).  The serving tier's weight hot-swap channel keys
-    #: published parameter sets by exactly this counter.
-    model_version: int = 0
 
 
 LossFn = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
@@ -175,8 +168,6 @@ class DistributedSGD:
             included=result.included,
             num_active=result.num_active,
             gradient_norm=grad_norm,
-            bucket_waits=result.bucket_waits,
-            model_version=self.steps,
         )
 
     def close(self) -> None:

@@ -49,8 +49,10 @@ knobs by the runner (:func:`~repro.tuning.autotune.resolve_auto_fusion`)
 before an exchange is built.
 
 Per-bucket wait times are reported in
-:attr:`ExchangeResult.bucket_waits` and surface in
-:class:`~repro.training.distributed_sgd.StepStats`.
+:attr:`ExchangeResult.bucket_waits`; with a recorder bound each bucket's
+collective is also an ``exchange``-category span (``bucket-wait``,
+``shard-scatter``, ``shard-gather``), which ``python -m repro trace``
+reports as the collective share of a rank's step.
 
 Multi-host topologies
 ---------------------

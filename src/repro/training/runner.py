@@ -24,6 +24,7 @@ from repro.collectives.sync import allreduce
 from repro.data.loader import Dataset, ShardedLoader
 from repro.nn.module import Module
 from repro.nn.optim import Adam, MomentumSGD, Optimizer, SGD
+from repro.obs import recorder as _obs
 from repro.simtime.network import DEFAULT_NETWORK
 from repro.simtime.training_model import StepTimeline, project_training_time
 from repro.training.config import TrainingConfig
@@ -199,6 +200,7 @@ def _rank_main(
             )
     finally:
         sgd.close()
+    _obs.counter("optimizer-state-bytes", optimizer.state_bytes())
 
     return _RankOutput(
         rank=rank,

@@ -2,8 +2,9 @@
 
 Covers the tentpole pieces end to end: ring overflow / drop accounting,
 span nesting, the Chrome trace-event JSON schema round-trip, clock-offset
-alignment across two real processes, and the cross-rank metrics merge
-over the thread/process/shm transports.
+alignment across two real processes, the cross-rank histogram merge
+over the thread/process/shm transports, and the ``trace`` report read
+back from the trace it writes.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from repro.obs.collect import (
     gather_traces,
     telemetry_round_trip,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    LogHistogram,
-    MetricsRegistry,
-    merge_snapshots,
-    straggler_attribution,
-)
+from repro.obs.metrics import LogHistogram, straggler_attribution
 from repro.obs.recorder import FlightRecorder, bind, current
 from repro.obs.trace import (
     to_chrome_trace,
@@ -130,26 +124,6 @@ class TestFlightRecorder:
 # metrics
 # ---------------------------------------------------------------------------
 class TestMetrics:
-    def test_counter_rejects_negative_increment(self):
-        c = Counter()
-        c.inc(2.5)
-        with pytest.raises(ValueError, match="only go up"):
-            c.inc(-1)
-        assert c.value == 2.5
-
-    def test_gauge_last_write_wins(self):
-        g = Gauge()
-        g.set(4)
-        g.set(2)
-        assert g.value == 2.0
-
-    def test_registry_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("x")
-        assert reg.counter("x") is reg.counter("x")
-
     @pytest.mark.parametrize("p", [50, 99])
     def test_histogram_percentiles_within_1pct(self, p, rng):
         # Latency-shaped data: lognormal around a few milliseconds.
@@ -212,55 +186,34 @@ class TestMetrics:
         with pytest.raises(ValueError, match="min_value 1e-09 vs 1e-06"):
             LogHistogram().merge(LogHistogram(min_value=1e-6))
 
-    def test_merge_snapshots_across_ranks(self, rng):
-        snaps = []
-        pooled = []
-        for rank in range(3):
-            reg = MetricsRegistry()
-            reg.counter("steps").inc(10 + rank)
-            reg.gauge("num-active").set(rank)
-            lat = rng.exponential(2e-3, size=1_000)
-            reg.histogram("latency-s").extend(lat)
-            pooled.append(lat)
-            snaps.append(reg.snapshot())
-        merged = merge_snapshots(snaps)
-        assert merged["steps"]["value"] == 33
-        assert merged["num-active"]["value"] == 2
-        hist = merged["latency-s"]
-        exact = float(np.percentile(np.concatenate(pooled), 50))
-        assert abs(hist["p50"] - exact) / exact < 0.01
-        assert hist["count"] == 3_000
-
-    def test_merge_snapshots_type_conflict(self):
-        with pytest.raises(TypeError, match="conflicting types"):
-            merge_snapshots([
-                {"x": {"type": "counter", "value": 1.0}},
-                {"x": {"type": "gauge", "value": 1.0}},
-            ])
-
     def test_straggler_attribution_shares_sum_to_one(self):
-        steps = [
-            [{"compute_s": 1.0, "wait_s": 0.5, "exchange_s": 0.7}] * 4,
-            [{"compute_s": 2.0, "wait_s": 0.1, "exchange_s": 0.1}] * 4,
-        ]
-        report = straggler_attribution(steps)
-        assert len(report) == 2
+        dumps = []
+        # Per step, in microseconds: compute, bucket collective, exchange.
+        for rank, (compute, bucket, exchange) in enumerate([(1000, 500, 700), (2000, 100, 100)]):
+            rec = FlightRecorder(rank=rank)
+            for step in range(4):
+                rec._append("X", "compute", "step", 0, compute * 1000, {"step": step})
+                rec._append("X", "bucket-wait", "exchange", 0, bucket * 1000, {"bucket": 0})
+                rec._append("X", "exchange", "step", 0, exchange * 1000, {"step": step})
+            # Neither a step nor a bucket span: not attributed.
+            rec._append("X", "rd-exchange", "collective", 0, 10**6, None)
+            rec._append("X", "shard-update", "exchange", 0, 10**6, None)
+            dumps.append(rec.dump())
+        report = straggler_attribution(to_chrome_trace(dumps))
+        assert [(r["rank"], r["steps"]) for r in report] == [(0, 4), (1, 4)]
         for record in report:
             total = (
                 record["compute_share"]
-                + record["wait_share"]
-                + record["wire_share"]
+                + record["collective_share"]
+                + record["overhead_share"]
             )
             assert total == pytest.approx(1.0)
-        # Rank 1 computes more and waits less than rank 0.
+        assert report[0]["collective_s"] == pytest.approx(4 * 500e-6)
+        assert report[0]["overhead_s"] == pytest.approx(4 * 200e-6)
+        assert report[1]["overhead_s"] == pytest.approx(0.0)
+        # Rank 1 computes more and spends less in the collective than rank 0.
         assert report[1]["compute_share"] > report[0]["compute_share"]
-        assert report[1]["wait_share"] < report[0]["wait_share"]
-
-    def test_straggler_attribution_windows(self):
-        steps = [[{"compute_s": 1.0, "wait_s": 0.0, "exchange_s": 0.0}] * 6]
-        report = straggler_attribution(steps, window=2)
-        assert [r["window"] for r in report] == [0, 1, 2]
-        assert all(r["steps"] == 2 for r in report)
+        assert report[1]["collective_share"] < report[0]["collective_share"]
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +329,29 @@ class TestCollection:
 
     @pytest.mark.parametrize("backend", MERGE_BACKENDS)
     def test_metrics_merge_across_ranks(self, backend):
+        """Per-rank histograms shipped as ``to_dict`` merge on rank 0."""
         _skip_if_unavailable(backend)
         size = 3
 
         def fn(comm):
-            reg = MetricsRegistry()
-            reg.counter("steps").inc(comm.rank + 1)
-            reg.gauge("rank").set(comm.rank)
-            reg.histogram("wait-s").extend([1e-3 * (comm.rank + 1)] * 10)
-            collected = gather_traces(comm, reg.snapshot(), rounds=2)
+            hist = LogHistogram()
+            hist.extend([1e-3 * (comm.rank + 1)] * 10)
+            collected = gather_traces(comm, hist.to_dict(), rounds=2)
             if collected is None:
                 return None
-            snapshots, offsets = collected
+            shipped, offsets = collected
             assert sorted(offsets) == list(range(comm.size))
-            return merge_snapshots(snapshots)
+            merged = LogHistogram()
+            for data in shipped:
+                merged.merge(LogHistogram.from_dict(data))
+            return merged.to_dict(), merged.quantile(0.50)
 
         results = launch(fn, size, backend=backend, timeout=120.0)
-        merged = results[0]
-        assert merged["steps"]["value"] == 6.0
-        assert merged["rank"]["value"] == 2.0
-        assert merged["wait-s"]["count"] == 30
+        merged, p50 = results[0]
+        assert merged["count"] == 30
+        assert (merged["min"], merged["max"]) == (1e-3, 3e-3)
         # Bucket midpoints of 1/2/3 ms: the median is the 2 ms bucket.
-        assert merged["wait-s"]["p50"] == pytest.approx(2e-3, rel=0.01)
+        assert p50 == pytest.approx(2e-3, rel=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +406,13 @@ def test_payload_nbytes_sums_nested_tuples():
 # ---------------------------------------------------------------------------
 class TestTraceCommand:
     def test_traced_run_thread_backend(self, tmp_path):
-        from repro.obs.tracecmd import TraceConfig, format_summary, run_trace
+        from repro.obs.tracecmd import format_summary, run_trace, trace_config
 
         out = tmp_path / "trace.json"
-        summary = run_trace(
-            TraceConfig(world_size=2, steps=3, fusion_buckets=2, capacity=4096),
-            backend="thread",
+        report = run_trace(
+            trace_config(world_size=2, fusion_buckets=2, backend="thread"),
+            steps=3,
+            capacity=4096,
             out=str(out),
         )
         trace = json.loads(out.read_text())
@@ -470,16 +425,65 @@ class TestTraceCommand:
         assert {e["pid"] for e in events if e["ph"] == "X" and e["cat"] == "nn"} == {0, 1}
         assert any(e["ph"] == "s" for e in events)
         assert any(e["ph"] == "f" for e in events)
-        assert summary["metrics"]["steps"]["value"] == 6.0
-        assert len(summary["straggler"]) == 2
-        assert "trace report" in format_summary(summary)
+        # The runner's own loop: one update and two buckets per step.
+        for rank in (0, 1):
+            per_rank = [e["name"] for e in events if e["ph"] == "X" and e["pid"] == rank]
+            assert per_rank.count("update") == 3
+            assert per_rank.count("bucket-wait") == 6
+        assert report["exchanges"] == 6
+        assert 0 < report["exchange_p50_s"] <= report["exchange_p99_s"]
+        assert set(report["optimizer_state_bytes"]) == {0, 1}
+        text = format_summary(report, str(out))
+        assert "trace report" in text and "collective" in text
+
+    def test_report_is_read_back_from_the_written_trace(self, tmp_path):
+        from repro.obs.tracecmd import run_trace, trace_config, trace_report
+
+        out = tmp_path / "trace.json"
+        report = run_trace(
+            trace_config(world_size=2, backend="thread"), steps=2, out=str(out)
+        )
+        with open(out) as handle:
+            assert trace_report(json.load(handle)) == report
+
+    @pytest.mark.parametrize(
+        "mode, sharding", [("sync", "none"), ("solo", "none"), ("sync", "zero1")]
+    )
+    def test_shares_split_each_ranks_steps(self, tmp_path, mode, sharding):
+        from repro.nn.models.mlp import MLPClassifier
+        from repro.obs.tracecmd import INPUT_DIM, run_trace, trace_config
+
+        report = run_trace(
+            trace_config(world_size=2, mode=mode, sharding=sharding, backend="thread"),
+            steps=3,
+            out=str(tmp_path / "trace.json"),
+        )
+        assert [r["rank"] for r in report["straggler"]] == [0, 1]
+        for record in report["straggler"]:
+            assert record["steps"] == 3
+            assert record["collective_s"] <= record["exchange_s"]
+            total = (
+                record["compute_share"]
+                + record["collective_share"]
+                + record["overhead_share"]
+            )
+            assert total == pytest.approx(1.0)
+        # One float64 of momentum per parameter, or per owned parameter.
+        dense = 8 * MLPClassifier(
+            INPUT_DIM, hidden_dims=(INPUT_DIM,), num_classes=1
+        ).num_parameters()
+        for nbytes in report["optimizer_state_bytes"].values():
+            if sharding == "zero1":
+                assert nbytes < 0.6 * dense
+            else:
+                assert nbytes == dense
 
     def test_traced_run_carries_the_transport_counters(self, tmp_path):
-        from repro.obs.tracecmd import TraceConfig, run_trace
+        from repro.obs.tracecmd import run_trace, trace_config
 
         _skip_if_unavailable("process")
         out = tmp_path / "trace.json"
-        run_trace(TraceConfig(world_size=2, steps=3), backend="process", out=str(out))
+        run_trace(trace_config(world_size=2, backend="process"), steps=3, out=str(out))
         trace = json.loads(out.read_text())
         assert validate_chrome_trace(trace) == []
         counters = {
@@ -505,18 +509,33 @@ class TestTraceCommand:
         assert "trace report" in capsys.readouterr().out
         assert validate_chrome_trace(json.loads(out.read_text())) == []
 
+    def test_trace_cli_rejects_quorum_without_a_quorum(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "quorum.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "trace", "--backend", "thread", "--world-size", "2",
+                "--mode", "quorum", "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "quorum" in err and "got None" in err
+        assert not out.exists()
+
     def test_recorder_capacity_truncation_is_reported(self, tmp_path):
-        from repro.obs.tracecmd import TraceConfig, run_trace
+        from repro.obs.tracecmd import run_trace, trace_config
 
         out = tmp_path / "tiny.json"
-        summary = run_trace(
-            TraceConfig(world_size=2, steps=3, capacity=32),
-            backend="thread",
+        report = run_trace(
+            trace_config(world_size=2, backend="thread"),
+            steps=3,
+            capacity=32,
             out=str(out),
         )
         # A 32-event ring cannot hold a 3-step traced run: the exporter
         # must surface the drop counts instead of silently truncating.
-        assert sum(summary["dropped_events"].values()) > 0
+        assert sum(report["dropped_events"].values()) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,27 @@ class TestServingEndToEnd:
             epoch += 1
         assert report.trainers[0]["model_hash"] == model_hash(model)
 
+    @pytest.mark.parametrize(
+        "train_ranks, digest",
+        [(1, "23fc134566105238"), (2, "dc1e099a3f064555"), (3, "1e99aaea57f4786b")],
+    )
+    def test_trainer_digests_are_pinned(self, train_ranks, digest):
+        """Every trainer ends on the same pinned model at one, two and three
+        trainers: the SGD step, the recursive-doubling gradient average
+        and the data order stay bit-stable."""
+        cfg = ServingConfig(
+            replicas=1,
+            train_ranks=train_ranks,
+            comm_backend="thread",
+            input_dim=16,
+            train_steps=30,
+            train_batch_size=12,
+            publish_every_steps=5,
+        )
+        report = serve(cfg, Workload(num_requests=4, clients=1, timeout_s=60))
+        assert [t["model_hash"] for t in report.trainers] == [digest] * train_ranks
+        assert all(t["final_version"] == 30 for t in report.trainers)
+
     def test_bounded_staleness_rejection_reaches_client(self):
         # The trainer only ever announces (publish period beyond its
         # lifetime), so the replicas fall behind the announced frontier
