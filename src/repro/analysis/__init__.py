@@ -5,9 +5,10 @@ need a 512-rank deployment and a lucky race to reproduce.
 
 * :mod:`repro.analysis.schedule_verifier` — records every registered
   collective's global send/recv multigraph on a per-rank recording
-  communicator (:mod:`repro.analysis.recording`) and proves
-  match-completeness, tag-space soundness, deadlock freedom and exact
-  reduction coverage, swept over world sizes and host topologies.
+  communicator (:mod:`repro.analysis.recording`), interprets the
+  synchronous collectives' plans without threads at P up to 1024, and
+  proves match-completeness, tag-space soundness, deadlock freedom and
+  exact reduction coverage, swept over world sizes and host topologies.
 * :mod:`repro.analysis.ring_model` — bounded model checker of the
   shared-memory SPSC ring doorbell protocol: explores every
   interleaving of the producer/consumer step machines and proves no
@@ -19,63 +20,3 @@ need a 512-rank deployment and a lucky race to reproduce.
 ``python -m repro verify`` and ``python -m repro lint`` are the entry
 points; both are CI gates.
 """
-
-from repro.analysis.lint import LintFinding, lint_paths, lint_source
-from repro.analysis.recording import (
-    CommEvent,
-    RecordingCommunicator,
-    RecordingWorld,
-    RunRecord,
-)
-from repro.analysis.ring_model import (
-    ExploreResult,
-    RingConfig,
-    explore,
-    verify_ring_protocol,
-)
-from repro.analysis.schedule_verifier import (
-    CaseResult,
-    VerificationReport,
-    VerifyCase,
-    Violation,
-    build_cases,
-    check_deadlock_freedom,
-    check_dissemination,
-    check_match_completeness,
-    check_reduction_coverage,
-    check_tag_layout,
-    check_tag_soundness,
-    partial_round_case,
-    run_case,
-    self_test,
-    verify,
-)
-
-__all__ = [
-    "LintFinding",
-    "lint_paths",
-    "lint_source",
-    "CommEvent",
-    "RecordingCommunicator",
-    "RecordingWorld",
-    "RunRecord",
-    "ExploreResult",
-    "RingConfig",
-    "explore",
-    "verify_ring_protocol",
-    "CaseResult",
-    "VerificationReport",
-    "VerifyCase",
-    "Violation",
-    "build_cases",
-    "check_deadlock_freedom",
-    "check_dissemination",
-    "check_match_completeness",
-    "check_reduction_coverage",
-    "check_tag_layout",
-    "check_tag_soundness",
-    "partial_round_case",
-    "run_case",
-    "self_test",
-    "verify",
-]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ class RecvStarvedError(RuntimeError):
     """A recorded receive timed out: the matching send never arrived."""
 
 
-@dataclass(frozen=True)
-class CommEvent:
+class CommEvent(NamedTuple):
     """One recorded communication action of one rank.
 
     ``kind`` is ``"send"``, ``"recv"`` or ``"starved"``.  ``peer`` is the

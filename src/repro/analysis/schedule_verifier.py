@@ -20,9 +20,9 @@ swept over world sizes, chunk counts and host topologies:
 **deadlock-freedom**
     The graph of per-rank program order plus cross-rank send→recv match
     edges is acyclic.  Sends are eager on this substrate, so a blocked
-    schedule manifests as starved receives; the verifier runs every rank
-    with a short receive timeout, records starvation, and classifies a
-    cyclic wait-for graph as a deadlock.
+    schedule manifests as starved receives (a live rank's receive times
+    out; an interpreted rank waits when no rank can move); a cyclic
+    wait-for graph among them is a deadlock.
 
 **reduction coverage**
     Each rank contributes a one-hot + moment integer certificate; the
@@ -42,18 +42,28 @@ one recorded round of the real
 :class:`~repro.collectives.partial.PartialAllreduce`
 (:func:`partial_round_case`) — plus a purely static check of the partial
 activation dissemination rule the progress thread sends along
-(:func:`check_dissemination`).  :func:`self_test` proves the checkers
-have teeth: each deliberately broken schedule (dropped receive, reused
-tag, swapped ring neighbour, double-counted term, tag outside its
-region, wrapping dissemination rule) must be rejected by the matching
-checker.
+(:func:`check_dissemination`).
+
+The synchronous collectives' schedules are data (the plans of
+:mod:`repro.collectives.sync`), so a second sweep needs no threads:
+:func:`interpret` moves every rank's plan through step pointers and
+dictionary mailboxes into the :class:`~repro.analysis.recording.RunRecord`
+the checkers read, at P = 64, 256 and 1024 (:func:`build_plan_cases`).
+
+:func:`self_test` proves the checkers have teeth: each deliberately
+broken schedule (dropped receive, a plan missing a receive, reused tag,
+swapped ring neighbour, double-counted term, tag outside its region,
+wrapping dissemination rule) must be rejected by the matching checker.
 
 Entry point: ``python -m repro verify`` (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +72,7 @@ from repro.analysis.recording import (
     CommEvent,
     RecordingCommunicator,
     RecordingWorld,
+    RecvStarvedError,
     RunRecord,
 )
 from repro.collectives import sync
@@ -71,6 +82,7 @@ from repro.collectives.topology import (
     tree_depth,
 )
 from repro.comm import tags
+from repro.comm.router import Channel
 
 #: World sizes of the default sweep: the paper's power-of-two scales plus
 #: primes and composites that exercise the non-power-of-two fold paths.
@@ -204,30 +216,28 @@ def check_match_completeness(record: RunRecord, case: str) -> List[Violation]:
     # receive: the FIFO mailbox resolves the race deterministically here,
     # but the schedule's tag-uniqueness contract is broken and a real
     # transport with out-of-order delivery would corrupt the reduction.
-    by_key: Dict[Tuple[int, int, int, str], int] = {}
-    for e in record.sends():
-        key = (e.rank, e.peer, e.tag, e.channel)
-        by_key[key] = by_key.get(key, 0) + 1
-    for (src, dst, tag, channel), count in sorted(by_key.items()):
-        if count > 1:
-            violations.append(Violation(
-                case, "match",
-                f"ambiguous match: {count} sends {src}->{dst} share tag {tag} "
-                f"on channel {channel!r}",
-            ))
+    sends, recvs = record.sends(), record.recvs()
+    by_key = Counter(map(attrgetter("rank", "peer", "tag", "channel"), sends))
+    for (src, dst, tag, channel) in sorted(k for k, n in by_key.items() if n > 1):
+        violations.append(Violation(
+            case, "match",
+            f"ambiguous match: {by_key[src, dst, tag, channel]} sends "
+            f"{src}->{dst} share tag {tag} on channel {channel!r}",
+        ))
 
-    consumed = {e.seq for e in record.recvs()}
-    sent = {e.seq: e for e in record.sends()}
-    for seq, e in sorted(sent.items()):
-        if seq not in consumed and not record.starved():
-            # With starvation present the orphans are a symptom; the
-            # deadlock checker reports the root cause instead.
+    consumed = set(map(attrgetter("seq"), recvs))
+    sent = dict(zip(map(attrgetter("seq"), sends), sends))
+    if not record.starved():
+        # With starvation present the orphans are a symptom; the
+        # deadlock checker reports the root cause instead.
+        for seq in sorted(seq for seq in sent if seq not in consumed):
+            e = sent[seq]
             violations.append(Violation(
                 case, "match",
                 f"orphan send: {e.rank}->{e.peer} tag {e.tag} on channel "
                 f"{e.channel!r} (seq {seq}) was never received",
             ))
-    for e in record.recvs():
+    for e in recvs:
         if e.seq not in sent:
             violations.append(Violation(
                 case, "match",
@@ -241,27 +251,26 @@ def check_tag_soundness(
 ) -> List[Violation]:
     """Every minted tag lies in a declared region the case is allowed to use."""
     violations: List[Violation] = []
-    seen_bad: set = set()
+    seen: set = set()
     for e in record.sends():
+        if e.tag in seen:
+            continue  # every verdict below is a property of the tag alone
+        seen.add(e.tag)
         reg = tags.region_of(e.tag)
         if reg is None:
-            if ("user", e.tag) not in seen_bad:
-                seen_bad.add(("user", e.tag))
-                violations.append(Violation(
-                    case, "tags",
-                    f"tag {e.tag} (send {e.rank}->{e.peer}) lies outside every "
-                    f"declared region of the tag-region map",
-                ))
+            violations.append(Violation(
+                case, "tags",
+                f"tag {e.tag} (send {e.rank}->{e.peer}) lies outside every "
+                f"declared region of the tag-region map",
+            ))
             continue
         if reg.name not in allowed_regions:
-            if (reg.name, e.tag) not in seen_bad:
-                seen_bad.add((reg.name, e.tag))
-                violations.append(Violation(
-                    case, "tags",
-                    f"tag {e.tag} (send {e.rank}->{e.peer}) lies in region "
-                    f"{reg.name!r}, not allowed for this schedule "
-                    f"(allowed: {sorted(allowed_regions)})",
-                ))
+            violations.append(Violation(
+                case, "tags",
+                f"tag {e.tag} (send {e.rank}->{e.peer}) lies in region "
+                f"{reg.name!r}, not allowed for this schedule "
+                f"(allowed: {sorted(allowed_regions)})",
+            ))
         if reg.name == tags.SYNC.name:
             fields = tags.decode_sync_tag(e.tag)
             if tags.sync_tag(*fields) != e.tag:
@@ -289,7 +298,6 @@ def check_deadlock_freedom(record: RunRecord, case: str) -> List[Violation]:
         waits: Dict[int, int] = {e.rank: e.peer for e in starved}
         in_cycle: set = set()
         for start in waits:
-            slow = fast = start
             seen = []
             node = start
             while node in waits and node not in in_cycle and len(seen) <= len(waits):
@@ -316,38 +324,39 @@ def check_deadlock_freedom(record: RunRecord, case: str) -> List[Violation]:
             ))
         return violations
 
-    # Healthy run: independently certify acyclicity of program order +
-    # match edges (Kahn toposort).  The run completing is already a
-    # witness schedule; this re-derives it from the recorded graph alone.
+    # Healthy run: re-derive a witness schedule from the recorded graph
+    # alone (Kahn toposort of program-order + match edges).
     events = record.events
-    index = {id(e): i for i, e in enumerate(events)}
-    adj: List[List[int]] = [[] for _ in events]
-    indegree = [0] * len(events)
-
-    by_rank: Dict[int, List[CommEvent]] = {}
-    for e in events:
-        by_rank.setdefault(e.rank, []).append(e)
-    for rank_events in by_rank.values():
-        rank_events.sort(key=lambda e: e.order)
-        for a, b in zip(rank_events, rank_events[1:]):
-            adj[index[id(a)]].append(index[id(b)])
-            indegree[index[id(b)]] += 1
-    send_by_seq = {e.seq: e for e in record.sends()}
-    for e in record.recvs():
-        s = send_by_seq.get(e.seq)
-        if s is not None and s is not e:
-            adj[index[id(s)]].append(index[id(e)])
-            indegree[index[id(e)]] += 1
-
+    n = len(events)
+    kinds, ranks, orders, seqs = (
+        np.array(list(map(attrgetter(name), events)))
+        for name in ("kind", "rank", "order", "seq")
+    )
+    after = np.full(n, -1)  # the next event of the same rank
+    chain = np.lexsort((orders, ranks))
+    same = ranks[chain[1:]] == ranks[chain[:-1]]
+    after[chain[:-1][same]] = chain[1:][same]
+    matched = np.full(n, -1)  # the receive that consumed a send
+    sends = np.flatnonzero(kinds == "send")
+    sends = sends[np.argsort(seqs[sends])]
+    recvs = np.flatnonzero(kinds == "recv")
+    at = np.minimum(np.searchsorted(seqs[sends], seqs[recvs]), max(sends.size - 1, 0))
+    hit = seqs[sends[at]] == seqs[recvs] if sends.size else np.zeros(0, bool)
+    matched[sends[at[hit]]] = recvs[hit]
+    indegree = np.bincount(
+        np.concatenate((after[after >= 0], matched[matched >= 0])), minlength=n
+    )
+    after, matched, indegree = after.tolist(), matched.tolist(), indegree.tolist()
     ready = [i for i, d in enumerate(indegree) if d == 0]
     seen = 0
     while ready:
         i = ready.pop()
         seen += 1
-        for j in adj[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                ready.append(j)
+        for j in (after[i], matched[i]):
+            if j >= 0:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    ready.append(j)
     if seen != len(events):
         violations.append(Violation(
             case, "deadlock",
@@ -871,6 +880,161 @@ def partial_round_case(size: int) -> VerifyCase:
 
 
 # ---------------------------------------------------------------------------
+# static plan sweep: every rank's plan, interpreted without threads
+# ---------------------------------------------------------------------------
+#: World sizes of the static plan sweep, and the largest that includes the
+#: ring families (at P = 1024 a ring plan is about 4 M events).
+STATIC_WORLD_SIZES: Tuple[int, ...] = (64, 256, 1024)
+STATIC_RING_MAX_SIZE = 256
+
+
+def interpret(
+    programs: Sequence[Sequence["sync.Plan"]], inputs: Sequence[np.ndarray]
+) -> RunRecord:
+    """Run every rank's plans on its ``inputs`` vector, without threads.
+
+    Rank ``r`` runs the plans of ``programs[r]`` in order, the k-th under
+    collective epoch k (each collective draws the next one).  A rank
+    steps until a receive finds no ``(src, dst, tag)`` match in the
+    mailbox; the send that posts one wakes it.  Ranks still waiting when
+    none can move are recorded as starved.  A receive adds (``combine``)
+    or assigns the sent slice, so certificate vectors prove reduction
+    coverage as on a live run; the wire dtype is not modelled.
+    ``results[r]`` is rank ``r``'s final vector.
+    """
+    size = len(programs)
+    steps = [
+        [
+            (base + step.tag, step)
+            for epoch, plan in enumerate(plans)
+            for base in (tags.sync_tag(epoch, 0, 0, 0),)
+            for _name, stage in plan
+            for step in stage
+        ]
+        for plans in programs
+    ]
+    bufs = [np.array(x, dtype=np.float64, copy=True).reshape(-1) for x in inputs]
+    pcs = [0] * size
+    errors: List[Optional[BaseException]] = [None] * size
+    events: List[CommEvent] = []
+    mailbox: Dict[Tuple[int, int, int], List[Tuple[int, np.ndarray]]] = {}
+    waiting: Dict[Tuple[int, int, int], int] = {}
+    ready = list(range(size))
+    while ready:
+        rank = ready.pop()
+        program, buf, pc = steps[rank], bufs[rank], pcs[rank]
+        while pc < len(program):
+            tag, (send, peer, lo, hi, _, combine, _) = program[pc]
+            if send:
+                key = (rank, peer, tag)
+                seq = len(events)
+                mailbox.setdefault(key, []).append((seq, buf[lo:hi].copy()))
+                events.append(CommEvent("send", rank, pc, Channel.APP, peer, tag, seq, hi - lo))
+                if key in waiting:
+                    ready.append(waiting.pop(key))
+            else:
+                key = (peer, rank, tag)
+                if key not in mailbox:
+                    waiting[key] = rank
+                    break
+                queue = mailbox[key]
+                seq, data = queue.pop(0)
+                if not queue:
+                    del mailbox[key]
+                if data.size != hi - lo:
+                    errors[rank] = ValueError(
+                        f"rank {rank}: {data.size} elements from {peer} (tag {tag}) "
+                        f"met a {hi - lo}-element receive"
+                    )
+                    break
+                if combine:
+                    buf[lo:hi] += data
+                else:
+                    buf[lo:hi] = data
+                events.append(CommEvent("recv", rank, pc, Channel.APP, peer, tag, seq, hi - lo))
+            pc += 1
+        pcs[rank] = pc
+    for (source, rank, tag), _ in sorted(waiting.items(), key=lambda item: item[1]):
+        events.append(CommEvent("starved", rank, pcs[rank], Channel.APP, source, tag, -1, 0))
+        errors[rank] = RecvStarvedError(
+            f"rank {rank}: no send matches its receive from {source} (tag {tag})"
+        )
+    return RunRecord(size, events, bufs, errors)
+
+
+@dataclass
+class PlanCase:
+    """One static case: ``program(rank)`` is the plans rank runs, one
+    collective epoch each, on its certificate; every rank must end with
+    the certificate sum."""
+
+    name: str
+    world_size: int
+    program: Callable[[int], Tuple["sync.Plan", ...]]
+
+
+def run_plan_case(case: PlanCase) -> CaseResult:
+    """Interpret one static case and run every checker over its record."""
+    size = case.world_size
+    total = expected_sum(size)
+    # A case allocates up to a million acyclic tuples: the cyclic
+    # collector would only rescan them.
+    gc.disable()
+    try:
+        record = interpret(
+            [case.program(rank) for rank in range(size)],
+            [contribution(rank, size) for rank in range(size)],
+        )
+        violations: List[Violation] = []
+        violations += check_match_completeness(record, case.name)
+        violations += check_tag_soundness(record, case.name, _REGIONS_SYNC)
+        violations += check_deadlock_freedom(record, case.name)
+        violations += check_reduction_coverage(record, case.name, lambda rank: total)
+    finally:
+        gc.enable()
+    return CaseResult(case.name, size, violations, len(record.events))
+
+
+def build_plan_cases(size: int) -> List[PlanCase]:
+    """Static cases at ``size``, at 1 and 3 chunks: every allreduce
+    algorithm, and the hierarchical reduce-scatter followed by its
+    allgather, over every :func:`_hier_topologies` layout.
+
+    Every case is a distinct step list.  ``allreduce[ring]`` and
+    ``allreduce[rabenseifner]`` *are* the ring's and the halving /
+    doubling reduce-scatter and allgather plans back to back, so those
+    families are checked there; a single-host hierarchical allreduce is
+    the ring.  The ring stops at :data:`STATIC_RING_MAX_SIZE`.
+    """
+    length = size + 3
+    cases: List[PlanCase] = []
+
+    def add(name: str, program: Callable[[int, int], Tuple["sync.Plan", ...]]) -> None:
+        for n_chunks in (1, 3):
+            cases.append(PlanCase(
+                f"plan:{name},chunks={n_chunks}]", size,
+                lambda rank, _c=n_chunks: program(rank, _c),
+            ))
+
+    for algorithm in ("recursive_doubling", "ring", "rabenseifner"):
+        if algorithm != "ring" or size <= STATIC_RING_MAX_SIZE:
+            add(f"allreduce[{algorithm}", lambda rank, n_chunks, _a=algorithm: (
+                sync.allreduce_plan(_a, rank, size, length, n_chunks, None, False),
+            ))
+    for label, topology in _hier_topologies(size):
+        topology = topology or HostTopology.single_host(size)
+        if not topology.is_single_host:
+            add(f"allreduce[hierarchical,{label}", lambda rank, n_chunks, _t=topology: (
+                sync.allreduce_plan("hierarchical", rank, size, length, n_chunks, _t, False),
+            ))
+        add(f"reduce_scatter+allgather[hierarchical,{label}", lambda rank, c, _t=topology: (
+            sync.reduce_scatter_plan("hierarchical", rank, size, length, c, _t, False)[0],
+            sync.allgather_plan("hierarchical", rank, size, length, c, _t, False)[0],
+        ))
+    return cases
+
+
+# ---------------------------------------------------------------------------
 # static checks (no live run needed)
 # ---------------------------------------------------------------------------
 def check_tag_layout() -> CaseResult:
@@ -1117,6 +1281,19 @@ def _mutant_user_tag(size: int = 3) -> VerifyCase:
     )
 
 
+def _mutant_plan_dropped_recv(size: int = 4) -> PlanCase:
+    """Rank 0's ring allreduce plan without its first receive: the static
+    path must find the send nobody receives."""
+    def program(rank):
+        plan = sync.allreduce_plan("ring", rank, size, size + 3, 1, None, False)
+        if rank == 0:
+            (name, steps), *rest = plan
+            drop = next(i for i, step in enumerate(steps) if not step.send)
+            plan = ((name, steps[:drop] + steps[drop + 1:]), *rest)
+        return (plan,)
+    return PlanCase("mutant[plan-dropped-recv]", size, program)
+
+
 def _mutant_wrapping_dissemination(size: int = 5) -> CaseResult:
     """The pre-fix ``(offset + 2^j) mod P`` forward rule: no bound, wraps.
 
@@ -1135,9 +1312,11 @@ def _mutant_wrapping_dissemination(size: int = 5) -> CaseResult:
 
 
 #: (mutant factory, checker expected to reject it).  A factory returns a
-#: live case to record and check, or the result of a static check.
-MUTANTS: Tuple[Tuple[Callable[[], VerifyCase | CaseResult], str], ...] = (
+#: live case to record and check, a plan case to interpret and check, or
+#: the result of a static check.
+MUTANTS: Tuple[Tuple[Callable[[], VerifyCase | PlanCase | CaseResult], str], ...] = (
     (_mutant_dropped_recv, "match"),
+    (_mutant_plan_dropped_recv, "match"),
     (_mutant_reused_tag, "match"),
     (_mutant_swapped_neighbor, "deadlock"),
     (_mutant_double_count, "reduction"),
@@ -1151,7 +1330,12 @@ def self_test() -> List[CaseResult]:
     results: List[CaseResult] = []
     for factory, expected_check in MUTANTS:
         case = factory()
-        inner = run_case(case) if isinstance(case, VerifyCase) else case
+        if isinstance(case, VerifyCase):
+            inner = run_case(case)
+        elif isinstance(case, PlanCase):
+            inner = run_plan_case(case)
+        else:
+            inner = case
         hits = [v for v in inner.violations if v.check == expected_check]
         name = f"self-test[{case.name}->{expected_check}]"
         if hits:
@@ -1193,6 +1377,9 @@ def verify(
             results.append(run_case(case))
         results.append(run_case(partial_round_case(size)))
         results.append(check_dissemination(size))
+    for size in STATIC_WORLD_SIZES:
+        note(f"interpreting every rank's plan at P={size} ...")
+        results.extend(run_plan_case(case) for case in build_plan_cases(size))
     if include_ring_model:
         note("model-checking the shm SPSC ring protocol ...")
         from repro.analysis.ring_model import verify_ring_protocol

@@ -8,39 +8,29 @@ updated **parameters** restores the replicated model.
 
 An allreduce *is* a reduce-scatter followed by an allgather, so this
 module holds no schedule of its own: ``reduce_scatter`` runs the
-reduce-scatter half of :mod:`repro.collectives.sync`'s split allreduces
-and ``allgather_flat`` the allgather half — the very two functions
-``allreduce_ring`` and ``allreduce_rabenseifner`` compose.  Each call
-draws one epoch of the
-communicator's collective counter, and its phases carry the ids of the
-phase table in :mod:`repro.collectives.sync`'s docstring:
+:func:`~repro.collectives.sync.reduce_scatter_plan` half of
+:mod:`repro.collectives.sync`'s split allreduces and ``allgather_flat``
+the :func:`~repro.collectives.sync.allgather_plan` half — the very two
+plans ``allreduce_ring`` and ``allreduce_rabenseifner`` run, one epoch
+of the communicator's collective counter per call.  The families, with
+the phase ids of :mod:`repro.collectives.sync`'s table:
 
-* **ring** — ``reduce_scatter`` = ring reduce-scatter (4),
-  ``allgather_flat`` = ring allgather (5), so composing them is
-  bit-identical to the full ring allreduce.  Rank ``r`` owns contiguous
-  chunk ``(r + 1) % P`` — the chunk the ring's rotation lands on it.
-* **halving / doubling** — the two halves of Rabenseifner's algorithm:
-  ``reduce_scatter`` = fold-in (8), halving reduce-scatter (6);
-  ``allgather_flat`` = doubling allgather (7), fold-out (9).  Each
-  in-group rank owns the window the bisection walk ends on; the
-  non-power-of-two extras own *empty* windows in between.
-* **hierarchical** — rides :class:`~repro.collectives.topology.HostTopology`:
-  ``reduce_scatter`` = intra-host reduce (10), ring reduce-scatter of
-  host-sized segments over the leaders (12), sub-window scatter to the
-  host's members (14); ``allgather_flat`` is the mirror image —
-  sub-window gather (15), leader ring allgather (13), intra-host
-  broadcast (11).  Only leaders touch inter-host links.
-* **wire dtype** — a reduce-closed codec (:mod:`repro.compression`) is
-  the dtype the ring algorithm's hops travel in: the same phases 4 / 5,
-  narrow payloads on every hop, ``float64`` arithmetic at every combine
-  (see "Wire dtypes" in :mod:`repro.collectives.sync`).
+* **ring** — ring reduce-scatter (4) and ring allgather (5); rank ``r``
+  owns contiguous chunk ``(r + 1) % P``.  A reduce-closed codec is the
+  dtype of their hops (see "Wire dtypes" there).
+* **halving / doubling** — Rabenseifner's halves: fold-in (8) and
+  halving (6); doubling (7) and fold-out (9).  Each in-group rank owns
+  the window its bisection walk ends on; the non-power-of-two extras
+  own *empty* windows.
+* **hierarchical** — intra-host reduce (10), leader ring (12),
+  sub-window scatter to the host's members (14), and the mirror image
+  (15, 13, 11) over a :class:`~repro.collectives.topology.HostTopology`.
+  Only leaders touch inter-host links.
 
 Ownership is a *static* function of ``(length, world, algorithm,
-topology)`` — :func:`shard_bounds` — so optimizer state keyed by the
-owned window is stable across steps and ranks can size buffers without
-communicating.  The static schedule verifier
-(:mod:`repro.analysis.schedule_verifier`) sweeps these schedules
-alongside the rest.
+topology)`` — :func:`shard_bounds` reads it off the plans — so optimizer
+state keyed by the owned window is stable across steps and ranks size
+buffers without communicating.
 """
 
 from __future__ import annotations
@@ -55,10 +45,11 @@ from repro.collectives.sync import (
     ALLGATHER_FOR_REDUCE_SCATTER,
     _allgather_phases,
     _as_float_array,
-    _owned_window,
     _reduce_scatter_phases,
     _require_reduce_closed,
     _validate_chunks,
+    allgather_plan,
+    reduce_scatter_plan,
     resolve_host_topology,
 )
 from repro.collectives.topology import HostTopology
@@ -95,14 +86,11 @@ def shard_bounds(
     """Per-rank owned ``(lo, hi)`` windows after a reduce-scatter.
 
     The windows are disjoint and cover ``[0, length)`` for ``ring`` and
-    ``hierarchical``; under ``halving`` (and its ``doubling`` allgather
-    pairing, which accepts the same name) the non-power-of-two "extra"
-    ranks own empty windows — their contribution folds into the group
-    and the full vector folds back out in the allgather.
-
-    This is a pure function of the arguments, so every rank — and the
-    optimizer state keyed by these windows — computes the same map
-    without communicating.
+    ``hierarchical``; under ``halving`` (or its ``doubling`` pairing) the
+    non-power-of-two "extra" ranks own empty windows — their
+    contribution folds into the group and the full vector folds back
+    out in the allgather.  A pure function of the arguments: each
+    rank's plan names its window.
     """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
@@ -111,8 +99,6 @@ def shard_bounds(
     _require_algorithm(
         "sharding", algorithm, REDUCE_SCATTER_ALGORITHMS + ALLGATHER_FLAT_ALGORITHMS
     )
-    if size == 1:
-        return [(0, length)]
     if algorithm == "hierarchical":
         if topology is None:
             topology = HostTopology.single_host(size)
@@ -121,8 +107,9 @@ def shard_bounds(
                 f"host topology covers {topology.world_size} rank(s), "
                 f"expected {size}"
             )
+    plan = reduce_scatter_plan if algorithm in REDUCE_SCATTER_ALGORITHMS else allgather_plan
     return [
-        _owned_window(rank, size, length, algorithm, topology)
+        plan(algorithm, rank, size, length, 1, topology, False)[1]
         for rank in range(size)
     ]
 

@@ -1,8 +1,7 @@
 """Synchronous collectives, defined as compositions of collective *phases*.
 
-A phase is one communication pattern with exactly one body in this
-module.  Every collective — here and in :mod:`repro.collectives.sharding`
-— draws one epoch from its communicator
+Every collective — here and in :mod:`repro.collectives.sharding` — draws
+one epoch from its communicator
 (:meth:`~repro.comm.communicator.Communicator.next_collective_epoch`),
 and its phases mint ``tags.sync_tag(epoch, phase, round, chunk)`` under
 the phase ids of this table, the one place a phase id is assigned::
@@ -32,22 +31,19 @@ a short composition of them:
   (3), fold-out (9); latency-optimal, the reduction schedule of the
   paper's partial collectives.
 * **split allreduces** — an allreduce *is* a reduce-scatter followed by
-  an allgather.  :func:`_reduce_scatter_phases` and
-  :func:`_allgather_phases` are those halves; ``allreduce_ring`` and
-  ``allreduce_rabenseifner`` run both in one epoch (dividing the owned
-  window in between under ``average``), while the sharding module's
-  ``reduce_scatter`` / ``allgather_flat`` run one each — so ring
-  allreduce ≡ reduce-scatter ∘ allgather bitwise by construction.  The
-  halves by family: **ring** = 4 ∘ 5 (bandwidth-optimal, Horovod's
-  default); **halving / doubling** (Rabenseifner) = 8, 6 ∘ 7, 9;
-  **hierarchical** (sharded only) = 10, 12, 14 ∘ 15, 13, 11.
-* **hierarchical allreduce** = intra-host reduce (10), the ring
-  composition over the host leaders only (12, 13 — a
-  :class:`~repro.comm.subworld.SubsetCommunicator` view renames ranks,
-  the tags are the enclosing epoch's), intra-host broadcast (11).
-  The schedule queries the transport's
+  an allgather.  ``allreduce_ring`` and ``allreduce_rabenseifner`` run
+  both halves in one epoch (dividing the owned window in between under
+  ``average``), the sharding module's ``reduce_scatter`` /
+  ``allgather_flat`` one each — so ring allreduce ≡ reduce-scatter ∘
+  allgather bitwise by construction.  The halves by family: **ring** =
+  4 ∘ 5 (bandwidth-optimal, Horovod's default); **halving / doubling**
+  (Rabenseifner) = 8, 6 ∘ 7, 9; **hierarchical** (sharded only) = 10,
+  12, 14 ∘ 15, 13, 11.
+* **hierarchical allreduce** = intra-host reduce (10), the ring over the
+  host leaders only (12, 13; its peers are the leaders' global ranks),
+  intra-host broadcast (11).  It schedules against the transport's
   :class:`~repro.collectives.topology.HostTopology`
-  (``comm.router.host_topology``, exposed by the ``hier`` backend) so
+  (``comm.router.host_topology``, exposed by the ``hier`` backend), so
   non-leader ranks never touch an inter-host link.
 
 The fold (the ``P - 2^k`` extra ranks fold their contribution into a
@@ -56,15 +52,31 @@ non-power-of-two worlds native: the algorithm named by the caller is the
 algorithm that runs, at every world size — **no silent fallback** (the
 ring needs no fold at all).
 
+Plans
+-----
+A schedule is data.  :func:`reduce_scatter_plan`, :func:`allgather_plan`
+and :func:`allreduce_plan` are pure functions of ``(algorithm, rank,
+size, length, n_chunks, topology, wire)``, cached per shape, that return
+one rank's *plan*: a tuple of ``(span name | None, steps)`` stages, each
+:class:`Step` one message — peer, window, tag offset, combine or assign.
+:func:`run_plan` is the one executor and the only place these phases
+send or receive, so a steady-state collective builds no step.
+``sync_tag`` checks the round and chunk fields when a plan is built and
+the epoch when it runs.  The composing functions keep what is not a
+message: the average divide and the codec's rounding of the owned
+window.  :mod:`repro.analysis.schedule_verifier` checks every rank's
+plan without threads.  The object collectives (``broadcast``,
+``reduce``, ``allgather``) keep their own loops.
+
 Chunk pipelining
 ----------------
-Every phase built on ``_send_segments`` / ``_recv_segments`` accepts
-``n_chunks``: each per-round payload is segmented into ``n_chunks``
-messages so that the reduction of segment *k* overlaps the transmission
-of segment *k + 1* (sends are eager on this substrate, so all segments
-of a round are in flight while the receiver combines the earlier ones).
-The doubling allgather keeps one message per round.  ``n_chunks=1``
-reproduces the classic monolithic rounds bit-for-bit.
+Every phase but the doubling allgather splits each per-round payload into
+``n_chunks`` segments, one message and tag each, so that the combine of
+segment *k* overlaps the transmission of segment *k + 1* (sends are
+eager on this substrate).  The doubling allgather sends one array per
+round: the window each side holds, which both compute from ``(rank,
+2^k, length)``.  ``n_chunks=1`` reproduces the classic monolithic rounds
+bit-for-bit.
 
 Wire dtypes
 -----------
@@ -79,31 +91,27 @@ received wire segment into the ``float64`` slice with one mixed-dtype
 dtype in place, so re-casting the widened values it forwards is exact
 and every replica holds the same bits.
 
-Deadlines
----------
-No collective takes a ``timeout``: every receive of every phase waits at
-most its communicator's ``default_timeout`` — the world's one deadline
-(see :mod:`repro.comm.communicator`) — and then raises
-:class:`~repro.comm.mailbox.CommTimeoutError`.
-
-Tag layout
-----------
-The ``(epoch, phase, round, chunk)`` strides live in the global
-tag-region map (:mod:`repro.comm.tags`); :func:`repro.comm.tags.sync_tag`
-*raises* on any field overflow instead of wrapping into a neighbouring
-phase or epoch.  Its ``2^17`` rounds per phase support ring worlds
-beyond 100k ranks (a ring phase uses ``P - 1`` rounds).
+Deadlines and tags
+------------------
+No collective takes a ``timeout``: every receive waits at most its
+communicator's ``default_timeout`` — the world's one deadline (see
+:mod:`repro.comm.communicator`) — and then raises
+:class:`~repro.comm.mailbox.CommTimeoutError`.  The ``(epoch, phase,
+round, chunk)`` strides live in :mod:`repro.comm.tags`, whose
+``sync_tag`` *raises* on any field overflow; its ``2^17`` rounds per
+phase support ring worlds beyond 100k ranks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+import contextlib
+import functools
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.comm import tags
 from repro.comm.communicator import Communicator
-from repro.comm.subworld import SubsetCommunicator
 from repro.obs import recorder as _obs
 from repro.comm.reduce_ops import ReduceOp, get_op
 from repro.collectives.topology import (
@@ -195,9 +203,39 @@ def _require_reduce_closed(codec, reduce_op: Optional[ReduceOp] = None) -> None:
 
 
 # --------------------------------------------------------------------------
-# chunked segment helpers
+# plans: the schedule as data
 # --------------------------------------------------------------------------
-def _segment_bounds(length: int, n_chunks: int) -> List[Tuple[int, int]]:
+class Step(NamedTuple):
+    """One message of a plan, as seen by the rank that runs it.
+
+    A send ships ``flat[lo:hi]`` to ``peer``; a receive lands a message
+    from ``peer`` in ``flat[lo:hi]`` — combined in under ``combine``,
+    assigned otherwise.  ``tag`` is the ``(phase, round, chunk)`` offset
+    from ``tags.sync_tag(epoch, 0, 0, 0)``; a ``wire`` step travels in
+    the codec's wire dtype (see "Wire dtypes" in the module docstring).
+    """
+
+    send: bool
+    peer: int
+    lo: int
+    hi: int
+    tag: int
+    combine: bool
+    wire: bool
+
+
+#: A stage is ``(span name | None, steps)``; a plan is a tuple of stages.
+Stage = Tuple[Optional[str], Tuple[Step, ...]]
+Plan = Tuple[Stage, ...]
+
+#: Distinct plans kept per process (an entry is one rank's plan of one
+#: shape: a thread world holds every rank's).
+_PLAN_CACHE_SIZE = 256
+_TAG_ORIGIN = tags.sync_tag(0, 0, 0, 0)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _segment_bounds(length: int, n_chunks: int) -> Tuple[Tuple[int, int], ...]:
     """Contiguous ``(lo, hi)`` bounds splitting ``length`` into ``n_chunks``.
 
     Matches :func:`numpy.array_split` sizing (first ``length % n_chunks``
@@ -211,505 +249,337 @@ def _segment_bounds(length: int, n_chunks: int) -> List[Tuple[int, int]]:
         hi = lo + base + (1 if i < extra else 0)
         bounds.append((lo, hi))
         lo = hi
-    return bounds
+    return tuple(bounds)
 
 
-def _send_segments(
-    comm: Communicator,
-    flat: np.ndarray,
-    lo: int,
-    hi: int,
-    dest: int,
-    epoch: int,
-    phase: int,
-    round_index: int,
-    n_chunks: int,
-    wire: Optional[np.dtype] = None,
-) -> None:
-    """Send ``flat[lo:hi]`` to ``dest`` as ``n_chunks`` eager segments,
-    each cast to the ``wire`` dtype when one is given."""
-    for k, (slo, shi) in enumerate(_segment_bounds(hi - lo, n_chunks)):
-        segment = flat[lo + slo : lo + shi]
-        comm.send(
-            segment if wire is None else segment.astype(wire), dest,
-            tag=tags.sync_tag(epoch, phase, round_index, k),
-        )
-
-
-def _recv_segments(
-    comm: Communicator,
-    flat: np.ndarray,
-    lo: int,
-    hi: int,
-    source: int,
-    epoch: int,
-    phase: int,
-    round_index: int,
-    n_chunks: int,
-    reduce_op: Optional[ReduceOp] = None,
-    wire: Optional[np.dtype] = None,
-) -> None:
-    """Receive ``n_chunks`` segments into ``flat[lo:hi]``.
-
-    With ``reduce_op`` the incoming segment is combined into the local
-    data as soon as it arrives, so combining segment *k* overlaps the
-    (eager) transmission of segments ``> k``; without it the segment is
-    assigned (allgather phases) — on the process-model transports by
-    reading the frame straight into ``flat``.  A ``wire`` segment lands
-    in a scratch of that dtype and is widened into ``flat``: added (the
-    one combine a codec's ring runs is a sum) or assigned.
-    """
-    for k, (slo, shi) in enumerate(_segment_bounds(hi - lo, n_chunks)):
-        segment = flat[lo + slo : lo + shi]
-        tag = tags.sync_tag(epoch, phase, round_index, k)
-        if wire is None:
-            comm.recv_into(segment, source, tag, op=reduce_op)
-            continue
-        narrow = np.empty(segment.size, dtype=wire)
-        comm.recv_into(narrow, source, tag)
-        if reduce_op is None:
-            segment[...] = narrow
-        else:
-            np.add(segment, narrow, out=segment)
-
-
-# --------------------------------------------------------------------------
-# non-power-of-two fold helpers
-# --------------------------------------------------------------------------
-def _fold_in(
-    comm: Communicator,
-    flat: np.ndarray,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-) -> bool:
-    """Fold the extra ranks' contributions into the power-of-two group.
-
-    Returns whether this rank stays in the power-of-two group (ranks
-    ``[2^k, P)`` send their data to ``rank - 2^k`` and drop out until
-    :func:`_fold_out` hands the result back).
-    """
-    rank, size = comm.rank, comm.size
-    pof2 = largest_power_of_two_leq(size)
-    if rank >= pof2:
-        _send_segments(
-            comm, flat, 0, flat.size, rank - pof2, epoch, _PHASE_FOLD_IN, 0,
-            n_chunks,
-        )
-        return False
-    if rank < size - pof2:
-        _recv_segments(
-            comm, flat, 0, flat.size, rank + pof2, epoch, _PHASE_FOLD_IN, 0,
-            n_chunks, reduce_op=reduce_op,
-        )
-    return True
-
-
-def _fold_out(
-    comm: Communicator,
-    flat: np.ndarray,
-    epoch: int,
-    n_chunks: int,
-) -> None:
-    """Hand the result back to the folded-out extra ranks (see :func:`_fold_in`)."""
-    rank, size = comm.rank, comm.size
-    pof2 = largest_power_of_two_leq(size)
-    if rank >= pof2:
-        _recv_segments(
-            comm, flat, 0, flat.size, rank - pof2, epoch, _PHASE_FOLD_OUT, 0,
-            n_chunks,
-        )
-    elif rank < size - pof2:
-        _send_segments(
-            comm, flat, 0, flat.size, rank + pof2, epoch, _PHASE_FOLD_OUT, 0,
-            n_chunks,
-        )
-
-
-# --------------------------------------------------------------------------
-# ring phases
-# --------------------------------------------------------------------------
-def _ring_reduce_scatter(
-    comm,
-    flat: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    epoch: int,
-    phase: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-    codec=None,
-) -> None:
-    """Ring reduce-scatter: rank r ends owning chunk ``(r + 1) % P`` reduced.
-
-    The payload is chunked by ``bounds`` into ``P`` pieces; each of the
-    ``P - 1`` steps sends one chunk to the successor and combines the
-    chunk received from the predecessor — in ``codec``'s wire dtype when
-    one is given (see "Wire dtypes" in the module docstring).
-    """
-    rank, size = comm.rank, comm.size
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    wire = None if codec is None else codec.wire_dtype
-    for step in range(size - 1):
-        send_chunk = (rank - step) % size
-        recv_chunk = (rank - step - 1) % size
-        _send_segments(
-            comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
-            wire=wire,
-        )
-        _recv_segments(
-            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            reduce_op=reduce_op, wire=wire,
-        )
-
-
-def _ring_allgather(
-    comm,
-    flat: np.ndarray,
-    bounds: List[Tuple[int, int]],
-    epoch: int,
-    phase: int,
-    n_chunks: int,
-    codec=None,
-) -> None:
-    """Ring allgather: circulates each rank's owned chunk ``(r + 1) % P``.
-
-    Under ``codec`` the owned chunk is first rounded through the wire
-    dtype in place, so the replicas all hold the values the wire carried.
-    """
-    rank, size = comm.rank, comm.size
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    wire = None if codec is None else codec.wire_dtype
-    if wire is not None:
-        lo, hi = bounds[(rank + 1) % size]
-        flat[lo:hi] = flat[lo:hi].astype(wire)
-    for step in range(size - 1):
-        send_chunk = (rank - step + 1) % size
-        recv_chunk = (rank - step) % size
-        _send_segments(
-            comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
-            wire=wire,
-        )
-        _recv_segments(
-            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
-            wire=wire,
-        )
-
-
-# --------------------------------------------------------------------------
-# halving / doubling phases (power-of-two group; see _fold_in / _fold_out)
-# --------------------------------------------------------------------------
-def _halving_rounds(
-    rank: int, pof2: int, length: int
-) -> Iterator[Tuple[int, Tuple[int, int], Tuple[int, int]]]:
-    """The recursive-halving bisection walk of in-group ``rank``.
-
-    Yields ``(partner, keep, send)`` per round: the lower-ranked partner
-    keeps the lower half of the current window and sends the upper half.
-    """
-    lo, hi = 0, length
-    dist = pof2 // 2
-    while dist >= 1:
-        partner = rank ^ dist
-        mid = lo + (hi - lo) // 2
-        if rank < partner:
-            keep, send = (lo, mid), (mid, hi)
-        else:
-            keep, send = (mid, hi), (lo, mid)
-        yield partner, keep, send
-        lo, hi = keep
-        dist //= 2
-
-
-def _halving_window(rank: int, pof2: int, length: int) -> Tuple[int, int]:
-    """The window the recursive-halving bisection walk leaves ``rank`` with."""
-    window = (0, length)
-    for _partner, window, _send in _halving_rounds(rank, pof2, length):
-        pass
-    return window
-
-
-def _halving_reduce_scatter(
-    comm: Communicator,
-    flat: np.ndarray,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-) -> None:
-    """Recursive-halving reduce-scatter; rank ends owning ``_halving_window``."""
-    pof2 = largest_power_of_two_leq(comm.size)
-    for round_index, (partner, keep, send) in enumerate(
-        _halving_rounds(comm.rank, pof2, flat.size)
-    ):
-        _send_segments(
-            comm, flat, *send, partner, epoch, _PHASE_HALVING_RS, round_index,
-            n_chunks,
-        )
-        _recv_segments(
-            comm, flat, *keep, partner, epoch, _PHASE_HALVING_RS, round_index,
-            n_chunks, reduce_op=reduce_op,
-        )
-
-
-def _doubling_allgather(
-    comm: Communicator,
-    flat: np.ndarray,
-    epoch: int,
-) -> None:
-    """Recursive-doubling allgather of the ``_halving_window`` segments.
-
-    Retraces the halving steps in reverse order, one message per round.
-    """
-    rank = comm.rank
-    pof2 = largest_power_of_two_leq(comm.size)
-    seg_lo, seg_hi = _halving_window(rank, pof2, flat.size)
-    dist = 1
-    round_index = 0
-    while dist < pof2:
-        partner = rank ^ dist
-        tag = tags.sync_tag(epoch, _PHASE_DOUBLING_AG, round_index)
-        comm.send((seg_lo, seg_hi, flat[seg_lo:seg_hi].copy()), partner, tag=tag)
-        other_lo, other_hi, other_data = comm.recv(source=partner, tag=tag)
-        if other_hi > other_lo:
-            flat[other_lo:other_hi] = other_data
-        seg_lo, seg_hi = min(seg_lo, other_lo), max(seg_hi, other_hi)
-        dist *= 2
-        round_index += 1
-
-
-# --------------------------------------------------------------------------
-# host-tier phases (two-tier schedules over a HostTopology)
-# --------------------------------------------------------------------------
-def _intra_reduce(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-) -> None:
-    """Reduce every host's contributions onto its leader (binomial tree)."""
-    rank = comm.rank
-    with _obs.span("hier-intra-reduce", "collective", n_chunks=n_chunks):
-        for round_index, (src, dst) in enumerate(
-            intra_reduce_edges(topology, topology.host(rank))
-        ):
-            if rank == src:
-                _send_segments(
-                    comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_REDUCE,
-                    round_index, n_chunks,
-                )
-            elif rank == dst:
-                _recv_segments(
-                    comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_REDUCE,
-                    round_index, n_chunks, reduce_op=reduce_op,
-                )
-
-
-def _intra_bcast(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-) -> None:
-    """Broadcast the leader's (reduced) buffer back across its host."""
-    rank = comm.rank
-    with _obs.span("hier-intra-bcast", "collective", n_chunks=n_chunks):
-        for round_index, (src, dst) in enumerate(
-            intra_bcast_edges(topology, topology.host(rank))
-        ):
-            if rank == src:
-                _send_segments(
-                    comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_BCAST,
-                    round_index, n_chunks,
-                )
-            elif rank == dst:
-                _recv_segments(
-                    comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_BCAST,
-                    round_index, n_chunks,
-                )
-
-
-def _hier_sub_bounds(
-    topology: HostTopology, host: int, host_bounds: List[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """Member sub-windows of ``host``'s owned segment, in local-index order."""
-    hlo, hhi = host_bounds[(host + 1) % topology.num_hosts]
-    locals_ = topology.ranks_on_host(host)
+def _segments(
+    send: bool, peer: int, lo: int, hi: int, phase: int, round_index: int,
+    n_chunks: int, combine: bool = False, wire: bool = False,
+) -> List[Step]:
+    """``flat[lo:hi]`` to or from ``peer`` as ``n_chunks`` segments, one
+    tag each (``sync_tag`` checks the round and chunk fields here)."""
+    last = tags.sync_tag(0, phase, round_index, n_chunks - 1) - _TAG_ORIGIN
     return [
-        (hlo + slo, hlo + shi)
-        for slo, shi in _segment_bounds(hhi - hlo, len(locals_))
+        Step(send, peer, lo + slo, lo + shi, last - n_chunks + 1 + k, combine, wire)
+        for k, (slo, shi) in enumerate(_segment_bounds(hi - lo, n_chunks))
     ]
 
 
-def _hierarchical_reduce_scatter(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-) -> None:
-    """Intra-host reduce → leader ring reduce-scatter → sub-window scatter."""
-    rank = comm.rank
-    host = topology.host(rank)
-    host_bounds = _segment_bounds(flat.size, topology.num_hosts)
-    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op)
-    sub_bounds = _hier_sub_bounds(topology, host, host_bounds)
-    if topology.is_leader(rank):
-        _ring_reduce_scatter(
-            SubsetCommunicator(comm, topology.leaders), flat, host_bounds,
-            epoch, _PHASE_LEADER_RS, n_chunks, reduce_op,
+def _fold(rank: int, size: int, length: int, n_chunks: int, phase: int) -> List[Step]:
+    """Fold-in (8): each extra rank ``r >= 2^k`` sends its whole vector
+    to ``r - 2^k``, which combines it in; fold-out (9) hands the result
+    back along the same pairs."""
+    pof2 = largest_power_of_two_leq(size)
+    fold_out = phase == _PHASE_FOLD_OUT
+    if rank >= pof2:
+        return _segments(not fold_out, rank - pof2, 0, length, phase, 0, n_chunks)
+    if rank < size - pof2:
+        return _segments(
+            fold_out, rank + pof2, 0, length, phase, 0, n_chunks, combine=not fold_out
         )
-        for j, member in enumerate(topology.ranks_on_host(host)):
-            if member != rank:
-                _send_segments(
-                    comm, flat, *sub_bounds[j], member, epoch,
-                    _PHASE_HIER_SCATTER, j, n_chunks,
-                )
-    else:
-        j = topology.local_index(rank)
-        _recv_segments(
-            comm, flat, *sub_bounds[j], topology.leader_of(host), epoch,
-            _PHASE_HIER_SCATTER, j, n_chunks,
-        )
+    return []
 
 
-def _hierarchical_allgather(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-) -> None:
-    """Sub-window gather to leader → leader ring allgather → intra bcast."""
-    rank = comm.rank
-    host = topology.host(rank)
-    host_bounds = _segment_bounds(flat.size, topology.num_hosts)
-    sub_bounds = _hier_sub_bounds(topology, host, host_bounds)
-    if topology.is_leader(rank):
-        for j, member in enumerate(topology.ranks_on_host(host)):
-            if member != rank:
-                _recv_segments(
-                    comm, flat, *sub_bounds[j], member, epoch,
-                    _PHASE_HIER_GATHER, j, n_chunks,
-                )
-        _ring_allgather(
-            SubsetCommunicator(comm, topology.leaders), flat, host_bounds,
-            epoch, _PHASE_LEADER_AG, n_chunks,
+def _ring(
+    position: int, members, bounds, phase: int, n_chunks: int, wire: bool, gather: bool
+) -> List[Step]:
+    """Ring reduce-scatter, or allgather under ``gather``, of
+    ``members[position]`` over ``members`` (global ranks in ring order).
+
+    Reduce-scatter round ``r`` sends chunk ``position - r`` of ``bounds``
+    to the successor and combines chunk ``position - r - 1`` from the
+    predecessor, leaving chunk ``position + 1`` reduced; the allgather
+    circulates the owned chunks one position further.
+    """
+    n = len(members)
+    succ, pred = members[(position + 1) % n], members[(position - 1) % n]
+    shift = 1 if gather else 0
+    steps: List[Step] = []
+    for r in range(n - 1):
+        steps += _segments(
+            True, succ, *bounds[(position - r + shift) % n], phase, r, n_chunks,
+            wire=wire,
         )
+        steps += _segments(
+            False, pred, *bounds[(position - r - 1 + shift) % n], phase, r,
+            n_chunks, combine=not gather, wire=wire,
+        )
+    return steps
+
+
+def _halving(rank: int, size: int, length: int, n_chunks: int, gather: bool):
+    """Fold-in and recursive-halving reduce-scatter (8, 6), or under
+    ``gather`` recursive-doubling allgather and fold-out (7, 9): the
+    steps and the window the bisection walk leaves ``rank``.
+
+    A halving round's lower-ranked partner keeps the lower half of the
+    current window and combines it; the doubling allgather retraces the
+    walk backwards, one array per round, the window each side holds.
+    """
+    pof2 = largest_power_of_two_leq(size)
+    steps = [] if gather else _fold(rank, size, length, n_chunks, _PHASE_FOLD_IN)
+    lo, hi = 0, length if rank < pof2 else 0
+    rounds = []
+    dist = pof2 // 2 if rank < pof2 else 0
+    while dist >= 1:
+        partner = rank ^ dist
+        mid = lo + (hi - lo) // 2
+        keep, give = ((lo, mid), (mid, hi)) if rank < partner else ((mid, hi), (lo, mid))
+        rounds.append((partner, keep, give))
+        lo, hi = keep
+        dist //= 2
+    if gather:
+        for r, (partner, keep, give) in enumerate(reversed(rounds)):
+            steps += _segments(True, partner, *keep, _PHASE_DOUBLING_AG, r, 1)
+            steps += _segments(False, partner, *give, _PHASE_DOUBLING_AG, r, 1)
+        steps += _fold(rank, size, length, n_chunks, _PHASE_FOLD_OUT)
     else:
+        for r, (partner, keep, give) in enumerate(rounds):
+            steps += _segments(True, partner, *give, _PHASE_HALVING_RS, r, n_chunks)
+            steps += _segments(
+                False, partner, *keep, _PHASE_HALVING_RS, r, n_chunks, combine=True
+            )
+    return ((None, tuple(steps)),), (lo, hi)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _tree_edges(topology: HostTopology, host: int, phase: int) -> Dict[int, list]:
+    """``rank -> [(round, peer, sends)]`` over ``host``'s binomial tree:
+    the reduce onto the leader (10) or the broadcast from it (11)."""
+    reduce = phase == _PHASE_HIER_REDUCE
+    touching: Dict[int, list] = {}
+    for r, (src, dst) in enumerate(
+        (intra_reduce_edges if reduce else intra_bcast_edges)(topology, host)
+    ):
+        touching.setdefault(src, []).append((r, dst, True))
+        touching.setdefault(dst, []).append((r, src, False))
+    return touching
+
+
+def _tree(rank: int, topology: HostTopology, length: int, n_chunks: int, phase: int):
+    """``rank``'s whole-vector steps in its host's tree (receives combine
+    on the way to the leader)."""
+    steps: List[Step] = []
+    for r, peer, send in _tree_edges(topology, topology.host(rank), phase).get(rank, ()):
+        reduce = phase == _PHASE_HIER_REDUCE and not send
+        steps += _segments(send, peer, 0, length, phase, r, n_chunks, combine=reduce)
+    return tuple(steps)
+
+
+def _hier_edges(
+    rank: int, topology: HostTopology, length: int, n_chunks: int, phase: int, wire: bool
+):
+    """``rank``'s leader-ring steps (none off the leaders), its sub-window
+    scatter (14) or gather (15) steps, and its window: host ``h`` owns
+    segment ``h + 1`` of the leader ring, split across its members in
+    local-index order."""
+    host = topology.host(rank)
+    host_bounds = _segment_bounds(length, topology.num_hosts)
+    members = topology.ranks_on_host(host)
+    hlo, hhi = host_bounds[(host + 1) % topology.num_hosts]
+    within = _segment_bounds(hhi - hlo, len(members))
+
+    def sub(j: int) -> Tuple[int, int]:
+        return hlo + within[j][0], hlo + within[j][1]
+
+    gather = phase == _PHASE_HIER_GATHER
+    if not topology.is_leader(rank):
         j = topology.local_index(rank)
-        _send_segments(
-            comm, flat, *sub_bounds[j], topology.leader_of(host), epoch,
-            _PHASE_HIER_GATHER, j, n_chunks,
+        return (), tuple(_segments(gather, members[0], *sub(j), phase, j, n_chunks)), sub(j)
+    ring = _ring(
+        host, topology.leaders, host_bounds,
+        _PHASE_LEADER_AG if gather else _PHASE_LEADER_RS, n_chunks, wire, gather,
+    )
+    edges = [
+        step
+        for j, member in enumerate(members[1:], 1)
+        for step in _segments(not gather, member, *sub(j), phase, j, n_chunks)
+    ]
+    return tuple(ring), tuple(edges), sub(0)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def reduce_scatter_plan(
+    algorithm: str, rank: int, size: int, length: int, n_chunks: int,
+    topology: Optional[HostTopology] = None, wire: bool = False,
+) -> Tuple[Plan, Tuple[int, int]]:
+    """``rank``'s reduce-scatter half of ``algorithm`` on ``length``
+    elements, and the ``(lo, hi)`` window it leaves fully reduced there
+    (the non-power-of-two extras of ``halving`` own an empty window).
+    ``wire`` marks the ring hops (the leader ring's, under
+    ``hierarchical``) as travelling in a codec's wire dtype."""
+    if algorithm == "ring":
+        bounds = _segment_bounds(length, size)
+        steps = _ring(rank, range(size), bounds, _PHASE_RING_RS, n_chunks, wire, False)
+        return ((None, tuple(steps)),), bounds[(rank + 1) % size]
+    if algorithm == "halving":
+        return _halving(rank, size, length, n_chunks, False)
+    ring, scatter, window = _hier_edges(
+        rank, topology, length, n_chunks, _PHASE_HIER_SCATTER, wire
+    )
+    return (
+        ("hier-intra-reduce", _tree(rank, topology, length, n_chunks, _PHASE_HIER_REDUCE)),
+        ("hier-leader-ring", ring),
+        (None, scatter),
+    ), window
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def allgather_plan(
+    algorithm: str, rank: int, size: int, length: int, n_chunks: int,
+    topology: Optional[HostTopology] = None, wire: bool = False,
+) -> Tuple[Plan, Tuple[int, int]]:
+    """``rank``'s allgather half of ``algorithm`` (an allgather name), and
+    the window it enters with — the paired reduce-scatter's."""
+    if algorithm == "ring":
+        bounds = _segment_bounds(length, size)
+        steps = _ring(rank, range(size), bounds, _PHASE_RING_AG, n_chunks, wire, True)
+        return ((None, tuple(steps)),), bounds[(rank + 1) % size]
+    if algorithm == "doubling":
+        return _halving(rank, size, length, n_chunks, True)
+    ring, gather, window = _hier_edges(
+        rank, topology, length, n_chunks, _PHASE_HIER_GATHER, wire
+    )
+    return (
+        (None, gather),
+        ("hier-leader-ring", ring),
+        ("hier-intra-bcast", _tree(rank, topology, length, n_chunks, _PHASE_HIER_BCAST)),
+    ), window
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def allreduce_plan(
+    algorithm: str, rank: int, size: int, length: int, n_chunks: int,
+    topology: Optional[HostTopology] = None, wire: bool = False,
+) -> Plan:
+    """``rank``'s whole plan of allreduce ``algorithm``.
+
+    ``recursive_doubling`` is fold-in, pairwise full-vector exchanges,
+    fold-out.  ``ring`` and ``rabenseifner`` are their two halves back to
+    back; ``hierarchical`` is intra-host reduce, the leader ring's two
+    halves and intra-host broadcast (the ring on a single host, which is
+    what :func:`allreduce_hierarchical` runs there).
+    """
+    if algorithm == "recursive_doubling":
+        pof2 = largest_power_of_two_leq(size)
+        exchange: List[Step] = []
+        for r in range(pof2.bit_length() - 1 if rank < pof2 else 0):
+            exchange += _segments(True, rank ^ (1 << r), 0, length, _PHASE_RD, r, n_chunks)
+            exchange += _segments(
+                False, rank ^ (1 << r), 0, length, _PHASE_RD, r, n_chunks, combine=True
+            )
+        return (
+            (None, tuple(_fold(rank, size, length, n_chunks, _PHASE_FOLD_IN))),
+            ("rd-exchange", tuple(exchange)),
+            (None, tuple(_fold(rank, size, length, n_chunks, _PHASE_FOLD_OUT))),
         )
-    _intra_bcast(comm, flat, topology, epoch, n_chunks)
+    if algorithm == "hierarchical" and (topology is None or topology.is_single_host):
+        algorithm = "ring"
+    halves = "halving" if algorithm == "rabenseifner" else algorithm
+    first, _ = reduce_scatter_plan(halves, rank, size, length, n_chunks, topology, wire)
+    second, _ = allgather_plan(
+        ALLGATHER_FOR_REDUCE_SCATTER[halves], rank, size, length, n_chunks, topology, wire
+    )
+    return first[:2] + second[1:] if algorithm == "hierarchical" else first + second
+
+
+def run_plan(
+    comm: Communicator, flat: np.ndarray, plan: Plan, epoch: int,
+    reduce_op: Optional[ReduceOp] = None, wire: Optional[np.dtype] = None,
+) -> None:
+    """Run ``plan`` on ``flat`` under ``epoch``: the one place the
+    flat-buffer collectives send and receive.
+
+    A combining receive applies ``reduce_op`` as the segment lands (so
+    combining segment *k* overlaps the eager transmission of the later
+    ones); any other receive writes the segment — on the process-model
+    transports by reading the frame straight into ``flat``.  A ``wire``
+    step sends its segment cast to the ``wire`` dtype and receives into a
+    scratch of it, widened into ``flat`` by assignment or a mixed-dtype
+    ``np.add`` (the one combine a codec's ring runs is a sum).  Each named
+    stage with steps is one ``collective`` span.
+    """
+    base = tags.sync_tag(epoch, 0, 0, 0)
+    for name, steps in plan:
+        if not steps:
+            continue
+        with _obs.span(name, "collective") if name else contextlib.nullcontext():
+            for send, peer, lo, hi, tag, combine, on_wire in steps:
+                segment = flat[lo:hi]
+                if send:
+                    comm.send(
+                        segment.astype(wire) if on_wire else segment, peer,
+                        tag=base + tag,
+                    )
+                elif not on_wire:
+                    comm.recv_into(segment, peer, base + tag, reduce_op if combine else None)
+                else:
+                    narrow = np.empty(hi - lo, dtype=wire)
+                    comm.recv_into(narrow, peer, base + tag)
+                    if combine:
+                        np.add(segment, narrow, out=segment)
+                    else:
+                        segment[...] = narrow
 
 
 # --------------------------------------------------------------------------
 # the two halves of a split allreduce (and of reduce_scatter / allgather_flat)
 # --------------------------------------------------------------------------
-def _owned_window(
-    rank: int,
-    size: int,
-    length: int,
-    algorithm: str,
-    topology: Optional[HostTopology] = None,
-) -> Tuple[int, int]:
-    """The ``(lo, hi)`` window ``algorithm``'s reduce-scatter leaves fully
-    reduced on ``rank`` of a ``size > 1`` world (the paired allgather's
-    name is accepted too; the non-power-of-two extras of ``halving`` own
-    an empty window)."""
-    if algorithm == "ring":
-        return _segment_bounds(length, size)[(rank + 1) % size]
-    if algorithm in ("halving", "doubling"):
-        pof2 = largest_power_of_two_leq(size)
-        return _halving_window(rank, pof2, length) if rank < pof2 else (0, 0)
-    host_bounds = _segment_bounds(length, topology.num_hosts)
-    return _hier_sub_bounds(topology, topology.host(rank), host_bounds)[
-        topology.local_index(rank)
-    ]
-
-
 def _reduce_scatter_phases(
-    comm: Communicator,
-    flat: np.ndarray,
-    algorithm: str,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: Optional[ReduceOp],
-    average: bool = False,
-    codec=None,
-    topology: Optional[HostTopology] = None,
+    comm: Communicator, flat: np.ndarray, algorithm: str, epoch: int,
+    n_chunks: int, reduce_op: Optional[ReduceOp], average: bool = False,
+    codec=None, topology: Optional[HostTopology] = None,
 ) -> Tuple[int, int]:
     """The reduce-scatter half of ``algorithm`` in ``epoch``.
 
-    Returns this rank's :func:`_owned_window`, which holds the fully
-    reduced sums — divided by the world size under ``average``, the only
-    ``N / P`` sums this rank holds final.  ``codec`` (ring only) is the
-    wire dtype of the ring's hops.
+    Returns this rank's owned window, which holds the fully reduced sums
+    — divided by the world size under ``average``, the only ``N / P``
+    sums this rank holds final.  ``codec`` (ring only) is the wire dtype
+    of the ring's hops.
     """
+    wire = None if codec is None else codec.wire_dtype
+    plan, (lo, hi) = reduce_scatter_plan(
+        algorithm, comm.rank, comm.size, flat.size, n_chunks, topology,
+        wire is not None,
+    )
     with _obs.span(
         f"reduce_scatter[{algorithm}]", "collective",
         nbytes=flat.nbytes, n_chunks=n_chunks,
     ):
-        if algorithm == "ring":
-            _ring_reduce_scatter(
-                comm, flat, _segment_bounds(flat.size, comm.size), epoch,
-                _PHASE_RING_RS, n_chunks, reduce_op, codec,
-            )
-        elif algorithm == "halving":
-            if _fold_in(comm, flat, epoch, n_chunks, reduce_op):
-                _halving_reduce_scatter(comm, flat, epoch, n_chunks, reduce_op)
-        else:  # hierarchical
-            _hierarchical_reduce_scatter(
-                comm, flat, topology, epoch, n_chunks, reduce_op
-            )
-    lo, hi = _owned_window(comm.rank, comm.size, flat.size, algorithm, topology)
+        run_plan(comm, flat, plan, epoch, reduce_op, wire)
     if average:
         flat[lo:hi] /= comm.size
     return lo, hi
 
 
 def _allgather_phases(
-    comm: Communicator,
-    flat: np.ndarray,
-    algorithm: str,
-    epoch: int,
-    n_chunks: int,
-    codec=None,
-    topology: Optional[HostTopology] = None,
+    comm: Communicator, flat: np.ndarray, algorithm: str, epoch: int,
+    n_chunks: int, codec=None, topology: Optional[HostTopology] = None,
 ) -> None:
     """The allgather half of ``algorithm`` (an allgather name) in ``epoch``:
-    every rank's :func:`_owned_window` lands on every rank."""
+    every rank's owned window lands on every rank.
+
+    Under ``codec`` the owned window is first rounded through the wire
+    dtype in place, so re-casting the widened values the ring forwards is
+    exact and every replica holds the values the wire carried.
+    """
+    wire = None if codec is None else codec.wire_dtype
+    plan, (lo, hi) = allgather_plan(
+        algorithm, comm.rank, comm.size, flat.size, n_chunks, topology,
+        wire is not None,
+    )
+    if wire is not None:
+        flat[lo:hi] = flat[lo:hi].astype(wire)
     with _obs.span(
         f"allgather_flat[{algorithm}]", "collective",
         nbytes=flat.nbytes, n_chunks=n_chunks,
     ):
-        if algorithm == "ring":
-            _ring_allgather(
-                comm, flat, _segment_bounds(flat.size, comm.size), epoch,
-                _PHASE_RING_AG, n_chunks, codec,
-            )
-        elif algorithm == "doubling":
-            if comm.rank < largest_power_of_two_leq(comm.size):
-                _doubling_allgather(comm, flat, epoch)
-            _fold_out(comm, flat, epoch, n_chunks)
-        else:  # hierarchical
-            _hierarchical_allgather(comm, flat, topology, epoch, n_chunks)
+        run_plan(comm, flat, plan, epoch, wire=wire)
 
 
 def _split_allreduce(
-    comm: Communicator,
-    arr: np.ndarray,
-    algorithm: str,
-    reduce_op: Optional[ReduceOp],
-    average: bool,
-    n_chunks: int,
-    codec=None,
+    comm: Communicator, arr: np.ndarray, algorithm: str,
+    reduce_op: Optional[ReduceOp], average: bool, n_chunks: int, codec=None,
 ) -> np.ndarray:
     """Reduce-scatter ∘ allgather of ``algorithm`` on ``arr`` in one epoch."""
     epoch = comm.next_collective_epoch()
@@ -837,47 +707,22 @@ def allreduce_recursive_doubling(
     copy: bool = True,
     average: bool = False,
 ) -> np.ndarray:
-    """Recursive-doubling allreduce (hypercube exchange).
-
-    Non-power-of-two sizes are handled with the standard fold: the first
-    ``r = P - 2^k`` "extra" ranks fold their contribution into a partner,
-    the remaining power-of-two group runs recursive doubling, and the
-    result is sent back to the folded ranks.
-
-    ``n_chunks > 1`` pipelines every pairwise exchange in that many
-    segments (reduction of segment *k* overlapping transmission of
-    segment *k + 1*).
-    """
+    """Recursive-doubling allreduce (hypercube exchange): fold-in, the
+    power-of-two group's pairwise exchanges, fold-out (see the module
+    docstring); ``n_chunks`` segments every exchange."""
     epoch = comm.next_collective_epoch()
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
-    rank, size = comm.rank, comm.size
     acc = _as_float_array(data, copy=copy)
-    if size == 1:
+    if comm.size == 1:
         return acc
     flat = acc.reshape(-1)
-
-    pof2 = largest_power_of_two_leq(size)
-    if _fold_in(comm, flat, epoch, n_chunks, reduce_op):
-        with _obs.span("rd-exchange", "collective", n_chunks=n_chunks):
-            dist = 1
-            round_index = 0
-            while dist < pof2:
-                partner = rank ^ dist
-                _send_segments(
-                    comm, flat, 0, flat.size, partner, epoch, _PHASE_RD,
-                    round_index, n_chunks,
-                )
-                _recv_segments(
-                    comm, flat, 0, flat.size, partner, epoch, _PHASE_RD,
-                    round_index, n_chunks, reduce_op=reduce_op,
-                )
-                dist <<= 1
-                round_index += 1
-
-    _fold_out(comm, flat, epoch, n_chunks)
+    plan = allreduce_plan(
+        "recursive_doubling", comm.rank, comm.size, flat.size, n_chunks, None, False
+    )
+    run_plan(comm, flat, plan, epoch, reduce_op)
     if average:
-        flat /= size
+        flat /= comm.size
     return flat.reshape(acc.shape)
 
 
@@ -892,16 +737,11 @@ def allreduce_ring(
 ) -> np.ndarray:
     """Ring allreduce = ring reduce-scatter ∘ ring allgather, ``P - 1`` steps each.
 
-    This is the bandwidth-optimal algorithm used by Horovod /
-    baidu-allreduce for large gradients.  Any world size is supported (the
-    ring needs no power-of-two structure).  Under ``average`` each rank
-    divides only the chunk it owns between the two halves; the allgather
-    circulates the quotients.
-
-    ``n_chunks > 1`` additionally segments every per-step chunk so the
-    combine of segment *k* overlaps the transmission of segment *k + 1*
-    (the chunked-pipeline schedule used by the fused gradient exchange).
-    ``codec`` (reduce-closed, sum only) is the dtype every hop travels in.
+    The bandwidth-optimal algorithm of Horovod / baidu-allreduce, at any
+    world size.  Under ``average`` each rank divides only the chunk it
+    owns between the two halves; the allgather circulates the quotients.
+    ``n_chunks`` segments every hop; ``codec`` (reduce-closed, sum only)
+    is the dtype every hop travels in.
     """
     reduce_op = get_op(op)
     if codec is not None:
@@ -920,17 +760,10 @@ def allreduce_rabenseifner(
     copy: bool = True,
     average: bool = False,
 ) -> np.ndarray:
-    """Rabenseifner's allreduce (recursive halving + recursive doubling).
-
-    Non-power-of-two worlds are handled natively with the same fold-in /
-    fold-out pre- and post-steps as recursive doubling (the extra ranks
-    fold into the power-of-two group, which then runs the halving /
-    doubling core); there is **no** fallback to another algorithm, so the
-    caller always gets Rabenseifner's communication pattern.
-
-    ``n_chunks > 1`` pipelines the recursive-halving reduce-scatter
-    exchanges (the phase that carries reduction arithmetic) in that many
-    segments; the allgather retrace keeps one message per round.
+    """Rabenseifner's allreduce: fold-in, recursive halving ∘ recursive
+    doubling, fold-out — natively at every world size, never a fallback.
+    ``n_chunks`` segments the folds and the halving exchanges; the
+    doubling retrace sends one array per round.
     """
     return _split_allreduce(
         comm, _as_float_array(data, copy=copy), "halving", get_op(op), average,
@@ -986,16 +819,12 @@ def allreduce_hierarchical(
        ``2 (H-1)/H`` payload volume exactly once per direction;
     3. every leader broadcasts the result back down its host tree.
 
-    With ``topology`` omitted the transport's ``host_topology`` is used
-    (single-host when the transport has none), and a single-host world
-    degenerates to the plain ring allreduce — same result, no extra
-    tree hops.  ``average`` divides at the leaders, before the broadcast:
-    all replicas receive the leader exchange's bit pattern verbatim, so
-    they agree bit-for-bit just like the flat algorithms.
-
-    ``codec`` (reduce-closed, sum only) is the wire dtype of the leader
-    ring — the inter-host tier, where the wire is the bottleneck; the
-    intra-host reduce and broadcast stay dense.
+    With ``topology`` omitted the transport's ``host_topology`` is used;
+    a single-host world runs the plain ring allreduce.  ``average``
+    divides at the leaders, before the broadcast, so every replica holds
+    the same bits.  ``codec`` (reduce-closed, sum only) is the wire dtype
+    of the leader ring, the inter-host tier; the intra-host tiers stay
+    dense.
     """
     topology = resolve_host_topology(comm, topology)
     if topology.is_single_host:
@@ -1011,23 +840,21 @@ def allreduce_hierarchical(
     acc = _as_float_array(data, copy=copy, codec=codec)
     flat = acc.reshape(-1)
 
-    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op)
+    wire = None if codec is None else codec.wire_dtype
+    intra_reduce, leader_rs, leader_ag, intra_bcast = allreduce_plan(
+        "hierarchical", comm.rank, comm.size, flat.size, n_chunks, topology,
+        wire is not None,
+    )
+    run_plan(comm, flat, (intra_reduce, leader_rs), epoch, reduce_op, wire)
     if topology.is_leader(comm.rank):
-        with _obs.span("hier-leader-ring", "collective",
-                       leaders=topology.num_hosts, n_chunks=n_chunks):
-            leaders = SubsetCommunicator(comm, topology.leaders)
-            host_bounds = _segment_bounds(flat.size, topology.num_hosts)
-            _ring_reduce_scatter(
-                leaders, flat, host_bounds, epoch, _PHASE_LEADER_RS, n_chunks,
-                reduce_op, codec,
-            )
-            _ring_allgather(
-                leaders, flat, host_bounds, epoch, _PHASE_LEADER_AG, n_chunks,
-                codec,
-            )
+        if wire is not None:
+            host, hosts = topology.host(comm.rank), topology.num_hosts
+            lo, hi = _segment_bounds(flat.size, hosts)[(host + 1) % hosts]
+            flat[lo:hi] = flat[lo:hi].astype(wire)
+        run_plan(comm, flat, (leader_ag,), epoch, wire=wire)
         if average:
             flat /= comm.size
-    _intra_bcast(comm, flat, topology, epoch, n_chunks)
+    run_plan(comm, flat, (intra_bcast,), epoch)
     return flat.reshape(acc.shape)
 
 

@@ -159,11 +159,20 @@ class HostTopology:
             raise ValueError(f"host topology needs at least one rank, got {host_of!r}")
         canonical: Dict[object, int] = {}
         dense: List[int] = []
-        for label in host_of:
+        ranks_by_host: List[List[int]] = []
+        local_index: List[int] = []
+        for rank, label in enumerate(host_of):
             if label not in canonical:
                 canonical[label] = len(canonical)
+                ranks_by_host.append([])
+            members = ranks_by_host[canonical[label]]
             dense.append(canonical[label])
+            local_index.append(len(members))
+            members.append(rank)
         object.__setattr__(self, "host_of", tuple(dense))
+        # The host -> ranks table the queries below read, built once.
+        object.__setattr__(self, "_ranks_by_host", tuple(map(tuple, ranks_by_host)))
+        object.__setattr__(self, "_local_index", tuple(local_index))
 
     # -- constructors ------------------------------------------------------
 
@@ -206,7 +215,7 @@ class HostTopology:
 
     @property
     def num_hosts(self) -> int:
-        return max(self.host_of) + 1
+        return len(self._ranks_by_host)
 
     @property
     def is_single_host(self) -> bool:
@@ -221,7 +230,7 @@ class HostTopology:
         """All ranks placed on ``host``, in ascending rank order."""
         if not 0 <= host < self.num_hosts:
             raise ValueError(f"host {host} out of range for {self.num_hosts} hosts")
-        return tuple(r for r, h in enumerate(self.host_of) if h == host)
+        return self._ranks_by_host[host]
 
     def local_ranks(self, rank: int) -> Tuple[int, ...]:
         """All ranks sharing ``rank``'s host (including ``rank`` itself)."""
@@ -229,7 +238,8 @@ class HostTopology:
 
     def local_index(self, rank: int) -> int:
         """Position of ``rank`` within its host group (0 = the leader)."""
-        return self.local_ranks(rank).index(rank)
+        _validate(self.world_size, rank)
+        return self._local_index[rank]
 
     def leader_of(self, host: int) -> int:
         """The leader (lowest rank) of ``host``."""
@@ -238,7 +248,7 @@ class HostTopology:
     @property
     def leaders(self) -> Tuple[int, ...]:
         """Per-host leader ranks, indexed by host."""
-        return tuple(self.leader_of(h) for h in range(self.num_hosts))
+        return tuple(ranks[0] for ranks in self._ranks_by_host)
 
     def is_leader(self, rank: int) -> bool:
         return self.leader_of(self.host(rank)) == rank

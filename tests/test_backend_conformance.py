@@ -1190,11 +1190,13 @@ class TestDeadlines:
         from repro.comm import Communicator, CommunicatorLike, SubsetCommunicator
         from repro.obs import collect
 
+        # inspect.unwrap: the cached plan builders are lru_cache wrappers.
         callables = [
-            (f"{module.__name__}.{name}", obj)
+            (f"{module.__name__}.{name}", inspect.unwrap(obj))
             for module in (sync, sharding, collect)
             for name, obj in vars(module).items()
-            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+            if inspect.isfunction(inspect.unwrap(obj))
+            and obj.__module__ == module.__name__
         ]
         callables += [
             (f"{cls.__name__}.{method}", getattr(cls, method))

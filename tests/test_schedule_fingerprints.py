@@ -11,7 +11,14 @@ moves the same element counts and does so in the same per-rank order.
 The reduce-scatter and sharded-exchange entries were re-frozen when the
 ``sharding`` tag region merged into ``sync``: their per-rank ``(kind,
 peer, elements)`` lists are unchanged, only the phase ids in their tags
-moved to sync's phase table.
+moved to sync's phase table.  The 25 Rabenseifner / halving entries
+(``allreduce[rabenseifner,*]``, ``reduce_scatter+allgather[halving,*]``,
+``sharded-exchange[zero1,halving,*]`` at every P) were re-frozen when the
+phases became plans: the doubling allgather (phase 7) now sends plain
+array windows instead of pickled ``(lo, hi, data)`` tuples.  Across all
+35 halving-family cases the per-rank ``(kind, peer, tag)`` lists are
+unchanged; only the ``elements`` field of the 528 phase-7 events moved,
+from 0 (a tuple) to the window length.
 
 Regenerate (only when a schedule is changed on purpose) with
 ``PYTHONPATH=src python tests/test_schedule_fingerprints.py``.
