@@ -46,9 +46,10 @@ activation dissemination rule the progress thread sends along
 
 The synchronous collectives' schedules are data (the plans of
 :mod:`repro.collectives.sync`), so a second sweep needs no threads:
-:func:`interpret` moves every rank's plan through step pointers and
-dictionary mailboxes into the :class:`~repro.analysis.recording.RunRecord`
-the checkers read, at P = 64, 256 and 1024 (:func:`build_plan_cases`).
+:func:`interpret` walks every rank's plan
+(:func:`repro.collectives.sync.walk_plans`, the one offline traversal of
+a schedule) into the :class:`~repro.analysis.recording.RunRecord` the
+checkers read, at P = 64, 256 and 1024 (:func:`build_plan_cases`).
 
 :func:`self_test` proves the checkers have teeth: each deliberately
 broken schedule (dropped receive, a plan missing a receive, reused tag,
@@ -891,69 +892,45 @@ STATIC_RING_MAX_SIZE = 256
 def interpret(
     programs: Sequence[Sequence["sync.Plan"]], inputs: Sequence[np.ndarray]
 ) -> RunRecord:
-    """Run every rank's plans on its ``inputs`` vector, without threads.
+    """Run every rank's plans on its ``inputs`` vector, without threads:
+    :func:`~repro.collectives.sync.walk_plans` with certificate callbacks.
 
-    Rank ``r`` runs the plans of ``programs[r]`` in order, the k-th under
-    collective epoch k (each collective draws the next one).  A rank
-    steps until a receive finds no ``(src, dst, tag)`` match in the
-    mailbox; the send that posts one wakes it.  Ranks still waiting when
-    none can move are recorded as starved.  A receive adds (``combine``)
-    or assigns the sent slice, so certificate vectors prove reduction
-    coverage as on a live run; the wire dtype is not modelled.
-    ``results[r]`` is rank ``r``'s final vector.
+    A send posts a copy of its slice; a receive adds (``combine``) or
+    assigns it, so certificate vectors prove reduction coverage as on a
+    live run; the wire dtype is not modelled.  A message of the wrong
+    size stops its rank with an error, and ranks still waiting when none
+    can move are recorded as starved.  ``results[r]`` is rank ``r``'s
+    final vector.
     """
     size = len(programs)
-    steps = [
-        [
-            (base + step.tag, step)
-            for epoch, plan in enumerate(plans)
-            for base in (tags.sync_tag(epoch, 0, 0, 0),)
-            for _name, stage in plan
-            for step in stage
-        ]
-        for plans in programs
-    ]
     bufs = [np.array(x, dtype=np.float64, copy=True).reshape(-1) for x in inputs]
-    pcs = [0] * size
     errors: List[Optional[BaseException]] = [None] * size
     events: List[CommEvent] = []
-    mailbox: Dict[Tuple[int, int, int], List[Tuple[int, np.ndarray]]] = {}
-    waiting: Dict[Tuple[int, int, int], int] = {}
-    ready = list(range(size))
-    while ready:
-        rank = ready.pop()
-        program, buf, pc = steps[rank], bufs[rank], pcs[rank]
-        while pc < len(program):
-            tag, (send, peer, lo, hi, _, combine, _) = program[pc]
-            if send:
-                key = (rank, peer, tag)
-                seq = len(events)
-                mailbox.setdefault(key, []).append((seq, buf[lo:hi].copy()))
-                events.append(CommEvent("send", rank, pc, Channel.APP, peer, tag, seq, hi - lo))
-                if key in waiting:
-                    ready.append(waiting.pop(key))
-            else:
-                key = (peer, rank, tag)
-                if key not in mailbox:
-                    waiting[key] = rank
-                    break
-                queue = mailbox[key]
-                seq, data = queue.pop(0)
-                if not queue:
-                    del mailbox[key]
-                if data.size != hi - lo:
-                    errors[rank] = ValueError(
-                        f"rank {rank}: {data.size} elements from {peer} (tag {tag}) "
-                        f"met a {hi - lo}-element receive"
-                    )
-                    break
-                if combine:
-                    buf[lo:hi] += data
-                else:
-                    buf[lo:hi] = data
-                events.append(CommEvent("recv", rank, pc, Channel.APP, peer, tag, seq, hi - lo))
-            pc += 1
-        pcs[rank] = pc
+
+    def on_send(rank, pc, tag, step):
+        seq = len(events)
+        events.append(
+            CommEvent("send", rank, pc, Channel.APP, step.peer, tag, seq, step.hi - step.lo)
+        )
+        return seq, bufs[rank][step.lo:step.hi].copy()
+
+    def on_recv(rank, pc, tag, step, message):
+        seq, data = message
+        lo, hi = step.lo, step.hi
+        if data.size != hi - lo:
+            errors[rank] = ValueError(
+                f"rank {rank}: {data.size} elements from {step.peer} (tag {tag}) "
+                f"met a {hi - lo}-element receive"
+            )
+            return False
+        if step.combine:
+            bufs[rank][lo:hi] += data
+        else:
+            bufs[rank][lo:hi] = data
+        events.append(CommEvent("recv", rank, pc, Channel.APP, step.peer, tag, seq, hi - lo))
+        return True
+
+    pcs, waiting = sync.walk_plans(programs, on_send, on_recv)
     for (source, rank, tag), _ in sorted(waiting.items(), key=lambda item: item[1]):
         events.append(CommEvent("starved", rank, pcs[rank], Channel.APP, source, tag, -1, 0))
         errors[rank] = RecvStarvedError(

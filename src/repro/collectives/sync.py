@@ -106,7 +106,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -520,6 +520,68 @@ def run_plan(
                         np.add(segment, narrow, out=segment)
                     else:
                         segment[...] = narrow
+
+
+def walk_plans(
+    programs: Sequence[Sequence[Plan]],
+    on_send: Callable[[int, int, int, Step], object],
+    on_recv: Callable[[int, int, int, Step, object], Optional[bool]],
+) -> Tuple[List[int], Dict[Tuple[int, int, int], int]]:
+    """Step every rank's plans in causal order, without threads or data:
+    the one offline traversal of a schedule.
+
+    Rank ``r`` runs the plans of ``programs[r]`` in order, the k-th under
+    collective epoch k (each collective draws the next one).  At a send,
+    ``on_send(rank, pc, tag, step)`` returns the message posted under
+    ``(rank, peer, tag)``; at a receive the rank waits until one is posted
+    under ``(peer, rank, tag)`` and ``on_recv(rank, pc, tag, step,
+    message)`` takes the oldest, so a receive always runs after its send.
+    ``pc`` counts the rank's steps across its plans and ``tag`` is the
+    absolute tag.  ``on_recv`` returning ``False`` stops the rank at that
+    receive.  A waiting rank is woken by the send that posts its message.
+
+    Returns each rank's final step index and the receives still waiting
+    when no rank can move, as ``{(source, rank, tag): rank}``.
+    """
+    size = len(programs)
+    steps = [
+        [
+            (base + step.tag, step)
+            for epoch, plan in enumerate(plans)
+            for base in (tags.sync_tag(epoch, 0, 0, 0),)
+            for _name, stage in plan
+            for step in stage
+        ]
+        for plans in programs
+    ]
+    pcs = [0] * size
+    mailbox: Dict[Tuple[int, int, int], List[object]] = {}
+    waiting: Dict[Tuple[int, int, int], int] = {}
+    ready = list(range(size))
+    while ready:
+        rank = ready.pop()
+        program, pc = steps[rank], pcs[rank]
+        while pc < len(program):
+            tag, step = program[pc]
+            if step.send:
+                key = (rank, step.peer, tag)
+                mailbox.setdefault(key, []).append(on_send(rank, pc, tag, step))
+                if key in waiting:
+                    ready.append(waiting.pop(key))
+            else:
+                key = (step.peer, rank, tag)
+                queue = mailbox.get(key)
+                if queue is None:
+                    waiting[key] = rank
+                    break
+                message = queue.pop(0)
+                if not queue:
+                    del mailbox[key]
+                if on_recv(rank, pc, tag, step, message) is False:
+                    break
+            pc += 1
+        pcs[rank] = pc
+    return pcs, waiting
 
 
 # --------------------------------------------------------------------------
