@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.experiments.report import format_table
-from repro.tuning.autotune import TunedPlan, tune_with_profile
+from repro.tuning.autotune import TunedPlan, resolve_ranks_per_host, tune_with_profile
 from repro.tuning.calibration import CalibratedProfile, calibrate, predict_sample
 
 MB = 1024 * 1024
@@ -81,7 +81,7 @@ def run(
             tune_with_profile(
                 profile, gradient_bytes, algorithm, live_trials=live_trials,
                 compression=compression,
-                ranks_per_host=_resolve_ranks_per_host(profile.backend, world_size),
+                ranks_per_host=resolve_ranks_per_host(profile.backend, world_size),
             )
         )
     return AutotuneResult(
@@ -205,30 +205,6 @@ def report(result: AutotuneResult) -> str:
         f"fixed 64 KiB / 1-chunk default at every calibrated world size"
     )
     return "\n".join(parts)
-
-
-def _resolve_ranks_per_host(backend: Optional[str], world_size: int):
-    """Host layout the tuner should score for, or ``None`` for flat.
-
-    Only the ``hier`` backend carries a host topology; it is resolved the
-    same way the backend itself resolves it (``REPRO_HOST_TOPOLOGY`` or
-    the single-host default).  An env spec sized for a different world
-    size is ignored rather than raised — each calibrated world size gets
-    the layout that actually applies to it.
-    """
-    if backend != "hier":
-        return None
-    from repro.comm.hier_backend import resolve_topology
-
-    try:
-        topology = resolve_topology(None, world_size)
-    except ValueError:
-        return None
-    if topology.is_single_host:
-        return None
-    return tuple(
-        len(topology.ranks_on_host(host)) for host in range(topology.num_hosts)
-    )
 
 
 def _format_bytes(nbytes: int) -> str:

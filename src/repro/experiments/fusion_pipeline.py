@@ -5,17 +5,21 @@ flat vector through a single blocking recursive-doubling allreduce** —
 no tensor fusion, no chunk pipelining.  This harness quantifies what the
 bucketed/chunked exchange subsystem buys:
 
-* *analytic rows* — the LogGP cost model
-  (:func:`repro.simtime.collective_model.allreduce_time` /
-  :func:`~repro.simtime.collective_model.fused_exchange_time`) across
-  world sizes, bucket sizes and chunk counts;
+* *analytic rows* — the LogGP walk of the plans that run
+  (:func:`repro.simtime.collective_model.allreduce_time` for one
+  collective, :func:`repro.tuning.autotune.predict_exchange_time` for a
+  bucketed exchange, whose buckets run back to back) across world sizes,
+  bucket sizes and chunk counts;
 * *functional rows* (optional) — wall-clock of the thread-backed
   :class:`~repro.training.exchange.SynchronousExchange` at reduced scale,
   validating that the fused path computes the identical average gradient.
 
-The headline: for a >= 4 MB gradient at P = 8, the chunked ring pipeline
-is >= 1.3x faster than the seed's unfused single-buffer exchange
-(:mod:`benchmarks.bench_fusion_pipeline` asserts this bound).
+The headline: for a >= 4 MB gradient at P = 8, the best chunked or
+fused configuration is >= 1.3x faster than the seed's unfused
+single-buffer exchange (:mod:`benchmarks.bench_fusion_pipeline` asserts
+this bound).  Splitting 4 MB into several buckets does not pay at these
+parameters: every bucket is its own collective and pays its own
+``collective_overhead`` and latency rounds.
 """
 
 from __future__ import annotations
@@ -27,12 +31,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.experiments.report import format_table
-from repro.simtime.collective_model import (
-    CompressionModel,
-    allreduce_time,
-    fused_exchange_time,
-)
+from repro.simtime.collective_model import CompressionModel, allreduce_time
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
+from repro.tuning.autotune import bucketer_for, predict_exchange_time
 
 MB = 1024 * 1024
 
@@ -99,8 +100,8 @@ def run(
     For every world size the table contains the seed baseline (one
     blocking recursive-doubling allreduce of the whole gradient), the
     plain ring exchange, the chunk-pipelined ring, and the fused
-    bucket pipelines for every requested bucket size.  With
-    ``compression``, each fused pipeline additionally gets a compressed
+    bucketed exchanges for every requested bucket size.  With
+    ``compression``, each fused exchange additionally gets a compressed
     sibling row scored with the codec's wire/transform terms
     (:class:`~repro.simtime.collective_model.CompressionModel`).
     """
@@ -133,10 +134,11 @@ def run(
                       chunked * 1e6, baseline / chunked)
         )
         for bmb in bucket_mb:
-            bucket_bytes = int(bmb * MB)
-            count = max(1, -(-total_bytes // bucket_bytes))
-            sizes = [total_bytes / count] * count
-            fused = fused_exchange_time(sizes, size, "ring", params, n_chunks=n_chunks)
+            threshold = int(bmb * MB)
+            count = bucketer_for(total_bytes, threshold).num_buckets
+            fused = predict_exchange_time(
+                params, size, total_bytes, "ring", threshold, n_chunks
+            )
             rows.append(
                 FusionRow(
                     size, gradient_mb,
@@ -144,33 +146,29 @@ def run(
                     count, n_chunks, fused * 1e6, baseline / fused,
                 )
             )
-            if cm is not None:
-                # Compressed sibling: same dense gradient, the threshold
-                # budgets encoded bytes (so buckets hold more elements).
-                # Same bucketing rule as the autotuner's grid search.
-                from repro.tuning.autotune import plan_bucket_bytes
-
-                wire_sizes = plan_bucket_bytes(total_bytes, bucket_bytes, cm)
-                wire_count = len(wire_sizes)
-                if wire_count in seen_wire_counts:
-                    # Several thresholds can collapse to the same encoded
-                    # bucketing; one row describes them all.
-                    continue
-                seen_wire_counts.add(wire_count)
-                compressed = fused_exchange_time(
-                    wire_sizes, size, "ring", params, n_chunks=n_chunks,
-                    compression=cm,
+            if cm is None:
+                continue
+            # Compressed sibling: same dense gradient, the threshold
+            # budgets encoded bytes (so buckets hold more elements).
+            wire_count = bucketer_for(total_bytes, threshold, cm).num_buckets
+            if wire_count in seen_wire_counts:
+                # Several thresholds can collapse to the same encoded
+                # bucketing; one row describes them all.
+                continue
+            seen_wire_counts.add(wire_count)
+            compressed = predict_exchange_time(
+                params, size, total_bytes, "ring", threshold, n_chunks, cm
+            )
+            wire_bucket_mb = total_bytes / wire_count * cm.wire_scale / MB
+            rows.append(
+                FusionRow(
+                    size, gradient_mb,
+                    f"fused pipeline + {codec_label} "
+                    f"({wire_count} x {wire_bucket_mb:g} MB wire, C={n_chunks})",
+                    wire_count, n_chunks, compressed * 1e6,
+                    baseline / compressed,
                 )
-                wire_bucket_mb = wire_sizes[0] * cm.wire_scale / MB
-                rows.append(
-                    FusionRow(
-                        size, gradient_mb,
-                        f"fused pipeline + {codec_label} "
-                        f"({wire_count} x {wire_bucket_mb:g} MB wire, C={n_chunks})",
-                        wire_count, n_chunks, compressed * 1e6,
-                        baseline / compressed,
-                    )
-                )
+            )
     return FusionPipelineResult(rows=rows)
 
 
@@ -324,7 +322,7 @@ def report(result: FusionPipelineResult) -> str:
                 for r in result.rows
             ],
             title="fused/chunked gradient exchange vs. unfused single-buffer baseline "
-            "(LogGP model)",
+            "(LogGP walk of the plans; buckets run back to back)",
         )
     ]
     if result.functional_rows:

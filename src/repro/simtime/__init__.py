@@ -4,11 +4,11 @@ The paper's latency microbenchmark (Fig. 9) and its large-scale runs (64
 GPU nodes on Piz Daint) need a network substrate that we do not have in a
 single-process reproduction.  This package provides two substitutes:
 
-* an **analytic LogGP-style cost model** (:mod:`repro.simtime.network`,
+* a **LogGP cost model** (:mod:`repro.simtime.network`,
   :mod:`repro.simtime.collective_model`) for point-to-point messages and
-  for the collective algorithms (recursive doubling, ring, binomial
-  broadcast, plus the activation + reduction structure of solo/majority
-  allreduce);
+  for the synchronous collectives — priced by walking the plans
+  :mod:`repro.collectives.sync` runs — plus the binomial broadcast and
+  the activation + reduction structure of solo/majority allreduce;
 * a **training-time projector** (:mod:`repro.simtime.training_model`) that
   converts per-rank per-step compute times into end-to-end training time
   under synchronous SGD, solo, majority and quorum eager-SGD — this is

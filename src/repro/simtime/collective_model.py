@@ -1,9 +1,20 @@
-"""Analytic latency models of synchronous and partial allreduce.
+"""Latency models of synchronous and partial allreduce.
 
-These closed-form models reproduce the microbenchmark of Fig. 8/9 in the
-paper: every rank is skewed before calling the collective, and the average
-latency *measured at each rank from its own call until it holds the
-result* is reported, together with the Number of Active Processes (NAP).
+A synchronous collective is priced from the schedule that runs: every
+rank's plan (:mod:`repro.collectives.sync`'s ``Step`` lists, the ones
+``run_plan`` executes and the verifier interprets) is walked in causal
+order under LogGP (:func:`plan_time`, cached per shape by
+:func:`collective_time`).  No formula restates where a collective's
+messages go, so folds, uneven windows, two-tier placements and codec
+wire hops are priced as they run.  The one closed form left is the
+decode-reduce-encode exchange of non-reduce-closed codecs, whose object
+``allgather`` has no plan.
+
+On top of that price, the skew models reproduce the microbenchmark of
+Fig. 8/9 in the paper: every rank is skewed before calling the
+collective, and the average latency *measured at each rank from its own
+call until it holds the result* is reported, together with the Number of
+Active Processes (NAP).
 
 The key structural facts the models capture:
 
@@ -21,12 +32,16 @@ The key structural facts the models capture:
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.collectives import sync
+from repro.collectives.topology import HostTopology
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams, message_time
 from repro.utils.rng import SeedLike, seeded_rng
 
@@ -109,44 +124,126 @@ class CollectiveLatencyResult:
 
 
 # ---------------------------------------------------------------------------
-# building blocks
+# pricing a plan: the LogGP walk
 # ---------------------------------------------------------------------------
-def _pipelined_round(
-    msg_bytes: float, reduce_bytes: float, n_chunks: int, params: LogGPParams
+#: Plan builder and accepted algorithm names of each collective kind.
+_KINDS = {
+    "allreduce": (sync.allreduce_plan, tuple(sync.ALLREDUCE_ALGORITHMS)),
+    "reduce_scatter": (
+        lambda *shape: sync.reduce_scatter_plan(*shape)[0],
+        tuple(sync.ALLGATHER_FOR_REDUCE_SCATTER),
+    ),
+    "allgather": (
+        lambda *shape: sync.allgather_plan(*shape)[0],
+        tuple(sync.ALLGATHER_FOR_REDUCE_SCATTER.values()),
+    ),
+}
+
+
+def plan_time(
+    programs: Sequence[Sequence["sync.Plan"]],
+    params: LogGPParams,
+    topology: Optional[HostTopology] = None,
+    inter: Optional[LogGPParams] = None,
+    bytes_per_element: float = 1,
+    wire_bytes_per_element: Optional[float] = None,
 ) -> float:
-    """Duration of one communication round pipelined in ``n_chunks`` segments.
+    """Latest rank clock after ``programs`` (every rank's plans, run back
+    to back) under LogGP: :func:`~repro.collectives.sync.walk_plans` with
+    timing callbacks.
 
-    The round moves ``msg_bytes`` and combines ``reduce_bytes`` of data.
-    Segment *k*'s reduction overlaps segment *k + 1*'s transmission, so
-    the round costs one segment transfer to fill the pipe, ``n_chunks - 1``
-    steady-state stages bounded by the slower of transfer and reduction,
-    and one segment reduction to drain.  With ``n_chunks == 1`` this is
-    exactly the unpipelined ``alpha + msg*beta + red*gamma``.
+    A send departs at the later of its rank's clock and the time its
+    directed link is free, lands ``alpha + bytes * beta`` later and holds
+    the link until then; the sender's clock does not move (sends are
+    eager).  A receive waits for its message and, if it combines, adds
+    ``gamma`` per dense byte.  A pair that ``topology`` puts on different
+    hosts uses the ``inter`` parameters (default ``params``).  Only
+    ``wire`` steps travel at ``wire_bytes_per_element``: the ring
+    combines in the dense dtype.
     """
-    seg_net = params.alpha + (msg_bytes / n_chunks) * params.beta
-    seg_red = (reduce_bytes / n_chunks) * params.gamma
-    return seg_net + (n_chunks - 1) * max(seg_net, seg_red) + seg_red
+    inter = params if inter is None else inter
+    wire = bytes_per_element if wire_bytes_per_element is None else wire_bytes_per_element
+    hosts = None if topology is None else topology.host_of
+    clock = [0.0] * len(programs)
+    link_free: Dict[Tuple[int, int], float] = {}
+
+    def link(rank: int, peer: int) -> LogGPParams:
+        return params if hosts is None or hosts[rank] == hosts[peer] else inter
+
+    def on_send(rank, pc, tag, step):
+        p = link(rank, step.peer)
+        nbytes = (step.hi - step.lo) * (wire if step.wire else bytes_per_element)
+        key = (rank, step.peer)
+        landed = max(clock[rank], link_free.get(key, 0.0)) + p.alpha + nbytes * p.beta
+        link_free[key] = landed
+        return landed
+
+    def on_recv(rank, pc, tag, step, landed):
+        now = max(clock[rank], landed)
+        if step.combine:
+            now += (step.hi - step.lo) * bytes_per_element * link(rank, step.peer).gamma
+        clock[rank] = now
+
+    sync.walk_plans(programs, on_send, on_recv)
+    return max(clock)
 
 
-def _ring_phase_times(
-    nbytes: float, size: int, n_chunks: int, params: LogGPParams
-) -> tuple:
-    """``(reduce_scatter, allgather)`` durations of a chunked ring allreduce."""
-    chunk = nbytes / size
-    reduce_scatter = (size - 1) * _pipelined_round(chunk, chunk, n_chunks, params)
-    allgather = (size - 1) * _pipelined_round(chunk, 0.0, n_chunks, params)
-    return reduce_scatter, allgather
+@functools.lru_cache(maxsize=1024)
+def collective_time(
+    kind: str,
+    algorithm: str,
+    size: int,
+    length: int,
+    n_chunks: int,
+    params: LogGPParams,
+    topology: Optional[HostTopology] = None,
+    inter: Optional[LogGPParams] = None,
+    bytes_per_element: float = 1,
+    wire_bytes_per_element: Optional[float] = None,
+) -> float:
+    """Duration of one synchronous collective once every rank is present.
+
+    ``kind`` is ``"allreduce"``, ``"reduce_scatter"`` or ``"allgather"``;
+    every rank's plan of ``algorithm`` on ``length`` elements is built
+    with :mod:`repro.collectives.sync`'s builder for that kind and priced
+    by :func:`plan_time`, plus ``collective_overhead`` once.
+    ``wire_bytes_per_element`` marks the plan's ring hops as a codec's
+    wire dtype.  ``topology`` (default: one host) places the ranks for
+    the hierarchical plans and the ``inter`` link class.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown collective kind {kind!r}; available: {sorted(_KINDS)}")
+    build, algorithms = _KINDS[kind]
+    if algorithm not in algorithms:
+        raise ValueError(
+            f"unknown {kind} algorithm {algorithm!r}; available: {sorted(algorithms)}"
+        )
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if not isinstance(length, numbers.Integral) or length < 0:
+        raise ValueError(f"length must be a non-negative integer, got {length!r}")
+    if n_chunks < 1:
+        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
+    if topology is None:
+        topology = HostTopology.single_host(size)
+    if topology.world_size != size:
+        raise ValueError(
+            f"host topology covers {topology.world_size} rank(s), expected {size}"
+        )
+    wire = wire_bytes_per_element is not None
+    programs = [
+        (build(algorithm, rank, size, int(length), n_chunks, topology, wire),)
+        for rank in range(size)
+    ]
+    return params.collective_overhead + plan_time(
+        programs, params, topology, inter, bytes_per_element, wire_bytes_per_element
+    )
 
 
 def _transform_time(nbytes: float, size: int, compression: CompressionModel) -> float:
-    """Encode/decode cost of one compressed collective on the critical path.
-
-    One encode of the dense buffer before the wire; for reduce-closed
-    codecs one decode of the reduced result, for the allgather-based
-    decode-reduce-encode path one decode per gathered payload (``size``
-    of them) plus the dense combination charged via ``gamma`` by the
-    caller.
-    """
+    """Encode/decode cost of one compressed collective on the critical
+    path: one encode of the dense buffer, then one decode of the result
+    (reduce-closed) or of each of the ``size`` gathered payloads."""
     decodes = 1 if compression.reduce_closed else size
     return nbytes * (
         compression.encode_seconds_per_byte
@@ -157,17 +254,25 @@ def _transform_time(nbytes: float, size: int, compression: CompressionModel) -> 
 def _gather_exchange_time(
     nbytes: float, size: int, params: LogGPParams, compression: CompressionModel
 ) -> float:
-    """Decode-reduce-encode exchange of one bucket (without fixed overhead).
+    """Decode-reduce-encode exchange of one ``nbytes`` bucket.
 
     Non-reduce-closed codecs cannot be combined inside an allreduce, so
     the exchange allgathers the encoded payloads (``size - 1`` ring
     rounds, each carrying the compressed bucket) and reduces the decoded
-    contributions densely at every rank.
+    contributions densely at every rank.  The object ``allgather`` it
+    runs has no plan, so this is the one closed form left.
     """
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if size == 1:
+        return params.collective_overhead
     wire = nbytes * compression.wire_scale
     rounds = (size - 1) * (params.alpha + wire * params.beta)
     combine = (size - 1) * nbytes * params.gamma
-    return rounds + combine + _transform_time(nbytes, size, compression)
+    return (
+        params.collective_overhead + rounds + combine
+        + _transform_time(nbytes, size, compression)
+    )
 
 
 def allreduce_time(
@@ -178,295 +283,29 @@ def allreduce_time(
     n_chunks: int = 1,
     compression: Optional[CompressionModel] = None,
 ) -> float:
-    """Duration of a synchronous allreduce once all participants are present.
+    """Duration of a synchronous allreduce of ``nbytes`` bytes once all
+    participants are present: :func:`collective_time` of the allreduce
+    plan on ``nbytes`` one-byte elements.
 
-    ``n_chunks`` mirrors the chunk-pipelined thread implementation
-    (:mod:`repro.collectives.sync`): each round is segmented so reduction
-    overlaps transmission; ``1`` reproduces the classic unpipelined cost.
-
-    ``compression`` adds the codec terms: reduce-closed codecs run the
-    *ring* with the codec as its wire dtype
-    (:func:`repro.collectives.sync.allreduce` with ``codec=``), so
-    every hop's bytes shrink by ``wire_scale``, plus the encode/decode
-    transform — the ring schedule is modelled regardless of
-    ``algorithm``, because that is what the exchange executes; other
-    codecs run the allgather-based decode-reduce-encode exchange
-    (see :func:`_gather_exchange_time`).
+    ``compression`` adds the codec terms.  A reduce-closed codec is the
+    wire dtype of the *ring* (:func:`repro.collectives.sync.allreduce`
+    with ``codec=``), whatever ``algorithm`` says, because that is what
+    the exchange runs: its hops shrink by ``wire_scale``, its combines
+    stay dense, and one encode and one decode are charged.  Other codecs
+    take :func:`_gather_exchange_time`.
     """
-    if nbytes < 0:
-        raise ValueError(f"message size must be non-negative, got {nbytes}")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if compression is not None and not compression.is_identity:
-        if size == 1:
-            return params.collective_overhead
-        if compression.reduce_closed:
-            return allreduce_time(
-                nbytes * compression.wire_scale, size, "ring", params, n_chunks
-            ) + _transform_time(nbytes, size, compression)
-        return params.collective_overhead + _gather_exchange_time(
-            nbytes, size, params, compression
-        )
-    if size == 1:
-        return params.collective_overhead
-    rounds = math.ceil(math.log2(size))
-    if algorithm == "recursive_doubling":
-        per_round = _pipelined_round(nbytes, nbytes, n_chunks, params)
-        return params.collective_overhead + rounds * per_round
-    if algorithm == "ring":
-        reduce_scatter, allgather = _ring_phase_times(nbytes, size, n_chunks, params)
-        return params.collective_overhead + reduce_scatter + allgather
-    if algorithm == "rabenseifner":
-        if n_chunks == 1:
-            halving = rounds * params.alpha + nbytes * (size - 1) / size * (
-                params.beta + params.gamma
-            )
-            doubling = rounds * params.alpha + nbytes * (size - 1) / size * params.beta
-            return params.collective_overhead + halving + doubling
-        # Chunked: halving rounds move (and reduce) a geometric n/2, n/4,
-        # ... sequence in pipelined segments; the doubling retrace keeps
-        # whole messages.  The per-round sizes are normalised so the total
-        # volume matches the unchunked closed form's n*(P-1)/P at every
-        # world size (the raw geometric sum reaches 1 - 2^-rounds, which
-        # differs at non-power-of-two P and would otherwise make the
-        # chunked prediction jump discontinuously versus n_chunks=1).
-        scale = ((size - 1) / size) / (1.0 - 0.5 ** rounds)
-        round_bytes = [scale * nbytes / (1 << (r + 1)) for r in range(rounds)]
-        halving = sum(
-            _pipelined_round(b, b, n_chunks, params) for b in round_bytes
-        )
-        doubling = sum(
-            _pipelined_round(b, 0.0, 1, params) for b in round_bytes
-        )
-        return params.collective_overhead + halving + doubling
-    raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-
-
-def fused_exchange_time(
-    bucket_bytes: Sequence[float],
-    size: int,
-    algorithm: str = "ring",
-    params: LogGPParams = DEFAULT_NETWORK,
-    n_chunks: int = 1,
-    compression: Optional[CompressionModel] = None,
-) -> float:
-    """Duration of a bucketed (fused) gradient exchange with pipelining.
-
-    One collective is issued per fusion bucket, back to back.  For the
-    ring algorithm the two phases of consecutive buckets overlap — bucket
-    *b*'s allgather streams on the full-duplex links while bucket
-    *b + 1*'s reduce-scatter starts — modelled by the classic two-stage
-    pipeline recurrence::
-
-        rs_end[b] = rs_end[b - 1] + RS_b
-        ag_end[b] = max(rs_end[b], ag_end[b - 1]) + AG_b
-
-    Non-ring algorithms have no phase split to overlap, so their buckets
-    simply serialise.  The fixed ``collective_overhead`` is paid once:
-    the fusion pipeline keeps one persistent collective armed.
-
-    ``compression`` mirrors the compressed exchange: reduce-closed codecs
-    run the *ring* bucket pipeline (the schedule
-    :class:`~repro.training.exchange.SynchronousExchange` actually
-    executes for them, whatever ``algorithm`` says) on the *encoded*
-    bucket sizes and pay the encode/decode transform per bucket; other
-    codecs replace each bucket's collective with the allgather-based
-    decode-reduce-encode exchange (:func:`_gather_exchange_time`),
-    serialised per bucket.
-    """
-    if not bucket_bytes:
-        raise ValueError(f"bucket_bytes must not be empty, got {list(bucket_bytes)}")
-    if any(b < 0 for b in bucket_bytes):
-        raise ValueError(f"message size must be non-negative, got {list(bucket_bytes)}")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if size == 1:
-        return params.collective_overhead
-    if compression is not None and not compression.is_identity:
-        if compression.reduce_closed:
-            wire = [b * compression.wire_scale for b in bucket_bytes]
-            transform = sum(
-                _transform_time(b, size, compression) for b in bucket_bytes
-            )
-            return (
-                fused_exchange_time(wire, size, "ring", params, n_chunks)
-                + transform
-            )
-        total = sum(
-            _gather_exchange_time(b, size, params, compression) for b in bucket_bytes
-        )
-        return params.collective_overhead + total
-    if algorithm != "ring":
-        total = sum(
-            allreduce_time(b, size, algorithm, params, n_chunks) - params.collective_overhead
-            for b in bucket_bytes
-        )
-        return params.collective_overhead + total
-    rs_end = 0.0
-    ag_end = 0.0
-    for nbytes in bucket_bytes:
-        reduce_scatter, allgather = _ring_phase_times(nbytes, size, n_chunks, params)
-        rs_end = rs_end + reduce_scatter
-        ag_end = max(rs_end, ag_end) + allgather
-    return params.collective_overhead + ag_end
-
-
-def sharded_exchange_time(
-    bucket_bytes: Sequence[float],
-    size: int,
-    algorithm: str = "ring",
-    params: LogGPParams = DEFAULT_NETWORK,
-    n_chunks: int = 1,
-    compression: Optional[CompressionModel] = None,
-    update_seconds_per_byte: float = 0.0,
-) -> float:
-    """Duration of a ZeRO-1 sharded exchange (reduce-scatter / allgather).
-
-    Mirrors :class:`repro.training.exchange.ShardedExchange`: every bucket
-    is reduce-scattered, then the optimizer update runs on the owned
-    ``1/P`` window, then every bucket's *parameters* are allgathered.  The
-    phases are globally ordered (all scatters complete before the update),
-    so buckets serialise within each phase and nothing overlaps across
-    phases — unlike :func:`fused_exchange_time`'s ring recurrence.
-
-    ``algorithm`` is a sharded-collective name: ``"ring"`` charges
-    ``P - 1`` chunk rounds per phase, ``"halving"`` the recursive
-    halving/doubling rounds of the Rabenseifner split.
-    ``update_seconds_per_byte`` charges the shard-local optimizer update
-    (zero keeps the model purely communication-bound; the dense baseline
-    it is compared against pays ``P`` times this term *off* the wire).
-    Reduce-closed ``compression`` shrinks every hop by ``wire_scale`` and
-    pays the encode/decode transform per bucket, as the implementation's
-    compressed ring does for both the gradient and parameter hops.
-    """
-    if not bucket_bytes:
-        raise ValueError(f"bucket_bytes must not be empty, got {list(bucket_bytes)}")
-    if any(b < 0 for b in bucket_bytes):
-        raise ValueError(f"message size must be non-negative, got {list(bucket_bytes)}")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if update_seconds_per_byte < 0 or not math.isfinite(update_seconds_per_byte):
-        raise ValueError(
-            f"update_seconds_per_byte must be non-negative and finite, "
-            f"got {update_seconds_per_byte}"
-        )
-    if algorithm not in ("ring", "halving"):
-        raise ValueError(
-            f"unknown sharded exchange algorithm {algorithm!r}; "
-            f"the flat model covers 'ring' and 'halving'"
-        )
-    update = sum(bucket_bytes) / size * update_seconds_per_byte
-    if size == 1:
-        return params.collective_overhead + update
-    transform = 0.0
-    wire_scale = 1.0
-    if compression is not None and not compression.is_identity:
-        if not compression.reduce_closed:
-            raise ValueError(
-                f"sharded exchange supports reduce-closed codecs only, "
-                f"got {compression.name!r}"
-            )
-        wire_scale = compression.wire_scale
-        # Both the gradient scatter and the parameter gather are encoded.
-        transform = 2.0 * sum(
-            _transform_time(b, size, compression) for b in bucket_bytes
-        )
-    scatter = 0.0
-    gather = 0.0
-    rounds = math.ceil(math.log2(size))
-    for nbytes in bucket_bytes:
-        wire = nbytes * wire_scale
-        if algorithm == "halving":
-            scale = ((size - 1) / size) / (1.0 - 0.5 ** rounds)
-            round_bytes = [scale * wire / (1 << (r + 1)) for r in range(rounds)]
-            scatter += sum(
-                _pipelined_round(b, b / wire_scale, n_chunks, params)
-                for b in round_bytes
-            )
-            gather += sum(_pipelined_round(b, 0.0, 1, params) for b in round_bytes)
-        else:
-            rs, ag = _ring_phase_times(wire, size, n_chunks, params)
-            # _ring_phase_times charges reduction on the wire bytes; the
-            # ring under a codec combines in float64, so the
-            # gamma share stays dense regardless of wire_scale.
-            scatter += rs + (size - 1) * (wire / size) * (1.0 / wire_scale - 1.0) * params.gamma
-            gather += ag
-    return params.collective_overhead + scatter + update + gather + transform
-
-
-# ---------------------------------------------------------------------------
-# two-tier (hierarchical) cost model
-# ---------------------------------------------------------------------------
-def _validate_hosts(ranks_per_host: Sequence[int]) -> List[int]:
-    hosts = [int(n) for n in ranks_per_host]
-    if not hosts or any(n < 1 for n in hosts):
-        raise ValueError(
-            f"ranks_per_host entries must be >= 1, got {list(ranks_per_host)}"
-        )
-    return hosts
-
-
-def _intra_tree_rounds(ranks_per_host: Sequence[int]) -> int:
-    """Depth of the deepest intra-host binomial tree (the critical host)."""
-    return max(math.ceil(math.log2(n)) if n > 1 else 0 for n in ranks_per_host)
-
-
-def hierarchical_fused_exchange_time(
-    bucket_bytes: Sequence[float],
-    ranks_per_host: Sequence[int],
-    intra: LogGPParams,
-    inter: LogGPParams,
-    n_chunks: int = 1,
-    inter_scale: float = 1.0,
-) -> float:
-    """Bucketed two-tier exchange with cross-bucket pipelining.
-
-    The intra-host trees and the inter-host leader ring occupy *different*
-    links, so consecutive buckets overlap across all three stages — the
-    three-stage generalisation of :func:`fused_exchange_time`'s
-    recurrence::
-
-        red_end[b] = red_end[b - 1] + RED_b                 (intra links)
-        rs_end[b]  = max(red_end[b], rs_end[b - 1]) + RS_b  (inter links)
-        ag_end[b]  = max(rs_end[b], ag_end[b - 1]) + AG_b + BC_b
-
-    The broadcast of a bucket is charged serially after its allgather
-    (it reuses the intra links the *next* bucket's reduce tree wants, so
-    it does not pipeline for free).  The fixed overhead is paid once.
-
-    ``inter_scale`` shrinks the bytes carried by the leader ring only —
-    the compressed hierarchical exchange keeps the intra tiers dense and
-    puts the codec's wire dtype on the inter links alone (see
-    :func:`repro.collectives.sync.allreduce_hierarchical`);
-    the caller charges the encode/decode transform separately.
-    """
-    if not bucket_bytes:
-        raise ValueError(f"bucket_bytes must not be empty, got {list(bucket_bytes)}")
-    if not 0.0 < inter_scale or not math.isfinite(inter_scale):
-        raise ValueError(f"inter_scale must be positive and finite, got {inter_scale}")
-    hosts = _validate_hosts(ranks_per_host)
-    if len(hosts) == 1:
-        return fused_exchange_time(bucket_bytes, hosts[0], "ring", intra, n_chunks)
-    rounds = _intra_tree_rounds(hosts)
-    red_end = 0.0
-    rs_end = 0.0
-    ag_end = 0.0
-    for nbytes in bucket_bytes:
-        reduce_tree = rounds * _pipelined_round(nbytes, nbytes, n_chunks, intra)
-        bcast_tree = rounds * _pipelined_round(nbytes, 0.0, 1, intra)
-        rs, ag = _ring_phase_times(
-            nbytes * inter_scale, len(hosts), n_chunks, inter
-        )
-        red_end = red_end + reduce_tree
-        rs_end = max(red_end, rs_end) + rs
-        ag_end = max(rs_end, ag_end) + ag + bcast_tree
-    return intra.collective_overhead + ag_end
+    length = int(nbytes)
+    if length != nbytes or length < 0:
+        raise ValueError(f"message size must be a non-negative whole number, got {nbytes}")
+    if compression is None or compression.is_identity:
+        return collective_time("allreduce", algorithm, size, length, n_chunks, params)
+    if not compression.reduce_closed:
+        return _gather_exchange_time(nbytes, size, params, compression)
+    ring = collective_time(
+        "allreduce", "ring", size, length, n_chunks, params,
+        wire_bytes_per_element=compression.wire_scale,
+    )
+    return ring + (_transform_time(nbytes, size, compression) if size > 1 else 0.0)
 
 
 def broadcast_time(

@@ -81,7 +81,7 @@ error-feedback residuals handled by
     narrow-dtype kernels are scalar loops, so reducing *in* fp16 would
     burn the byte savings on arithmetic).  The configured ``algorithm``
     applies to the *uncompressed* path only; reduce-closed buckets always
-    ride the ring, and the simtime cost model mirrors exactly that.  (The
+    ride the ring, and the tuner prices exactly that plan.  (The
     partial exchange instead runs its background collective natively at
     the encoded width — see :class:`PartialExchange`.)
 *decode-reduce-encode*

@@ -14,9 +14,11 @@ thread-backend measurements.  This package closes that gap:
     :class:`~repro.tuning.calibration.CalibratedProfile` keyed by
     world size and the live backend name.
 ``repro.tuning.autotune``
-    Searches the ``fusion_threshold_bytes x pipeline_chunks`` grid with
-    the calibrated :func:`~repro.simtime.collective_model.fused_exchange_time`
-    model (optionally cross-checked against live thread-backend trials)
+    Searches the ``fusion_threshold_bytes x pipeline_chunks`` grid,
+    pricing each candidate's buckets as the exchange cuts and runs them
+    (:func:`~repro.tuning.autotune.predict_exchange_time`, the LogGP walk
+    of their plans under the calibrated parameters; optionally
+    cross-checked against live trials)
     and returns a :class:`~repro.tuning.autotune.TunedPlan` per
     (world size, gradient bytes, algorithm).  ``TrainingConfig`` values
     of ``"auto"`` are resolved through this path.

@@ -3,11 +3,13 @@
 Horovod ships a fixed ``HOROVOD_FUSION_THRESHOLD`` (64 MiB) and leaves
 the operator to tune it; PR 1 of this repo hardcoded a 64 KiB default in
 its benchmarks.  The right setting depends on the world size, the
-gradient size, the algorithm and the (calibrated) cost of a message —
-exactly what :func:`~repro.simtime.collective_model.fused_exchange_time`
-models.  This module searches the ``threshold x chunks`` grid with the
-calibrated model, optionally cross-checks the best candidates against a
-handful of live thread-backend trials, and returns a :class:`TunedPlan`.
+gradient size, the algorithm and the (calibrated) cost of a message.
+This module prices each ``threshold x chunks`` candidate as the exchange
+runs it (:func:`predict_exchange_time`: the buckets
+``GradientBucketer.from_flat`` cuts, each collective's plans walked under
+the calibrated LogGP parameters), optionally cross-checks the best
+candidates against a handful of live trials, and returns a
+:class:`TunedPlan`.
 
 ``TrainingConfig`` accepts ``fusion_threshold_bytes="auto"`` /
 ``pipeline_chunks="auto"``; :func:`resolve_auto_fusion` (called by
@@ -18,22 +20,26 @@ concrete values through the profile cache.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro.collectives.sync import ALLGATHER_FOR_REDUCE_SCATTER
+from repro.collectives.topology import HostTopology
 from repro.simtime.collective_model import (
     CompressionModel,
-    fused_exchange_time,
-    hierarchical_fused_exchange_time,
-    sharded_exchange_time,
+    _gather_exchange_time,
+    _transform_time,
+    collective_time,
 )
 from repro.simtime.network import LogGPParams
 from repro.tuning.calibration import CalibratedProfile, calibrate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.training.bucketing import GradientBucketer
     from repro.training.config import TrainingConfig
 
 #: The PR-1 fixed default the auto-tuner is benchmarked against
@@ -72,14 +78,12 @@ class TunedPlan:
     measured_baseline_time: float = float("nan")
     #: Host topology the plan was scored against (``None`` = flat):
     #: ranks per host, e.g. ``(4, 4)`` for two hosts of four.  Multi-host
-    #: plans were scored with the two-tier cost model and per-link-class
+    #: plans were scored on the hierarchical plans with per-link-class
     #: parameters.
     ranks_per_host: Optional[Tuple[int, ...]] = None
-
-    @property
-    def num_buckets(self) -> int:
-        return _bucket_count(self.gradient_bytes, self.fusion_threshold_bytes,
-                             self._compression_model)
+    #: Buckets the recommended threshold cuts (:func:`bucketer_for`, the
+    #: exchange's own bucketer, at the codec's wire width).
+    num_buckets: int = 1
 
     @property
     def speedup(self) -> float:
@@ -91,86 +95,38 @@ class TunedPlan:
         """Live-trial speedup over the fixed default (``NaN`` without trials)."""
         return self.measured_baseline_time / self.measured_time
 
-    #: Cost-model view of the codec, set by :func:`autotune`.  Only its
-    #: ``wire_scale`` matters here (it recovers the encoded bucket
-    #: count), so serialisation keeps that one number.
-    _compression_model: Optional[CompressionModel] = None
-
     def to_dict(self) -> Dict:
-        return {
-            "world_size": self.world_size,
-            "compression": self.compression,
-            "compression_wire_scale": (
-                1.0
-                if self._compression_model is None
-                else self._compression_model.wire_scale
-            ),
-            "gradient_bytes": self.gradient_bytes,
-            "algorithm": self.algorithm,
-            "fusion_threshold_bytes": self.fusion_threshold_bytes,
-            "pipeline_chunks": self.pipeline_chunks,
-            "predicted_time": self.predicted_time,
-            "baseline_time": self.baseline_time,
-            "measured_time": self.measured_time,
-            "measured_baseline_time": self.measured_baseline_time,
-            "ranks_per_host": (
-                None if self.ranks_per_host is None else list(self.ranks_per_host)
-            ),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "TunedPlan":
-        compression = str(data.get("compression", "none"))
-        wire_scale = float(data.get("compression_wire_scale", 1.0))
-        model = None
-        if compression != "none" or wire_scale != 1.0:
-            model = CompressionModel(name=compression, wire_scale=wire_scale)
-        return cls(
-            world_size=int(data["world_size"]),
-            gradient_bytes=int(data["gradient_bytes"]),
-            algorithm=data["algorithm"],
-            fusion_threshold_bytes=int(data["fusion_threshold_bytes"]),
-            pipeline_chunks=int(data["pipeline_chunks"]),
-            compression=compression,
-            predicted_time=float(data["predicted_time"]),
-            baseline_time=float(data["baseline_time"]),
-            measured_time=float(data.get("measured_time", float("nan"))),
-            measured_baseline_time=float(
-                data.get("measured_baseline_time", float("nan"))
-            ),
-            ranks_per_host=(
-                None
-                if data.get("ranks_per_host") is None
-                else tuple(int(n) for n in data["ranks_per_host"])
-            ),
-            _compression_model=model,
+        data = dict(data)
+        if data.get("ranks_per_host") is not None:
+            data["ranks_per_host"] = tuple(int(n) for n in data["ranks_per_host"])
+        return cls(**data)
+
+
+def bucketer_for(
+    gradient_bytes: int,
+    threshold: int,
+    compression: Optional[CompressionModel] = None,
+) -> "GradientBucketer":
+    """The buckets the exchange cuts: ``GradientBucketer.from_flat`` at the
+    codec's wire width, which the threshold budgets."""
+    from repro.training.bucketing import GradientBucketer
+
+    if gradient_bytes < 1 or threshold < 1:
+        raise ValueError(
+            f"gradient_bytes and the fusion threshold must be >= 1, "
+            f"got {gradient_bytes} and {threshold}"
         )
-
-
-def _bucket_count(
-    gradient_bytes: int,
-    threshold: int,
-    compression: Optional[CompressionModel] = None,
-) -> int:
-    """Bucket count when ``threshold`` budgets the encoded bucket size."""
-    wire_bytes = int(gradient_bytes)
-    if compression is not None:
-        wire_bytes = max(1, int(gradient_bytes * compression.wire_scale))
-    return max(1, -(-wire_bytes // int(threshold)))
-
-
-def plan_bucket_bytes(
-    gradient_bytes: int,
-    threshold: int,
-    compression: Optional[CompressionModel] = None,
-) -> List[float]:
-    """Near-equal per-bucket *dense* byte sizes, mirroring ``GradientBucketer.from_flat``."""
-    if gradient_bytes < 1:
-        raise ValueError(f"gradient_bytes must be >= 1, got {gradient_bytes}")
-    if threshold < 1:
-        raise ValueError(f"fusion_threshold_bytes must be >= 1, got {threshold}")
-    count = _bucket_count(gradient_bytes, threshold, compression)
-    return [gradient_bytes / count] * count
+    wire = None
+    if compression is not None and not compression.is_identity:
+        wire = _BYTES_PER_ELEMENT * compression.wire_scale
+    return GradientBucketer.from_flat(
+        max(1, int(gradient_bytes) // _BYTES_PER_ELEMENT), threshold,
+        _BYTES_PER_ELEMENT, wire,
+    )
 
 
 def predict_exchange_time(
@@ -187,73 +143,68 @@ def predict_exchange_time(
 ) -> float:
     """Modelled duration of one bucketed gradient exchange.
 
-    With ``compression``, the fusion threshold budgets the *encoded*
-    bucket size (mirroring the exchange's wire-width bucketing), and the
-    codec's wire/transform terms enter the cost model.
+    The sum of the collectives the exchange issues, back to back, over
+    the buckets :func:`bucketer_for` cuts — each priced by
+    :func:`~repro.simtime.collective_model.collective_time`, its
+    ``collective_overhead`` included, once per distinct bucket length:
 
-    ``sharding="zero1"`` scores the ZeRO-1 reduce-scatter/allgather
-    exchange (:func:`~repro.simtime.collective_model.sharded_exchange_time`)
-    instead: the configured allreduce ``algorithm`` is mapped onto the
-    matching sharded schedule, and multi-host fabrics are approximated by
-    the flat ring at the full world size.
+    * dense: one allreduce of ``algorithm`` per bucket — ``ring`` under a
+      reduce-closed codec, the codec as its wire dtype;
+    * ``sharding="zero1"``: every bucket's reduce-scatter plus every
+      bucket's allgather, of the pair the exchange maps ``algorithm`` to;
+    * ``ranks_per_host`` spanning hosts: the hierarchical plans, with
+      ``params`` the intra-host tier and ``inter_params`` (default
+      ``params``) the inter-host tier.
 
-    ``ranks_per_host`` with more than one host scores the *two-tier*
-    schedules the exchange runs on a multi-host fabric
-    (:func:`~repro.simtime.collective_model.hierarchical_fused_exchange_time`):
-    ``params`` then describes the intra-host tier and ``inter_params``
-    the inter-host tier (a calibrated profile's ``link("inter")``;
-    defaults to ``params``).  Dense and reduce-closed compressed buckets
-    route hierarchically, mirroring
-    :class:`~repro.training.exchange.SynchronousExchange`; codecs on the
-    allgather path stay flat, exactly like the implementation.
+    A codec adds its encode/decode per bucket (per collective under
+    ``zero1``); a codec that is not reduce-closed takes the
+    decode-reduce-encode allgather instead.  Summing per bucket is exact
+    for the ring and the hierarchical allreduce and an upper bound where
+    sends that need no receive first would overlap the next bucket.
     """
-    bucket_bytes = plan_bucket_bytes(
-        gradient_bytes, fusion_threshold_bytes, compression
-    )
+    from repro.training.exchange import _SHARDED_ALGORITHM_FOR_ALLREDUCE
+
+    buckets = bucketer_for(gradient_bytes, fusion_threshold_bytes, compression).buckets
+    lengths = Counter(bucket.num_elements for bucket in buckets)
+    codec = None if compression is None or compression.is_identity else compression
+    if codec is not None and not codec.reduce_closed:
+        if sharding == "zero1":
+            raise ValueError(
+                f"sharded exchange supports reduce-closed codecs only, got {codec.name!r}"
+            )
+        return sum(
+            count * _gather_exchange_time(
+                length * _BYTES_PER_ELEMENT, world_size, params, codec
+            )
+            for length, count in lengths.items()
+        )
+    topology = None
+    if ranks_per_host is not None and len(ranks_per_host) > 1:
+        topology = HostTopology.from_hosts(ranks_per_host)
     if sharding == "zero1":
-        return sharded_exchange_time(
-            bucket_bytes,
-            world_size,
-            algorithm="halving" if algorithm == "rabenseifner" else "ring",
-            params=params,
-            n_chunks=pipeline_chunks,
-            compression=compression,
+        scatter = "hierarchical" if topology else _SHARDED_ALGORITHM_FOR_ALLREDUCE.get(
+            algorithm, algorithm
         )
-    multi_host = ranks_per_host is not None and len(ranks_per_host) > 1
-    if multi_host and (
-        compression is None or compression.is_identity or compression.reduce_closed
-    ):
-        inter = inter_params if inter_params is not None else params
-        if compression is not None and not compression.is_identity:
-            # Dense intra tiers, encoded leader ring; the leaders pay one
-            # encode + one decode of the dense bucket (reduce-closed).
-            transform = sum(
-                b
-                * (
-                    compression.encode_seconds_per_byte
-                    + compression.decode_seconds_per_byte
+        collectives = [
+            ("reduce_scatter", scatter),
+            ("allgather", ALLGATHER_FOR_REDUCE_SCATTER.get(scatter, scatter)),
+        ]
+    else:
+        dense = "ring" if codec is not None else algorithm
+        collectives = [("allreduce", "hierarchical" if topology else dense)]
+    wire = None if codec is None else _BYTES_PER_ELEMENT * codec.wire_scale
+    total = 0.0
+    for length, count in lengths.items():
+        for kind, name in collectives:
+            total += count * collective_time(
+                kind, name, world_size, length, pipeline_chunks, params, topology,
+                inter_params, _BYTES_PER_ELEMENT, wire,
+            )
+            if codec is not None:
+                total += count * _transform_time(
+                    length * _BYTES_PER_ELEMENT, world_size, codec
                 )
-                for b in bucket_bytes
-            )
-            return transform + hierarchical_fused_exchange_time(
-                bucket_bytes,
-                ranks_per_host,
-                params,
-                inter,
-                n_chunks=pipeline_chunks,
-                inter_scale=compression.wire_scale,
-            )
-        return hierarchical_fused_exchange_time(
-            bucket_bytes, ranks_per_host, params, inter, n_chunks=pipeline_chunks
-        )
-    return fused_exchange_time(
-        bucket_bytes,
-        world_size,
-        algorithm,
-        params,
-        n_chunks=pipeline_chunks,
-        compression=compression,
-    )
+    return total
 
 
 def _measure_exchange(
@@ -318,9 +269,9 @@ def autotune(
 ) -> TunedPlan:
     """Pick ``(fusion_threshold_bytes, pipeline_chunks)`` for one exchange shape.
 
-    The full ``thresholds x chunks`` grid is scored with the calibrated
-    :func:`fused_exchange_time` model; candidates that produce the same
-    (bucket count, chunk count) pair are deduplicated.  With
+    The full ``thresholds x chunks`` grid is scored with
+    :func:`predict_exchange_time` under the calibrated ``params``;
+    thresholds that cut the same buckets are scored once.  With
     ``live_trials > 0`` the ``live_trials`` best-scoring candidates are
     additionally measured live on ``backend`` (``None`` = the default)
     and the measured winner is returned — the model proposes, the
@@ -337,17 +288,16 @@ def autotune(
     live trials run the compressed exchange.  ``compression_model``
     overrides the cost-model view derived from the codec (tests).
 
-    ``ranks_per_host`` (more than one host) scores the grid with the
-    two-tier cost model — ``params`` as the intra tier, ``inter_params``
+    ``ranks_per_host`` (more than one host) scores the grid on the
+    hierarchical plans — ``params`` as the intra tier, ``inter_params``
     as the inter tier — so the recommendation is a *per-tier* fusion
     threshold: the knee moves because only the leader ring pays the slow
     links.  Live trials then run on the matching simulated topology.
 
-    ``sharding="zero1"`` scores the grid with the sharded-exchange model
-    (:func:`predict_exchange_time` routes to
-    :func:`~repro.simtime.collective_model.sharded_exchange_time`); live
-    trials are skipped — the measurement harness runs the dense exchange
-    and would dispose with the wrong schedule.
+    ``sharding="zero1"`` scores the grid with the ZeRO-1 exchange's
+    reduce-scatters and allgathers; live trials are skipped — the
+    measurement harness runs the dense exchange and would dispose with
+    the wrong schedule.
     """
     if world_size < 1:
         raise ValueError(f"size must be >= 1, got {world_size}")
@@ -385,28 +335,20 @@ def autotune(
     elif compression_model is not None:
         codec_name = compression_model.name
 
-    baseline_time = predict_exchange_time(
-        params, world_size, gradient_bytes, algorithm,
-        DEFAULT_FIXED_THRESHOLD_BYTES, 1, compression_model,
-        ranks_per_host=ranks_per_host, inter_params=inter_params,
-        sharding=sharding,
-    )
+    def price(threshold: int, n_chunks: int) -> float:
+        return predict_exchange_time(
+            params, world_size, gradient_bytes, algorithm, threshold, n_chunks,
+            compression_model, ranks_per_host, inter_params, sharding,
+        )
 
-    # Score the grid; dedupe candidates that bucket identically.
+    baseline_time = price(DEFAULT_FIXED_THRESHOLD_BYTES, 1)
+    # Score the grid; thresholds that cut the same buckets are priced once.
     seen: Dict[Tuple[int, int], Tuple[float, int, int]] = {}
-    grid = list(dict.fromkeys(thresholds))
-    chunk_grid = list(dict.fromkeys(chunks))
-    for threshold in grid:
-        for n_chunks in chunk_grid:
-            key = (_bucket_count(gradient_bytes, threshold, compression_model), n_chunks)
-            predicted = predict_exchange_time(
-                params, world_size, gradient_bytes, algorithm, threshold, n_chunks,
-                compression_model,
-                ranks_per_host=ranks_per_host, inter_params=inter_params,
-                sharding=sharding,
-            )
-            if key not in seen or predicted < seen[key][0]:
-                seen[key] = (predicted, threshold, n_chunks)
+    for threshold in dict.fromkeys(thresholds):
+        buckets = bucketer_for(gradient_bytes, threshold, compression_model).num_buckets
+        for n_chunks in dict.fromkeys(chunks):
+            if (buckets, n_chunks) not in seen:
+                seen[buckets, n_chunks] = (price(threshold, n_chunks), threshold, n_chunks)
     ranked = sorted(seen.values())
 
     measured_time = float("nan")
@@ -455,7 +397,7 @@ def autotune(
         measured_time=measured_time,
         measured_baseline_time=measured_baseline,
         ranks_per_host=ranks_per_host,
-        _compression_model=compression_model,
+        num_buckets=bucketer_for(gradient_bytes, threshold, compression_model).num_buckets,
     )
 
 
@@ -490,6 +432,23 @@ def tune_with_profile(
     )
 
 
+def resolve_ranks_per_host(backend: Optional[str], world_size: int):
+    """Ranks per host of the layout the ``hier`` backend resolves for
+    ``world_size`` (``REPRO_HOST_TOPOLOGY`` or its single-host default),
+    or ``None`` for a flat world.  A spec sized for another world size is
+    ignored, not raised: each world size gets the layout that applies."""
+    if backend != "hier":
+        return None
+    from repro.comm.hier_backend import resolve_topology
+
+    try:
+        topology = resolve_topology(None, world_size)
+    except ValueError:
+        return None
+    hosts = tuple(len(topology.ranks_on_host(h)) for h in range(topology.num_hosts))
+    return hosts if len(hosts) > 1 else None
+
+
 def resolve_auto_fusion(
     config: "TrainingConfig",
     num_parameters: int,
@@ -505,7 +464,9 @@ def resolve_auto_fusion(
     absent), the grid is searched at the job's gradient size, and a copy
     of the configuration with the concrete values is returned.  A knob
     the user pinned to a number is honoured: the search is restricted to
-    that value.
+    that value.  On a ``hier`` world that spans hosts the grid is scored
+    on that layout (:func:`resolve_ranks_per_host`) with the profile's
+    inter-host link, as the exchange will run it.
     """
     auto_threshold = config.fusion_threshold_bytes == "auto"
     auto_chunks = config.pipeline_chunks == "auto"
@@ -549,14 +510,14 @@ def resolve_auto_fusion(
         compression_model = profile.compression_model(
             get_codec(config.compression, **(config.compression_options or {}))
         )
-    plan = autotune(
-        profile.params,
-        config.world_size,
+    plan = tune_with_profile(
+        profile,
         gradient_bytes,
-        algorithm=config.allreduce_algorithm,
+        config.allreduce_algorithm,
         thresholds=thresholds,
         chunks=chunks,
         compression_model=compression_model,
+        ranks_per_host=resolve_ranks_per_host(profile.backend, config.world_size),
         sharding=getattr(config, "sharding", "none"),
     )
     return replace(

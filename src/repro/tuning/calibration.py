@@ -7,11 +7,11 @@ magnitude different from each other and from real interconnects.  This
 module measures the selected backend directly (``backend=`` on
 :func:`calibrate`, resolved through the
 :mod:`repro.comm.backend` registry) and fits the four model parameters so
-that
-:func:`~repro.simtime.collective_model.allreduce_time` /
-:func:`~repro.simtime.collective_model.fused_exchange_time` predict the
-*measured* latencies, making simtime predictions and thread-backend
-measurements comparable in absolute terms.
+that the LogGP walk of the plans that run
+(:func:`~repro.simtime.collective_model.allreduce_time` for one
+collective, :func:`repro.tuning.autotune.predict_exchange_time` for a
+bucketed exchange) predicts the *measured* latencies, making simtime
+predictions and backend measurements comparable in absolute terms.
 
 Measurement design
 ------------------
@@ -25,9 +25,10 @@ measurements):
 * **reduce** — local timing of the reduction operator over ``nbytes``
   arrays estimates ``nbytes * gamma``;
 * **allreduce** — full synchronous allreduces across message sizes; the
-  model expression of :func:`allreduce_time` is *linear* in the four
-  parameters (at ``n_chunks=1``), so each measurement contributes one
-  least-squares row and ``collective_overhead`` absorbs the fixed cost
+  walk :func:`allreduce_time` prices a ring plan along one critical path
+  whatever the parameters, so it is *linear* in the four of them and
+  each measurement contributes one least-squares row
+  (:func:`design_row`); ``collective_overhead`` absorbs the fixed cost
   the point-to-point benchmarks cannot see.
 
 The joint weighted least-squares fit (:func:`fit_loggp`) minimises
@@ -43,11 +44,10 @@ cannot describe both, so version-3 profiles carry ``link_params`` — the
 standard sweep (run under the backend's default single-host topology,
 i.e. pure shm) fits the ``"intra"`` class, and a second ping-pong sweep
 under :func:`cross_host_topology` (every pair straddling a simulated
-host boundary) fits the ``"inter"`` class.  The autotuner feeds both
-into the two-tier cost model
-(:func:`repro.simtime.collective_model.hierarchical_fused_exchange_time`)
-to pick per-tier fusion thresholds; single-tier backends expose the same
-parameters under both keys.
+host boundary) fits the ``"inter"`` class.  The autotuner prices the
+hierarchical plans with both — intra-host pairs at ``"intra"``, the
+leader ring at ``"inter"`` — to pick per-tier fusion thresholds;
+single-tier backends expose the same parameters under both keys.
 
 Profiles are JSON-serialisable and cached under a configurable directory
 (``REPRO_TUNING_CACHE_DIR`` or ``~/.cache/repro/tuning``), keyed by
@@ -159,9 +159,9 @@ _BASIS = (
 def design_row(sample: CalibrationSample) -> np.ndarray:
     """Coefficients of ``(alpha, beta, gamma, collective_overhead)`` for one sample.
 
-    The closed-form cost of every sample kind is linear in the four
-    parameters (allreduce only at ``n_chunks=1``), so the predicted time
-    of a sample is ``design_row(sample) @ params_vector``.
+    The cost of every sample kind is linear in the four parameters (an
+    allreduce sample is the walk of its one-chunk plan), so the
+    predicted time of a sample is ``design_row(sample) @ params_vector``.
     """
     if sample.kind == "pingpong":
         # One-way message: alpha + nbytes * beta.

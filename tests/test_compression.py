@@ -24,11 +24,10 @@ from repro.simtime.collective_model import (
     NO_COMPRESSION,
     CompressionModel,
     allreduce_time,
-    fused_exchange_time,
     solo_allreduce_latencies,
     synchronous_allreduce_latencies,
 )
-from repro.simtime.network import DEFAULT_NETWORK
+from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
 from repro.training.config import TrainingConfig
 
 ALL_CODECS = ["none", "fp16", "bf16", "int8", "topk"]
@@ -478,11 +477,17 @@ class TestCompressionModel:
         assert NO_COMPRESSION.is_identity
 
     def test_reduce_closed_scales_wire_bytes(self):
+        """A codec shrinks the bytes on the wire; the ring still combines
+        the dense float64 values, so gamma is charged on dense bytes."""
         nbytes = 4 << 20
         model = CompressionModel(name="fp16", wire_scale=0.25)
-        compressed = allreduce_time(nbytes, 8, "ring", compression=model)
-        quarter = allreduce_time(nbytes // 4, 8, "ring")
+        no_gamma = LogGPParams(gamma=0.0)
+        compressed = allreduce_time(nbytes, 8, "ring", no_gamma, compression=model)
+        quarter = allreduce_time(nbytes // 4, 8, "ring", no_gamma)
         assert compressed == pytest.approx(quarter)
+        assert allreduce_time(nbytes, 8, "ring", compression=model) > allreduce_time(
+            nbytes // 4, 8, "ring"
+        )
 
     def test_transform_overhead_is_charged(self):
         nbytes = 4 << 20
@@ -509,14 +514,22 @@ class TestCompressionModel:
             expected
         )
 
-    def test_fused_exchange_time_with_compression(self):
-        buckets = [1 << 20] * 4
+    def test_exchange_price_with_compression(self):
+        """The threshold budgets wire bytes: 4 MiB of float64 under fp16
+        is one 1 MiB wire bucket, priced as one compressed allreduce."""
+        from repro.tuning.autotune import predict_exchange_time
+
         model = CompressionModel(name="fp16", wire_scale=0.25)
-        compressed = fused_exchange_time(buckets, 8, "ring", compression=model)
-        scaled = fused_exchange_time([b * 0.25 for b in buckets], 8, "ring")
-        assert compressed == pytest.approx(scaled)
+        compressed = predict_exchange_time(
+            DEFAULT_NETWORK, 8, 4 << 20, "ring", 1 << 20, compression=model
+        )
+        assert compressed == pytest.approx(
+            allreduce_time(4 << 20, 8, "ring", compression=model)
+        )
         sparse = CompressionModel(name="topk", wire_scale=0.01, reduce_closed=False)
-        assert fused_exchange_time(buckets, 8, "ring", compression=sparse) > 0
+        assert predict_exchange_time(
+            DEFAULT_NETWORK, 8, 4 << 20, "ring", 1 << 20, compression=sparse
+        ) > 0
 
     def test_latency_functions_accept_compression(self):
         arrivals = [0.0, 0.001, 0.002, 0.003]
@@ -558,12 +571,12 @@ class TestAutotuneWithCompression:
         assert clone.num_buckets == plan.num_buckets
 
     def test_sparse_codec_collapses_buckets(self):
-        from repro.tuning.autotune import plan_bucket_bytes
+        from repro.tuning.autotune import bucketer_for
 
         model = CompressionModel(name="topk", wire_scale=0.01, reduce_closed=False)
-        dense = plan_bucket_bytes(4 << 20, 64 * 1024)
-        sparse = plan_bucket_bytes(4 << 20, 64 * 1024, model)
-        assert len(sparse) < len(dense)
+        dense = bucketer_for(4 << 20, 64 * 1024)
+        sparse = bucketer_for(4 << 20, 64 * 1024, model)
+        assert sparse.num_buckets < dense.num_buckets
 
 
 # ---------------------------------------------------------------------------

@@ -29,15 +29,18 @@ from repro.imbalance.injection import CloudNoiseDelay, RandomSubsetDelay, Rotati
 from repro.nn import LSTM, BatchNorm, Conv2D, Dense, LSTMCell
 from repro.nn.losses import SoftmaxCrossEntropyLoss
 from repro.nn.models.resnet import ResNetClassifier
+from repro.collectives.topology import HostTopology
 from repro.simtime.collective_model import (
+    CompressionModel,
     allreduce_time,
-    fused_exchange_time,
-    sharded_exchange_time,
+    collective_time,
     synchronous_allreduce_latencies,
 )
+from repro.simtime.network import DEFAULT_NETWORK
 from repro.simtime.skew import linear_skew
 from repro.simtime.training_model import StepTimeline, project_training_time
 from repro.theory.staleness import QuorumTracker
+from repro.tuning.autotune import predict_exchange_time
 from repro.comm.communicator import check_deadline
 
 
@@ -169,23 +172,51 @@ CASES = {
         lambda: allreduce_time(8, 2, n_chunks=0),
         "n_chunks must be >= 1, got 0",
     ),
-    "fused_exchange_time-buckets": (lambda: fused_exchange_time([], 2), "got []"),
-    "fused_exchange_time-size": (
-        lambda: fused_exchange_time([8], 0),
+    "collective_time-kind": (
+        lambda: collective_time("broadcast", "ring", 2, 8, 1, DEFAULT_NETWORK),
+        "unknown collective kind 'broadcast'",
+    ),
+    "collective_time-algorithm": (
+        lambda: collective_time("reduce_scatter", "doubling", 2, 8, 1, DEFAULT_NETWORK),
+        "unknown reduce_scatter algorithm 'doubling'",
+    ),
+    "collective_time-size": (
+        lambda: collective_time("allreduce", "ring", 0, 8, 1, DEFAULT_NETWORK),
         "size must be >= 1, got 0",
     ),
-    "fused_exchange_time-chunks": (
-        lambda: fused_exchange_time([8], 2, n_chunks=0),
+    "collective_time-length-negative": (
+        lambda: collective_time("allreduce", "ring", 2, -3, 1, DEFAULT_NETWORK),
+        "length must be a non-negative integer, got -3",
+    ),
+    "collective_time-length-fraction": (
+        lambda: collective_time("allgather", "ring", 2, 2.5, 1, DEFAULT_NETWORK),
+        "length must be a non-negative integer, got 2.5",
+    ),
+    "collective_time-chunks": (
+        lambda: collective_time("allreduce", "ring", 2, 8, 0, DEFAULT_NETWORK),
         "n_chunks must be >= 1, got 0",
     ),
-    "sharded_exchange_time-buckets": (lambda: sharded_exchange_time([], 2), "got []"),
-    "sharded_exchange_time-size": (
-        lambda: sharded_exchange_time([8], 0),
-        "size must be >= 1, got 0",
+    "collective_time-topology": (
+        lambda: collective_time(
+            "allreduce", "hierarchical", 2, 8, 1, DEFAULT_NETWORK,
+            HostTopology.from_hosts([2, 2]),
+        ),
+        "host topology covers 4 rank(s), expected 2",
     ),
-    "sharded_exchange_time-chunks": (
-        lambda: sharded_exchange_time([8], 2, n_chunks=0),
-        "n_chunks must be >= 1, got 0",
+    "allreduce_time-fraction": (
+        lambda: allreduce_time(8.5, 2),
+        "got 8.5",
+    ),
+    "predict_exchange_time-threshold": (
+        lambda: predict_exchange_time(DEFAULT_NETWORK, 2, 1024, fusion_threshold_bytes=0),
+        "got 1024 and 0",
+    ),
+    "predict_exchange_time-zero1-codec": (
+        lambda: predict_exchange_time(
+            DEFAULT_NETWORK, 2, 1024, sharding="zero1",
+            compression=CompressionModel(name="topk", wire_scale=0.1, reduce_closed=False),
+        ),
+        "got 'topk'",
     ),
     "arrivals-empty": (lambda: synchronous_allreduce_latencies([], 8), "got shape (0,)"),
     "arrivals-negative": (

@@ -26,7 +26,7 @@ from repro.collectives import sync as sync_mod
 from repro.collectives.partial import PartialAllreduce
 from repro.collectives.sync import allreduce_rabenseifner
 from repro.experiments import fusion_pipeline
-from repro.simtime.collective_model import allreduce_time, fused_exchange_time
+from repro.simtime.collective_model import allreduce_time
 from repro.simtime.network import LogGPParams
 from repro.training import GradientBucketer, PartialExchange, SynchronousExchange
 from repro.training.config import TrainingConfig
@@ -457,16 +457,16 @@ class TestSimtimeMirror:
         chunked = allreduce_time(n, 8, "ring", n_chunks=8)
         assert baseline / chunked >= 1.3
 
-    def test_fused_exchange_time_overlaps_phases(self):
+    def test_k_bucket_exchange_prices_as_the_sum_of_its_buckets(self):
+        """SynchronousExchange issues its buckets back to back, one
+        collective (and one collective_overhead) each: no overlap."""
+        from repro.tuning.autotune import predict_exchange_time
+
         n = 4 * 1024 * 1024
-        buckets = [n / 4] * 4
-        fused = fused_exchange_time(buckets, 8, "ring", n_chunks=8)
-        serial = sum(allreduce_time(b, 8, "ring", n_chunks=8) for b in buckets)
-        single = allreduce_time(n, 8, "ring", n_chunks=8)
-        # Pipelined buckets beat serial issue, and can't beat the
-        # physically required single-collective time by construction.
-        assert fused < serial
-        assert fused >= 0.5 * single
+        fused = predict_exchange_time(LogGPParams(), 8, n, "ring", n // 4, 8)
+        one_bucket = allreduce_time(n // 4, 8, "ring", n_chunks=8)
+        assert fused == pytest.approx(4 * one_bucket, rel=1e-12)
+        assert fused > allreduce_time(n, 8, "ring", n_chunks=8)
 
     def test_experiment_headline_meets_acceptance(self):
         result = fusion_pipeline.run(world_sizes=(8,), gradient_mb=4.0)

@@ -19,11 +19,9 @@ from repro.simtime import (
     solo_allreduce_latencies,
     synchronous_allreduce_latencies,
 )
-from repro.simtime.collective_model import (
-    fused_exchange_time,
-    hierarchical_fused_exchange_time,
-    quorum_allreduce_latencies,
-)
+from repro.collectives.topology import HostTopology
+from repro.simtime.collective_model import collective_time, quorum_allreduce_latencies
+from repro.tuning.autotune import predict_exchange_time
 
 
 class TestNetworkModel:
@@ -59,69 +57,80 @@ class TestNetworkModel:
 
 
 class TestTwoTierModel:
-    """The hierarchical (intra-host tree + leader-ring) latency model."""
+    """The hierarchical (intra-host tree + leader-ring) plans, priced per
+    link class: intra-host pairs at ``params``, inter-host at ``inter``."""
 
     SLOW_INTER = LogGPParams(
         alpha=100e-6, beta=20e-9, gamma=2e-9, collective_overhead=10e-6
     )
 
+    def hier(self, nbytes, hosts, inter=None, n_chunks=1, wire=None):
+        topology = HostTopology.from_hosts(hosts)
+        return collective_time(
+            "allreduce", "hierarchical", topology.world_size, nbytes, n_chunks,
+            DEFAULT_NETWORK, topology, inter or self.SLOW_INTER,
+            wire_bytes_per_element=wire,
+        )
+
     def test_single_host_degenerates_to_flat_ring(self):
         nbytes = 1024 * 1024
-        assert hierarchical_fused_exchange_time(
-            [nbytes], [8], DEFAULT_NETWORK, self.SLOW_INTER, n_chunks=2
-        ) == allreduce_time(nbytes, 8, "ring", DEFAULT_NETWORK, n_chunks=2)
-        buckets = [256 * 1024] * 4
-        assert hierarchical_fused_exchange_time(
-            buckets, [8], DEFAULT_NETWORK, self.SLOW_INTER, n_chunks=2
-        ) == fused_exchange_time(buckets, 8, "ring", DEFAULT_NETWORK, n_chunks=2)
+        assert self.hier(nbytes, [8], n_chunks=2) == allreduce_time(
+            nbytes, 8, "ring", DEFAULT_NETWORK, n_chunks=2
+        )
+        one_host = predict_exchange_time(
+            DEFAULT_NETWORK, 8, nbytes, "ring", 256 * 1024, 2,
+            ranks_per_host=[8], inter_params=self.SLOW_INTER,
+        )
+        assert one_host == predict_exchange_time(
+            DEFAULT_NETWORK, 8, nbytes, "ring", 256 * 1024, 2
+        )
 
     def test_grows_with_bytes_and_slower_inter_link(self):
-        fast = hierarchical_fused_exchange_time(
-            [64 * 1024], [4, 4], DEFAULT_NETWORK, DEFAULT_NETWORK
-        )
-        slow = hierarchical_fused_exchange_time(
-            [64 * 1024], [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
-        )
-        big = hierarchical_fused_exchange_time(
-            [4 * 1024 * 1024], [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
-        )
+        fast = self.hier(64 * 1024, [4, 4], inter=DEFAULT_NETWORK)
+        slow = self.hier(64 * 1024, [4, 4])
+        big = self.hier(4 * 1024 * 1024, [4, 4])
         assert 0 < fast < slow < big
 
     def test_hierarchy_beats_flat_ring_over_slow_links(self):
-        # Over a fabric where every hop pays the slow inter-host link, a
-        # flat 8-rank ring sends 2(P-1)/P of the data across it; the
-        # hierarchical schedule only crosses it on the 2-leader ring.
+        # A flat 8-rank ring over two hosts sends 2(P-1)/P of the data
+        # across the slow link; the hierarchical schedule only crosses it
+        # on the 2-leader ring.
         nbytes = 4 * 1024 * 1024
-        flat_over_slow = allreduce_time(nbytes, 8, "ring", self.SLOW_INTER)
-        hier = hierarchical_fused_exchange_time(
-            [nbytes], [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
+        topology = HostTopology.from_hosts([4, 4])
+        flat_over_two_hosts = collective_time(
+            "allreduce", "ring", 8, nbytes, 1, DEFAULT_NETWORK, topology,
+            self.SLOW_INTER,
         )
-        assert hier < flat_over_slow
+        assert self.hier(nbytes, [4, 4]) < flat_over_two_hosts
 
-    def test_inter_scale_shrinks_leader_ring_only(self):
-        buckets = [512 * 1024] * 4
-        full = hierarchical_fused_exchange_time(
-            buckets, [4, 4], DEFAULT_NETWORK, self.SLOW_INTER
-        )
-        compressed = hierarchical_fused_exchange_time(
-            buckets, [4, 4], DEFAULT_NETWORK, self.SLOW_INTER, inter_scale=0.25
-        )
+    def test_codec_wire_shrinks_leader_ring_only(self):
+        nbytes = 4 * 1024 * 1024
+        full = self.hier(nbytes, [4, 4])
+        compressed = self.hier(nbytes, [4, 4], wire=0.25)
         assert 0 < compressed < full
+        # The intra-host tiers stay dense: on one host the hierarchical
+        # reduce-scatter has no leader ring, so a codec changes nothing.
+        intra_only = collective_time(
+            "reduce_scatter", "hierarchical", 8, nbytes, 1, DEFAULT_NETWORK,
+            HostTopology.from_hosts([8]), self.SLOW_INTER, 1, 0.25,
+        )
+        assert intra_only == collective_time(
+            "reduce_scatter", "hierarchical", 8, nbytes, 1, DEFAULT_NETWORK,
+            HostTopology.from_hosts([8]), self.SLOW_INTER, 1,
+        )
 
     def test_non_uniform_hosts_accepted(self):
-        t = hierarchical_fused_exchange_time(
-            [1024 * 1024], (4, 2, 2), DEFAULT_NETWORK, self.SLOW_INTER
-        )
-        assert t > 0
+        assert self.hier(1024 * 1024, (4, 2, 2)) > 0
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
-            hierarchical_fused_exchange_time([1024], [], DEFAULT_NETWORK, self.SLOW_INTER)
+            HostTopology.from_hosts([])
         with pytest.raises(ValueError):
-            hierarchical_fused_exchange_time([1024], [2, 0], DEFAULT_NETWORK, self.SLOW_INTER)
-        with pytest.raises(ValueError):
-            hierarchical_fused_exchange_time(
-                [1024], [2, 2], DEFAULT_NETWORK, self.SLOW_INTER, inter_scale=0.0
+            HostTopology.from_hosts([2, 0])
+        with pytest.raises(ValueError, match="covers 4 rank"):
+            collective_time(
+                "allreduce", "hierarchical", 8, 1024, 1, DEFAULT_NETWORK,
+                HostTopology.from_hosts([2, 2]),
             )
 
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm import launch
-from repro.simtime.collective_model import allreduce_time, fused_exchange_time
+from repro.comm import available_backends, launch
+from repro.simtime.collective_model import allreduce_time, collective_time
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
 from repro.training import GradientBucketer
 from repro.training.bucketing import BucketSpec
@@ -76,17 +76,21 @@ class TestCostModelGuards:
         with pytest.raises(ValueError, match="non-negative"):
             allreduce_time(-1, 4)
 
-    def test_fused_exchange_time_rejects_bad_size_and_chunks(self):
+    def test_collective_time_rejects_bad_size_chunks_and_length(self):
         with pytest.raises(ValueError, match="size must be >= 1"):
-            fused_exchange_time([1024.0], 0)
+            collective_time("allreduce", "ring", 0, 128, 1, DEFAULT_NETWORK)
         with pytest.raises(ValueError, match="n_chunks must be >= 1"):
-            fused_exchange_time([1024.0], 4, n_chunks=0)
+            collective_time("allreduce", "ring", 4, 128, 0, DEFAULT_NETWORK)
         with pytest.raises(ValueError, match="non-negative"):
-            fused_exchange_time([1024.0, -4.0], 4)
+            collective_time("allreduce", "ring", 4, -4, 1, DEFAULT_NETWORK)
 
     def test_valid_calls_unchanged(self):
-        assert fused_exchange_time([1024.0], 1) == DEFAULT_NETWORK.collective_overhead
-        assert fused_exchange_time([0.0, 1024.0], 4) > 0
+        assert (
+            collective_time("allreduce", "ring", 1, 128, 1, DEFAULT_NETWORK)
+            == DEFAULT_NETWORK.collective_overhead
+        )
+        assert collective_time("allreduce", "ring", 4, 0, 1, DEFAULT_NETWORK) > 0
+        assert predict_exchange_time(DEFAULT_NETWORK, 4, 1024) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +567,43 @@ class TestAutoResolution:
         assert resolved.fusion_threshold_bytes == 128 * 1024
         assert isinstance(resolved.pipeline_chunks, int)
 
+    def test_hier_backend_tunes_for_its_host_layout(self, tmp_path, monkeypatch):
+        """On ``hier`` with a two-host REPRO_HOST_TOPOLOGY the exchange runs
+        the hierarchical plans, so the "auto" knobs are tuned on that
+        layout with the profile's inter-host link."""
+        if "hier" not in available_backends():
+            pytest.skip("hier backend unavailable")
+        from repro.tuning.calibration import QUICK_SIZES
+
+        # A cached profile covering the quick sweep: no live calibration.
+        samples = tuple(
+            CalibrationSample("allreduce", 4, nbytes, 1e-3, "ring") for nbytes in QUICK_SIZES
+        )
+        profile = _profile(
+            world_size=4, backend="hier", samples=samples,
+            link_params={"intra": LogGPParams(), "inter": SLOW_INTER},
+        )
+        profile.save(profile_path(4, backend="hier", cache_dir=tmp_path))
+        monkeypatch.setenv("REPRO_HOST_TOPOLOGY", "0,0,1,1")
+        config = TrainingConfig(
+            world_size=4,
+            comm_backend="hier",
+            fusion_threshold_bytes="auto",
+            pipeline_chunks="auto",
+            allreduce_algorithm="ring",
+            tuning_cache_dir=str(tmp_path),
+        )
+        num_parameters = 1 << 18
+        resolved = resolve_auto_fusion(config, num_parameters=num_parameters)
+        expected = autotune(
+            LogGPParams(), 4, num_parameters * 8, "ring",
+            ranks_per_host=(2, 2), inter_params=SLOW_INTER,
+        )
+        picked = (resolved.fusion_threshold_bytes, resolved.pipeline_chunks)
+        assert picked == (expected.fusion_threshold_bytes, expected.pipeline_chunks)
+        flat = autotune(LogGPParams(), 4, num_parameters * 8, "ring")
+        assert picked != (flat.fusion_threshold_bytes, flat.pipeline_chunks)
+
     def test_world_of_one_resolves_to_inert_values(self):
         config = TrainingConfig(
             world_size=1, fusion_threshold_bytes="auto", pipeline_chunks="auto"
@@ -621,6 +662,24 @@ class TestTuneHarness:
             harness.run(world_sizes=(1,), cache_dir=tmp_path)
         with pytest.raises(ValueError):
             harness.run(world_sizes=(2,), gradient_mb=0.0, cache_dir=tmp_path)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_quick_calibration_per_backend(backend, tmp_path):
+    """``tune --quick`` on every backend, in one test: a P = 2 profile
+    cached under the backend's name, both link classes on ``hier``,
+    measured codec costs, and a pick never priced above the default."""
+    profile = calibrate(2, backend=backend, quick=True, cache_dir=tmp_path)
+    assert profile.backend == backend
+    assert load_profile(2, backend=backend, cache_dir=tmp_path) == profile
+    profile.params.validate()
+    if backend == "hier":
+        assert set(profile.link_params) == {"intra", "inter"}
+        for link_class in ("intra", "inter"):
+            profile.link(link_class).validate()
+    assert profile.codec_costs and "fp16" in profile.codec_costs
+    plan = tune_with_profile(profile, 4 * 1024 * 1024)
+    assert plan.predicted_time <= plan.baseline_time
 
 
 class TestCodecCostCalibration:
