@@ -6,7 +6,7 @@ Two measurements:
   per *disabled* instrumentation site (no recorder bound), which is the
   cost every hot path pays when tracing is off;
 * **end-to-end gate** — the ``DistributedSGD`` step that
-  ``python -m repro trace`` traces, timed in alternating untraced/traced
+  ``python -m repro train`` traces, timed in alternating untraced/traced
   step blocks *inside one launch* (barrier before each block).  Each
   adjacent (untraced, traced) block pair yields one paired difference;
   the overhead estimate is the **median paired difference** over all

@@ -11,16 +11,23 @@ Examples
     python -m repro fig13 --scale small
     python -m repro scaling
     python -m repro table1 --scale paper
+    python -m repro train --mode quorum --quorum 3 --trace trace.json
 
-Each sub-command runs the corresponding harness from
-:mod:`repro.experiments` and prints its paper-vs-reproduction report.
+Each sub-command is a :class:`Command` row of :data:`COMMANDS`; ``train``
+and ``serve`` take their flags from their config dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import inspect
+import json
+import math
 import sys
-from typing import Callable, Dict, List, Optional
+import typing
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.experiments import (
     autotune as autotune_experiment,
@@ -34,43 +41,47 @@ from repro.experiments import (
     table1_networks,
 )
 from repro.experiments.training_experiments import report_figure, run_figure
-
-#: Description of every sub-command, shown by ``python -m repro list``.
-EXPERIMENTS: Dict[str, str] = {
-    "fig2": "UCF101 video-length and LSTM batch-runtime distributions",
-    "fig3": "Transformer/WMT batch-runtime distribution",
-    "fig4": "cloud ResNet-50 batch-runtime distribution",
-    "table1": "evaluated networks (parameter counts, dataset sizes)",
-    "fig9": "partial allreduce latency microbenchmark + NAP",
-    "fig10": "hyperplane regression: synch-SGD vs eager-SGD (solo)",
-    "fig11": "ResNet/ImageNet-like: Deep500/Horovod vs eager-SGD (solo)",
-    "fig12": "ResNet/CIFAR-like under severe imbalance: Horovod/solo/majority",
-    "fig13": "LSTM/UCF101-like video classification: Horovod/solo/majority",
-    "speedups": "paper fidelity: every claim of the paper, its value and ours, "
-    "inside tolerance or not (trains fig10-fig13 once)",
-    "scaling": "strong/weak scaling projections",
-    "fusion": "fused/chunked gradient-exchange pipeline vs. unfused baseline",
-    "tune": "calibrate the LogGP model to a comm backend and auto-tune fusion",
-    "serve": "online inference tier: dynamic batching + replica routing + "
-    "live weight hot-swap (serve-while-train on any backend)",
-    "trace": "flight-recorder a small training run and export a Perfetto "
-    "(Chrome trace-event) JSON timeline with per-rank tracks",
-    "verify": "statically verify collective schedules, tags and the shm ring",
-    "lint": "repo-specific AST lint (tag discipline, shm cleanup, framing)",
-}
+from repro.obs.recorder import DEFAULT_CAPACITY
+from repro.obs.tracecmd import PRESET, format_summary, run_trace
+from repro.serving import ServingConfig, Workload, serve
+from repro.serving.server import format_report
 
 
-def _add_backend_argument(p: argparse.ArgumentParser, help_text: str) -> None:
-    """Add the shared ``--backend`` option to a sub-command parser."""
-    from repro.comm.backend import available_backends
+class Command(NamedTuple):
+    """One sub-command: ``add_args(parser)`` declares its flags and
+    ``run(args, parser)`` runs it, returning the exit code (``None`` = 0)."""
 
-    p.add_argument(
-        "--backend",
-        choices=list(available_backends()),
-        default=None,
-        help=f"{help_text} (default: the process-wide default backend, "
-        "'thread' unless REPRO_COMM_BACKEND overrides it)",
-    )
+    name: str
+    help: str
+    add_args: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace, argparse.ArgumentParser], Optional[int]]
+
+
+def _bounded(convert: Callable[[str], Any], ok: Callable[[Any], bool], what: str):
+    """An argparse ``type``: ``convert(value)`` when ``ok`` accepts it,
+    otherwise a usage error (exit 2) naming ``value``."""
+
+    def parse(value: str) -> Any:
+        with contextlib.suppress(ValueError):
+            if ok(converted := convert(value)):
+                return converted
+        raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
+
+    return parse
+
+
+def _int_at_least(k: int):
+    return _bounded(int, lambda n: n >= k, f"an integer >= {k}")
+
+
+_positive_float = _bounded(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_int_or_auto = _bounded(lambda v: v if v == "auto" else int(v),
+                        lambda v: v == "auto" or v >= 1, "an integer >= 1 or 'auto'")
+
+
+def _comma_list(item: Callable[[str], Any]):
+    """An argparse ``type``: a comma-separated list of ``item`` values."""
+    return lambda value: [item(part) for part in value.split(",")]
 
 
 def _codec_spec(value: str) -> str:
@@ -82,6 +93,20 @@ def _codec_spec(value: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
+
+
+def _add_backend_argument(p: argparse.ArgumentParser, help_text: str, dest: str = "backend"):
+    """Add the shared ``--backend`` option to a sub-command parser."""
+    from repro.comm.backend import available_backends
+
+    p.add_argument(
+        "--backend",
+        dest=dest,
+        choices=list(available_backends()),
+        default=None,
+        help=f"{help_text} (default: the process-wide default backend, "
+        "'thread' unless REPRO_COMM_BACKEND overrides it)",
+    )
 
 
 def _add_compression_argument(p: argparse.ArgumentParser, help_text: str) -> None:
@@ -99,92 +124,197 @@ def _add_compression_argument(p: argparse.ArgumentParser, help_text: str) -> Non
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of eager-SGD with partial collective operations "
-        "(Li et al., PPoPP 2020).",
+def _scalar_fields(cls: type) -> Dict[str, Any]:
+    """``{field name: argparse type}`` of the dataclass ``cls``'s scalar
+    fields; an object-valued field gets no flag."""
+    hints, scalars = typing.get_type_hints(cls), {}
+    for field in dataclasses.fields(cls):
+        members = set(typing.get_args(hints[field.name])) - {type(None)}
+        if members == {int, str}:
+            scalars[field.name] = _int_or_auto
+            continue
+        kind = members.pop() if len(members) == 1 else hints[field.name]
+        if kind in (bool, int, float, str):
+            scalars[field.name] = kind
+    return scalars
+
+
+def config_arguments(parser: argparse.ArgumentParser, defaults: Any) -> None:
+    """Add one ``--field-name`` flag per scalar field of the dataclass
+    instance ``defaults``, defaulting to its value: ``--x`` / ``--no-x``
+    for a ``bool``, ``X`` for ``Optional[X]``, an integer >= 1 or ``auto``
+    for ``int``-or-``str``, and the shared ``--backend`` for
+    ``comm_backend``.  The class docstring documents the fields."""
+    cls = type(defaults)
+    parser.formatter_class = argparse.RawDescriptionHelpFormatter
+    parser.description = "\n\n".join(
+        filter(None, (parser.description, inspect.cleandoc(cls.__doc__)))
     )
-    sub = parser.add_subparsers(dest="command")
+    for name, kind in _scalar_fields(cls).items():
+        flag = "--" + name.replace("_", "-")
+        default = getattr(defaults, name)
+        if name == "comm_backend":
+            _add_backend_argument(parser, "comm backend carrying the ranks", dest=name)
+        elif kind is bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=default)
+        else:
+            parser.add_argument(flag, type=kind, default=default, help="default: %(default)s")
 
-    sub.add_parser("list", help="list the available experiments")
 
-    p = sub.add_parser("fig2", help=EXPERIMENTS["fig2"])
+def config_from_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, defaults: Any
+) -> Any:
+    """Inverse of :func:`config_arguments`: ``defaults`` with every flag's
+    value, validated (a ``ValueError`` is a usage error, exit 2)."""
+    config = dataclasses.replace(
+        defaults, **{name: getattr(args, name) for name in _scalar_fields(type(defaults))}
+    )
+    try:
+        config.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return config
+
+
+def _list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    width = max(len(command.name) for command in COMMANDS)
+    print("available experiments:")
+    for command in COMMANDS:
+        print(f"  {command.name.ljust(width)}  {command.help}")
+
+
+def _report(harness: Any) -> Callable[[argparse.Namespace, argparse.ArgumentParser], None]:
+    """``run`` of a row whose flags are the keywords of ``harness.run``:
+    print ``harness.report`` of the run."""
+
+    def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+        keywords = {k: v for k, v in vars(args).items() if k != "command"}
+        print(harness.report(harness.run(**keywords)))
+
+    return run
+
+
+def _fig2_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--num-videos", type=int, default=9_537)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("fig3", help=EXPERIMENTS["fig3"])
+
+def _fig3_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--num-sentences", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("fig4", help=EXPERIMENTS["fig4"])
+
+def _fig4_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--num-batches", type=int, default=30_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("table1", help=EXPERIMENTS["table1"])
-    p.add_argument("--scale", choices=["small", "paper"], default="small")
 
-    p = sub.add_parser("fig9", help=EXPERIMENTS["fig9"])
+def _fig9_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--world-size", type=int, default=32)
     p.add_argument("--iterations", type=int, default=64)
     p.add_argument("--skew-ms", type=float, default=1.0)
-    p.add_argument(
-        "--functional",
-        action="store_true",
-        help="also measure the real collectives at reduced scale",
-    )
+    p.add_argument("--functional", action="store_true",
+                   help="also measure the real collectives at reduced scale")
     _add_backend_argument(p, "comm backend of the functional measurements")
     _add_compression_argument(p, "gradient codec carried by the collectives")
 
-    for name, spec in speedups.FIGURES.items():
-        p = sub.add_parser(name, help=EXPERIMENTS[name])
+
+def _fig9(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    result = fig9_microbenchmark.run(
+        world_size=args.world_size,
+        iterations=args.iterations,
+        skew_step_ms=args.skew_ms,
+        compression=args.compression,
+    )
+    if args.functional or args.backend is not None:
+        # An explicit --backend implies the caller wants the real
+        # transport exercised, not just the analytic model rows.
+        result.functional_rows = fig9_microbenchmark.run_functional(
+            backend=args.backend, compression=args.compression
+        )
+    print(fig9_microbenchmark.report(result))
+
+
+def _figure_row(name: str, help_text: str) -> Command:
+    """The row of one training figure of :data:`speedups.FIGURES`."""
+    spec = speedups.FIGURES[name]
+
+    def add_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scale", choices=tuple(spec.scales), default="tiny")
         p.add_argument("--seed", type=int, default=0)
         _add_backend_argument(p, "comm backend carrying the training ranks")
         _add_compression_argument(p, "gradient codec of the exchange")
 
-    p = sub.add_parser("speedups", help=EXPERIMENTS["speedups"])
+    def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+        print(report_figure(run_figure(
+            spec, scale=args.scale, seed=args.seed,
+            comm_backend=args.backend, compression=args.compression)))
+
+    return Command(name, help_text, add_args, run)
+
+
+def _speedups_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", choices=speedups.SHARED_SCALES, default="tiny")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("scaling", help=EXPERIMENTS["scaling"])
+
+def _scaling_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("fusion", help=EXPERIMENTS["fusion"])
-    p.add_argument(
-        "--world-sizes", type=str, default="4,8,16,32",
-        help="comma-separated world sizes for the analytic comparison",
-    )
-    p.add_argument("--gradient-mb", type=float, default=4.0,
+
+def _scaling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    print(scaling.report(scaling.run(steps=args.steps, seed=args.seed)))
+    print()
+    print(scaling.report(scaling.run_with_inherent_imbalance(steps=args.steps, seed=args.seed)))
+
+
+def _fusion_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--world-sizes", type=_comma_list(_int_at_least(1)), default="4,8,16,32",
+                   help="comma-separated world sizes for the analytic comparison")
+    p.add_argument("--gradient-mb", type=_positive_float, default=4.0,
                    help="simulated gradient size in MB")
-    p.add_argument("--bucket-mb", type=str, default="1,4",
+    p.add_argument("--bucket-mb", type=_comma_list(_positive_float), default="1,4",
                    help="comma-separated fusion-buffer sizes in MB")
-    p.add_argument("--pipeline-chunks", type=int, default=8,
+    p.add_argument("--pipeline-chunks", type=_int_at_least(1), default=8,
                    help="segments per collective round (chunk pipelining)")
-    p.add_argument(
-        "--functional", action="store_true",
-        help="also run the real exchange at reduced scale",
-    )
-    p.add_argument(
-        "--functional-world-size", type=int, default=4,
-        help="world size of the functional (real-transport) validation",
-    )
-    p.add_argument(
-        "--sharding", default="none", choices=["none", "zero1"],
-        help="add a ZeRO-1 sharded-exchange functional row (reduce-scatter, "
-        "shard-local update, parameter allgather)",
-    )
+    p.add_argument("--functional", action="store_true",
+                   help="also run the real exchange at reduced scale")
+    p.add_argument("--functional-world-size", type=_int_at_least(1), default=4,
+                   help="world size of the functional (real-transport) validation")
+    p.add_argument("--sharding", default="none", choices=["none", "zero1"],
+                   help="add a ZeRO-1 sharded-exchange functional row (reduce-scatter, "
+                   "shard-local update, parameter allgather)")
     _add_backend_argument(p, "comm backend of the functional exchange rows")
     _add_compression_argument(p, "gradient codec of the fused exchange")
 
-    p = sub.add_parser("tune", help=EXPERIMENTS["tune"])
-    p.add_argument(
-        "--world-sizes", type=str, default="2,4,8",
-        help="comma-separated world sizes to calibrate (each >= 2)",
+
+def _fusion(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    result = fusion_pipeline.run(
+        world_sizes=args.world_sizes,
+        gradient_mb=args.gradient_mb,
+        bucket_mb=args.bucket_mb,
+        n_chunks=args.pipeline_chunks,
+        compression=args.compression,
     )
-    p.add_argument("--gradient-mb", type=float, default=4.0,
+    if args.functional or args.backend is not None:
+        # An explicit --backend implies the caller wants the real
+        # transport exercised, not just the analytic model rows.
+        result.functional_rows = fusion_pipeline.run_functional(
+            world_size=args.functional_world_size,
+            n_chunks=args.pipeline_chunks,
+            backend=args.backend,
+            compression=args.compression,
+            sharding=args.sharding,
+        )
+    print(fusion_pipeline.report(result))
+
+
+def _tune_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--world-sizes", type=_comma_list(_int_at_least(2)), default="2,4,8",
+                   help="comma-separated world sizes to calibrate (each >= 2)")
+    p.add_argument("--gradient-mb", type=_positive_float, default=4.0,
                    help="gradient size the fusion grid is tuned for, in MB")
     p.add_argument("--algorithm", default="ring",
                    choices=["ring", "recursive_doubling", "rabenseifner"],
@@ -196,38 +326,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", type=str, default=None,
                    help="profile-cache directory (default: $REPRO_TUNING_CACHE_DIR "
                    "or ~/.cache/repro/tuning)")
-    p.add_argument("--live-trials", type=int, default=0,
+    p.add_argument("--live-trials", type=_int_at_least(0), default=0,
                    help="cross-check this many best grid candidates with live "
                    "exchanges on the calibrated backend")
     _add_backend_argument(p, "comm backend the calibration sweep measures")
     _add_compression_argument(p, "gradient codec the fusion grid is tuned for")
 
-    p = sub.add_parser("serve", help=EXPERIMENTS["serve"])
-    p.add_argument("--replicas", type=int, default=2,
-                   help="number of model-replica ranks")
-    p.add_argument("--train-ranks", type=int, default=1,
-                   help="training ranks co-scheduled on the fabric "
-                   "(0 = serve-only, weights stay at version 0)")
-    p.add_argument("--requests", type=int, default=64,
-                   help="total closed-loop requests the workload offers")
-    p.add_argument("--clients", type=int, default=4,
-                   help="concurrent closed-loop client threads")
-    p.add_argument("--max-batch-size", type=int, default=8,
-                   help="dynamic-batching size bound")
-    p.add_argument("--max-queue-delay-ms", type=float, default=5.0,
-                   help="dynamic-batching latency bound (SLO knob)")
-    p.add_argument("--max-queue-depth", type=int, default=256,
-                   help="admission-control queue bound (backpressure beyond it)")
-    p.add_argument("--max-staleness", type=int, default=None,
-                   help="refuse to serve when more than K versions behind "
-                   "(default: serve at any staleness)")
-    p.add_argument("--train-steps", type=int, default=50,
-                   help="steps each trainer runs before leaving the world")
-    p.add_argument("--publish-every", type=int, default=5,
-                   help="hot-swap publish period in trainer steps")
-    p.add_argument("--input-dim", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=300.0,
+
+#: What ``serve`` runs unless its flags say otherwise: one co-scheduled
+#: trainer, so the served version advances mid-run.
+SERVE_DEFAULTS = (ServingConfig(train_ranks=1), Workload())
+
+
+def _serve_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--timeout", type=_positive_float, default=300.0,
                    help="whole-world timeout in seconds")
     p.add_argument("--json", action="store_true",
                    help="print the full report as JSON instead of the table")
@@ -237,36 +349,56 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert-version-advance", action="store_true",
                    help="exit non-zero unless the served model version "
                    "advanced beyond 0 mid-run (CI smoke gate)")
-    _add_backend_argument(p, "comm backend hosting trainers, replicas and frontend")
+    for defaults in SERVE_DEFAULTS:
+        config_arguments(p, defaults)
 
-    p = sub.add_parser("trace", help=EXPERIMENTS["trace"])
-    p.add_argument("--world-size", type=int, default=4,
-                   help="training ranks of the traced run")
-    p.add_argument("--steps", type=int, default=8,
-                   help="traced training steps per rank")
-    p.add_argument("--mode", default="sync",
-                   choices=["sync", "solo", "majority", "quorum"],
-                   help="gradient-exchange mode of the traced run")
-    p.add_argument("--fusion-buckets", type=int, default=2,
-                   help="fusion buckets of the traced exchange")
-    p.add_argument("--sharding", default="none", choices=["none", "zero1"],
-                   help="optimizer-state sharding of the traced exchange "
-                   "(zero1 = reduce-scatter/allgather update path)")
-    p.add_argument("--capacity", type=int, default=None,
-                   help="flight-recorder ring capacity in events "
-                   "(default: 65536; overflow drops oldest)")
-    p.add_argument("--out", type=str, default="trace.json",
-                   help="output path of the Chrome trace-event JSON")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=300.0,
+
+def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    config, workload = (config_from_args(args, parser, d) for d in SERVE_DEFAULTS)
+    report = serve(config, workload, timeout=args.timeout)
+    print(json.dumps(report.to_dict(), indent=2) if args.json
+          else format_report(report))
+    failures = []
+    p99, versions = report.p99_s, report.versions_served
+    if args.assert_p99_s is not None and (p99 is None or p99 > args.assert_p99_s):
+        failures.append(f"p99 latency {p99} s exceeds bound {args.assert_p99_s} s")
+    if args.assert_version_advance and not (versions and versions[-1] > 0):
+        failures.append(f"served versions {versions} never advanced beyond the seed weights")
+    ci_mode = args.assert_p99_s is not None or args.assert_version_advance
+    if ci_mode and report.completed_requests < workload.num_requests:
+        failures.append(
+            f"only {report.completed_requests}/{workload.num_requests} requests completed"
+        )
+    for failure in failures:
+        print(f"ASSERTION FAILED: {failure}")
+    return 0 if not failures else 1
+
+
+def _train_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--steps", type=_int_at_least(1), default=8,
+                   help="training steps per rank (one epoch of exactly this many)")
+    p.add_argument("--trace", metavar="PATH", default=None,
+                   help="write the run's Chrome trace-event JSON (Perfetto) here")
+    p.add_argument("--capacity", type=_int_at_least(1), default=DEFAULT_CAPACITY,
+                   help="flight-recorder ring capacity in events per rank "
+                   "(overflow drops oldest; default: %(default)s)")
+    p.add_argument("--timeout", type=_positive_float, default=300.0,
                    help="whole-world timeout in seconds")
-    _add_backend_argument(p, "comm backend carrying the traced ranks")
+    config_arguments(p, PRESET)
 
-    p = sub.add_parser("verify", help=EXPERIMENTS["verify"])
-    p.add_argument(
-        "--world-sizes", type=str, default="2,3,4,5,7,8,16,64",
-        help="comma-separated world sizes of the schedule sweep",
+
+def _train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    report = run_trace(
+        config_from_args(args, parser, PRESET), steps=args.steps,
+        capacity=args.capacity, out=args.trace, timeout=args.timeout,
     )
+    print(format_summary(report, args.trace))
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--world-sizes", type=_comma_list(_int_at_least(2)),
+                   default="2,3,4,5,7,8,16,64",
+                   help="comma-separated world sizes of the schedule sweep")
     p.add_argument("--no-exchange", action="store_true",
                    help="skip the fused SynchronousExchange plan cases")
     p.add_argument("--no-ring-model", action="store_true",
@@ -276,240 +408,96 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--quiet", action="store_true",
                    help="print violations only, not the per-case table")
 
-    p = sub.add_parser("lint", help=EXPERIMENTS["lint"])
-    p.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
+
+def _verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.analysis import schedule_verifier
+
+    report = schedule_verifier.verify(
+        world_sizes=args.world_sizes,
+        include_exchange=not args.no_exchange,
+        include_ring_model=not args.no_ring_model,
+        include_self_test=not args.no_self_test,
+        progress=None if args.quiet else print,
     )
-    return parser
+    if args.quiet:
+        for violation in report.violations:
+            print(violation)
+        passed = sum(1 for r in report.results if r.ok)
+        print(f"verified {len(report.results)} case(s): {passed} passed, "
+              f"{len(report.results) - passed} failed")
+    else:
+        print(report.summary())
+    return 0 if report.ok else 1
 
 
-def _parse_int_list(
-    parser: argparse.ArgumentParser, option: str, value: str, min_value: int
-) -> List[int]:
-    """Parse a comma-separated integer option, enforcing a lower bound."""
-    try:
-        items = [int(s) for s in value.split(",") if s.strip()]
-    except ValueError:
-        parser.error(f"{option} must be comma-separated integers, got {value!r}")
-    if not items:
-        parser.error(f"{option} must not be empty")
-    if any(i < min_value for i in items):
-        parser.error(f"{option} entries must be >= {min_value}")
-    return items
+def _lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.analysis.lint import lint_paths
+
+    findings = lint_paths(args.paths)
+    for finding in findings:
+        print(finding)
+    print(f"linted {', '.join(args.paths)}: {len(findings)} finding(s)")
+    return 0 if not findings else 1
+
+
+#: Every sub-command, in ``python -m repro list`` order.
+COMMANDS: List[Command] = [
+    Command("list", "list the available sub-commands", lambda p: None, _list),
+    Command("fig2", "UCF101 video-length and LSTM batch-runtime distributions",
+            _fig2_args, _report(fig2_workload)),
+    Command("fig3", "Transformer/WMT batch-runtime distribution",
+            _fig3_args, _report(fig3_wmt_runtime)),
+    Command("fig4", "cloud ResNet-50 batch-runtime distribution",
+            _fig4_args, _report(fig4_cloud_runtime)),
+    Command("table1", "evaluated networks (parameter counts, dataset sizes)",
+            lambda p: p.add_argument("--scale", choices=["small", "paper"], default="small"),
+            _report(table1_networks)),
+    Command("fig9", "partial allreduce latency microbenchmark + NAP", _fig9_args, _fig9),
+    _figure_row("fig10", "hyperplane regression: synch-SGD vs eager-SGD (solo)"),
+    _figure_row("fig11", "ResNet/ImageNet-like: Deep500/Horovod vs eager-SGD (solo)"),
+    _figure_row("fig12", "ResNet/CIFAR-like under severe imbalance: Horovod/solo/majority"),
+    _figure_row("fig13", "LSTM/UCF101-like video classification: Horovod/solo/majority"),
+    Command("speedups", "paper fidelity: every claim of the paper, its value and "
+            "ours, inside tolerance or not (trains fig10-fig13 once)",
+            _speedups_args, _report(speedups)),
+    Command("scaling", "strong/weak scaling projections", _scaling_args, _scaling),
+    Command("fusion", "fused/chunked gradient-exchange pipeline vs. unfused baseline",
+            _fusion_args, _fusion),
+    Command("tune", "calibrate the LogGP model to a comm backend and auto-tune fusion",
+            _tune_args, _report(autotune_experiment)),
+    Command("serve", "online inference tier: dynamic batching + replica routing + "
+            "live weight hot-swap (serve-while-train on any backend)",
+            _serve_args, _serve),
+    Command("train", "train the hyperplane MLP, one flag per TrainingConfig field; "
+            "--trace PATH writes its Perfetto (Chrome trace-event) timeline",
+            _train_args, _train),
+    Command("verify", "statically verify collective schedules, tags and the shm ring",
+            _verify_args, _verify),
+    Command("lint", "repo-specific AST lint (tag discipline, shm cleanup, framing)",
+            lambda p: p.add_argument("paths", nargs="*", default=["src"],
+                                     help="files or directories to lint (default: src)"),
+            _lint),
+]
+
+#: Description of every sub-command, shown by ``python -m repro list``.
+EXPERIMENTS: Dict[str, str] = {command.name: command.help for command in COMMANDS}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point used by ``python -m repro`` (returns an exit code)."""
-    parser = _build_parser()
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of eager-SGD with partial collective operations "
+        "(Li et al., PPoPP 2020).",
+    )
+    sub = parser.add_subparsers(dest="command")
+    parsers = {}
+    for command in COMMANDS:
+        parsers[command.name] = sub.add_parser(command.name, help=command.help)
+        command.add_args(parsers[command.name])
     args = parser.parse_args(argv)
-    if args.command in (None, "list"):
-        width = max(len(k) for k in EXPERIMENTS)
-        print("available experiments:")
-        for name, description in EXPERIMENTS.items():
-            print(f"  {name.ljust(width)}  {description}")
-        return 0
-
-    if args.command == "fig2":
-        result = fig2_workload.run(
-            num_videos=args.num_videos, batch_size=args.batch_size, seed=args.seed
-        )
-        print(fig2_workload.report(result))
-    elif args.command == "fig3":
-        print(fig3_wmt_runtime.report(
-            fig3_wmt_runtime.run(num_sentences=args.num_sentences, seed=args.seed)))
-    elif args.command == "fig4":
-        print(fig4_cloud_runtime.report(
-            fig4_cloud_runtime.run(num_batches=args.num_batches, seed=args.seed)))
-    elif args.command == "table1":
-        print(table1_networks.report(table1_networks.run(scale=args.scale)))
-    elif args.command == "fig9":
-        result = fig9_microbenchmark.run(
-            world_size=args.world_size,
-            iterations=args.iterations,
-            skew_step_ms=args.skew_ms,
-            compression=args.compression,
-        )
-        if args.functional or args.backend is not None:
-            # An explicit --backend implies the caller wants the real
-            # transport exercised, not just the analytic model rows.
-            result.functional_rows = fig9_microbenchmark.run_functional(
-                backend=args.backend, compression=args.compression
-            )
-        print(fig9_microbenchmark.report(result))
-    elif args.command in speedups.FIGURES:
-        print(report_figure(run_figure(
-            speedups.FIGURES[args.command], scale=args.scale, seed=args.seed,
-            comm_backend=args.backend, compression=args.compression)))
-    elif args.command == "speedups":
-        print(speedups.report(speedups.run(scale=args.scale, seed=args.seed)))
-    elif args.command == "scaling":
-        print(scaling.report(scaling.run(steps=args.steps, seed=args.seed)))
-        print()
-        print(scaling.report(scaling.run_with_inherent_imbalance(steps=args.steps, seed=args.seed)))
-    elif args.command == "fusion":
-        world_sizes = _parse_int_list(parser, "--world-sizes", args.world_sizes, 1)
-        try:
-            bucket_mb = [float(s) for s in args.bucket_mb.split(",") if s.strip()]
-        except ValueError:
-            parser.error(
-                f"--bucket-mb must be comma-separated numbers, got {args.bucket_mb!r}"
-            )
-        if not bucket_mb or any(b <= 0 for b in bucket_mb):
-            parser.error("--bucket-mb entries must be > 0 and not empty")
-        if args.gradient_mb <= 0:
-            parser.error("--gradient-mb must be > 0")
-        if args.pipeline_chunks < 1:
-            parser.error("--pipeline-chunks must be >= 1")
-        if args.functional_world_size < 1:
-            parser.error("--functional-world-size must be >= 1")
-        result = fusion_pipeline.run(
-            world_sizes=world_sizes,
-            gradient_mb=args.gradient_mb,
-            bucket_mb=bucket_mb,
-            n_chunks=args.pipeline_chunks,
-            compression=args.compression,
-        )
-        if args.functional or args.backend is not None:
-            # An explicit --backend implies the caller wants the real
-            # transport exercised, not just the analytic model rows.
-            result.functional_rows = fusion_pipeline.run_functional(
-                world_size=args.functional_world_size,
-                n_chunks=args.pipeline_chunks,
-                backend=args.backend,
-                compression=args.compression,
-                sharding=args.sharding,
-            )
-        print(fusion_pipeline.report(result))
-    elif args.command == "tune":
-        world_sizes = _parse_int_list(parser, "--world-sizes", args.world_sizes, 2)
-        if args.gradient_mb <= 0:
-            parser.error("--gradient-mb must be > 0")
-        if args.live_trials < 0:
-            parser.error("--live-trials must be >= 0")
-        result = autotune_experiment.run(
-            world_sizes=world_sizes,
-            gradient_mb=args.gradient_mb,
-            algorithm=args.algorithm,
-            quick=args.quick,
-            cache_dir=args.cache_dir,
-            force=args.force,
-            live_trials=args.live_trials,
-            backend=args.backend,
-            compression=args.compression,
-        )
-        print(autotune_experiment.report(result))
-    elif args.command == "serve":
-        import json
-
-        from repro.serving import ServingConfig, Workload, serve
-        from repro.serving.server import format_report
-
-        if args.max_queue_delay_ms < 0:
-            parser.error("--max-queue-delay-ms must be >= 0")
-        config = ServingConfig(
-            replicas=args.replicas,
-            train_ranks=args.train_ranks,
-            comm_backend=args.backend,
-            max_batch_size=args.max_batch_size,
-            max_queue_delay_s=args.max_queue_delay_ms / 1e3,
-            max_queue_depth=args.max_queue_depth,
-            max_staleness_versions=args.max_staleness,
-            train_steps=args.train_steps,
-            publish_every_steps=args.publish_every,
-            input_dim=args.input_dim,
-            seed=args.seed,
-        )
-        try:
-            config.validate()
-        except ValueError as exc:
-            parser.error(str(exc))
-        report = serve(
-            config,
-            Workload(num_requests=args.requests, clients=args.clients),
-            timeout=args.timeout,
-        )
-        print(json.dumps(report.to_dict(), indent=2) if args.json
-              else format_report(report))
-        failures = []
-        if args.assert_p99_s is not None:
-            p99 = report.p99_s
-            if p99 is None or p99 > args.assert_p99_s:
-                failures.append(
-                    f"p99 latency {p99} s exceeds bound {args.assert_p99_s} s"
-                )
-        if args.assert_version_advance:
-            if not report.versions_served or report.versions_served[-1] <= 0:
-                failures.append(
-                    f"served versions {report.versions_served} never advanced "
-                    "beyond the seed weights"
-                )
-        ci_mode = args.assert_p99_s is not None or args.assert_version_advance
-        if ci_mode and report.completed_requests < args.requests:
-            failures.append(
-                f"only {report.completed_requests}/{args.requests} requests "
-                "completed"
-            )
-        for failure in failures:
-            print(f"ASSERTION FAILED: {failure}")
-        return 0 if not failures else 1
-    elif args.command == "trace":
-        from repro.obs.recorder import DEFAULT_CAPACITY
-        from repro.obs.tracecmd import format_summary, run_trace, trace_config
-
-        config = trace_config(
-            world_size=args.world_size,
-            mode=args.mode,
-            sharding=args.sharding,
-            fusion_buckets=args.fusion_buckets,
-            seed=args.seed,
-            backend=args.backend,
-        )
-        try:
-            config.validate()
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.steps < 1:
-            parser.error(f"--steps must be >= 1, got {args.steps}")
-        capacity = args.capacity or DEFAULT_CAPACITY
-        if capacity < 1:
-            parser.error(f"--capacity must be >= 1, got {capacity}")
-        report = run_trace(
-            config, steps=args.steps, capacity=capacity, out=args.out,
-            timeout=args.timeout,
-        )
-        print(format_summary(report, args.out))
-    elif args.command == "verify":
-        from repro.analysis import schedule_verifier
-
-        world_sizes = _parse_int_list(parser, "--world-sizes", args.world_sizes, 2)
-        report = schedule_verifier.verify(
-            world_sizes=world_sizes,
-            include_exchange=not args.no_exchange,
-            include_ring_model=not args.no_ring_model,
-            include_self_test=not args.no_self_test,
-            progress=None if args.quiet else print,
-        )
-        if args.quiet:
-            for violation in report.violations:
-                print(violation)
-            passed = sum(1 for r in report.results if r.ok)
-            print(f"verified {len(report.results)} case(s): {passed} passed, "
-                  f"{len(report.results) - passed} failed")
-        else:
-            print(report.summary())
-        return 0 if report.ok else 1
-    elif args.command == "lint":
-        from repro.analysis.lint import lint_paths
-
-        findings = lint_paths(args.paths)
-        for finding in findings:
-            print(finding)
-        print(f"linted {', '.join(args.paths)}: {len(findings)} finding(s)")
-        return 0 if not findings else 1
-    else:  # pragma: no cover - argparse already rejects unknown commands
-        parser.error(f"unknown command {args.command!r}")
-    return 0
+    name = args.command or "list"
+    return next(c for c in COMMANDS if c.name == name).run(args, parsers[name]) or 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -365,7 +365,9 @@ def launch(
     channels:
         Channel names created for every rank.
     timeout:
-        Overall completion timeout for the world, in seconds.
+        Overall completion timeout for the world, in seconds; ``None``
+        waits forever.  Otherwise it must be finite and positive
+        (``ValueError`` before any rank starts).
     default_recv_timeout:
         The world's receive deadline, in seconds: every blocking receive
         of every rank — collectives, barriers and telemetry included —
@@ -391,6 +393,8 @@ def launch(
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
     default_recv_timeout = check_deadline(default_recv_timeout)
+    if timeout is not None:
+        timeout = check_deadline(timeout, "timeout")
     return get_backend(backend).run(
         fn,
         world_size,

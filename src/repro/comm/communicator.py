@@ -40,14 +40,13 @@ from repro.obs import recorder as _obs
 DEFAULT_TIMEOUT = 120.0
 
 
-def check_deadline(seconds: Any) -> float:
-    """``seconds`` as a receive deadline; anything but a finite positive
-    number (``None``, ``0``, negatives, ``nan``, ``inf``) raises
-    ``ValueError`` naming the value."""
+def check_deadline(seconds: Any, name: str = "default_recv_timeout") -> float:
+    """``seconds`` as a deadline; anything but a finite positive number
+    (``None``, ``0``, negatives, ``nan``, ``inf``) raises ``ValueError``
+    naming ``name`` and the value."""
     if not (isinstance(seconds, numbers.Real) and 0 < seconds < math.inf):
         raise ValueError(
-            f"default_recv_timeout must be a finite positive number of "
-            f"seconds, got {seconds!r}"
+            f"{name} must be a finite positive number of seconds, got {seconds!r}"
         )
     return float(seconds)
 

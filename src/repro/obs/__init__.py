@@ -14,9 +14,9 @@
 * :mod:`repro.obs.collect` — cross-rank collection over the comm fabric:
   clock-offset estimation (ping-pong midpoint) and trace-buffer shipment
   to rank 0 on the ``telemetry`` tag region.
-* :mod:`repro.obs.tracecmd` — the ``python -m repro trace`` entry point:
-  the training runner's own loop under a recorder on every rank,
-  collected and exported, and a report read back from the exported
+* :mod:`repro.obs.tracecmd` — what ``python -m repro train`` runs: the
+  training runner's own loop under a recorder on every rank, collected
+  and (with ``--trace PATH``) exported, and a report read back from the
   trace.
 
 The hot paths (communicator send/recv, collective phases, the fused

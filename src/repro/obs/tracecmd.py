@@ -1,4 +1,4 @@
-"""``python -m repro trace``: trace the training runner's own steps, export Perfetto JSON.
+"""``python -m repro train``: run the training runner's own steps under a recorder.
 
 Every rank binds a :class:`~repro.obs.recorder.FlightRecorder` and runs
 the runner's rank loop (:func:`repro.training.runner._rank_main`, what
@@ -12,9 +12,10 @@ backend.  Then:
    ships its event buffer to rank 0 over the ``telemetry`` tag region
    (:func:`repro.obs.collect.gather_traces`), aligning the ranks'
    monotonic clocks with ping-pong midpoint offset estimation;
-2. rank 0's buffers become one Chrome trace-event JSON file loadable in
-   Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``, with one
-   process track per rank and send→recv flow arrows between them;
+2. rank 0's buffers become one Chrome trace-event JSON object, with one
+   process track per rank and send→recv flow arrows between them; with
+   ``--trace PATH`` it is written there, loadable in Perfetto
+   (https://ui.perfetto.dev) or ``chrome://tracing``;
 3. the report is read back from that trace (:func:`trace_report`), so
    the report and the file cannot disagree.
 """
@@ -37,35 +38,11 @@ from repro.training.runner import _rank_main
 
 #: Input width of the traced workload, and the MLP's hidden width.
 INPUT_DIM = 64
-#: Global batch of the traced run, before rounding to the world size.
-GLOBAL_BATCH = 32
 
-
-def trace_config(
-    world_size: int = 4,
-    mode: str = "sync",
-    sharding: str = "none",
-    fusion_buckets: int = 2,
-    seed: int = 0,
-    backend: Optional[str] = None,
-) -> TrainingConfig:
-    """The runner configuration of a traced run: the ``trace`` flags plus
-    fixed values (momentum, so the optimizer carries state that
-    ``--sharding zero1`` cuts P-fold; one epoch)."""
-    return TrainingConfig(
-        world_size=world_size,
-        comm_backend=backend,
-        epochs=1,
-        # The loader shards the global batch evenly: round it to a
-        # multiple of the world size (at least one example per rank).
-        global_batch_size=max(1, GLOBAL_BATCH // max(1, world_size)) * world_size,
-        mode=mode,
-        optimizer="momentum",
-        learning_rate=0.05,
-        fusion_buckets=fusion_buckets,
-        sharding=sharding,
-        seed=seed,
-    )
+#: The run ``python -m repro train`` makes unless its flags say otherwise:
+#: one epoch of a 32-example global batch, with momentum so the optimizer
+#: carries state that ``--sharding zero1`` cuts P-fold.
+PRESET = TrainingConfig(epochs=1, global_batch_size=32, optimizer="momentum", fusion_buckets=2)
 
 
 def _trace_rank_main(comm, config: TrainingConfig, steps: int, capacity: int):
@@ -104,11 +81,11 @@ def run_trace(
     config: TrainingConfig,
     steps: int = 8,
     capacity: int = DEFAULT_CAPACITY,
-    out: str = "trace.json",
+    out: Optional[str] = None,
     timeout: float = 300.0,
 ) -> Dict[str, Any]:
-    """Trace ``steps`` steps of ``config``, write the Chrome trace to
-    ``out`` and return :func:`trace_report` of it."""
+    """Trace ``steps`` steps of ``config`` and return :func:`trace_report`
+    of the Chrome trace, which is written to ``out`` when given."""
     config.validate()
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -131,7 +108,8 @@ def run_trace(
             "backend": config.comm_backend or "default",
         },
     )
-    write_chrome_trace(out, trace)
+    if out is not None:
+        write_chrome_trace(out, trace)
     return trace_report(trace)
 
 
@@ -166,14 +144,14 @@ def trace_report(trace: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def format_summary(report: Dict[str, Any], out: str) -> str:
-    """Human-readable :func:`trace_report` of the trace at ``out`` (used by the CLI)."""
+def format_summary(report: Dict[str, Any], out: Optional[str]) -> str:
+    """Human-readable :func:`trace_report` of a run whose trace went to
+    ``out`` (``None``: not written); used by the CLI."""
+    written = f"wrote {out}, load in https://ui.perfetto.dev" if out else "not written"
     lines = [
         "trace report",
-        f"  wrote      : {out} "
-        f"({report['events']} events, "
-        f"{sum(report['dropped_events'].values())} dropped) "
-        "- load in https://ui.perfetto.dev",
+        f"  trace      : {report['events']} events, "
+        f"{sum(report['dropped_events'].values())} dropped ({written})",
         f"  ranks      : {report['world_size']}, clock offsets "
         + ", ".join(
             f"r{rank}={ns} ns"

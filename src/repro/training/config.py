@@ -168,6 +168,11 @@ class TrainingConfig:
                 f"global_batch_size must be >= world_size "
                 f"({self.world_size}), got {self.global_batch_size}"
             )
+        if self.global_batch_size % self.world_size:
+            raise ValueError(
+                f"global_batch_size must be divisible by world_size "
+                f"({self.world_size}), got {self.global_batch_size}"
+            )
         if self.mode not in VALID_MODES:
             raise ValueError(f"mode must be one of {VALID_MODES}, got {self.mode!r}")
         if self.sync_style not in VALID_SYNC_STYLES:

@@ -51,7 +51,7 @@ before an exchange is built.
 Per-bucket wait times are reported in
 :attr:`ExchangeResult.bucket_waits`; with a recorder bound each bucket's
 collective is also an ``exchange``-category span (``bucket-wait``,
-``shard-scatter``, ``shard-gather``), which ``python -m repro trace``
+``shard-scatter``, ``shard-gather``), which ``python -m repro train``
 reports as the collective share of a rank's step.
 
 Multi-host topologies

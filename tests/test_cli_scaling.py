@@ -1,9 +1,13 @@
 """Tests for the command-line interface and the scaling projections."""
 
+import dataclasses
+
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import COMMANDS, EXPERIMENTS, main
 from repro.experiments import scaling
+from repro.serving import ServingConfig, Workload
+from repro.training.config import TrainingConfig
 
 
 class TestScalingExperiment:
@@ -60,3 +64,62 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["does-not-exist"])
+
+
+def _flag(field_name):
+    return "--backend" if field_name == "comm_backend" else "--" + field_name.replace("_", "-")
+
+
+def _help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestCommandTable:
+    def test_every_row_is_listed(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:]] == [c.name for c in COMMANDS]
+
+    def test_train_has_a_flag_per_scalar_config_field(self, capsys):
+        text = _help(capsys, "train")
+        objects = {"delay_injector", "cost_model", "compression_options"}
+        for field in dataclasses.fields(TrainingConfig):
+            assert (_flag(field.name) in text) != (field.name in objects), field.name
+
+    def test_serve_has_a_flag_per_config_field(self, capsys):
+        text = _help(capsys, "serve")
+        for cls in (ServingConfig, Workload):
+            for field in dataclasses.fields(cls):
+                assert _flag(field.name) in text, field.name
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["train", "--capacity", "0"], "'0'"),
+            (["train", "--steps", "0"], "'0'"),
+            (["train", "--timeout", "-1"], "'-1'"),
+            (["train", "--timeout", "nan"], "'nan'"),
+            (["train", "--pipeline-chunks", "zero"], "'zero'"),
+            (["serve", "--timeout", "0"], "'0'"),
+            (["fusion", "--bucket-mb", "1,0"], "'0'"),
+            (["fusion", "--gradient-mb", "inf"], "'inf'"),
+            (["tune", "--world-sizes", "2,1"], "'1'"),
+            (["tune", "--live-trials", "-1"], "'-1'"),
+            (["verify", "--world-sizes", "2,x"], "'x'"),
+        ],
+    )
+    def test_bounds_are_checked_while_parsing(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: must be" in err and f"got {value}" in err
+
+    def test_config_errors_are_usage_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--world-size", "3"])
+        assert exc.value.code == 2
+        assert "divisible by world_size (3), got 32" in capsys.readouterr().err

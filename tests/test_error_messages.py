@@ -41,7 +41,9 @@ from repro.simtime.skew import linear_skew
 from repro.simtime.training_model import StepTimeline, project_training_time
 from repro.theory.staleness import QuorumTracker
 from repro.tuning.autotune import predict_exchange_time
+from repro.comm.backend import launch
 from repro.comm.communicator import check_deadline
+from repro.training.config import TrainingConfig
 
 
 def _batch(inputs, n):
@@ -52,6 +54,10 @@ def _lstm_backward(return_sequences):
     lstm = LSTM(2, 3, return_sequences=return_sequences, seed=0)
     lstm.forward(np.zeros((2, 4, 2)))
     lstm.backward(np.zeros((5, 3)))
+
+
+def _never_runs(comm):
+    raise AssertionError(f"rank {comm.rank} started")
 
 
 # id -> (call that must raise, text the message must contain)
@@ -237,6 +243,17 @@ CASES = {
     ),
     # comm
     "check_deadline": (lambda: check_deadline(-2.5), "got -2.5"),
+    "launch-timeout-negative": (
+        lambda: launch(_never_runs, 2, timeout=-1.0),
+        "timeout must be a finite positive number of seconds, got -1.0",
+    ),
+    "launch-timeout-zero": (lambda: launch(_never_runs, 2, timeout=0), "got 0"),
+    "launch-timeout-nan": (lambda: launch(_never_runs, 2, timeout=float("nan")), "got nan"),
+    # training
+    "TrainingConfig-batch-divisibility": (
+        lambda: TrainingConfig(world_size=3, global_batch_size=32).validate(),
+        "global_batch_size must be divisible by world_size (3), got 32",
+    ),
 }
 
 

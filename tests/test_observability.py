@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -402,15 +403,15 @@ def test_payload_nbytes_sums_nested_tuples():
 
 
 # ---------------------------------------------------------------------------
-# the traced training run behind `python -m repro trace`
+# the traced training run behind `python -m repro train`
 # ---------------------------------------------------------------------------
 class TestTraceCommand:
     def test_traced_run_thread_backend(self, tmp_path):
-        from repro.obs.tracecmd import format_summary, run_trace, trace_config
+        from repro.obs.tracecmd import PRESET, format_summary, run_trace
 
         out = tmp_path / "trace.json"
         report = run_trace(
-            trace_config(world_size=2, fusion_buckets=2, backend="thread"),
+            replace(PRESET, world_size=2, comm_backend="thread"),
             steps=3,
             capacity=4096,
             out=str(out),
@@ -437,11 +438,11 @@ class TestTraceCommand:
         assert "trace report" in text and "collective" in text
 
     def test_report_is_read_back_from_the_written_trace(self, tmp_path):
-        from repro.obs.tracecmd import run_trace, trace_config, trace_report
+        from repro.obs.tracecmd import PRESET, run_trace, trace_report
 
         out = tmp_path / "trace.json"
         report = run_trace(
-            trace_config(world_size=2, backend="thread"), steps=2, out=str(out)
+            replace(PRESET, world_size=2, comm_backend="thread"), steps=2, out=str(out)
         )
         with open(out) as handle:
             assert trace_report(json.load(handle)) == report
@@ -451,10 +452,12 @@ class TestTraceCommand:
     )
     def test_shares_split_each_ranks_steps(self, tmp_path, mode, sharding):
         from repro.nn.models.mlp import MLPClassifier
-        from repro.obs.tracecmd import INPUT_DIM, run_trace, trace_config
+        from repro.obs.tracecmd import INPUT_DIM, PRESET, run_trace
 
         report = run_trace(
-            trace_config(world_size=2, mode=mode, sharding=sharding, backend="thread"),
+            replace(
+                PRESET, world_size=2, mode=mode, sharding=sharding, comm_backend="thread"
+            ),
             steps=3,
             out=str(tmp_path / "trace.json"),
         )
@@ -479,11 +482,13 @@ class TestTraceCommand:
                 assert nbytes == dense
 
     def test_traced_run_carries_the_transport_counters(self, tmp_path):
-        from repro.obs.tracecmd import run_trace, trace_config
+        from repro.obs.tracecmd import PRESET, run_trace
 
         _skip_if_unavailable("process")
         out = tmp_path / "trace.json"
-        run_trace(trace_config(world_size=2, backend="process"), steps=3, out=str(out))
+        run_trace(
+            replace(PRESET, world_size=2, comm_backend="process"), steps=3, out=str(out)
+        )
         trace = json.loads(out.read_text())
         assert validate_chrome_trace(trace) == []
         counters = {
@@ -497,26 +502,62 @@ class TestTraceCommand:
             for name in ("parks", "send_stalls", "frames_staged"):
                 assert (rank, f"transport.{name}") in counters
 
-    def test_trace_cli_entrypoint(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "backend, world_size, flags, collective_span",
+        [
+            ("thread", 2, [], "bucket-wait"),
+            ("thread", 2, ["--sharding", "zero1"], "shard-scatter"),
+            ("process", 4, ["--mode", "solo"], "bucket-wait"),
+        ],
+    )
+    def test_train_cli_writes_aligned_rank_tracks(
+        self, tmp_path, capsys, backend, world_size, flags, collective_span
+    ):
         from repro.cli import main
 
-        out = tmp_path / "cli-trace.json"
+        _skip_if_unavailable(backend)
+        out = tmp_path / "train.json"
         code = main([
-            "trace", "--backend", "thread", "--world-size", "2",
-            "--steps", "2", "--out", str(out),
+            "train", "--backend", backend, "--world-size", str(world_size),
+            "--steps", "4", *flags, "--trace", str(out),
         ])
         assert code == 0
         assert "trace report" in capsys.readouterr().out
-        assert validate_chrome_trace(json.loads(out.read_text())) == []
+        trace = json.loads(out.read_text())
+        assert validate_chrome_trace(trace) == []
+        events = trace["traceEvents"]
+        ranks = set(range(world_size))
+        assert {e["pid"] for e in events if e["ph"] == "X"} == ranks
+        names = {e["name"] for e in events}
+        assert {"compute", "exchange", collective_span, "send", "recv"} <= names
+        assert {e["pid"] for e in events if e["ph"] == "X" and e["cat"] == "nn"} == ranks
+        assert len(trace["otherData"]["clock_offsets_ns"]) == world_size
+        if backend == "process":
+            # Every rank received collective segments in place.
+            in_place = {
+                e["pid"]: e["args"]["value"] for e in events
+                if e["ph"] == "C" and e["name"] == "transport.frames_in_place"
+            }
+            assert set(in_place) == ranks and min(in_place.values()) > 0
 
-    def test_trace_cli_rejects_quorum_without_a_quorum(self, tmp_path, capsys):
+    def test_train_cli_runs_quorum_mode(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "train", "--backend", "thread", "--world-size", "2", "--steps", "2",
+            "--mode", "quorum", "--quorum", "1",
+        ])
+        assert code == 0
+        assert "not written" in capsys.readouterr().out
+
+    def test_train_cli_rejects_quorum_without_a_quorum(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "quorum.json"
         with pytest.raises(SystemExit) as exc:
             main([
-                "trace", "--backend", "thread", "--world-size", "2",
-                "--mode", "quorum", "--out", str(out),
+                "train", "--backend", "thread", "--world-size", "2",
+                "--mode", "quorum", "--trace", str(out),
             ])
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -524,11 +565,11 @@ class TestTraceCommand:
         assert not out.exists()
 
     def test_recorder_capacity_truncation_is_reported(self, tmp_path):
-        from repro.obs.tracecmd import run_trace, trace_config
+        from repro.obs.tracecmd import PRESET, run_trace
 
         out = tmp_path / "tiny.json"
         report = run_trace(
-            trace_config(world_size=2, backend="thread"),
+            replace(PRESET, world_size=2, comm_backend="thread"),
             steps=3,
             capacity=32,
             out=str(out),
