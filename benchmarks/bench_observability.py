@@ -126,9 +126,9 @@ def _train_rank(comm):
     from repro.training.exchange import build_exchange
 
     model = HyperplaneMLP(INPUT_DIM, seed=0)
-    exchange = build_exchange(
-        comm, max(1, model.num_parameters()), "sync", fusion_buckets=2
-    )
+    n = max(1, model.num_parameters())
+    # Two buckets: a threshold of half the float64 gradient.
+    exchange = build_exchange(comm, n, "sync", fusion_threshold_bytes=8 * -(-n // 2))
     sgd = DistributedSGD(
         model, SGD(model, 0.05), exchange, MSELoss(),
         world_size=comm.size, classification=False,

@@ -753,6 +753,8 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
     if include_exchange and size <= 8:
         n = size + 15
         exchange_total = expected_sum(size, n=n)
+        # ``fusion_threshold_bytes=8 * ceil(n / 2)`` cuts every exchange
+        # case's float64 vector into two buckets.
         for style, algorithm in (
             ("deep500", "ring"),
             ("horovod", "ring"),
@@ -761,7 +763,7 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
             def fn_exchange(comm, _s=style, _a=algorithm, _p=size, _n=n):
                 from repro.training.exchange import SynchronousExchange
                 with SynchronousExchange(
-                    comm, style=_s, algorithm=_a, fusion_buckets=2
+                    comm, style=_s, algorithm=_a, fusion_threshold_bytes=8 * -(-_n // 2)
                 ) as ex:
                     result = ex.exchange(
                         _p * contribution(comm.rank, _p, n=_n)
@@ -778,7 +780,7 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
                 from repro.training.exchange import SynchronousExchange
                 with SynchronousExchange(
                     comm, style="deep500", algorithm="hierarchical",
-                    fusion_buckets=2,
+                    fusion_threshold_bytes=8 * -(-_n // 2),
                 ) as ex:
                     result = ex.exchange(
                         _p * contribution(comm.rank, _p, n=_n)
@@ -817,7 +819,7 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
                 from repro.training.exchange import ShardedExchange
                 model = _shard_model()
                 optimizer = SGD(model, z1_lr)
-                ex = ShardedExchange(comm, algorithm=_a, fusion_buckets=2)
+                ex = ShardedExchange(comm, algorithm=_a, fusion_threshold_bytes=8 * -(-_n // 2))
                 ex.exchange_update(
                     _p * contribution(comm.rank, _p, n=_n), model, optimizer
                 )
@@ -834,7 +836,7 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
                 from repro.training.exchange import ShardedExchange
                 model = _shard_model()
                 optimizer = SGD(model, z1_lr)
-                ex = ShardedExchange(comm, fusion_buckets=2)
+                ex = ShardedExchange(comm, fusion_threshold_bytes=8 * -(-_n // 2))
                 ex.exchange_update(
                     _p * contribution(comm.rank, _p, n=_n), model, optimizer
                 )

@@ -314,19 +314,16 @@ def get_codec(
         raise ValueError(f"invalid options for codec {name!r}: {exc}") from None
 
 
-def resolve_codec(
-    spec: Union[str, GradientCodec, None] = None,
-    options: Optional[Dict[str, Any]] = None,
-) -> Optional[GradientCodec]:
+def resolve_codec(spec: Union[str, GradientCodec, None] = None) -> Optional[GradientCodec]:
     """Resolve a spec for a wire path: ``None`` means *uncompressed*.
 
     The exchanges, the runner and the experiment harnesses all need the
-    same normalisation — ``None`` and ``"none"`` (with no options) both
-    select the plain dense path, anything else a configured codec.
+    same normalisation — ``None`` and ``"none"`` both select the plain
+    dense path, anything else a configured codec.
     """
-    if spec is None and not options:
+    if spec is None:
         return None
-    codec = get_codec(spec, **(options or {}))
+    codec = get_codec(spec)
     return None if codec.name == "none" else codec
 
 

@@ -62,8 +62,8 @@ class FunctionalRow:
     seconds_per_exchange: float
     max_abs_error: float
     backend: str = "thread"
-    #: Encoded payload bytes one rank contributed per exchange.
-    wire_bytes: int = 0
+    #: Bytes rank 0 sent per exchange, counted at its communicator.
+    sent_bytes: int = 0
 
 
 @dataclass
@@ -193,11 +193,12 @@ def run_functional(
     ``sharding="zero1"`` appends a row running the ZeRO-1
     :class:`~repro.training.exchange.ShardedExchange` end to end (SGD on
     a flat parameter vector): its error column compares the gathered
-    parameters against the dense-update reference, and its wire column is
-    the *measured* bytes this rank sent per exchange.
+    parameters against the dense-update reference.  Every row's
+    ``sent B/rank`` is the bytes rank 0 measured itself sending per
+    exchange, so the algorithms' wire volumes compare directly.
     """
     from repro.comm import get_backend, launch
-    from repro.training.exchange import SynchronousExchange
+    from repro.training.exchange import SynchronousExchange, _WireCountingComm
 
     if sharding not in ("none", "zero1"):
         raise ValueError(f"sharding must be 'none' or 'zero1', got {sharding!r}")
@@ -230,41 +231,22 @@ def run_functional(
                     ),
                 )
             )
-    rows: List[FunctionalRow] = []
     base = np.arange(elements, dtype=np.float64) / elements
     expected = base + (world_size - 1) / 2.0
-    for name, kwargs in configs:
-        def worker(comm):
-            exchange = SynchronousExchange(comm, **kwargs)
-            start = time.perf_counter()
-            for _ in range(iterations):
-                # exchange() consumes its argument: a fresh one each step.
-                result = exchange.exchange(base + comm.rank)
-            elapsed = (time.perf_counter() - start) / iterations
-            return (
-                elapsed,
-                float(np.max(np.abs(result.gradient - expected))),
-                result.wire_bytes,
-            )
 
-        outputs = launch(worker, world_size, backend=backend)
-        rows.append(
-            FunctionalRow(
-                world_size=world_size,
-                elements=elements,
-                configuration=name,
-                seconds_per_exchange=float(np.mean([o[0] for o in outputs])),
-                max_abs_error=float(max(o[1] for o in outputs)),
-                backend=backend_name,
-                wire_bytes=int(outputs[0][2]),
-            )
-        )
+    def dense(kwargs):
+        def make_step(comm):
+            exchange = SynchronousExchange(comm, **kwargs)
+            return lambda gradient: exchange.exchange(gradient).gradient
+        return make_step
+
+    # (configuration, make_step(comm) -> step(gradient) -> vector to check, its reference)
+    cases = [(name, dense(kwargs), expected) for name, kwargs in configs]
     if sharding == "zero1":
         lr = 0.25
         init = np.linspace(-1.0, 1.0, elements)
-        params_expected = init - iterations * lr * expected
 
-        def sharded_worker(comm):
+        def sharded(comm):
             from repro.nn.module import Module
             from repro.nn.optim import SGD
             from repro.nn.parameters import flatten_parameters
@@ -279,26 +261,44 @@ def run_functional(
                 fusion_threshold_bytes=fusion_threshold_bytes,
                 pipeline_chunks=n_chunks,
             )
+
+            def step(gradient):
+                exchange.exchange_update(gradient, model, optimizer)
+                return flatten_parameters(model)
+            return step
+
+        cases.append((
+            f"zero1 sharded ring (C={n_chunks})", sharded, init - iterations * lr * expected
+        ))
+
+    rows: List[FunctionalRow] = []
+    for name, make_step, reference in cases:
+        def worker(comm):
+            # Every row counts the bytes its rank sends the same way, and
+            # inside the same clock.
+            counting = _WireCountingComm(comm)
+            step = make_step(counting)
             start = time.perf_counter()
             for _ in range(iterations):
-                result = exchange.exchange_update(base + comm.rank, model, optimizer)
+                # An exchange consumes its argument: a fresh one each step.
+                out = step(base + comm.rank)
             elapsed = (time.perf_counter() - start) / iterations
             return (
                 elapsed,
-                float(np.max(np.abs(flatten_parameters(model) - params_expected))),
-                result.wire_bytes,
+                float(np.max(np.abs(out - reference))),
+                counting.bytes_sent // iterations,
             )
 
-        outputs = launch(sharded_worker, world_size, backend=backend)
+        outputs = launch(worker, world_size, backend=backend)
         rows.append(
             FunctionalRow(
                 world_size=world_size,
                 elements=elements,
-                configuration=f"zero1 sharded ring (C={n_chunks})",
+                configuration=name,
                 seconds_per_exchange=float(np.mean([o[0] for o in outputs])),
                 max_abs_error=float(max(o[1] for o in outputs)),
                 backend=backend_name,
-                wire_bytes=int(outputs[0][2]),
+                sent_bytes=int(outputs[0][2]),
             )
         )
     return rows
@@ -330,7 +330,7 @@ def report(result: FusionPipelineResult) -> str:
         parts.append("")
         parts.append(
             format_table(
-                ["P", "elements", "exchange", "s/exchange", "max |err|", "wire B/rank"],
+                ["P", "elements", "exchange", "s/exchange", "max |err|", "sent B/rank"],
                 [
                     (
                         r.world_size,
@@ -338,7 +338,7 @@ def report(result: FusionPipelineResult) -> str:
                         r.configuration,
                         r.seconds_per_exchange,
                         r.max_abs_error,
-                        r.wire_bytes,
+                        r.sent_bytes,
                     )
                     for r in result.functional_rows
                 ],

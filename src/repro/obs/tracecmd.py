@@ -41,8 +41,11 @@ INPUT_DIM = 64
 
 #: The run ``python -m repro train`` makes unless its flags say otherwise:
 #: one epoch of a 32-example global batch, with momentum so the optimizer
-#: carries state that ``--sharding zero1`` cuts P-fold.
-PRESET = TrainingConfig(epochs=1, global_batch_size=32, optimizer="momentum", fusion_buckets=2)
+#: carries state that ``--sharding zero1`` cuts P-fold, and a 20 KiB fusion
+#: threshold that cuts the MLP's 4 225 parameters into two buckets.
+PRESET = TrainingConfig(
+    epochs=1, global_batch_size=32, optimizer="momentum", fusion_threshold_bytes=20 * 1024
+)
 
 
 def _trace_rank_main(comm, config: TrainingConfig, steps: int, capacity: int):

@@ -4,10 +4,10 @@ Shipping every layer's gradient through its own collective drowns the
 exchange in per-message latency; shipping the whole model as one
 monolithic buffer serialises the entire reduction behind a single
 blocking call.  Tensor fusion is the standard middle ground (Horovod's
-``HOROVOD_FUSION_THRESHOLD``): consecutive parameters are packed into
-fusion buffers of at most ``fusion_threshold_bytes``, and the exchange
-issues one collective per bucket so buckets can pipeline against each
-other and, with chunked collectives, within themselves.
+``HOROVOD_FUSION_THRESHOLD``): the flat gradient is cut into contiguous
+element ranges of at most ``fusion_threshold_bytes`` each, and the
+exchange issues one collective per bucket so buckets can pipeline
+against each other and, with chunked collectives, within themselves.
 
 :class:`GradientBucketer` owns the mapping between the flat gradient
 vector (what :func:`repro.nn.parameters.flatten_gradients` produces) and
@@ -25,21 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-
-def _validate_wire_width(
-    wire_bytes_per_element: Optional[float], bytes_per_element: int
-) -> float:
-    """Resolve the encoded element width (dense width when ``None``)."""
-    if wire_bytes_per_element is None:
-        return float(bytes_per_element)
-    wire = float(wire_bytes_per_element)
-    if not wire > 0 or not np.isfinite(wire):
-        raise ValueError(
-            f"wire_bytes_per_element must be positive and finite, got "
-            f"{wire_bytes_per_element}"
-        )
-    return wire
-
 #: Default fusion-buffer capacity.  Horovod defaults to 64 MiB on GPU
 #: clusters; the thread-backed reproduction models smaller gradients, so
 #: a 2 MiB default produces a representative handful of buckets.
@@ -47,6 +32,26 @@ DEFAULT_FUSION_THRESHOLD_BYTES = 2 * 1024 * 1024
 
 #: Gradients travel as float64 on this substrate.
 BYTES_PER_ELEMENT = 8
+
+
+def validate_fusion_threshold(fusion_threshold_bytes) -> Optional[int]:
+    """``fusion_threshold_bytes`` if it is ``None`` or an integer >= 1.
+
+    ``None`` is one bucket (fully fused); a threshold below one element's
+    width is legal and gives one element per bucket.
+    """
+    if fusion_threshold_bytes is None:
+        return None
+    if (
+        isinstance(fusion_threshold_bytes, bool)
+        or not isinstance(fusion_threshold_bytes, (int, np.integer))
+        or fusion_threshold_bytes < 1
+    ):
+        raise ValueError(
+            f"fusion_threshold_bytes must be an integer >= 1 or None, "
+            f"got {fusion_threshold_bytes!r}"
+        )
+    return int(fusion_threshold_bytes)
 
 
 @dataclass(frozen=True)
@@ -59,176 +64,76 @@ class BucketSpec:
     start: int
     #: One past the last element owned by the bucket.
     stop: int
-    #: Indices of the parameters packed into this bucket (empty for
-    #: buckets built from an element range rather than a parameter list).
-    param_indices: Tuple[int, ...] = ()
-    #: Element width of the substrate the bucketer was built for; keeps
-    #: :attr:`nbytes` consistent with the byte budget the bucketer used.
-    bytes_per_element: int = BYTES_PER_ELEMENT
-    #: Encoded payload width per element on the wire (may be fractional,
-    #: e.g. 2.0 for fp16 or 0.08 for 1% top-k).  Equal to
-    #: :attr:`bytes_per_element` when the exchange is uncompressed.
-    wire_bytes_per_element: float = float(BYTES_PER_ELEMENT)
 
     @property
     def num_elements(self) -> int:
         return self.stop - self.start
 
-    @property
-    def nbytes(self) -> int:
-        return self.num_elements * self.bytes_per_element
-
 
 class GradientBucketer:
-    """Packs per-parameter gradients into fixed-byte fusion buffers.
+    """Cuts a flat vector of ``num_elements`` into contiguous fusion buckets.
 
-    Parameters
-    ----------
-    param_sizes:
-        Flat element count of each parameter tensor, in model order.
-        Consecutive parameters are packed greedily: a bucket is closed
-        when adding the next parameter would exceed the threshold (a
-        single parameter larger than the threshold gets a bucket of its
-        own — parameters are never split across buckets).
-    fusion_threshold_bytes:
-        Capacity of one fusion buffer in bytes.
-    bytes_per_element:
-        Element width used to convert the threshold into elements.
-    wire_bytes_per_element:
-        Encoded payload width per element (a gradient codec's
-        :attr:`~repro.compression.GradientCodec.wire_bytes_per_element`).
-        When given, the *threshold* budgets the encoded wire size, so a
-        compressing codec packs proportionally more elements per bucket
-        (a 2 MiB buffer holds 4x the elements under fp16).  ``None``
-        keeps the dense width.
+    Built by :meth:`from_flat` (a byte threshold) or :meth:`fixed_count`
+    (a bucket count); the constructor takes the ranges themselves.
     """
 
-    def __init__(
-        self,
-        param_sizes: Sequence[int],
-        fusion_threshold_bytes: int = DEFAULT_FUSION_THRESHOLD_BYTES,
-        bytes_per_element: int = BYTES_PER_ELEMENT,
-        wire_bytes_per_element: Optional[float] = None,
-    ) -> None:
-        sizes = [int(s) for s in param_sizes]
-        if not sizes:
-            raise ValueError(f"param_sizes must not be empty, got {param_sizes!r}")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"parameter sizes must be >= 1, got {sizes}")
-        if fusion_threshold_bytes < 1:
-            raise ValueError(
-                f"fusion_threshold_bytes must be >= 1, got {fusion_threshold_bytes}"
-            )
-        if bytes_per_element < 1:
-            raise ValueError(f"bytes_per_element must be >= 1, got {bytes_per_element}")
-        wire_bpe = _validate_wire_width(wire_bytes_per_element, bytes_per_element)
-        self.fusion_threshold_bytes = int(fusion_threshold_bytes)
-        self.bytes_per_element = int(bytes_per_element)
-        self.wire_bytes_per_element = wire_bpe
-        capacity = max(1, int(fusion_threshold_bytes / wire_bpe))
-
-        buckets: List[BucketSpec] = []
-        start = 0
-        current: List[int] = []
-        filled = 0
-        for i, size in enumerate(sizes):
-            if current and filled + size > capacity:
-                stop = start + filled
-                buckets.append(
-                    BucketSpec(
-                        len(buckets), start, stop, tuple(current),
-                        bytes_per_element=self.bytes_per_element,
-                        wire_bytes_per_element=wire_bpe,
-                    )
-                )
-                start, current, filled = stop, [], 0
-            current.append(i)
-            filled += size
-        stop = start + filled
-        buckets.append(
-            BucketSpec(
-                len(buckets), start, stop, tuple(current),
-                bytes_per_element=self.bytes_per_element,
-                wire_bytes_per_element=wire_bpe,
-            )
-        )
+    def __init__(self, num_elements: int, buckets: Sequence[BucketSpec]) -> None:
+        self.num_elements = num_elements
         self.buckets: Tuple[BucketSpec, ...] = tuple(buckets)
-        self.num_elements = stop
 
     # ------------------------------------------------------------ builders
     @classmethod
     def from_flat(
         cls,
         num_elements: int,
-        fusion_threshold_bytes: int = DEFAULT_FUSION_THRESHOLD_BYTES,
+        fusion_threshold_bytes: Optional[int] = DEFAULT_FUSION_THRESHOLD_BYTES,
         bytes_per_element: int = BYTES_PER_ELEMENT,
         wire_bytes_per_element: Optional[float] = None,
     ) -> "GradientBucketer":
-        """Bucketer chopping a flat vector into threshold-sized ranges.
+        """The fewest near-equal ranges that each fit the threshold.
 
-        Used when per-parameter boundaries are unknown (the exchange only
-        sees the flattened gradient): the vector is cut into the smallest
-        number of equal-ish contiguous ranges that each fit the threshold.
-        ``wire_bytes_per_element`` budgets the threshold against the
-        *encoded* payload width (see the constructor).
+        ``None`` is one bucket.  ``wire_bytes_per_element`` (a gradient
+        codec's :attr:`~repro.compression.GradientCodec.wire_bytes_per_element`)
+        budgets the threshold against the *encoded* payload width, so a
+        compressing codec packs proportionally more elements per bucket
+        (a 2 MiB buffer holds 4x the elements under fp16); ``None`` keeps
+        the dense ``bytes_per_element``.
         """
-        if num_elements < 1:
-            raise ValueError(f"num_elements must be >= 1, got {num_elements}")
+        threshold = validate_fusion_threshold(fusion_threshold_bytes)
         if bytes_per_element < 1:
             raise ValueError(f"bytes_per_element must be >= 1, got {bytes_per_element}")
-        wire_bpe = _validate_wire_width(wire_bytes_per_element, bytes_per_element)
-        capacity = max(1, int(fusion_threshold_bytes / wire_bpe))
-        count = -(-num_elements // capacity)  # ceil division
-        return cls.fixed_count(
-            num_elements, count, fusion_threshold_bytes, bytes_per_element,
-            wire_bytes_per_element,
-        )
+        wire = bytes_per_element if wire_bytes_per_element is None else wire_bytes_per_element
+        if not wire > 0 or not np.isfinite(wire):
+            raise ValueError(
+                f"wire_bytes_per_element must be positive and finite, got "
+                f"{wire_bytes_per_element}"
+            )
+        if threshold is None:
+            return cls.fixed_count(num_elements, 1)
+        capacity = max(1, int(threshold / wire))
+        return cls.fixed_count(num_elements, -(-num_elements // capacity))
 
     @classmethod
-    def fixed_count(
-        cls,
-        num_elements: int,
-        count: int,
-        fusion_threshold_bytes: int = DEFAULT_FUSION_THRESHOLD_BYTES,
-        bytes_per_element: int = BYTES_PER_ELEMENT,
-        wire_bytes_per_element: Optional[float] = None,
-    ) -> "GradientBucketer":
-        """Bucketer with exactly ``count`` near-equal element ranges.
+    def fixed_count(cls, num_elements: int, count: int) -> "GradientBucketer":
+        """Exactly ``count`` near-equal element ranges.
 
-        Backwards-compatible with the legacy ``fusion_buckets=N`` knob
-        (fixed per-layer-group reductions executed in a fixed order):
-        like the ``np.array_split`` it replaces, a ``count`` exceeding
-        the element count is capped at one element per bucket (the
-        surplus buckets would be empty no-ops).  A ``count`` below one
-        is an error.
+        Like ``np.array_split``, a ``count`` exceeding the element count
+        is capped at one element per bucket (the surplus buckets would be
+        empty no-ops).  A ``count`` below one is an error.
         """
         if num_elements < 1:
             raise ValueError(f"num_elements must be >= 1, got {num_elements}")
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        if bytes_per_element < 1:
-            raise ValueError(f"bytes_per_element must be >= 1, got {bytes_per_element}")
-        wire_bpe = _validate_wire_width(wire_bytes_per_element, bytes_per_element)
         count = min(int(count), num_elements)
-        bucketer = cls.__new__(cls)
         base, extra = divmod(num_elements, count)
         buckets: List[BucketSpec] = []
         lo = 0
         for i in range(count):
             hi = lo + base + (1 if i < extra else 0)
-            buckets.append(
-                BucketSpec(
-                    i, lo, hi, bytes_per_element=int(bytes_per_element),
-                    wire_bytes_per_element=wire_bpe,
-                )
-            )
+            buckets.append(BucketSpec(i, lo, hi))
             lo = hi
-        bucketer.fusion_threshold_bytes = int(fusion_threshold_bytes)
-        bucketer.bytes_per_element = int(bytes_per_element)
-        bucketer.wire_bytes_per_element = wire_bpe
-        bucketer.buckets = tuple(buckets)
-        bucketer.num_elements = num_elements
-        return bucketer
+        return cls(num_elements, buckets)
 
     # ------------------------------------------------------------ packing
     @property
@@ -333,8 +238,4 @@ class GradientBucketer:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"GradientBucketer(buckets={self.num_buckets}, "
-            f"elements={self.num_elements}, "
-            f"threshold={self.fusion_threshold_bytes}B)"
-        )
+        return f"GradientBucketer(buckets={self.num_buckets}, elements={self.num_elements})"

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.imbalance.cost_model import CostModel
 from repro.imbalance.injection import DelayInjector, NoDelay
+from repro.training.bucketing import validate_fusion_threshold
 
 #: Gradient-exchange modes accepted by the runner.
 VALID_MODES = ("sync", "solo", "majority", "quorum")
@@ -45,24 +46,23 @@ class TrainingConfig:
     allreduce_algorithm:
         Algorithm used by the synchronous allreduce and the periodic model
         synchronisation.
-    fusion_buckets, fusion_threshold_bytes, pipeline_chunks:
-        Gradient-fusion configuration: fixed bucket count (legacy),
-        byte-capacity fusion buffers, and per-round chunk pipelining of
-        the synchronous collectives (see :mod:`repro.training.exchange`).
-        ``fusion_threshold_bytes`` and ``pipeline_chunks`` also accept
-        the string ``"auto"``: the runner then calibrates the LogGP cost
+    fusion_threshold_bytes, pipeline_chunks:
+        Gradient-fusion configuration: byte-capacity fusion buffers
+        (``None`` is one bucket, the gradient fully fused) and per-round
+        chunk pipelining of the synchronous collectives (see
+        :mod:`repro.training.exchange`).  Both also accept the string
+        ``"auto"``: the runner then calibrates the LogGP cost
         model against the thread backend (cached under
         ``tuning_cache_dir``) and picks the values that minimise the
         modelled exchange time (see :mod:`repro.tuning`).
-    compression, compression_options:
+    compression:
         Gradient-compression codec applied per fusion bucket by the
         exchange (:mod:`repro.compression`): ``None`` or ``"none"``
         exchanges dense ``float64``; ``"fp16"`` / ``"bf16"`` / ``"int8"``
-        / ``"topk"`` quantize or sparsify the wire payload (spec strings
-        with inline options such as ``"topk:ratio=0.05"`` are accepted).
-        ``compression_options`` merges extra codec options over the
-        inline ones (e.g. ``{"error_feedback": True}``).  The ``"auto"``
-        fusion knobs are tuned under the selected codec's cost model.
+        / ``"topk"`` quantize or sparsify the wire payload.  Codec options
+        ride inline in the spec (``"topk:ratio=0.05,error_feedback=off"``).
+        The ``"auto"`` fusion knobs are tuned under the selected codec's
+        cost model.
     sharding:
         ``"zero1"`` shards the optimizer states across ranks and runs the
         update over a reduce-scatter/allgather exchange (ZeRO stage 1);
@@ -117,11 +117,10 @@ class TrainingConfig:
     seed: int = 0
     eval_batch_size: int = 256
     collect_gradient_norms: bool = False
-    fusion_buckets: int = 1
-    #: Pack the gradient into fusion buffers of at most this many bytes
+    #: Cut the gradient into fusion buffers of at most this many bytes
     #: (Horovod-style tensor fusion); one collective is issued per bucket.
-    #: ``None`` keeps the legacy fixed-count ``fusion_buckets`` behaviour;
-    #: ``"auto"`` lets the runner pick via the calibrated cost model.
+    #: ``None`` is one bucket; ``"auto"`` lets the runner pick via the
+    #: calibrated cost model.
     fusion_threshold_bytes: Union[int, str, None] = None
     #: Segments each gradient-exchange collective round is pipelined in,
     #: so the reduction of chunk k overlaps the transmission of chunk k+1
@@ -129,11 +128,9 @@ class TrainingConfig:
     #: to the partial collectives' background reduction).  ``"auto"``
     #: lets the runner pick via the calibrated cost model.
     pipeline_chunks: Union[int, str] = 1
-    #: Gradient-compression codec name / spec (see class docstring);
-    #: ``None`` exchanges dense ``float64``.
+    #: Gradient-compression codec spec, options inline (see class
+    #: docstring); ``None`` exchanges dense ``float64``.
     compression: Optional[str] = None
-    #: Extra codec options merged over inline spec options.
-    compression_options: Dict[str, object] = field(default_factory=dict)
     #: Directory of the calibrated-profile cache consulted when resolving
     #: ``"auto"`` fusion values; ``None`` uses ``$REPRO_TUNING_CACHE_DIR``
     #: or ``~/.cache/repro/tuning``.
@@ -197,19 +194,8 @@ class TrainingConfig:
                 f"model_sync_period_epochs must be >= 1 or None, "
                 f"got {self.model_sync_period_epochs}"
             )
-        if self.fusion_buckets < 1:
-            raise ValueError(f"fusion_buckets must be >= 1, got {self.fusion_buckets}")
-        if isinstance(self.fusion_threshold_bytes, str):
-            if self.fusion_threshold_bytes != "auto":
-                raise ValueError(
-                    f"fusion_threshold_bytes must be an integer, None or 'auto', "
-                    f"got {self.fusion_threshold_bytes!r}"
-                )
-        elif self.fusion_threshold_bytes is not None and self.fusion_threshold_bytes < 1:
-            raise ValueError(
-                f"fusion_threshold_bytes must be >= 1, None or 'auto', "
-                f"got {self.fusion_threshold_bytes!r}"
-            )
+        if self.fusion_threshold_bytes != "auto":
+            validate_fusion_threshold(self.fusion_threshold_bytes)
         if isinstance(self.pipeline_chunks, str):
             if self.pipeline_chunks != "auto":
                 raise ValueError(
@@ -220,11 +206,11 @@ class TrainingConfig:
             raise ValueError(
                 f"pipeline_chunks must be >= 1 or 'auto', got {self.pipeline_chunks!r}"
             )
-        if self.compression is not None or self.compression_options:
+        if self.compression is not None:
             from repro.compression import get_codec
 
             # Raises ValueError on unknown codec names or invalid options.
-            get_codec(self.compression, **self.compression_options)
+            get_codec(self.compression)
         if self.sharding not in ("none", "zero1"):
             raise ValueError(
                 f"sharding must be 'none' or 'zero1', got {self.sharding!r}"
@@ -262,10 +248,10 @@ class TrainingConfig:
                 variant = f"eager-SGD (quorum={self.quorum})"
         backend = f", backend={self.comm_backend}" if self.comm_backend else ""
         codec = ""
-        if self.compression is not None or self.compression_options:
+        if self.compression is not None:
             from repro.compression import get_codec
 
-            codec = f", compression={get_codec(self.compression, **self.compression_options).describe()}"
+            codec = f", compression={get_codec(self.compression).describe()}"
         return (
             f"{variant}, P={self.world_size}{backend}, "
             f"batch={self.global_batch_size}, "

@@ -37,12 +37,16 @@ knobs (threaded through
 :class:`~repro.training.config.TrainingConfig` and the CLI):
 
 ``fusion_threshold_bytes``
-    Capacity of one fusion buffer; ``None`` keeps the legacy behaviour
-    (``fusion_buckets`` fixed-count ranges, default 1 = fully fused).
+    Capacity of one fusion buffer (:meth:`GradientBucketer.from_flat
+    <repro.training.bucketing.GradientBucketer.from_flat>`); ``None``,
+    the default, is one bucket — the gradient fully fused.
 ``pipeline_chunks``
     Number of segments each synchronous collective round is split into so
     reduction of chunk *k* overlaps transmission of chunk *k + 1* (see
     :mod:`repro.collectives.sync`).
+``compression``
+    The codec spec, options inline (``"topk:ratio=0.05"``), or a built
+    codec; see *Gradient compression* below.
 
 The calibrated auto-tuner's ``"auto"`` values are resolved to concrete
 knobs by the runner (:func:`~repro.tuning.autotune.resolve_auto_fusion`)
@@ -101,7 +105,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -116,7 +120,7 @@ from repro.collectives.sync import allgather, allreduce, resolve_host_topology
 from repro.compression import BucketCompressor, GradientCodec, resolve_codec
 from repro.nn.parameters import flatten_parameters, same_memory
 from repro.obs import recorder as _obs
-from repro.training.bucketing import GradientBucketer
+from repro.training.bucketing import GradientBucketer, validate_fusion_threshold
 
 #: Type accepted by the ``compression`` parameter of the exchanges.
 CompressionSpec = Union[str, GradientCodec, None]
@@ -148,7 +152,9 @@ class ExchangeResult:
     bucket_waits: Tuple[float, ...] = ()
     #: Payload bytes this rank put on the wire per collective round
     #: (sum over buckets of the encoded size; the dense size when the
-    #: exchange is uncompressed, 0 for single-process exchanges).
+    #: exchange is uncompressed, 0 for single-process exchanges).  The
+    #: sharded exchange instead reports the bytes it measured this rank
+    #: send, every hop of both its phases (see :class:`_WireCountingComm`).
     wire_bytes: int = 0
 
 
@@ -199,22 +205,17 @@ class _BucketedExchange(GradientExchange):
     nor allocates anything the size of the gradient.
 
     The shared constructor parameters are the knobs of the module
-    docstring (``fusion_buckets``, ``fusion_threshold_bytes``,
-    ``pipeline_chunks``, ``compression``) plus ``compression_options``,
-    extra codec options merged over any inline spec options.
+    docstring (``fusion_threshold_bytes``, ``pipeline_chunks``,
+    ``compression``).
     """
 
     def __init__(
         self,
         comm: Communicator,
-        fusion_buckets: int,
         fusion_threshold_bytes: Optional[int],
         pipeline_chunks: int,
         compression: CompressionSpec,
-        compression_options: Optional[Dict],
     ) -> None:
-        if fusion_buckets < 1:
-            raise ValueError(f"fusion_buckets must be >= 1, got {fusion_buckets}")
         if pipeline_chunks < 1:
             raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
         self.comm = comm
@@ -224,10 +225,9 @@ class _BucketedExchange(GradientExchange):
         #: every bucket through the two-tier schedules so non-leader
         #: traffic stays off inter-host links.
         self.host_topology = resolve_host_topology(comm)
-        self.fusion_buckets = fusion_buckets
-        self.fusion_threshold_bytes = fusion_threshold_bytes
+        self.fusion_threshold_bytes = validate_fusion_threshold(fusion_threshold_bytes)
         self.pipeline_chunks = pipeline_chunks
-        self.codec = resolve_codec(compression, compression_options)
+        self.codec = resolve_codec(compression)
         self._bucketer: Optional[GradientBucketer] = None
         self._step = 0
 
@@ -239,17 +239,10 @@ class _BucketedExchange(GradientExchange):
         pack more elements per bucket.
         """
         if self._bucketer is None:
-            wire_bpe = None if self.codec is None else self.codec.wire_bytes_per_element
-            if self.fusion_threshold_bytes is not None:
-                self._bucketer = GradientBucketer.from_flat(
-                    num_parameters, self.fusion_threshold_bytes,
-                    wire_bytes_per_element=wire_bpe,
-                )
-            else:
-                self._bucketer = GradientBucketer.fixed_count(
-                    num_parameters, self.fusion_buckets,
-                    wire_bytes_per_element=wire_bpe,
-                )
+            wire = None if self.codec is None else self.codec.wire_bytes_per_element
+            self._bucketer = GradientBucketer.from_flat(
+                num_parameters, self.fusion_threshold_bytes, wire_bytes_per_element=wire
+            )
         elif self._bucketer.num_elements != num_parameters:
             raise ValueError(
                 f"flat gradient has {num_parameters} elements but the "
@@ -314,18 +307,13 @@ class SynchronousExchange(_BucketedExchange):
         comm: Communicator,
         style: str = "deep500",
         algorithm: str = "recursive_doubling",
-        fusion_buckets: int = 1,
         fusion_threshold_bytes: Optional[int] = None,
         pipeline_chunks: int = 1,
         compression: CompressionSpec = None,
-        compression_options: Optional[Dict] = None,
     ) -> None:
         if style not in ("deep500", "horovod"):
             raise ValueError(f"unknown synchronous style {style!r}")
-        super().__init__(
-            comm, fusion_buckets, fusion_threshold_bytes, pipeline_chunks,
-            compression, compression_options,
-        )
+        super().__init__(comm, fusion_threshold_bytes, pipeline_chunks, compression)
         self.style = style
         self.algorithm = algorithm
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
@@ -485,15 +473,12 @@ class ShardedExchange(_BucketedExchange):
         self,
         comm: Communicator,
         algorithm: str = "ring",
-        fusion_buckets: int = 1,
         fusion_threshold_bytes: Optional[int] = None,
         pipeline_chunks: int = 1,
         compression: CompressionSpec = None,
-        compression_options: Optional[Dict] = None,
     ) -> None:
         super().__init__(
-            _WireCountingComm(comm), fusion_buckets, fusion_threshold_bytes,
-            pipeline_chunks, compression, compression_options,
+            _WireCountingComm(comm), fusion_threshold_bytes, pipeline_chunks, compression
         )
         if not self.host_topology.is_single_host:
             algorithm = "hierarchical"
@@ -617,11 +602,13 @@ class PartialExchange(_BucketedExchange):
         Shared seed for the initiator designation (must match on all
         ranks; all buckets share the seed, so each round's designated
         initiator is the same across buckets).
-    fusion_buckets, fusion_threshold_bytes:
-        Each bucket runs its own partial allreduce (with its own progress
-        thread and channel pair), so a slow rank's gradient can be
-        included in bucket *i* but become stale for bucket *j* — the
-        per-bucket generalisation of the paper's staleness semantics.
+    fusion_threshold_bytes:
+        Capacity of one fusion buffer (``None``: one bucket, the default);
+        the buckets are fixed at construction.  Each bucket runs its own
+        partial allreduce (with its own progress thread and channel
+        pair), so a slow rank's gradient can be included in bucket *i*
+        but become stale for bucket *j* — the per-bucket generalisation
+        of the paper's staleness semantics.
         Stale gradients accumulate per bucket and are never lost.
     pipeline_chunks:
         Segments the background reduction of every bucket is pipelined in
@@ -635,9 +622,6 @@ class PartialExchange(_BucketedExchange):
         as a local quantize-and-compensate transform before the dense
         background reduction (the documented decode-reduce-encode caveat:
         the persistent-schedule wire stays dense).
-
-    ``compression_options`` is the shared knob of
-    :class:`_BucketedExchange`.
     """
 
     def __init__(
@@ -648,18 +632,13 @@ class PartialExchange(_BucketedExchange):
         quorum: Optional[int] = None,
         seed: int = 12345,
         overwrite_recvbuff: bool = True,
-        fusion_buckets: int = 1,
         fusion_threshold_bytes: Optional[int] = None,
         pipeline_chunks: int = 1,
         compression: CompressionSpec = None,
-        compression_options: Optional[Dict] = None,
     ) -> None:
         if num_parameters < 1:
             raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
-        super().__init__(
-            comm, fusion_buckets, fusion_threshold_bytes, pipeline_chunks,
-            compression, compression_options,
-        )
+        super().__init__(comm, fusion_threshold_bytes, pipeline_chunks, compression)
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
         #: The bucketing plan — fixed at construction, one partial
         #: allreduce (progress thread, channel pair) per bucket.
@@ -747,14 +726,12 @@ def build_exchange(
     mode: str,
     sync_style: str = "deep500",
     algorithm: str = "recursive_doubling",
-    fusion_buckets: int = 1,
     quorum: Optional[int] = None,
     seed: int = 12345,
     overwrite_recvbuff: bool = True,
     fusion_threshold_bytes: Optional[int] = None,
     pipeline_chunks: int = 1,
     compression: CompressionSpec = None,
-    compression_options: Optional[Dict] = None,
     sharding: str = "none",
 ) -> GradientExchange:
     """Build the exchange matching a :class:`repro.training.TrainingConfig`.
@@ -769,11 +746,9 @@ def build_exchange(
     if comm is None or comm.size == 1:
         return SingleProcessExchange()
     shared = dict(
-        fusion_buckets=fusion_buckets,
         fusion_threshold_bytes=fusion_threshold_bytes,
         pipeline_chunks=pipeline_chunks,
         compression=compression,
-        compression_options=compression_options,
     )
     if sharding == "zero1":
         if mode != "sync":

@@ -91,14 +91,12 @@ def _rank_main(
         config.mode,
         sync_style=config.sync_style,
         algorithm=config.allreduce_algorithm,
-        fusion_buckets=config.fusion_buckets,
         quorum=config.quorum,
         seed=config.seed + 777,
         overwrite_recvbuff=config.overwrite_recvbuff,
         fusion_threshold_bytes=config.fusion_threshold_bytes,
         pipeline_chunks=config.pipeline_chunks,
         compression=config.compression,
-        compression_options=config.compression_options,
         sharding=config.sharding,
     )
     sgd = DistributedSGD(
@@ -260,7 +258,7 @@ def train_distributed(
     # own codec instance (error-feedback residuals are per-rank state).
     from repro.compression import resolve_codec
 
-    codec = resolve_codec(config.compression, config.compression_options)
+    codec = resolve_codec(config.compression)
     # Resolve "auto" fusion knobs once, before the world spawns: every
     # rank must run the same concrete plan, and the calibrated profile is
     # cached so repeat runs skip the measurement.

@@ -495,9 +495,7 @@ def resolve_auto_fusion(
     if auto_threshold:
         thresholds = None
     elif config.fusion_threshold_bytes is None:
-        # Legacy fixed-count bucketing: restrict the search to a threshold
-        # reproducing the ``fusion_buckets`` the exchange will run.
-        thresholds = [max(1, -(-gradient_bytes // max(1, config.fusion_buckets)))]
+        thresholds = [gradient_bytes]  # one bucket, as the exchange runs it
     else:
         thresholds = [int(config.fusion_threshold_bytes)]
     chunks = None if auto_chunks else [int(config.pipeline_chunks)]
@@ -508,7 +506,7 @@ def resolve_auto_fusion(
         # Measured transform costs from the cached profile, not the
         # codec's hardcoded numpy-throughput constants.
         compression_model = profile.compression_model(
-            get_codec(config.compression, **(config.compression_options or {}))
+            get_codec(config.compression)
         )
     plan = tune_with_profile(
         profile,

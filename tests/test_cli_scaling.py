@@ -85,7 +85,7 @@ class TestCommandTable:
 
     def test_train_has_a_flag_per_scalar_config_field(self, capsys):
         text = _help(capsys, "train")
-        objects = {"delay_injector", "cost_model", "compression_options"}
+        objects = {"delay_injector", "cost_model"}
         for field in dataclasses.fields(TrainingConfig):
             assert (_flag(field.name) in text) != (field.name in objects), field.name
 

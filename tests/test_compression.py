@@ -593,9 +593,7 @@ class TestConfigPlumbing:
 
     def test_validate_rejects_bad_options(self):
         with pytest.raises(ValueError, match="ratio"):
-            TrainingConfig(
-                compression="topk", compression_options={"ratio": 2.0}
-            ).validate()
+            TrainingConfig(compression="topk:ratio=2.0").validate()
 
     def test_describe_mentions_codec(self):
         config = TrainingConfig(compression="fp16")

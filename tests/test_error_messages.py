@@ -43,7 +43,9 @@ from repro.theory.staleness import QuorumTracker
 from repro.tuning.autotune import predict_exchange_time
 from repro.comm.backend import launch
 from repro.comm.communicator import check_deadline
+from repro.comm import ThreadWorld
 from repro.training.config import TrainingConfig
+from repro.training.exchange import build_exchange
 
 
 def _batch(inputs, n):
@@ -58,6 +60,13 @@ def _lstm_backward(return_sequences):
 
 def _never_runs(comm):
     raise AssertionError(f"rank {comm.rank} started")
+
+
+def _sync_exchange(fusion_threshold_bytes):
+    with ThreadWorld(2) as world:
+        build_exchange(
+            world.communicator(0), 50, "sync", fusion_threshold_bytes=fusion_threshold_bytes
+        )
 
 
 # id -> (call that must raise, text the message must contain)
@@ -254,6 +263,15 @@ CASES = {
         lambda: TrainingConfig(world_size=3, global_batch_size=32).validate(),
         "global_batch_size must be divisible by world_size (3), got 32",
     ),
+    # A threshold reaches the exchange checked, not as one-element buckets
+    # (0, -5) or a TypeError on every rank ("auto", which only the runner
+    # resolves).
+    "build_exchange-threshold-zero": (
+        lambda: _sync_exchange(0),
+        "fusion_threshold_bytes must be an integer >= 1 or None, got 0",
+    ),
+    "build_exchange-threshold-negative": (lambda: _sync_exchange(-5), "got -5"),
+    "build_exchange-threshold-auto": (lambda: _sync_exchange("auto"), "got 'auto'"),
 }
 
 

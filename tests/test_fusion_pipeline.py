@@ -29,31 +29,33 @@ from repro.experiments import fusion_pipeline
 from repro.simtime.collective_model import allreduce_time
 from repro.simtime.network import LogGPParams
 from repro.training import GradientBucketer, PartialExchange, SynchronousExchange
+from repro.training.bucketing import BucketSpec
 from repro.training.config import TrainingConfig
 from repro.training.exchange import build_exchange
 
 
 class TestGradientBucketer:
-    def test_greedy_packing_respects_threshold(self):
-        # 8-byte elements; threshold of 4 elements = 32 bytes.
-        b = GradientBucketer([2, 1, 3, 4, 5, 1], fusion_threshold_bytes=32)
-        groups = [spec.param_indices for spec in b.buckets]
-        assert groups == [(0, 1), (2,), (3,), (4,), (5,)]
-        assert b.num_elements == 16
-        # Oversized parameter (5 elements > 4-element capacity) still gets
-        # its own bucket — parameters are never split.
-        assert b.buckets[3].num_elements == 5
+    def test_from_flat_respects_threshold(self):
+        # 8-byte elements; threshold of 4 elements = 32 bytes: the fewest
+        # near-equal ranges of at most 4 elements each.
+        b = GradientBucketer.from_flat(17, fusion_threshold_bytes=32)
+        assert [spec.num_elements for spec in b.buckets] == [4, 4, 3, 3, 3]
+        assert b.num_elements == 17
+        # A threshold below one element's width is one element per bucket.
+        assert GradientBucketer.from_flat(3, fusion_threshold_bytes=5).num_buckets == 3
+        # No threshold is one bucket, the gradient fully fused.
+        assert GradientBucketer.from_flat(17, None).num_buckets == 1
 
     def test_contiguous_coverage(self):
-        b = GradientBucketer([3, 3, 3, 3], fusion_threshold_bytes=48)
+        b = GradientBucketer.from_flat(12, fusion_threshold_bytes=48)
         spans = [(spec.start, spec.stop) for spec in b.buckets]
         assert spans == [(0, 6), (6, 12)]
+        assert b.buckets[1] == BucketSpec(1, 6, 12)
 
     @pytest.mark.parametrize("threshold", [8, 24, 64, 10_000])
     def test_pack_unpack_round_trip_bit_exact(self, rng, threshold):
-        sizes = [4, 7, 1, 12, 3, 9]
-        b = GradientBucketer(sizes, fusion_threshold_bytes=threshold)
-        flat = rng.normal(size=sum(sizes))
+        b = GradientBucketer.from_flat(36, fusion_threshold_bytes=threshold)
+        flat = rng.normal(size=36)
         buffers = b.pack(flat)
         assert sum(buf.size for buf in buffers) == flat.size
         restored = b.unpack(buffers)
@@ -64,17 +66,17 @@ class TestGradientBucketer:
         b = GradientBucketer.from_flat(100, fusion_threshold_bytes=30 * 8)
         assert b.num_buckets == 4
         assert [spec.num_elements for spec in b.buckets] == [25, 25, 25, 25]
-        legacy = GradientBucketer.fixed_count(10, 3)
-        assert [spec.num_elements for spec in legacy.buckets] == [4, 3, 3]
+        fixed = GradientBucketer.fixed_count(10, 3)
+        assert [spec.num_elements for spec in fixed.buckets] == [4, 3, 3]
 
     def test_validation_errors(self, rng):
         with pytest.raises(ValueError):
-            GradientBucketer([])
+            GradientBucketer.from_flat(0)
         with pytest.raises(ValueError):
-            GradientBucketer([0, 3])
+            GradientBucketer.fixed_count(3, 0)
         with pytest.raises(ValueError):
-            GradientBucketer([3], fusion_threshold_bytes=0)
-        b = GradientBucketer([3, 3])
+            GradientBucketer.from_flat(3, fusion_threshold_bytes=0)
+        b = GradientBucketer.fixed_count(6, 2)
         with pytest.raises(ValueError):
             b.pack(np.zeros(5))
         with pytest.raises(ValueError):
@@ -473,3 +475,19 @@ class TestSimtimeMirror:
         assert result.headline_speedup(8) >= 1.3
         report = fusion_pipeline.report(result)
         assert "unfused single-buffer" in report
+
+    def test_functional_rows_count_sent_bytes_alike(self):
+        """Every functional row is the bytes rank 0 sent: ring, fused ring
+        and ZeRO-1 all move 2 (P - 1) / P of the vector, recursive doubling
+        the whole vector log2(P) times."""
+        size, n = 4, 1 << 15
+        rows = fusion_pipeline.run_functional(
+            world_size=size, elements=n, iterations=1, backend="thread", sharding="zero1"
+        )
+        sent = [row.sent_bytes for row in rows]
+        ring = 2 * (size - 1) * n * 8 // size
+        assert sent == [2 * n * 8, ring, ring, ring]
+        assert all(row.max_abs_error < 1e-9 for row in rows)
+        assert "sent B/rank" in fusion_pipeline.report(
+            fusion_pipeline.FusionPipelineResult(rows=[], functional_rows=rows)
+        )

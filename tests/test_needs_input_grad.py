@@ -231,8 +231,9 @@ def _batchnorm_first():
 
 def _train_ten_steps(comm, factory, sharding, oracle):
     model = factory()
-    exchange = build_exchange(
-        comm, model.num_parameters(), "sync", fusion_buckets=2, sharding=sharding,
+    n = model.num_parameters()
+    exchange = build_exchange(  # two buckets: a threshold of half the float64 bytes
+        comm, n, "sync", fusion_threshold_bytes=8 * -(-n // 2), sharding=sharding,
         algorithm="ring",
     )
     sgd = DistributedSGD(

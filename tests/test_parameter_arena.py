@@ -383,22 +383,17 @@ def test_training_steps_received_in_place_match_the_thread_backend(config, world
         min_size=1, max_size=6,
     ),
     threshold=st.integers(min_value=8, max_value=512),
-    by_parameter=st.booleans(),
     world_size=st.integers(min_value=1, max_value=6),
     algorithm=st.sampled_from(["ring", "halving"]),
 )
 def test_bucket_views_and_shard_windows_tile_the_arena(
-    shapes, threshold, by_parameter, world_size, algorithm
+    shapes, threshold, world_size, algorithm
 ):
     model = Module()
     for index, shape in enumerate(shapes):
         model.add_parameter(f"p{index}", np.zeros(shape))
     grad = flatten_gradients(model)
-    if by_parameter:
-        sizes = [p.size for _, p in sorted(model.named_parameters(), key=lambda kv: kv[0])]
-        bucketer = GradientBucketer(sizes, fusion_threshold_bytes=threshold)
-    else:
-        bucketer = GradientBucketer.from_flat(grad.size, threshold)
+    bucketer = GradientBucketer.from_flat(grad.size, threshold)
     views = bucketer.views(grad)
     assert [v.size for v in views] == [b.num_elements for b in bucketer.buckets]
     for view in views:
@@ -417,10 +412,13 @@ def test_bucket_views_and_shard_windows_tile_the_arena(
 # (e) ExchangeResult.gradient is the vector passed in
 # ---------------------------------------------------------------------------
 def _contract_exchange(comm, kind):
+    # The thresholds cut the 23 elements into three buckets, [8, 8, 7].
     if kind == "sync":
-        return SynchronousExchange(comm, algorithm="ring", fusion_buckets=3)
+        return SynchronousExchange(comm, algorithm="ring", fusion_threshold_bytes=64)
     if kind == "int8":
-        return SynchronousExchange(comm, algorithm="ring", fusion_buckets=3, compression="int8")
+        return SynchronousExchange(
+            comm, algorithm="ring", fusion_threshold_bytes=9, compression="int8"
+        )
     return PartialExchange(
         comm, num_parameters=23, mode="quorum", quorum=2, seed=5, fusion_threshold_bytes=64
     )
@@ -460,7 +458,7 @@ def test_sharded_exchange_does_not_confuse_gradients_with_parameters():
         model = Module()
         model.add_parameter("theta", np.linspace(-1.0, 1.0, 40))
         optimizer = nn.SGD(model, 0.5)
-        exchange = ShardedExchange(comm, algorithm="ring", fusion_buckets=3)
+        exchange = ShardedExchange(comm, algorithm="ring", fusion_threshold_bytes=14 * 8)
         expected = np.linspace(-1.0, 1.0, 40)
         for step in range(3):
             model.theta.grad[...] = np.arange(40.0) * (comm.rank + 1) + step

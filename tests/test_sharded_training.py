@@ -408,7 +408,11 @@ class TestAllgatherOut:
 # ---------------------------------------------------------------------------
 # the sharded exchange
 # ---------------------------------------------------------------------------
-def _exchange_worker(comm, sharding, algorithm, opt_name, steps, fusion_buckets):
+#: Cuts ``_make_model``'s 87 parameters into two buckets, [44, 43].
+_TWO_BUCKETS = 44 * 8
+
+
+def _exchange_worker(comm, sharding, algorithm, opt_name, steps, fusion_threshold_bytes):
     model = _make_model(seed=9)
     opt = {
         "sgd": lambda: SGD(model, 0.05),
@@ -418,7 +422,7 @@ def _exchange_worker(comm, sharding, algorithm, opt_name, steps, fusion_buckets)
     n = flatten_parameters(model).size
     ex = build_exchange(
         comm, n, "sync", algorithm=algorithm, sharding=sharding,
-        fusion_buckets=fusion_buckets,
+        fusion_threshold_bytes=fusion_threshold_bytes,
     )
     rng = np.random.default_rng(1000 + comm.rank)
     wire = 0
@@ -441,11 +445,11 @@ class TestShardedExchange:
     def test_zero1_bitwise_matches_dense_ring(self, opt_name, size):
         """Same seeds, fp64: zero1 and the dense ring path agree bit for bit."""
         dense = launch(
-            _exchange_worker, size, "none", "ring", opt_name, 4, 2,
+            _exchange_worker, size, "none", "ring", opt_name, 4, _TWO_BUCKETS,
             backend="thread",
         )
         zero1 = launch(
-            _exchange_worker, size, "zero1", "ring", opt_name, 4, 2,
+            _exchange_worker, size, "zero1", "ring", opt_name, 4, _TWO_BUCKETS,
             backend="thread",
         )
         for (dp, dstate, dcount, _), (zp, zstate, zcount, zwire) in zip(dense, zero1):
@@ -458,10 +462,10 @@ class TestShardedExchange:
 
     def test_zero1_state_is_sharded_across_ranks(self):
         zero1 = launch(
-            _exchange_worker, 4, "zero1", "ring", "adam", 2, 1, backend="thread"
+            _exchange_worker, 4, "zero1", "ring", "adam", 2, None, backend="thread"
         )
         dense = launch(
-            _exchange_worker, 4, "none", "ring", "adam", 2, 1, backend="thread"
+            _exchange_worker, 4, "none", "ring", "adam", 2, None, backend="thread"
         )
         total_sharded = sum(state for _, state, _, _ in zero1)
         assert total_sharded == dense[0][1]  # shards tile the dense state
@@ -469,11 +473,11 @@ class TestShardedExchange:
     @pytest.mark.parametrize("algorithm", ["rabenseifner", "hierarchical"])
     def test_zero1_other_algorithms_allclose(self, algorithm):
         dense = launch(
-            _exchange_worker, 4, "none", "ring", "momentum", 3, 2,
+            _exchange_worker, 4, "none", "ring", "momentum", 3, _TWO_BUCKETS,
             backend="thread",
         )
         zero1 = launch(
-            _exchange_worker, 4, "zero1", algorithm, "momentum", 3, 2,
+            _exchange_worker, 4, "zero1", algorithm, "momentum", 3, _TWO_BUCKETS,
             backend="thread",
         )
         for (dp, *_), (zp, *_) in zip(dense, zero1):

@@ -60,10 +60,10 @@ class TestExchanges:
         assert result.included and result.num_active == 1
 
     @pytest.mark.parametrize("style", ["deep500", "horovod"])
-    @pytest.mark.parametrize("buckets", [1, 3])
-    def test_synchronous_exchange_averages(self, style, buckets):
+    @pytest.mark.parametrize("threshold", [None, 32])  # 1 bucket, and [4, 3, 3]
+    def test_synchronous_exchange_averages(self, style, threshold):
         def worker(comm):
-            ex = SynchronousExchange(comm, style=style, fusion_buckets=buckets)
+            ex = SynchronousExchange(comm, style=style, fusion_threshold_bytes=threshold)
             result = ex.exchange(np.full(10, comm.rank + 1.0))
             return result.gradient
 
@@ -99,7 +99,7 @@ class TestExchanges:
             with pytest.raises(ValueError):
                 SynchronousExchange(comm, style="nccl")
             with pytest.raises(ValueError):
-                SynchronousExchange(comm, fusion_buckets=0)
+                SynchronousExchange(comm, fusion_threshold_bytes=0)
 
 
 class TestDistributedSGDStep:

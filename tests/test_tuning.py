@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm import available_backends, launch
+from repro.nn.module import Module
+from repro.nn.optim import SGD
 from repro.simtime.collective_model import allreduce_time, collective_time
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
 from repro.training import GradientBucketer
-from repro.training.bucketing import BucketSpec
 from repro.training.config import TrainingConfig
-from repro.training.exchange import build_exchange
+from repro.training.exchange import PartialExchange, ShardedExchange, SynchronousExchange
 from repro.tuning import (
     CalibratedProfile,
     CalibrationSample,
@@ -97,62 +98,53 @@ class TestCostModelGuards:
 # satellite: bucketer element width consistency + round-trip properties
 # ---------------------------------------------------------------------------
 class TestBucketerBytesPerElement:
-    def test_nbytes_uses_custom_element_width(self):
-        """Regression: BucketSpec.nbytes hardcoded 8 bytes/element even when
-        the bucketer was built with a custom width."""
-        b = GradientBucketer([4, 4], fusion_threshold_bytes=16, bytes_per_element=4)
-        assert b.bytes_per_element == 4
-        assert [spec.num_elements for spec in b.buckets] == [4, 4]
-        assert all(spec.nbytes == 16 for spec in b.buckets)
-        assert all(spec.bytes_per_element == 4 for spec in b.buckets)
-
-    @pytest.mark.parametrize("builder", ["from_flat", "fixed_count"])
-    def test_builders_thread_element_width(self, builder):
-        if builder == "from_flat":
-            b = GradientBucketer.from_flat(12, fusion_threshold_bytes=12, bytes_per_element=3)
-        else:
-            b = GradientBucketer.fixed_count(12, 3, bytes_per_element=3)
-        assert b.bytes_per_element == 3
-        assert sum(spec.nbytes for spec in b.buckets) == 12 * 3
-        for spec in b.buckets:
-            assert spec.nbytes == spec.num_elements * 3
-
-    def test_default_width_unchanged(self):
-        spec = BucketSpec(0, 0, 10)
-        assert spec.nbytes == 80
+    def test_from_flat_budgets_the_element_width(self):
+        """The threshold is divided by the element width the bucketer was
+        built for, not a hardcoded 8 bytes."""
+        b = GradientBucketer.from_flat(12, fusion_threshold_bytes=12, bytes_per_element=3)
+        assert [spec.num_elements for spec in b.buckets] == [4, 4, 4]
+        wire = GradientBucketer.from_flat(12, 12, 8, wire_bytes_per_element=2.0)
+        assert [spec.num_elements for spec in wire.buckets] == [6, 6]
 
     @settings(max_examples=30, deadline=None)
     @given(
-        sizes=st.lists(st.integers(min_value=1, max_value=17), min_size=1, max_size=8),
+        total=st.integers(min_value=1, max_value=136),
         bytes_per_element=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12]),
         threshold=st.integers(min_value=1, max_value=256),
+        count=st.integers(min_value=1, max_value=12),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_pack_unpack_round_trip_property(self, sizes, bytes_per_element, threshold, seed):
-        """pack -> unpack is a bit-exact inverse under any element width,
-        and the byte accounting matches the width."""
-        b = GradientBucketer(
-            sizes, fusion_threshold_bytes=threshold, bytes_per_element=bytes_per_element
-        )
-        total = sum(sizes)
+    def test_pack_unpack_round_trip_property(
+        self, total, bytes_per_element, threshold, count, seed
+    ):
+        """pack -> unpack is a bit-exact inverse over every layout the two
+        builders cut, the ranges tile the vector in order, and from_flat's
+        buckets are the fewest that each fit the threshold."""
+        by_threshold = GradientBucketer.from_flat(total, threshold, bytes_per_element)
+        capacity = max(1, threshold // bytes_per_element)
+        assert by_threshold.num_buckets == -(-total // capacity)
+        for spec in by_threshold.buckets:
+            assert spec.num_elements * bytes_per_element <= max(threshold, bytes_per_element)
+        by_count = GradientBucketer.fixed_count(total, count)
+        assert by_count.num_buckets == min(count, total)
         flat = np.random.default_rng(seed).normal(size=total)
-        buffers = b.pack(flat)
-        assert sum(buf.size for buf in buffers) == total
-        assert np.array_equal(b.unpack(buffers), flat)
-        assert sum(spec.nbytes for spec in b.buckets) == total * bytes_per_element
-        # No bucket with more than one parameter exceeds the threshold
-        # (single oversized parameters legitimately may).
-        for spec in b.buckets:
-            if len(spec.param_indices) > 1:
-                assert spec.nbytes <= max(threshold, bytes_per_element)
+        for b in (by_threshold, by_count):
+            stops = [0] + [spec.stop for spec in b.buckets]
+            assert [(spec.index, spec.start) for spec in b.buckets] == list(
+                enumerate(stops[:-1])
+            )
+            assert stops[-1] == total
+            buffers = b.pack(flat)
+            assert sum(buf.size for buf in buffers) == total
+            assert np.array_equal(b.unpack(buffers), flat)
 
     def test_invalid_element_width_rejected(self):
         with pytest.raises(ValueError):
-            GradientBucketer([4], bytes_per_element=0)
-        with pytest.raises(ValueError):
             GradientBucketer.from_flat(4, bytes_per_element=0)
         with pytest.raises(ValueError):
-            GradientBucketer.fixed_count(4, 2, bytes_per_element=-1)
+            GradientBucketer.from_flat(4, wire_bytes_per_element=0.0)
+        with pytest.raises(ValueError):
+            GradientBucketer.from_flat(4, wire_bytes_per_element=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -517,44 +509,6 @@ class TestAutoResolution:
         # The original is untouched (the runner resolves a copy).
         assert config.fusion_threshold_bytes == "auto"
 
-    def test_legacy_buckets_modelled_per_exchange_kind(self, tmp_path):
-        """With legacy fixed-count bucketing, 'auto' chunks are tuned
-        against the ``fusion_buckets`` every exchange kind runs — the
-        partial exchange as much as the synchronous one."""
-        import importlib
-        from unittest import mock
-
-        # The package re-exports the autotune *function* under the same
-        # name as the submodule; fetch the submodule explicitly.
-        autotune_module = importlib.import_module("repro.tuning.autotune")
-
-        _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
-        captured = {}
-        real_autotune = autotune_module.autotune
-
-        def spy(*args, **kwargs):
-            captured.update(kwargs)
-            return real_autotune(*args, **kwargs)
-
-        base = dict(
-            world_size=2,
-            quorum=2,
-            fusion_buckets=4,
-            pipeline_chunks="auto",
-            tuning_cache_dir=str(tmp_path),
-        )
-        num_parameters = 1 << 16
-        gradient_bytes = num_parameters * 8
-        with mock.patch.object(autotune_module, "autotune", side_effect=spy):
-            resolve_auto_fusion(
-                TrainingConfig(mode="quorum", **base), num_parameters=num_parameters
-            )
-            assert captured["thresholds"] == [gradient_bytes // 4]
-            resolve_auto_fusion(
-                TrainingConfig(mode="sync", **base), num_parameters=num_parameters
-            )
-            assert captured["thresholds"] == [gradient_bytes // 4]
-
     def test_pinned_values_survive_partial_auto(self, tmp_path):
         _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
         config = TrainingConfig(
@@ -617,19 +571,74 @@ class TestAutoResolution:
         assert resolve_auto_fusion(config, num_parameters=64) is config
 
 
-class TestEagerExchangeHonoursFusionBuckets:
-    def test_majority_exchange_runs_the_configured_buckets(self):
-        """Legacy fixed-count bucketing reaches the partial exchange too:
-        ``TrainingConfig(mode="majority", fusion_buckets=3)`` runs three."""
+def _exchange_bucket_count(comm, kind, threshold, codec, num_parameters):
+    """Buckets the exchange of ``kind`` runs: one wait per bucket's collective."""
+    knobs = dict(fusion_threshold_bytes=threshold, compression=codec)
+    gradient = np.ones(num_parameters)
+    if kind is ShardedExchange:
+        model = Module()
+        model.add_parameter("theta", np.zeros(num_parameters))
+        exchange = ShardedExchange(comm, **knobs)
+        return len(exchange.exchange_update(gradient, model, SGD(model, 0.1)).bucket_waits)
+    if kind is PartialExchange:
+        exchange = PartialExchange(comm, num_parameters, "majority", **knobs)
+    else:
+        exchange = SynchronousExchange(comm, algorithm="ring", **knobs)
+    with exchange:
+        return len(exchange.exchange(gradient).bucket_waits)
 
-        def worker(comm):
-            exchange = build_exchange(comm, 23, "majority", fusion_buckets=3)
-            try:
-                return exchange.bucketer.num_buckets
-            finally:
-                exchange.close()
 
-        assert launch(worker, 2, backend="thread") == [3, 3]
+class TestTunerPricesTheExchangesBuckets:
+    """``resolve_auto_fusion`` prices the buckets every exchange cuts: the
+    threshold it hands the tuner (``None`` mapped to one bucket) and its
+    codec model give ``bucketer_for`` the exchange's own bucket count."""
+
+    @pytest.mark.parametrize("codec", [None, "fp16", "int8"])
+    @pytest.mark.parametrize("threshold", [None, 1024, 1 << 20])
+    @pytest.mark.parametrize(
+        "kind", [SynchronousExchange, ShardedExchange, PartialExchange],
+        ids=lambda kind: kind.__name__,
+    )
+    def test_bucket_counts_agree(self, tmp_path, kind, threshold, codec):
+        import importlib
+        from unittest import mock
+
+        if kind is ShardedExchange and codec == "int8":
+            pytest.skip("the sharded exchange rejects non-reduce-closed codecs")
+        # The package re-exports the autotune *function* under the same
+        # name as the submodule; fetch the submodule explicitly.
+        autotune_module = importlib.import_module("repro.tuning.autotune")
+        _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
+        num_parameters = 1500
+        config = TrainingConfig(
+            world_size=2,
+            mode="majority" if kind is PartialExchange else "sync",
+            sharding="zero1" if kind is ShardedExchange else "none",
+            fusion_threshold_bytes=threshold,
+            pipeline_chunks="auto",
+            compression=codec,
+            tuning_cache_dir=str(tmp_path),
+        )
+        captured = {}
+        real_autotune = autotune_module.autotune
+
+        def spy(*args, **kwargs):
+            captured.update(kwargs)
+            return real_autotune(*args, **kwargs)
+
+        with mock.patch.object(autotune_module, "autotune", side_effect=spy):
+            resolve_auto_fusion(config, num_parameters=num_parameters)
+        (priced_threshold,) = captured["thresholds"]
+        priced = autotune_module.bucketer_for(
+            num_parameters * 8, priced_threshold, captured["compression_model"]
+        ).num_buckets
+        counts = launch(
+            _exchange_bucket_count, 2, kind, threshold, codec, num_parameters,
+            backend="thread",
+        )
+        assert counts == [priced, priced]
+        if threshold == 1024 and codec is None:
+            assert priced == 12  # the grid is not all one-bucket cells
 
 
 # ---------------------------------------------------------------------------

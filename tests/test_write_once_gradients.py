@@ -120,8 +120,9 @@ def _train_ten_steps(comm, sharding, eager):
     model = MLPClassifier(12, (8,), 3, seed=5)
     if eager:
         _eager_zero(model)
-    exchange = build_exchange(
-        comm, model.num_parameters(), "sync", fusion_buckets=2, sharding=sharding,
+    n = model.num_parameters()
+    exchange = build_exchange(  # two buckets: a threshold of half the float64 bytes
+        comm, n, "sync", fusion_threshold_bytes=8 * -(-n // 2), sharding=sharding,
         algorithm="ring",
     )
     sgd = DistributedSGD(
