@@ -10,9 +10,9 @@ need a 512-rank deployment and a lucky race to reproduce.
   proves match-completeness, tag-space soundness, deadlock freedom and
   exact reduction coverage, swept over world sizes and host topologies.
 * :mod:`repro.analysis.ring_model` — bounded model checker of the
-  shared-memory SPSC ring doorbell protocol: explores every
-  interleaving of the producer/consumer step machines and proves no
-  torn frame and no lost wakeup.
+  shared-memory SPSC ring doorbell protocol and empty-ring rewind:
+  explores every interleaving of the producer/consumer step machines
+  and proves no torn frame and no lost wakeup.
 * :mod:`repro.analysis.lint` — repo-specific AST lint for invariants a
   generic linter cannot know (tag discipline, shm cleanup, zero-copy
   framing, silent array copies, actionable ValueErrors).

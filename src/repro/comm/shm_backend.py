@@ -18,7 +18,8 @@ Segment layout
 --------------
 One segment per directed pair, created by the *consumer* rank::
 
-    offset   0  uint64  head      bytes consumed   (written by consumer)
+    offset   0  uint64  head      bytes consumed   (written by consumer;
+                                  by producer only while the ring is empty)
     offset   8  uint32  cwait     consumer may be sleeping on its event
     offset  12  uint32  cclosed   consumer departed (writes now evaporate)
     offset  64  uint64  tail      bytes produced   (written by producer)
@@ -26,8 +27,8 @@ One segment per directed pair, created by the *consumer* rank::
     offset  76  uint32  pclosed   producer departed (drained ring = EOF)
     offset 128  byte[]  data      ``ring_bytes`` capacity, wraps mod size
 
-``head`` and ``tail`` are free-running 64-bit byte counters on separate
-cache lines (seqlock style: ``tail - head`` is the readable span,
+``head`` and ``tail`` are 64-bit byte counters on separate cache lines
+(seqlock style: ``tail - head`` is the readable span,
 ``capacity - (tail - head)`` the writable one).  The producer copies
 payload bytes first and publishes ``tail`` after; the consumer reads
 ``tail`` before touching data — on total-store-order machines (x86)
@@ -35,6 +36,22 @@ that ordering makes the fast path correct without any lock, futex or
 syscall.  Pure Python cannot emit memory fences, so the capability
 probe refuses weakly ordered architectures outright (the backend is
 then absent from ``available_backends()`` rather than silently racy).
+
+**Rewind.**  A producer that finds its ring empty (``head == tail``) at
+an offset other than 0 first moves both cursors to the next multiple of
+the capacity — ``head``, then ``tail`` — and writes from offset 0.  The
+consumer loads ``tail`` before ``head`` wherever it computes a span, so
+a rewind between its two loads reads as an empty ring, never as a span
+over the skipped bytes (:mod:`repro.analysis.ring_model` checks both
+orders, and that swapping either one tears a frame).  A ring's resident
+pages are therefore its largest burst — the bytes written between two
+moments it is empty — not its capacity; ``ring_bytes`` still bounds
+what is in flight.  The rewind moves a cursor by up to the whole
+capacity, so every cursor load and store must be one 8-byte access:
+the cursors are a ``memoryview.cast("Q")`` of the header (one aligned
+``mov``), since ``struct``'s ``"<Q"`` pack/unpack goes a byte at a time
+and tore about one read in six in a two-process probe on a 2-vCPU
+x86-64 host (the cast view: none of millions).
 
 Progress is **spin-then-event**: a starved side yields the CPU a few
 times (zero times on oversubscribed machines, where spinning starves
@@ -80,7 +97,6 @@ import errno
 import logging
 import os
 import secrets
-import struct
 import threading
 import time
 from functools import partial
@@ -113,14 +129,17 @@ _NAME_PREFIX = "repro-shm"
 #: Where POSIX shared memory appears as files (used only by the sweep).
 _SHM_DIR = "/dev/shm"
 
-#: Header field offsets (bytes) inside a ring segment.
+#: Header size (bytes) of a ring segment; the layout is in the module
+#: docstring.  Cells are addressed through two typed views of the header:
+#: ``cursors`` (8-byte cells, byte offset ``8 * i``) and ``flags``
+#: (4-byte cells, byte offset ``4 * i``).
 _RING_HEADER_BYTES = 128
-_OFF_HEAD = 0
-_OFF_CWAIT = 8
-_OFF_CCLOSED = 12
-_OFF_TAIL = 64
-_OFF_PWAIT = 72
-_OFF_PCLOSED = 76
+_HEAD = 0  # cursors[0], byte 0
+_TAIL = 8  # cursors[8], byte 64
+_CWAIT = 2  # flags[2], byte 8
+_CCLOSED = 3  # flags[3], byte 12
+_PWAIT = 18  # flags[18], byte 72
+_PCLOSED = 19  # flags[19], byte 76
 
 #: Serialises the pre-3.13 resource-tracker monkeypatch: two threads
 #: interleaving save/patch/restore could otherwise leave the no-op
@@ -307,25 +326,23 @@ def _pid_alive(pid: int) -> bool:
 # ---------------------------------------------------------------------------
 # the ring
 # ---------------------------------------------------------------------------
-#: Bound structs for header-cell access: ~3x faster per access than
-#: numpy scalar indexing, which sits on every message's critical path.
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
-
-
 class _Ring:
     """One single-producer/single-consumer byte ring in shared memory.
 
     Each side constructs its own view of the same segment (the consumer
     creates it, the producer attaches).  All cursor arithmetic uses the
-    free-running 64-bit counters described in the module docstring;
-    data moves with raw ``memoryview`` slice assignment (C memcpy).
+    64-bit counters described in the module docstring; each cursor load
+    or store is one aligned 8-byte access through a ``memoryview`` cast,
+    and data moves with raw ``memoryview`` slice assignment (C memcpy).
     """
 
     def __init__(self, shm, capacity: int) -> None:
         self._shm = shm
         self.capacity = int(capacity)
-        self._buf = shm.buf
+        header = shm.buf[:_RING_HEADER_BYTES]
+        self._cursors = header.cast("Q")
+        self._flags = header.cast("I")
+        header.release()
         self._data = shm.buf[_RING_HEADER_BYTES : _RING_HEADER_BYTES + self.capacity]
 
     # ------------------------------------------------------------ lifecycle
@@ -342,9 +359,11 @@ class _Ring:
     def detach(self) -> None:
         # Views alias shm.buf; drop them before closing the mapping or
         # SharedMemory.close() raises BufferError on exported pointers.
-        data, self._data, self._buf = self._data, None, None
-        if data is not None:
-            data.release()
+        views = (self._data, self._cursors, self._flags)
+        self._data = self._cursors = self._flags = None
+        for view in views:
+            if view is not None:
+                view.release()
         try:
             self._shm.close()
         except (OSError, BufferError):  # pragma: no cover - teardown race
@@ -352,76 +371,87 @@ class _Ring:
 
     # ------------------------------------------------------------- cursors
     def readable(self) -> int:
-        buf = self._buf
-        return _U64.unpack_from(buf, _OFF_TAIL)[0] - _U64.unpack_from(buf, _OFF_HEAD)[0]
+        # Tail before head: see read_some.
+        cursors = self._cursors
+        return cursors[_TAIL] - cursors[_HEAD]
 
     def writable(self) -> int:
         return self.capacity - self.readable()
 
     # --------------------------------------------------------------- flags
-    def _flag(self, offset: int) -> bool:
-        return _U32.unpack_from(self._buf, offset)[0] != 0
-
-    def _set_flag(self, offset: int, value: bool) -> None:
-        _U32.pack_into(self._buf, offset, 1 if value else 0)
-
     @property
     def consumer_closed(self) -> bool:
-        return self._flag(_OFF_CCLOSED)
+        return self._flags[_CCLOSED] != 0
 
     @property
     def producer_closed(self) -> bool:
-        return self._flag(_OFF_PCLOSED)
+        return self._flags[_PCLOSED] != 0
 
     def close_consumer(self) -> None:
-        self._set_flag(_OFF_CCLOSED, True)
+        self._flags[_CCLOSED] = 1
 
     def close_producer(self) -> None:
-        self._set_flag(_OFF_PCLOSED, True)
+        self._flags[_PCLOSED] = 1
 
     def set_consumer_waiting(self, value: bool) -> None:
-        self._set_flag(_OFF_CWAIT, value)
+        self._flags[_CWAIT] = int(value)
 
     def set_producer_waiting(self, value: bool) -> None:
-        self._set_flag(_OFF_PWAIT, value)
+        self._flags[_PWAIT] = int(value)
 
     @property
     def consumer_waiting(self) -> bool:
-        return self._flag(_OFF_CWAIT)
+        return self._flags[_CWAIT] != 0
 
     @property
     def producer_waiting(self) -> bool:
-        return self._flag(_OFF_PWAIT)
+        return self._flags[_PWAIT] != 0
 
     # ------------------------------------------------------------- produce
     def write_some(self, view: memoryview) -> int:
         """Copy as much of ``view`` as currently fits; returns bytes written.
 
-        Data is copied *before* the tail is published, so the consumer
-        can never observe unwritten bytes.
+        An empty ring is first rewound: both cursors move to the next
+        multiple of the capacity, head first, so the write starts at
+        offset 0 and the pages a ring touches are its largest burst in
+        flight.  Data is copied *before* the tail is published, so the
+        consumer can never observe unwritten bytes.
         """
-        buf = self._buf
-        tail = _U64.unpack_from(buf, _OFF_TAIL)[0]
-        span = min(
-            self.capacity - (tail - _U64.unpack_from(buf, _OFF_HEAD)[0]), len(view)
-        )
+        cursors = self._cursors
+        capacity = self.capacity
+        tail = cursors[_TAIL]
+        head = cursors[_HEAD]
+        if head == tail and tail % capacity:
+            # Only the producer moves a cursor of an empty ring.  Head
+            # first: a consumer that loads tail, then head, sees either
+            # the old tail or a head at or past it — never a span over
+            # the skipped bytes.
+            tail = head = tail - tail % capacity + capacity
+            cursors[_HEAD] = head
+            cursors[_TAIL] = tail
+        span = min(capacity - (tail - head), len(view))
         if span <= 0:
             return 0
-        pos = tail % self.capacity
-        first = min(span, self.capacity - pos)
+        pos = tail % capacity
+        first = min(span, capacity - pos)
         data = self._data
         data[pos : pos + first] = view[:first]
         if span > first:
             data[: span - first] = view[first:span]
-        _U64.pack_into(buf, _OFF_TAIL, tail + span)
+        cursors[_TAIL] = tail + span
         return span
 
     # ------------------------------------------------------------- consume
     def read_some(self, view: memoryview) -> int:
-        """Fill ``view`` with up to ``len(view)`` ring bytes; returns count."""
-        buf = self._buf
-        head = _U64.unpack_from(buf, _OFF_HEAD)[0]
-        span = min(_U64.unpack_from(buf, _OFF_TAIL)[0] - head, len(view))
+        """Fill ``view`` with up to ``len(view)`` ring bytes; returns count.
+
+        Tail is loaded before head: a rewind that lands between the two
+        loads leaves ``head`` past the loaded tail, an empty span.
+        """
+        cursors = self._cursors
+        tail = cursors[_TAIL]
+        head = cursors[_HEAD]
+        span = min(tail - head, len(view))
         if span <= 0:
             return 0
         pos = head % self.capacity
@@ -430,7 +460,7 @@ class _Ring:
         view[:first] = data[pos : pos + first]
         if span > first:
             view[first:span] = data[: span - first]
-        _U64.pack_into(buf, _OFF_HEAD, head + span)
+        cursors[_HEAD] = head + span
         return span
 
 
@@ -535,13 +565,13 @@ class _RingLink:
     # ----------------------------------------------------------- receive
     # Header cells are read inline: these three run on every pump pass.
     def readable(self) -> bool:
-        buf = self._inbound._buf  # noqa: SLF001 - same-module hot path
-        return _U64.unpack_from(buf, _OFF_TAIL)[0] != _U64.unpack_from(buf, _OFF_HEAD)[0]
+        cursors = self._inbound._cursors  # noqa: SLF001 - same-module hot path
+        return cursors[_TAIL] - cursors[_HEAD] > 0  # tail first: see _Ring.read_some
 
     def read_some(self, view: memoryview) -> int:
         ring = self._inbound
         got = ring.read_some(view)
-        if got and _U32.unpack_from(ring._buf, _OFF_PWAIT)[0]:  # noqa: SLF001
+        if got and ring._flags[_PWAIT]:  # noqa: SLF001
             self._peer_space_bell.ring()
         return got
 
@@ -549,7 +579,7 @@ class _RingLink:
     def eof(self) -> bool:
         """Closed producer + drained ring = socket EOF.  The flag is read
         first: the producer publishes its last bytes before it sets it."""
-        closed = _U32.unpack_from(self._inbound._buf, _OFF_PCLOSED)[0]  # noqa: SLF001
+        closed = self._inbound._flags[_PCLOSED]  # noqa: SLF001
         return bool(closed) and not self.readable()
 
     def arm(self) -> bool:

@@ -59,3 +59,14 @@ def test_verify_ring_protocol_rollup():
     assert len(rows) == len(HEALTHY_CONFIGS) + len(MUTATION_CONFIGS)
     for row in rows:
         assert row.ok, [str(v) for v in row.violations]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [c for c, _ in MUTATION_CONFIGS if c.rewind_tail_first or c.load_head_first],
+    ids=lambda c: c.label,
+)
+def test_rewind_mutations_tear_across_a_rewind(config):
+    result = explore(config)
+    torn = [v for v in result.violations if v.kind == "torn-frame"]
+    assert torn and any(step.startswith("p_rewind") for step in torn[0].trace)

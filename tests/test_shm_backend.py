@@ -3,12 +3,15 @@
 The cross-backend semantics are covered by the conformance suite
 (``tests/test_backend_conformance.py`` parametrizes over ``shm``); this
 module tests what is specific to the shm transport: the SPSC ring
-(wrap-around, streaming frames larger than the ring), the capability
-probe / unavailability bookkeeping, segment hygiene (session sweep,
-stale-segment sweep keyed on dead PIDs), and the backend options.
+(wrap-around, streaming frames larger than the ring, the rewind of an
+empty ring to offset 0 and the untearable cursor cells it relies on),
+the capability probe / unavailability bookkeeping, segment hygiene
+(session sweep, stale-segment sweep keyed on dead PIDs), and the backend
+options.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +31,23 @@ needs_shm = pytest.mark.skipif(
 
 def _make_ring(tmp_name, capacity):
     return shm_backend._Ring.create(tmp_name, capacity)
+
+
+def _tail(ring):
+    """The ring's ``tail`` cursor, read from the segment layout (byte 64)."""
+    return int.from_bytes(ring._shm.buf[64:72], "little")
+
+
+def _rss_shmem_bytes():
+    """This process's resident shared-memory pages (``None``: not reported)."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
 
 
 def _destroy_ring(ring):
@@ -71,6 +91,96 @@ class TestRing:
         finally:
             _destroy_ring(ring)
 
+    def test_every_burst_starts_at_offset_zero(self):
+        capacity, frame = 64 * 1024, 10_000
+        ring = _make_ring(shm_backend._session_name() + "-t4", capacity)
+        try:
+            payload = bytes(range(1, 251)) * (frame // 250)
+            out = bytearray(frame)
+            for _ in range(200):
+                assert ring.write_some(memoryview(payload)) == frame
+                assert (_tail(ring) - frame) % capacity == 0
+                assert ring.read_some(memoryview(out)) == frame
+                assert bytes(out) == payload
+            # The pages past the largest burst were never written.
+            assert not any(ring._data[frame:])
+        finally:
+            _destroy_ring(ring)
+
+    def test_rewinds_mid_frame_round_trip_bit_exact(self):
+        capacity = 64 * 1024
+        ring = _make_ring(shm_backend._session_name() + "-t5", capacity)
+        rng = np.random.default_rng(7)
+        try:
+            payload = rng.integers(0, 256, 3 * capacity, dtype=np.uint8).tobytes()
+            out = bytearray(len(payload))
+            sent = got = rewinds = 0
+            while got < len(payload):
+                if sent < len(payload):
+                    before = _tail(ring)
+                    chunk = int(rng.integers(1, 24 * 1024))
+                    wrote = ring.write_some(memoryview(payload)[sent : sent + chunk])
+                    rewinds += _tail(ring) - before > wrote
+                    sent += wrote
+                # Reads drain the ring about half the time, so the next
+                # write finds it empty at an odd offset inside the frame.
+                drain = rng.random() < 0.5
+                want = ring.readable() if drain else int(rng.integers(1, 16 * 1024))
+                got += ring.read_some(memoryview(out)[got : got + want])
+            assert rewinds > 0
+            assert bytes(out) == payload
+        finally:
+            _destroy_ring(ring)
+
+    def test_cursor_cells_do_not_tear_across_processes(self):
+        # Every byte of the two values differs, so a store or load made of
+        # narrower pieces shows up as a third value (``struct``'s "<Q"
+        # pack/unpack tore about one read in six on a 2-vCPU x86-64 host).
+        import multiprocessing
+
+        name = shm_backend._session_name() + "-t6"
+        ring = _make_ring(name, 4096)
+        values = (0x0123456789ABCDEF, 0xFEDCBA9876543210)
+        cursors = ring._cursors
+        cursors[shm_backend._HEAD] = cursors[shm_backend._TAIL] = values[0]
+        ctx = multiprocessing.get_context("fork")
+        started = ctx.Event()
+
+        def store(seconds):
+            producer = shm_backend._Ring.attach(name, 4096)
+            cells = producer._cursors
+            started.set()
+            stop = time.perf_counter() + seconds
+            while time.perf_counter() < stop:
+                for _ in range(500):
+                    for value in values:
+                        cells[shm_backend._HEAD] = value
+                        cells[shm_backend._TAIL] = value
+            producer.detach()
+
+        writer = ctx.Process(target=store, args=(0.25,))
+        writer.start()
+        try:
+            assert started.wait(30)
+            reads = torn = 0
+            seen = set()
+            stop = time.perf_counter() + 0.25
+            while time.perf_counter() < stop:
+                for _ in range(1000):
+                    for value in (cursors[shm_backend._TAIL], cursors[shm_backend._HEAD]):
+                        if value not in values:
+                            torn += 1
+                        seen.add(value)
+                reads += 2000
+            writer.join(30)
+            assert writer.exitcode == 0
+            assert torn == 0, f"{torn} torn cursor reads of {reads}"
+            assert seen == set(values)  # the reader raced the writer
+        finally:
+            if writer.is_alive():  # pragma: no cover - only on a failed wait
+                writer.kill()
+            _destroy_ring(ring)
+
     def test_flags_roundtrip(self):
         ring = _make_ring(shm_backend._session_name() + "-t3", 4096)
         try:
@@ -104,6 +214,61 @@ class TestTransport:
                 backend_opts={"ring_bytes": 64 * 1024},
             )
         )
+
+    def test_resident_ring_pages_are_the_bytes_in_flight(self):
+        # 100 allreduces of a skew workload's 49 866-element gradient
+        # stream 40 MB through each ring of a rank's two recursive-doubling
+        # peers; free-running cursors would leave all four 4 MiB rings
+        # resident.  A rank computes between exchanges (1 ms here), so
+        # each message is a burst of its own: back to back, a consumer
+        # that lags lets up to three messages queue on one ring before it
+        # next runs empty.
+        def worker(comm):
+            from repro.collectives.sync import allreduce
+
+            data = np.full(49_866, float(comm.rank))
+            for _ in range(100):
+                out = allreduce(comm, data, algorithm="recursive_doubling")
+                time.sleep(0.001)
+            assert out[0] == 6.0
+            return _rss_shmem_bytes()
+
+        resident = launch(worker, 4, backend="shm", timeout=120)
+        if any(r is None for r in resident):
+            pytest.skip("/proc/self/status reports no RssShmem")
+        assert max(resident) <= 4 * 1024 * 1024, resident
+
+    def test_majority_exchange_with_epoch_allreduces_finishes(self):
+        # The skew_majority shape: a partial exchange's progress threads
+        # stream through the rings while the application thread sleeps
+        # out uneven compute and, once per epoch, runs a sync allreduce.
+        steps, n = 300, 49_866
+
+        def worker(comm):
+            from repro.collectives.sync import allreduce
+            from repro.training.exchange import PartialExchange
+
+            exchange = PartialExchange(comm, n, mode="majority", seed=5)
+            gradient = np.ones(n)
+            try:
+                for step in range(steps):
+                    time.sleep(0.0058 + (0.009 if step % comm.size == comm.rank else 0.0))
+                    result = exchange.exchange(gradient)
+                    assert 1 <= result.num_active <= comm.size
+                    assert np.isfinite(result.gradient).all()
+                    if step % 56 == 55:
+                        summary = allreduce(
+                            comm, np.full(3, float(step)), algorithm="recursive_doubling",
+                            average=True,
+                        )
+                        assert np.array_equal(summary, np.full(3, float(step)))
+            finally:
+                exchange.close()
+            return True
+
+        assert launch(
+            worker, 4, backend="shm", timeout=180, default_recv_timeout=60.0
+        ) == [True] * 4
 
     def test_ring_bytes_validated(self):
         with pytest.raises(ValueError, match="ring_bytes"):
