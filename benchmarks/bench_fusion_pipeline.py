@@ -24,7 +24,7 @@ WORKLOAD_MB = 4.0
 
 def _run_model():
     return fusion_pipeline.run(
-        world_sizes=(4, 8, 16), gradient_mb=WORKLOAD_MB, bucket_mb=(1.0, 4.0), n_chunks=8
+        world_sizes=(4, 8, 16), gradient_mb=WORKLOAD_MB, bucket_mb=(1.0, 4.0), pipeline_chunks=8
     )
 
 

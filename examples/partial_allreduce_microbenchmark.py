@@ -17,9 +17,9 @@ from repro.experiments import fig9_microbenchmark
 
 
 def main() -> None:
-    model_result = fig9_microbenchmark.run(world_size=32, iterations=64, skew_step_ms=1.0)
+    model_result = fig9_microbenchmark.run(world_size=32, iterations=64, skew_ms=1.0)
     model_result.functional_rows = fig9_microbenchmark.run_functional(
-        world_size=8, iterations=8, skew_step_ms=6.0, message_elements=1024
+        world_size=8, iterations=8, skew_ms=6.0, message_elements=1024
     )
     print(fig9_microbenchmark.report(model_result))
 

@@ -6,29 +6,32 @@ Examples
 
     python -m repro list
     python -m repro fig9  --world-size 32 --iterations 64
-    python -m repro fig2
     python -m repro fig10 --scale tiny
-    python -m repro fig13 --scale small
-    python -m repro scaling
-    python -m repro table1 --scale paper
     python -m repro train --mode quorum --quorum 3 --trace trace.json
 
-Each sub-command is a :class:`Command` row of :data:`COMMANDS`; ``train``
-and ``serve`` take their flags from their config dataclasses.
+Each sub-command is a :class:`Command` row of :data:`COMMANDS`.  An
+experiment row is its harness: its flags are the parameters of the
+harness's ``run`` (:func:`add_flags` — the annotation gives a flag's type,
+choices or bound, the default its default), ``run``'s docstring is the
+sub-command's description, and the row prints the harness's ``report``
+of the run.  ``train`` and ``serve`` take their flags from their config
+dataclasses' fields the same way.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import inspect
 import json
-import math
 import sys
 import typing
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from pathlib import Path
+from typing import (
+    Annotated, Any, Callable, Dict, List, Literal, NamedTuple, Optional, Sequence, Union,
+)
 
+from repro.analysis.schedule_verifier import DEFAULT_WORLD_SIZES, verify
 from repro.experiments import (
     autotune as autotune_experiment,
     fig2_workload,
@@ -45,130 +48,107 @@ from repro.obs.recorder import DEFAULT_CAPACITY
 from repro.obs.tracecmd import PRESET, format_summary, run_trace
 from repro.serving import ServingConfig, Workload, serve
 from repro.serving.server import format_report
+from repro.utils.argtypes import (
+    codec_spec, comma_list, int_at_least, int_or_auto, positive_float,
+)
 
 
 class Command(NamedTuple):
     """One sub-command: ``add_args(parser)`` declares its flags and
-    ``run(args, parser)`` runs it, returning the exit code (``None`` = 0)."""
+    ``run(args, parser)`` runs it, returning the exit code (``None`` = 0).
+    ``fn`` is the function whose parameters are the flags, if any."""
 
     name: str
     help: str
     add_args: Callable[[argparse.ArgumentParser], None]
     run: Callable[[argparse.Namespace, argparse.ArgumentParser], Optional[int]]
+    fn: Optional[Callable] = None
 
 
-def _bounded(convert: Callable[[str], Any], ok: Callable[[Any], bool], what: str):
-    """An argparse ``type``: ``convert(value)`` when ``ok`` accepts it,
-    otherwise a usage error (exit 2) naming ``value``."""
-
-    def parse(value: str) -> Any:
-        with contextlib.suppress(ValueError):
-            if ok(converted := convert(value)):
-                return converted
-        raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
-
-    return parse
-
-
-def _int_at_least(k: int):
-    return _bounded(int, lambda n: n >= k, f"an integer >= {k}")
-
-
-_positive_float = _bounded(float, lambda x: 0 < x < math.inf, "a finite number > 0")
-_int_or_auto = _bounded(lambda v: v if v == "auto" else int(v),
-                        lambda v: v == "auto" or v >= 1, "an integer >= 1 or 'auto'")
-
-
-def _comma_list(item: Callable[[str], Any]):
-    """An argparse ``type``: a comma-separated list of ``item`` values."""
-    return lambda value: [item(part) for part in value.split(",")]
-
-
-def _codec_spec(value: str) -> str:
-    """argparse type for ``--compression``: validate the codec spec eagerly."""
-    from repro.compression import get_codec
-
-    try:
-        get_codec(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _add_backend_argument(p: argparse.ArgumentParser, help_text: str, dest: str = "backend"):
-    """Add the shared ``--backend`` option to a sub-command parser."""
+def _add_shared(p: argparse.ArgumentParser, dest: str, default: Optional[str] = None) -> None:
+    """Add the shared ``--compression`` flag, or for ``dest`` ``backend`` /
+    ``comm_backend`` the shared ``--backend`` flag, to a sub-command parser."""
     from repro.comm.backend import available_backends
-
-    p.add_argument(
-        "--backend",
-        dest=dest,
-        choices=list(available_backends()),
-        default=None,
-        help=f"{help_text} (default: the process-wide default backend, "
-        "'thread' unless REPRO_COMM_BACKEND overrides it)",
-    )
-
-
-def _add_compression_argument(p: argparse.ArgumentParser, help_text: str) -> None:
-    """Add the shared ``--compression`` option to a sub-command parser."""
     from repro.compression import available_codecs
 
-    p.add_argument(
-        "--compression",
-        type=_codec_spec,
-        default=None,
-        metavar="CODEC[:k=v,...]",
-        help=f"{help_text}; codecs: {', '.join(available_codecs())} "
-        "(inline options allowed, e.g. topk:ratio=0.05) "
-        "(default: uncompressed)",
-    )
+    if dest == "compression":
+        p.add_argument(
+            "--compression", type=codec_spec, default=default, metavar="CODEC[:k=v,...]",
+            help=f"gradient codec; codecs: {', '.join(available_codecs())} "
+            "(inline options allowed, e.g. topk:ratio=0.05) (default: uncompressed)",
+        )
+    else:
+        p.add_argument(
+            "--backend", dest=dest, choices=list(available_backends()), default=default,
+            help="comm backend (default: the process-wide default backend, "
+            "'thread' unless REPRO_COMM_BACKEND overrides it)",
+        )
 
 
-def _scalar_fields(cls: type) -> Dict[str, Any]:
-    """``{field name: argparse type}`` of the dataclass ``cls``'s scalar
-    fields; an object-valued field gets no flag."""
-    hints, scalars = typing.get_type_hints(cls), {}
-    for field in dataclasses.fields(cls):
-        members = set(typing.get_args(hints[field.name])) - {type(None)}
+def _flag_type(hint: Any) -> Any:
+    """argparse ``type`` of a parameter annotated ``hint``: the parser of
+    ``Annotated[T, parser]``, the choices tuple of a ``Literal``, ``X`` for
+    ``X`` or ``Optional[X]`` (``bool`` / ``int`` / ``float`` / ``str`` /
+    ``Path``), an integer >= 1 or ``auto`` for an ``int``-or-``str``, and
+    ``None`` (no flag) for anything else: an object."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        return hint.__metadata__[0]
+    if origin is Literal:
+        return args
+    if origin is Union:
+        members = set(args) - {type(None)}
         if members == {int, str}:
-            scalars[field.name] = _int_or_auto
-            continue
-        kind = members.pop() if len(members) == 1 else hints[field.name]
-        if kind in (bool, int, float, str):
-            scalars[field.name] = kind
-    return scalars
+            return int_or_auto
+        return _flag_type(members.pop()) if len(members) == 1 else None
+    return hint if hint in (bool, int, float, str, Path) else None
 
 
-def config_arguments(parser: argparse.ArgumentParser, defaults: Any) -> None:
-    """Add one ``--field-name`` flag per scalar field of the dataclass
-    instance ``defaults``, defaulting to its value: ``--x`` / ``--no-x``
-    for a ``bool``, ``X`` for ``Optional[X]``, an integer >= 1 or ``auto``
-    for ``int``-or-``str``, and the shared ``--backend`` for
-    ``comm_backend``.  The class docstring documents the fields."""
-    cls = type(defaults)
+def flag_types(fn: Callable) -> Dict[str, Any]:
+    """``{parameter: argparse type}`` of every parameter of ``fn`` (a
+    function, or a dataclass for its fields) that takes a flag."""
+    hints = typing.get_type_hints(fn, include_extras=True)
+    types = {name: _flag_type(hints[name]) for name in inspect.signature(fn).parameters}
+    return {name: kind for name, kind in types.items() if kind is not None}
+
+
+def add_flags(parser: argparse.ArgumentParser, fn: Callable, defaults: Any = None) -> None:
+    """One ``--name`` flag per parameter of ``fn`` in :func:`flag_types`,
+    defaulting to ``fn``'s default, or to the attribute of ``defaults`` (an
+    instance of the dataclass ``fn``): ``--x`` / ``--no-x`` for a ``bool``,
+    ``choices`` for a ``Literal``, and the shared ``--backend`` /
+    ``--compression`` for ``backend`` / ``comm_backend`` / ``compression``.
+    ``fn``'s docstring, which documents the parameters, joins the description."""
     parser.formatter_class = argparse.RawDescriptionHelpFormatter
     parser.description = "\n\n".join(
-        filter(None, (parser.description, inspect.cleandoc(cls.__doc__)))
+        filter(None, (parser.description, inspect.cleandoc(fn.__doc__)))
     )
-    for name, kind in _scalar_fields(cls).items():
+    signature = inspect.signature(fn).parameters
+    for name, kind in flag_types(fn).items():
         flag = "--" + name.replace("_", "-")
-        default = getattr(defaults, name)
-        if name == "comm_backend":
-            _add_backend_argument(parser, "comm backend carrying the ranks", dest=name)
+        default = signature[name].default if defaults is None else getattr(defaults, name)
+        if name in ("backend", "comm_backend", "compression"):
+            _add_shared(parser, name, default)
         elif kind is bool:
             parser.add_argument(flag, action=argparse.BooleanOptionalAction, default=default)
+        elif isinstance(kind, tuple):
+            parser.add_argument(flag, choices=kind, default=default, help="default: %(default)s")
         else:
             parser.add_argument(flag, type=kind, default=default, help="default: %(default)s")
+
+
+def keywords(args: argparse.Namespace, fn: Callable) -> Dict[str, Any]:
+    """The values of :func:`add_flags`' flags of ``fn``, by parameter."""
+    return {name: getattr(args, name) for name in flag_types(fn)}
 
 
 def config_from_args(
     args: argparse.Namespace, parser: argparse.ArgumentParser, defaults: Any
 ) -> Any:
-    """Inverse of :func:`config_arguments`: ``defaults`` with every flag's
-    value, validated (a ``ValueError`` is a usage error, exit 2)."""
-    config = dataclasses.replace(
-        defaults, **{name: getattr(args, name) for name in _scalar_fields(type(defaults))}
-    )
+    """Inverse of ``add_flags(parser, type(defaults), defaults)``: ``defaults``
+    with every flag's value, validated (a ``ValueError`` is a usage error,
+    exit 2)."""
+    config = dataclasses.replace(defaults, **keywords(args, type(defaults)))
     try:
         config.validate()
     except ValueError as exc:
@@ -183,57 +163,20 @@ def _list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
         print(f"  {command.name.ljust(width)}  {command.help}")
 
 
-def _report(harness: Any) -> Callable[[argparse.Namespace, argparse.ArgumentParser], None]:
-    """``run`` of a row whose flags are the keywords of ``harness.run``:
-    print ``harness.report`` of the run."""
+def _row(name: str, help_text: str, harness: Any = None, fn: Optional[Callable] = None) -> Command:
+    """The row whose flags are the parameters of ``fn`` (default:
+    ``harness.run``), described by its docstring.  It calls ``fn`` with
+    them and prints ``harness.report`` of the result; without a harness,
+    the result is the exit code."""
+    fn = fn or harness.run
 
-    def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-        keywords = {k: v for k, v in vars(args).items() if k != "command"}
-        print(harness.report(harness.run(**keywords)))
+    def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Optional[int]:
+        result = fn(**keywords(args, fn))
+        if harness is None:
+            return result
+        print(harness.report(result))
 
-    return run
-
-
-def _fig2_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--num-videos", type=int, default=9_537)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _fig3_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--num-sentences", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _fig4_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--num-batches", type=int, default=30_000)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _fig9_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--world-size", type=int, default=32)
-    p.add_argument("--iterations", type=int, default=64)
-    p.add_argument("--skew-ms", type=float, default=1.0)
-    p.add_argument("--functional", action="store_true",
-                   help="also measure the real collectives at reduced scale")
-    _add_backend_argument(p, "comm backend of the functional measurements")
-    _add_compression_argument(p, "gradient codec carried by the collectives")
-
-
-def _fig9(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    result = fig9_microbenchmark.run(
-        world_size=args.world_size,
-        iterations=args.iterations,
-        skew_step_ms=args.skew_ms,
-        compression=args.compression,
-    )
-    if args.functional or args.backend is not None:
-        # An explicit --backend implies the caller wants the real
-        # transport exercised, not just the analytic model rows.
-        result.functional_rows = fig9_microbenchmark.run_functional(
-            backend=args.backend, compression=args.compression
-        )
-    print(fig9_microbenchmark.report(result))
+    return Command(name, help_text, lambda p: add_flags(p, fn), run, fn)
 
 
 def _figure_row(name: str, help_text: str) -> Command:
@@ -243,8 +186,8 @@ def _figure_row(name: str, help_text: str) -> Command:
     def add_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scale", choices=tuple(spec.scales), default="tiny")
         p.add_argument("--seed", type=int, default=0)
-        _add_backend_argument(p, "comm backend carrying the training ranks")
-        _add_compression_argument(p, "gradient codec of the exchange")
+        _add_shared(p, "backend")
+        _add_shared(p, "compression")
 
     def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
         print(report_figure(run_figure(
@@ -254,92 +197,13 @@ def _figure_row(name: str, help_text: str) -> Command:
     return Command(name, help_text, add_args, run)
 
 
-def _speedups_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", choices=speedups.SHARED_SCALES, default="tiny")
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _scaling_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _scaling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    print(scaling.report(scaling.run(steps=args.steps, seed=args.seed)))
-    print()
-    print(scaling.report(scaling.run_with_inherent_imbalance(steps=args.steps, seed=args.seed)))
-
-
-def _fusion_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--world-sizes", type=_comma_list(_int_at_least(1)), default="4,8,16,32",
-                   help="comma-separated world sizes for the analytic comparison")
-    p.add_argument("--gradient-mb", type=_positive_float, default=4.0,
-                   help="simulated gradient size in MB")
-    p.add_argument("--bucket-mb", type=_comma_list(_positive_float), default="1,4",
-                   help="comma-separated fusion-buffer sizes in MB")
-    p.add_argument("--pipeline-chunks", type=_int_at_least(1), default=8,
-                   help="segments per collective round (chunk pipelining)")
-    p.add_argument("--functional", action="store_true",
-                   help="also run the real exchange at reduced scale")
-    p.add_argument("--functional-world-size", type=_int_at_least(1), default=4,
-                   help="world size of the functional (real-transport) validation")
-    p.add_argument("--sharding", default="none", choices=["none", "zero1"],
-                   help="add a ZeRO-1 sharded-exchange functional row (reduce-scatter, "
-                   "shard-local update, parameter allgather)")
-    _add_backend_argument(p, "comm backend of the functional exchange rows")
-    _add_compression_argument(p, "gradient codec of the fused exchange")
-
-
-def _fusion(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    result = fusion_pipeline.run(
-        world_sizes=args.world_sizes,
-        gradient_mb=args.gradient_mb,
-        bucket_mb=args.bucket_mb,
-        n_chunks=args.pipeline_chunks,
-        compression=args.compression,
-    )
-    if args.functional or args.backend is not None:
-        # An explicit --backend implies the caller wants the real
-        # transport exercised, not just the analytic model rows.
-        result.functional_rows = fusion_pipeline.run_functional(
-            world_size=args.functional_world_size,
-            n_chunks=args.pipeline_chunks,
-            backend=args.backend,
-            compression=args.compression,
-            sharding=args.sharding,
-        )
-    print(fusion_pipeline.report(result))
-
-
-def _tune_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--world-sizes", type=_comma_list(_int_at_least(2)), default="2,4,8",
-                   help="comma-separated world sizes to calibrate (each >= 2)")
-    p.add_argument("--gradient-mb", type=_positive_float, default=4.0,
-                   help="gradient size the fusion grid is tuned for, in MB")
-    p.add_argument("--algorithm", default="ring",
-                   choices=["ring", "recursive_doubling", "rabenseifner"],
-                   help="allreduce algorithm of the tuned exchange")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced measurement sweep (CI smoke mode)")
-    p.add_argument("--force", action="store_true",
-                   help="remeasure even when a cached profile exists")
-    p.add_argument("--cache-dir", type=str, default=None,
-                   help="profile-cache directory (default: $REPRO_TUNING_CACHE_DIR "
-                   "or ~/.cache/repro/tuning)")
-    p.add_argument("--live-trials", type=_int_at_least(0), default=0,
-                   help="cross-check this many best grid candidates with live "
-                   "exchanges on the calibrated backend")
-    _add_backend_argument(p, "comm backend the calibration sweep measures")
-    _add_compression_argument(p, "gradient codec the fusion grid is tuned for")
-
-
 #: What ``serve`` runs unless its flags say otherwise: one co-scheduled
 #: trainer, so the served version advances mid-run.
 SERVE_DEFAULTS = (ServingConfig(train_ranks=1), Workload())
 
 
 def _serve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout", type=_positive_float, default=300.0,
+    p.add_argument("--timeout", type=positive_float, default=300.0,
                    help="whole-world timeout in seconds")
     p.add_argument("--json", action="store_true",
                    help="print the full report as JSON instead of the table")
@@ -350,7 +214,7 @@ def _serve_args(p: argparse.ArgumentParser) -> None:
                    help="exit non-zero unless the served model version "
                    "advanced beyond 0 mid-run (CI smoke gate)")
     for defaults in SERVE_DEFAULTS:
-        config_arguments(p, defaults)
+        add_flags(p, type(defaults), defaults)
 
 
 def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -375,16 +239,16 @@ def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--steps", type=_int_at_least(1), default=8,
+    p.add_argument("--steps", type=int_at_least(1), default=8,
                    help="training steps per rank (one epoch of exactly this many)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write the run's Chrome trace-event JSON (Perfetto) here")
-    p.add_argument("--capacity", type=_int_at_least(1), default=DEFAULT_CAPACITY,
+    p.add_argument("--capacity", type=int_at_least(1), default=DEFAULT_CAPACITY,
                    help="flight-recorder ring capacity in events per rank "
                    "(overflow drops oldest; default: %(default)s)")
-    p.add_argument("--timeout", type=_positive_float, default=300.0,
+    p.add_argument("--timeout", type=positive_float, default=300.0,
                    help="whole-world timeout in seconds")
-    config_arguments(p, PRESET)
+    add_flags(p, type(PRESET), PRESET)
 
 
 def _train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -395,31 +259,22 @@ def _train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     print(format_summary(report, args.trace))
 
 
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--world-sizes", type=_comma_list(_int_at_least(2)),
-                   default="2,3,4,5,7,8,16,64",
-                   help="comma-separated world sizes of the schedule sweep")
-    p.add_argument("--no-exchange", action="store_true",
-                   help="skip the fused SynchronousExchange plan cases")
-    p.add_argument("--no-ring-model", action="store_true",
-                   help="skip the shm SPSC ring protocol model checker")
-    p.add_argument("--no-self-test", action="store_true",
-                   help="skip the seeded-mutant checker self-tests")
-    p.add_argument("-q", "--quiet", action="store_true",
-                   help="print violations only, not the per-case table")
-
-
-def _verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.analysis import schedule_verifier
-
-    report = schedule_verifier.verify(
-        world_sizes=args.world_sizes,
-        include_exchange=not args.no_exchange,
-        include_ring_model=not args.no_ring_model,
-        include_self_test=not args.no_self_test,
-        progress=None if args.quiet else print,
-    )
-    if args.quiet:
+def _verify(
+    world_sizes: Annotated[Sequence[int], comma_list(int_at_least(2))] = DEFAULT_WORLD_SIZES,
+    exchange: bool = True,
+    ring_model: bool = True,
+    self_test: bool = True,
+    quiet: bool = False,
+) -> int:
+    """Sweep the collective schedules and tags at every world size of
+    ``world_sizes``, the cached plans and the shm ring: ``--no-exchange``
+    skips the fused SynchronousExchange plan cases, ``--no-ring-model``
+    the shm SPSC ring protocol model checker, ``--no-self-test`` the
+    seeded-mutant checker self-tests; ``--quiet`` prints the violations
+    only, not the per-case table."""
+    report = verify(world_sizes, include_exchange=exchange, include_self_test=self_test,
+                    include_ring_model=ring_model, progress=None if quiet else print)
+    if quiet:
         for violation in report.violations:
             print(violation)
         passed = sum(1 for r in report.results if r.ok)
@@ -443,44 +298,34 @@ def _lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 #: Every sub-command, in ``python -m repro list`` order.
 COMMANDS: List[Command] = [
     Command("list", "list the available sub-commands", lambda p: None, _list),
-    Command("fig2", "UCF101 video-length and LSTM batch-runtime distributions",
-            _fig2_args, _report(fig2_workload)),
-    Command("fig3", "Transformer/WMT batch-runtime distribution",
-            _fig3_args, _report(fig3_wmt_runtime)),
-    Command("fig4", "cloud ResNet-50 batch-runtime distribution",
-            _fig4_args, _report(fig4_cloud_runtime)),
-    Command("table1", "evaluated networks (parameter counts, dataset sizes)",
-            lambda p: p.add_argument("--scale", choices=["small", "paper"], default="small"),
-            _report(table1_networks)),
-    Command("fig9", "partial allreduce latency microbenchmark + NAP", _fig9_args, _fig9),
+    _row("fig2", "UCF101 video-length and LSTM batch-runtime distributions", fig2_workload),
+    _row("fig3", "Transformer/WMT batch-runtime distribution", fig3_wmt_runtime),
+    _row("fig4", "cloud ResNet-50 batch-runtime distribution", fig4_cloud_runtime),
+    _row("table1", "evaluated networks (parameter counts, dataset sizes)", table1_networks),
+    _row("fig9", "partial allreduce latency microbenchmark + NAP", fig9_microbenchmark),
     _figure_row("fig10", "hyperplane regression: synch-SGD vs eager-SGD (solo)"),
     _figure_row("fig11", "ResNet/ImageNet-like: Deep500/Horovod vs eager-SGD (solo)"),
     _figure_row("fig12", "ResNet/CIFAR-like under severe imbalance: Horovod/solo/majority"),
     _figure_row("fig13", "LSTM/UCF101-like video classification: Horovod/solo/majority"),
-    Command("speedups", "paper fidelity: every claim of the paper, its value and "
-            "ours, inside tolerance or not (trains fig10-fig13 once)",
-            _speedups_args, _report(speedups)),
-    Command("scaling", "strong/weak scaling projections", _scaling_args, _scaling),
-    Command("fusion", "fused/chunked gradient-exchange pipeline vs. unfused baseline",
-            _fusion_args, _fusion),
-    Command("tune", "calibrate the LogGP model to a comm backend and auto-tune fusion",
-            _tune_args, _report(autotune_experiment)),
+    _row("speedups", "paper fidelity: every claim of the paper, its value and "
+         "ours, inside tolerance or not (trains fig10-fig13 once)", speedups),
+    _row("scaling", "strong/weak scaling projections", scaling),
+    _row("fusion", "fused/chunked gradient-exchange pipeline vs. unfused baseline",
+         fusion_pipeline),
+    _row("tune", "calibrate the LogGP model to a comm backend and auto-tune fusion",
+         autotune_experiment),
     Command("serve", "online inference tier: dynamic batching + replica routing + "
             "live weight hot-swap (serve-while-train on any backend)",
             _serve_args, _serve),
     Command("train", "train the hyperplane MLP, one flag per TrainingConfig field; "
             "--trace PATH writes its Perfetto (Chrome trace-event) timeline",
             _train_args, _train),
-    Command("verify", "statically verify collective schedules, tags and the shm ring",
-            _verify_args, _verify),
+    _row("verify", "statically verify collective schedules, tags and the shm ring", fn=_verify),
     Command("lint", "repo-specific AST lint (tag discipline, shm cleanup, framing)",
             lambda p: p.add_argument("paths", nargs="*", default=["src"],
                                      help="files or directories to lint (default: src)"),
             _lint),
 ]
-
-#: Description of every sub-command, shown by ``python -m repro list``.
-EXPERIMENTS: Dict[str, str] = {command.name: command.help for command in COMMANDS}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

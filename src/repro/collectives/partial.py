@@ -67,7 +67,6 @@ import numpy as np
 
 from repro.comm import tags
 from repro.comm.communicator import Communicator
-from repro.comm.reduce_ops import ReduceOp, SUM, get_op
 from repro.comm.router import Channel
 from repro.collectives.sync import allreduce_recursive_doubling
 from repro.collectives.topology import activation_children
@@ -96,8 +95,6 @@ class PartialMode(str, enum.Enum):
 class PartialAllreduceResult:
     """Outcome of one partial allreduce round for one rank."""
 
-    #: Index of the completed round.
-    round_index: int
     #: The reduced vector (divided by the world size when ``average``).
     data: np.ndarray
     #: Whether this rank's freshly computed gradient was part of the round
@@ -108,8 +105,6 @@ class PartialAllreduceResult:
     num_active: int
     #: Rank that initiated the round (-1 if unknown on this rank).
     initiator: int
-    #: Seconds this rank's application thread spent blocked in the call.
-    wait_time: float = 0.0
 
 
 @dataclass
@@ -137,8 +132,6 @@ class PartialAllreduce:
         :class:`PartialMode` or its string value.
     average:
         Divide the reduced sum by the world size (Algorithm 2, line 6).
-    op:
-        Reduction operator (default: sum).
     seed:
         Seed of the shared PRNG used to designate initiators in majority
         mode; it must be identical on every rank (the paper achieves
@@ -167,9 +160,6 @@ class PartialAllreduce:
     n_chunks:
         Pipeline the background reduction in this many segments (see
         :func:`repro.collectives.sync.allreduce_recursive_doubling`).
-        Only effective for elementwise-uniform ops (sum/avg): a composite
-        max/min/prod payload needs the arrival counter kept in one piece,
-        so those ops fall back to unsegmented rounds.
     """
 
     def __init__(
@@ -179,7 +169,6 @@ class PartialAllreduce:
         mode: PartialMode | str = PartialMode.SOLO,
         *,
         average: bool = True,
-        op: ReduceOp | str = SUM,
         seed: int = 12345,
         quorum: Optional[int] = None,
         overwrite_recvbuff: bool = True,
@@ -197,8 +186,6 @@ class PartialAllreduce:
         self.size = comm.size
         self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self.average = bool(average)
-        self.op = get_op(op)
-        self._payload_op = self._make_payload_op(self.op)
         self.dtype = dtype
 
         if np.issubdtype(np.dtype(self.dtype), np.floating):
@@ -274,7 +261,6 @@ class PartialAllreduce:
                 f"contribution shape {contribution.shape} does not match "
                 f"collective shape {self.shape}"
             )
-        start = time.perf_counter()
         with self._cond:
             self._raise_if_failed()
             self._caller_round += 1
@@ -312,25 +298,17 @@ class PartialAllreduce:
             # lagged behind reads newer data than its own round
             # (Section 5, "only the latest data ... can be seen").
             effective = self._latest_record if self.overwrite_recvbuff else record
-        wait_time = time.perf_counter() - start
         # One pass from the round's payload into the caller-owned array.
         if self.average:
             data = np.divide(effective.result, self.size)
         else:
             data = effective.result.copy()
         return PartialAllreduceResult(
-            round_index=round_index,
             data=data,
             included=included,
             num_active=effective.num_active,
             initiator=effective.initiator,
-            wait_time=wait_time,
         )
-
-    def pending_stale_norm(self) -> float:
-        """L2 norm of the gradient data currently waiting in the send buffer."""
-        with self._lock:
-            return float(np.linalg.norm(self._send_acc))
 
     @property
     def rounds_completed(self) -> int:
@@ -360,29 +338,8 @@ class PartialAllreduce:
             ) from cause
 
     # ------------------------------------------------------------------
-    # active-process counter encode/decode
+    # active-process counter decode
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make_payload_op(data_op: ReduceOp) -> ReduceOp:
-        """Operator for the ``[data..., counter]`` reduction payload.
-
-        The data elements are combined with ``data_op`` while the trailing
-        arrival counter is always summed — a max/min/prod data op would
-        otherwise collapse the count of contributing processes to a
-        meaningless 0/1.
-        """
-        if data_op.fn is SUM.fn or data_op.name in ("sum", "avg"):
-            return data_op
-
-        def combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            a = np.asarray(a)
-            b = np.asarray(b)
-            return np.concatenate(
-                [data_op.fn(a[:-1], b[:-1]), np.atleast_1d(a[-1] + b[-1])]
-            )
-
-        return ReduceOp(f"{data_op.name}+count", combine, data_op.identity)
-
     def _decode_num_active(self, raw: float) -> int:
         """Decode (and validate) the reduced arrival counter."""
         num_active = int(round(raw))
@@ -453,21 +410,15 @@ class PartialAllreduce:
         _obs.instant("partial-staleness", "partial", round=round_index, fresh=fresh)
 
         # Piggyback the number of active processes onto the reduction.  The
-        # counter element is always combined with SUM — even when the data
-        # op is max/min/prod — and is decoded *before* any averaging (the
-        # ``average`` division in :meth:`reduce` applies to the data part
-        # only), so the count stays an exact integer in the collective's
-        # dtype: sums of ones are exact up to 2^(mantissa+1) — 2^53 for
-        # float64, 2048 for a float16 (compressed) collective — and the
-        # constructor rejects world sizes beyond that range.
+        # payload is summed, and the counter is decoded *before* any
+        # averaging (the ``average`` division in :meth:`reduce` applies to
+        # the data part only), so the count stays an exact integer in the
+        # collective's dtype: sums of ones are exact up to 2^(mantissa+1)
+        # — 2^53 for float64, 2048 for a float16 (compressed) collective —
+        # and the constructor rejects world sizes beyond that range.
         payload[n] = 1.0 if fresh else 0.0
-        # Chunk pipelining slices the payload at arbitrary segment
-        # boundaries, which is only sound when the operator treats every
-        # element alike; the composite non-sum op addresses the counter
-        # as payload[-1] and therefore needs whole-payload rounds.
-        chunks = self.n_chunks if self._payload_op is self.op else 1
         reduced = allreduce_recursive_doubling(
-            self.comm_lib, payload, op=self._payload_op, n_chunks=chunks, copy=False
+            self.comm_lib, payload, n_chunks=self.n_chunks, copy=False
         )
         result = reduced[:n].reshape(self.shape)
         num_active = self._decode_num_active(float(reduced[n]))

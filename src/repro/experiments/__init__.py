@@ -2,8 +2,10 @@
 
 Every module exposes
 
-* ``run(...) -> result`` — executes the experiment (with a ``scale``
-  parameter so tests can run reduced versions), and
+* ``run(...) -> result`` — executes the experiment; its parameters are
+  the flags of the experiment's sub-command (:mod:`repro.cli`), each
+  annotated with its type, choices or bound and documented in the
+  docstring, and
 * ``report(result) -> str`` — prints the same rows/series the paper
   reports, side by side with the paper's numbers where applicable.
 

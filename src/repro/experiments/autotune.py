@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Annotated, List, Literal, Optional, Sequence
 
 from repro.experiments.report import format_table
 from repro.tuning.autotune import TunedPlan, resolve_ranks_per_host, tune_with_profile
 from repro.tuning.calibration import CalibratedProfile, calibrate, predict_sample
+from repro.utils.argtypes import comma_list, int_at_least, positive_float
 
 MB = 1024 * 1024
 
@@ -40,25 +41,29 @@ class AutotuneResult:
 
 
 def run(
-    world_sizes: Sequence[int] = (2, 4, 8),
-    gradient_mb: float = 4.0,
-    algorithm: str = "ring",
+    world_sizes: Annotated[Sequence[int], comma_list(int_at_least(2))] = (2, 4, 8),
+    gradient_mb: Annotated[float, positive_float] = 4.0,
+    algorithm: Literal["ring", "recursive_doubling", "rabenseifner"] = "ring",
     quick: bool = False,
     cache_dir: Optional[Path] = None,
     force: bool = False,
-    live_trials: int = 0,
+    live_trials: Annotated[int, int_at_least(0)] = 0,
     backend: Optional[str] = None,
     compression: Optional[str] = None,
 ) -> AutotuneResult:
     """Calibrate every world size and auto-tune the fusion knobs.
 
-    ``backend`` selects the communication backend the measurements run
-    on (``"thread"`` / ``"process"``; ``None`` = the process-wide
-    default) — profiles cache separately per backend.  ``quick`` runs
-    the reduced measurement sweep (CI smoke); ``force`` remeasures even
-    when a cached profile exists; ``live_trials`` makes the grid search
-    cross-check its best candidates against live exchanges on the same
-    backend.  ``compression`` names a gradient codec: the grid is then
+    Calibrates every world size of ``world_sizes`` (each >= 2) and tunes
+    the fusion grid for a ``gradient_mb`` MB gradient exchanged by the
+    ``algorithm`` allreduce.  ``backend`` selects the communication
+    backend the measurements run on (``None`` = the process-wide
+    default) — profiles cache separately per backend, under
+    ``cache_dir`` (default: ``$REPRO_TUNING_CACHE_DIR`` or
+    ``~/.cache/repro/tuning``).  ``quick`` runs the reduced measurement
+    sweep (CI smoke); ``force`` remeasures even when a cached profile
+    exists; ``live_trials`` makes the grid search cross-check this many
+    best candidates against live exchanges on the same backend.
+    ``compression`` names a gradient codec: the grid is then
     tuned under the codec's wire/transform cost model, so the
     recommended fusion threshold is per codec (a compressing codec
     shifts the knee — more elements fit one wire buffer).

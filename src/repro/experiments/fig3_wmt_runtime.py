@@ -26,6 +26,8 @@ PAPER_RUNTIME_MS = {
     "std": (144, 1.25),
 }
 PAPER_NUM_BATCHES = 20_653
+#: Sentences per batch, as in the paper.
+BATCH_SIZE = 64
 
 
 @dataclass
@@ -38,16 +40,17 @@ class Fig3Result:
     runtime_summary_ms: DistributionSummary
 
 
-def run(
-    num_sentences: int = 200_000,
-    batch_size: int = 64,
-    seed: int = 0,
-) -> Fig3Result:
-    """Sample sentence lengths, bucket them and measure batch runtimes."""
+def run(num_sentences: int = 200_000, seed: int = 0) -> Fig3Result:
+    """Sample sentence lengths, bucket them and measure batch runtimes.
+
+    ``num_sentences`` sentence lengths (seeded by ``seed``) are bucketed
+    into batches of :data:`BATCH_SIZE`; one epoch of batches is priced
+    with the Transformer cost model.
+    """
     lengths = sample_sentence_lengths(num_sentences, seed=seed)
-    cost_model = transformer_wmt_cost_model(batch_size=batch_size)
+    cost_model = transformer_wmt_cost_model(batch_size=BATCH_SIZE)
     sampler = BucketBatchSampler(
-        lengths, batch_size=batch_size, num_buckets=16, seed=seed, drop_last=True
+        lengths, batch_size=BATCH_SIZE, num_buckets=16, seed=seed, drop_last=True
     )
     runtimes_ms = [
         cost_model.cost_from_size(float(lengths[batch].sum())) * 1000.0
@@ -55,7 +58,7 @@ def run(
     ]
     return Fig3Result(
         num_sentences=num_sentences,
-        batch_size=batch_size,
+        batch_size=BATCH_SIZE,
         num_batches=len(runtimes_ms),
         runtime_summary_ms=summarize(runtimes_ms),
     )

@@ -35,7 +35,11 @@ class Fig4Result:
 
 
 def run(num_batches: int = 30_000, seed: int = 0) -> Fig4Result:
-    """Sample per-batch runtimes: fixed compute + long-tailed cloud noise."""
+    """Sample per-batch runtimes: fixed compute + long-tailed cloud noise.
+
+    ``num_batches`` runtimes (the paper measures five epochs) with the
+    noise seeded by ``seed``.
+    """
     base = resnet50_cloud_cost_model().seconds_per_batch
     noise = cloud_noise_for_resnet50(seed=seed)
     runtimes_ms = []

@@ -34,7 +34,7 @@ from repro.simtime.skew import linear_skew
 from repro.utils.rng import seeded_rng
 
 #: Message sizes of Fig. 9 (bytes).
-DEFAULT_MESSAGE_SIZES = (64, 512, 4 * 1024, 32 * 1024, 256 * 1024, 4 * 1024 * 1024)
+MESSAGE_SIZES = (64, 512, 4 * 1024, 32 * 1024, 256 * 1024, 4 * 1024 * 1024)
 #: The paper's average latency-reduction factors over MPI_Allreduce.
 PAPER_SOLO_SPEEDUP = 53.32
 PAPER_MAJORITY_SPEEDUP = 2.46
@@ -56,7 +56,7 @@ class MicrobenchmarkRow:
 class Fig9Result:
     world_size: int
     iterations: int
-    skew_step_ms: float
+    skew_ms: float
     rows: List[MicrobenchmarkRow]
     #: Average latency-reduction factors over all message sizes.
     solo_speedup: float = 0.0
@@ -77,26 +77,35 @@ class Fig9Result:
 def run(
     world_size: int = 32,
     iterations: int = 64,
-    skew_step_ms: float = 1.0,
-    message_sizes=DEFAULT_MESSAGE_SIZES,
+    skew_ms: float = 1.0,
     seed: int = 0,
     compression: Optional[str] = None,
+    functional: bool = False,
+    backend: Optional[str] = None,
 ) -> Fig9Result:
     """Run the analytic microbenchmark sweep (Fig. 8's loop).
 
-    ``compression`` names a gradient codec (:mod:`repro.compression`):
-    the analytic latencies then include the codec's compressed-bytes and
-    encode/decode terms (:class:`~repro.simtime.collective_model.CompressionModel`).
+    ``world_size`` processes, rank r skewed by ``r * skew_ms`` ms, run
+    ``iterations`` majority rounds per message size of
+    :data:`MESSAGE_SIZES`; ``seed`` draws the majority initiators.
+    ``compression`` names a gradient codec (:mod:`repro.compression`)
+    carried by the collectives: the analytic latencies then include the
+    codec's compressed-bytes and encode/decode terms
+    (:class:`~repro.simtime.collective_model.CompressionModel`).
+
+    ``functional`` (implied by an explicit ``backend``) also measures the
+    real collectives on the comm ``backend`` with :func:`run_functional`,
+    at its own reduced scale: 8 processes, 8 iterations, 4 ms/rank skew.
     """
     cm = None
     if compression is not None:
         from repro.compression import get_codec
 
         cm = get_codec(compression).cost_model()
-    arrivals = linear_skew(world_size, skew_step_ms)
+    arrivals = linear_skew(world_size, skew_ms)
     rng = seeded_rng(seed)
     rows: List[MicrobenchmarkRow] = []
-    for nbytes in message_sizes:
+    for nbytes in MESSAGE_SIZES:
         mpi = synchronous_allreduce_latencies(arrivals, nbytes, compression=cm)
         solo = solo_allreduce_latencies(arrivals, nbytes, compression=cm)
         majority_lat: List[float] = []
@@ -118,18 +127,20 @@ def run(
                 solo_nap=float(solo.num_active),
             )
         )
-    return Fig9Result(
-        world_size=world_size,
-        iterations=iterations,
-        skew_step_ms=skew_step_ms,
-        rows=rows,
+    result = Fig9Result(
+        world_size=world_size, iterations=iterations, skew_ms=skew_ms, rows=rows
     )
+    if functional or backend is not None:
+        result.functional_rows = run_functional(
+            seed=seed, backend=backend, compression=compression
+        )
+    return result
 
 
 def run_functional(
     world_size: int = 8,
     iterations: int = 8,
-    skew_step_ms: float = 4.0,
+    skew_ms: float = 4.0,
     message_elements: int = 1024,
     seed: int = 0,
     backend: Optional[str] = None,
@@ -137,7 +148,7 @@ def run_functional(
 ) -> List[MicrobenchmarkRow]:
     """Measure the real collectives directly on ``backend`` (reduced scale).
 
-    Each rank sleeps ``rank * skew_step_ms`` before calling the collective,
+    Each rank sleeps ``rank * skew_ms`` before calling the collective,
     exactly like the microbenchmark pseudo-code of Fig. 8, and the average
     per-rank latency is reported.  Running 32 ranks with 4 MB payloads on
     threads would measure Python overhead rather than algorithmic
@@ -176,7 +187,7 @@ def run_functional(
             )
         for it in range(iterations):
             comm.barrier()
-            time.sleep((comm.rank + 1) * skew_step_ms / 1000.0)
+            time.sleep((comm.rank + 1) * skew_ms / 1000.0)
             start = time.perf_counter()
             if partial is None:
                 allreduce(comm, data, average=True)
@@ -250,7 +261,7 @@ def report(result: Fig9Result) -> str:
             result.rows,
             "MPI_Allreduce",
             f"Fig. 9  Partial allreduce latency, {result.world_size} processes, "
-            f"{result.iterations} iterations, linear skew {result.skew_step_ms:g} ms/rank",
+            f"{result.iterations} iterations, linear skew {result.skew_ms:g} ms/rank",
         ),
         "",
         *(ratio_line(r.claim, r.ours, r.paper) for r in fidelity(result)),

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Annotated, List, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.experiments.report import format_table
 from repro.simtime.collective_model import CompressionModel, allreduce_time
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
 from repro.tuning.autotune import bucketer_for, predict_exchange_time
+from repro.utils.argtypes import comma_list, int_at_least, positive_float
 
 MB = 1024 * 1024
 
@@ -88,22 +89,34 @@ class FusionPipelineResult:
 
 
 def run(
-    world_sizes: Sequence[int] = (4, 8, 16, 32),
-    gradient_mb: float = 4.0,
-    bucket_mb: Sequence[float] = (1.0, 4.0),
-    n_chunks: int = 8,
+    world_sizes: Annotated[Sequence[int], comma_list(int_at_least(1))] = (4, 8, 16, 32),
+    gradient_mb: Annotated[float, positive_float] = 4.0,
+    bucket_mb: Annotated[Sequence[float], comma_list(positive_float)] = (1.0, 4.0),
+    pipeline_chunks: Annotated[int, int_at_least(1)] = 8,
     params: LogGPParams = DEFAULT_NETWORK,
     compression: Optional[str] = None,
+    functional: bool = False,
+    functional_world_size: Annotated[int, int_at_least(1)] = 4,
+    sharding: Literal["none", "zero1"] = "none",
+    backend: Optional[str] = None,
 ) -> FusionPipelineResult:
     """Model the fused/chunked exchange against the monolithic baseline.
 
-    For every world size the table contains the seed baseline (one
-    blocking recursive-doubling allreduce of the whole gradient), the
-    plain ring exchange, the chunk-pipelined ring, and the fused
-    bucketed exchanges for every requested bucket size.  With
-    ``compression``, each fused exchange additionally gets a compressed
-    sibling row scored with the codec's wire/transform terms
+    For every world size of ``world_sizes`` the table contains the seed
+    baseline (one blocking recursive-doubling allreduce of the whole
+    simulated ``gradient_mb`` MB gradient), the plain ring exchange, the
+    ring pipelined in ``pipeline_chunks`` segments per collective round,
+    and the fused bucketed exchanges for every fusion-buffer size of
+    ``bucket_mb`` (MB).  With ``compression``, each fused exchange
+    additionally gets a compressed sibling row scored with the codec's
+    wire/transform terms
     (:class:`~repro.simtime.collective_model.CompressionModel`).
+
+    ``functional`` (implied by an explicit ``backend``) also runs the real
+    exchange on the comm ``backend`` at ``functional_world_size`` ranks
+    (:func:`run_functional`); ``sharding="zero1"`` adds its ZeRO-1
+    sharded-exchange row (reduce-scatter, shard-local update, parameter
+    allgather).
     """
     cm: Optional[CompressionModel] = None
     codec_label = ""
@@ -128,22 +141,22 @@ def run(
             FusionRow(size, gradient_mb, "single-buffer ring", 1, 1,
                       ring * 1e6, baseline / ring)
         )
-        chunked = allreduce_time(total_bytes, size, "ring", params, n_chunks=n_chunks)
+        chunked = allreduce_time(total_bytes, size, "ring", params, n_chunks=pipeline_chunks)
         rows.append(
-            FusionRow(size, gradient_mb, f"chunked ring (C={n_chunks})", 1, n_chunks,
-                      chunked * 1e6, baseline / chunked)
+            FusionRow(size, gradient_mb, f"chunked ring (C={pipeline_chunks})", 1,
+                      pipeline_chunks, chunked * 1e6, baseline / chunked)
         )
         for bmb in bucket_mb:
             threshold = int(bmb * MB)
             count = bucketer_for(total_bytes, threshold).num_buckets
             fused = predict_exchange_time(
-                params, size, total_bytes, "ring", threshold, n_chunks
+                params, size, total_bytes, "ring", threshold, pipeline_chunks
             )
             rows.append(
                 FusionRow(
                     size, gradient_mb,
-                    f"fused pipeline ({count} x {bmb:g} MB, C={n_chunks})",
-                    count, n_chunks, fused * 1e6, baseline / fused,
+                    f"fused pipeline ({count} x {bmb:g} MB, C={pipeline_chunks})",
+                    count, pipeline_chunks, fused * 1e6, baseline / fused,
                 )
             )
             if cm is None:
@@ -157,25 +170,34 @@ def run(
                 continue
             seen_wire_counts.add(wire_count)
             compressed = predict_exchange_time(
-                params, size, total_bytes, "ring", threshold, n_chunks, cm
+                params, size, total_bytes, "ring", threshold, pipeline_chunks, cm
             )
             wire_bucket_mb = total_bytes / wire_count * cm.wire_scale / MB
             rows.append(
                 FusionRow(
                     size, gradient_mb,
                     f"fused pipeline + {codec_label} "
-                    f"({wire_count} x {wire_bucket_mb:g} MB wire, C={n_chunks})",
-                    wire_count, n_chunks, compressed * 1e6,
+                    f"({wire_count} x {wire_bucket_mb:g} MB wire, C={pipeline_chunks})",
+                    wire_count, pipeline_chunks, compressed * 1e6,
                     baseline / compressed,
                 )
             )
-    return FusionPipelineResult(rows=rows)
+    result = FusionPipelineResult(rows=rows)
+    if functional or backend is not None:
+        result.functional_rows = run_functional(
+            world_size=functional_world_size,
+            pipeline_chunks=pipeline_chunks,
+            backend=backend,
+            compression=compression,
+            sharding=sharding,
+        )
+    return result
 
 
 def run_functional(
     world_size: int = 4,
     elements: int = 1 << 15,
-    n_chunks: int = 4,
+    pipeline_chunks: int = 4,
     fusion_threshold_bytes: int = 64 * 1024,
     iterations: int = 4,
     backend: Optional[str] = None,
@@ -207,11 +229,11 @@ def run_functional(
         ("unfused single-buffer (RD)", dict(algorithm="recursive_doubling")),
         ("single-buffer ring", dict(algorithm="ring")),
         (
-            f"fused chunked ring (C={n_chunks})",
+            f"fused chunked ring (C={pipeline_chunks})",
             dict(
                 algorithm="ring",
                 fusion_threshold_bytes=fusion_threshold_bytes,
-                pipeline_chunks=n_chunks,
+                pipeline_chunks=pipeline_chunks,
             ),
         ),
     ]
@@ -222,11 +244,11 @@ def run_functional(
         if codec is not None:
             configs.append(
                 (
-                    f"fused chunked ring + {codec.name} (C={n_chunks})",
+                    f"fused chunked ring + {codec.name} (C={pipeline_chunks})",
                     dict(
                         algorithm="ring",
                         fusion_threshold_bytes=fusion_threshold_bytes,
-                        pipeline_chunks=n_chunks,
+                        pipeline_chunks=pipeline_chunks,
                         compression=compression,
                     ),
                 )
@@ -259,7 +281,7 @@ def run_functional(
                 comm,
                 algorithm="ring",
                 fusion_threshold_bytes=fusion_threshold_bytes,
-                pipeline_chunks=n_chunks,
+                pipeline_chunks=pipeline_chunks,
             )
 
             def step(gradient):
@@ -268,7 +290,7 @@ def run_functional(
             return step
 
         cases.append((
-            f"zero1 sharded ring (C={n_chunks})", sharded, init - iterations * lr * expected
+            f"zero1 sharded ring (C={pipeline_chunks})", sharded, init - iterations * lr * expected
         ))
 
     rows: List[FunctionalRow] = []

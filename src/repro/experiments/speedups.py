@@ -16,7 +16,7 @@ module and one entry here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Literal
 
 from repro.experiments import (
     fig2_workload,
@@ -55,12 +55,13 @@ class FidelityTable:
     figures: Dict[str, FigureResult]
 
 
-def run(scale: str = "tiny", seed: int = 0) -> FidelityTable:
+def run(scale: Literal[SHARED_SCALES] = "tiny", seed: int = 0) -> FidelityTable:
     """Run every harness once and collect its claims.
 
-    ``scale="tiny"`` keeps the training figures inside a quarter of a
-    minute on CPU threads; ``"small"`` trades minutes for closer-to-paper
-    behaviour.
+    ``scale`` is the training figures' scale, one every figure defines:
+    ``"tiny"`` keeps them inside a quarter of a minute on CPU threads;
+    ``"small"`` trades minutes for closer-to-paper behaviour.  ``seed``
+    seeds every harness.
     """
     for spec in FIGURES.values():
         spec.params(scale)  # reject a scale some figure lacks before training any
@@ -69,7 +70,6 @@ def run(scale: str = "tiny", seed: int = 0) -> FidelityTable:
     for result in figures.values():
         rows += fidelity_rows(result)
     rows += scaling.fidelity(scaling.run(seed=seed))
-    rows += scaling.fidelity(scaling.run_with_inherent_imbalance(seed=seed))
     rows += fig2_workload.fidelity(fig2_workload.run(seed=seed))
     rows += fig3_wmt_runtime.fidelity(fig3_wmt_runtime.run(seed=seed))
     rows += fig4_cloud_runtime.fidelity(fig4_cloud_runtime.run(seed=seed))

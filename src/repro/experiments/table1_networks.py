@@ -11,7 +11,7 @@ factor explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Literal
 
 from repro.experiments.report import format_table
 from repro.nn.models import (
@@ -43,7 +43,7 @@ class Table1Result:
     rows: List[NetworkRow]
 
 
-def run(scale: str = "small", seed: int = 0) -> Table1Result:
+def run(scale: Literal["small", "paper"] = "small") -> Table1Result:
     """Instantiate every evaluated network and collect the table rows.
 
     ``scale="small"`` builds the CPU-sized models used throughout the
@@ -55,13 +55,12 @@ def run(scale: str = "small", seed: int = 0) -> Table1Result:
         raise ValueError(f"scale must be 'small' or 'paper', got {scale!r}")
     paper_scale = scale == "paper"
 
-    mlp = HyperplaneMLP(input_dim=8192 if paper_scale else 256, seed=seed)
+    mlp = HyperplaneMLP(input_dim=8192 if paper_scale else 256)
     hyperplane_examples = 32_768 if paper_scale else 2_048
 
     cifar_model = resnet_cifar(
         width=16 if paper_scale else 8,
         blocks_per_stage=5 if paper_scale else 1,
-        seed=seed,
     )
     cifar_examples = 50_000 if paper_scale else 2_000
 
@@ -69,7 +68,6 @@ def run(scale: str = "small", seed: int = 0) -> Table1Result:
         num_classes=1000 if paper_scale else 100,
         width=16 if paper_scale else 8,
         blocks_per_stage=2 if paper_scale else 1,
-        seed=seed,
     )
     imagenet_examples = 1_281_167 if paper_scale else 4_000
 
@@ -77,7 +75,6 @@ def run(scale: str = "small", seed: int = 0) -> Table1Result:
         feature_dim=2048 if paper_scale else 32,
         hidden_dim=2048 if paper_scale else 32,
         num_classes=101,
-        seed=seed,
     )
     ucf_examples = 9_537 if paper_scale else 1_000
 

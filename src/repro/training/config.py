@@ -85,16 +85,11 @@ class TrainingConfig:
         projected time axes always use the unscaled simulated durations.
     delay_injector, cost_model:
         The load-imbalance model (system-induced and inherent).
-    gradient_clip:
-        Optional L2 clip applied to the local gradient before the exchange.
     seed:
         Base seed: model initialisation (identical on every rank), data
         shuffling, initiator designation.
     eval_batch_size:
         Batch size used during evaluation passes.
-    collect_gradient_norms:
-        Record the post-exchange gradient norm each step (the quantity
-        Section 5.1's convergence criterion bounds).
     """
 
     world_size: int = 4
@@ -113,10 +108,8 @@ class TrainingConfig:
     time_scale: float = 0.0
     delay_injector: DelayInjector = field(default_factory=NoDelay)
     cost_model: Optional[CostModel] = None
-    gradient_clip: Optional[float] = None
     seed: int = 0
     eval_batch_size: int = 256
-    collect_gradient_norms: bool = False
     #: Cut the gradient into fusion buffers of at most this many bytes
     #: (Horovod-style tensor fusion); one collective is issued per bucket.
     #: ``None`` is one bucket; ``"auto"`` lets the runner pick via the
@@ -124,8 +117,8 @@ class TrainingConfig:
     fusion_threshold_bytes: Union[int, str, None] = None
     #: Segments each gradient-exchange collective round is pipelined in,
     #: so the reduction of chunk k overlaps the transmission of chunk k+1
-    #: (applies to the synchronous allreduces and, for sum/avg payloads,
-    #: to the partial collectives' background reduction).  ``"auto"``
+    #: (applies to the synchronous allreduces and to the partial
+    #: collectives' background reduction).  ``"auto"``
     #: lets the runner pick via the calibrated cost model.
     pipeline_chunks: Union[int, str] = 1
     #: Gradient-compression codec spec, options inline (see class
@@ -219,12 +212,6 @@ class TrainingConfig:
             if self.mode != "sync":
                 raise ValueError(
                     f"sharding='zero1' requires mode='sync', got mode={self.mode!r}"
-                )
-            if self.collect_gradient_norms:
-                raise ValueError(
-                    f"sharding={self.sharding!r} cannot collect gradient "
-                    f"norms: the sharded exchange never materialises the "
-                    f"full reduced gradient on any rank"
                 )
 
     @property

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ class StepStats:
     included: bool
     #: Number of ranks contributing fresh gradients.
     num_active: int
-    #: L2 norm of the combined gradient (0 when not collected).
-    gradient_norm: float
 
 
 LossFn = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
@@ -63,13 +61,8 @@ class DistributedSGD:
         Callable ``(outputs, targets) -> (loss, grad_wrt_outputs)``.
     world_size:
         Number of ranks (for the quorum tracker).
-    gradient_clip:
-        Optional L2 norm clip applied to the local gradient before the
-        exchange.
     classification:
         Whether to compute top-1/top-5 accuracy of the local batch.
-    collect_gradient_norms:
-        Whether to record the post-exchange gradient norm.
     """
 
     def __init__(
@@ -79,18 +72,14 @@ class DistributedSGD:
         exchange: GradientExchange,
         loss_fn: LossFn,
         world_size: int = 1,
-        gradient_clip: Optional[float] = None,
         classification: bool = True,
-        collect_gradient_norms: bool = False,
     ) -> None:
         # The step drops ``backward``'s result: batches are data.
         self.model = model.input_is_data()
         self.optimizer = optimizer
         self.exchange = exchange
         self.loss_fn = loss_fn
-        self.gradient_clip = gradient_clip
         self.classification = classification
-        self.collect_gradient_norms = collect_gradient_norms
         self.staleness = StalenessTracker()
         self.quorum = QuorumTracker(world_size)
         self.steps = 0
@@ -132,10 +121,6 @@ class DistributedSGD:
 
         # Live: reduced in place, the result lands in every ``param.grad``.
         flat = flatten_gradients(self.model)
-        if self.gradient_clip is not None:
-            norm = float(np.linalg.norm(flat))
-            if norm > self.gradient_clip > 0:
-                flat *= self.gradient_clip / norm
 
         if self.exchange.updates_parameters:
             # Sharded (ZeRO-1) exchange: the collective pipeline applies
@@ -154,11 +139,6 @@ class DistributedSGD:
         self.staleness.record(result.included)
         self.quorum.record(result.num_active)
         self.steps += 1
-        grad_norm = (
-            float(np.linalg.norm(result.gradient))
-            if self.collect_gradient_norms and result.gradient is not None
-            else 0.0
-        )
         return StepStats(
             loss=loss,
             top1=top1,
@@ -167,7 +147,6 @@ class DistributedSGD:
             exchange_wait=result.wait_time,
             included=result.included,
             num_active=result.num_active,
-            gradient_norm=grad_norm,
         )
 
     def close(self) -> None:

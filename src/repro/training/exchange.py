@@ -612,8 +612,7 @@ class PartialExchange(_BucketedExchange):
         Stale gradients accumulate per bucket and are never lost.
     pipeline_chunks:
         Segments the background reduction of every bucket is pipelined in
-        (sum/avg payloads only; see
-        :class:`~repro.collectives.partial.PartialAllreduce`).
+        (see :class:`~repro.collectives.partial.PartialAllreduce`).
     compression:
         Reduce-closed codecs (``fp16``) run the whole partial collective
         — send buffer, stale accumulation and background reduction — at

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -66,8 +66,6 @@ class TrainingResult:
         Per-rank staleness/quorum summaries.
     wall_time:
         Total wall-clock seconds of the reproduction run.
-    gradient_norms:
-        Post-exchange gradient norms of rank 0 (empty unless collected).
     """
 
     mode: str
@@ -77,7 +75,6 @@ class TrainingResult:
     projection: Optional[TrainingProjection]
     rank_summaries: List[RankSummary]
     wall_time: float
-    gradient_norms: List[float] = field(default_factory=list)
 
     # ------------------------------------------------------------ helpers
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,7 +52,6 @@ class _RankOutput:
     mean_num_active: float
     min_num_active: int
     final_model_hash: str
-    gradient_norms: List[float] = field(default_factory=list)
 
 
 def _build_optimizer(model: Module, config: TrainingConfig) -> Optimizer:
@@ -105,9 +104,7 @@ def _rank_main(
         exchange,
         loss_fn,
         world_size=config.world_size,
-        gradient_clip=config.gradient_clip,
         classification=classification,
-        collect_gradient_norms=config.collect_gradient_norms,
     )
     loader = ShardedLoader(
         train_dataset,
@@ -120,7 +117,6 @@ def _rank_main(
 
     epoch_records: List[EpochRecord] = []
     step_durations: List[float] = []
-    gradient_norms: List[float] = []
     global_step = 0
 
     try:
@@ -147,8 +143,6 @@ def _rank_main(
                 top1s.append(_nan_to(stats.top1))
                 top5s.append(_nan_to(stats.top5))
                 naps.append(stats.num_active)
-                if config.collect_gradient_norms:
-                    gradient_norms.append(stats.gradient_norm)
                 global_step += 1
 
             # ---- epoch-level metrics, identical on every rank ----
@@ -210,7 +204,6 @@ def _rank_main(
         mean_num_active=sgd.quorum.mean_quorum,
         min_num_active=sgd.quorum.min_quorum,
         final_model_hash=model_hash(model),
-        gradient_norms=gradient_norms,
     )
 
 
@@ -354,7 +347,6 @@ def train_distributed(
         projection=projection,
         rank_summaries=summaries,
         wall_time=wall_time,
-        gradient_norms=outputs[0].gradient_norms,
     )
 
 

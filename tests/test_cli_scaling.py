@@ -1,10 +1,12 @@
 """Tests for the command-line interface and the scaling projections."""
 
+import argparse
 import dataclasses
+import inspect
 
 import pytest
 
-from repro.cli import COMMANDS, EXPERIMENTS, main
+from repro.cli import COMMANDS, main
 from repro.experiments import scaling
 from repro.serving import ServingConfig, Workload
 from repro.training.config import TrainingConfig
@@ -33,8 +35,8 @@ class TestCli:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        for command in COMMANDS:
+            assert command.name in out
 
     def test_no_command_lists(self, capsys):
         assert main([]) == 0
@@ -70,6 +72,12 @@ def _flag(field_name):
     return "--backend" if field_name == "comm_backend" else "--" + field_name.replace("_", "-")
 
 
+#: Rows whose flags are the parameters of a function.
+SIGNATURE_ROWS = [c for c in COMMANDS if c.fn is not None]
+#: ``(row, parameter)`` of the object-valued parameters, which take no flag.
+OBJECTS = {("fusion", "params")}
+
+
 def _help(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -82,6 +90,40 @@ class TestCommandTable:
         assert main(["list"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines[1:]] == [c.name for c in COMMANDS]
+
+    def test_every_harness_row_is_a_signature_row(self):
+        assert {c.name for c in SIGNATURE_ROWS} == {
+            "fig2", "fig3", "fig4", "table1", "fig9", "speedups", "scaling", "fusion", "tune",
+            "verify",
+        }
+
+    @pytest.mark.parametrize("command", SIGNATURE_ROWS, ids=lambda c: c.name)
+    def test_cli_defaults_are_the_run_defaults(self, command):
+        """Parsing ``[name]`` alone gives ``run``'s own defaults: no default
+        is written twice (``repro fig3`` once sampled half as many
+        sentences as ``fig3_wmt_runtime.run``)."""
+        parser = argparse.ArgumentParser()
+        command.add_args(parser)
+        parsed = vars(parser.parse_args([]))
+
+        def plain(value):
+            return tuple(value) if isinstance(value, (list, tuple)) else value
+
+        defaults = {
+            name: plain(parameter.default)
+            for name, parameter in inspect.signature(command.fn).parameters.items()
+            if (command.name, name) not in OBJECTS
+        }
+        assert {name: plain(value) for name, value in parsed.items()} == defaults
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.name)
+    def test_every_row_has_help_and_a_flag_per_parameter(self, capsys, command):
+        text = _help(capsys, command.name)
+        if command.fn is not None:
+            assert inspect.cleandoc(command.fn.__doc__).splitlines()[0] in text
+            for name in inspect.signature(command.fn).parameters:
+                listed = f"{_flag(name)} " in text or f"{_flag(name)}," in text
+                assert listed != ((command.name, name) in OBJECTS), (command.name, name)
 
     def test_train_has_a_flag_per_scalar_config_field(self, capsys):
         text = _help(capsys, "train")

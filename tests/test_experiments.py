@@ -91,7 +91,7 @@ class TestFig9Microbenchmark:
 
     def test_functional_backend_ordering(self):
         rows = fig9_microbenchmark.run_functional(
-            world_size=4, iterations=4, skew_step_ms=8.0, message_elements=64
+            world_size=4, iterations=4, skew_ms=8.0, message_elements=64
         )
         row = rows[0]
         # The thread backend must preserve the ordering solo <= majority <= sync.

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import COMMANDS, main
 from repro.experiments import speedups
 from repro.experiments.training_experiments import fidelity_rows, report_figure
 
@@ -71,7 +71,7 @@ def test_fig11_solo_beats_both_synchronous_styles(table):
 
 
 def test_every_cli_figure_is_a_spec_and_every_claim_is_one_row(table):
-    cli_figures = [name for name in EXPERIMENTS if re.fullmatch(r"fig1\d", name)]
+    cli_figures = [c.name for c in COMMANDS if re.fullmatch(r"fig1\d", c.name)]
     assert cli_figures == list(speedups.FIGURES) == list(table.figures)
     for name, spec in speedups.FIGURES.items():
         assert len(set(spec.claims)) == len(spec.claims) > 0

@@ -208,21 +208,6 @@ class TestPartialCounterHardening:
                 assert r.num_active == 3
                 assert isinstance(r.num_active, int)
 
-    def test_num_active_correct_under_max_op(self):
-        """A max/min data op must not collapse the arrival count to 1."""
-
-        def worker(comm):
-            partial = PartialAllreduce(
-                comm, (2,), "quorum", quorum=4, op="max", average=False, seed=2
-            )
-            r = partial.reduce(np.full(2, float(comm.rank)))
-            partial.close()
-            return r.num_active, float(r.data[0])
-
-        for num_active, value in launch(worker, 4):
-            assert num_active == 4
-            assert value == 3.0
-
     def test_corrupted_counter_rejected(self):
         def worker(comm):
             partial = PartialAllreduce(comm, (2,), "solo", seed=1)

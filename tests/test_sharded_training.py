@@ -568,10 +568,6 @@ class TestTrainingParity:
             TrainingConfig(sharding="zero3").validate()
         with pytest.raises(ValueError):
             TrainingConfig(sharding="zero1", mode="solo").validate()
-        with pytest.raises(ValueError):
-            TrainingConfig(
-                sharding="zero1", collect_gradient_norms=True
-            ).validate()
         config = TrainingConfig(sharding="zero1")
         config.validate()
         assert "zero1" in config.describe()
