@@ -103,7 +103,9 @@ class PartialAllreduceResult:
     #: Number of processes that contributed fresh (non-stale, non-null)
     #: data to this round — the "number of active processes" of Fig. 9.
     num_active: int
-    #: Rank that initiated the round (-1 if unknown on this rank).
+    #: Rank that initiated the round this call contributed to — that
+    #: round's own initiator even when ``overwrite_recvbuff`` hands a
+    #: lagging rank a later round's data (-1 if unknown on this rank).
     initiator: int
 
 
@@ -307,7 +309,7 @@ class PartialAllreduce:
             data=data,
             included=included,
             num_active=effective.num_active,
-            initiator=effective.initiator,
+            initiator=record.initiator,
         )
 
     @property

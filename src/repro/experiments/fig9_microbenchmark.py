@@ -26,8 +26,8 @@ from repro.collectives.partial import PartialAllreduce
 from repro.collectives.sync import allreduce
 from repro.experiments.report import FidelityRow, format_table, ratio_line
 from repro.simtime.collective_model import (
-    majority_allreduce_latencies,
-    solo_allreduce_latencies,
+    allreduce_time,
+    partial_round,
     synchronous_allreduce_latencies,
 )
 from repro.simtime.skew import linear_skew
@@ -87,7 +87,10 @@ def run(
 
     ``world_size`` processes, rank r skewed by ``r * skew_ms`` ms, run
     ``iterations`` majority rounds per message size of
-    :data:`MESSAGE_SIZES`; ``seed`` draws the majority initiators.
+    :data:`MESSAGE_SIZES`; ``seed`` draws the majority initiators.  Each
+    size's allreduce is priced once; solo (the earliest arrival initiates)
+    and every majority round are that price in
+    :func:`~repro.simtime.collective_model.partial_round`.
     ``compression`` names a gradient codec (:mod:`repro.compression`)
     carried by the collectives: the analytic latencies then include the
     codec's compressed-bytes and encode/decode terms
@@ -107,14 +110,12 @@ def run(
     rows: List[MicrobenchmarkRow] = []
     for nbytes in MESSAGE_SIZES:
         mpi = synchronous_allreduce_latencies(arrivals, nbytes, compression=cm)
-        solo = solo_allreduce_latencies(arrivals, nbytes, compression=cm)
+        cost = allreduce_time(nbytes, world_size, compression=cm)
+        solo = partial_round(arrivals, int(np.argmin(arrivals)), cost)
         majority_lat: List[float] = []
         majority_nap: List[float] = []
         for _ in range(iterations):
-            initiator = int(rng.integers(0, world_size))
-            m = majority_allreduce_latencies(
-                arrivals, nbytes, initiator=initiator, compression=cm
-            )
+            m = partial_round(arrivals, int(rng.integers(0, world_size)), cost)
             majority_lat.append(m.average_latency)
             majority_nap.append(m.num_active)
         rows.append(

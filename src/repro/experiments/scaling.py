@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.experiments.report import FidelityRow, format_table
-from repro.simtime.network import DEFAULT_NETWORK
+from repro.simtime.collective_model import allreduce_time
 from repro.simtime.training_model import StepTimeline, project_training_time
 from repro.utils.rng import seeded_rng
 
@@ -108,9 +108,7 @@ def _projected_speedup(
     projection = project_training_time(
         StepTimeline(durations),
         mode=mode,
-        gradient_bytes=gradient_bytes,
-        params=DEFAULT_NETWORK,
-        seed=seed,
+        exchange_cost=allreduce_time(gradient_bytes, world_size),
     )
     serial_time = steps * serial_compute_seconds
     return serial_time / projection.total_time
@@ -184,13 +182,17 @@ def run_with_inherent_imbalance(
             batch = rng.choice(lengths, size=16, replace=False)
             durations[t, r] = cost_model.cost_from_size(float(np.sort(batch).sum()))
     serial_step = float(durations.mean())
+    # No run designates majority's initiators here, so draw them.
+    initiator_rng = seeded_rng(seed)
+    initiators = [int(initiator_rng.integers(0, world_size)) for _ in range(steps)]
+    exchange_cost = allreduce_time(34_663_525 * 4, world_size)
     for mode, label in (("sync", "synch-SGD"), ("solo", "eager (solo)"),
                         ("majority", "eager (majority)")):
         projection = project_training_time(
             StepTimeline(durations),
             mode=mode,
-            gradient_bytes=34_663_525 * 4,
-            seed=seed,
+            exchange_cost=exchange_cost,
+            initiators=initiators,
         )
         rows.append(
             _row(

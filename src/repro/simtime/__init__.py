@@ -8,10 +8,14 @@ single-process reproduction.  This package provides two substitutes:
   :mod:`repro.simtime.collective_model`) for point-to-point messages and
   for the synchronous collectives — priced by walking the plans
   :mod:`repro.collectives.sync` runs — plus the binomial broadcast and
-  the activation + reduction structure of solo/majority allreduce;
+  :func:`partial_round`, the one model of a solo / majority / quorum
+  round (initiator arrival + activation + reduction; ranks inside the
+  activation window are active), which Fig. 9 prices;
 * a **training-time projector** (:mod:`repro.simtime.training_model`) that
   converts per-rank per-step compute times into end-to-end training time
-  under synchronous SGD, solo, majority and quorum eager-SGD — this is
+  under synchronous SGD, solo, majority and quorum eager-SGD by replaying
+  one :func:`partial_round` per eager step, with the exchange cost the
+  caller prices and the majority initiators the run recorded — this is
   what produces the paper-scale time axes of Figures 10-13.
 """
 
@@ -20,8 +24,7 @@ from repro.simtime.collective_model import (
     allreduce_time,
     broadcast_time,
     activation_time,
-    solo_allreduce_latencies,
-    majority_allreduce_latencies,
+    partial_round,
     synchronous_allreduce_latencies,
     CollectiveLatencyResult,
 )
@@ -39,8 +42,7 @@ __all__ = [
     "allreduce_time",
     "broadcast_time",
     "activation_time",
-    "solo_allreduce_latencies",
-    "majority_allreduce_latencies",
+    "partial_round",
     "synchronous_allreduce_latencies",
     "CollectiveLatencyResult",
     "linear_skew",

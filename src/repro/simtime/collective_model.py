@@ -10,11 +10,13 @@ wire hops are priced as they run.  The one closed form left is the
 decode-reduce-encode exchange of non-reduce-closed codecs, whose object
 ``allgather`` has no plan.
 
-On top of that price, the skew models reproduce the microbenchmark of
-Fig. 8/9 in the paper: every rank is skewed before calling the
-collective, and the average latency *measured at each rank from its own
-call until it holds the result* is reported, together with the Number of
-Active Processes (NAP).
+On top of that price, :func:`synchronous_allreduce_latencies` and
+:func:`partial_round` reproduce the microbenchmark of Fig. 8/9 in the
+paper: every rank is skewed before calling the collective, and the
+average latency *measured at each rank from its own call until it holds
+the result* is reported, together with the Number of Active Processes
+(NAP).  :func:`partial_round` is the only model of a partial round: the
+training-time projection replays it once per step.
 
 The key structural facts the models capture:
 
@@ -43,7 +45,6 @@ import numpy as np
 from repro.collectives import sync
 from repro.collectives.topology import HostTopology
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams, message_time
-from repro.utils.rng import SeedLike, seeded_rng
 
 #: Size, in bytes, of an activation message (a tag plus a round number).
 ACTIVATION_MESSAGE_BYTES = 16
@@ -117,10 +118,6 @@ class CollectiveLatencyResult:
     @property
     def average_latency(self) -> float:
         return float(np.mean(self.latencies))
-
-    @property
-    def max_latency(self) -> float:
-        return float(np.max(self.latencies))
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +323,6 @@ def activation_time(size: int, params: LogGPParams = DEFAULT_NETWORK) -> float:
 # ---------------------------------------------------------------------------
 # collective latency under skewed arrivals
 # ---------------------------------------------------------------------------
-def _as_arrivals(arrivals: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(arrivals, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(
-            f"arrivals must be a non-empty 1-D sequence, got shape {arr.shape}"
-        )
-    if np.any(arr < 0):
-        raise ValueError(f"arrival times must be non-negative, got min {arr.min()}")
-    return arr
-
-
 def synchronous_allreduce_latencies(
     arrivals: Sequence[float],
     nbytes: int,
@@ -345,103 +331,55 @@ def synchronous_allreduce_latencies(
     compression: Optional[CompressionModel] = None,
 ) -> CollectiveLatencyResult:
     """Latencies of a fully synchronous allreduce (``MPI_Allreduce``)."""
-    arr = _as_arrivals(arrivals)
-    size = arr.size
+    arr = np.asarray(arrivals, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(
+            f"arrivals must be a non-empty 1-D sequence, got shape {arr.shape}"
+        )
+    if np.any(arr < 0):
+        raise ValueError(f"arrival times must be non-negative, got min {arr.min()}")
     completion = float(arr.max()) + allreduce_time(
-        nbytes, size, algorithm, params, compression=compression
+        nbytes, arr.size, algorithm, params, compression=compression
     )
-    latencies = completion - arr
     return CollectiveLatencyResult(
-        latencies=latencies,
+        latencies=completion - arr,
         completion_time=completion,
-        num_active=size,
+        num_active=arr.size,
         initiator=-1,
     )
 
 
-def _partial_latencies(
-    arr: np.ndarray,
+def partial_round(
+    arrivals: np.ndarray,
     initiator: int,
-    nbytes: int,
-    algorithm: str,
-    params: LogGPParams,
-    compression: Optional[CompressionModel] = None,
+    reduce_cost: float,
+    params: LogGPParams = DEFAULT_NETWORK,
 ) -> CollectiveLatencyResult:
-    size = arr.size
-    start = float(arr[initiator])
-    completion = (
-        start
-        + activation_time(size, params)
-        + allreduce_time(nbytes, size, algorithm, params, compression=compression)
-    )
+    """One partial allreduce round, the one model of it: the round starts
+    when rank ``initiator`` arrives, activates every rank after
+    :func:`activation_time`, and completes ``reduce_cost`` seconds later.
+
+    Solo passes the earliest arrival as ``initiator``, majority the
+    designated rank, quorum the Q-th arrival.  ``arrivals`` is a
+    non-negative 1-D ``float64`` array that the caller has validated once
+    (the projection replays one round per training step, so nothing is
+    re-checked here).
+    """
+    window = arrivals[initiator] + activation_time(arrivals.size, params)
+    completion = float(window + reduce_cost)
     # A rank arriving before the completion waits for it; a rank arriving
     # later finds the result already in its receive buffer.
     latencies = np.where(
-        arr <= completion, completion - arr, RESULT_CHECK_OVERHEAD
+        arrivals <= completion, completion - arrivals, RESULT_CHECK_OVERHEAD
     )
     # Active processes contribute fresh data: they arrived no later than
     # the initiator (their gradient was in the send buffer when their
     # progress thread swapped it out upon activation).  The small
     # activation propagation window also admits ranks arriving just after
     # the initiator.
-    window = float(arr[initiator]) + activation_time(size, params)
-    num_active = int(np.sum(arr <= window))
     return CollectiveLatencyResult(
         latencies=latencies,
         completion_time=completion,
-        num_active=num_active,
+        num_active=int(np.count_nonzero(arrivals <= window)),
         initiator=int(initiator),
     )
-
-
-def solo_allreduce_latencies(
-    arrivals: Sequence[float],
-    nbytes: int,
-    algorithm: str = "recursive_doubling",
-    params: LogGPParams = DEFAULT_NETWORK,
-    compression: Optional[CompressionModel] = None,
-) -> CollectiveLatencyResult:
-    """Latencies of a solo allreduce: the earliest arrival initiates."""
-    arr = _as_arrivals(arrivals)
-    initiator = int(np.argmin(arr))
-    return _partial_latencies(arr, initiator, nbytes, algorithm, params, compression)
-
-
-def majority_allreduce_latencies(
-    arrivals: Sequence[float],
-    nbytes: int,
-    algorithm: str = "recursive_doubling",
-    params: LogGPParams = DEFAULT_NETWORK,
-    seed: SeedLike = None,
-    initiator: Optional[int] = None,
-    compression: Optional[CompressionModel] = None,
-) -> CollectiveLatencyResult:
-    """Latencies of a majority allreduce: a random rank is designated.
-
-    Pass ``initiator`` to fix the designated rank (used when iterating the
-    microbenchmark with a shared PRNG), or ``seed`` to draw one.
-    """
-    arr = _as_arrivals(arrivals)
-    if initiator is None:
-        rng = seeded_rng(seed)
-        initiator = int(rng.integers(0, arr.size))
-    if not 0 <= initiator < arr.size:
-        raise ValueError(f"initiator {initiator} out of range")
-    return _partial_latencies(arr, initiator, nbytes, algorithm, params, compression)
-
-
-def quorum_allreduce_latencies(
-    arrivals: Sequence[float],
-    nbytes: int,
-    quorum: int,
-    algorithm: str = "recursive_doubling",
-    params: LogGPParams = DEFAULT_NETWORK,
-    compression: Optional[CompressionModel] = None,
-) -> CollectiveLatencyResult:
-    """Latencies of a quorum allreduce: the Q-th arrival initiates."""
-    arr = _as_arrivals(arrivals)
-    if not 1 <= quorum <= arr.size:
-        raise ValueError(f"quorum must be in [1, {arr.size}], got {quorum}")
-    order = np.argsort(arr, kind="stable")
-    initiator = int(order[quorum - 1])
-    return _partial_latencies(arr, initiator, nbytes, algorithm, params, compression)

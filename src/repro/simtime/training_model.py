@@ -18,20 +18,19 @@ argument (Fig. 1):
 * eager-SGD with solo allreduce pays roughly ``the slowest rank's own
   total compute`` (a maximum of sums), because nobody waits;
 * majority allreduce sits in between: each step waits for the randomly
-  designated initiator.
+  designated initiator — the one the run recorded, replayed here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.simtime.collective_model import activation_time, allreduce_time
+from repro.simtime.collective_model import partial_round
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
-from repro.utils.rng import SeedLike, seeded_rng
 
 
 @dataclass
@@ -59,14 +58,6 @@ class StepTimeline:
                 f"durations must be non-negative, got min {self.durations.min()}"
             )
 
-    @property
-    def num_steps(self) -> int:
-        return int(self.durations.shape[0])
-
-    @property
-    def num_ranks(self) -> int:
-        return int(self.durations.shape[1])
-
 
 @dataclass(frozen=True)
 class TrainingProjection:
@@ -83,10 +74,6 @@ class TrainingProjection:
     #: Average throughput in steps/second.
     throughput: float
 
-    def time_at_step(self, step: int) -> float:
-        """Completion time of a given step (paper plots use epoch ends)."""
-        return float(self.step_completion_times[step])
-
 
 _VALID_MODES = ("sync", "solo", "majority", "quorum")
 
@@ -94,14 +81,18 @@ _VALID_MODES = ("sync", "solo", "majority", "quorum")
 def project_training_time(
     timeline: StepTimeline,
     mode: str = "sync",
-    gradient_bytes: int = 4 * 1024 * 1024,
+    *,
+    exchange_cost: float,
     params: LogGPParams = DEFAULT_NETWORK,
-    algorithm: str = "recursive_doubling",
-    seed: SeedLike = None,
+    initiators: Optional[Sequence[int]] = None,
     quorum: Optional[int] = None,
     model_sync_period: Optional[int] = None,
 ) -> TrainingProjection:
     """Replay a training run and return its projected timing.
+
+    Every eager step is one
+    :func:`~repro.simtime.collective_model.partial_round` over the ranks'
+    arrivals; a synchronous step waits for the slowest rank.
 
     Parameters
     ----------
@@ -110,9 +101,16 @@ def project_training_time(
     mode:
         ``"sync"`` (synchronous allreduce every step), ``"solo"``,
         ``"majority"`` or ``"quorum"``.
-    gradient_bytes:
-        Size of the gradient allreduce payload (4 bytes per parameter for
-        the fp32 gradients used in the paper).
+    exchange_cost:
+        Seconds one gradient exchange takes once its ranks are present
+        (e.g. :func:`~repro.simtime.collective_model.allreduce_time` of
+        the gradient); the caller prices it.
+    params:
+        Network parameters of the activation broadcast.
+    initiators:
+        Majority mode: the designated initiator of every step, one per
+        step — the ones the run recorded, replayed rather than re-drawn.
+        Solo's initiator is the earliest arrival, quorum's the Q-th.
     quorum:
         Number of arrivals required in quorum mode.
     model_sync_period:
@@ -134,10 +132,16 @@ def project_training_time(
             quorum = max(1, num_ranks // 2)
         if not 1 <= quorum <= num_ranks:
             raise ValueError(f"quorum must be in [1, {num_ranks}], got {quorum}")
-
-    rng = seeded_rng(seed)
-    reduce_cost = allreduce_time(gradient_bytes, num_ranks, algorithm, params)
-    act_cost = activation_time(num_ranks, params)
+    if mode == "majority":
+        designated = np.asarray([] if initiators is None else initiators, dtype=np.int64)
+        if designated.shape != (num_steps,) or np.any(
+            (designated < 0) | (designated >= num_ranks)
+        ):
+            raise ValueError(
+                f"majority replays one initiator in [0, {num_ranks}) per step: "
+                f"{num_steps} steps, got {designated.size} initiator(s) in "
+                f"[{designated.min(initial=0)}, {designated.max(initial=0)}]"
+            )
 
     ready = np.zeros(num_ranks)
     step_completion = np.zeros(num_steps)
@@ -146,28 +150,27 @@ def project_training_time(
     for t in range(num_steps):
         arrivals = ready + durations[t]
         if mode == "sync":
-            completion = float(arrivals.max()) + reduce_cost
+            completion = float(arrivals.max()) + exchange_cost
             ready = np.full(num_ranks, completion)
             nap[t] = num_ranks
         else:
             if mode == "solo":
-                initiator_arrival = float(arrivals.min())
+                initiator = int(np.argmin(arrivals))
             elif mode == "majority":
-                initiator = int(rng.integers(0, num_ranks))
-                initiator_arrival = float(arrivals[initiator])
+                initiator = int(designated[t])
             else:  # quorum
-                initiator_arrival = float(np.sort(arrivals)[quorum - 1])
-            completion = initiator_arrival + act_cost + reduce_cost
-            nap[t] = int(np.sum(arrivals <= initiator_arrival + act_cost))
+                initiator = int(np.argsort(arrivals, kind="stable")[quorum - 1])
+            round_ = partial_round(arrivals, initiator, exchange_cost, params)
+            nap[t] = round_.num_active
             # Fast ranks block until the round completes; slow ranks find
             # the result ready and continue immediately.
-            ready = np.maximum(arrivals, completion)
+            ready = np.maximum(arrivals, round_.completion_time)
         step_completion[t] = float(ready.max())
 
         if model_sync_period and (t + 1) % model_sync_period == 0:
             # Periodic model synchronisation: a synchronous allreduce of
             # the weights involving every rank.
-            sync_done = float(ready.max()) + reduce_cost
+            sync_done = float(ready.max()) + exchange_cost
             ready = np.full(num_ranks, sync_done)
             step_completion[t] = sync_done
 

@@ -35,6 +35,8 @@ class StepStats:
     included: bool
     #: Number of ranks contributing fresh gradients.
     num_active: int
+    #: Rank that initiated the step's partial round (-1: synchronous).
+    initiator: int
 
 
 LossFn = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
@@ -147,6 +149,7 @@ class DistributedSGD:
             exchange_wait=result.wait_time,
             included=result.included,
             num_active=result.num_active,
+            initiator=result.initiator,
         )
 
     def close(self) -> None:

@@ -156,6 +156,10 @@ class ExchangeResult:
     #: sharded exchange instead reports the bytes it measured this rank
     #: send, every hop of both its phases (see :class:`_WireCountingComm`).
     wire_bytes: int = 0
+    #: Rank that initiated this step's partial round: the last bucket's
+    #: (in majority mode every bucket of a step shares the designated
+    #: rank); -1 for synchronous exchanges, 0 for a single process.
+    initiator: int = -1
 
 
 class GradientExchange:
@@ -192,6 +196,7 @@ class SingleProcessExchange(GradientExchange):
             included=True,
             num_active=1,
             wait_time=0.0,
+            initiator=0,
         )
 
 
@@ -672,10 +677,12 @@ class PartialExchange(_BucketedExchange):
         bucket_waits = [0.0] * len(views)
         included = True
         num_active = None
+        initiator = -1
         wire_bytes = 0
         for b in self._timed_buckets("bucket-wait", views, order, bucket_waits):
             contribution, decode_template, sent = self._encode_contribution(b, views[b])
             result = self.partials[b].reduce(contribution)
+            initiator = result.initiator
             reduced = result.data
             if decode_template is not None:
                 reduced = self.codec.decode(decode_template.with_payload(reduced))
@@ -694,6 +701,7 @@ class PartialExchange(_BucketedExchange):
             wait_time=time.perf_counter() - start,
             bucket_waits=tuple(bucket_waits),
             wire_bytes=wire_bytes,
+            initiator=initiator,
         )
 
     def _encode_contribution(self, b: int, buffer: np.ndarray):

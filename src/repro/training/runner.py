@@ -25,6 +25,7 @@ from repro.data.loader import Dataset, ShardedLoader
 from repro.nn.module import Module
 from repro.nn.optim import Adam, MomentumSGD, Optimizer, SGD
 from repro.obs import recorder as _obs
+from repro.simtime.collective_model import allreduce_time
 from repro.simtime.network import DEFAULT_NETWORK
 from repro.simtime.training_model import StepTimeline, project_training_time
 from repro.training.config import TrainingConfig
@@ -38,6 +39,10 @@ from repro.tuning.autotune import resolve_auto_fusion
 ModelFactory = Callable[[], Module]
 LossFn = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
 
+#: Gradient bytes per parameter the timing projection prices: the paper's
+#: models communicate fp32 gradients, i.e. 4 bytes per parameter.
+GRADIENT_BYTES_PER_PARAMETER = 4
+
 
 @dataclass
 class _RankOutput:
@@ -46,6 +51,8 @@ class _RankOutput:
     rank: int
     epoch_records: List[EpochRecord]
     step_durations: List[float]
+    #: Initiator of every step's partial round (-1: synchronous).
+    initiators: List[int]
     max_staleness: int
     mean_staleness: float
     inclusion_rate: float
@@ -117,6 +124,7 @@ def _rank_main(
 
     epoch_records: List[EpochRecord] = []
     step_durations: List[float] = []
+    initiators: List[int] = []
     global_step = 0
 
     try:
@@ -139,6 +147,7 @@ def _rank_main(
                 stats = sgd.step(batch, pre_exchange_sleep=sleep)
                 local_work = sim_compute if sim_compute is not None else stats.compute_time
                 step_durations.append(local_work + delay)
+                initiators.append(stats.initiator)
                 losses.append(stats.loss)
                 top1s.append(_nan_to(stats.top1))
                 top5s.append(_nan_to(stats.top5))
@@ -198,6 +207,7 @@ def _rank_main(
         rank=rank,
         epoch_records=epoch_records,
         step_durations=step_durations,
+        initiators=initiators,
         max_staleness=sgd.staleness.max_staleness,
         mean_staleness=sgd.staleness.mean_staleness,
         inclusion_rate=sgd.staleness.inclusion_rate,
@@ -214,7 +224,6 @@ def train_distributed(
     config: TrainingConfig,
     eval_dataset: Optional[Dataset] = None,
     classification: bool = True,
-    gradient_bytes_per_parameter: int = 4,
     run_timeout: float = 1800.0,
 ) -> TrainingResult:
     """Run one distributed training job and return its results.
@@ -233,9 +242,6 @@ def train_distributed(
         The training configuration (mode, imbalance model, ...).
     classification:
         Whether top-1/top-5 accuracy should be computed.
-    gradient_bytes_per_parameter:
-        Used by the timing projection: the paper's models communicate fp32
-        gradients, i.e. 4 bytes per parameter.
     run_timeout:
         Wall-clock limit for the whole run (converted into a hard error
         rather than a hang if something deadlocks).
@@ -300,19 +306,20 @@ def train_distributed(
         # per-parameter bytes.  Non-reduce-closed codecs keep the
         # partial collectives' background wire dense (see
         # PartialExchange), so their projection stays dense too.
-        projected_bytes = num_parameters * gradient_bytes_per_parameter
+        projected_bytes = num_parameters * GRADIENT_BYTES_PER_PARAMETER
         if codec is not None and codec.reduce_closed:
             projected_bytes = max(1, int(
                 num_parameters
-                * min(codec.wire_bytes_per_element, gradient_bytes_per_parameter)
+                * min(codec.wire_bytes_per_element, GRADIENT_BYTES_PER_PARAMETER)
             ))
         projection = project_training_time(
             StepTimeline(durations),
             mode=config.mode,
-            gradient_bytes=projected_bytes,
-            params=DEFAULT_NETWORK,
-            algorithm=config.allreduce_algorithm,
-            seed=config.seed + 777,
+            exchange_cost=allreduce_time(
+                projected_bytes, config.world_size, config.allreduce_algorithm,
+                DEFAULT_NETWORK,
+            ),
+            initiators=_recorded_initiators(outputs) if config.mode == "majority" else None,
             quorum=config.quorum,
             model_sync_period=sync_period_steps,
         )
@@ -348,6 +355,20 @@ def train_distributed(
         rank_summaries=summaries,
         wall_time=wall_time,
     )
+
+
+def _recorded_initiators(outputs: List[_RankOutput]) -> List[int]:
+    """The majority initiators of every step, which all ranks drew from
+    one seeded stream: a difference is a broken consensus, and raises."""
+    first = outputs[0].initiators
+    for out in outputs[1:]:
+        if out.initiators != first:
+            step = next(t for t, (a, b) in enumerate(zip(first, out.initiators)) if a != b)
+            raise RuntimeError(
+                f"ranks 0 and {out.rank} recorded different majority initiators "
+                f"at step {step}: {first[step]} vs {out.initiators[step]}"
+            )
+    return first
 
 
 def _single_process_comm() -> Communicator:

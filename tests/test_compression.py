@@ -24,7 +24,7 @@ from repro.simtime.collective_model import (
     NO_COMPRESSION,
     CompressionModel,
     allreduce_time,
-    solo_allreduce_latencies,
+    partial_round,
     synchronous_allreduce_latencies,
 )
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
@@ -532,13 +532,13 @@ class TestCompressionModel:
         ) > 0
 
     def test_latency_functions_accept_compression(self):
-        arrivals = [0.0, 0.001, 0.002, 0.003]
+        arrivals = np.array([0.0, 0.001, 0.002, 0.003])
         model = CompressionModel(name="fp16", wire_scale=0.25)
         nbytes = 4 << 20
         sync_dense = synchronous_allreduce_latencies(arrivals, nbytes)
         sync_fp16 = synchronous_allreduce_latencies(arrivals, nbytes, compression=model)
         assert sync_fp16.completion_time < sync_dense.completion_time
-        solo = solo_allreduce_latencies(arrivals, nbytes, compression=model)
+        solo = partial_round(arrivals, 0, allreduce_time(nbytes, 4, compression=model))
         assert solo.completion_time < sync_fp16.completion_time
 
 

@@ -242,8 +242,14 @@ CASES = {
     "StepTimeline-shape": (lambda: StepTimeline(np.zeros(3)), "got (3,)"),
     "StepTimeline-negative": (lambda: StepTimeline([[1.0, -2.0]]), "got min -2.0"),
     "project_training_time-empty": (
-        lambda: project_training_time(StepTimeline(np.zeros((0, 4)))),
+        lambda: project_training_time(StepTimeline(np.zeros((0, 4))), exchange_cost=0.0),
         "got 0 x 4",
+    ),
+    "project_training_time-majority-initiators": (
+        lambda: project_training_time(
+            StepTimeline(np.zeros((5, 4))), "majority", exchange_cost=0.0, initiators=[0, 1]
+        ),
+        "5 steps, got 2 initiator(s)",
     ),
     # theory
     "QuorumTracker-world_size": (

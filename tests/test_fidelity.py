@@ -118,6 +118,40 @@ def test_every_eager_variant_beats_its_baseline_in_projected_time(table):
         assert row.ours > 1.0, row
 
 
+#: ``ours`` of every projected row, as the fidelity table prints it.  These
+#: are the analytic models' numbers (Fig. 9's latency model and the
+#: training-time projection over each run's durations and initiators), so
+#: they are deterministic: a change that moves one updates this pin and
+#: lists what moved.
+PROJECTED_OURS = {
+    ("Fig. 9", "solo latency reduction"): "75.24",
+    ("Fig. 9", "majority latency reduction"): "2.612",
+    ("Fig. 10 (tiny)", "eager-SGD-200 (solo) speedup over synch-SGD-200 (Deep500)"): "1.391",
+    ("Fig. 10 (tiny)", "eager-SGD-300 (solo) speedup over synch-SGD-300 (Deep500)"): "1.508",
+    ("Fig. 10 (tiny)", "eager-SGD-400 (solo) speedup over synch-SGD-400 (Deep500)"): "1.289",
+    ("Fig. 11 (tiny)", "eager-SGD-300 (solo) speedup over synch-SGD-300 (Deep500)"): "1.381",
+    ("Fig. 11 (tiny)", "eager-SGD-300 (solo) speedup over synch-SGD-300 (Horovod)"): "1.381",
+    ("Fig. 11 (tiny)", "eager-SGD-460 (solo) speedup over synch-SGD-460 (Deep500)"): "1.441",
+    ("Fig. 11 (tiny)", "eager-SGD-460 (solo) speedup over synch-SGD-460 (Horovod)"): "1.441",
+    ("Fig. 12 (tiny)", "eager-SGD (majority) speedup over synch-SGD (Horovod)"): "1.2",
+    ("Fig. 13 (tiny)", "eager-SGD (solo) speedup over synch-SGD (Horovod)"): "1.135",
+    ("Fig. 13 (tiny)", "eager-SGD (majority) speedup over synch-SGD (Horovod)"): "1.099",
+    ("Section 6", "hyperplane strong scaling, 8 ranks, eager (solo, 400 ms)"): "6.026",
+    ("Section 6", "resnet50 weak scaling, 64 ranks, eager (solo, 460 ms)"): "56.86",
+    ("Section 6", "ucf101 weak scaling (inherent imbalance), synch-SGD"): "6.456",
+    ("Section 6", "ucf101 weak scaling (inherent imbalance), eager (majority)"): "7.246",
+}
+
+
+def test_projected_rows_are_pinned(table):
+    printed = {
+        (row.source, row.claim): f"{round(row.ours, 3):.4g}"
+        for row in table.rows
+        if row.source in ("Fig. 9", "Section 6") or " speedup over " in row.claim
+    }
+    assert printed == PROJECTED_OURS
+
+
 def test_fidelity_report_is_one_table(table):
     text = speedups.report(table)
     assert "\n\n" not in text

@@ -13,14 +13,13 @@ from repro.simtime import (
     allreduce_time,
     broadcast_time,
     linear_skew,
-    majority_allreduce_latencies,
     message_time,
+    partial_round,
     project_training_time,
-    solo_allreduce_latencies,
     synchronous_allreduce_latencies,
 )
 from repro.collectives.topology import HostTopology
-from repro.simtime.collective_model import collective_time, quorum_allreduce_latencies
+from repro.simtime.collective_model import collective_time
 from repro.tuning.autotune import predict_exchange_time
 
 
@@ -144,29 +143,38 @@ class TestSkew:
             linear_skew(0)
 
 
+def _solo(arrivals, nbytes):
+    """Solo: the earliest arrival initiates."""
+    return partial_round(arrivals, int(np.argmin(arrivals)), allreduce_time(nbytes, arrivals.size))
+
+
+def _quorum(arrivals, nbytes, quorum):
+    """Quorum: the Q-th arrival (stable order) initiates."""
+    initiator = int(np.argsort(arrivals, kind="stable")[quorum - 1])
+    return partial_round(arrivals, initiator, allreduce_time(nbytes, arrivals.size))
+
+
 class TestCollectiveLatencyModel:
     def test_ordering_solo_majority_sync(self):
         arrivals = linear_skew(32, 1.0)
         sync = synchronous_allreduce_latencies(arrivals, 4096)
-        solo = solo_allreduce_latencies(arrivals, 4096)
-        maj = majority_allreduce_latencies(arrivals, 4096, initiator=16)
+        solo = _solo(arrivals, 4096)
+        maj = partial_round(arrivals, 16, allreduce_time(4096, 32))
         assert solo.average_latency < maj.average_latency < sync.average_latency
 
     def test_nap_expectations(self):
         arrivals = linear_skew(32, 1.0)
-        solo = solo_allreduce_latencies(arrivals, 64)
+        solo = _solo(arrivals, 64)
         assert solo.num_active <= 2
-        majs = [
-            majority_allreduce_latencies(arrivals, 64, initiator=i).num_active
-            for i in range(32)
-        ]
+        cost = allreduce_time(64, 32)
+        majs = [partial_round(arrivals, i, cost).num_active for i in range(32)]
         assert 14 <= np.mean(majs) <= 18
 
     def test_quorum_interpolates(self):
         arrivals = linear_skew(16, 1.0)
-        q1 = quorum_allreduce_latencies(arrivals, 64, quorum=1)
-        q8 = quorum_allreduce_latencies(arrivals, 64, quorum=8)
-        q16 = quorum_allreduce_latencies(arrivals, 64, quorum=16)
+        q1 = _quorum(arrivals, 64, quorum=1)
+        q8 = _quorum(arrivals, 64, quorum=8)
+        q16 = _quorum(arrivals, 64, quorum=16)
         assert q1.average_latency <= q8.average_latency <= q16.average_latency
         assert q1.num_active <= q8.num_active <= q16.num_active
 
@@ -179,7 +187,7 @@ class TestCollectiveLatencyModel:
         with pytest.raises(ValueError):
             synchronous_allreduce_latencies([], 64)
         with pytest.raises(ValueError):
-            solo_allreduce_latencies([-1.0, 0.0], 64)
+            synchronous_allreduce_latencies([-1.0, 0.0], 64)
 
     @given(
         size=st.sampled_from([2, 4, 8, 16, 32]),
@@ -194,7 +202,7 @@ class TestCollectiveLatencyModel:
 
         arrivals = linear_skew(size, step_ms)
         sync = synchronous_allreduce_latencies(arrivals, nbytes)
-        solo = solo_allreduce_latencies(arrivals, nbytes)
+        solo = _solo(arrivals, nbytes)
         overhead = activation_time(size) + RESULT_CHECK_OVERHEAD
         assert solo.average_latency <= sync.average_latency + overhead + 1e-12
 
@@ -207,41 +215,71 @@ class TestTrainingProjection:
             durations[:, straggler] += 0.4
         return StepTimeline(durations)
 
+    #: A 4 MiB recursive-doubling allreduce at P = 8.
+    COST = allreduce_time(1 << 22, 8)
+
+    @staticmethod
+    def _initiators(seed, steps=50, ranks=8):
+        rng = np.random.default_rng(seed)
+        return [int(rng.integers(0, ranks)) for _ in range(steps)]
+
     def test_sync_slower_than_solo_under_imbalance(self):
         tl = self._timeline(straggler=3)
-        sync = project_training_time(tl, "sync", gradient_bytes=1 << 20)
-        solo = project_training_time(tl, "solo", gradient_bytes=1 << 20)
-        majority = project_training_time(tl, "majority", gradient_bytes=1 << 20, seed=1)
+        cost = allreduce_time(1 << 20, 8)
+        sync = project_training_time(tl, "sync", exchange_cost=cost)
+        solo = project_training_time(tl, "solo", exchange_cost=cost)
+        majority = project_training_time(
+            tl, "majority", exchange_cost=cost, initiators=self._initiators(1)
+        )
         assert solo.total_time < majority.total_time < sync.total_time
         assert solo.throughput > sync.throughput
 
     def test_nap_per_mode(self):
         tl = self._timeline()
-        sync = project_training_time(tl, "sync")
-        solo = project_training_time(tl, "solo")
+        sync = project_training_time(tl, "sync", exchange_cost=self.COST)
+        solo = project_training_time(tl, "solo", exchange_cost=self.COST)
         assert np.all(sync.num_active_per_step == 8)
         assert np.all(solo.num_active_per_step >= 1)
 
     def test_quorum_requires_valid_value(self):
         tl = self._timeline()
         with pytest.raises(ValueError):
-            project_training_time(tl, "quorum", quorum=99)
-        proj = project_training_time(tl, "quorum", quorum=4)
+            project_training_time(tl, "quorum", exchange_cost=self.COST, quorum=99)
+        proj = project_training_time(tl, "quorum", exchange_cost=self.COST, quorum=4)
         assert np.all(proj.num_active_per_step >= 1)
 
     def test_model_sync_period_adds_time(self):
         tl = self._timeline()
-        without = project_training_time(tl, "solo", gradient_bytes=1 << 22)
+        without = project_training_time(tl, "solo", exchange_cost=self.COST)
         with_sync = project_training_time(
-            tl, "solo", gradient_bytes=1 << 22, model_sync_period=5
+            tl, "solo", exchange_cost=self.COST, model_sync_period=5
         )
         assert with_sync.total_time > without.total_time
 
     def test_step_completion_monotone(self):
         tl = self._timeline()
-        proj = project_training_time(tl, "majority", seed=2)
+        proj = project_training_time(
+            tl, "majority", exchange_cost=self.COST, initiators=self._initiators(2)
+        )
         diffs = np.diff(proj.step_completion_times)
         assert np.all(diffs >= -1e-12)
+
+    def test_majority_replays_the_given_initiators(self):
+        # Each step is one partial_round started by the given initiator.
+        tl = self._timeline(steps=3)
+        initiators = [5, 0, 7]
+        proj = project_training_time(
+            tl, "majority", exchange_cost=self.COST, initiators=initiators
+        )
+        ready = np.zeros(8)
+        for t, initiator in enumerate(initiators):
+            arrivals = ready + tl.durations[t]
+            round_ = partial_round(arrivals, initiator, self.COST)
+            assert proj.num_active_per_step[t] == round_.num_active
+            ready = np.maximum(arrivals, round_.completion_time)
+            assert proj.step_completion_times[t] == ready.max()
+        with pytest.raises(ValueError, match=r"in \[0, 8\]"):
+            project_training_time(tl, "majority", exchange_cost=self.COST, initiators=[0, 1, 8])
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -249,4 +287,4 @@ class TestTrainingProjection:
         with pytest.raises(ValueError):
             StepTimeline(-np.ones((2, 2)))
         with pytest.raises(ValueError):
-            project_training_time(self._timeline(), "bogus")
+            project_training_time(self._timeline(), "bogus", exchange_cost=self.COST)

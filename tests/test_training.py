@@ -1,5 +1,7 @@
 """Tests for the distributed-training layer (exchanges, SGD step, runner)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.nn import MomentumSGD, SGD
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
 from repro.nn.models import HyperplaneMLP, MLPClassifier
 from repro.nn.parameters import flatten_parameters
+from repro.simtime import StepTimeline, allreduce_time, project_training_time
+from repro.training import runner
 from repro.training import (
     DistributedSGD,
     PartialExchange,
@@ -24,6 +28,7 @@ from repro.training import (
     synchronize_model,
     train_distributed,
 )
+from repro.utils.rng import seeded_rng
 
 
 class TestConfig:
@@ -234,9 +239,10 @@ class TestRunner:
         assert result.total_sim_time > 0
         assert len(result.rank_summaries) == 4
 
-    def test_single_process_run(self):
+    @pytest.mark.parametrize("mode", ["sync", "majority"])
+    def test_single_process_run(self, mode):
         train, val = self._dataset()
-        config = TrainingConfig(world_size=1, epochs=1, global_batch_size=32, mode="sync")
+        config = TrainingConfig(world_size=1, epochs=1, global_batch_size=32, mode=mode)
         result = train_distributed(
             self._model_factory(), train, SoftmaxCrossEntropyLoss(), config,
             eval_dataset=val,
@@ -264,6 +270,55 @@ class TestRunner:
         )
         assert solo.total_sim_time < sync.total_sim_time
         assert solo.throughput > sync.throughput
+
+    def test_majority_projection_replays_the_recorded_initiators(self):
+        train, _ = self._dataset()
+        config = TrainingConfig(
+            world_size=4,
+            epochs=2,
+            global_batch_size=64,
+            mode="majority",
+            learning_rate=0.1,
+            time_scale=0.01,
+            cost_model=FixedCostModel(0.2),
+            delay_injector=RandomSubsetDelay(1, 300.0, seed=5),
+            seed=0,
+        )
+        outputs = launch(
+            runner._rank_main, 4, self._model_factory(), train, None,
+            SoftmaxCrossEntropyLoss(), config, True,
+        )
+        recorded = outputs[0].initiators
+        assert len(recorded) == 6
+        assert all(out.initiators == recorded for out in outputs)
+        # The exchange's shared designation stream (seeded by the runner).
+        designation = seeded_rng(config.seed + 777)
+        assert recorded == [int(designation.integers(0, 4)) for _ in recorded]
+
+        result = train_distributed(
+            self._model_factory(), train, SoftmaxCrossEntropyLoss(), config
+        )
+        gradient_bytes = (
+            self._model_factory()().num_parameters() * runner.GRADIENT_BYTES_PER_PARAMETER
+        )
+        replayed = project_training_time(
+            StepTimeline(result.step_durations),
+            "majority",
+            exchange_cost=allreduce_time(gradient_bytes, 4, config.allreduce_algorithm),
+            initiators=recorded,
+        )
+        assert np.array_equal(
+            result.projection.step_completion_times, replayed.step_completion_times
+        )
+        assert np.array_equal(
+            result.projection.num_active_per_step, replayed.num_active_per_step
+        )
+        assert result.projection.total_time == replayed.total_time
+
+        # Ranks that recorded different initiators fail the run, naming the step.
+        rank0, rank1 = (SimpleNamespace(rank=r, initiators=[3, 2, r]) for r in (0, 1))
+        with pytest.raises(RuntimeError, match="ranks 0 and 1 .* at step 2: 0 vs 1"):
+            runner._recorded_initiators([rank0, rank1])
 
     def test_periodic_model_sync_keeps_replicas_identical(self):
         train, _ = self._dataset()
