@@ -321,14 +321,13 @@ def get_backend(backend: Optional[str] = None) -> CommBackend:
     if isinstance(backend, CommBackend):
         return backend
     name = backend or default_backend_name()
-    _load_builtins(name)
+    reason = backend_unavailable_reason(name)
     try:
         return _REGISTRY[name]
     except KeyError:
-        if name in _UNAVAILABLE:
+        if reason is not None:
             raise BackendUnavailableError(
-                f"comm backend {name!r} is unavailable on this platform: "
-                f"{_UNAVAILABLE[name]}"
+                f"comm backend {name!r} is unavailable on this platform: {reason}"
             ) from None
         raise ValueError(
             f"unknown comm backend {name!r}; available: {list(available_backends())}"

@@ -46,7 +46,7 @@ it, selected **by dtype at call time** so callers never special-case:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "bf16_narrow",
     "bf16_widen",
     "combine_into",
-    "reduce_segments",
 ]
 
 #: Narrow float dtypes and the accumulation width their kernels use.
@@ -141,24 +140,6 @@ def accumulator(ufunc, out: np.ndarray) -> Optional[WidenedAccumulator]:
     if wide is None:
         return None
     return WidenedAccumulator(ufunc, out, wide)
-
-
-def reduce_segments(ufunc: np.ufunc, out: np.ndarray, segments: Sequence) -> np.ndarray:
-    """Fold ``segments`` into ``out`` in order: ``out <- f(...f(out, s0)...)``.
-
-    Dispatches by dtype at call time: narrow ``out`` buffers take the
-    widen-accumulate-narrow path (one narrowing total), wide ones the
-    plain in-place ufunc per segment.  This is the kernel the transport
-    benchmark (``benchmarks/bench_backend_transports.py``) measures.
-    """
-    acc = accumulator(ufunc, out)
-    if acc is None:
-        for segment in segments:
-            ufunc(out, segment, out=out)
-        return out
-    for segment in segments:
-        acc.combine(segment)
-    return acc.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ bucketed/chunked exchange subsystem buys:
 
 The headline: for a >= 4 MB gradient at P = 8, the best chunked or
 fused configuration is >= 1.3x faster than the seed's unfused
-single-buffer exchange (:mod:`benchmarks.bench_fusion_pipeline` asserts
-this bound).  Splitting 4 MB into several buckets does not pay at these
+single-buffer exchange (``tests/test_fusion_pipeline.py`` asserts this
+bound).  Splitting 4 MB into several buckets does not pay at these
 parameters: every bucket is its own collective and pays its own
 ``collective_overhead`` and latency rounds.
 """

@@ -42,8 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.training.bucketing import GradientBucketer
     from repro.training.config import TrainingConfig
 
-#: The PR-1 fixed default the auto-tuner is benchmarked against
-#: (``benchmarks/bench_fusion_pipeline.py`` used 64 KiB buffers).
+#: The fixed 64 KiB default the auto-tuner's speedup is measured against.
 DEFAULT_FIXED_THRESHOLD_BYTES = 64 * 1024
 #: Fusion-buffer capacities searched by default: 16 KiB - 4 MiB.
 DEFAULT_THRESHOLD_GRID: Tuple[int, ...] = tuple(16 * 1024 * 2 ** i for i in range(9))

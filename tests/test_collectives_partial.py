@@ -106,6 +106,23 @@ class TestMajorityAllreduce:
             assert len(values) == 1
 
 
+@pytest.mark.parametrize("mode", ["solo", "majority"])
+def test_round_average_bounded_by_rounds_contributed(mode):
+    """Every rank contributes ones for four rounds: a round may carry stale
+    gradients, so its average can exceed 1, but never the four rounds."""
+    elements, rounds = 16 * 1024, 4
+
+    def worker(comm):
+        partial = PartialAllreduce(comm, (elements,), mode, seed=1)
+        for _ in range(rounds):
+            value = float(partial.reduce(np.ones(elements)).data[0])
+        partial.close()
+        return value
+
+    for value in launch(worker, 4):
+        assert 0.0 <= value <= rounds + 1e-9
+
+
 class TestQuorumAllreduce:
     def test_quorum_is_met_every_round(self):
         rounds = 5

@@ -625,6 +625,38 @@ class TestConfigPlumbing:
         assert len(result.epochs) == 1
         assert np.isfinite(result.epochs[-1].train_loss)
 
+    def test_topk_error_feedback_converges_near_uncompressed(self):
+        """Fig. 10's hyperplane task, sync SGD at P = 4: top-k with error
+        feedback ends within 5 % of the uncompressed final eval loss."""
+        from repro.data.hyperplane import HyperplaneDataset
+        from repro.nn.losses import MSELoss
+        from repro.nn.models import HyperplaneMLP
+        from repro.training.runner import train_distributed
+
+        dataset = HyperplaneDataset(
+            num_examples=2048, input_dim=256, noise_std=1.0, seed=0
+        )
+        train, val = dataset.split(validation_fraction=0.2, seed=0)
+
+        def final_loss(spec):
+            config = TrainingConfig(
+                world_size=4,
+                epochs=8,
+                global_batch_size=256,
+                learning_rate=0.5,
+                mode="sync",
+                compression=spec,
+                model_sync_period_epochs=None,
+                seed=0,
+            )
+            result = train_distributed(
+                lambda: HyperplaneMLP(input_dim=256, seed=1), train, MSELoss(),
+                config, eval_dataset=val, classification=False,
+            )
+            return float(result.epochs[-1].eval_loss)
+
+        assert final_loss("topk") <= final_loss(None) * 1.05
+
     def test_runner_projection_scales_wire_bytes(self):
         """Reduce-closed codecs shrink the projected exchange time.
 

@@ -30,10 +30,16 @@ from repro.collectives.sharding import (
 from repro.collectives.sync import allgather, allreduce
 from repro.collectives.topology import HostTopology
 from repro.comm import available_backends, backend_unavailable_reason, launch
+from repro.nn.module import Module
 from repro.nn.optim import SGD, Adam, MomentumSGD
 from repro.nn.parameters import assign_flat_gradients, flatten_parameters
 from repro.training.bucketing import GradientBucketer
-from repro.training.exchange import ShardedExchange, build_exchange
+from repro.training.exchange import (
+    ShardedExchange,
+    SynchronousExchange,
+    _WireCountingComm,
+    build_exchange,
+)
 
 BACKENDS = ["thread", "process", "shm", "tcp", "hier"]
 
@@ -519,6 +525,63 @@ class TestShardedExchange:
     def test_single_rank_falls_back(self):
         ex = build_exchange(None, 8, "sync", sharding="zero1")
         assert not ex.updates_parameters
+
+
+# ---------------------------------------------------------------------------
+# the sharded gate: zero1 vs the dense replicated update, P = 8, 4 MB
+# ---------------------------------------------------------------------------
+_GATE_BYTES = 4 << 20
+_GATE_FUSION = dict(fusion_threshold_bytes=2 * 1024 * 1024, pipeline_chunks=2)
+
+
+def _gate_worker(comm, sharded):
+    """One warm-up and one measured Adam step; (wire bytes sent, state bytes).
+
+    Both paths count what this rank pushed into ``send``: the dense
+    recursive-doubling exchange runs over a ``_WireCountingComm`` and the
+    sharded exchange installs its own.  ``ExchangeResult.wire_bytes`` is
+    the payload size, not the bytes sent, so it cannot stand in.
+    """
+    elements = _GATE_BYTES // 8
+    model = Module()
+    model.add_parameter("theta", np.zeros(elements))
+    optimizer = Adam(model, 1e-3)
+    contribution = np.random.default_rng(comm.rank).standard_normal(elements)
+    gradient = contribution.copy()
+    if sharded:
+        exchange = ShardedExchange(comm, algorithm="ring", **_GATE_FUSION)
+        counting = exchange.comm
+
+        def step():
+            exchange.exchange_update(gradient, model, optimizer)
+    else:
+        counting = _WireCountingComm(comm)
+        exchange = SynchronousExchange(
+            counting, algorithm="recursive_doubling", **_GATE_FUSION
+        )
+
+        def step():
+            assign_flat_gradients(model, exchange.exchange(gradient).gradient)
+            optimizer.step()
+
+    step()  # warm-up: buffers, sockets, lazy optimizer state
+    sent_before = counting.bytes_sent
+    np.copyto(gradient, contribution)  # the exchange reduced it in place
+    step()
+    return counting.bytes_sent - sent_before, optimizer.state_bytes()
+
+
+def test_zero1_gate_wire_and_state_at_p8_4mb():
+    """zero1-ring sends <= 0.6x dense RD and keeps <= 1/P + 1 % of its Adam state."""
+    _skip_if_unavailable("process")
+    dense = launch(_gate_worker, 8, False, backend="process", timeout=300)
+    zero1 = launch(_gate_worker, 8, True, backend="process", timeout=300)
+    wire_ratio = max(w for w, _ in zero1) / max(w for w, _ in dense)
+    state_fraction = max(s for _, s in zero1) / max(s for _, s in dense)
+    assert wire_ratio <= 0.6, f"zero1 wire is {wire_ratio:.3f}x dense RD"
+    assert state_fraction <= 1 / 8 + 0.01, (
+        f"zero1 keeps {state_fraction:.4f} of the dense Adam state"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.simtime import (
     synchronous_allreduce_latencies,
 )
 from repro.collectives.topology import HostTopology
-from repro.simtime.collective_model import collective_time
+from repro.simtime.collective_model import ACTIVATION_MESSAGE_BYTES, collective_time
 from repro.tuning.autotune import predict_exchange_time
 
 
@@ -53,6 +53,14 @@ class TestNetworkModel:
     def test_broadcast_and_activation(self):
         assert broadcast_time(16, 1) == 0.0
         assert activation_time(32) > activation_time(2) > 0
+        # The binomial activation adds one hop per doubling of P...
+        hop = message_time(ACTIVATION_MESSAGE_BYTES)
+        assert activation_time(2) == hop
+        assert activation_time(4096) == pytest.approx(12 * hop, rel=1e-12)
+        # ...so at P = 4096 it is over 10x cheaper than a flat star whose
+        # initiator injects P - 1 messages back to back.
+        flat_star = 4095 * DEFAULT_NETWORK.alpha + hop
+        assert activation_time(4096) < flat_star / 10
 
 
 class TestTwoTierModel:
@@ -280,6 +288,21 @@ class TestTrainingProjection:
             assert proj.step_completion_times[t] == ready.max()
         with pytest.raises(ValueError, match=r"in \[0, 8\]"):
             project_training_time(tl, "majority", exchange_cost=self.COST, initiators=[0, 1, 8])
+
+    def test_sync_and_solo_identities(self):
+        # Rank 3 straggles; no clock, only the model's arithmetic.
+        durations = np.array([
+            [0.30, 0.10, 0.20, 0.90],
+            [0.50, 0.40, 0.10, 0.80],
+            [0.20, 0.60, 0.30, 0.70],
+            [0.40, 0.20, 0.50, 1.10],
+        ])
+        tl = StepTimeline(durations)
+        sync = project_training_time(tl, "sync", exchange_cost=self.COST)
+        expected = durations.max(axis=1).sum() + len(durations) * self.COST
+        assert sync.total_time == pytest.approx(expected, rel=1e-12)
+        solo = project_training_time(tl, "solo", exchange_cost=self.COST)
+        assert solo.total_time >= durations.sum(axis=0).max()
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
