@@ -118,12 +118,15 @@ class RecordingCommunicator(Communicator):
         self._world = world
 
     # ------------------------------------------------------------- record
-    def _record(self, kind: str, peer: int, tag: int, seq: int, elements: int) -> None:
+    def _record(
+        self, kind: str, peer: int, tag: int, seq: int, elements: int,
+        order: Optional[int] = None,
+    ) -> None:
         self._world.record(
             CommEvent(
                 kind=kind,
                 rank=self._rank,
-                order=self._world.next_order(self._rank),
+                order=self._world.next_order(self._rank) if order is None else order,
                 channel=self._channel,
                 peer=peer,
                 tag=tag,
@@ -134,8 +137,14 @@ class RecordingCommunicator(Communicator):
 
     # --------------------------------------------------------------- send
     def _deliver(self, payload: Any, dest: int, tag: int) -> Message:
+        # The program index is taken before the message can be received:
+        # another thread of this rank (a progress thread) may receive it
+        # before this one logs the send, and must still log after it.
+        order = self._world.next_order(self._rank)
         msg = super()._deliver(payload, dest, tag)
-        self._record("send", msg.dest, msg.tag, msg.seq, _payload_elements(payload))
+        self._record(
+            "send", msg.dest, msg.tag, msg.seq, _payload_elements(payload), order
+        )
         return msg
 
     # --------------------------------------------------------------- recv

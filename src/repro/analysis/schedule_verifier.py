@@ -427,9 +427,7 @@ _REGIONS_SYNC = frozenset({tags.SYNC.name})
 _REGIONS_BARRIER = frozenset({tags.BARRIER.name})
 _REGIONS_SERVING = frozenset({tags.SERVING.name})
 _REGIONS_TELEMETRY = frozenset({tags.TELEMETRY.name})
-_REGIONS_PARTIAL = frozenset({
-    tags.PARTIAL_ACTIVATION.name, tags.PARTIAL_ARRIVAL.name, tags.SYNC.name,
-})
+_REGIONS_PARTIAL = frozenset({tags.PARTIAL_ACTIVATION.name, tags.SYNC.name})
 
 
 @dataclass
@@ -862,9 +860,12 @@ def partial_round_case(size: int) -> VerifyCase:
     message set does not depend on thread timing: the designated
     coordinator initiates only after every rank has arrived, so all ``P``
     contributions are fresh.  Every rank must return the exact certificate
-    sum followed by ``num_active == P``.  Kept out of :func:`build_cases`:
-    the order in which the coordinator polls the arrivals is not
-    deterministic, so the case has no message-order fingerprint.
+    sum followed by ``num_active == P``.  Every message is consumed: each
+    rank's self-sent arrival, the arrivals forwarded to the coordinator,
+    the activations and each rank's ``close``.  Kept out of
+    :func:`build_cases`: the order in which the coordinator receives the
+    arrivals is not deterministic, so the case has no message-order
+    fingerprint.
     """
     def fn(comm, _p=size):
         from repro.collectives.partial import PartialAllreduce

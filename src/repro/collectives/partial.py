@@ -35,15 +35,18 @@ as follows:
 ==================================  =====================================
 Fig. 6                              this module
 ==================================  =====================================
-``N0`` internal activation          :meth:`PartialAllreduce.reduce` adds
-                                    the round to ``_internal_rounds``
+``N0`` internal activation          :meth:`PartialAllreduce.reduce` sends
+                                    its own rank an ``arrival`` message
 ``R_k`` / ``S_k``, *or* dependency  ``_wait_for_activation`` /
                                     ``_forward_activation`` along
                                     ``topology.activation_children``
 consumable operations               one tag per round
-                                    (``tags.partial_activation_tag``) plus
-                                    ``_drain_stale_activations``
-persistent schedule                 the ``while`` of ``_progress_loop``
+                                    (``tags.partial_activation_tag``);
+                                    the one receive drops an earlier
+                                    round's duplicates and late arrivals
+persistent schedule                 the ``while`` of ``_progress_loop``,
+                                    blocked in one receive per message:
+                                    arrival, activation or ``close``
 single receive buffer               ``overwrite_recvbuff``
 ==================================  =====================================
 
@@ -52,7 +55,10 @@ communicator's ``default_timeout`` (the world's receive deadline).
 Progress threads join an activated round immediately, so a partner
 silent that long has died: the progress thread fails, and
 :meth:`PartialAllreduce.reduce`, which itself waits at most twice that
-deadline, raises with the transport's timeout as the cause.
+deadline, raises with the transport's timeout as the cause.  The wait
+for activation has no deadline — an idle collective may wait any time
+for its next round — so its receive is re-armed when the deadline
+passes, and :meth:`PartialAllreduce.close` ends it with a message.
 """
 
 from __future__ import annotations
@@ -66,15 +72,14 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.comm import tags
-from repro.comm.communicator import Communicator
+from repro.comm.communicator import CommTimeoutError, Communicator
+from repro.comm.mailbox import MailboxClosed
+from repro.comm.message import ANY_TAG
 from repro.comm.router import Channel
 from repro.collectives.sync import allreduce_recursive_doubling
 from repro.collectives.topology import activation_children
 from repro.obs import recorder as _obs
 from repro.utils.rng import seeded_rng
-
-#: Sleep of the progress thread between two polls for activation.
-_POLL_INTERVAL = 2e-4
 
 
 class PartialMode(str, enum.Enum):
@@ -221,7 +226,6 @@ class PartialAllreduce:
         self._send_acc = np.zeros(self.shape, dtype=self.dtype)
         self._add_counter = 0
         self._last_arrival_round = -1
-        self._internal_rounds: set[int] = set()
         self._rounds_done = 0
         self._records: Dict[int, _RoundRecord] = {}
         self._latest_record: Optional[_RoundRecord] = None
@@ -274,10 +278,12 @@ class PartialAllreduce:
             my_marker = self._add_counter
             self._last_arrival_round = round_index
             if round_index >= self._rounds_done:
-                # The round is still open: this rank may (or, for
-                # majority, may not) initiate it.
-                self._internal_rounds.add(round_index)
-                self._cond.notify_all()
+                # The round is still open: tell the progress thread, which
+                # may (or, for majority, may not) initiate it.
+                self.comm_act.send(
+                    ("arrival", round_index), self.rank,
+                    tag=tags.partial_activation_tag(round_index),
+                )
             # Wait until the progress thread has finished the round; its
             # receives give up after one deadline, so its failure comes first.
             limit = 2 * self.comm_lib.default_timeout
@@ -320,9 +326,19 @@ class PartialAllreduce:
     def close(self) -> None:
         """Stop the progress thread.  Call after the last ``reduce``; a
         round in flight ends within one receive deadline."""
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
+        with self._lock:
+            first, self._stop = not self._stop, True
+            round_index = self._rounds_done
+        if first:
+            # Wakes the thread's receive; a round in flight finishes
+            # first, and the next wait takes the message.
+            try:
+                self.comm_act.send(
+                    ("close", round_index), self.rank,
+                    tag=tags.partial_activation_tag(round_index),
+                )
+            except MailboxClosed:
+                pass  # the world is down, and the thread's receive with it
         self._thread.join(timeout=self.comm_lib.default_timeout)
 
     def __enter__(self) -> "PartialAllreduce":
@@ -439,78 +455,41 @@ class PartialAllreduce:
             self._cond.notify_all()
         return True
 
-    def _should_initiate(self, round_index: int, designated: int) -> bool:
-        """Whether this rank initiates when its application thread arrives."""
-        if self.mode is PartialMode.SOLO:
-            return True
-        if self.mode is PartialMode.MAJORITY:
-            return self.rank == designated
-        # Quorum mode: the designated coordinator initiates once enough
-        # arrival notifications (including its own) have been received;
-        # handled inside _wait_for_activation.
-        return False
-
     def _wait_for_activation(
         self, round_index: int, designated: int
     ) -> Optional[Tuple[int, int]]:
         """Block until the round is activated.
 
-        Returns ``(initiator, incoming_distance_class)`` where the distance
-        class is ``-1`` for internal activation, or ``None`` when the
-        collective is being shut down.
+        Every message of the activation channel comes through one blocking
+        receive: this rank's own arrival (sent by :meth:`reduce`), another
+        rank's arrival at a quorum coordinator, an activation, or
+        ``close``.  Returns ``(initiator, incoming_distance_class)`` where
+        the distance class is ``-1`` for internal activation, or ``None``
+        when the collective is being shut down.
         """
-        act_tag = tags.partial_activation_tag(round_index)
-        arrival_tag = tags.partial_arrival_tag(round_index)
         arrivals = 0
-        arrival_sent = False
         while True:
-            # 1) shutdown?
-            with self._lock:
-                if self._stop:
-                    return None
-                internally_arrived = round_index in self._internal_rounds
-
-            # 2) quorum-mode arrival notifications.
-            if self.mode is PartialMode.QUORUM and internally_arrived and not arrival_sent:
-                arrival_sent = True
-                if self.rank == designated:
-                    arrivals += 1
-                else:
-                    self.comm_act.send(
-                        ("arrival", round_index, self.rank),
-                        designated,
-                        tag=arrival_tag,
-                    )
-            if self.mode is PartialMode.QUORUM and self.rank == designated:
-                while True:
-                    msg = self.comm_act.poll(tag=arrival_tag)
-                    if msg is None:
-                        break
-                    arrivals += 1
-                if arrivals >= int(self.quorum or 1):
+            try:
+                kind, msg_round, *activation = self.comm_act.recv(tag=ANY_TAG)
+            except CommTimeoutError:
+                continue  # between rounds the wait has no deadline
+            if kind == "close":
+                return None
+            if msg_round != round_index:
+                continue  # an earlier round's duplicate activation or late arrival
+            if kind == "activate":
+                distance, initiator = activation
+                return (int(initiator), int(distance))
+            if self.mode is PartialMode.SOLO or self.rank == designated:
+                arrivals += 1
+                if arrivals >= (self.quorum if self.mode is PartialMode.QUORUM else 1):
                     return (self.rank, -1)
-
-            # 3) internal activation (solo: always; majority: designated only).
-            if internally_arrived and self._should_initiate(round_index, designated):
-                return (self.rank, -1)
-
-            # 4) external activation message for this round.
-            msg = self.comm_act.poll(tag=act_tag)
-            if msg is not None:
-                kind, _round, distance, initiator = msg
-                if kind == "activate":
-                    return (int(initiator), int(distance))
-
-            # 5) drain stale activation duplicates from earlier rounds so
-            #    they do not accumulate in the mailbox forever.
-            self._drain_stale_activations(round_index)
-
-            time.sleep(_POLL_INTERVAL)
-
-    def _drain_stale_activations(self, current_round: int) -> None:
-        for old in range(max(0, current_round - 4), current_round):
-            while self.comm_act.poll(tag=tags.partial_activation_tag(old)) is not None:
-                pass
+            elif self.mode is PartialMode.QUORUM:
+                # This rank's own arrival, forwarded to the coordinator.
+                self.comm_act.send(
+                    ("arrival", round_index), designated,
+                    tag=tags.partial_activation_tag(round_index),
+                )
 
     def _forward_activation(
         self, round_index: int, initiator: int, incoming_distance: int

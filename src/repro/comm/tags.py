@@ -20,8 +20,8 @@ import their bases from here, tags are minted through the helpers below
 Layout (all bounds half-open)::
 
     [0,           100_000_000)   free for applications (user tags)
-    [100_000_000, 200_000_000)   partial-collective activation broadcast
-    [200_000_000, 300_000_000)   partial-collective quorum arrivals
+    [100_000_000, 300_000_000)   partial-collective activation channel
+                                 (arrivals, activation broadcast, close)
     [300_000_000, 400_000_000)   serving tier (requests, responses,
                                  weight hot-swap, control)
     [400_000_000, 500_000_000)   telemetry (clock-sync ping/pong,
@@ -82,7 +82,6 @@ class TagRegion:
 
 # -- partial collectives (repro.collectives.partial) ------------------------
 PARTIAL_ACTIVATION_TAG_BASE = 100_000_000
-PARTIAL_ARRIVAL_TAG_BASE = 200_000_000
 
 # -- serving tier (repro.serving) -------------------------------------------
 SERVING_TAG_BASE = 300_000_000
@@ -149,14 +148,9 @@ SYNC_MAX_EPOCHS = 1 << 29
 PARTIAL_ACTIVATION = TagRegion(
     "partial-activation",
     PARTIAL_ACTIVATION_TAG_BASE,
-    PARTIAL_ARRIVAL_TAG_BASE,
-    "dissemination-broadcast activations of the partial collectives",
-)
-PARTIAL_ARRIVAL = TagRegion(
-    "partial-arrival",
-    PARTIAL_ARRIVAL_TAG_BASE,
-    300_000_000,
-    "quorum arrival notifications of the partial collectives",
+    SERVING_TAG_BASE,
+    "arrivals, dissemination-broadcast activations and close of the "
+    "partial collectives",
 )
 SERVING = TagRegion(
     "serving",
@@ -187,7 +181,6 @@ SYNC = TagRegion(
 #: is deliberately absent: it is free for application-level tags.
 TAG_REGIONS: Tuple[TagRegion, ...] = (
     PARTIAL_ACTIVATION,
-    PARTIAL_ARRIVAL,
     SERVING,
     TELEMETRY,
     BARRIER,
@@ -286,20 +279,12 @@ def decode_sync_tag(tag: int) -> SyncTagFields:
 
 
 def partial_activation_tag(round_index: int) -> int:
-    """Activation tag of partial-collective round ``round_index``."""
+    """Tag of partial-collective round ``round_index``: its arrivals,
+    activations and the ``close`` sent while it is the next round."""
     if round_index < 0:
         raise ValueError(f"partial-collective round must be >= 0, got {round_index}")
     return PARTIAL_ACTIVATION.check(
         PARTIAL_ACTIVATION_TAG_BASE + round_index, "partial-activation"
-    )
-
-
-def partial_arrival_tag(round_index: int) -> int:
-    """Quorum-arrival tag of partial-collective round ``round_index``."""
-    if round_index < 0:
-        raise ValueError(f"partial-collective round must be >= 0, got {round_index}")
-    return PARTIAL_ARRIVAL.check(
-        PARTIAL_ARRIVAL_TAG_BASE + round_index, "partial-arrival"
     )
 
 

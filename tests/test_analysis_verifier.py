@@ -1,5 +1,7 @@
 """Schedule verifier: healthy sweeps pass, seeded mutants are rejected."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,24 @@ def test_recorded_partial_round_verifies(size):
     result = sv.run_case(sv.partial_round_case(size))
     assert result.ok, [str(v) for v in result.violations]
     assert result.num_events > 0
+
+
+def test_a_send_logs_before_another_thread_of_its_rank_receives_it(monkeypatch):
+    """``reduce`` sends its own progress thread the arrival: however late
+    the application thread logs that send, the receive is ordered after
+    it, so the round is no false program-order cycle."""
+    from repro.comm.communicator import Communicator
+
+    deliver = Communicator._deliver
+
+    def slow_deliver(self, payload, dest, tag):
+        message = deliver(self, payload, dest, tag)
+        time.sleep(0.002)  # the receiving thread runs first
+        return message
+
+    monkeypatch.setattr(Communicator, "_deliver", slow_deliver)
+    result = sv.run_case(sv.partial_round_case(3))
+    assert result.ok, [str(v) for v in result.violations]
 
 
 def test_tag_layout_static_case():

@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.comm import launch
+from repro.comm import available_backends, backend_unavailable_reason, launch
+from repro.comm.router import Channel
 from repro.collectives import PartialAllreduce, PartialMode, make_partial_allreduce
 
 
@@ -257,3 +258,69 @@ class TestSemantics:
 
         elapsed = launch(worker, 2, backend="thread", default_recv_timeout=0.3)[0]
         assert 0.6 <= elapsed < 5.0
+
+
+class _ActivationCalls:
+    """Pass-through communicator that counts the receive-family calls made
+    on the activation channel of every communicator derived from it."""
+
+    def __init__(self, comm, calls):
+        self._comm = comm
+        self.calls = calls
+
+    def __getattr__(self, name):
+        attr = getattr(self._comm, name)
+        if name in ("recv", "recv_message", "poll", "probe") and self._comm.channel.startswith(
+            Channel.ACTIVATION
+        ):
+            self.calls.append(name)
+        return attr
+
+    def dup(self, channel=None):
+        return _ActivationCalls(self._comm.dup(channel), self.calls)
+
+
+def _skip_unless_available(backend):
+    if backend not in available_backends():
+        pytest.skip(f"backend {backend!r} unavailable: {backend_unavailable_reason(backend)}")
+
+
+class TestProgressThread:
+    @pytest.mark.parametrize("backend", ["thread", "shm"])
+    def test_an_idle_progress_thread_does_not_spin(self, backend):
+        """Between rounds the thread sits in one blocked receive: a
+        half-second idle window, before the first round and after one,
+        adds at most the call that starts the next wait (a poll loop
+        made thousands)."""
+        _skip_unless_available(backend)
+
+        def worker(comm):
+            calls = []
+            idle = []
+            with PartialAllreduce(_ActivationCalls(comm, calls), (2,), "majority", seed=4) as p:
+                for _ in range(2):
+                    comm.barrier()
+                    before = len(calls)
+                    time.sleep(0.5)
+                    idle.append(len(calls) - before)
+                    p.reduce(np.ones(2))
+            return idle
+
+        for idle in launch(worker, 2, backend=backend):
+            assert all(count <= 1 for count in idle), idle
+
+    @pytest.mark.parametrize("backend", ["thread", "shm"])
+    def test_close_of_an_idle_collective_returns_at_once(self, backend):
+        _skip_unless_available(backend)
+
+        def worker(comm):
+            partial = PartialAllreduce(comm, (2,), "solo", seed=3)
+            partial.reduce(np.ones(2))
+            time.sleep(0.1)
+            start = time.monotonic()
+            partial.close()
+            return time.monotonic() - start, partial._thread.is_alive()
+
+        for elapsed, alive in launch(worker, 2, backend=backend):
+            assert elapsed < 0.5
+            assert not alive

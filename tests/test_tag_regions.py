@@ -41,7 +41,6 @@ def test_region_bases_are_pinned():
     """Bases are wire protocol: retiring a region must not move another."""
     assert {reg.name: reg.lo for reg in tags.TAG_REGIONS} == {
         "partial-activation": 100_000_000,
-        "partial-arrival": 200_000_000,
         "serving": 300_000_000,
         "telemetry": 400_000_000,
         "barrier": 1_000_000_000,
@@ -136,7 +135,7 @@ def test_barrier_tag_bounds():
 
 def test_partial_tags_stay_in_their_regions():
     assert tags.partial_activation_tag(0) in tags.PARTIAL_ACTIVATION
-    assert tags.partial_arrival_tag(5) in tags.PARTIAL_ARRIVAL
+    assert tags.PARTIAL_ACTIVATION.hi == tags.SERVING_TAG_BASE
     with pytest.raises(ValueError):
         tags.partial_activation_tag(-1)
     with pytest.raises(ValueError):
