@@ -30,26 +30,33 @@ swept over world sizes, chunk counts and host topologies:
     all certificates (``float64`` integer arithmetic below ``2**53`` is
     exact), proving every rank's term lands in the result exactly once.
 
-The registry covers every registered collective — the four allreduce
-algorithms (with chunk pipelining and non-uniform
-:class:`~repro.collectives.topology.HostTopology` layouts for the
-hierarchical schedule), broadcast, reduce, allgather, the barrier, the
-ring phases under an fp16 wire dtype, fused :class:`~repro.training.exchange.SynchronousExchange`
-plans, the serving tier's request/response + hot-swap round trip
+The synchronous flat-buffer collectives' schedules are data (the plans
+of :mod:`repro.collectives.sync`), so they are checked without threads:
+:func:`interpret` walks every rank's plans
+(:func:`repro.collectives.sync.walk_plans`, the one offline traversal of
+a schedule) into the :class:`~repro.analysis.recording.RunRecord` the
+checkers read.  :func:`build_plan_cases` is the one table of them — the
+allreduce algorithms (with chunk pipelining, ``average``, the fp16 wire
+and non-uniform :class:`~repro.collectives.topology.HostTopology` layouts
+for the hierarchical schedule), the reduce-scatter and allgather halves,
+dense and sharded collectives interleaved on one epoch counter, and the
+bucket-plan sequences of the deep500
+:class:`~repro.training.exchange.SynchronousExchange` and of
+:class:`~repro.training.exchange.ShardedExchange` — interpreted at every
+world size of the sweep and at P = 64, 256 and 1024.
+
+What is not a plan runs on a thread per rank under
+:mod:`repro.analysis.recording` (:func:`build_cases`): broadcast,
+reduce, the object allgather, the barrier, the serving tier's
+request/response + hot-swap round trip
 (:func:`repro.serving.protocol.serving_round_trip`), the flight-recorder
-telemetry collection (:func:`repro.obs.collect.telemetry_round_trip`) and
-one recorded round of the real
+telemetry collection (:func:`repro.obs.collect.telemetry_round_trip`),
+Horovod's negotiated exchange, and one round of the real
 :class:`~repro.collectives.partial.PartialAllreduce`
 (:func:`partial_round_case`) — plus a purely static check of the partial
 activation dissemination rule the progress thread sends along
-(:func:`check_dissemination`).
-
-The synchronous collectives' schedules are data (the plans of
-:mod:`repro.collectives.sync`), so a second sweep needs no threads:
-:func:`interpret` walks every rank's plan
-(:func:`repro.collectives.sync.walk_plans`, the one offline traversal of
-a schedule) into the :class:`~repro.analysis.recording.RunRecord` the
-checkers read, at P = 64, 256 and 1024 (:func:`build_plan_cases`).
+(:func:`check_dissemination`).  :func:`run_case` checks a recorded and
+an interpreted case alike.
 
 :func:`self_test` proves the checkers have teeth: each deliberately
 broken schedule (dropped receive, a plan missing a receive, reused tag,
@@ -63,7 +70,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -159,8 +166,7 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # contribution certificates
 # ---------------------------------------------------------------------------
-def contribution(rank: int, size: int, n: Optional[int] = None,
-                 unit: bool = False) -> np.ndarray:
+def contribution(rank: int, size: int, n: Optional[int] = None) -> np.ndarray:
     """Rank ``rank``'s integer certificate vector.
 
     The first ``size`` elements are the rank's one-hot indicator (element
@@ -168,8 +174,7 @@ def contribution(rank: int, size: int, n: Optional[int] = None,
     so a dropped or double-counted rank is visible *per rank*.  The last
     three elements carry first/second moments ``r+1`` and ``(r+1)^2``
     (multiset fingerprints that catch compensating errors) and a count
-    term.  ``unit=True`` restricts values to 0/1 so partial sums stay
-    exact even in a ``float16`` wire format (integers < 2048).
+    term.
     """
     if n is None:
         n = size + 3
@@ -180,28 +185,20 @@ def contribution(rank: int, size: int, n: Optional[int] = None,
         )
     v = np.zeros(n, dtype=np.float64)
     v[rank] = 1.0
-    if unit:
-        v[-3] = 1.0
-        v[-2] = 1.0
-    else:
-        v[-3] = rank + 1
-        v[-2] = (rank + 1) ** 2
+    v[-3] = rank + 1
+    v[-2] = (rank + 1) ** 2
     v[-1] = 1.0
     return v
 
 
-def expected_sum(size: int, n: Optional[int] = None, unit: bool = False) -> np.ndarray:
+def expected_sum(size: int, n: Optional[int] = None) -> np.ndarray:
     """Exact elementwise sum of all ranks' certificates."""
     if n is None:
         n = size + 3
     v = np.zeros(n, dtype=np.float64)
     v[:size] = 1.0
-    if unit:
-        v[-3] = size
-        v[-2] = size
-    else:
-        v[-3] = size * (size + 1) / 2
-        v[-2] = sum((r + 1) ** 2 for r in range(size))
+    v[-3] = size * (size + 1) / 2
+    v[-2] = sum((r + 1) ** 2 for r in range(size))
     v[-1] = size
     return v
 
@@ -372,7 +369,6 @@ def check_reduction_coverage(
     record: RunRecord,
     case: str,
     expected: Callable[[int], Any],
-    exact: bool = True,
 ) -> List[Violation]:
     """Every rank's result equals the certificate-exact expected value."""
     violations: List[Violation] = []
@@ -398,12 +394,7 @@ def check_reduction_coverage(
                     f"{want_arr.shape}",
                 ))
                 continue
-            matches = (
-                np.array_equal(got_arr, want_arr)
-                if exact
-                else np.allclose(got_arr, want_arr, rtol=1e-12, atol=1e-12)
-            )
-            if not matches:
+            if not np.array_equal(got_arr, want_arr):
                 bad = np.flatnonzero(got_arr != want_arr)[:4]
                 violations.append(Violation(
                     case, "reduction",
@@ -432,153 +423,90 @@ _REGIONS_PARTIAL = frozenset({tags.PARTIAL_ACTIVATION.name, tags.SYNC.name})
 
 @dataclass
 class VerifyCase:
-    """One live verification case: an SPMD function plus its oracle."""
+    """One recorded case: an SPMD function, run on a thread per rank,
+    plus its oracle."""
 
     name: str
     world_size: int
     fn: Callable[[RecordingCommunicator], Any]
     expected: Optional[Callable[[int], Any]] = None
-    exact: bool = True
     regions: FrozenSet[str] = _REGIONS_SYNC
     host_topology: Optional[HostTopology] = None
     recv_timeout: float = HEALTHY_RECV_TIMEOUT
 
+    def record(self) -> RunRecord:
+        return RecordingWorld(
+            self.world_size,
+            host_topology=self.host_topology,
+            recv_timeout=self.recv_timeout,
+        ).run(self.fn)
 
-def run_case(case: VerifyCase) -> CaseResult:
-    """Execute one live case and run every checker over its record."""
-    world = RecordingWorld(
-        case.world_size,
-        host_topology=case.host_topology,
-        recv_timeout=case.recv_timeout,
-    )
-    record = world.run(case.fn)
-    violations: List[Violation] = []
-    violations += check_match_completeness(record, case.name)
-    violations += check_tag_soundness(record, case.name, case.regions)
-    violations += check_deadlock_freedom(record, case.name)
-    if case.expected is not None:
-        violations += check_reduction_coverage(
-            record, case.name, case.expected, exact=case.exact
+
+@dataclass
+class PlanCase:
+    """One interpreted case: ``program(rank)`` is the ``(plan, offset)``
+    pairs rank runs on ``inputs(rank)``, one collective epoch each (a
+    plan's window ``[lo, hi)`` is the vector's ``[offset + lo, offset +
+    hi)``); ``read(rank, vector)`` is what the caller reads from the final
+    vector and ``expected(rank)`` its oracle.  ``repeats`` names the case
+    of the same table whose per-rank sends and receives begin with this
+    case's (tags aside): a case that exists for the live code path it
+    names — the divide of ``average``, the fp16 wire, a reduce-scatter
+    read alone — and for its fingerprint, not for a new step list."""
+
+    name: str
+    world_size: int
+    program: Callable[[int], Sequence[Tuple["sync.Plan", int]]]
+    inputs: Callable[[int], np.ndarray]
+    expected: Callable[[int], Any]
+    read: Callable[[int, np.ndarray], Any]
+    repeats: Optional[str] = None
+    regions = _REGIONS_SYNC
+
+    def record(self) -> RunRecord:
+        size = self.world_size
+        record = interpret(
+            [self.program(rank) for rank in range(size)],
+            [self.inputs(rank) for rank in range(size)],
         )
-    return CaseResult(
-        name=case.name,
-        world_size=case.world_size,
-        violations=violations,
-        num_events=len(record.events),
-    )
+        record.results = [self.read(rank, v) for rank, v in enumerate(record.results)]
+        return record
+
+
+def run_case(case: VerifyCase | PlanCase) -> CaseResult:
+    """Record or interpret one case and run every checker over its record."""
+    # An interpreted case allocates up to a million acyclic tuples: the
+    # cyclic collector would only rescan them.
+    gc.disable()
+    try:
+        record = case.record()
+        violations = (
+            check_match_completeness(record, case.name)
+            + check_tag_soundness(record, case.name, case.regions)
+            + check_deadlock_freedom(record, case.name)
+        )
+        if case.expected is not None:
+            violations += check_reduction_coverage(record, case.name, case.expected)
+    finally:
+        gc.enable()
+    return CaseResult(case.name, case.world_size, violations, len(record.events))
 
 
 # ---------------------------------------------------------------------------
-# case registry
+# recorded cases: what is not a plan
 # ---------------------------------------------------------------------------
-def _hier_topologies(size: int) -> List[Tuple[str, Optional[HostTopology]]]:
-    """Host layouts to sweep for the hierarchical schedule at ``size``."""
-    layouts: List[Tuple[str, Optional[HostTopology]]] = [("flat", None)]
-    specs: List[List[int]] = []
-    if size >= 2:
-        specs.append([size - size // 2, size // 2])
-    if size >= 3:
-        specs.append([size - 1, 1])
-    specs += {
-        4: [[3, 1]],
-        8: [[4, 2, 2]],
-        16: [[5, 7, 4]],
-        64: [[32, 16, 16]],
-    }.get(size, [])
-    seen: set = set()
-    for spec in specs:
-        key = tuple(spec)
-        if key in seen or sum(spec) != size or min(spec) < 1:
-            continue
-        seen.add(key)
-        layouts.append(
-            ("+".join(str(n) for n in spec), HostTopology.from_hosts(spec))
-        )
-    return layouts
+def _two_buckets(n: int) -> int:
+    """The fusion threshold that cuts an ``n``-element float64 vector into
+    two buckets."""
+    return 8 * -(-n // 2)
 
 
-def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
-    """All live verification cases at world size ``size``."""
+def build_cases(size: int) -> List[VerifyCase]:
+    """The recorded cases at world size ``size``: every collective that is
+    not a plan (the object collectives, the barrier, the serving and
+    telemetry schedules, and Horovod's negotiated exchange)."""
     cases: List[VerifyCase] = []
     total = expected_sum(size)
-
-    for algorithm in ("recursive_doubling", "ring", "rabenseifner"):
-        for n_chunks in (1, 3):
-            def fn(comm, _a=algorithm, _c=n_chunks, _p=size):
-                return sync.allreduce(
-                    comm, contribution(comm.rank, _p),
-                    algorithm=_a, n_chunks=_c,
-                )
-            cases.append(VerifyCase(
-                name=f"allreduce[{algorithm},chunks={n_chunks}]",
-                world_size=size,
-                fn=fn,
-                expected=lambda rank, _t=total: _t,
-            ))
-
-    def fn_avg(comm, _p=size):
-        return sync.allreduce(
-            comm, contribution(comm.rank, _p), algorithm="ring", average=True
-        )
-    cases.append(VerifyCase(
-        name="allreduce[ring,average]",
-        world_size=size,
-        fn=fn_avg,
-        expected=lambda rank, _t=total, _p=size: _t / _p,
-        exact=False,
-    ))
-
-    for label, topology in _hier_topologies(size):
-        def fn_hier(comm, _p=size):
-            return sync.allreduce(
-                comm, contribution(comm.rank, _p),
-                algorithm="hierarchical", n_chunks=2,
-            )
-        cases.append(VerifyCase(
-            name=f"allreduce[hierarchical,{label}]",
-            world_size=size,
-            fn=fn_hier,
-            expected=lambda rank, _t=total: _t,
-            host_topology=topology,
-        ))
-
-    # Compressed collectives: wire payloads are fp16, so the certificate
-    # is restricted to 0/1 entries (every partial sum an integer < 2048
-    # stays exact even at the narrow width).
-    try:
-        from repro.compression import get_codec
-        codec = get_codec("fp16")
-    except Exception:  # pragma: no cover - compression always present
-        codec = None
-    if codec is not None:
-        unit_total = expected_sum(size, unit=True)
-
-        def fn_comp(comm, _p=size, _codec=codec):
-            return sync.allreduce(
-                comm, contribution(comm.rank, _p, unit=True),
-                algorithm="ring", n_chunks=2, codec=_codec,
-            )
-        cases.append(VerifyCase(
-            name="allreduce[compressed_ring,fp16]",
-            world_size=size,
-            fn=fn_comp,
-            expected=lambda rank, _t=unit_total: _t,
-        ))
-        if size >= 4:
-            def fn_comp_hier(comm, _p=size, _codec=codec):
-                return sync.allreduce(
-                    comm, contribution(comm.rank, _p, unit=True),
-                    algorithm="hierarchical", codec=_codec,
-                )
-            cases.append(VerifyCase(
-                name="allreduce[compressed_hierarchical,fp16]",
-                world_size=size,
-                fn=fn_comp_hier,
-                expected=lambda rank, _t=unit_total: _t,
-                host_topology=HostTopology.from_hosts(
-                    [size - size // 2, size // 2]
-                ),
-            ))
 
     for root in sorted({0, size - 1}):
         def fn_bcast(comm, _p=size, _root=root):
@@ -606,103 +534,6 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
         world_size=size,
         fn=fn_allgather,
         expected=lambda rank, _p=size: [(r, r * r) for r in range(_p)],
-    ))
-
-    # Sharded collectives: reduce_scatter's per-rank window must hold
-    # exactly the certificate sum restricted to the owned slice, and the
-    # reduce-scatter -> allgather_flat composition must restore the full
-    # sum on every rank — for every schedule family, chunking and layout.
-    from repro.collectives import sharding as _sharding
-
-    n_shard = size + 3
-    for algorithm in ("ring", "halving"):
-        for n_chunks in (1, 3):
-            def fn_rs(comm, _a=algorithm, _c=n_chunks, _p=size):
-                flat, (lo, hi) = _sharding.reduce_scatter(
-                    comm, contribution(comm.rank, _p),
-                    algorithm=_a, n_chunks=_c,
-                )
-                return flat[lo:hi].copy()
-            def expect_window(rank, _a=algorithm, _p=size, _t=total, _n=n_shard):
-                lo, hi = _sharding.shard_bounds(_n, _p, _a)[rank]
-                return _t[lo:hi]
-            cases.append(VerifyCase(
-                name=f"reduce_scatter[{algorithm},chunks={n_chunks}]",
-                world_size=size,
-                fn=fn_rs,
-                expected=expect_window,
-            ))
-
-            def fn_rs_ag(comm, _a=algorithm, _c=n_chunks, _p=size):
-                flat, _ = _sharding.reduce_scatter(
-                    comm, contribution(comm.rank, _p),
-                    algorithm=_a, n_chunks=_c,
-                )
-                return _sharding.allgather_flat(
-                    comm, flat,
-                    algorithm=_sharding.ALLGATHER_FOR_REDUCE_SCATTER[_a],
-                    n_chunks=_c,
-                )
-            cases.append(VerifyCase(
-                name=f"reduce_scatter+allgather[{algorithm},chunks={n_chunks}]",
-                world_size=size,
-                fn=fn_rs_ag,
-                expected=lambda rank, _t=total: _t,
-            ))
-
-    for label, topology in _hier_topologies(size):
-        def fn_rs_ag_hier(comm, _p=size):
-            flat, _ = _sharding.reduce_scatter(
-                comm, contribution(comm.rank, _p),
-                algorithm="hierarchical", n_chunks=2,
-            )
-            return _sharding.allgather_flat(
-                comm, flat, algorithm="hierarchical", n_chunks=2,
-            )
-        cases.append(VerifyCase(
-            name=f"reduce_scatter+allgather[hierarchical,{label}]",
-            world_size=size,
-            fn=fn_rs_ag_hier,
-            expected=lambda rank, _t=total: _t,
-            host_topology=topology,
-        ))
-
-    if codec is not None:
-        unit_total_shard = expected_sum(size, unit=True)
-
-        def fn_rs_ag_comp(comm, _p=size, _codec=codec):
-            flat, _ = _sharding.reduce_scatter(
-                comm, contribution(comm.rank, _p, unit=True),
-                algorithm="ring", n_chunks=2, codec=_codec,
-            )
-            return _sharding.allgather_flat(
-                comm, flat, algorithm="ring", n_chunks=2, codec=_codec,
-            )
-        cases.append(VerifyCase(
-            name="reduce_scatter+allgather[compressed_ring,fp16]",
-            world_size=size,
-            fn=fn_rs_ag_comp,
-            expected=lambda rank, _t=unit_total_shard: _t,
-        ))
-
-    # Dense, split and sharded collectives draw their epochs from one
-    # counter: interleaved on one communicator, no two of them may mint
-    # the same tag (match-completeness would report the ambiguous match).
-    def fn_interleaved(comm, _p=size):
-        dense = sync.allreduce(comm, contribution(comm.rank, _p), algorithm="ring")
-        flat, _ = _sharding.reduce_scatter(
-            comm, contribution(comm.rank, _p), algorithm="ring"
-        )
-        doubled = sync.allreduce(
-            comm, contribution(comm.rank, _p), algorithm="recursive_doubling"
-        )
-        gathered = _sharding.allgather_flat(comm, flat, algorithm="ring")
-        return np.concatenate([dense, doubled, gathered])
-    cases.append(VerifyCase(
-        name="interleaved[allreduce+reduce_scatter+allreduce+allgather_flat]",
-        world_size=size,
-        fn=fn_interleaved,
-        expected=lambda rank, _t=np.tile(total, 3): _t,
     ))
 
     def fn_barrier(comm):
@@ -748,105 +579,24 @@ def build_cases(size: int, include_exchange: bool = True) -> List[VerifyCase]:
         regions=_REGIONS_TELEMETRY,
     ))
 
-    if include_exchange and size <= 8:
+    # Horovod's exchange negotiates its bucket order with an object
+    # allgather every step, so it is recorded; deep500's fixed order is a
+    # bucket-plan sequence of :func:`build_plan_cases`.
+    if size <= 8:
         n = size + 15
-        exchange_total = expected_sum(size, n=n)
-        # ``fusion_threshold_bytes=8 * ceil(n / 2)`` cuts every exchange
-        # case's float64 vector into two buckets.
-        for style, algorithm in (
-            ("deep500", "ring"),
-            ("horovod", "ring"),
-            ("horovod", "recursive_doubling"),
-        ):
-            def fn_exchange(comm, _s=style, _a=algorithm, _p=size, _n=n):
+        for algorithm in ("ring", "recursive_doubling"):
+            def fn_exchange(comm, _a=algorithm, _p=size, _n=n):
                 from repro.training.exchange import SynchronousExchange
                 with SynchronousExchange(
-                    comm, style=_s, algorithm=_a, fusion_threshold_bytes=8 * -(-_n // 2)
+                    comm, style="horovod", algorithm=_a,
+                    fusion_threshold_bytes=_two_buckets(_n),
                 ) as ex:
-                    result = ex.exchange(
-                        _p * contribution(comm.rank, _p, n=_n)
-                    )
-                return result.gradient
+                    return ex.exchange(_p * contribution(comm.rank, _p, n=_n)).gradient
             cases.append(VerifyCase(
-                name=f"exchange[{style},{algorithm},buckets=2]",
+                name=f"exchange[horovod,{algorithm},buckets=2]",
                 world_size=size,
                 fn=fn_exchange,
-                expected=lambda rank, _t=exchange_total: _t,
-            ))
-        if size >= 4:
-            def fn_exchange_hier(comm, _p=size, _n=n):
-                from repro.training.exchange import SynchronousExchange
-                with SynchronousExchange(
-                    comm, style="deep500", algorithm="hierarchical",
-                    fusion_threshold_bytes=8 * -(-_n // 2),
-                ) as ex:
-                    result = ex.exchange(
-                        _p * contribution(comm.rank, _p, n=_n)
-                    )
-                return result.gradient
-            cases.append(VerifyCase(
-                name="exchange[deep500,hierarchical,multi-host]",
-                world_size=size,
-                fn=fn_exchange_hier,
-                expected=lambda rank, _t=exchange_total: _t,
-                host_topology=HostTopology.from_hosts(
-                    [size - size // 2, size // 2]
-                ),
-            ))
-
-        # The ZeRO-1 sharded exchange: reduce-scatter, shard-local SGD
-        # update, parameter allgather.  Every rank starts from the same
-        # seeded model, contributes size * certificate so the averaged
-        # gradient is exactly the certificate sum, and must end with
-        # params == init - lr * sum on every element — proving each
-        # window's update ran exactly once and the gather restored the
-        # full parameter vector.
-        def _shard_model():
-            import repro.nn as nn
-            return nn.Sequential(nn.Dense(size + 4, 2, seed=20260808))
-
-        probe = _shard_model()
-        from repro.nn.parameters import flatten_parameters as _flatten
-        n_z1 = _flatten(probe).size
-        z1_lr = 0.25
-        z1_total = expected_sum(size, n=n_z1)
-        z1_expected = _flatten(probe) - z1_lr * z1_total
-        for z1_algorithm in ("ring", "halving"):
-            def fn_zero1(comm, _a=z1_algorithm, _p=size, _n=n_z1):
-                from repro.nn.optim import SGD
-                from repro.training.exchange import ShardedExchange
-                model = _shard_model()
-                optimizer = SGD(model, z1_lr)
-                ex = ShardedExchange(comm, algorithm=_a, fusion_threshold_bytes=8 * -(-_n // 2))
-                ex.exchange_update(
-                    _p * contribution(comm.rank, _p, n=_n), model, optimizer
-                )
-                return _flatten(model)
-            cases.append(VerifyCase(
-                name=f"sharded-exchange[zero1,{z1_algorithm},buckets=2]",
-                world_size=size,
-                fn=fn_zero1,
-                expected=lambda rank, _t=z1_expected: _t,
-            ))
-        if size >= 4:
-            def fn_zero1_hier(comm, _p=size, _n=n_z1):
-                from repro.nn.optim import SGD
-                from repro.training.exchange import ShardedExchange
-                model = _shard_model()
-                optimizer = SGD(model, z1_lr)
-                ex = ShardedExchange(comm, fusion_threshold_bytes=8 * -(-_n // 2))
-                ex.exchange_update(
-                    _p * contribution(comm.rank, _p, n=_n), model, optimizer
-                )
-                return _flatten(model)
-            cases.append(VerifyCase(
-                name="sharded-exchange[zero1,hierarchical,multi-host]",
-                world_size=size,
-                fn=fn_zero1_hier,
-                expected=lambda rank, _t=z1_expected: _t,
-                host_topology=HostTopology.from_hosts(
-                    [size - size // 2, size // 2]
-                ),
+                expected=lambda rank, _t=expected_sum(size, n=n): _t,
             ))
     return cases
 
@@ -884,19 +634,21 @@ def partial_round_case(size: int) -> VerifyCase:
 
 
 # ---------------------------------------------------------------------------
-# static plan sweep: every rank's plan, interpreted without threads
+# interpreted cases: every plan, without threads
 # ---------------------------------------------------------------------------
-#: World sizes of the static plan sweep, and the largest that includes the
-#: ring families (at P = 1024 a ring plan is about 4 M events).
+#: World sizes the plan table is interpreted at beside the recorded sweep's,
+#: and the largest that includes the ring families (at P = 1024 a ring plan
+#: is about 4 M events).
 STATIC_WORLD_SIZES: Tuple[int, ...] = (64, 256, 1024)
 STATIC_RING_MAX_SIZE = 256
 
 
 def interpret(
-    programs: Sequence[Sequence["sync.Plan"]], inputs: Sequence[np.ndarray]
+    programs: Sequence[Sequence[Tuple["sync.Plan", int]]], inputs: Sequence[np.ndarray]
 ) -> RunRecord:
-    """Run every rank's plans on its ``inputs`` vector, without threads:
-    :func:`~repro.collectives.sync.walk_plans` with certificate callbacks.
+    """Run every rank's ``(plan, offset)`` pairs on its ``inputs`` vector,
+    without threads: :func:`~repro.collectives.sync.walk_plans` with
+    certificate callbacks.
 
     A send posts a copy of its slice; a receive adds (``combine``) or
     assigns it, so certificate vectors prove reduction coverage as on a
@@ -909,6 +661,14 @@ def interpret(
     bufs = [np.array(x, dtype=np.float64, copy=True).reshape(-1) for x in inputs]
     errors: List[Optional[BaseException]] = [None] * size
     events: List[CommEvent] = []
+
+    def shifted(plan: "sync.Plan", offset: int) -> "sync.Plan":
+        if not offset:
+            return plan
+        return tuple(
+            (name, tuple(s._replace(lo=s.lo + offset, hi=s.hi + offset) for s in steps))
+            for name, steps in plan
+        )
 
     def on_send(rank, pc, tag, step):
         seq = len(events)
@@ -933,7 +693,8 @@ def interpret(
         events.append(CommEvent("recv", rank, pc, Channel.APP, step.peer, tag, seq, hi - lo))
         return True
 
-    pcs, waiting = sync.walk_plans(programs, on_send, on_recv)
+    plans = [[shifted(plan, offset) for plan, offset in program] for program in programs]
+    pcs, waiting = sync.walk_plans(plans, on_send, on_recv)
     for (source, rank, tag), _ in sorted(waiting.items(), key=lambda item: item[1]):
         events.append(CommEvent("starved", rank, pcs[rank], Channel.APP, source, tag, -1, 0))
         errors[rank] = RecvStarvedError(
@@ -942,75 +703,168 @@ def interpret(
     return RunRecord(size, events, bufs, errors)
 
 
-@dataclass
-class PlanCase:
-    """One static case: ``program(rank)`` is the plans rank runs, one
-    collective epoch each, on its certificate; every rank must end with
-    the certificate sum."""
-
-    name: str
-    world_size: int
-    program: Callable[[int], Tuple["sync.Plan", ...]]
-
-
-def run_plan_case(case: PlanCase) -> CaseResult:
-    """Interpret one static case and run every checker over its record."""
-    size = case.world_size
-    total = expected_sum(size)
-    # A case allocates up to a million acyclic tuples: the cyclic
-    # collector would only rescan them.
-    gc.disable()
-    try:
-        record = interpret(
-            [case.program(rank) for rank in range(size)],
-            [contribution(rank, size) for rank in range(size)],
+def _hier_topologies(size: int) -> List[Tuple[str, Optional[HostTopology]]]:
+    """Host layouts to sweep for the hierarchical schedule at ``size``."""
+    layouts: List[Tuple[str, Optional[HostTopology]]] = [("flat", None)]
+    specs: List[List[int]] = []
+    if size >= 2:
+        specs.append([size - size // 2, size // 2])
+    if size >= 3:
+        specs.append([size - 1, 1])
+    specs += {
+        4: [[3, 1]],
+        8: [[4, 2, 2]],
+        16: [[5, 7, 4]],
+        64: [[32, 16, 16]],
+    }.get(size, [])
+    seen: set = set()
+    for spec in specs:
+        key = tuple(spec)
+        if key in seen or sum(spec) != size or min(spec) < 1:
+            continue
+        seen.add(key)
+        layouts.append(
+            ("+".join(str(n) for n in spec), HostTopology.from_hosts(spec))
         )
-        violations: List[Violation] = []
-        violations += check_match_completeness(record, case.name)
-        violations += check_tag_soundness(record, case.name, _REGIONS_SYNC)
-        violations += check_deadlock_freedom(record, case.name)
-        violations += check_reduction_coverage(record, case.name, lambda rank: total)
-    finally:
-        gc.enable()
-    return CaseResult(case.name, size, violations, len(record.events))
+    return layouts
 
 
 def build_plan_cases(size: int) -> List[PlanCase]:
-    """Static cases at ``size``, at 1 and 3 chunks: every allreduce
-    algorithm, and the hierarchical reduce-scatter followed by its
-    allgather, over every :func:`_hier_topologies` layout.
+    """The plan table at ``size``: every synchronous flat-buffer schedule.
 
-    Every case is a distinct step list.  ``allreduce[ring]`` and
+    * allreduce — recursive doubling, ring and Rabenseifner at 1 and 3
+      chunks, the ring under ``average``, the hierarchical schedule on
+      every :func:`_hier_topologies` layout at 1, 2 and 3 chunks (2 is
+      unsuffixed), and the fp16-wire ring and two-host hierarchical
+      allreduce;
+    * reduce-scatter alone (oracle: the owned window) and followed by its
+      allgather — ring and halving at 1 and 3 chunks, hierarchical on
+      every layout at 1, 2 and 3 chunks, the fp16-wire ring;
+    * dense and sharded collectives interleaved on one epoch counter;
+    * the bucket-plan sequences of the deep500
+      :class:`~repro.training.exchange.SynchronousExchange` (each bucket
+      one allreduce, in bucket order) and of
+      :class:`~repro.training.exchange.ShardedExchange` (every bucket's
+      reduce-scatter, then every bucket's allgather), two buckets each,
+      single-host and on two hosts.
+
+    Every rank must read its part of the certificate sum.  An averaging
+    case (the ring under ``average``, the exchanges) feeds ``P`` times
+    the certificate and reads the final vector over ``P``: the owner's
+    divide before the allgather copies its window is the same division
+    of the same sums.  The ring families stop at
+    :data:`STATIC_RING_MAX_SIZE`.  ``allreduce[ring]`` and
     ``allreduce[rabenseifner]`` *are* the ring's and the halving /
-    doubling reduce-scatter and allgather plans back to back, so those
-    families are checked there; a single-host hierarchical allreduce is
-    the ring.  The ring stops at :data:`STATIC_RING_MAX_SIZE`.
+    doubling reduce-scatter and allgather plans back to back, a
+    single-host hierarchical allreduce is the ring, and the interpreter
+    models neither the wire dtype nor the divide, so the cases that only
+    name such a live path carry ``repeats``.  The names key
+    ``tests/data/schedule_fingerprints.json``.
     """
-    length = size + 3
+    from repro.training.bucketing import GradientBucketer
+
+    n = size + 3
+    ring = size <= STATIC_RING_MAX_SIZE
+    ar, rs, ag = sync.allreduce_plan, sync.reduce_scatter_plan, sync.allgather_plan
     cases: List[PlanCase] = []
 
-    def add(name: str, program: Callable[[int, int], Tuple["sync.Plan", ...]]) -> None:
-        for n_chunks in (1, 3):
-            cases.append(PlanCase(
-                f"plan:{name},chunks={n_chunks}]", size,
-                lambda rank, _c=n_chunks: program(rank, _c),
-            ))
+    def plan(build, algorithm, n_chunks=1, topology=None, wire=False, length=n, offset=0):
+        def at(rank):
+            built = build(algorithm, rank, size, length, n_chunks, topology, wire)
+            return (built if build is ar else built[0]), offset
+        return at
+
+    def add(name, *collectives, length=n, copies=1, average=False, window=None, repeats=None):
+        scale = size if average else 1
+        total = scale * np.tile(expected_sum(size, n=length), copies)
+
+        def read(rank, vector):
+            if window is not None:
+                return vector[slice(*window[rank])]
+            return vector / size if average else vector
+
+        cases.append(PlanCase(
+            name, size,
+            lambda rank: tuple(collective(rank) for collective in collectives),
+            lambda rank: scale * np.tile(contribution(rank, size, n=length), copies),
+            lambda rank: read(rank, total),
+            read,
+            repeats,
+        ))
 
     for algorithm in ("recursive_doubling", "ring", "rabenseifner"):
-        if algorithm != "ring" or size <= STATIC_RING_MAX_SIZE:
-            add(f"allreduce[{algorithm}", lambda rank, n_chunks, _a=algorithm: (
-                sync.allreduce_plan(_a, rank, size, length, n_chunks, None, False),
-            ))
+        if algorithm != "ring" or ring:
+            for c in (1, 3):
+                add(f"allreduce[{algorithm},chunks={c}]", plan(ar, algorithm, c))
+    # The ring at 2 chunks is ``allreduce[hierarchical,flat]``.
+    if ring:
+        add("allreduce[ring,average]", plan(ar, "ring"), average=True,
+            repeats="allreduce[ring,chunks=1]")
+        add("allreduce[compressed_ring,fp16]", plan(ar, "ring", 2, wire=True),
+            repeats="allreduce[hierarchical,flat]")
+    two_hosts = HostTopology.from_hosts([size - size // 2, size // 2])
+    if size >= 4:
+        add("allreduce[compressed_hierarchical,fp16]",
+            plan(ar, "hierarchical", 1, two_hosts, True),
+            repeats=f"allreduce[hierarchical,{size - size // 2}+{size // 2},chunks=1]")
     for label, topology in _hier_topologies(size):
         topology = topology or HostTopology.single_host(size)
-        if not topology.is_single_host:
-            add(f"allreduce[hierarchical,{label}", lambda rank, n_chunks, _t=topology: (
-                sync.allreduce_plan("hierarchical", rank, size, length, n_chunks, _t, False),
-            ))
-        add(f"reduce_scatter+allgather[hierarchical,{label}", lambda rank, c, _t=topology: (
-            sync.reduce_scatter_plan("hierarchical", rank, size, length, c, _t, False)[0],
-            sync.allgather_plan("hierarchical", rank, size, length, c, _t, False)[0],
-        ))
+        flat = topology.is_single_host
+        for c, chunks in ((2, ""), (1, ",chunks=1"), (3, ",chunks=3")):
+            if ring or not flat:
+                add(f"allreduce[hierarchical,{label}{chunks}]",
+                    plan(ar, "hierarchical", c, topology),
+                    repeats=f"allreduce[ring{chunks}]" if flat and chunks else None)
+            add(f"reduce_scatter+allgather[hierarchical,{label}{chunks}]",
+                plan(rs, "hierarchical", c, topology), plan(ag, "hierarchical", c, topology))
+
+    for algorithm, gather in sync.ALLGATHER_FOR_REDUCE_SCATTER.items():
+        if algorithm == "hierarchical" or (algorithm == "ring" and not ring):
+            continue
+        whole = "rabenseifner" if algorithm == "halving" else algorithm
+        windows = [rs(algorithm, rank, size, n, 1)[1] for rank in range(size)]
+        for c in (1, 3):
+            add(f"reduce_scatter[{algorithm},chunks={c}]", plan(rs, algorithm, c),
+                window=windows, repeats=f"allreduce[{whole},chunks={c}]")
+            add(f"reduce_scatter+allgather[{algorithm},chunks={c}]",
+                plan(rs, algorithm, c), plan(ag, gather, c),
+                repeats=f"allreduce[{whole},chunks={c}]")
+    if ring:
+        add("reduce_scatter+allgather[compressed_ring,fp16]",
+            plan(rs, "ring", 2, wire=True), plan(ag, "ring", 2, wire=True),
+            repeats="allreduce[hierarchical,flat]")
+        add("interleaved[allreduce+reduce_scatter+allreduce+allgather_flat]",
+            plan(ar, "ring"), plan(rs, "ring", offset=2 * n),
+            plan(ar, "recursive_doubling", offset=n), plan(ag, "ring", offset=2 * n),
+            copies=3)
+
+    # The exchanges' bucket plans.  The sharded cases' length is the
+    # parameter count of a ``Dense(P + 4, 2)`` layer.
+    def buckets(build, algorithm, length, topology=None):
+        return [
+            plan(build, algorithm, 1, topology, length=b.stop - b.start, offset=b.start)
+            for b in GradientBucketer.from_flat(length, _two_buckets(length)).buckets
+        ]
+
+    n_dense, n_sharded = size + 15, 2 * (size + 4) + 2
+    if ring:
+        add("exchange[deep500,ring,buckets=2]", *buckets(ar, "ring", n_dense),
+            length=n_dense, average=True)
+    if size >= 4:
+        add("exchange[deep500,hierarchical,multi-host]",
+            *buckets(ar, "hierarchical", n_dense, two_hosts), length=n_dense, average=True)
+    for algorithm, gather in sync.ALLGATHER_FOR_REDUCE_SCATTER.items():
+        topology, label = None, f"{algorithm},buckets=2"
+        if algorithm == "hierarchical":
+            if size < 4:
+                continue
+            topology, label = two_hosts, "hierarchical,multi-host"
+        elif algorithm == "ring" and not ring:
+            continue
+        add(f"sharded-exchange[zero1,{label}]",
+            *buckets(rs, algorithm, n_sharded, topology),
+            *buckets(ag, gather, n_sharded, topology),
+            length=n_sharded, average=True)
     return cases
 
 
@@ -1262,16 +1116,18 @@ def _mutant_user_tag(size: int = 3) -> VerifyCase:
 
 
 def _mutant_plan_dropped_recv(size: int = 4) -> PlanCase:
-    """Rank 0's ring allreduce plan without its first receive: the static
-    path must find the send nobody receives."""
+    """The table's ring allreduce with rank 0's first receive dropped: the
+    interpreter must find the send nobody receives."""
+    ring = next(c for c in build_plan_cases(size) if c.name == "allreduce[ring,chunks=1]")
+
     def program(rank):
-        plan = sync.allreduce_plan("ring", rank, size, size + 3, 1, None, False)
+        ((plan, offset),) = ring.program(rank)
         if rank == 0:
             (name, steps), *rest = plan
             drop = next(i for i, step in enumerate(steps) if not step.send)
             plan = ((name, steps[:drop] + steps[drop + 1:]), *rest)
-        return (plan,)
-    return PlanCase("mutant[plan-dropped-recv]", size, program)
+        return ((plan, offset),)
+    return replace(ring, name="mutant[plan-dropped-recv]", program=program)
 
 
 def _mutant_wrapping_dissemination(size: int = 5) -> CaseResult:
@@ -1292,8 +1148,7 @@ def _mutant_wrapping_dissemination(size: int = 5) -> CaseResult:
 
 
 #: (mutant factory, checker expected to reject it).  A factory returns a
-#: live case to record and check, a plan case to interpret and check, or
-#: the result of a static check.
+#: case to record or interpret and check, or the result of a static check.
 MUTANTS: Tuple[Tuple[Callable[[], VerifyCase | PlanCase | CaseResult], str], ...] = (
     (_mutant_dropped_recv, "match"),
     (_mutant_plan_dropped_recv, "match"),
@@ -1310,12 +1165,7 @@ def self_test() -> List[CaseResult]:
     results: List[CaseResult] = []
     for factory, expected_check in MUTANTS:
         case = factory()
-        if isinstance(case, VerifyCase):
-            inner = run_case(case)
-        elif isinstance(case, PlanCase):
-            inner = run_plan_case(case)
-        else:
-            inner = case
+        inner = case if isinstance(case, CaseResult) else run_case(case)
         hits = [v for v in inner.violations if v.check == expected_check]
         name = f"self-test[{case.name}->{expected_check}]"
         if hits:
@@ -1340,31 +1190,30 @@ def self_test() -> List[CaseResult]:
 # ---------------------------------------------------------------------------
 def verify(
     world_sizes: Iterable[int] = DEFAULT_WORLD_SIZES,
-    include_exchange: bool = True,
-    include_self_test: bool = True,
-    include_ring_model: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> VerificationReport:
-    """Run the full verification sweep and return the report."""
+    """Run the full verification sweep and return the report: the recorded
+    cases, a partial round and the dissemination rule at every size of
+    ``world_sizes``, the plan table's distinct step lists (the cases
+    without ``repeats``) interpreted at those sizes and
+    :data:`STATIC_WORLD_SIZES`, the shm ring's model and the self-test."""
     def note(msg: str) -> None:
         if progress is not None:
             progress(msg)
 
+    world_sizes = tuple(world_sizes)
     results: List[CaseResult] = [check_tag_layout()]
     for size in world_sizes:
-        note(f"verifying schedules at P={size} ...")
-        for case in build_cases(size, include_exchange=include_exchange):
-            results.append(run_case(case))
+        note(f"recording what is not a plan at P={size} ...")
+        results.extend(run_case(case) for case in build_cases(size))
         results.append(run_case(partial_round_case(size)))
         results.append(check_dissemination(size))
-    for size in STATIC_WORLD_SIZES:
-        note(f"interpreting every rank's plan at P={size} ...")
-        results.extend(run_plan_case(case) for case in build_plan_cases(size))
-    if include_ring_model:
-        note("model-checking the shm SPSC ring protocol ...")
-        from repro.analysis.ring_model import verify_ring_protocol
-        results.extend(verify_ring_protocol())
-    if include_self_test:
-        note("running checker self-tests (seeded mutants) ...")
-        results.extend(self_test())
+    for size in sorted(set(world_sizes) | set(STATIC_WORLD_SIZES)):
+        note(f"interpreting every rank's plans at P={size} ...")
+        results.extend(run_case(case) for case in build_plan_cases(size) if not case.repeats)
+    note("model-checking the shm SPSC ring protocol ...")
+    from repro.analysis.ring_model import verify_ring_protocol
+    results.extend(verify_ring_protocol())
+    note("running checker self-tests (seeded mutants) ...")
+    results.extend(self_test())
     return VerificationReport(results)

@@ -261,19 +261,13 @@ def _train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
 
 def _verify(
     world_sizes: Annotated[Sequence[int], comma_list(int_at_least(2))] = DEFAULT_WORLD_SIZES,
-    exchange: bool = True,
-    ring_model: bool = True,
-    self_test: bool = True,
     quiet: bool = False,
 ) -> int:
-    """Sweep the collective schedules and tags at every world size of
-    ``world_sizes``, the cached plans and the shm ring: ``--no-exchange``
-    skips the fused SynchronousExchange plan cases, ``--no-ring-model``
-    the shm SPSC ring protocol model checker, ``--no-self-test`` the
-    seeded-mutant checker self-tests; ``--quiet`` prints the violations
-    only, not the per-case table."""
-    report = verify(world_sizes, include_exchange=exchange, include_self_test=self_test,
-                    include_ring_model=ring_model, progress=None if quiet else print)
+    """Record what is not a plan at every world size of ``world_sizes``,
+    interpret the plans there and at 64, 256 and 1024, check the tag
+    layout and the shm ring, and self-test the checkers; ``--quiet``
+    prints the violations only, not the per-case table."""
+    report = verify(world_sizes, progress=None if quiet else print)
     if quiet:
         for violation in report.violations:
             print(violation)

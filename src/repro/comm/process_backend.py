@@ -1463,9 +1463,14 @@ class ProcessBackend(CommBackend):
                 handles, timeout=max(0.0, min(wait_bounds)) if wait_bounds else None
             )
 
+        # A rank that reported is exiting, not hung (its interpreter may
+        # still be joining a non-daemon thread): all of them share one
+        # ``abort_grace`` to exit.  One that never reported had its grace.
+        exit_deadline = time.monotonic() + self.abort_grace
         hung = []
         for rank, proc in procs.items():
-            proc.join(timeout=0.5)
+            if rank in reported:
+                proc.join(timeout=max(0.0, exit_deadline - time.monotonic()))
             if proc.is_alive():
                 hung.append(proc.name)
                 proc.terminate()

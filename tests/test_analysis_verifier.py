@@ -22,7 +22,7 @@ def _violations(report):
 @pytest.mark.parametrize("size", [2, 3, 5, 8])
 def test_sweep_passes_at_small_and_non_pot_sizes(size):
     report = sv.VerificationReport(
-        [sv.run_case(c) for c in sv.build_cases(size)]
+        [sv.run_case(c) for c in sv.build_cases(size) + sv.build_plan_cases(size)]
     )
     assert report.ok, _violations(report)
 

@@ -1239,6 +1239,35 @@ class TestFailures:
             launch(_barrier_failure_worker, 2, backend=backend, timeout=90)
         assert isinstance(excinfo.value.failures[0], RuntimeError)
 
+    @pytest.mark.parametrize("name", ["process", "shm"])
+    def test_a_rank_that_reported_gets_the_grace_to_exit(self, name):
+        """A non-daemon thread keeps a rank's interpreter alive for ~1 s
+        after it returned: the rank is exiting, not hung."""
+        _skip_if_unavailable(name)
+
+        def worker(comm):
+            threading.Thread(target=time.sleep, args=(1.0,)).start()
+            return comm.rank
+
+        assert launch(worker, 2, backend=name, timeout=60) == [0, 1]
+
+    @pytest.mark.parametrize("name", ["process", "shm"])
+    def test_a_rank_that_never_exits_is_reaped(self, name, monkeypatch):
+        from repro.comm.process_backend import ProcessBackend
+
+        _skip_if_unavailable(name)
+        monkeypatch.setattr(ProcessBackend, "abort_grace", 0.3)
+
+        def worker(comm):
+            if comm.rank == 1:
+                threading.Thread(target=threading.Event().wait).start()
+            return comm.rank
+
+        with pytest.raises(WorldError) as excinfo:
+            launch(worker, 2, backend=name, timeout=60)
+        assert "did not finish" in str(excinfo.value.failures[-1])
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize(
         "name, opts",
         [

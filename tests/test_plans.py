@@ -2,11 +2,13 @@
 
 Every flat-buffer phase of :mod:`repro.collectives.sync` is a cached plan
 that :func:`~repro.collectives.sync.run_plan` executes.  These tests pin
-what that promises: the thread-free interpreter of
-:mod:`repro.analysis.schedule_verifier` sends exactly what the live
-collective sends, a repeated collective builds no plan, the static path
-catches a broken plan, and empty doubling windows travel as 0-element
-arrays on a real transport.
+what that promises: for every case of the verifier's plan table — each
+collective, the interleaved sequence and the deep500 / sharded
+exchanges' bucket plans — the thread-free interpreter of
+:mod:`repro.analysis.schedule_verifier` sends exactly what a recorded run
+of the live code sends and reads the same values; a repeated collective
+builds no plan, the static path catches a broken plan, and empty
+doubling windows travel as 0-element arrays on a real transport.
 """
 
 import numpy as np
@@ -21,58 +23,109 @@ from repro.comm import available_backends, launch
 SIZES = (2, 3, 4, 5, 8)
 
 
-def _families(size):
-    """``(name, plans(rank, n_chunks, topology), live(comm, n_chunks), topology)``
-    of every sync plan family × host layout at ``size``."""
-    length = size + 3
-    out = []
+def _live(size):
+    """``name -> (fn(comm, x), host topology)``: the live code behind every
+    case of ``sv.build_plan_cases(size)``, run on the case's input ``x``;
+    it returns what the case reads."""
+    n = size + 3
+    two_hosts = HostTopology.from_hosts([size - size // 2, size // 2])
+
+    def split(algorithm, n_chunks, codec=None):
+        def fn(comm, x):
+            flat, _ = sharding.reduce_scatter(
+                comm, x, algorithm=algorithm, n_chunks=n_chunks, codec=codec
+            )
+            return sharding.allgather_flat(
+                comm, flat, algorithm=sync.ALLGATHER_FOR_REDUCE_SCATTER[algorithm],
+                n_chunks=n_chunks, codec=codec,
+            )
+        return fn
+
+    def owned(algorithm, n_chunks):
+        def fn(comm, x):
+            flat, (lo, hi) = sharding.reduce_scatter(
+                comm, x, algorithm=algorithm, n_chunks=n_chunks
+            )
+            return flat[lo:hi].copy()
+        return fn
+
+    def interleaved(comm, x):
+        dense = sync.allreduce(comm, x[:n], algorithm="ring")
+        flat, _ = sharding.reduce_scatter(comm, x[2 * n:], algorithm="ring")
+        doubled = sync.allreduce(comm, x[n:2 * n], algorithm="recursive_doubling")
+        return np.concatenate([dense, doubled, sharding.allgather_flat(comm, flat)])
+
+    def deep500(algorithm):
+        def fn(comm, x):
+            from repro.training.exchange import SynchronousExchange
+            with SynchronousExchange(
+                comm, style="deep500", algorithm=algorithm,
+                fusion_threshold_bytes=sv._two_buckets(x.size),
+            ) as ex:
+                return ex.exchange(x).gradient
+        return fn
+
+    def zero1(algorithm):
+        def fn(comm, x):
+            """Zeroed parameters and ``SGD(lr=1)``: the updated model is
+            minus the averaged gradient, exactly."""
+            import repro.nn as nn
+            from repro.nn.optim import SGD
+            from repro.nn.parameters import flatten_parameters
+            from repro.training.exchange import ShardedExchange
+
+            model = nn.Sequential(nn.Dense(size + 4, 2, seed=20260808))
+            flatten_parameters(model)[:] = 0.0
+            ex = ShardedExchange(
+                comm, algorithm=algorithm, fusion_threshold_bytes=sv._two_buckets(x.size)
+            )
+            ex.exchange_update(x, model, SGD(model, 1.0))
+            return -flatten_parameters(model)
+        return fn
+
+    from repro.compression import get_codec
+    fp16 = get_codec("fp16")
+    live = {
+        "allreduce[ring,average]": (
+            lambda comm, x: sync.allreduce(comm, x, algorithm="ring", average=True), None),
+        "allreduce[compressed_ring,fp16]": (
+            lambda comm, x: sync.allreduce(comm, x, algorithm="ring", n_chunks=2, codec=fp16),
+            None),
+        "allreduce[compressed_hierarchical,fp16]": (
+            lambda comm, x: sync.allreduce(comm, x, algorithm="hierarchical", codec=fp16),
+            two_hosts),
+        "reduce_scatter+allgather[compressed_ring,fp16]": (split("ring", 2, fp16), None),
+        "interleaved[allreduce+reduce_scatter+allreduce+allgather_flat]": (interleaved, None),
+        "exchange[deep500,ring,buckets=2]": (deep500("ring"), None),
+        "exchange[deep500,hierarchical,multi-host]": (deep500("hierarchical"), two_hosts),
+        "sharded-exchange[zero1,ring,buckets=2]": (zero1("ring"), None),
+        "sharded-exchange[zero1,halving,buckets=2]": (zero1("halving"), None),
+        "sharded-exchange[zero1,hierarchical,multi-host]": (zero1("ring"), two_hosts),
+    }
     for algorithm in ("recursive_doubling", "ring", "rabenseifner"):
-        out.append((
-            f"allreduce[{algorithm}]",
-            lambda rank, c, t, _a=algorithm: (
-                sync.allreduce_plan(_a, rank, size, length, c, t, False),
-            ),
-            lambda comm, c, _a=algorithm: sync.allreduce(
-                comm, sv.contribution(comm.rank, size), algorithm=_a, n_chunks=c
-            ),
-            None,
-        ))
-    for algorithm, gather in sync.ALLGATHER_FOR_REDUCE_SCATTER.items():
-        if algorithm != "hierarchical":
-            out.append(_split_family(size, algorithm, gather, None))
+        for c in (1, 3):
+            live[f"allreduce[{algorithm},chunks={c}]"] = (
+                lambda comm, x, _a=algorithm, _c=c: sync.allreduce(
+                    comm, x, algorithm=_a, n_chunks=_c
+                ),
+                None,
+            )
+    for algorithm in ("ring", "halving"):
+        for c in (1, 3):
+            live[f"reduce_scatter[{algorithm},chunks={c}]"] = (owned(algorithm, c), None)
+            live[f"reduce_scatter+allgather[{algorithm},chunks={c}]"] = (split(algorithm, c), None)
     for label, topology in sv._hier_topologies(size):
-        topology = topology or HostTopology.single_host(size)
-        out.append((
-            f"allreduce[hierarchical,{label}]",
-            lambda rank, c, t: (
-                sync.allreduce_plan("hierarchical", rank, size, length, c, t, False),
-            ),
-            lambda comm, c: sync.allreduce(
-                comm, sv.contribution(comm.rank, size), algorithm="hierarchical",
-                n_chunks=c,
-            ),
-            topology,
-        ))
-        out.append(_split_family(size, "hierarchical", "hierarchical", topology, label))
-    return out
-
-
-def _split_family(size, algorithm, gather, topology, label=""):
-    length = size + 3
-
-    def plans(rank, c, t):
-        return (
-            sync.reduce_scatter_plan(algorithm, rank, size, length, c, t, False)[0],
-            sync.allgather_plan(gather, rank, size, length, c, t, False)[0],
-        )
-
-    def live(comm, c):
-        flat, _ = sharding.reduce_scatter(
-            comm, sv.contribution(comm.rank, size), algorithm=algorithm, n_chunks=c
-        )
-        return sharding.allgather_flat(comm, flat, algorithm=gather, n_chunks=c)
-
-    return f"reduce_scatter+allgather[{algorithm}{label and ',' + label}]", plans, live, topology
+        for c, chunks in ((2, ""), (1, ",chunks=1"), (3, ",chunks=3")):
+            live[f"allreduce[hierarchical,{label}{chunks}]"] = (
+                lambda comm, x, _c=c: sync.allreduce(
+                    comm, x, algorithm="hierarchical", n_chunks=_c
+                ),
+                topology,
+            )
+            live[f"reduce_scatter+allgather[hierarchical,{label}{chunks}]"] = (
+                split("hierarchical", c), topology
+            )
+    return live
 
 
 def _per_rank(events, size):
@@ -83,46 +136,101 @@ def _per_rank(events, size):
 
 
 _CASES = [
-    pytest.param(size, n_chunks, family, id=f"P={size}/{family[0]}/chunks={n_chunks}")
+    pytest.param(case, id=f"P={size}/{case.name}")
     for size in SIZES
-    for family in _families(size)
-    for n_chunks in (1, 3)
+    for case in sv.build_plan_cases(size)
 ]
 
 
-@pytest.mark.parametrize("size,n_chunks,family", _CASES)
-def test_interpreted_plan_sends_what_the_live_collective_sends(size, n_chunks, family):
-    _name, plans, live, topology = family
-    record = RecordingWorld(size, host_topology=topology).run(lambda comm: live(comm, n_chunks))
-    assert not any(record.errors), record.errors
-    interpreted = sv.interpret(
-        [plans(rank, n_chunks, topology) for rank in range(size)],
-        [sv.contribution(rank, size) for rank in range(size)],
+@pytest.mark.parametrize("case", _CASES)
+def test_interpreted_plan_sends_what_the_live_collective_sends(case):
+    size = case.world_size
+    live, topology = _live(size)[case.name]
+    record = RecordingWorld(size, host_topology=topology).run(
+        lambda comm: live(comm, case.inputs(comm.rank))
     )
+    assert not any(record.errors), record.errors
+    interpreted = case.record()
     assert not any(interpreted.errors), interpreted.errors
     assert _per_rank(interpreted.events, size) == _per_rank(record.events, size)
     for rank in range(size):
         np.testing.assert_array_equal(interpreted.results[rank], record.results[rank])
 
 
-def test_static_sweep_covers_every_family_without_violations():
-    results = [sv.run_plan_case(case) for case in sv.build_plan_cases(16)]
+@pytest.mark.parametrize("size", SIZES + (16,))
+def test_a_repeating_case_begins_what_it_repeats(size):
+    """Per rank, a case's ``(kind, peer, elements)`` list is a prefix of
+    the one of the case it ``repeats``: what ``repro verify`` skips is a
+    step list it interprets anyway."""
+    cases = {case.name: case for case in sv.build_plan_cases(size)}
+
+    def lists(case):
+        return [[(k, p, e) for k, p, _tag, e in rank] for rank in
+                _per_rank(case.record().events, size)]
+
+    repeating = [case for case in cases.values() if case.repeats]
+    assert repeating
+    for case in repeating:
+        mine, theirs = lists(case), lists(cases[case.repeats])
+        assert all(m == t[:len(m)] for m, t in zip(mine, theirs)), case.name
+
+
+def _unit(rank, size):
+    """Rank ``rank``'s 0/1 certificate: one-hot, then three ones."""
+    v = np.ones(size + 3)
+    v[:size] = np.arange(size) == rank
+    return v
+
+
+@pytest.mark.parametrize("name", [
+    "allreduce[compressed_ring,fp16]",
+    "reduce_scatter+allgather[compressed_ring,fp16]",
+    "allreduce[compressed_hierarchical,fp16]",
+])
+def test_the_fp16_wire_sums_a_0_1_certificate_exactly_at_p64(name):
+    """A full certificate's moment ``sum (r+1)^2`` leaves float16's exact
+    integers (up to 2048) past P = 17; every partial sum of a 0/1
+    certificate is an integer of at most P."""
+    size = 64
+    case = next(c for c in sv.build_plan_cases(size) if c.name == name)
+    live, topology = _live(size)[name]
+    record = RecordingWorld(size, host_topology=topology).run(
+        lambda comm: live(comm, _unit(comm.rank, size))
+    )
+    assert not any(record.errors), record.errors
+    assert _per_rank(case.record().events, size) == _per_rank(record.events, size)
+    total = sum(_unit(rank, size) for rank in range(size))
+    for result in record.results:
+        np.testing.assert_array_equal(result, total)
+
+
+def test_the_plan_table_covers_every_family_without_violations():
+    results = [sv.run_case(case) for case in sv.build_plan_cases(16)]
     names = {r.name for r in results}
     assert all(r.ok for r in results), [str(v) for r in results for v in r.violations]
-    for family in ("recursive_doubling", "ring", "rabenseifner", "hierarchical,8+8"):
-        assert f"plan:allreduce[{family},chunks=3]" in names
-    assert "plan:reduce_scatter+allgather[hierarchical,flat,chunks=1]" in names
+    for family in ("recursive_doubling", "ring", "rabenseifner"):
+        assert f"allreduce[{family},chunks=3]" in names
+    assert {
+        "allreduce[hierarchical,8+8]", "allreduce[compressed_hierarchical,fp16]",
+        "allreduce[hierarchical,5+7+4,chunks=3]",
+        "reduce_scatter+allgather[hierarchical,15+1,chunks=1]",
+        "reduce_scatter+allgather[hierarchical,flat]", "reduce_scatter[halving,chunks=1]",
+        "exchange[deep500,hierarchical,multi-host]", "sharded-exchange[zero1,halving,buckets=2]",
+    } <= names
 
 
-def test_static_sweep_stops_the_ring_at_256():
+def test_the_plan_table_stops_the_ring_at_256():
     assert sv.STATIC_WORLD_SIZES == (64, 256, 1024)
+    assert "allreduce[ring,chunks=3]" in {case.name for case in sv.build_plan_cases(256)}
     names = [case.name for case in sv.build_plan_cases(1024)]
-    assert not any("ring" in name or ("flat" in name and "allreduce" in name) for name in names)
-    assert "plan:allreduce[rabenseifner,chunks=3]" in names
+    assert not any("ring" in name or "flat" in name and "allreduce[" in name for name in names)
+    assert "allreduce[rabenseifner,chunks=3]" in names
+    assert "allreduce[hierarchical,512+512,chunks=1]" in names
+    assert "sharded-exchange[zero1,hierarchical,multi-host]" in names
 
 
 def test_plan_with_a_dropped_receive_is_rejected_statically():
-    result = sv.run_plan_case(sv._mutant_plan_dropped_recv())
+    result = sv.run_case(sv._mutant_plan_dropped_recv())
     assert any(
         v.check == "match" and "orphan send" in v.detail for v in result.violations
     ), [str(v) for v in result.violations]
