@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from repro.collectives.sync import ALLREDUCE_ALGORITHMS
 from repro.imbalance.cost_model import CostModel
 from repro.imbalance.injection import DelayInjector, NoDelay
 from repro.training.bucketing import validate_fusion_threshold
@@ -178,10 +180,29 @@ class TrainingConfig:
                 raise ValueError(
                     f"quorum mode requires 1 <= quorum <= {self.world_size}, got {self.quorum}"
                 )
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.time_scale < 0:
-            raise ValueError(f"time_scale must be non-negative, got {self.time_scale}")
+        if self.allreduce_algorithm not in ALLREDUCE_ALGORITHMS:
+            raise ValueError(
+                f"allreduce_algorithm must be one of {tuple(ALLREDUCE_ALGORITHMS)}, "
+                f"got {self.allreduce_algorithm!r}"
+            )
+        # Written so that NaN fails each bound: every comparison with NaN
+        # is false.
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}"
+            )
+        if not 0 <= self.time_scale < math.inf:
+            raise ValueError(
+                f"time_scale must be non-negative and finite, got {self.time_scale}"
+            )
+        if self.eval_batch_size < 1:
+            raise ValueError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
         if self.model_sync_period_epochs is not None and self.model_sync_period_epochs < 1:
             raise ValueError(
                 f"model_sync_period_epochs must be >= 1 or None, "

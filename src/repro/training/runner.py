@@ -248,8 +248,9 @@ def train_distributed(
     """
     config.validate()
     start = time.perf_counter()
-    probe_model = model_factory()
-    num_parameters = probe_model.num_parameters()
+    # Count on a temporary replica that dies here: held across ``launch``
+    # it would be one more model in every forked rank and in a thread world.
+    num_parameters = model_factory().num_parameters()
     # Resolve the compression codec once, before the world spawns: the
     # spec is validated here (fail fast, not inside P ranks), the "auto"
     # fusion knobs below are tuned under its cost model, and the timing

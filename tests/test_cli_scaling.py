@@ -165,3 +165,10 @@ class TestCommandTable:
             main(["train", "--world-size", "3"])
         assert exc.value.code == 2
         assert "divisible by world_size (3), got 32" in capsys.readouterr().err
+
+    def test_eval_batch_size_is_checked_before_launch(self, capsys):
+        # Zero used to pass validate() and fail every rank inside range().
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--eval-batch-size", "0"])
+        assert exc.value.code == 2
+        assert "eval_batch_size must be >= 1, got 0" in capsys.readouterr().err

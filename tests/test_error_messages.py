@@ -269,6 +269,28 @@ CASES = {
         lambda: TrainingConfig(world_size=3, global_batch_size=32).validate(),
         "global_batch_size must be divisible by world_size (3), got 32",
     ),
+    # Each of these passed validate() and failed every rank after launch,
+    # or (eval_batch_size=-1, time_scale=nan) ran and reported nonsense.
+    "TrainingConfig-eval-batch-zero": (
+        lambda: TrainingConfig(eval_batch_size=0).validate(),
+        "eval_batch_size must be >= 1, got 0",
+    ),
+    "TrainingConfig-eval-batch-negative": (
+        lambda: TrainingConfig(eval_batch_size=-1).validate(), "got -1",
+    ),
+    "TrainingConfig-momentum": (lambda: TrainingConfig(momentum=1.5).validate(), "got 1.5"),
+    "TrainingConfig-weight-decay": (
+        lambda: TrainingConfig(weight_decay=-1.0).validate(), "got -1.0",
+    ),
+    "TrainingConfig-learning-rate-nan": (
+        lambda: TrainingConfig(learning_rate=float("nan")).validate(), "got nan",
+    ),
+    "TrainingConfig-time-scale-nan": (
+        lambda: TrainingConfig(time_scale=float("nan")).validate(), "got nan",
+    ),
+    "TrainingConfig-allreduce-algorithm": (
+        lambda: TrainingConfig(allreduce_algorithm="bogus").validate(), "got 'bogus'",
+    ),
     # A threshold reaches the exchange checked, not as one-element buckets
     # (0, -5) or a TypeError on every rank ("auto", which only the runner
     # resolves).

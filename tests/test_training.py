@@ -1,5 +1,9 @@
 """Tests for the distributed-training layer (exchanges, SGD step, runner)."""
 
+import gc
+import os
+import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 from repro.comm import ThreadWorld, launch
 from repro.data import HyperplaneDataset, cifar10_like
 from repro.data.loader import Batch
-from repro.imbalance import FixedCostModel, RandomSubsetDelay, RotatingSkewDelay
+from repro.imbalance import FixedCostModel, NoDelay, RandomSubsetDelay, RotatingSkewDelay
 from repro.nn import MomentumSGD, SGD
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
 from repro.nn.models import HyperplaneMLP, MLPClassifier
@@ -45,6 +49,21 @@ class TestConfig:
             TrainingConfig(sync_style="mpi").validate()
         with pytest.raises(ValueError):
             TrainingConfig(optimizer="lbfgs").validate()
+        # Each of these used to pass validate() and then fail (or mislead)
+        # on every rank after launch.
+        for bad in (
+            dict(eval_batch_size=0),
+            dict(eval_batch_size=-1),
+            dict(momentum=1.5),
+            dict(momentum=float("nan")),
+            dict(weight_decay=-1.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
+            dict(time_scale=float("nan")),
+            dict(allreduce_algorithm="bogus"),
+        ):
+            with pytest.raises(ValueError):
+                TrainingConfig(**bad).validate()
 
     def test_local_batch_and_describe(self):
         cfg = TrainingConfig(world_size=4, global_batch_size=64, mode="majority")
@@ -186,6 +205,42 @@ class TestModelSyncAndEvaluation:
             assert metrics["top1"] == pytest.approx(single["top1"], abs=1e-9)
 
 
+class _TrackedFactory:
+    """A model factory that remembers every model it builds by weakref,
+    with the process and thread that built it."""
+
+    def __init__(self):
+        self.built = []  # (pid, thread ident, weakref to the model)
+
+    def __call__(self):
+        model = MLPClassifier(3 * 4 * 4, (16,), 10, seed=11)
+        self.built.append((os.getpid(), threading.get_ident(), weakref.ref(model)))
+        return model
+
+
+class _LauncherModelsDead(NoDelay):
+    """Raises at a rank's first step if a model the launching thread built
+    is still alive.  A forked rank inherits the factory's list, so a model
+    alive in the launcher at fork reads alive there too."""
+
+    def __init__(self, factory):
+        self.factory = factory
+        self.launcher = (os.getpid(), threading.get_ident())
+
+    def delay_for_rank(self, step, rank, world_size):
+        if step == 0:
+            gc.collect()
+            alive = [
+                ref for pid, ident, ref in self.factory.built
+                if (pid, ident) == self.launcher and ref() is not None
+            ]
+            if alive:
+                raise AssertionError(
+                    f"rank {rank} starts with {len(alive)} launcher-built model(s) alive"
+                )
+        return 0.0
+
+
 class TestRunner:
     def _dataset(self):
         ds = cifar10_like(num_examples=256, image_size=4, signal=4.0, seed=0)
@@ -238,6 +293,24 @@ class TestRunner:
         assert result.projection is not None
         assert result.total_sim_time > 0
         assert len(result.rank_summaries) == 4
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_no_launcher_model_reaches_a_rank(self, backend):
+        # The runner sizes the exchange from one model it builds itself;
+        # that model must be gone before any rank starts, or every forked
+        # rank (and the thread world) carries a replica nobody trains.
+        train, val = self._dataset()
+        factory = _TrackedFactory()
+        config = TrainingConfig(
+            world_size=2, comm_backend=backend, epochs=1, global_batch_size=32,
+            delay_injector=_LauncherModelsDead(factory),
+        )
+        result = train_distributed(
+            factory, train, SoftmaxCrossEntropyLoss(), config, eval_dataset=val,
+        )
+        assert len(result.rank_summaries) == 2
+        launcher = (os.getpid(), threading.get_ident())
+        assert any((pid, ident) == launcher for pid, ident, _ in factory.built)
 
     @pytest.mark.parametrize("mode", ["sync", "majority"])
     def test_single_process_run(self, mode):
