@@ -13,9 +13,10 @@ contribution:
     Pluggable message-passing substrate (backend registry, tagged point-to-point
     send/recv, communicators, reduction operators).
 ``repro.collectives``
-    Synchronous collectives (recursive-doubling / ring / Rabenseifner
-    allreduce, broadcast, reduce) and the paper's *partial* collectives:
-    solo allreduce, majority allreduce and generalised quorum allreduce.
+    Synchronous collectives (recursive-doubling / ring / Rabenseifner /
+    hierarchical allreduce, reduce-scatter, allgather) and the paper's
+    *partial* collectives: solo allreduce, majority allreduce and
+    generalised quorum allreduce.
 ``repro.simtime``
     Analytic LogGP-style cost models, used for the latency
     microbenchmark (Fig. 9) and large-scale throughput projections.

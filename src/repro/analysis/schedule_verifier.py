@@ -46,11 +46,10 @@ bucket-plan sequences of the deep500
 world size of the sweep and at P = 64, 256 and 1024.
 
 What is not a plan runs on a thread per rank under
-:mod:`repro.analysis.recording` (:func:`build_cases`): broadcast,
-reduce, the object allgather, the barrier, the serving tier's
-request/response + hot-swap round trip
-(:func:`repro.serving.protocol.serving_round_trip`), the flight-recorder
-telemetry collection (:func:`repro.obs.collect.telemetry_round_trip`),
+:mod:`repro.analysis.recording` (:func:`build_cases`): the object
+allgather, the barrier, the serving tier's request/response + hot-swap
+round trip (:func:`serving_round_trip`), the flight-recorder telemetry
+collection (:func:`telemetry_round_trip`),
 Horovod's negotiated exchange, and one round of the real
 :class:`~repro.collectives.partial.PartialAllreduce`
 (:func:`partial_round_case`) — plus a purely static check of the partial
@@ -280,8 +279,17 @@ def check_tag_soundness(
     return violations
 
 
-def check_deadlock_freedom(record: RunRecord, case: str) -> List[Violation]:
-    """No cyclic waits; program order + match edges form a DAG."""
+def check_deadlock_freedom(
+    record: RunRecord, case: str, toposort: bool = True
+) -> List[Violation]:
+    """No cyclic waits; program order + match edges form a DAG.
+
+    ``toposort=False`` trusts the event order of a healthy record as the
+    witness: :func:`interpret`'s walk appends every event after its
+    program-order predecessor and every receive after the send it
+    matches, so on an interpreted record that is neither starved nor
+    errored the toposort cannot fail.  Crashes and starvation are
+    checked either way."""
     violations: List[Violation] = []
     for rank, err in record.crashed:
         violations.append(Violation(
@@ -320,6 +328,8 @@ def check_deadlock_freedom(record: RunRecord, case: str) -> List[Violation]:
                 f"{len(starved)} receive(s) starved with no cyclic wait "
                 f"(lost/never-issued message): {details}",
             ))
+        return violations
+    if not toposort and not any(record.errors):
         return violations
 
     # Healthy run: re-derive a witness schedule from the recorded graph
@@ -473,8 +483,13 @@ class PlanCase:
         return record
 
 
-def run_case(case: VerifyCase | PlanCase) -> CaseResult:
-    """Record or interpret one case and run every checker over its record."""
+def run_case(case: VerifyCase | PlanCase, toposort: bool = False) -> CaseResult:
+    """Record or interpret one case and run every checker over its record.
+
+    A recorded case, or any case with ``toposort``, re-derives the
+    deadlock witness from the record's graph; see
+    :func:`check_deadlock_freedom`."""
+    toposort = toposort or not isinstance(case, PlanCase)
     # An interpreted case allocates up to a million acyclic tuples: the
     # cyclic collector would only rescan them.
     gc.disable()
@@ -483,7 +498,7 @@ def run_case(case: VerifyCase | PlanCase) -> CaseResult:
         violations = (
             check_match_completeness(record, case.name)
             + check_tag_soundness(record, case.name, case.regions)
-            + check_deadlock_freedom(record, case.name)
+            + check_deadlock_freedom(record, case.name, toposort)
         )
         if case.expected is not None:
             violations += check_reduction_coverage(record, case.name, case.expected)
@@ -501,31 +516,112 @@ def _two_buckets(n: int) -> int:
     return 8 * -(-n // 2)
 
 
+def serving_round_trip(comm, num_requests: int = 4, num_swaps: int = 2) -> Any:
+    """One deterministic serving round, sent with the serving tier's own
+    senders (:mod:`repro.serving.protocol`).
+
+    The frontend fans ``num_requests`` single-element batches out over
+    the replicas round-robin and collects the responses; the publisher
+    (when present) ships ``num_swaps`` weight versions to every replica,
+    then announces two further versions to the replicas *and* the
+    frontend; the frontend finally fans out stop messages.  Every receive
+    names its source and every tag comes from the serving region.
+
+    The world is the real layout of :class:`~repro.serving.ServingConfig`
+    — trainers first, replicas next, frontend last — shrunk to the
+    smallest co-scheduled shape: one publisher (when ``P >= 3``), all
+    middle ranks replicas, the last rank the frontend.  At ``P == 2`` it
+    is serve-only (replica + frontend, no publisher).
+
+    Returns the integer sum of the response values on the frontend rank
+    (each replica doubles its input, so the exact expected total is
+    ``num_requests * (num_requests + 1)``) and ``None`` elsewhere.
+    """
+    from repro.serving import protocol
+
+    if comm.size < 2:
+        raise ValueError(
+            f"serving needs at least a replica and a frontend, got "
+            f"world size {comm.size}"
+        )
+    frontend = comm.size - 1
+    publisher = 0 if comm.size >= 3 else None
+    replicas = tuple(range(0 if publisher is None else 1, frontend))
+    assigned = {s: replicas[s % len(replicas)] for s in range(num_requests)}
+    shipped = range(1, num_swaps + 1)
+    announced = range(num_swaps + 1, num_swaps + 3)
+    rank = comm.rank
+
+    if rank == frontend:
+        for seq in range(num_requests):
+            protocol.send_request(
+                comm, assigned[seq], seq, [seq], np.array([float(seq + 1)])
+            )
+        total = 0.0
+        for seq in range(num_requests):
+            msg = comm.recv(
+                source=assigned[seq], tag=tags.serving_response_tag(seq)
+            )
+            total += float(msg[3].sum())
+        if publisher is not None:
+            for version in announced:
+                comm.recv(source=publisher, tag=tags.serving_swap_tag(version))
+        for replica in replicas:
+            protocol.send_stop(comm, replica)
+        return int(total)
+
+    if rank in replicas:
+        for seq in [s for s in range(num_requests) if assigned[s] == rank]:
+            msg = comm.recv(source=frontend, tag=tags.serving_request_tag(seq))
+            protocol.send_result(comm, frontend, seq, msg[2], 2.0 * msg[3], 0, {})
+        if publisher is not None:
+            for version in shipped:
+                comm.recv(source=publisher, tag=tags.serving_swap_tag(version))
+            for version in announced:
+                comm.recv(source=publisher, tag=tags.serving_swap_tag(version))
+        comm.recv(
+            source=frontend, tag=tags.serving_control_tag(protocol.CONTROL_STOP)
+        )
+        return None
+
+    # publisher: ship full weights, then announce weight-less versions.
+    for version in shipped:
+        for replica in replicas:
+            protocol.send_weights(comm, replica, version, np.full(3, float(version)))
+    for version in announced:
+        for replica in replicas:
+            protocol.send_announce(comm, replica, version)
+        protocol.send_announce(comm, frontend, version)
+    return None
+
+
+def telemetry_round_trip(comm, rounds: int = 2) -> Optional[int]:
+    """The flight-recorder collection schedule with a known payload.
+
+    Runs :func:`repro.obs.collect.gather_traces` — clock-sync ping-pong
+    per peer, then every rank's buffer shipped to rank 0 — with payload
+    ``rank + 1``.  Rank 0 returns the sum of all shipped payloads,
+    ``P * (P + 1) / 2``; other ranks return ``None``.
+    """
+    from repro.obs.collect import gather_traces
+
+    result = gather_traces(comm, comm.rank + 1, rounds=rounds)
+    if comm.rank == 0:
+        payloads, offsets = result
+        if sorted(offsets) != list(range(comm.size)):
+            raise AssertionError(
+                f"clock-offset map covers ranks {sorted(offsets)}, "
+                f"expected 0..{comm.size - 1}"
+            )
+        return int(sum(int(p) for p in payloads))
+    return None
+
+
 def build_cases(size: int) -> List[VerifyCase]:
     """The recorded cases at world size ``size``: every collective that is
-    not a plan (the object collectives, the barrier, the serving and
+    not a plan (the object allgather, the barrier, the serving and
     telemetry schedules, and Horovod's negotiated exchange)."""
     cases: List[VerifyCase] = []
-    total = expected_sum(size)
-
-    for root in sorted({0, size - 1}):
-        def fn_bcast(comm, _p=size, _root=root):
-            return sync.broadcast(comm, contribution(comm.rank, _p), root=_root)
-        cases.append(VerifyCase(
-            name=f"broadcast[root={root}]",
-            world_size=size,
-            fn=fn_bcast,
-            expected=lambda rank, _p=size, _root=root: contribution(_root, _p),
-        ))
-
-    def fn_reduce(comm, _p=size):
-        return sync.reduce(comm, contribution(comm.rank, _p), root=_p - 1)
-    cases.append(VerifyCase(
-        name=f"reduce[root={size - 1}]",
-        world_size=size,
-        fn=fn_reduce,
-        expected=lambda rank, _t=total, _p=size: _t if rank == _p - 1 else None,
-    ))
 
     def fn_allgather(comm):
         return sync.allgather(comm, (comm.rank, comm.rank * comm.rank))
@@ -553,7 +649,6 @@ def build_cases(size: int) -> List[VerifyCase]:
     # the serving region.  Each replica doubles its inputs, so the
     # frontend's total is exactly num_requests * (num_requests + 1).
     def fn_serving(comm):
-        from repro.serving.protocol import serving_round_trip
         return serving_round_trip(comm, num_requests=4, num_swaps=2)
     cases.append(VerifyCase(
         name="serving[round-trip]",
@@ -569,7 +664,6 @@ def build_cases(size: int) -> List[VerifyCase]:
     # Rank 0 sums the known payloads (rank + 1), so the oracle is the
     # triangular number P * (P + 1) / 2.
     def fn_telemetry(comm):
-        from repro.obs.collect import telemetry_round_trip
         return telemetry_round_trip(comm, rounds=2)
     cases.append(VerifyCase(
         name="telemetry[collection]",
@@ -1165,7 +1259,7 @@ def self_test() -> List[CaseResult]:
     results: List[CaseResult] = []
     for factory, expected_check in MUTANTS:
         case = factory()
-        inner = case if isinstance(case, CaseResult) else run_case(case)
+        inner = case if isinstance(case, CaseResult) else run_case(case, toposort=True)
         hits = [v for v in inner.violations if v.check == expected_check]
         name = f"self-test[{case.name}->{expected_check}]"
         if hits:

@@ -13,17 +13,12 @@ are executed asynchronously by a per-rank progress thread, mirroring the
 library offloading of Section 4.3.
 """
 
-from repro.collectives.topology import (
-    binomial_tree_children,
-    binomial_tree_parent,
-)
+from repro.collectives.topology import binomial_tree_children
 from repro.collectives.sync import (
     allreduce,
     allreduce_recursive_doubling,
     allreduce_ring,
     allreduce_rabenseifner,
-    broadcast,
-    reduce as reduce_to_root,
     allgather,
     ALLREDUCE_ALGORITHMS,
 )
@@ -44,13 +39,10 @@ from repro.collectives.partial import (
 
 __all__ = [
     "binomial_tree_children",
-    "binomial_tree_parent",
     "allreduce",
     "allreduce_recursive_doubling",
     "allreduce_ring",
     "allreduce_rabenseifner",
-    "broadcast",
-    "reduce_to_root",
     "allgather",
     "ALLREDUCE_ALGORITHMS",
     "ALLGATHER_FLAT_ALGORITHMS",

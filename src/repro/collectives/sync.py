@@ -7,8 +7,8 @@ and its phases mint ``tags.sync_tag(epoch, phase, round, chunk)`` under
 the phase ids of this table, the one place a phase id is assigned::
 
     id  phase                                    run by
-     0  binomial-tree broadcast                  broadcast
-     1  binomial-tree reduce                     reduce
+     0  retired (the rooted broadcast)
+     1  retired (the rooted reduce)
      2  ring gather of arbitrary payloads        allgather
      3  pairwise full-vector exchange            recursive doubling
      4  ring reduce-scatter                      ring
@@ -65,8 +65,7 @@ send or receive, so a steady-state collective builds no step.
 the epoch when it runs.  The composing functions keep what is not a
 message: the average divide and the codec's rounding of the owned
 window.  :mod:`repro.analysis.schedule_verifier` checks every rank's
-plan without threads.  The object collectives (``broadcast``,
-``reduce``, ``allgather``) keep their own loops.
+plan without threads.  The object ``allgather`` keeps its own loop.
 
 Chunk pipelining
 ----------------
@@ -116,16 +115,13 @@ from repro.obs import recorder as _obs
 from repro.comm.reduce_ops import ReduceOp, get_op
 from repro.collectives.topology import (
     HostTopology,
-    binomial_tree_children,
-    binomial_tree_parent,
     intra_bcast_edges,
     intra_reduce_edges,
     largest_power_of_two_leq,
 )
 
 # The phase table of the module docstring (ids < tags.SYNC_MAX_PHASES).
-_PHASE_BCAST = 0
-_PHASE_REDUCE = 1
+# Ids 0 and 1 are retired, not reused: every other tag keeps its value.
 _PHASE_GATHER = 2
 _PHASE_RD = 3
 _PHASE_RING_RS = 4
@@ -661,58 +657,8 @@ def _split_allreduce(
 
 
 # --------------------------------------------------------------------------
-# broadcast / reduce / allgather
+# allgather
 # --------------------------------------------------------------------------
-def broadcast(comm: Communicator, data, root: int = 0):
-    """Binomial-tree broadcast of ``data`` from ``root`` to all ranks."""
-    epoch = comm.next_collective_epoch()
-    rank, size = comm.rank, comm.size
-    tag = tags.sync_tag(epoch, _PHASE_BCAST, 0)
-    if size == 1:
-        return data
-    if rank != root:
-        parent = binomial_tree_parent(rank, size, root)
-        data = comm.recv(source=parent, tag=tag)
-    for child in binomial_tree_children(rank, size, root):
-        comm.send(data, child, tag=tag)
-    return data
-
-
-def reduce(
-    comm: Communicator,
-    data,
-    op: ReduceOp | str = "sum",
-    root: int = 0,
-) -> Optional[np.ndarray]:
-    """Binomial-tree reduction to ``root``; returns the result on root only."""
-    epoch = comm.next_collective_epoch()
-    reduce_op = get_op(op)
-    rank, size = comm.rank, comm.size
-    acc = _as_float_array(data)
-    tag = tags.sync_tag(epoch, _PHASE_REDUCE, 0)
-    if size == 1:
-        return acc
-    # Children in the *broadcast* tree are the senders in the reduction tree.
-    # A rooted reduction has a single owner per partial result, so narrow
-    # dtypes may accumulate widened (float32) across all children and
-    # narrow once — the multi-segment kernel of repro.comm.reduce_kernels.
-    children = list(reversed(binomial_tree_children(rank, size, root)))
-    widened = reduce_op.accumulator(acc) if len(children) > 1 else None
-    for child in children:
-        contribution = comm.recv(source=child, tag=tag)
-        if widened is not None:
-            widened.combine(contribution)
-        else:
-            acc = reduce_op.combine_into(acc, contribution)
-    if widened is not None:
-        acc = widened.finish()
-    if rank != root:
-        parent = binomial_tree_parent(rank, size, root)
-        comm.send(acc, parent, tag=tag)
-        return None
-    return acc
-
-
 def allgather(
     comm: Communicator,
     data,

@@ -82,20 +82,6 @@ def binomial_tree_children(rank: int, size: int, root: int = 0) -> List[int]:
     ]
 
 
-def binomial_tree_parent(rank: int, size: int, root: int = 0) -> int:
-    """Parent of ``rank`` in the binomial tree rooted at ``root``.
-
-    The root's parent is itself.
-    """
-    _validate(size, rank, root)
-    v = (rank - root) % size
-    if v == 0:
-        return root
-    # Clear the highest set bit to obtain the parent's relative rank.
-    parent_v = v & ~(1 << (v.bit_length() - 1))
-    return (parent_v + root) % size
-
-
 def largest_power_of_two_leq(n: int) -> int:
     """Largest power of two that is ``<= n``."""
     if n < 1:

@@ -16,6 +16,7 @@ from typing import Any, Deque, Optional
 
 import numpy as np
 
+from repro.comm import tags
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
 
 
@@ -105,7 +106,7 @@ class Mailbox:
         if remaining <= 0:
             raise CommTimeoutError(
                 f"rank {self.owner_rank}/{self.channel}: timed out waiting "
-                f"for message from source={source} tag={tag}"
+                f"for message from source={source} tag={tags.describe_tag(tag)}"
             )
         return remaining
 

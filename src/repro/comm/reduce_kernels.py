@@ -25,18 +25,6 @@ it, selected **by dtype at call time** so callers never special-case:
     bits make the double rounding innocuous for 11-bit operands) while
     skipping the per-element scalar conversions.
 
-:class:`WidenedAccumulator`
-    The multi-segment form: widen the accumulator to ``float32`` once,
-    fold any number of narrow segments in at vector speed (one fused
-    cast-and-combine per segment), and narrow once at the end.  This is
-    where the big wins live — a tree reduce combining ``P - 1`` child
-    contributions pays one narrowing instead of ``P - 1``.  Accumulating
-    in ``float32`` is *more* accurate than stepwise ``float16``
-    arithmetic but not bit-identical to it; use it only where no
-    bit-agreement contract with a stepwise peer exists (reductions with
-    a single owner, local accumulation), never to replace one side of a
-    symmetric exchange.
-
 ``bf16_widen`` / ``bf16_narrow``
     The bfloat16 wire transforms (``uint16`` bit patterns, round to
     nearest even) as pure vectorised integer/float32 ops — shared by
@@ -46,13 +34,9 @@ it, selected **by dtype at call time** so callers never special-case:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = [
-    "WidenedAccumulator",
-    "accumulator",
     "bf16_narrow",
     "bf16_widen",
     "combine_into",
@@ -85,61 +69,6 @@ def combine_into(ufunc: np.ufunc, out: np.ndarray, other) -> bool:
     ufunc(out, other, out=scratch, dtype=wide)
     np.copyto(out, scratch, casting="same_kind")
     return True
-
-
-class WidenedAccumulator:
-    """Accumulate narrow-dtype segments at wide-dtype vector speed.
-
-    Widen ``out`` once, :meth:`combine` any number of equally-shaped
-    narrow segments (each a single fused cast-and-combine ufunc call),
-    then :meth:`finish` to narrow the wide accumulator back into
-    ``out`` with one vectorised store.
-
-    The accumulation runs entirely in the wide dtype, so the result is
-    at least as accurate as — but not bit-identical to — the stepwise
-    narrow arithmetic it replaces.
-    """
-
-    def __init__(self, ufunc: np.ufunc, out: np.ndarray, wide: np.dtype) -> None:
-        self._ufunc = ufunc
-        self._out = out
-        self._acc = np.empty(out.shape, dtype=wide)
-        np.copyto(self._acc, out, casting="safe")
-
-    def combine(self, other) -> None:
-        """Fold one narrow segment into the wide accumulator in place.
-
-        A contribution *wider* than the accumulator dtype (e.g. a
-        float64 array folded into a float16 reduction) is combined at
-        its own precision instead — squeezing it through float32 would
-        double-round where the stepwise fallback computes wide and
-        narrows once.
-        """
-        other = np.asarray(other)
-        if other.dtype.itemsize > self._acc.dtype.itemsize:
-            self._acc = self._ufunc(self._acc, other)
-        else:
-            self._ufunc(self._acc, other, out=self._acc)
-
-    def finish(self) -> np.ndarray:
-        """Narrow the accumulator back into ``out`` and return it."""
-        np.copyto(self._out, self._acc, casting="same_kind")
-        return self._out
-
-
-
-def accumulator(ufunc, out: np.ndarray) -> Optional[WidenedAccumulator]:
-    """A :class:`WidenedAccumulator` over ``out``, or ``None``.
-
-    ``None`` means no vectorised path applies (wide dtype, or the
-    operator has no ufunc) and the caller should combine stepwise.
-    """
-    if not isinstance(ufunc, np.ufunc) or not isinstance(out, np.ndarray):
-        return None
-    wide = _WIDEN.get(out.dtype)
-    if wide is None:
-        return None
-    return WidenedAccumulator(ufunc, out, wide)
 
 
 # ---------------------------------------------------------------------------

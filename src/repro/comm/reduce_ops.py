@@ -83,21 +83,6 @@ class ReduceOp:
         out[...] = self.fn(out, np.asarray(other))
         return out
 
-    def accumulator(self, out: np.ndarray):
-        """A widened accumulator over ``out``, or ``None``.
-
-        When ``out`` has a narrow float dtype (and this operator has a
-        ufunc), returns a
-        :class:`repro.comm.reduce_kernels.WidenedAccumulator` that folds
-        many contributions at ``float32`` vector speed and narrows once
-        — the multi-segment form of :meth:`combine_into`.  Float32
-        accumulation is more accurate than (not bit-identical to)
-        stepwise narrow arithmetic, so callers must only use it where no
-        bit-agreement contract with stepwise peers exists (e.g. a
-        rooted reduction).  ``None`` means combine stepwise.
-        """
-        return reduce_kernels.accumulator(self.ufunc, out)
-
     def reduce_many(self, arrays) -> np.ndarray:
         """Reduce an iterable of equally-shaped arrays."""
         arrays = list(arrays)

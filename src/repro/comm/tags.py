@@ -28,19 +28,19 @@ Layout (all bounds half-open)::
                                  trace-buffer shipment to rank 0)
     [1_000_000_000, 2_000_000_000)   dissemination barrier
     [2_000_000_000, 2_000_000_000 + 2^62)   synchronous collectives
-                                 (allreduces, broadcast, reduce,
-                                 allgather, reduce-scatter,
-                                 allgather-flat)
+                                 (allreduces, allgather,
+                                 reduce-scatter, allgather-flat)
 
 The synchronous region additionally carries an internal ``(epoch,
 phase, round, chunk)`` field layout, declared here so both the
 collectives and the static schedule verifier
 (:mod:`repro.analysis.schedule_verifier`) can mint *and* decode tags from
-the same constants.  The epoch is the communicator's one collective
-counter; the phase ids are the one phase table of
-:mod:`repro.collectives.sync`.  The layout tops out below ``2^63``, so
-every tag stays exact in the int64/u64 headers of the framing
-transports.
+the same constants, and a receive that misses its deadline names the
+fields it waited on (:func:`describe_tag`).  The epoch is the
+communicator's one collective counter; the phase ids are the one phase
+table of :mod:`repro.collectives.sync`.  The layout tops out below
+``2^63``, so every tag stays exact in the int64/u64 headers of the
+framing transports.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ SYNC_MAX_CHUNKS = 4_096
 #: Rounds addressable within one phase (supports ring worlds to P = 2^17).
 SYNC_MAX_ROUNDS = 1 << 17
 #: Algorithm phases addressable within one epoch (the phase table of
-#: repro.collectives.sync fills all 16).
+#: repro.collectives.sync spans all 16, ids 0 and 1 retired).
 SYNC_MAX_PHASES = 16
 #: Tag stride between consecutive rounds (one slot per pipeline chunk).
 SYNC_ROUND_STRIDE = SYNC_MAX_CHUNKS
@@ -276,6 +276,22 @@ def decode_sync_tag(tag: int) -> SyncTagFields:
     phase, rest = divmod(rest, SYNC_PHASE_STRIDE)
     round_index, chunk = divmod(rest, SYNC_ROUND_STRIDE)
     return SyncTagFields(epoch, phase, round_index, chunk)
+
+
+def describe_tag(tag: int) -> str:
+    """``tag`` as an error message names it: a reserved tag with its
+    region and, for a sync tag, its ``(epoch, phase, round, chunk)``
+    fields; a user tag (or ``ANY_TAG``) as the bare integer."""
+    reg = region_of(tag)
+    if reg is None:
+        return str(tag)
+    if reg is not SYNC:
+        return f"{tag} ({reg.name})"
+    epoch, phase, round_index, chunk = decode_sync_tag(tag)
+    return (
+        f"{tag} ({reg.name}: epoch {epoch}, phase {phase}, round {round_index}, "
+        f"chunk {chunk})"
+    )
 
 
 def partial_activation_tag(round_index: int) -> int:

@@ -44,7 +44,6 @@ from repro.obs.trace import (
 from repro.obs.collect import (
     estimate_clock_offsets,
     gather_traces,
-    telemetry_round_trip,
 )
 
 __all__ = [
@@ -61,5 +60,4 @@ __all__ = [
     "write_chrome_trace",
     "estimate_clock_offsets",
     "gather_traces",
-    "telemetry_round_trip",
 ]

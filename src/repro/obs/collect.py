@@ -21,10 +21,8 @@ happen before those dumps become one aligned timeline:
 Every receive waits at most the communicator's deadline (the world's;
 see :mod:`repro.comm.communicator`).  The combined schedule is
 deterministic SPMD — every rank performs the same source-explicit
-sends/recvs in the same order — so the static schedule verifier can
-sweep it like any collective:
-:func:`telemetry_round_trip` is the verifier-facing wrapper whose rank-0
-oracle is the sum of the (known) payloads shipped by every rank.
+sends/recvs in the same order — so the static schedule verifier
+(:mod:`repro.analysis.schedule_verifier`) sweeps it like any collective.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.comm import tags
 __all__ = [
     "estimate_clock_offsets",
     "gather_traces",
-    "telemetry_round_trip",
 ]
 
 #: Ping-pong rounds per peer; the minimum-RTT round wins.
@@ -99,26 +96,4 @@ def gather_traces(
         assert offsets is not None
         return payloads, offsets
     comm.send(payload, 0, tag=tags.telemetry_buffer_tag(rank))
-    return None
-
-
-def telemetry_round_trip(comm, rounds: int = 2) -> Optional[int]:
-    """Verifier-facing telemetry collection schedule.
-
-    Runs the exact clock-sync + buffer-shipment schedule of
-    :func:`gather_traces` with a known payload (``rank + 1``), so the
-    static schedule verifier can prove the collection match-complete,
-    tag-sound and deadlock-free at every world size.  Rank 0 returns the
-    sum of all shipped payloads — ``P * (P + 1) / 2`` — as the result
-    oracle; other ranks return ``None``.
-    """
-    result = gather_traces(comm, comm.rank + 1, rounds=rounds)
-    if comm.rank == 0:
-        payloads, offsets = result
-        if sorted(offsets) != list(range(comm.size)):
-            raise AssertionError(
-                f"clock-offset map covers ranks {sorted(offsets)}, "
-                f"expected 0..{comm.size - 1}"
-            )
-        return int(sum(int(p) for p in payloads))
     return None

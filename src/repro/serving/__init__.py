@@ -19,7 +19,7 @@ Entry points: :func:`~repro.serving.server.serve` /
 the thread backend.  The request/response and hot-swap schedules are
 statically verified alongside the collectives by
 ``python -m repro verify`` (see
-:func:`repro.serving.protocol.serving_round_trip`).
+:func:`repro.analysis.schedule_verifier.serving_round_trip`).
 """
 
 from repro.serving.batching import (

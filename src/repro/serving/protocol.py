@@ -20,18 +20,17 @@ implicitly by shipping its weights — the publisher never sends both for
 one version to one destination, so swap tags stay unique per (source,
 destination) pair.
 
-:func:`serving_round_trip` re-expresses one serving round as a
-deterministic SPMD schedule for the static verifier
-(:mod:`repro.analysis.schedule_verifier`): request fan-out, response
-fan-in, hot-swap publishes/announces and the stop fan-out, all with
-explicit sources — so match-completeness, tag soundness and deadlock
-freedom of the serving schedule are machine-checked like every
+The static schedule verifier (:mod:`repro.analysis.schedule_verifier`)
+runs these senders in one deterministic serving round — request fan-out,
+response fan-in, hot-swap publishes/announces and the stop fan-out, all
+with explicit sources — so match-completeness, tag soundness and
+deadlock freedom of the serving schedule are machine-checked like every
 collective.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -142,91 +141,3 @@ def send_announce(comm, dest: int, version: int) -> None:
 def send_stop(comm, dest: int) -> None:
     """Frontend -> replica: shut down after the current batch."""
     comm.send((MSG_STOP,), dest, tag=tags.serving_control_tag(CONTROL_STOP))
-
-
-# ---------------------------------------------------------------------------
-# world layout helpers shared by the verifier schedule
-# ---------------------------------------------------------------------------
-def round_trip_layout(
-    world_size: int,
-) -> Tuple[int, Optional[int], Tuple[int, ...]]:
-    """(frontend, publisher, replicas) of the verifier's serving world.
-
-    Mirrors the real layout of :class:`~repro.serving.ServingConfig` —
-    trainers first, replicas next, frontend last — shrunk to the smallest
-    co-scheduled shape: one publisher (when ``world_size >= 3``), all
-    middle ranks replicas, last rank frontend.  At ``world_size == 2``
-    the world is serve-only (replica + frontend, no publisher).
-    """
-    if world_size < 2:
-        raise ValueError(
-            f"serving needs at least a replica and a frontend, got "
-            f"world size {world_size}"
-        )
-    frontend = world_size - 1
-    publisher: Optional[int] = 0 if world_size >= 3 else None
-    first_replica = 1 if publisher is not None else 0
-    return frontend, publisher, tuple(range(first_replica, frontend))
-
-
-def serving_round_trip(comm, num_requests: int = 4, num_swaps: int = 2) -> Any:
-    """One deterministic serving round for the schedule verifier.
-
-    The frontend fans ``num_requests`` single-element batches out over
-    the replicas round-robin and collects the responses; the publisher
-    (when present) ships ``num_swaps`` weight versions to every replica,
-    then announces two further versions to the replicas *and* the
-    frontend; the frontend finally fans out stop messages.  Every receive
-    names its source and every tag comes from the serving region, so the
-    verifier's match/tag/deadlock checkers apply verbatim.
-
-    Returns the integer sum of the response values on the frontend rank
-    (each replica doubles its input, so the exact expected total is
-    ``num_requests * (num_requests + 1)``) and ``None`` elsewhere.
-    """
-    frontend, publisher, replicas = round_trip_layout(comm.size)
-    assigned = {s: replicas[s % len(replicas)] for s in range(num_requests)}
-    shipped = range(1, num_swaps + 1)
-    announced = range(num_swaps + 1, num_swaps + 3)
-    rank = comm.rank
-
-    if rank == frontend:
-        for seq in range(num_requests):
-            send_request(
-                comm, assigned[seq], seq, [seq], np.array([float(seq + 1)])
-            )
-        total = 0.0
-        for seq in range(num_requests):
-            msg = comm.recv(
-                source=assigned[seq], tag=tags.serving_response_tag(seq)
-            )
-            total += float(msg[3].sum())
-        if publisher is not None:
-            for version in announced:
-                comm.recv(source=publisher, tag=tags.serving_swap_tag(version))
-        for replica in replicas:
-            send_stop(comm, replica)
-        return int(total)
-
-    if rank in replicas:
-        for seq in [s for s in range(num_requests) if assigned[s] == rank]:
-            msg = comm.recv(source=frontend, tag=tags.serving_request_tag(seq))
-            outputs = 2.0 * msg[3]
-            send_result(comm, frontend, seq, msg[2], outputs, 0, {})
-        if publisher is not None:
-            for version in shipped:
-                comm.recv(source=publisher, tag=tags.serving_swap_tag(version))
-            for version in announced:
-                comm.recv(source=publisher, tag=tags.serving_swap_tag(version))
-        comm.recv(source=frontend, tag=tags.serving_control_tag(CONTROL_STOP))
-        return None
-
-    # publisher: ship full weights, then announce weight-less versions.
-    for version in shipped:
-        for replica in replicas:
-            send_weights(comm, replica, version, np.full(3, float(version)))
-    for version in announced:
-        for replica in replicas:
-            send_announce(comm, replica, version)
-        send_announce(comm, frontend, version)
-    return None

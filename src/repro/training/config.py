@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.collectives.sync import ALLREDUCE_ALGORITHMS
+from repro.comm import tags
 from repro.imbalance.cost_model import CostModel
 from repro.imbalance.injection import DelayInjector, NoDelay
 from repro.training.bucketing import validate_fusion_threshold
@@ -216,23 +217,48 @@ class TrainingConfig:
                     f"pipeline_chunks must be an integer or 'auto', "
                     f"got {self.pipeline_chunks!r}"
                 )
-        elif self.pipeline_chunks < 1:
+        elif not 1 <= self.pipeline_chunks <= tags.SYNC_MAX_CHUNKS:
             raise ValueError(
-                f"pipeline_chunks must be >= 1 or 'auto', got {self.pipeline_chunks!r}"
+                f"pipeline_chunks must be in [1, {tags.SYNC_MAX_CHUNKS}] or 'auto', "
+                f"got {self.pipeline_chunks!r}"
             )
+        codec = None
         if self.compression is not None:
-            from repro.compression import get_codec
+            from repro.compression import resolve_codec
 
             # Raises ValueError on unknown codec names or invalid options.
-            get_codec(self.compression)
+            codec = resolve_codec(self.compression)
         if self.sharding not in ("none", "zero1"):
             raise ValueError(
                 f"sharding must be 'none' or 'zero1', got {self.sharding!r}"
             )
         if self.sharding == "zero1":
+            # What ShardedExchange would refuse on every rank, refused here.
+            from repro.training.exchange import _SHARDED_ALGORITHM_FOR_ALLREDUCE
+
             if self.mode != "sync":
                 raise ValueError(
                     f"sharding='zero1' requires mode='sync', got mode={self.mode!r}"
+                )
+            if self.sync_style != "deep500":
+                raise ValueError(
+                    f"sharding='zero1' runs no Horovod negotiation; it requires "
+                    f"sync_style='deep500', got {self.sync_style!r}"
+                )
+            if codec is not None and not codec.reduce_closed:
+                raise ValueError(
+                    f"sharding='zero1' supports reduce-closed codecs only (e.g. "
+                    f"fp16), got compression={self.compression!r}"
+                )
+            ring = sorted(
+                name for name, sharded in _SHARDED_ALGORITHM_FOR_ALLREDUCE.items()
+                if sharded == "ring"
+            )
+            if codec is not None and self.allreduce_algorithm not in ring:
+                raise ValueError(
+                    f"sharding='zero1' with compression={self.compression!r} rides "
+                    f"the ring only; allreduce_algorithm must be one of {ring}, "
+                    f"got {self.allreduce_algorithm!r}"
                 )
 
     @property

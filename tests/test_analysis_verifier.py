@@ -81,6 +81,24 @@ def test_a_send_logs_before_another_thread_of_its_rank_receives_it(monkeypatch):
     assert result.ok, [str(v) for v in result.violations]
 
 
+@pytest.mark.parametrize("size", [2, 3, 5, 8])
+def test_interpreted_event_order_is_a_deadlock_witness(size):
+    """Why ``run_case`` skips the toposort on an interpreted case: the
+    walk logs each event after its rank's previous one and each receive
+    after the send it matches, so the log order is a topological order
+    of the program-order + match-edge graph, and the toposort agrees."""
+    for case in sv.build_plan_cases(size):
+        record = case.record()
+        last_order = {}
+        for index, event in enumerate(record.events):
+            assert event.order >= last_order.get(event.rank, -1), case.name
+            last_order[event.rank] = event.order
+            if event.kind == "recv":
+                assert record.events[event.seq].kind == "send", case.name
+                assert event.seq < index, case.name
+        assert sv.check_deadlock_freedom(record, case.name, toposort=True) == []
+
+
 def test_tag_layout_static_case():
     result = sv.check_tag_layout()
     assert result.ok, [str(v) for v in result.violations]

@@ -230,6 +230,25 @@ class TestPointToPoint:
             assert f"source={1 - rank} tag=5" in outcome
             assert 0.2 <= waited < 10 and late == "late"
 
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_sync_tag_timeout_names_phase_and_round(self, name):
+        """A collective's receive that misses the deadline says which
+        phase, round and chunk it starved in, not a bare integer."""
+
+        def worker(comm):
+            from repro.comm import CommTimeoutError, tags
+
+            tag = tags.sync_tag(7, 4, 3, 2)
+            try:
+                comm.recv(source=1 - comm.rank, tag=tag)
+            except CommTimeoutError as exc:
+                return str(exc)
+            return "received"
+
+        results = launch(worker, 2, backend=name, default_recv_timeout=0.2, timeout=60)
+        for outcome in results:
+            assert "(sync-collectives: epoch 7, phase 4, round 3, chunk 2)" in outcome
+
     def test_probe_and_poll(self, backend):
         def worker(comm):
             if comm.rank == 0:
@@ -404,18 +423,13 @@ class TestCollectives:
             expected
         ] * size
 
-    def test_broadcast_and_allgather(self, backend):
+    def test_allgather(self, backend):
         def worker(comm):
-            from repro.collectives.sync import allgather, broadcast
+            from repro.collectives.sync import allgather
 
-            root_value = np.full(17, 7.0) if comm.rank == 0 else None
-            b = broadcast(comm, root_value, root=0)
-            g = allgather(comm, comm.rank * 2)
-            return float(b[0]), list(g)
+            return list(allgather(comm, comm.rank * 2))
 
-        for b, g in launch(worker, 4, backend=backend):
-            assert b == 7.0
-            assert g == [0, 2, 4, 6]
+        assert launch(worker, 4, backend=backend) == [[0, 2, 4, 6]] * 4
 
     @pytest.mark.parametrize("mode", ["solo", "majority"])
     def test_partial_allreduce(self, backend, mode):

@@ -1,4 +1,4 @@
-"""Tests for the synchronous collectives (allreduce, broadcast, reduce)."""
+"""Tests for the synchronous collectives (allreduce, allgather)."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.collectives import (
     ALLREDUCE_ALGORITHMS,
     allgather,
     allreduce,
-    broadcast,
-    reduce_to_root,
 )
 
 
@@ -84,29 +82,7 @@ class TestAllreduceAlgorithms:
             assert np.allclose(r, expected)
 
 
-class TestBroadcastReduceAllgather:
-    @pytest.mark.parametrize("size,root", [(1, 0), (2, 1), (5, 3), (8, 7)])
-    def test_broadcast(self, size, root):
-        def worker(comm):
-            value = {"payload": 42} if comm.rank == root else None
-            return broadcast(comm, value, root=root)
-
-        results = launch(worker, size)
-        assert all(r == {"payload": 42} for r in results)
-
-    @pytest.mark.parametrize("size,root", [(1, 0), (3, 0), (4, 2), (7, 6)])
-    def test_reduce_to_root(self, size, root):
-        def worker(comm):
-            return reduce_to_root(comm, np.full(4, comm.rank + 1.0), root=root)
-
-        results = launch(worker, size)
-        expected = sum(range(1, size + 1))
-        for rank, r in enumerate(results):
-            if rank == root:
-                assert np.allclose(r, expected)
-            else:
-                assert r is None
-
+class TestAllgather:
     @pytest.mark.parametrize("size", [1, 2, 5, 8])
     def test_allgather(self, size):
         results = launch(lambda comm: allgather(comm, comm.rank * 2), size)

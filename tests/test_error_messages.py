@@ -291,6 +291,25 @@ CASES = {
     "TrainingConfig-allreduce-algorithm": (
         lambda: TrainingConfig(allreduce_algorithm="bogus").validate(), "got 'bogus'",
     ),
+    # Each of these passed validate() and then raised WorldError on every
+    # rank, or (horovod) ran something describe() did not say.
+    "TrainingConfig-pipeline-chunks-above-tag-field": (
+        lambda: TrainingConfig(pipeline_chunks=5000).validate(), "got 5000",
+    ),
+    "TrainingConfig-zero1-codec-not-reduce-closed": (
+        lambda: TrainingConfig(sharding="zero1", compression="topk").validate(),
+        "got compression='topk'",
+    ),
+    "TrainingConfig-zero1-codec-off-the-ring": (
+        lambda: TrainingConfig(
+            sharding="zero1", compression="fp16", allreduce_algorithm="rabenseifner"
+        ).validate(),
+        "got 'rabenseifner'",
+    ),
+    "TrainingConfig-zero1-horovod": (
+        lambda: TrainingConfig(sharding="zero1", sync_style="horovod").validate(),
+        "got 'horovod'",
+    ),
     # A threshold reaches the exchange checked, not as one-element buckets
     # (0, -5) or a TypeError on every rank ("auto", which only the runner
     # resolves).

@@ -18,13 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.schedule_verifier import telemetry_round_trip
 from repro.comm.backend import available_backends, launch
 from repro.obs import recorder as rec_mod
-from repro.obs.collect import (
-    estimate_clock_offsets,
-    gather_traces,
-    telemetry_round_trip,
-)
+from repro.obs.collect import estimate_clock_offsets, gather_traces
 from repro.obs.metrics import LogHistogram, straggler_attribution
 from repro.obs.recorder import FlightRecorder, bind, current
 from repro.obs.trace import (

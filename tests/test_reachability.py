@@ -9,6 +9,11 @@ loads, so a package ``__init__`` re-export keeps nothing alive.  Two kinds of
 definition are exempt: those registered through a ``register_*`` decorator
 (module-level ``register_*(Thing)`` calls are live code already) and
 ``typing.Protocol`` declarations.
+
+The checkers (:data:`CHECKERS`: ``repro.analysis`` and the ``verify``
+command) are swept like the rest, but what they load reaches only their
+own definitions: verified code must be used code, so a production
+definition that only the verifier calls is an orphan.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # "module:name" -> one-line reason it stays unreached.  Keep it empty.
 ALLOWED: dict = {}
+
+#: Modules (``package/module``, and everything under a package) and
+#: ``module:name`` definitions whose loads keep no production code alive.
+CHECKERS = ("repro/analysis", "repro/cli:_verify")
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -50,27 +59,38 @@ def _exempt(node: ast.AST) -> bool:
     )
 
 
-def unreached(src: Path, roots: Iterable[Path]) -> List[str]:
-    """``module:name`` of every top-level definition under ``src`` nothing live loads."""
-    live, pending = set(), {}
+def _is_checker(label: str, checkers: Iterable[str]) -> bool:
+    return any(label == c or label.startswith((c + "/", c + ":")) for c in checkers)
+
+
+def unreached(src: Path, roots: Iterable[Path], checkers: Iterable[str] = ()) -> List[str]:
+    """``module:name`` of every top-level definition under ``src`` nothing live loads.
+
+    A name loaded by ``checkers`` code (see :data:`CHECKERS`) reaches
+    ``checkers`` definitions only."""
+    # live[True]: loads by checker code; live[False]: by everything else.
+    live, pending = {False: set(), True: set()}, {}
     for path in sorted(src.rglob("*.py")):
         module = path.relative_to(src).with_suffix("").as_posix()
         for stmt in ast.parse(path.read_text(), str(path)).body:
             if not isinstance(stmt, _DEFS):
-                live |= _loads(stmt)
-            elif _exempt(stmt):
-                live |= _loads(stmt) - {stmt.name}
+                live[_is_checker(module, checkers)] |= _loads(stmt)
+                continue
+            label = f"{module}:{stmt.name}"
+            checker = _is_checker(label, checkers)
+            if _exempt(stmt):
+                live[checker] |= _loads(stmt) - {stmt.name}
             else:
-                pending[f"{module}:{stmt.name}"] = stmt
+                pending[label] = (stmt, checker)
     for root in roots:
         for path in sorted(root.rglob("*.py")):
-            live |= _loads(ast.parse(path.read_text(), str(path)))
+            live[False] |= _loads(ast.parse(path.read_text(), str(path)))
     changed = True
     while changed:
         changed = False
-        for label, stmt in list(pending.items()):
-            if stmt.name in live:
-                live |= _loads(stmt) - {stmt.name}
+        for label, (stmt, checker) in list(pending.items()):
+            if stmt.name in live[False] or (checker and stmt.name in live[True]):
+                live[checker] |= _loads(stmt) - {stmt.name}
                 del pending[label]
                 changed = True
     return sorted(pending)
@@ -78,7 +98,9 @@ def unreached(src: Path, roots: Iterable[Path]) -> List[str]:
 
 def test_every_src_definition_is_reached():
     roots = [ROOT / name for name in ("bench", "benchmarks", "examples")]
-    orphans = [label for label in unreached(ROOT / "src", roots) if label not in ALLOWED]
+    orphans = [
+        label for label in unreached(ROOT / "src", roots, CHECKERS) if label not in ALLOWED
+    ]
     assert orphans == []
 
 
@@ -107,7 +129,9 @@ def test_sweep_reports_an_orphan_and_what_only_it_calls(tmp_path):
 
 
 # One clause of the rule each: (src/pkg/a.py, root directory, root/main.py,
-# what the sweep reports).
+# what the sweep reports).  A root directory under ``src/pkg`` is swept as
+# source, not passed as a root; ``pkg/check`` and ``pkg/a:_verify`` are the
+# checkers.
 RULE_CASES = {
     "loaded-from-bench": ("def f(): ...\n", "bench", "from pkg.a import f\nf()\n", []),
     "loaded-from-benchmarks": ("def f(): ...\n", "benchmarks", "from pkg.a import f\nf()\n", []),
@@ -144,6 +168,21 @@ RULE_CASES = {
     "typing-dot-protocol-is-exempt": (
         "import typing\nclass P(typing.Protocol): ...\n", "examples", "", []
     ),
+    "loaded-only-from-a-checker-package-is-reported": (
+        "def f(): ...\n", "src/pkg/check", "from pkg.a import f\nf()\n", ["pkg/a:f"]
+    ),
+    "loaded-only-by-a-checker-definition-is-reported": (
+        "def f(): ...\ndef _verify(): return f()\nCOMMANDS = [_verify]\n",
+        "examples", "", ["pkg/a:f"],
+    ),
+    "checker-loads-reach-checker-definitions": (
+        "def _verify(): return run()\nCOMMANDS = [_verify]\n",
+        "src/pkg/check", "def run(): return _helper()\ndef _helper(): ...\n", [],
+    ),
+    "unreached-checker-definition-is-reported": (
+        "def f(): ...\n", "src/pkg/check", "def orphan(): ...\n",
+        ["pkg/a:f", "pkg/check/main:orphan"],
+    ),
 }
 
 
@@ -151,9 +190,10 @@ RULE_CASES = {
 def test_sweep_rule(case, tmp_path):
     source, root_name, root_source, expected = RULE_CASES[case]
     src, root = tmp_path / "src" / "pkg", tmp_path / root_name
-    src.mkdir(parents=True)
-    root.mkdir()
+    root.mkdir(parents=True)
+    src.mkdir(parents=True, exist_ok=True)
     (src / "__init__.py").write_text("from pkg.a import *\n")
     (src / "a.py").write_text(source)
     (root / "main.py").write_text(root_source)
-    assert unreached(tmp_path / "src", [root]) == expected
+    roots = [] if root_name.startswith("src/") else [root]
+    assert unreached(tmp_path / "src", roots, ("pkg/check", "pkg/a:_verify")) == expected

@@ -9,9 +9,9 @@ allreduce, reduce-scatter and allgather, the interleaved sequence and the
 deep500 / sharded exchanges' bucket plans) is hashed from
 :func:`~repro.analysis.schedule_verifier.interpret`'s record, without
 threads; only what is not a plan
-(:func:`~repro.analysis.schedule_verifier.build_cases`: broadcast,
-reduce, the object allgather, the barrier, serving, telemetry and
-Horovod's exchange) is recorded by :mod:`repro.analysis.recording`.
+(:func:`~repro.analysis.schedule_verifier.build_cases`: the object
+allgather, the barrier, serving, telemetry and Horovod's exchange) is
+recorded by :mod:`repro.analysis.recording`.
 ``tests/test_plans.py`` proves each plan case's interpreted lists equal
 those of a recorded run of the live collective or exchange, so a green
 run here proves the live code too mints the same tags, talks to the same
@@ -37,7 +37,9 @@ records reproduce the recorded hashes byte for byte.  The 56
 ``reduce_scatter+allgather[hierarchical,*,chunks=1|3]`` entries were
 added when the table took the hierarchical schedule at 1 and 3 chunks
 too, from the interpreted record, which equals a recorded run of the
-live collective for each of them.
+live collective for each of them.  The 15 ``broadcast[root=*]`` and
+``reduce[root=*]`` entries went with the rooted broadcast and reduce;
+their phase ids (0 and 1) are retired, so no surviving tag moved.
 
 Regenerate (only when a schedule is changed on purpose) with
 ``PYTHONPATH=src python tests/test_schedule_fingerprints.py``.

@@ -66,6 +66,19 @@ def test_sync_tag_round_trip():
         assert tuple(tags.decode_sync_tag(tag)) == fields
 
 
+def test_describe_tag_decodes_reserved_tags_only():
+    from repro.comm.message import ANY_TAG
+
+    assert tags.describe_tag(5) == "5"
+    assert tags.describe_tag(ANY_TAG) == str(ANY_TAG)
+    serving = tags.serving_request_tag(3)
+    assert tags.describe_tag(serving) == f"{serving} (serving)"
+    sync = tags.sync_tag(1, 2, 3, 4)
+    assert tags.describe_tag(sync) == (
+        f"{sync} (sync-collectives: epoch 1, phase 2, round 3, chunk 4)"
+    )
+
+
 def test_sync_tag_validates_every_field():
     with pytest.raises(ValueError, match="epoch"):
         tags.sync_tag(tags.SYNC_MAX_EPOCHS, 0, 0, 0)
@@ -148,14 +161,30 @@ def test_owning_modules_import_from_the_table():
     assert communicator._BARRIER_TAG_BASE == tags.BARRIER_TAG_BASE
 
 
-def test_phase_table_fills_the_phase_field():
-    """Every collective's phase ids come from sync's one table, 0..15."""
+def test_phase_ids_are_pinned():
+    """Every collective's phase ids come from sync's one table.  Ids are
+    wire protocol: the retired 0 and 1 (the rooted broadcast and reduce)
+    stay unused, and no other id moved when they went."""
     from repro.collectives import sync
 
-    ids = sorted(
-        value for name, value in vars(sync).items() if name.startswith("_PHASE_")
-    )
-    assert ids == list(range(tags.SYNC_MAX_PHASES))
+    ids = {name: value for name, value in vars(sync).items() if name.startswith("_PHASE_")}
+    assert ids == {
+        "_PHASE_GATHER": 2,
+        "_PHASE_RD": 3,
+        "_PHASE_RING_RS": 4,
+        "_PHASE_RING_AG": 5,
+        "_PHASE_HALVING_RS": 6,
+        "_PHASE_DOUBLING_AG": 7,
+        "_PHASE_FOLD_IN": 8,
+        "_PHASE_FOLD_OUT": 9,
+        "_PHASE_HIER_REDUCE": 10,
+        "_PHASE_HIER_BCAST": 11,
+        "_PHASE_LEADER_RS": 12,
+        "_PHASE_LEADER_AG": 13,
+        "_PHASE_HIER_SCATTER": 14,
+        "_PHASE_HIER_GATHER": 15,
+    }
+    assert max(ids.values()) < tags.SYNC_MAX_PHASES
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.collectives.sync import ALLREDUCE_ALGORITHMS
 from repro.comm import ThreadWorld, launch
+from repro.compression import available_codecs
 from repro.data import HyperplaneDataset, cifar10_like
 from repro.data.loader import Batch
 from repro.imbalance import FixedCostModel, NoDelay, RandomSubsetDelay, RotatingSkewDelay
@@ -61,9 +63,41 @@ class TestConfig:
             dict(learning_rate=float("inf")),
             dict(time_scale=float("nan")),
             dict(allreduce_algorithm="bogus"),
+            dict(pipeline_chunks=5000),
+            dict(sharding="zero1", compression="int8"),
+            dict(sharding="zero1", compression="fp16", allreduce_algorithm="rabenseifner"),
+            dict(sharding="zero1", sync_style="horovod"),
         ):
             with pytest.raises(ValueError):
                 TrainingConfig(**bad).validate()
+
+    @pytest.mark.parametrize("algorithm", sorted(ALLREDUCE_ALGORITHMS))
+    @pytest.mark.parametrize("compression", available_codecs())
+    def test_zero1_validation_agrees_with_the_sharded_exchange(self, compression, algorithm):
+        """validate() refuses a zero1 codec / algorithm pair exactly when
+        the exchange the runner builds from it would refuse it on every
+        rank (a single-host thread world)."""
+        config = TrainingConfig(
+            sharding="zero1", compression=compression, allreduce_algorithm=algorithm
+        )
+
+        def worker(comm):
+            try:
+                build_exchange(
+                    comm, 64, config.mode, sync_style=config.sync_style,
+                    algorithm=algorithm, compression=compression, sharding="zero1",
+                )
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        refusals = launch(worker, 2)
+        try:
+            config.validate()
+        except ValueError:
+            assert all(refusals), refusals
+        else:
+            assert refusals == [None, None]
 
     def test_local_batch_and_describe(self):
         cfg = TrainingConfig(world_size=4, global_batch_size=64, mode="majority")
