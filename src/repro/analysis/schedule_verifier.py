@@ -30,8 +30,8 @@ swept over world sizes, chunk counts and host topologies:
     all certificates (``float64`` integer arithmetic below ``2**53`` is
     exact), proving every rank's term lands in the result exactly once.
 
-The synchronous flat-buffer collectives' schedules are data (the plans
-of :mod:`repro.collectives.sync`), so they are checked without threads:
+Every synchronous collective's schedule is data (the plans of
+:mod:`repro.collectives.sync`), so it is checked without threads:
 :func:`interpret` walks every rank's plans
 (:func:`repro.collectives.sync.walk_plans`, the one offline traversal of
 a schedule) into the :class:`~repro.analysis.recording.RunRecord` the
@@ -39,18 +39,19 @@ checkers read.  :func:`build_plan_cases` is the one table of them — the
 allreduce algorithms (with chunk pipelining, ``average``, the fp16 wire
 and non-uniform :class:`~repro.collectives.topology.HostTopology` layouts
 for the hierarchical schedule), the reduce-scatter and allgather halves,
-dense and sharded collectives interleaved on one epoch counter, and the
-bucket-plan sequences of the deep500
-:class:`~repro.training.exchange.SynchronousExchange` and of
-:class:`~repro.training.exchange.ShardedExchange` — interpreted at every
-world size of the sweep and at P = 64, 256 and 1024.
+dense and sharded collectives interleaved on one epoch counter, the
+bucket-plan sequences of the deep500 and Horovod
+:class:`~repro.training.exchange.SynchronousExchange` (Horovod's
+negotiation is a ring allgather of a readiness table) and of
+:class:`~repro.training.exchange.ShardedExchange`, and the barrier (a
+zero-length recursive-doubling allreduce) — interpreted at every world
+size of the sweep and at P = 64, 256 and 1024.
 
 What is not a plan runs on a thread per rank under
-:mod:`repro.analysis.recording` (:func:`build_cases`): the object
-allgather, the barrier, the serving tier's request/response + hot-swap
-round trip (:func:`serving_round_trip`), the flight-recorder telemetry
-collection (:func:`telemetry_round_trip`),
-Horovod's negotiated exchange, and one round of the real
+:mod:`repro.analysis.recording`: the serving tier's request/response +
+hot-swap round trip (:func:`serving_round_trip`) and the flight-recorder
+telemetry collection (:func:`telemetry_round_trip`) in
+:func:`build_cases`, and one round of the real
 :class:`~repro.collectives.partial.PartialAllreduce`
 (:func:`partial_round_case`) — plus a purely static check of the partial
 activation dissemination rule the progress thread sends along
@@ -425,7 +426,6 @@ def check_reduction_coverage(
 # case model
 # ---------------------------------------------------------------------------
 _REGIONS_SYNC = frozenset({tags.SYNC.name})
-_REGIONS_BARRIER = frozenset({tags.BARRIER.name})
 _REGIONS_SERVING = frozenset({tags.SERVING.name})
 _REGIONS_TELEMETRY = frozenset({tags.TELEMETRY.name})
 _REGIONS_PARTIAL = frozenset({tags.PARTIAL_ACTIVATION.name, tags.SYNC.name})
@@ -510,12 +510,6 @@ def run_case(case: VerifyCase | PlanCase, toposort: bool = False) -> CaseResult:
 # ---------------------------------------------------------------------------
 # recorded cases: what is not a plan
 # ---------------------------------------------------------------------------
-def _two_buckets(n: int) -> int:
-    """The fusion threshold that cuts an ``n``-element float64 vector into
-    two buckets."""
-    return 8 * -(-n // 2)
-
-
 def serving_round_trip(comm, num_requests: int = 4, num_swaps: int = 2) -> Any:
     """One deterministic serving round, sent with the serving tier's own
     senders (:mod:`repro.serving.protocol`).
@@ -618,30 +612,9 @@ def telemetry_round_trip(comm, rounds: int = 2) -> Optional[int]:
 
 
 def build_cases(size: int) -> List[VerifyCase]:
-    """The recorded cases at world size ``size``: every collective that is
-    not a plan (the object allgather, the barrier, the serving and
-    telemetry schedules, and Horovod's negotiated exchange)."""
+    """The recorded cases at world size ``size``: the schedules that are
+    not plans, serving's and telemetry's."""
     cases: List[VerifyCase] = []
-
-    def fn_allgather(comm):
-        return sync.allgather(comm, (comm.rank, comm.rank * comm.rank))
-    cases.append(VerifyCase(
-        name="allgather",
-        world_size=size,
-        fn=fn_allgather,
-        expected=lambda rank, _p=size: [(r, r * r) for r in range(_p)],
-    ))
-
-    def fn_barrier(comm):
-        comm.barrier()
-        comm.barrier()
-        return None
-    cases.append(VerifyCase(
-        name="barrier[x2]",
-        world_size=size,
-        fn=fn_barrier,
-        regions=_REGIONS_BARRIER,
-    ))
 
     # The serving tier's request/response + hot-swap + stop schedule
     # (frontend fan-out, replica responses, publisher weight shipments
@@ -673,25 +646,6 @@ def build_cases(size: int) -> List[VerifyCase]:
         regions=_REGIONS_TELEMETRY,
     ))
 
-    # Horovod's exchange negotiates its bucket order with an object
-    # allgather every step, so it is recorded; deep500's fixed order is a
-    # bucket-plan sequence of :func:`build_plan_cases`.
-    if size <= 8:
-        n = size + 15
-        for algorithm in ("ring", "recursive_doubling"):
-            def fn_exchange(comm, _a=algorithm, _p=size, _n=n):
-                from repro.training.exchange import SynchronousExchange
-                with SynchronousExchange(
-                    comm, style="horovod", algorithm=_a,
-                    fusion_threshold_bytes=_two_buckets(_n),
-                ) as ex:
-                    return ex.exchange(_p * contribution(comm.rank, _p, n=_n)).gradient
-            cases.append(VerifyCase(
-                name=f"exchange[horovod,{algorithm},buckets=2]",
-                world_size=size,
-                fn=fn_exchange,
-                expected=lambda rank, _t=expected_sum(size, n=n): _t,
-            ))
     return cases
 
 
@@ -755,21 +709,20 @@ def interpret(
     bufs = [np.array(x, dtype=np.float64, copy=True).reshape(-1) for x in inputs]
     errors: List[Optional[BaseException]] = [None] * size
     events: List[CommEvent] = []
-
-    def shifted(plan: "sync.Plan", offset: int) -> "sync.Plan":
-        if not offset:
-            return plan
-        return tuple(
-            (name, tuple(s._replace(lo=s.lo + offset, hi=s.hi + offset) for s in steps))
-            for name, steps in plan
-        )
+    # A plan's window ``[lo, hi)`` is ``[offset + lo, offset + hi)`` of the
+    # vector: one view per plan, found by the plan's epoch, which is its
+    # index in the rank's program and is in every tag.
+    views = [
+        [buf[offset:] for _plan, offset in program] for buf, program in zip(bufs, programs)
+    ]
+    origin, stride = tags.SYNC_TAG_BASE, tags.SYNC_EPOCH_STRIDE
 
     def on_send(rank, pc, tag, step):
         seq = len(events)
         events.append(
             CommEvent("send", rank, pc, Channel.APP, step.peer, tag, seq, step.hi - step.lo)
         )
-        return seq, bufs[rank][step.lo:step.hi].copy()
+        return seq, views[rank][(tag - origin) // stride][step.lo:step.hi].copy()
 
     def on_recv(rank, pc, tag, step, message):
         seq, data = message
@@ -780,14 +733,15 @@ def interpret(
                 f"met a {hi - lo}-element receive"
             )
             return False
+        segment = views[rank][(tag - origin) // stride][lo:hi]
         if step.combine:
-            bufs[rank][lo:hi] += data
+            segment += data
         else:
-            bufs[rank][lo:hi] = data
+            segment[...] = data
         events.append(CommEvent("recv", rank, pc, Channel.APP, step.peer, tag, seq, hi - lo))
         return True
 
-    plans = [[shifted(plan, offset) for plan, offset in program] for program in programs]
+    plans = [[plan for plan, _offset in program] for program in programs]
     pcs, waiting = sync.walk_plans(plans, on_send, on_recv)
     for (source, rank, tag), _ in sorted(waiting.items(), key=lambda item: item[1]):
         events.append(CommEvent("starved", rank, pcs[rank], Channel.APP, source, tag, -1, 0))
@@ -795,6 +749,12 @@ def interpret(
             f"rank {rank}: no send matches its receive from {source} (tag {tag})"
         )
     return RunRecord(size, events, bufs, errors)
+
+
+def _two_buckets(n: int) -> int:
+    """The fusion threshold that cuts an ``n``-element float64 vector into
+    two buckets."""
+    return 8 * -(-n // 2)
 
 
 def _hier_topologies(size: int) -> List[Tuple[str, Optional[HostTopology]]]:
@@ -840,7 +800,12 @@ def build_plan_cases(size: int) -> List[PlanCase]:
       one allreduce, in bucket order) and of
       :class:`~repro.training.exchange.ShardedExchange` (every bucket's
       reduce-scatter, then every bucket's allgather), two buckets each,
-      single-host and on two hosts.
+      single-host and on two hosts;
+    * the Horovod exchange, ring and recursive doubling: the ring
+      allgather of the readiness table, then each bucket's allreduce in
+      the order :func:`~repro.training.exchange.negotiated_order` derives
+      from it;
+    * the barrier, twice.
 
     Every rank must read its part of the certificate sum.  An averaging
     case (the ring under ``average``, the exchanges) feeds ``P`` times
@@ -856,6 +821,7 @@ def build_plan_cases(size: int) -> List[PlanCase]:
     ``tests/data/schedule_fingerprints.json``.
     """
     from repro.training.bucketing import GradientBucketer
+    from repro.training.exchange import negotiated_order, readiness_positions
 
     n = size + 3
     ring = size <= STATIC_RING_MAX_SIZE
@@ -959,6 +925,41 @@ def build_plan_cases(size: int) -> List[PlanCase]:
             *buckets(rs, algorithm, n_sharded, topology),
             *buckets(ag, gather, n_sharded, topology),
             length=n_sharded, average=True)
+
+    # Horovod's exchange: the negotiation's ring allgather of every rank's
+    # readiness positions (a P x buckets table after the gradient), then
+    # each bucket's allreduce in the order the exchange's own rule derives
+    # from that table at step 0.  Up to the sweep's largest size: above
+    # it the table interprets the ring allgather and the allreduces on
+    # their own.
+    if size <= DEFAULT_WORLD_SIZES[-1]:
+        table = np.stack([readiness_positions(0, rank, 2) for rank in range(size)])
+        negotiate = plan(ag, "ring", length=table.size, offset=n_dense)
+        order = negotiated_order(table)
+
+        def negotiating(rank):
+            vector = np.zeros(n_dense + table.size)
+            vector[:n_dense] = size * contribution(rank, size, n=n_dense)
+            lo, hi = ag("ring", rank, size, table.size, 1)[1]
+            vector[n_dense + lo:n_dense + hi] = table[rank]
+            return vector
+
+        for algorithm in ("ring", "recursive_doubling"):
+            reduces = buckets(ar, algorithm, n_dense)
+            cases.append(PlanCase(
+                f"exchange[horovod,{algorithm},buckets=2]", size,
+                lambda rank, _r=reduces: (negotiate(rank), *(_r[b](rank) for b in order)),
+                negotiating,
+                lambda rank, _t=expected_sum(size, n=n_dense): _t,
+                lambda rank, vector: vector[:n_dense] / size,
+            ))
+
+    # The barrier: a zero-length recursive-doubling allreduce, twice.
+    barrier = plan(ar, "recursive_doubling", length=0)
+    cases.append(PlanCase(
+        "barrier[x2]", size, lambda rank: (barrier(rank), barrier(rank)),
+        lambda rank: np.zeros(0), lambda rank: np.zeros(0), lambda rank, vector: vector,
+    ))
     return cases
 
 
@@ -1006,8 +1007,6 @@ def check_tag_layout() -> CaseResult:
         ("phase", lambda: tags.sync_tag(0, tags.SYNC_MAX_PHASES, 0, 0)),
         ("round", lambda: tags.sync_tag(0, 0, tags.SYNC_MAX_ROUNDS, 0)),
         ("chunk", lambda: tags.sync_tag(0, 0, 0, tags.SYNC_MAX_CHUNKS)),
-        ("barrier epoch", lambda: tags.barrier_tag(
-            tags.BARRIER.span // tags.BARRIER_TAGS_PER_EPOCH, 0)),
         ("partial round", lambda: tags.partial_activation_tag(
             tags.PARTIAL_ACTIVATION.span)),
         ("serving request seq", lambda: tags.serving_request_tag(-1)),

@@ -19,7 +19,6 @@ from repro.collectives.sync import (
     allreduce_recursive_doubling,
     allreduce_ring,
     allreduce_rabenseifner,
-    allgather,
     ALLREDUCE_ALGORITHMS,
 )
 from repro.collectives.sharding import (
@@ -43,7 +42,6 @@ __all__ = [
     "allreduce_recursive_doubling",
     "allreduce_ring",
     "allreduce_rabenseifner",
-    "allgather",
     "ALLREDUCE_ALGORITHMS",
     "ALLGATHER_FLAT_ALGORITHMS",
     "ALLGATHER_FOR_REDUCE_SCATTER",

@@ -188,18 +188,21 @@ def allgather_flat(
     ``halving`` ↔ ``doubling`` (``"halving"`` is accepted as an alias),
     ``hierarchical`` ↔ ``hierarchical``.
 
-    ``codec`` (ring only) is the wire dtype of the hops; the owner rounds
-    its window through it first, so the replicas stay bit-identical.
+    Without a codec any dtype travels as it is (the gradient exchanges
+    gather ``uint8`` payload tables and a ``float64`` readiness table).
+    ``codec`` (ring only, float vectors) is the wire dtype of the hops;
+    the owner rounds its window through it first, so the replicas stay
+    bit-identical.
     """
     if algorithm == "halving":
         algorithm = "doubling"
     _require_algorithm("allgather_flat", algorithm, ALLGATHER_FLAT_ALGORITHMS)
     n_chunks = _validate_chunks(n_chunks)
     arr = np.asarray(flat)
-    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.floating):
+    if arr.ndim != 1 or (codec is not None and not np.issubdtype(arr.dtype, np.floating)):
         raise ValueError(
-            f"allgather_flat operates in place on a 1-D float vector, got "
-            f"shape {arr.shape} dtype {arr.dtype}"
+            f"allgather_flat operates in place on a 1-D vector (a float one "
+            f"under a codec), got shape {arr.shape} dtype {arr.dtype}"
         )
     if not arr.flags.writeable:
         raise ValueError(

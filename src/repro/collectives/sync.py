@@ -9,7 +9,7 @@ the phase ids of this table, the one place a phase id is assigned::
     id  phase                                    run by
      0  retired (the rooted broadcast)
      1  retired (the rooted reduce)
-     2  ring gather of arbitrary payloads        allgather
+     2  retired (the object allgather)
      3  pairwise full-vector exchange            recursive doubling
      4  ring reduce-scatter                      ring
      5  ring allgather                           ring
@@ -65,7 +65,11 @@ send or receive, so a steady-state collective builds no step.
 the epoch when it runs.  The composing functions keep what is not a
 message: the average divide and the codec's rounding of the owned
 window.  :mod:`repro.analysis.schedule_verifier` checks every rank's
-plan without threads.  The object ``allgather`` keeps its own loop.
+plan without threads.  A gather of other rows (Horovod's readiness
+table, the encoded payloads of a codec that is not reduce-closed) is the
+ring ``allgather_flat`` of a table with one row per rank, and the
+barrier is a zero-length recursive-doubling allreduce, so no collective
+keeps a loop of its own.
 
 Chunk pipelining
 ----------------
@@ -121,8 +125,7 @@ from repro.collectives.topology import (
 )
 
 # The phase table of the module docstring (ids < tags.SYNC_MAX_PHASES).
-# Ids 0 and 1 are retired, not reused: every other tag keeps its value.
-_PHASE_GATHER = 2
+# Ids 0, 1 and 2 are retired, not reused: every other tag keeps its value.
 _PHASE_RD = 3
 _PHASE_RING_RS = 4
 _PHASE_RING_AG = 5
@@ -654,54 +657,6 @@ def _split_allreduce(
         codec=codec,
     )
     return flat.reshape(arr.shape)
-
-
-# --------------------------------------------------------------------------
-# allgather
-# --------------------------------------------------------------------------
-def allgather(
-    comm: Communicator,
-    data,
-    out: Optional[List[np.ndarray]] = None,
-) -> List:
-    """Gather one value from every rank at every rank (ring algorithm).
-
-    With ``out`` (a list of ``size`` preallocated per-rank arrays) each
-    received array payload is copied straight into its destination slot
-    and the same list is returned, so a steady-state caller (negotiation
-    rounds, parameter gathers) reuses its buffers instead of retaining a
-    freshly allocated list of wire payloads every call.  Without ``out``
-    the delivered payloads are returned as before.
-    """
-    epoch = comm.next_collective_epoch()
-    rank, size = comm.rank, comm.size
-    if out is not None:
-        if len(out) != size:
-            raise ValueError(
-                f"allgather out has {len(out)} slot(s) but the world has "
-                f"{size} rank(s)"
-            )
-        items: List = out
-        if items[rank] is not data:
-            np.copyto(items[rank], np.asarray(data))
-    else:
-        items = [None] * size
-        items[rank] = data
-    if size == 1:
-        return items
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-    for step in range(size - 1):
-        tag = tags.sync_tag(epoch, _PHASE_GATHER, step)
-        send_idx = (rank - step) % size
-        comm.send(items[send_idx], succ, tag=tag)
-        recv_idx = (rank - step - 1) % size
-        incoming = comm.recv(source=pred, tag=tag)
-        if out is not None:
-            np.copyto(items[recv_idx], np.asarray(incoming))
-        else:
-            items[recv_idx] = incoming
-    return items
 
 
 # --------------------------------------------------------------------------

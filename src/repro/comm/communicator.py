@@ -27,7 +27,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.comm import tags
 from repro.comm.mailbox import CommTimeoutError  # noqa: F401 - raised by receives, exported here
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
 from repro.comm.requests import RecvRequest, Request, SendRequest
@@ -49,11 +48,6 @@ def check_deadline(seconds: Any, name: str = "default_recv_timeout") -> float:
             f"{name} must be a finite positive number of seconds, got {seconds!r}"
         )
     return float(seconds)
-
-
-# Reserved tag space for the dissemination barrier (from the global
-# tag-region map; alias kept for existing callers).
-_BARRIER_TAG_BASE = tags.BARRIER_TAG_BASE
 
 
 class Communicator:
@@ -84,7 +78,6 @@ class Communicator:
         self._rank = int(rank)
         self._channel = channel
         self._mailbox = router.mailbox(rank, channel)
-        self._barrier_epoch = 0
         self._collective_epochs = itertools.count()
 
     # -------------------------------------------------------------- meta
@@ -223,28 +216,17 @@ class Communicator:
 
     # ------------------------------------------------------------ barrier
     def barrier(self) -> None:
-        """Dissemination barrier over all ranks of this channel.
+        """Return once every rank of this group has called ``barrier``.
 
-        The dissemination algorithm completes in ``ceil(log2(P))`` rounds;
-        each round ``k`` exchanges a token with the ranks at distance
-        ``2**k``.  Tags are namespaced by a per-communicator barrier epoch
-        so that back-to-back barriers cannot interfere.
+        A zero-length recursive-doubling allreduce
+        (:func:`~repro.collectives.sync.allreduce_recursive_doubling`):
+        it draws one collective epoch, as every collective does, and no
+        rank leaves its last exchange before every rank has entered the
+        first (a non-power-of-two group's extras fold in and out).
         """
-        size = self.size
-        epoch = self._barrier_epoch
-        self._barrier_epoch += 1
-        if size == 1:
-            return
-        k = 0
-        dist = 1
-        while dist < size:
-            dest = (self._rank + dist) % size
-            src = (self._rank - dist) % size
-            tag = tags.barrier_tag(epoch, k)
-            self.send(("barrier", epoch, k), dest, tag=tag)
-            self.recv(source=src, tag=tag)
-            dist <<= 1
-            k += 1
+        from repro.collectives.sync import allreduce_recursive_doubling
+
+        allreduce_recursive_doubling(self, np.empty(0))
 
     def next_collective_epoch(self) -> int:
         """Sequence number of this group's next collective.

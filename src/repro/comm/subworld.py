@@ -18,8 +18,8 @@ never does.
 The view deliberately does **not** support wildcard receives
 (``source=ANY_SOURCE``): a wildcard could match a message from outside
 the subset, silently breaking the group abstraction.  Every layer the
-subset view is meant for (the sync collectives, the dissemination
-barrier, the serving protocol) names its sources.
+subset view is meant for (the sync collectives, the barrier, the
+serving protocol) names its sources.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class SubsetCommunicator:
         self._ranks: Tuple[int, ...] = tuple(ranks)
         self._index = {g: i for i, g in enumerate(self._ranks)}
         self._rank = self._index[parent.rank]
-        self._barrier_epoch = 0
         self._collective_epochs = itertools.count()
 
     # -------------------------------------------------------------- meta
@@ -160,13 +159,13 @@ class SubsetCommunicator:
         return self._parent.poll(self._require_member(source), tag)
 
     # ------------------------------------------------------------- barrier
-    #: Dissemination barrier over the subset only: the parent class's own
-    #: body (same algorithm and tag layout) run on this view's ``size`` /
-    #: ``_rank`` / ``send`` / ``recv``, so the distance arithmetic is in
+    #: The barrier and the epoch counter over the subset only: the parent
+    #: class's own bodies run on this view's ``size`` / ``rank`` /
+    #: ``send`` / ``recv_into``, so the barrier's allreduce is in
     #: view-rank space and only subset members participate.  The view
-    #: keeps its own ``_barrier_epoch`` and ``_collective_epochs``: the
-    #: parent's are left untouched, and disjoint subsets stay separated
-    #: by their explicit (source, tag) matches.
+    #: keeps its own ``_collective_epochs``: the parent's is left
+    #: untouched, and disjoint subsets stay separated by their explicit
+    #: (source, tag) matches.
     barrier = Communicator.barrier
     next_collective_epoch = Communicator.next_collective_epoch
 

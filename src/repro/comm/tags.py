@@ -2,10 +2,10 @@
 
 Several subsystems of this codebase number their messages out of disjoint
 integer tag ranges: the partial-collective progress thread
-(:mod:`repro.collectives.partial`), the serving tier, telemetry, the
-dissemination barrier (:mod:`repro.comm.communicator`) and the
-synchronous collectives — dense, split and sharded alike
-(:mod:`repro.collectives.sync`, :mod:`repro.collectives.sharding`).
+(:mod:`repro.collectives.partial`), the serving tier, telemetry and the
+synchronous collectives — dense, split and sharded alike, the barrier
+included (:mod:`repro.collectives.sync`,
+:mod:`repro.collectives.sharding`).
 Historically each declared its own
 magic base constant, and nothing asserted that the ranges stay disjoint —
 PR 1 fixed one silent collision found the hard way at P > 512.
@@ -26,10 +26,12 @@ Layout (all bounds half-open)::
                                  weight hot-swap, control)
     [400_000_000, 500_000_000)   telemetry (clock-sync ping/pong,
                                  trace-buffer shipment to rank 0)
-    [1_000_000_000, 2_000_000_000)   dissemination barrier
+    [1_000_000_000, 2_000_000_000)   unassigned (the retired
+                                 dissemination barrier's; the barrier
+                                 is a synchronous collective now)
     [2_000_000_000, 2_000_000_000 + 2^62)   synchronous collectives
-                                 (allreduces, allgather,
-                                 reduce-scatter, allgather-flat)
+                                 (allreduces, reduce-scatter,
+                                 allgather-flat, the barrier)
 
 The synchronous region additionally carries an internal ``(epoch,
 phase, round, chunk)`` field layout, declared here so both the
@@ -118,12 +120,6 @@ TELEMETRY_BUFFER_CAPACITY = 20_000_000
 #: Clock-sync rounds addressable per peer within the ping/pong blocks.
 TELEMETRY_SYNC_MAX_ROUNDS = 1_024
 
-# -- dissemination barrier (repro.comm.communicator) ------------------------
-BARRIER_TAG_BASE = 1_000_000_000
-#: Tags reserved per barrier epoch (one per dissemination round; 64 rounds
-#: covers any world size below 2^64).
-BARRIER_TAGS_PER_EPOCH = 64
-
 # -- synchronous collectives (repro.collectives.sync) -----------------------
 SYNC_TAG_BASE = 2_000_000_000
 #: Pipeline segments addressable within one round.
@@ -131,7 +127,7 @@ SYNC_MAX_CHUNKS = 4_096
 #: Rounds addressable within one phase (supports ring worlds to P = 2^17).
 SYNC_MAX_ROUNDS = 1 << 17
 #: Algorithm phases addressable within one epoch (the phase table of
-#: repro.collectives.sync spans all 16, ids 0 and 1 retired).
+#: repro.collectives.sync spans all 16, ids 0, 1 and 2 retired).
 SYNC_MAX_PHASES = 16
 #: Tag stride between consecutive rounds (one slot per pipeline chunk).
 SYNC_ROUND_STRIDE = SYNC_MAX_CHUNKS
@@ -164,12 +160,6 @@ TELEMETRY = TagRegion(
     TELEMETRY_BUFFER_TAG_BASE + TELEMETRY_BUFFER_CAPACITY,
     "telemetry: clock-sync ping/pong, trace-buffer shipment to rank 0",
 )
-BARRIER = TagRegion(
-    "barrier",
-    BARRIER_TAG_BASE,
-    SYNC_TAG_BASE,
-    "dissemination-barrier token exchange",
-)
 SYNC = TagRegion(
     "sync-collectives",
     SYNC_TAG_BASE,
@@ -183,7 +173,6 @@ TAG_REGIONS: Tuple[TagRegion, ...] = (
     PARTIAL_ACTIVATION,
     SERVING,
     TELEMETRY,
-    BARRIER,
     SYNC,
 )
 
@@ -403,23 +392,6 @@ def telemetry_buffer_tag(rank: int) -> int:
             f"(0, {TELEMETRY_BUFFER_CAPACITY}) — rank 0 collects, it never ships"
         )
     return TELEMETRY.check(TELEMETRY_BUFFER_TAG_BASE + rank, "telemetry-buffer")
-
-
-def barrier_tag(epoch: int, round_index: int) -> int:
-    """Tag of dissemination-barrier round ``round_index`` in ``epoch``."""
-    if round_index < 0 or round_index >= BARRIER_TAGS_PER_EPOCH:
-        raise ValueError(
-            f"barrier round {round_index} outside [0, {BARRIER_TAGS_PER_EPOCH})"
-        )
-    max_epochs = BARRIER.span // BARRIER_TAGS_PER_EPOCH
-    if not 0 <= epoch < max_epochs:
-        raise ValueError(
-            f"barrier epoch {epoch} outside [0, {max_epochs}); "
-            f"the per-communicator barrier counter overflowed its tag region"
-        )
-    return BARRIER.check(
-        BARRIER_TAG_BASE + epoch * BARRIER_TAGS_PER_EPOCH + round_index, "barrier"
-    )
 
 
 # Prove the table is sound before anyone mints a tag from it.

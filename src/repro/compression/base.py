@@ -79,10 +79,11 @@ class EncodedGradient:
     codec: str
     #: Dense element count the payload decodes back to.
     num_elements: int
-    #: The wire payload: a single ndarray for reduce-closed codecs (so a
-    #: collective can combine it directly), or a small picklable tuple of
-    #: ndarrays/scalars otherwise.  Always safe to send through any comm
-    #: backend (the process transport pickles non-array payloads).
+    #: The wire payload: one contiguous 1-D ndarray whose size depends on
+    #: the bucket's element count alone — for reduce-closed codecs the
+    #: values in the wire dtype (so a collective can combine it directly),
+    #: otherwise bytes the decode-reduce-encode path gathers as one
+    #: fixed-size row per rank.
     payload: Any
     #: Encoded wire size in bytes (what the transport actually carries).
     nbytes: int

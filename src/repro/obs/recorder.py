@@ -264,7 +264,7 @@ def flow_id(channel: str, source: int, dest: int, tag: int) -> int:
 
 def payload_nbytes(payload: Any) -> int:
     """Best-effort payload size: ndarray ``nbytes``, summed over a tuple's
-    items (e.g. an object allgather's tuples); 0 for other types."""
+    items (e.g. a serving message's tuples); 0 for other types."""
     if isinstance(payload, tuple):
         return sum(payload_nbytes(item) for item in payload)
     nbytes = getattr(payload, "nbytes", 0)

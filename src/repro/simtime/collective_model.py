@@ -6,9 +6,9 @@ rank's plan (:mod:`repro.collectives.sync`'s ``Step`` lists, the ones
 order under LogGP (:func:`plan_time`, cached per shape by
 :func:`collective_time`).  No formula restates where a collective's
 messages go, so folds, uneven windows, two-tier placements and codec
-wire hops are priced as they run.  The one closed form left is the
-decode-reduce-encode exchange of non-reduce-closed codecs, whose object
-``allgather`` has no plan.
+wire hops are priced as they run — the decode-reduce-encode exchange of
+a codec that is not reduce-closed too: its gather is the ring allgather
+plan of one encoded payload per rank.
 
 On top of that price, :func:`synchronous_allreduce_latencies` and
 :func:`partial_round` reproduce the microbenchmark of Fig. 8/9 in the
@@ -254,22 +254,19 @@ def _gather_exchange_time(
     """Decode-reduce-encode exchange of one ``nbytes`` bucket.
 
     Non-reduce-closed codecs cannot be combined inside an allreduce, so
-    the exchange allgathers the encoded payloads (``size - 1`` ring
-    rounds, each carrying the compressed bucket) and reduces the decoded
-    contributions densely at every rank.  The object ``allgather`` it
-    runs has no plan, so this is the one closed form left.
+    the exchange runs the ring allgather plan of a table with one
+    encoded payload per rank (one element of ``nbytes * wire_scale``
+    bytes each) and reduces the ``size - 1`` decoded contributions it
+    received densely.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if size == 1:
-        return params.collective_overhead
-    wire = nbytes * compression.wire_scale
-    rounds = (size - 1) * (params.alpha + wire * params.beta)
-    combine = (size - 1) * nbytes * params.gamma
-    return (
-        params.collective_overhead + rounds + combine
-        + _transform_time(nbytes, size, compression)
+    gather = collective_time(
+        "allgather", "ring", size, size, 1, params,
+        bytes_per_element=nbytes * compression.wire_scale,
     )
+    if size == 1:
+        return gather
+    combine = (size - 1) * nbytes * params.gamma
+    return gather + combine + _transform_time(nbytes, size, compression)
 
 
 def allreduce_time(

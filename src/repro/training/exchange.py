@@ -9,8 +9,10 @@ cover the systems compared in the paper's evaluation:
   ``"deep500"`` executes the per-bucket allreduces in a fixed order
   (control dependencies in the DAG, Fig. 5), while ``"horovod"`` first
   runs a small negotiation round (achieving consensus on which tensors are
-  ready, as Horovod's coordinator does) and then reduces the buckets in
-  the negotiated order;
+  ready, as Horovod's coordinator does: a ring
+  :func:`~repro.collectives.sharding.allgather_flat` of every rank's
+  readiness positions) and then reduces the buckets in the negotiated
+  order;
 * :class:`PartialExchange` — eager-SGD's exchange over solo / majority /
   quorum allreduce, including the stale-gradient accumulation semantics
   (handled inside :class:`repro.collectives.partial.PartialAllreduce`).
@@ -92,11 +94,13 @@ error-feedback residuals handled by
     Codecs whose payloads cannot be summed elementwise (``bf16``,
     ``int8``, ``topk``): a combining collective would have to decode,
     reduce densely and re-encode at every hop.  The synchronous exchange
-    collapses that to a single allgather of encoded payloads followed by
-    one dense local reduction — the wire still carries the compact
-    encoding.  The partial collectives' background reduction operates on
-    a persistent dense buffer, so the partial exchange applies such
-    codecs as a local quantize-and-compensate transform (the
+    collapses that to a single allgather of encoded payloads (a ring
+    :func:`~repro.collectives.sharding.allgather_flat` of a ``P × nbytes``
+    ``uint8`` table, one fixed-size payload per rank) followed by one
+    dense local reduction in rank order — the wire still carries the
+    compact encoding.  The partial collectives' background reduction
+    operates on a persistent dense buffer, so the partial exchange
+    applies such codecs as a local quantize-and-compensate transform (the
     perturbation and error feedback are faithful, the background wire
     stays dense — reported as such in :attr:`ExchangeResult.wire_bytes`).
 """
@@ -116,7 +120,7 @@ from repro.collectives.sharding import (
     allgather_flat,
     reduce_scatter,
 )
-from repro.collectives.sync import allgather, allreduce, resolve_host_topology
+from repro.collectives.sync import allreduce, resolve_host_topology
 from repro.compression import BucketCompressor, GradientCodec, resolve_codec
 from repro.nn.parameters import flatten_parameters, same_memory
 from repro.obs import recorder as _obs
@@ -291,6 +295,36 @@ class _BucketedExchange(GradientExchange):
             bucket_waits[b] += time.perf_counter() - bucket_start
 
 
+def readiness_positions(step: int, rank: int, num_buckets: int) -> np.ndarray:
+    """The position at which each bucket is ready on ``rank`` at ``step``:
+    a per-rank, per-step permutation standing in for the order in which
+    a backward pass finishes its buckets."""
+    order = np.random.default_rng((step, rank)).permutation(num_buckets)
+    positions = np.empty(num_buckets)
+    positions[order] = np.arange(num_buckets)
+    return positions
+
+
+def negotiated_order(table: np.ndarray) -> List[int]:
+    """The bucket issue order of a ``P × num_buckets`` table of every
+    rank's :func:`readiness_positions`: a bucket is admitted once it is
+    ready everywhere, at the maximum of its positions (ties by index)."""
+    positions = table.max(axis=0)
+    return sorted(range(table.shape[1]), key=lambda b: (positions[b], b))
+
+
+def _allgather_rows(comm: Communicator, row: np.ndarray) -> np.ndarray:
+    """Every rank's ``row`` (one dtype and length on every rank) as a
+    ``P × len(row)`` table in rank order: one ring
+    :func:`~repro.collectives.sharding.allgather_flat`, which each rank
+    enters holding its row in the window the ring assigns it (row
+    ``rank + 1 mod P``)."""
+    table = np.empty((comm.size, row.size), dtype=row.dtype)
+    table[(comm.rank + 1) % comm.size] = row
+    allgather_flat(comm, table.reshape(-1))
+    return np.roll(table, -1, axis=0)
+
+
 class SynchronousExchange(_BucketedExchange):
     """Synchronous bucketed allreduce of the gradient (synch-SGD).
 
@@ -328,20 +362,13 @@ class SynchronousExchange(_BucketedExchange):
         """Horovod-style negotiation: consensus on the bucket issue order.
 
         Each rank's backward pass finishes its buckets in a slightly
-        different order (modelled as a per-rank, per-step permutation);
-        the coordinator admits a tensor for reduction only once *all*
-        ranks report it ready.  The negotiated position of a bucket is
-        therefore the maximum of its per-rank readiness positions; every
-        rank computes the same order from the same allgathered tokens.
+        different order (:func:`readiness_positions`); the coordinator
+        admits a tensor for reduction only once *all* ranks report it
+        ready, so every rank derives the same order from the same
+        gathered table (:func:`negotiated_order`).
         """
-        rng = np.random.default_rng((self._step, self.comm.rank))
-        local_order = [int(b) for b in rng.permutation(num_buckets)]
-        tokens = allgather(self.comm, ("ready", self._step, tuple(local_order)))
-        positions = [0] * num_buckets
-        for _kind, _step, order in tokens:
-            for pos, bucket in enumerate(order):
-                positions[bucket] = max(positions[bucket], pos)
-        return sorted(range(num_buckets), key=lambda b: (positions[b], b))
+        positions = readiness_positions(self._step, self.comm.rank, num_buckets)
+        return negotiated_order(_allgather_rows(self.comm, positions))
 
     def exchange(self, flat_gradient: np.ndarray) -> ExchangeResult:
         start = time.perf_counter()
@@ -375,8 +402,8 @@ class SynchronousExchange(_BucketedExchange):
         take the ring (on a multi-host fabric the hierarchical leader
         ring, intra-host hops dense) whatever ``algorithm`` says.  Other
         codecs take the decode-reduce-encode path — one allgather of
-        encoded payloads, then a dense local average (see the module
-        docstring).
+        encoded payloads, then a dense local average in rank order (see
+        the module docstring).
         """
         if self.codec is None or self.codec.reduce_closed:
             wire_nbytes = buffer.nbytes
@@ -399,10 +426,10 @@ class SynchronousExchange(_BucketedExchange):
             )
             return result, wire_nbytes
         encoded = self._compressor.encode_bucket(b, buffer)
-        gathered = allgather(self.comm, encoded.payload)
+        payload = encoded.payload
         acc = np.zeros(buffer.size, dtype=np.float64)
-        for payload in gathered:
-            acc += self.codec.decode(encoded.with_payload(payload))
+        for row in _allgather_rows(self.comm, payload.view(np.uint8)):
+            acc += self.codec.decode(encoded.with_payload(row.view(payload.dtype)))
         acc /= self.comm.size
         return acc, encoded.nbytes
 

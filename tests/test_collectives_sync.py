@@ -1,4 +1,4 @@
-"""Tests for the synchronous collectives (allreduce, allgather)."""
+"""Tests for the synchronous allreduce algorithms."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.comm import launch
 from repro.collectives import (
     ALLREDUCE_ALGORITHMS,
-    allgather,
     allreduce,
 )
 
@@ -69,6 +68,12 @@ class TestAllreduceAlgorithms:
             assert first == 6.0
             assert second == 60.0
 
+    def test_preserves_shape(self):
+        results = launch(lambda comm: allreduce(comm, np.ones((3, 5)) * comm.rank, algorithm="ring"), 4)
+        for r in results:
+            assert r.shape == (3, 5)
+            assert np.allclose(r, 6)
+
     @given(
         size=st.integers(min_value=1, max_value=6),
         elements=st.integers(min_value=1, max_value=40),
@@ -80,20 +85,6 @@ class TestAllreduceAlgorithms:
         expected = sum(np.arange(elements) + r for r in range(size))
         for r in results:
             assert np.allclose(r, expected)
-
-
-class TestAllgather:
-    @pytest.mark.parametrize("size", [1, 2, 5, 8])
-    def test_allgather(self, size):
-        results = launch(lambda comm: allgather(comm, comm.rank * 2), size)
-        for r in results:
-            assert r == [2 * i for i in range(size)]
-
-    def test_preserves_shape(self):
-        results = launch(lambda comm: allreduce(comm, np.ones((3, 5)) * comm.rank, algorithm="ring"), 4)
-        for r in results:
-            assert r.shape == (3, 5)
-            assert np.allclose(r, 6)
 
 
 class TestHierarchicalAllreduce:

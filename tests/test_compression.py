@@ -449,6 +449,34 @@ class TestExchangeIntegration:
         assert max(launch(worker, 2)) < 1e-9
 
 
+    @pytest.mark.parametrize("spec, digest", [
+        ("topk:ratio=0.25", "8e4291d6ffd021f9c93b217b215b50c64306dab072855298cd8849fece48d848"),
+        ("int8", "13bd49bdaba1ed85d264d277e88f946945fae68915121f097dc3c7c7173bd62a"),
+        ("bf16", "85fd7da8251f749de49d1a04e4a99bc0f3f19cb5fc83550832bad75d3694fbdc"),
+    ])
+    def test_decode_reduce_encode_results_are_frozen(self, spec, digest):
+        """SHA-256 of every rank's two exchange results at P = 3 (two
+        buckets, error feedback on for topk), frozen from the object
+        allgather the ``uint8`` payload table replaced."""
+        import hashlib
+
+        from repro.comm import launch
+        from repro.training.exchange import SynchronousExchange
+
+        def worker(comm):
+            rng = np.random.default_rng(100 + comm.rank)
+            exchange = SynchronousExchange(
+                comm, algorithm="ring", fusion_threshold_bytes=8 * 20, compression=spec
+            )
+            return b"".join(
+                exchange.exchange(rng.normal(scale=2.0, size=37)).gradient.tobytes()
+                for _ in range(2)
+            )
+
+        results = launch(worker, 3, backend="thread")
+        assert hashlib.sha256(b"".join(results)).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # simtime cost model
 # ---------------------------------------------------------------------------

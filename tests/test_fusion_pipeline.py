@@ -258,6 +258,20 @@ class TestFusedSynchronousExchange:
         orders = set(launch(worker, 4))
         assert len(orders) == 1, "all ranks must agree on the negotiated order"
 
+    def test_horovod_negotiated_order_is_frozen(self):
+        """Frozen from the object-allgather negotiation the readiness
+        table replaced: P = 3, 4 buckets, steps 0-2, every rank."""
+        def worker(comm):
+            exchange = SynchronousExchange(comm, style="horovod", fusion_threshold_bytes=32)
+            orders = []
+            for step in range(3):
+                exchange._step = step
+                orders.append(exchange._negotiated_order(4))
+            return orders
+
+        frozen = [[0, 2, 1, 3], [0, 1, 2, 3], [2, 0, 1, 3]]
+        assert launch(worker, 3, backend="thread") == [frozen] * 3
+
     def test_gradient_length_change_rejected(self):
         def worker(comm):
             exchange = SynchronousExchange(comm, fusion_threshold_bytes=64)

@@ -276,11 +276,11 @@ class TestChromeTrace:
         rec = FlightRecorder(rank=0)
         rec._append(
             "X", "send", "comm", 0, 10,
-            {"peer": 1, "tag": tags.barrier_tag(0, 0), "nbytes": 8},
+            {"peer": 1, "tag": tags.telemetry_buffer_tag(1), "nbytes": 8},
         )
         trace = to_chrome_trace([rec.dump()])
         send = [e for e in trace["traceEvents"] if e.get("name") == "send"][0]
-        assert send["args"]["region"] == "barrier"
+        assert send["args"]["region"] == "telemetry"
 
 
 # ---------------------------------------------------------------------------

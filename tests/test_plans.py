@@ -3,8 +3,8 @@
 Every flat-buffer phase of :mod:`repro.collectives.sync` is a cached plan
 that :func:`~repro.collectives.sync.run_plan` executes.  These tests pin
 what that promises: for every case of the verifier's plan table — each
-collective, the interleaved sequence and the deep500 / sharded
-exchanges' bucket plans — the thread-free interpreter of
+collective, the interleaved sequence, the deep500 / Horovod / sharded
+exchanges' plans and the barrier — the thread-free interpreter of
 :mod:`repro.analysis.schedule_verifier` sends exactly what a recorded run
 of the live code sends and reads the same values; a repeated collective
 builds no plan, the static path catches a broken plan, and empty
@@ -65,6 +65,24 @@ def _live(size):
                 return ex.exchange(x).gradient
         return fn
 
+    def horovod(algorithm):
+        def fn(comm, x):
+            """The negotiation's table rides after the gradient in the
+            case's vector; the exchange builds its own."""
+            from repro.training.exchange import SynchronousExchange
+            n_dense = size + 15
+            with SynchronousExchange(
+                comm, style="horovod", algorithm=algorithm,
+                fusion_threshold_bytes=sv._two_buckets(n_dense),
+            ) as ex:
+                return ex.exchange(x[:n_dense]).gradient
+        return fn
+
+    def barrier(comm, x):
+        comm.barrier()
+        comm.barrier()
+        return x
+
     def zero1(algorithm):
         def fn(comm, x):
             """Zeroed parameters and ``SGD(lr=1)``: the updated model is
@@ -98,6 +116,10 @@ def _live(size):
         "interleaved[allreduce+reduce_scatter+allreduce+allgather_flat]": (interleaved, None),
         "exchange[deep500,ring,buckets=2]": (deep500("ring"), None),
         "exchange[deep500,hierarchical,multi-host]": (deep500("hierarchical"), two_hosts),
+        "exchange[horovod,ring,buckets=2]": (horovod("ring"), None),
+        "exchange[horovod,recursive_doubling,buckets=2]": (
+            horovod("recursive_doubling"), None),
+        "barrier[x2]": (barrier, None),
         "sharded-exchange[zero1,ring,buckets=2]": (zero1("ring"), None),
         "sharded-exchange[zero1,halving,buckets=2]": (zero1("halving"), None),
         "sharded-exchange[zero1,hierarchical,multi-host]": (zero1("ring"), two_hosts),
@@ -235,6 +257,34 @@ def test_plan_with_a_dropped_receive_is_rejected_statically():
         v.check == "match" and "orphan send" in v.detail for v in result.violations
     ), [str(v) for v in result.violations]
     assert any(factory is sv._mutant_plan_dropped_recv for factory, _ in sv.MUTANTS)
+
+
+def test_run_plan_is_the_one_place_a_sync_collective_sends_or_receives():
+    """No function of ``sync`` or ``sharding`` but ``run_plan``, and not
+    ``Communicator.barrier``, calls a point-to-point primitive: every
+    synchronous collective is a plan."""
+    import ast
+    import inspect
+    import textwrap
+
+    from repro.comm.communicator import Communicator
+
+    trees = {
+        "sync": ast.parse(inspect.getsource(sync)),
+        "sharding": ast.parse(inspect.getsource(sharding)),
+        "Communicator": ast.parse(textwrap.dedent(inspect.getsource(Communicator.barrier))),
+    }
+    primitives = {"send", "isend", "recv", "irecv", "recv_into", "recv_message"}
+    offenders = [
+        f"{where}.{fn.name}:{node.lineno} calls .{node.func.attr}"
+        for where, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name != "run_plan"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in primitives
+    ]
+    assert offenders == []
 
 
 def _repeat_worker(comm, algorithm, topology):

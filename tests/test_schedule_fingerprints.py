@@ -5,20 +5,19 @@ case of :mod:`repro.analysis.schedule_verifier` at P in {2, 3, 4, 5, 8},
 a SHA-256 over the per-rank ordered ``(kind, peer, tag, elements)``
 event lists of the case's record.  A plan case
 (:func:`~repro.analysis.schedule_verifier.build_plan_cases`: every
-allreduce, reduce-scatter and allgather, the interleaved sequence and the
-deep500 / sharded exchanges' bucket plans) is hashed from
-:func:`~repro.analysis.schedule_verifier.interpret`'s record, without
-threads; only what is not a plan
-(:func:`~repro.analysis.schedule_verifier.build_cases`: the object
-allgather, the barrier, serving, telemetry and Horovod's exchange) is
-recorded by :mod:`repro.analysis.recording`.
+allreduce, reduce-scatter and allgather, the interleaved sequence, the
+deep500 / Horovod / sharded exchanges' plans and the barrier) is hashed
+from :func:`~repro.analysis.schedule_verifier.interpret`'s record,
+without threads; only what is not a plan
+(:func:`~repro.analysis.schedule_verifier.build_cases`: serving and
+telemetry) is recorded by :mod:`repro.analysis.recording`.
 ``tests/test_plans.py`` proves each plan case's interpreted lists equal
 those of a recorded run of the live collective or exchange, so a green
 run here proves the live code too mints the same tags, talks to the same
 peers, moves the same element counts and does so in the same per-rank
 order.
 
-Every hash but the 56 below was frozen from a recorded run.  The file
+Every hash but the 71 below was frozen from a recorded run.  The file
 was generated *before* the collective layer was collapsed onto one body
 per phase.
 The reduce-scatter and sharded-exchange entries were re-frozen when the
@@ -40,6 +39,15 @@ too, from the interpreted record, which equals a recorded run of the
 live collective for each of them.  The 15 ``broadcast[root=*]`` and
 ``reduce[root=*]`` entries went with the rooted broadcast and reduce;
 their phase ids (0 and 1) are retired, so no surviving tag moved.
+The 5 ``allgather`` entries went with the object allgather (phase id 2,
+retired).  The 15 ``barrier[x2]`` and ``exchange[horovod,*]`` entries
+were re-frozen from the interpreted record when the barrier became a
+zero-length recursive-doubling allreduce and Horovod's negotiation a
+ring ``allgather_flat`` of a readiness table.  For Horovod the per-rank
+``(kind, peer)`` lists are unchanged and every bucket-allreduce event is
+identical; only the negotiation's events moved, from phase 2 to the ring
+allgather's phase 5 and from 0 elements (a tuple) to one table row.
+Every other entry is unchanged, byte for byte.
 
 Regenerate (only when a schedule is changed on purpose) with
 ``PYTHONPATH=src python tests/test_schedule_fingerprints.py``.

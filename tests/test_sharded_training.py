@@ -27,7 +27,7 @@ from repro.collectives.sharding import (
     reduce_scatter,
     shard_bounds,
 )
-from repro.collectives.sync import allgather, allreduce
+from repro.collectives.sync import allreduce
 from repro.collectives.topology import HostTopology
 from repro.comm import available_backends, backend_unavailable_reason, launch
 from repro.nn.module import Module
@@ -380,35 +380,6 @@ class TestRingSplitIdentity:
     def test_split_phases_bitwise_match_ring_allreduce(self, size):
         """reduce_scatter + allgather IS the ring allreduce, bit for bit."""
         assert all(launch(_ring_identity_worker, size, 193, backend="thread"))
-
-
-def _allgather_out_worker(comm, n):
-    data = np.full(n, float(comm.rank))
-    slots = [np.empty(n) for _ in range(comm.size)]
-    returned = allgather(comm, data, out=slots)
-    same_list = returned is slots
-    values_ok = all(
-        np.array_equal(slots[r], np.full(n, float(r))) for r in range(comm.size)
-    )
-    # Steady state: a second round reuses the same buffers in place.
-    second = allgather(comm, data + 10.0, out=slots)
-    reuse_ok = second is slots and all(
-        np.array_equal(slots[r], np.full(n, float(r) + 10.0))
-        for r in range(comm.size)
-    )
-    try:
-        allgather(comm, data, out=slots[:-1])
-        slot_count_checked = False
-    except ValueError:
-        slot_count_checked = True
-    return same_list, values_ok, reuse_ok, slot_count_checked
-
-
-class TestAllgatherOut:
-    @pytest.mark.parametrize("size", [2, 4])
-    def test_out_buffers_are_filled_and_reused(self, size):
-        for verdict in launch(_allgather_out_worker, size, 17, backend="thread"):
-            assert all(verdict)
 
 
 # ---------------------------------------------------------------------------

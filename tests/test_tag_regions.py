@@ -43,9 +43,10 @@ def test_region_bases_are_pinned():
         "partial-activation": 100_000_000,
         "serving": 300_000_000,
         "telemetry": 400_000_000,
-        "barrier": 1_000_000_000,
         "sync-collectives": 2_000_000_000,
     }
+    # The retired barrier region stays unassigned.
+    assert tags.region_of(1_000_000_000) is None
 
 
 def test_region_lookup_by_name():
@@ -135,17 +136,6 @@ def test_max_sync_tag_is_int64_safe():
     assert top < 2 ** 63
 
 
-def test_barrier_tag_bounds():
-    assert tags.barrier_tag(0, 0) == tags.BARRIER_TAG_BASE
-    assert tags.barrier_tag(1, 2) == tags.BARRIER_TAG_BASE + 64 + 2
-    max_epochs = tags.BARRIER.span // tags.BARRIER_TAGS_PER_EPOCH
-    assert tags.barrier_tag(max_epochs - 1, 63) in tags.BARRIER
-    with pytest.raises(ValueError, match="barrier epoch"):
-        tags.barrier_tag(max_epochs, 0)
-    with pytest.raises(ValueError, match="barrier round"):
-        tags.barrier_tag(0, tags.BARRIER_TAGS_PER_EPOCH)
-
-
 def test_partial_tags_stay_in_their_regions():
     assert tags.partial_activation_tag(0) in tags.PARTIAL_ACTIVATION
     assert tags.PARTIAL_ACTIVATION.hi == tags.SERVING_TAG_BASE
@@ -155,21 +145,15 @@ def test_partial_tags_stay_in_their_regions():
         tags.partial_activation_tag(tags.PARTIAL_ACTIVATION.span)
 
 
-def test_owning_modules_import_from_the_table():
-    from repro.comm import communicator
-
-    assert communicator._BARRIER_TAG_BASE == tags.BARRIER_TAG_BASE
-
-
 def test_phase_ids_are_pinned():
     """Every collective's phase ids come from sync's one table.  Ids are
-    wire protocol: the retired 0 and 1 (the rooted broadcast and reduce)
-    stay unused, and no other id moved when they went."""
+    wire protocol: the retired 0, 1 and 2 (the rooted broadcast and
+    reduce, the object allgather) stay unused, and no other id moved when
+    they went."""
     from repro.collectives import sync
 
     ids = {name: value for name, value in vars(sync).items() if name.startswith("_PHASE_")}
     assert ids == {
-        "_PHASE_GATHER": 2,
         "_PHASE_RD": 3,
         "_PHASE_RING_RS": 4,
         "_PHASE_RING_AG": 5,
