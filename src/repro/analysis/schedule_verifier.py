@@ -43,8 +43,10 @@ dense and sharded collectives interleaved on one epoch counter, the
 bucket-plan sequences of the deep500 and Horovod
 :class:`~repro.training.exchange.SynchronousExchange` (Horovod's
 negotiation is a ring allgather of a readiness table) and of
-:class:`~repro.training.exchange.ShardedExchange`, and the barrier (a
-zero-length recursive-doubling allreduce) — interpreted at every world
+:class:`~repro.training.exchange.ShardedExchange`, the barrier (a
+zero-length recursive-doubling allreduce) and the partial collectives'
+activation, the binomial broadcast rooted at each initiator in turn
+(:func:`activation_case`, up to P = 64) — interpreted at every world
 size of the sweep and at P = 64, 256 and 1024.
 
 What is not a plan runs on a thread per rank under
@@ -53,15 +55,15 @@ hot-swap round trip (:func:`serving_round_trip`) and the flight-recorder
 telemetry collection (:func:`telemetry_round_trip`) in
 :func:`build_cases`, and one round of the real
 :class:`~repro.collectives.partial.PartialAllreduce`
-(:func:`partial_round_case`) — plus a purely static check of the partial
-activation dissemination rule the progress thread sends along
-(:func:`check_dissemination`).  :func:`run_case` checks a recorded and
-an interpreted case alike.
+(:func:`partial_round_case`), whose progress threads send along the
+activation plan.  :func:`run_case` checks a recorded and an interpreted
+case alike.
 
 :func:`self_test` proves the checkers have teeth: each deliberately
 broken schedule (dropped receive, a plan missing a receive, reused tag,
-swapped ring neighbour, double-counted term, tag outside its region,
-wrapping dissemination rule) must be rejected by the matching checker.
+swapped ring neighbour, double-counted term, tag outside its region, an
+activation plan whose forwards wrap past the world) must be rejected by
+the matching checker.
 
 Entry point: ``python -m repro verify`` (see :mod:`repro.cli`).
 """
@@ -84,11 +86,7 @@ from repro.analysis.recording import (
     RunRecord,
 )
 from repro.collectives import sync
-from repro.collectives.topology import (
-    HostTopology,
-    activation_children,
-    tree_depth,
-)
+from repro.collectives.topology import HostTopology
 from repro.comm import tags
 from repro.comm.router import Channel
 
@@ -783,6 +781,22 @@ def _hier_topologies(size: int) -> List[Tuple[str, Optional[HostTopology]]]:
     return layouts
 
 
+def activation_case(size: int) -> PlanCase:
+    """The partial collectives' activation for every initiator in turn:
+    :func:`~repro.collectives.sync.activation_plan` rooted at rank ``i``
+    is collective epoch ``i`` and moves index ``i`` of the vector.
+    Initiator ``i`` holds ``i + 1`` there and every other rank 0, so
+    every rank must end holding ``1 … P``, every send received and no
+    receive starved."""
+    return PlanCase(
+        "partial-activation[every-initiator]", size,
+        lambda rank: [(sync.activation_plan(size, i)[rank], i) for i in range(size)],
+        lambda rank: np.where(np.arange(size) == rank, rank + 1.0, 0.0),
+        lambda rank: np.arange(1.0, size + 1),
+        lambda rank, vector: vector,
+    )
+
+
 def build_plan_cases(size: int) -> List[PlanCase]:
     """The plan table at ``size``: every synchronous flat-buffer schedule.
 
@@ -805,7 +819,9 @@ def build_plan_cases(size: int) -> List[PlanCase]:
       allgather of the readiness table, then each bucket's allreduce in
       the order :func:`~repro.training.exchange.negotiated_order` derives
       from it;
-    * the barrier, twice.
+    * the barrier, twice;
+    * the partial activation for every initiator
+      (:func:`activation_case`), up to the sweep's largest size.
 
     Every rank must read its part of the certificate sum.  An averaging
     case (the ring under ``average``, the exchanges) feeds ``P`` times
@@ -960,6 +976,8 @@ def build_plan_cases(size: int) -> List[PlanCase]:
         "barrier[x2]", size, lambda rank: (barrier(rank), barrier(rank)),
         lambda rank: np.zeros(0), lambda rank: np.zeros(0), lambda rank, vector: vector,
     ))
+    if size <= DEFAULT_WORLD_SIZES[-1]:
+        cases.append(activation_case(size))
     return cases
 
 
@@ -1032,97 +1050,6 @@ def check_tag_layout() -> CaseResult:
             f"raising",
         ))
     return CaseResult(case, 0, violations)
-
-
-def check_dissemination(
-    size: int,
-    explore_limit: int = 8,
-    children: Callable[[int, int, int], List[Tuple[int, int]]] = activation_children,
-) -> CaseResult:
-    """Static coverage proof of the partial activation dissemination.
-
-    ``children(offset, incoming_class, size)`` is the forwarding rule
-    under test; the default is the one the progress thread sends along
-    (:func:`repro.collectives.topology.activation_children`), so this
-    proves the rule that runs, not a copy of it.  A rank forwards for its
-    *first* activation only.  Offsets are initiator-relative, so one
-    check per world size proves the pattern for every initiator.  Three
-    checks:
-
-    * **unique parent** — every offset in ``[1, P)`` is the target of
-      exactly one forward (strip the top set bit), so coverage cannot
-      depend on which of several racing activations a rank sees first;
-    * **union coverage** — the forward set reaches all ``P`` offsets;
-    * **first-activation exploration** (``P <= explore_limit``) — an
-      exhaustive search over message delivery orders proves every
-      reachable terminal state has all ranks activated.  This is the
-      check that rejects the wrapping ``mod P`` variant of the rule,
-      which strands ranks at non-power-of-two sizes.
-    """
-    case = f"partial-dissemination[P={size}]"
-    violations: List[Violation] = []
-    parents: Dict[int, List[int]] = {}
-    reach: Dict[int, int] = {0: -1}
-    frontier = [(0, -1)]
-    while frontier:
-        offset, k = frontier.pop()
-        for target, j in children(offset, k, size):
-            parents.setdefault(target, []).append(offset)
-            if target not in reach:
-                reach[target] = j
-                frontier.append((target, j))
-    missing = sorted(set(range(size)) - set(reach))
-    if missing:
-        violations.append(Violation(
-            case, "match",
-            f"dissemination never reaches offset(s) {missing} "
-            f"(ranks initiator+offset)",
-        ))
-    for offset, sources in sorted(parents.items()):
-        if len(sources) > 1:
-            violations.append(Violation(
-                case, "match",
-                f"offset {offset} is activated by {len(sources)} senders "
-                f"{sorted(sources)}; racing first-activations make the "
-                f"forward set delivery-order dependent",
-            ))
-
-    if size <= explore_limit and not missing:
-        # First-activation exploration: state = the class each offset was
-        # first activated at (None = not yet).  Any in-flight message may
-        # be delivered next; delivery to an already-activated offset is
-        # dropped (the progress thread drains stale activations).
-        initial = tuple(
-            -1 if d == 0 else None for d in range(size)
-        )
-        seen_states = {initial}
-        stack = [initial]
-        while stack:
-            state = stack.pop()
-            moves = []
-            for offset, k in enumerate(state):
-                if k is None:
-                    continue
-                for target, j in children(offset, k, size):
-                    if state[target] is None:
-                        moves.append((target, j))
-            if not moves:
-                dead = sorted(d for d, k in enumerate(state) if k is None)
-                if dead:
-                    violations.append(Violation(
-                        case, "deadlock",
-                        f"delivery order {state} strands offset(s) {dead} "
-                        f"unactivated",
-                    ))
-                continue
-            for target, j in moves:
-                nxt = list(state)
-                nxt[target] = j
-                nxt_t = tuple(nxt)
-                if nxt_t not in seen_states:
-                    seen_states.add(nxt_t)
-                    stack.append(nxt_t)
-    return CaseResult(case, size, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -1223,33 +1150,38 @@ def _mutant_plan_dropped_recv(size: int = 4) -> PlanCase:
     return replace(ring, name="mutant[plan-dropped-recv]", program=program)
 
 
-def _mutant_wrapping_dissemination(size: int = 5) -> CaseResult:
-    """The pre-fix ``(offset + 2^j) mod P`` forward rule: no bound, wraps.
+def _mutant_wrapping_activation(size: int = 5) -> PlanCase:
+    """The activation plan under the ``(offset + 2^j) mod P`` forward
+    rule: besides its children, each rank forwards for every higher ``j``
+    whose target wraps past the world.  At a non-power-of-two size the
+    wrapped offsets already have their one parent, so the interpreter
+    must find sends that no receive takes."""
+    case = activation_case(size)
 
-    At a non-power-of-two size it aliases two tree positions onto one
-    rank; a rank first activated via the aliased (higher) class skips its
-    low-class forwards, and the delivery-order exploration of
-    :func:`check_dissemination` must find the stranded ranks.
-    """
-    def wrapping(offset: int, incoming_class: int, size: int):
-        return [
-            ((offset + 2 ** j) % size, j)
-            for j in range(incoming_class + 1, tree_depth(size))
-        ]
-    inner = check_dissemination(size, children=wrapping)
-    return CaseResult("mutant[wrapping-dissemination]", size, inner.violations)
+    def program(rank):
+        mutated = []
+        for ((name, steps),), initiator in case.program(rank):
+            v = (rank - initiator) % size
+            wrapped = tuple(
+                steps[0]._replace(send=True, peer=(initiator + v + (1 << j)) % size)
+                for j in range(v.bit_length(), (size - 1).bit_length())
+                if v + (1 << j) >= size
+            )
+            mutated.append((((name, steps + wrapped),), initiator))
+        return mutated
+    return replace(case, name="mutant[wrapping-activation]", program=program)
 
 
-#: (mutant factory, checker expected to reject it).  A factory returns a
-#: case to record or interpret and check, or the result of a static check.
-MUTANTS: Tuple[Tuple[Callable[[], VerifyCase | PlanCase | CaseResult], str], ...] = (
+#: (mutant factory, checker expected to reject it): a factory returns a
+#: case to record or interpret and check.
+MUTANTS: Tuple[Tuple[Callable[[], VerifyCase | PlanCase], str], ...] = (
     (_mutant_dropped_recv, "match"),
     (_mutant_plan_dropped_recv, "match"),
     (_mutant_reused_tag, "match"),
     (_mutant_swapped_neighbor, "deadlock"),
     (_mutant_double_count, "reduction"),
     (_mutant_user_tag, "tags"),
-    (_mutant_wrapping_dissemination, "deadlock"),
+    (_mutant_wrapping_activation, "match"),
 )
 
 
@@ -1258,7 +1190,7 @@ def self_test() -> List[CaseResult]:
     results: List[CaseResult] = []
     for factory, expected_check in MUTANTS:
         case = factory()
-        inner = case if isinstance(case, CaseResult) else run_case(case, toposort=True)
+        inner = run_case(case, toposort=True)
         hits = [v for v in inner.violations if v.check == expected_check]
         name = f"self-test[{case.name}->{expected_check}]"
         if hits:
@@ -1286,8 +1218,8 @@ def verify(
     progress: Optional[Callable[[str], None]] = None,
 ) -> VerificationReport:
     """Run the full verification sweep and return the report: the recorded
-    cases, a partial round and the dissemination rule at every size of
-    ``world_sizes``, the plan table's distinct step lists (the cases
+    cases and a partial round at every size of ``world_sizes``, the plan
+    table's distinct step lists (the cases
     without ``repeats``) interpreted at those sizes and
     :data:`STATIC_WORLD_SIZES`, the shm ring's model and the self-test."""
     def note(msg: str) -> None:
@@ -1300,7 +1232,6 @@ def verify(
         note(f"recording what is not a plan at P={size} ...")
         results.extend(run_case(case) for case in build_cases(size))
         results.append(run_case(partial_round_case(size)))
-        results.append(check_dissemination(size))
     for size in sorted(set(world_sizes) | set(STATIC_WORLD_SIZES)):
         note(f"interpreting every rank's plans at P={size} ...")
         results.extend(run_case(case) for case in build_plan_cases(size) if not case.repeats)

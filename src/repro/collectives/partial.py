@@ -20,13 +20,17 @@ The call semantics follow Algorithm 2 / Fig. 7 of the paper:
   ranks contributed fresh data — the "number of active processes" of
   Fig. 9 — and who initiated).
 
-The activation phase is a dissemination broadcast (union of ``P`` binomial
-trees; see :func:`repro.collectives.topology.activation_children`)
-carried on the dedicated ``activation`` channel; the reduction itself is a
-recursive-doubling allreduce among the progress threads on the ``lib``
-channel.  Progress threads always participate immediately, so a slow
-application thread never delays the collective — it merely contributes
-null (or stale) data, which is exactly the paper's relaxation.
+The activation phase is the binomial broadcast rooted at the round's
+initiator (so over all initiators the union of ``P`` binomial trees):
+each progress thread sends ``("activate", round, initiator)`` to the
+peers of its send steps in :func:`repro.collectives.sync.activation_plan`,
+on the dedicated ``activation`` channel.  A rank's place in that tree
+follows from its offset to the initiator, so the message carries nothing
+else.  The reduction itself is a recursive-doubling allreduce among the
+progress threads on the ``lib`` channel.  Progress threads always
+participate immediately, so a slow application thread never delays the
+collective — it merely contributes null (or stale) data, which is
+exactly the paper's relaxation.
 
 The progress thread is the only execution model of the partial
 collectives; the paper's schedule of Fig. 6 (Section 4.1.1) maps onto it
@@ -38,8 +42,9 @@ Fig. 6                              this module
 ``N0`` internal activation          :meth:`PartialAllreduce.reduce` sends
                                     its own rank an ``arrival`` message
 ``R_k`` / ``S_k``, *or* dependency  ``_wait_for_activation`` /
-                                    ``_forward_activation`` along
-                                    ``topology.activation_children``
+                                    ``_forward_activation``: the receive
+                                    from the tree parent and the sends
+                                    of ``sync.activation_plan``
 consumable operations               one tag per round
                                     (``tags.partial_activation_tag``);
                                     the one receive drops an earlier
@@ -76,8 +81,7 @@ from repro.comm.communicator import CommTimeoutError, Communicator
 from repro.comm.mailbox import MailboxClosed
 from repro.comm.message import ANY_TAG
 from repro.comm.router import Channel
-from repro.collectives.sync import allreduce_recursive_doubling
-from repro.collectives.topology import activation_children
+from repro.collectives.sync import activation_plan, allreduce_recursive_doubling
 from repro.obs import recorder as _obs
 from repro.utils.rng import seeded_rng
 
@@ -398,17 +402,14 @@ class PartialAllreduce:
         if self.mode in (PartialMode.MAJORITY, PartialMode.QUORUM):
             designated = self._designated_initiator(round_index)
 
-        activation = self._wait_for_activation(round_index, designated)
-        if activation is None:
+        initiator = self._wait_for_activation(round_index, designated)
+        if initiator is None:
             return False
-        initiator, forward_from_distance = activation
         _obs.instant(
             "partial-activation", "partial", round=round_index,
-            initiator=initiator, external=forward_from_distance >= 0,
+            initiator=initiator, external=initiator != self.rank,
         )
-
-        # Forward the activation along the dissemination tree.
-        self._forward_activation(round_index, initiator, forward_from_distance)
+        self._forward_activation(round_index, initiator)
 
         # Atomically take the send buffer: everything accumulated so far
         # (fresh gradient and/or stale gradients) is this round's
@@ -455,22 +456,19 @@ class PartialAllreduce:
             self._cond.notify_all()
         return True
 
-    def _wait_for_activation(
-        self, round_index: int, designated: int
-    ) -> Optional[Tuple[int, int]]:
+    def _wait_for_activation(self, round_index: int, designated: int) -> Optional[int]:
         """Block until the round is activated.
 
         Every message of the activation channel comes through one blocking
         receive: this rank's own arrival (sent by :meth:`reduce`), another
         rank's arrival at a quorum coordinator, an activation, or
-        ``close``.  Returns ``(initiator, incoming_distance_class)`` where
-        the distance class is ``-1`` for internal activation, or ``None``
-        when the collective is being shut down.
+        ``close``.  Returns the round's initiator (this rank when it
+        initiates), or ``None`` when the collective is being shut down.
         """
         arrivals = 0
         while True:
             try:
-                kind, msg_round, *activation = self.comm_act.recv(tag=ANY_TAG)
+                kind, msg_round, *initiator = self.comm_act.recv(tag=ANY_TAG)
             except CommTimeoutError:
                 continue  # between rounds the wait has no deadline
             if kind == "close":
@@ -478,12 +476,11 @@ class PartialAllreduce:
             if msg_round != round_index:
                 continue  # an earlier round's duplicate activation or late arrival
             if kind == "activate":
-                distance, initiator = activation
-                return (int(initiator), int(distance))
+                return initiator[0]
             if self.mode is PartialMode.SOLO or self.rank == designated:
                 arrivals += 1
                 if arrivals >= (self.quorum if self.mode is PartialMode.QUORUM else 1):
-                    return (self.rank, -1)
+                    return self.rank
             elif self.mode is PartialMode.QUORUM:
                 # This rank's own arrival, forwarded to the coordinator.
                 self.comm_act.send(
@@ -491,21 +488,15 @@ class PartialAllreduce:
                     tag=tags.partial_activation_tag(round_index),
                 )
 
-    def _forward_activation(
-        self, round_index: int, initiator: int, incoming_distance: int
-    ) -> None:
-        """Send activation messages along the dissemination tree.
-
-        The rule — who forwards to whom, for which first-activation class,
-        and why it never wraps — is
-        :func:`repro.collectives.topology.activation_children`; offsets
-        there are measured from the initiator.
-        """
+    def _forward_activation(self, round_index: int, initiator: int) -> None:
+        """Send the activation to this rank's children in the binomial
+        broadcast rooted at ``initiator``: the send steps of its plan."""
         act_tag = tags.partial_activation_tag(round_index)
-        offset = (self.rank - initiator) % self.size
-        for child, j in activation_children(offset, incoming_distance, self.size):
-            dest = (initiator + child) % self.size
-            self.comm_act.send(("activate", round_index, j, initiator), dest, tag=act_tag)
+        message = ("activate", round_index, initiator)
+        for _name, steps in activation_plan(self.size, initiator)[self.rank]:
+            for step in steps:
+                if step.send:
+                    self.comm_act.send(message, step.peer, tag=act_tag)
 
 
 def make_partial_allreduce(

@@ -18,7 +18,8 @@ the phase ids of this table, the one place a phase id is assigned::
      8  fold-in of the non-power-of-two extras   recursive doubling, halving
      9  fold-out to the extras                   recursive doubling, doubling
     10  intra-host reduce onto the leader        hierarchical
-    11  intra-host broadcast from the leader     hierarchical
+    11  intra-host broadcast from the leader     hierarchical; the partial
+                                                 activation's plan
     12  leader-ring reduce-scatter               hierarchical
     13  leader-ring allgather                    hierarchical
     14  sub-window scatter, leader -> members    hierarchical reduce_scatter
@@ -64,12 +65,16 @@ send or receive, so a steady-state collective builds no step.
 ``sync_tag`` checks the round and chunk fields when a plan is built and
 the epoch when it runs.  The composing functions keep what is not a
 message: the average divide and the codec's rounding of the owned
-window.  :mod:`repro.analysis.schedule_verifier` checks every rank's
-plan without threads.  A gather of other rows (Horovod's readiness
-table, the encoded payloads of a codec that is not reduce-closed) is the
-ring ``allgather_flat`` of a table with one row per rank, and the
-barrier is a zero-length recursive-doubling allreduce, so no collective
-keeps a loop of its own.
+window.  The partial collectives' activation is a plan too
+(:func:`activation_plan`, the binomial broadcast rooted at the
+initiator): the progress thread sends to its send steps' peers on its
+own channel and tags, so only the verifier and the pricer read its
+phase-11 tags.  :mod:`repro.analysis.schedule_verifier` checks every
+rank's plan without threads.  A gather of other rows (Horovod's
+readiness table, the encoded payloads of a codec that is not
+reduce-closed) is the ring ``allgather_flat`` of a table with one row
+per rank, and the barrier is a zero-length recursive-doubling
+allreduce, so no collective keeps a loop of its own.
 
 Chunk pipelining
 ----------------
@@ -117,12 +122,7 @@ from repro.comm import tags
 from repro.comm.communicator import Communicator
 from repro.obs import recorder as _obs
 from repro.comm.reduce_ops import ReduceOp, get_op
-from repro.collectives.topology import (
-    HostTopology,
-    intra_bcast_edges,
-    intra_reduce_edges,
-    largest_power_of_two_leq,
-)
+from repro.collectives.topology import HostTopology, bcast_order, largest_power_of_two_leq
 
 # The phase table of the module docstring (ids < tags.SYNC_MAX_PHASES).
 # Ids 0, 1 and 2 are retired, not reused: every other tag keeps its value.
@@ -342,27 +342,50 @@ def _halving(rank: int, size: int, length: int, n_chunks: int, gather: bool):
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _tree_edges(topology: HostTopology, host: int, phase: int) -> Dict[int, list]:
-    """``rank -> [(round, peer, sends)]`` over ``host``'s binomial tree:
-    the reduce onto the leader (10) or the broadcast from it (11)."""
-    reduce = phase == _PHASE_HIER_REDUCE
+def _tree_edges(ranks: Tuple[int, ...], root: int, phase: int) -> Dict[int, list]:
+    """``rank -> [(round, peer, sends)]`` over the binomial tree of
+    ``ranks`` rooted at ``ranks[root]``: the broadcast from the root
+    (11), or the reduce onto it (10), which runs the broadcast's edges
+    backwards so that every sender has combined its subtree first."""
+    edges = [(ranks[src], ranks[dst]) for src, dst in bcast_order(len(ranks), root)]
+    if phase == _PHASE_HIER_REDUCE:
+        edges = [(dst, src) for src, dst in reversed(edges)]
     touching: Dict[int, list] = {}
-    for r, (src, dst) in enumerate(
-        (intra_reduce_edges if reduce else intra_bcast_edges)(topology, host)
-    ):
+    for r, (src, dst) in enumerate(edges):
         touching.setdefault(src, []).append((r, dst, True))
         touching.setdefault(dst, []).append((r, src, False))
     return touching
 
 
-def _tree(rank: int, topology: HostTopology, length: int, n_chunks: int, phase: int):
-    """``rank``'s whole-vector steps in its host's tree (receives combine
-    on the way to the leader)."""
+def _tree(
+    rank: int, ranks: Tuple[int, ...], root: int, length: int, n_chunks: int, phase: int
+):
+    """``rank``'s whole-vector steps in the tree of :func:`_tree_edges`
+    (receives combine on the way to the root)."""
     steps: List[Step] = []
-    for r, peer, send in _tree_edges(topology, topology.host(rank), phase).get(rank, ()):
+    for r, peer, send in _tree_edges(ranks, root, phase).get(rank, ()):
         reduce = phase == _PHASE_HIER_REDUCE and not send
         steps += _segments(send, peer, 0, length, phase, r, n_chunks, combine=reduce)
     return tuple(steps)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def activation_plan(size: int, initiator: int) -> Tuple[Plan, ...]:
+    """Every rank's plan of a partial collective's activation: the
+    binomial broadcast of one element rooted at ``initiator``, built like
+    the intra-host broadcast (11).  Each rank but the initiator receives
+    once from its tree parent, then sends once per child
+    (:func:`~repro.collectives.topology.binomial_tree_children`).
+
+    The progress thread of :mod:`repro.collectives.partial` sends to the
+    peers of its rank's send steps (on its own channel and round tag),
+    :mod:`repro.analysis.schedule_verifier` interprets the plan for every
+    initiator and :mod:`repro.simtime` prices it.
+    """
+    ranks = tuple(range(size))
+    return tuple(
+        ((None, _tree(rank, ranks, initiator, 1, 1, _PHASE_HIER_BCAST)),) for rank in ranks
+    )
 
 
 def _hier_edges(
@@ -417,7 +440,8 @@ def reduce_scatter_plan(
         rank, topology, length, n_chunks, _PHASE_HIER_SCATTER, wire
     )
     return (
-        ("hier-intra-reduce", _tree(rank, topology, length, n_chunks, _PHASE_HIER_REDUCE)),
+        ("hier-intra-reduce",
+         _tree(rank, topology.local_ranks(rank), 0, length, n_chunks, _PHASE_HIER_REDUCE)),
         ("hier-leader-ring", ring),
         (None, scatter),
     ), window
@@ -442,7 +466,8 @@ def allgather_plan(
     return (
         (None, gather),
         ("hier-leader-ring", ring),
-        ("hier-intra-bcast", _tree(rank, topology, length, n_chunks, _PHASE_HIER_BCAST)),
+        ("hier-intra-bcast",
+         _tree(rank, topology.local_ranks(rank), 0, length, n_chunks, _PHASE_HIER_BCAST)),
     ), window
 
 

@@ -1,16 +1,18 @@
 """Communication topologies used by the collective algorithms.
 
-The activation phase of a partial collective broadcasts a small message
-along a *binomial tree rooted at the initiator* (the union of ``P``
-binomial trees described in Section 4.1.1 of the paper); the reduction
-itself uses *recursive doubling* (hypercube exchange).  This module
-provides the pure rank arithmetic for the trees, and the rank -> host map
-the hierarchical collectives query.
+The activation phase of a partial collective is the binomial broadcast
+rooted at the round's initiator: one of the ``P`` binomial trees whose
+union Section 4.1.1 of the paper describes.  The reduction itself uses
+*recursive doubling* (hypercube exchange).  This module provides the
+pure rank arithmetic of the tree (:func:`binomial_tree_children`, the one
+forwarding rule, and :func:`bcast_order`, the edge list that
+:mod:`repro.collectives.sync` builds the intra-host trees and the
+activation plan from), and the rank -> host map the hierarchical
+collectives query.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,62 +26,30 @@ def _validate(size: int, rank: int = 0, root: int = 0) -> None:
         raise ValueError(f"root {root} out of range for size {size}")
 
 
-def tree_depth(size: int) -> int:
-    """Depth of a binomial broadcast tree over ``size`` ranks."""
-    _validate(size)
-    return int(math.ceil(math.log2(size))) if size > 1 else 0
-
-
-def activation_children(
-    offset: int, incoming_class: int, size: int
-) -> List[Tuple[int, int]]:
-    """The activation dissemination rule of the partial collectives.
-
-    A rank at ``offset`` from the initiator that was first activated via
-    distance class ``incoming_class`` (``-1``: it *is* the initiator)
-    forwards to the offsets ``offset + 2^j`` for every ``j >
-    incoming_class`` while they stay below ``size``; the result lists
-    ``(child_offset, j)``.  Offsets **never wrap**, so each offset in
-    ``[1, size)`` has exactly one parent (strip the top set bit) and
-    activation reaches every rank under *any* message delivery order.
-    The earlier ``mod P`` variant aliased two tree positions onto one rank
-    at non-power-of-two sizes; a rank whose first activation arrived via
-    the aliased (higher) class then skipped its low-class forwards and
-    could strand part of the world.
-
-    This is the one statement of the rule: the progress thread
-    (:meth:`repro.collectives.partial.PartialAllreduce._forward_activation`)
-    sends along it and the verifier
-    (:func:`repro.analysis.schedule_verifier.check_dissemination`)
-    explores it.  Offsets are initiator-relative, which is what makes the
-    pattern the union of ``P`` binomial trees of Section 4.1.1.
-    """
-    children = []
-    for j in range(incoming_class + 1, tree_depth(size)):
-        child = offset + (1 << j)
-        if child >= size:
-            break
-        children.append((child, j))
-    return children
-
-
 def binomial_tree_children(rank: int, size: int, root: int = 0) -> List[int]:
-    """Children of ``rank`` in the binomial tree rooted at ``root``.
+    """Children of ``rank`` in the binomial tree rooted at ``root``: the
+    forwarding rule of every binomial broadcast here, the partial
+    collectives' activation included.
 
-    The tree is defined on *relative* ranks ``v = (rank - root) mod size``
-    by the doubling broadcast recursion: in round ``k`` (``k = 0, 1, ...``)
-    every already-reached rank ``v < 2^k`` sends to ``v + 2^k`` when that
-    target exists.  A rank ``v > 0`` is therefore first reached in the
-    round given by its highest set bit and forwards in every later round:
-    the tree is :func:`activation_children` followed from the class each
-    rank is reached in (-1 for the root, which starts sending in round 0).
+    The tree is the doubling broadcast on offsets ``v = (rank - root) mod
+    size``: in round ``k`` every reached offset ``v < 2^k`` sends to ``v +
+    2^k`` while that stays below ``size``.  So ``v`` is reached in the
+    round of its top set bit and forwards to ``v + 2^j`` for every higher
+    ``j``.  Offsets never wrap: each ``v`` in ``[1, size)`` has one
+    parent, ``v`` with its top set bit stripped, and a message reaches
+    ``v`` after ``popcount(v)`` hops.  Because the round a rank is reached
+    in is a function of its offset, an activation needs to carry only its
+    initiator, and whom a rank forwards to does not depend on the order
+    messages arrive in.
     """
     _validate(size, rank, root)
     v = (rank - root) % size
-    return [
-        (child + root) % size
-        for child, _ in activation_children(v, v.bit_length() - 1, size)
-    ]
+    children = []
+    j = v.bit_length()
+    while v + (1 << j) < size:
+        children.append((root + v + (1 << j)) % size)
+        j += 1
+    return children
 
 
 def largest_power_of_two_leq(n: int) -> int:
@@ -93,26 +63,21 @@ def bcast_order(size: int, root: int = 0) -> List[Tuple[int, int]]:
     """Flattened ``(sender, receiver)`` edge list of the binomial broadcast.
 
     The edges are listed level by level, which is the order in which they
-    can first be scheduled; the intra-host reduce and broadcast edge lists
-    below are built from it.
+    can first be scheduled, each sender's in
+    :func:`binomial_tree_children`'s order; every rank but the root is
+    the receiver of exactly one edge.
     """
     _validate(size, root=root)
     edges: List[Tuple[int, int]] = []
     frontier = [root]
-    reached = {root}
-    while len(reached) < size:
-        next_frontier: List[int] = []
-        for sender in frontier:
-            for child in binomial_tree_children(sender, size, root):
-                if child not in reached:
-                    edges.append((sender, child))
-                    reached.add(child)
-                    next_frontier.append(child)
-        if not next_frontier:
-            # Defensive: should never happen for a correct tree.
-            missing = sorted(set(range(size)) - reached)
-            raise RuntimeError(f"broadcast tree did not reach ranks {missing}")
-        frontier = next_frontier
+    while frontier:
+        level = [
+            (sender, child)
+            for sender in frontier
+            for child in binomial_tree_children(sender, size, root)
+        ]
+        edges += level
+        frontier = [child for _, child in level]
     return edges
 
 
@@ -242,31 +207,3 @@ class HostTopology:
     def to_string(self) -> str:
         """Inverse of :meth:`from_string` (canonical labels)."""
         return ",".join(str(h) for h in self.host_of)
-
-
-def intra_reduce_edges(topology: HostTopology, host: int) -> List[Tuple[int, int]]:
-    """``(sender, receiver)`` edges of the intra-host reduce to the leader.
-
-    The reduction runs the binomial broadcast tree *in reverse*: leaves
-    send first, inner nodes combine their subtree before forwarding, so
-    the leader performs ``O(log n)`` receives instead of ``n - 1``.  The
-    edge list is ordered so every sender appears only after all of its
-    own children have sent (a valid sequential reduce schedule).
-    """
-    local = topology.ranks_on_host(host)
-    n = len(local)
-    if n == 1:
-        return []
-    # Reverse of the broadcast edge order: deepest edges first.
-    edges = bcast_order(n, root=0)
-    return [(local[child], local[parent]) for parent, child in reversed(edges)]
-
-
-def intra_bcast_edges(topology: HostTopology, host: int) -> List[Tuple[int, int]]:
-    """``(sender, receiver)`` edges broadcasting the result from the leader."""
-    local = topology.ranks_on_host(host)
-    if len(local) == 1:
-        return []
-    return [
-        (local[src], local[dst]) for src, dst in bcast_order(len(local), root=0)
-    ]

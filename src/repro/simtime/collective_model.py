@@ -8,7 +8,9 @@ order under LogGP (:func:`plan_time`, cached per shape by
 messages go, so folds, uneven windows, two-tier placements and codec
 wire hops are priced as they run — the decode-reduce-encode exchange of
 a codec that is not reduce-closed too: its gather is the ring allgather
-plan of one encoded payload per rank.
+plan of one encoded payload per rank.  The partial collectives'
+activation is priced the same way, from the plan its progress threads
+send along (:func:`activation_time`).
 
 On top of that price, :func:`synchronous_allreduce_latencies` and
 :func:`partial_round` reproduce the microbenchmark of Fig. 8/9 in the
@@ -44,7 +46,7 @@ import numpy as np
 
 from repro.collectives import sync
 from repro.collectives.topology import HostTopology
-from repro.simtime.network import DEFAULT_NETWORK, LogGPParams, message_time
+from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
 
 #: Size, in bytes, of an activation message (a tag plus a round number).
 ACTIVATION_MESSAGE_BYTES = 16
@@ -302,19 +304,16 @@ def allreduce_time(
     return ring + (_transform_time(nbytes, size, compression) if size > 1 else 0.0)
 
 
-def broadcast_time(
-    nbytes: int, size: int, params: LogGPParams = DEFAULT_NETWORK
-) -> float:
-    """Duration of a binomial-tree broadcast."""
-    if size <= 1:
-        return 0.0
-    rounds = math.ceil(math.log2(size))
-    return rounds * message_time(nbytes, params)
-
-
+@functools.lru_cache(maxsize=1024)
 def activation_time(size: int, params: LogGPParams = DEFAULT_NETWORK) -> float:
-    """Time for the activation broadcast to reach the farthest rank."""
-    return broadcast_time(ACTIVATION_MESSAGE_BYTES, size, params)
+    """Time for the activation to reach the farthest rank: :func:`plan_time`
+    of :func:`~repro.collectives.sync.activation_plan`, one
+    :data:`ACTIVATION_MESSAGE_BYTES` message per tree edge, priced once
+    per ``(size, params)``.  Every initiator's tree is initiator 0's
+    relabelled, and the farthest offset is ``popcount`` hops away (one
+    per doubling of ``P`` at a power of two)."""
+    programs = [(plan,) for plan in sync.activation_plan(size, 0)]
+    return plan_time(programs, params, bytes_per_element=ACTIVATION_MESSAGE_BYTES)
 
 
 # ---------------------------------------------------------------------------

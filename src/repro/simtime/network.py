@@ -58,9 +58,3 @@ class LogGPParams:
 #: Default parameters used by the microbenchmark and the projections.
 DEFAULT_NETWORK = LogGPParams()
 
-
-def message_time(nbytes: int, params: LogGPParams = DEFAULT_NETWORK) -> float:
-    """Time to move one ``nbytes`` message between two ranks."""
-    if nbytes < 0:
-        raise ValueError(f"message size must be non-negative, got {nbytes}")
-    return params.alpha + nbytes * params.beta

@@ -50,8 +50,11 @@ def test_sweep_passes_at_non_uniform_topologies():
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7, 8, 9, 16, 64])
 def test_dissemination_covers_every_size(size):
-    result = sv.check_dissemination(size)
+    """The activation plan, interpreted for every initiator: each rank
+    receives every initiator's value once, from its one tree parent."""
+    result = sv.run_case(sv.activation_case(size))
     assert result.ok, [str(v) for v in result.violations]
+    assert result.num_events == 2 * size * (size - 1)
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 8])
@@ -186,15 +189,13 @@ def test_rogue_user_tag_breaks_tag_soundness():
 
 
 def test_wrapping_dissemination_rule_is_rejected():
-    """The pre-fix ``(offset + 2^j) mod P`` forward rule strands ranks.
-
-    Regression companion to the ``_forward_activation`` fix: the
-    delivery-order exploration of ``check_dissemination`` must reject the
-    old wrapping rule at a non-power-of-two size.
-    """
-    result = sv._mutant_wrapping_dissemination(5)
-    assert any(v.check == "deadlock" and "strands" in v.detail
+    """The ``(offset + 2^j) mod P`` forward rule, as an activation plan:
+    at a non-power-of-two size its wrapped forwards reach ranks that
+    already have their one parent, and the interpreter finds them."""
+    result = sv.run_case(sv._mutant_wrapping_activation(5), toposort=True)
+    assert any(v.check == "match" and "orphan send" in v.detail
                for v in result.violations), [str(v) for v in result.violations]
+    assert any(factory is sv._mutant_wrapping_activation for factory, _ in sv.MUTANTS)
 
 
 def test_self_test_rejects_every_mutant():

@@ -399,7 +399,7 @@ class TestPayloads:
 
     def test_object_payloads(self, backend):
         payloads = [
-            ("activate", 3, 1, 0),            # activation control tuple
+            ("activate", 3, 0),               # activation control tuple
             ("arrival", 2, 5),                # quorum arrival notification
             ("barrier", 0, 1),                # small control tuple
             {"order": [2, 0, 1], "epoch": 4}, # negotiation-style dict

@@ -1,13 +1,16 @@
 """Tests for partial collectives: solo, majority and quorum allreduce."""
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.comm import available_backends, backend_unavailable_reason, launch
+from repro.analysis.recording import RecordingWorld
+from repro.comm import available_backends, backend_unavailable_reason, launch, tags
 from repro.comm.router import Channel
-from repro.collectives import PartialAllreduce, PartialMode, make_partial_allreduce
+from repro.collectives import PartialAllreduce, PartialMode, make_partial_allreduce, sync
 
 
 def _run_rounds(comm, mode, rounds, skew_ms=0.0, contribution_scale=1.0, **kwargs):
@@ -122,6 +125,43 @@ def test_round_average_bounded_by_rounds_contributed(mode):
 
     for value in launch(worker, 4):
         assert 0.0 <= value <= rounds + 1e-9
+
+
+#: Per world size and initiator, the ``[source, destination]`` pairs of
+#: the activation-channel sends to another rank, recorded from majority
+#: rounds of the activation rule as it stood before it was a plan.
+ACTIVATION_EDGES = Path(__file__).parent / "data" / "activation_edges.json"
+
+
+def _majority_initiators(comm, rounds):
+    with PartialAllreduce(comm, (2,), "majority", seed=7, average=False) as partial:
+        return [partial.reduce(np.ones(2)).initiator for _ in range(rounds)]
+
+
+@pytest.mark.parametrize("size", [3, 5, 6, 7, 8])
+def test_live_activation_sends_the_frozen_edges_of_the_plan(size):
+    """Each recorded majority round of the real collective sends its
+    activation along exactly the frozen edges of its initiator, which are
+    the send steps of that initiator's ``sync.activation_plan``; every
+    rank initiates at least once."""
+    frozen = json.loads(ACTIVATION_EDGES.read_text())[str(size)]
+    record = RecordingWorld(size).run(lambda comm: _majority_initiators(comm, 6 * size))
+    assert not any(record.errors), record.errors
+    initiators = record.results[0]
+    assert sorted(set(initiators)) == list(range(size))
+    sent = [set() for _ in initiators]
+    for e in record.sends():
+        if e.channel == Channel.ACTIVATION and e.peer != e.rank:
+            sent[e.tag - tags.PARTIAL_ACTIVATION_TAG_BASE].add((e.rank, e.peer))
+    for initiator, edges in zip(initiators, sent):
+        planned = {
+            (rank, step.peer)
+            for rank, plan in enumerate(sync.activation_plan(size, initiator))
+            for _name, steps in plan
+            for step in steps
+            if step.send
+        }
+        assert edges == {tuple(pair) for pair in frozen[str(initiator)]} == planned
 
 
 class TestQuorumAllreduce:

@@ -6,7 +6,10 @@ what that promises: for every case of the verifier's plan table — each
 collective, the interleaved sequence, the deep500 / Horovod / sharded
 exchanges' plans and the barrier — the thread-free interpreter of
 :mod:`repro.analysis.schedule_verifier` sends exactly what a recorded run
-of the live code sends and reads the same values; a repeated collective
+of the live code sends and reads the same values (the partial
+activation's progress threads send on their own channel and tags, so
+``tests/test_collectives_partial.py`` compares their edges with the
+plan's); a repeated collective
 builds no plan, the static path catches a broken plan, and empty
 doubling windows travel as 0-element arrays on a real transport.
 """
@@ -161,6 +164,7 @@ _CASES = [
     pytest.param(case, id=f"P={size}/{case.name}")
     for size in SIZES
     for case in sv.build_plan_cases(size)
+    if case.name != "partial-activation[every-initiator]"
 ]
 
 

@@ -17,7 +17,7 @@ run here proves the live code too mints the same tags, talks to the same
 peers, moves the same element counts and does so in the same per-rank
 order.
 
-Every hash but the 71 below was frozen from a recorded run.  The file
+Every hash but the 76 below was frozen from a recorded run.  The file
 was generated *before* the collective layer was collapsed onto one body
 per phase.
 The reduce-scatter and sharded-exchange entries were re-frozen when the
@@ -47,7 +47,11 @@ ring ``allgather_flat`` of a readiness table.  For Horovod the per-rank
 ``(kind, peer)`` lists are unchanged and every bucket-allreduce event is
 identical; only the negotiation's events moved, from phase 2 to the ring
 allgather's phase 5 and from 0 elements (a tuple) to one table row.
-Every other entry is unchanged, byte for byte.
+The 5 ``partial-activation[every-initiator]`` entries were added from
+the interpreted record when the partial activation became a plan; the
+progress thread's live edges are pinned by
+``tests/test_collectives_partial.py`` instead.  Every other entry is
+unchanged, byte for byte.
 
 Regenerate (only when a schedule is changed on purpose) with
 ``PYTHONPATH=src python tests/test_schedule_fingerprints.py``.

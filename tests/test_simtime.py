@@ -11,9 +11,7 @@ from repro.simtime import (
     StepTimeline,
     activation_time,
     allreduce_time,
-    broadcast_time,
     linear_skew,
-    message_time,
     partial_round,
     project_training_time,
     synchronous_allreduce_latencies,
@@ -24,13 +22,6 @@ from repro.tuning.autotune import predict_exchange_time
 
 
 class TestNetworkModel:
-    def test_message_time_monotone_in_size(self):
-        assert message_time(1024) > message_time(64) > 0
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            message_time(-1)
-
     def test_allreduce_time_grows_with_size_and_ranks(self):
         small = allreduce_time(64, 8)
         large = allreduce_time(4 * 1024 * 1024, 8)
@@ -51,12 +42,16 @@ class TestNetworkModel:
             allreduce_time(64, 8, "bogus")
 
     def test_broadcast_and_activation(self):
-        assert broadcast_time(16, 1) == 0.0
+        assert activation_time(1) == 0.0
         assert activation_time(32) > activation_time(2) > 0
         # The binomial activation adds one hop per doubling of P...
-        hop = message_time(ACTIVATION_MESSAGE_BYTES)
+        hop = DEFAULT_NETWORK.alpha + ACTIVATION_MESSAGE_BYTES * DEFAULT_NETWORK.beta
         assert activation_time(2) == hop
         assert activation_time(4096) == pytest.approx(12 * hop, rel=1e-12)
+        # ...and never wraps, so the farthest rank is the largest popcount
+        # of an offset below P hops away: offset 1 at P = 3, 3 at P = 5.
+        assert activation_time(3) == hop
+        assert activation_time(5) == pytest.approx(2 * hop, rel=1e-12)
         # ...so at P = 4096 it is over 10x cheaper than a flat star whose
         # initiator injects P - 1 messages back to back.
         flat_star = 4095 * DEFAULT_NETWORK.alpha + hop

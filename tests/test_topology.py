@@ -4,15 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collectives import sync
 from repro.collectives.topology import (
     HostTopology,
-    activation_children,
     bcast_order,
     binomial_tree_children,
-    intra_bcast_edges,
-    intra_reduce_edges,
     largest_power_of_two_leq,
-    tree_depth,
 )
 
 
@@ -38,12 +35,6 @@ class TestBinomialTree:
                 assert len(receivers) == size - 1
                 assert len(set(receivers)) == size - 1
                 assert root not in receivers
-
-    def test_depth(self):
-        assert tree_depth(1) == 0
-        assert tree_depth(2) == 1
-        assert tree_depth(8) == 3
-        assert tree_depth(9) == 4
 
     def test_largest_power_of_two_leq(self):
         assert largest_power_of_two_leq(1) == 1
@@ -78,40 +69,41 @@ ACTIVATION_SIZES = (2, 3, 4, 5, 6, 7, 8, 9, 16, 64)
 
 
 class TestActivationChildren:
-    """The partial collectives' dissemination rule, stated once."""
+    """The binomial tree is the partial collectives' activation rule: the
+    progress thread forwards along it from every initiator."""
 
     @pytest.mark.parametrize("size", ACTIVATION_SIZES)
     def test_every_offset_has_exactly_one_parent(self, size):
-        # Follow the rule from the initiator, each offset continuing from
-        # the class it was reached at; collect who forwards to whom.
-        parents = {}
-        frontier = [(0, -1)]
-        while frontier:
-            offset, incoming_class = frontier.pop()
-            for child, j in activation_children(offset, incoming_class, size):
-                assert child == offset + 2 ** j
-                parents.setdefault(child, []).append(offset)
-                frontier.append((child, j))
-        assert sorted(parents) == list(range(1, size))
-        for child, senders in parents.items():
-            # The parent strips the child's top set bit.
-            assert senders == [child - (1 << (child.bit_length() - 1))]
+        for root in range(size):
+            parents = {}
+            for rank in range(size):
+                for child in binomial_tree_children(rank, size, root):
+                    parents.setdefault((child - root) % size, []).append(
+                        (rank - root) % size
+                    )
+            assert sorted(parents) == list(range(1, size))
+            for child, senders in parents.items():
+                # The parent strips the child's top set bit.
+                assert senders == [child - (1 << (child.bit_length() - 1))]
 
     @pytest.mark.parametrize("size", ACTIVATION_SIZES)
     def test_initiator_forwards_to_the_powers_of_two(self, size):
-        expected = [(1 << j, j) for j in range(size.bit_length()) if (1 << j) < size]
-        assert activation_children(0, -1, size) == expected
+        for root in range(size):
+            offsets = [1 << j for j in range(size.bit_length()) if (1 << j) < size]
+            assert binomial_tree_children(root, size, root) == [
+                (root + offset) % size for offset in offsets
+            ]
 
     def test_no_forward_wraps_past_the_world(self):
-        # The aliasing case of the old ``mod P`` rule: offset 4 at P = 5
-        # reached via class 2 has nothing left; via class 0 it would have
-        # wrapped onto offsets 1 and 3.
-        assert activation_children(4, 2, 5) == []
-        assert activation_children(4, 0, 5) == []
-        assert activation_children(1, 0, 5) == [(3, 1)]
+        # At P = 5 offset 4 forwards to nobody (offset 4 + 4 and, under a
+        # wrapping rule, 4 + 1 and 4 + 2 would leave the world), and
+        # offset 1 forwards to 3 only (1 + 4 would wrap onto 0).
+        for root in range(5):
+            assert binomial_tree_children((root + 4) % 5, 5, root) == []
+            assert binomial_tree_children((root + 1) % 5, 5, root) == [(root + 3) % 5]
 
     def test_single_rank_world_has_no_children(self):
-        assert activation_children(0, -1, 1) == []
+        assert binomial_tree_children(0, 1, 0) == []
 
 
 # The non-uniform layouts the hierarchical schedules must get right:
@@ -119,6 +111,31 @@ class TestActivationChildren:
 # (three hosts of different sizes, leader ring of length 3).
 THREE_PLUS_ONE = HostTopology([0, 0, 0, 1])
 FOUR_TWO_TWO = HostTopology([0, 0, 0, 0, 1, 1, 2, 2])
+
+
+def intra_edges(topology, host, stage):
+    """``(sender, receiver)`` edges of ``host`` in the hierarchical plans'
+    intra-host stage, in tag order: ``"hier-intra-reduce"`` (the
+    reduce-scatter's first stage) or ``"hier-intra-bcast"`` (the
+    allgather's last)."""
+    build = sync.reduce_scatter_plan if stage == "hier-intra-reduce" else sync.allgather_plan
+    sends = []
+    for rank in topology.ranks_on_host(host):
+        plan, _ = build("hierarchical", rank, topology.world_size, 1, 1, topology)
+        sends += [
+            (step.tag, rank, step.peer)
+            for name, steps in plan if name == stage
+            for step in steps if step.send
+        ]
+    return [(src, dst) for _, src, dst in sorted(sends)]
+
+
+def intra_reduce_edges(topology, host):
+    return intra_edges(topology, host, "hier-intra-reduce")
+
+
+def intra_bcast_edges(topology, host):
+    return intra_edges(topology, host, "hier-intra-bcast")
 
 
 class TestHostTopology:
