@@ -290,6 +290,7 @@ class PartialAllreduce:
                 )
             # Wait until the progress thread has finished the round; its
             # receives give up after one deadline, so its failure comes first.
+            # It notifies on both, so each wake is an event, not a poll.
             limit = 2 * self.comm_lib.default_timeout
             deadline = time.monotonic() + limit
             while self._rounds_done <= round_index:
@@ -300,7 +301,7 @@ class PartialAllreduce:
                         f"rank {self.rank}: partial allreduce round {round_index} "
                         f"did not complete within {limit}s"
                     )
-                self._cond.wait(timeout=min(0.05, remaining))
+                self._cond.wait(timeout=remaining)
             # Each round is consumed exactly once by the application
             # thread; popping keeps memory bounded over long trainings.
             record = self._records.pop(round_index)

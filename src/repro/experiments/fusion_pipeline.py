@@ -3,16 +3,17 @@
 The seed implementation shipped every step's gradient as **one monolithic
 flat vector through a single blocking recursive-doubling allreduce** —
 no tensor fusion, no chunk pipelining.  This harness quantifies what the
-bucketed/chunked exchange subsystem buys:
+bucketed/chunked exchange subsystem buys, as analytic rows: the LogGP
+walk of the plans that run
+(:func:`repro.simtime.collective_model.allreduce_time` for one
+collective, :func:`repro.tuning.autotune.predict_exchange_time` for a
+bucketed exchange, whose buckets run back to back) across world sizes,
+bucket sizes and chunk counts.
 
-* *analytic rows* — the LogGP walk of the plans that run
-  (:func:`repro.simtime.collective_model.allreduce_time` for one
-  collective, :func:`repro.tuning.autotune.predict_exchange_time` for a
-  bucketed exchange, whose buckets run back to back) across world sizes,
-  bucket sizes and chunk counts;
-* *functional rows* (optional) — wall-clock of the thread-backed
-  :class:`~repro.training.exchange.SynchronousExchange` at reduced scale,
-  validating that the fused path computes the identical average gradient.
+The real exchange runs end to end through the training runner
+(``python -m repro train --backend B --compression C --sharding S``);
+its correctness and wire volume are tier-1 tests
+(``tests/test_fusion_pipeline.py``, ``tests/test_sharded_training.py``).
 
 The headline: for a >= 4 MB gradient at P = 8, the best chunked or
 fused configuration is >= 1.3x faster than the seed's unfused
@@ -24,11 +25,8 @@ parameters: every bucket is its own collective and pays its own
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Annotated, List, Literal, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Annotated, List, Optional, Sequence
 
 from repro.experiments.report import format_table
 from repro.simtime.collective_model import CompressionModel, allreduce_time
@@ -53,24 +51,9 @@ class FusionRow:
     speedup: float
 
 
-@dataclass(frozen=True)
-class FunctionalRow:
-    """Wall-clock of the real exchange on one backend (reduced scale)."""
-
-    world_size: int
-    elements: int
-    configuration: str
-    seconds_per_exchange: float
-    max_abs_error: float
-    backend: str = "thread"
-    #: Bytes rank 0 sent per exchange, counted at its communicator.
-    sent_bytes: int = 0
-
-
 @dataclass
 class FusionPipelineResult:
     rows: List[FusionRow]
-    functional_rows: List[FunctionalRow] = field(default_factory=list)
 
     def headline_speedup(self, world_size: int = 8) -> float:
         """Best chunked/fused speedup at ``world_size`` over the baseline.
@@ -95,10 +78,6 @@ def run(
     pipeline_chunks: Annotated[int, int_at_least(1)] = 8,
     params: LogGPParams = DEFAULT_NETWORK,
     compression: Optional[str] = None,
-    functional: bool = False,
-    functional_world_size: Annotated[int, int_at_least(1)] = 4,
-    sharding: Literal["none", "zero1"] = "none",
-    backend: Optional[str] = None,
 ) -> FusionPipelineResult:
     """Model the fused/chunked exchange against the monolithic baseline.
 
@@ -111,12 +90,6 @@ def run(
     additionally gets a compressed sibling row scored with the codec's
     wire/transform terms
     (:class:`~repro.simtime.collective_model.CompressionModel`).
-
-    ``functional`` (implied by an explicit ``backend``) also runs the real
-    exchange on the comm ``backend`` at ``functional_world_size`` ranks
-    (:func:`run_functional`); ``sharding="zero1"`` adds its ZeRO-1
-    sharded-exchange row (reduce-scatter, shard-local update, parameter
-    allgather).
     """
     cm: Optional[CompressionModel] = None
     codec_label = ""
@@ -182,152 +155,11 @@ def run(
                     baseline / compressed,
                 )
             )
-    result = FusionPipelineResult(rows=rows)
-    if functional or backend is not None:
-        result.functional_rows = run_functional(
-            world_size=functional_world_size,
-            pipeline_chunks=pipeline_chunks,
-            backend=backend,
-            compression=compression,
-            sharding=sharding,
-        )
-    return result
-
-
-def run_functional(
-    world_size: int = 4,
-    elements: int = 1 << 15,
-    pipeline_chunks: int = 4,
-    fusion_threshold_bytes: int = 64 * 1024,
-    iterations: int = 4,
-    backend: Optional[str] = None,
-    compression: Optional[str] = None,
-    sharding: str = "none",
-) -> List[FunctionalRow]:
-    """Measure the real exchange on ``backend`` and verify its result.
-
-    Wall-clock numbers on the thread substrate are dominated by copying
-    and scheduling rather than network physics; the process backend adds
-    loopback TCP and removes the shared GIL.  Either way the functional
-    rows validate correctness and give a rough cost signal, while the
-    analytic rows carry the latency claims.
-
-    ``sharding="zero1"`` appends a row running the ZeRO-1
-    :class:`~repro.training.exchange.ShardedExchange` end to end (SGD on
-    a flat parameter vector): its error column compares the gathered
-    parameters against the dense-update reference.  Every row's
-    ``sent B/rank`` is the bytes rank 0 measured itself sending per
-    exchange, so the algorithms' wire volumes compare directly.
-    """
-    from repro.comm import get_backend, launch
-    from repro.training.exchange import SynchronousExchange, _WireCountingComm
-
-    if sharding not in ("none", "zero1"):
-        raise ValueError(f"sharding must be 'none' or 'zero1', got {sharding!r}")
-    backend_name = get_backend(backend).name
-    configs = [
-        ("unfused single-buffer (RD)", dict(algorithm="recursive_doubling")),
-        ("single-buffer ring", dict(algorithm="ring")),
-        (
-            f"fused chunked ring (C={pipeline_chunks})",
-            dict(
-                algorithm="ring",
-                fusion_threshold_bytes=fusion_threshold_bytes,
-                pipeline_chunks=pipeline_chunks,
-            ),
-        ),
-    ]
-    if compression is not None:
-        from repro.compression import resolve_codec
-
-        codec = resolve_codec(compression)
-        if codec is not None:
-            configs.append(
-                (
-                    f"fused chunked ring + {codec.name} (C={pipeline_chunks})",
-                    dict(
-                        algorithm="ring",
-                        fusion_threshold_bytes=fusion_threshold_bytes,
-                        pipeline_chunks=pipeline_chunks,
-                        compression=compression,
-                    ),
-                )
-            )
-    base = np.arange(elements, dtype=np.float64) / elements
-    expected = base + (world_size - 1) / 2.0
-
-    def dense(kwargs):
-        def make_step(comm):
-            exchange = SynchronousExchange(comm, **kwargs)
-            return lambda gradient: exchange.exchange(gradient).gradient
-        return make_step
-
-    # (configuration, make_step(comm) -> step(gradient) -> vector to check, its reference)
-    cases = [(name, dense(kwargs), expected) for name, kwargs in configs]
-    if sharding == "zero1":
-        lr = 0.25
-        init = np.linspace(-1.0, 1.0, elements)
-
-        def sharded(comm):
-            from repro.nn.module import Module
-            from repro.nn.optim import SGD
-            from repro.nn.parameters import flatten_parameters
-            from repro.training.exchange import ShardedExchange
-
-            model = Module()
-            model.add_parameter("theta", init.copy())
-            optimizer = SGD(model, lr)
-            exchange = ShardedExchange(
-                comm,
-                algorithm="ring",
-                fusion_threshold_bytes=fusion_threshold_bytes,
-                pipeline_chunks=pipeline_chunks,
-            )
-
-            def step(gradient):
-                exchange.exchange_update(gradient, model, optimizer)
-                return flatten_parameters(model)
-            return step
-
-        cases.append((
-            f"zero1 sharded ring (C={pipeline_chunks})", sharded, init - iterations * lr * expected
-        ))
-
-    rows: List[FunctionalRow] = []
-    for name, make_step, reference in cases:
-        def worker(comm):
-            # Every row counts the bytes its rank sends the same way, and
-            # inside the same clock.
-            counting = _WireCountingComm(comm)
-            step = make_step(counting)
-            start = time.perf_counter()
-            for _ in range(iterations):
-                # An exchange consumes its argument: a fresh one each step.
-                out = step(base + comm.rank)
-            elapsed = (time.perf_counter() - start) / iterations
-            return (
-                elapsed,
-                float(np.max(np.abs(out - reference))),
-                counting.bytes_sent // iterations,
-            )
-
-        outputs = launch(worker, world_size, backend=backend)
-        rows.append(
-            FunctionalRow(
-                world_size=world_size,
-                elements=elements,
-                configuration=name,
-                seconds_per_exchange=float(np.mean([o[0] for o in outputs])),
-                max_abs_error=float(max(o[1] for o in outputs)),
-                backend=backend_name,
-                sent_bytes=int(outputs[0][2]),
-            )
-        )
-    return rows
+    return FusionPipelineResult(rows=rows)
 
 
 def report(result: FusionPipelineResult) -> str:
-    """Render the comparison tables."""
+    """Render the comparison table and the P = 8 headline."""
     parts = [
         format_table(
             ["P", "gradient", "exchange", "buckets", "chunks", "time [us]", "speedup"],
@@ -347,26 +179,6 @@ def report(result: FusionPipelineResult) -> str:
             "(LogGP walk of the plans; buckets run back to back)",
         )
     ]
-    if result.functional_rows:
-        backends = "/".join(sorted({r.backend for r in result.functional_rows}))
-        parts.append("")
-        parts.append(
-            format_table(
-                ["P", "elements", "exchange", "s/exchange", "max |err|", "sent B/rank"],
-                [
-                    (
-                        r.world_size,
-                        r.elements,
-                        r.configuration,
-                        r.seconds_per_exchange,
-                        r.max_abs_error,
-                        r.sent_bytes,
-                    )
-                    for r in result.functional_rows
-                ],
-                title=f"{backends}-backed exchange (functional validation)",
-            )
-        )
     try:
         headline = result.headline_speedup(8)
         parts.append("")

@@ -272,6 +272,60 @@ class TestFusedSynchronousExchange:
         frozen = [[0, 2, 1, 3], [0, 1, 2, 3], [2, 0, 1, 3]]
         assert launch(worker, 3, backend="thread") == [frozen] * 3
 
+    def test_exchanges_count_sent_bytes_alike(self):
+        """Rank 0's bytes sent per exchange, counted at its communicator
+        the same way for every exchange: ring, fused chunked ring and
+        ZeRO-1 all move 2 (P - 1) / P of the vector, recursive doubling
+        the whole vector log2(P) times."""
+        from repro.nn.module import Module
+        from repro.nn.optim import SGD
+        from repro.nn.parameters import flatten_parameters
+        from repro.training.exchange import ShardedExchange, _WireCountingComm
+
+        size, n, lr = 4, 1 << 15, 0.25
+        fused = dict(algorithm="ring", fusion_threshold_bytes=64 * 1024, pipeline_chunks=4)
+        base = np.arange(n, dtype=np.float64) / n
+        mean = base + (size - 1) / 2.0
+        init = np.linspace(-1.0, 1.0, n)
+
+        def dense(**kwargs):
+            def make_step(comm):
+                exchange = SynchronousExchange(comm, **kwargs)
+                return lambda gradient: exchange.exchange(gradient).gradient
+            return make_step
+
+        def sharded(comm):
+            model = Module()
+            model.add_parameter("theta", init.copy())
+            optimizer = SGD(model, lr)
+            exchange = ShardedExchange(comm, **fused)
+
+            def step(gradient):
+                exchange.exchange_update(gradient, model, optimizer)
+                return flatten_parameters(model)
+            return step
+
+        # (make_step(comm) -> step(gradient) -> vector to check, its reference)
+        cases = [
+            (dense(algorithm="recursive_doubling"), mean),
+            (dense(algorithm="ring"), mean),
+            (dense(**fused), mean),
+            (sharded, init - lr * mean),
+        ]
+
+        def worker(comm):
+            rows = []
+            for make_step, reference in cases:
+                counting = _WireCountingComm(comm)
+                out = make_step(counting)(base + comm.rank)
+                rows.append((counting.bytes_sent, float(np.max(np.abs(out - reference)))))
+            return rows
+
+        ranks = launch(worker, size, backend="thread")
+        ring = 2 * (size - 1) * n * 8 // size
+        assert [sent for sent, _ in ranks[0]] == [2 * n * 8, ring, ring, ring]
+        assert all(error < 1e-9 for rows in ranks for _, error in rows)
+
     def test_gradient_length_change_rejected(self):
         def worker(comm):
             exchange = SynchronousExchange(comm, fusion_threshold_bytes=64)
@@ -474,19 +528,3 @@ class TestSimtimeMirror:
         assert result.headline_speedup(8) >= 1.3
         report = fusion_pipeline.report(result)
         assert "unfused single-buffer" in report
-
-    def test_functional_rows_count_sent_bytes_alike(self):
-        """Every functional row is the bytes rank 0 sent: ring, fused ring
-        and ZeRO-1 all move 2 (P - 1) / P of the vector, recursive doubling
-        the whole vector log2(P) times."""
-        size, n = 4, 1 << 15
-        rows = fusion_pipeline.run_functional(
-            world_size=size, elements=n, iterations=1, backend="thread", sharding="zero1"
-        )
-        sent = [row.sent_bytes for row in rows]
-        ring = 2 * (size - 1) * n * 8 // size
-        assert sent == [2 * n * 8, ring, ring, ring]
-        assert all(row.max_abs_error < 1e-9 for row in rows)
-        assert "sent B/rank" in fusion_pipeline.report(
-            fusion_pipeline.FusionPipelineResult(rows=[], functional_rows=rows)
-        )

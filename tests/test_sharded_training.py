@@ -559,7 +559,7 @@ def test_zero1_gate_wire_and_state_at_p8_4mb():
 # training-level parity (runner + config)
 # ---------------------------------------------------------------------------
 class TestTrainingParity:
-    def _run(self, sharding, algorithm):
+    def _run(self, sharding, algorithm, backend="thread"):
         from repro.data import cifar10_like
         from repro.nn.losses import SoftmaxCrossEntropyLoss
         from repro.nn.models import MLPClassifier
@@ -570,6 +570,7 @@ class TestTrainingParity:
         ).split(0.25, seed=0)
         config = TrainingConfig(
             world_size=4,
+            comm_backend=backend,
             epochs=1,
             global_batch_size=32,
             mode="sync",
@@ -587,13 +588,18 @@ class TestTrainingParity:
             config,
         )
 
-    def test_zero1_training_bitwise_matches_dense(self):
-        dense = self._run("none", "ring")
-        zero1 = self._run("zero1", "ring")
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_zero1_training_bitwise_matches_dense(self, backend):
+        dense = self._run("none", "ring", backend)
+        zero1 = self._run("zero1", "ring", backend)
         dense_hashes = {s.final_model_hash for s in dense.rank_summaries}
         zero1_hashes = {s.final_model_hash for s in zero1.rank_summaries}
         assert len(dense_hashes) == len(zero1_hashes) == 1
         assert dense_hashes == zero1_hashes
+        if backend != "thread":
+            # The transport changes no bit of the trained model either.
+            thread = self._run("none", "ring")
+            assert {s.final_model_hash for s in thread.rank_summaries} == dense_hashes
 
     def test_config_validation(self):
         from repro.training import TrainingConfig
