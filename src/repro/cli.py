@@ -251,12 +251,14 @@ def _train_args(p: argparse.ArgumentParser) -> None:
     add_flags(p, type(PRESET), PRESET)
 
 
-def _train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     report = run_trace(
         config_from_args(args, parser, PRESET), steps=args.steps,
         capacity=args.capacity, out=args.trace, timeout=args.timeout,
     )
     print(format_summary(report, args.trace))
+    # Synchronous and ZeRO-1 replicas must end on one model; eager ones may not.
+    return 1 if report["mode"] == "sync" and not report["models_agree"] else 0
 
 
 def _verify(

@@ -50,9 +50,8 @@ from repro.collectives.sync import (
     _validate_chunks,
     allgather_plan,
     reduce_scatter_plan,
-    resolve_host_topology,
 )
-from repro.collectives.topology import HostTopology
+from repro.collectives.topology import HostTopology, resolve_host_topology
 
 REDUCE_SCATTER_ALGORITHMS: Tuple[str, ...] = tuple(ALLGATHER_FOR_REDUCE_SCATTER)
 ALLGATHER_FLAT_ALGORITHMS: Tuple[str, ...] = tuple(
@@ -100,13 +99,7 @@ def shard_bounds(
         "sharding", algorithm, REDUCE_SCATTER_ALGORITHMS + ALLGATHER_FLAT_ALGORITHMS
     )
     if algorithm == "hierarchical":
-        if topology is None:
-            topology = HostTopology.single_host(size)
-        if topology.world_size != size:
-            raise ValueError(
-                f"host topology covers {topology.world_size} rank(s), "
-                f"expected {size}"
-            )
+        topology = resolve_host_topology(topology or HostTopology.single_host(size), size)
     plan = reduce_scatter_plan if algorithm in REDUCE_SCATTER_ALGORITHMS else allgather_plan
     return [
         plan(algorithm, rank, size, length, 1, topology, False)[1]
@@ -162,7 +155,7 @@ def reduce_scatter(
         return flat, (0, flat.size)
     epoch = comm.next_collective_epoch()
     if algorithm == "hierarchical":
-        topology = resolve_host_topology(comm, topology)
+        topology = resolve_host_topology(topology or comm, comm.size)
     window = _reduce_scatter_phases(
         comm, flat, algorithm, epoch, n_chunks, reduce_op,
         average=average, codec=codec, topology=topology,
@@ -215,7 +208,7 @@ def allgather_flat(
         return arr
     epoch = comm.next_collective_epoch()
     if algorithm == "hierarchical":
-        topology = resolve_host_topology(comm, topology)
+        topology = resolve_host_topology(topology or comm, comm.size)
     _allgather_phases(
         comm, arr, algorithm, epoch, n_chunks, codec=codec, topology=topology
     )

@@ -122,7 +122,12 @@ from repro.comm import tags
 from repro.comm.communicator import Communicator
 from repro.obs import recorder as _obs
 from repro.comm.reduce_ops import ReduceOp, get_op
-from repro.collectives.topology import HostTopology, bcast_order, largest_power_of_two_leq
+from repro.collectives.topology import (
+    HostTopology,
+    bcast_order,
+    largest_power_of_two_leq,
+    resolve_host_topology,
+)
 
 # The phase table of the module docstring (ids < tags.SYNC_MAX_PHASES).
 # Ids 0, 1 and 2 are retired, not reused: every other tag keeps its value.
@@ -762,30 +767,6 @@ def allreduce_rabenseifner(
 # --------------------------------------------------------------------------
 # hierarchical (two-tier) allreduce
 # --------------------------------------------------------------------------
-def resolve_host_topology(
-    comm: Communicator, topology: Optional[HostTopology] = None
-) -> HostTopology:
-    """The host topology a hierarchical collective should schedule against.
-
-    An explicit ``topology`` wins; otherwise the transport is consulted
-    (``comm.router.host_topology``, exposed by the ``hier`` backend) and
-    the flat single-host topology is the fallback.  A topology sized for
-    a different world is rejected (explicit) or ignored (discovered) —
-    a stale router attribute must not silently corrupt the schedule.
-    """
-    if topology is not None:
-        if topology.world_size != comm.size:
-            raise ValueError(
-                f"host topology covers {topology.world_size} rank(s) but the "
-                f"communicator has {comm.size}"
-            )
-        return topology
-    found = getattr(getattr(comm, "router", None), "host_topology", None)
-    if isinstance(found, HostTopology) and found.world_size == comm.size:
-        return found
-    return HostTopology.single_host(comm.size)
-
-
 def allreduce_hierarchical(
     comm: Communicator,
     data,
@@ -814,7 +795,7 @@ def allreduce_hierarchical(
     of the leader ring, the inter-host tier; the intra-host tiers stay
     dense.
     """
-    topology = resolve_host_topology(comm, topology)
+    topology = resolve_host_topology(topology or comm, comm.size)
     if topology.is_single_host:
         return allreduce_ring(
             comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average,

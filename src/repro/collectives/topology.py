@@ -8,13 +8,20 @@ pure rank arithmetic of the tree (:func:`binomial_tree_children`, the one
 forwarding rule, and :func:`bcast_order`, the edge list that
 :mod:`repro.collectives.sync` builds the intra-host trees and the
 activation plan from), and the rank -> host map the hierarchical
-collectives query.
+collectives query (:class:`HostTopology`) with its one resolver
+(:func:`resolve_host_topology`).
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
+
+#: Environment variable carrying a ``"0,0,1,1"``-style rank -> host spec:
+#: the layout the ``hier`` backend launches when no option names one.
+HOST_TOPOLOGY_ENV_VAR = "REPRO_HOST_TOPOLOGY"
 
 
 def _validate(size: int, rank: int = 0, root: int = 0) -> None:
@@ -207,3 +214,33 @@ class HostTopology:
     def to_string(self) -> str:
         """Inverse of :meth:`from_string` (canonical labels)."""
         return ",".join(str(h) for h in self.host_of)
+
+
+def resolve_host_topology(layout: Any, world_size: int) -> HostTopology:
+    """The host layout of a ``world_size``-rank world: the one resolver the
+    ``hier`` backend, the collectives, ``TrainingConfig.validate()`` and
+    the tuner read.
+
+    ``layout`` is a :class:`HostTopology`, a ``"0,0,1,1"``-style spec or a
+    rank -> host label sequence; a communicator (the layout its transport
+    exposes as ``router.host_topology``, else one host); or ``None``, the
+    ``hier`` backend's default (``$REPRO_HOST_TOPOLOGY``, else one host).
+    A layout of another size raises ``ValueError``: a stale or mis-sized
+    layout must not silently reshape a schedule.
+    """
+    if layout is None:
+        layout = os.environ.get(HOST_TOPOLOGY_ENV_VAR) or HostTopology.single_host(world_size)
+    if isinstance(layout, HostTopology):
+        topology = layout
+    elif isinstance(layout, str):
+        topology = HostTopology.from_string(layout)
+    elif isinstance(layout, _SequenceABC):
+        topology = HostTopology(layout)
+    else:
+        exposed = getattr(getattr(layout, "router", None), "host_topology", None)
+        topology = exposed or HostTopology.single_host(world_size)
+    if topology.world_size != world_size:
+        raise ValueError(
+            f"host topology covers {topology.world_size} rank(s), expected {world_size}"
+        )
+    return topology

@@ -14,10 +14,11 @@ query to keep non-leader traffic off the slow links.
 The topology arrives via ``backend_opts={"host_topology": ...}`` (a
 :class:`~repro.collectives.topology.HostTopology`, a rank -> host label
 sequence, or a ``"0,0,1,1"`` spec string) or the
-``REPRO_HOST_TOPOLOGY`` environment variable, and defaults to
-single-host — in which case the plan *is* the ``shm`` plan (every pair
-rides a ring), as one host per rank is the ``process`` plan.  On one
-physical machine a
+``REPRO_HOST_TOPOLOGY`` environment variable, read by the one layout
+resolver (:func:`~repro.collectives.topology.resolve_host_topology`),
+and defaults to single-host — in which case the plan *is* the ``shm``
+plan (every pair rides a ring), as one host per rank is the ``process``
+plan.  On one physical machine a
 multi-host topology is *simulated*: the rank pairs labelled inter-host
 use loopback sockets, which is exactly how the hierarchical collectives
 and the two-tier cost model are validated and benchmarked without a
@@ -35,11 +36,10 @@ Gated like ``shm``: platforms without the ring transport get
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import Any, Dict
 
-from repro.collectives.topology import HostTopology
+from repro.collectives.topology import resolve_host_topology
 from repro.comm.backend import mark_backend_unavailable, register_backend
 from repro.comm.process_backend import MeshPlan, ProcessBackend
 from repro.comm.shm_backend import (
@@ -47,46 +47,16 @@ from repro.comm.shm_backend import (
     ring_plan,
 )
 
-__all__ = ["HOST_TOPOLOGY_ENV_VAR", "resolve_topology"]
-
-#: Environment variable carrying a ``"0,0,1,1"``-style rank -> host spec.
-HOST_TOPOLOGY_ENV_VAR = "REPRO_HOST_TOPOLOGY"
-
-
-def resolve_topology(spec: Any, world_size: int) -> HostTopology:
-    """Normalise a topology option to a validated :class:`HostTopology`.
-
-    ``None`` consults ``REPRO_HOST_TOPOLOGY`` and falls back to
-    single-host.  Strings parse as comma-separated host labels; any
-    other sequence is taken as the rank -> host label map directly.
-    """
-    if spec is None:
-        env = os.environ.get(HOST_TOPOLOGY_ENV_VAR)
-        topology = (
-            HostTopology.from_string(env) if env else HostTopology.single_host(world_size)
-        )
-    elif isinstance(spec, HostTopology):
-        topology = spec
-    elif isinstance(spec, str):
-        topology = HostTopology.from_string(spec)
-    else:
-        topology = HostTopology(spec)
-    if topology.world_size != world_size:
-        raise ValueError(
-            f"host topology covers {topology.world_size} rank(s) but the "
-            f"world has {world_size}"
-        )
-    return topology
-
 
 def _hier_plan(world_size: int, opts: Dict[str, Any]) -> MeshPlan:
     """``hier``: launcher-local seed, a ring iff ``host_topology`` puts
     both ranks of a pair on one host.
 
-    Options: ``host_topology`` (see :func:`resolve_topology`),
+    Options: ``host_topology`` (see
+    :func:`~repro.collectives.topology.resolve_host_topology`),
     ``ring_bytes``, ``bind_host`` and the launcher's ``start_method``.
     """
-    topology = resolve_topology(opts.pop("host_topology", None), world_size)
+    topology = resolve_host_topology(opts.pop("host_topology", None), world_size)
     bind_host = str(opts.pop("bind_host", "127.0.0.1"))
     return ring_plan(
         "hier", topology.host_of, opts, host_topology=topology, bind_host=bind_host

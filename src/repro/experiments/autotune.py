@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Annotated, List, Literal, Optional, Sequence
 
 from repro.experiments.report import format_table
-from repro.tuning.autotune import TunedPlan, resolve_ranks_per_host, tune_with_profile
+from repro.tuning.autotune import TunedPlan, tune_with_profile
 from repro.tuning.calibration import CalibratedProfile, calibrate, predict_sample
 from repro.utils.argtypes import comma_list, int_at_least, positive_float
 
@@ -86,7 +86,6 @@ def run(
             tune_with_profile(
                 profile, gradient_bytes, algorithm, live_trials=live_trials,
                 compression=compression,
-                ranks_per_host=resolve_ranks_per_host(profile.backend, world_size),
             )
         )
     return AutotuneResult(

@@ -28,10 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Annotated, List, Optional, Sequence
 
+from repro.collectives.topology import HostTopology
 from repro.experiments.report import format_table
 from repro.simtime.collective_model import CompressionModel, allreduce_time
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
-from repro.tuning.autotune import bucketer_for, predict_exchange_time
+from repro.training.exchange import exchange_schedule
+from repro.tuning.autotune import predict_exchange_time
 from repro.utils.argtypes import comma_list, int_at_least, positive_float
 
 MB = 1024 * 1024
@@ -101,6 +103,13 @@ def run(
             cm = codec.cost_model()
             codec_label = codec.name
     total_bytes = int(gradient_mb * MB)
+
+    def num_buckets(threshold: int, codec: Optional[CompressionModel] = None) -> int:
+        """Buckets the exchange cuts: its schedule's, at the codec's wire width."""
+        flat = HostTopology.single_host(1)
+        schedule = exchange_schedule(flat, codec=codec, fusion_threshold_bytes=threshold)
+        return schedule.cut(max(1, total_bytes // 8)).num_buckets
+
     rows: List[FusionRow] = []
     for size in world_sizes:
         seen_wire_counts: set = set()
@@ -121,7 +130,7 @@ def run(
         )
         for bmb in bucket_mb:
             threshold = int(bmb * MB)
-            count = bucketer_for(total_bytes, threshold).num_buckets
+            count = num_buckets(threshold)
             fused = predict_exchange_time(
                 params, size, total_bytes, "ring", threshold, pipeline_chunks
             )
@@ -136,7 +145,7 @@ def run(
                 continue
             # Compressed sibling: same dense gradient, the threshold
             # budgets encoded bytes (so buckets hold more elements).
-            wire_count = bucketer_for(total_bytes, threshold, cm).num_buckets
+            wire_count = num_buckets(threshold, cm)
             if wire_count in seen_wire_counts:
                 # Several thresholds can collapse to the same encoded
                 # bucketing; one row describes them all.

@@ -17,7 +17,9 @@ backend.  Then:
    ``--trace PATH`` it is written there, loadable in Perfetto
    (https://ui.perfetto.dev) or ``chrome://tracing``;
 3. the report is read back from that trace (:func:`trace_report`), so
-   the report and the file cannot disagree.
+   the report and the file cannot disagree — each rank's final model
+   hash included, so ``repro train`` exits 1 when the replicas of a
+   synchronous (or ZeRO-1) run did not end on one model.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _trace_rank_main(comm, config: TrainingConfig, steps: int, capacity: int):
     """SPMD entry: the runner's loop under a recorder, traces gathered on rank 0."""
     recorder = _obs.bind(FlightRecorder(rank=comm.rank, capacity=capacity))
     try:
-        _rank_main(
+        out = _rank_main(
             comm,
             lambda: MLPClassifier(
                 INPUT_DIM, hidden_dims=(INPUT_DIM,), num_classes=1, seed=config.seed
@@ -77,7 +79,7 @@ def _trace_rank_main(comm, config: TrainingConfig, steps: int, capacity: int):
         comm.barrier()
     finally:
         _obs.bind(None)
-    return gather_traces(comm, recorder.dump())
+    return gather_traces(comm, (recorder.dump(), out.final_model_hash))
 
 
 def run_trace(
@@ -92,7 +94,7 @@ def run_trace(
     config.validate()
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    dumps, offsets = launch(
+    payloads, offsets = launch(
         _trace_rank_main,
         config.world_size,
         config,
@@ -101,6 +103,7 @@ def run_trace(
         backend=config.comm_backend,
         timeout=timeout,
     )[0]
+    dumps = [dump for dump, _ in payloads]
     trace = to_chrome_trace(
         dumps,
         clock_offsets_ns=offsets,
@@ -109,6 +112,7 @@ def run_trace(
             "sharding": config.sharding,
             "steps": steps,
             "backend": config.comm_backend or "default",
+            "model_hashes": {str(rank): h for rank, (_, h) in enumerate(payloads)},
         },
     )
     if out is not None:
@@ -123,7 +127,8 @@ def trace_report(trace: Dict[str, Any]) -> Dict[str, Any]:
     back (both give the same report).  Per rank: the straggler
     attribution (:func:`~repro.obs.metrics.straggler_attribution`) and
     the ``optimizer-state-bytes`` counter the runner emits after its
-    loop; over every rank's ``exchange`` spans: p50 / p99 seconds.
+    loop; over every rank's ``exchange`` spans: p50 / p99 seconds; and
+    each rank's final model hash, with whether they all agree.
     """
     exchange = LogHistogram()
     state_bytes: Dict[int, int] = {}
@@ -133,9 +138,13 @@ def trace_report(trace: Dict[str, Any]) -> Dict[str, Any]:
         elif event["ph"] == "C" and event["name"] == "optimizer-state-bytes":
             state_bytes[event["pid"]] = int(event["args"]["value"])
     other = trace["otherData"]
+    hashes = other.get("model_hashes", {})
     return {
         "world_size": other["ranks"],
+        "mode": other.get("mode"),
         "sharding": other.get("sharding"),
+        "model_hashes": hashes,
+        "models_agree": len(set(hashes.values())) == 1,
         "events": len(trace["traceEvents"]),
         "dropped_events": other["dropped_events"],
         "clock_offsets_ns": other["clock_offsets_ns"],
@@ -179,6 +188,9 @@ def format_summary(report: Dict[str, Any], out: Optional[str]) -> str:
         lines.append(
             f"  opt state  : {per_rank} bytes (sharding={report['sharding']})"
         )
+    verdict = "all ranks agree" if report["models_agree"] else "ranks differ"
+    per_rank = ", ".join(f"r{rank}={h}" for rank, h in report["model_hashes"].items())
+    lines.append(f"  models     : {verdict} ({per_rank})")
     if report["exchanges"]:
         lines.append(
             f"  exchange   : p50 {1e3 * report['exchange_p50_s']:.3f} ms, "

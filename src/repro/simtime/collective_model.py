@@ -45,7 +45,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.collectives import sync
-from repro.collectives.topology import HostTopology
+from repro.collectives.topology import HostTopology, resolve_host_topology
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
 
 #: Size, in bytes, of an activation message (a tag plus a round number).
@@ -82,6 +82,12 @@ class CompressionModel:
             value = getattr(self, label)
             if value < 0 or not math.isfinite(value):
                 raise ValueError(f"{label} must be non-negative and finite, got {value}")
+
+    @property
+    def wire_bytes_per_element(self) -> float:
+        """Encoded bytes per dense ``float64`` element, as the codec's own
+        :attr:`~repro.compression.GradientCodec.wire_bytes_per_element`."""
+        return 8 * self.wire_scale
 
     @property
     def is_identity(self) -> bool:
@@ -223,12 +229,7 @@ def collective_time(
         raise ValueError(f"length must be a non-negative integer, got {length!r}")
     if n_chunks < 1:
         raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
-    if topology is None:
-        topology = HostTopology.single_host(size)
-    if topology.world_size != size:
-        raise ValueError(
-            f"host topology covers {topology.world_size} rank(s), expected {size}"
-        )
+    topology = resolve_host_topology(topology or HostTopology.single_host(size), size)
     wire = wire_bytes_per_element is not None
     programs = [
         (build(algorithm, rank, size, int(length), n_chunks, topology, wire),)

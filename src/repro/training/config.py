@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.collectives.sync import ALLREDUCE_ALGORITHMS
+from repro.collectives.topology import HostTopology, resolve_host_topology
 from repro.comm import tags
 from repro.imbalance.cost_model import CostModel
 from repro.imbalance.injection import DelayInjector, NoDelay
-from repro.training.bucketing import validate_fusion_threshold
 
 #: Gradient-exchange modes accepted by the runner.
 VALID_MODES = ("sync", "solo", "majority", "quorum")
@@ -55,9 +55,9 @@ class TrainingConfig:
         chunk pipelining of the synchronous collectives (see
         :mod:`repro.training.exchange`).  Both also accept the string
         ``"auto"``: the runner then calibrates the LogGP cost
-        model against the thread backend (cached under
-        ``tuning_cache_dir``) and picks the values that minimise the
-        modelled exchange time (see :mod:`repro.tuning`).
+        model against the run's backend (cached under
+        ``$REPRO_TUNING_CACHE_DIR``) and picks the values that minimise
+        the modelled exchange time (see :mod:`repro.tuning`).
     compression:
         Gradient-compression codec applied per fusion bucket by the
         exchange (:mod:`repro.compression`): ``None`` or ``"none"``
@@ -127,10 +127,6 @@ class TrainingConfig:
     #: Gradient-compression codec spec, options inline (see class
     #: docstring); ``None`` exchanges dense ``float64``.
     compression: Optional[str] = None
-    #: Directory of the calibrated-profile cache consulted when resolving
-    #: ``"auto"`` fusion values; ``None`` uses ``$REPRO_TUNING_CACHE_DIR``
-    #: or ``~/.cache/repro/tuning``.
-    tuning_cache_dir: Optional[str] = None
     #: Optimizer-state sharding: ``"none"`` replicates optimizer state on
     #: every rank; ``"zero1"`` (synchronous mode only) reduce-scatters each
     #: fusion bucket, applies the optimizer update on the owned 1/P shard
@@ -209,8 +205,6 @@ class TrainingConfig:
                 f"model_sync_period_epochs must be >= 1 or None, "
                 f"got {self.model_sync_period_epochs}"
             )
-        if self.fusion_threshold_bytes != "auto":
-            validate_fusion_threshold(self.fusion_threshold_bytes)
         if isinstance(self.pipeline_chunks, str):
             if self.pipeline_chunks != "auto":
                 raise ValueError(
@@ -222,44 +216,29 @@ class TrainingConfig:
                 f"pipeline_chunks must be in [1, {tags.SYNC_MAX_CHUNKS}] or 'auto', "
                 f"got {self.pipeline_chunks!r}"
             )
-        codec = None
-        if self.compression is not None:
-            from repro.compression import resolve_codec
-
-            # Raises ValueError on unknown codec names or invalid options.
-            codec = resolve_codec(self.compression)
-        if self.sharding not in ("none", "zero1"):
+        if self.sharding == "zero1" and self.sync_style != "deep500":
             raise ValueError(
-                f"sharding must be 'none' or 'zero1', got {self.sharding!r}"
+                f"sharding='zero1' runs no Horovod negotiation; it requires "
+                f"sync_style='deep500', got {self.sync_style!r}"
             )
-        if self.sharding == "zero1":
-            # What ShardedExchange would refuse on every rank, refused here.
-            from repro.training.exchange import _SHARDED_ALGORITHM_FOR_ALLREDUCE
+        from repro.comm.backend import default_backend_name
+        from repro.compression import resolve_codec
+        from repro.training.exchange import exchange_schedule
 
-            if self.mode != "sync":
-                raise ValueError(
-                    f"sharding='zero1' requires mode='sync', got mode={self.mode!r}"
-                )
-            if self.sync_style != "deep500":
-                raise ValueError(
-                    f"sharding='zero1' runs no Horovod negotiation; it requires "
-                    f"sync_style='deep500', got {self.sync_style!r}"
-                )
-            if codec is not None and not codec.reduce_closed:
-                raise ValueError(
-                    f"sharding='zero1' supports reduce-closed codecs only (e.g. "
-                    f"fp16), got compression={self.compression!r}"
-                )
-            ring = sorted(
-                name for name, sharded in _SHARDED_ALGORITHM_FOR_ALLREDUCE.items()
-                if sharded == "ring"
-            )
-            if codec is not None and self.allreduce_algorithm not in ring:
-                raise ValueError(
-                    f"sharding='zero1' with compression={self.compression!r} rides "
-                    f"the ring only; allreduce_algorithm must be one of {ring}, "
-                    f"got {self.allreduce_algorithm!r}"
-                )
+        # What every rank's exchange would refuse, refused here: the run's
+        # exchange schedule on the host layout its backend launches (the
+        # ``hier`` backend's, one host on every other).  Raises ValueError
+        # on unknown codec names or invalid options too.
+        if (self.comm_backend or default_backend_name()) == "hier":
+            layout = resolve_host_topology(None, self.world_size)
+        else:
+            layout = HostTopology.single_host(self.world_size)
+        exchange_schedule(
+            layout, self.mode, self.allreduce_algorithm, self.sharding,
+            resolve_codec(self.compression),
+            None if self.fusion_threshold_bytes == "auto" else self.fusion_threshold_bytes,
+            1 if self.pipeline_chunks == "auto" else self.pipeline_chunks,
+        )
 
     @property
     def local_batch_size(self) -> int:

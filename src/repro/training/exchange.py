@@ -60,16 +60,24 @@ collective is also an ``exchange``-category span (``bucket-wait``,
 ``shard-scatter``, ``shard-gather``), which ``python -m repro train``
 reports as the collective share of a rank's step.
 
+The exchange schedule
+---------------------
+What each bucket runs is one rule, :func:`exchange_schedule`.  The
+exchanges compute it once at construction and execute it;
+``TrainingConfig.validate()`` refuses what it refuses before any rank
+starts; the tuner prices an exchange by walking it.
+
 Multi-host topologies
 ---------------------
 When the transport exposes a multi-host
 :class:`~repro.collectives.topology.HostTopology` (the ``hier`` backend's
-``comm.router.host_topology``), the synchronous exchange routes every
-bucket through the two-tier schedule of :mod:`repro.collectives.sync`
+``comm.router.host_topology``), the schedule routes every bucket through
+the two-tier plans of :mod:`repro.collectives.sync`
 (:func:`~repro.collectives.sync.allreduce_hierarchical`, whose leader
-ring also carries a reduce-closed codec), so only one rank per host (its
-leader) ever touches an inter-host link.  On a single-host topology the
-configured flat ``algorithm`` runs unchanged.
+ring also carries a reduce-closed codec, or ZeRO-1's hierarchical
+reduce-scatter / allgather pair, which carries none), so only one rank
+per host (its leader) ever touches an inter-host link.  On a single-host
+topology the configured flat ``algorithm`` runs unchanged.
 
 Gradient compression
 --------------------
@@ -120,7 +128,8 @@ from repro.collectives.sharding import (
     allgather_flat,
     reduce_scatter,
 )
-from repro.collectives.sync import allreduce, resolve_host_topology
+from repro.collectives.sync import allreduce
+from repro.collectives.topology import HostTopology, resolve_host_topology
 from repro.compression import BucketCompressor, GradientCodec, resolve_codec
 from repro.nn.parameters import flatten_parameters, same_memory
 from repro.obs import recorder as _obs
@@ -164,6 +173,140 @@ class ExchangeResult:
     #: (in majority mode every bucket of a step shares the designated
     #: rank); -1 for synchronous exchanges, 0 for a single process.
     initiator: int = -1
+
+
+#: Sharded (reduce-scatter) algorithm run for each configured allreduce
+#: algorithm.  Recursive doubling has no reduce-scatter half (every rank
+#: accumulates the full vector), so it maps to the bandwidth-optimal ring.
+_SHARDED_ALGORITHM_FOR_ALLREDUCE = {
+    "recursive_doubling": "ring",
+    "ring": "ring",
+    "rabenseifner": "halving",
+    "hierarchical": "hierarchical",
+}
+
+
+@dataclass(frozen=True)
+class ScheduledCollective:
+    """One collective an exchange runs on every fusion bucket.
+
+    ``kind`` is a plan kind of :mod:`repro.collectives.sync`
+    (``"allreduce"``, ``"reduce_scatter"``, ``"allgather"``),
+    ``"payload_allgather"`` (decode-reduce-encode: a ring allgather of one
+    encoded payload per rank) or ``"partial_allreduce"`` (``algorithm`` is
+    then the mode); ``wire`` is the codec's bytes per element on the wire
+    (``None``: dense ``float64``); ``topology`` is the host tier, the
+    layout a two-tier plan places the ranks on (``None``: flat).
+    """
+
+    kind: str
+    algorithm: str
+    wire: Optional[float]
+    topology: Optional[HostTopology]
+
+
+@dataclass(frozen=True)
+class ExchangeSchedule:
+    """What an exchange runs (:func:`exchange_schedule`).
+
+    ``collectives`` are in phase order: a dense exchange issues its one
+    collective bucket by bucket; ZeRO-1 runs the first on every bucket,
+    updates the owned windows, then the second on every bucket.
+    """
+
+    collectives: Tuple[ScheduledCollective, ...]
+    fusion_threshold_bytes: Optional[int]
+    #: The codec's wire width, which the threshold budgets (``None``: dense).
+    wire_bytes_per_element: Optional[float]
+    pipeline_chunks: int
+
+    def cut(self, num_elements: int) -> GradientBucketer:
+        """The buckets of a ``num_elements`` gradient: the fewest near-equal
+        ranges whose *encoded* size fits the threshold."""
+        return GradientBucketer.from_flat(
+            num_elements, self.fusion_threshold_bytes,
+            wire_bytes_per_element=self.wire_bytes_per_element,
+        )
+
+
+def exchange_schedule(
+    topology: HostTopology,
+    mode: str = "sync",
+    algorithm: str = "recursive_doubling",
+    sharding: str = "none",
+    codec=None,
+    fusion_threshold_bytes: Optional[int] = None,
+    pipeline_chunks: int = 1,
+) -> ExchangeSchedule:
+    """The one rule for what each fusion bucket of an exchange runs.
+
+    The exchanges execute it, ``TrainingConfig.validate()`` checks a
+    configuration with it and the tuner prices it
+    (:func:`~repro.tuning.autotune.predict_exchange_time`).  ``codec`` is
+    a :class:`~repro.compression.GradientCodec` or its
+    :class:`~repro.simtime.collective_model.CompressionModel` (``None``:
+    dense).  Per bucket:
+
+    * eager modes: one partial allreduce, at the codec's width when it is
+      reduce-closed (other codecs quantize locally; the wire stays dense);
+    * a codec that is not reduce-closed: the payload allgather (a flat
+      ring, whatever the layout);
+    * ``sharding="zero1"``: a reduce-scatter, then an allgather, of the
+      pair ``algorithm`` maps to (a sharded name is taken as it is);
+    * otherwise one allreduce of ``algorithm`` — of the ring under a
+      reduce-closed codec, which is its ring phases' wire dtype;
+
+    and on a ``topology`` that spans hosts, every synchronous collective
+    but the payload allgather takes the hierarchical plans.  A
+    combination no exchange can run raises ``ValueError`` naming the
+    offending values.
+    """
+    if sharding not in ("none", "zero1"):
+        raise ValueError(f"unknown sharding mode {sharding!r}; use 'none' or 'zero1'")
+    if pipeline_chunks < 1:
+        raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
+    threshold = validate_fusion_threshold(fusion_threshold_bytes)
+    wire = None if codec is None else codec.wire_bytes_per_element
+    hosts = None if topology.is_single_host else topology
+    if mode != "sync":
+        if sharding == "zero1":
+            raise ValueError(
+                f"sharding='zero1' requires mode='sync' (the partial "
+                f"collectives replicate optimizer state), got mode={mode!r}"
+            )
+        partial_wire = wire if codec is not None and codec.reduce_closed else None
+        collectives = (ScheduledCollective("partial_allreduce", mode, partial_wire, None),)
+    elif codec is not None and not codec.reduce_closed:
+        if sharding == "zero1":
+            raise ValueError(
+                f"sharding='zero1' supports reduce-closed codecs only (e.g. "
+                f"fp16), got compression={codec.name!r}"
+            )
+        collectives = (ScheduledCollective("payload_allgather", "ring", wire, None),)
+    elif sharding == "zero1":
+        scatter = "hierarchical" if hosts else _SHARDED_ALGORITHM_FOR_ALLREDUCE.get(
+            algorithm, algorithm
+        )
+        if scatter not in ALLGATHER_FOR_REDUCE_SCATTER:
+            raise ValueError(f"unknown sharded exchange algorithm {algorithm!r}")
+        if codec is not None and scatter != "ring":
+            raise ValueError(
+                f"sharding='zero1' with compression={codec.name!r} rides the flat "
+                f"ring only ('ring' or 'recursive_doubling' on one host), got "
+                f"{algorithm!r} on host layout {topology.to_string()!r}"
+            )
+        gather = ALLGATHER_FOR_REDUCE_SCATTER[scatter]
+        collectives = (
+            ScheduledCollective("reduce_scatter", scatter, wire, hosts),
+            ScheduledCollective("allgather", gather, wire, hosts),
+        )
+    else:
+        if hosts:
+            algorithm = "hierarchical"
+        elif codec is not None:
+            algorithm = "ring"
+        collectives = (ScheduledCollective("allreduce", algorithm, wire, hosts),)
+    return ExchangeSchedule(collectives, threshold, wire, pipeline_chunks)
 
 
 class GradientExchange:
@@ -215,43 +358,35 @@ class _BucketedExchange(GradientExchange):
 
     The shared constructor parameters are the knobs of the module
     docstring (``fusion_threshold_bytes``, ``pipeline_chunks``,
-    ``compression``).
+    ``compression``), which fix :attr:`schedule` at construction.
     """
 
     def __init__(
         self,
         comm: Communicator,
+        mode: str,
+        algorithm: str,
+        sharding: str,
         fusion_threshold_bytes: Optional[int],
         pipeline_chunks: int,
         compression: CompressionSpec,
     ) -> None:
-        if pipeline_chunks < 1:
-            raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
         self.comm = comm
-        #: The transport's rank -> host map (single-host unless the
-        #: ``hier`` backend exposes a multi-host ``host_topology``).  On a
-        #: multi-host fabric the synchronous and sharded exchanges route
-        #: every bucket through the two-tier schedules so non-leader
-        #: traffic stays off inter-host links.
-        self.host_topology = resolve_host_topology(comm)
-        self.fusion_threshold_bytes = validate_fusion_threshold(fusion_threshold_bytes)
-        self.pipeline_chunks = pipeline_chunks
         self.codec = resolve_codec(compression)
+        #: What every bucket runs (:func:`exchange_schedule`) on the
+        #: transport's host layout (one host unless the ``hier`` backend
+        #: exposes a multi-host ``host_topology``).
+        self.schedule = exchange_schedule(
+            resolve_host_topology(comm, comm.size), mode, algorithm, sharding,
+            self.codec, fusion_threshold_bytes, pipeline_chunks,
+        )
         self._bucketer: Optional[GradientBucketer] = None
         self._step = 0
 
     def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
-        """The bucketing plan, resolved from the knobs on first use.
-
-        With a codec, the byte threshold budgets the *encoded* payload
-        size (the fusion buffer is a wire buffer), so compressing codecs
-        pack more elements per bucket.
-        """
+        """The schedule's buckets, cut on first use (:meth:`ExchangeSchedule.cut`)."""
         if self._bucketer is None:
-            wire = None if self.codec is None else self.codec.wire_bytes_per_element
-            self._bucketer = GradientBucketer.from_flat(
-                num_parameters, self.fusion_threshold_bytes, wire_bytes_per_element=wire
-            )
+            self._bucketer = self.schedule.cut(num_parameters)
         elif self._bucketer.num_elements != num_parameters:
             raise ValueError(
                 f"flat gradient has {num_parameters} elements but the "
@@ -333,9 +468,8 @@ class SynchronousExchange(_BucketedExchange):
     style:
         ``"deep500"`` or ``"horovod"`` (see module docstring).
     algorithm:
-        Allreduce algorithm (recursive doubling / ring / Rabenseifner).
-        On a multi-host fabric every bucket takes the hierarchical
-        schedule instead, and a reduce-closed codec always rides the ring.
+        Allreduce algorithm (recursive doubling / ring / Rabenseifner);
+        :func:`exchange_schedule` says what each bucket runs with it.
 
     The remaining parameters are the shared bucketing / codec knobs of
     :class:`_BucketedExchange`.
@@ -352,9 +486,12 @@ class SynchronousExchange(_BucketedExchange):
     ) -> None:
         if style not in ("deep500", "horovod"):
             raise ValueError(f"unknown synchronous style {style!r}")
-        super().__init__(comm, fusion_threshold_bytes, pipeline_chunks, compression)
+        super().__init__(
+            comm, "sync", algorithm, "none", fusion_threshold_bytes, pipeline_chunks,
+            compression,
+        )
         self.style = style
-        self.algorithm = algorithm
+        (self._collective,) = self.schedule.collectives
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
         self.name = f"sync-{style}"
 
@@ -397,30 +534,24 @@ class SynchronousExchange(_BucketedExchange):
     def _reduce_bucket(self, b: int, buffer: np.ndarray) -> Tuple[np.ndarray, int]:
         """Combine one fusion buffer across ranks; returns (result, wire bytes).
 
-        Dense buckets and reduce-closed codecs make one allreduce call —
-        the codec is the wire dtype of its ring phases, so its buckets
-        take the ring (on a multi-host fabric the hierarchical leader
-        ring, intra-host hops dense) whatever ``algorithm`` says.  Other
-        codecs take the decode-reduce-encode path — one allgather of
-        encoded payloads, then a dense local average in rank order (see
-        the module docstring).
+        The schedule's allreduce makes one call — a reduce-closed codec
+        is the wire dtype of its ring phases.  Its payload allgather is
+        the decode-reduce-encode path: one allgather of encoded payloads,
+        then a dense local average in rank order (see the module
+        docstring).
         """
-        if self.codec is None or self.codec.reduce_closed:
+        if self._collective.kind == "allreduce":
             wire_nbytes = buffer.nbytes
             if self.codec is not None:
                 buffer = self._compressor.compensate_bucket(b, buffer)
                 wire_nbytes = self.codec.wire_bytes(buffer.size)
                 self._compressor.bytes_encoded += wire_nbytes
-            if not self.host_topology.is_single_host:
-                algorithm = "hierarchical"
-            else:
-                algorithm = self.algorithm if self.codec is None else "ring"
             result = allreduce(
                 self.comm,
                 buffer,
-                algorithm=algorithm,
+                algorithm=self._collective.algorithm,
                 average=True,
-                n_chunks=self.pipeline_chunks,
+                n_chunks=self.schedule.pipeline_chunks,
                 copy=False,  # the slice (or its compensated copy) is ours
                 codec=self.codec,
             )
@@ -456,17 +587,6 @@ class _WireCountingComm:
         self._comm.send(data, dest, tag=tag)
 
 
-#: Sharded (reduce-scatter) algorithm run for each configured allreduce
-#: algorithm.  Recursive doubling has no reduce-scatter half (every rank
-#: accumulates the full vector), so it maps to the bandwidth-optimal ring.
-_SHARDED_ALGORITHM_FOR_ALLREDUCE = {
-    "recursive_doubling": "ring",
-    "ring": "ring",
-    "rabenseifner": "halving",
-    "hierarchical": "hierarchical",
-}
-
-
 class ShardedExchange(_BucketedExchange):
     """ZeRO stage-1 exchange: scatter gradients, update a shard, gather params.
 
@@ -491,12 +611,13 @@ class ShardedExchange(_BucketedExchange):
     equality.
 
     Parameters are the shared knobs of :class:`_BucketedExchange`, plus
-    ``algorithm``, a sharded-collective name (``"ring"``, ``"halving"``,
-    ``"hierarchical"``); on a multi-host topology every bucket is routed
-    through the hierarchical schedule, as in the dense exchange.
-    ``compression`` accepts reduce-closed codecs only (the wire hop must
-    carry one encoded element per dense element) and rides the ring
-    schedule; note the *parameter* gather is then lossy-encoded too.
+    ``algorithm``, an allreduce name or a sharded-collective name
+    (``"ring"``, ``"halving"``, ``"hierarchical"``); what each bucket
+    runs is :func:`exchange_schedule`'s: on a multi-host topology the
+    hierarchical pair, as in the dense exchange.  ``compression`` accepts
+    reduce-closed codecs only (the wire hop must carry one encoded
+    element per dense element) and rides the flat ring schedule; note
+    the *parameter* gather is then lossy-encoded too.
     """
 
     updates_parameters = True
@@ -510,28 +631,10 @@ class ShardedExchange(_BucketedExchange):
         compression: CompressionSpec = None,
     ) -> None:
         super().__init__(
-            _WireCountingComm(comm), fusion_threshold_bytes, pipeline_chunks, compression
+            _WireCountingComm(comm), "sync", algorithm, "zero1", fusion_threshold_bytes,
+            pipeline_chunks, compression,
         )
-        if not self.host_topology.is_single_host:
-            algorithm = "hierarchical"
-        if algorithm not in ALLGATHER_FOR_REDUCE_SCATTER:
-            raise ValueError(
-                f"unknown sharded exchange algorithm {algorithm!r}; "
-                f"available: {sorted(ALLGATHER_FOR_REDUCE_SCATTER)}"
-            )
-        self.algorithm = algorithm
-        if self.codec is not None:
-            if not self.codec.reduce_closed:
-                raise ValueError(
-                    f"sharded exchange supports reduce-closed codecs only "
-                    f"(fixed-width wire, e.g. fp16); {self.codec.name!r} needs "
-                    f"the decode-reduce-encode allgather of the dense exchange"
-                )
-            if algorithm != "ring":
-                raise ValueError(
-                    f"compressed sharded exchange rides the ring schedule "
-                    f"only, got algorithm {algorithm!r}"
-                )
+        self._scatter, self._gather = self.schedule.collectives
         self.name = "sync-zero1"
         #: This rank's owned windows, as slices of the flat vectors.
         self._owned: Optional[List[slice]] = None
@@ -553,11 +656,13 @@ class ShardedExchange(_BucketedExchange):
         """
         start = time.perf_counter()
         sent_before = self.comm.bytes_sent
-        topology = self.host_topology if self.algorithm == "hierarchical" else None
+        scatter, gather = self._scatter, self._gather
         flat, grads = self._bucket_views(flat_gradient)
         bucketer = self._bucketer
         if self._owned is None:
-            windows = bucketer.shard_windows(self.comm.size, self.algorithm, topology=topology)
+            windows = bucketer.shard_windows(
+                self.comm.size, scatter.algorithm, topology=scatter.topology
+            )
             # Global flat coordinates: stable across steps and restarts, so
             # per-window state (keyed "start:stop") survives checkpoints.
             self._owned = [
@@ -576,11 +681,11 @@ class ShardedExchange(_BucketedExchange):
                 self.comm,
                 grads[b],
                 average=True,
-                algorithm=self.algorithm,
-                n_chunks=self.pipeline_chunks,
+                algorithm=scatter.algorithm,
+                n_chunks=self.schedule.pipeline_chunks,
                 copy=False,  # the slice is this exchange's to consume
                 codec=self.codec,
-                topology=topology,
+                topology=scatter.topology,
             )
             self._store(grads[b], reduced)
 
@@ -594,15 +699,14 @@ class ShardedExchange(_BucketedExchange):
                 [f"{w.start}:{w.stop}" for w in self._owned],
             )
 
-        ag_algorithm = ALLGATHER_FOR_REDUCE_SCATTER[self.algorithm]
         for b in self._timed_buckets("shard-gather", params, order, bucket_waits):
             allgather_flat(
                 self.comm,
                 params[b],
-                algorithm=ag_algorithm,
-                n_chunks=self.pipeline_chunks,
+                algorithm=gather.algorithm,
+                n_chunks=self.schedule.pipeline_chunks,
                 codec=self.codec,
-                topology=topology,
+                topology=gather.topology,
             )
 
         self._step += 1
@@ -669,15 +773,17 @@ class PartialExchange(_BucketedExchange):
     ) -> None:
         if num_parameters < 1:
             raise ValueError(f"num_parameters must be >= 1, got {num_parameters}")
-        super().__init__(comm, fusion_threshold_bytes, pipeline_chunks, compression)
+        super().__init__(
+            comm, mode, "ring", "none", fusion_threshold_bytes, pipeline_chunks,
+            compression,
+        )
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
         #: The bucketing plan — fixed at construction, one partial
         #: allreduce (progress thread, channel pair) per bucket.
         self.bucketer = self._ensure_bucketer(num_parameters)
-        dtype = np.float64
-        if self.codec is not None and self.codec.reduce_closed:
-            # The collective itself runs at the encoded width.
-            dtype = self.codec.wire_dtype
+        (partial,) = self.schedule.collectives
+        # A codec on the wire: the collective itself runs at the encoded width.
+        dtype = np.float64 if partial.wire is None else self.codec.wire_dtype
         self.partials: List[PartialAllreduce] = []
         multi = self.bucketer.num_buckets > 1
         for bucket in self.bucketer.buckets:
@@ -691,7 +797,7 @@ class PartialExchange(_BucketedExchange):
                     seed=seed,
                     overwrite_recvbuff=overwrite_recvbuff,
                     channel_suffix=f".bucket{bucket.index}" if multi else "",
-                    n_chunks=self.pipeline_chunks,
+                    n_chunks=self.schedule.pipeline_chunks,
                     dtype=dtype,
                 )
             )
@@ -771,12 +877,12 @@ def build_exchange(
     """Build the exchange matching a :class:`repro.training.TrainingConfig`.
 
     ``sharding="zero1"`` selects the :class:`ShardedExchange` (synchronous
-    mode only): the configured allreduce ``algorithm`` is mapped onto the
-    matching reduce-scatter/allgather pair via
-    :data:`_SHARDED_ALGORITHM_FOR_ALLREDUCE`.
+    mode only), which runs the reduce-scatter/allgather pair
+    :func:`exchange_schedule` maps the allreduce ``algorithm`` to.
     """
-    if sharding not in ("none", "zero1"):
-        raise ValueError(f"unknown sharding mode {sharding!r}; use 'none' or 'zero1'")
+    # What no exchange runs (an unknown sharding, ZeRO-1 off sync mode) is
+    # refused by the one rule, whatever the world size.
+    exchange_schedule(HostTopology.single_host(1), mode, algorithm, sharding)
     if comm is None or comm.size == 1:
         return SingleProcessExchange()
     shared = dict(
@@ -785,16 +891,7 @@ def build_exchange(
         compression=compression,
     )
     if sharding == "zero1":
-        if mode != "sync":
-            raise ValueError(
-                f"sharding='zero1' requires mode='sync' (the partial "
-                f"collectives replicate optimizer state), got mode={mode!r}"
-            )
-        return ShardedExchange(
-            comm,
-            algorithm=_SHARDED_ALGORITHM_FOR_ALLREDUCE.get(algorithm, algorithm),
-            **shared,
-        )
+        return ShardedExchange(comm, algorithm=algorithm, **shared)
     if mode == "sync":
         return SynchronousExchange(
             comm,

@@ -599,11 +599,15 @@ class TestAutotuneWithCompression:
         assert clone.num_buckets == plan.num_buckets
 
     def test_sparse_codec_collapses_buckets(self):
-        from repro.tuning.autotune import bucketer_for
+        from repro.collectives.topology import HostTopology
+        from repro.training.exchange import exchange_schedule
 
         model = CompressionModel(name="topk", wire_scale=0.01, reduce_closed=False)
-        dense = bucketer_for(4 << 20, 64 * 1024)
-        sparse = bucketer_for(4 << 20, 64 * 1024, model)
+        flat = HostTopology.single_host(4)
+        dense = exchange_schedule(flat, fusion_threshold_bytes=64 * 1024).cut(1 << 19)
+        sparse = exchange_schedule(
+            flat, codec=model, fusion_threshold_bytes=64 * 1024
+        ).cut(1 << 19)
         assert sparse.num_buckets < dense.num_buckets
 
 

@@ -231,7 +231,7 @@ CASES = {
             DEFAULT_NETWORK, 2, 1024, sharding="zero1",
             compression=CompressionModel(name="topk", wire_scale=0.1, reduce_closed=False),
         ),
-        "got 'topk'",
+        "got compression='topk'",
     ),
     "arrivals-empty": (lambda: synchronous_allreduce_latencies([], 8), "got shape (0,)"),
     "arrivals-negative": (

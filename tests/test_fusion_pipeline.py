@@ -432,8 +432,8 @@ class TestConfigAndBuildExchange:
                 comm, 64, "sync", fusion_threshold_bytes=128, pipeline_chunks=2
             )
             assert isinstance(sync, SynchronousExchange)
-            assert sync.fusion_threshold_bytes == 128
-            assert sync.pipeline_chunks == 2
+            assert sync.schedule.fusion_threshold_bytes == 128
+            assert sync.schedule.pipeline_chunks == 2
             assert sync._ensure_bucketer(64).num_buckets == 4
 
     def test_pipeline_chunks_reach_partial_exchange(self):

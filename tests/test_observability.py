@@ -537,6 +537,19 @@ class TestTraceCommand:
             }
             assert set(in_place) == ranks and min(in_place.values()) > 0
 
+    def test_train_cli_checks_the_ranks_end_on_one_model(self, capsys, monkeypatch):
+        """The run's final model hash per rank rides in the trace; a
+        synchronous run whose replicas diverged exits 1."""
+        import repro.training.runner as runner
+        from repro.cli import main
+
+        argv = ["train", "--backend", "thread", "--world-size", "2", "--steps", "2"]
+        assert main(argv) == 0
+        assert "models     : all ranks agree (r0=" in capsys.readouterr().out
+        monkeypatch.setattr(runner, "model_hash", lambda model: threading.current_thread().name)
+        assert main(argv) == 1
+        assert "models     : ranks differ (r0=" in capsys.readouterr().out
+
     def test_train_cli_runs_quorum_mode(self, capsys):
         from repro.cli import main
 

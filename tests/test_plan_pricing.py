@@ -17,8 +17,8 @@ from repro.collectives import sync
 from repro.collectives.topology import HostTopology
 from repro.simtime.collective_model import allreduce_time, collective_time, plan_time
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
-from repro.training.exchange import _SHARDED_ALGORITHM_FOR_ALLREDUCE
-from repro.tuning.autotune import bucketer_for, predict_exchange_time
+from repro.training.exchange import exchange_schedule
+from repro.tuning.autotune import predict_exchange_time
 from repro.tuning.calibration import DEFAULT_SIZES, CalibrationSample, predict_sample
 
 SLOW_INTER = LogGPParams(alpha=100e-6, beta=20e-9, gamma=2e-9, collective_overhead=10e-6)
@@ -113,36 +113,45 @@ GRADIENT_BYTES = 96 * 1024
 THRESHOLD = 32 * 1024  # three buckets of 4 096 elements
 
 
+#: Plan builder of each collective kind the schedule names.
+_BUILDERS = {
+    "allreduce": sync.allreduce_plan,
+    "reduce_scatter": lambda *shape: sync.reduce_scatter_plan(*shape)[0],
+    "allgather": lambda *shape: sync.allgather_plan(*shape)[0],
+}
+
+
+def _topology(size, hosts):
+    return None if hosts is None else HostTopology.from_hosts(hosts)
+
+
 def _back_to_back(params, size, algorithm, n_chunks, hosts=None, sharding="none"):
     """One walk of every bucket's collectives as the exchange issues them,
     plus one ``collective_overhead`` per collective."""
-    buckets = bucketer_for(GRADIENT_BYTES, THRESHOLD).buckets
-    topology = None if hosts is None else HostTopology.from_hosts(hosts)
-    if sharding == "zero1":
-        scatter = "hierarchical" if hosts else _SHARDED_ALGORITHM_FOR_ALLREDUCE[algorithm]
-        gather = sync.ALLGATHER_FOR_REDUCE_SCATTER[scatter]
-        stages = [(sync.reduce_scatter_plan, scatter), (sync.allgather_plan, gather)]
-    else:
-        stages = [(sync.allreduce_plan, "hierarchical" if hosts else algorithm)]
+    topology = _topology(size, hosts)
+    schedule = exchange_schedule(
+        topology or HostTopology.single_host(size), "sync", algorithm, sharding,
+        None, THRESHOLD, n_chunks,
+    )
+    buckets = schedule.cut(GRADIENT_BYTES // 8).buckets
 
     def plans(rank):
-        out = []
-        for build, name in stages:
-            for bucket in buckets:
-                plan = build(name, rank, size, bucket.num_elements, n_chunks, topology)
-                out.append(plan if build is sync.allreduce_plan else plan[0])
-        return out
+        return [
+            _BUILDERS[c.kind](c.algorithm, rank, size, bucket.num_elements, n_chunks, topology)
+            for c in schedule.collectives
+            for bucket in buckets
+        ]
 
     walked = plan_time(
         [plans(rank) for rank in range(size)], params, topology, SLOW_INTER, 8
     )
-    return walked + len(stages) * len(buckets) * params.collective_overhead
+    return walked + len(schedule.collectives) * len(buckets) * params.collective_overhead
 
 
 def _exchange_sum(params, size, algorithm, n_chunks, hosts=None, sharding="none"):
     return predict_exchange_time(
         params, size, GRADIENT_BYTES, algorithm, THRESHOLD, n_chunks,
-        ranks_per_host=hosts, inter_params=SLOW_INTER, sharding=sharding,
+        topology=_topology(size, hosts), inter_params=SLOW_INTER, sharding=sharding,
     )
 
 

@@ -81,7 +81,7 @@ class TestTwoTierModel:
         )
         one_host = predict_exchange_time(
             DEFAULT_NETWORK, 8, nbytes, "ring", 256 * 1024, 2,
-            ranks_per_host=[8], inter_params=self.SLOW_INTER,
+            topology=HostTopology.single_host(8), inter_params=self.SLOW_INTER,
         )
         assert one_host == predict_exchange_time(
             DEFAULT_NETWORK, 8, nbytes, "ring", 256 * 1024, 2

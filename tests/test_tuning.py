@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.collectives.topology import HostTopology
 from repro.comm import available_backends, launch
 from repro.nn.module import Module
 from repro.nn.optim import SGD
@@ -420,21 +421,22 @@ class TestTwoTierProfiles:
         assert loaded.link("inter") == SLOW_INTER
         assert loaded.is_two_tier
 
-    def test_autotune_validates_ranks_per_host(self):
-        with pytest.raises(ValueError, match="ranks_per_host"):
-            autotune(DEFAULT_NETWORK, 4, 1024 * 1024, ranks_per_host=(3, 2))
+    def test_autotune_validates_topology(self):
+        with pytest.raises(ValueError, match="covers 5 rank"):
+            autotune(
+                DEFAULT_NETWORK, 4, 1024 * 1024, topology=HostTopology.from_hosts((3, 2))
+            )
 
     def test_plan_scores_hierarchical_model(self):
         plan = autotune(
             DEFAULT_NETWORK, 8, 2 * 1024 * 1024,
-            ranks_per_host=(4, 4), inter_params=SLOW_INTER,
+            topology=HostTopology.from_hosts((4, 4)), inter_params=SLOW_INTER,
         )
-        assert plan.ranks_per_host == (4, 4)
         assert plan.predicted_time == pytest.approx(
             predict_exchange_time(
                 DEFAULT_NETWORK, 8, 2 * 1024 * 1024, "ring",
                 plan.fusion_threshold_bytes, plan.pipeline_chunks,
-                ranks_per_host=(4, 4), inter_params=SLOW_INTER,
+                topology=HostTopology.from_hosts((4, 4)), inter_params=SLOW_INTER,
             )
         )
         assert plan.speedup >= 1.0
@@ -443,36 +445,23 @@ class TestTwoTierProfiles:
         flat = predict_exchange_time(DEFAULT_NETWORK, 8, 4 * 1024 * 1024)
         hier_fast = predict_exchange_time(
             DEFAULT_NETWORK, 8, 4 * 1024 * 1024,
-            ranks_per_host=(4, 4), inter_params=DEFAULT_NETWORK,
+            topology=HostTopology.from_hosts((4, 4)), inter_params=DEFAULT_NETWORK,
         )
         hier_slow = predict_exchange_time(
             DEFAULT_NETWORK, 8, 4 * 1024 * 1024,
-            ranks_per_host=(4, 4), inter_params=SLOW_INTER,
+            topology=HostTopology.from_hosts((4, 4)), inter_params=SLOW_INTER,
         )
         assert hier_slow > hier_fast
         assert flat > 0 and hier_fast > 0
 
-    def test_ranks_per_host_round_trips_in_plan(self):
-        plan = autotune(
-            DEFAULT_NETWORK, 4, 1024 * 1024,
-            ranks_per_host=[3, 1], inter_params=SLOW_INTER,
-        )
-        restored = TunedPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert restored.ranks_per_host == (3, 1)
-        flat_plan = autotune(DEFAULT_NETWORK, 4, 1024 * 1024)
-        assert TunedPlan.from_dict(
-            json.loads(json.dumps(flat_plan.to_dict()))
-        ).ranks_per_host is None
-
     def test_tune_with_profile_threads_inter_link(self):
-        plan = tune_with_profile(_two_tier_profile(), 1024 * 1024,
-                                 ranks_per_host=(2, 2))
-        assert plan.ranks_per_host == (2, 2)
+        hosts = HostTopology.from_hosts((2, 2))
+        plan = tune_with_profile(_two_tier_profile(), 1024 * 1024, topology=hosts)
         assert plan.predicted_time == pytest.approx(
             predict_exchange_time(
                 _two_tier_profile().params, 4, 1024 * 1024, "ring",
                 plan.fusion_threshold_bytes, plan.pipeline_chunks,
-                ranks_per_host=(2, 2), inter_params=SLOW_INTER,
+                topology=hosts, inter_params=SLOW_INTER,
             )
         )
 
@@ -492,14 +481,14 @@ class TestAutoResolution:
         with pytest.raises(ValueError):
             TrainingConfig(pipeline_chunks=0).validate()
 
-    def test_resolution_uses_cached_profile(self, tmp_path):
+    def test_resolution_uses_cached_profile(self, tmp_path, monkeypatch):
         _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
+        monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
         config = TrainingConfig(
             world_size=2,
             fusion_threshold_bytes="auto",
             pipeline_chunks="auto",
             allreduce_algorithm="ring",
-            tuning_cache_dir=str(tmp_path),
         )
         config.validate()
         resolved = resolve_auto_fusion(config, num_parameters=1 << 16)
@@ -509,13 +498,13 @@ class TestAutoResolution:
         # The original is untouched (the runner resolves a copy).
         assert config.fusion_threshold_bytes == "auto"
 
-    def test_pinned_values_survive_partial_auto(self, tmp_path):
+    def test_pinned_values_survive_partial_auto(self, tmp_path, monkeypatch):
         _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
+        monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
         config = TrainingConfig(
             world_size=2,
             fusion_threshold_bytes=128 * 1024,
             pipeline_chunks="auto",
-            tuning_cache_dir=str(tmp_path),
         )
         resolved = resolve_auto_fusion(config, num_parameters=1 << 16)
         assert resolved.fusion_threshold_bytes == 128 * 1024
@@ -539,19 +528,19 @@ class TestAutoResolution:
         )
         profile.save(profile_path(4, backend="hier", cache_dir=tmp_path))
         monkeypatch.setenv("REPRO_HOST_TOPOLOGY", "0,0,1,1")
+        monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
         config = TrainingConfig(
             world_size=4,
             comm_backend="hier",
             fusion_threshold_bytes="auto",
             pipeline_chunks="auto",
             allreduce_algorithm="ring",
-            tuning_cache_dir=str(tmp_path),
         )
         num_parameters = 1 << 18
         resolved = resolve_auto_fusion(config, num_parameters=num_parameters)
         expected = autotune(
             LogGPParams(), 4, num_parameters * 8, "ring",
-            ranks_per_host=(2, 2), inter_params=SLOW_INTER,
+            topology=HostTopology.from_hosts((2, 2)), inter_params=SLOW_INTER,
         )
         picked = (resolved.fusion_threshold_bytes, resolved.pipeline_chunks)
         assert picked == (expected.fusion_threshold_bytes, expected.pipeline_chunks)
@@ -591,7 +580,7 @@ def _exchange_bucket_count(comm, kind, threshold, codec, num_parameters):
 class TestTunerPricesTheExchangesBuckets:
     """``resolve_auto_fusion`` prices the buckets every exchange cuts: the
     threshold it hands the tuner (``None`` mapped to one bucket) and its
-    codec model give ``bucketer_for`` the exchange's own bucket count."""
+    codec model give the tuner the exchange's own bucket count."""
 
     @pytest.mark.parametrize("codec", [None, "fp16", "int8"])
     @pytest.mark.parametrize("threshold", [None, 1024, 1 << 20])
@@ -599,7 +588,7 @@ class TestTunerPricesTheExchangesBuckets:
         "kind", [SynchronousExchange, ShardedExchange, PartialExchange],
         ids=lambda kind: kind.__name__,
     )
-    def test_bucket_counts_agree(self, tmp_path, kind, threshold, codec):
+    def test_bucket_counts_agree(self, tmp_path, monkeypatch, kind, threshold, codec):
         import importlib
         from unittest import mock
 
@@ -609,6 +598,7 @@ class TestTunerPricesTheExchangesBuckets:
         # name as the submodule; fetch the submodule explicitly.
         autotune_module = importlib.import_module("repro.tuning.autotune")
         _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
+        monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
         num_parameters = 1500
         config = TrainingConfig(
             world_size=2,
@@ -617,21 +607,18 @@ class TestTunerPricesTheExchangesBuckets:
             fusion_threshold_bytes=threshold,
             pipeline_chunks="auto",
             compression=codec,
-            tuning_cache_dir=str(tmp_path),
         )
         captured = {}
         real_autotune = autotune_module.autotune
 
         def spy(*args, **kwargs):
-            captured.update(kwargs)
-            return real_autotune(*args, **kwargs)
+            captured["plan"] = real_autotune(*args, **kwargs)
+            return captured["plan"]
 
         with mock.patch.object(autotune_module, "autotune", side_effect=spy):
             resolve_auto_fusion(config, num_parameters=num_parameters)
-        (priced_threshold,) = captured["thresholds"]
-        priced = autotune_module.bucketer_for(
-            num_parameters * 8, priced_threshold, captured["compression_model"]
-        ).num_buckets
+        # The one threshold priced, at the schedule's bucket count.
+        priced = captured["plan"].num_buckets
         counts = launch(
             _exchange_bucket_count, 2, kind, threshold, codec, num_parameters,
             backend="thread",
