@@ -8,6 +8,7 @@ Examples
     python -m repro fig9  --world-size 32 --iterations 64
     python -m repro fig10 --scale tiny
     python -m repro train --mode quorum --quorum 3 --trace trace.json
+    python -m repro fig10 --scale tiny --trace fig10-trace.json
 
 Each sub-command is a :class:`Command` row of :data:`COMMANDS`.  An
 experiment row is its harness: its flags are the parameters of the
@@ -15,13 +16,17 @@ harness's ``run`` (:func:`add_flags` — the annotation gives a flag's type,
 choices or bound, the default its default), ``run``'s docstring is the
 sub-command's description, and the row prints the harness's ``report``
 of the run.  ``train`` and ``serve`` take their flags from their config
-dataclasses' fields the same way.
+dataclasses' fields the same way.  Every row also takes ``--trace PATH``
+and ``--capacity N``: :func:`main` runs it inside a
+:func:`repro.obs.tracing.session`, which traces every world the row
+launches.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import sys
@@ -32,6 +37,7 @@ from typing import (
 )
 
 from repro.analysis.schedule_verifier import DEFAULT_WORLD_SIZES, verify
+from repro.data.hyperplane import HyperplaneDataset
 from repro.experiments import (
     autotune as autotune_experiment,
     fig2_workload,
@@ -44,10 +50,14 @@ from repro.experiments import (
     table1_networks,
 )
 from repro.experiments.training_experiments import report_figure, run_figure
+from repro.nn.losses import MSELoss
+from repro.nn.models.mlp import MLPClassifier
+from repro.obs import tracing
 from repro.obs.recorder import DEFAULT_CAPACITY
-from repro.obs.tracecmd import PRESET, format_summary, run_trace
 from repro.serving import ServingConfig, Workload, serve
 from repro.serving.server import format_report
+from repro.training.config import TrainingConfig
+from repro.training.runner import train_distributed
 from repro.utils.argtypes import (
     codec_spec, comma_list, int_at_least, int_or_auto, positive_float,
 )
@@ -238,27 +248,52 @@ def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0 if not failures else 1
 
 
+#: Input width of ``train``'s hyperplane-regression workload (Fig. 10's
+#: data at test scale), and the hidden width of the two-layer MLP fitting
+#: it, so a trace carries per-layer ``layer-fwd`` / ``layer-bwd`` rows.
+INPUT_DIM = 64
+
+#: The run ``train`` makes unless its flags say otherwise: one epoch of a
+#: 32-example global batch, with momentum so the optimizer carries state
+#: that ``--sharding zero1`` cuts P-fold, and a 20 KiB fusion threshold
+#: that cuts the MLP's 4 225 parameters into two buckets.
+PRESET = TrainingConfig(
+    epochs=1, global_batch_size=32, optimizer="momentum", fusion_threshold_bytes=20 * 1024
+)
+
+
 def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int_at_least(1), default=8,
                    help="training steps per rank (one epoch of exactly this many)")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="write the run's Chrome trace-event JSON (Perfetto) here")
-    p.add_argument("--capacity", type=int_at_least(1), default=DEFAULT_CAPACITY,
-                   help="flight-recorder ring capacity in events per rank "
-                   "(overflow drops oldest; default: %(default)s)")
     p.add_argument("--timeout", type=positive_float, default=300.0,
                    help="whole-world timeout in seconds")
     add_flags(p, type(PRESET), PRESET)
 
 
-def _train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    report = run_trace(
-        config_from_args(args, parser, PRESET), steps=args.steps,
-        capacity=args.capacity, out=args.trace, timeout=args.timeout,
+def train_preset(config: TrainingConfig, steps: int, run_timeout: float = 300.0):
+    """``train``'s run of ``config``: one epoch of exactly ``steps`` global
+    batches of hyperplane data fitted by the two-layer MLP."""
+    model = functools.partial(
+        MLPClassifier, INPUT_DIM, hidden_dims=(INPUT_DIM,), num_classes=1, seed=config.seed
     )
-    print(format_summary(report, args.trace))
+    data = HyperplaneDataset(
+        num_examples=config.global_batch_size * steps, input_dim=INPUT_DIM,
+        noise_std=0.5, seed=config.seed,
+    )
+    return train_distributed(
+        model, data, MSELoss(), config, classification=False, run_timeout=run_timeout
+    )
+
+
+def _train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    config = config_from_args(args, parser, PRESET)
+    result = train_preset(config, args.steps, args.timeout)
+    hashes = {s.rank: s.final_model_hash for s in result.rank_summaries}
+    print(f"train      : {result.description}, {args.steps} step(s), "
+          f"final loss {result.final_epoch.train_loss:.6f}, {result.wall_time:.2f} s")
+    print("  " + tracing.models_line(hashes))
     # Synchronous and ZeRO-1 replicas must end on one model; eager ones may not.
-    return 1 if report["mode"] == "sync" and not report["models_agree"] else 0
+    return 1 if config.mode == "sync" and len(set(hashes.values())) > 1 else 0
 
 
 def _verify(
@@ -334,11 +369,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command")
     parsers = {}
     for command in COMMANDS:
-        parsers[command.name] = sub.add_parser(command.name, help=command.help)
-        command.add_args(parsers[command.name])
+        parsers[command.name] = p = sub.add_parser(command.name, help=command.help)
+        command.add_args(p)
+        p.add_argument("--trace", metavar="PATH", default=None,
+                       help="trace every world this run launches into one Chrome "
+                       "trace-event JSON (Perfetto) file here")
+        p.add_argument("--capacity", type=int_at_least(1), default=DEFAULT_CAPACITY,
+                       help="flight-recorder ring capacity in events per rank "
+                       "(overflow drops oldest; default: %(default)s)")
     args = parser.parse_args(argv)
     name = args.command or "list"
-    return next(c for c in COMMANDS if c.name == name).run(args, parsers[name]) or 0
+    run = next(c for c in COMMANDS if c.name == name).run
+    if args.command is None or args.trace is None:
+        return run(args, parsers[name]) or 0
+    with tracing.session(args.trace, args.capacity) as traced:
+        code = run(args, parsers[name]) or 0
+    print(f"nothing traced: {name} launched no world, {args.trace} not written"
+          if traced.report is None else tracing.format_summary(traced.report, args.trace))
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

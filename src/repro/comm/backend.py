@@ -382,7 +382,8 @@ def launch(
     Returns
     -------
     list
-        ``fn``'s return value per rank, indexed by rank.
+        ``fn``'s return value per rank, indexed by rank — also inside a
+        :func:`repro.obs.tracing.session`, which keeps the world's trace.
 
     Raises
     ------
@@ -394,10 +395,15 @@ def launch(
     default_recv_timeout = check_deadline(default_recv_timeout)
     if timeout is not None:
         timeout = check_deadline(timeout, "timeout")
-    return get_backend(backend).run(
-        fn,
+    # Imported here: repro.obs's collection layer imports repro.comm.
+    from repro.obs import tracing
+
+    handle = get_backend(backend)
+    traced = tracing.active()
+    results = handle.run(
+        fn if traced is None else tracing.trace_rank,
         world_size,
-        args,
+        args if traced is None else (fn, traced.capacity, *args),
         kwargs,
         channels=channels,
         channel=channel,
@@ -405,3 +411,4 @@ def launch(
         default_recv_timeout=default_recv_timeout,
         **(backend_opts or {}),
     )
+    return results if traced is None else traced.collect(fn, handle.name, results)

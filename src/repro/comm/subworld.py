@@ -95,10 +95,6 @@ class SubsetCommunicator:
         """Global rank of each view rank, in view-rank order."""
         return self._ranks
 
-    def global_rank(self, view_rank: int) -> int:
-        """Translate a view rank to its global rank."""
-        return self._ranks[view_rank]
-
     def dup(self, channel: Optional[str] = None) -> "SubsetCommunicator":
         """The same subset view on another channel of the parent world."""
         return SubsetCommunicator(self._parent.dup(channel), self._ranks)

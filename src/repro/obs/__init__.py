@@ -1,30 +1,22 @@
 """Observability layer: flight recorder, trace export, histograms.
 
-``repro.obs`` is the cross-cutting instrumentation layer of the repo:
-
-* :mod:`repro.obs.recorder` — a low-overhead per-rank **flight recorder**
-  (preallocated ring buffer of span/instant/counter/flow events stamped
-  with ``perf_counter_ns``; drop-oldest with a dropped-events counter;
-  near-zero cost when no recorder is bound).
-* :mod:`repro.obs.metrics` — log-bucketed streaming histograms with
-  cross-rank merge, and the per-rank straggler attribution read from a
-  Chrome trace.
-* :mod:`repro.obs.trace` — Chrome trace-event JSON export (loadable in
-  Perfetto / ``chrome://tracing``) and a structural schema validator.
-* :mod:`repro.obs.collect` — cross-rank collection over the comm fabric:
-  clock-offset estimation (ping-pong midpoint) and trace-buffer shipment
-  to rank 0 on the ``telemetry`` tag region.
-* :mod:`repro.obs.tracecmd` — what ``python -m repro train`` runs: the
-  training runner's own loop under a recorder on every rank, collected
-  and (with ``--trace PATH``) exported, and a report read back from the
-  trace.
-
-The hot paths (communicator send/recv, collective phases, the fused
-exchange, the trainer step, the serving tier) consult
-:func:`repro.obs.recorder.current` — a thread-local lookup returning
-``None`` unless :func:`repro.obs.recorder.bind` installed a recorder on
-that thread — so instrumentation costs one attribute lookup per site
-when tracing is off.
+* :mod:`repro.obs.recorder` — the per-rank **flight recorder**, a
+  preallocated drop-oldest ring of span / instant / counter / flow events.
+  Hot paths call :func:`~repro.obs.recorder.current`, a thread-local
+  lookup that is ``None`` unless :func:`~repro.obs.recorder.bind`
+  installed a recorder, so a site costs one attribute lookup when off.
+* :mod:`repro.obs.metrics` — log-bucketed streaming histograms and the
+  per-rank straggler attribution read from a Chrome trace.
+* :mod:`repro.obs.trace` — Chrome trace-event JSON export (Perfetto,
+  ``chrome://tracing``) and its structural validator.
+* :mod:`repro.obs.collect` — clock-offset estimation and shipment of the
+  ranks' buffers to rank 0 on the ``telemetry`` tag region.
+* :mod:`repro.obs.tracing` — tracing as a switch: inside
+  :func:`session`, every world :func:`~repro.comm.backend.launch` starts
+  runs each rank under a recorder, and on exit the worlds become one
+  Chrome trace with a labelled track per rank of each, plus a report read
+  back from that trace alone.  ``python -m repro ROW --trace PATH`` is a
+  session around any row.
 """
 
 from repro.obs.recorder import (
@@ -45,6 +37,7 @@ from repro.obs.collect import (
     estimate_clock_offsets,
     gather_traces,
 )
+from repro.obs.tracing import session, trace_report
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -60,4 +53,6 @@ __all__ = [
     "write_chrome_trace",
     "estimate_clock_offsets",
     "gather_traces",
+    "session",
+    "trace_report",
 ]

@@ -58,18 +58,14 @@ def estimate_clock_offsets(
     if rank == 0:
         offsets: Dict[int, int] = {0: 0}
         for peer in range(1, size):
-            best_rtt: Optional[int] = None
-            best_offset = 0
+            samples = []  # (round trip, offset estimate) per round
             for k in range(rounds):
                 t0 = perf_counter_ns()
                 comm.send(int(k), peer, tag=tags.telemetry_ping_tag(peer, k))
                 t_peer = int(comm.recv(source=peer, tag=tags.telemetry_pong_tag(peer, k)))
                 t1 = perf_counter_ns()
-                rtt = t1 - t0
-                if best_rtt is None or rtt < best_rtt:
-                    best_rtt = rtt
-                    best_offset = (t0 + t1) // 2 - t_peer
-            offsets[peer] = best_offset
+                samples.append((t1 - t0, (t0 + t1) // 2 - t_peer))
+            offsets[peer] = min(samples)[1]
         return offsets
     for k in range(rounds):
         comm.recv(source=0, tag=tags.telemetry_ping_tag(rank, k))

@@ -38,6 +38,7 @@ send→recv arrows between rank tracks).
 from __future__ import annotations
 
 import threading
+import zlib
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -206,13 +207,6 @@ class FlightRecorder:
             head = self._total % self.capacity
             return [ev for ev in self._ring[head:] + self._ring[:head]]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._ring = [None] * self.capacity
-            self._total = 0
-            self.dropped = 0
-            self._thread_names.clear()
-
     def dump(self) -> Dict[str, Any]:
         """Plain-data snapshot, picklable for shipment over the fabric."""
         events = self.events()
@@ -259,7 +253,8 @@ def flow_id(channel: str, source: int, dest: int, tag: int) -> int:
     numbers are minted into them), so collisions only arise for
     intentionally reused tags and merely merge those arrows in the UI.
     """
-    return hash((channel, source, dest, tag)) & 0x7FFFFFFFFFFFFFFF
+    # A str's hash is salted per interpreter; a spawned rank's differs.
+    return hash((zlib.crc32(channel.encode()), source, dest, tag)) & 0x7FFFFFFFFFFFFFFF
 
 
 def payload_nbytes(payload: Any) -> int:

@@ -39,10 +39,8 @@ def _region_name(tag: int) -> Optional[str]:
     # region lookup only runs at export time, never on the hot path.
     from repro.comm import tags as tag_table
 
-    try:
-        return tag_table.region_of(int(tag)).name
-    except (ValueError, KeyError):
-        return None
+    region = tag_table.region_of(int(tag))
+    return None if region is None else region.name
 
 
 def to_chrome_trace(
@@ -56,7 +54,8 @@ def to_chrome_trace(
     ----------
     dumps:
         :meth:`repro.obs.recorder.FlightRecorder.dump` snapshots, one
-        per rank.
+        per rank; a dump's optional ``label`` names its track (default
+        ``"rank <rank>"``).
     clock_offsets_ns:
         ``rank -> offset`` such that ``local_ts + offset`` lands on rank
         0's clock; missing ranks default to 0 (correct for same-process
@@ -66,17 +65,14 @@ def to_chrome_trace(
         them in the trace info dialog).
     """
     offsets = clock_offsets_ns or {}
-
     # Earliest aligned timestamp across all ranks anchors t=0.
-    base_ns: Optional[int] = None
-    for dump in dumps:
-        offset = int(offsets.get(dump["rank"], 0))
-        for event in dump["events"]:
-            ts = int(event[3]) + offset
-            if base_ns is None or ts < base_ns:
-                base_ns = ts
-    if base_ns is None:
-        base_ns = 0
+    base_ns = min(
+        (
+            int(event[3]) + int(offsets.get(dump["rank"], 0))
+            for dump in dumps for event in dump["events"]
+        ),
+        default=0,
+    )
 
     trace_events: List[Dict[str, Any]] = []
     for dump in dumps:
@@ -86,30 +82,16 @@ def to_chrome_trace(
         # Stable small tids per rank: the dump's thread idents in sorted
         # order (idents themselves are opaque 64-bit values).
         tid_of = {ident: i for i, ident in enumerate(sorted(threads))}
-
-        trace_events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": rank,
-                "tid": 0,
-                "args": {"name": f"rank {rank}"},
-            }
+        trace_events.append({
+            "ph": "M", "name": "process_name", "pid": rank, "tid": 0,
+            "args": {"name": dump.get("label", f"rank {rank}")},
+        })
+        trace_events.extend(
+            {"ph": "M", "name": "thread_name", "pid": rank, "tid": tid,
+             "args": {"name": threads[ident]}}
+            for ident, tid in tid_of.items()
         )
-        for ident, tid in tid_of.items():
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": rank,
-                    "tid": tid,
-                    "args": {"name": threads[ident]},
-                }
-            )
-
-        for kind, name, cat, ts_ns, dur_ns, args, ident in (
-            tuple(ev) for ev in dump["events"]
-        ):
+        for kind, name, cat, ts_ns, dur_ns, args, ident in dump["events"]:
             event: Dict[str, Any] = {
                 "ph": kind,
                 "name": name,
@@ -118,28 +100,19 @@ def to_chrome_trace(
                 "tid": tid_of.get(int(ident), 0),
                 "ts": (int(ts_ns) + offset - base_ns) / 1000.0,
             }
-            if args:
-                args = dict(args)
-                if "tag" in args:
-                    region = _region_name(args["tag"])
-                    if region is not None:
-                        args["region"] = region
-            if kind == "X":
-                event["dur"] = int(dur_ns) / 1000.0
-                if args:
-                    event["args"] = args
-            elif kind == "i":
-                event["s"] = "t"
-                if args:
-                    event["args"] = args
-            elif kind == "C":
-                event["args"] = args or {"value": 0}
-            elif kind in ("s", "f"):
+            if kind in ("s", "f"):
                 event["id"] = int((args or {}).get("id", 0))
                 if kind == "f":
                     event["bp"] = "e"
-            elif args:
-                event["args"] = args
+            elif args or kind == "C":
+                event["args"] = args = dict(args or {"value": 0})
+                region = _region_name(args["tag"]) if "tag" in args else None
+                if region is not None:
+                    args["region"] = region
+            if kind == "X":
+                event["dur"] = int(dur_ns) / 1000.0
+            elif kind == "i":
+                event["s"] = "t"
             trace_events.append(event)
 
     trace: Dict[str, Any] = {

@@ -80,10 +80,6 @@ class ServingReport:
         return int(self.workload["completed"]) if self.workload else 0
 
     @property
-    def p50_s(self) -> Optional[float]:
-        return self.workload.get("latency_p50_s") if self.workload else None
-
-    @property
     def p99_s(self) -> Optional[float]:
         return self.workload.get("latency_p99_s") if self.workload else None
 

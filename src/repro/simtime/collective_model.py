@@ -252,7 +252,12 @@ def _transform_time(nbytes: float, size: int, compression: CompressionModel) -> 
 
 
 def _gather_exchange_time(
-    nbytes: float, size: int, params: LogGPParams, compression: CompressionModel
+    nbytes: float,
+    size: int,
+    params: LogGPParams,
+    compression: CompressionModel,
+    topology: Optional[HostTopology] = None,
+    inter: Optional[LogGPParams] = None,
 ) -> float:
     """Decode-reduce-encode exchange of one ``nbytes`` bucket.
 
@@ -260,10 +265,12 @@ def _gather_exchange_time(
     the exchange runs the ring allgather plan of a table with one
     encoded payload per rank (one element of ``nbytes * wire_scale``
     bytes each) and reduces the ``size - 1`` decoded contributions it
-    received densely.
+    received densely.  The ring is flat over the global ranks; on a
+    ``topology`` that spans hosts, each hop between hosts is priced on
+    the ``inter`` link.
     """
     gather = collective_time(
-        "allgather", "ring", size, size, 1, params,
+        "allgather", "ring", size, size, 1, params, topology, inter,
         bytes_per_element=nbytes * compression.wire_scale,
     )
     if size == 1:

@@ -90,6 +90,3 @@ class QuorumTracker:
             return 0.0
         half = self.world_size / 2.0
         return float(np.mean([n >= half for n in self.naps]))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.naps, dtype=np.int64)

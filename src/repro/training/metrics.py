@@ -99,9 +99,6 @@ class TrainingResult:
         """Series of ``(sim_time_seconds, metric_value)`` per epoch."""
         return [(e.sim_time, getattr(e, metric)) for e in self.epochs]
 
-    def loss_vs_time(self) -> List[tuple]:
-        return [(e.sim_time, e.eval_loss) for e in self.epochs]
-
     def summary_row(self) -> Dict[str, float]:
         """Flat summary used by the experiment report tables."""
         last = self.final_epoch

@@ -20,11 +20,12 @@ import numpy as np
 
 from repro.comm.backend import launch
 from repro.comm.communicator import Communicator
+from repro.comm.router import Router
 from repro.collectives.sync import allreduce
 from repro.data.loader import Dataset, ShardedLoader
 from repro.nn.module import Module
 from repro.nn.optim import Adam, MomentumSGD, Optimizer, SGD
-from repro.obs import recorder as _obs
+from repro.obs import recorder as _obs, tracing
 from repro.simtime.collective_model import allreduce_time
 from repro.simtime.network import DEFAULT_NETWORK
 from repro.simtime.training_model import StepTimeline, project_training_time
@@ -48,17 +49,11 @@ GRADIENT_BYTES_PER_PARAMETER = 4
 class _RankOutput:
     """Raw data returned by each rank thread."""
 
-    rank: int
+    summary: RankSummary
     epoch_records: List[EpochRecord]
     step_durations: List[float]
     #: Initiator of every step's partial round (-1: synchronous).
     initiators: List[int]
-    max_staleness: int
-    mean_staleness: float
-    inclusion_rate: float
-    mean_num_active: float
-    min_num_active: int
-    final_model_hash: str
 
 
 def _build_optimizer(model: Module, config: TrainingConfig) -> Optimizer:
@@ -88,6 +83,7 @@ def _rank_main(
     classification: bool,
 ) -> _RankOutput:
     config.validate()
+    _obs.instant("run", "train", mode=config.mode, sharding=config.sharding)
     rank = comm.rank
     model = model_factory()
     optimizer = _build_optimizer(model, config)
@@ -202,19 +198,19 @@ def _rank_main(
     finally:
         sgd.close()
     _obs.counter("optimizer-state-bytes", optimizer.state_bytes())
+    final_model_hash = model_hash(model)
+    _obs.instant("final-model", "train", hash=final_model_hash)
 
-    return _RankOutput(
+    summary = RankSummary(
         rank=rank,
-        epoch_records=epoch_records,
-        step_durations=step_durations,
-        initiators=initiators,
         max_staleness=sgd.staleness.max_staleness,
         mean_staleness=sgd.staleness.mean_staleness,
         inclusion_rate=sgd.staleness.inclusion_rate,
         mean_num_active=sgd.quorum.mean_quorum,
         min_num_active=sgd.quorum.min_quorum,
-        final_model_hash=model_hash(model),
+        final_model_hash=final_model_hash,
     )
+    return _RankOutput(summary, epoch_records, step_durations, initiators)
 
 
 def train_distributed(
@@ -266,8 +262,9 @@ def train_distributed(
 
     if config.world_size == 1:
         outputs = [
-            _rank_main(
-                _single_process_comm(),
+            tracing.run_in_process(
+                _rank_main,
+                Communicator(Router(1), 0),
                 model_factory,
                 train_dataset,
                 eval_dataset,
@@ -335,45 +332,26 @@ def train_distributed(
             )
             record.sim_time = float(projection.step_completion_times[end_step])
 
-    summaries = [
-        RankSummary(
-            rank=out.rank,
-            max_staleness=out.max_staleness,
-            mean_staleness=out.mean_staleness,
-            inclusion_rate=out.inclusion_rate,
-            mean_num_active=out.mean_num_active,
-            min_num_active=out.min_num_active,
-            final_model_hash=out.final_model_hash,
-        )
-        for out in outputs
-    ]
     return TrainingResult(
         mode=config.mode,
         description=config.describe(),
         epochs=records,
         step_durations=durations,
         projection=projection,
-        rank_summaries=summaries,
+        rank_summaries=[out.summary for out in outputs],
         wall_time=wall_time,
     )
 
 
 def _recorded_initiators(outputs: List[_RankOutput]) -> List[int]:
-    """The majority initiators of every step, which all ranks drew from
-    one seeded stream: a difference is a broken consensus, and raises."""
+    """The majority initiators of every step, which every rank (``outputs``
+    is indexed by rank) drew from one seeded stream: a difference raises."""
     first = outputs[0].initiators
-    for out in outputs[1:]:
+    for rank, out in enumerate(outputs[1:], 1):
         if out.initiators != first:
             step = next(t for t, (a, b) in enumerate(zip(first, out.initiators)) if a != b)
             raise RuntimeError(
-                f"ranks 0 and {out.rank} recorded different majority initiators "
+                f"ranks 0 and {rank} recorded different majority initiators "
                 f"at step {step}: {first[step]} vs {out.initiators[step]}"
             )
     return first
-
-
-def _single_process_comm() -> Communicator:
-    """A world-of-one communicator for single-process baselines."""
-    from repro.comm.router import Router
-
-    return Communicator(Router(1), 0)

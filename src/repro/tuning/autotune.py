@@ -157,7 +157,8 @@ def predict_exchange_time(
         for collective in schedule.collectives:
             if collective.kind == "payload_allgather":
                 total += count * _gather_exchange_time(
-                    length * _BYTES_PER_ELEMENT, world_size, params, codec
+                    length * _BYTES_PER_ELEMENT, world_size, params, codec,
+                    topology, inter_params,
                 )
                 continue
             total += count * collective_time(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,9 +75,6 @@ class DistributionSummary:
     min: float
     max: float
     median: float
-
-    def as_row(self) -> Tuple[int, float, float, float, float, float]:
-        return (self.count, self.mean, self.std, self.min, self.max, self.median)
 
     def __str__(self) -> str:
         return (

@@ -125,6 +125,11 @@ class TestCommandTable:
                 listed = f"{_flag(name)} " in text or f"{_flag(name)}," in text
                 assert listed != ((command.name, name) in OBJECTS), (command.name, name)
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c.name)
+    def test_every_row_takes_the_trace_switch(self, capsys, command):
+        text = _help(capsys, command.name)
+        assert "--trace PATH" in text and "--capacity CAPACITY" in text
+
     def test_train_has_a_flag_per_scalar_config_field(self, capsys):
         text = _help(capsys, "train")
         objects = {"delay_injector", "cost_model"}

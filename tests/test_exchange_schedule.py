@@ -80,6 +80,15 @@ def test_prices_match_the_frozen_table_bit_for_bit():
     assert mismatched == [] and unrefused == []
 
 
+def test_payload_allgather_prices_its_cross_host_hops():
+    """The topk payload ring is flat over the global ranks, so on two hosts
+    its cross-host hops ride the slower inter link."""
+    shape = (DEFAULT_NETWORK, 4, GRADIENT_BYTES, "ring", 1 << 20, 1, CODECS["topk"])
+    one_host = predict_exchange_time(*shape)
+    two_hosts = predict_exchange_time(*shape, HostTopology.from_hosts((2, 2)), SLOW_INTER)
+    assert two_hosts > one_host
+
+
 def test_tuner_refuses_zero1_fp16_on_two_hosts():
     with pytest.raises(ValueError, match="'fp16'.*'0,0,1,1'"):
         predict_exchange_time(

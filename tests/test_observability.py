@@ -3,8 +3,9 @@
 Covers the tentpole pieces end to end: ring overflow / drop accounting,
 span nesting, the Chrome trace-event JSON schema round-trip, clock-offset
 alignment across two real processes, the cross-rank histogram merge
-over the thread/process/shm transports, and the ``trace`` report read
-back from the trace it writes.
+over the thread/process/shm transports, and the tracing session: every
+world launched inside it becomes tracks of one trace, on every CLI row,
+with the report read back from the trace it writes.
 """
 
 from __future__ import annotations
@@ -20,15 +21,17 @@ from hypothesis import strategies as st
 
 from repro.analysis.schedule_verifier import telemetry_round_trip
 from repro.comm.backend import available_backends, launch
+from repro import obs
 from repro.obs import recorder as rec_mod
 from repro.obs.collect import estimate_clock_offsets, gather_traces
 from repro.obs.metrics import LogHistogram, straggler_attribution
-from repro.obs.recorder import FlightRecorder, bind, current
+from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder, bind, current
 from repro.obs.trace import (
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.tracing import format_summary, trace_report
 
 MERGE_BACKENDS = ["thread", "process", "shm"]
 
@@ -400,24 +403,113 @@ def test_payload_nbytes_sums_nested_tuples():
 
 
 # ---------------------------------------------------------------------------
-# the traced training run behind `python -m repro train`
+# tracing is a switch: `obs.session` traces every world launched inside it
+# ---------------------------------------------------------------------------
+def _traced_train(path, steps, capacity=DEFAULT_CAPACITY, **fields):
+    """``repro train``'s run of ``steps`` steps under a session into ``path``:
+    the session and the run's :class:`TrainingResult`."""
+    from repro.cli import PRESET, train_preset
+
+    with obs.session(str(path), capacity) as traced:
+        result = train_preset(replace(PRESET, **fields), steps)
+    return traced, result
+
+
+def _tracks(trace):
+    """``{pid: track name}`` of a Chrome trace."""
+    return {
+        e["pid"]: e["args"]["name"] for e in trace["traceEvents"]
+        if e["ph"] == "M" and e["name"] == "process_name"
+    }
+
+
+def _ping_rank_sum(comm, offset):
+    """Rank 0 sends rank 1 an array on a user-space tag; every rank returns
+    its rank plus ``offset``."""
+    if comm.rank == 0:
+        comm.send(np.ones(4), 1, tag=7)
+    elif comm.rank == 1:
+        comm.recv(source=0, tag=7)
+    return comm.rank + offset
+
+
+class _LaunchSpy:
+    """Wraps ``launch`` in a module, recording each world's function and size."""
+
+    def __init__(self, monkeypatch, module):
+        self.worlds, self._launch = [], module.launch
+        monkeypatch.setattr(module, "launch", self)
+
+    def __call__(self, fn, world_size, *args, **kwargs):
+        self.worlds.append((fn.__name__, world_size))
+        return self._launch(fn, world_size, *args, **kwargs)
+
+
+class TestTraceSession:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_tracing_leaves_the_models_unchanged(self, tmp_path, backend):
+        from repro.cli import PRESET, train_preset
+
+        _skip_if_unavailable(backend)
+        config = replace(PRESET, world_size=2, comm_backend=backend, seed=5)
+        untraced = train_preset(config, steps=3)
+        _, traced = _traced_train(
+            tmp_path / "trace.json", steps=3, world_size=2, comm_backend=backend, seed=5
+        )
+        hashes = [[s.final_model_hash for s in r.rank_summaries] for r in (untraced, traced)]
+        assert hashes[0] == hashes[1] and len(set(hashes[0])) == 1
+
+    def test_launch_returns_the_results_and_traces_spawned_ranks(self, tmp_path):
+        _skip_if_unavailable("process")
+        out = tmp_path / "spawn.json"
+        with obs.session(str(out)) as traced:
+            results = launch(
+                _ping_rank_sum, 2, 10, backend="process",
+                backend_opts={"start_method": "spawn"}, timeout=120,
+            )
+            assert results == [10, 11]
+            assert launch(_ping_rank_sum, 3, 0, backend="thread") == [0, 1, 2]
+        trace = json.loads(out.read_text())
+        assert validate_chrome_trace(trace) == []
+        assert [w["ranks"] for w in trace["otherData"]["worlds"]] == [2, 3]
+        assert sorted(_tracks(trace)) == [0, 1, 2, 3, 4]
+        assert _tracks(trace)[4] == "_ping_rank_sum on thread #1 rank 2"
+        assert traced.report["worlds"] == trace["otherData"]["worlds"]
+        # Rank 0's sends land on rank 1 in each world: their arrows pair up,
+        # spawned ranks included (each interpreter salts str hashes anew).
+        for first in (0, 2):
+            ids = {
+                ph: {e["id"] for e in trace["traceEvents"] if e["ph"] == ph and e["pid"] == pid}
+                for ph, pid in (("s", first), ("f", first + 1))
+            }
+            assert ids["s"] & ids["f"]
+
+    def test_one_session_at_a_time(self, tmp_path):
+        with obs.session(str(tmp_path / "a.json")):
+            with pytest.raises(RuntimeError, match="already active"):
+                with obs.session(str(tmp_path / "b.json")):
+                    pass
+        assert not (tmp_path / "a.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# `repro train`'s run under a session, and `--trace PATH` on every row
 # ---------------------------------------------------------------------------
 class TestTraceCommand:
     def test_traced_run_thread_backend(self, tmp_path):
-        from repro.obs.tracecmd import PRESET, format_summary, run_trace
-
         out = tmp_path / "trace.json"
-        report = run_trace(
-            replace(PRESET, world_size=2, comm_backend="thread"),
-            steps=3,
-            capacity=4096,
-            out=str(out),
+        traced, _ = _traced_train(
+            out, steps=3, capacity=4096, world_size=2, comm_backend="thread"
         )
         trace = json.loads(out.read_text())
         assert validate_chrome_trace(trace) == []
+        assert trace["otherData"]["worlds"] == [
+            {"label": "_rank_main on thread", "first_track": 0, "ranks": 2}
+        ]
+        assert _tracks(trace) == {
+            0: "_rank_main on thread #0 rank 0", 1: "_rank_main on thread #0 rank 1"
+        }
         events = trace["traceEvents"]
-        pids = sorted({e["pid"] for e in events if e["ph"] != "M"})
-        assert pids == [0, 1]
         names = {e["name"] for e in events if e["ph"] == "X"}
         assert {"compute", "exchange", "update", "bucket-wait", "send", "recv"} <= names
         assert {e["pid"] for e in events if e["ph"] == "X" and e["cat"] == "nn"} == {0, 1}
@@ -428,36 +520,35 @@ class TestTraceCommand:
             per_rank = [e["name"] for e in events if e["ph"] == "X" and e["pid"] == rank]
             assert per_rank.count("update") == 3
             assert per_rank.count("bucket-wait") == 6
+        report = traced.report
         assert report["exchanges"] == 6
         assert 0 < report["exchange_p50_s"] <= report["exchange_p99_s"]
         assert set(report["optimizer_state_bytes"]) == {0, 1}
+        assert report["runs"] == {r: {"mode": "sync", "sharding": "none"} for r in (0, 1)}
         text = format_summary(report, str(out))
         assert "trace report" in text and "collective" in text
 
     def test_report_is_read_back_from_the_written_trace(self, tmp_path):
-        from repro.obs.tracecmd import PRESET, run_trace, trace_report
-
         out = tmp_path / "trace.json"
-        report = run_trace(
-            replace(PRESET, world_size=2, comm_backend="thread"), steps=2, out=str(out)
-        )
+        traced, result = _traced_train(out, steps=2, world_size=2, comm_backend="thread")
         with open(out) as handle:
-            assert trace_report(json.load(handle)) == report
+            assert trace_report(json.load(handle)) == traced.report
+        assert traced.report["model_hashes"] == {
+            s.rank: s.final_model_hash for s in result.rank_summaries
+        }
 
     @pytest.mark.parametrize(
         "mode, sharding", [("sync", "none"), ("solo", "none"), ("sync", "zero1")]
     )
     def test_shares_split_each_ranks_steps(self, tmp_path, mode, sharding):
+        from repro.cli import INPUT_DIM
         from repro.nn.models.mlp import MLPClassifier
-        from repro.obs.tracecmd import INPUT_DIM, PRESET, run_trace
 
-        report = run_trace(
-            replace(
-                PRESET, world_size=2, mode=mode, sharding=sharding, comm_backend="thread"
-            ),
-            steps=3,
-            out=str(tmp_path / "trace.json"),
+        traced, _ = _traced_train(
+            tmp_path / "trace.json", steps=3, world_size=2, mode=mode,
+            sharding=sharding, comm_backend="thread",
         )
+        report = traced.report
         assert [r["rank"] for r in report["straggler"]] == [0, 1]
         for record in report["straggler"]:
             assert record["steps"] == 3
@@ -479,13 +570,9 @@ class TestTraceCommand:
                 assert nbytes == dense
 
     def test_traced_run_carries_the_transport_counters(self, tmp_path):
-        from repro.obs.tracecmd import PRESET, run_trace
-
         _skip_if_unavailable("process")
         out = tmp_path / "trace.json"
-        run_trace(
-            replace(PRESET, world_size=2, comm_backend="process"), steps=3, out=str(out)
-        )
+        _traced_train(out, steps=3, world_size=2, comm_backend="process")
         trace = json.loads(out.read_text())
         assert validate_chrome_trace(trace) == []
         counters = {
@@ -498,6 +585,15 @@ class TestTraceCommand:
             assert counters[rank, "transport.departed_peers"] == 0
             for name in ("parks", "send_stalls", "frames_staged"):
                 assert (rank, f"transport.{name}") in counters
+
+    def test_recorder_capacity_truncation_is_reported(self, tmp_path):
+        traced, _ = _traced_train(
+            tmp_path / "tiny.json", steps=3, capacity=32, world_size=2,
+            comm_backend="thread",
+        )
+        # A 32-event ring cannot hold a 3-step traced run: the exporter
+        # must surface the drop counts instead of silently truncating.
+        assert sum(traced.report["dropped_events"].values()) > 0
 
     @pytest.mark.parametrize(
         "backend, world_size, flags, collective_span",
@@ -530,12 +626,45 @@ class TestTraceCommand:
         assert {e["pid"] for e in events if e["ph"] == "X" and e["cat"] == "nn"} == ranks
         assert len(trace["otherData"]["clock_offsets_ns"]) == world_size
         if backend == "process":
-            # Every rank received collective segments in place.
-            in_place = {
-                e["pid"]: e["args"]["value"] for e in events
-                if e["ph"] == "C" and e["name"] == "transport.frames_in_place"
+            # Every rank parsed frames, and each landed in place or was
+            # staged.  Which one is timing: a rank whose receive is posted
+            # after its peers' segments arrived stages them all, so a
+            # per-rank in-place count can read 0 (the P = 2 sync count is
+            # test_traced_run_carries_the_transport_counters).
+            counters = {
+                (e["pid"], e["name"][len("transport."):]): e["args"]["value"]
+                for e in events if e["ph"] == "C" and e["name"].startswith("transport.")
             }
-            assert set(in_place) == ranks and min(in_place.values()) > 0
+            for rank in ranks:
+                parsed = counters[rank, "frames_parsed"]
+                assert parsed > 0
+                assert counters[rank, "frames_in_place"] + counters[
+                    rank, "frames_staged"] <= parsed
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("world_size", [1, 2, 4])
+    def test_train_cli_prints_the_report_of_the_written_trace(
+        self, tmp_path, capsys, backend, world_size
+    ):
+        from repro.cli import main
+
+        _skip_if_unavailable(backend)
+        out = tmp_path / "train.json"
+        assert main([
+            "train", "--backend", backend, "--world-size", str(world_size),
+            "--steps", "2", "--trace", str(out),
+        ]) == 0
+        trace = json.loads(out.read_text())
+        assert validate_chrome_trace(trace) == []
+        assert sorted(_tracks(trace)) == list(range(world_size))
+        report = trace_report(trace)
+        printed = capsys.readouterr().out
+        assert format_summary(report, str(out)) in printed
+        assert "    models     : all ranks agree (r0=" in printed
+        label = "in-process" if world_size == 1 else backend
+        assert trace["otherData"]["worlds"] == [
+            {"label": f"_rank_main on {label}", "first_track": 0, "ranks": world_size}
+        ]
 
     def test_train_cli_checks_the_ranks_end_on_one_model(self, capsys, monkeypatch):
         """The run's final model hash per rank rides in the trace; a
@@ -558,7 +687,8 @@ class TestTraceCommand:
             "--mode", "quorum", "--quorum", "1",
         ])
         assert code == 0
-        assert "not written" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "eager-SGD (quorum=1)" in printed and "trace report" not in printed
 
     def test_train_cli_rejects_quorum_without_a_quorum(self, tmp_path, capsys):
         from repro.cli import main
@@ -574,19 +704,59 @@ class TestTraceCommand:
         assert "quorum" in err and "got None" in err
         assert not out.exists()
 
-    def test_recorder_capacity_truncation_is_reported(self, tmp_path):
-        from repro.obs.tracecmd import PRESET, run_trace
+    def test_figure_row_traces_every_world(self, tmp_path, capsys, monkeypatch):
+        import repro.training.runner as runner
+        from repro.cli import main
 
-        out = tmp_path / "tiny.json"
-        report = run_trace(
-            replace(PRESET, world_size=2, comm_backend="thread"),
-            steps=3,
-            capacity=32,
-            out=str(out),
+        spy = _LaunchSpy(monkeypatch, runner)
+        out = tmp_path / "fig10.json"
+        assert main(["fig10", "--scale", "tiny", "--trace", str(out)]) == 0
+        trace = json.loads(out.read_text())
+        assert validate_chrome_trace(trace) == []
+        worlds = trace["otherData"]["worlds"]
+        assert len(spy.worlds) > 1
+        assert [(w["label"].split(" on ")[0], w["ranks"]) for w in worlds] == spy.worlds
+        assert sorted(_tracks(trace)) == list(range(sum(p for _, p in spy.worlds)))
+        assert {e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"} == set(
+            _tracks(trace)
         )
-        # A 32-event ring cannot hold a 3-step traced run: the exporter
-        # must surface the drop counts instead of silently truncating.
-        assert sum(report["dropped_events"].values()) > 0
+        # Every world mints the same flow ids; no arrow may join two worlds.
+        world_of = {
+            w["first_track"] + r: i for i, w in enumerate(worlds) for r in range(w["ranks"])
+        }
+        flows = {}
+        for e in trace["traceEvents"]:
+            if e["ph"] in "sf":
+                flows.setdefault(e["id"], set()).add(world_of[e["pid"]])
+        assert flows and all(len(w) == 1 for w in flows.values())
+        assert f"{len(worlds)} world(s)" in capsys.readouterr().out
+
+    def test_serve_row_traces_every_rank(self, tmp_path, capsys, monkeypatch):
+        import repro.serving.server as server
+        from repro.cli import main
+
+        spy = _LaunchSpy(monkeypatch, server)
+        out = tmp_path / "serve.json"
+        assert main([
+            "serve", "--backend", "thread", "--replicas", "1", "--train-ranks", "1",
+            "--num-requests", "8", "--clients", "2", "--trace", str(out),
+        ]) == 0
+        trace = json.loads(out.read_text())
+        assert validate_chrome_trace(trace) == []
+        assert spy.worlds == [("_serving_main", 3)]
+        assert sorted(_tracks(trace)) == [0, 1, 2]
+        assert {e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"} == {0, 1, 2}
+        assert "trace report" in capsys.readouterr().out
+
+    def test_row_without_a_world_writes_nothing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "table1.json"
+        assert main(["table1", "--trace", str(out)]) == 0
+        assert f"nothing traced: table1 launched no world, {out} not written" in (
+            capsys.readouterr().out
+        )
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
