@@ -66,13 +66,13 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 #: send/recv-family method names whose ``tag`` argument is checked.
 _TAGGED_CALLS = frozenset({
-    "send", "isend", "recv", "recv_message", "recv_into", "irecv", "probe", "poll",
+    "send", "recv", "recv_message", "recv_into", "poll",
 })
 #: ``tag`` positional index per callable (after ``self``): send(payload,
 #: dest, tag), recv(source, tag), recv_into(out, source, tag), ...
 _TAG_POSITION = {
-    "send": 2, "isend": 2, "recv_into": 2,
-    "recv": 1, "recv_message": 1, "irecv": 1, "probe": 1, "poll": 1,
+    "send": 2, "recv_into": 2,
+    "recv": 1, "recv_message": 1, "poll": 1,
 }
 #: Tag literals that are always fine: default user tag and ANY_TAG.
 _ALLOWED_TAG_LITERALS = frozenset({0, -1})

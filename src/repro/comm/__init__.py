@@ -13,7 +13,7 @@ Design
   and collects results or re-raises failures as a
   :class:`~repro.comm.backend.WorldError`.
 * A :class:`~repro.comm.communicator.Communicator` is the per-rank handle
-  exposing ``send`` / ``recv`` / ``isend`` / ``irecv`` / ``barrier`` and
+  exposing ``send`` / ``recv`` / ``recv_into`` / ``poll`` / ``barrier`` and
   rank/size queries, in the spirit of ``mpi4py``'s ``Comm`` objects.  It
   is shared by both transports: each implements the small
   :class:`~repro.comm.backend.RouterLike` surface underneath it.
@@ -42,7 +42,6 @@ from repro.comm.message import Message, ANY_SOURCE, ANY_TAG
 from repro.comm.mailbox import Mailbox, MailboxClosed
 from repro.comm.router import Router, Channel
 from repro.comm.reduce_ops import ReduceOp, SUM, PROD, MAX, MIN, AVG, get_op
-from repro.comm.requests import Request, SendRequest, RecvRequest
 from repro.comm.communicator import Communicator, CommTimeoutError
 from repro.comm.backend import (
     BackendUnavailableError,
@@ -77,9 +76,6 @@ __all__ = [
     "MIN",
     "AVG",
     "get_op",
-    "Request",
-    "SendRequest",
-    "RecvRequest",
     "Communicator",
     "CommTimeoutError",
     "BackendUnavailableError",

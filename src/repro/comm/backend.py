@@ -6,8 +6,8 @@ that actually carries the messages.  Everything above this line talks to
 two abstractions only:
 
 * a :class:`CommunicatorLike` handle — the MPI-flavoured per-rank API
-  (``send`` / ``isend`` / ``recv`` / ``recv_into`` / ``irecv`` / ``probe``
-  / ``poll`` / ``barrier`` / ``next_collective_epoch`` / ``dup``) that
+  (``send`` / ``recv`` / ``recv_into`` / ``poll`` / ``barrier`` /
+  ``next_collective_epoch`` / ``dup``) that
   both transports provide through the shared
   :class:`~repro.comm.communicator.Communicator` class;
 * :func:`launch` — the ``mpiexec`` of the library: run an SPMD function
@@ -162,17 +162,11 @@ class CommunicatorLike(Protocol):
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None: ...
 
-    def isend(self, payload: Any, dest: int, tag: int = 0): ...
-
     def recv(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None): ...
 
     def recv_message(self, source: int = -1, tag: int = -1, timeout: Optional[float] = None): ...
 
     def recv_into(self, out, source: int, tag: int, op=None) -> None: ...
-
-    def irecv(self, source: int = -1, tag: int = -1): ...
-
-    def probe(self, source: int = -1, tag: int = -1) -> bool: ...
 
     def poll(self, source: int = -1, tag: int = -1) -> Optional[Any]: ...
 

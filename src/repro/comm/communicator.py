@@ -12,7 +12,7 @@ Every blocking receive waits at most its communicator's
 ``launch(default_recv_timeout=...)`` (default :data:`DEFAULT_TIMEOUT`)
 and checked by :func:`check_deadline`.  The collectives, the barrier and
 telemetry collection take no deadline of their own; only ``recv`` /
-``recv_message`` and ``RecvRequest.wait`` accept a per-call ``timeout``,
+``recv_message`` accept a per-call ``timeout``,
 for poll loops that want a shorter one.  A receive past its deadline
 raises :class:`CommTimeoutError`.
 """
@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.comm.mailbox import CommTimeoutError  # noqa: F401 - raised by receives, exported here
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
-from repro.comm.requests import RecvRequest, Request, SendRequest
 from repro.comm.router import Channel, Router
 from repro.obs import recorder as _obs
 
@@ -156,10 +155,6 @@ class Communicator:
         """Eager blocking send (copies/frames and enqueues)."""
         self._deliver(payload, dest, tag)
 
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send; the returned request is already complete."""
-        return SendRequest(self._deliver(payload, dest, tag))
-
     # ----------------------------------------------------------- p2p recv
     def recv(
         self,
@@ -200,14 +195,6 @@ class Communicator:
         self._mailbox.get_into(out, source, tag, op, timeout=self.default_timeout)
         if rec is not None:
             _obs.record_recv(rec, self._channel, source, self._rank, tag, out.nbytes, t0)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        """Nonblocking receive request (``wait`` defaults to our deadline)."""
-        return RecvRequest(self._mailbox, source, tag, self.default_timeout)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Whether a matching message is already queued."""
-        return self._mailbox.probe(source, tag)
 
     def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Any]:
         """Non-blocking receive; returns the payload or ``None``."""

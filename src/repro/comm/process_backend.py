@@ -58,7 +58,7 @@ a rank's inbound bytes — from rings and from non-blocking sockets alike
 otherwise idle*: a blocked receiver (:class:`_PumpingMailbox`), a sender
 waiting out a full ring or a full kernel socket buffer (which is also
 what keeps two ranks flooding each other from deadlocking), and
-``poll`` / ``probe`` callers.  As with MPI's posted and unexpected
+``poll`` callers.  As with MPI's posted and unexpected
 queues, a thread blocked in ``recv_into`` posts its receive
 (:class:`_Receive`) while it pumps: the frame whose header matches it
 (channel, source, tag, dtype, size) is *expected* — its body is read
@@ -475,7 +475,7 @@ class _PumpingMailbox(Mailbox):
     """Mailbox whose blocked receivers drive inbound progress themselves
     (see *Progress* in the module docstring): ``get`` steals the pump
     instead of waiting for a progress thread's notification, and
-    :meth:`poll` / :meth:`probe` pump opportunistically, so poll loops
+    :meth:`poll` pumps opportunistically, so poll loops
     observe arrivals without a background drainer."""
 
     def __init__(self, owner_rank: int, channel: str, pump: "_Pump") -> None:
@@ -513,11 +513,6 @@ class _PumpingMailbox(Mailbox):
         if msg is None and self._pump._try_pump():
             msg = super().poll(source, tag)
         return msg
-
-    def probe(self, source: int = -1, tag: int = -1) -> bool:
-        if super().probe(source, tag):
-            return True
-        return self._pump._try_pump() and super().probe(source, tag)
 
 
 class _Pump:

@@ -29,7 +29,6 @@ from typing import Any, Optional, Sequence, Tuple
 
 from repro.comm.communicator import Communicator
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
-from repro.comm.requests import RecvRequest, Request
 
 
 class SubsetCommunicator:
@@ -121,9 +120,6 @@ class SubsetCommunicator:
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         self._parent.send(payload, self._to_global(dest, "dest"), tag=tag)
 
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
-        return self._parent.isend(payload, self._to_global(dest, "dest"), tag=tag)
-
     def recv(
         self,
         source: int = ANY_SOURCE,
@@ -144,12 +140,6 @@ class SubsetCommunicator:
 
     def recv_into(self, out, source: int, tag: int, op=None) -> None:
         self._parent.recv_into(out, self._require_member(source), tag, op)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        return self._parent.irecv(self._require_member(source), tag)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        return self._parent.probe(self._require_member(source), tag)
 
     def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Any]:
         return self._parent.poll(self._require_member(source), tag)

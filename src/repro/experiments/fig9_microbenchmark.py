@@ -22,15 +22,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.comm.backend import launch
-from repro.collectives.partial import PartialAllreduce
-from repro.collectives.sync import allreduce
 from repro.experiments.report import FidelityRow, format_table, ratio_line
-from repro.simtime.collective_model import (
-    allreduce_time,
-    partial_round,
-    synchronous_allreduce_latencies,
-)
+from repro.simtime.collective_model import partial_round, synchronous_allreduce_latencies
+from repro.simtime.network import DEFAULT_NETWORK
 from repro.simtime.skew import linear_skew
+from repro.training.exchange import build_exchange
+from repro.training.runner import GRADIENT_BYTES_PER_PARAMETER
+from repro.tuning.autotune import predict_exchange_time
 from repro.utils.rng import seeded_rng
 
 #: Message sizes of Fig. 9 (bytes).
@@ -88,16 +86,19 @@ def run(
     ``world_size`` processes, rank r skewed by ``r * skew_ms`` ms, run
     ``iterations`` majority rounds per message size of
     :data:`MESSAGE_SIZES`; ``seed`` draws the majority initiators.  Each
-    size's allreduce is priced once; solo (the earliest arrival initiates)
-    and every majority round are that price in
+    variant pays for the exchange it runs: the walk of its own schedule
+    (:func:`~repro.tuning.autotune.predict_exchange_time`, one bucket of
+    4-byte elements), ``sync`` for the MPI column in
+    :func:`~repro.simtime.collective_model.synchronous_allreduce_latencies`,
+    ``solo`` (the earliest arrival initiates) and ``majority`` in
     :func:`~repro.simtime.collective_model.partial_round`.
-    ``compression`` names a gradient codec (:mod:`repro.compression`)
-    carried by the collectives: the analytic latencies then include the
-    codec's compressed-bytes and encode/decode terms
-    (:class:`~repro.simtime.collective_model.CompressionModel`).
+    ``compression`` names a gradient codec (:mod:`repro.compression`):
+    the schedules then route it as the exchanges do (the ring, the
+    payload allgather, or the partial's recursive doubling at the
+    codec's width) and charge its encode/decode.
 
     ``functional`` (implied by an explicit ``backend``) also measures the
-    real collectives on the comm ``backend`` with :func:`run_functional`,
+    real exchanges on the comm ``backend`` with :func:`run_functional`,
     at its own reduced scale: 8 processes, 8 iterations, 4 ms/rank skew.
     """
     cm = None
@@ -108,10 +109,17 @@ def run(
     arrivals = linear_skew(world_size, skew_ms)
     rng = seeded_rng(seed)
     rows: List[MicrobenchmarkRow] = []
+
+    def price(mode: str, nbytes: int) -> float:
+        return predict_exchange_time(
+            DEFAULT_NETWORK, world_size, nbytes, "recursive_doubling", None, 1, cm,
+            mode=mode, bytes_per_element=GRADIENT_BYTES_PER_PARAMETER,
+        )
+
     for nbytes in MESSAGE_SIZES:
-        mpi = synchronous_allreduce_latencies(arrivals, nbytes, compression=cm)
-        cost = allreduce_time(nbytes, world_size, compression=cm)
-        solo = partial_round(arrivals, int(np.argmin(arrivals)), cost)
+        mpi = synchronous_allreduce_latencies(arrivals, price("sync", nbytes))
+        solo = partial_round(arrivals, int(np.argmin(arrivals)), price("solo", nbytes))
+        cost = price("majority", nbytes)
         majority_lat: List[float] = []
         majority_nap: List[float] = []
         for _ in range(iterations):
@@ -147,9 +155,9 @@ def run_functional(
     backend: Optional[str] = None,
     compression: Optional[str] = None,
 ) -> List[MicrobenchmarkRow]:
-    """Measure the real collectives directly on ``backend`` (reduced scale).
+    """Measure the real exchanges on ``backend`` (reduced scale).
 
-    Each rank sleeps ``rank * skew_ms`` before calling the collective,
+    Each rank sleeps ``rank * skew_ms`` before calling the exchange,
     exactly like the microbenchmark pseudo-code of Fig. 8, and the average
     per-rank latency is reported.  Running 32 ranks with 4 MB payloads on
     threads would measure Python overhead rather than algorithmic
@@ -157,59 +165,35 @@ def run_functional(
     solo < majority < synchronous and the NAP expectations are what it
     validates.
 
-    With ``compression``, every collective carries the codec's wire
-    payload: reduce-closed codecs (fp16) reduce at the encoded width;
-    other codecs contribute the locally quantized dense gradient (the
-    decode-reduce-encode caveat documented in
-    :mod:`repro.training.exchange`).
+    Every column runs the exchange :func:`~repro.training.exchange.build_exchange`
+    builds for its mode (one bucket of ``message_elements`` float64), so
+    ``compression`` takes the route the exchange schedule gives the codec.
     """
 
     def worker(comm, mode: str):
-        from repro.compression import resolve_codec
-
-        codec = resolve_codec(compression)
-        dtype = np.float64
-        if codec is not None and codec.reduce_closed:
-            dtype = codec.wire_dtype
         latencies = []
         naps = []
-        partial = None
-        if mode in ("solo", "majority"):
-            partial = PartialAllreduce(
-                comm, message_elements, mode, seed=seed, dtype=dtype
-            )
-        data = np.ones(message_elements)
-        if codec is not None:
-            encoded = codec.encode(data)
-            data = (
-                np.asarray(encoded.payload)
-                if codec.reduce_closed
-                else codec.decode(encoded)
-            )
-        for it in range(iterations):
-            comm.barrier()
-            time.sleep((comm.rank + 1) * skew_ms / 1000.0)
-            start = time.perf_counter()
-            if partial is None:
-                allreduce(comm, data, average=True)
-                naps.append(comm.size)
-            else:
-                result = partial.reduce(data)
-                naps.append(result.num_active)
-            latencies.append(time.perf_counter() - start)
-        if partial is not None:
-            partial.close()
+        with build_exchange(
+            comm, message_elements, mode, seed=seed, compression=compression
+        ) as exchange:
+            for _ in range(iterations):
+                data = np.ones(message_elements)  # the exchange reduces it in place
+                comm.barrier()
+                time.sleep((comm.rank + 1) * skew_ms / 1000.0)
+                start = time.perf_counter()
+                naps.append(exchange.exchange(data).num_active)
+                latencies.append(time.perf_counter() - start)
         return float(np.mean(latencies)), float(np.mean(naps))
 
     measurements: Dict[str, tuple] = {}
-    for mode in ("mpi", "majority", "solo"):
+    for mode in ("sync", "majority", "solo"):
         per_rank = launch(worker, world_size, mode, backend=backend)
         lat = float(np.mean([r[0] for r in per_rank])) * 1e3
         nap = float(np.mean([r[1] for r in per_rank]))
         measurements[mode] = (lat, nap)
     row = MicrobenchmarkRow(
         message_bytes=message_elements * 8,
-        mpi_latency_ms=measurements["mpi"][0],
+        mpi_latency_ms=measurements["sync"][0],
         majority_latency_ms=measurements["majority"][0],
         solo_latency_ms=measurements["solo"][0],
         majority_nap=measurements["majority"][1],

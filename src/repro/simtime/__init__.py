@@ -17,6 +17,14 @@ single-process reproduction.  This package provides two substitutes:
   one :func:`partial_round` per eager step, with the exchange cost the
   caller prices and the majority initiators the run recorded — this is
   what produces the paper-scale time axes of Figures 10-13.
+
+What an exchange costs is one walk of the schedule it runs,
+:func:`repro.tuning.autotune.predict_exchange_time` over
+:func:`repro.training.exchange.exchange_schedule`: the runner's
+projection, Fig. 9's sync / solo / majority rows and the tuner all
+price it, so a codec's route (its ring, its payload allgather, the
+partial collective's recursive doubling at its width) is decided in one
+place.  :func:`allreduce_time` is one dense collective.
 """
 
 from repro.simtime.network import LogGPParams, DEFAULT_NETWORK

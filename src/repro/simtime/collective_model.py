@@ -6,14 +6,15 @@ rank's plan (:mod:`repro.collectives.sync`'s ``Step`` lists, the ones
 order under LogGP (:func:`plan_time`, cached per shape by
 :func:`collective_time`).  No formula restates where a collective's
 messages go, so folds, uneven windows, two-tier placements and codec
-wire hops are priced as they run — the decode-reduce-encode exchange of
-a codec that is not reduce-closed too: its gather is the ring allgather
-plan of one encoded payload per rank.  The partial collectives'
-activation is priced the same way, from the plan its progress threads
-send along (:func:`activation_time`).
+wire hops are priced as they run.  Which collectives an exchange runs,
+and at what width, is not decided here: the exchange's schedule says it
+and :func:`repro.tuning.autotune.predict_exchange_time` walks it.  The
+partial collectives' activation is priced the same way, from the plan
+its progress threads send along (:func:`activation_time`).
 
-On top of that price, :func:`synchronous_allreduce_latencies` and
-:func:`partial_round` reproduce the microbenchmark of Fig. 8/9 in the
+On top of a price the caller takes from that walk,
+:func:`synchronous_allreduce_latencies` and :func:`partial_round`
+reproduce the microbenchmark of Fig. 8/9 in the
 paper: every rank is skewed before calling the collective, and the
 average latency *measured at each rank from its own call until it holds
 the result* is reported, together with the Number of Active Processes
@@ -59,10 +60,8 @@ class CompressionModel:
     ``wire_scale`` shrinks the bytes every hop carries; the encode /
     decode terms charge the transform itself (linear in the *dense*
     byte count, like the ``gamma`` reduction term).  ``reduce_closed``
-    selects the wire path the exchange actually runs: reduce-closed
-    codecs keep the configured allreduce at the encoded width, the rest
-    take the allgather-based decode-reduce-encode path (see
-    :mod:`repro.training.exchange`).  Build one from a codec with
+    is read by :func:`repro.training.exchange.exchange_schedule`, the one
+    rule that routes a codec.  Build one from a codec with
     :meth:`repro.compression.GradientCodec.cost_model`.
     """
 
@@ -240,76 +239,22 @@ def collective_time(
     )
 
 
-def _transform_time(nbytes: float, size: int, compression: CompressionModel) -> float:
-    """Encode/decode cost of one compressed collective on the critical
-    path: one encode of the dense buffer, then one decode of the result
-    (reduce-closed) or of each of the ``size`` gathered payloads."""
-    decodes = 1 if compression.reduce_closed else size
-    return nbytes * (
-        compression.encode_seconds_per_byte
-        + decodes * compression.decode_seconds_per_byte
-    )
-
-
-def _gather_exchange_time(
-    nbytes: float,
-    size: int,
-    params: LogGPParams,
-    compression: CompressionModel,
-    topology: Optional[HostTopology] = None,
-    inter: Optional[LogGPParams] = None,
-) -> float:
-    """Decode-reduce-encode exchange of one ``nbytes`` bucket.
-
-    Non-reduce-closed codecs cannot be combined inside an allreduce, so
-    the exchange runs the ring allgather plan of a table with one
-    encoded payload per rank (one element of ``nbytes * wire_scale``
-    bytes each) and reduces the ``size - 1`` decoded contributions it
-    received densely.  The ring is flat over the global ranks; on a
-    ``topology`` that spans hosts, each hop between hosts is priced on
-    the ``inter`` link.
-    """
-    gather = collective_time(
-        "allgather", "ring", size, size, 1, params, topology, inter,
-        bytes_per_element=nbytes * compression.wire_scale,
-    )
-    if size == 1:
-        return gather
-    combine = (size - 1) * nbytes * params.gamma
-    return gather + combine + _transform_time(nbytes, size, compression)
-
-
 def allreduce_time(
     nbytes: int,
     size: int,
     algorithm: str = "recursive_doubling",
     params: LogGPParams = DEFAULT_NETWORK,
     n_chunks: int = 1,
-    compression: Optional[CompressionModel] = None,
 ) -> float:
-    """Duration of a synchronous allreduce of ``nbytes`` bytes once all
-    participants are present: :func:`collective_time` of the allreduce
-    plan on ``nbytes`` one-byte elements.
-
-    ``compression`` adds the codec terms.  A reduce-closed codec is the
-    wire dtype of the *ring* (:func:`repro.collectives.sync.allreduce`
-    with ``codec=``), whatever ``algorithm`` says, because that is what
-    the exchange runs: its hops shrink by ``wire_scale``, its combines
-    stay dense, and one encode and one decode are charged.  Other codecs
-    take :func:`_gather_exchange_time`.
-    """
+    """Duration of one dense synchronous allreduce of ``nbytes`` bytes once
+    all participants are present: :func:`collective_time` of the allreduce
+    plan on ``nbytes`` one-byte elements.  An exchange, codec and buckets
+    included, is priced by walking its schedule
+    (:func:`repro.tuning.autotune.predict_exchange_time`)."""
     length = int(nbytes)
     if length != nbytes or length < 0:
         raise ValueError(f"message size must be a non-negative whole number, got {nbytes}")
-    if compression is None or compression.is_identity:
-        return collective_time("allreduce", algorithm, size, length, n_chunks, params)
-    if not compression.reduce_closed:
-        return _gather_exchange_time(nbytes, size, params, compression)
-    ring = collective_time(
-        "allreduce", "ring", size, length, n_chunks, params,
-        wire_bytes_per_element=compression.wire_scale,
-    )
-    return ring + (_transform_time(nbytes, size, compression) if size > 1 else 0.0)
+    return collective_time("allreduce", algorithm, size, length, n_chunks, params)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -328,13 +273,11 @@ def activation_time(size: int, params: LogGPParams = DEFAULT_NETWORK) -> float:
 # collective latency under skewed arrivals
 # ---------------------------------------------------------------------------
 def synchronous_allreduce_latencies(
-    arrivals: Sequence[float],
-    nbytes: int,
-    algorithm: str = "recursive_doubling",
-    params: LogGPParams = DEFAULT_NETWORK,
-    compression: Optional[CompressionModel] = None,
+    arrivals: Sequence[float], cost: float
 ) -> CollectiveLatencyResult:
-    """Latencies of a fully synchronous allreduce (``MPI_Allreduce``)."""
+    """Latencies of a fully synchronous allreduce (``MPI_Allreduce``) that
+    takes ``cost`` seconds once the last rank has arrived; the caller
+    prices it, as for :func:`partial_round`."""
     arr = np.asarray(arrivals, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(
@@ -342,9 +285,7 @@ def synchronous_allreduce_latencies(
         )
     if np.any(arr < 0):
         raise ValueError(f"arrival times must be non-negative, got min {arr.min()}")
-    completion = float(arr.max()) + allreduce_time(
-        nbytes, arr.size, algorithm, params, compression=compression
-    )
+    completion = float(arr.max()) + cost
     return CollectiveLatencyResult(
         latencies=completion - arr,
         completion_time=completion,

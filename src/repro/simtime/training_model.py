@@ -103,8 +103,8 @@ def project_training_time(
         ``"majority"`` or ``"quorum"``.
     exchange_cost:
         Seconds one gradient exchange takes once its ranks are present
-        (e.g. :func:`~repro.simtime.collective_model.allreduce_time` of
-        the gradient); the caller prices it.
+        (the runner's is :func:`~repro.tuning.autotune.predict_exchange_time`
+        of the run's exchange schedule); the caller prices it.
     params:
         Network parameters of the activation broadcast.
     initiators:

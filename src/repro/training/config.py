@@ -133,10 +133,6 @@ class TrainingConfig:
     #: and allgathers the refreshed parameters (ZeRO stage 1 — see
     #: :class:`repro.training.exchange.ShardedExchange`).
     sharding: str = "none"
-    #: Paper-faithful single receive buffer for partial collectives: a
-    #: lagging rank only sees the latest completed round (Section 5).
-    #: Disable for exact per-round results (ablation).
-    overwrite_recvbuff: bool = True
     #: Use independent per-rank length-bucketed input pipelines ("videos
     #: with similar lengths are grouped into buckets", Section 2.1); this
     #: is what makes the inherent imbalance of variable-length workloads
@@ -221,24 +217,27 @@ class TrainingConfig:
                 f"sharding='zero1' runs no Horovod negotiation; it requires "
                 f"sync_style='deep500', got {self.sync_style!r}"
             )
-        from repro.comm.backend import default_backend_name
         from repro.compression import resolve_codec
         from repro.training.exchange import exchange_schedule
 
         # What every rank's exchange would refuse, refused here: the run's
-        # exchange schedule on the host layout its backend launches (the
-        # ``hier`` backend's, one host on every other).  Raises ValueError
-        # on unknown codec names or invalid options too.
-        if (self.comm_backend or default_backend_name()) == "hier":
-            layout = resolve_host_topology(None, self.world_size)
-        else:
-            layout = HostTopology.single_host(self.world_size)
+        # exchange schedule on the host layout its backend launches.
+        # Raises ValueError on unknown codec names or invalid options too.
         exchange_schedule(
-            layout, self.mode, self.allreduce_algorithm, self.sharding,
+            self.host_layout(), self.mode, self.allreduce_algorithm, self.sharding,
             resolve_codec(self.compression),
             None if self.fusion_threshold_bytes == "auto" else self.fusion_threshold_bytes,
             1 if self.pipeline_chunks == "auto" else self.pipeline_chunks,
         )
+
+    def host_layout(self) -> HostTopology:
+        """The host layout the run's backend launches: the ``hier``
+        backend's, one host on every other."""
+        from repro.comm.backend import default_backend_name
+
+        if (self.comm_backend or default_backend_name()) == "hier":
+            return resolve_host_topology(None, self.world_size)
+        return HostTopology.single_host(self.world_size)
 
     @property
     def local_batch_size(self) -> int:

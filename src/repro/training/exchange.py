@@ -65,7 +65,8 @@ The exchange schedule
 What each bucket runs is one rule, :func:`exchange_schedule`.  The
 exchanges compute it once at construction and execute it;
 ``TrainingConfig.validate()`` refuses what it refuses before any rank
-starts; the tuner prices an exchange by walking it.
+starts; the tuner, the runner's timing projection and Fig. 9 price an
+exchange by walking it (:func:`~repro.tuning.autotune.predict_exchange_time`).
 
 Multi-host topologies
 ---------------------
@@ -241,7 +242,8 @@ def exchange_schedule(
     """The one rule for what each fusion bucket of an exchange runs.
 
     The exchanges execute it, ``TrainingConfig.validate()`` checks a
-    configuration with it and the tuner prices it
+    configuration with it, and every price of an exchange (the tuner's,
+    the runner's projection, Fig. 9's) walks it
     (:func:`~repro.tuning.autotune.predict_exchange_time`).  ``codec`` is
     a :class:`~repro.compression.GradientCodec` or its
     :class:`~repro.simtime.collective_model.CompressionModel` (``None``:
@@ -868,7 +870,6 @@ def build_exchange(
     algorithm: str = "recursive_doubling",
     quorum: Optional[int] = None,
     seed: int = 12345,
-    overwrite_recvbuff: bool = True,
     fusion_threshold_bytes: Optional[int] = None,
     pipeline_chunks: int = 1,
     compression: CompressionSpec = None,
@@ -905,6 +906,5 @@ def build_exchange(
         mode=mode,
         quorum=quorum,
         seed=seed,
-        overwrite_recvbuff=overwrite_recvbuff,
         **shared,
     )

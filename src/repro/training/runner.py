@@ -22,11 +22,11 @@ from repro.comm.backend import launch
 from repro.comm.communicator import Communicator
 from repro.comm.router import Router
 from repro.collectives.sync import allreduce
+from repro.compression import resolve_codec
 from repro.data.loader import Dataset, ShardedLoader
 from repro.nn.module import Module
 from repro.nn.optim import Adam, MomentumSGD, Optimizer, SGD
 from repro.obs import recorder as _obs, tracing
-from repro.simtime.collective_model import allreduce_time
 from repro.simtime.network import DEFAULT_NETWORK
 from repro.simtime.training_model import StepTimeline, project_training_time
 from repro.training.config import TrainingConfig
@@ -35,7 +35,7 @@ from repro.training.evaluation import distributed_evaluate
 from repro.training.exchange import build_exchange
 from repro.training.metrics import EpochRecord, RankSummary, TrainingResult
 from repro.training.model_sync import model_hash, synchronize_model
-from repro.tuning.autotune import resolve_auto_fusion
+from repro.tuning.autotune import predict_exchange_time, resolve_auto_fusion
 
 ModelFactory = Callable[[], Module]
 LossFn = Callable[[np.ndarray, np.ndarray], Tuple[float, np.ndarray]]
@@ -95,7 +95,6 @@ def _rank_main(
         algorithm=config.allreduce_algorithm,
         quorum=config.quorum,
         seed=config.seed + 777,
-        overwrite_recvbuff=config.overwrite_recvbuff,
         fusion_threshold_bytes=config.fusion_threshold_bytes,
         pipeline_chunks=config.pipeline_chunks,
         compression=config.compression,
@@ -247,14 +246,6 @@ def train_distributed(
     # Count on a temporary replica that dies here: held across ``launch``
     # it would be one more model in every forked rank and in a thread world.
     num_parameters = model_factory().num_parameters()
-    # Resolve the compression codec once, before the world spawns: the
-    # spec is validated here (fail fast, not inside P ranks), the "auto"
-    # fusion knobs below are tuned under its cost model, and the timing
-    # projection scales the wire bytes it models.  Each rank builds its
-    # own codec instance (error-feedback residuals are per-rank state).
-    from repro.compression import resolve_codec
-
-    codec = resolve_codec(config.compression)
     # Resolve "auto" fusion knobs once, before the world spawns: every
     # rank must run the same concrete plan, and the calibrated profile is
     # cached so repeat runs skip the measurement.
@@ -297,26 +288,10 @@ def train_distributed(
         sync_period_steps = None
         if config.is_eager and config.model_sync_period_epochs:
             sync_period_steps = config.model_sync_period_epochs * steps_per_epoch
-        # Paper-scale wire bytes per step: reduce-closed codecs put the
-        # codec's *absolute* encoded width on every hop (fp16 is 2 bytes
-        # per parameter whether the dense substrate stores 4 or 8), so
-        # the projection uses that width, capped at the uncompressed
-        # per-parameter bytes.  Non-reduce-closed codecs keep the
-        # partial collectives' background wire dense (see
-        # PartialExchange), so their projection stays dense too.
-        projected_bytes = num_parameters * GRADIENT_BYTES_PER_PARAMETER
-        if codec is not None and codec.reduce_closed:
-            projected_bytes = max(1, int(
-                num_parameters
-                * min(codec.wire_bytes_per_element, GRADIENT_BYTES_PER_PARAMETER)
-            ))
         projection = project_training_time(
             StepTimeline(durations),
             mode=config.mode,
-            exchange_cost=allreduce_time(
-                projected_bytes, config.world_size, config.allreduce_algorithm,
-                DEFAULT_NETWORK,
-            ),
+            exchange_cost=_exchange_cost(config, num_parameters),
             initiators=_recorded_initiators(outputs) if config.mode == "majority" else None,
             quorum=config.quorum,
             model_sync_period=sync_period_steps,
@@ -340,6 +315,27 @@ def train_distributed(
         projection=projection,
         rank_summaries=[out.summary for out in outputs],
         wall_time=wall_time,
+    )
+
+
+def _exchange_cost(config: TrainingConfig, num_parameters: int) -> float:
+    """Seconds one of the run's exchanges takes once its ranks are present:
+    the walk of the schedule it ran (its mode, algorithm, sharding, codec,
+    buckets and chunks, on the host layout its backend launches) at
+    :data:`GRADIENT_BYTES_PER_PARAMETER` on ``DEFAULT_NETWORK``."""
+    codec = resolve_codec(config.compression)
+    return predict_exchange_time(
+        DEFAULT_NETWORK,
+        config.world_size,
+        max(1, num_parameters) * GRADIENT_BYTES_PER_PARAMETER,
+        config.allreduce_algorithm,
+        config.fusion_threshold_bytes,
+        config.pipeline_chunks,
+        None if codec is None else codec.cost_model(),
+        config.host_layout(),
+        sharding=config.sharding,
+        mode=config.mode,
+        bytes_per_element=GRADIENT_BYTES_PER_PARAMETER,
     )
 
 

@@ -27,12 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.collectives.topology import HostTopology, resolve_host_topology
-from repro.simtime.collective_model import (
-    CompressionModel,
-    _gather_exchange_time,
-    _transform_time,
-    collective_time,
-)
+from repro.simtime.collective_model import CompressionModel, collective_time
 from repro.simtime.network import LogGPParams
 from repro.tuning.calibration import CalibratedProfile, calibrate
 
@@ -96,8 +91,9 @@ class TunedPlan:
 
 def _schedule(
     world_size: int,
+    mode: str,
     algorithm: str,
-    fusion_threshold_bytes: int,
+    fusion_threshold_bytes: Optional[int],
     pipeline_chunks: int,
     compression: Optional[CompressionModel],
     topology: Optional[HostTopology],
@@ -110,8 +106,42 @@ def _schedule(
     codec = None if compression is None or compression.is_identity else compression
     layout = resolve_host_topology(topology or HostTopology.single_host(world_size), world_size)
     return exchange_schedule(
-        layout, "sync", algorithm, sharding, codec, fusion_threshold_bytes, pipeline_chunks
+        layout, mode, algorithm, sharding, codec, fusion_threshold_bytes, pipeline_chunks
     )
+
+
+def _transform_time(nbytes: float, decodes: int, compression: CompressionModel) -> float:
+    """A codec's encode of ``nbytes`` dense bytes and ``decodes`` decodes."""
+    return nbytes * (
+        compression.encode_seconds_per_byte
+        + decodes * compression.decode_seconds_per_byte
+    )
+
+
+def _gather_exchange_time(
+    length: int,
+    bytes_per_element: float,
+    wire: float,
+    size: int,
+    params: LogGPParams,
+    compression: CompressionModel,
+    topology: Optional[HostTopology],
+    inter: Optional[LogGPParams],
+) -> float:
+    """Decode-reduce-encode exchange of one ``length``-element bucket: the
+    ring allgather plan of a table with one encoded payload per rank (one
+    element of ``length * wire`` bytes each), flat over the global ranks
+    (a hop between hosts of ``topology`` rides ``inter``), then the
+    ``size - 1`` decoded contributions it received reduced densely."""
+    gather = collective_time(
+        "allgather", "ring", size, size, 1, params, topology, inter,
+        bytes_per_element=length * wire,
+    )
+    if size == 1:
+        return gather
+    nbytes = length * bytes_per_element
+    combine = (size - 1) * nbytes * params.gamma
+    return gather + combine + _transform_time(nbytes, size, compression)
 
 
 def predict_exchange_time(
@@ -119,57 +149,70 @@ def predict_exchange_time(
     world_size: int,
     gradient_bytes: int,
     algorithm: str = "ring",
-    fusion_threshold_bytes: int = DEFAULT_FIXED_THRESHOLD_BYTES,
+    fusion_threshold_bytes: Optional[int] = DEFAULT_FIXED_THRESHOLD_BYTES,
     pipeline_chunks: int = 1,
     compression: Optional[CompressionModel] = None,
     topology: Optional[HostTopology] = None,
     inter_params: Optional[LogGPParams] = None,
     sharding: str = "none",
+    mode: str = "sync",
+    bytes_per_element: int = _BYTES_PER_ELEMENT,
 ) -> float:
     """Modelled duration of one bucketed gradient exchange.
 
     Walks the schedule the exchange runs
     (:func:`~repro.training.exchange.exchange_schedule`, which refuses
-    what no exchange can run): every bucket's collectives back to back,
-    each priced by :func:`~repro.simtime.collective_model.collective_time`
-    (its ``collective_overhead`` included) once per distinct bucket
-    length, plus a codec's encode/decode per collective; the payload
-    allgather prices its own transform and dense combine.  On a
-    ``topology`` that spans hosts, ``params`` is the intra-host tier and
-    ``inter_params`` (default ``params``) the inter-host tier.  Summing
-    per bucket is exact for the ring and the hierarchical allreduce and
-    an upper bound where sends that need no receive first would overlap
-    the next bucket.
+    what no exchange can run) for ``mode``: the gradient is
+    ``gradient_bytes / bytes_per_element`` elements, cut into the
+    exchange's buckets (``fusion_threshold_bytes=None``: one), and every
+    bucket's collectives run back to back, each priced by
+    :func:`~repro.simtime.collective_model.collective_time` (its
+    ``collective_overhead`` included) once per distinct bucket length at
+    ``bytes_per_element`` dense bytes, a codec's hops at its absolute
+    wire width, plus the codec's encode/decode per collective.  An eager
+    mode's partial allreduce is the recursive doubling
+    :class:`~repro.collectives.partial.PartialAllreduce` runs, natively at
+    its wire width; the payload allgather prices its own transform and
+    dense combine.  On a ``topology`` that spans hosts, ``params`` is the
+    intra-host tier and ``inter_params`` (default ``params``) the
+    inter-host tier.  Summing per bucket is exact for the ring and the
+    hierarchical allreduce and an upper bound where sends that need no
+    receive first would overlap the next bucket.
     """
-    if gradient_bytes < 1 or fusion_threshold_bytes < 1:
+    if gradient_bytes < 1 or (fusion_threshold_bytes is not None and fusion_threshold_bytes < 1):
         raise ValueError(
             f"gradient_bytes and the fusion threshold must be >= 1, "
             f"got {gradient_bytes} and {fusion_threshold_bytes}"
         )
     schedule = _schedule(
-        world_size, algorithm, fusion_threshold_bytes, pipeline_chunks, compression,
+        world_size, mode, algorithm, fusion_threshold_bytes, pipeline_chunks, compression,
         topology, sharding,
     )
     codec = None if schedule.wire_bytes_per_element is None else compression
-    buckets = schedule.cut(max(1, int(gradient_bytes) // _BYTES_PER_ELEMENT)).buckets
+    buckets = schedule.cut(max(1, int(gradient_bytes) // bytes_per_element)).buckets
     total = 0.0
     for length, count in Counter(bucket.num_elements for bucket in buckets).items():
         for collective in schedule.collectives:
             if collective.kind == "payload_allgather":
                 total += count * _gather_exchange_time(
-                    length * _BYTES_PER_ELEMENT, world_size, params, codec,
+                    length, bytes_per_element, collective.wire, world_size, params, codec,
                     topology, inter_params,
                 )
                 continue
-            total += count * collective_time(
-                collective.kind, collective.algorithm, world_size, length,
-                pipeline_chunks, params, collective.topology, inter_params,
-                _BYTES_PER_ELEMENT, collective.wire,
-            )
-            if codec is not None:
-                total += count * _transform_time(
-                    length * _BYTES_PER_ELEMENT, world_size, codec
+            if collective.kind == "partial_allreduce":
+                total += count * collective_time(
+                    "allreduce", "recursive_doubling", world_size, length,
+                    pipeline_chunks, params, topology, inter_params,
+                    collective.wire or bytes_per_element,
                 )
+            else:
+                total += count * collective_time(
+                    collective.kind, collective.algorithm, world_size, length,
+                    pipeline_chunks, params, collective.topology, inter_params,
+                    bytes_per_element, collective.wire,
+                )
+            if codec is not None:
+                total += count * _transform_time(length * bytes_per_element, 1, codec)
     return total
 
 
@@ -286,7 +329,8 @@ def autotune(
 
     def num_buckets(threshold: int) -> int:
         return _schedule(
-            world_size, algorithm, threshold, 1, compression_model, topology, sharding
+            world_size, "sync", algorithm, threshold, 1, compression_model, topology,
+            sharding,
         ).cut(num_elements).num_buckets
 
     def price(threshold: int, n_chunks: int) -> float:

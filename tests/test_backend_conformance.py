@@ -193,22 +193,26 @@ class TestPointToPoint:
 
         assert launch(worker, 4, backend=backend)[0] == [11, 22, 33]
 
-    def test_isend_irecv(self, backend):
+    def test_send_returns_before_the_recv_is_posted(self, backend):
+        """``send`` is eager: it returns before the peer posts its receive,
+        which here comes only after a barrier the sender enters after
+        sending."""
+
         def worker(comm):
             if comm.rank == 0:
-                req = comm.isend({"k": [1, 2]}, 1, tag=4)
-                assert req.test()
+                comm.send({"k": [1, 2]}, 1, tag=4)
+                comm.barrier()
                 return None
-            req = comm.irecv(source=0, tag=4)
-            return req.wait(timeout=30)
+            comm.barrier()
+            return comm.recv(source=0, tag=4, timeout=30)
 
-        assert launch(worker, 2, backend=backend)[1] == {"k": [1, 2]}
+        assert launch(worker, 2, backend=backend, timeout=60)[1] == {"k": [1, 2]}
 
     @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_irecv_wait_takes_the_communicator_deadline(self, name):
-        """``wait()`` gives up after the communicator's default timeout
+    def test_recv_takes_the_communicator_deadline(self, name):
+        """``recv()`` gives up after the communicator's default timeout
         with ``CommTimeoutError`` naming source and tag; an explicit
-        ``wait(timeout=...)`` still wins."""
+        ``recv(timeout=...)`` still wins."""
 
         def worker(comm):
             from repro.comm import CommTimeoutError
@@ -216,14 +220,14 @@ class TestPointToPoint:
             peer = 1 - comm.rank
             started = time.monotonic()
             try:
-                comm.irecv(source=peer, tag=5).wait()
+                comm.recv(source=peer, tag=5)
                 outcome = "received"
             except CommTimeoutError as exc:
                 outcome = str(exc)
             waited = time.monotonic() - started
             time.sleep(0.4)  # longer than the default deadline
             comm.send("late", peer, tag=6)
-            return outcome, waited, comm.irecv(source=peer, tag=6).wait(timeout=30)
+            return outcome, waited, comm.recv(source=peer, tag=6, timeout=30)
 
         results = launch(worker, 2, backend=name, default_recv_timeout=0.2, timeout=60)
         for rank, (outcome, waited, late) in enumerate(results):
@@ -249,7 +253,7 @@ class TestPointToPoint:
         for outcome in results:
             assert "(sync-collectives: epoch 7, phase 4, round 3, chunk 2)" in outcome
 
-    def test_probe_and_poll(self, backend):
+    def test_poll(self, backend):
         def worker(comm):
             if comm.rank == 0:
                 comm.send(5, 1, tag=9)
@@ -257,12 +261,11 @@ class TestPointToPoint:
             # Delivery may be asynchronous (socket transport): poll until
             # the message lands, bounded by a deadline.
             deadline = time.monotonic() + 30
-            while not comm.probe(tag=9):
+            while (got := comm.poll(tag=9)) is None:
                 if time.monotonic() > deadline:
                     return False
                 time.sleep(0.001)
-            assert comm.poll(tag=8) is None
-            return comm.poll(tag=9) == 5
+            return got == 5 and comm.poll(tag=8) is None and comm.poll(tag=9) is None
 
         assert all(launch(worker, 2, backend=backend))
 

@@ -310,7 +310,7 @@ class _ActivationCalls:
 
     def __getattr__(self, name):
         attr = getattr(self._comm, name)
-        if name in ("recv", "recv_message", "poll", "probe") and self._comm.channel.startswith(
+        if name in ("recv", "recv_message", "poll") and self._comm.channel.startswith(
             Channel.ACTIVATION
         ):
             self.calls.append(name)

@@ -16,6 +16,7 @@ from repro.comm import (
     MIN,
     PROD,
     SUM,
+    CommTimeoutError,
     Communicator,
     Mailbox,
     MailboxClosed,
@@ -189,23 +190,23 @@ class TestCommunicator:
         received = c1.recv(source=0, timeout=1)
         assert np.allclose(received, 0)
 
-    def test_isend_irecv(self):
+    def test_recv_waits_for_a_later_send(self):
         world = ThreadWorld(2)
         c0, c1 = world.communicator(0), world.communicator(1)
-        req_recv = c1.irecv(source=0, tag=4)
-        assert not req_recv.test()
-        req_send = c0.isend({"k": 1}, dest=1, tag=4)
-        assert req_send.test()
-        assert req_recv.wait(timeout=1) == {"k": 1}
-        assert req_recv.test()
+        with pytest.raises(CommTimeoutError):
+            c1.recv(source=0, tag=4, timeout=0.05)
+        c0.send({"k": 1}, dest=1, tag=4)
+        assert c1.recv(source=0, tag=4, timeout=1) == {"k": 1}
+        assert c1.poll(tag=4) is None
 
-    def test_probe_poll(self):
+    def test_poll(self):
         world = ThreadWorld(2)
         c0, c1 = world.communicator(0), world.communicator(1)
         assert c1.poll() is None
         c0.send(5, dest=1, tag=9)
-        assert c1.probe(tag=9)
+        assert c1.poll(tag=4) is None
         assert c1.poll(tag=9) == 5
+        assert c1.poll(tag=9) is None
 
     def test_dup_channel_isolation(self):
         world = ThreadWorld(2)

@@ -23,12 +23,19 @@ from repro.compression import (
 from repro.simtime.collective_model import (
     NO_COMPRESSION,
     CompressionModel,
-    allreduce_time,
     partial_round,
     synchronous_allreduce_latencies,
 )
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
 from repro.training.config import TrainingConfig
+from repro.tuning.autotune import predict_exchange_time
+
+
+def _walk(nbytes, size, algorithm="ring", params=DEFAULT_NETWORK, compression=None, **knobs):
+    """One bucket of the exchange's schedule, walked at 8 bytes per element."""
+    return predict_exchange_time(
+        params, size, nbytes, algorithm, None, compression=compression, **knobs
+    )
 
 ALL_CODECS = ["none", "fp16", "bf16", "int8", "topk"]
 LOSSY_CODECS = ["fp16", "bf16", "int8", "topk"]
@@ -415,7 +422,7 @@ class TestExchangeIntegration:
         model = CompressionModel(name="fp16", wire_scale=0.25)
         nbytes = 4 << 20
         times = {
-            algo: allreduce_time(nbytes, 8, algo, compression=model)
+            algo: _walk(nbytes, 8, algo, compression=model)
             for algo in ("ring", "recursive_doubling", "rabenseifner")
         }
         assert times["ring"] == times["recursive_doubling"] == times["rabenseifner"]
@@ -500,8 +507,8 @@ class TestCompressionModel:
 
     def test_identity_model_matches_no_compression(self):
         nbytes = 1 << 20
-        base = allreduce_time(nbytes, 8, "ring")
-        assert allreduce_time(nbytes, 8, "ring", compression=NO_COMPRESSION) == base
+        base = _walk(nbytes, 8)
+        assert _walk(nbytes, 8, compression=NO_COMPRESSION) == base
         assert NO_COMPRESSION.is_identity
 
     def test_reduce_closed_scales_wire_bytes(self):
@@ -510,12 +517,10 @@ class TestCompressionModel:
         nbytes = 4 << 20
         model = CompressionModel(name="fp16", wire_scale=0.25)
         no_gamma = LogGPParams(gamma=0.0)
-        compressed = allreduce_time(nbytes, 8, "ring", no_gamma, compression=model)
-        quarter = allreduce_time(nbytes // 4, 8, "ring", no_gamma)
+        compressed = _walk(nbytes, 8, params=no_gamma, compression=model)
+        quarter = _walk(nbytes // 4, 8, params=no_gamma)
         assert compressed == pytest.approx(quarter)
-        assert allreduce_time(nbytes, 8, "ring", compression=model) > allreduce_time(
-            nbytes // 4, 8, "ring"
-        )
+        assert _walk(nbytes, 8, compression=model) > _walk(nbytes // 4, 8)
 
     def test_transform_overhead_is_charged(self):
         nbytes = 4 << 20
@@ -524,9 +529,7 @@ class TestCompressionModel:
             name="fp16", wire_scale=0.25,
             encode_seconds_per_byte=1e-9, decode_seconds_per_byte=1e-9,
         )
-        delta = allreduce_time(nbytes, 8, "ring", compression=costly) - allreduce_time(
-            nbytes, 8, "ring", compression=free
-        )
+        delta = _walk(nbytes, 8, compression=costly) - _walk(nbytes, 8, compression=free)
         assert delta == pytest.approx(2e-9 * nbytes)
 
     def test_non_reduce_closed_uses_gather_model(self):
@@ -538,35 +541,33 @@ class TestCompressionModel:
             + 7 * (params.alpha + nbytes * 0.01 * params.beta)
             + 7 * nbytes * params.gamma
         )
-        assert allreduce_time(nbytes, 8, "ring", compression=model) == pytest.approx(
-            expected
-        )
+        assert _walk(nbytes, 8, compression=model) == pytest.approx(expected)
 
     def test_exchange_price_with_compression(self):
         """The threshold budgets wire bytes: 4 MiB of float64 under fp16
         is one 1 MiB wire bucket, priced as one compressed allreduce."""
-        from repro.tuning.autotune import predict_exchange_time
-
         model = CompressionModel(name="fp16", wire_scale=0.25)
         compressed = predict_exchange_time(
             DEFAULT_NETWORK, 8, 4 << 20, "ring", 1 << 20, compression=model
         )
-        assert compressed == pytest.approx(
-            allreduce_time(4 << 20, 8, "ring", compression=model)
-        )
+        assert compressed == _walk(4 << 20, 8, compression=model)
         sparse = CompressionModel(name="topk", wire_scale=0.01, reduce_closed=False)
         assert predict_exchange_time(
             DEFAULT_NETWORK, 8, 4 << 20, "ring", 1 << 20, compression=sparse
         ) > 0
 
-    def test_latency_functions_accept_compression(self):
+    def test_latency_functions_take_the_walked_price(self):
+        """A codec reaches the latency models only through the walk of
+        the variant's own schedule."""
         arrivals = np.array([0.0, 0.001, 0.002, 0.003])
         model = CompressionModel(name="fp16", wire_scale=0.25)
         nbytes = 4 << 20
-        sync_dense = synchronous_allreduce_latencies(arrivals, nbytes)
-        sync_fp16 = synchronous_allreduce_latencies(arrivals, nbytes, compression=model)
+        sync_dense = synchronous_allreduce_latencies(arrivals, _walk(nbytes, 4))
+        sync_fp16 = synchronous_allreduce_latencies(
+            arrivals, _walk(nbytes, 4, compression=model)
+        )
         assert sync_fp16.completion_time < sync_dense.completion_time
-        solo = partial_round(arrivals, 0, allreduce_time(nbytes, 4, compression=model))
+        solo = partial_round(arrivals, 0, _walk(nbytes, 4, compression=model, mode="solo"))
         assert solo.completion_time < sync_fp16.completion_time
 
 
@@ -689,41 +690,49 @@ class TestConfigPlumbing:
 
         assert final_loss("topk") <= final_loss(None) * 1.05
 
-    def test_runner_projection_scales_wire_bytes(self):
-        """Reduce-closed codecs shrink the projected exchange time.
-
-        A fixed cost model makes the per-step workload trace
-        deterministic, so the only difference between the two runs'
-        projections is the modelled wire size of the exchange.
-        """
+    def test_runner_projection_prices_the_fp16_ring(self):
+        """A synchronous fp16 run configured ``recursive_doubling`` rides
+        the ring (the codec is its ring phases' wire dtype), so its
+        projection prices the ring at 2 bytes per parameter plus the
+        codec's encode and decode of the 4-byte dense gradient: the walk
+        of the run's schedule, replayed over the run's own durations."""
         from repro.data.hyperplane import HyperplaneDataset
         from repro.imbalance.cost_model import FixedCostModel
         from repro.nn.losses import MSELoss
         from repro.nn.models import HyperplaneMLP
-        from repro.training.runner import train_distributed
+        from repro.simtime import StepTimeline, project_training_time
+        from repro.simtime.collective_model import collective_time
+        from repro.training.runner import GRADIENT_BYTES_PER_PARAMETER, train_distributed
 
         dataset = HyperplaneDataset(num_examples=64, input_dim=4096, seed=0)
 
         def model_factory():
             return HyperplaneMLP(input_dim=4096, seed=1)
 
-        totals = {}
-        for spec in (None, "fp16"):
-            config = TrainingConfig(
-                world_size=2,
-                epochs=1,
-                global_batch_size=16,
-                mode="sync",
-                compression=spec,
-                cost_model=FixedCostModel(0.01),
-                model_sync_period_epochs=None,
-                seed=3,
-            )
-            result = train_distributed(
-                model_factory, dataset, MSELoss(), config, classification=False
-            )
-            totals[spec] = result.projection.total_time
-        assert totals["fp16"] < totals[None]
+        config = TrainingConfig(
+            world_size=2, epochs=1, global_batch_size=16, mode="sync",
+            allreduce_algorithm="recursive_doubling", compression="fp16",
+            cost_model=FixedCostModel(0.01), model_sync_period_epochs=None, seed=3,
+        )
+        result = train_distributed(
+            model_factory, dataset, MSELoss(), config, classification=False
+        )
+        n = model_factory().num_parameters()
+        width = GRADIENT_BYTES_PER_PARAMETER
+        fp16 = get_codec("fp16")
+        cost = predict_exchange_time(
+            DEFAULT_NETWORK, 2, n * width, "recursive_doubling", None, 1,
+            fp16.cost_model(), bytes_per_element=width,
+        )
+        ring = collective_time("allreduce", "ring", 2, n, 1, DEFAULT_NETWORK, None, None, width, 2.0)
+        transform = n * width * (fp16.encode_seconds_per_byte + fp16.decode_seconds_per_byte)
+        assert cost == ring + transform
+        replayed = project_training_time(
+            StepTimeline(result.step_durations), "sync", exchange_cost=cost
+        )
+        assert np.array_equal(
+            result.projection.step_completion_times, replayed.step_completion_times
+        )
 
 
 class TestCliCompression:

@@ -233,9 +233,9 @@ CASES = {
         ),
         "got compression='topk'",
     ),
-    "arrivals-empty": (lambda: synchronous_allreduce_latencies([], 8), "got shape (0,)"),
+    "arrivals-empty": (lambda: synchronous_allreduce_latencies([], 0.0), "got shape (0,)"),
     "arrivals-negative": (
-        lambda: synchronous_allreduce_latencies([0.0, -1.0], 8),
+        lambda: synchronous_allreduce_latencies([0.0, -1.0], 0.0),
         "got min -1.0",
     ),
     "linear_skew-size": (lambda: linear_skew(0), "size must be >= 1, got 0"),

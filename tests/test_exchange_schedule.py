@@ -25,6 +25,7 @@ from repro.comm import available_backends, launch
 from repro.compression import get_codec
 from repro.nn.module import Module
 from repro.nn.optim import SGD
+from repro.simtime.collective_model import collective_time
 from repro.simtime.network import DEFAULT_NETWORK, LogGPParams
 from repro.training.config import TrainingConfig
 from repro.training.exchange import ShardedExchange, SynchronousExchange, exchange_schedule
@@ -87,6 +88,32 @@ def test_payload_allgather_prices_its_cross_host_hops():
     one_host = predict_exchange_time(*shape)
     two_hosts = predict_exchange_time(*shape, HostTopology.from_hosts((2, 2)), SLOW_INTER)
     assert two_hosts > one_host
+
+
+def test_no_threshold_prices_one_bucket():
+    """``fusion_threshold_bytes=None`` is one bucket, as the schedule reads
+    it: the dense allreduce over the whole gradient's float64 elements."""
+    one_bucket = collective_time(
+        "allreduce", "ring", 4, GRADIENT_BYTES // 8, 1, DEFAULT_NETWORK, None, None, 8
+    )
+    assert predict_exchange_time(DEFAULT_NETWORK, 4, GRADIENT_BYTES, "ring", None) == one_bucket
+    assert predict_exchange_time(
+        DEFAULT_NETWORK, 4, GRADIENT_BYTES, "ring", GRADIENT_BYTES
+    ) == one_bucket
+
+
+@pytest.mark.parametrize("mode", ["solo", "majority"])
+def test_eager_modes_price_recursive_doubling(mode):
+    """An eager mode's partial allreduce is the recursive doubling
+    ``PartialAllreduce`` runs, whatever algorithm the run configures."""
+    doubling = collective_time(
+        "allreduce", "recursive_doubling", 4, GRADIENT_BYTES // 8, 1, DEFAULT_NETWORK,
+        None, None, 8,
+    )
+    for algorithm in ("ring", "recursive_doubling", "rabenseifner"):
+        assert predict_exchange_time(
+            DEFAULT_NETWORK, 4, GRADIENT_BYTES, algorithm, None, mode=mode
+        ) == doubling
 
 
 def test_tuner_refuses_zero1_fp16_on_two_hosts():

@@ -1,5 +1,6 @@
 """Tests for the experiment harnesses (one per paper table/figure)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -90,14 +91,43 @@ class TestFig9Microbenchmark:
         assert "Fig. 9" in report and "NAP" in report
 
     def test_functional_backend_ordering(self):
-        rows = fig9_microbenchmark.run_functional(
-            world_size=4, iterations=4, skew_ms=8.0, message_elements=64
-        )
-        row = rows[0]
-        # The thread backend must preserve the ordering solo <= majority <= sync.
-        assert row.solo_latency_ms <= row.majority_latency_ms * 1.5
-        assert row.solo_latency_ms < row.mpi_latency_ms
-        assert row.solo_nap <= row.majority_nap <= 4
+        for compression in (None, "fp16"):
+            rows = fig9_microbenchmark.run_functional(
+                world_size=4, iterations=4, skew_ms=8.0, message_elements=64,
+                compression=compression,
+            )
+            row = rows[0]
+            # The thread backend must preserve the ordering solo <= majority <= sync.
+            assert row.solo_latency_ms <= row.majority_latency_ms * 1.5, compression
+            assert row.solo_latency_ms < row.mpi_latency_ms, compression
+            assert row.solo_nap <= row.majority_nap <= 4, compression
+
+    def test_fp16_partial_rounds_price_recursive_doubling(self):
+        """Under fp16 a solo or majority round runs the partial collective's
+        recursive doubling at 2 bytes per element, plus the codec's
+        encode and decode; at 64 B that is well below the synchronous
+        column's fp16 ring, which the partial collective never runs."""
+        from repro.compression import get_codec
+        from repro.simtime import DEFAULT_NETWORK, linear_skew, partial_round
+        from repro.simtime.collective_model import collective_time
+
+        fp16 = get_codec("fp16")
+        transform = 64 * (fp16.encode_seconds_per_byte + fp16.decode_seconds_per_byte)
+        doubling = collective_time(
+            "allreduce", "recursive_doubling", 32, 16, 1, DEFAULT_NETWORK, None, None, 2
+        ) + transform
+        ring = collective_time(
+            "allreduce", "ring", 32, 16, 1, DEFAULT_NETWORK, None, None, 4, 2.0
+        ) + transform
+        assert doubling < ring / 4
+        result = fig9_microbenchmark.run(world_size=32, iterations=4, compression="fp16")
+        row = result.rows[0]
+        assert row.message_bytes == 64
+        arrivals = linear_skew(32, 1.0)
+        solo = partial_round(arrivals, 0, doubling)
+        assert row.solo_latency_ms == solo.average_latency * 1e3
+        sync = arrivals.max() + ring - arrivals
+        assert row.mpi_latency_ms == pytest.approx(float(np.mean(sync)) * 1e3)
 
 
 class TestTrainingFigures:

@@ -35,7 +35,7 @@ def test_literal_tag_allows_defaults_and_minted_tags():
             comm.send(x, 1, tag=0)
             comm.recv(source=0, tag=-1)
             comm.send(x, 1, tag=tags.sync_tag(0, 1, 2))
-            comm.probe(0, some_tag)
+            comm.poll(0, some_tag)
         """,
         "src/repro/collectives/thing.py",
     )

@@ -160,7 +160,7 @@ def _quorum(arrivals, nbytes, quorum):
 class TestCollectiveLatencyModel:
     def test_ordering_solo_majority_sync(self):
         arrivals = linear_skew(32, 1.0)
-        sync = synchronous_allreduce_latencies(arrivals, 4096)
+        sync = synchronous_allreduce_latencies(arrivals, allreduce_time(4096, 32))
         solo = _solo(arrivals, 4096)
         maj = partial_round(arrivals, 16, allreduce_time(4096, 32))
         assert solo.average_latency < maj.average_latency < sync.average_latency
@@ -183,14 +183,14 @@ class TestCollectiveLatencyModel:
 
     def test_sync_latency_is_completion_minus_arrival(self):
         arrivals = np.array([0.0, 0.01])
-        res = synchronous_allreduce_latencies(arrivals, 64)
+        res = synchronous_allreduce_latencies(arrivals, allreduce_time(64, 2))
         assert res.latencies[0] > res.latencies[1]
 
     def test_invalid_arrivals(self):
         with pytest.raises(ValueError):
-            synchronous_allreduce_latencies([], 64)
+            synchronous_allreduce_latencies([], 0.0)
         with pytest.raises(ValueError):
-            synchronous_allreduce_latencies([-1.0, 0.0], 64)
+            synchronous_allreduce_latencies([-1.0, 0.0], 0.0)
 
     @given(
         size=st.sampled_from([2, 4, 8, 16, 32]),
@@ -204,7 +204,7 @@ class TestCollectiveLatencyModel:
         from repro.simtime.collective_model import RESULT_CHECK_OVERHEAD
 
         arrivals = linear_skew(size, step_ms)
-        sync = synchronous_allreduce_latencies(arrivals, nbytes)
+        sync = synchronous_allreduce_latencies(arrivals, allreduce_time(nbytes, size))
         solo = _solo(arrivals, nbytes)
         overhead = activation_time(size) + RESULT_CHECK_OVERHEAD
         assert solo.average_latency <= sync.average_latency + overhead + 1e-12

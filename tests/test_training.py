@@ -19,7 +19,7 @@ from repro.nn import MomentumSGD, SGD
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropyLoss
 from repro.nn.models import HyperplaneMLP, MLPClassifier
 from repro.nn.parameters import flatten_parameters
-from repro.simtime import StepTimeline, allreduce_time, project_training_time
+from repro.simtime import DEFAULT_NETWORK, StepTimeline, allreduce_time, project_training_time
 from repro.training import runner
 from repro.training import (
     DistributedSGD,
@@ -34,6 +34,7 @@ from repro.training import (
     synchronize_model,
     train_distributed,
 )
+from repro.tuning.autotune import predict_exchange_time
 from repro.utils.rng import seeded_rng
 
 
@@ -426,6 +427,34 @@ class TestRunner:
         rank0, rank1 = (SimpleNamespace(rank=r, initiators=[3, 2, r]) for r in (0, 1))
         with pytest.raises(RuntimeError, match="ranks 0 and 1 .* at step 2: 0 vs 1"):
             runner._recorded_initiators([rank0, rank1])
+
+    def test_eager_projection_prices_recursive_doubling(self):
+        """An eager run configured ``ring`` runs its partial allreduce by
+        recursive doubling, and its projection prices that: the walk of
+        the run's schedule, replayed over the run's own durations."""
+        train, _ = self._dataset()
+        config = TrainingConfig(
+            world_size=4, epochs=1, global_batch_size=64, mode="solo",
+            allreduce_algorithm="ring", cost_model=FixedCostModel(0.2), seed=0,
+        )
+        result = train_distributed(
+            self._model_factory(), train, SoftmaxCrossEntropyLoss(), config
+        )
+        width = runner.GRADIENT_BYTES_PER_PARAMETER
+        gradient_bytes = self._model_factory()().num_parameters() * width
+        cost = predict_exchange_time(
+            DEFAULT_NETWORK, 4, gradient_bytes, "ring", None, mode="solo",
+            bytes_per_element=width,
+        )
+        assert cost == allreduce_time(gradient_bytes, 4, "recursive_doubling")
+        assert cost != allreduce_time(gradient_bytes, 4, "ring")
+        replayed = project_training_time(
+            StepTimeline(result.step_durations), "solo", exchange_cost=cost
+        )
+        assert np.array_equal(
+            result.projection.step_completion_times, replayed.step_completion_times
+        )
+        assert result.projection.total_time == replayed.total_time
 
     def test_periodic_model_sync_keeps_replicas_identical(self):
         train, _ = self._dataset()
