@@ -2,7 +2,8 @@
 """Serve-while-train: online inference riding the training fabric.
 
 One world, three roles on the same comm backend: a trainer rank runs
-distributed SGD on the hyperplane workload and publishes its weights
+the training runner's rank loop on the hyperplane workload (any
+``TrainingConfig``: synch- or eager-SGD) and publishes its weights
 every few steps; two replica ranks serve inference with dynamic
 batching, hot-swapping to each published parameter set between batches;
 the frontend rank batches incoming requests under a latency SLO and
@@ -19,17 +20,19 @@ Run:  python examples/serving_demo.py
 import numpy as np
 
 from repro.serving import InferenceServer, ServingConfig
+from repro.training import TrainingConfig
+from repro.training.preset import INPUT_DIM
 
 
 def main() -> None:
     config = ServingConfig(
         replicas=2,
         train_ranks=1,          # co-scheduled trainer publishing weights
-        input_dim=32,
         max_batch_size=8,
         max_queue_delay_s=0.002,  # SLO knob: hold a partial batch <= 2 ms
         train_steps=300,
-        train_batch_size=16,
+        # The trainer's run; the layout owns its world size and backend.
+        training=TrainingConfig(world_size=1, epochs=1, global_batch_size=16),
         publish_every_steps=10,  # hot-swap period, in trainer steps
     )
     print(config.describe())
@@ -40,7 +43,7 @@ def main() -> None:
     last_version = None
     with InferenceServer(config) as server:
         for index in range(400):
-            output, version = server.infer(rng.standard_normal(config.input_dim))
+            output, version = server.infer(rng.standard_normal(INPUT_DIM))
             if version != last_version:
                 transitions.append(version)
                 print(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import inspect
 import json
 import sys
@@ -37,7 +36,6 @@ from typing import (
 )
 
 from repro.analysis.schedule_verifier import DEFAULT_WORLD_SIZES, verify
-from repro.data.hyperplane import HyperplaneDataset
 from repro.experiments import (
     autotune as autotune_experiment,
     fig2_workload,
@@ -51,12 +49,13 @@ from repro.experiments import (
 )
 from repro.experiments.training_experiments import report_figure, run_figure
 from repro.nn.losses import MSELoss
-from repro.nn.models.mlp import MLPClassifier
 from repro.obs import tracing
 from repro.obs.recorder import DEFAULT_CAPACITY
 from repro.serving import ServingConfig, Workload, serve
+from repro.serving.config import LAYOUT_OWNED
 from repro.serving.server import format_report
 from repro.training.config import TrainingConfig
+from repro.training.preset import PRESET, preset_workload
 from repro.training.runner import train_distributed
 from repro.utils.argtypes import (
     codec_spec, comma_list, int_at_least, int_or_auto, positive_float,
@@ -122,19 +121,23 @@ def flag_types(fn: Callable) -> Dict[str, Any]:
     return {name: kind for name, kind in types.items() if kind is not None}
 
 
-def add_flags(parser: argparse.ArgumentParser, fn: Callable, defaults: Any = None) -> None:
-    """One ``--name`` flag per parameter of ``fn`` in :func:`flag_types`,
-    defaulting to ``fn``'s default, or to the attribute of ``defaults`` (an
-    instance of the dataclass ``fn``): ``--x`` / ``--no-x`` for a ``bool``,
-    ``choices`` for a ``Literal``, and the shared ``--backend`` /
-    ``--compression`` for ``backend`` / ``comm_backend`` / ``compression``.
-    ``fn``'s docstring, which documents the parameters, joins the description."""
+def add_flags(
+    parser: argparse.ArgumentParser, fn: Callable, defaults: Any = None, skip: Sequence[str] = ()
+) -> None:
+    """One ``--name`` flag per parameter of ``fn`` in :func:`flag_types` not
+    in ``skip``, defaulting to ``fn``'s default, or to the attribute of
+    ``defaults`` (an instance of the dataclass ``fn``): ``--x`` / ``--no-x``
+    for a ``bool``, ``choices`` for a ``Literal``, and the shared
+    ``--backend`` / ``--compression`` for ``backend`` / ``comm_backend`` /
+    ``compression``.  ``fn``'s docstring joins the description."""
     parser.formatter_class = argparse.RawDescriptionHelpFormatter
     parser.description = "\n\n".join(
         filter(None, (parser.description, inspect.cleandoc(fn.__doc__)))
     )
     signature = inspect.signature(fn).parameters
     for name, kind in flag_types(fn).items():
+        if name in skip:
+            continue
         flag = "--" + name.replace("_", "-")
         default = signature[name].default if defaults is None else getattr(defaults, name)
         if name in ("backend", "comm_backend", "compression"):
@@ -147,9 +150,9 @@ def add_flags(parser: argparse.ArgumentParser, fn: Callable, defaults: Any = Non
             parser.add_argument(flag, type=kind, default=default, help="default: %(default)s")
 
 
-def keywords(args: argparse.Namespace, fn: Callable) -> Dict[str, Any]:
+def keywords(args: argparse.Namespace, fn: Callable, skip: Sequence[str] = ()) -> Dict[str, Any]:
     """The values of :func:`add_flags`' flags of ``fn``, by parameter."""
-    return {name: getattr(args, name) for name in flag_types(fn)}
+    return {name: getattr(args, name) for name in flag_types(fn) if name not in skip}
 
 
 def config_from_args(
@@ -157,8 +160,12 @@ def config_from_args(
 ) -> Any:
     """Inverse of ``add_flags(parser, type(defaults), defaults)``: ``defaults``
     with every flag's value, validated (a ``ValueError`` is a usage error,
-    exit 2)."""
+    exit 2); a :class:`ServingConfig`'s ``training`` too, at its layout."""
     config = dataclasses.replace(defaults, **keywords(args, type(defaults)))
+    if isinstance(config, ServingConfig):
+        flags = keywords(args, TrainingConfig, skip=LAYOUT_OWNED)
+        training = config.at_layout(dataclasses.replace(defaults.training, **flags))
+        config = dataclasses.replace(config, training=training)
     try:
         config.validate()
     except ValueError as exc:
@@ -208,7 +215,7 @@ def _figure_row(name: str, help_text: str) -> Command:
 
 
 #: What ``serve`` runs unless its flags say otherwise: one co-scheduled
-#: trainer, so the served version advances mid-run.
+#: trainer of the preset run, so the served version advances mid-run.
 SERVE_DEFAULTS = (ServingConfig(train_ranks=1), Workload())
 
 
@@ -225,6 +232,8 @@ def _serve_args(p: argparse.ArgumentParser) -> None:
                    "advanced beyond 0 mid-run (CI smoke gate)")
     for defaults in SERVE_DEFAULTS:
         add_flags(p, type(defaults), defaults)
+    # The trainers' run; --train-ranks and --backend are its layout.
+    add_flags(p, TrainingConfig, SERVE_DEFAULTS[0].training, skip=LAYOUT_OWNED)
 
 
 def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -248,20 +257,6 @@ def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0 if not failures else 1
 
 
-#: Input width of ``train``'s hyperplane-regression workload (Fig. 10's
-#: data at test scale), and the hidden width of the two-layer MLP fitting
-#: it, so a trace carries per-layer ``layer-fwd`` / ``layer-bwd`` rows.
-INPUT_DIM = 64
-
-#: The run ``train`` makes unless its flags say otherwise: one epoch of a
-#: 32-example global batch, with momentum so the optimizer carries state
-#: that ``--sharding zero1`` cuts P-fold, and a 20 KiB fusion threshold
-#: that cuts the MLP's 4 225 parameters into two buckets.
-PRESET = TrainingConfig(
-    epochs=1, global_batch_size=32, optimizer="momentum", fusion_threshold_bytes=20 * 1024
-)
-
-
 def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int_at_least(1), default=8,
                    help="training steps per rank (one epoch of exactly this many)")
@@ -271,17 +266,11 @@ def _train_args(p: argparse.ArgumentParser) -> None:
 
 
 def train_preset(config: TrainingConfig, steps: int, run_timeout: float = 300.0):
-    """``train``'s run of ``config``: one epoch of exactly ``steps`` global
-    batches of hyperplane data fitted by the two-layer MLP."""
-    model = functools.partial(
-        MLPClassifier, INPUT_DIM, hidden_dims=(INPUT_DIM,), num_classes=1, seed=config.seed
-    )
-    data = HyperplaneDataset(
-        num_examples=config.global_batch_size * steps, input_dim=INPUT_DIM,
-        noise_std=0.5, seed=config.seed,
-    )
+    """``train``'s run of ``config``: :func:`preset_workload`'s epochs of
+    exactly ``steps`` global batches."""
     return train_distributed(
-        model, data, MSELoss(), config, classification=False, run_timeout=run_timeout
+        *preset_workload(config, steps), MSELoss(), config, classification=False,
+        run_timeout=run_timeout,
     )
 
 

@@ -2,9 +2,10 @@
 
 The serving tier co-schedules a *training world* and a *serving pool* on
 the same launched world (`python -m repro serve`): ranks ``[0, T)`` run
-data-parallel SGD while ranks ``[T, P)`` serve inference traffic.  The
-training ranks still want the whole collectives layer — allreduce,
-barrier, the fused exchange — but spanning only their subset.
+the training runner's rank loop while ranks ``[T, P)`` serve inference
+traffic.  The training ranks still want the whole collectives layer —
+allreduce, barrier, the fused and the partial exchanges — but spanning
+only their subset.
 
 :class:`SubsetCommunicator` provides that: a view over a parent
 communicator that renumbers a chosen subset of global ranks as a dense
@@ -15,15 +16,17 @@ can run collectives concurrently on the same channel without stealing
 each other's messages: tags may coincide, but the (source, tag) match
 never does.
 
-The view deliberately does **not** support wildcard receives
-(``source=ANY_SOURCE``): a wildcard could match a message from outside
-the subset, silently breaking the group abstraction.  Every layer the
-subset view is meant for (the sync collectives, the barrier, the
-serving protocol) names its sources.
+A view on the parent's channel refuses wildcard receives
+(``source=ANY_SOURCE``): one could match a sender outside the subset.
+:meth:`dup` moves the view onto its own dotted sub-channel
+(``"<channel>.sub0_1"`` for global ranks 0 and 1), on which only members
+send, so there a wildcard is accepted and a message's source is a view
+rank — what a partial collective's progress thread needs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Any, Optional, Sequence, Tuple
 
@@ -63,6 +66,8 @@ class SubsetCommunicator:
         self._index = {g: i for i, g in enumerate(self._ranks)}
         self._rank = self._index[parent.rank]
         self._collective_epochs = itertools.count()
+        #: Suffix of the subset's private sub-channels (see :meth:`dup`).
+        self._lane = ".sub" + "_".join(map(str, self._ranks))
 
     # -------------------------------------------------------------- meta
     @property
@@ -95,8 +100,11 @@ class SubsetCommunicator:
         return self._ranks
 
     def dup(self, channel: Optional[str] = None) -> "SubsetCommunicator":
-        """The same subset view on another channel of the parent world."""
-        return SubsetCommunicator(self._parent.dup(channel), self._ranks)
+        """The same subset view on the private sub-channel of ``channel``
+        (default: this view's channel) of the parent world."""
+        name = channel or self.channel
+        name = name if name.endswith(self._lane) else name + self._lane
+        return SubsetCommunicator(self._parent.dup(name), self._ranks)
 
     # -------------------------------------------------------- translation
     def _to_global(self, view_rank: int, what: str) -> int:
@@ -109,10 +117,13 @@ class SubsetCommunicator:
 
     def _require_member(self, source: int) -> int:
         if source == ANY_SOURCE:
+            if self.channel.endswith(self._lane):
+                return ANY_SOURCE
             raise ValueError(
-                f"SubsetCommunicator does not support wildcard receives "
-                f"(source={source}): a wildcard could match a sender outside "
-                f"the subset {self._ranks}; name the source rank explicitly"
+                f"SubsetCommunicator does not support wildcard receives on a "
+                f"shared channel (source={source}): a wildcard could match a "
+                f"sender outside the subset {self._ranks}; name the source rank "
+                f"or receive on a dup()'d view"
             )
         return self._to_global(source, "source")
 
@@ -126,7 +137,7 @@ class SubsetCommunicator:
         tag: int = ANY_TAG,
         timeout: Optional[float] = None,
     ) -> Any:
-        return self.recv_message(source, tag, timeout=timeout).payload
+        return self._parent.recv(self._require_member(source), tag, timeout=timeout)
 
     def recv_message(
         self,
@@ -134,9 +145,8 @@ class SubsetCommunicator:
         tag: int = ANY_TAG,
         timeout: Optional[float] = None,
     ) -> Message:
-        return self._parent.recv_message(
-            self._require_member(source), tag, timeout=timeout
-        )
+        msg = self._parent.recv_message(self._require_member(source), tag, timeout=timeout)
+        return dataclasses.replace(msg, source=self._index[msg.source], dest=self._rank)
 
     def recv_into(self, out, source: int, tag: int, op=None) -> None:
         self._parent.recv_into(out, self._require_member(source), tag, op)

@@ -6,11 +6,13 @@ under a latency SLO (dispatch at ``max_batch_size`` requests or
 ``max_queue_delay_s`` seconds, whichever first; admission control with
 backpressure), routes each batch to the least-loaded **replica** rank,
 and completes per-request futures with results tagged by the serving
-model version.  A co-scheduled **training world** — plain synchronous
-data-parallel SGD over a :class:`~repro.comm.subworld.SubsetCommunicator`
-on the same fabric — publishes weight versions that the replicas
-hot-swap in between batches (double-buffered, monotonic versions), with
-a bounded-staleness knob that makes replicas refuse to serve when more
+model version.  A co-scheduled **training world** — the runner's rank
+loop (:func:`repro.training.runner._rank_main`) of the config's
+:class:`~repro.training.config.TrainingConfig`, synch-SGD or eager-SGD,
+over a :class:`~repro.comm.subworld.SubsetCommunicator` on the same
+fabric — publishes weight versions that the replicas hot-swap in
+between batches (double-buffered, monotonic versions), with a
+bounded-staleness knob that makes replicas refuse to serve when more
 than ``K`` announced versions behind.
 
 Entry points: :func:`~repro.serving.server.serve` /
@@ -38,7 +40,6 @@ from repro.serving.server import (
     Workload,
     serve,
 )
-from repro.serving.trainer import run_trainer
 from repro.serving.versioning import VersionedWeights, WeightStore
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "ServingConfig",
     "Frontend",
     "run_replica",
-    "run_trainer",
     "InferenceServer",
     "ServingReport",
     "Workload",

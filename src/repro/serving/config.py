@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
+
+from repro.training.config import TrainingConfig
+from repro.training.preset import PRESET
+
+#: The fields of the trainers' :class:`TrainingConfig` that the serving
+#: layout owns: the trainer count and the world's backend.
+LAYOUT_OWNED = ("world_size", "comm_backend")
 
 
 @dataclass
@@ -11,10 +18,11 @@ class ServingConfig:
     """Configuration of one serving world.
 
     The world has ``train_ranks + replicas + 1`` ranks on the configured
-    comm backend: ranks ``[0, train_ranks)`` run data-parallel SGD and
-    publish weight versions, ranks ``[train_ranks, train_ranks +
-    replicas)`` are model replicas, and the last rank is the frontend
-    (dynamic batcher + router + response collector).
+    comm backend: ranks ``[0, train_ranks)`` run ``training`` (synch- or
+    eager-SGD, through the runner's rank loop) and publish weight
+    versions, ranks ``[train_ranks, train_ranks + replicas)`` are model
+    replicas, and the last rank is the frontend (dynamic batcher +
+    router + response collector).
 
     Attributes
     ----------
@@ -56,16 +64,16 @@ class ServingConfig:
         this (usually finer) period; announcements are what the
         bounded-staleness check compares against.
     train_steps:
-        Steps the co-scheduled training world runs before finishing.
-    train_batch_size:
-        Global batch size of the co-scheduled training world.
-    learning_rate:
-        Learning rate of the co-scheduled training world.
-    input_dim:
-        Input dimensionality of the default model/workload pair.
-    seed:
-        Base seed: identical model initialisation on every rank (the
-        replicas must start from the training world's version-0 model).
+        Global batches per epoch of the trainers' data
+        (:func:`~repro.training.preset.preset_workload`); every step is
+        one model version.
+    training:
+        The trainers' run through the runner's rank loop (mode, sharding,
+        codec, fusion, optimizer, global batch; its seed also seeds the
+        replicas' model and the requests).  Its :data:`LAYOUT_OWNED`
+        fields are :meth:`at_layout`'s — ``max(1, train_ranks)`` and
+        ``comm_backend`` — and :meth:`validate` refuses others.  ``None``:
+        ``PRESET`` at the layout.
     """
 
     replicas: int = 2
@@ -79,10 +87,18 @@ class ServingConfig:
     publish_every_steps: int = 5
     announce_every_steps: int = 1
     train_steps: int = 50
-    train_batch_size: int = 32
-    learning_rate: float = 0.05
-    input_dim: int = 64
-    seed: int = 0
+    training: Optional[TrainingConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.training is None:
+            self.training = self.at_layout(PRESET)
+
+    def at_layout(self, training: TrainingConfig) -> TrainingConfig:
+        """``training`` with the fields this layout owns set to its own: the
+        world's backend, but on ``hier`` the default, as the trainers' view
+        exposes no host layout and runs as one host."""
+        backend = None if self.comm_backend == "hier" else self.comm_backend
+        return replace(training, world_size=max(1, self.train_ranks), comm_backend=backend)
 
     # ------------------------------------------------------------ layout
     @property
@@ -115,10 +131,6 @@ class ServingConfig:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.train_ranks < 0:
             raise ValueError(f"train_ranks must be >= 0, got {self.train_ranks}")
-        if self.comm_backend is not None:
-            from repro.comm.backend import get_backend
-
-            get_backend(self.comm_backend)  # raises on unknown names
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.max_queue_delay_s < 0:
@@ -144,26 +156,22 @@ class ServingConfig:
             raise ValueError(
                 f"announce_every_steps must be >= 1, got {self.announce_every_steps}"
             )
-        if self.train_ranks:
-            if self.train_steps < 1:
-                raise ValueError(f"train_steps must be >= 1, got {self.train_steps}")
-            if self.train_batch_size < self.train_ranks:
-                raise ValueError(
-                    f"train_batch_size must be >= train_ranks ({self.train_ranks}), "
-                    f"got {self.train_batch_size}"
-                )
-            if self.learning_rate <= 0:
-                raise ValueError(
-                    f"learning_rate must be positive, got {self.learning_rate}"
-                )
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+        if self.train_steps < 1:
+            raise ValueError(f"train_steps must be >= 1, got {self.train_steps}")
+        owned = self.at_layout(self.training)
+        if owned != self.training:
+            raise ValueError(
+                f"training.world_size / training.comm_backend are the layout's "
+                f"({owned.world_size} / {owned.comm_backend!r}), got "
+                f"{self.training.world_size} / {self.training.comm_backend!r}"
+            )
+        self.training.validate()
 
     def describe(self) -> str:
         """One-line description used in reports."""
         backend = f", backend={self.comm_backend}" if self.comm_backend else ""
         train = (
-            f", train_ranks={self.train_ranks} (publish every "
+            f", train_ranks={self.train_ranks} ({self.training.mode}, publish every "
             f"{self.publish_every_steps} steps)"
             if self.train_ranks
             else ", serve-only"

@@ -20,7 +20,7 @@ keeps no gradient-side state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -29,22 +29,11 @@ from repro.obs import recorder as _obs
 from repro.serving import protocol
 from repro.serving.config import ServingConfig
 from repro.serving.versioning import VersionedWeights, WeightStore
+from repro.training.preset import preset_model
 
 #: How long the serve loop blocks for frontend traffic before it wakes
 #: to drain the swap channel again.
 REPLICA_POLL_S = 0.05
-
-
-def default_model_factory(config: ServingConfig):
-    """The model every rank of the default serving world builds.
-
-    Seeded identically everywhere: the replicas must start from the
-    training world's version-0 model or the first hot swap would be a
-    discontinuity in served predictions.
-    """
-    from repro.nn.models.mlp import HyperplaneMLP
-
-    return HyperplaneMLP(config.input_dim, seed=config.seed)
 
 
 def _drain_swap(
@@ -65,15 +54,12 @@ def _drain_swap(
             store.announce(msg[1])
 
 
-def run_replica(
-    comm,
-    config: ServingConfig,
-    model_factory: Optional[Callable[[ServingConfig], object]] = None,
-) -> Dict[str, int]:
-    """Serve loop of one replica rank; returns its health counters."""
+def run_replica(comm, config: ServingConfig) -> Dict[str, int]:
+    """Serve loop of one replica rank, from the trainers' version-0 model;
+    returns its health counters."""
     serve = comm.dup(protocol.SERVE_CHANNEL)
     swap = comm.dup(protocol.SWAP_CHANNEL)
-    model = (model_factory or default_model_factory)(config)
+    model = preset_model(config.training)()
     model.eval()
     store = WeightStore(0)
     publisher = config.publisher_rank

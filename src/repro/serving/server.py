@@ -13,27 +13,34 @@ Two ways to run one:
   interleave submissions with hot swaps deterministically.
 
 Both run the same SPMD entry, :func:`_serving_main`, which dispatches on
-rank into the trainer loop (:mod:`repro.serving.trainer`), the replica
-loop (:mod:`repro.serving.replica`) or the frontend
-(:mod:`repro.serving.frontend`).
+rank into a trainer (:func:`_train`: the runner's rank loop with a
+publish hook), the replica loop (:mod:`repro.serving.replica`) or the
+frontend (:mod:`repro.serving.frontend`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.comm.backend import launch
+from repro.comm.subworld import SubsetCommunicator
+from repro.nn.losses import MSELoss
+from repro.nn.parameters import flatten_parameters
 from repro.obs.metrics import LogHistogram
+from repro.serving import protocol
 from repro.serving.batching import BackpressureError, StaleReplicaError
 from repro.serving.config import ServingConfig
 from repro.serving.frontend import Frontend
 from repro.serving.replica import run_replica
-from repro.serving.trainer import run_trainer
+from repro.training.model_sync import model_hash
+from repro.training.preset import INPUT_DIM, preset_model, preset_workload
+from repro.training.runner import _rank_main
+from repro.tuning.autotune import resolve_auto_fusion
 
 
 @dataclass
@@ -74,7 +81,7 @@ class ServingReport:
     trainers: List[Dict[str, Any]] = field(default_factory=list)
     workload: Optional[Dict[str, Any]] = None
 
-    # Convenience views used by the CLI assertions and the benchmark.
+    # Convenience views used by the CLI assertions and the tests.
     @property
     def completed_requests(self) -> int:
         return int(self.workload["completed"]) if self.workload else 0
@@ -82,10 +89,6 @@ class ServingReport:
     @property
     def p99_s(self) -> Optional[float]:
         return self.workload.get("latency_p99_s") if self.workload else None
-
-    @property
-    def requests_per_s(self) -> Optional[float]:
-        return self.workload.get("requests_per_s") if self.workload else None
 
     @property
     def versions_served(self) -> List[int]:
@@ -148,8 +151,8 @@ def format_report(report: ServingReport) -> str:
 
 def _request_inputs(config: ServingConfig, index: int) -> np.ndarray:
     """Deterministic input vector of request ``index``."""
-    rng = np.random.default_rng(config.seed * 1_000_003 + index)
-    return rng.standard_normal(config.input_dim)
+    rng = np.random.default_rng(config.training.seed * 1_000_003 + index)
+    return rng.standard_normal(INPUT_DIM)
 
 
 def _run_workload(
@@ -235,6 +238,44 @@ class _FrontendBridge:
         self.report: Optional[Dict[str, Any]] = None
 
 
+def _train(comm, config: ServingConfig) -> Dict[str, Any]:
+    """A trainer rank: the runner's rank loop of ``config.training`` on the
+    trainers' subset view (size 1 for one trainer).  Its per-step hook on
+    trainer rank 0 ships every ``publish_every_steps``-th version to the
+    replicas and announces every other ``announce_every_steps``-th; the
+    frontend hears of both.  ``final_loss`` is the last epoch's mean."""
+    swap, published = comm.dup(protocol.SWAP_CHANNEL), []
+
+    def publish(version: int, model) -> None:
+        if comm.rank != config.publisher_rank:
+            return
+        if version % config.publish_every_steps == 0:
+            # Live storage: each send copies or frames it before returning.
+            flat, digest = flatten_parameters(model), model_hash(model)
+            for replica in config.replica_ranks:
+                protocol.send_weights(swap, replica, version, flat, digest)
+            published.append(version)
+        elif version % config.announce_every_steps == 0:
+            for replica in config.replica_ranks:
+                protocol.send_announce(swap, replica, version)
+        else:
+            return
+        protocol.send_announce(swap, config.frontend_rank, version)
+
+    out = _rank_main(
+        SubsetCommunicator(comm, config.trainer_ranks),
+        *preset_workload(config.training, config.train_steps), None, MSELoss(),
+        config.training, False, on_step=publish,
+    )
+    steps = len(out.step_durations)
+    return {
+        "rank": comm.rank, "steps": steps, "final_version": steps,
+        "published_versions": len(published),
+        "final_loss": out.epoch_records[-1].train_loss,
+        "model_hash": out.summary.final_model_hash, "role": "trainer",
+    }
+
+
 def _serving_main(
     comm,
     config: ServingConfig,
@@ -244,9 +285,7 @@ def _serving_main(
     """SPMD entry of the serving world: dispatch on rank into a role."""
     rank = comm.rank
     if rank in config.trainer_ranks:
-        result = run_trainer(comm, config)
-        result["role"] = "trainer"
-        return result
+        return _train(comm, config)
     if rank in config.replica_ranks:
         result = run_replica(comm, config)
         result["role"] = "replica"
@@ -269,10 +308,23 @@ def _serving_main(
     return report
 
 
+def _prepared(config: ServingConfig) -> ServingConfig:
+    """``config`` validated, with its trainers' ``"auto"`` fusion knobs
+    resolved once before the world spawns, as ``train_distributed`` does."""
+    config.validate()
+    parameters = preset_model(config.training)().num_parameters()
+    return replace(config, training=resolve_auto_fusion(config.training, parameters))
+
+
 def _assemble(config: ServingConfig, results: List[Any]) -> ServingReport:
     frontend = results[config.frontend_rank]
+    data = asdict(config)  # JSON-ready: the imbalance objects by their description
+    data["training"].update(
+        delay_injector=config.training.delay_injector.describe(),
+        cost_model=config.training.cost_model and config.training.cost_model.describe(),
+    )
     return ServingReport(
-        config=asdict(config),
+        config=data,
         frontend=frontend,
         replicas=[results[r] for r in config.replica_ranks],
         trainers=[results[r] for r in config.trainer_ranks],
@@ -286,7 +338,7 @@ def serve(
     timeout: Optional[float] = 300.0,
 ) -> ServingReport:
     """Launch a serving world, drive it with ``workload``, return the report."""
-    config.validate()
+    config = _prepared(config)
     workload = workload or Workload()
     workload.validate()
     results = launch(
@@ -324,9 +376,9 @@ class InferenceServer:
                 f"InferenceServer requires the thread backend (the bridge is "
                 f"an in-process object), got {config.comm_backend!r}"
             )
-        config = ServingConfig(**{**asdict(config), "comm_backend": "thread"})
         config.validate()
-        self.config = config
+        thread = replace(config, comm_backend="thread")
+        self.config = _prepared(replace(thread, training=thread.at_layout(config.training)))
         self.report: Optional[ServingReport] = None
         self._timeout = timeout
         self._bridge = _FrontendBridge()

@@ -81,7 +81,10 @@ def _rank_main(
     loss_fn: LossFn,
     config: TrainingConfig,
     classification: bool,
+    on_step: Optional[Callable[[int, Module], None]] = None,
 ) -> _RankOutput:
+    """One rank's run of ``config`` on ``comm`` (a launched world, or a serving
+    world's trainers' view); ``on_step(steps, model)`` follows every step."""
     config.validate()
     _obs.instant("run", "train", mode=config.mode, sharding=config.sharding)
     rank = comm.rank
@@ -148,6 +151,8 @@ def _rank_main(
                 top5s.append(_nan_to(stats.top5))
                 naps.append(stats.num_active)
                 global_step += 1
+                if on_step is not None:
+                    on_step(sgd.steps, model)
 
             # ---- epoch-level metrics, identical on every rank ----
             local_summary = np.array(

@@ -225,8 +225,10 @@ def _measure_exchange(
     iterations: int = 3,
     backend: Optional[str] = None,
     compression: Optional[str] = None,
+    mode: str = "sync",
 ) -> float:
-    """Live wall-clock of one synchronous exchange (seconds).
+    """Live wall-clock of one ``mode`` exchange (seconds), built by
+    :func:`~repro.training.exchange.build_exchange` as a run builds it.
 
     Runs on ``backend`` (``None`` = the process-wide default), on the host
     layout it launches.  Per rank
@@ -235,24 +237,27 @@ def _measure_exchange(
     gradient).
     """
     from repro.comm.backend import launch
-    from repro.training.exchange import SynchronousExchange
+    from repro.training.exchange import build_exchange
 
     def worker(comm):
-        exchange = SynchronousExchange(
+        exchange = build_exchange(
             comm,
+            num_elements,
+            mode,
             algorithm=algorithm,
             fusion_threshold_bytes=fusion_threshold_bytes,
             pipeline_chunks=pipeline_chunks,
             compression=compression,
         )
         gradient = np.full(num_elements, float(comm.rank), dtype=np.float64)
-        exchange.exchange(gradient)  # warmup
-        best = float("inf")
-        for _ in range(iterations):
-            comm.barrier()
-            start = time.perf_counter()
-            exchange.exchange(gradient)
-            best = min(best, time.perf_counter() - start)
+        with exchange:
+            exchange.exchange(gradient)  # warmup
+            best = float("inf")
+            for _ in range(iterations):
+                comm.barrier()
+                start = time.perf_counter()
+                exchange.exchange(gradient)
+                best = min(best, time.perf_counter() - start)
         return best
 
     return float(max(launch(worker, world_size, backend=backend)))
@@ -273,6 +278,7 @@ def autotune(
     topology: Optional[HostTopology] = None,
     inter_params: Optional[LogGPParams] = None,
     sharding: str = "none",
+    mode: str = "sync",
 ) -> TunedPlan:
     """Pick ``(fusion_threshold_bytes, pipeline_chunks)`` for one exchange shape.
 
@@ -303,6 +309,8 @@ def autotune(
     (:func:`~repro.collectives.topology.resolve_host_topology`), the one
     :func:`tune_with_profile` scores on ``hier``.
 
+    ``mode`` is the run's: an eager mode's grid is scored on its partial
+    allreduce per bucket, and its live trials time that exchange.
     ``sharding="zero1"`` scores the grid with the ZeRO-1 exchange's
     reduce-scatters and allgathers; live trials are skipped — the
     measurement harness runs the dense exchange and would dispose with
@@ -329,14 +337,14 @@ def autotune(
 
     def num_buckets(threshold: int) -> int:
         return _schedule(
-            world_size, "sync", algorithm, threshold, 1, compression_model, topology,
+            world_size, mode, algorithm, threshold, 1, compression_model, topology,
             sharding,
         ).cut(num_elements).num_buckets
 
     def price(threshold: int, n_chunks: int) -> float:
         return predict_exchange_time(
             params, world_size, gradient_bytes, algorithm, threshold, n_chunks,
-            compression_model, topology, inter_params, sharding,
+            compression_model, topology, inter_params, sharding, mode,
         )
 
     baseline_time = price(DEFAULT_FIXED_THRESHOLD_BYTES, 1)
@@ -358,11 +366,13 @@ def autotune(
             elapsed = _measure_exchange(
                 world_size, num_elements, algorithm, cand_threshold, cand_chunks,
                 iterations=live_iterations, backend=backend, compression=compression,
+                mode=mode,
             )
             trials.append((elapsed, cand_predicted, cand_threshold, cand_chunks))
         measured_baseline = _measure_exchange(
             world_size, num_elements, algorithm, DEFAULT_FIXED_THRESHOLD_BYTES, 1,
             iterations=live_iterations, backend=backend, compression=compression,
+            mode=mode,
         )
         measured_time, predicted, threshold, n_chunks = min(trials)
         # The fixed default was measured too: if every candidate loses to
@@ -436,8 +446,9 @@ def resolve_auto_fusion(
     job's gradient size, and a copy of the configuration with the
     concrete values is returned.  A knob the user pinned to a number is
     honoured: the search is restricted to that value.  The grid is
-    priced on the schedule the run's exchange executes, on the host
-    layout its backend launches (:func:`tune_with_profile`).
+    priced on the schedule the run's exchange executes — its mode and
+    sharding — on the host layout its backend launches
+    (:func:`tune_with_profile`).
     """
     auto_threshold = config.fusion_threshold_bytes == "auto"
     auto_chunks = config.pipeline_chunks == "auto"
@@ -471,6 +482,7 @@ def resolve_auto_fusion(
         chunks=chunks,
         compression=config.compression,
         sharding=config.sharding,
+        mode=config.mode,
     )
     return replace(
         config,

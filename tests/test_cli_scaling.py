@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import inspect
+import json
 
 import pytest
 
@@ -140,6 +141,14 @@ class TestCommandTable:
         text = _help(capsys, "serve")
         for cls in (ServingConfig, Workload):
             for field in dataclasses.fields(cls):
+                if field.name != "training":  # nested: its fields below
+                    assert _flag(field.name) in text, field.name
+        # The layout owns the trainers' world size (--train-ranks) and their
+        # backend (--backend, ServingConfig's); the objects take no flag.
+        owned, objects = {"world_size", "comm_backend"}, {"delay_injector", "cost_model"}
+        assert "--world-size" not in text
+        for field in dataclasses.fields(TrainingConfig):
+            if field.name not in owned | objects:
                 assert _flag(field.name) in text, field.name
 
     @pytest.mark.parametrize(
@@ -170,6 +179,23 @@ class TestCommandTable:
             main(["train", "--world-size", "3"])
         assert exc.value.code == 2
         assert "divisible by world_size (3), got 32" in capsys.readouterr().err
+
+    def test_serve_trainer_count_is_checked_before_launch(self, capsys):
+        # Three trainers used to pass validate() and fail every rank on 32 / 3.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--backend", "thread", "--train-ranks", "3"])
+        assert exc.value.code == 2
+        assert "divisible by world_size (3), got 32" in capsys.readouterr().err
+
+    def test_serve_json_is_valid(self, capsys):
+        argv = ["serve", "--backend", "thread", "--train-ranks", "2", "--mode", "solo",
+                "--train-steps", "10", "--num-requests", "8", "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["training"]["mode"] == "solo"
+        assert report["config"]["training"]["world_size"] == 2
+        assert [t["final_version"] for t in report["trainers"]] == [10, 10]
+        assert report["workload"]["completed"] == 8
 
     def test_eval_batch_size_is_checked_before_launch(self, capsys):
         # Zero used to pass validate() and fail every rank inside range().

@@ -541,7 +541,7 @@ class TestTraceCommand:
         "mode, sharding", [("sync", "none"), ("solo", "none"), ("sync", "zero1")]
     )
     def test_shares_split_each_ranks_steps(self, tmp_path, mode, sharding):
-        from repro.cli import INPUT_DIM
+        from repro.training.preset import INPUT_DIM
         from repro.nn.models.mlp import MLPClassifier
 
         traced, _ = _traced_train(
@@ -747,6 +747,22 @@ class TestTraceCommand:
         assert sorted(_tracks(trace)) == [0, 1, 2]
         assert {e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"} == {0, 1, 2}
         assert "trace report" in capsys.readouterr().out
+
+    def test_traced_serve_lists_the_trainers_runs_and_models(self, tmp_path, capsys):
+        """A serve world's trainers are the runner's ranks: the trace report
+        carries their ``run`` instants and final model hashes."""
+        from repro.cli import main
+
+        out = tmp_path / "serve.json"
+        assert main([
+            "serve", "--backend", "thread", "--replicas", "1", "--train-ranks", "2",
+            "--mode", "solo", "--train-steps", "10", "--num-requests", "8",
+            "--clients", "2", "--trace", str(out),
+        ]) == 0
+        report = trace_report(json.loads(out.read_text()))
+        assert {pid: run["mode"] for pid, run in report["runs"].items()} == {0: "solo", 1: "solo"}
+        assert sorted(report["model_hashes"]) == [0, 1]
+        assert "models     : " in capsys.readouterr().out
 
     def test_row_without_a_world_writes_nothing(self, tmp_path, capsys):
         from repro.cli import main

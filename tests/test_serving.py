@@ -3,8 +3,9 @@
 Unit level: config validation, the dynamic batcher's SLO/backpressure
 policy, subset communicators, the serving tag region.  End to end: a
 serve-only world returns exact version-0 predictions; a serve-while-train
-world hot-swaps weights without dropping requests; an announce-only
-trainer drives the bounded-staleness refusal all the way to
+world hot-swaps weights without dropping requests, under synch-SGD, solo
+and ZeRO-1 trainers; an announce-only trainer drives the
+bounded-staleness refusal all the way to
 :class:`~repro.serving.StaleReplicaError` at the client.
 """
 
@@ -33,7 +34,14 @@ from repro.serving import (
 )
 from repro.serving import protocol
 from repro.serving.server import _request_inputs
+from repro.training.config import TrainingConfig
 from repro.training.model_sync import model_hash
+from repro.training.preset import INPUT_DIM, preset_model, preset_workload
+
+
+def _training(train_ranks, **fields):
+    """The trainers' run at a thread layout of ``train_ranks`` (one epoch)."""
+    return TrainingConfig(world_size=train_ranks, comm_backend="thread", epochs=1, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +74,11 @@ class TestServingConfig:
             {"publish_every_steps": 0},
             {"announce_every_steps": 0},
             {"train_ranks": 1, "train_steps": 0},
-            {"train_ranks": 4, "train_batch_size": 2},
-            {"input_dim": 0},
+            {"train_ranks": 4, "training": TrainingConfig(world_size=4, global_batch_size=2)},
+            {"train_ranks": 2, "training": TrainingConfig(world_size=4)},
             {"comm_backend": "no-such-backend"},
+            {"train_ranks": 3},
+            {"comm_backend": "thread", "training": TrainingConfig(world_size=1)},
         ],
     )
     def test_validation_rejects(self, kwargs):
@@ -164,6 +174,20 @@ def _wildcard_rejected(comm):
     return None
 
 
+def _wildcard_on_dup(comm):
+    """Ranks 1 and 2 form the subset; rank 0, outside it, sends rank 1 a
+    message on the shared channel, which the private lane never sees."""
+    if comm.rank == 0:
+        comm.send("outsider", 1, tag=5)
+        return None
+    lane = SubsetCommunicator(comm, [1, 2]).dup()
+    if comm.rank == 2:
+        lane.send("member", 0, tag=7)
+        return None
+    msg = lane.recv_message(source=ANY_SOURCE)
+    return msg.source, msg.tag, msg.payload, comm.recv(source=0, tag=5), lane.channel
+
+
 class TestSubsetCommunicator:
     def test_disjoint_subset_collectives_are_independent(self):
         results = launch(_split_collectives, 5, backend="thread")
@@ -181,6 +205,13 @@ class TestSubsetCommunicator:
     def test_wildcard_receive_rejected(self):
         results = launch(_wildcard_rejected, 2, backend="thread")
         assert results[0] == "rejected"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_wildcard_receive_on_a_dup_returns_a_members_message(self, backend):
+        results = launch(_wildcard_on_dup, 3, backend=backend)
+        source, tag, payload, outsider, channel = results[1]
+        assert (source, tag, payload) == (1, 7, "member")  # view rank 1 = global 2
+        assert outsider == "outsider" and channel.endswith(".sub1_2")
 
     def test_membership_validation(self):
         class FakeComm:
@@ -257,16 +288,31 @@ def test_published_version_is_not_changed_by_the_trainers_next_step():
 # ---------------------------------------------------------------------------
 # end to end (thread backend)
 # ---------------------------------------------------------------------------
+#: The trainers' final model at one, two and three trainers of
+#: :func:`_pinned_config`, which ``train_distributed`` of the same run ends on.
+PINNED_DIGESTS = [(1, "01556d811e3f5606"), (2, "69e2cf4afeef39ff"), (3, "419e082c7235d061")]
+
+
+def _pinned_config(train_ranks):
+    return ServingConfig(
+        replicas=1,
+        train_ranks=train_ranks,
+        comm_backend="thread",
+        training=_training(train_ranks, global_batch_size=12),
+        train_steps=30,
+        publish_every_steps=5,
+    )
+
+
 class TestServingEndToEnd:
     def test_serve_only_returns_exact_version0_predictions(self):
         cfg = ServingConfig(
             replicas=2,
             comm_backend="thread",
-            input_dim=12,
             max_batch_size=4,
             max_queue_delay_s=0.002,
         )
-        reference = HyperplaneMLP(cfg.input_dim, seed=cfg.seed).eval()
+        reference = preset_model(cfg.training)().eval()
         with InferenceServer(cfg) as server:
             for index in range(10):
                 x = _request_inputs(cfg, index)
@@ -285,11 +331,10 @@ class TestServingEndToEnd:
             replicas=2,
             train_ranks=1,
             comm_backend="thread",
-            input_dim=32,
+            training=_training(1, global_batch_size=16),
             max_batch_size=4,
             max_queue_delay_s=0.002,
             train_steps=200,
-            train_batch_size=16,
             publish_every_steps=5,
         )
         report = serve(cfg, Workload(num_requests=150, clients=4, timeout_s=60))
@@ -305,7 +350,6 @@ class TestServingEndToEnd:
     def test_trainer_digest_is_that_of_an_unmarked_model(self):
         """The trainer declares its input to be data; what it publishes is
         bit for bit what the full backward pass (every flag true) trains."""
-        from repro.data.hyperplane import HyperplaneDataset
         from repro.data.loader import ShardedLoader
         from repro.nn.losses import MSELoss
 
@@ -313,20 +357,19 @@ class TestServingEndToEnd:
             replicas=1,
             train_ranks=1,
             comm_backend="thread",
-            input_dim=16,
+            training=_training(1, global_batch_size=8),
             train_steps=20,
-            train_batch_size=8,
             publish_every_steps=5,
         )
         report = serve(cfg, Workload(num_requests=4, clients=1, timeout_s=60))
 
-        model = HyperplaneMLP(cfg.input_dim, seed=cfg.seed)
-        dataset = HyperplaneDataset(
-            num_examples=max(4 * cfg.train_batch_size, 256),
-            input_dim=cfg.input_dim, noise_std=0.5, seed=cfg.seed,
+        training = cfg.training
+        model_factory, dataset = preset_workload(training, cfg.train_steps)
+        model = model_factory()
+        loader = ShardedLoader(
+            dataset, training.global_batch_size, rank=0, world_size=1, seed=training.seed
         )
-        loader = ShardedLoader(dataset, cfg.train_batch_size, rank=0, world_size=1, seed=cfg.seed)
-        loss_fn, optimizer = MSELoss(), SGD(model, cfg.learning_rate)
+        loss_fn, optimizer = MSELoss(), SGD(model, training.learning_rate)
         steps = epoch = 0
         while steps < cfg.train_steps:
             for batch in loader.epoch_batches(epoch):
@@ -340,26 +383,50 @@ class TestServingEndToEnd:
             epoch += 1
         assert report.trainers[0]["model_hash"] == model_hash(model)
 
-    @pytest.mark.parametrize(
-        "train_ranks, digest",
-        [(1, "23fc134566105238"), (2, "dc1e099a3f064555"), (3, "1e99aaea57f4786b")],
-    )
+    @pytest.mark.parametrize("train_ranks, digest", PINNED_DIGESTS)
     def test_trainer_digests_are_pinned(self, train_ranks, digest):
         """Every trainer ends on the same pinned model at one, two and three
         trainers: the SGD step, the recursive-doubling gradient average
         and the data order stay bit-stable."""
-        cfg = ServingConfig(
-            replicas=1,
-            train_ranks=train_ranks,
-            comm_backend="thread",
-            input_dim=16,
-            train_steps=30,
-            train_batch_size=12,
-            publish_every_steps=5,
-        )
+        cfg = _pinned_config(train_ranks)
         report = serve(cfg, Workload(num_requests=4, clients=1, timeout_s=60))
         assert [t["model_hash"] for t in report.trainers] == [digest] * train_ranks
         assert all(t["final_version"] == 30 for t in report.trainers)
+
+    @pytest.mark.parametrize("train_ranks, digest", PINNED_DIGESTS)
+    def test_pinned_digests_are_train_distributeds(self, train_ranks, digest):
+        """The pins are the runner's: ``train_distributed`` of the trainers'
+        run on the same workload ends every rank on the pinned model."""
+        from repro.cli import train_preset
+
+        cfg = _pinned_config(train_ranks)
+        result = train_preset(cfg.training, cfg.train_steps)
+        assert [s.final_model_hash for s in result.rank_summaries] == [digest] * train_ranks
+
+    @pytest.mark.parametrize(
+        "fields", [{"mode": "solo"}, {"sharding": "zero1", "optimizer": "momentum"}],
+        ids=["solo", "zero1"],
+    )
+    def test_serve_while_eager_or_sharded_training(self, fields):
+        """Two trainers run the runner's solo or ZeRO-1 exchange beside the
+        replicas: no request is dropped and no served version is past the
+        announced frontier; ZeRO-1 trainers end on one model."""
+        cfg = ServingConfig(
+            replicas=2,
+            train_ranks=2,
+            comm_backend="thread",
+            training=_training(2, global_batch_size=16, **fields),
+            max_queue_delay_s=0.002,
+            train_steps=40,
+            publish_every_steps=5,
+        )
+        report = serve(cfg, Workload(num_requests=64, clients=4, timeout_s=60))
+        assert report.completed_requests == 64
+        assert report.workload["stale_failures"] == report.workload["timeouts"] == 0
+        assert report.versions_served[-1] <= report.frontend["announced_version"]
+        assert [t["final_version"] for t in report.trainers] == [40, 40]
+        if cfg.training.sharding == "zero1":
+            assert len({t["model_hash"] for t in report.trainers}) == 1
 
     def test_bounded_staleness_rejection_reaches_client(self):
         # The trainer only ever announces (publish period beyond its
@@ -369,11 +436,10 @@ class TestServingEndToEnd:
             replicas=2,
             train_ranks=1,
             comm_backend="thread",
-            input_dim=8,
+            training=_training(1, global_batch_size=8),
             max_queue_delay_s=0.001,
             max_staleness_versions=2,
             train_steps=20,
-            train_batch_size=8,
             publish_every_steps=10_000,
             announce_every_steps=1,
         )
@@ -382,7 +448,7 @@ class TestServingEndToEnd:
             saw_stale = False
             while time.monotonic() < deadline and not saw_stale:
                 try:
-                    server.infer(np.zeros(cfg.input_dim), timeout=10.0)
+                    server.infer(np.zeros(INPUT_DIM), timeout=10.0)
                 except StaleReplicaError:
                     saw_stale = True
             assert saw_stale, "bounded-staleness refusal never reached the client"
@@ -396,17 +462,16 @@ class TestServingEndToEnd:
             replicas=1,
             train_ranks=1,
             comm_backend="thread",
-            input_dim=32,
+            training=_training(1, global_batch_size=16),
             max_queue_delay_s=0.001,
             train_steps=400,
-            train_batch_size=16,
             publish_every_steps=2,
         )
         observed = []
         with InferenceServer(cfg) as server:
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
-                _, version = server.infer(np.zeros(cfg.input_dim), timeout=10.0)
+                _, version = server.infer(np.zeros(INPUT_DIM), timeout=10.0)
                 observed.append(version)
                 if version >= cfg.train_steps:
                     break
@@ -418,7 +483,6 @@ class TestServingEndToEnd:
         cfg = ServingConfig(
             replicas=2,
             comm_backend="thread",
-            input_dim=8,
             max_batch_size=8,
             max_queue_delay_s=0.002,
             max_queue_depth=512,
@@ -430,7 +494,7 @@ class TestServingEndToEnd:
             def client(c):
                 try:
                     for i in range(20):
-                        out, version = server.infer(np.full(8, float(c)))
+                        out, version = server.infer(np.full(INPUT_DIM, float(c)))
                         results.append((c, version))
                 except BaseException as exc:  # noqa: BLE001 - surfaced below
                     errors.append(exc)
@@ -456,11 +520,12 @@ class TestServingProcessBackend:
             replicas=2,
             train_ranks=1,
             comm_backend="process",
-            input_dim=16,
+            training=TrainingConfig(
+                world_size=1, comm_backend="process", epochs=1, global_batch_size=8
+            ),
             max_batch_size=4,
             max_queue_delay_s=0.002,
             train_steps=30,
-            train_batch_size=8,
             publish_every_steps=5,
         )
         report = serve(
@@ -468,3 +533,19 @@ class TestServingProcessBackend:
         )
         assert report.completed_requests == 60
         assert report.versions_served[-1] > 0
+
+    def test_serve_while_train_on_a_two_host_hier_world(self, monkeypatch):
+        """The trainers' view exposes no host layout, so on ``hier`` their
+        run is one host's; a two-host layout of the whole world is no
+        layout of theirs to refuse."""
+        from repro.comm import available_backends
+
+        if "hier" not in available_backends():
+            pytest.skip("hier backend unavailable")
+        monkeypatch.setenv("REPRO_HOST_TOPOLOGY", "0,0,1,1")
+        cfg = ServingConfig(replicas=1, train_ranks=2, comm_backend="hier", train_steps=20)
+        assert cfg.training.comm_backend is None
+        report = serve(cfg, Workload(num_requests=16, clients=2, timeout_s=120), timeout=240)
+        assert report.completed_requests == 16
+        assert [t["final_version"] for t in report.trainers] == [20, 20]
+        assert len({t["model_hash"] for t in report.trainers}) == 1

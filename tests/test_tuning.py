@@ -547,6 +547,33 @@ class TestAutoResolution:
         flat = autotune(LogGPParams(), 4, num_parameters * 8, "ring")
         assert picked != (flat.fusion_threshold_bytes, flat.pipeline_chunks)
 
+    @pytest.mark.parametrize("mode", ["solo", "majority"])
+    def test_eager_run_resolves_to_its_own_schedules_pick(self, tmp_path, monkeypatch, mode):
+        """An eager run's "auto" knobs are priced on its partial allreduce
+        per bucket: at 10^5 parameters on a ring run, the eager schedule
+        prices 4 chunks cheapest where the synchronous ring picks 1."""
+        from repro.tuning.calibration import QUICK_SIZES
+
+        # A cached profile covering the quick sweep: no live calibration.
+        samples = tuple(
+            CalibrationSample("allreduce", 4, nbytes, 1e-3, "ring") for nbytes in QUICK_SIZES
+        )
+        _profile(world_size=4, params=DEFAULT_NETWORK, samples=samples).save(
+            profile_path(4, cache_dir=tmp_path)
+        )
+        monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
+        config = TrainingConfig(
+            world_size=4, mode=mode, allreduce_algorithm="ring",
+            fusion_threshold_bytes="auto", pipeline_chunks="auto",
+        )
+        num_parameters = 10 ** 5
+        resolved = resolve_auto_fusion(config, num_parameters=num_parameters)
+        picked = (resolved.fusion_threshold_bytes, resolved.pipeline_chunks)
+        own = autotune(DEFAULT_NETWORK, 4, num_parameters * 8, "ring", mode=mode)
+        sync = autotune(DEFAULT_NETWORK, 4, num_parameters * 8, "ring")
+        assert picked == (own.fusion_threshold_bytes, own.pipeline_chunks) == (1 << 20, 4)
+        assert (sync.fusion_threshold_bytes, sync.pipeline_chunks) == (1 << 20, 1)
+
     def test_world_of_one_resolves_to_inert_values(self):
         config = TrainingConfig(
             world_size=1, fusion_threshold_bytes="auto", pipeline_chunks="auto"
