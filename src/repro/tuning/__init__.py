@@ -6,11 +6,13 @@ paper's latency figures, but not comparable in absolute terms with the
 thread-backend measurements.  This package closes that gap:
 
 ``repro.tuning.calibration``
-    Runs ping-pong / reduce / allreduce microbenchmarks on the selected
-    communication backend (``"thread"`` or ``"process"``, resolved
-    through the :mod:`repro.comm.backend` registry) and
-    least-squares-fits ``alpha``, ``beta``, ``gamma`` and
-    ``collective_overhead`` into a JSON-cacheable
+    Runs the ping-pong and ring-allreduce sweeps in one world of the
+    selected communication backend (any name of the
+    :mod:`repro.comm.backend` registry: ``thread``, ``process``,
+    ``shm``, ``tcp`` or ``hier``, whose inter-host tier is a second,
+    ping-pong-only world) and the reduce and codec sweeps in the
+    launcher, and least-squares-fits ``alpha``, ``beta``, ``gamma`` and
+    ``collective_overhead`` into a JSON-cached
     :class:`~repro.tuning.calibration.CalibratedProfile` keyed by
     world size and the live backend name.
 ``repro.tuning.autotune``

@@ -222,7 +222,6 @@ def _measure_exchange(
     algorithm: str,
     fusion_threshold_bytes: int,
     pipeline_chunks: int,
-    iterations: int = 3,
     backend: Optional[str] = None,
     compression: Optional[str] = None,
     mode: str = "sync",
@@ -231,10 +230,9 @@ def _measure_exchange(
     :func:`~repro.training.exchange.build_exchange` as a run builds it.
 
     Runs on ``backend`` (``None`` = the process-wide default), on the host
-    layout it launches.  Per rank
-    the minimum over ``iterations`` is taken, then the maximum across
-    ranks (the exchange ends when the slowest rank holds the averaged
-    gradient).
+    layout it launches.  Per rank the minimum over three timed exchanges
+    is taken, then the maximum across ranks (the exchange ends when the
+    slowest rank holds the averaged gradient).
     """
     from repro.comm.backend import launch
     from repro.training.exchange import build_exchange
@@ -253,7 +251,7 @@ def _measure_exchange(
         with exchange:
             exchange.exchange(gradient)  # warmup
             best = float("inf")
-            for _ in range(iterations):
+            for _ in range(3):
                 comm.barrier()
                 start = time.perf_counter()
                 exchange.exchange(gradient)
@@ -271,7 +269,6 @@ def autotune(
     thresholds: Optional[Sequence[int]] = None,
     chunks: Optional[Sequence[int]] = None,
     live_trials: int = 0,
-    live_iterations: int = 3,
     backend: Optional[str] = None,
     compression: Optional[str] = None,
     compression_model: Optional[CompressionModel] = None,
@@ -365,14 +362,12 @@ def autotune(
         for cand_predicted, cand_threshold, cand_chunks in ranked[:live_trials]:
             elapsed = _measure_exchange(
                 world_size, num_elements, algorithm, cand_threshold, cand_chunks,
-                iterations=live_iterations, backend=backend, compression=compression,
-                mode=mode,
+                backend=backend, compression=compression, mode=mode,
             )
             trials.append((elapsed, cand_predicted, cand_threshold, cand_chunks))
         measured_baseline = _measure_exchange(
             world_size, num_elements, algorithm, DEFAULT_FIXED_THRESHOLD_BYTES, 1,
-            iterations=live_iterations, backend=backend, compression=compression,
-            mode=mode,
+            backend=backend, compression=compression, mode=mode,
         )
         measured_time, predicted, threshold, n_chunks = min(trials)
         # The fixed default was measured too: if every candidate loses to
@@ -431,21 +426,17 @@ def tune_with_profile(
     )
 
 
-def resolve_auto_fusion(
-    config: "TrainingConfig",
-    num_parameters: int,
-    bytes_per_element: int = _BYTES_PER_ELEMENT,
-    quick: bool = True,
-) -> "TrainingConfig":
+def resolve_auto_fusion(config: "TrainingConfig", num_parameters: int) -> "TrainingConfig":
     """Resolve ``"auto"`` fusion knobs of a training configuration.
 
     Returns ``config`` unchanged when neither knob is ``"auto"``.
     Otherwise the profile for ``(config.comm_backend, world_size)`` is
-    loaded from the cache (``$REPRO_TUNING_CACHE_DIR``; measured once on
-    that backend and cached when absent), the grid is searched at the
-    job's gradient size, and a copy of the configuration with the
-    concrete values is returned.  A knob the user pinned to a number is
-    honoured: the search is restricted to that value.  The grid is
+    loaded from the cache (``$REPRO_TUNING_CACHE_DIR``; the quick sweep is
+    measured once on that backend and cached when absent), the grid is
+    searched at the job's gradient size (float64 elements), and a copy of
+    the configuration with the concrete values is returned.  A knob the
+    user pinned to a number is honoured: the search is restricted to that
+    value.  The grid is
     priced on the schedule the run's exchange executes — its mode and
     sharding — on the host layout its backend launches
     (:func:`tune_with_profile`).
@@ -465,8 +456,8 @@ def resolve_auto_fusion(
             pipeline_chunks=1 if auto_chunks else config.pipeline_chunks,
         )
 
-    profile = calibrate(config.world_size, backend=config.comm_backend, quick=quick)
-    gradient_bytes = max(1, int(num_parameters) * int(bytes_per_element))
+    profile = calibrate(config.world_size, backend=config.comm_backend, quick=True)
+    gradient_bytes = max(1, int(num_parameters) * _BYTES_PER_ELEMENT)
     if auto_threshold:
         thresholds = None
     elif config.fusion_threshold_bytes is None:

@@ -15,21 +15,25 @@ predictions and backend measurements comparable in absolute terms.
 
 Measurement design
 ------------------
-Three microbenchmarks run inside one world of the selected backend (so
-the contention a real exchange sees at world size *P* is present in the
-measurements):
+The two distributed sweeps share one world of the selected backend
+(:func:`measure_world`, one launch, so the contention a real exchange
+sees at world size *P* is present in the measurements); the local
+sweeps run in the launcher:
 
-* **ping-pong** — ranks are paired ``(0,1), (2,3), ...`` and all pairs
-  bounce a message concurrently; half the round trip estimates
-  ``alpha + nbytes * beta``;
-* **reduce** — local timing of the reduction operator over ``nbytes``
-  arrays estimates ``nbytes * gamma``;
-* **allreduce** — full synchronous allreduces across message sizes; the
-  walk :func:`allreduce_time` prices a ring plan along one critical path
-  whatever the parameters, so it is *linear* in the four of them and
-  each measurement contributes one least-squares row
-  (:func:`design_row`); ``collective_overhead`` absorbs the fixed cost
-  the point-to-point benchmarks cannot see.
+* **ping-pong** (in the world) — ranks are paired ``(0,1), (2,3), ...``
+  and all pairs bounce a message concurrently; half the round trip
+  estimates ``alpha + nbytes * beta``;
+* **allreduce** (in the world, after the ping-pong) — full ring
+  allreduces across message sizes; the walk :func:`allreduce_time`
+  prices the ring plan along one critical path whatever the parameters,
+  so it is *linear* in the four of them and each measurement
+  contributes one least-squares row (:func:`design_row`);
+  ``collective_overhead`` absorbs the fixed cost the point-to-point
+  benchmarks cannot see;
+* **reduce** (in the launcher) — local timing of the reduction operator
+  over ``nbytes`` arrays estimates ``nbytes * gamma``;
+* **codec** (in the launcher) — each codec's encode/decode cost
+  (:func:`measure_codec_costs`).
 
 The joint weighted least-squares fit (:func:`fit_loggp`) minimises
 *relative* error so the 4 KiB samples are not drowned out by the 4 MiB
@@ -42,14 +46,16 @@ The ``hier`` backend's links come in two classes with wildly different
 costs: shm rings within a host, sockets between hosts.  One LogGP fit
 cannot describe both, so version-3 profiles carry ``link_params`` — the
 standard sweep (run under the backend's default single-host topology,
-i.e. pure shm) fits the ``"intra"`` class, and a second ping-pong sweep
-under :func:`cross_host_topology` (every pair straddling a simulated
-host boundary) fits the ``"inter"`` class.  The autotuner prices the
+i.e. pure shm) fits the ``"intra"`` class, and a second world — the same
+:func:`measure_world`, ping-pong only, under :func:`cross_host_topology`
+(every pair straddling a simulated host boundary) — fits the
+``"inter"`` class.  The autotuner prices the
 hierarchical plans with both — intra-host pairs at ``"intra"``, the
 leader ring at ``"inter"`` — to pick per-tier fusion thresholds;
 single-tier backends expose the same parameters under both keys.
 
-Profiles are JSON-serialisable and cached under a configurable directory
+A profile's JSON is its dataclass's own (``dataclasses.asdict``), cached
+under a configurable directory
 (``REPRO_TUNING_CACHE_DIR`` or ``~/.cache/repro/tuning``), keyed by
 backend and world size, so a training run pays the measurement cost once
 per (machine, world size).
@@ -61,7 +67,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,6 +96,13 @@ DEFAULT_SIZES: Tuple[int, ...] = tuple(4 * 1024 * 4 ** i for i in range(6))
 QUICK_SIZES: Tuple[int, ...] = (4 * 1024, 64 * 1024, 1024 * 1024)
 
 _SAMPLE_KINDS = ("pingpong", "reduce", "allreduce")
+
+#: The allreduce of the calibration sweep: the bandwidth-optimal ring the
+#: fused exchange pipelines, whose measured cost curve is the closest to
+#: affine in size, so the LogGP family fits it tightest (recursive
+#: doubling's full-payload rounds hit a cache knee the model cannot
+#: follow).  The fitted parameters apply to every algorithm.
+_ALGORITHM = "ring"
 
 #: Extra least-squares weight on allreduce rows: the profile's purpose is
 #: to predict collective latency, so those residuals matter most.
@@ -122,25 +135,6 @@ class CalibrationSample:
             raise ValueError(f"message size must be non-negative, got {self.nbytes}")
         if not math.isfinite(self.seconds) or self.seconds <= 0:
             raise ValueError(f"seconds must be finite and positive, got {self.seconds}")
-
-    def to_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "world_size": self.world_size,
-            "nbytes": self.nbytes,
-            "seconds": self.seconds,
-            "algorithm": self.algorithm,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CalibrationSample":
-        return cls(
-            kind=data["kind"],
-            world_size=int(data["world_size"]),
-            nbytes=int(data["nbytes"]),
-            seconds=float(data["seconds"]),
-            algorithm=data.get("algorithm", ""),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +373,20 @@ def max_relative_error(
 
 
 # ---------------------------------------------------------------------------
-# thread-backend microbenchmarks
+# microbenchmarks
 # ---------------------------------------------------------------------------
 def _iterations_for(nbytes: int, base: int) -> int:
     """More repetitions for small (noisy, fast) payloads, fewer for huge ones."""
     return max(2, min(4 * base, base * (256 * 1024) // max(nbytes, 1) + base))
 
 
-def _pingpong_worker(comm, sizes: Sequence[int], base_iterations: int):
-    results: Dict[int, float] = {}
+def _world_worker(comm, sizes: Sequence[int], base_iterations: int, allreduce: bool):
+    """Per rank: the concurrent ping-pong's best one-way time per size (its
+    lower partner only), then, with ``allreduce``, every repetition of the
+    ring allreduce per size."""
+    from repro.collectives.sync import allreduce as ring_allreduce
+
+    pingpong: Dict[int, float] = {}
     partner = comm.rank ^ 1
     active = partner < comm.size
     for size_index, nbytes in enumerate(sizes):
@@ -410,57 +409,61 @@ def _pingpong_worker(comm, sizes: Sequence[int], base_iterations: int):
                 comm.recv(source=partner, tag=tag)
                 comm.send(payload, partner, tag=tag)
         if comm.rank < partner:
-            results[nbytes] = best
-    return results
-
-
-def _allreduce_worker(comm, sizes: Sequence[int], algorithm: str, base_iterations: int):
-    from repro.collectives.sync import allreduce
-
-    results: Dict[int, List[float]] = {}
-    for nbytes in sizes:
+            pingpong[nbytes] = best
+    reductions: Dict[int, List[float]] = {}
+    for nbytes in sizes if allreduce else ():
         payload = np.full(max(1, nbytes // 8), float(comm.rank), dtype=np.float64)
         comm.barrier()
-        allreduce(comm, payload, algorithm=algorithm)  # warmup
-        times: List[float] = []
+        ring_allreduce(comm, payload, algorithm=_ALGORITHM)  # warmup
+        times = reductions[nbytes] = []
         for _ in range(_iterations_for(nbytes, base_iterations)):
             start = time.perf_counter()
-            allreduce(comm, payload, algorithm=algorithm)
+            ring_allreduce(comm, payload, algorithm=_ALGORITHM)
             times.append(time.perf_counter() - start)
-        results[nbytes] = times
-    return results
+    return pingpong, reductions
 
 
-def measure_pingpong(
+def measure_world(
     world_size: int,
     sizes: Sequence[int],
-    base_iterations: int = 8,
-    backend: Optional[str] = None,
+    base_iterations: int,
+    backend: Optional[str],
     backend_opts: Optional[Dict] = None,
+    allreduce: bool = True,
 ) -> List[CalibrationSample]:
-    """Concurrent pairwise ping-pong inside a ``world_size`` world.
+    """The distributed sweeps, in one ``world_size`` world of ``backend``.
 
-    All pairs exchange simultaneously so the per-message cost includes
-    the scheduling (and, on the thread backend, GIL) contention a
-    collective at this world size sees.  ``backend_opts`` is forwarded
-    to the launch (e.g. a ``host_topology`` that makes every pair an
-    inter-host pair — see :func:`measure_inter_link`).
+    **Ping-pong:** all pairs exchange simultaneously so the per-message
+    cost includes the scheduling (and, on the thread backend, GIL)
+    contention a collective at this world size sees; a sample is the
+    median over pairs.  **Allreduce** (unless ``allreduce=False``): the
+    ranks run ring allreduces in lockstep (each is a full
+    synchronisation point), so the completion time of repetition *i* is
+    the maximum across ranks of its per-rank duration; a sample is the
+    *median* completion over repetitions — minima reward one lucky
+    scheduler interleaving, means are dragged by preemption outliers,
+    the median is what a training step actually sees.
+    ``backend_opts`` is forwarded to the launch (e.g. a ``host_topology``
+    that makes every pair an inter-host pair, :func:`cross_host_topology`).
     """
     from repro.comm.backend import launch
 
     outputs = launch(
-        _pingpong_worker, world_size, sizes, base_iterations, backend=backend,
-        backend_opts=backend_opts,
+        _world_worker, world_size, sizes, base_iterations, allreduce,
+        backend=backend, backend_opts=backend_opts,
     )
     samples = []
     for nbytes in sizes:
-        times = [out[nbytes] for out in outputs if nbytes in out]
+        times = [pingpong[nbytes] for pingpong, _ in outputs if nbytes in pingpong]
+        samples.append(
+            CalibrationSample("pingpong", world_size, int(nbytes), float(np.median(times)))
+        )
+    for nbytes in sizes if allreduce else ():
+        per_rank = np.array([reductions[nbytes] for _, reductions in outputs])
         samples.append(
             CalibrationSample(
-                kind="pingpong",
-                world_size=world_size,
-                nbytes=int(nbytes),
-                seconds=float(np.median(times)),
+                "allreduce", world_size, int(nbytes),
+                float(np.median(per_rank.max(axis=0))), _ALGORITHM,
             )
         )
     return samples
@@ -497,9 +500,7 @@ def measure_reduce(
 
 
 def measure_codec_costs(
-    nbytes: int = 1 << 20,
-    base_iterations: int = 4,
-    codecs: Optional[Sequence[str]] = None,
+    nbytes: int = 1 << 20, base_iterations: int = 4
 ) -> Dict[str, Dict[str, float]]:
     """Measured encode/decode seconds-per-dense-byte of each codec.
 
@@ -510,17 +511,18 @@ def measure_codec_costs(
     costs.  Costs are per dense byte — the unit the simtime
     :class:`~repro.simtime.collective_model.CompressionModel` charges.
 
-    The identity codec (``"none"``) is skipped: its wire path moves the
-    dense buffer untransformed and the model charges it nothing.
+    Every registered codec is measured but the identity (``"none"``):
+    its wire path moves the dense buffer untransformed and the model
+    charges it nothing.
     """
     from repro.compression import available_codecs, get_codec
 
-    if codecs is None:
-        codecs = [name for name in available_codecs() if name != "none"]
     dense = np.random.default_rng(0).standard_normal(max(1, nbytes // 8))
     dense_bytes = float(dense.nbytes)
     costs: Dict[str, Dict[str, float]] = {}
-    for name in codecs:
+    for name in available_codecs():
+        if name == "none":
+            continue
         codec = get_codec(name)
         encoded = codec.encode(dense)  # warmup (and the decode operand)
         encode_best = float("inf")
@@ -540,44 +542,6 @@ def measure_codec_costs(
     return costs
 
 
-def measure_allreduce(
-    world_size: int,
-    sizes: Sequence[int],
-    algorithm: str = "ring",
-    base_iterations: int = 5,
-    backend: Optional[str] = None,
-) -> List[CalibrationSample]:
-    """Measured synchronous allreduce latency across message sizes.
-
-    The ranks run repetitions in lockstep (an allreduce is a full
-    synchronisation point), so the completion time of repetition *i* is
-    the maximum across ranks of its per-rank duration; the reported
-    latency is the *median* completion over repetitions — minima reward
-    one lucky scheduler interleaving, means are dragged by preemption
-    outliers, the median is what a training step actually sees.
-    """
-    from repro.comm.backend import launch
-
-    outputs = launch(
-        _allreduce_worker, world_size, sizes, algorithm, base_iterations,
-        backend=backend,
-    )
-    samples = []
-    for nbytes in sizes:
-        per_rank = np.array([out[nbytes] for out in outputs])
-        completion = float(np.median(per_rank.max(axis=0)))
-        samples.append(
-            CalibrationSample(
-                kind="allreduce",
-                world_size=world_size,
-                nbytes=int(nbytes),
-                seconds=float(completion),
-                algorithm=algorithm,
-            )
-        )
-    return samples
-
-
 def cross_host_topology(world_size: int) -> str:
     """A rank -> host spec under which every ping-pong pair crosses hosts.
 
@@ -588,41 +552,6 @@ def cross_host_topology(world_size: int) -> str:
     simulated on one machine, the real fabric across machines).
     """
     return ",".join(str(r % 2) for r in range(world_size))
-
-
-def measure_inter_link(
-    world_size: int,
-    sizes: Sequence[int],
-    base_iterations: int = 8,
-    backend: str = "hier",
-    reduce_samples: Optional[Sequence[CalibrationSample]] = None,
-    anchor: Optional[LogGPParams] = None,
-) -> LogGPParams:
-    """Fit the *inter-host* link class of a two-tier backend.
-
-    Runs the concurrent pairwise ping-pong under
-    :func:`cross_host_topology` — every pair straddles the simulated
-    host boundary, so ``alpha``/``beta`` describe the socket tier —
-    and fits them jointly with (shared, link-independent) local
-    ``reduce`` samples.  The fixed ``collective_overhead`` has no
-    inter-link anchor (the hierarchical collective arms once, on the
-    intra tier), so it is inherited from ``anchor`` when given.
-    """
-    samples = list(
-        measure_pingpong(
-            world_size, sizes, base_iterations=base_iterations, backend=backend,
-            backend_opts={"host_topology": cross_host_topology(world_size)},
-        )
-    )
-    if reduce_samples is None:
-        reduce_samples = measure_reduce(
-            sizes, base_iterations=base_iterations, world_size=world_size
-        )
-    samples += list(reduce_samples)
-    fitted = fit_loggp(samples)
-    if anchor is not None:
-        fitted = replace(fitted, collective_overhead=anchor.collective_overhead)
-    return fitted
 
 
 # ---------------------------------------------------------------------------
@@ -685,83 +614,37 @@ class CalibratedProfile:
             decode_seconds_per_byte=float(measured["decode_seconds_per_byte"]),
         )
 
-    def to_dict(self) -> Dict:
-        return {
-            "version": self.version,
-            "backend": self.backend,
-            "world_size": self.world_size,
-            "algorithm": self.algorithm,
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "gamma": self.params.gamma,
-                "collective_overhead": self.params.collective_overhead,
-            },
-            "max_rel_error": self.max_rel_error,
-            "codec_costs": self.codec_costs or {},
-            "link_params": {
-                name: {
-                    "alpha": p.alpha,
-                    "beta": p.beta,
-                    "gamma": p.gamma,
-                    "collective_overhead": p.collective_overhead,
-                }
-                for name, p in (self.link_params or {}).items()
-            },
-            "samples": [s.to_dict() for s in self.samples],
-        }
-
     @classmethod
-    def from_dict(cls, data: Dict) -> "CalibratedProfile":
-        params = data["params"]
-        return cls(
-            backend=data["backend"],
-            world_size=int(data["world_size"]),
-            params=LogGPParams(
-                alpha=float(params["alpha"]),
-                beta=float(params["beta"]),
-                gamma=float(params["gamma"]),
-                collective_overhead=float(params["collective_overhead"]),
-            ),
-            algorithm=data.get("algorithm", "recursive_doubling"),
-            samples=tuple(CalibrationSample.from_dict(s) for s in data.get("samples", ())),
-            max_rel_error=float(data.get("max_rel_error", float("nan"))),
-            codec_costs={
-                str(name): {
-                    "encode_seconds_per_byte": float(cost["encode_seconds_per_byte"]),
-                    "decode_seconds_per_byte": float(cost["decode_seconds_per_byte"]),
-                }
-                for name, cost in (data.get("codec_costs") or {}).items()
+    def from_dict(cls, data: Dict) -> Optional["CalibratedProfile"]:
+        """The profile :meth:`save` wrote as ``data``; ``None`` when another
+        schema :data:`PROFILE_VERSION` wrote it (checked before anything is
+        built, so an old file's fields never matter)."""
+        if data.get("version") != PROFILE_VERSION:
+            return None
+        return cls(**{
+            **data,
+            "params": LogGPParams(**data["params"]),
+            "samples": tuple(CalibrationSample(**s) for s in data["samples"]),
+            "link_params": {
+                name: LogGPParams(**p) for name, p in data["link_params"].items()
             },
-            link_params={
-                str(name): LogGPParams(
-                    alpha=float(p["alpha"]),
-                    beta=float(p["beta"]),
-                    gamma=float(p["gamma"]),
-                    collective_overhead=float(p["collective_overhead"]),
-                )
-                for name, p in (data.get("link_params") or {}).items()
-            },
-            version=int(data.get("version", 0)),
-        )
+        })
 
     def save(self, path: Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        tmp.write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
         os.replace(tmp, path)
         return path
 
     @classmethod
-    def load(cls, path: Path) -> "CalibratedProfile":
+    def load(cls, path: Path) -> Optional["CalibratedProfile"]:
+        """The profile saved at ``path`` (``None`` for an old schema)."""
         path = Path(path)
         try:
-            data = json.loads(path.read_text())
-            profile = cls.from_dict(data)
-            profile.params.validate()
-            return profile
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            return cls.from_dict(json.loads(path.read_text()))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ProfileCacheError(f"cannot read cached profile {path}: {exc}") from exc
 
 
@@ -794,7 +677,7 @@ def load_profile(
     if not path.exists():
         return None
     profile = CalibratedProfile.load(path)
-    if profile.version != PROFILE_VERSION:
+    if profile is None:
         return None
     if profile.backend != backend or profile.world_size != world_size:
         raise ProfileCacheError(
@@ -808,12 +691,9 @@ def load_profile(
 def calibrate(
     world_size: int,
     backend: Optional[str] = None,
-    algorithm: str = "ring",
-    sizes: Optional[Sequence[int]] = None,
     quick: bool = False,
     cache_dir: Optional[Path] = None,
     force: bool = False,
-    base_iterations: Optional[int] = None,
 ) -> CalibratedProfile:
     """Measure, fit and cache the LogGP profile for one world size.
 
@@ -826,20 +706,10 @@ def calibrate(
         keyed by the resolved live handle's name, so ``"thread"`` and
         ``"process"`` profiles cache separately.  ``None`` uses the
         process-wide default backend.
-    algorithm:
-        Allreduce algorithm of the calibration sweep (the fitted
-        parameters apply to every algorithm; this one anchors the fit).
-        Ring is the default: it is the bandwidth-optimal algorithm the
-        fused exchange pipelines, and its measured cost curve is the
-        closest to affine-in-size on the thread backend, so the LogGP
-        family fits it tightest (recursive doubling's full-payload
-        rounds hit a cache knee the model cannot follow).
-    sizes:
-        Payload sizes in bytes; defaults to :data:`DEFAULT_SIZES`
-        (:data:`QUICK_SIZES` with ``quick=True``).
     quick:
-        Reduced sweep for CI smoke tests and on-the-fly resolution of
-        ``"auto"`` config values.
+        The reduced sweep (:data:`QUICK_SIZES`, 3 base iterations) for CI
+        smoke tests and on-the-fly resolution of ``"auto"`` config
+        values; otherwise :data:`DEFAULT_SIZES` at 6.
     cache_dir, force:
         Profile-cache location and whether to remeasure despite a cached
         profile being present.
@@ -852,58 +722,52 @@ def calibrate(
     backend = get_backend(backend).name
     if world_size < 2:
         raise ValueError(f"calibration needs world_size >= 2, got {world_size}")
-    if sizes is None:
-        sizes = QUICK_SIZES if quick else DEFAULT_SIZES
-    if base_iterations is None:
-        base_iterations = 3 if quick else 6
+    sizes = QUICK_SIZES if quick else DEFAULT_SIZES
+    base_iterations = 3 if quick else 6
     if not force:
         cached = load_profile(world_size, backend, cache_dir)
         # A cache hit must cover the requested sweep: a quick profile
         # (three sizes) must not silently satisfy a full calibration —
         # the 4 KiB - 4 MiB accuracy claim would then go unmeasured.
-        if cached is not None and cached.algorithm == algorithm:
+        if cached is not None and cached.algorithm == _ALGORITHM:
             covered = {s.nbytes for s in cached.samples if s.kind == "allreduce"}
-            if set(int(n) for n in sizes) <= covered:
+            if set(sizes) <= covered:
                 return cached
 
-    samples: List[CalibrationSample] = []
-    with _obs.span("calibrate-pingpong", "tuning", world_size=world_size):
-        samples += measure_pingpong(
-            world_size, sizes, base_iterations=base_iterations, backend=backend
-        )
+    with _obs.span("calibrate-world", "tuning", world_size=world_size):
+        world = measure_world(world_size, sizes, base_iterations, backend)
     with _obs.span("calibrate-reduce", "tuning"):
-        reduce_samples = measure_reduce(
-            sizes, base_iterations=base_iterations, world_size=world_size
-        )
-    samples += reduce_samples
-    with _obs.span("calibrate-allreduce", "tuning", algorithm=algorithm):
-        samples += measure_allreduce(
-            world_size, sizes, algorithm=algorithm, base_iterations=base_iterations,
-            backend=backend,
-        )
+        reduce_samples = measure_reduce(sizes, base_iterations, world_size)
+    samples = sorted(world + reduce_samples, key=lambda s: _SAMPLE_KINDS.index(s.kind))
     with _obs.span("calibrate-fit", "tuning", samples=len(samples)):
         params = fit_loggp(samples)
     # Per-link-class parameters.  The main sweep above ran the backend's
     # default topology — single-host for ``hier``, i.e. pure shm rings —
     # so its fit IS the intra-host tier.  Two-tier backends additionally
-    # measure the inter-host tier over a simulated cross-host topology;
-    # single-tier backends see the same parameters through both keys.
+    # measure the inter-host tier: a ping-pong world under a topology
+    # whose every pair crosses hosts, fitted with the (link-independent)
+    # reduce samples.  Its ``collective_overhead`` has no inter-link
+    # anchor (the hierarchical collective arms once, on the intra tier),
+    # so it is the intra fit's.  Single-tier backends see the same
+    # parameters through both keys.
     link_params = {"intra": params, "inter": params}
     if backend == "hier":
         with _obs.span("calibrate-inter-link", "tuning"):
-            link_params["inter"] = measure_inter_link(
-                world_size, sizes, base_iterations=base_iterations, backend=backend,
-                reduce_samples=reduce_samples, anchor=params,
+            inter = measure_world(
+                world_size, sizes, base_iterations, backend,
+                {"host_topology": cross_host_topology(world_size)}, allreduce=False,
+            )
+            link_params["inter"] = replace(
+                fit_loggp(inter + reduce_samples),
+                collective_overhead=params.collective_overhead,
             )
     with _obs.span("calibrate-codec", "tuning", nbytes=max(sizes)):
-        codec_costs = measure_codec_costs(
-            nbytes=max(sizes), base_iterations=base_iterations
-        )
+        codec_costs = measure_codec_costs(max(sizes), base_iterations)
     profile = CalibratedProfile(
         backend=backend,
         world_size=world_size,
         params=params,
-        algorithm=algorithm,
+        algorithm=_ALGORITHM,
         samples=tuple(samples),
         max_rel_error=max_relative_error(samples, params),
         codec_costs=codec_costs,

@@ -9,6 +9,9 @@ through the stack.
 
 import json
 import math
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +43,15 @@ from repro.tuning.autotune import (
     predict_exchange_time,
     tune_with_profile,
 )
-from repro.tuning.calibration import max_relative_error, predict_sample
+from repro.tuning.calibration import (
+    DEFAULT_SIZES,
+    PROFILE_VERSION,
+    QUICK_SIZES,
+    max_relative_error,
+    predict_sample,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +239,42 @@ class TestFitLogGP:
 # profile cache
 # ---------------------------------------------------------------------------
 def _profile(world_size=2, **overrides) -> CalibratedProfile:
+    """A profile that covers the quick sweep, so ``calibrate`` takes it
+    from the cache instead of measuring."""
     defaults = dict(
         backend="thread",
         world_size=world_size,
         params=LogGPParams(),
         algorithm="ring",
-        samples=(CalibrationSample("allreduce", world_size, 4096, 1e-4, "ring"),),
+        samples=tuple(
+            CalibrationSample("allreduce", world_size, nbytes, 1e-4, "ring")
+            for nbytes in QUICK_SIZES
+        ),
         max_rel_error=0.1,
     )
     defaults.update(overrides)
     return CalibratedProfile(**defaults)
+
+
+@contextmanager
+def _launches():
+    """Count the worlds launched inside the block."""
+    import repro.comm.backend as backend_module
+
+    with mock.patch.object(
+        backend_module, "launch", wraps=backend_module.launch
+    ) as spy:
+        yield spy
+
+
+@contextmanager
+def _reads_cache_only(path):
+    """The block launches no world and leaves the cached ``path`` as it was."""
+    before = path.read_bytes()
+    with _launches() as spy:
+        yield
+    assert spy.call_count == 0
+    assert path.read_bytes() == before
 
 
 class TestProfileCache:
@@ -258,12 +295,31 @@ class TestProfileCache:
             load_profile(2, cache_dir=tmp_path)
 
     def test_stale_version_triggers_recalibration_path(self, tmp_path):
-        path = profile_path(2, cache_dir=tmp_path)
-        data = _profile().to_dict()
+        path = _profile().save(profile_path(2, cache_dir=tmp_path))
+        data = json.loads(path.read_text())
         data["version"] = 0
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(data))
         assert load_profile(2, cache_dir=tmp_path) is None
+
+    def test_old_schema_with_unknown_key_reads_as_absent(self, tmp_path):
+        """The version is checked before the fields are: an old schema's
+        extra key is not a corrupt cache."""
+        path = _profile().save(profile_path(2, cache_dir=tmp_path))
+        data = json.loads(path.read_text())
+        data["version"] = PROFILE_VERSION - 1
+        data["link_tiers"] = {"intra": 1}
+        path.write_text(json.dumps(data))
+        assert load_profile(2, cache_dir=tmp_path) is None
+
+    def test_saved_file_is_the_dataclass_json(self, tmp_path):
+        """A profile the hand-written serialiser saved (a two-tier ``hier``
+        profile) loads and re-saves byte for byte."""
+        saved = DATA / "calibrated_profile_v3.json"
+        profile = CalibratedProfile.load(saved)
+        assert profile.version == PROFILE_VERSION and profile.is_two_tier
+        resaved = profile.save(tmp_path / "hier-p4.json")
+        assert resaved.read_bytes() == saved.read_bytes()
+        assert load_profile(4, backend="hier", cache_dir=tmp_path) == profile
 
     def test_wrong_key_rejected(self, tmp_path):
         _profile(world_size=4).save(profile_path(2, cache_dir=tmp_path))
@@ -271,13 +327,7 @@ class TestProfileCache:
             load_profile(2, cache_dir=tmp_path)
 
     def test_calibrate_measures_fits_and_caches(self, tmp_path):
-        profile = calibrate(
-            2,
-            sizes=(1024, 8192, 32768),
-            base_iterations=2,
-            cache_dir=tmp_path,
-            force=True,
-        )
+        profile = calibrate(2, cache_dir=tmp_path, force=True)
         profile.params.validate()
         assert profile.world_size == 2 and profile.backend == "thread"
         assert math.isfinite(profile.max_rel_error)
@@ -285,26 +335,22 @@ class TestProfileCache:
         # Second call with the same sweep must come from the cache:
         # identical object contents even though the thread backend would
         # never measure identically twice.
-        again = calibrate(2, sizes=(1024, 8192, 32768), cache_dir=tmp_path)
+        again = calibrate(2, cache_dir=tmp_path)
         assert again == profile
-        # A subset sweep is covered by the cached profile too.
-        subset = calibrate(2, sizes=(1024, 32768), cache_dir=tmp_path)
+        # The quick sweep is a subset: the full profile covers it too.
+        subset = calibrate(2, quick=True, cache_dir=tmp_path)
         assert subset == profile
 
     def test_cached_quick_profile_does_not_satisfy_full_sweep(self, tmp_path):
         """Regression: the cache was keyed only by (backend, world size),
         so a 3-point quick profile silently satisfied a full calibration
         and the 4 KiB - 4 MiB accuracy claim went unmeasured."""
-        quick = calibrate(
-            2, sizes=(1024, 8192), base_iterations=2, cache_dir=tmp_path, force=True
-        )
-        full = calibrate(
-            2, sizes=(1024, 8192, 32768), base_iterations=2, cache_dir=tmp_path
-        )
+        quick = calibrate(2, quick=True, cache_dir=tmp_path, force=True)
+        full = calibrate(2, cache_dir=tmp_path)
         assert full != quick
-        assert {s.nbytes for s in full.samples if s.kind == "allreduce"} == {
-            1024, 8192, 32768,
-        }
+        assert {s.nbytes for s in full.samples if s.kind == "allreduce"} == set(
+            DEFAULT_SIZES
+        )
         # The fuller profile replaced the quick one in the cache.
         assert load_profile(2, cache_dir=tmp_path) == full
 
@@ -362,7 +408,7 @@ class TestAutotune:
         plan = autotune(
             DEFAULT_NETWORK, 2, 64 * 1024,
             thresholds=[16 * 1024, 64 * 1024], chunks=[1, 2],
-            live_trials=2, live_iterations=1,
+            live_trials=2,
         )
         assert math.isfinite(plan.measured_time)
         assert math.isfinite(plan.measured_baseline_time)
@@ -482,7 +528,7 @@ class TestAutoResolution:
             TrainingConfig(pipeline_chunks=0).validate()
 
     def test_resolution_uses_cached_profile(self, tmp_path, monkeypatch):
-        _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
+        path = _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
         monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
         config = TrainingConfig(
             world_size=2,
@@ -491,7 +537,8 @@ class TestAutoResolution:
             allreduce_algorithm="ring",
         )
         config.validate()
-        resolved = resolve_auto_fusion(config, num_parameters=1 << 16)
+        with _reads_cache_only(path):
+            resolved = resolve_auto_fusion(config, num_parameters=1 << 16)
         assert isinstance(resolved.fusion_threshold_bytes, int)
         assert isinstance(resolved.pipeline_chunks, int)
         resolved.validate()
@@ -499,14 +546,15 @@ class TestAutoResolution:
         assert config.fusion_threshold_bytes == "auto"
 
     def test_pinned_values_survive_partial_auto(self, tmp_path, monkeypatch):
-        _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
+        path = _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
         monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
         config = TrainingConfig(
             world_size=2,
             fusion_threshold_bytes=128 * 1024,
             pipeline_chunks="auto",
         )
-        resolved = resolve_auto_fusion(config, num_parameters=1 << 16)
+        with _reads_cache_only(path):
+            resolved = resolve_auto_fusion(config, num_parameters=1 << 16)
         assert resolved.fusion_threshold_bytes == 128 * 1024
         assert isinstance(resolved.pipeline_chunks, int)
 
@@ -516,14 +564,8 @@ class TestAutoResolution:
         layout with the profile's inter-host link."""
         if "hier" not in available_backends():
             pytest.skip("hier backend unavailable")
-        from repro.tuning.calibration import QUICK_SIZES
-
-        # A cached profile covering the quick sweep: no live calibration.
-        samples = tuple(
-            CalibrationSample("allreduce", 4, nbytes, 1e-3, "ring") for nbytes in QUICK_SIZES
-        )
         profile = _profile(
-            world_size=4, backend="hier", samples=samples,
+            world_size=4, backend="hier",
             link_params={"intra": LogGPParams(), "inter": SLOW_INTER},
         )
         profile.save(profile_path(4, backend="hier", cache_dir=tmp_path))
@@ -552,13 +594,7 @@ class TestAutoResolution:
         """An eager run's "auto" knobs are priced on its partial allreduce
         per bucket: at 10^5 parameters on a ring run, the eager schedule
         prices 4 chunks cheapest where the synchronous ring picks 1."""
-        from repro.tuning.calibration import QUICK_SIZES
-
-        # A cached profile covering the quick sweep: no live calibration.
-        samples = tuple(
-            CalibrationSample("allreduce", 4, nbytes, 1e-3, "ring") for nbytes in QUICK_SIZES
-        )
-        _profile(world_size=4, params=DEFAULT_NETWORK, samples=samples).save(
+        _profile(world_size=4, params=DEFAULT_NETWORK).save(
             profile_path(4, cache_dir=tmp_path)
         )
         monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
@@ -617,14 +653,13 @@ class TestTunerPricesTheExchangesBuckets:
     )
     def test_bucket_counts_agree(self, tmp_path, monkeypatch, kind, threshold, codec):
         import importlib
-        from unittest import mock
 
         if kind is ShardedExchange and codec == "int8":
             pytest.skip("the sharded exchange rejects non-reduce-closed codecs")
         # The package re-exports the autotune *function* under the same
         # name as the submodule; fetch the submodule explicitly.
         autotune_module = importlib.import_module("repro.tuning.autotune")
-        _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
+        path = _profile(world_size=2).save(profile_path(2, cache_dir=tmp_path))
         monkeypatch.setenv("REPRO_TUNING_CACHE_DIR", str(tmp_path))
         num_parameters = 1500
         config = TrainingConfig(
@@ -642,7 +677,9 @@ class TestTunerPricesTheExchangesBuckets:
             captured["plan"] = real_autotune(*args, **kwargs)
             return captured["plan"]
 
-        with mock.patch.object(autotune_module, "autotune", side_effect=spy):
+        with _reads_cache_only(path), mock.patch.object(
+            autotune_module, "autotune", side_effect=spy
+        ):
             resolve_auto_fusion(config, num_parameters=num_parameters)
         # The one threshold priced, at the schedule's bucket count.
         priced = captured["plan"].num_buckets
@@ -690,9 +727,13 @@ class TestTuneHarness:
 @pytest.mark.parametrize("backend", available_backends())
 def test_quick_calibration_per_backend(backend, tmp_path):
     """``tune --quick`` on every backend, in one test: a P = 2 profile
-    cached under the backend's name, both link classes on ``hier``,
-    measured codec costs, and a pick never priced above the default."""
-    profile = calibrate(2, backend=backend, quick=True, cache_dir=tmp_path)
+    measured in one world (two on ``hier``: the inter-host tier is its
+    own world) and cached under the backend's name, both link classes on
+    ``hier``, measured codec costs, and a pick never priced above the
+    default."""
+    with _launches() as spy:
+        profile = calibrate(2, backend=backend, quick=True, cache_dir=tmp_path)
+    assert spy.call_count == (2 if backend == "hier" else 1)
     assert profile.backend == backend
     assert load_profile(2, backend=backend, cache_dir=tmp_path) == profile
     profile.params.validate()
