@@ -1,9 +1,9 @@
 """Collective operations: synchronous and *partial* (solo / majority).
 
 The synchronous collectives (:mod:`repro.collectives.sync`) implement the
-classic allreduce algorithms (recursive doubling, ring, Rabenseifner) over
-the point-to-point substrate and are the building block of the
-synchronous-SGD baselines.
+classic allreduce algorithms (recursive doubling, ring, Rabenseifner,
+hierarchical), all behind the one ``allreduce``, over the point-to-point
+substrate and are the building block of the synchronous-SGD baselines.
 
 The partial collectives (:mod:`repro.collectives.partial`) are the paper's
 contribution: *solo allreduce* (wait-free, any process can initiate) and
@@ -16,9 +16,6 @@ library offloading of Section 4.3.
 from repro.collectives.topology import binomial_tree_children
 from repro.collectives.sync import (
     allreduce,
-    allreduce_recursive_doubling,
-    allreduce_ring,
-    allreduce_rabenseifner,
     ALLREDUCE_ALGORITHMS,
 )
 from repro.collectives.sharding import (
@@ -39,9 +36,6 @@ from repro.collectives.partial import (
 __all__ = [
     "binomial_tree_children",
     "allreduce",
-    "allreduce_recursive_doubling",
-    "allreduce_ring",
-    "allreduce_rabenseifner",
     "ALLREDUCE_ALGORITHMS",
     "ALLGATHER_FLAT_ALGORITHMS",
     "ALLGATHER_FOR_REDUCE_SCATTER",

@@ -81,7 +81,7 @@ from repro.comm.communicator import CommTimeoutError, Communicator
 from repro.comm.mailbox import MailboxClosed
 from repro.comm.message import ANY_TAG
 from repro.comm.router import Channel
-from repro.collectives.sync import activation_plan, allreduce_recursive_doubling
+from repro.collectives.sync import _allreduce, activation_plan
 from repro.obs import recorder as _obs
 from repro.utils.rng import seeded_rng
 
@@ -170,7 +170,7 @@ class PartialAllreduce:
         rounds can progress independently without tag cross-talk.
     n_chunks:
         Pipeline the background reduction in this many segments (see
-        :func:`repro.collectives.sync.allreduce_recursive_doubling`).
+        :func:`repro.collectives.sync.allreduce`).
     """
 
     def __init__(
@@ -437,7 +437,7 @@ class PartialAllreduce:
         # — 2^53 for float64, 2048 for a float16 (compressed) collective —
         # and the constructor rejects world sizes beyond that range.
         payload[n] = 1.0 if fresh else 0.0
-        reduced = allreduce_recursive_doubling(
+        reduced = _allreduce(
             self.comm_lib, payload, n_chunks=self.n_chunks, copy=False
         )
         result = reduced[:n].reshape(self.shape)

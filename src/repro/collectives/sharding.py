@@ -11,7 +11,7 @@ module holds no schedule of its own: ``reduce_scatter`` runs the
 :func:`~repro.collectives.sync.reduce_scatter_plan` half of
 :mod:`repro.collectives.sync`'s split allreduces and ``allgather_flat``
 the :func:`~repro.collectives.sync.allgather_plan` half — the very two
-plans ``allreduce_ring`` and ``allreduce_rabenseifner`` run, one epoch
+plans ``allreduce`` runs for ``ring`` and ``rabenseifner``, one epoch
 of the communicator's collective counter per call.  The families, with
 the phase ids of :mod:`repro.collectives.sync`'s table:
 
@@ -129,7 +129,7 @@ def reduce_scatter(
     :data:`ALLGATHER_FOR_REDUCE_SCATTER`) refills them.
 
     The schedule is the reduce-scatter half of the matching split
-    allreduce (:func:`~repro.collectives.sync.allreduce_ring` for
+    allreduce (:func:`~repro.collectives.sync.allreduce`'s ``ring`` for
     ``ring``), so a reduce-scatter → owned-window update → parameter
     allgather pipeline is bitwise equal to updating after the full
     allreduce.

@@ -32,7 +32,7 @@ a short composition of them:
   (3), fold-out (9); latency-optimal, the reduction schedule of the
   paper's partial collectives.
 * **split allreduces** — an allreduce *is* a reduce-scatter followed by
-  an allgather.  ``allreduce_ring`` and ``allreduce_rabenseifner`` run
+  an allgather.  :func:`allreduce`'s ``ring`` and ``rabenseifner`` run
   both halves in one epoch (dividing the owned window in between under
   ``average``), the sharding module's ``reduce_scatter`` /
   ``allgather_flat`` one each — so ring allreduce ≡ reduce-scatter ∘
@@ -63,8 +63,8 @@ one rank's *plan*: a tuple of ``(span name | None, steps)`` stages, each
 :func:`run_plan` is the one executor and the only place these phases
 send or receive, so a steady-state collective builds no step.
 ``sync_tag`` checks the round and chunk fields when a plan is built and
-the epoch when it runs.  The composing functions keep what is not a
-message: the average divide and the codec's rounding of the owned
+the epoch when it runs.  The allreduce body and the two halves keep what
+is not a message: the average divide and the codec's rounding of the owned
 window.  The partial collectives' activation is a plan too
 (:func:`activation_plan`, the binomial broadcast rooted at the
 initiator): the progress thread sends to its send steps' peers on its
@@ -487,7 +487,7 @@ def allreduce_plan(
     fold-out.  ``ring`` and ``rabenseifner`` are their two halves back to
     back; ``hierarchical`` is intra-host reduce, the leader ring's two
     halves and intra-host broadcast (the ring on a single host, which is
-    what :func:`allreduce_hierarchical` runs there).
+    what :func:`allreduce` runs there).
     """
     if algorithm == "recursive_doubling":
         pof2 = largest_power_of_two_leq(size)
@@ -668,172 +668,69 @@ def _allgather_phases(
         run_plan(comm, flat, plan, epoch, wire=wire)
 
 
-def _split_allreduce(
-    comm: Communicator, arr: np.ndarray, algorithm: str,
-    reduce_op: Optional[ReduceOp], average: bool, n_chunks: int, codec=None,
-) -> np.ndarray:
-    """Reduce-scatter ∘ allgather of ``algorithm`` on ``arr`` in one epoch."""
-    epoch = comm.next_collective_epoch()
-    n_chunks = _validate_chunks(n_chunks)
-    if comm.size == 1:
-        return arr
-    flat = arr.reshape(-1)
-    _reduce_scatter_phases(
-        comm, flat, algorithm, epoch, n_chunks, reduce_op,
-        average=average, codec=codec,
-    )
-    _allgather_phases(
-        comm, flat, ALLGATHER_FOR_REDUCE_SCATTER[algorithm], epoch, n_chunks,
-        codec=codec,
-    )
-    return flat.reshape(arr.shape)
-
-
 # --------------------------------------------------------------------------
-# allreduce algorithms
+# the allreduce
 # --------------------------------------------------------------------------
-def allreduce_recursive_doubling(
-    comm: Communicator,
-    data,
-    op: ReduceOp | str = "sum",
-    n_chunks: int = 1,
-    copy: bool = True,
-    average: bool = False,
-) -> np.ndarray:
-    """Recursive-doubling allreduce (hypercube exchange): fold-in, the
-    power-of-two group's pairwise exchanges, fold-out (see the module
-    docstring); ``n_chunks`` segments every exchange."""
-    epoch = comm.next_collective_epoch()
-    reduce_op = get_op(op)
-    n_chunks = _validate_chunks(n_chunks)
-    acc = _as_float_array(data, copy=copy)
-    if comm.size == 1:
-        return acc
-    flat = acc.reshape(-1)
-    plan = allreduce_plan(
-        "recursive_doubling", comm.rank, comm.size, flat.size, n_chunks, None, False
-    )
-    run_plan(comm, flat, plan, epoch, reduce_op)
-    if average:
-        flat /= comm.size
-    return flat.reshape(acc.shape)
+#: Allreduce algorithms by name: each is a composition of the phases above.
+ALLREDUCE_ALGORITHMS = ("recursive_doubling", "ring", "rabenseifner", "hierarchical")
 
 
-def allreduce_ring(
-    comm: Communicator,
-    data,
-    op: ReduceOp | str = "sum",
-    n_chunks: int = 1,
-    copy: bool = True,
-    average: bool = False,
-    codec=None,
-) -> np.ndarray:
-    """Ring allreduce = ring reduce-scatter ∘ ring allgather, ``P - 1`` steps each.
-
-    The bandwidth-optimal algorithm of Horovod / baidu-allreduce, at any
-    world size.  Under ``average`` each rank divides only the chunk it
-    owns between the two halves; the allgather circulates the quotients.
-    ``n_chunks`` segments every hop; ``codec`` (reduce-closed, sum only)
-    is the dtype every hop travels in.
-    """
-    reduce_op = get_op(op)
-    if codec is not None:
-        _require_reduce_closed(codec, reduce_op)
-    return _split_allreduce(
-        comm, _as_float_array(data, copy=copy, codec=codec), "ring", reduce_op,
-        average, n_chunks, codec=codec,
-    )
-
-
-def allreduce_rabenseifner(
-    comm: Communicator,
-    data,
-    op: ReduceOp | str = "sum",
-    n_chunks: int = 1,
-    copy: bool = True,
-    average: bool = False,
-) -> np.ndarray:
-    """Rabenseifner's allreduce: fold-in, recursive halving ∘ recursive
-    doubling, fold-out — natively at every world size, never a fallback.
-    ``n_chunks`` segments the folds and the halving exchanges; the
-    doubling retrace sends one array per round.
-    """
-    return _split_allreduce(
-        comm, _as_float_array(data, copy=copy), "halving", get_op(op), average,
-        n_chunks,
-    )
-
-
-# --------------------------------------------------------------------------
-# hierarchical (two-tier) allreduce
-# --------------------------------------------------------------------------
-def allreduce_hierarchical(
-    comm: Communicator,
-    data,
-    op: ReduceOp | str = "sum",
-    n_chunks: int = 1,
-    copy: bool = True,
+def _allreduce(
+    comm: Communicator, data, op: ReduceOp | str = "sum",
+    algorithm: str = "recursive_doubling", average: bool = False,
+    n_chunks: int = 1, copy: bool = True, codec=None,
     topology: Optional[HostTopology] = None,
-    average: bool = False,
-    codec=None,
 ) -> np.ndarray:
-    """Two-tier allreduce: intra-host reduce, leader ring, intra-host bcast.
-
-    The three stages of the multi-host schedule:
-
-    1. every host reduces onto its leader along the reversed binomial
-       broadcast tree (fast links only, ``O(log n)`` leader receives);
-    2. the leaders — one rank per host — run a ring allreduce among
-       themselves, so each *inter-host* link carries the bandwidth-optimal
-       ``2 (H-1)/H`` payload volume exactly once per direction;
-    3. every leader broadcasts the result back down its host tree.
-
-    With ``topology`` omitted the transport's ``host_topology`` is used;
-    a single-host world runs the plain ring allreduce.  ``average``
-    divides at the leaders, before the broadcast, so every replica holds
-    the same bits.  ``codec`` (reduce-closed, sum only) is the wire dtype
-    of the leader ring, the inter-host tier; the intra-host tiers stay
-    dense.
-    """
-    topology = resolve_host_topology(topology or comm, comm.size)
-    if topology.is_single_host:
-        return allreduce_ring(
-            comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average,
-            codec=codec,
-        )
+    """:func:`allreduce` without its span, as the barrier and the partial
+    collectives' reduction run it.  Beside the plan: recursive doubling
+    divides at the end, the split algorithms between their halves, and
+    ``hierarchical`` rounds the leaders' ring window before their
+    allgather and divides there, before the intra-host broadcast."""
     reduce_op = get_op(op)
     if codec is not None:
         _require_reduce_closed(codec, reduce_op)
+    if algorithm == "hierarchical":
+        topology = resolve_host_topology(topology or comm, comm.size)
+        if topology.is_single_host:
+            algorithm = "ring"
     epoch = comm.next_collective_epoch()
     n_chunks = _validate_chunks(n_chunks)
     acc = _as_float_array(data, copy=copy, codec=codec)
+    if comm.size == 1:
+        return acc
     flat = acc.reshape(-1)
-
     wire = None if codec is None else codec.wire_dtype
-    intra_reduce, leader_rs, leader_ag, intra_bcast = allreduce_plan(
-        "hierarchical", comm.rank, comm.size, flat.size, n_chunks, topology,
-        wire is not None,
-    )
-    run_plan(comm, flat, (intra_reduce, leader_rs), epoch, reduce_op, wire)
-    if topology.is_leader(comm.rank):
-        if wire is not None:
-            host, hosts = topology.host(comm.rank), topology.num_hosts
-            lo, hi = _segment_bounds(flat.size, hosts)[(host + 1) % hosts]
-            flat[lo:hi] = flat[lo:hi].astype(wire)
-        run_plan(comm, flat, (leader_ag,), epoch, wire=wire)
+    if algorithm == "recursive_doubling":
+        plan = allreduce_plan(algorithm, comm.rank, comm.size, flat.size, n_chunks)
+        run_plan(comm, flat, plan, epoch, reduce_op)
         if average:
             flat /= comm.size
-    run_plan(comm, flat, (intra_bcast,), epoch)
+    elif algorithm == "hierarchical":
+        intra_reduce, leader_rs, leader_ag, intra_bcast = allreduce_plan(
+            algorithm, comm.rank, comm.size, flat.size, n_chunks, topology,
+            wire is not None,
+        )
+        run_plan(comm, flat, (intra_reduce, leader_rs), epoch, reduce_op, wire)
+        if topology.is_leader(comm.rank):
+            if wire is not None:
+                host, hosts = topology.host(comm.rank), topology.num_hosts
+                lo, hi = _segment_bounds(flat.size, hosts)[(host + 1) % hosts]
+                flat[lo:hi] = flat[lo:hi].astype(wire)
+            run_plan(comm, flat, (leader_ag,), epoch, wire=wire)
+            if average:
+                flat /= comm.size
+        run_plan(comm, flat, (intra_bcast,), epoch)
+    else:
+        halves = "halving" if algorithm == "rabenseifner" else algorithm
+        _reduce_scatter_phases(
+            comm, flat, halves, epoch, n_chunks, reduce_op, average=average,
+            codec=codec,
+        )
+        _allgather_phases(
+            comm, flat, ALLGATHER_FOR_REDUCE_SCATTER[halves], epoch, n_chunks,
+            codec=codec,
+        )
     return flat.reshape(acc.shape)
-
-
-#: Registry of allreduce algorithms by name.
-ALLREDUCE_ALGORITHMS: Dict[str, Callable] = {
-    "recursive_doubling": allreduce_recursive_doubling,
-    "ring": allreduce_ring,
-    "rabenseifner": allreduce_rabenseifner,
-    "hierarchical": allreduce_hierarchical,
-}
 
 
 def allreduce(
@@ -845,11 +742,16 @@ def allreduce(
     n_chunks: int = 1,
     copy: bool = True,
     codec=None,
+    topology: Optional[HostTopology] = None,
 ) -> np.ndarray:
     """Synchronous allreduce with a selectable algorithm.
 
     Parameters
     ----------
+    algorithm:
+        One of :data:`ALLREDUCE_ALGORITHMS`, each a composition of the
+        phases of the module docstring: the algorithm named is the one
+        that runs, at every world size.
     average:
         If true, divide the reduced result by the world size (the form
         needed by data-parallel SGD, line 6 of Algorithm 2).  The
@@ -865,27 +767,24 @@ def allreduce(
         wire dtype (see "Wire dtypes" in the module docstring).  Only
         ``ring`` and ``hierarchical`` (its leader ring) run ring phases,
         and only a sum rides a codec; anything else raises ``ValueError``.
+    topology:
+        ``hierarchical`` only: the host layout, by default the
+        transport's ``host_topology``; a single-host world runs the ring.
     """
-    try:
-        impl = ALLREDUCE_ALGORITHMS[algorithm]
-    except KeyError:
+    if algorithm not in ALLREDUCE_ALGORITHMS:
         raise ValueError(
             f"unknown allreduce algorithm {algorithm!r}; "
             f"available: {sorted(ALLREDUCE_ALGORITHMS)}"
-        ) from None
-    extra = {}
-    if codec is not None:
-        if algorithm not in ("ring", "hierarchical"):
-            raise ValueError(
-                f"allreduce with a codec runs the ring phases of 'ring' or "
-                f"'hierarchical', got algorithm {algorithm!r}"
-            )
-        extra["codec"] = codec
+        )
+    if codec is not None and algorithm not in ("ring", "hierarchical"):
+        raise ValueError(
+            f"allreduce with a codec runs the ring phases of 'ring' or "
+            f"'hierarchical', got algorithm {algorithm!r}"
+        )
     with _obs.span(
         f"allreduce[{algorithm}]", "collective",
         nbytes=_obs.payload_nbytes(data), n_chunks=n_chunks,
     ):
-        return impl(
-            comm, data, op=op, n_chunks=n_chunks, copy=copy, average=average,
-            **extra,
+        return _allreduce(
+            comm, data, op, algorithm, average, n_chunks, copy, codec, topology
         )

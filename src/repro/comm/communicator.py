@@ -206,14 +206,14 @@ class Communicator:
         """Return once every rank of this group has called ``barrier``.
 
         A zero-length recursive-doubling allreduce
-        (:func:`~repro.collectives.sync.allreduce_recursive_doubling`):
+        (:func:`~repro.collectives.sync.allreduce`, without its span):
         it draws one collective epoch, as every collective does, and no
         rank leaves its last exchange before every rank has entered the
         first (a non-power-of-two group's extras fold in and out).
         """
-        from repro.collectives.sync import allreduce_recursive_doubling
+        from repro.collectives.sync import _allreduce
 
-        allreduce_recursive_doubling(self, np.empty(0))
+        _allreduce(self, np.empty(0))
 
     def next_collective_epoch(self) -> int:
         """Sequence number of this group's next collective.

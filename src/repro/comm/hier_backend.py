@@ -8,8 +8,8 @@ travel the TCP sockets of :mod:`repro.comm.process_backend`.  Both link
 kinds speak the same wire format, so the split is invisible above the
 :class:`~repro.comm.backend.RouterLike` surface — except that the
 endpoint *exposes* the topology as ``host_topology``, which is what the
-topology-aware collectives (:func:`repro.collectives.sync.allreduce_hierarchical`)
-query to keep non-leader traffic off the slow links.
+topology-aware collectives (:func:`repro.collectives.sync.allreduce`'s
+``hierarchical``) query to keep non-leader traffic off the slow links.
 
 The topology arrives via ``backend_opts={"host_topology": ...}`` (a
 :class:`~repro.collectives.topology.HostTopology`, a rank -> host label

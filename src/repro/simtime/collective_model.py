@@ -132,7 +132,7 @@ class CollectiveLatencyResult:
 # ---------------------------------------------------------------------------
 #: Plan builder and accepted algorithm names of each collective kind.
 _KINDS = {
-    "allreduce": (sync.allreduce_plan, tuple(sync.ALLREDUCE_ALGORITHMS)),
+    "allreduce": (sync.allreduce_plan, sync.ALLREDUCE_ALGORITHMS),
     "reduce_scatter": (
         lambda *shape: sync.reduce_scatter_plan(*shape)[0],
         tuple(sync.ALLGATHER_FOR_REDUCE_SCATTER),

@@ -175,7 +175,7 @@ class TrainingConfig:
                 )
         if self.allreduce_algorithm not in ALLREDUCE_ALGORITHMS:
             raise ValueError(
-                f"allreduce_algorithm must be one of {tuple(ALLREDUCE_ALGORITHMS)}, "
+                f"allreduce_algorithm must be one of {ALLREDUCE_ALGORITHMS}, "
                 f"got {self.allreduce_algorithm!r}"
             )
         # Written so that NaN fails each bound: every comparison with NaN

@@ -74,7 +74,7 @@ When the transport exposes a multi-host
 :class:`~repro.collectives.topology.HostTopology` (the ``hier`` backend's
 ``comm.router.host_topology``), the schedule routes every bucket through
 the two-tier plans of :mod:`repro.collectives.sync`
-(:func:`~repro.collectives.sync.allreduce_hierarchical`, whose leader
+(``allreduce(..., algorithm="hierarchical")``, whose leader
 ring also carries a reduce-closed codec, or ZeRO-1's hierarchical
 reduce-scatter / allgather pair, which carries none), so only one rank
 per host (its leader) ever touches an inter-host link.  On a single-host

@@ -73,7 +73,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import recorder as _obs
 from repro.simtime.collective_model import allreduce_time
 from repro.simtime.network import LogGPParams
 
@@ -734,13 +733,10 @@ def calibrate(
             if set(sizes) <= covered:
                 return cached
 
-    with _obs.span("calibrate-world", "tuning", world_size=world_size):
-        world = measure_world(world_size, sizes, base_iterations, backend)
-    with _obs.span("calibrate-reduce", "tuning"):
-        reduce_samples = measure_reduce(sizes, base_iterations, world_size)
+    world = measure_world(world_size, sizes, base_iterations, backend)
+    reduce_samples = measure_reduce(sizes, base_iterations, world_size)
     samples = sorted(world + reduce_samples, key=lambda s: _SAMPLE_KINDS.index(s.kind))
-    with _obs.span("calibrate-fit", "tuning", samples=len(samples)):
-        params = fit_loggp(samples)
+    params = fit_loggp(samples)
     # Per-link-class parameters.  The main sweep above ran the backend's
     # default topology — single-host for ``hier``, i.e. pure shm rings —
     # so its fit IS the intra-host tier.  Two-tier backends additionally
@@ -752,17 +748,15 @@ def calibrate(
     # parameters through both keys.
     link_params = {"intra": params, "inter": params}
     if backend == "hier":
-        with _obs.span("calibrate-inter-link", "tuning"):
-            inter = measure_world(
-                world_size, sizes, base_iterations, backend,
-                {"host_topology": cross_host_topology(world_size)}, allreduce=False,
-            )
-            link_params["inter"] = replace(
-                fit_loggp(inter + reduce_samples),
-                collective_overhead=params.collective_overhead,
-            )
-    with _obs.span("calibrate-codec", "tuning", nbytes=max(sizes)):
-        codec_costs = measure_codec_costs(max(sizes), base_iterations)
+        inter = measure_world(
+            world_size, sizes, base_iterations, backend,
+            {"host_topology": cross_host_topology(world_size)}, allreduce=False,
+        )
+        link_params["inter"] = replace(
+            fit_loggp(inter + reduce_samples),
+            collective_overhead=params.collective_overhead,
+        )
+    codec_costs = measure_codec_costs(max(sizes), base_iterations)
     profile = CalibratedProfile(
         backend=backend,
         world_size=world_size,

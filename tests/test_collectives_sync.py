@@ -100,7 +100,6 @@ class TestHierarchicalAllreduce:
     @pytest.mark.parametrize("n_chunks", [1, 3])
     def test_matches_numpy_sum(self, hosts, n_chunks):
         from repro.collectives.topology import HostTopology
-        from repro.collectives.sync import allreduce_hierarchical
 
         size = sum(hosts)
         topology = HostTopology.from_hosts(hosts)
@@ -108,8 +107,9 @@ class TestHierarchicalAllreduce:
 
         def worker(comm):
             data = np.arange(elements, dtype=np.float64) + comm.rank
-            return allreduce_hierarchical(
-                comm, data, n_chunks=n_chunks, topology=topology
+            return allreduce(
+                comm, data, algorithm="hierarchical", n_chunks=n_chunks,
+                topology=topology,
             )
 
         expected = sum(np.arange(elements) + r for r in range(size))
@@ -118,14 +118,15 @@ class TestHierarchicalAllreduce:
 
     def test_average_divides_by_the_world_size(self):
         from repro.collectives.topology import HostTopology
-        from repro.collectives.sync import allreduce_hierarchical
 
         topology = HostTopology.from_hosts((3, 1))
 
         def worker(comm):
             data = np.random.default_rng(comm.rank).normal(size=23)
-            total = allreduce_hierarchical(comm, data, topology=topology)
-            return total, allreduce_hierarchical(comm, data, topology=topology, average=True)
+            total = allreduce(comm, data, algorithm="hierarchical", topology=topology)
+            return total, allreduce(
+                comm, data, algorithm="hierarchical", topology=topology, average=True
+            )
 
         for total, mean in launch(worker, 4):
             assert mean.tobytes() == (total / 4).tobytes()
@@ -142,18 +143,18 @@ class TestHierarchicalAllreduce:
 
     def test_back_to_back_hierarchical_and_ring(self):
         from repro.collectives.topology import HostTopology
-        from repro.collectives.sync import allreduce_hierarchical
 
         topology = HostTopology.from_hosts((3, 1))
 
         def worker(comm):
-            first = allreduce_hierarchical(
-                comm, np.array([float(comm.rank)]), topology=topology
+            first = allreduce(
+                comm, np.array([float(comm.rank)]), algorithm="hierarchical",
+                topology=topology,
             )
             second = allreduce(comm, np.array([float(comm.rank * 10)]),
                                algorithm="ring")
-            third = allreduce_hierarchical(
-                comm, np.array([1.0]), topology=topology
+            third = allreduce(
+                comm, np.array([1.0]), algorithm="hierarchical", topology=topology
             )
             return float(first[0]), float(second[0]), float(third[0])
 
@@ -163,7 +164,6 @@ class TestHierarchicalAllreduce:
     @pytest.mark.parametrize("hosts", [(3, 1), (4, 2, 2)])
     def test_compressed_replicas_bit_identical(self, hosts):
         from repro.collectives.topology import HostTopology
-        from repro.collectives.sync import allreduce_hierarchical
         from repro.compression import get_codec
 
         size = sum(hosts)
@@ -172,8 +172,9 @@ class TestHierarchicalAllreduce:
 
         def worker(comm):
             data = np.full(64, comm.rank + 1.0)
-            return allreduce_hierarchical(
-                comm, data, average=True, topology=topology, codec=codec
+            return allreduce(
+                comm, data, algorithm="hierarchical", average=True,
+                topology=topology, codec=codec,
             )
 
         results = launch(worker, size)
@@ -184,13 +185,12 @@ class TestHierarchicalAllreduce:
 
     def test_topology_size_mismatch_rejected(self):
         from repro.collectives.topology import HostTopology
-        from repro.collectives.sync import allreduce_hierarchical
 
         topology = HostTopology.from_hosts((3, 1))
 
         def worker(comm):
             with pytest.raises(ValueError):
-                allreduce_hierarchical(comm, np.ones(4), topology=topology)
+                allreduce(comm, np.ones(4), algorithm="hierarchical", topology=topology)
             return True
 
         assert all(launch(worker, 2))

@@ -19,12 +19,11 @@ from repro.comm.tags import (
     SYNC_MAX_PHASES as _TAG_MAX_PHASES,
     SYNC_MAX_ROUNDS as _TAG_MAX_ROUNDS,
     SYNC_PHASE_STRIDE as _PHASE_STRIDE,
+    decode_sync_tag,
     sync_tag as _tag,
 )
 from repro.collectives import allreduce
-from repro.collectives import sync as sync_mod
 from repro.collectives.partial import PartialAllreduce
-from repro.collectives.sync import allreduce_rabenseifner
 from repro.experiments import fusion_pipeline
 from repro.simtime.collective_model import allreduce_time
 from repro.simtime.network import LogGPParams
@@ -142,18 +141,39 @@ class TestNonPowerOfTwoWorlds:
             assert np.allclose(result, expected)
 
     @pytest.mark.parametrize("size", [3, 5, 6, 7])
-    def test_rabenseifner_never_falls_back(self, monkeypatch, size):
+    def test_rabenseifner_never_falls_back(self, size):
         """Regression: non-power-of-two worlds used to silently reroute to
-        recursive doubling; they must now run Rabenseifner natively."""
+        recursive doubling; they must now run Rabenseifner natively.
 
-        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("rabenseifner silently fell back to recursive doubling")
+        The witness is the wire: every tag a rank sends decodes to the
+        halving / doubling phases (6, 7) or the fold (8, 9), never to the
+        recursive-doubling exchange (3).
+        """
 
-        monkeypatch.setattr(sync_mod, "allreduce_recursive_doubling", forbidden)
-        results = launch(lambda comm: allreduce_rabenseifner(comm, np.full(11, comm.rank + 1.0)), size,
-        )
+        class SentPhases:
+            """Communicator proxy recording the phase of every sync tag sent."""
+
+            def __init__(self, comm):
+                self._comm = comm
+                self.phases = set()
+
+            def __getattr__(self, name):
+                return getattr(self._comm, name)
+
+            def send(self, data, dest, tag=0):
+                self.phases.add(decode_sync_tag(tag).phase)
+                self._comm.send(data, dest, tag=tag)
+
+        def worker(comm):
+            proxy = SentPhases(comm)
+            out = allreduce(proxy, np.full(11, comm.rank + 1.0), algorithm="rabenseifner")
+            return out, proxy.phases
+
+        results = launch(worker, size)
         expected = sum(range(1, size + 1))
-        for r in results:
+        sent = set().union(*(phases for _, phases in results))
+        assert sent == {6, 7, 8, 9}  # and so never 3, the recursive-doubling exchange
+        for r, _ in results:
             assert np.allclose(r, expected)
 
 

@@ -22,7 +22,7 @@ from repro.collectives.sharding import (
     allgather_flat,
     reduce_scatter,
 )
-from repro.collectives.sync import allreduce, allreduce_hierarchical
+from repro.collectives.sync import allreduce
 from repro.comm import launch
 from repro.data.loader import Batch
 from repro.nn.models import MLPClassifier, SequenceLSTMClassifier, resnet_cifar
@@ -338,8 +338,9 @@ def _in_place_worker(comm):
             out[algorithm, round_index] = allreduce(
                 comm, data, algorithm=algorithm, average=True, n_chunks=2
             )
-        out["hierarchical", round_index] = allreduce_hierarchical(
-            comm, data, average=True, n_chunks=2, topology=topology
+        out["hierarchical", round_index] = allreduce(
+            comm, data, algorithm="hierarchical", average=True, n_chunks=2,
+            topology=topology,
         )
         for algorithm in ("ring", "halving", "hierarchical"):
             kwargs = dict(algorithm=algorithm, n_chunks=2)

@@ -293,10 +293,7 @@ def test_run_plan_is_the_one_place_a_sync_collective_sends_or_receives():
 
 def _repeat_worker(comm, algorithm, topology):
     data = np.arange(23, dtype=np.float64) + comm.rank
-    if algorithm == "hierarchical":
-        out = sync.allreduce_hierarchical(comm, data, n_chunks=2, topology=topology)
-    else:
-        out = sync.allreduce(comm, data, algorithm=algorithm, n_chunks=2)
+    out = sync.allreduce(comm, data, algorithm=algorithm, n_chunks=2, topology=topology)
     flat, _ = sharding.reduce_scatter(comm, data, algorithm="ring", n_chunks=2)
     sharding.allgather_flat(comm, flat, algorithm="ring", n_chunks=2)
     return out
