@@ -3,10 +3,11 @@
 Three tools, one goal: catch schedule and protocol bugs *before* they
 need a 512-rank deployment and a lucky race to reproduce.
 
-* :mod:`repro.analysis.schedule_verifier` — records every registered
-  collective's global send/recv multigraph on a per-rank recording
-  communicator (:mod:`repro.analysis.recording`), interprets the
-  synchronous collectives' plans without threads at P up to 1024, and
+* :mod:`repro.analysis.schedule_verifier` — interprets the synchronous
+  collectives' plans without threads at P up to 1024, records what is
+  not a plan (serving, telemetry, a live partial round) on a thread per
+  rank and reads its global send/recv multigraph off the flight recorder
+  (:mod:`repro.analysis.recording`), and
   proves match-completeness, tag-space soundness, deadlock freedom and
   exact reduction coverage, swept over world sizes and host topologies.
 * :mod:`repro.analysis.ring_model` — bounded model checker of the

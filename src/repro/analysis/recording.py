@@ -1,42 +1,46 @@
-"""Recording communicator: run a collective, capture its message graph.
+"""Recorded runs: run real code on a thread per rank, read its message graph
+off the flight recorder.
 
 The schedule verifier needs the *global send/recv multigraph* of a
-collective — who sends what tag to whom, and which receive consumes which
-send — without caring about payload bandwidth.  This module provides a
-:class:`RecordingWorld` of :class:`RecordingCommunicator` endpoints
-(satisfying :class:`repro.comm.backend.CommunicatorLike`) that execute
-the *real* collective code per rank on an in-process router, while
-logging every send and receive as a :class:`CommEvent`.
+schedule — who sends what tag to whom, and which receive consumes which
+send — without caring about payload bandwidth.  :func:`record` runs
+``fn(comm)`` on a thread world with one
+:class:`~repro.obs.recorder.FlightRecorder` bound per rank, so the code
+under test runs on the plain :class:`~repro.comm.communicator.Communicator`
+and logs through the same ``send`` / ``recv`` / ``recv-timeout`` spans a
+traced run writes to its Chrome trace; the :class:`RunRecord` is read off
+those spans alone.
 
 Payloads are tiny integer certificate vectors (a few dozen elements),
-so a full sweep over every registered schedule at P up to 64 runs in
+so a full sweep over the recorded schedules at P up to 64 runs in
 seconds; the graph properties (match-completeness, tag soundness,
 deadlock freedom) are read off the event log alone, and the certificates
 prove reduction coverage exactly (integer ``float64`` arithmetic below
 ``2**53`` is exact).
 
-Receives carry a short timeout: a deliberately broken schedule does not
-hang the verifier — the starved receive is logged (kind ``"starved"``)
-and the checkers classify it as a deadlock cycle or a lost message.
+The world's receive deadline is short: a deliberately broken schedule
+does not hang the verifier — the receive that runs it out is recorded
+(kind ``"starved"``), raises
+:class:`~repro.comm.communicator.CommTimeoutError`, and the checkers
+classify it as a deadlock cycle or a lost message.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from repro.collectives.topology import HostTopology
-from repro.comm.communicator import Communicator
-from repro.comm.mailbox import land
-from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
-from repro.comm.router import Channel, DEFAULT_CHANNELS, Router
+from repro.comm.communicator import Communicator, CommTimeoutError
+from repro.comm.world import ThreadWorld
+from repro.obs import recorder as _obs
 
-
-class RecvStarvedError(RuntimeError):
-    """A recorded receive timed out: the matching send never arrived."""
+#: Events each rank's recorder holds: the largest recorded case, the fp16
+#: ring at P = 64, records about 500 (a send or receive is two: its span
+#: and its flow event).
+CAPACITY = 8192
 
 
 class CommEvent(NamedTuple):
@@ -44,11 +48,12 @@ class CommEvent(NamedTuple):
 
     ``kind`` is ``"send"``, ``"recv"`` or ``"starved"``.  ``peer`` is the
     destination rank of a send, the *matched* source of a receive, and
-    the awaited source of a starved receive.  ``seq`` is the router's
-    globally unique message id — a receive carries the seq of the send it
-    consumed, which is what turns the log into an exact send↔recv
-    pairing.  ``order`` is the per-rank program index (total order within
-    the rank), the program-order edges of the deadlock check.
+    the awaited source of a starved receive.  ``seq`` identifies a
+    message: a send's ``seq`` is its index in the record's events, and a
+    receive carries the seq of the send it consumed, which is what turns
+    the log into an exact send↔recv pairing.  ``order`` is the per-rank
+    program index (total order within the rank), the program-order edges
+    of the deadlock check.
     """
 
     kind: str
@@ -81,194 +86,89 @@ class RunRecord:
 
     @property
     def crashed(self) -> List[Tuple[int, BaseException]]:
-        """Rank failures that are *not* recorded starvations."""
+        """Rank failures that are *not* starvations (receive timeouts)."""
         return [
             (rank, err)
             for rank, err in enumerate(self.errors)
-            if err is not None and not isinstance(err, RecvStarvedError)
+            if err is not None and not isinstance(err, CommTimeoutError)
         ]
 
 
-def _payload_elements(payload: Any) -> int:
-    if isinstance(payload, np.ndarray):
-        return int(payload.size)
-    return 0
+def record(
+    fn: Callable[[Communicator], Any],
+    world_size: int,
+    recv_timeout: float = 30.0,
+    host_topology: Optional[HostTopology] = None,
+) -> RunRecord:
+    """Run ``fn(comm)`` on every rank of a thread world (one thread each,
+    ``recv_timeout`` its receive deadline, ``host_topology`` set on its
+    router for the hierarchical collectives to discover) and read the
+    run's :class:`RunRecord` off each rank's flight recorder.
 
+    Exceptions — including the ``CommTimeoutError`` of a receive that ran
+    out the deadline — are captured per rank, never raised: the checkers
+    decide what a failure means.  A recorder that dropped events raises
+    ``RuntimeError``: a partial log must never pass as a proof.
 
-class RecordingCommunicator(Communicator):
-    """A :class:`Communicator` that logs every send/recv it performs.
-
-    Behaviour is identical to the thread transport (same router, same
-    mailboxes, same eager-send semantics), so the schedule that runs here
-    is byte-for-byte the schedule that runs in production — only with an
-    event log on the side and a short receive timeout instead of the
-    2-minute production safety net.
+    Per rank, events are in program order by time: a send at its span's
+    start, a receive or starvation at its span's end.  Sends and receives
+    pair FIFO per ``(channel, source, dest, tag)``, as a mailbox matches
+    them, so every match edge points forward in time too.
     """
+    world = ThreadWorld(world_size, default_timeout=recv_timeout)
+    if host_topology is not None:
+        world.router.host_topology = host_topology
+    recorders = [_obs.FlightRecorder(rank, CAPACITY) for rank in range(world_size)]
+    results: List[Any] = [None] * world_size
+    errors: List[Optional[BaseException]] = [None] * world_size
 
-    def __init__(
-        self,
-        world: "RecordingWorld",
-        rank: int,
-        channel: str = Channel.APP,
-    ) -> None:
-        super().__init__(
-            world.router, rank, channel=channel,
-            default_timeout=world.recv_timeout,
-        )
-        self._world = world
-
-    # ------------------------------------------------------------- record
-    def _record(
-        self, kind: str, peer: int, tag: int, seq: int, elements: int,
-        order: Optional[int] = None,
-    ) -> None:
-        self._world.record(
-            CommEvent(
-                kind=kind,
-                rank=self._rank,
-                order=self._world.next_order(self._rank) if order is None else order,
-                channel=self._channel,
-                peer=peer,
-                tag=tag,
-                seq=seq,
-                elements=elements,
-            )
-        )
-
-    # --------------------------------------------------------------- send
-    def _deliver(self, payload: Any, dest: int, tag: int) -> Message:
-        # The program index is taken before the message can be received:
-        # another thread of this rank (a progress thread) may receive it
-        # before this one logs the send, and must still log after it.
-        order = self._world.next_order(self._rank)
-        msg = super()._deliver(payload, dest, tag)
-        self._record(
-            "send", msg.dest, msg.tag, msg.seq, _payload_elements(payload), order
-        )
-        return msg
-
-    # --------------------------------------------------------------- recv
-    def recv_message(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
-    ) -> Message:
-        effective = self.default_timeout if timeout is None else min(
-            timeout, self.default_timeout
-        )
+    def worker(rank: int) -> None:
+        _obs.bind(recorders[rank])
         try:
-            msg = self._mailbox.get(source, tag, timeout=effective)
-        except TimeoutError:
-            self._record("starved", source, int(tag), -1, 0)
-            raise RecvStarvedError(
-                f"rank {self._rank}/{self._channel}: no matching send for "
-                f"recv(source={source}, tag={tag}) within {effective}s"
-            ) from None
-        self._record(
-            "recv", msg.source, msg.tag, msg.seq, _payload_elements(msg.payload)
-        )
-        return msg
+            results[rank] = fn(world.communicator(rank))
+        except BaseException as exc:  # noqa: BLE001 - recorded, not raised
+            errors[rank] = exc
 
-    def recv_into(self, out, source: int, tag: int, op=None) -> None:
-        land(out, self.recv_message(source, tag).payload, op)
+    threads = [
+        threading.Thread(target=worker, args=(rank,), name=f"verify-rank-{rank}")
+        for rank in range(world_size)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    world.close()
+    for rec in recorders:
+        if rec.dropped:
+            raise RuntimeError(
+                f"rank {rec.rank}'s recorder dropped {rec.dropped} of "
+                f"{rec.total_recorded} events: its log is partial"
+            )
 
-    def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Any]:
-        msg = self._mailbox.poll(source, tag)
-        if msg is None:
-            return None
-        self._record(
-            "recv", msg.source, msg.tag, msg.seq, _payload_elements(msg.payload)
-        )
-        return msg.payload
-
-    # ---------------------------------------------------------------- dup
-    def dup(self, channel: Optional[str] = None) -> "RecordingCommunicator":
-        return RecordingCommunicator(
-            self._world, self._rank, channel=channel or self._channel
-        )
-
-
-class RecordingWorld:
-    """A thread-per-rank world whose communicators log every message.
-
-    Parameters
-    ----------
-    world_size:
-        Number of ranks.
-    channels:
-        Router channels to create (the production default set).
-    host_topology:
-        When given, exposed as ``router.host_topology`` so hierarchical
-        collectives discover it exactly the way they discover the ``hier``
-        backend's topology.
-    recv_timeout:
-        Per-receive timeout; broken schedules surface as recorded
-        starvation after this many seconds instead of hanging.
-    """
-
-    def __init__(
-        self,
-        world_size: int,
-        channels: Sequence[str] = DEFAULT_CHANNELS,
-        host_topology: Optional[HostTopology] = None,
-        recv_timeout: float = 30.0,
-    ) -> None:
-        self.world_size = int(world_size)
-        self.router = Router(self.world_size, channels)
-        if host_topology is not None:
-            self.router.host_topology = host_topology
-        self.recv_timeout = float(recv_timeout)
-        self.events: List[CommEvent] = []
-        self._lock = threading.Lock()
-        self._orders = [0] * self.world_size
-
-    # ---------------------------------------------------------- recording
-    def record(self, event: CommEvent) -> None:
-        with self._lock:
-            self.events.append(event)
-
-    def next_order(self, rank: int) -> int:
-        with self._lock:
-            order = self._orders[rank]
-            self._orders[rank] = order + 1
-            return order
-
-    # -------------------------------------------------------------- world
-    def communicator(
-        self, rank: int, channel: str = Channel.APP
-    ) -> RecordingCommunicator:
-        return RecordingCommunicator(self, rank, channel=channel)
-
-    def run(self, fn: Callable[[RecordingCommunicator], Any]) -> RunRecord:
-        """Run ``fn(comm)`` on every rank (one thread each) and record.
-
-        Exceptions — including :class:`RecvStarvedError` from timed-out
-        receives — are captured per rank, never raised: the checkers
-        decide what a failure means.
-        """
-        results: List[Any] = [None] * self.world_size
-        errors: List[Optional[BaseException]] = [None] * self.world_size
-
-        def worker(rank: int) -> None:
-            try:
-                results[rank] = fn(self.communicator(rank))
-            except BaseException as exc:  # noqa: BLE001 - recorded, not raised
-                errors[rank] = exc
-
-        threads = [
-            threading.Thread(target=worker, args=(rank,), name=f"verify-rank-{rank}")
-            for rank in range(self.world_size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        with self._lock:
-            events = list(self.events)
-        return RunRecord(
-            world_size=self.world_size,
-            events=events,
-            results=results,
-            errors=errors,
-        )
+    # (time, sends first at a tie, rank, append index, kind, args) of every
+    # comm span.
+    kinds = {"send": "send", "recv": "recv", "recv-timeout": "starved"}
+    spans = sorted(
+        (ts if name == "send" else ts + dur, name != "send", rec.rank, index,
+         kinds[name], args)
+        for rec in recorders
+        for index, (_ph, name, cat, ts, dur, args, _thread) in enumerate(rec.events())
+        if cat == "comm" and name in kinds
+    )
+    events: List[CommEvent] = []
+    orders = [0] * world_size
+    unreceived: defaultdict = defaultdict(deque)
+    for _t, _late, rank, _index, kind, args in spans:
+        peer, tag, channel = args["peer"], args["tag"], args["channel"]
+        seq = -1
+        if kind == "send":
+            seq = len(events)
+            unreceived[channel, rank, peer, tag].append(seq)
+        elif kind == "recv":
+            waiting = unreceived[channel, peer, rank, tag]
+            seq = waiting.popleft() if waiting else -1
+        events.append(CommEvent(
+            kind, rank, orders[rank], channel, peer, tag, seq, args.get("elements", 0)
+        ))
+        orders[rank] += 1
+    return RunRecord(world_size, events, results, errors)

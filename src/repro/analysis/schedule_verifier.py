@@ -49,10 +49,11 @@ activation, the binomial broadcast rooted at each initiator in turn
 (:func:`activation_case`, up to P = 64) — interpreted at every world
 size of the sweep and at P = 64, 256 and 1024.
 
-What is not a plan runs on a thread per rank under
-:mod:`repro.analysis.recording`: the serving tier's request/response +
-hot-swap round trip (:func:`serving_round_trip`) and the flight-recorder
-telemetry collection (:func:`telemetry_round_trip`) in
+What is not a plan runs on a thread per rank with a flight recorder
+bound to each, and :func:`repro.analysis.recording.record` reads its
+record off the recorders' ``comm`` spans: the serving tier's
+request/response + hot-swap round trip (:func:`serving_round_trip`) and
+the flight-recorder telemetry collection (:func:`telemetry_round_trip`) in
 :func:`build_cases`, and one round of the real
 :class:`~repro.collectives.partial.PartialAllreduce`
 (:func:`partial_round_case`), whose progress threads send along the
@@ -78,16 +79,11 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Seq
 
 import numpy as np
 
-from repro.analysis.recording import (
-    CommEvent,
-    RecordingCommunicator,
-    RecordingWorld,
-    RecvStarvedError,
-    RunRecord,
-)
+from repro.analysis.recording import CommEvent, RunRecord, record
 from repro.collectives import sync
 from repro.collectives.topology import HostTopology
 from repro.comm import tags
+from repro.comm.communicator import Communicator, CommTimeoutError
 from repro.comm.router import Channel
 
 #: World sizes of the default sweep: the paper's power-of-two scales plus
@@ -436,18 +432,14 @@ class VerifyCase:
 
     name: str
     world_size: int
-    fn: Callable[[RecordingCommunicator], Any]
+    fn: Callable[[Communicator], Any]
     expected: Optional[Callable[[int], Any]] = None
     regions: FrozenSet[str] = _REGIONS_SYNC
     host_topology: Optional[HostTopology] = None
     recv_timeout: float = HEALTHY_RECV_TIMEOUT
 
     def record(self) -> RunRecord:
-        return RecordingWorld(
-            self.world_size,
-            host_topology=self.host_topology,
-            recv_timeout=self.recv_timeout,
-        ).run(self.fn)
+        return record(self.fn, self.world_size, self.recv_timeout, self.host_topology)
 
 
 @dataclass
@@ -743,7 +735,7 @@ def interpret(
     pcs, waiting = sync.walk_plans(plans, on_send, on_recv)
     for (source, rank, tag), _ in sorted(waiting.items(), key=lambda item: item[1]):
         events.append(CommEvent("starved", rank, pcs[rank], Channel.APP, source, tag, -1, 0))
-        errors[rank] = RecvStarvedError(
+        errors[rank] = CommTimeoutError(
             f"rank {rank}: no send matches its receive from {source} (tag {tag})"
         )
     return RunRecord(size, events, bufs, errors)

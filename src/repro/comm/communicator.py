@@ -27,7 +27,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.comm.mailbox import CommTimeoutError  # noqa: F401 - raised by receives, exported here
+from repro.comm.mailbox import CommTimeoutError
 from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
 from repro.comm.router import Channel, Router
 from repro.obs import recorder as _obs
@@ -145,10 +145,7 @@ class Communicator:
         else:
             t0 = _obs.perf_counter_ns()
             self._router.deliver(msg, self._channel)
-            _obs.record_send(
-                rec, self._channel, self._rank, dest, msg.tag,
-                _obs.payload_nbytes(payload), t0,
-            )
+            _obs.record_send(rec, self._channel, self._rank, dest, msg.tag, payload, t0)
         return msg
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
@@ -172,16 +169,24 @@ class Communicator:
         timeout: Optional[float] = None,
     ) -> Message:
         """Blocking receive returning the full :class:`Message` envelope;
-        ``timeout`` (seconds) overrides the communicator's deadline."""
+        ``timeout`` (seconds) overrides the communicator's deadline.
+
+        Under a flight recorder a receive is a ``recv`` span, and one that
+        runs out the world's deadline a ``recv-timeout`` span; a receive
+        given its own ``timeout`` records nothing when that expires."""
         effective = self.default_timeout if timeout is None else timeout
         rec = _obs.current()
         if rec is None:
             return self._mailbox.get(source, tag, timeout=effective)
         t0 = _obs.perf_counter_ns()
-        msg = self._mailbox.get(source, tag, timeout=effective)
+        try:
+            msg = self._mailbox.get(source, tag, timeout=effective)
+        except CommTimeoutError:
+            if timeout is None:
+                _obs.record_timeout(rec, self._channel, source, tag, t0)
+            raise
         _obs.record_recv(
-            rec, self._channel, msg.source, self._rank, msg.tag,
-            _obs.payload_nbytes(msg.payload), t0,
+            rec, self._channel, msg.source, self._rank, msg.tag, msg.payload, t0
         )
         return msg
 
@@ -192,14 +197,27 @@ class Communicator:
         straight in ``out`` (see :mod:`repro.comm.process_backend`)."""
         rec = _obs.current()
         t0 = 0 if rec is None else _obs.perf_counter_ns()
-        self._mailbox.get_into(out, source, tag, op, timeout=self.default_timeout)
+        try:
+            self._mailbox.get_into(out, source, tag, op, timeout=self.default_timeout)
+        except CommTimeoutError:
+            if rec is not None:
+                _obs.record_timeout(rec, self._channel, source, tag, t0)
+            raise
         if rec is not None:
-            _obs.record_recv(rec, self._channel, source, self._rank, tag, out.nbytes, t0)
+            _obs.record_recv(rec, self._channel, source, self._rank, tag, out, t0)
 
     def poll(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Any]:
         """Non-blocking receive; returns the payload or ``None``."""
+        rec = _obs.current()
+        t0 = 0 if rec is None else _obs.perf_counter_ns()
         msg = self._mailbox.poll(source, tag)
-        return None if msg is None else msg.payload
+        if msg is None:
+            return None
+        if rec is not None:
+            _obs.record_recv(
+                rec, self._channel, msg.source, self._rank, msg.tag, msg.payload, t0
+            )
+        return msg.payload
 
     # ------------------------------------------------------------ barrier
     def barrier(self) -> None:

@@ -42,6 +42,8 @@ import zlib
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 __all__ = [
     "DEFAULT_CAPACITY",
     "FlightRecorder",
@@ -54,6 +56,7 @@ __all__ = [
     "payload_nbytes",
     "record_send",
     "record_recv",
+    "record_timeout",
 ]
 
 #: Default ring capacity: 64Ki events ≈ a few MB of tuples — enough for
@@ -266,20 +269,30 @@ def payload_nbytes(payload: Any) -> int:
     return int(nbytes) if isinstance(nbytes, int) else 0
 
 
+def _comm_args(channel: str, peer: int, tag: int, payload: Any) -> Dict[str, Any]:
+    """A send or receive span's args: ``elements`` is an array payload's
+    size, else 0."""
+    return {
+        "peer": peer, "tag": tag, "nbytes": payload_nbytes(payload),
+        "channel": channel,
+        "elements": int(payload.size) if isinstance(payload, np.ndarray) else 0,
+    }
+
+
 def record_send(
     rec: FlightRecorder,
     channel: str,
     source: int,
     dest: int,
     tag: int,
-    nbytes: int,
+    payload: Any,
     t0_ns: int,
 ) -> None:
     """One send = a short "send" span over the deliver + a flow start."""
     t1 = perf_counter_ns()
     rec._append(
         KIND_SPAN, "send", "comm", t0_ns, t1 - t0_ns,
-        {"peer": dest, "tag": tag, "nbytes": nbytes},
+        _comm_args(channel, dest, tag, payload),
     )
     rec.flow_out(flow_id(channel, source, dest, tag), ts_ns=t0_ns)
 
@@ -290,13 +303,24 @@ def record_recv(
     source: int,
     dest: int,
     tag: int,
-    nbytes: int,
+    payload: Any,
     t0_ns: int,
 ) -> None:
     """One recv = a "recv" span covering the mailbox wait + a flow end."""
     t1 = perf_counter_ns()
     rec._append(
         KIND_SPAN, "recv", "comm", t0_ns, t1 - t0_ns,
-        {"peer": source, "tag": tag, "nbytes": nbytes},
+        _comm_args(channel, source, tag, payload),
     )
     rec.flow_in(flow_id(channel, source, dest, tag), ts_ns=t1)
+
+
+def record_timeout(
+    rec: FlightRecorder, channel: str, source: int, tag: int, t0_ns: int
+) -> None:
+    """A receive that ran out the world's deadline = a "recv-timeout" span
+    naming the awaited ``source`` (``-1``: any), ``tag`` and ``channel``."""
+    rec._append(
+        KIND_SPAN, "recv-timeout", "comm", t0_ns, perf_counter_ns() - t0_ns,
+        {"peer": source, "tag": tag, "channel": channel},
+    )

@@ -134,13 +134,16 @@ def trace_report(trace: Dict[str, Any]) -> Dict[str, Any]:
 
     ``trace`` is the object :func:`session` writes, or its JSON loaded back
     (both give the same report).  Per track: the straggler attribution
-    (:func:`~repro.obs.metrics.straggler_attribution`), and what the
-    training runner records — its ``run`` instant (mode, sharding), its
+    (:func:`~repro.obs.metrics.straggler_attribution`), what the training
+    runner records — its ``run`` instant (mode, sharding), its
     ``optimizer-state-bytes`` counter and its ``final-model`` instant (the
-    model hash).  Over every track's ``exchange`` spans: p50 / p99 seconds.
+    model hash) — and the count of ``recv-timeout`` spans, the receives
+    that ran out the world's deadline.  Over every track's ``exchange``
+    spans: p50 / p99 seconds.
     """
     exchange = LogHistogram()
     state_bytes: Dict[int, int] = {}
+    timeouts: Dict[int, int] = {}
     runs: Dict[int, Dict[str, Any]] = {}
     hashes: Dict[int, str] = {}
     for event in trace["traceEvents"]:
@@ -153,6 +156,8 @@ def trace_report(trace: Dict[str, Any]) -> Dict[str, Any]:
             runs[event["pid"]] = event["args"]
         elif kind == ("i", "train", "final-model"):
             hashes[event["pid"]] = event["args"]["hash"]
+        elif kind == ("X", "comm", "recv-timeout"):
+            timeouts[event["pid"]] = timeouts.get(event["pid"], 0) + 1
     other = trace["otherData"]
     return {
         "worlds": other["worlds"],
@@ -163,6 +168,7 @@ def trace_report(trace: Dict[str, Any]) -> Dict[str, Any]:
         "runs": runs,
         "optimizer_state_bytes": state_bytes,
         "model_hashes": hashes,
+        "recv_timeouts": timeouts,
         "exchanges": exchange.count,
         "exchange_p50_s": exchange.quantile(0.50) if exchange.count else None,
         "exchange_p99_s": exchange.quantile(0.99) if exchange.count else None,
@@ -206,6 +212,9 @@ def format_summary(report: Dict[str, Any], path: str) -> str:
         }
         if hashes:
             lines.append("    " + models_line(hashes))
+    timeouts = sum(report["recv_timeouts"].values())
+    if timeouts:
+        lines.append(f"  timeouts   : {timeouts} receive(s) ran out the world's deadline")
     if report["exchanges"]:
         lines.append(
             f"  exchange   : p50 {1e3 * report['exchange_p50_s']:.3f} ms, p99 "

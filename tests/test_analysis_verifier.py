@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import schedule_verifier as sv
-from repro.analysis.recording import RecordingWorld
+from repro.analysis import recording
 from repro.collectives import sync
 from repro.collectives.topology import HostTopology
 from repro.comm import tags
@@ -102,6 +102,21 @@ def test_interpreted_event_order_is_a_deadlock_witness(size):
         assert sv.check_deadlock_freedom(record, case.name, toposort=True) == []
 
 
+def test_a_recorder_that_dropped_events_fails_the_record(monkeypatch):
+    """Four sends and four receives are eight events per rank: a 4-slot
+    recorder drops half of them, and a partial log proves nothing."""
+    def fn(comm):
+        for k in range(4):
+            if comm.rank == 0:
+                comm.send(np.ones(1), 1, tag=tags.sync_tag(0, 0, k, 0))
+            else:
+                comm.recv(source=0, tag=tags.sync_tag(0, 0, k, 0))
+
+    monkeypatch.setattr(recording, "CAPACITY", 4)
+    with pytest.raises(RuntimeError, match="rank 0's recorder dropped 4 of 8 events"):
+        recording.record(fn, 2)
+
+
 def test_tag_layout_static_case():
     result = sv.check_tag_layout()
     assert result.ok, [str(v) for v in result.violations]
@@ -117,7 +132,7 @@ def test_dropped_recv_is_an_orphan_send():
         if comm.rank != 0:
             comm.recv(source=(comm.rank - 1) % comm.size, tag=tag)
 
-    record = RecordingWorld(4, recv_timeout=1.0).run(fn)
+    record = recording.record(fn, 4, recv_timeout=1.0)
     violations = sv.check_match_completeness(record, "dropped-recv")
     assert any("orphan send" in str(v) for v in violations), [
         str(v) for v in violations
@@ -134,7 +149,7 @@ def test_reused_tag_is_an_ambiguous_match():
             comm.recv(source=0, tag=tag)
             comm.recv(source=0, tag=tag)
 
-    record = RecordingWorld(2, recv_timeout=1.0).run(fn)
+    record = recording.record(fn, 2, recv_timeout=1.0)
     violations = sv.check_match_completeness(record, "reused-tag")
     assert any("ambiguous match" in str(v) for v in violations), [
         str(v) for v in violations
@@ -148,7 +163,7 @@ def test_swapped_ring_neighbor_is_a_deadlock_cycle():
         comm.send(np.ones(2), succ, tag=tag)
         comm.recv(source=succ, tag=tag)  # wrong neighbour: cyclic wait
 
-    record = RecordingWorld(4, recv_timeout=1.0).run(fn)
+    record = recording.record(fn, 4, recv_timeout=1.0)
     violations = sv.check_deadlock_freedom(record, "swapped-neighbor")
     assert any("cyclic wait" in str(v) for v in violations), [
         str(v) for v in violations
@@ -166,7 +181,7 @@ def test_double_counted_term_breaks_reduction_coverage():
             result = result + sv.contribution(0, 4)
         return result
 
-    record = RecordingWorld(4, recv_timeout=1.0).run(fn)
+    record = recording.record(fn, 4, recv_timeout=1.0)
     violations = sv.check_reduction_coverage(
         record, "double-count", lambda rank: total
     )
@@ -181,7 +196,7 @@ def test_rogue_user_tag_breaks_tag_soundness():
         comm.send(np.ones(1), succ, tag=7)
         comm.recv(source=pred, tag=7)
 
-    record = RecordingWorld(3, recv_timeout=5.0).run(fn)
+    record = recording.record(fn, 3, recv_timeout=5.0)
     violations = sv.check_tag_soundness(
         record, "user-tag", frozenset({tags.SYNC.name})
     )

@@ -1228,7 +1228,6 @@ class TestDeadlines:
     def test_no_collective_barrier_or_telemetry_call_takes_a_timeout(self):
         import inspect
 
-        from repro.analysis.recording import RecordingCommunicator
         from repro.collectives import sharding, sync
         from repro.comm import Communicator, CommunicatorLike, SubsetCommunicator
         from repro.obs import collect
@@ -1243,8 +1242,7 @@ class TestDeadlines:
         ]
         callables += [
             (f"{cls.__name__}.{method}", getattr(cls, method))
-            for cls in (Communicator, SubsetCommunicator, RecordingCommunicator,
-                        CommunicatorLike)
+            for cls in (Communicator, SubsetCommunicator, CommunicatorLike)
             for method in ("barrier", "recv_into")
         ]
         # The scan must reach the entry points it exists to check.
@@ -1256,7 +1254,6 @@ class TestDeadlines:
             "repro.obs.collect.gather_traces",
             "Communicator.barrier", "Communicator.recv_into",
             "SubsetCommunicator.barrier", "SubsetCommunicator.recv_into",
-            "RecordingCommunicator.barrier", "RecordingCommunicator.recv_into",
             "CommunicatorLike.barrier", "CommunicatorLike.recv_into",
         } <= {name for name, _ in callables}
         offenders = [

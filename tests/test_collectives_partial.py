@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.recording import RecordingWorld
+from repro.analysis import recording
 from repro.comm import available_backends, backend_unavailable_reason, launch, tags
 from repro.comm.router import Channel
 from repro.collectives import PartialAllreduce, PartialMode, make_partial_allreduce, sync
@@ -145,7 +145,7 @@ def test_live_activation_sends_the_frozen_edges_of_the_plan(size):
     the send steps of that initiator's ``sync.activation_plan``; every
     rank initiates at least once."""
     frozen = json.loads(ACTIVATION_EDGES.read_text())[str(size)]
-    record = RecordingWorld(size).run(lambda comm: _majority_initiators(comm, 6 * size))
+    record = recording.record(lambda comm: _majority_initiators(comm, 6 * size), size)
     assert not any(record.errors), record.errors
     initiators = record.results[0]
     assert sorted(set(initiators)) == list(range(size))

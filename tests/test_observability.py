@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.schedule_verifier import telemetry_round_trip
-from repro.comm.backend import available_backends, launch
+from repro.comm.backend import WorldError, available_backends, launch
+from repro.comm.communicator import CommTimeoutError
 from repro import obs
 from repro.obs import recorder as rec_mod
 from repro.obs.collect import estimate_clock_offsets, gather_traces
@@ -400,6 +403,88 @@ def test_payload_nbytes_sums_nested_tuples():
     assert rec_mod.payload_nbytes(payload) == 32 + 8
     assert rec_mod.payload_nbytes(np.ones(3)) == 24
     assert rec_mod.payload_nbytes(("barrier", 0, 1)) == 0
+
+
+# ---------------------------------------------------------------------------
+# what a receive records: polls, deadline misses, short timeouts
+# ---------------------------------------------------------------------------
+def _polled_send(comm):
+    """Rank 0 sends rank 1 an array, which rank 1 takes with ``poll``."""
+    if comm.rank == 0:
+        comm.send(np.ones(3), 1, tag=7)
+        return None
+    while (payload := comm.poll(source=0, tag=7)) is None:
+        time.sleep(0.001)
+    return payload.size
+
+
+def test_a_polled_receive_is_a_recv_span_with_its_flow(tmp_path):
+    with obs.session(str(tmp_path / "poll.json")):
+        assert launch(_polled_send, 2, backend="thread") == [None, 3]
+    trace = json.loads((tmp_path / "poll.json").read_text())
+    polled = [
+        e["args"] for e in trace["traceEvents"]
+        if e["ph"] == "X" and e["name"] == "recv" and e["pid"] == 1
+        and e["args"]["tag"] == 7
+    ]
+    assert polled == [
+        {"peer": 0, "tag": 7, "nbytes": 24, "channel": "app", "elements": 3}
+    ]
+    flows = {
+        ph: Counter(e["id"] for e in trace["traceEvents"] if e["ph"] == ph)
+        for ph in "sf"
+    }
+    assert flows["s"] == flows["f"] and flows["s"]
+
+
+def _starve_after_a_short_timeout(comm, recorders):
+    """Rank 1's short-timeout receive expires, then its receive with the
+    world's deadline runs it out."""
+    recorders[comm.rank] = bind(FlightRecorder(rank=comm.rank))
+    if comm.rank == 1:
+        with pytest.raises(CommTimeoutError):
+            comm.recv(source=0, tag=6, timeout=0.01)
+        comm.recv(source=0, tag=7)
+
+
+def test_a_deadline_miss_is_one_recv_timeout_span_and_still_raises():
+    recorders = {}
+    with pytest.raises(WorldError) as failed:
+        launch(
+            _starve_after_a_short_timeout, 2, recorders, backend="thread",
+            default_recv_timeout=0.2,
+        )
+    assert list(failed.value.failures) == [1]
+    assert isinstance(failed.value.failures[1], CommTimeoutError)
+    spans = [ev for ev in recorders[1].events() if ev[0] == "X" and ev[2] == "comm"]
+    assert [(ev[1], ev[5]) for ev in spans] == [
+        ("recv-timeout", {"peer": 0, "tag": 7, "channel": "app"})
+    ]
+    assert spans[0][4] >= 0.19e9
+
+
+def _miss_the_deadline(comm):
+    """Rank 1 runs out the world's deadline, then tells rank 0, which waits
+    on a timeout of its own."""
+    if comm.rank == 1:
+        with pytest.raises(CommTimeoutError):
+            comm.recv(source=0, tag=7)
+        comm.send("missed", 0, tag=8)
+        return None
+    return comm.recv(source=1, tag=8, timeout=30.0)
+
+
+def test_the_report_counts_receive_timeouts_per_track(tmp_path):
+    out = tmp_path / "missed.json"
+    with obs.session(str(out)) as traced:
+        assert launch(
+            _miss_the_deadline, 2, backend="thread", default_recv_timeout=0.5
+        ) == ["missed", None]
+    assert traced.report["recv_timeouts"] == {1: 1}
+    assert "timeouts   : 1 receive(s) ran out the world's deadline" in format_summary(
+        traced.report, str(out)
+    )
+    assert trace_report(json.loads(out.read_text()))["recv_timeouts"] == {1: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import schedule_verifier as sv
-from repro.analysis.recording import RecordingWorld
+from repro.analysis import recording
 from repro.collectives import sharding, sync
 from repro.collectives.topology import HostTopology
 from repro.comm import available_backends, launch
@@ -172,8 +172,8 @@ _CASES = [
 def test_interpreted_plan_sends_what_the_live_collective_sends(case):
     size = case.world_size
     live, topology = _live(size)[case.name]
-    record = RecordingWorld(size, host_topology=topology).run(
-        lambda comm: live(comm, case.inputs(comm.rank))
+    record = recording.record(
+        lambda comm: live(comm, case.inputs(comm.rank)), size, host_topology=topology
     )
     assert not any(record.errors), record.errors
     interpreted = case.record()
@@ -220,8 +220,8 @@ def test_the_fp16_wire_sums_a_0_1_certificate_exactly_at_p64(name):
     size = 64
     case = next(c for c in sv.build_plan_cases(size) if c.name == name)
     live, topology = _live(size)[name]
-    record = RecordingWorld(size, host_topology=topology).run(
-        lambda comm: live(comm, _unit(comm.rank, size))
+    record = recording.record(
+        lambda comm: live(comm, _unit(comm.rank, size)), size, host_topology=topology
     )
     assert not any(record.errors), record.errors
     assert _per_rank(case.record().events, size) == _per_rank(record.events, size)

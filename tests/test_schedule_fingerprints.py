@@ -10,7 +10,8 @@ deep500 / Horovod / sharded exchanges' plans and the barrier) is hashed
 from :func:`~repro.analysis.schedule_verifier.interpret`'s record,
 without threads; only what is not a plan
 (:func:`~repro.analysis.schedule_verifier.build_cases`: serving and
-telemetry) is recorded by :mod:`repro.analysis.recording`.
+telemetry) is recorded by :func:`repro.analysis.recording.record`, off
+the flight recorder's ``send`` / ``recv`` spans.
 ``tests/test_plans.py`` proves each plan case's interpreted lists equal
 those of a recorded run of the live collective or exchange, so a green
 run here proves the live code too mints the same tags, talks to the same

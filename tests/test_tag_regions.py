@@ -218,9 +218,9 @@ def _proxied_and_raw_collectives(comm):
 
 
 def test_proxied_and_raw_collectives_draw_distinct_epochs():
-    from repro.analysis.recording import RecordingWorld
+    from repro.analysis import recording
 
-    record = RecordingWorld(3).run(_proxied_and_raw_collectives)
+    record = recording.record(_proxied_and_raw_collectives, 3)
     assert not record.crashed and not record.starved()
     epochs = {tags.decode_sync_tag(e.tag).epoch for e in record.sends()}
     assert epochs == {0, 1, 2, 3}
